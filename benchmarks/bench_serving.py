@@ -37,10 +37,10 @@ from repro import kernels
 from repro.core.memo import clear_all_memos
 from repro.core.planner import Planner
 from repro.faq.plan import PLAN_CACHE
-from repro.lab.batch import structural_signature
+from repro.faq.reference import structural_signature
 from repro.lab.generate import generate_scenarios
 from repro.lab.results import answer_digest, percentile
-from repro.lab.runner import materialize_scenario
+from repro.pipeline import materialize_scenario
 from repro.serve import AdmissionPolicy, QueryService, ServeError, session_id_of
 
 #: Distinct from suite seeds: the bench explores its own slice.

@@ -21,13 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..faq import (
-    FAQQuery,
-    scalar_value,
-    solve_naive,
-    solve_variable_elimination,
-    validate_solver,
-)
+from ..faq import FAQQuery, scalar_value, solve, validate_solver
 from ..lowerbounds.bounds import BoundReport, bcq_bounds, faq_bounds
 from ..network.topology import Topology
 from ..obs.trace import Tracer, activate, normalize as _normalize_tracer
@@ -210,10 +204,7 @@ class Planner:
 
     def reference_answer(self) -> Factor:
         """The centralized ground truth (on the configured solver)."""
-        try:
-            return solve_variable_elimination(self.query, solver=self.solver)
-        except ValueError:
-            return solve_naive(self.query, solver=self.solver)
+        return solve(self.query, self.solver)
 
     def compile_protocol_plan(self):
         """The :class:`~repro.protocols.faq_protocol.ProtocolPlan`

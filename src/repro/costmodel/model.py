@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .expr import Expr
 from .formulas import structural_costs
@@ -183,42 +183,18 @@ def predict_from_skeleton(
     )
 
 
-def predict_costs(
-    spec,
-    plan=None,
-    nodes: Optional[Sequence[str]] = None,
-) -> CostPrediction:
+def predict_costs(spec, plan, nodes: Sequence[str]) -> CostPrediction:
     """Predict the four cost metrics for a scenario — without running it.
 
     Args:
         spec: The :class:`~repro.lab.spec.ScenarioSpec` to price.
-        plan: An already-compiled
-            :class:`~repro.protocols.faq_protocol.ProtocolPlan` to reuse
-            (the lab's certification path passes the executed plan so
-            nothing is compiled twice).  When None, the scenario's
-            query/topology/assignment are materialized here and the plan
-            compiled fresh — still zero protocol rounds.
-        nodes: All topology nodes; required with ``plan``, derived
-            otherwise.
+        plan: The scenario's compiled
+            :class:`~repro.protocols.faq_protocol.ProtocolPlan`
+            (:func:`repro.pipeline.plan_scenario` compiles it — still
+            zero protocol rounds — and the lab's certification path
+            passes the executed plan so nothing is compiled twice).
+        nodes: All topology nodes.
     """
-    if plan is None:
-        # Late imports: the lab imports this package for certification,
-        # so the module graph must stay acyclic at import time.
-        from ..core.planner import assign_round_robin
-        from ..lab.runner import build_assignment, build_query, build_topology
-        from ..protocols.faq_protocol import compile_plan
-
-        built = build_query(spec)
-        topology = build_topology(spec)
-        assignment = build_assignment(spec, built, topology)
-        if assignment is None:
-            assignment = assign_round_robin(built.query, topology)
-        plan = compile_plan(
-            built.query, topology, assignment, solver=spec.solver
-        )
-        nodes = topology.nodes
-    elif nodes is None:
-        raise ValueError("predict_costs(plan=...) requires nodes=")
     skeleton = extract_skeleton(plan, tuple(nodes))
     return predict_from_skeleton(
         skeleton, cell_of(spec), max_rounds=spec.max_rounds

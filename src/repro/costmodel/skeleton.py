@@ -17,7 +17,7 @@ replayed here sequentially:
   rebuilds its center with semiring-zero rows dropped, so how many rows
   survive to be routed to the output player depends on the data.  The
   replay recomputes exactly those counts with the shared Phase-B scorer
-  (:func:`~repro.protocols.faq_protocol._score_rows`) and the compiled
+  (:func:`~repro.protocols.faq_protocol.score_rows`) and the compiled
   engine's fold order (:func:`~repro.protocols.compiler.fold_tree_slots`)
   — both imported, not re-implemented, so the model cannot drift from
   the engines.
@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Tuple
 from ..protocols.compiler import fold_tree_slots
 from ..protocols.faq_protocol import (
     ProtocolPlan,
-    _score_rows,
-    _star_contributions,
+    score_rows,
+    star_contributions,
 )
 from ..semiring import Factor
 
@@ -141,9 +141,9 @@ def _replay_final_counts(plan: ProtocolPlan) -> Dict[str, int]:
         ranges = star.slot_plan.slice_ranges(len(rows))
         slots_by_node: Dict[str, List] = {}
         for node in star.slot_plan.terminals:
-            contributions = _star_contributions(plan, star, state, node)
+            contributions = star_contributions(plan, star, state, node)
             if contributions:
-                slots_by_node[node] = _score_rows(
+                slots_by_node[node] = score_rows(
                     semiring, star.center_schema, contributions, rows
                 )
         combined: List = []

@@ -25,12 +25,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..network.program import EOS_BITS, HEADER_BITS
 from .skeleton import CostSkeleton, RouteSkeleton, StarSkeleton
-
-#: Mirror of :data:`repro.network.program.HEADER_BITS`.
-HEADER_BITS = 32
-#: Mirror of :data:`repro.network.program.EOS_BITS`.
-EOS_BITS = 1
 
 
 class CostModelError(Exception):

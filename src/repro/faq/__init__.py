@@ -46,6 +46,7 @@ from .query import (
     marginal_query,
     natural_join_query,
 )
+from .reference import solve, solve_stacked
 from .variable_elimination import (
     greedy_elimination_order,
     solve_variable_elimination,
@@ -71,8 +72,10 @@ __all__ = [
     "aggregate_absent_variable",
     "scalar",
     "scalar_value",
+    "solve",
     "solve_naive",
     "solve_variable_elimination",
+    "solve_stacked",
     "greedy_elimination_order",
     "solve_message_passing",
     "assign_factors_to_ghd",

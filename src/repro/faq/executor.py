@@ -10,7 +10,7 @@ operator-at-a-time path while returning byte-identical answers:
   then happens once per base column (one vectorized ``np.unique`` over
   the concatenated dictionaries) instead of once per operator: every
   downstream join sees aligned code arrays and skips the per-join
-  Python-loop dictionary merge entirely (``_merge_dictionaries``
+  Python-loop dictionary merge entirely (``merge_dictionaries``
   short-circuits on identity).
 * **Kernel fusion** — :func:`fused_join_marginalize` runs the "join all
   factors touching ``v``, then ⊕-marginalize ``v`` out" elimination step
@@ -49,13 +49,12 @@ from ..semiring.backend import profile_for, supports_columnar
 from ..semiring.columnar import (
     ColumnarFactor,
     Dictionary,
-    _INT64_MAX,
-    _composite_key,
-    _empty_like,
-    _exact_array,
-    _int_values_exceed,
-    _match_indices,
-    _sort_groups,
+    INT64_MAX,
+    composite_key,
+    empty_like,
+    exact_array,
+    int_values_exceed,
+    sort_groups,
 )
 from ..semiring.semirings import BOOLEAN
 from . import operations
@@ -115,7 +114,7 @@ def _dictionary_array(d: list) -> Optional[np.ndarray]:
     if len(types) != 1:
         return None
     try:
-        return _exact_array(next(iter(types)), d)
+        return exact_array(next(iter(types)), d)
     except (TypeError, ValueError, OverflowError):
         return None
 
@@ -246,7 +245,7 @@ class DictionaryPool:
     After :meth:`intern_factors`, every column of a shared variable
     references the *same* dictionary object, so code arrays are aligned
     across all operators of the execution: joins build composite keys
-    directly from the codes and ``_merge_dictionaries`` degenerates to an
+    directly from the codes and ``merge_dictionaries`` degenerates to an
     identity remap.  Variables occurring in a single factor are left
     untouched (there is nothing to align).
     """
@@ -324,7 +323,7 @@ def _grouped_reduce_columns(
     """
     out_dicts = [dicts[v] for v in out_schema]
     if n == 0:
-        return _empty_like(out_schema, out_dicts, semiring, None)
+        return empty_like(out_schema, out_dicts, semiring, None)
     columns = [cols[v] for v in out_schema]
     cards = [max(len(d), 1) for d in out_dicts]
 
@@ -332,7 +331,7 @@ def _grouped_reduce_columns(
         space = 1
         for card in cards:
             space *= card
-        key = _composite_key(columns, cards, n)
+        key = composite_key(columns, cards, n)
         if key is not None and space <= max(4 * n, _DENSE_CAP):
             mark = np.zeros(space, dtype=bool)
             mark[key] = True
@@ -348,7 +347,7 @@ def _grouped_reduce_columns(
                 out_codes.reverse()
             reduced = np.ones(len(out_keys), dtype=np.bool_)
         else:
-            order, starts = _sort_groups(columns, cards, n)
+            order, starts = sort_groups(columns, cards, n)
             representatives = order[starts]
             out_codes = [c[representatives] for c in columns]
             reduced = np.ones(len(starts), dtype=np.bool_)
@@ -356,9 +355,9 @@ def _grouped_reduce_columns(
             out_schema, out_codes, out_dicts, reduced, semiring, None
         )
 
-    if _int_values_exceed(profile, values, _INT64_MAX // n):
+    if int_values_exceed(profile, values, INT64_MAX // n):
         return None
-    order, starts = _sort_groups(columns, cards, n)
+    order, starts = sort_groups(columns, cards, n)
     reduced = kernels.grouped_reduce(values, order, starts, profile.add)
     representatives = order[starts]
     out_codes = [c[representatives] for c in columns]
@@ -447,16 +446,16 @@ def fused_join_marginalize(
         ):
             left_max = int(np.abs(values).max())
             right_max = int(np.abs(f.values).max())
-            if left_max and right_max and left_max > _INT64_MAX // right_max:
+            if left_max and right_max and left_max > INT64_MAX // right_max:
                 return None
         cards = [len(dicts[v]) for v in shared]
-        left_key = _composite_key([cols[v] for v in shared], cards, n)
-        right_key = _composite_key(
+        left_key = composite_key([cols[v] for v in shared], cards, n)
+        right_key = composite_key(
             [f.codes[f.column_index(v)] for v in shared], cards, len(f)
         )
         if left_key is None or right_key is None:
             return None
-        left_idx, right_idx = _match_indices(left_key, right_key)
+        left_idx, right_idx = kernels.match_indices(left_key, right_key)
         if values is not None:
             joined = profile.mul(values[left_idx], f.values[right_idx])
             zero = profile.is_zero_mask(joined)

@@ -6,13 +6,7 @@ on-disk result cache, and persist Table-1-style results as JSON bench
 artifacts.  CLI: ``python -m repro.lab run smoke --jobs 2``.
 """
 
-from .batch import (
-    BatchParityError,
-    plan_groups,
-    run_suite_batched,
-    stack_queries,
-    unstack_answers,
-)
+from .batch import BatchParityError, plan_groups, run_suite_batched
 from .cache import ResultCache
 from .generate import fuzz_suite, generate_scenarios, sample_scenario
 from .report import (
@@ -39,12 +33,7 @@ from .results import (
 )
 from .runner import (
     CERTIFIED_QUERY_FAMILIES,
-    QUERY_FAMILIES,
-    TOPOLOGY_FAMILIES,
     SuiteRun,
-    build_assignment,
-    build_query,
-    build_topology,
     execute_scenario,
     run_suite,
 )
@@ -85,15 +74,8 @@ __all__ = [
     "run_suite_batched",
     "BatchParityError",
     "plan_groups",
-    "stack_queries",
-    "unstack_answers",
     "execute_scenario",
-    "build_query",
-    "build_topology",
-    "build_assignment",
-    "QUERY_FAMILIES",
     "CERTIFIED_QUERY_FAMILIES",
-    "TOPOLOGY_FAMILIES",
     "fuzz_suite",
     "generate_scenarios",
     "sample_scenario",

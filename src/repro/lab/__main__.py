@@ -60,31 +60,24 @@ from ..kernels import KERNEL_TIERS
 from ..obs.logging import LOG_LEVELS, configure as configure_logging, get_logger
 from ..protocols.faq_protocol import ENGINES
 from .cache import ResultCache
+from ..pipeline import plan_scenario, predicted_metrics
 from .report import (
+    PARITY_AXES,
     all_parity_failures,
     artifact_payload,
-    backend_pairs,
-    engine_pairs,
+    axis_pairs,
     format_aggregate_table,
     format_certification_table,
     format_cost_table,
     format_results_table,
-    kernels_pairs,
     render_csv,
     render_markdown,
-    solver_pairs,
     write_artifact,
 )
 from .results import aggregate
 from .runner import run_suite
 from .spec import SuiteSpec
-from .suites import (
-    get_suite,
-    suite_names,
-    with_engines,
-    with_kernels,
-    with_solvers,
-)
+from .suites import get_suite, suite_names, with_axis
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -248,11 +241,8 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     with open(args.artifact, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     records = payload.get("scenarios", [])
-    e_pairs = engine_pairs(records)
-    s_pairs = solver_pairs(records)
-    b_pairs = backend_pairs(records)
-    k_pairs = kernels_pairs(records)
-    if not e_pairs and not s_pairs and not b_pairs and not k_pairs:
+    pairs = {axis: len(axis_pairs(records, axis)) for axis in PARITY_AXES}
+    if not any(pairs.values()):
         print(
             "no engine, solver, backend or kernels pairs in artifact (run "
             "a suite with --engine both / --solver both / --kernels both, "
@@ -261,9 +251,8 @@ def _cmd_parity(args: argparse.Namespace) -> int:
         return 1
     failures = all_parity_failures(records)
     print(
-        f"{len(e_pairs)} engine pair(s), {len(s_pairs)} solver pair(s), "
-        f"{len(b_pairs)} backend pair(s), {len(k_pairs)} kernels pair(s) "
-        "checked"
+        ", ".join(f"{count} {axis} pair(s)" for axis, count in pairs.items())
+        + " checked"
     )
     if failures:
         print(f"PARITY FAILURES ({len(failures)}):", *failures, sep="\n  ")
@@ -280,12 +269,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     prediction (all four metrics); exit 1 otherwise.
     """
     from ..costmodel import (
-        COVERED_CELLS,
         CostModelError,
         cell_of,
         coverage_report,
         format_kernel_table,
-        predict_costs,
+        is_covered,
     )
 
     suite = get_suite(args.suite, seed=args.seed)
@@ -302,10 +290,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print(format_kernel_table())
         print()
 
-    # One base prediction per plane-stripped spec: the engine/solver/
-    # backend/kernels planes are accounting-identical (the parity gates
-    # enforce it), so 16 planes of a scenario share one skeleton price.
-    cache = {}
     mismatches: List[str] = []
     matched = 0
     header = (
@@ -315,28 +299,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
     for spec in suite:
-        key = json.dumps(
-            {
-                k: v
-                for k, v in spec.to_json_dict().items()
-                if k not in ("engine", "solver", "backend", "kernels")
-            },
-            sort_keys=True,
-        )
+        planner, plan = plan_scenario(spec)
         try:
-            if key in cache:
-                prediction = cache[key]
-            else:
-                prediction = cache[key] = predict_costs(spec)
+            predicted = predicted_metrics(spec, plan, planner.topology.nodes)
         except CostModelError as exc:
             print(f"{spec.label:<52} PREDICTION FAILED: {exc}")
             mismatches.append(f"{spec.label}: {exc}")
             continue
-        covered = cell_of(spec) in COVERED_CELLS
+        covered = is_covered(spec)
         print(
             f"{spec.label:<52} {'y' if covered else '-':>3} "
-            f"{prediction.rounds:>7} {prediction.total_bits:>9} "
-            f"{prediction.max_edge_bits_per_round:>7}"
+            f"{predicted['rounds']:>7} {predicted['total_bits']:>9} "
+            f"{predicted['max_edge_bits_per_round']:>7}"
         )
         record = recorded.get(spec.content_hash())
         if record is None or not covered:
@@ -347,7 +321,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             "rounds": record["measured_rounds"],
             "total_bits": record["total_bits"],
         }
-        predicted = prediction.metrics()
         diffs = [
             f"{metric} predicted={predicted[metric]!r} "
             f"recorded={measured[metric]!r}"
@@ -463,36 +436,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     suite = get_suite(args.suite, seed=args.seed)
-    if args.engine == "both":
-        suite = with_engines(
-            suite, suite.name, suite.description or suite.name
-        )
-    elif args.engine is not None:
-        suite = SuiteSpec(
-            name=suite.name,
-            scenarios=tuple(s.with_(engine=args.engine) for s in suite),
-            description=suite.description,
-        )
-    if args.solver == "both":
-        suite = with_solvers(
-            suite, suite.name, suite.description or suite.name
-        )
-    elif args.solver is not None:
-        suite = SuiteSpec(
-            name=suite.name,
-            scenarios=tuple(s.with_(solver=args.solver) for s in suite),
-            description=suite.description,
-        )
-    if args.kernels == "both":
-        suite = with_kernels(
-            suite, suite.name, suite.description or suite.name
-        )
-    elif args.kernels is not None:
-        suite = SuiteSpec(
-            name=suite.name,
-            scenarios=tuple(s.with_(kernels=args.kernels) for s in suite),
-            description=suite.description,
-        )
+    for axis in ("engine", "solver", "kernels"):
+        choice = getattr(args, axis)
+        if choice == "both":
+            suite = with_axis(
+                suite, axis, suite.name, suite.description or suite.name
+            )
+        elif choice is not None:
+            suite = SuiteSpec(
+                name=suite.name,
+                scenarios=tuple(s.with_(**{axis: choice}) for s in suite),
+                description=suite.description,
+            )
     cache: Optional[ResultCache] = None
     if not args.no_cache:
         cache_dir = args.cache_dir or os.path.join(args.out, ".lab_cache")

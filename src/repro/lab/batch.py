@@ -5,7 +5,7 @@
 identical scenarios (same query shape, factor schemas, semiring and
 free variables — in practice the 16 axis planes of one fuzz identity,
 plus same-shape identities across seeds).  Each group shares one
-materialization (:func:`repro.lab.runner.materialize_scenario`) and the
+materialization (:func:`repro.pipeline.materialize_scenario`) and the
 hot structural memos, and after its members run, the whole group is
 re-solved **once** as a stacked tensor program: every member relation
 gains a leading ``__scenario__`` column, the stacked relations share one
@@ -29,7 +29,6 @@ blocks stay identical to unbatched runs.
 from __future__ import annotations
 
 import gc
-import json
 import pickle
 import random
 import time
@@ -37,21 +36,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import kernels
 from ..core.memo import clear_all_memos
-from ..faq import FAQQuery, solve_naive, solve_variable_elimination
-from ..hypergraph import Hypergraph
+from ..faq.reference import solve_stacked, structural_signature
 from ..obs.counters import COUNTERS
-from ..semiring import Factor
+from ..pipeline import identity_key, materialize_scenario
 from .cache import ResultCache
 from .results import ScenarioResult, answer_digest
-from .runner import (
-    SuiteRun,
-    _execute_with_context,
-    materialize_scenario,
-)
+from .runner import SuiteRun, _execute_with_context, _SuiteProgress
 from .spec import ScenarioSpec, SuiteSpec
-
-#: The leading stacking variable: scenario index within the group.
-SCENARIO_VAR = "__scenario__"
 
 #: Spec fields erased by the coarse grouping key.  The four parity axes
 #: never change the instance; seed / size / placement knobs change the
@@ -77,10 +68,9 @@ def _resolved_plane_key(spec: ScenarioSpec) -> str:
     materializes the twin plane's result from it; with numba installed
     the keys differ and every plane runs for real.
     """
-    payload = spec.to_json_dict()
-    if payload.get("kernels") == "jit" and not kernels.HAVE_NUMBA:
-        payload["kernels"] = "numpy"
-    return json.dumps(payload, sort_keys=True)
+    if spec.kernels == "jit" and not kernels.HAVE_NUMBA:
+        spec = spec.with_(kernels="numpy")
+    return identity_key(spec, drop=())
 
 
 def _twin_result(twin: ScenarioResult, spec: ScenarioSpec) -> ScenarioResult:
@@ -99,37 +89,6 @@ def _twin_result(twin: ScenarioResult, spec: ScenarioSpec) -> ScenarioResult:
     return result
 
 
-def _coarse_key(spec: ScenarioSpec) -> str:
-    """The shape-candidate grouping key (family/query/topology/semiring)."""
-    payload = spec.to_json_dict()
-    for field in _GROUP_NEUTRAL_FIELDS:
-        payload.pop(field, None)
-    return json.dumps(payload, sort_keys=True)
-
-
-def structural_signature(query: FAQQuery) -> Optional[str]:
-    """The exact stacking contract of a materialized query.
-
-    Two queries stack iff their signatures are equal: same factor names
-    with the same ordered schemas, same free variables, same semiring.
-    Queries with explicit (non-FAQ-SS) aggregates return ``None`` —
-    product aggregates fold over full domains, which a cross-instance
-    domain union would silently change, so they never stack.
-    """
-    if query.aggregates:
-        return None
-    return json.dumps(
-        {
-            "factors": sorted(
-                (name, list(f.schema)) for name, f in query.factors.items()
-            ),
-            "free_vars": list(query.free_vars),
-            "semiring": query.semiring.name,
-        },
-        sort_keys=True,
-    )
-
-
 def plan_groups(
     specs: Sequence[ScenarioSpec],
 ) -> List[Tuple[Optional[str], List[ScenarioSpec]]]:
@@ -143,7 +102,9 @@ def plan_groups(
     """
     coarse: Dict[str, List[ScenarioSpec]] = {}
     for spec in specs:
-        coarse.setdefault(_coarse_key(spec), []).append(spec)
+        coarse.setdefault(
+            identity_key(spec, drop=_GROUP_NEUTRAL_FIELDS), []
+        ).append(spec)
     groups: List[Tuple[Optional[str], List[ScenarioSpec]]] = []
     for members in coarse.values():
         refined: Dict[Optional[str], List[ScenarioSpec]] = {}
@@ -159,71 +120,6 @@ def plan_groups(
     return groups
 
 
-def stack_queries(queries: Sequence[FAQQuery]) -> FAQQuery:
-    """One tensor program answering every member query at once.
-
-    Every relation gains a leading :data:`SCENARIO_VAR` column holding
-    the member index; domains are the per-variable first-seen union
-    across members (content differs, shape does not — enforced by
-    :func:`structural_signature`).  The columnar backend then interns
-    all stacked columns through one shared dictionary pool, so the
-    group executes as a single extra-leading-axis dispatch.
-    """
-    base = queries[0]
-    edges = {
-        name: (SCENARIO_VAR,) + tuple(factor.schema)
-        for name, factor in base.factors.items()
-    }
-    domains: Dict[str, Tuple[Any, ...]] = {
-        SCENARIO_VAR: tuple(range(len(queries)))
-    }
-    merged: Dict[str, Dict[Any, None]] = {}
-    for query in queries:
-        for var, dom in query.domains.items():
-            merged.setdefault(var, {}).update(dict.fromkeys(dom))
-    domains.update({var: tuple(vals) for var, vals in merged.items()})
-    factors: Dict[str, Factor] = {}
-    for name, base_factor in base.factors.items():
-        schema = (SCENARIO_VAR,) + tuple(base_factor.schema)
-        rows: Dict[Tuple[Any, ...], Any] = {}
-        for index, query in enumerate(queries):
-            for key, value in query.factors[name].rows.items():
-                rows[(index,) + tuple(key)] = value
-        factors[name] = Factor(schema, rows, base.semiring, name=name)
-    return FAQQuery(
-        hypergraph=Hypergraph(edges),
-        factors=factors,
-        domains=domains,
-        free_vars=(SCENARIO_VAR,) + tuple(base.free_vars),
-        semiring=base.semiring,
-        name=f"stacked[{len(queries)}]:{base.name or 'faq'}",
-        backend="columnar",
-    )
-
-
-def _solve_stacked(stacked: FAQQuery) -> Factor:
-    """Solve the stacked program on the compiled fast path."""
-    try:
-        return solve_variable_elimination(stacked, solver="compiled")
-    except ValueError:
-        # Dangling bound variables — same fallback the per-member
-        # reference solve takes.
-        return solve_naive(stacked, solver="compiled")
-
-
-def unstack_answers(
-    answer: Factor, free_vars: Sequence[str], count: int
-) -> List[Dict[Tuple[Any, ...], Any]]:
-    """Split a stacked answer back into per-scenario row dicts."""
-    schema = tuple(answer.schema)
-    scenario_at = schema.index(SCENARIO_VAR)
-    positions = [schema.index(var) for var in free_vars]
-    per: List[Dict[Tuple[Any, ...], Any]] = [{} for _ in range(count)]
-    for key, value in answer.rows.items():
-        per[key[scenario_at]][tuple(key[at] for at in positions)] = value
-    return per
-
-
 def verify_group(
     members: Sequence[ScenarioSpec],
     results: Sequence[ScenarioResult],
@@ -234,19 +130,16 @@ def verify_group(
         BatchParityError: if any unstacked per-scenario answer differs
             (by digest) from the member's individually-executed answer.
     """
-    queries = [materialize_scenario(spec)[0].query for spec in members]
-    stacked = stack_queries(queries)
-    answer = _solve_stacked(stacked)
-    free_vars = tuple(queries[0].free_vars)
-    for index, rows in enumerate(
-        unstack_answers(answer, free_vars, len(members))
-    ):
-        digest = answer_digest(free_vars, rows)
-        if digest != results[index].answer_digest:
+    answers = solve_stacked(
+        [materialize_scenario(spec)[0].query for spec in members]
+    )
+    for spec, result, (schema, rows) in zip(members, results, answers):
+        digest = answer_digest(schema, rows)
+        if digest != result.answer_digest:
             raise BatchParityError(
-                f"stacked solve disagreed with member "
-                f"{members[index].label}: unstacked digest {digest} != "
-                f"executed digest {results[index].answer_digest}"
+                f"stacked solve disagreed with member {spec.label}: "
+                f"unstacked digest {digest} != executed digest "
+                f"{result.answer_digest}"
             )
 
 
@@ -308,33 +201,15 @@ def run_suite_batched(
         suite order exactly and whose ``batch`` dict carries the
         (volatile) grouping and throughput stats.
     """
-    emit = log or (lambda message: None)
-    clear_all_memos()
-    start = time.perf_counter()
-
-    hashes = [spec.content_hash() for spec in suite.scenarios]
-    by_hash: Dict[str, ScenarioResult] = {}
-    pending: List[ScenarioSpec] = []
-    seen = set()
-    from_cache = set()
-    for spec, key in zip(suite.scenarios, hashes):
-        if key in seen:
-            continue
-        seen.add(key)
-        record = None if (force or cache is None) else cache.get(key)
-        if record is not None:
-            by_hash[key] = ScenarioResult.from_record(record, cached=True)
-            from_cache.add(key)
-            emit(f"[cache] {spec.label}")
-        else:
-            pending.append(spec)
-    cache_hits = sum(1 for key in hashes if key in from_cache)
+    progress = _SuiteProgress(suite, cache, force, log)
+    emit = progress.emit
+    pending = [spec for spec, _key in progress.pending]
     executed = len(pending)
 
     baseline = None
     if baseline_sample and pending:
         sample = random.Random(8191).sample(
-            list(pending), min(baseline_sample, len(pending))
+            pending, min(baseline_sample, len(pending))
         )
         emit(f"[base ] timing {len(sample)} scenario(s) on the cold path")
         baseline = _measure_baseline(sample, trace)
@@ -367,7 +242,6 @@ def run_suite_batched(
                 largest = max(largest, len(members))
             member_results: List[ScenarioResult] = []
             for spec in members:
-                key = spec.content_hash()
                 plane_key = _resolved_plane_key(spec)
                 twin = plane_cache.get(plane_key)
                 if twin is not None:
@@ -378,12 +252,7 @@ def run_suite_batched(
                     emit(f"[run  ] {spec.label}")
                     result = _execute_with_context(spec, trace)
                     plane_cache[plane_key] = result
-                by_hash[key] = result
-                if cache is not None:
-                    cache.put(key, result.deterministic_record())
-                for line in result.captured_logs or ():
-                    emit(f"[log  ] {spec.label}: {line}")
-                emit(f"[done ] {spec.label}: rounds={result.measured_rounds}")
+                progress.finish(spec, spec.content_hash(), result)
                 member_results.append(result)
             if multi:
                 verify_group(members, member_results)
@@ -417,14 +286,4 @@ def run_suite_batched(
             batched_sps / base_sps if batched_sps and base_sps else None
         ),
     }
-
-    results = [by_hash[key] for key in hashes]
-    return SuiteRun(
-        suite=suite,
-        results=results,
-        cache_hits=cache_hits,
-        executed=executed,
-        jobs=1,
-        wall_time=time.perf_counter() - start,
-        batch=batch_info,
-    )
+    return progress.suite_run(jobs=1, batch=batch_info)

@@ -19,10 +19,12 @@ import os
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.analysis import format_table
+from ..core.memo import memo_stats
 from ..costmodel.model import COST_METRIC_NAMES
 from ..obs.counters import DETERMINISTIC_COUNTERS
+from ..pipeline import MATERIALIZE_MEMO, PLANE_AXES
 from .results import FamilyAggregate, ScenarioResult, aggregate
-from .runner import SuiteRun, materialization_timings
+from .runner import SuiteRun
 
 #: The bench artifact the CI job uploads.
 ARTIFACT_FILENAME = "BENCH_lab.json"
@@ -231,7 +233,7 @@ def axis_pairs(
 
     Returns one ``{axis_value: record}`` dict per scenario identity that
     was run on more than one value of the axis (suite order of first
-    appearance).  ``axis`` is ``"engine"`` or ``"solver"``.
+    appearance).  ``axis`` is one of :data:`PARITY_AXES`.
     """
     default = _AXIS_DEFAULTS.get(axis)
     groups: Dict[str, Dict[str, Dict[str, Any]]] = {}
@@ -245,36 +247,8 @@ def axis_pairs(
     return [groups[key] for key in order if len(groups[key]) > 1]
 
 
-def engine_pairs(
-    records: Sequence[Dict[str, Any]],
-) -> List[Dict[str, Dict[str, Any]]]:
-    """Records paired across the protocol-engine axis."""
-    return axis_pairs(records, "engine")
-
-
-def solver_pairs(
-    records: Sequence[Dict[str, Any]],
-) -> List[Dict[str, Dict[str, Any]]]:
-    """Records paired across the FAQ-solver axis."""
-    return axis_pairs(records, "solver")
-
-
-def backend_pairs(
-    records: Sequence[Dict[str, Any]],
-) -> List[Dict[str, Dict[str, Any]]]:
-    """Records paired across the storage-backend axis."""
-    return axis_pairs(records, "backend")
-
-
-def kernels_pairs(
-    records: Sequence[Dict[str, Any]],
-) -> List[Dict[str, Dict[str, Any]]]:
-    """Records paired across the kernel-tier axis."""
-    return axis_pairs(records, "kernels")
-
-
 #: The four differential axes every fuzzed scenario is swept across.
-PARITY_AXES = ("engine", "solver", "backend", "kernels")
+PARITY_AXES = PLANE_AXES
 
 
 def all_parity_failures(records: Sequence[Dict[str, Any]]) -> List[str]:
@@ -580,9 +554,8 @@ def timings_payload(run: SuiteRun) -> Dict[str, Any]:
         "solver_pairs": solver_pairs_,
         "solver_headline": solver_headline,
         # What the plane-shared materialization memo avoided rebuilding
-        # (and re-pickling to workers): hits/misses plus estimated
-        # seconds saved at the mean observed build time.
-        "materialization": materialization_timings(),
+        # in this process: its hits / misses / size.
+        "materialization": memo_stats()[MATERIALIZE_MEMO.name],
     }
 
 

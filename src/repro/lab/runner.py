@@ -1,13 +1,12 @@
-"""Scenario materialization + the parallel, cache-aware suite runner.
+"""The experiment harness: certified scenario execution and the parallel,
+cache-aware suite runner.
 
-The runner is the only place a :class:`~repro.lab.spec.ScenarioSpec`
-becomes live objects: a query family builder produces the
-:class:`~repro.faq.query.FAQQuery` (threading explicit child seeds from
-:func:`repro.workloads.spawn_seeds` through every generator call site), a
-topology family builder produces the :class:`~repro.network.Topology`,
-and the assignment policy places relations on players.  Execution then
-goes through the repository's headline API — ``Planner.execute`` on the
-round simulator — exactly like the hand-written benchmarks did.
+:func:`execute_scenario` takes one :class:`~repro.lab.spec.ScenarioSpec`
+through :mod:`repro.pipeline` (materialize → plan) and the repository's
+headline API — ``Planner.execute`` on the round simulator — exactly like
+the hand-written benchmarks did, then attaches what makes it a lab
+result: the deterministic counter window, the lower-bound and cost-model
+certification verdicts and, on request, the replay-verified trace.
 
 :func:`run_suite` executes a :class:`~repro.lab.spec.SuiteSpec`:
 
@@ -22,201 +21,40 @@ round simulator — exactly like the hand-written benchmarks did.
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import kernels
-from ..core.memo import LRUMemo, clear_all_memos, memo_stats
-from ..core.planner import Planner, assign_single_player, worst_case_assignment
-from ..faq import FAQQuery, bcq
-from ..hypergraph import Hypergraph
-from ..lowerbounds import embed_tribes_in_forest, embedding_capacity, hard_tribes
+from ..core.memo import LRUMemo, clear_all_memos
+from ..core.planner import Planner
+from ..costmodel import CostModelError, cell_of, edge_digest, is_covered
 from ..lowerbounds.bounds import table1_gap_budget
 from ..lowerbounds.cut_simulation import (
     CutAccountingError,
     cut_transcript,
     verify_cut_accounting,
 )
-from ..network.topology import Topology
 from ..obs.counters import COUNTERS, counter_delta, deterministic_view
 from ..obs.logging import CaptureHandler, get_logger
 from ..obs.trace import RecordingTracer, TraceEvent, Tracer
 from ..obs.verify import verify_trace
-from ..semiring import get_semiring
-from ..workloads import random_instance, random_query_structure, spawn_seeds
+from ..pipeline import (
+    QUERY_SOURCES,
+    BuiltQuery,
+    identity_key,
+    materialize_scenario,
+    plan_scenario,
+    predicted_metrics,
+    worker_init,
+)
 from .cache import ResultCache
 from .results import ScenarioResult, answer_digest
 from .spec import ScenarioSpec, SuiteSpec
-
-#: Semirings whose random instances carry float annotations.
-_WEIGHTED_SEMIRINGS = frozenset({"real", "min-plus", "max-plus", "max-times"})
-
-
-@dataclass
-class BuiltQuery:
-    """A materialized query plus the embedding metadata policies need.
-
-    ``s_edges``/``t_edges`` are the TRIBES sides of the hard instances —
-    present only for the ``hard-*`` families, and required by the
-    ``worst-case`` assignment policy.
-    """
-
-    query: FAQQuery
-    s_edges: Tuple[str, ...] = ()
-    t_edges: Tuple[str, ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# Query families
-# ---------------------------------------------------------------------------
-
-
-def _embedded_tribes_query(h: Hypergraph, spec: ScenarioSpec, name: str) -> BuiltQuery:
-    """The Lemma 4.4 hard instance: TRIBES embedded in a forest query."""
-    (tribes_seed,) = spawn_seeds(spec.seed, 1)
-    value = bool(spec.param("value", True))
-    tribes = hard_tribes(embedding_capacity(h), spec.n, value, seed=tribes_seed)
-    emb = embed_tribes_in_forest(h, tribes)
-    query = bcq(h, emb.factors, emb.domains, name=name)
-    return BuiltQuery(query, s_edges=tuple(emb.s_edges), t_edges=tuple(emb.t_edges))
-
-
-def _build_hard_star(spec: ScenarioSpec) -> BuiltQuery:
-    arms = int(spec.param("arms", 4))
-    return _embedded_tribes_query(
-        Hypergraph.star(arms), spec, name=f"hard-star({arms})"
-    )
-
-
-def _build_hard_path(spec: ScenarioSpec) -> BuiltQuery:
-    length = int(spec.param("length", 4))
-    return _embedded_tribes_query(
-        Hypergraph.path(length), spec, name=f"hard-path({length})"
-    )
-
-
-def _random_instance_query(
-    h: Hypergraph, spec: ScenarioSpec, name: str, instance_seed: int
-) -> BuiltQuery:
-    """Random factors over ``h`` in the spec's semiring, free_vars = ().
-
-    ``instance_seed`` must be a *distinct* child of the master seed from
-    the structure seed (``spawn_seeds`` prefix stability makes
-    re-deriving ``spawn_seeds(spec.seed, 1)[0]`` here collide with the
-    callers' structure stream).
-    """
-    semiring = get_semiring(spec.semiring)
-    factors, domains = random_instance(
-        h,
-        domain_size=spec.domain_size,
-        relation_size=spec.n,
-        seed=instance_seed,
-        semiring=semiring,
-        weighted=spec.semiring in _WEIGHTED_SEMIRINGS,
-        # Exactly-representable weights: the 8-plane parity contract
-        # needs float folds to agree bytewise in any reduction order.
-        exact=True,
-    )
-    if spec.semiring == "boolean":
-        return BuiltQuery(bcq(h, factors, domains, name=name))
-    return BuiltQuery(
-        FAQQuery(
-            hypergraph=h,
-            factors=factors,
-            domains=domains,
-            free_vars=(),
-            semiring=semiring,
-            name=name,
-        )
-    )
-
-
-def _build_degenerate(spec: ScenarioSpec) -> BuiltQuery:
-    vertices = int(spec.param("vertices", 6))
-    d = int(spec.param("d", 2))
-    structure_seed, instance_seed = spawn_seeds(spec.seed, 2)
-    h = random_query_structure(
-        "degenerate", seed=structure_seed, num_vertices=vertices, d=d
-    )
-    return _random_instance_query(
-        h, spec, name=f"degen(v{vertices},d{d})", instance_seed=instance_seed
-    )
-
-
-def _build_acyclic(spec: ScenarioSpec) -> BuiltQuery:
-    edges = int(spec.param("edges", 5))
-    arity = int(spec.param("arity", 3))
-    structure_seed, instance_seed = spawn_seeds(spec.seed, 2)
-    h = random_query_structure(
-        "acyclic", seed=structure_seed, num_edges=edges, arity=arity
-    )
-    return _random_instance_query(
-        h, spec, name=f"acyclic(e{edges},r{arity})", instance_seed=instance_seed
-    )
-
-
-def _build_tree(spec: ScenarioSpec) -> BuiltQuery:
-    edges = int(spec.param("edges", 5))
-    structure_seed, instance_seed = spawn_seeds(spec.seed, 2)
-    h = random_query_structure("tree", seed=structure_seed, num_edges=edges)
-    return _random_instance_query(
-        h, spec, name=f"tree(e{edges})", instance_seed=instance_seed
-    )
-
-
-def _build_forest(spec: ScenarioSpec) -> BuiltQuery:
-    trees = int(spec.param("trees", 2))
-    edges = int(spec.param("edges", 2))
-    structure_seed, instance_seed = spawn_seeds(spec.seed, 2)
-    h = random_query_structure(
-        "forest", seed=structure_seed, num_trees=trees, edges_per_tree=edges
-    )
-    return _random_instance_query(
-        h, spec, name=f"forest(t{trees},e{edges})", instance_seed=instance_seed
-    )
-
-
-def _build_hard_forest(spec: ScenarioSpec) -> BuiltQuery:
-    """A TRIBES embedding into a *random* forest — the Lemma 4.4 hard
-    instance with fuzzed structure instead of the fixed star/path shapes.
-
-    Seed streams: ``spawn_seeds(spec.seed, 2)`` yields ``(tribes_seed,
-    structure_seed)``; ``_embedded_tribes_query`` re-derives the same
-    ``tribes_seed`` as ``spawn_seeds(spec.seed, 1)[0]`` (prefix
-    stability), so the two call sites stay on distinct streams.
-    """
-    trees = int(spec.param("trees", 2))
-    edges = int(spec.param("edges", 2))
-    if edges < 2:
-        raise ValueError(
-            "hard-forest needs edges >= 2 per tree (a single-edge tree "
-            "has no internal vertex to plant a TRIBES pair on)"
-        )
-    _tribes_seed, structure_seed = spawn_seeds(spec.seed, 2)
-    h = random_query_structure(
-        "forest", seed=structure_seed, num_trees=trees, edges_per_tree=edges
-    )
-    return _embedded_tribes_query(
-        h, spec, name=f"hard-forest(t{trees},e{edges})"
-    )
-
-
-QUERY_FAMILIES: Dict[str, Callable[[ScenarioSpec], BuiltQuery]] = {
-    "hard-star": _build_hard_star,
-    "hard-path": _build_hard_path,
-    "hard-forest": _build_hard_forest,
-    "degenerate": _build_degenerate,
-    "acyclic": _build_acyclic,
-    "tree": _build_tree,
-    "forest": _build_forest,
-}
 
 #: Query families whose instances *are* the paper's lower-bound
 #: constructions (TRIBES embeddings).  Under the ``worst-case``
@@ -227,75 +65,6 @@ QUERY_FAMILIES: Dict[str, Callable[[ScenarioSpec], BuiltQuery]] = {
 #: cut-accounting bound (the worst-case formulas are statements a lucky
 #: instance may legitimately beat).
 CERTIFIED_QUERY_FAMILIES = frozenset({"hard-star", "hard-path", "hard-forest"})
-
-
-# ---------------------------------------------------------------------------
-# Topology families
-# ---------------------------------------------------------------------------
-
-TOPOLOGY_FAMILIES: Dict[str, Callable[..., Topology]] = {
-    "line": lambda n: Topology.line(n),
-    "ring": lambda n: Topology.ring(n),
-    "clique": lambda n: Topology.clique(n),
-    "star": lambda leaves: Topology.star(leaves),
-    "grid": lambda rows, cols: Topology.grid(rows, cols),
-    "tree": lambda branching, depth: Topology.balanced_tree(branching, depth),
-    "barbell": lambda clique_size, path_len: Topology.barbell(clique_size, path_len),
-    "hypercube": lambda dim: Topology.hypercube(dim),
-    "expander": lambda n, degree, seed=0: Topology.expander(n, degree, seed=seed),
-    "regular": lambda n, degree, seed=0: Topology.random_regular(degree, n, seed=seed),
-    "two-party": lambda: Topology.two_party(),
-}
-
-
-def build_query(spec: ScenarioSpec) -> BuiltQuery:
-    """Materialize the spec's query family."""
-    try:
-        builder = QUERY_FAMILIES[spec.query]
-    except KeyError:
-        known = ", ".join(sorted(QUERY_FAMILIES))
-        raise ValueError(f"unknown query family {spec.query!r}; known: {known}")
-    return builder(spec)
-
-
-def build_topology(spec: ScenarioSpec) -> Topology:
-    """Materialize the spec's topology family."""
-    try:
-        builder = TOPOLOGY_FAMILIES[spec.topology]
-    except KeyError:
-        known = ", ".join(sorted(TOPOLOGY_FAMILIES))
-        raise ValueError(f"unknown topology family {spec.topology!r}; known: {known}")
-    try:
-        return builder(**dict(spec.topology_params))
-    except TypeError as exc:
-        raise ValueError(
-            f"bad topology params for {spec.topology!r}: "
-            f"{dict(spec.topology_params)} ({exc})"
-        ) from exc
-
-
-def build_assignment(
-    spec: ScenarioSpec, built: BuiltQuery, topology: Topology
-) -> Optional[Dict[str, str]]:
-    """Materialize the assignment policy (None = Planner's round-robin)."""
-    if spec.assignment == "round-robin":
-        return None
-    if spec.assignment == "single":
-        return assign_single_player(built.query, topology.nodes[0])
-    if spec.assignment == "worst-case":
-        if not built.s_edges or not built.t_edges:
-            raise ValueError(
-                f"assignment 'worst-case' needs a hard-* query family with "
-                f"TRIBES sides; {spec.query!r} provides none"
-            )
-        return worst_case_assignment(
-            built.s_edges,
-            built.t_edges,
-            built.query.hypergraph.edge_names,
-            topology,
-            topology.nodes,
-        )
-    raise ValueError(f"unknown assignment policy {spec.assignment!r}")
 
 
 def _gap_budget(family: str, d: float, r: float) -> float:
@@ -331,7 +100,7 @@ def certify_bounds(
     """Memoized wrapper over :func:`_certify_bounds_uncached` — see the
     :data:`_CERTIFY_MEMO` note; callers get a fresh dict per call."""
     key = (
-        _prediction_key(spec),
+        identity_key(spec),
         int(report.measured_rounds),
         int(report.total_bits),
     )
@@ -417,153 +186,6 @@ def _certify_bounds_uncached(
     }
 
 
-#: Cost predictions shared across axis planes.  Same precedent as the
-#: CLI's ``predict`` dedup: the engine/solver/backend/kernels planes of
-#: one identity are accounting-identical (the parity gates enforce it),
-#: so the four predicted metrics are a function of the plane-stripped
-#: spec alone.  Runs outside the per-scenario counter window, and the
-#: memoized path fires no deterministic counters anyway.
-_PREDICTION_MEMO = LRUMemo("costmodel.predicted_metrics", maxsize=4096)
-
-#: Spec axes that never change the predicted (or measured) accounting.
-_ACCOUNTING_NEUTRAL_AXES = ("engine", "solver", "backend", "kernels")
-
-
-@lru_cache(maxsize=8192)
-def _prediction_key(spec: ScenarioSpec) -> str:
-    """The plane-stripped identity a cost prediction is a function of.
-
-    Cached: specs are frozen and hashable, and every structural memo
-    lookup (materialization, prediction, certification) rebuilds this
-    JSON key otherwise.
-    """
-    payload = spec.to_json_dict()
-    for axis in _ACCOUNTING_NEUTRAL_AXES:
-        payload.pop(axis, None)
-    return json.dumps(payload, sort_keys=True)
-
-
-#: Materialized (query, topology, assignment) triples shared across axis
-#: planes.  The four accounting-neutral axes never change what gets
-#: built, and execution never mutates the built objects (the Planner
-#: copies the query on backend conversion), so the 16 planes of one
-#: identity materialize once.  Module-level on purpose: inside a
-#: ProcessPool worker the memo persists across that worker's scenarios,
-#: which is what makes shipping plain specs (instead of pickled
-#: materialized objects) cheap.
-#: Compiled protocol plans shared across a scenario's *engine* (and
-#: kernel-tier) planes.  A plan is a pure function of (instance,
-#: backend, solver): compilation fires no counters and both engines
-#: execute the same plan object read-only (like the materialized
-#: query/topology above, the plan is shared, never copied — execution
-#: must not mutate it, which the byte-identity gates enforce).
-_PLAN_MEMO = LRUMemo("runner.protocol_plan", maxsize=256)
-
-_MATERIALIZE_MEMO = LRUMemo("runner.materialized", maxsize=128)
-
-#: Volatile wall-clock ledger for the memo above (``--timings`` only).
-_MATERIALIZE_CLOCK = {"build_seconds": 0.0, "builds": 0}
-
-
-#: Shared-memory materialization payloads, keyed by plane-stripped
-#: identity (set in pool workers by :func:`_shm_worker_init`).  When a
-#: key is present, :func:`materialize_scenario` *attaches* the
-#: coordinator's published relations instead of rebuilding them —
-#: byte-identical factors (the store round-trip preserves storage
-#: backend, row order and dictionary provenance exactly), with only the
-#: cheap topology/assignment objects rebuilt locally.
-_SHM_PAYLOADS: Dict[str, Dict[str, Any]] = {}
-
-#: Attach handles kept alive for the worker's lifetime: the factors'
-#: arrays view the mapped segments, so the handles must not be closed
-#: while any memoized query is live.  Process exit reclaims the maps;
-#: unlinking is the coordinator's job.
-_SHM_ATTACHED: List[Any] = []
-
-
-def _attach_materialized(
-    spec: ScenarioSpec, payload: Dict[str, Any]
-) -> Tuple[BuiltQuery, Topology, Optional[Dict[str, str]]]:
-    """Materialize from the coordinator's shared-memory publication."""
-    from ..serve.store import attach_query
-
-    attached = attach_query(payload)
-    _SHM_ATTACHED.append(attached)
-    built = BuiltQuery(
-        attached.query,
-        s_edges=tuple(attached.extra.get("s_edges", ())),
-        t_edges=tuple(attached.extra.get("t_edges", ())),
-    )
-    topology = build_topology(spec)
-    assignment = build_assignment(spec, built, topology)
-    return built, topology, assignment
-
-
-def materialize_scenario(
-    spec: ScenarioSpec,
-) -> Tuple[BuiltQuery, Topology, Optional[Dict[str, str]]]:
-    """The spec's (built query, topology, assignment), memoized per
-    plane-stripped identity.  Callers must treat the returned objects as
-    immutable — they are shared across the scenario's axis planes."""
-    key = _prediction_key(spec)
-
-    def build() -> Tuple[BuiltQuery, Topology, Optional[Dict[str, str]]]:
-        start = time.perf_counter()
-        payload = _SHM_PAYLOADS.get(key)
-        if payload is not None:
-            triple = _attach_materialized(spec, payload)
-        else:
-            built = build_query(spec)
-            topology = build_topology(spec)
-            assignment = build_assignment(spec, built, topology)
-            triple = built, topology, assignment
-        _MATERIALIZE_CLOCK["build_seconds"] += time.perf_counter() - start
-        _MATERIALIZE_CLOCK["builds"] += 1
-        return triple
-
-    return _MATERIALIZE_MEMO.get_or_compute(key, build)
-
-
-#: Per-worker materialization ledgers, keyed by worker pid.  Each pool
-#: result ships the worker's *cumulative* snapshot; last-wins per pid,
-#: summed at report time.  Cleared at every :func:`run_suite` entry.
-_WORKER_MATERIALIZATION: Dict[int, Dict[str, float]] = {}
-
-
-def _materialization_snapshot() -> Dict[str, float]:
-    """This process's cumulative materialization ledger (picklable)."""
-    stats = memo_stats().get("runner.materialized", {})
-    return {
-        "hits": float(stats.get("hits", 0)),
-        "misses": float(stats.get("misses", 0)),
-        "build_seconds": _MATERIALIZE_CLOCK["build_seconds"],
-        "builds": float(_MATERIALIZE_CLOCK["builds"]),
-    }
-
-
-def materialization_timings() -> Dict[str, object]:
-    """Volatile stats for the materialization memo (``--timings`` block).
-
-    ``est_saved_seconds`` prices each memo hit at the mean observed
-    build time — the serialization/rebuild work the memo avoided.  Under
-    ``--jobs N`` each worker ships its cumulative ledger back with every
-    result; this merges the coordinator's ledger with the workers'.
-    """
-    snap = _materialization_snapshot()
-    merged = {k: snap[k] for k in ("hits", "misses", "build_seconds", "builds")}
-    for worker in _WORKER_MATERIALIZATION.values():
-        for field in merged:
-            merged[field] += worker.get(field, 0.0)
-    mean_build = merged["build_seconds"] / max(1.0, merged["builds"])
-    return {
-        "hits": int(merged["hits"]),
-        "misses": int(merged["misses"]),
-        "size": int(memo_stats().get("runner.materialized", {}).get("size", 0)),
-        "build_seconds": merged["build_seconds"],
-        "est_saved_seconds": merged["hits"] * mean_build,
-    }
-
-
 def certify_costs(
     spec: ScenarioSpec,
     planner: Planner,
@@ -572,10 +194,10 @@ def certify_costs(
     """The symbolic cost-plane verdict for one executed scenario.
 
     The third certification axis (after answer correctness and the
-    lower-bound oracles): :func:`repro.costmodel.predict_costs` prices
-    the executed plan's skeleton without running a single protocol
-    round, and on covered cells the prediction must match the measured
-    run **exactly** on all four metrics — rounds, total bits,
+    lower-bound oracles): :func:`repro.pipeline.predicted_metrics`
+    prices the executed plan's skeleton without running a single
+    protocol round, and on covered cells the prediction must match the
+    measured run **exactly** on all four metrics — rounds, total bits,
     busiest-link bits/round, and the per-directed-link bit map (as a
     digest).  Uncovered cells are reported with ``exact_match=None``;
     they are listed by the CLI, never silently skipped and never gated.
@@ -583,10 +205,6 @@ def certify_costs(
     Returns the ``cost_model`` block of a
     :class:`~repro.lab.results.ScenarioResult`.
     """
-    # Late import so worker processes that never touch the cost plane
-    # don't pay for sympy-aware modules at import time.
-    from ..costmodel import CostModelError, cell_of, edge_digest, is_covered, predict_costs
-
     simulation = report.protocol.simulation
     measured = {
         "rounds": int(report.measured_rounds),
@@ -594,9 +212,8 @@ def certify_costs(
         "max_edge_bits_per_round": int(simulation.max_edge_bits_per_round),
         "bits_per_edge_digest": edge_digest(simulation.bits_per_edge),
     }
-    cell = cell_of(spec)
     block: Dict[str, object] = {
-        "cell": list(cell),
+        "cell": list(cell_of(spec)),
         "covered": is_covered(spec),
         "measured": measured,
         "predicted": None,
@@ -605,18 +222,13 @@ def certify_costs(
     if not block["covered"]:
         return block
     try:
-        predicted = dict(_PREDICTION_MEMO.get_or_compute(
-            _prediction_key(spec),
-            lambda: predict_costs(
-                spec, plan=report.protocol.plan,
-                nodes=planner.topology.nodes,
-            ).metrics(),
-        ))
+        block["predicted"] = predicted_metrics(
+            spec, report.protocol.plan, planner.topology.nodes
+        )
     except CostModelError as exc:
         block["exact_match"] = False
         block["error"] = str(exc)
         return block
-    block["predicted"] = predicted
     block["exact_match"] = block["predicted"] == measured
     return block
 
@@ -632,10 +244,6 @@ def _trace_block(
     symbolic cost model covers, that transitively pins
     measured = predicted = traced (``cost_model_match``).
     """
-    # Late import mirrors certify_costs: the digest lives in the
-    # (sympy-aware) costmodel package.
-    from ..costmodel import edge_digest
-
     verdict = verify_trace(events, report.protocol.simulation)
     covered = bool(cost_model.get("covered"))
     return {
@@ -687,22 +295,16 @@ def _execute_traced(
     spec: ScenarioSpec, tracer: Optional[Tracer]
 ) -> Tuple[ScenarioResult, List[TraceEvent]]:
     start = time.perf_counter()
-    built, topology, assignment = materialize_scenario(spec)
+    # Ahead of the counter window: a memo miss builds the relations
+    # here, so the deltas below never depend on which plane ran first.
+    materialize_scenario(spec)
     counters_before = COUNTERS.snapshot()
     # The kernel tier is scoped to exactly the counter window: planner
     # construction + execution is where every hot kernel dispatch fires,
     # so the ``kernels.numpy``/``kernels.jit`` deltas are a pure
     # function of (spec, installed numba).
     with kernels.use_tier(spec.kernels):
-        planner = Planner(
-            built.query, topology, assignment=assignment,
-            backend=spec.backend, engine=spec.engine, solver=spec.solver,
-            tracer=tracer,
-        )
-        plan = _PLAN_MEMO.get_or_compute(
-            (_prediction_key(spec), spec.backend, spec.solver),
-            planner.compile_protocol_plan,
-        )
+        planner, plan = plan_scenario(spec, tracer)
         report = planner.execute(max_rounds=spec.max_rounds, plan=plan)
     observability = deterministic_view(
         counter_delta(counters_before, COUNTERS.snapshot())
@@ -721,7 +323,7 @@ def _execute_traced(
     result = ScenarioResult(
         spec=spec,
         spec_hash=spec.content_hash(),
-        topology_name=topology.name,
+        topology_name=planner.topology.name,
         query_name=planner.query.name or spec.query,
         players=len(planner.players),
         d=d,
@@ -754,22 +356,40 @@ def _execute_traced(
     return result, events
 
 
-def _worker_init(path: List[str]) -> None:
-    """Propagate the parent's import path to spawn-style workers."""
-    for entry in path:
-        if entry not in sys.path:
-            sys.path.append(entry)
+#: Attach handles kept alive for the worker's lifetime: the factors'
+#: arrays view the mapped segments, so the handles must not be closed
+#: while any memoized query is live.  Process exit reclaims the maps;
+#: unlinking is the coordinator's job.
+_SHM_ATTACHED: List[Any] = []
+
+
+def _attach_built(payload: Dict[str, Any]) -> BuiltQuery:
+    """A built query from the coordinator's shared-memory publication."""
+    from ..serve.store import attach_query
+
+    attached = attach_query(payload)
+    _SHM_ATTACHED.append(attached)
+    return BuiltQuery(
+        attached.query,
+        s_edges=tuple(attached.extra.get("s_edges", ())),
+        t_edges=tuple(attached.extra.get("t_edges", ())),
+    )
 
 
 def _shm_worker_init(
     path: List[str], payloads: Dict[str, Dict[str, Any]]
 ) -> None:
     """Pool initializer for ``--shm`` runs: import path + the published
-    materialization payloads (segment names and manifests only — the
-    relation bytes stay in shared memory, never on the pickle wire)."""
-    _worker_init(path)
-    _SHM_PAYLOADS.clear()
-    _SHM_PAYLOADS.update(payloads)
+    materialization payloads by identity (segment names and manifests
+    only — the relation bytes stay in shared memory, never on the pickle
+    wire), which :func:`~repro.pipeline.materialize_scenario` then
+    attaches instead of rebuilding."""
+    worker_init(path)
+    QUERY_SOURCES.clear()
+    QUERY_SOURCES.update(
+        (identity, partial(_attach_built, payload))
+        for identity, payload in payloads.items()
+    )
 
 
 def _execute_with_context(
@@ -802,16 +422,6 @@ def _execute_with_context(
     )
     result.captured_logs = lines or None
     return result
-
-
-def _execute_pooled(
-    spec: ScenarioSpec, trace: bool = False
-) -> Tuple[ScenarioResult, int, Dict[str, float]]:
-    """Pool entry point: the result plus this worker's cumulative
-    materialization ledger, so the coordinator's ``--timings`` block can
-    account for builds the workers' memos saved."""
-    result = _execute_with_context(spec, trace)
-    return result, os.getpid(), _materialization_snapshot()
 
 
 @dataclass
@@ -865,6 +475,77 @@ class SuiteRun:
         ]
 
 
+class _SuiteProgress:
+    """What both suite runners do around execution: the prologue (cold
+    memos, content hashes, first-occurrence dedupe, cache partition) and
+    the per-result epilogue (:meth:`finish`)."""
+
+    def __init__(
+        self,
+        suite: SuiteSpec,
+        cache: Optional[ResultCache],
+        force: bool,
+        log: Optional[Callable[[str], None]],
+    ) -> None:
+        self.suite = suite
+        self.cache = cache
+        self.emit = log or (lambda message: None)
+        # Every suite run starts with a cold structural memo plane:
+        # sharing happens *across the axis planes within this run*
+        # (where all the repetition is), and a run's behaviour never
+        # depends on what the process executed before it.
+        clear_all_memos()
+        self.start = time.perf_counter()
+        self.hashes = [spec.content_hash() for spec in suite.scenarios]
+        self.by_hash: Dict[str, ScenarioResult] = {}
+        #: Unique scenarios to execute fresh, with their content hashes.
+        self.pending: List[Tuple[ScenarioSpec, str]] = []
+        seen = set()
+        from_cache = set()
+        for spec, key in zip(suite.scenarios, self.hashes):
+            if key in seen:
+                continue
+            seen.add(key)
+            record = None if (force or cache is None) else cache.get(key)
+            if record is not None:
+                self.by_hash[key] = ScenarioResult.from_record(
+                    record, cached=True
+                )
+                from_cache.add(key)
+                self.emit(f"[cache] {spec.label}")
+            else:
+                self.pending.append((spec, key))
+        # Count *occurrences* (not unique specs) so a fully-cached suite
+        # with duplicate scenarios still reports a 100% hit rate.
+        self.cache_hits = sum(1 for key in self.hashes if key in from_cache)
+
+    def finish(self, spec: ScenarioSpec, key: str, result: ScenarioResult) -> None:
+        # Persist every completed result immediately so one failing
+        # scenario never discards its siblings' finished work.
+        self.by_hash[key] = result
+        if self.cache is not None:
+            self.cache.put(key, result.deterministic_record())
+        # Re-emit what the worker captured: log records and warnings
+        # raised inside a ProcessPool worker would otherwise vanish.
+        for line in result.captured_logs or ():
+            self.emit(f"[log  ] {spec.label}: {line}")
+        self.emit(f"[done ] {spec.label}: rounds={result.measured_rounds}")
+
+    def suite_run(
+        self, jobs: int, batch: Optional[Dict[str, Any]] = None
+    ) -> SuiteRun:
+        """The finished run, results in suite order."""
+        return SuiteRun(
+            suite=self.suite,
+            results=[self.by_hash[key] for key in self.hashes],
+            cache_hits=self.cache_hits,
+            executed=len(self.pending),
+            jobs=jobs,
+            wall_time=time.perf_counter() - self.start,
+            batch=batch,
+        )
+
+
 def run_suite(
     suite: SuiteSpec,
     jobs: int = 1,
@@ -898,115 +579,58 @@ def run_suite(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    emit = log or (lambda message: None)
-    # Every suite run starts with a cold structural memo plane: sharing
-    # happens *across the axis planes within this run* (where all the
-    # repetition is), and a run's behaviour never depends on what the
-    # process executed before it.
-    clear_all_memos()
-    _WORKER_MATERIALIZATION.clear()
-    start = time.perf_counter()
+    progress = _SuiteProgress(suite, cache, force, log)
+    emit, pending = progress.emit, progress.pending
+    if jobs == 1 or len(pending) <= 1:
+        for spec, key in pending:
+            emit(f"[run  ] {spec.label}")
+            progress.finish(spec, key, _execute_with_context(spec, trace))
+        return progress.suite_run(jobs)
 
-    hashes = [spec.content_hash() for spec in suite.scenarios]
-    by_hash: Dict[str, ScenarioResult] = {}
-    pending: List[ScenarioSpec] = []
-    pending_hashes: List[str] = []
-    seen = set()
-    from_cache = set()
-    for spec, key in zip(suite.scenarios, hashes):
-        if key in seen:
-            continue
-        seen.add(key)
-        record = None if (force or cache is None) else cache.get(key)
-        if record is not None:
-            by_hash[key] = ScenarioResult.from_record(record, cached=True)
-            from_cache.add(key)
-            emit(f"[cache] {spec.label}")
-        else:
-            pending.append(spec)
-            pending_hashes.append(key)
-    # Count *occurrences* (not unique specs) so a fully-cached suite with
-    # duplicate scenarios still reports a 100% hit rate.
-    cache_hits = sum(1 for key in hashes if key in from_cache)
+    shm_store = None
+    initializer, initargs = worker_init, (list(sys.path),)
+    if shm:
+        # Materialize each unique identity once, publish to shared
+        # memory; workers receive segment *names* via the pool
+        # initializer and attach on first touch.
+        from ..serve.store import SharedRelationStore, publish_query
 
-    executed = len(pending)
-
-    def finish(spec: ScenarioSpec, key: str, result: ScenarioResult) -> None:
-        # Persist every completed result immediately so one failing
-        # scenario never discards its siblings' finished work.
-        by_hash[key] = result
-        if cache is not None:
-            cache.put(key, result.deterministic_record())
-        # Re-emit what the worker captured: log records and warnings
-        # raised inside a ProcessPool worker would otherwise vanish.
-        for line in result.captured_logs or ():
-            emit(f"[log  ] {spec.label}: {line}")
-        emit(f"[done ] {spec.label}: rounds={result.measured_rounds}")
-
-    if pending:
-        if jobs == 1 or len(pending) == 1:
-            for spec, key in zip(pending, pending_hashes):
-                emit(f"[run  ] {spec.label}")
-                finish(spec, key, _execute_with_context(spec, trace))
-        else:
-            shm_store = None
-            initializer, initargs = _worker_init, (list(sys.path),)
-            if shm:
-                # Materialize each unique identity once, publish to
-                # shared memory; workers receive segment *names* via the
-                # pool initializer and attach on first touch.
-                from ..serve.store import SharedRelationStore, publish_query
-
-                shm_store = SharedRelationStore()
-                payloads: Dict[str, Dict[str, Any]] = {}
-                for spec in pending:
-                    identity = _prediction_key(spec)
-                    if identity in payloads:
-                        continue
-                    built, _topology, _assignment = materialize_scenario(spec)
-                    payloads[identity] = publish_query(
-                        shm_store, identity, built.query,
-                        extra={
-                            "s_edges": built.s_edges,
-                            "t_edges": built.t_edges,
-                        },
-                    )
-                initializer = _shm_worker_init
-                initargs = (list(sys.path), payloads)
-                emit(
-                    f"[shm  ] published {len(payloads)} identities "
-                    f"({shm_store.total_bytes} bytes shared)"
-                )
-            emit(f"[pool ] {len(pending)} scenarios on {jobs} workers")
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=jobs, initializer=initializer, initargs=initargs
-                ) as pool:
-                    futures = {
-                        pool.submit(_execute_pooled, spec, trace): (spec, key)
-                        for spec, key in zip(pending, pending_hashes)
-                    }
-                    failure: Optional[BaseException] = None
-                    for future in as_completed(futures):
-                        spec, key = futures[future]
-                        try:
-                            result, worker_pid, ledger = future.result()
-                            _WORKER_MATERIALIZATION[worker_pid] = ledger
-                            finish(spec, key, result)
-                        except BaseException as exc:  # noqa: BLE001 — re-raised
-                            failure = failure or exc
-                    if failure is not None:
-                        raise failure
-            finally:
-                if shm_store is not None:
-                    shm_store.close()
-
-    results = [by_hash[key] for key in hashes]
-    return SuiteRun(
-        suite=suite,
-        results=results,
-        cache_hits=cache_hits,
-        executed=executed,
-        jobs=jobs,
-        wall_time=time.perf_counter() - start,
-    )
+        shm_store = SharedRelationStore()
+        payloads: Dict[str, Dict[str, Any]] = {}
+        for spec, _key in pending:
+            identity = identity_key(spec)
+            if identity in payloads:
+                continue
+            built, _topology, _assignment = materialize_scenario(spec)
+            payloads[identity] = publish_query(
+                shm_store, identity, built.query,
+                extra={"s_edges": built.s_edges, "t_edges": built.t_edges},
+            )
+        initializer = _shm_worker_init
+        initargs = (list(sys.path), payloads)
+        emit(
+            f"[shm  ] published {len(payloads)} identities "
+            f"({shm_store.total_bytes} bytes shared)"
+        )
+    emit(f"[pool ] {len(pending)} scenarios on {jobs} workers")
+    try:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=initializer, initargs=initargs
+        ) as pool:
+            futures = {
+                pool.submit(_execute_with_context, spec, trace): (spec, key)
+                for spec, key in pending
+            }
+            failure: Optional[BaseException] = None
+            for future in as_completed(futures):
+                spec, key = futures[future]
+                try:
+                    progress.finish(spec, key, future.result())
+                except BaseException as exc:  # noqa: BLE001 — re-raised
+                    failure = failure or exc
+            if failure is not None:
+                raise failure
+    finally:
+        if shm_store is not None:
+            shm_store.close()
+    return progress.suite_run(jobs)

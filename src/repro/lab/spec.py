@@ -68,13 +68,13 @@ class ScenarioSpec:
         family: Scenario-family label ("faq-line", "bcq-degenerate", ...).
             Groups scenarios for aggregation and selects the Table 1 gap
             budget when the label matches a paper row.
-        query: Query-family name in :data:`repro.lab.runner.QUERY_FAMILIES`
+        query: Query-family name in :data:`repro.pipeline.QUERY_FAMILIES`
             ("hard-star", "hard-path", "degenerate", "acyclic", "tree").
         query_params: Family-specific structure parameters (e.g. ``d``,
             ``arity``); stored as a sorted tuple of pairs so specs hash
             identically regardless of construction order.
         topology: Topology-family name in
-            :data:`repro.lab.runner.TOPOLOGY_FAMILIES` ("line", "clique",
+            :data:`repro.pipeline.TOPOLOGY_FAMILIES` ("line", "clique",
             "hypercube", "expander", ...).
         topology_params: Topology parameters (e.g. ``n``, ``dim``).
         n: Instance size N (TRIBES universe / relation listing size).

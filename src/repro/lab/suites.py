@@ -405,19 +405,63 @@ def _solver_scaling_suite() -> SuiteSpec:
     )
 
 
-def with_engines(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
-    """Pair every scenario of ``suite`` across both protocol engines.
+#: The four accounting-neutral axes and their values.  Every scenario
+#: identity can be swept across any of them; the planes must agree on
+#: answer digest, round count and total bits (the ``parity`` gate).
+AXES = {
+    "engine": ENGINES,
+    "solver": SOLVERS,
+    "backend": BACKENDS,
+    "kernels": KERNEL_TIERS,
+}
 
-    Consecutive scenarios differ only in ``engine``, so reports read as
-    generator/compiled pairs and the ``parity`` command (and tests) can
-    assert digest + rounds + bits equality pairwise.
+
+def with_axis(
+    suite: SuiteSpec, axis: str, name: str, description: str
+) -> SuiteSpec:
+    """Pair every scenario of ``suite`` across every value of ``axis``.
+
+    Consecutive scenarios differ only in ``axis``, so reports read as
+    pairs and the ``parity`` command (and tests) can assert digest +
+    rounds + bits equality pairwise.  (Without numba installed the
+    ``kernels="jit"`` plane executes the NumPy kernels: a dispatch-layer
+    no-op check there, a real differential gate where numba is present.)
     """
     scenarios = tuple(
-        spec.with_(engine=engine)
+        spec.with_(**{axis: value})
         for spec in suite.scenarios
-        for engine in ENGINES
+        for value in AXES[axis]
     )
     return SuiteSpec(name=name, scenarios=scenarios, description=description)
+
+
+def with_engines(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
+    return with_axis(suite, "engine", name, description)
+
+
+def with_solvers(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
+    return with_axis(suite, "solver", name, description)
+
+
+def with_backends(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
+    return with_axis(suite, "backend", name, description)
+
+
+def with_kernels(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
+    return with_axis(suite, "kernels", name, description)
+
+
+def with_axes(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
+    """Sweep every scenario across the full engine x solver x backend x
+    kernels grid (16 planes per scenario).
+
+    Each consecutive block of 16 shares one scenario identity; the
+    ``parity`` command and :func:`repro.lab.report.all_parity_failures`
+    then assert the byte-identical contract pairwise along every axis.
+    """
+    for axis in AXES:
+        suite = with_axis(suite, axis, name, description)
+    return suite
 
 
 def _engine_compare_suite() -> SuiteSpec:
@@ -438,22 +482,6 @@ def _engine_smoke_suite() -> SuiteSpec:
     )
 
 
-def with_solvers(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
-    """Pair every scenario of ``suite`` across both FAQ solvers.
-
-    Consecutive scenarios differ only in ``solver``, so reports read as
-    operator/compiled pairs and the ``parity`` command (and tests) can
-    assert digest + rounds + bits equality pairwise — the solver twin of
-    :func:`with_engines`.
-    """
-    scenarios = tuple(
-        spec.with_(solver=solver)
-        for spec in suite.scenarios
-        for solver in SOLVERS
-    )
-    return SuiteSpec(name=name, scenarios=scenarios, description=description)
-
-
 def _solver_compare_suite() -> SuiteSpec:
     return with_solvers(
         _solver_scaling_suite(),
@@ -471,53 +499,6 @@ def _solver_smoke_suite() -> SuiteSpec:
         "the CI smoke cross-section on both FAQ solvers (the "
         "solver-parity gate)",
     )
-
-
-def with_backends(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
-    """Pair every scenario of ``suite`` across both storage backends.
-
-    The third axis twin of :func:`with_engines`/:func:`with_solvers`:
-    consecutive scenarios differ only in ``backend`` and must agree on
-    answer digest, round count and total bits.
-    """
-    scenarios = tuple(
-        spec.with_(backend=backend)
-        for spec in suite.scenarios
-        for backend in BACKENDS
-    )
-    return SuiteSpec(name=name, scenarios=scenarios, description=description)
-
-
-def with_kernels(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
-    """Pair every scenario of ``suite`` across both kernel tiers.
-
-    The fourth axis twin: consecutive scenarios differ only in
-    ``kernels`` (NumPy vs JIT hot-kernel dispatch) and must agree on
-    answer digest, round count and total bits.  Without numba installed
-    the ``jit`` tier executes the NumPy kernels, so the pair is still
-    meaningful as a dispatch-layer no-op check there and a real
-    differential gate where numba is present.
-    """
-    scenarios = tuple(
-        spec.with_(kernels=kernels)
-        for spec in suite.scenarios
-        for kernels in KERNEL_TIERS
-    )
-    return SuiteSpec(name=name, scenarios=scenarios, description=description)
-
-
-def with_axes(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
-    """Sweep every scenario across the full engine x solver x backend x
-    kernels grid (16 planes per scenario).
-
-    Each consecutive block of 16 shares one scenario identity; the
-    ``parity`` command and :func:`repro.lab.report.all_parity_failures`
-    then assert the byte-identical contract pairwise along every axis.
-    """
-    suite = with_engines(suite, name, description)
-    suite = with_solvers(suite, name, description)
-    suite = with_backends(suite, name, description)
-    return with_kernels(suite, name, description)
 
 
 def _fuzz_suite(seed: int = DEFAULT_SEED) -> SuiteSpec:

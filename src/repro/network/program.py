@@ -48,10 +48,12 @@ from .simulator import (
 )
 from .topology import Topology
 
-#: Mirrors :data:`repro.protocols.primitives.HEADER_BITS` (kept local to
-#: avoid a protocols -> network -> protocols import cycle).
+#: The wire format's two fixed charges, defined here once: the generator
+#: primitives and the cost model's timing recurrence import them, while
+#: their round-semantics logic stays independent of this module's.
+#: Bits charged for a count header (a 32-bit length prefix).
 HEADER_BITS = 32
-#: Mirrors :data:`repro.protocols.primitives.EOS_BITS`.
+#: Bits charged for an end-of-stream marker.
 EOS_BITS = 1
 
 #: "Unbounded" cycle horizon — the engine takes a min over ops, so any

@@ -56,14 +56,14 @@ from ..semiring import (
     supports_columnar,
     to_backend,
 )
-from ..semiring.columnar import _INT64_MAX, _composite_key, _merge_dictionaries
+from ..semiring.columnar import INT64_MAX, composite_key, merge_dictionaries
 from ..faq.operations import project as dict_project
 from .faq_protocol import (
     ProtocolPlan,
     StarPhase,
     _finish_locally,
-    _score_rows,
-    _star_contributions,
+    score_rows,
+    star_contributions,
 )
 
 #: Semirings whose ⊕ is order-insensitive at machine precision (boolean
@@ -98,7 +98,7 @@ def _mul_values(semiring, profile, a, b):
         if np.issubdtype(profile.dtype, np.integer) and len(a) and len(b):
             a_max = int(np.abs(a).max())
             b_max = int(np.abs(b).max())
-            if a_max and b_max and a_max > _INT64_MAX // b_max:
+            if a_max and b_max and a_max > INT64_MAX // b_max:
                 return [
                     semiring.mul(x, y) for x, y in zip(a.tolist(), b.tolist())
                 ]
@@ -163,7 +163,7 @@ def _align_join_columns(
     all.  The fast path for numeric dictionaries translates codes to
     their actual values and shifts into a dense non-negative range —
     pure array arithmetic, no Python-level dictionary merge.  Falls back
-    to :func:`_merge_dictionaries` (generic hashable values) otherwise.
+    to :func:`merge_dictionaries` (generic hashable values) otherwise.
 
     Returns:
         ``(wire_column, factor_column, cardinality)`` where equal entries
@@ -202,7 +202,7 @@ def _align_join_columns(
         # e.g. uint64 dictionaries whose values exceed int64 — fall back
         # to the generic merge below.
         pass
-    merged, remap = _merge_dictionaries(wire_dict, factor_dict)
+    merged, remap = merge_dictionaries(wire_dict, factor_dict)
     return wire_codes, remap[factor_codes], len(merged)
 
 
@@ -212,7 +212,7 @@ def _vector_scores(
 ) -> Optional[np.ndarray]:
     """Phase B, vectorized: score every broadcast row in one pass.
 
-    The columnar analogue of ``_score_rows``: each contribution is joined
+    The columnar analogue of ``score_rows``: each contribution is joined
     to the wire block on its shared columns via merged dictionaries +
     composite-key ``searchsorted`` (missing rows score the semiring
     zero), then ⊗-multiplied into the slot vector.  Returns ``None``
@@ -258,8 +258,8 @@ def _vector_scores(
             wire_cols.append(wire_col)
             factor_cols.append(factor_col)
             cards.append(card)
-        wire_key = _composite_key(wire_cols, cards, n)
-        factor_key = _composite_key(factor_cols, cards, len(cf))
+        wire_key = composite_key(wire_cols, cards, n)
+        factor_key = composite_key(factor_cols, cards, len(cf))
         if wire_key is None or factor_key is None:
             return None
         values = np.full(n, semiring.zero, dtype=profile.dtype)
@@ -275,7 +275,7 @@ def _vector_scores(
         if integer and n:
             s_max = int(np.abs(slots).max())
             v_max = int(np.abs(values).max())
-            if s_max and v_max and s_max > _INT64_MAX // v_max:
+            if s_max and v_max and s_max > INT64_MAX // v_max:
                 return None
         slots = profile.mul(slots, values)
     return slots
@@ -390,7 +390,7 @@ def _compute_star_slots(
     runtime: StarRuntime,
 ):
     """Phase B for one terminal: vectorized scorer, dict fallback."""
-    contributions = _star_contributions(plan, star, state, node)
+    contributions = star_contributions(plan, star, state, node)
     if not contributions:
         return None
     scores = _vector_scores(
@@ -398,7 +398,7 @@ def _compute_star_slots(
     )
     if scores is not None:
         return scores
-    return _score_rows(
+    return score_rows(
         plan.query.semiring, star.center_schema, contributions, runtime.rows()
     )
 

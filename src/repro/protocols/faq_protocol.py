@@ -31,12 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..obs.trace import Tracer, normalize as _normalize_tracer
 
 from ..decomposition import GHD, best_gyo_ghd
-from ..faq import (
-    FAQQuery,
-    solve_naive,
-    solve_variable_elimination,
-    validate_solver,
-)
+from ..faq import FAQQuery, solve, validate_solver
 from ..faq.message_passing import upward_pass_message
 from ..hypergraph import Hypergraph
 from ..network.simulator import SimulationResult, Simulator
@@ -293,7 +288,7 @@ def compile_plan(
     )
 
 
-def _star_contributions(
+def star_contributions(
     plan: ProtocolPlan,
     star: StarPhase,
     state: Dict[str, Factor],
@@ -319,7 +314,7 @@ def _star_contributions(
     return contributions
 
 
-def _score_rows(
+def score_rows(
     semiring,
     schema: Sequence[str],
     contributions: Sequence[Factor],
@@ -358,10 +353,10 @@ def _compute_slots(
 
     Returns None when this player holds none of the star's relations.
     """
-    contributions = _star_contributions(plan, star, state, node)
+    contributions = star_contributions(plan, star, state, node)
     if not contributions:
         return None
-    return _score_rows(plan.query.semiring, star.center_schema, contributions, rows)
+    return score_rows(plan.query.semiring, star.center_schema, contributions, rows)
 
 
 def _make_player(plan: ProtocolPlan, node: str):
@@ -514,10 +509,7 @@ def _finish_locally(
         # are re-encoded columnar here when the query asks for it.
         backend=query.backend,
     )
-    try:
-        return solve_variable_elimination(residual, solver=solver)
-    except ValueError:
-        return solve_naive(residual, solver=solver)
+    return solve(residual, solver)
 
 
 #: The two protocol execution engines: ``"generator"`` is the reference

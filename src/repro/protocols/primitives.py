@@ -28,12 +28,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..network.program import EOS_BITS, HEADER_BITS
 from ..network.simulator import NodeContext
-
-#: Bits charged for a count header (a 32-bit length prefix).
-HEADER_BITS = 32
-#: Bits charged for an end-of-stream marker.
-EOS_BITS = 1
 
 
 class Mailbox:

@@ -58,7 +58,7 @@ _MAX_RADIX = 2 ** 62
 # silently on overflow — a wrapped product hitting 0 would even be dropped
 # as a "zero" row.  Kernels bound the worst-case result magnitude up front
 # and return None (dict fallback, exact Python ints) when it could overflow.
-_INT64_MAX = 2 ** 63 - 1
+INT64_MAX = 2 ** 63 - 1
 
 
 class ColumnarFactor(Factor):
@@ -280,7 +280,7 @@ class Dictionary(list):
 _EXACT_KINDS = {int: "iu", bool: "b", str: "U", float: "f"}
 
 
-def _exact_array(elem_type: type, values: Sequence[Any]) -> Optional[np.ndarray]:
+def exact_array(elem_type: type, values: Sequence[Any]) -> Optional[np.ndarray]:
     """An exact-round-trip array view of a homogeneous column, or ``None``.
 
     ``None`` when the element type has no exact NumPy mapping, the
@@ -322,7 +322,7 @@ def _encode_column(col: Sequence[Any], n: int):
     column_types = set(map(type, col))
     if len(column_types) == 1:
         try:
-            arr = _exact_array(next(iter(column_types)), col)
+            arr = exact_array(next(iter(column_types)), col)
         except (TypeError, ValueError, OverflowError):
             arr = None
         if arr is not None:
@@ -370,7 +370,7 @@ def _encode(factor: Factor, profile: VectorProfile):
     return codes, dicts, values
 
 
-def _merge_dictionaries(left_dict: List[Any], right_dict: List[Any]):
+def merge_dictionaries(left_dict: List[Any], right_dict: List[Any]):
     """Merge two column dictionaries, preserving the left coding.
 
     Returns:
@@ -397,7 +397,7 @@ def _merge_dictionaries(left_dict: List[Any], right_dict: List[Any]):
     return merged, remap
 
 
-def _composite_key(
+def composite_key(
     columns: Sequence[np.ndarray], cards: Sequence[int], n: int
 ) -> Optional[np.ndarray]:
     """Mixed-radix fold of code columns into one ``int64`` key per row.
@@ -422,7 +422,7 @@ def _composite_key(
     return key
 
 
-def _sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
+def sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
     """Cluster rows by the given code columns.
 
     Returns:
@@ -433,7 +433,7 @@ def _sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
     """
     if not columns:
         return np.arange(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    key = _composite_key(columns, cards, n)
+    key = composite_key(columns, cards, n)
     if key is not None:
         # Composite-key fast path: one stable sort in the active kernel
         # tier (:mod:`repro.kernels`).
@@ -447,7 +447,7 @@ def _sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
     return order, starts
 
 
-def _int_values_exceed(profile: VectorProfile, values: np.ndarray, bound: int) -> bool:
+def int_values_exceed(profile: VectorProfile, values: np.ndarray, bound: int) -> bool:
     """True when ``values`` holds bounded ints whose magnitude tops ``bound``.
 
     Used to pre-check overflow: float profiles saturate to ``inf`` safely
@@ -473,34 +473,21 @@ def _shared_key_pair(left: ColumnarFactor, right: ColumnarFactor, shared):
     left_cols, right_cols, cards = [], [], []
     for v in shared:
         li, ri = left.column_index(v), right.column_index(v)
-        merged, remap = _merge_dictionaries(
+        merged, remap = merge_dictionaries(
             left.dictionaries[li], right.dictionaries[ri]
         )
         merged_dicts[v] = merged
         left_cols.append(left.codes[li])
         right_cols.append(remap[right.codes[ri]])
         cards.append(len(merged))
-    left_key = _composite_key(left_cols, cards, len(left))
-    right_key = _composite_key(right_cols, cards, len(right))
+    left_key = composite_key(left_cols, cards, len(left))
+    right_key = composite_key(right_cols, cards, len(right))
     if left_key is None or right_key is None:
         return None
     return left_key, right_key, merged_dicts
 
 
-def _match_indices(left_key: np.ndarray, right_key: np.ndarray):
-    """Row-index pairs of the equi-join ``left_key = right_key``.
-
-    Dispatches to the active kernel tier (:mod:`repro.kernels`): a
-    stable sort of the right side probed with ``searchsorted``, match
-    runs expanded with ``repeat``/``arange`` arithmetic.  Returns
-    ``(left_idx, right_idx)`` such that ``left_key[left_idx[i]] ==
-    right_key[right_idx[i]]`` enumerates every matching pair, grouped by
-    left row in left order.
-    """
-    return kernels.match_indices(left_key, right_key)
-
-
-def _empty_like(
+def empty_like(
     schema: Sequence[str],
     dicts: Sequence[List[Any]],
     semiring: Semiring,
@@ -678,7 +665,7 @@ def columnar_join(
     if np.issubdtype(profile.dtype, np.integer) and len(left) and len(right):
         left_max = int(np.abs(left.values).max())
         right_max = int(np.abs(right.values).max())
-        if left_max and right_max and left_max > _INT64_MAX // right_max:
+        if left_max and right_max and left_max > INT64_MAX // right_max:
             return None
     shared = [v for v in left.schema if v in right.schema]
     out_schema = tuple(left.schema) + tuple(
@@ -690,7 +677,7 @@ def columnar_join(
         return None
     left_key, right_key, merged_dicts = keys
 
-    left_idx, right_idx = _match_indices(left_key, right_key)
+    left_idx, right_idx = kernels.match_indices(left_key, right_key)
     values = profile.mul(left.values[left_idx], right.values[right_idx])
     zero = profile.is_zero_mask(values)
     if zero.any():
@@ -725,10 +712,10 @@ def columnar_semijoin(
     shared = [v for v in left.schema if v in right.schema]
     if not shared:
         if len(right) == 0:
-            return _empty_like(left.schema, left.dictionaries, left.semiring, name)
+            return empty_like(left.schema, left.dictionaries, left.semiring, name)
         return left.copy(name=name)
     if len(left) == 0 or len(right) == 0:
-        return _empty_like(left.schema, left.dictionaries, left.semiring, name)
+        return empty_like(left.schema, left.dictionaries, left.semiring, name)
 
     keys = _shared_key_pair(left, right, shared)
     if keys is None:
@@ -763,13 +750,13 @@ def _grouped_reduce(
     out_dicts = [factor.dictionaries[i] for i in idx]
     n = len(factor)
     if n == 0:
-        return _empty_like(out_vars, out_dicts, factor.semiring, name)
-    if _int_values_exceed(profile, factor.values, _INT64_MAX // n):
+        return empty_like(out_vars, out_dicts, factor.semiring, name)
+    if int_values_exceed(profile, factor.values, INT64_MAX // n):
         return None
 
     columns = [factor.codes[i] for i in idx]
     cards = [len(factor.dictionaries[i]) for i in idx]
-    order, starts = _sort_groups(columns, cards, n)
+    order, starts = sort_groups(columns, cards, n)
     reduced = kernels.grouped_reduce(factor.values, order, starts, profile.add)
     representatives = order[starts]
     out_codes = [c[representatives] for c in columns]

@@ -15,9 +15,9 @@
 2. **Batching** — admitted requests enqueue; the batcher drains the
    queue (plus a short coalescing window), dedupes *identical*
    in-flight sessions onto one execution, and stacks structurally
-   identical distinct sessions onto one tensor program using the lab's
-   batch plane (:func:`~repro.lab.batch.stack_queries` /
-   :func:`~repro.lab.batch.unstack_answers` — ROADMAP items 2 and 3).
+   identical distinct sessions onto one tensor program
+   (:func:`repro.faq.solve_stacked`, the solve the lab's batch plane
+   cross-checks its groups with).
 3. **Execution** — the solve runs in an executor so the event loop
    stays responsive: in-process mode (``workers=0``, default) uses one
    worker thread over the warm sessions (the thread-safe memo/plan
@@ -43,11 +43,15 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import kernels
-from ..lab.batch import _solve_stacked, stack_queries, unstack_answers
-from ..lab.results import answer_digest
+from ..faq import solve_stacked
 from ..lab.spec import ScenarioSpec
-from .session import ServingSession, SessionManifest, session_id_of
+from ..pipeline import solve_scenario, worker_init
+from .session import (
+    ServingSession,
+    SessionManifest,
+    answer_payload,
+    session_id_of,
+)
 from .store import ServeError, SharedRelationStore, attach_query
 
 
@@ -159,9 +163,7 @@ def _serve_worker_init(path: List[str], payloads: Dict[str, Dict[str, Any]]) -> 
     The payloads carry segment *names*, not factor bytes — each worker
     attaches the shared-memory segments on first use of a session.
     """
-    for entry in path:
-        if entry not in sys.path:
-            sys.path.append(entry)
+    worker_init(path)
     _WORKER_STATE["payloads"] = dict(payloads)
     _WORKER_STATE["sessions"] = {}
 
@@ -191,47 +193,25 @@ def _worker_session(session_id: str):
     return warm
 
 
-def _online_solve(query, spec: ScenarioSpec):
-    """The kernel-only online solve (mirrors ``Planner.reference_answer``)."""
-    from ..faq import solve_naive, solve_variable_elimination
-
-    with kernels.use_tier(spec.kernels):
-        try:
-            return solve_variable_elimination(query, solver=spec.solver)
-        except ValueError:
-            return solve_naive(query, solver=spec.solver)
-
-
-def _answer_payload(factor) -> Dict[str, Any]:
-    rows = dict(factor.rows)  # MappingProxy is not picklable
-    return {
-        "schema": list(factor.schema),
-        "rows": rows,
-        "digest": answer_digest(factor.schema, rows),
-    }
+def _stacked_payloads(queries) -> List[Dict[str, Any]]:
+    """One stacked solve answering every query, as served answers."""
+    return [
+        answer_payload(schema, rows) for schema, rows in solve_stacked(queries)
+    ]
 
 
 def _worker_execute(session_id: str) -> Dict[str, Any]:
     """Pool task: serve one session from this worker's warm state."""
     spec, query, _attached = _worker_session(session_id)
-    return _answer_payload(_online_solve(query, spec))
+    answer = solve_scenario(spec, query)
+    return answer_payload(answer.schema, answer.rows)
 
 
 def _worker_execute_stacked(session_ids: List[str]) -> List[Dict[str, Any]]:
     """Pool task: one stacked solve answering several sessions at once."""
-    warms = [_worker_session(sid) for sid in session_ids]
-    queries = [query for _spec, query, _att in warms]
-    stacked = stack_queries(queries)
-    answer = _solve_stacked(stacked)
-    free_vars = tuple(queries[0].free_vars)
-    out = []
-    for rows in unstack_answers(answer, free_vars, len(queries)):
-        out.append({
-            "schema": list(free_vars),
-            "rows": rows,
-            "digest": answer_digest(free_vars, rows),
-        })
-    return out
+    return _stacked_payloads(
+        [_worker_session(sid)[1] for sid in session_ids]
+    )
 
 
 def _crash_worker() -> None:  # pragma: no cover - exercised via the pool
@@ -436,15 +416,13 @@ class QueryService:
         )
         for task in pending:
             task.cancel()
-        # Both may have completed in the same tick; prefer interactive
-        # and push the other back.
-        winners = [t for t in done]
-        request = winners[0].result()
-        for extra in winners[1:]:
-            back = extra.result()
-            target = self._deferred if back.deferred else self._queue
-            target.put_nowait(back)
-        return request
+        # Both getters may complete in the same tick: serve the
+        # interactive request and put the deferred one back on its lane.
+        if interactive not in done:
+            return low.result()
+        if low in done:
+            self._deferred.put_nowait(low.result())
+        return interactive.result()
 
     async def _collect_batch(self) -> List[_Request]:
         first = await self._next_request()
@@ -546,9 +524,7 @@ class QueryService:
         session = self.sessions[session_id]
         if self._process_pool is not None:
             return await self._pool_call(_worker_execute, session_id)
-        return await self._thread_call(
-            lambda: _answer_payload(session.execute_online())
-        )
+        return await self._thread_call(session.online_answer)
 
     async def _run_stacked(self, session_ids: List[str]):
         if self._process_pool is not None:
@@ -556,25 +532,10 @@ class QueryService:
                 _worker_execute_stacked, list(session_ids)
             )
         else:
-            def stacked_inline():
-                queries = [
-                    self.sessions[sid].planner.query for sid in session_ids
-                ]
-                stacked = stack_queries(queries)
-                answer = _solve_stacked(stacked)
-                free_vars = tuple(queries[0].free_vars)
-                return [
-                    {
-                        "schema": list(free_vars),
-                        "rows": rows,
-                        "digest": answer_digest(free_vars, rows),
-                    }
-                    for rows in unstack_answers(
-                        answer, free_vars, len(queries)
-                    )
-                ]
-
-            answers = await self._thread_call(stacked_inline)
+            queries = [self.sessions[sid].planner.query for sid in session_ids]
+            answers = await self._thread_call(
+                lambda: _stacked_payloads(queries)
+            )
         if isinstance(answers, ServeError):
             return [answers] * len(session_ids)
         return answers

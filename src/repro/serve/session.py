@@ -4,23 +4,23 @@ A :class:`ServingSession` is one registered scenario identity.  At
 registration time (**offline**) it performs every piece of work that is
 a pure function of the identity and can therefore be paid once:
 
-* materialization of the query/topology/assignment (shared with the
-  lab's structural memo plane),
-* backend conversion + decomposition search + protocol-plan compilation
-  (:meth:`~repro.core.planner.Planner.compile_protocol_plan`, shared
-  via the runner's plan memo),
+* materialization of the query/topology/assignment, backend conversion
+  + decomposition search + protocol-plan compilation
+  (:func:`repro.pipeline.plan_scenario` — the same memos the lab's
+  runner fills, so the two planes share work within a process),
 * query-plan lowering and dictionary interning (one warm solve primes
   the :data:`~repro.faq.plan.PLAN_CACHE` and the executor's dictionary
   pool fast paths),
 * the closed-form bound report and — on cells the symbolic cost model
-  covers — the **exact** :func:`~repro.costmodel.predict_costs` metrics
-  the server's admission controller prices queries with, *without
-  executing anything*,
+  covers — the **exact** :func:`repro.pipeline.predicted_metrics` the
+  server's admission controller prices queries with, *without executing
+  anything*,
 * publication of the relations into the shared-memory store.
 
 The **online** path (:meth:`ServingSession.execute_online`) then touches
-only compiled kernels: it re-runs the solver over the already-converted
-factors under the registered kernel tier.  Its answer is byte-identical
+only compiled kernels (:func:`repro.pipeline.solve_scenario`): it
+re-runs the solver over the already-converted factors under the
+registered kernel tier.  Its answer is byte-identical
 to :meth:`Planner.execute`'s protocol answer for the same spec — the
 four-axis parity contract certifies ``protocol.answer == reference`` on
 every lab run, and the reference solve *is* this online solve.
@@ -36,23 +36,31 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from .. import kernels
 from ..core.planner import Planner
-from ..lab.batch import structural_signature
+from ..costmodel import CostModelError, is_covered
+from ..faq.reference import structural_signature
 from ..lab.results import answer_digest
-from ..lab.runner import (
-    _PLAN_MEMO,
-    _PREDICTION_MEMO,
-    _prediction_key,
-    materialize_scenario,
-)
 from ..lab.spec import ScenarioSpec
+from ..pipeline import plan_scenario, predicted_metrics, solve_scenario
 from .store import ServeError, SharedRelationStore, publish_query
 
 #: Manifest layout version — bump on any incompatible change.
 SESSION_VERSION = 1
+
+
+def answer_payload(
+    schema: Sequence[str], rows: Mapping[Tuple[Any, ...], Any]
+) -> Dict[str, Any]:
+    """One served answer: schema, plain-dict rows, content digest."""
+    rows = dict(rows)  # a factor's MappingProxy is not picklable
+    return {
+        "schema": list(schema),
+        "rows": rows,
+        "digest": answer_digest(schema, rows),
+    }
 
 
 def session_id_of(spec: ScenarioSpec) -> str:
@@ -139,24 +147,25 @@ class ServingSession:
         """The offline phase: build, compile, predict, publish, warm."""
         start = time.perf_counter()
         session_id = session_id_of(spec)
-        built, topology, assignment = materialize_scenario(spec)
         with kernels.use_tier(spec.kernels):
-            planner = Planner(
-                built.query, topology, assignment=assignment,
-                backend=spec.backend, engine=spec.engine, solver=spec.solver,
-            )
-            # Same memo key as the lab runner, so a suite that already
-            # ran this identity hands the serving plane its plan free.
-            protocol_plan = _PLAN_MEMO.get_or_compute(
-                (_prediction_key(spec), spec.backend, spec.solver),
-                planner.compile_protocol_plan,
-            )
+            planner, protocol_plan = plan_scenario(spec)
             # Warm solve: lowers/caches the QueryPlan (compiled solver),
             # interns dictionaries, and pins the expected answer digest.
             warm_answer = planner.reference_answer()
-        predicted, covered, note = _admission_prediction(
-            spec, protocol_plan, topology
-        )
+        # The zero-execution estimate admission control prices with: on
+        # covered cells the *exact* (certified-per-fuzz-run) rounds/bits
+        # of the protocol the lab would execute for this spec; otherwise
+        # None, and the admission policy decides whether to serve
+        # unpriced.
+        predicted, note = None, "cell not covered by the symbolic cost model"
+        if is_covered(spec):
+            try:
+                predicted = predicted_metrics(
+                    spec, protocol_plan, planner.topology.nodes
+                )
+                note = None
+            except CostModelError as exc:
+                note = f"cost model error: {exc}"
         bound = planner.predict()
         payload = publish_query(
             store, session_id, planner.query,
@@ -171,7 +180,7 @@ class ServingSession:
             spec=spec.to_json_dict(),
             label=spec.label,
             structural_signature=structural_signature(planner.query),
-            covered=covered,
+            covered=predicted is not None,
             predicted=predicted,
             bounds={
                 "upper_rounds": float(bound.upper_rounds),
@@ -208,8 +217,7 @@ class ServingSession:
         :meth:`Planner.execute` produces for the same spec.
         """
         try:
-            with kernels.use_tier(self.spec.kernels):
-                return self.planner.reference_answer()
+            return solve_scenario(self.spec, self.planner.query)
         except ServeError:
             raise
         except Exception as exc:
@@ -220,39 +228,6 @@ class ServingSession:
             ) from exc
 
     def online_answer(self) -> Dict[str, Any]:
-        """One served answer: schema, plain-dict rows, content digest."""
-        factor = self.execute_online()
-        rows = dict(factor.rows)
-        return {
-            "schema": list(factor.schema),
-            "rows": rows,
-            "digest": answer_digest(factor.schema, rows),
-        }
-
-
-def _admission_prediction(
-    spec: ScenarioSpec, protocol_plan, topology
-) -> Tuple[Optional[Dict[str, Any]], bool, Optional[str]]:
-    """The zero-execution cost estimate admission control prices with.
-
-    On covered cells this is the *exact* (certified-per-fuzz-run)
-    rounds/bits accounting of the protocol the lab would execute for
-    this spec; uncovered cells return ``(None, False, reason)`` and the
-    admission policy decides whether to serve them unpriced.
-    """
-    # Late import mirrors the runner: workers that never price a query
-    # skip the sympy-aware costmodel modules.
-    from ..costmodel import CostModelError, is_covered, predict_costs
-
-    if not is_covered(spec):
-        return None, False, "cell not covered by the symbolic cost model"
-    try:
-        metrics = dict(_PREDICTION_MEMO.get_or_compute(
-            _prediction_key(spec),
-            lambda: predict_costs(
-                spec, plan=protocol_plan, nodes=topology.nodes
-            ).metrics(),
-        ))
-    except CostModelError as exc:
-        return None, False, f"cost model error: {exc}"
-    return metrics, True, None
+        """One served answer (:func:`answer_payload` of the online solve)."""
+        answer = self.execute_online()
+        return answer_payload(answer.schema, answer.rows)

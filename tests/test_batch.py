@@ -19,16 +19,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import kernels
 from repro.faq import FAQQuery, solve_variable_elimination
-from repro.hypergraph import Hypergraph
-from repro.lab import answer_digest, get_suite, run_suite
-from repro.lab.batch import (
+from repro.faq.reference import (
     SCENARIO_VAR,
-    BatchParityError,
-    plan_groups,
-    run_suite_batched,
     stack_queries,
     structural_signature,
     unstack_answers,
+)
+from repro.hypergraph import Hypergraph
+from repro.lab import answer_digest, get_suite, run_suite
+from repro.lab.batch import (
+    BatchParityError,
+    plan_groups,
+    run_suite_batched,
     verify_group,
 )
 from repro.lab.generate import fuzz_suite

@@ -14,6 +14,7 @@ Three layers:
 
 import pytest
 
+from repro.core.memo import clear_all_memos
 from repro.costmodel import (
     COVERED_CELLS,
     CostModelError,
@@ -43,6 +44,7 @@ from repro.costmodel import (
 from repro.costmodel.formulas import two_party_route_rounds
 from repro.lab.runner import execute_scenario
 from repro.lab.spec import ScenarioSpec
+from repro.pipeline import plan_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +258,12 @@ def test_round_overrun_raises_cost_model_error():
 # ---------------------------------------------------------------------------
 
 
+def _fresh_prediction(spec):
+    clear_all_memos()
+    planner, plan = plan_scenario(spec)
+    return predict_costs(spec, plan, planner.topology.nodes)
+
+
 def _assert_exact(spec):
     result = execute_scenario(spec)
     block = result.cost_model
@@ -264,7 +272,7 @@ def _assert_exact(spec):
         f"cost model mispredicted {spec.label}: {block}"
     )
     # And a fresh prediction (no plan reuse) agrees with the recorded one.
-    prediction = predict_costs(spec)
+    prediction = _fresh_prediction(spec)
     assert prediction.metrics() == block["measured"]
     return result, prediction
 
@@ -322,7 +330,7 @@ def test_predicted_edge_map_reproduces_cut_transcript():
     the predicted per-link map to the min-cut edges reproduces the
     executed run's crossing bits exactly."""
     from repro.core.planner import Planner
-    from repro.lab.runner import build_assignment, build_query, build_topology
+    from repro.pipeline import build_assignment, build_query, build_topology
     from repro.lowerbounds import cut_transcript, predicted_crossing_bits
 
     spec = ScenarioSpec(
@@ -375,7 +383,7 @@ def test_hard_forest_loose_gap_case_is_predicted_exactly():
     assert result.cut_bits >= result.tribes_bits_floor
     # The symbolic model has no suppressed constant: it pins this exact
     # run — 151 rounds, 3659 bits, busiest link-round 12 = B.
-    prediction = predict_costs(spec)
+    prediction = _fresh_prediction(spec)
     assert prediction.rounds == result.measured_rounds == 151
     assert prediction.total_bits == result.total_bits == 3659
     assert prediction.max_edge_bits_per_round == 12 == prediction.environment["B"]

@@ -24,8 +24,6 @@ from repro.lab import (
     SuiteSpec,
     all_parity_failures,
     bound_violations,
-    build_query,
-    build_topology,
     certification_payload,
     execute_scenario,
     format_certification_table,
@@ -40,6 +38,7 @@ from repro.lab import (
 from repro.lab.__main__ import main as lab_main
 from repro.lab.generate import FUZZ_SEMIRINGS, sample_topology
 from repro.lab.suites import register_suite
+from repro.pipeline import build_query, build_topology
 
 MASTER = 987654
 

@@ -24,8 +24,6 @@ from repro.lab import (
     aggregate,
     answer_digest,
     artifact_bytes,
-    build_query,
-    build_topology,
     execute_scenario,
     expand_grid,
     get_suite,
@@ -36,6 +34,7 @@ from repro.lab import (
 from repro.lab.__main__ import main as lab_main
 from repro.lab.results import ScenarioResult
 from repro.lab.suites import register_suite
+from repro.pipeline import build_query, build_topology
 
 
 def tiny_spec(**overrides):
@@ -591,11 +590,11 @@ def test_execute_scenario_solver_parity_and_wall_clock():
 
 
 def test_solver_parity_failures_detect_mismatch():
-    from repro.lab.report import parity_failures, solver_pairs
+    from repro.lab.report import axis_pairs, parity_failures
 
     op = execute_scenario(tiny_spec()).deterministic_record()
     comp = execute_scenario(tiny_spec(solver="compiled")).deterministic_record()
-    assert len(solver_pairs([op, comp])) == 1
+    assert len(axis_pairs([op, comp], "solver")) == 1
     assert parity_failures([op, comp], "solver") == []
     # Engine pairing must NOT pair records differing in solver.
     assert parity_failures([op, comp], "engine") == []

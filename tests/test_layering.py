@@ -1,0 +1,126 @@
+"""The dependency rule of ``src/repro``, checked on the import graph.
+
+Dependencies point one way — core packages → :mod:`repro.pipeline` →
+:mod:`repro.lab` / :mod:`repro.serve` — and no package reaches into
+another's underscore names.  Every ``import`` statement counts, late
+ones inside functions included; only ``if TYPE_CHECKING:`` blocks are
+exempt (they never run).
+"""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _runtime_nodes(node):
+    """Every AST node below ``node`` outside ``if TYPE_CHECKING:``."""
+    for child in ast.iter_child_nodes(node):
+        if (
+            isinstance(child, ast.If)
+            and isinstance(child.test, ast.Name)
+            and child.test.id == "TYPE_CHECKING"
+        ):
+            continue
+        yield child
+        yield from _runtime_nodes(child)
+
+
+def _modules():
+    """``(dotted module name, its package, parsed source)`` per file."""
+    for folder, _dirs, files in os.walk(os.path.join(SRC, "repro")):
+        for filename in sorted(files):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(folder, filename)
+            parts = os.path.relpath(path, SRC)[:-3].split(os.sep)
+            package = parts[:-1]
+            if parts[-1] == "__init__":
+                parts = package
+            with open(path, encoding="utf-8") as fh:
+                yield ".".join(parts), package, ast.parse(fh.read(), path)
+
+
+def _imports():
+    """``(importer, imported dotted name)`` for every runtime import of
+    something inside ``repro`` — ``from a.b import c`` yields ``a.b.c``."""
+    edges = []
+    for module, package, tree in _modules():
+        for node in _runtime_nodes(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                base = base + (node.module.split(".") if node.module else [])
+                targets = [".".join(base + [alias.name]) for alias in node.names]
+            else:
+                continue
+            edges.extend(
+                (module, target)
+                for target in targets
+                if target.split(".")[0] == "repro"
+            )
+    return edges
+
+
+IMPORTS = _imports()
+
+
+def _subpackage(dotted):
+    """``repro.lab.runner.x`` -> ``lab``; ``repro.pipeline.x`` -> ``pipeline``."""
+    parts = dotted.split(".")
+    return parts[1] if len(parts) > 1 else ""
+
+
+def test_the_walk_sees_the_tree():
+    importers = {importer for importer, _target in IMPORTS}
+    assert {"repro.pipeline", "repro.lab.runner", "repro.serve.session",
+            "repro.costmodel.model"} <= importers
+    # Late imports are walked too (runner attaches --shm payloads lazily).
+    assert ("repro.lab.runner", "repro.serve.store.attach_query") in IMPORTS
+
+
+def test_no_underscore_names_cross_a_package_boundary():
+    offenders = [
+        (importer, target)
+        for importer, target in IMPORTS
+        if target.rsplit(".", 1)[-1].startswith("_")
+        and _subpackage(importer) != _subpackage(target)
+    ]
+    assert offenders == []
+
+
+def test_only_lab_and_serve_import_lab_or_serve():
+    offenders = [
+        (importer, target)
+        for importer, target in IMPORTS
+        if _subpackage(target) in ("lab", "serve")
+        and _subpackage(importer) not in ("lab", "serve")
+    ]
+    assert offenders == []
+
+
+def test_serve_needs_only_the_specs_and_results_of_the_lab():
+    offenders = [
+        (importer, target)
+        for importer, target in IMPORTS
+        if _subpackage(importer) == "serve"
+        and _subpackage(target) == "lab"
+        and not target.startswith(("repro.lab.spec.", "repro.lab.results."))
+    ]
+    assert offenders == []
+
+
+def test_wire_format_constants_are_assigned_once_in_the_network_package():
+    sites = {"HEADER_BITS": [], "EOS_BITS": []}
+    for module, _package, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id in sites:
+                        sites[target.id].append(module)
+    assert sites == {
+        "HEADER_BITS": ["repro.network.program"],
+        "EOS_BITS": ["repro.network.program"],
+    }

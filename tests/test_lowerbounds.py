@@ -368,7 +368,8 @@ def test_implied_round_lower_bound_hand_cases():
 
 def test_cut_transcript_from_real_run():
     """The extracted transcript is consistent with the run's accounting."""
-    from repro.lab import ScenarioSpec, build_query, build_topology
+    from repro.lab import ScenarioSpec
+    from repro.pipeline import build_query, build_topology
     from repro.core import Planner
     from repro.lowerbounds import cut_transcript, verify_cut_accounting
 

@@ -10,7 +10,6 @@ acceptance gate of the two-plane refactor.
 import pytest
 
 from repro.core.planner import Planner, assign_round_robin
-from repro.lab.runner import build_assignment, build_query, build_topology
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
 from repro.network import Topology
@@ -22,6 +21,7 @@ from repro.network.program import (
     run_program,
 )
 from repro.network.simulator import SimulationError, Simulator
+from repro.pipeline import build_assignment, build_query, build_topology
 from repro.protocols import (
     compile_plan,
     compile_round_programs,

@@ -20,7 +20,8 @@ import pytest
 from repro.core.memo import LRUMemo, clear_all_memos
 from repro.faq.plan import PLAN_CACHE, PlanCache
 from repro.lab.generate import generate_scenarios, sample_scenario
-from repro.lab.runner import materialize_scenario, run_suite
+from repro.lab.runner import run_suite
+from repro.pipeline import materialize_scenario
 from repro.lab.suites import get_suite
 from repro.semiring import Factor, get_semiring
 from repro.semiring.columnar import ColumnarFactor
@@ -281,6 +282,31 @@ def test_admission_defers_over_budget_but_still_serves():
             assert result.digest
             assert service.stats.deferred == 1
             assert service.stats.served == 1
+
+    asyncio.run(main())
+
+
+def test_interactive_request_wins_when_both_lanes_fire_in_one_tick():
+    from repro.serve.server import _Request
+
+    async def main():
+        service = QueryService()
+        try:
+            # No batcher: the test is the only consumer of the lanes.
+            service._queue = asyncio.Queue()
+            service._deferred = asyncio.Queue()
+            waiting = asyncio.ensure_future(service._next_request())
+            await asyncio.sleep(0)  # both lanes are empty: it must wait
+            loop = asyncio.get_running_loop()
+            low = _Request(None, loop.create_future(), True, {})
+            high = _Request(None, loop.create_future(), False, {})
+            service._deferred.put_nowait(low)
+            service._queue.put_nowait(high)
+            assert await asyncio.wait_for(waiting, 5) is high
+            assert service._deferred.get_nowait() is low
+            assert service._queue.empty() and service._deferred.empty()
+        finally:
+            await service.close()
 
     asyncio.run(main())
 

@@ -22,9 +22,10 @@ import pytest
 
 from repro.core.memo import clear_all_memos
 from repro.faq.plan import PLAN_CACHE
-from repro.lab.batch import structural_signature
+from repro.faq.reference import structural_signature
 from repro.lab.generate import generate_scenarios, sample_scenario
-from repro.lab.runner import execute_scenario, materialize_scenario
+from repro.lab.runner import execute_scenario
+from repro.pipeline import materialize_scenario
 from repro.serve import QueryService, ServeError, session_id_of
 from repro.serve.session import ServingSession
 from repro.serve.store import SharedRelationStore
