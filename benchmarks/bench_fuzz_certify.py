@@ -1,8 +1,8 @@
 """Fuzz certification — the randomized differential oracle as a bench.
 
 Runs a seeded fuzz sweep (generated scenarios x the full
-engine x solver x backend grid) and asserts the two contracts the fuzzed
-scenario plane exists to enforce:
+engine x solver x backend x kernels grid) and asserts the two contracts
+the fuzzed scenario plane exists to enforce:
 
 * **zero bound violations** — every run satisfies the Lemma 4.4
   cut-accounting round bound, and TRIBES-embedded worst-case runs push
@@ -16,6 +16,8 @@ via the CLI) but uses the same generator, so a regression here is a
 regression there.
 """
 
+import math
+
 from repro.lab import (
     all_parity_failures,
     bound_violations,
@@ -23,13 +25,16 @@ from repro.lab import (
     fuzz_suite,
     run_suite,
 )
+from repro.lab.suites import AXES
 
 #: Distinct from the suites' DEFAULT_SEED so this bench explores a
 #: different slice of the scenario space than the CI fuzz job.
 BENCH_SEED = 424242
 
-#: Base scenarios; x8 planes = 96 runs.
+#: Base scenarios; the suite crosses each with every plane of the axis
+#: table (2 engines x 2 solvers x 2 backends x 2 kernel tiers today).
 BENCH_COUNT = 12
+PLANES = math.prod(len(values) for values in AXES.values())
 
 
 def run_sweep():
@@ -41,7 +46,7 @@ def run_sweep():
 def test_fuzz_sweep_certifies_bounds_and_parity(benchmark):
     run = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     records = [r.deterministic_record() for r in run.results]
-    assert len(records) == 8 * BENCH_COUNT
+    assert len(records) == PLANES * BENCH_COUNT
 
     violations = bound_violations(records)
     assert violations == [], violations

@@ -16,7 +16,8 @@ replayed here sequentially:
 * The only data-dependent sizes are the **final-edge payloads**: a star
   rebuilds its center with semiring-zero rows dropped, so how many rows
   survive to be routed to the output player depends on the data.  The
-  replay recomputes exactly those counts with the shared Phase-B scorer
+  replay recomputes exactly those counts — and only for the stars that
+  feed a routed relation — with the shared Phase-B scorer
   (:func:`~repro.protocols.faq_protocol.score_rows`) and the compiled
   engine's fold order (:func:`~repro.protocols.compiler.fold_tree_slots`)
   — both imported, not re-implemented, so the model cannot drift from
@@ -123,19 +124,35 @@ class CostSkeleton:
 def _replay_final_counts(plan: ProtocolPlan) -> Dict[str, int]:
     """Per-origin final-phase payload counts, via free local replay.
 
-    Runs the stars bottom-up over a single global relation state: score
+    Demand-driven: only a final relation owned by another player than
+    the output player is routed, and its surviving size depends only on
+    the stars below it.  Walking the stars top-down from those relations
+    (a replayed star's leaves are needed in turn) selects the stars to
+    replay; the rest — all of them when nothing is routed — cost nothing.
+
+    The selected stars run bottom-up over one relation state: score
     every broadcast row with the engines' shared Phase-B scorer, fold
-    per tree in the convergecast's association order, rebuild the center
-    (zero-annotated rows drop, exactly like ``Factor``'s constructor),
-    and absorb the leaves.  Each relation participates in at most one
-    star as a leaf and at most one as a center (before its parent's
-    star), so the global sequential state sees every factor exactly as
-    the owning player would.
+    per tree in the convergecast's association order, and rebuild the
+    center (zero-annotated rows drop, exactly like ``Factor``'s
+    constructor).  Each relation is a leaf of at most one star and the
+    center of at most one (before its parent's star), so the sequential
+    state sees every factor exactly as the owning player would.
     """
     query = plan.query
     semiring = query.semiring
+    routed = [
+        name for name in plan.final_edges
+        if plan.assignment[name] != plan.output_player
+    ]
+    needed = set(routed)
+    feeding: List = []
+    for star in reversed(plan.stars):
+        if star.center_edge in needed:
+            needed.update(star.leaf_edges)
+            feeding.append(star)
+
     state: Dict[str, Factor] = dict(query.factors)
-    for star in plan.stars:
+    for star in reversed(feeding):
         factor = state[star.center_edge]
         rows = list(factor.tuples())
         ranges = star.slot_plan.slice_ranges(len(rows))
@@ -163,15 +180,11 @@ def _replay_final_counts(plan: ProtocolPlan) -> Dict[str, int]:
         state[star.center_edge] = Factor(
             star.center_schema, new_rows, semiring, star.center_edge
         )
-        for leaf_edge in star.leaf_edges:
-            state.pop(leaf_edge, None)
 
     counts: Dict[str, int] = {}
-    for name in plan.final_edges:
+    for name in routed:
         owner = plan.assignment[name]
-        if owner != plan.output_player:
-            surviving = state.get(name, query.factors[name])
-            counts[owner] = counts.get(owner, 0) + len(surviving)
+        counts[owner] = counts.get(owner, 0) + len(state[name])
     return counts
 
 

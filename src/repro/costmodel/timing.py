@@ -17,15 +17,25 @@ output for **equality** against both engines over the fuzzed plane, so
 any drift between an engine and this model is a caught bug in one of
 them, not noise.  The generator and compiled engines are themselves
 parity-gated against each other, so one evaluation prices all planes.
+
+Star phases cost O(phases + transients), not O(rounds): once the
+round's send list repeats with period 1 or 2 the recurrence jumps whole
+cycles arithmetically (see :func:`evaluate_timing`); routed payload is
+still stepped.  The jump is written against this module's own integer
+state — each op logs what a round consumed and sent plus the *margins*
+that kept its ``min(...)`` guards from flipping — and shares no code
+with the block engine's fast-forward, so the independence above still
+holds.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..network.program import EOS_BITS, HEADER_BITS
+from ..obs.counters import COUNTERS
 from .skeleton import CostSkeleton, RouteSkeleton, StarSkeleton
 
 
@@ -45,9 +55,13 @@ class CostVector:
 
 
 class _Ctx:
-    """Count-plane ProgramContext: per-round room + next-round delivery."""
+    """Count-plane ProgramContext: per-round room + next-round delivery.
 
-    __slots__ = ("node", "capacity", "queues", "sent", "outbox")
+    An op sets ``one_off`` in a round no steady cycle can contain: a
+    header or EOS moved, routed chunks moved, a parallel member finished.
+    """
+
+    __slots__ = ("node", "capacity", "queues", "sent", "outbox", "one_off")
 
     def __init__(self, node: str, capacity: int) -> None:
         self.node = node
@@ -55,6 +69,7 @@ class _Ctx:
         self.queues: Dict[Tuple[str, str], deque] = {}
         self.sent: Dict[str, int] = {}
         self.outbox: List[Tuple[str, str, str, str, int, int, object]] = []
+        self.one_off = False
 
     def room(self, dst: str) -> int:
         return self.capacity - self.sent.get(dst, 0)
@@ -78,11 +93,71 @@ class _Ctx:
         return out
 
 
+#: Horizon of an op no boundary constrains (dormant, or margins growing).
+_UNBOUNDED = 1 << 62
+
+
 class _Op:
+    """One blocking op of a node program.
+
+    :meth:`horizon` and :meth:`jump` are called only when the last
+    ``2 * period`` rounds held no one-off and no program transition.
+    """
+
     def start(self, ctx: _Ctx) -> None:
         pass
 
     def step(self, ctx: _Ctx) -> bool:
+        raise NotImplementedError
+
+    def horizon(self, period: int) -> int:
+        """How many more ``period``-round cycles replay identically,
+        given that the last cycle's arrivals repeat (0 declines)."""
+        raise NotImplementedError
+
+    def jump(self, period: int, k: int) -> None:
+        """Apply ``k`` replays of the last ``period`` rounds."""
+        raise NotImplementedError
+
+
+class _Stream(_Op):
+    """An op whose steady state moves integer counters linearly.
+
+    ``log`` holds, per stepped round that was not a one-off,
+    ``(delta, margins)``: ``delta`` is what the round consumed and sent,
+    ``margins`` the integer distances that kept every ``min(...)`` guard
+    and the completion test on the side they were on.  When
+    :meth:`horizon` is called the last ``2 * period`` entries are
+    exactly the last ``2 * period`` rounds.
+    """
+
+    def __init__(self) -> None:
+        self.log: deque = deque(maxlen=4)
+
+    def horizon(self, period: int) -> int:
+        # The last two cycles must have equal deltas.  Then every margin
+        # moves linearly, by its own change over one cycle; a shrinking
+        # margin must stay positive at its position in every replayed
+        # cycle, so the op neither flips a guard nor completes mid-jump.
+        log = self.log
+        k = _UNBOUNDED
+        for i in range(1, period + 1):
+            (delta, margins), (delta_before, margins_before) = (
+                log[-i], log[-i - period]
+            )
+            if delta != delta_before:
+                return 0
+            for margin, was in zip(margins, margins_before):
+                if margin < was:
+                    k = min(k, (margin - 1) // (was - margin))
+        return max(k, 0)
+
+    def jump(self, period: int, k: int) -> None:
+        for i in range(1, period + 1):
+            self.replay(self.log[-i][0], k)
+
+    def replay(self, delta, k: int) -> None:
+        """Advance the counters by ``k`` times one round's delta."""
         raise NotImplementedError
 
 
@@ -106,16 +181,38 @@ class _Parallel(_Op):
 
     def step(self, ctx: _Ctx) -> bool:
         for i, member in enumerate(self.members):
-            if not self.done_flags[i]:
-                self.done_flags[i] = member.step(ctx)
+            if not self.done_flags[i] and member.step(ctx):
+                self.done_flags[i] = True
+                # The member's final sends are in this round, and no op
+                # state stands behind a replay of them.  The program
+                # index does not move, so only this flag says so.
+                ctx.one_off = True
         return all(self.done_flags)
 
+    def _live(self) -> List[_Op]:
+        return [
+            member
+            for member, done in zip(self.members, self.done_flags)
+            if not done
+        ]
 
-class _Broadcast(_Op):
+    def horizon(self, period: int) -> int:
+        return min(
+            (member.horizon(period) for member in self._live()),
+            default=_UNBOUNDED,
+        )
+
+    def jump(self, period: int, k: int) -> None:
+        for member in self._live():
+            member.jump(period, k)
+
+
+class _Broadcast(_Stream):
     """Mirror of BroadcastOp.step: header first (chunked, count in the
     first chunk), then items at ``per_item`` bits, budget per child."""
 
     def __init__(self, tag, parent, children, per_item, root_count=None):
+        super().__init__()
         self.tag = tag
         self.parent = parent
         self.children = list(children)
@@ -133,13 +230,19 @@ class _Broadcast(_Op):
             self.received = self.count
 
     def step(self, ctx: _Ctx) -> bool:
+        arrived = 0
+        header_moved = False
         if self.parent is not None:
             for blk in ctx.pop(self.tag, self.parent):
                 kind, count, meta = blk
                 if kind == "hdr":
                     self.count = meta
+                    header_moved = True
                 elif kind == "it":
                     self.received += count
+                    arrived += count
+                else:
+                    header_moved = True
         for child in self.children:
             if self.count is None:
                 continue
@@ -154,16 +257,31 @@ class _Broadcast(_Op):
                 else:
                     ctx.send(child, self.tag, "hdrc", take)
                 self.header_left[child] -= take
+                header_moved = True
+        sent = []
         for child in self.children:
-            if self.header_left[child] > 0:
-                continue
-            k = min(
-                self.received - self.forwarded[child],
-                ctx.room(child) // self.per_item,
-            )
-            if k > 0:
-                ctx.send(child, self.tag, "it", k * self.per_item, count=k)
-                self.forwarded[child] += k
+            k = 0
+            if self.header_left[child] == 0:
+                k = min(
+                    self.received - self.forwarded[child],
+                    ctx.room(child) // self.per_item,
+                )
+                if k > 0:
+                    ctx.send(child, self.tag, "it", k * self.per_item, count=k)
+                    self.forwarded[child] += k
+            sent.append(k)
+        if header_moved:
+            ctx.one_off = True
+        elif self.count is None:
+            self.log.append(((0, ()), ()))  # dormant until the header
+        else:
+            # Per child: items left to forward (completion) and backlog
+            # (the send stays room-limited while it is positive).
+            margins = [self.count - self.received]
+            for child in self.children:
+                done = self.forwarded[child]
+                margins += (self.count - done, self.received - done)
+            self.log.append(((arrived, tuple(sent)), margins))
         return (
             self.count is not None
             and self.received == self.count
@@ -171,12 +289,19 @@ class _Broadcast(_Op):
             and all(self.forwarded[c] == self.count for c in self.children)
         )
 
+    def replay(self, delta, k: int) -> None:
+        arrived, sent = delta
+        self.received += k * arrived
+        for child, items in zip(self.children, sent):
+            self.forwarded[child] += k * items
 
-class _Convergecast(_Op):
+
+class _Convergecast(_Stream):
     """Mirror of ConvergecastOp.step: slot i moves up once every child
     delivered slot i, at most ``room // per_slot`` per round."""
 
     def __init__(self, tag, parent, children, per_slot, num_slots):
+        super().__init__()
         self.tag = tag
         self.parent = parent
         self.children = list(children)
@@ -186,10 +311,14 @@ class _Convergecast(_Op):
         self.buffered = {c: 0 for c in self.children}
 
     def step(self, ctx: _Ctx) -> bool:
+        arrivals = []
         for child in self.children:
+            got = 0
             for blk in ctx.pop(self.tag, child):
                 _kind, count, _meta = blk
-                self.buffered[child] += count
+                got += count
+            self.buffered[child] += got
+            arrivals.append(got)
         if self.children:
             avail = min(self.buffered[c] for c in self.children)
         else:
@@ -202,12 +331,26 @@ class _Convergecast(_Op):
                          k * self.per_slot, count=k)
         k = max(0, k)
         self.out_idx += k
+        # Slots left to move (completion), then per child how far its
+        # deliveries run ahead of what has moved up.
+        margins = [self.num_slots - self.out_idx]
+        margins += (self.buffered[c] - self.out_idx for c in self.children)
+        self.log.append(((tuple(arrivals), k), margins))
         return self.out_idx >= self.num_slots
+
+    def replay(self, delta, k: int) -> None:
+        arrivals, moved = delta
+        for child, got in zip(self.children, arrivals):
+            self.buffered[child] += k * got
+        self.out_idx += k * moved
 
 
 class _Route(_Op):
     """Mirror of RouteOp.step: greedy store-and-forward of chunk sizes
-    toward the sink, then the 1-bit EOS handshake."""
+    toward the sink, then the 1-bit EOS handshake.  Every round that
+    moves a chunk or an EOS is a one-off, so only an idle route (waiting
+    on its children while stars still stream elsewhere) joins a jump; a
+    streaming one declines, which is always exact."""
 
     def __init__(self, tag, parent, children, chunks: List[int]):
         self.tag = tag
@@ -220,6 +363,7 @@ class _Route(_Op):
     def step(self, ctx: _Ctx) -> bool:
         for child in self.children:
             for blk in ctx.pop(self.tag, child):
+                ctx.one_off = True
                 kind, _count, meta = blk
                 if kind == "eos":
                     self.eos_pending.discard(child)
@@ -235,6 +379,7 @@ class _Route(_Op):
             room -= size
             sent.append(size)
         if sent:
+            ctx.one_off = True
             ctx.send(self.parent, self.tag, "run", sum(sent),
                      count=len(sent), meta=tuple(sent))
         if (
@@ -246,6 +391,12 @@ class _Route(_Op):
             ctx.send(self.parent, self.tag, "eos", EOS_BITS)
             self.eos_sent = True
         return self.eos_sent
+
+    def horizon(self, period: int) -> int:
+        return _UNBOUNDED  # idle for the last two cycles
+
+    def jump(self, period: int, k: int) -> None:
+        pass
 
 
 class _Program:
@@ -260,6 +411,11 @@ class _Program:
     @property
     def done(self) -> bool:
         return self.index >= len(self.items)
+
+    @property
+    def current(self) -> _Op:
+        """The op a live program is blocked in."""
+        return self.items[self.index]
 
     def step_round(self, ctx: _Ctx) -> bool:
         moved = False
@@ -341,6 +497,35 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
     return programs
 
 
+def _steady_cycles(history, period, programs, contexts, live, limit) -> int:
+    """Whole ``period``-round cycles every live op can replay, at most
+    ``limit``; 0 means step on.
+
+    The last two cycles must have sent the same blocks (two silent
+    rounds would already have raised the deadlock error), every stream
+    of the cycle must be drained by its receiver's current op (a stream
+    buffering for a later phase leaves blocks queued that a jump would
+    never materialize), and every live op must grant a horizon.
+    """
+    for i in range(1, period + 1):
+        if history[-i][0] != history[-i - period][0]:
+            return 0
+    for i in range(1, period + 1):
+        for src, dst, tag, *_ in history[-i][0]:
+            if (
+                dst in contexts
+                and not programs[dst].done
+                and contexts[dst].queues.get((tag, src))
+            ):
+                return 0
+    k = limit
+    for node in live:
+        k = min(k, programs[node].current.horizon(period))
+        if k < 1:
+            return 0
+    return k
+
+
 def evaluate_timing(
     skeleton: CostSkeleton, max_rounds: int = 1_000_000
 ) -> CostVector:
@@ -351,6 +536,16 @@ def evaluate_timing(
     deliveries to finished programs are dropped.  Raises
     :class:`CostModelError` on deadlock or round overrun, which can only
     mean a model bug (the engines themselves would have deadlocked too).
+
+    Steady streaming is not stepped.  When the last two cycles of
+    ``period`` 1 or 2 rounds sent the same blocks, held no program
+    transition and no one-off round (see :class:`_Ctx`), and every
+    stream of the cycle is drained by its receiver's current op, all
+    live ops replay the cycle ``k`` times arithmetically — ``k`` being
+    the smallest :meth:`_Op.horizon`, capped so ``max_rounds`` is still
+    enforced by a stepped round.  Only counters advance, so
+    ``max_edge_bits_per_round`` cannot change.  A streaming route makes
+    every round a one-off, so routed payload is still stepped.
     """
     programs = _build_programs(skeleton)
     contexts = {n: _Ctx(n, skeleton.capacity) for n in skeleton.nodes}
@@ -361,6 +556,12 @@ def evaluate_timing(
     last_send_round = 0
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
+    # The last four rounds' (sends, per-link bits), and the last round
+    # that cannot be part of a steady cycle: a program moved to its next
+    # op or finished, or an op flagged a one-off.
+    history: deque = deque(maxlen=4)
+    last_change_round = 0
+    jumped_rounds = 0
 
     round_no = 0
     while True:
@@ -386,9 +587,13 @@ def evaluate_timing(
             ctx = contexts[node]
             ctx.sent = {}
             prog = programs[node]
-            moved_any = prog.step_round(ctx) or moved_any
+            moved = prog.step_round(ctx)
+            moved_any = moved_any or moved
             round_sends.extend(ctx.outbox)
             ctx.outbox = []
+            if moved or ctx.one_off:  # a finished program moved, too
+                ctx.one_off = False
+                last_change_round = round_no
             if prog.done:
                 live.remove(node)
                 finished_any = True
@@ -414,6 +619,30 @@ def evaluate_timing(
             )
         pending = round_sends
 
+        history.append((round_sends, round_edge_bits))
+        for period in (1, 2):
+            if round_no - last_change_round < 2 * period:
+                break
+            k = _steady_cycles(
+                history, period, programs, contexts, live,
+                (max_rounds - round_no) // period,
+            )
+            if k:
+                for node in live:
+                    programs[node].current.jump(period, k)
+                for i in range(1, period + 1):
+                    for link, bits in history[-i][1].items():
+                        total_bits += k * bits
+                        bits_per_edge[link] += k * bits
+                round_no += k * period
+                # Logged margins predate the jump: two freshly stepped
+                # cycles come before the next one.
+                last_send_round = last_change_round = round_no
+                jumped_rounds += k * period
+                break
+
+    COUNTERS.increment("costmodel.rounds", last_send_round)
+    COUNTERS.increment("costmodel.fast_forward_rounds", jumped_rounds)
     return CostVector(
         rounds=last_send_round,
         total_bits=total_bits,

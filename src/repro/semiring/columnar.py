@@ -284,10 +284,11 @@ def exact_array(elem_type: type, values: Sequence[Any]) -> Optional[np.ndarray]:
     """An exact-round-trip array view of a homogeneous column, or ``None``.
 
     ``None`` when the element type has no exact NumPy mapping, the
-    conversion promoted (``int`` -> float64), or the column holds floats
+    conversion promoted (``int`` -> float64), the column holds floats
     that break dictionary-key semantics (NaN: ``nan != nan``; ``-0.0``:
     ``np.unique`` may pick a different sign representative than the
-    first-appearance loop).
+    first-appearance loop), or it holds strings ending in NUL, which
+    NumPy's fixed-width strings silently strip.
 
     Raises:
         TypeError/ValueError/OverflowError: whatever ``np.asarray`` raises
@@ -301,6 +302,10 @@ def exact_array(elem_type: type, values: Sequence[Any]) -> Optional[np.ndarray]:
         return None
     if arr.dtype.kind == "f" and (
         np.isnan(arr).any() or bool(((arr == 0.0) & np.signbit(arr)).any())
+    ):
+        return None
+    if arr.dtype.kind == "U" and (
+        int(np.char.str_len(arr).sum()) != sum(map(len, values))
     ):
         return None
     return arr

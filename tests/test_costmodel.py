@@ -9,7 +9,11 @@ Three layers:
 * the end-to-end oracle: predictions must equal executed measurements
   bit-for-bit on covered cells — including the hypothesis-driven
   property sweep over the fuzz generator and the regression pin of the
-  known-loose Ω̃ hard-forest case.
+  known-loose Ω̃ hard-forest case;
+* the steady-state jump of the recurrence and the demand-driven
+  skeleton replay: pins found by differential search (jumping vs
+  stepping every round), the error paths under a jump, and the counter
+  ledger.
 """
 
 import pytest
@@ -29,6 +33,7 @@ from repro.costmodel import (
     edge_digest,
     evaluate,
     evaluate_timing,
+    extract_skeleton,
     floordiv,
     format_cell,
     format_kernel_table,
@@ -41,9 +46,12 @@ from repro.costmodel import (
     sym,
     to_sympy,
 )
+from repro.costmodel import skeleton as skeleton_module
 from repro.costmodel.formulas import two_party_route_rounds
+from repro.costmodel.timing import _Convergecast, _Ctx
 from repro.lab.runner import execute_scenario
 from repro.lab.spec import ScenarioSpec
+from repro.obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
 from repro.pipeline import plan_scenario
 
 
@@ -395,6 +403,22 @@ def test_hard_forest_loose_gap_case_is_predicted_exactly():
     )
 
 
+_PARALLEL_SUBPHASE_PIN = ScenarioSpec(
+    family="fuzz-tree",
+    query="tree",
+    query_params={"edges": 4},
+    topology="regular",
+    topology_params={"degree": 3, "n": 8, "seed": 46},
+    n=48,
+    domain_size=8,
+    semiring="min-plus",
+    assignment="round-robin",
+    max_rounds=2_000_000,
+    engine="compiled",
+    seed=394694135,
+)
+
+
 def test_parallel_subphase_completion_blocks_fast_forward_replay():
     """Regression pin: the Hypothesis sweep's first real catch.
 
@@ -409,20 +433,7 @@ def test_parallel_subphase_completion_blocks_fast_forward_replay():
     window; prediction, compiled measurement and generator measurement
     must all agree exactly.
     """
-    spec = ScenarioSpec(
-        family="fuzz-tree",
-        query="tree",
-        query_params={"edges": 4},
-        topology="regular",
-        topology_params={"degree": 3, "n": 8, "seed": 46},
-        n=48,
-        domain_size=8,
-        semiring="min-plus",
-        assignment="round-robin",
-        max_rounds=2_000_000,
-        engine="compiled",
-        seed=394694135,
-    )
+    spec = _PARALLEL_SUBPHASE_PIN
     compiled = execute_scenario(spec)
     assert compiled.cost_model["exact_match"] is True, compiled.cost_model
     generator = execute_scenario(spec.with_(engine="generator"))
@@ -431,3 +442,218 @@ def test_parallel_subphase_completion_blocks_fast_forward_replay():
     assert (
         compiled.cost_model["measured"] == generator.cost_model["measured"]
     )
+
+
+# ---------------------------------------------------------------------------
+# Steady-state jumps of the timing recurrence
+# ---------------------------------------------------------------------------
+
+
+def _skeleton_of(spec):
+    planner, plan = plan_scenario(spec)
+    return extract_skeleton(plan, tuple(planner.topology.nodes))
+
+
+def test_count_plane_twin_of_the_parallel_subphase_pin():
+    timing = evaluate_timing(_skeleton_of(_PARALLEL_SUBPHASE_PIN))
+    assert (timing.rounds, timing.total_bits) == (36, 8496)
+
+
+def _pin(family, query, query_params, topology, topology_params, n,
+         domain_size, semiring, assignment, seed):
+    return ScenarioSpec(
+        family=family, query=query, query_params=query_params,
+        topology=topology, topology_params=topology_params, n=n,
+        domain_size=domain_size, semiring=semiring, assignment=assignment,
+        max_rounds=2_000_000, engine="generator", seed=seed,
+    )
+
+
+#: One fuzz scenario per jump guard, each found by differential search
+#: (the jumping recurrence against the same recurrence stepping every
+#: round, with that guard removed) and priced wrong — or not at all —
+#: without it.  The default 400-run fuzz gate misses the first two.
+_JUMP_GUARD_PINS = {
+    # A root convergecast held back by a slow tree keeps a positive
+    # horizon while a fast member finishes; replaying that member's
+    # final slot adds 32 bits per cycle unless ``_Parallel.step`` flags
+    # the finish.
+    "parallel-member-finish": (_pin(
+        "fuzz-tree", "tree", {"edges": 4}, "regular",
+        {"degree": 3, "n": 6, "seed": 51}, 32, 4, "counting",
+        "round-robin", 688631229,
+    ), 16, 2560),
+    # An op that would finish exactly at the end of a jump must finish
+    # in a stepped round, because its successor starts in that same
+    # round: a horizon of ``margin // shrink`` is one round late here.
+    "one-cycle-short-of-completion": (_pin(
+        "fuzz-forest", "forest", {"edges": 3, "trees": 2}, "line",
+        {"n": 4}, 32, 4, "boolean", "round-robin", 601469238,
+    ), 155, 850),
+    # The next star's scatter reaches a node still busy in this one: the
+    # blocks queue in its mailbox, and a jump would count their bits
+    # without delivering them (deadlock without the drained check).
+    "stream-buffering-for-a-later-phase": (_pin(
+        "fuzz-hard-path", "hard-path", {"length": 6}, "line", {"n": 3},
+        16, 16, "boolean", "worst-case", 262579810,
+    ), 60, 660),
+    # Right after a jump the logged margins and the period-2 history
+    # are stale; the window restarts at the jump's last round.
+    "window-restarts-after-a-jump": (_pin(
+        "fuzz-acyclic", "acyclic", {"arity": 4, "edges": 5}, "tree",
+        {"branching": 2, "depth": 2}, 32, 8, "boolean", "round-robin",
+        985735279,
+    ), 77, 2240),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_JUMP_GUARD_PINS))
+def test_jump_guard_pin(guard):
+    spec, rounds, bits = _JUMP_GUARD_PINS[guard]
+    timing = evaluate_timing(_skeleton_of(spec))
+    assert (timing.rounds, timing.total_bits) == (rounds, bits)
+    _assert_exact(spec)
+
+
+def test_streaming_route_declines_the_jump():
+    # The sender's side alone: chunks stream to a parent that runs no
+    # program, two rounds per item with period 2, and are all stepped.
+    skeleton = CostSkeleton(
+        nodes=("a",), output_player="a", capacity=12, tuple_bits=12,
+        value_bits=1, stars=(),
+        route=RouteSkeleton(parents={"a": "ghost"}, payload_counts={"a": 50}),
+    )
+    before = COUNTERS.snapshot()
+    timing = evaluate_timing(skeleton)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert (timing.rounds, timing.total_bits) == (100, 50 * 13 + 1)
+    assert delta == {"costmodel.rounds": 100}
+
+
+def test_period_two_horizon_reads_margins_at_their_cycle_position():
+    # No compiled plan reaches a period-2 steady state today (chunked
+    # routing, its source, declines), so the alignment is pinned on a
+    # hand-fed log: a relay moving 2 slots on odd rounds, 0 on even.
+    op = _Convergecast("t", "parent", ["child"], per_slot=1, num_slots=100)
+    op.out_idx, op.buffered["child"] = 44, 50
+    op.log.extend([
+        (((1,), 2), [60, 5]), (((1,), 0), [60, 6]),
+        (((1,), 2), [58, 5]), (((1,), 0), [58, 6]),
+    ])
+    assert op.horizon(1) == 0  # consecutive rounds differ
+    # Slots left shrink by 2 per cycle from 58: (58 - 1) // 2 cycles.
+    assert op.horizon(2) == 28
+    op.jump(2, 28)
+    assert (op.out_idx, op.buffered["child"]) == (44 + 56, 50 + 56)
+
+
+def _stream_line_skeleton(n):
+    return _skeleton_of(ScenarioSpec(
+        family="stream-line", query="hard-star", query_params={"arms": 4},
+        topology="line", topology_params={"n": 4}, n=n,
+        assignment="worst-case", seed=11, backend="columnar",
+        engine="compiled", solver="compiled",
+    ))
+
+
+def test_streaming_rounds_are_counted_not_stepped():
+    skeleton = _stream_line_skeleton(8192)
+    before = COUNTERS.snapshot()
+    timing = evaluate_timing(skeleton)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    rounds, jumped = (delta[name] for name in COSTMODEL_COUNTERS)
+    assert timing.rounds == rounds == 8510
+    assert rounds - jumped <= 64
+
+
+@pytest.mark.parametrize("limit", [3, 400, 1033])
+def test_round_overrun_inside_a_jumpable_stretch_still_raises(limit):
+    skeleton = _stream_line_skeleton(1024)
+    needed = evaluate_timing(skeleton).rounds
+    assert needed > 1033
+    with pytest.raises(CostModelError, match=f"max_rounds={limit}"):
+        evaluate_timing(skeleton, max_rounds=limit)
+    # The cap is exact: the recurrence needs one silent round past the
+    # last send to see every program finish.
+    with pytest.raises(CostModelError, match="max_rounds"):
+        evaluate_timing(skeleton, max_rounds=needed)
+    assert evaluate_timing(skeleton, max_rounds=needed + 1).rounds == needed
+
+
+def test_deadlock_after_a_jumped_stream_still_raises():
+    # 500 slots stream b -> a and back (jumped), then the sink waits for
+    # an EOS from a routing child that runs no program.
+    skeleton = CostSkeleton(
+        nodes=("a", "b"), output_player="b", capacity=8, tuple_bits=8,
+        value_bits=1,
+        stars=(
+            StarSkeleton(
+                star_id=0, center_edge="R",
+                trees=({"b": None, "a": "b"},), counts=(500,),
+            ),
+        ),
+        route=RouteSkeleton(
+            parents={"a": "b", "b": None, "ghost": "b"}, payload_counts={}
+        ),
+    )
+    before = COUNTERS.snapshot()
+    with pytest.raises(CostModelError, match="deadlocked at round"):
+        evaluate_timing(skeleton)
+    # Nothing is counted for a pricing that failed.
+    assert counter_delta(before, COUNTERS.snapshot()) == {}
+
+
+def test_context_send_overdraft_raises():
+    ctx = _Ctx("a", capacity=8)
+    ctx.send("b", "t", "it", 8)
+    with pytest.raises(CostModelError, match="overdrew capacity: a->b 9 > 8"):
+        ctx.send("b", "t", "it", 1)
+
+
+# ---------------------------------------------------------------------------
+# Demand-driven skeleton replay
+# ---------------------------------------------------------------------------
+
+
+def test_no_routed_relation_means_no_replay(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("score_rows called with nothing routed")
+
+    monkeypatch.setattr(skeleton_module, "score_rows", forbidden)
+    skeleton = _stream_line_skeleton(256)
+    assert skeleton.stars and skeleton.route.payload_counts == {}
+
+
+def test_replay_covers_exactly_the_stars_under_a_routed_relation(monkeypatch):
+    # hard-forest, 3 trees: T1R2 is routed and sits above a two-level
+    # star chain (T1R1 is a leaf of its star and the center of another);
+    # the output player's own tree is never replayed.
+    spec = ScenarioSpec(
+        family="fuzz-hard-forest", query="hard-forest",
+        query_params={"edges": 4, "trees": 3}, topology="tree",
+        topology_params={"branching": 2, "depth": 1}, n=32, domain_size=16,
+        semiring="boolean", assignment="worst-case", max_rounds=2_000_000,
+        engine="generator", seed=683095019,
+    )
+    _planner, plan = plan_scenario(spec)
+    centers = {star.center_edge: star for star in plan.stars}
+    assert plan.assignment["T1R2"] != plan.output_player
+    assert "T1R1" in centers["T1R2"].leaf_edges and "T1R1" in centers
+
+    scored = []
+    real = skeleton_module.score_rows
+
+    def recording(semiring, schema, contributions, rows):
+        scored.append(tuple(schema))
+        return real(semiring, schema, contributions, rows)
+
+    monkeypatch.setattr(skeleton_module, "score_rows", recording)
+    result, prediction = _assert_exact(spec)
+    replayed = {
+        star.center_edge for star in plan.stars
+        if star.center_schema in scored
+    }
+    assert {"T1R2", "T1R1"} <= replayed < set(centers)
+    # Routed items, counted without execution, price the run exactly.
+    assert sum(prediction.skeleton.route.payload_counts.values()) > 0
+    assert prediction.total_bits == result.total_bits

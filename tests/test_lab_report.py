@@ -248,6 +248,12 @@ def test_cli_predict_without_artifact_prices_suite(capsys):
     printed = capsys.readouterr().out
     assert code == 0
     assert "3 scenarios priced, 3 in covered cells" in printed
+    # The recurrence's ledger (zeros when the prediction memo is warm).
+    priced, stepped, jumped = map(int, re.search(
+        r"timing recurrence: (\d+) round\(s\) priced, (\d+) stepped, "
+        r"(\d+) fast-forwarded", printed,
+    ).groups())
+    assert priced == stepped + jumped
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_encode_decode_identity(schema_rows):
     assert block.decode_rows() == rows
 
 
+def test_strings_ending_in_nul_round_trip():
+    # NumPy's fixed-width strings strip trailing NULs; such a column
+    # must take the generic encoder (hypothesis found ``'\x00' -> ''``).
+    rows = [("\x00",), ("a\x00",), ("a",), ("",)]
+    assert encode_wire_block(("v0",), rows).decode_rows() == rows
+
+
 @given(row_sets(), st.integers(1, 64))
 @settings(max_examples=60, deadline=None)
 def test_wire_bits_charge_tuple_bits_per_row(schema_rows, tuple_bits):
