@@ -16,7 +16,7 @@ per query, cleared memo/plan caches, materialization, protocol-plan
 compilation, protocol execution and the reference solve.  The committed
 ``BENCH_serving.json`` records the warm-served ÷ cold QPS ratio; CI
 re-measures both sides in one process and gates on 80% of the committed
-ratio (machine-neutral, mirroring the batched-runner throughput gate).
+ratio (machine-neutral).
 
 Every served answer is asserted digest-identical to its cold
 ``Planner.execute`` answer — the speedup is bought by warm state

@@ -34,8 +34,8 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.counters import COUNTERS
 from .query import FAQQuery
@@ -635,6 +635,28 @@ def lower_yannakakis(query: FAQQuery, ghd) -> QueryPlan:
 # ---------------------------------------------------------------------------
 
 
+def _cached_plan(
+    key: Optional[str], lower: Callable[[], QueryPlan]
+) -> QueryPlan:
+    """The plan cached under ``key``; on a miss, ``lower()`` stamped with
+    ``key`` (and cached under it unless ``key`` is ``None``)."""
+    cached = PLAN_CACHE.get(key)
+    if cached is not None:
+        return cached
+    plan = replace(lower(), cache_key=key)
+    PLAN_CACHE.put(key, plan)
+    return plan
+
+
+def _default_ghd(query: FAQQuery, ghd):
+    """``ghd``, or the (deterministic per hypergraph) best GYO-GHD."""
+    if ghd is not None:
+        return ghd
+    from ..decomposition import best_gyo_ghd
+
+    return best_gyo_ghd(query.hypergraph)
+
+
 def plan_variable_elimination(
     query: FAQQuery, order: Optional[Sequence[Any]] = None
 ) -> QueryPlan:
@@ -644,41 +666,28 @@ def plan_variable_elimination(
     is baked into the cached plan, which is the point of keying plans by
     structure across a grid sweep.
     """
-    key = structural_signature(query, "variable-elimination", order=order)
-    cached = PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if order is None:
-        if query.is_faq_ss():
+
+    def lower() -> QueryPlan:
+        if order is not None:
+            resolved: Tuple[Any, ...] = tuple(order)
+        elif query.is_faq_ss():
             from .variable_elimination import greedy_elimination_order
 
-            resolved: Tuple[Any, ...] = greedy_elimination_order(query)
+            resolved = greedy_elimination_order(query)
         else:
             resolved = query.elimination_order()
-    else:
-        resolved = tuple(order)
-    plan = lower_variable_elimination(query, resolved)
-    plan = QueryPlan(
-        strategy=plan.strategy, ops=plan.ops, output=plan.output,
-        num_slots=plan.num_slots, cache_key=key, order=plan.order,
+        return lower_variable_elimination(query, resolved)
+
+    return _cached_plan(
+        structural_signature(query, "variable-elimination", order=order), lower
     )
-    PLAN_CACHE.put(key, plan)
-    return plan
 
 
 def plan_naive(query: FAQQuery) -> QueryPlan:
     """The (cached) naive-solver plan for ``query``."""
-    key = structural_signature(query, "naive")
-    cached = PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    plan = lower_naive(query)
-    plan = QueryPlan(
-        strategy=plan.strategy, ops=plan.ops, output=plan.output,
-        num_slots=plan.num_slots, cache_key=key,
+    return _cached_plan(
+        structural_signature(query, "naive"), lambda: lower_naive(query)
     )
-    PLAN_CACHE.put(key, plan)
-    return plan
 
 
 def plan_message_passing(query: FAQQuery, ghd=None) -> QueryPlan:
@@ -688,39 +697,15 @@ def plan_message_passing(query: FAQQuery, ghd=None) -> QueryPlan:
     of the signature); the default best-GYO-GHD is deterministic per
     hypergraph, so default plans are safely shared.
     """
-    key = structural_signature(
-        query, "message-passing", default_ghd=ghd is None
+    return _cached_plan(
+        structural_signature(query, "message-passing", default_ghd=ghd is None),
+        lambda: lower_message_passing(query, _default_ghd(query, ghd)),
     )
-    cached = PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if ghd is None:
-        from ..decomposition import best_gyo_ghd
-
-        ghd = best_gyo_ghd(query.hypergraph)
-    plan = lower_message_passing(query, ghd)
-    plan = QueryPlan(
-        strategy=plan.strategy, ops=plan.ops, output=plan.output,
-        num_slots=plan.num_slots, cache_key=key,
-    )
-    PLAN_CACHE.put(key, plan)
-    return plan
 
 
 def plan_yannakakis(query: FAQQuery, ghd=None) -> QueryPlan:
     """The (cached) Yannakakis semijoin-program plan for ``query``."""
-    key = structural_signature(query, "yannakakis", default_ghd=ghd is None)
-    cached = PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if ghd is None:
-        from ..decomposition import best_gyo_ghd
-
-        ghd = best_gyo_ghd(query.hypergraph)
-    plan = lower_yannakakis(query, ghd)
-    plan = QueryPlan(
-        strategy=plan.strategy, ops=plan.ops, output=plan.output,
-        num_slots=plan.num_slots, cache_key=key,
+    return _cached_plan(
+        structural_signature(query, "yannakakis", default_ghd=ghd is None),
+        lambda: lower_yannakakis(query, _default_ghd(query, ghd)),
     )
-    PLAN_CACHE.put(key, plan)
-    return plan

@@ -147,10 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--batch", action="store_true",
-        help="group structurally identical scenarios: shared "
-        "materialization and memos, one stacked tensor solve per group "
-        "cross-checked against every member (adds a volatile "
-        "'throughput' block to BENCH_lab.json; serial only)",
+        help="after the run, group the freshly executed scenarios by "
+        "structure and cross-check every group's answers with one "
+        "stacked tensor solve (serial only)",
     )
     run_p.add_argument(
         "--timings", action="store_true",
@@ -166,12 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help="record + replay-verify the protocol event stream of every "
         "freshly-executed scenario (exit 1 on any replay mismatch)",
-    )
-    run_p.add_argument(
-        "--shm", action="store_true",
-        help="with --jobs N: materialize each unique identity once and "
-        "publish its relations to shared memory; workers attach "
-        "zero-copy instead of rebuilding (results stay byte-identical)",
     )
 
     parity_p = sub.add_parser(
@@ -466,21 +459,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.jobs != 1:
             print("--batch runs serially; drop --jobs")
             return 2
-        if args.shm:
-            print("--shm applies to pooled runs; drop --batch")
-            return 2
         from .batch import run_suite_batched
 
         run = run_suite_batched(
             suite, cache=cache, force=args.force, log=log, trace=args.trace,
         )
     else:
-        if args.shm and args.jobs == 1:
-            print("--shm needs --jobs N (N > 1)")
-            return 2
         run = run_suite(
             suite, jobs=args.jobs, cache=cache, force=args.force, log=log,
-            trace=args.trace, shm=args.shm,
+            trace=args.trace,
         )
 
     # The artifact payload (records + certification) is computed once
@@ -535,21 +522,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if run.batch is not None:
         batch = run.batch
-        sps = batch.get("scenarios_per_sec")
-        base = batch.get("baseline") or {}
-        speedup = batch.get("speedup")
         print(
             f"batch: {batch['multi_groups']} group(s) covering "
-            f"{batch['grouped_scenarios']} scenario(s) (largest "
-            f"{batch['largest_group']}), {batch['stacked_checks']} "
-            f"stacked solve(s) verified; "
-            + (f"{sps:.1f} scenarios/sec" if sps else "no fresh scenarios")
-            + (
-                f" vs {base['scenarios_per_sec']:.1f} cold "
-                f"({speedup:.1f}x)"
-                if base.get("scenarios_per_sec") and speedup
-                else ""
-            )
+            f"{batch['grouped_scenarios']} scenario(s), "
+            f"{batch['stacked_checks']} stacked solve(s) verified"
         )
 
     artifact = write_artifact(run, args.out, payload=payload)

@@ -41,7 +41,9 @@ ARTIFACT_FILENAME = "BENCH_lab.json"
 #: counter whitelist grows the kernel/batch dispatch tags, and the
 #: payload gains a top-level ``throughput`` block (scenarios/sec for the
 #: per-scenario and batched execution paths).
-ARTIFACT_SCHEMA = "repro.lab/bench.v5"
+#: v6: the ``throughput`` block is gone (``--batch`` is ``run_suite``
+#: plus a stacked cross-check; it writes the same payload as any run).
+ARTIFACT_SCHEMA = "repro.lab/bench.v6"
 
 
 def format_results_table(results: Sequence[ScenarioResult]) -> str:
@@ -631,11 +633,6 @@ def artifact_payload(run: SuiteRun, timings: bool = False) -> Dict[str, Any]:
         "cost_model": cost_model_payload(records),
         "observability": observability_payload(records),
     }
-    if run.batch is not None:
-        # Volatile like ``timings`` (wall-clock rates), but written by
-        # every ``--batch`` run: the throughput-regression CI job diffs
-        # ``scenarios_per_sec`` against the committed artifact.
-        payload["throughput"] = dict(run.batch)
     if timings:
         payload["timings"] = timings_payload(run)
     return payload

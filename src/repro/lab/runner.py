@@ -26,7 +26,6 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import kernels
@@ -44,8 +43,6 @@ from ..obs.logging import CaptureHandler, get_logger
 from ..obs.trace import RecordingTracer, TraceEvent, Tracer
 from ..obs.verify import verify_trace
 from ..pipeline import (
-    QUERY_SOURCES,
-    BuiltQuery,
     identity_key,
     materialize_scenario,
     plan_scenario,
@@ -356,42 +353,6 @@ def _execute_traced(
     return result, events
 
 
-#: Attach handles kept alive for the worker's lifetime: the factors'
-#: arrays view the mapped segments, so the handles must not be closed
-#: while any memoized query is live.  Process exit reclaims the maps;
-#: unlinking is the coordinator's job.
-_SHM_ATTACHED: List[Any] = []
-
-
-def _attach_built(payload: Dict[str, Any]) -> BuiltQuery:
-    """A built query from the coordinator's shared-memory publication."""
-    from ..serve.store import attach_query
-
-    attached = attach_query(payload)
-    _SHM_ATTACHED.append(attached)
-    return BuiltQuery(
-        attached.query,
-        s_edges=tuple(attached.extra.get("s_edges", ())),
-        t_edges=tuple(attached.extra.get("t_edges", ())),
-    )
-
-
-def _shm_worker_init(
-    path: List[str], payloads: Dict[str, Dict[str, Any]]
-) -> None:
-    """Pool initializer for ``--shm`` runs: import path + the published
-    materialization payloads by identity (segment names and manifests
-    only — the relation bytes stay in shared memory, never on the pickle
-    wire), which :func:`~repro.pipeline.materialize_scenario` then
-    attaches instead of rebuilding."""
-    worker_init(path)
-    QUERY_SOURCES.clear()
-    QUERY_SOURCES.update(
-        (identity, partial(_attach_built, payload))
-        for identity, payload in payloads.items()
-    )
-
-
 def _execute_with_context(
     spec: ScenarioSpec, trace: bool = False
 ) -> ScenarioResult:
@@ -436,10 +397,9 @@ class SuiteRun:
         executed: Unique scenarios executed fresh this run.
         jobs: Worker processes used (1 = in-process serial).
         wall_time: Total coordinator wall time in seconds.
-        batch: Grouping/throughput stats when the run came from the
-            batched runner (:func:`repro.lab.batch.run_suite_batched`);
-            ``None`` for ordinary runs.  Volatile (contains wall-clock
-            rates) — never part of the deterministic scenario records.
+        batch: Grouping stats of the stacked cross-check when the run
+            came from :func:`repro.lab.batch.run_suite_batched`; ``None``
+            for ordinary runs.  Never part of the artifact.
     """
 
     suite: SuiteSpec
@@ -475,77 +435,6 @@ class SuiteRun:
         ]
 
 
-class _SuiteProgress:
-    """What both suite runners do around execution: the prologue (cold
-    memos, content hashes, first-occurrence dedupe, cache partition) and
-    the per-result epilogue (:meth:`finish`)."""
-
-    def __init__(
-        self,
-        suite: SuiteSpec,
-        cache: Optional[ResultCache],
-        force: bool,
-        log: Optional[Callable[[str], None]],
-    ) -> None:
-        self.suite = suite
-        self.cache = cache
-        self.emit = log or (lambda message: None)
-        # Every suite run starts with a cold structural memo plane:
-        # sharing happens *across the axis planes within this run*
-        # (where all the repetition is), and a run's behaviour never
-        # depends on what the process executed before it.
-        clear_all_memos()
-        self.start = time.perf_counter()
-        self.hashes = [spec.content_hash() for spec in suite.scenarios]
-        self.by_hash: Dict[str, ScenarioResult] = {}
-        #: Unique scenarios to execute fresh, with their content hashes.
-        self.pending: List[Tuple[ScenarioSpec, str]] = []
-        seen = set()
-        from_cache = set()
-        for spec, key in zip(suite.scenarios, self.hashes):
-            if key in seen:
-                continue
-            seen.add(key)
-            record = None if (force or cache is None) else cache.get(key)
-            if record is not None:
-                self.by_hash[key] = ScenarioResult.from_record(
-                    record, cached=True
-                )
-                from_cache.add(key)
-                self.emit(f"[cache] {spec.label}")
-            else:
-                self.pending.append((spec, key))
-        # Count *occurrences* (not unique specs) so a fully-cached suite
-        # with duplicate scenarios still reports a 100% hit rate.
-        self.cache_hits = sum(1 for key in self.hashes if key in from_cache)
-
-    def finish(self, spec: ScenarioSpec, key: str, result: ScenarioResult) -> None:
-        # Persist every completed result immediately so one failing
-        # scenario never discards its siblings' finished work.
-        self.by_hash[key] = result
-        if self.cache is not None:
-            self.cache.put(key, result.deterministic_record())
-        # Re-emit what the worker captured: log records and warnings
-        # raised inside a ProcessPool worker would otherwise vanish.
-        for line in result.captured_logs or ():
-            self.emit(f"[log  ] {spec.label}: {line}")
-        self.emit(f"[done ] {spec.label}: rounds={result.measured_rounds}")
-
-    def suite_run(
-        self, jobs: int, batch: Optional[Dict[str, Any]] = None
-    ) -> SuiteRun:
-        """The finished run, results in suite order."""
-        return SuiteRun(
-            suite=self.suite,
-            results=[self.by_hash[key] for key in self.hashes],
-            cache_hits=self.cache_hits,
-            executed=len(self.pending),
-            jobs=jobs,
-            wall_time=time.perf_counter() - self.start,
-            batch=batch,
-        )
-
-
 def run_suite(
     suite: SuiteSpec,
     jobs: int = 1,
@@ -553,13 +442,13 @@ def run_suite(
     force: bool = False,
     log: Optional[Callable[[str], None]] = None,
     trace: bool = False,
-    shm: bool = False,
 ) -> SuiteRun:
     """Execute a suite: cache lookups, then (parallel) fresh runs.
 
     Args:
         suite: What to run.
-        jobs: ``1`` runs in-process; ``>1`` uses a ProcessPoolExecutor.
+        jobs: ``1`` runs in-process; ``>1`` uses a ProcessPoolExecutor
+            when more than one scenario has to run.
         cache: Optional result cache; hits skip execution, fresh results
             are persisted.  ``None`` disables caching entirely.
         force: Ignore cache *reads* (still writes), re-running everything.
@@ -567,11 +456,6 @@ def run_suite(
         trace: Record and replay-verify the protocol event stream of
             every freshly-executed scenario, attaching the (volatile)
             verdict as ``result.trace``.  Cached hits are not re-traced.
-        shm: With ``jobs > 1``, materialize each unique plane-stripped
-            identity once in the coordinator and publish the relations
-            to a shared-memory store (:mod:`repro.serve.store`); workers
-            attach instead of rebuilding.  Results stay byte-identical
-            to serial runs (the parallel≡serial gate covers this path).
 
     Returns:
         A :class:`SuiteRun` whose ``results`` follow suite order exactly,
@@ -579,58 +463,72 @@ def run_suite(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    progress = _SuiteProgress(suite, cache, force, log)
-    emit, pending = progress.emit, progress.pending
-    if jobs == 1 or len(pending) <= 1:
-        for spec, key in pending:
+    emit = log or (lambda message: None)
+    # Every suite run starts with a cold structural memo plane: sharing
+    # happens *across the axis planes within this run* (where all the
+    # repetition is), and a run's behaviour never depends on what the
+    # process executed before it.
+    clear_all_memos()
+    start = time.perf_counter()
+    hashes = [spec.content_hash() for spec in suite.scenarios]
+    by_hash: Dict[str, ScenarioResult] = {}
+    # Unique scenarios to execute fresh, by content hash.
+    pending: Dict[str, ScenarioSpec] = {}
+    for spec, key in zip(suite.scenarios, hashes):
+        if key in by_hash or key in pending:
+            continue
+        record = None if (force or cache is None) else cache.get(key)
+        if record is not None:
+            by_hash[key] = ScenarioResult.from_record(record, cached=True)
+            emit(f"[cache] {spec.label}")
+        else:
+            pending[key] = spec
+    # Count *occurrences* (not unique specs) so a fully-cached suite
+    # with duplicate scenarios still reports a 100% hit rate.
+    cache_hits = sum(1 for key in hashes if key in by_hash)
+
+    def finish(spec: ScenarioSpec, key: str, result: ScenarioResult) -> None:
+        # Persist every completed result immediately so one failing
+        # scenario never discards its siblings' finished work.
+        by_hash[key] = result
+        if cache is not None:
+            cache.put(key, result.deterministic_record())
+        # Re-emit what the worker captured: log records and warnings
+        # raised inside a ProcessPool worker would otherwise vanish.
+        for line in result.captured_logs or ():
+            emit(f"[log  ] {spec.label}: {line}")
+        emit(f"[done ] {spec.label}: rounds={result.measured_rounds}")
+
+    workers = jobs if len(pending) > 1 else 1
+    if workers == 1:
+        for key, spec in pending.items():
             emit(f"[run  ] {spec.label}")
-            progress.finish(spec, key, _execute_with_context(spec, trace))
-        return progress.suite_run(jobs)
-
-    shm_store = None
-    initializer, initargs = worker_init, (list(sys.path),)
-    if shm:
-        # Materialize each unique identity once, publish to shared
-        # memory; workers receive segment *names* via the pool
-        # initializer and attach on first touch.
-        from ..serve.store import SharedRelationStore, publish_query
-
-        shm_store = SharedRelationStore()
-        payloads: Dict[str, Dict[str, Any]] = {}
-        for spec, _key in pending:
-            identity = identity_key(spec)
-            if identity in payloads:
-                continue
-            built, _topology, _assignment = materialize_scenario(spec)
-            payloads[identity] = publish_query(
-                shm_store, identity, built.query,
-                extra={"s_edges": built.s_edges, "t_edges": built.t_edges},
-            )
-        initializer = _shm_worker_init
-        initargs = (list(sys.path), payloads)
-        emit(
-            f"[shm  ] published {len(payloads)} identities "
-            f"({shm_store.total_bytes} bytes shared)"
-        )
-    emit(f"[pool ] {len(pending)} scenarios on {jobs} workers")
-    try:
+            finish(spec, key, _execute_with_context(spec, trace))
+    else:
+        emit(f"[pool ] {len(pending)} scenarios on {workers} workers")
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
+            max_workers=workers,
+            initializer=worker_init,
+            initargs=(list(sys.path),),
         ) as pool:
             futures = {
                 pool.submit(_execute_with_context, spec, trace): (spec, key)
-                for spec, key in pending
+                for key, spec in pending.items()
             }
             failure: Optional[BaseException] = None
             for future in as_completed(futures):
                 spec, key = futures[future]
                 try:
-                    progress.finish(spec, key, future.result())
+                    finish(spec, key, future.result())
                 except BaseException as exc:  # noqa: BLE001 — re-raised
                     failure = failure or exc
             if failure is not None:
                 raise failure
-    finally:
-        if shm_store is not None:
-            shm_store.close()
-    return progress.suite_run(jobs)
+    return SuiteRun(
+        suite=suite,
+        results=[by_hash[key] for key in hashes],
+        cache_hits=cache_hits,
+        executed=len(pending),
+        jobs=workers,
+        wall_time=time.perf_counter() - start,
+    )

@@ -309,14 +309,6 @@ def identity_key(spec: ScenarioSpec, drop: Tuple[str, ...] = PLANE_AXES) -> str:
 #: materialized objects) cheap.
 MATERIALIZE_MEMO = LRUMemo("pipeline.materialized", maxsize=128)
 
-#: Already-built queries by identity, consulted before the family
-#: builders.  ``run --shm`` pool workers register loaders here that
-#: *attach* the coordinator's shared-memory publication — byte-identical
-#: factors (the store round-trip preserves storage backend, row order
-#: and dictionary provenance exactly) — so only the cheap
-#: topology/assignment objects are rebuilt locally.
-QUERY_SOURCES: Dict[str, Callable[[], BuiltQuery]] = {}
-
 
 def materialize_scenario(
     spec: ScenarioSpec,
@@ -324,15 +316,13 @@ def materialize_scenario(
     """The spec's (built query, topology, assignment), memoized per
     plane-stripped identity.  Callers must treat the returned objects as
     immutable — they are shared across the scenario's axis planes."""
-    key = identity_key(spec)
 
     def build() -> Tuple[BuiltQuery, Topology, Optional[Dict[str, str]]]:
-        source = QUERY_SOURCES.get(key)
-        built = source() if source is not None else build_query(spec)
+        built = build_query(spec)
         topology = build_topology(spec)
         return built, topology, build_assignment(spec, built, topology)
 
-    return MATERIALIZE_MEMO.get_or_compute(key, build)
+    return MATERIALIZE_MEMO.get_or_compute(identity_key(spec), build)
 
 
 # ---------------------------------------------------------------------------

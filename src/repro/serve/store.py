@@ -424,11 +424,10 @@ def attach_query(payload: Mapping[str, Any]) -> AttachedQuery:
 class SharedRelationStore:
     """Creator-side registry of published relations.
 
-    One store per service (or per suite run); owns every segment it
-    publishes and releases them all on :meth:`close` — which is
-    idempotent and also runs via the context-manager protocol, so a
-    crashed registration cannot leak ``/dev/shm`` entries past the
-    ``with`` block.
+    One store per service; owns every segment it publishes and releases
+    them all on :meth:`close` — which is idempotent and also runs via
+    the context-manager protocol, so a crashed registration cannot leak
+    ``/dev/shm`` entries past the ``with`` block.
     """
 
     def __init__(self) -> None:
@@ -453,11 +452,6 @@ class SharedRelationStore:
     def segment_names(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(shm.name for shm in self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(shm.size for shm in self._segments)
 
     def payload(self, key: str) -> Dict[str, Any]:
         try:

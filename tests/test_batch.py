@@ -1,14 +1,12 @@
-"""The batched suite runner — stacking, grouping, and the byte-identity
-contract.
+"""The stacked-solve oracle over a suite run — stacking, grouping, and
+what :func:`run_suite_batched` adds to :func:`run_suite`.
 
-The tentpole claim of :mod:`repro.lab.batch` is that batching is purely
-a throughput move: a batched run's deterministic records (answers,
-rounds, per-edge bit accounting, observability counters — everything
-:meth:`ScenarioResult.deterministic_record` serializes) are byte-for-
-byte what a serial :func:`run_suite` produces.  The hypothesis property
-here drives random fuzz-suite slices — every scenario swept across the
-full engine x solver x backend x kernels grid — through both runners
-and asserts exactly that.
+A batched run is a serial ``run_suite`` followed by one stacked solve
+per multi-member group of the scenarios that ran fresh, so its
+deterministic records are byte-for-byte a serial run's (the hypothesis
+property drives random fuzz-suite slices, every scenario swept across
+the full engine x solver x backend x kernels grid, through both), and a
+disagreeing stacked solve raises after the results are already cached.
 """
 
 import pytest
@@ -17,7 +15,6 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import kernels
 from repro.faq import FAQQuery, solve_variable_elimination
 from repro.faq.reference import (
     SCENARIO_VAR,
@@ -26,7 +23,8 @@ from repro.faq.reference import (
     unstack_answers,
 )
 from repro.hypergraph import Hypergraph
-from repro.lab import answer_digest, get_suite, run_suite
+from repro.lab import ResultCache, answer_digest, run_suite
+from repro.lab import batch as batch_module
 from repro.lab.batch import (
     BatchParityError,
     plan_groups,
@@ -164,16 +162,51 @@ def test_batched_records_byte_identical_to_serial(master, count):
     ]
 
 
-def test_batch_stats_and_twin_dedup():
-    suite = _small_axes_suite(count=1)
-    run = run_suite_batched(suite, baseline_sample=0)
+def test_batch_stats_have_the_documented_keys():
+    run = run_suite_batched(_small_axes_suite(count=2))
     stats = run.batch
-    assert stats["scenarios"] == 16
-    assert stats["stacked_checks"] >= 1
-    assert stats["scenarios_per_sec"] > 0
-    if not kernels.HAVE_NUMBA:
-        # Without numba the jit planes resolve to numpy: half the grid
-        # is a bit-identical twin of the other half and is deduped.
-        assert stats["plane_twins"] == 8
-    else:
-        assert stats["plane_twins"] == 0
+    assert set(stats) == {
+        "groups", "multi_groups", "grouped_scenarios", "stacked_checks",
+        "plane_twins",
+    }
+    assert stats["grouped_scenarios"] == 32
+    assert stats["stacked_checks"] == stats["multi_groups"] >= 1
+    assert stats["plane_twins"] == 0
+
+
+def test_only_fresh_members_are_cross_checked(tmp_path, monkeypatch):
+    suite = _small_axes_suite(count=2)
+    head = SuiteSpec(name="head", scenarios=suite.scenarios[:16])
+    run_suite(head, cache=ResultCache(str(tmp_path)))
+    checked = []
+    monkeypatch.setattr(
+        batch_module, "verify_group",
+        lambda members, results: checked.extend(members),
+    )
+    run = run_suite_batched(suite, cache=ResultCache(str(tmp_path)))
+    assert (run.cache_hits, run.executed) == (16, 16)
+    assert checked == list(suite.scenarios[16:])
+    assert run.batch["grouped_scenarios"] == 16
+
+
+def test_baseline_sample_is_rejected():
+    with pytest.raises(ValueError, match="baseline_sample"):
+        run_suite_batched(_small_axes_suite(count=1), baseline_sample=5)
+
+
+def test_wrong_stacked_answer_raises_after_results_are_cached(
+    tmp_path, monkeypatch
+):
+    suite = _small_axes_suite(count=1)
+    real = batch_module.solve_stacked
+
+    def wrong_row(queries):
+        answers = real(queries)
+        schema, _rows = answers[-1]
+        return answers[:-1] + [(schema, {("bogus",) * len(schema): "wrong"})]
+
+    monkeypatch.setattr(batch_module, "solve_stacked", wrong_row)
+    with pytest.raises(BatchParityError, match="stacked solve disagreed"):
+        run_suite_batched(suite, cache=ResultCache(str(tmp_path)))
+    rerun = run_suite(suite, cache=ResultCache(str(tmp_path)))
+    assert (rerun.cache_hits, rerun.executed) == (16, 0)

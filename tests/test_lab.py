@@ -246,6 +246,14 @@ def test_cache_miss_then_hit(tmp_path):
     assert artifact_bytes(first) == artifact_bytes(second)
 
 
+def test_fully_cached_pooled_rerun_reports_the_one_worker_it_used(tmp_path):
+    suite = get_suite("smoke")
+    first = run_suite(suite, jobs=2, cache=ResultCache(str(tmp_path)))
+    assert first.jobs == 2
+    rerun = run_suite(suite, jobs=2, cache=ResultCache(str(tmp_path)))
+    assert (rerun.executed, rerun.jobs) == (0, 1)
+
+
 def test_cache_misses_on_changed_spec(tmp_path):
     cache = ResultCache(str(tmp_path))
     run_suite(SuiteSpec("one", (tiny_spec(),)), cache=cache)
@@ -379,7 +387,7 @@ def test_smoke_suite_covers_required_diversity():
 def test_artifact_payload_shape(tmp_path):
     run = run_suite(SuiteSpec("one", (tiny_spec(),)))
     payload = json.loads(artifact_bytes(run))
-    assert payload["schema"] == "repro.lab/bench.v5"
+    assert payload["schema"] == "repro.lab/bench.v6"
     assert payload["suite"] == "one"
     assert payload["scenario_count"] == 1
     assert payload["all_correct"] is True

@@ -76,8 +76,8 @@ def test_the_walk_sees_the_tree():
     importers = {importer for importer, _target in IMPORTS}
     assert {"repro.pipeline", "repro.lab.runner", "repro.serve.session",
             "repro.costmodel.model"} <= importers
-    # Late imports are walked too (runner attaches --shm payloads lazily).
-    assert ("repro.lab.runner", "repro.serve.store.attach_query") in IMPORTS
+    # Late imports are walked too (the CLI imports the --batch pass lazily).
+    assert ("repro.lab.__main__", "repro.lab.batch.run_suite_batched") in IMPORTS
 
 
 def test_no_underscore_names_cross_a_package_boundary():
@@ -96,6 +96,26 @@ def test_only_lab_and_serve_import_lab_or_serve():
         for importer, target in IMPORTS
         if _subpackage(target) in ("lab", "serve")
         and _subpackage(importer) not in ("lab", "serve")
+    ]
+    assert offenders == []
+
+
+def test_lab_imports_nothing_from_serve():
+    offenders = [
+        (importer, target)
+        for importer, target in IMPORTS
+        if _subpackage(importer) == "lab" and _subpackage(target) == "serve"
+    ]
+    assert offenders == []
+
+
+def test_only_the_runner_executes_scenarios():
+    # run_suite is the one suite loop: no other module, the --batch pass
+    # included, imports its worker entry point.
+    offenders = [
+        (importer, target)
+        for importer, target in IMPORTS
+        if target == "repro.lab.runner._execute_with_context"
     ]
     assert offenders == []
 

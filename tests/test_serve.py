@@ -4,9 +4,8 @@ Covers the shared-memory relation store (publish/attach byte-identity,
 pickled fallback, explicit lifecycle, no ``/dev/shm`` leaks), structured
 degradation (``ServeError`` on detach / crash / shutdown / overload),
 the thread-safety of the plan cache and structural memos the service
-shares across threads, admission control, and the lab runner's ``--shm``
-pooled materialization path.  Answer-level parity lives in
-``test_serving_parity.py``.
+shares across threads, and admission control.  Answer-level parity lives
+in ``test_serving_parity.py``.
 """
 
 import asyncio
@@ -20,9 +19,7 @@ import pytest
 from repro.core.memo import LRUMemo, clear_all_memos
 from repro.faq.plan import PLAN_CACHE, PlanCache
 from repro.lab.generate import generate_scenarios, sample_scenario
-from repro.lab.runner import run_suite
 from repro.pipeline import materialize_scenario
-from repro.lab.suites import get_suite
 from repro.semiring import Factor, get_semiring
 from repro.semiring.columnar import ColumnarFactor
 from repro.serve import (
@@ -421,20 +418,3 @@ def test_worker_without_payload_raises_unknown_session():
     with pytest.raises(ServeError) as err:
         _worker_execute("s-nonexistent")
     assert err.value.code == "unknown-session"
-
-
-# ---------------------------------------------------------------------------
-# Lab runner --shm path
-# ---------------------------------------------------------------------------
-
-
-def test_pooled_shm_run_is_byte_identical_to_serial():
-    before = _shm_entries()
-    suite = get_suite("smoke")
-    serial = run_suite(suite, jobs=1, cache=None)
-    pooled = run_suite(suite, jobs=2, cache=None, shm=True)
-    assert [r.deterministic_record() for r in serial.results] == [
-        r.deterministic_record() for r in pooled.results
-    ]
-    assert live_segment_names() == ()
-    assert _shm_entries() == before
