@@ -497,33 +497,51 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
     return programs
 
 
-def _steady_cycles(history, period, programs, contexts, live, limit) -> int:
+def _steady_cycles(history, period, programs, live, limit) -> int:
     """Whole ``period``-round cycles every live op can replay, at most
     ``limit``; 0 means step on.
 
     The last two cycles must have sent the same blocks (two silent
-    rounds would already have raised the deadlock error), every stream
-    of the cycle must be drained by its receiver's current op (a stream
-    buffering for a later phase leaves blocks queued that a jump would
-    never materialize), and every live op must grant a horizon.
+    rounds would already have raised the deadlock error) and every live
+    op must grant a horizon.
     """
     for i in range(1, period + 1):
         if history[-i][0] != history[-i - period][0]:
             return 0
-    for i in range(1, period + 1):
-        for src, dst, tag, *_ in history[-i][0]:
-            if (
-                dst in contexts
-                and not programs[dst].done
-                and contexts[dst].queues.get((tag, src))
-            ):
-                return 0
     k = limit
     for node in live:
         k = min(k, programs[node].current.horizon(period))
         if k < 1:
             return 0
     return k
+
+
+def _materialize(cycle, k, contexts) -> None:
+    """Deliver what ``k`` skipped replays of ``cycle`` sent to mailboxes.
+
+    A stream whose queue still holds blocks after the stepped round is
+    not read by its receiver's current op: it is buffering for a later
+    one (the next star's scatter reaching a node still busy in this
+    star).  ``k`` is at most that op's horizon, so the receiver stays in
+    it for the whole jump and the stream buffers throughout.  A stream
+    with an empty queue is read by the current op, whose own ``jump``
+    accounts for it — or its receiver runs no program or has finished
+    (an op completes only once its streams are fully read), and the
+    round loop drops those deliveries too.
+
+    The skipped rounds deliver every cycle position ``k`` times: they
+    start one position late, at the stepped round's own sends, and those
+    stay ``pending`` for the round after the jump.  A steady cycle
+    carries only ``it`` and ``slot`` blocks (headers, EOS and routed
+    chunks are one-offs), which their readers sum, so one entry per
+    stream and cycle position stands for all ``k``.
+    """
+    for sends, _edge_bits in cycle:
+        for src, dst, tag, kind, _bits, count, _meta in sends:
+            ctx = contexts.get(dst)
+            queue = ctx.queues.get((tag, src)) if ctx is not None else None
+            if queue:
+                queue.append((kind, k * count, None))
 
 
 def evaluate_timing(
@@ -538,14 +556,15 @@ def evaluate_timing(
     mean a model bug (the engines themselves would have deadlocked too).
 
     Steady streaming is not stepped.  When the last two cycles of
-    ``period`` 1 or 2 rounds sent the same blocks, held no program
-    transition and no one-off round (see :class:`_Ctx`), and every
-    stream of the cycle is drained by its receiver's current op, all
-    live ops replay the cycle ``k`` times arithmetically — ``k`` being
-    the smallest :meth:`_Op.horizon`, capped so ``max_rounds`` is still
-    enforced by a stepped round.  Only counters advance, so
-    ``max_edge_bits_per_round`` cannot change.  A streaming route makes
-    every round a one-off, so routed payload is still stepped.
+    ``period`` 1 or 2 rounds sent the same blocks and held no program
+    transition and no one-off round (see :class:`_Ctx`), all live ops
+    replay the cycle ``k`` times arithmetically — ``k`` being the
+    smallest :meth:`_Op.horizon`, capped so ``max_rounds`` is still
+    enforced by a stepped round — and the streams no current op reads
+    are delivered to their mailboxes (:func:`_materialize`).  Only
+    counters advance, so ``max_edge_bits_per_round`` cannot change.  A
+    streaming route makes every round a one-off, so routed payload is
+    still stepped.
     """
     programs = _build_programs(skeleton)
     contexts = {n: _Ctx(n, skeleton.capacity) for n in skeleton.nodes}
@@ -624,14 +643,16 @@ def evaluate_timing(
             if round_no - last_change_round < 2 * period:
                 break
             k = _steady_cycles(
-                history, period, programs, contexts, live,
+                history, period, programs, live,
                 (max_rounds - round_no) // period,
             )
             if k:
                 for node in live:
                     programs[node].current.jump(period, k)
-                for i in range(1, period + 1):
-                    for link, bits in history[-i][1].items():
+                cycle = [history[-i] for i in range(1, period + 1)]
+                _materialize(cycle, k, contexts)
+                for _sends, edge_bits in cycle:
+                    for link, bits in edge_bits.items():
                         total_bits += k * bits
                         bits_per_edge[link] += k * bits
                 round_no += k * period

@@ -15,7 +15,8 @@ Commands:
   for parity checks and speedup measurements).  ``--solver
   operator|compiled|both`` does the same for the FAQ solver axis.
   ``--timings`` adds a volatile wall-clock section (per-scenario times
-  and per-pair engine/solver speedups) to the artifact.  ``--seed N``
+  and per-pair engine/solver speedups) to the artifact and prints how
+  many simulated rounds the engine stepped.  ``--seed N``
   regenerates a generated (fuzz) suite from master seed N.
 * ``parity <BENCH_lab.json>`` — verify parity in an artifact: every pair
   of scenarios differing only in the protocol engine, only in the FAQ
@@ -520,6 +521,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{run.executed} executed on {run.jobs} job(s) "
         f"in {run.wall_time:.2f}s"
     )
+    if args.timings:
+        # The engine-side twin of predict's "timing recurrence" line.
+        simulated = sum(r.measured_rounds for r in run.results)
+        jumped = sum(
+            (r.observability or {}).get("engine.fast_forward_rounds", 0)
+            for r in run.results
+        )
+        print(
+            f"engine rounds: {simulated} simulated, "
+            f"{simulated - jumped} stepped, {jumped} fast-forwarded"
+        )
     if run.batch is not None:
         batch = run.batch
         print(

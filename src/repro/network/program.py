@@ -27,7 +27,10 @@ instead of O(rounds).
 Self-timing is preserved exactly: ops are started lazily, a finished op
 hands the round over to the next op of the same node (mirroring how a
 ``yield from`` chain resumes), and early-arriving blocks wait in
-per-(tag, src) queues just like the generator engine's ``Mailbox``.
+per-(tag, src) queues just like the generator engine's ``Mailbox`` — a
+jump appends what the skipped rounds would have queued there, so
+overlapping phases (the next star's scatter reaching a node still busy
+in this one) are jumped through, not stepped.
 """
 
 from __future__ import annotations
@@ -830,6 +833,27 @@ class _EdgeLedger:
         }
 
 
+def _repeat_blocks(blocks: List[BlockMessage], k: int) -> BlockMessage:
+    """One block standing for ``k`` in-order repeats of ``blocks``.
+
+    ``blocks`` are one stream's sends over one steady cycle.  Headers
+    and EOS markers are sent once, so such a stream carries only
+    ``"it"``/``"slot"`` blocks, whose consumers sum counts, or ``"run"``
+    blocks, whose consumer concatenates the chunk sizes in order.
+    """
+    first = blocks[0]
+    meta = None
+    if first.kind == "run":
+        meta = tuple(size for blk in blocks for size in blk.meta) * k
+    return BlockMessage(
+        first.src, first.dst, first.tag, first.kind,
+        k * sum(blk.bits for blk in blocks),
+        k * sum(blk.count for blk in blocks),
+        k * sum(blk.messages for blk in blocks),
+        meta,
+    )
+
+
 def run_program(
     topology: Topology,
     capacity_bits: int,
@@ -848,10 +872,12 @@ def run_program(
 
     Steady streaming states are fast-forwarded: once the per-round send
     signature repeats with period 1 or 2 and every live op bounds its
-    replay horizon, whole cycles are applied arithmetically.  The jump
-    changes wall-clock only — the resulting accounting is identical to
-    stepping every round (``fast_forward=False`` steps every round and
-    must produce byte-identical results; tests assert this).
+    replay horizon, whole cycles are applied arithmetically — op state,
+    accounting, and the mailbox queues of streams that are buffering for
+    a later op of their receiver.  The jump changes wall-clock only —
+    the resulting accounting is identical to stepping every round
+    (``fast_forward=False`` steps every round and must produce
+    byte-identical results; tests assert this).
 
     With a live ``tracer``, every round boundary, block send, compute
     step and fast-forward jump is emitted as a typed event; the jump
@@ -893,11 +919,10 @@ def run_program(
     max_edge_bits_per_round = 0
 
     # Fast-forward bookkeeping: (signature, bits, messages, round edge-id
-    # vector, round per-edge bit vector) — the two arrays are the round's
-    # accounting delta in ledger coordinates, replayed arithmetically.
+    # vector, round per-edge bit vector, blocks) — the two arrays are the
+    # round's accounting delta in ledger coordinates, replayed
+    # arithmetically; the blocks are what a jump delivers to mailboxes.
     history: deque = deque(maxlen=4)
-    next_attempt_round = 0
-    attempt_backoff = 1
 
     def blocked_map() -> Dict[str, List[str]]:
         return {
@@ -1020,41 +1045,25 @@ def run_program(
                 blocked=blocked,
             )
 
-        sig = tuple(blk.signature() for blk in round_sends)
-        history.append(
-            (sig, round_bits, round_msgs, round_eids, round_link_bits))
         pending = round_sends
 
         if not fast_forward:
             continue
-        if round_no < next_attempt_round or finished_any or moved_any:
+        history.append((
+            tuple(blk.signature() for blk in round_sends),
+            round_bits, round_msgs, round_eids, round_link_bits, round_sends,
+        ))
+        if finished_any or moved_any:
             continue
         for period in (1, 2):
             if len(history) < 2 * period:
                 continue
-            cycle = list(history)[-period:]
-            prev = list(history)[-2 * period:-period]
-            if [c[0] for c in cycle] != [c[0] for c in prev]:
+            if any(history[-i][0] != history[-i - period][0]
+                   for i in range(1, period + 1)):
                 continue
+            cycle = [history[-i] for i in range(period, 0, -1)]
             if not any(c[0] for c in cycle):
                 continue  # an all-idle cycle cannot be sending-steady
-            # Every cycle stream must be actively drained by its
-            # receiver's *current* op: a stream buffering for a later
-            # phase (the mailbox case) leaves blocks queued, and a jump
-            # would never materialize them.
-            drained = True
-            for c in cycle:
-                for src, dst, tag, _kind, _bits, _count, _meta in c[0]:
-                    dst_prog = programs.get(dst)
-                    if dst_prog is None or dst_prog.done:
-                        continue  # dropped on delivery in both engines
-                    if contexts[dst].queues.get((tag, src)):
-                        drained = False
-                        break
-                if not drained:
-                    break
-            if not drained:
-                continue
             horizons = [
                 programs[node].current().cycle_horizon(period)
                 for node in live
@@ -1065,6 +1074,25 @@ def run_program(
                 continue
             for node in live:
                 programs[node].current().advance(period, k)
+            # The jump skips the deliveries of rounds t+1 .. t+k*period:
+            # the sends of rounds t .. t+k*period-1, i.e. the cycle k
+            # times over starting at this round's own sends (they stay
+            # ``pending`` as the sends of the jump's last round).  A
+            # stream the receiver's current op pops was advanced above.
+            # One with blocks still queued after this round is buffering
+            # for a later op of its receiver — the mailbox case — and
+            # k >= 1 means no live op changes inside the jump, so it
+            # buffers throughout: its skipped blocks join the queue.
+            buffering: Dict[Tuple[str, str, str], List[BlockMessage]] = {}
+            for c in cycle[-1:] + cycle[:-1]:
+                for blk in c[5]:
+                    ctx = contexts.get(blk.dst)
+                    if ctx is not None and ctx.queues.get((blk.tag, blk.src)):
+                        buffering.setdefault(
+                            (blk.dst, blk.tag, blk.src), []).append(blk)
+            for (dst, tag, src), blocks in buffering.items():
+                contexts[dst].queues[(tag, src)].append(
+                    _repeat_blocks(blocks, k))
             cycle_bits = sum(c[1] for c in cycle)
             cycle_msgs = sum(c[2] for c in cycle)
             total_bits += k * cycle_bits
@@ -1094,14 +1122,7 @@ def run_program(
             round_no += k * period
             last_send_round = round_no
             last_delivery_round = round_no
-            next_attempt_round = 0
-            attempt_backoff = 1
             break
-        else:
-            # No jump this round; back off so long ineligible stretches
-            # don't pay the detection cost every round.
-            next_attempt_round = round_no + attempt_backoff
-            attempt_backoff = min(64, attempt_backoff * 2)
 
     return SimulationResult(
         rounds=last_send_round,

@@ -16,6 +16,8 @@ Three layers:
   ledger.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.core.memo import clear_all_memos
@@ -48,7 +50,7 @@ from repro.costmodel import (
 )
 from repro.costmodel import skeleton as skeleton_module
 from repro.costmodel.formulas import two_party_route_rounds
-from repro.costmodel.timing import _Convergecast, _Ctx
+from repro.costmodel.timing import _Convergecast, _Ctx, _materialize
 from repro.lab.runner import execute_scenario
 from repro.lab.spec import ScenarioSpec
 from repro.obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
@@ -490,13 +492,34 @@ _JUMP_GUARD_PINS = {
         "fuzz-forest", "forest", {"edges": 3, "trees": 2}, "line",
         {"n": 4}, 32, 4, "boolean", "round-robin", 601469238,
     ), 155, 850),
-    # The next star's scatter reaches a node still busy in this one: the
-    # blocks queue in its mailbox, and a jump would count their bits
-    # without delivering them (deadlock without the drained check).
+    # The next star's scatter reaches a node still busy in this one and
+    # its blocks queue in that node's mailbox.  The jump counts their
+    # bits, so it must also deliver them: with ``_materialize`` a no-op
+    # the scatter's receiver never sees its items (deadlock, round 25).
     "stream-buffering-for-a-later-phase": (_pin(
         "fuzz-hard-path", "hard-path", {"length": 6}, "line", {"n": 3},
         16, 16, "boolean", "worst-case", 262579810,
     ), 60, 660),
+    # A buffering stream gets exactly the ``k`` skipped cycles.  With
+    # ``(k - 1) * count`` the later broadcast waits for items that never
+    # come (deadlock, round 28); with ``(k + 1) * count`` — which is also
+    # what delivering the stepped round's own, still-pending sends a
+    # second time amounts to at period 1 — it holds more items than its
+    # header announced and never completes (deadlock, round 44).
+    "materialized-count-is-k-cycles": (_pin(
+        "fuzz-hard-path", "hard-path", {"length": 6, "value": False},
+        "tree", {"branching": 2, "depth": 2}, 16, 16, "boolean",
+        "worst-case", 692445153,
+    ), 63, 1076),
+    # Only a stream with blocks still queued is buffering.  One with an
+    # empty queue is read by its receiver's current op, whose ``jump``
+    # already advanced by the cycle's arrivals: materializing every
+    # cycle stream delivers those twice (deadlock, round 22).  No stream
+    # buffers in this scenario.
+    "drained-streams-are-not-materialized": (_pin(
+        "fuzz-hard-star", "hard-star", {"arms": 3, "value": False}, "star",
+        {"leaves": 4}, 16, 16, "boolean", "worst-case", 508538384,
+    ), 22, 176),
     # Right after a jump the logged margins and the period-2 history
     # are stale; the window restarts at the jump's last round.
     "window-restarts-after-a-jump": (_pin(
@@ -513,6 +536,36 @@ def test_jump_guard_pin(guard):
     timing = evaluate_timing(_skeleton_of(spec))
     assert (timing.rounds, timing.total_bits) == (rounds, bits)
     _assert_exact(spec)
+
+
+def test_materialize_touches_only_buffering_streams_of_live_receivers():
+    # Hand-fed, period 2 (no compiled plan reaches one in this plane):
+    # each cycle position is delivered k times whatever the rotation,
+    # and readers sum, so position and order cannot matter here — they
+    # do for the engine's routed chunks (tests/test_program.py).  A
+    # finished program has read its streams to the end, so its queues
+    # are empty and it is skipped like a node that runs no program;
+    # nothing reads such a queue, so no mutation there is observable
+    # (2000 fuzz specs at x1 and x8: 213 buffered streams, none into a
+    # finished program).
+    contexts = {"b": _Ctx("b", capacity=8), "c": _Ctx("c", capacity=8)}
+    contexts["b"].queues = {
+        ("later", "a"): deque([("hdr", 1, 90), ("it", 3, None)]),
+        ("now", "a"): deque(),
+    }
+    cycle = [
+        ([("a", "b", "later", "it", 8, 4, None),
+          ("a", "b", "now", "it", 8, 4, None),
+          ("a", "ghost", "later", "it", 8, 4, None)], {}),
+        ([("a", "b", "later", "it", 2, 1, None),
+          ("a", "c", "later", "slot", 2, 1, None)], {}),
+    ]
+    _materialize(cycle, 7, contexts)
+    assert list(contexts["b"].queues[("later", "a")]) == [
+        ("hdr", 1, 90), ("it", 3, None), ("it", 28, None), ("it", 7, None),
+    ]
+    assert not contexts["b"].queues[("now", "a")]
+    assert contexts["c"].queues == {}
 
 
 def test_streaming_route_declines_the_jump():

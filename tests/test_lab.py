@@ -550,6 +550,15 @@ def test_cli_engine_override(tmp_path, capsys):
     engines = [s["spec"]["engine"] for s in payload["scenarios"]]
     assert engines == ["generator", "compiled"]
     assert "timings" in payload
+    # One line: both engines' rounds, the compiled engine's jumps.
+    generator, compiled = payload["scenarios"]
+    simulated = generator["measured_rounds"] + compiled["measured_rounds"]
+    jumped = compiled["observability"]["engine.fast_forward_rounds"]
+    assert "engine.fast_forward_rounds" not in generator["observability"]
+    assert (
+        f"engine rounds: {simulated} simulated, {simulated - jumped} "
+        f"stepped, {jumped} fast-forwarded"
+    ) in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

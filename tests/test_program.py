@@ -14,13 +14,16 @@ from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
 from repro.network import Topology
 from repro.network.program import (
+    BroadcastOp,
     ComputeStep,
     ConvergecastOp,
     NodeProgram,
+    RouteOp,
     chunk_pattern,
     run_program,
 )
 from repro.network.simulator import SimulationError, Simulator
+from repro.obs.counters import COUNTERS, counter_delta
 from repro.pipeline import build_assignment, build_query, build_topology
 from repro.protocols import (
     compile_plan,
@@ -314,8 +317,6 @@ def test_fast_forward_with_passive_receiver_does_not_crash():
     """A steady stream toward a program-less (passive) node is dropped on
     delivery in both engines; the cycle fast-forward must tolerate it
     (review regression)."""
-    from repro.network.program import BroadcastOp
-
     topology = Topology.line(2)
     op = BroadcastOp(
         "drop", None, [topology.nodes[1]], per_item=2,
@@ -334,3 +335,88 @@ def test_fast_forward_with_passive_receiver_does_not_crash():
     )
     assert result.rounds == slow.rounds
     assert result.total_bits == slow.total_bits == 32 + 500 * 2
+
+
+# ---------------------------------------------------------------------------
+# Jumping through overlapping phases
+# ---------------------------------------------------------------------------
+
+
+def _fast_and_slow(topology, capacity, build_programs):
+    """One run jumping, one stepping every round, and the first run's
+    engine counter deltas."""
+    before = COUNTERS.snapshot()
+    fast = run_program(topology, capacity, build_programs())
+    delta = counter_delta(before, COUNTERS.snapshot())
+    slow = run_program(topology, capacity, build_programs(), fast_forward=False)
+    return fast, slow, delta
+
+
+def test_overlapping_stars_are_jumped_through():
+    """The ledger's ``wide-expander`` shape at N=200: two stars, the
+    second's scatter reaching nodes still busy in the first, so its
+    blocks buffer in their mailboxes while both stream steadily.  The
+    jump materializes them; refusing it stepped 164 of these rounds."""
+    spec = ScenarioSpec(
+        family="overlap", query="acyclic",
+        query_params={"edges": 8, "arity": 3}, topology="expander",
+        topology_params={"n": 64, "degree": 4, "seed": 1}, n=200,
+        domain_size=64, semiring="counting", seed=3,
+    )
+    built = build_query(spec)
+    topology = build_topology(spec)
+    plan = compile_plan(
+        built.query, topology, assign_round_robin(built.query, topology)
+    )
+    assert len(plan.stars) == 2
+    fast, slow, delta = _fast_and_slow(
+        topology, plan.capacity_bits,
+        lambda: compile_round_programs(plan, topology),
+    )
+    assert fast == slow  # every field, outputs included
+    assert fast.rounds == 254
+    assert fast.rounds - delta["engine.fast_forward_rounds"] <= 90
+
+
+def test_buffered_route_chunks_materialize_in_stepped_order():
+    """Period 2, and the one stream whose *order* matters: an origin
+    routes 9-bit items over 8-bit links — chunks (8,), (1,), (8,), ... —
+    into a relay still receiving a broadcast, so they buffer.  The jump
+    must queue them as the skipped rounds would have, starting with the
+    stepped round's own sends; the relay's greedy forwarding depends on
+    it.  A compute step snapshots the backlog as the relay's output."""
+    topology = Topology.line(3)
+    sink, relay, origin = topology.nodes
+
+    def backlog(ctx):
+        return tuple(
+            size
+            for blk in ctx.queues.get(("final", origin), ())
+            for size in blk.meta
+        )
+
+    def build_programs():
+        return {
+            sink: NodeProgram(sink, [
+                BroadcastOp("bc", None, [relay], per_item=8,
+                            root_count_fn=lambda: 300),
+                RouteOp("final", None, [relay]),
+            ]),
+            relay: NodeProgram(relay, [
+                BroadcastOp("bc", sink, [], per_item=8),
+                ComputeStep(backlog, is_output=True),
+                RouteOp("final", sink, [origin]),
+            ]),
+            origin: NodeProgram(origin, [
+                RouteOp("final", relay, [],
+                        packets_fn=lambda: [(chunk_pattern(9, 8), 200)]),
+            ]),
+        }
+
+    fast, slow, delta = _fast_and_slow(topology, 8, build_programs)
+    assert fast == slow
+    assert fast.rounds == 704
+    assert slow.output_of(relay)[:4] == (8, 1, 8, 1)
+    assert len(slow.output_of(relay)) == 304
+    # The relay buffers for its first 305 rounds; nearly all are jumped.
+    assert delta["engine.fast_forward_rounds"] >= 280
