@@ -9,7 +9,11 @@ tree packings and the Δ-grid scan over them (:mod:`repro.network
 the symbolic cost prediction of a plan skeleton.  Recomputing them per
 plane is the dominant cost of a suite run — profiled at roughly half of
 per-scenario wall time — so this module gives each such function a
-process-wide LRU keyed on its *structural* inputs.
+process-wide LRU keyed on its *structural* inputs.  (The packing memo
+holds one entry per (graph, terminals, Δ, limit); the residual states
+the Δ values of a single scan share live on the scan's stack —
+:func:`repro.network.steiner.scan_steiner_packings` — and are not a
+memo.)
 
 Two invariants make the memo plane safe:
 

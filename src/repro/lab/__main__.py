@@ -56,9 +56,15 @@ import re
 import sys
 from typing import List, Optional
 
+from ..core.memo import memo_stats
 from ..faq import SOLVERS
 from ..kernels import KERNEL_TIERS
-from ..obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
+from ..obs.counters import (
+    COSTMODEL_COUNTERS,
+    COUNTERS,
+    STEINER_COUNTERS,
+    counter_delta,
+)
 from ..obs.logging import LOG_LEVELS, configure as configure_logging, get_logger
 from ..protocols.faq_protocol import ENGINES
 from .cache import ResultCache
@@ -456,6 +462,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache = ResultCache(cache_dir)
     logger = get_logger("lab")
     log = None if args.quiet else logger.info
+    counters_before = COUNTERS.snapshot()
     if args.batch:
         if args.jobs != 1:
             print("--batch runs serially; drop --jobs")
@@ -531,6 +538,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(
             f"engine rounds: {simulated} simulated, "
             f"{simulated - jumped} stepped, {jumped} fast-forwarded"
+        )
+        # This process's planning ledger (run_suite starts memos cold;
+        # with --jobs N the workers' share is not in it).
+        planned = counter_delta(counters_before, COUNTERS.snapshot())
+        expanded, shared = (planned.get(name, 0) for name in STEINER_COUNTERS)
+        print(
+            f"steiner: {memo_stats()['steiner.pack']['misses']} packings, "
+            f"{expanded} states expanded, {shared} shared"
         )
     if run.batch is not None:
         batch = run.batch

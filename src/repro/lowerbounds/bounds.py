@@ -18,7 +18,7 @@ from ..decomposition import best_gyo_ghd
 from ..hypergraph import Hypergraph, decompose, simple_graph_degeneracy
 from ..hypergraph.degeneracy import degeneracy as hyper_degeneracy
 from ..network.mincut import mincut
-from ..network.steiner import st_value
+from ..network.steiner import scan_steiner_packings
 from ..network.topology import Topology
 from .forest_embedding import embedding_capacity as forest_capacity
 from .core_embedding import core_embedding_capacity
@@ -87,20 +87,16 @@ def steiner_term(
     terminals = sorted(set(players))
     if len(terminals) <= 1:
         return {"value": 0.0, "delta": 0.0, "st": 1.0}
-    base = max(
-        1,
-        max(
-            topology.distance(u, v) for u in terminals for v in terminals
-        ),
-    )
+    base = max(1, topology.diameter(among=terminals))
     if deltas is None:
         deltas = sorted(
             {base, topology.num_nodes}
             | {min(topology.num_nodes, base * (2**i)) for i in range(8)}
         )
     best = None
-    for delta in deltas:
-        st = st_value(topology, terminals, delta)
+    packings = scan_steiner_packings(topology, terminals, deltas)
+    for delta, trees in zip(deltas, packings):
+        st = len(trees)
         if st == 0:
             continue
         value = n_words / st + delta

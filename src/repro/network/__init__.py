@@ -29,6 +29,7 @@ from .steiner import (
     find_steiner_tree,
     optimize_delta,
     pack_steiner_trees,
+    scan_steiner_packings,
     st_value,
 )
 from .topology import Topology
@@ -40,6 +41,7 @@ __all__ = [
     "SteinerTree",
     "find_steiner_tree",
     "pack_steiner_trees",
+    "scan_steiner_packings",
     "st_value",
     "optimize_delta",
     "tau_mcf",

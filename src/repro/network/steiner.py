@@ -14,21 +14,44 @@ regular graphs); benches check shape, not exact constants.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import networkx as nx
 from networkx.algorithms.approximation import steiner_tree as nx_steiner_tree
 
 from ..core.memo import LRUMemo, topology_key
+from ..obs.counters import COUNTERS
 from .topology import Topology
+
+Edge = Tuple[str, str]
 
 #: Packings and Δ-scans are pure functions of (graph, terminals, Δ,
 #: limit) and dominate plan construction; the lab reruns each identity
 #: once per axis plane, so these memos turn the per-plane recomputation
 #: into a lookup.  SteinerTree is frozen — only the lists are copied.
+#: (What the Δ values of *one* scan share — the expanded residual states
+#: — lives on :func:`scan_steiner_packings`' stack, not here.)
 _PACK_MEMO = LRUMemo("steiner.pack", maxsize=4096)
 _DELTA_MEMO = LRUMemo("steiner.optimize_delta", maxsize=2048)
+
+
+def _bfs_edges(
+    adjacency: Mapping[str, Iterable[str]], root: str
+) -> Iterator[Edge]:
+    """``(parent, child)`` in breadth-first discovery order from ``root``
+    (the edges, and the order, of ``nx.bfs_edges``)."""
+    seen = {root}
+    queue = [root]
+    for node in queue:
+        for nb in adjacency[node]:
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+                yield node, nb
 
 
 @dataclass(frozen=True)
@@ -41,7 +64,7 @@ class SteinerTree:
         terminals: The terminal set ``K`` it spans.
     """
 
-    edges: Tuple[Tuple[str, str], ...]
+    edges: Tuple[Edge, ...]
     root: str
     terminals: Tuple[str, ...]
 
@@ -55,12 +78,16 @@ class SteinerTree:
             out = {self.root}
         return out
 
-    def parent_map(self) -> Dict[str, Optional[str]]:
-        """Parent pointers toward ``root`` (root maps to None)."""
+    def _adjacency(self) -> Dict[str, List[str]]:
         adjacency: Dict[str, List[str]] = {}
         for u, v in self.edges:
             adjacency.setdefault(u, []).append(v)
             adjacency.setdefault(v, []).append(u)
+        return adjacency
+
+    def parent_map(self) -> Dict[str, Optional[str]]:
+        """Parent pointers toward ``root`` (root maps to None)."""
+        adjacency = self._adjacency()
         parents: Dict[str, Optional[str]] = {self.root: None}
         frontier = [self.root]
         while frontier:
@@ -88,84 +115,77 @@ class SteinerTree:
 
     def terminal_diameter(self) -> int:
         """Max tree distance between two terminals (Definition 3.9's Δ)."""
-        g = nx.Graph(list(self.edges))
-        if g.number_of_nodes() == 0:
+        if not self.edges:
             return 0
-        best = 0
-        for i, s in enumerate(self.terminals):
-            lengths = nx.single_source_shortest_path_length(g, s)
-            for t in self.terminals[i + 1:]:
-                best = max(best, lengths[t])
-        return best
+        adjacency = self._adjacency()
+
+        def farthest_terminal(source: str) -> Tuple[int, str]:
+            distance = {source: 0}
+            for parent, child in _bfs_edges(adjacency, source):
+                distance[child] = distance[parent] + 1
+            return max((distance[t], t) for t in self.terminals)
+
+        # Two sweeps: in a tree metric the terminal farthest from any
+        # node is one end of a farthest terminal pair.
+        _, end = farthest_terminal(self.terminals[0])
+        return farthest_terminal(end)[0]
 
 
-def _prune_to_steiner(tree_edges, terminals) -> Optional[Tuple[Tuple[str, str], ...]]:
-    """Iteratively drop non-terminal leaves from a tree edge set."""
+def _prune_to_steiner(tree_edges, terminals) -> Tuple[Edge, ...]:
+    """Iteratively drop non-terminal leaves from the edge set of a tree
+    spanning ``terminals``; what is left is unique, and returned sorted."""
     adjacency: Dict[str, set] = {}
     for u, v in tree_edges:
         adjacency.setdefault(u, set()).add(v)
         adjacency.setdefault(v, set()).add(u)
     terminal_set = set(terminals)
-    if not terminal_set <= set(adjacency) and len(terminal_set) > 1:
-        return None
-    changed = True
-    while changed:
-        changed = False
-        for node in list(adjacency):
-            if node not in terminal_set and len(adjacency[node]) == 1:
-                (nb,) = adjacency[node]
-                adjacency[nb].discard(node)
-                del adjacency[node]
-                changed = True
-    edges = set()
-    for u, nbrs in adjacency.items():
-        for v in nbrs:
-            edges.add(tuple(sorted((u, v))))
-    return tuple(sorted(edges))
+    leaves = [
+        node for node, nbrs in adjacency.items()
+        if len(nbrs) == 1 and node not in terminal_set
+    ]
+    while leaves:
+        node = leaves.pop()
+        for nb in adjacency.pop(node):
+            adjacency[nb].discard(node)
+            if len(adjacency[nb]) == 1 and nb not in terminal_set:
+                leaves.append(nb)
+    return tuple(sorted(
+        (u, v) for u, nbrs in adjacency.items() for v in nbrs if u < v
+    ))
 
 
 def _candidate_trees(
     g: nx.Graph, terminals: Sequence[str]
-) -> List[Tuple[Tuple[str, str], ...]]:
+) -> List[Tuple[Edge, ...]]:
     """Candidate Steiner trees in ``g``: the metric-closure approximation
     plus pruned BFS and DFS spanning trees rooted at each terminal.
 
     BFS trees are shallow (good Δ), DFS trees are path-like (they spread
     edge usage, which is what lets the greedy packer find multiple
     edge-disjoint trees on well-connected graphs like the Figure 2
-    clique)."""
-    out: List[Tuple[Tuple[str, str], ...]] = []
+    clique).  Empty when ``g`` lacks a terminal or leaves two of them
+    disconnected — the last, failing step of every packing."""
+    adjacency = dict(g.adjacency())
+    if any(t not in adjacency for t in terminals):
+        return []
+    reached = {child for _, child in _bfs_edges(adjacency, terminals[0])}
+    if not reached.issuperset(terminals[1:]):
+        return []
+    out: List[Tuple[Edge, ...]] = []
     try:
-        approx = nx_steiner_tree(g, list(terminals))
-        if all(t in approx for t in terminals):
-            pruned = _prune_to_steiner(list(approx.edges), terminals)
-            if pruned is not None:
-                out.append(pruned)
+        out.append(
+            _prune_to_steiner(nx_steiner_tree(g, list(terminals)).edges, terminals)
+        )
     except (nx.NetworkXError, KeyError):
+        # Mehlhorn's construction indexes every node of ``g`` by its
+        # nearest terminal: a node the residual graph cuts off from all
+        # of them is a KeyError, and the packing goes on without this
+        # candidate.
         pass
-    component = None
     for root in terminals:
-        if root not in g:
-            return out
-        if component is None:
-            component = set(nx.node_connected_component(g, root))
-        if any(t not in component for t in terminals):
-            return []
-        for tree_edges in (
-            list(nx.bfs_tree(g, root).edges),
-            list(nx.dfs_tree(g, root).edges),
-        ):
-            pruned = _prune_to_steiner(tree_edges, terminals)
-            if pruned:
-                out.append(pruned)
-    # Dedup.
-    seen = set()
-    unique = []
-    for edges in out:
-        if edges not in seen:
-            seen.add(edges)
-            unique.append(edges)
-    return unique
+        out.append(_prune_to_steiner(_bfs_edges(adjacency, root), terminals))
+        out.append(_prune_to_steiner(nx.dfs_edges(g, root), terminals))
+    return list(dict.fromkeys(out))
 
 
 def find_steiner_tree(
@@ -196,10 +216,8 @@ def pack_steiner_trees(
     """Greedy edge-disjoint Steiner tree packing (Definition 3.9).
 
     Repeatedly extracts a Steiner tree from the residual graph, keeping
-    only trees whose terminal diameter is within ``max_diameter``.
-    Memoized on the structural inputs (edge set, terminals, Δ, limit) —
-    the packing is deterministic, so a hit returns a fresh list of the
-    same frozen trees.
+    only trees whose terminal diameter is within ``max_diameter``: a
+    Δ-scan of length one (:func:`scan_steiner_packings`).
 
     Args:
         topology: The communication graph.
@@ -210,60 +228,89 @@ def pack_steiner_trees(
     Returns:
         A (possibly empty) list of edge-disjoint Steiner trees.
     """
-    key = (
-        topology_key(topology), tuple(sorted(set(terminals))),
-        max_diameter, limit,
-    )
-    return list(_PACK_MEMO.get_or_compute(
-        key,
-        lambda: _pack_steiner_trees(topology, terminals, max_diameter, limit),
-    ))
+    return scan_steiner_packings(topology, terminals, [max_diameter], limit)[0]
 
 
-def _pack_steiner_trees(
+def scan_steiner_packings(
     topology: Topology,
     terminals: Sequence[str],
-    max_diameter: Optional[int] = None,
+    deltas: Sequence[Optional[int]],
     limit: Optional[int] = None,
-) -> List[SteinerTree]:
-    residual = topology.graph.copy()
-    delta = max_diameter if max_diameter is not None else topology.num_nodes
-    terminals = sorted(set(terminals))
-    packed: List[SteinerTree] = []
-    if len(terminals) == 1:
-        return [SteinerTree((), terminals[0], tuple(terminals))]
-    while limit is None or len(packed) < limit:
-        candidates = [
-            SteinerTree(edges, terminals[0], tuple(terminals))
-            for edges in _candidate_trees(residual, terminals)
-        ]
-        candidates = [
-            t for t in candidates if t.terminal_diameter() <= delta
-        ]
-        if not candidates:
-            break
-        # Prefer the tree whose removal keeps the terminals best connected
-        # (max-min residual terminal degree), breaking ties toward fewer
-        # edges — this is what finds the two edge-disjoint paths of
-        # Example 2.3 on the clique.
-        def score(tree: SteinerTree):
-            used = set(tree.edges)
-            min_degree = min(
-                sum(
-                    1
-                    for nb in residual.neighbors(t)
-                    if tuple(sorted((t, nb))) not in used
-                )
-                for t in terminals
-            )
-            return (min_degree, -len(tree.edges))
+) -> List[List[SteinerTree]]:
+    """The greedy packing at each Δ of ``deltas``, in that order.
 
-        best = max(candidates, key=score)
-        packed.append(best)
-        if not best.edges:
+    The candidate trees of a greedy step, their terminal diameters and
+    their scores depend on the residual graph and the terminals, never
+    on Δ — Δ only filters them — so the scan expands each residual
+    state (keyed by the set of edges removed so far) once and every Δ
+    that reaches it reuses the expansion.  Each packing is memoized on
+    its structural inputs (edge set, terminals, Δ, limit) — it is
+    deterministic, so a hit returns a fresh list of the same frozen
+    trees.
+    """
+    terminals = tuple(sorted(set(terminals)))
+    states: Dict[FrozenSet[Edge], list] = {}
+    return [
+        list(_PACK_MEMO.get_or_compute(
+            (topology_key(topology), terminals, delta, limit),
+            lambda: _greedy_packing(topology, terminals, delta, limit, states),
+        ))
+        for delta in deltas
+    ]
+
+
+def _greedy_packing(
+    topology: Topology,
+    terminals: Tuple[str, ...],
+    max_diameter: Optional[int],
+    limit: Optional[int],
+    states: Dict[FrozenSet[Edge], list],
+) -> List[SteinerTree]:
+    if len(terminals) == 1:
+        return [SteinerTree((), terminals[0], terminals)]
+    delta = max_diameter if max_diameter is not None else topology.num_nodes
+    packed: List[SteinerTree] = []
+    removed: FrozenSet[Edge] = frozenset()
+    while limit is None or len(packed) < limit:
+        expanded = states.get(removed)
+        if expanded is None:
+            expanded = states[removed] = _expand_state(topology, terminals, removed)
+            COUNTERS.increment("steiner.states_expanded")
+        else:
+            COUNTERS.increment("steiner.states_shared")
+        within = [
+            (score, tree) for tree, diameter, score in expanded if diameter <= delta
+        ]
+        if not within:
             break
-        residual.remove_edges_from(best.edges)
+        # The first best-scoring candidate, in candidate order.
+        _, best = max(within, key=lambda scored: scored[0])
+        packed.append(best)
+        removed = removed.union(best.edges)
     return packed
+
+
+def _expand_state(
+    topology: Topology, terminals: Tuple[str, ...], removed: FrozenSet[Edge]
+) -> List[Tuple[SteinerTree, int, Tuple[int, int]]]:
+    """``(tree, terminal diameter, score)`` per candidate tree of the
+    residual graph ``topology - removed``.
+
+    The score prefers the tree whose removal keeps the terminals best
+    connected (max-min residual terminal degree), breaking ties toward
+    fewer edges — this is what finds the two edge-disjoint paths of
+    Example 2.3 on the clique.
+    """
+    residual = topology.graph.copy()
+    residual.remove_edges_from(removed)
+    degree = dict(residual.degree(terminals))
+    expanded = []
+    for edges in _candidate_trees(residual, terminals):
+        tree = SteinerTree(edges, terminals[0], terminals)
+        used = Counter(node for edge in edges for node in edge)
+        min_degree = min(degree[t] - used[t] for t in terminals)
+        expanded.append((tree, tree.terminal_diameter(), (min_degree, -len(edges))))
+    return expanded
 
 
 def st_value(
@@ -311,8 +358,8 @@ def _optimize_delta(
         | {min(hi, lo * (2**i)) for i in range(0, 12)}
     )
     best: Optional[Tuple[int, List[SteinerTree], int]] = None
-    for delta in candidates:
-        trees = pack_steiner_trees(topology, terminals, max_diameter=delta)
+    packings = scan_steiner_packings(topology, terminals, candidates)
+    for delta, trees in zip(candidates, packings):
         if not trees:
             continue
         rounds = -(-total_words // len(trees)) + delta

@@ -21,6 +21,7 @@ from .counters import (
     COSTMODEL_COUNTERS,
     COUNTERS,
     DETERMINISTIC_COUNTERS,
+    STEINER_COUNTERS,
     CounterRegistry,
     counter_delta,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "COSTMODEL_COUNTERS",
     "COUNTERS",
     "DETERMINISTIC_COUNTERS",
+    "STEINER_COUNTERS",
     "CounterRegistry",
     "counter_delta",
     "Tracer",

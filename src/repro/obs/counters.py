@@ -29,6 +29,11 @@ function of the plan skeleton — but a pricing runs outside the lab's
 per-scenario window and is memoized across a scenario's planes, so they
 are read process-wide (``repro.lab predict`` prints them) and never
 enter a scenario record.
+
+:data:`STEINER_COUNTERS` are volatile the same way: a Δ-scan of the
+Steiner packer runs only on a packing-memo miss, so which scenario of
+an identity's planes pays for it depends on run order
+(``repro.lab run --timings`` prints them process-wide).
 """
 
 from __future__ import annotations
@@ -61,6 +66,12 @@ DETERMINISTIC_COUNTERS = (
 #: :func:`repro.costmodel.evaluate_timing` call: rounds priced, and how
 #: many of them were replayed arithmetically instead of stepped.
 COSTMODEL_COUNTERS = ("costmodel.rounds", "costmodel.fast_forward_rounds")
+
+#: The Δ-scan's ledger (:func:`repro.network.steiner
+#: .scan_steiner_packings`), one increment per greedy step: residual
+#: states whose candidate trees were built, and steps that reused a
+#: state another Δ of the same scan had already expanded.
+STEINER_COUNTERS = ("steiner.states_expanded", "steiner.states_shared")
 
 
 class CounterRegistry:

@@ -13,6 +13,7 @@ Covers the lab's load-bearing guarantees:
 
 import json
 import os
+import re
 
 import pytest
 
@@ -555,10 +556,32 @@ def test_cli_engine_override(tmp_path, capsys):
     simulated = generator["measured_rounds"] + compiled["measured_rounds"]
     jumped = compiled["observability"]["engine.fast_forward_rounds"]
     assert "engine.fast_forward_rounds" not in generator["observability"]
+    timed = capsys.readouterr().out
     assert (
         f"engine rounds: {simulated} simulated, {simulated - jumped} "
         f"stepped, {jumped} fast-forwarded"
-    ) in capsys.readouterr().out
+    ) in timed
+    # The planning ledger rides on --timings alone: the second plane
+    # hits the packing memo, so the line describes one identity's scans.
+    steiner = re.search(
+        r"^steiner: (\d+) packings, (\d+) states expanded, (\d+) shared$",
+        timed, re.MULTILINE,
+    )
+    packings, expanded, shared = map(int, steiner.groups())
+    assert packings > 0 and expanded > 0 and shared >= 0
+    assert lab_main(
+        ["run", "cli-engine-suite", "--engine", "both", "--out", out,
+         "--no-cache", "--quiet"]
+    ) == 0
+    plain = capsys.readouterr().out
+    assert "steiner:" not in plain and "engine rounds:" not in plain
+    untimed = json.load(open(os.path.join(out, ARTIFACT_FILENAME)))
+    assert untimed["scenarios"] == payload["scenarios"]
+    assert not any(
+        name.startswith("steiner.")
+        for record in untimed["scenarios"]
+        for name in record["observability"]
+    )
 
 
 # ---------------------------------------------------------------------------
