@@ -46,7 +46,7 @@ from .query import (
     marginal_query,
     natural_join_query,
 )
-from .reference import solve, solve_stacked
+from .reference import solve
 from .variable_elimination import (
     greedy_elimination_order,
     solve_variable_elimination,
@@ -75,7 +75,6 @@ __all__ = [
     "solve",
     "solve_naive",
     "solve_variable_elimination",
-    "solve_stacked",
     "greedy_elimination_order",
     "solve_message_passing",
     "assign_factors_to_ghd",

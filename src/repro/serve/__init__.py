@@ -12,12 +12,13 @@ long-lived service with a strict offline/online split:
   session manifest.  The online phase touches only compiled kernels.
 * :mod:`repro.serve.server` — the asyncio front-end: admission control
   priced by :func:`repro.costmodel.predict_costs` (zero execution),
-  coalescing of structurally identical in-flight queries onto one
-  stacked execution (reusing the lab's batch plane), and a warm worker
-  pool attached to the store.
+  coalescing of identical queued requests onto one execution (each
+  batch is whatever is queued when the solver frees up — no window),
+  and a warm worker pool attached to the store.
 
-See ``docs/serving.md`` for the architecture and the benchmark
-methodology behind ``BENCH_serving.json``.
+See ``docs/serving.md`` for the architecture; the ledger's
+``serve-closed`` / ``serve-poisson`` workloads (``BENCHMARK.json``) are
+the plane's benchmark.
 """
 
 from .server import (

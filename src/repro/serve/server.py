@@ -1,4 +1,4 @@
-"""The serving front-end: admission control, batching, warm workers.
+"""The serving front-end: admission control, coalescing, warm workers.
 
 :class:`QueryService` is a long-lived asyncio service over a
 :class:`~repro.serve.store.SharedRelationStore`.  The request path:
@@ -12,14 +12,14 @@
    :class:`~repro.serve.store.ServeError`, code ``"rejected"``, with
    the predicted rounds/bits in ``detail``) or **defers** it to a
    low-priority lane drained only when the main queue is idle.
-2. **Batching** — admitted requests enqueue; the batcher drains the
-   queue (plus a short coalescing window), dedupes *identical*
-   in-flight sessions onto one execution, and stacks structurally
-   identical distinct sessions onto one tensor program
-   (:func:`repro.faq.solve_stacked`, the solve the lab's batch plane
-   cross-checks its groups with).
-3. **Execution** — the solve runs in an executor so the event loop
-   stays responsive: in-process mode (``workers=0``, default) uses one
+2. **Coalescing** — admitted requests enqueue; the batcher takes the
+   next request plus whatever is *already* queued (it never waits for
+   more: an idle service answers at once, and requests that arrive
+   while a solve runs queue up and meet in the next batch anyway) and
+   dedupes *identical* sessions onto one execution.
+3. **Execution** — each distinct session of the batch runs through the
+   one single-session path, in an executor so the event loop stays
+   responsive: in-process mode (``workers=0``, default) uses one
    worker thread over the warm sessions (the thread-safe memo/plan
    caches are the satellite that makes this sound); pool mode
    (``workers>=1``) dispatches to warm processes that attached the
@@ -29,7 +29,8 @@
 Degradation is structured, never a hang: worker crashes surface as
 ``ServeError("worker-crashed")`` and the pool is rebuilt; a torn-down
 store surfaces as ``ServeError("store-detached")``; closing the service
-fails every pending future with ``ServeError("shutdown")``.
+fails every pending future — queued or in the batch being solved — with
+``ServeError("shutdown")``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..faq import solve_stacked
 from ..lab.spec import ScenarioSpec
 from ..pipeline import solve_scenario, worker_init
 from .session import (
@@ -122,7 +122,6 @@ class ServeResult:
     schema: List[str]
     rows: Dict[Tuple[Any, ...], Any]
     latency_s: float
-    batched: bool = False
     batch_size: int = 1
     coalesced: bool = False
     deferred: bool = False
@@ -131,7 +130,7 @@ class ServeResult:
 
 @dataclass
 class ServiceStats:
-    """Cumulative service counters (the bench's coalescing-rate source)."""
+    """Cumulative service counters (the ledger's coalescing-rate source)."""
 
     submitted: int = 0
     served: int = 0
@@ -140,8 +139,10 @@ class ServiceStats:
     failed: int = 0
     batches: int = 0
     coalesced_duplicates: int = 0
+    # Never incremented.  It stays because the frozen
+    # ``benchmarks/ledger/wl_serve.py`` reads ``stats["stacked_queries"]``
+    # in its traced run; the ``benchmark`` PR of ROADMAP 1(c) retires it.
     stacked_queries: int = 0
-    stacked_groups: int = 0
     worker_crashes: int = 0
 
     def to_dict(self) -> Dict[str, int]:
@@ -193,25 +194,11 @@ def _worker_session(session_id: str):
     return warm
 
 
-def _stacked_payloads(queries) -> List[Dict[str, Any]]:
-    """One stacked solve answering every query, as served answers."""
-    return [
-        answer_payload(schema, rows) for schema, rows in solve_stacked(queries)
-    ]
-
-
 def _worker_execute(session_id: str) -> Dict[str, Any]:
     """Pool task: serve one session from this worker's warm state."""
     spec, query, _attached = _worker_session(session_id)
     answer = solve_scenario(spec, query)
     return answer_payload(answer.schema, answer.rows)
-
-
-def _worker_execute_stacked(session_ids: List[str]) -> List[Dict[str, Any]]:
-    """Pool task: one stacked solve answering several sessions at once."""
-    return _stacked_payloads(
-        [_worker_session(sid)[1] for sid in session_ids]
-    )
 
 
 def _crash_worker() -> None:  # pragma: no cover - exercised via the pool
@@ -235,6 +222,15 @@ class _Request:
         self.admission = admission
 
 
+def _fail_pending(
+    requests: Sequence[_Request], code: str, message: str
+) -> None:
+    """Fail every request of ``requests`` that has no reply yet."""
+    for request in requests:
+        if not request.future.done():
+            request.future.set_exception(ServeError(code, message, {}))
+
+
 class QueryService:
     """A persistent query service over registered relations.
 
@@ -243,26 +239,19 @@ class QueryService:
         workers: ``0`` serves in-process from warm sessions (one solver
             thread over the shared thread-safe caches); ``N >= 1`` warms
             a process pool that attaches the shared-memory store.
-        batch_window: Seconds the batcher waits after the first request
-            of a batch for coalescing candidates to arrive.
         max_pending: Queue bound; submissions beyond it fail fast with
             ``ServeError("overloaded")``.
-        min_stack: Smallest structurally identical group worth stacking.
     """
 
     def __init__(
         self,
         policy: Optional[AdmissionPolicy] = None,
         workers: int = 0,
-        batch_window: float = 0.002,
         max_pending: int = 1024,
-        min_stack: int = 2,
     ) -> None:
         self.policy = policy or AdmissionPolicy()
         self.workers = int(workers)
-        self.batch_window = float(batch_window)
         self.max_pending = int(max_pending)
-        self.min_stack = int(min_stack)
         self.store = SharedRelationStore()
         self.sessions: Dict[str, ServingSession] = {}
         self.stats = ServiceStats()
@@ -353,12 +342,11 @@ class QueryService:
                 pass
             self._batcher = None
         for queue in (self._queue, self._deferred):
-            while queue is not None and not queue.empty():
-                request = queue.get_nowait()
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServeError("shutdown", "service closed", {})
-                    )
+            if queue is not None:
+                _fail_pending(
+                    [queue.get_nowait() for _ in range(queue.qsize())],
+                    "shutdown", "service closed",
+                )
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=False, cancel_futures=True)
             self._process_pool = None
@@ -411,9 +399,20 @@ class QueryService:
             return self._deferred.get_nowait()
         interactive = asyncio.ensure_future(self._queue.get())
         low = asyncio.ensure_future(self._deferred.get())
-        done, pending = await asyncio.wait(
-            (interactive, low), return_when=asyncio.FIRST_COMPLETED
-        )
+        try:
+            done, pending = await asyncio.wait(
+                (interactive, low), return_when=asyncio.FIRST_COMPLETED
+            )
+        except asyncio.CancelledError:
+            # close() while idle: a request a getter took in this very
+            # tick goes back on its lane, where close() fails it.
+            for getter, lane in (
+                (interactive, self._queue), (low, self._deferred)
+            ):
+                if getter.done():
+                    lane.put_nowait(getter.result())
+                getter.cancel()
+            raise
         for task in pending:
             task.cancel()
         # Both getters may complete in the same tick: serve the
@@ -425,22 +424,10 @@ class QueryService:
         return interactive.result()
 
     async def _collect_batch(self) -> List[_Request]:
-        first = await self._next_request()
-        batch = [first]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.batch_window
-        while True:
-            while not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), remaining)
-                )
-            except asyncio.TimeoutError:
-                break
+        """The next request plus whatever is already queued — no waiting."""
+        batch = [await self._next_request()]
+        while not self._queue.empty():
+            batch.append(self._queue.get_nowait())
         return batch
 
     async def _batch_loop(self) -> None:
@@ -450,52 +437,30 @@ class QueryService:
             try:
                 await self._execute_batch(batch)
             except asyncio.CancelledError:
+                # close() mid-batch: these requests are off the queue,
+                # so nobody else can fail them.
+                _fail_pending(batch, "shutdown", "service closed")
                 raise
             except Exception as exc:  # defensive: never kill the loop
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(
-                            ServeError(
-                                "execution-failed", str(exc), {}
-                            )
-                        )
+                _fail_pending(batch, "execution-failed", str(exc))
 
     async def _execute_batch(self, batch: List[_Request]) -> None:
-        # 1. Coalesce identical in-flight sessions: one execution each.
+        """Coalesce identical sessions; one execution per distinct one."""
         by_session: Dict[str, List[_Request]] = {}
         for request in batch:
             by_session.setdefault(request.session.session_id, []).append(
                 request
             )
         self.stats.coalesced_duplicates += len(batch) - len(by_session)
-        # 2. Stack structurally identical distinct sessions.
-        by_signature: Dict[Optional[str], List[str]] = {}
-        for sid, requests in by_session.items():
-            sig = requests[0].session.manifest.structural_signature
-            by_signature.setdefault(sig, []).append(sid)
-        singles: List[str] = []
-        stacks: List[List[str]] = []
-        for sig, sids in by_signature.items():
-            if sig is not None and len(sids) >= self.min_stack:
-                stacks.append(sids)
-            else:
-                singles.extend(sids)
-        for sids in stacks:
-            self.stats.stacked_groups += 1
-            self.stats.stacked_queries += len(sids)
-            answers = await self._run_stacked(sids)
-            for sid, answer in zip(sids, answers):
-                self._resolve(by_session[sid], answer, len(batch), True)
-        for sid in singles:
-            answer = await self._run_single(sid)
-            self._resolve(by_session[sid], answer, len(batch), False)
+        for session_id, requests in by_session.items():
+            answer = await self._run_session(session_id)
+            self._resolve(requests, answer, len(batch))
 
     def _resolve(
         self,
         requests: List[_Request],
         answer: Dict[str, Any],
         batch_size: int,
-        stacked: bool,
     ) -> None:
         now = time.perf_counter()
         for index, request in enumerate(requests):
@@ -512,7 +477,6 @@ class QueryService:
                 schema=list(answer["schema"]),
                 rows=dict(answer["rows"]),
                 latency_s=now - request.enqueued,
-                batched=stacked,
                 batch_size=batch_size,
                 coalesced=index > 0,
                 deferred=request.deferred,
@@ -520,40 +484,16 @@ class QueryService:
             ))
 
     # -- execution back ends ---------------------------------------------
-    async def _run_single(self, session_id: str):
-        session = self.sessions[session_id]
-        if self._process_pool is not None:
-            return await self._pool_call(_worker_execute, session_id)
-        return await self._thread_call(session.online_answer)
-
-    async def _run_stacked(self, session_ids: List[str]):
-        if self._process_pool is not None:
-            answers = await self._pool_call(
-                _worker_execute_stacked, list(session_ids)
-            )
-        else:
-            queries = [self.sessions[sid].planner.query for sid in session_ids]
-            answers = await self._thread_call(
-                lambda: _stacked_payloads(queries)
-            )
-        if isinstance(answers, ServeError):
-            return [answers] * len(session_ids)
-        return answers
-
-    async def _thread_call(self, fn):
+    async def _run_session(self, session_id: str):
+        """One session's answer payload, or the ServeError it died of."""
         loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(self._solver_pool, fn)
-        except ServeError as exc:
-            return exc
-        except Exception as exc:
-            return ServeError("execution-failed", str(exc), {})
-
-    async def _pool_call(self, fn, arg):
-        loop = asyncio.get_running_loop()
-        try:
+            if self._process_pool is not None:
+                return await loop.run_in_executor(
+                    self._process_pool, _worker_execute, session_id
+                )
             return await loop.run_in_executor(
-                self._process_pool, fn, arg
+                self._solver_pool, self.sessions[session_id].online_answer
             )
         except ServeError as exc:
             return exc

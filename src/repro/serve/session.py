@@ -41,14 +41,13 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from .. import kernels
 from ..core.planner import Planner
 from ..costmodel import CostModelError, is_covered
-from ..faq.reference import structural_signature
 from ..lab.results import answer_digest
 from ..lab.spec import ScenarioSpec
 from ..pipeline import plan_scenario, predicted_metrics, solve_scenario
 from .store import ServeError, SharedRelationStore, publish_query
 
 #: Manifest layout version — bump on any incompatible change.
-SESSION_VERSION = 1
+SESSION_VERSION = 2
 
 
 def answer_payload(
@@ -77,15 +76,14 @@ class SessionManifest:
     """The durable, JSON-able record of one registered session.
 
     Everything the offline phase computed: the spec identity, the
-    stacking signature, the admission-control cost prediction, the
-    closed-form bounds, the expected answer digest, and the store
-    segments the relations live in.
+    admission-control cost prediction, the closed-form bounds, the
+    expected answer digest, and the store segments the relations live
+    in.
     """
 
     session_id: str
     spec: Dict[str, Any]
     label: str
-    structural_signature: Optional[str]
     covered: bool
     predicted: Optional[Dict[str, Any]]
     bounds: Dict[str, float]
@@ -102,7 +100,6 @@ class SessionManifest:
             "session_id": self.session_id,
             "spec": self.spec,
             "label": self.label,
-            "structural_signature": self.structural_signature,
             "covered": self.covered,
             "predicted": self.predicted,
             "bounds": self.bounds,
@@ -179,7 +176,6 @@ class ServingSession:
             session_id=session_id,
             spec=spec.to_json_dict(),
             label=spec.label,
-            structural_signature=structural_signature(planner.query),
             covered=predicted is not None,
             predicted=predicted,
             bounds={

@@ -131,6 +131,19 @@ def test_serve_needs_only_the_specs_and_results_of_the_lab():
     assert offenders == []
 
 
+def test_serve_stacks_nothing():
+    # One request path: the stacked solve and the signature that groups
+    # for it belong to the lab's --batch oracle alone.
+    offenders = [
+        (importer, target)
+        for importer, target in IMPORTS
+        if _subpackage(importer) == "serve"
+        and target.rsplit(".", 1)[-1]
+        in ("solve_stacked", "structural_signature")
+    ]
+    assert offenders == []
+
+
 def test_wire_format_constants_are_assigned_once_in_the_network_package():
     sites = {"HEADER_BITS": [], "EOS_BITS": []}
     for module, _package, tree in _modules():

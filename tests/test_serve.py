@@ -365,6 +365,110 @@ def test_submit_after_close_raises_shutdown():
     asyncio.run(main())
 
 
+def _hold_solver(session):
+    """Block ``session``'s online solve on an event: ``(started, release)``."""
+    started, release = threading.Event(), threading.Event()
+    solve = session.online_answer
+
+    def held():
+        started.set()
+        release.wait(60)
+        return solve()
+
+    session.online_answer = held
+    return started, release
+
+
+async def _solver_is_busy(started):
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, started.wait, 60)
+
+
+def test_close_fails_the_batch_in_flight_with_shutdown():
+    spec = sample_scenario(19)
+
+    async def main():
+        service = QueryService()
+        await service.start()
+        manifest = service.register(spec)
+        started, release = _hold_solver(service.sessions[manifest.session_id])
+        try:
+            pending = asyncio.ensure_future(service.submit(spec))
+            await _solver_is_busy(started)  # dequeued, mid-solve
+            await service.close()
+        finally:
+            release.set()
+        with pytest.raises(ServeError) as err:
+            await asyncio.wait_for(pending, 5)  # hang guard only
+        assert err.value.code == "shutdown"
+
+    asyncio.run(main())
+    assert not live_segment_names()
+
+
+def test_close_fails_a_request_the_idle_batcher_just_took():
+    spec = sample_scenario(19)
+
+    async def main():
+        service = QueryService()
+        await service.start()
+        service.register(spec)
+        await asyncio.sleep(0)  # the batcher is idle, waiting on both lanes
+        pending = asyncio.ensure_future(service.submit(spec))
+        await asyncio.sleep(0)  # enqueued: the lane's getter is about to wake
+        await service.close()
+        with pytest.raises(ServeError) as err:
+            await asyncio.wait_for(pending, 5)  # hang guard only
+        assert err.value.code == "shutdown"
+
+    asyncio.run(main())
+    assert not live_segment_names()
+
+
+def test_a_batch_is_exactly_what_queued_while_the_solver_was_busy():
+    blocker, repeated, *distinct = generate_scenarios(123, 5)
+    k, m = 4, len(distinct)
+
+    async def main():
+        service = QueryService()
+        for spec in (blocker, repeated, *distinct):
+            service.register(spec)
+        async with service:
+            started, release = _hold_solver(
+                service.sessions[session_id_of(blocker)]
+            )
+            try:
+                first = asyncio.ensure_future(service.submit(blocker))
+                await _solver_is_busy(started)
+                queued = [
+                    asyncio.ensure_future(service.submit(spec))
+                    for spec in [repeated] * k + distinct
+                ]
+                await asyncio.sleep(0)
+                assert service._queue.qsize() == k + m
+            finally:
+                release.set()
+            alone = await first
+            results = await asyncio.gather(*queued)
+            # An idle service answered the first request at once, alone;
+            # everything that queued behind it met in the next batch.
+            assert alone.batch_size == 1
+            assert [r.batch_size for r in results] == [k + m] * (k + m)
+            assert sum(r.coalesced for r in results) == k - 1
+            stats = service.stats
+            assert stats.batches == 2
+            assert stats.coalesced_duplicates == k - 1
+            assert stats.served == 1 + k + m
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("gone", [{"batch_window": 0.002}, {"min_stack": 2}])
+def test_the_window_and_stacking_options_are_gone(gone):
+    with pytest.raises(TypeError):
+        QueryService(**gone)
+
+
 def test_worker_crash_mid_query_returns_structured_error_and_recovers():
     spec = sample_scenario(23)
 

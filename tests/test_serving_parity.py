@@ -1,15 +1,17 @@
 """The serving plane's answer contract.
 
-Three claims, each load-bearing for ``BENCH_serving.json``:
+Three claims, each load-bearing for the ledger's ``serve-closed`` /
+``serve-poisson`` workloads:
 
 1. **Axis-complete byte-identity** — a served answer's digest equals the
    digest :meth:`Planner.execute` records for the same spec, on every
    plane of the engine × solver × backend × kernels grid (the protocol
    answer equals the reference solve on every lab run — the four-axis
    parity contract — and the online path *is* the reference solve).
-2. **Coalescing parity** — answers from duplicate-coalesced and
-   stacked-batch executions are digest-equal to individually served
-   ones, in-process and across the warm worker pool.
+2. **Coalescing parity** — duplicates coalesced onto one execution
+   all carry the manifest digest, and distinct sessions that meet in
+   one batch are digest-equal to being served alone, in-process and
+   across the warm worker pool.
 3. **Priced admission is exact** — the manifest's zero-execution
    prediction equals the measured rounds/bits of an actual protocol
    execution on covered cells.
@@ -97,7 +99,8 @@ def test_served_answers_match_lab_digests_on_fuzz_sample():
 
 
 def _twin_pair(master_seed=91, count=40):
-    """Two distinct specs sharing a structural signature (stackable)."""
+    """Two distinct specs sharing a structural signature: same shape,
+    different data — the pair most likely to be confused in a batch."""
     for spec in generate_scenarios(master_seed, count):
         twin = spec.with_(seed=spec.seed + 1)
         try:
@@ -111,10 +114,35 @@ def _twin_pair(master_seed=91, count=40):
             session_id_of(spec) != session_id_of(twin)
         ):
             return spec, twin
-    raise RuntimeError("no stackable twins in the sample")  # pragma: no cover
+    raise RuntimeError("no seed twins in the sample")  # pragma: no cover
 
 
-def test_coalesced_and_stacked_answers_are_digest_equal():
+def test_duplicates_in_one_batch_coalesce_onto_one_execution():
+    spec = sample_scenario(41)
+
+    async def main():
+        async with QueryService() as service:
+            manifest = service.register(spec)
+            session = service.sessions[manifest.session_id]
+            solve, executions = session.online_answer, []
+            session.online_answer = lambda: executions.append(1) or solve()
+            # All five enqueue before the batcher wakes: one batch.
+            results = await asyncio.gather(
+                *(service.submit(spec) for _ in range(5))
+            )
+            assert len(executions) == 1
+            assert service.stats.batches == 1
+            assert service.stats.coalesced_duplicates == 4
+            assert [r.coalesced for r in results] == [False] + [True] * 4
+            for result in results:
+                assert result.digest == manifest.answer_digest
+                assert result.batch_size == 5
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_twins_in_one_batch_match_being_served_alone(workers):
     spec, twin = _twin_pair()
     expected = {
         session_id_of(s): execute_scenario(s).answer_digest
@@ -122,18 +150,21 @@ def test_coalesced_and_stacked_answers_are_digest_equal():
     }
 
     async def main():
-        async with QueryService() as service:
-            # duplicates of both + the distinct twins, all in flight:
-            # exercises duplicate-coalescing AND stacking in one batch.
-            flood = [spec, twin, spec, twin, spec]
-            results = await asyncio.gather(
-                *(service.submit(s) for s in flood)
+        service = QueryService(workers=workers)
+        for s in (spec, twin):
+            service.register(s)
+        async with service:
+            alone = [await service.submit(s) for s in (spec, twin)]
+            together = await asyncio.gather(
+                *(service.submit(s) for s in (spec, twin))
             )
-            for result in results:
-                assert result.digest == expected[result.session_id]
-            assert service.stats.coalesced_duplicates >= 3
-            assert service.stats.stacked_groups >= 1
-            assert service.stats.stacked_queries >= 2
+            assert [r.batch_size for r in alone] == [1, 1]
+            assert [r.batch_size for r in together] == [2, 2]
+            for one, met in zip(alone, together):
+                assert one.session_id == met.session_id
+                assert one.digest == met.digest == expected[one.session_id]
+                assert one.rows == met.rows
+            assert service.stats.coalesced_duplicates == 0
 
     asyncio.run(main())
 
