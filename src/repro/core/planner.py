@@ -146,8 +146,10 @@ class Planner:
         backend: Optional factor storage backend (``"dict"`` or
             ``"columnar"``) applied to the query up front; both the
             centralized reference solve and every player's free internal
-            computation then run on that data plane.  ``None`` (default)
-            keeps the query's own backend.
+            computation then run on that data plane.  The conversion is
+            :meth:`FAQQuery.with_backend`'s: made once per query and
+            backend, shared by every planner of that query and only ever
+            read.  ``None`` (default) keeps the query's own backend.
         engine: Protocol execution engine — ``"generator"`` (the
             reference per-node-generator simulator) or ``"compiled"``
             (the block-granular RoundProgram fast path).  Both produce

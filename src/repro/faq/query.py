@@ -17,6 +17,7 @@ computed right-to-left over the bound-variable order.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -111,6 +112,12 @@ class FAQQuery:
                 n: to_backend(f, self.backend) for n, f in self.factors.items()
             }
         self.validate()
+        # backend -> (what was converted, the converted query); see
+        # :meth:`with_backend`.  Not a field: ``dataclasses.replace``
+        # starts every copy with an empty one.
+        self._converted: Dict[
+            Optional[str], Tuple[Tuple[Any, ...], "FAQQuery"]
+        ] = {}
         if self.bound_order is None:
             self.bound_order = tuple(sorted(self.bound_vars, key=str))
         else:
@@ -174,16 +181,47 @@ class FAQQuery:
         )
 
     def with_backend(self, backend: Optional[str]) -> "FAQQuery":
-        """A copy of this query with factors stored in ``backend``.
+        """This query with factors stored in ``backend``.
 
         ``"dict"`` / ``"columnar"`` normalize every factor to that storage
         (columnar conversion skips factors over unsupported semirings);
         ``None`` leaves factor storage untouched.  Returns ``self`` when
         the backend already matches.
+
+        The converted (and validated) query is built once per backend and
+        kept on this instance, so it lives exactly as long as the query
+        it was converted from; every later call returns that same object,
+        which callers share read-only.  Each call first checks, by
+        identity and in O(k + |V|), that every field still holds what was
+        converted: a caller who has since replaced, added or removed a
+        factor (or a domain, or any other field) gets a fresh conversion,
+        never a stale one.  Rows edited *inside* a factor are not seen —
+        a factor handed to a query is immutable by convention.
         """
         if backend == self.backend:
             return self
-        return dataclasses.replace(self, backend=backend)
+        inputs = self._conversion_inputs()
+        kept = self._converted.get(backend)
+        if (
+            kept is not None
+            and len(kept[0]) == len(inputs)
+            and all(map(operator.is_, kept[0], inputs))
+        ):
+            return kept[1]
+        converted = dataclasses.replace(self, backend=backend)
+        self._converted[backend] = (inputs, converted)
+        return converted
+
+    def _conversion_inputs(self) -> Tuple[Any, ...]:
+        """Every object a conversion reads, flat, for an identity check."""
+        inputs = [
+            self.hypergraph, self.semiring, self.free_vars,
+            self.bound_order, self.name,
+        ]
+        for mapping in (self.factors, self.domains, self.aggregates):
+            inputs.extend(mapping)
+            inputs.extend(mapping.values())
+        return tuple(inputs)
 
     def elimination_order(self) -> Tuple[str, ...]:
         """Bound variables in the order solvers eliminate them.
@@ -199,6 +237,13 @@ class FAQQuery:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check schema/domain consistency.
+
+        The domain check — every value a factor lists for ``v`` lies in
+        ``Dom(v)`` — is the only part that looks at rows, and it looks
+        once: one set per distinct domain tuple, and per (factor,
+        variable) that factor's :meth:`~Factor.active_domain` (on a
+        columnar factor a used-code mask over the dictionary, not a scan
+        of decoded rows) minus that set.
 
         Raises:
             ValueError: on a missing factor, a factor/hyperedge schema
@@ -230,9 +275,11 @@ class FAQQuery:
             raise ValueError(
                 f"variables without domains: {sorted(missing_domains, key=str)}"
             )
+        # One set per distinct domain tuple, not per (factor, variable).
+        domain_sets = {id(dom): set(dom) for dom in self.domains.values()}
         for name, factor in self.factors.items():
             for var in factor.schema:
-                dom = set(self.domains[var])
+                dom = domain_sets[id(self.domains[var])]
                 extra = factor.active_domain(var) - dom
                 if extra:
                     raise ValueError(

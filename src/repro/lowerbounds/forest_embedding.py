@@ -13,6 +13,7 @@ The embedding capacity ``|O| >= y(H)/2`` drives the Lemma 4.4 bound.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -189,11 +190,16 @@ def _planted_factor(
     filler,
     name: str,
 ) -> Factor:
-    """``values x {filler}``: the free coordinate ranges over ``values``."""
-    idx = schema.index(free_var)
-    tuples = []
-    for value in values:
-        row = [filler] * len(schema)
-        row[idx] = value
-        tuples.append(tuple(row))
-    return Factor.from_tuples(schema, tuples, BOOLEAN, name)
+    """``values x {filler}``: the free coordinate ranges over ``values``.
+
+    Built without :class:`Factor`'s per-row canonicalisation — every row
+    has the schema's arity by construction, ``one`` is not the zero, and
+    ``dict.fromkeys`` keeps first occurrences in order, which is what
+    combining Boolean duplicates amounts to — so the result equals
+    ``Factor.from_tuples`` on the same tuples, row order included.
+    """
+    columns: List = [itertools.repeat(filler)] * len(schema)
+    columns[schema.index(free_var)] = values
+    out = Factor(schema, semiring=BOOLEAN, name=name)
+    out.rows = dict.fromkeys(zip(*columns), BOOLEAN.one)
+    return out

@@ -301,9 +301,11 @@ def identity_key(spec: ScenarioSpec, drop: Tuple[str, ...] = PLANE_AXES) -> str:
 
 #: Materialized (query, topology, assignment) triples shared across axis
 #: planes.  The four accounting-neutral axes never change what gets
-#: built, and execution never mutates the built objects (the Planner
-#: copies the query on backend conversion), so the 16 planes of one
-#: identity materialize once.  Module-level on purpose: inside a
+#: built, and execution never mutates the built objects, so the 16
+#: planes of one identity materialize once — and convert once: the
+#: backend-converted query every ``Planner`` of the identity shares is
+#: kept by ``FAQQuery.with_backend`` on the built query itself, so it
+#: is dropped with this memo's entry.  Module-level on purpose: inside a
 #: ProcessPool worker the memo persists across that worker's scenarios,
 #: which is what makes shipping plain specs (instead of pickled
 #: materialized objects) cheap.
@@ -348,12 +350,15 @@ _PREDICTION_MEMO = LRUMemo("costmodel.predicted_metrics", maxsize=4096)
 def plan_scenario(
     spec: ScenarioSpec, tracer: Optional[Tracer] = None
 ) -> Tuple[Planner, ProtocolPlan]:
-    """The spec's backend-converted planner and its compiled protocol
+    """The spec's planner — over the identity's backend-converted
+    query, which :meth:`FAQQuery.with_backend` builds on the first call
+    and every later plane shares read-only — and its compiled protocol
     plan (pass it to ``planner.execute(plan=...)``).
 
-    Planner construction runs hot kernels, so callers scope
-    ``kernels.use_tier(spec.kernels)`` around this call together with
-    whatever they execute next.
+    The conversion fires no counter and does not read the kernel tier
+    (so the plane that pays for it cannot be told from the others);
+    callers still scope ``kernels.use_tier(spec.kernels)`` around this
+    call together with whatever they execute next.
     """
     built, topology, assignment = materialize_scenario(spec)
     planner = Planner(

@@ -208,7 +208,15 @@ class ColumnarFactor(Factor):
     def active_domain(self, var: str) -> set:
         i = self.column_index(var)
         d = self._dicts[i]
-        return {d[c] for c in np.unique(self._codes[i]).tolist()}
+        # Mark the codes in use (O(n), no sort), then decode only those.
+        used = np.zeros(len(d), dtype=bool)
+        used[self._codes[i]] = True
+        if used.all():
+            return set(d)
+        array = getattr(d, "array", None)
+        if array is not None:
+            return set(array[used].tolist())
+        return {d[c] for c in np.flatnonzero(used).tolist()}
 
     def size_bits(self, bits_per_tuple: int) -> int:
         return len(self._values) * bits_per_tuple

@@ -144,6 +144,20 @@ def test_serve_stacks_nothing():
     assert offenders == []
 
 
+def test_lab_and_serve_get_their_planner_from_the_pipeline():
+    # ``pipeline.plan_scenario`` is the one site that turns a
+    # materialized query into a backend-converted Planner.
+    offenders = [
+        (module, node.lineno)
+        for module, _package, tree in _modules()
+        if _subpackage(module) in ("lab", "serve")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Planner"
+    ]
+    assert offenders == []
+
+
 def test_wire_format_constants_are_assigned_once_in_the_network_package():
     sites = {"HEADER_BITS": [], "EOS_BITS": []}
     for module, _package, tree in _modules():

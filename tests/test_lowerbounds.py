@@ -25,7 +25,9 @@ from repro.lowerbounds import (
     table1_gap_budget,
     tribes_round_lower_bound,
 )
+from repro.lowerbounds.forest_embedding import _planted_factor
 from repro.network import Topology
+from repro.semiring import BOOLEAN, Factor
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,55 @@ def test_forest_embedding_random_tribes_property(seed):
     emb = embed_tribes_in_forest(h, tr)
     q = bcq(emb.hypergraph, emb.factors, emb.domains)
     assert scalar_value(solve_naive(q)) == tr.evaluate()
+
+
+def _same_listing(built, expected):
+    """Equal as listings: schema, row *order*, annotations and name."""
+    return (
+        built.schema == expected.schema
+        and list(built.rows.items()) == list(expected.rows.items())
+        and built.semiring is expected.semiring
+        and built.name == expected.name
+        and type(built) is type(expected)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-5, 40), max_size=30),
+    st.sampled_from([(("A",), "A"), (("A", "B"), "A"), (("A", "B"), "B")]),
+    st.integers(0, 3),
+)
+def test_planted_factor_equals_from_tuples(values, shape, filler):
+    """The direct build skips ``Factor.__init__``'s per-row loop; it must
+    still be the factor that loop produces — on the embedding's sorted
+    value sets and on any other list (repeats, the filler among them)."""
+    schema, free_var = shape
+    idx = schema.index(free_var)
+    tuples = [
+        tuple(value if i == idx else filler for i in range(len(schema)))
+        for value in values
+    ]
+    assert _same_listing(
+        _planted_factor(schema, free_var, values, filler, "R"),
+        Factor.from_tuples(schema, tuples, BOOLEAN, "R"),
+    )
+
+
+def test_forest_embedding_of_a_one_element_universe():
+    # n == 1: the filler value 1 lies outside [N] = {0} and joins the
+    # domain, so the planted {0} x {1} relations still validate.
+    tr = TribesInstance(1, ((frozenset({0}), frozenset({0})),))
+    emb = embed_tribes_in_forest(star_h(), tr)
+    assert set(emb.domains.values()) == {(0, 1)}
+    for name, factor in emb.factors.items():
+        o = factor.schema.index("A")
+        row = tuple(0 if i == o else 1 for i in range(2))
+        assert _same_listing(
+            factor, Factor.from_tuples(factor.schema, [row], BOOLEAN, name)
+        )
+    q = bcq(emb.hypergraph, emb.factors, emb.domains)
+    assert scalar_value(solve_naive(q)) is True
 
 
 # ---------------------------------------------------------------------------
