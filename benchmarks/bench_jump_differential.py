@@ -42,12 +42,12 @@ def four_ways(spec):
     engine = [
         run_program(
             topology, plan.capacity_bits,
-            compile_round_programs(plan, topology),
+            compile_round_programs(plan, planner.query, topology),
             max_rounds=MAX_ROUNDS, fast_forward=fast_forward,
         )
         for fast_forward in (True, False)
     ]
-    skeleton = extract_skeleton(plan, tuple(topology.nodes))
+    skeleton = extract_skeleton(plan, tuple(topology.nodes), planner.query)
     jumping = evaluate_timing(skeleton, max_rounds=MAX_ROUNDS)
     steady_cycles = timing_module._steady_cycles
     timing_module._steady_cycles = lambda *_args: 0

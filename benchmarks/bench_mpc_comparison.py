@@ -47,7 +47,9 @@ def run_on_mpc(n, seed=0):
     # Override the model capacity with the MPC L' (eq. 13).
     plan.capacity_bits = max(plan.capacity_bits, capacity)
     sim = Simulator(topo, plan.capacity_bits, max_rounds=200_000)
-    result = sim.run({node: _make_player(plan, node) for node in topo.nodes})
+    result = sim.run(
+        {node: _make_player(plan, query, node) for node in topo.nodes}
+    )
     answer = result.output_of(plan.output_player)
     assert answer == solve_naive(query)
     return result.rounds

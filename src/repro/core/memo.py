@@ -3,15 +3,17 @@
 Every scenario identity in a lab grid runs once per axis plane (engine ×
 solver × backend × kernels), and the planes are *accounting-identical*
 by construction (the parity gates enforce it).  The expensive inputs to
-a plan, however, are pure functions of graph structure alone: Steiner
-tree packings and the Δ-grid scan over them (:mod:`repro.network
-.steiner`), minimum K-separating cuts (:mod:`repro.network.mincut`), and
-the symbolic cost prediction of a plan skeleton.  Recomputing them per
-plane is the dominant cost of a suite run — profiled at roughly half of
-per-scenario wall time — so this module gives each such function a
-process-wide LRU keyed on its *structural* inputs.  (The packing memo
-holds one entry per (graph, terminals, Δ, limit); the residual states
-the Δ values of a single scan share live on the scan's stack —
+a plan, however, are pure functions of structure alone: Steiner tree
+packings (:mod:`repro.network.steiner`), GYO-GHDs, the bound formulas,
+the compiled protocol plan and the symbolic cost prediction of its
+skeleton.  Recomputing them per plane is the dominant cost of a suite
+run — profiled at roughly half of per-scenario wall time — so this
+module gives each such function a process-wide LRU keyed on its
+*structural* inputs or on the scenario identity.  There are seven;
+``docs/dataplane.md`` has each one's hits and misses, and a memo that
+serves no repeat does not stay.  (The packing memo holds one entry per
+(graph, terminals, Δ, limit); the residual states the Δ values of a
+single scan share live on the scan's stack —
 :func:`repro.network.steiner.scan_steiner_packings` — and are not a
 memo.)
 

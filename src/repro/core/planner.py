@@ -211,15 +211,12 @@ class Planner:
     def compile_protocol_plan(self):
         """The :class:`~repro.protocols.faq_protocol.ProtocolPlan`
         :meth:`execute` would compile — exposed so sweep runners can
-        compile once per (instance, backend, solver) and pass the plan
-        back via ``execute(plan=...)``.  The plan is engine-neutral:
-        both engines execute the same compiled plan."""
+        compile once per instance and pass the plan back via
+        ``execute(plan=...)``.  The plan holds no relations and no
+        solver, so every backend, solver and engine plane of the
+        instance executes the same compiled plan."""
         return compile_plan(
-            self.query,
-            self.topology,
-            self.assignment,
-            self.output_player,
-            solver=self.solver,
+            self.query, self.topology, self.assignment, self.output_player
         )
 
     def execute(
@@ -227,9 +224,9 @@ class Planner:
     ) -> ExecutionReport:
         """Run the distributed protocol and cross-check the answer.
 
-        ``plan`` optionally supplies a precompiled protocol plan (see
-        :meth:`compile_protocol_plan`); it must have been compiled for
-        exactly this planner's (query, topology, assignment, solver).
+        ``plan`` optionally supplies a precompiled protocol plan of this
+        instance (see :meth:`compile_protocol_plan`); the relations and
+        the solver that run it are always this planner's own.
         """
         tracer = self.tracer
         # ``activate`` publishes the tracer to module-level consumers

@@ -183,7 +183,7 @@ def predict_from_skeleton(
     )
 
 
-def predict_costs(spec, plan, nodes: Sequence[str]) -> CostPrediction:
+def predict_costs(spec, plan, nodes: Sequence[str], query) -> CostPrediction:
     """Predict the four cost metrics for a scenario — without running it.
 
     Args:
@@ -194,8 +194,10 @@ def predict_costs(spec, plan, nodes: Sequence[str]) -> CostPrediction:
             zero protocol rounds — and the lab's certification path
             passes the executed plan so nothing is compiled twice).
         nodes: All topology nodes.
+        query: The scenario's :class:`~repro.faq.query.FAQQuery` — the
+            relations the plan was compiled from but does not hold.
     """
-    skeleton = extract_skeleton(plan, tuple(nodes))
+    skeleton = extract_skeleton(plan, tuple(nodes), query)
     return predict_from_skeleton(
         skeleton, cell_of(spec), max_rounds=spec.max_rounds
     )

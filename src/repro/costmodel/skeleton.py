@@ -7,12 +7,14 @@ counts, the final routing tree with per-origin payload counts, and the
 three bit charges (tuple, value, capacity).  Extracting it runs **zero
 protocol rounds** — the only computation it performs is the players'
 *free* local work (Model 2.1 charges nothing for internal computation),
-replayed here sequentially:
+replayed here sequentially over the relations the caller passes in (a
+plan holds none):
 
 * The center of each star is broadcast in its **original** size: a GHD
   node is the center of exactly one star, and the stars run bottom-up,
   so no earlier star can have rebuilt it.  The slice count of tree ``j``
-  is therefore known statically from the input relation.
+  is therefore static — the plan's ``StarPhase.center_rows`` — and this
+  half reads no data.
 * The only data-dependent sizes are the **final-edge payloads**: a star
   rebuilds its center with semiring-zero rows dropped, so how many rows
   survive to be routed to the output player depends on the data.  The
@@ -24,8 +26,8 @@ replayed here sequentially:
   the engines.
 
 Both engines and all solver/backend planes produce identical accounting
-(the lab's parity gates enforce this), so one skeleton prices all eight
-planes of a scenario.
+(the lab's parity gates enforce this), so one skeleton prices every
+plane of a scenario.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..faq import FAQQuery
 from ..protocols.compiler import fold_tree_slots
 from ..protocols.faq_protocol import (
     ProtocolPlan,
@@ -121,7 +124,9 @@ class CostSkeleton:
         return self.tuple_bits + self.value_bits
 
 
-def _replay_final_counts(plan: ProtocolPlan) -> Dict[str, int]:
+def _replay_final_counts(
+    plan: ProtocolPlan, query: FAQQuery
+) -> Dict[str, int]:
     """Per-origin final-phase payload counts, via free local replay.
 
     Demand-driven: only a final relation owned by another player than
@@ -138,7 +143,6 @@ def _replay_final_counts(plan: ProtocolPlan) -> Dict[str, int]:
     center of at most one (before its parent's star), so the sequential
     state sees every factor exactly as the owning player would.
     """
-    query = plan.query
     semiring = query.semiring
     routed = [
         name for name in plan.final_edges
@@ -158,7 +162,7 @@ def _replay_final_counts(plan: ProtocolPlan) -> Dict[str, int]:
         ranges = star.slot_plan.slice_ranges(len(rows))
         slots_by_node: Dict[str, List] = {}
         for node in star.slot_plan.terminals:
-            contributions = star_contributions(plan, star, state, node)
+            contributions = star_contributions(plan, query, star, state, node)
             if contributions:
                 slots_by_node[node] = score_rows(
                     semiring, star.center_schema, contributions, rows
@@ -188,18 +192,21 @@ def _replay_final_counts(plan: ProtocolPlan) -> Dict[str, int]:
     return counts
 
 
-def extract_skeleton(plan: ProtocolPlan, nodes: Tuple[str, ...]) -> CostSkeleton:
+def extract_skeleton(
+    plan: ProtocolPlan, nodes: Tuple[str, ...], query: FAQQuery
+) -> CostSkeleton:
     """Distill a compiled plan into its cost skeleton.
 
     Args:
         plan: The compiled protocol plan.
         nodes: All topology nodes (every node runs a — possibly empty —
             program, and step order is the sorted node order).
+        query: The instance's relations, read by the final-payload
+            replay only (any backend: the counts are the same).
     """
     stars = []
     for star in plan.stars:
-        count = len(plan.query.factors[star.center_edge])
-        ranges = star.slot_plan.slice_ranges(count)
+        ranges = star.slot_plan.slice_ranges(star.center_rows)
         stars.append(
             StarSkeleton(
                 star_id=star.star_id,
@@ -210,7 +217,7 @@ def extract_skeleton(plan: ProtocolPlan, nodes: Tuple[str, ...]) -> CostSkeleton
         )
     route = RouteSkeleton(
         parents=dict(plan.routing_parents),
-        payload_counts=_replay_final_counts(plan),
+        payload_counts=_replay_final_counts(plan, query),
     )
     return CostSkeleton(
         nodes=tuple(sorted(nodes)),

@@ -30,10 +30,8 @@ from .plan import (
     SOLVERS,
     PlanCache,
     QueryPlan,
-    plan_message_passing,
     plan_naive,
     plan_variable_elimination,
-    plan_yannakakis,
     structural_signature,
     validate_solver,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "structural_signature",
     "plan_variable_elimination",
     "plan_naive",
-    "plan_message_passing",
-    "plan_yannakakis",
     "execute_plan",
     "ExecutionStats",
     "DictionaryPool",

@@ -56,7 +56,6 @@ from ..semiring.columnar import (
     int_values_exceed,
     sort_groups,
 )
-from ..semiring.semirings import BOOLEAN
 from . import operations
 from .plan import (
     AggregateAbsentOp,
@@ -67,7 +66,6 @@ from .plan import (
     PlanOp,
     ProjectOp,
     QueryPlan,
-    SemijoinOp,
 )
 
 #: Dense grouped reduction is used while the composite code space stays
@@ -483,25 +481,6 @@ def fused_join_marginalize(
 # ---------------------------------------------------------------------------
 
 
-def _lift_boolean(factor: Factor) -> Factor:
-    """Reinterpret a factor in the Boolean semiring, staying columnar.
-
-    Columnar factors keep their (possibly pooled) codes and dictionaries
-    — only the annotation array is replaced by all-``True`` — so interning
-    survives the lift; everything else goes through ``with_semiring``.
-    """
-    if isinstance(factor, ColumnarFactor):
-        return ColumnarFactor._from_arrays(
-            factor.schema,
-            factor.codes,
-            factor.dictionaries,
-            np.ones(len(factor), dtype=np.bool_),
-            BOOLEAN,
-            factor.name,
-        )
-    return factor.with_semiring(BOOLEAN)
-
-
 def execute_plan(
     plan: QueryPlan,
     query,
@@ -514,13 +493,7 @@ def execute_plan(
     falls back to the generic operators in :mod:`repro.faq.operations`
     whenever a kernel declines.  Returns the factor in the plan's output
     slot (over the query's free variables, like every solver).
-
-    Raises:
-        ValueError: if the plan has no output slot (degenerate Yannakakis
-            plans are answered by the solver without execution).
     """
-    if plan.output is None:
-        raise ValueError("plan has no output slot to execute")
     semiring = query.semiring
     factors: Mapping[str, Factor] = query.factors
     columnar = supports_columnar(semiring) and all(
@@ -559,10 +532,7 @@ def _run_op(
     """Execute one plan op (vectorized when possible, generic otherwise)."""
     semiring = query.semiring
     if isinstance(op, InputOp):
-        factor = inputs[op.factor]
-        if op.lift_boolean and not factor.is_boolean():
-            factor = _lift_boolean(factor)
-        return factor
+        return inputs[op.factor]
     if isinstance(op, FusedJoinMarginalizeOp):
         parts = [env[s] for s in op.sources]
         result: Optional[Factor] = None
@@ -583,8 +553,6 @@ def _run_op(
         )
     if isinstance(op, JoinOp):
         return operations.join(env[op.left], env[op.right])
-    if isinstance(op, SemijoinOp):
-        return operations.semijoin(env[op.left], env[op.right])
     if isinstance(op, ProjectOp):
         return operations.project(env[op.source], op.schema)
     if isinstance(op, MarginalizeOp):

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 from ..decomposition import GHD, best_gyo_ghd
 from ..semiring import Factor
 from .operations import marginalize, multi_join, project
-from .plan import SOLVER_COMPILED, validate_solver
 from .query import FAQQuery
 
 
@@ -84,7 +83,6 @@ def solve_message_passing(
     query: FAQQuery,
     ghd: Optional[GHD] = None,
     backend: Optional[str] = None,
-    solver: Optional[str] = None,
 ) -> Factor:
     """Evaluate ``query`` via the Theorem G.3 upward pass.
 
@@ -97,10 +95,6 @@ def solve_message_passing(
         backend: Optional storage backend override (``"dict"`` or
             ``"columnar"``) applied to the factors for this solve only;
             ``None`` keeps the query's own backend.
-        solver: ``"operator"`` (default) or ``"compiled"``; the compiled
-            plan fuses each node's join with the first pushed-down
-            ⊕-marginalization and caches the lowered upward pass (the
-            default GYO-GHD is then computed once per query structure).
 
     Returns:
         A factor over ``query.free_vars``.
@@ -110,14 +104,8 @@ def solve_message_passing(
             running-intersection cone (the unsupported-free-variable case
             of Appendix G.5).
     """
-    solver = validate_solver(solver)
     if backend is not None:
         query = query.with_backend(backend)
-    if solver == SOLVER_COMPILED:
-        from .executor import execute_plan
-        from .plan import plan_message_passing
-
-        return execute_plan(plan_message_passing(query, ghd), query)
     tree = ghd or best_gyo_ghd(query.hypergraph)
     placement = assign_factors_to_ghd(query, tree)
     free = set(query.free_vars)

@@ -8,20 +8,25 @@ module is the planning half of the compiled execution layer (mirroring
 PR 3's two-plane protocol engine):
 
 * a small op vocabulary — :class:`InputOp`, :class:`JoinOp`,
-  :class:`SemijoinOp`, :class:`ProjectOp`, :class:`MarginalizeOp`,
+  :class:`ProjectOp`, :class:`MarginalizeOp`,
   :class:`AggregateAbsentOp` and the fusion-bearing
   :class:`FusedJoinMarginalizeOp` — each carrying its output slot and
   result schema;
-* lowering functions that translate each solver strategy (variable
-  elimination, naive, GHD message passing, Yannakakis) into a
-  :class:`QueryPlan`, fusing the ubiquitous "join every factor touching
-  ``v``, then ⊕-marginalize ``v`` out" step into one op whenever the
-  variable's aggregate is the semiring's own ⊕;
+* lowering functions that translate the two solver strategies the
+  pipeline reaches (variable elimination, and naive as its fallback)
+  into a :class:`QueryPlan`, fusing the ubiquitous "join every factor
+  touching ``v``, then ⊕-marginalize ``v`` out" step into one op
+  whenever the variable's aggregate is the semiring's own ⊕;
 * a :class:`PlanCache` keyed by the *structural* signature of the query —
   factor schemas, free variables, bound order, aggregate signature,
   semiring name and storage backend, never the data — so lab grid sweeps
   that vary only seed/N/assignment compile once and reuse the plan
   (including the greedy elimination order baked into it).
+
+GHD message passing and Yannakakis are operator-level references only
+(:mod:`repro.faq.message_passing`, :mod:`repro.faq.yannakakis`): nothing
+the pipeline, the lab or the service runs goes through them, so they
+have no lowering.
 
 Execution lives in :mod:`repro.faq.executor`; the parity contract is that
 ``execute_plan(plan_for(query), query)`` returns byte-identical answers to
@@ -90,28 +95,14 @@ class PlanOp:
 
 @dataclass(frozen=True)
 class InputOp(PlanOp):
-    """Load one of the query's input factors into a slot.
-
-    ``lift_boolean`` marks inputs the strategy reinterprets in the Boolean
-    semiring (Yannakakis semijoin programs), mirroring
-    ``Factor.with_semiring(BOOLEAN)`` on the operator path.
-    """
+    """Load one of the query's input factors into a slot."""
 
     factor: str = ""
-    lift_boolean: bool = False
 
 
 @dataclass(frozen=True)
 class JoinOp(PlanOp):
     """Natural join of two slots (Definition 3.4)."""
-
-    left: int = -1
-    right: int = -1
-
-
-@dataclass(frozen=True)
-class SemijoinOp(PlanOp):
-    """Semijoin ``left ⋉ right`` (Definition 3.5)."""
 
     left: int = -1
     right: int = -1
@@ -167,23 +158,20 @@ class QueryPlan:
 
     Attributes:
         strategy: Which solver semantics the plan encodes
-            (``"variable-elimination"``, ``"naive"``, ``"message-passing"``
-            or ``"yannakakis"``).
+            (``"variable-elimination"`` or ``"naive"``).
         ops: The steps, in execution (topological) order.
-        output: Slot holding the final factor; ``None`` for degenerate
-            Yannakakis plans whose join tree carries no factor at the root
-            (the solver then answers ``True`` without executing).
+        output: Slot holding the final factor.
         num_slots: Environment size.
         cache_key: The structural signature this plan was cached under
-            (``None`` for uncacheable queries, e.g. custom aggregate
-            callables or an explicit GHD).
+            (``None`` for uncacheable queries, i.e. custom aggregate
+            callables).
         order: The elimination order baked into a variable-elimination
             plan (informational; already reflected in ``ops``).
     """
 
     strategy: str
     ops: Tuple[PlanOp, ...]
-    output: Optional[int]
+    output: int
     num_slots: int
     cache_key: Optional[str] = None
     order: Tuple[Any, ...] = ()
@@ -209,7 +197,6 @@ def structural_signature(
     query: FAQQuery,
     strategy: str,
     order: Optional[Sequence[Any]] = None,
-    default_ghd: bool = True,
 ) -> Optional[str]:
     """A sha256 content address of everything lowering depends on.
 
@@ -220,10 +207,8 @@ def structural_signature(
     seed/N/assignment share one plan.
 
     Returns ``None`` for uncacheable queries: a custom aggregate
-    ``combine`` callable (unhashable semantics) or a caller-supplied GHD.
+    ``combine`` callable (unhashable semantics).
     """
-    if not default_ghd:
-        return None
     aggregates = []
     for v in sorted(query.bound_vars, key=repr):
         agg = query.aggregate_for(v)
@@ -411,19 +396,16 @@ def _eliminate(
 
 
 def _load_inputs(
-    b: _Builder, query: FAQQuery, lift_boolean: bool = False
-) -> Dict[str, Tuple[int, Tuple[Any, ...]]]:
+    b: _Builder, query: FAQQuery
+) -> List[Tuple[int, Tuple[Any, ...]]]:
     """Emit one :class:`InputOp` per query factor, in listing order."""
-    loaded = {}
-    for name, factor in query.factors.items():
-        slot = b.emit(
-            InputOp(
-                b.slot(), tuple(factor.schema),
-                factor=name, lift_boolean=lift_boolean,
-            )
+    return [
+        (
+            b.emit(InputOp(b.slot(), tuple(factor.schema), factor=name)),
+            tuple(factor.schema),
         )
-        loaded[name] = (slot, tuple(factor.schema))
-    return loaded
+        for name, factor in query.factors.items()
+    ]
 
 
 def _finish(
@@ -449,7 +431,7 @@ def lower_variable_elimination(
     step for step (the caller resolves and validates the order).
     """
     b = _Builder()
-    live = list(_load_inputs(b, query).values())
+    live = _load_inputs(b, query)
     for variable in order:
         touching = [(s, sch) for s, sch in live if variable in sch]
         rest = [(s, sch) for s, sch in live if variable not in sch]
@@ -473,7 +455,7 @@ def lower_naive(query: FAQQuery) -> QueryPlan:
     truth, so its plan keeps the join-then-aggregate shape literal.
     """
     b = _Builder()
-    loaded = list(_load_inputs(b, query).values())
+    loaded = _load_inputs(b, query)
     slot, schema = _multi_join(b, loaded)
     for variable in query.elimination_order():
         if variable in schema:
@@ -496,140 +478,6 @@ def lower_naive(query: FAQQuery) -> QueryPlan:
     )
 
 
-def _ghd_placement_names(query: FAQQuery, ghd) -> Dict[str, List[str]]:
-    """Factor *names* per GHD node (the name-level twin of
-    :func:`repro.faq.message_passing.assign_factors_to_ghd`)."""
-    placement: Dict[str, List[str]] = {node_id: [] for node_id in ghd.nodes}
-    for name in query.factors:
-        home = ghd.covering_node(name)
-        if home is None:
-            edge = query.hypergraph.edge(name)
-            home = next(
-                (
-                    node.node_id
-                    for node in ghd.nodes.values()
-                    if edge <= node.chi
-                ),
-                None,
-            )
-        if home is None:
-            raise ValueError(f"hyperedge {name!r} is covered by no GHD node")
-        placement[home].append(name)
-    return placement
-
-
-def lower_message_passing(query: FAQQuery, ghd) -> QueryPlan:
-    """Lower the Theorem G.3 upward pass over ``ghd``.
-
-    Mirrors :func:`repro.faq.message_passing.solve_message_passing`: each
-    node joins its local factors with child messages, pushes down the
-    aggregates of subtree-private bound variables (fused when they are
-    plain ⊕), and the root finishes the remaining bound variables in
-    listed order.
-    """
-    b = _Builder()
-    loaded = _load_inputs(b, query)
-    placement = _ghd_placement_names(query, ghd)
-    free = set(query.free_vars)
-    listed = query.elimination_order()
-
-    messages: Dict[str, List[Tuple[int, Tuple[Any, ...]]]] = {
-        node_id: [] for node_id in ghd.nodes
-    }
-    root_id = ghd.root_id
-    output: Optional[Tuple[int, Tuple[Any, ...]]] = None
-    for node in ghd.postorder():
-        parts = [loaded[name] for name in placement[node.node_id]]
-        parts += messages[node.node_id]
-        if node.node_id == root_id:
-            if not parts:
-                raise ValueError("root received no factors; query is empty")
-            slot, schema = _multi_join(b, parts)
-            for variable in listed:
-                if variable in schema and variable not in free:
-                    schema = tuple(v for v in schema if v != variable)
-                    slot = b.emit(
-                        MarginalizeOp(
-                            b.slot(), schema, source=slot, variable=variable
-                        )
-                    )
-            missing_free = free - set(schema)
-            if missing_free:
-                raise ValueError(
-                    "free variables not available at the root (Appendix G.5 "
-                    f"restriction): {sorted(missing_free, key=str)}"
-                )
-            output = (slot, schema)
-            continue
-        if not parts:
-            continue  # structural node with nothing to forward
-        parent_bag = ghd.nodes[node.parent].chi
-        keep = set(parent_bag) | free
-        local_schema: Tuple[Any, ...] = ()
-        for _, schema in parts:
-            local_schema = _merged_schema(local_schema, schema)
-        private = [v for v in local_schema if v not in keep]
-        if not private:
-            slot, schema = _multi_join(b, parts)
-        else:
-            ordered = [v for v in listed if v in private]
-            slot, schema = _eliminate(b, query, ordered[0], parts)
-            for variable in ordered[1:]:
-                slot, schema = _eliminate(b, query, variable, [(slot, schema)])
-        messages[node.parent].append((slot, schema))
-
-    assert output is not None
-    slot = _finish(b, query, output[0], output[1])
-    return QueryPlan(
-        strategy="message-passing",
-        ops=tuple(b.ops),
-        output=slot,
-        num_slots=b.num_slots,
-    )
-
-
-def lower_yannakakis(query: FAQQuery, ghd) -> QueryPlan:
-    """Lower the bottom-up Yannakakis semijoin pass over ``ghd``.
-
-    Pure dataflow — the operator path's early exits on empty factors are
-    shortcuts to the same answer (an empty factor semijoins everything
-    above it empty), so the plan's root factor decides the BCQ exactly.
-    """
-    b = _Builder()
-    loaded = _load_inputs(b, query, lift_boolean=True)
-    placement = _ghd_placement_names(query, ghd)
-
-    reduced: Dict[str, Optional[Tuple[int, Tuple[Any, ...]]]] = {}
-    for node in ghd.postorder():
-        names = placement[node.node_id]
-        current = _multi_join(b, [loaded[n] for n in names]) if names else None
-        for child_id in node.children:
-            child = reduced[child_id]
-            if child is None:
-                continue
-            if current is not None:
-                current = (
-                    b.emit(
-                        SemijoinOp(
-                            b.slot(), current[1],
-                            left=current[0], right=child[0],
-                        )
-                    ),
-                    current[1],
-                )
-            else:
-                # Structural node: forward the child factor upward.
-                current = child
-        reduced[node.node_id] = current
-    root = reduced[ghd.root_id]
-    return QueryPlan(
-        strategy="yannakakis",
-        ops=tuple(b.ops),
-        output=None if root is None else root[0],
-        num_slots=b.num_slots,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Cached entry points (what the solvers call)
 # ---------------------------------------------------------------------------
@@ -646,15 +494,6 @@ def _cached_plan(
     plan = replace(lower(), cache_key=key)
     PLAN_CACHE.put(key, plan)
     return plan
-
-
-def _default_ghd(query: FAQQuery, ghd):
-    """``ghd``, or the (deterministic per hypergraph) best GYO-GHD."""
-    if ghd is not None:
-        return ghd
-    from ..decomposition import best_gyo_ghd
-
-    return best_gyo_ghd(query.hypergraph)
 
 
 def plan_variable_elimination(
@@ -689,23 +528,3 @@ def plan_naive(query: FAQQuery) -> QueryPlan:
         structural_signature(query, "naive"), lambda: lower_naive(query)
     )
 
-
-def plan_message_passing(query: FAQQuery, ghd=None) -> QueryPlan:
-    """The (cached) GHD message-passing plan for ``query``.
-
-    A caller-supplied GHD bypasses the cache (its structure is not part
-    of the signature); the default best-GYO-GHD is deterministic per
-    hypergraph, so default plans are safely shared.
-    """
-    return _cached_plan(
-        structural_signature(query, "message-passing", default_ghd=ghd is None),
-        lambda: lower_message_passing(query, _default_ghd(query, ghd)),
-    )
-
-
-def plan_yannakakis(query: FAQQuery, ghd=None) -> QueryPlan:
-    """The (cached) Yannakakis semijoin-program plan for ``query``."""
-    return _cached_plan(
-        structural_signature(query, "yannakakis", default_ghd=ghd is None),
-        lambda: lower_yannakakis(query, _default_ghd(query, ghd)),
-    )

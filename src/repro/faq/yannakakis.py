@@ -16,7 +16,6 @@ from ..hypergraph import is_acyclic
 from ..semiring import BOOLEAN, Factor
 from .message_passing import assign_factors_to_ghd
 from .operations import multi_join, semijoin
-from .plan import SOLVER_COMPILED, validate_solver
 from .query import FAQQuery
 
 
@@ -39,7 +38,6 @@ def solve_bcq_yannakakis(
     query: FAQQuery,
     ghd: Optional[GHD] = None,
     backend: Optional[str] = None,
-    solver: Optional[str] = None,
 ) -> bool:
     """Decide a Boolean Conjunctive Query with one bottom-up semijoin pass.
 
@@ -50,10 +48,6 @@ def solve_bcq_yannakakis(
         backend: Optional storage backend override (``"dict"`` or
             ``"columnar"``) applied to the factors for this solve only;
             ``None`` keeps the query's own backend.
-        solver: ``"operator"`` (default) or ``"compiled"``; the compiled
-            semijoin program trades the operator path's early exits for a
-            cached plan (an empty factor semijoins everything above it
-            empty, so the answers agree).
 
     Returns:
         True iff the natural join of all relations is non-empty.
@@ -63,21 +57,12 @@ def solve_bcq_yannakakis(
             requires a join tree; the protocols handle cyclic cores by the
             trivial protocol instead).
     """
-    solver = validate_solver(solver)
     if backend is not None:
         query = query.with_backend(backend)
     if ghd is None and not is_acyclic(query.hypergraph):
         raise ValueError(
             "Yannakakis requires an acyclic query (or an explicit GHD)"
         )
-    if solver == SOLVER_COMPILED:
-        from .executor import execute_plan
-        from .plan import plan_yannakakis
-
-        plan = plan_yannakakis(query, ghd)
-        if plan.output is None:
-            return True
-        return len(execute_plan(plan, query)) > 0
     if ghd is None:
         ghd = best_gyo_ghd(query.hypergraph)
     locals_ = _boolean_locals(query, ghd)

@@ -12,20 +12,11 @@ from typing import List, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..core.memo import LRUMemo, topology_key
 from .topology import Topology
-
-#: Both cut surfaces are pure functions of (edge set, terminals); the
-#: planner recomputes them once per axis plane, the bound oracles again
-#: per certification — memo hits replace every repeat with a lookup.
-_VALUE_MEMO = LRUMemo("mincut.value", maxsize=8192)
-_PARTITION_MEMO = LRUMemo("mincut.partition", maxsize=4096)
 
 
 def mincut(topology: Topology, players: Sequence[str]) -> int:
     """``MinCut(G, K)``: minimum edge cut separating the players ``K``.
-
-    Memoized on (edge set, terminals) — the value is deterministic.
 
     Args:
         topology: The communication graph ``G``.
@@ -35,13 +26,6 @@ def mincut(topology: Topology, players: Sequence[str]) -> int:
         ValueError: if fewer than two distinct players are given or a
             player is not a node of ``G``.
     """
-    key = (topology_key(topology), tuple(sorted(set(players))))
-    return _VALUE_MEMO.get_or_compute(
-        key, lambda: _mincut(topology, players)
-    )
-
-
-def _mincut(topology: Topology, players: Sequence[str]) -> int:
     terminals = sorted(set(players))
     if len(terminals) < 2:
         raise ValueError("MinCut(G, K) needs at least two distinct players")
@@ -66,20 +50,7 @@ def mincut_partition(
     Alice side of TRIBES are assigned into ``A``, the Bob side into ``B``,
     and any protocol induces a two-party protocol across the returned
     crossing edges.
-
-    Memoized like :func:`mincut`; hits return fresh sets and a fresh
-    crossing list over the same immutable node/edge names.
     """
-    key = (topology_key(topology), tuple(sorted(set(players))))
-    side_a, side_b, crossing = _PARTITION_MEMO.get_or_compute(
-        key, lambda: _mincut_partition(topology, players)
-    )
-    return set(side_a), set(side_b), list(crossing)
-
-
-def _mincut_partition(
-    topology: Topology, players: Sequence[str]
-) -> Tuple[Set[str], Set[str], List[Tuple[str, str]]]:
     terminals = sorted(set(players))
     if len(terminals) < 2:
         raise ValueError("need at least two distinct players")

@@ -29,14 +29,13 @@ from .topology import Topology
 
 Edge = Tuple[str, str]
 
-#: Packings and Δ-scans are pure functions of (graph, terminals, Δ,
-#: limit) and dominate plan construction; the lab reruns each identity
-#: once per axis plane, so these memos turn the per-plane recomputation
-#: into a lookup.  SteinerTree is frozen — only the lists are copied.
+#: A packing is a pure function of (graph, terminals, Δ, limit) and
+#: dominates plan construction; the protocol compiler and the bound
+#: formulas both scan the same Δ grids, so the second scan is a lookup
+#: per Δ.  SteinerTree is frozen — only the lists are copied.
 #: (What the Δ values of *one* scan share — the expanded residual states
 #: — lives on :func:`scan_steiner_packings`' stack, not here.)
 _PACK_MEMO = LRUMemo("steiner.pack", maxsize=4096)
-_DELTA_MEMO = LRUMemo("steiner.optimize_delta", maxsize=2048)
 
 
 def _bfs_edges(
@@ -338,18 +337,6 @@ def optimize_delta(
     Raises:
         ValueError: if no Steiner tree connects the terminals at all.
     """
-    key = (topology_key(topology), tuple(sorted(set(terminals))), total_words)
-    delta, trees, rounds = _DELTA_MEMO.get_or_compute(
-        key, lambda: _optimize_delta(topology, terminals, total_words)
-    )
-    return delta, list(trees), rounds
-
-
-def _optimize_delta(
-    topology: Topology,
-    terminals: Sequence[str],
-    total_words: int,
-) -> Tuple[int, List[SteinerTree], int]:
     lo = topology.diameter(among=sorted(set(terminals))) if len(set(terminals)) > 1 else 1
     lo = max(1, lo)
     hi = max(lo, topology.num_nodes)

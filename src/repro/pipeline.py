@@ -9,8 +9,11 @@ nowhere else.  The steps, in the order every caller takes them:
   site), a topology family builder the :class:`~repro.network.Topology`,
   and the assignment policy places relations on players;
 * :func:`plan_scenario` — the backend-converted
-  :class:`~repro.core.planner.Planner` and its compiled protocol plan;
-* :func:`predicted_metrics` — the zero-execution cost prediction;
+  :class:`~repro.core.planner.Planner` and the identity's compiled
+  protocol plan (structure and numbers only — one plan object serves
+  every plane, each bringing its own query and solver);
+* :func:`predicted_metrics` — the zero-execution cost prediction of
+  that plan over the materialized relations;
 * :func:`solve_scenario` — the centralized reference solve under the
   spec's kernel tier (running the *protocol* is ``Planner.execute``).
 
@@ -331,12 +334,14 @@ def materialize_scenario(
 # Plan, price, solve
 # ---------------------------------------------------------------------------
 
-#: Compiled protocol plans shared across a scenario's *engine* (and
-#: kernel-tier) planes.  A plan is a pure function of (instance,
-#: backend, solver): compilation fires no counters and both engines
-#: execute the same plan object read-only (like the materialized
-#: query/topology above, the plan is shared, never copied — execution
-#: must not mutate it, which the byte-identity gates enforce).
+#: Compiled protocol plans, one per identity.  A plan holds structure
+#: and numbers (GHD, packings, routing tree, bit widths, center row
+#: counts) and neither relations nor a solver, so it is a pure function
+#: of the instance: compilation fires no counters and all sixteen planes
+#: execute the same plan object read-only, each over its own planner's
+#: query and solver (like the materialized query/topology above, the
+#: plan is shared, never copied — execution must not mutate it, which
+#: the byte-identity gates enforce).
 _PLAN_MEMO = LRUMemo("pipeline.protocol_plan", maxsize=256)
 
 #: Cost predictions shared across axis planes: the
@@ -367,8 +372,7 @@ def plan_scenario(
         tracer=tracer,
     )
     plan = _PLAN_MEMO.get_or_compute(
-        (identity_key(spec), spec.backend, spec.solver),
-        planner.compile_protocol_plan,
+        identity_key(spec), planner.compile_protocol_plan
     )
     return planner, plan
 
@@ -377,16 +381,18 @@ def predicted_metrics(
     spec: ScenarioSpec, plan: ProtocolPlan, nodes: Sequence[str]
 ) -> Dict[str, object]:
     """The four cost metrics :func:`repro.costmodel.predict_costs`
-    derives from ``plan`` without running a protocol round, memoized per
-    identity.  Exact on covered cells; callers decide what an uncovered
-    cell means to them.
+    derives from ``plan`` and the identity's materialized relations
+    without running a protocol round, memoized per identity.  Exact on
+    covered cells; callers decide what an uncovered cell means to them.
 
     Raises:
         CostModelError: when the model cannot price the plan.
     """
     return dict(_PREDICTION_MEMO.get_or_compute(
         identity_key(spec),
-        lambda: costmodel.predict_costs(spec, plan, nodes).metrics(),
+        lambda: costmodel.predict_costs(
+            spec, plan, nodes, materialize_scenario(spec)[0].query
+        ).metrics(),
     ))
 
 

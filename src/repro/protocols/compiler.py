@@ -57,6 +57,7 @@ from ..semiring import (
     to_backend,
 )
 from ..semiring.columnar import INT64_MAX, composite_key, merge_dictionaries
+from ..faq import FAQQuery
 from ..faq.operations import project as dict_project
 from .faq_protocol import (
     ProtocolPlan,
@@ -295,9 +296,9 @@ class StarRuntime:
     before its bits have been charged.
     """
 
-    def __init__(self, plan: ProtocolPlan, star: StarPhase) -> None:
-        self.plan = plan
+    def __init__(self, star: StarPhase, semiring) -> None:
         self.star = star
+        self.semiring = semiring
         self.wire: Optional[WireBlock] = None
         self.ranges: Optional[List[Tuple[int, int]]] = None
         self._rows: Optional[List[Tuple]] = None
@@ -333,7 +334,7 @@ class StarRuntime:
 
     def combined_at_root(self):
         """The ⊗-convergecast result, reassembled across the packing."""
-        semiring = self.plan.query.semiring
+        semiring = self.semiring
         profile = _profile_of(semiring)
         vec_mul = lambda a, b: _mul_values(semiring, profile, a, b)
         identity_fn = lambda length: _identity_vector(semiring, profile, length)
@@ -384,27 +385,28 @@ class FinalRuntime:
 
 def _compute_star_slots(
     plan: ProtocolPlan,
+    query: FAQQuery,
     star: StarPhase,
     state: Dict[str, Factor],
     node: str,
     runtime: StarRuntime,
 ):
     """Phase B for one terminal: vectorized scorer, dict fallback."""
-    contributions = star_contributions(plan, star, state, node)
+    contributions = star_contributions(plan, query, star, state, node)
     if not contributions:
         return None
     scores = _vector_scores(
-        plan.query.semiring, star.center_schema, contributions, runtime.wire
+        query.semiring, star.center_schema, contributions, runtime.wire
     )
     if scores is not None:
         return scores
     return score_rows(
-        plan.query.semiring, star.center_schema, contributions, runtime.rows()
+        query.semiring, star.center_schema, contributions, runtime.rows()
     )
 
 
 def _rebuild_center(
-    plan: ProtocolPlan, star: StarPhase, runtime: StarRuntime, combined
+    query: FAQQuery, star: StarPhase, runtime: StarRuntime, combined
 ) -> Factor:
     """Phase D: the center's owner rebuilds its relation from the scores.
 
@@ -412,7 +414,6 @@ def _rebuild_center(
     when the query's data plane is columnar and the scores stayed
     vectorized, the rebuild is pure array slicing on the wire block.
     """
-    query = plan.query
     semiring = query.semiring
     wire = runtime.wire
     if (
@@ -445,6 +446,7 @@ def _rebuild_center(
 
 def _compile_star(
     plan: ProtocolPlan,
+    query: FAQQuery,
     star: StarPhase,
     node: str,
     state: Dict[str, Factor],
@@ -490,7 +492,9 @@ def _compile_star(
         for scatter_op, cc_op in zip(scatter_ops, cc_ops):
             cc_op.configure(scatter_op.count)
         if node in slot_plan.terminals:
-            slots = _compute_star_slots(plan, star, state, node, runtime)
+            slots = _compute_star_slots(
+                plan, query, star, state, node, runtime
+            )
             if slots is not None:
                 runtime.slots[node] = slots
 
@@ -498,7 +502,7 @@ def _compile_star(
         if is_root:
             combined = runtime.combined_at_root()
             state[star.center_edge] = _rebuild_center(
-                plan, star, runtime, combined
+                query, star, runtime, combined
             )
         for leaf_edge in star.leaf_edges:
             state.pop(leaf_edge, None)
@@ -518,6 +522,8 @@ def _compile_star(
 
 def _compile_final(
     plan: ProtocolPlan,
+    query: FAQQuery,
+    solver: str,
     node: str,
     state: Dict[str, Factor],
     runtime: FinalRuntime,
@@ -536,7 +542,7 @@ def _compile_final(
                     plan.assignment[name] == node
                     and node != plan.output_player
                 ):
-                    factor = state.get(name, plan.query.factors[name])
+                    factor = state.get(name, query.factors[name])
                     for row, value in factor:
                         payloads.append((name, row, value))
             runtime.register(node, payloads)
@@ -549,7 +555,6 @@ def _compile_final(
             RouteOp("final", rparents.get(node), children, packets_fn)
         )
     if node == plan.output_player:
-        query = plan.query
 
         def finish(ctx) -> Factor:
             received: Dict[str, Dict[Tuple, Any]] = {
@@ -566,7 +571,7 @@ def _compile_final(
                         query.factors[name].schema, received[name],
                         query.semiring, name,
                     )
-            return _finish_locally(query, final_factors, plan.solver)
+            return _finish_locally(query, final_factors, solver)
 
         items.append(ComputeStep(finish, label="finish", is_output=True))
     return items
@@ -578,9 +583,13 @@ def _compile_final(
 
 
 def compile_round_programs(
-    plan: ProtocolPlan, topology: Topology
+    plan: ProtocolPlan,
+    query: FAQQuery,
+    topology: Topology,
+    solver: str = "operator",
 ) -> Dict[str, NodeProgram]:
-    """Compile the full protocol into one :class:`NodeProgram` per node.
+    """Compile the full protocol into one :class:`NodeProgram` per node,
+    over the caller's relations (``query``) and residual ``solver``.
 
     The programs replicate the generator players phase for phase: each
     node runs its stars bottom-up (skipping stars whose packing it is
@@ -589,7 +598,6 @@ def compile_round_programs(
     routing toward the output player, who finishes the residual query
     with free local computation.
     """
-    query = plan.query
     states: Dict[str, Dict[str, Factor]] = {
         node: {
             name: query.factors[name]
@@ -599,7 +607,8 @@ def compile_round_programs(
         for node in topology.nodes
     }
     star_runtimes = {
-        star.star_id: StarRuntime(plan, star) for star in plan.stars
+        star.star_id: StarRuntime(star, query.semiring)
+        for star in plan.stars
     }
     final_runtime = FinalRuntime()
 
@@ -609,10 +618,14 @@ def compile_round_programs(
         for star in plan.stars:
             items.extend(
                 _compile_star(
-                    plan, star, node, states[node],
+                    plan, query, star, node, states[node],
                     star_runtimes[star.star_id],
                 )
             )
-        items.extend(_compile_final(plan, node, states[node], final_runtime))
+        items.extend(
+            _compile_final(
+                plan, query, solver, node, states[node], final_runtime
+            )
+        )
         programs[node] = NodeProgram(node, items)
     return programs

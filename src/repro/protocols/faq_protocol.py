@@ -61,6 +61,9 @@ class StarPhase:
         center_node: GHD node id of the star center.
         center_edge: Relation name held at the center.
         center_schema: The broadcast tuple schema (deterministic order).
+        center_rows: Rows of the center relation as input.  A GHD node
+            is the center of exactly one star and the stars run
+            bottom-up, so this is the size the star broadcasts.
         leaf_edges: Relation names of the leaves, by GHD child node.
         slot_plan: Steiner packing rooted at the center's owner; both the
             scatter of the center's tuples (phase A) and the ⊗-convergecast
@@ -72,6 +75,7 @@ class StarPhase:
     center_node: str
     center_edge: str
     center_schema: Tuple[str, ...]
+    center_rows: int
     leaf_edges: Tuple[str, ...]
     slot_plan: SlotPlan
 
@@ -81,13 +85,12 @@ class ProtocolPlan:
     """Everything every player needs to know up front (Model 2.1 grants
     all nodes knowledge of H, G and the protocol).
 
-    ``solver`` selects the FAQ solver strategy players use for their free
-    internal computation (the residual solve at the output player);
-    communication is unaffected, and both strategies produce identical
-    answers.
+    Structure and numbers only: the relations stay the players' private
+    inputs and the solver their own business, so whoever runs the plan
+    brings both, and one plan serves every backend, solver, engine and
+    kernel plane of an instance.
     """
 
-    query: FAQQuery
     ghd: GHD
     assignment: Dict[str, str]
     output_player: str
@@ -97,7 +100,6 @@ class ProtocolPlan:
     tuple_bits: int
     value_bits: int
     capacity_bits: int
-    solver: str = "operator"
 
     @property
     def num_star_phases(self) -> int:
@@ -146,28 +148,26 @@ def compile_plan(
     output_player: Optional[str] = None,
     ghd: Optional[GHD] = None,
     max_diameter: Optional[int] = None,
-    solver: str = "operator",
 ) -> ProtocolPlan:
     """Compile the distributed protocol for (query, topology, assignment).
 
     Args:
-        query: The FAQ instance.  Free variables must fit in one GHD
-            root bag (the Appendix G.5 restriction ``F ⊆ V(C(H))``,
-            generalized to any admissible rooting).
+        query: The FAQ instance, read for its schemas, relation sizes
+            and bit widths only — the plan keeps none of its relations.
+            Free variables must fit in one GHD root bag (the Appendix
+            G.5 restriction ``F ⊆ V(C(H))``, generalized to any
+            admissible rooting).
         assignment: Relation name -> owning player (complete assignment of
             one node per function, as in Model 2.1).
         output_player: The designated player that must know the answer;
             defaults to the owner of a core relation.
         ghd: Optional decomposition (defaults to the best GYO-GHD).
         max_diameter: Fix the Steiner packing Δ (None = optimize per star).
-        solver: FAQ solver strategy (``"operator"`` or ``"compiled"``)
-            players use for free internal computation.
 
     Raises:
         ValueError: on incomplete assignments, unknown players, or free
             variables no root bag can host.
     """
-    solver = validate_solver(solver)
     missing = set(query.hypergraph.edge_names) - set(assignment)
     if missing:
         raise ValueError(f"unassigned relations: {sorted(missing)}")
@@ -231,20 +231,21 @@ def compile_plan(
         participants = sorted(
             {center_owner} | {assignment[e] for e in leaf_edges}
         )
+        center = query.factors[center_edge]
         slot_plan = plan_slots(
             topology,
             participants,
             center_owner,
-            max(1, len(query.factors[center_edge])),
+            max(1, len(center)),
             max_diameter,
         )
-        center_schema = query.factors[center_edge].schema
         stars.append(
             StarPhase(
                 star_id=star_id,
                 center_node=node_id,
                 center_edge=center_edge,
-                center_schema=center_schema,
+                center_schema=center.schema,
+                center_rows=len(center),
                 leaf_edges=tuple(leaf_edges),
                 slot_plan=slot_plan,
             )
@@ -274,7 +275,6 @@ def compile_plan(
         if node in participants
     }
     return ProtocolPlan(
-        query=query,
         ghd=tree,
         assignment=dict(assignment),
         output_player=output_player,
@@ -284,12 +284,12 @@ def compile_plan(
         tuple_bits=tuple_bits,
         value_bits=value_bits,
         capacity_bits=capacity,
-        solver=solver,
     )
 
 
 def star_contributions(
     plan: ProtocolPlan,
+    query: FAQQuery,
     star: StarPhase,
     state: Dict[str, Factor],
     node: str,
@@ -309,7 +309,7 @@ def star_contributions(
     keep = set(plan.ghd.nodes[star.center_node].chi)
     for leaf_edge in star.leaf_edges:
         if plan.assignment[leaf_edge] == node and leaf_edge in state:
-            message = upward_pass_message(plan.query, state[leaf_edge], keep)
+            message = upward_pass_message(query, state[leaf_edge], keep)
             contributions.append(message)
     return contributions
 
@@ -344,6 +344,7 @@ def score_rows(
 
 def _compute_slots(
     plan: ProtocolPlan,
+    query: FAQQuery,
     star: StarPhase,
     state: Dict[str, Factor],
     node: str,
@@ -353,15 +354,16 @@ def _compute_slots(
 
     Returns None when this player holds none of the star's relations.
     """
-    contributions = star_contributions(plan, star, state, node)
+    contributions = star_contributions(plan, query, star, state, node)
     if not contributions:
         return None
-    return score_rows(plan.query.semiring, star.center_schema, contributions, rows)
+    return score_rows(query.semiring, star.center_schema, contributions, rows)
 
 
-def _make_player(plan: ProtocolPlan, node: str):
+def _make_player(
+    plan: ProtocolPlan, query: FAQQuery, node: str, solver: str = "operator"
+):
     """Build the full per-player generator: all star phases + final phase."""
-    query = plan.query
     semiring = query.semiring
 
     def proc(ctx):
@@ -398,7 +400,7 @@ def _make_player(plan: ProtocolPlan, node: str):
             # contribute identities.
             is_terminal = node in slot_plan.terminals
             slots = (
-                _compute_slots(plan, star, state, node, rows)
+                _compute_slots(plan, query, star, state, node, rows)
                 if is_terminal
                 else None
             )
@@ -474,7 +476,7 @@ def _make_player(plan: ProtocolPlan, node: str):
                 final_factors[name] = Factor(
                     query.factors[name].schema, received[name], semiring, name
                 )
-        return _finish_locally(query, final_factors, plan.solver)
+        return _finish_locally(query, final_factors, solver)
 
     return proc
 
@@ -561,29 +563,26 @@ def run_distributed_faq(
             the simulator emits per-round protocol events and this entry
             point records a ``plan_compile`` phase timer.  A disabled or
             absent tracer costs one attribute check per guard.
-        plan: optional precompiled :class:`ProtocolPlan` for exactly
-            this (query, topology, assignment, solver) — skips the
-            compile step (the ``plan_compile`` timer still fires, at
-            ~zero elapsed).  Compilation is deterministic and touches no
-            counters, so a reused plan is accounting-identical to a
-            fresh compile; callers must not mutate it.
+        plan: optional precompiled :class:`ProtocolPlan` of this
+            instance — skips the compile step (the ``plan_compile``
+            timer still fires, at ~zero elapsed).  The relations and
+            the solver are this call's own ``query`` / ``solver``
+            whichever plane compiled the plan.  Compilation is
+            deterministic and touches no counters, so a reused plan is
+            accounting-identical to a fresh compile; callers must not
+            mutate it.
 
     Returns:
         An :class:`FAQProtocolReport` with the answer factor and exact
         round/bit accounting.
     """
     validate_engine(engine)
+    solver = validate_solver(solver)
     tracer = _normalize_tracer(tracer)
     compile_start = time.perf_counter()
     if plan is None:
         plan = compile_plan(
-            query, topology, assignment, output_player, ghd, max_diameter,
-            solver=solver,
-        )
-    elif plan.solver != validate_solver(solver):
-        raise ValueError(
-            f"precompiled plan was built for solver={plan.solver!r}, "
-            f"not {solver!r}"
+            query, topology, assignment, output_player, ghd, max_diameter
         )
     if tracer is not None:
         tracer.phase_timer("plan_compile", time.perf_counter() - compile_start)
@@ -591,9 +590,13 @@ def run_distributed_faq(
     if engine == "compiled":
         from .compiler import compile_round_programs
 
-        result = sim.run_program(compile_round_programs(plan, topology))
+        result = sim.run_program(
+            compile_round_programs(plan, query, topology, solver)
+        )
     else:
-        processes = {n: _make_player(plan, n) for n in topology.nodes}
+        processes = {
+            n: _make_player(plan, query, n, solver) for n in topology.nodes
+        }
         result = sim.run(processes)
     answer = result.output_of(plan.output_player)
     if answer is None:

@@ -118,21 +118,19 @@ class ServingSession:
     """One registered scenario identity, offline-compiled and warm.
 
     Construct via :meth:`register`.  Holds the backend-converted
-    planner, the compiled protocol plan, the shm publication payload and
-    the manifest; :meth:`execute_online` is the kernel-only hot path.
+    planner, the shm publication payload and the manifest;
+    :meth:`execute_online` is the kernel-only hot path.
     """
 
     def __init__(
         self,
         spec: ScenarioSpec,
         planner: Planner,
-        protocol_plan,
         payload: Dict[str, Any],
         manifest: SessionManifest,
     ) -> None:
         self.spec = spec
         self.planner = planner
-        self.protocol_plan = protocol_plan
         self.payload = payload
         self.manifest = manifest
 
@@ -198,7 +196,7 @@ class ServingSession:
             offline_seconds=time.perf_counter() - start,
             notes={} if note is None else {"cost_model": note},
         )
-        return cls(spec, planner, protocol_plan, payload, manifest)
+        return cls(spec, planner, payload, manifest)
 
     # -- online ----------------------------------------------------------
     @property

@@ -51,6 +51,7 @@ from repro.costmodel import (
 from repro.costmodel import skeleton as skeleton_module
 from repro.costmodel.formulas import two_party_route_rounds
 from repro.costmodel.timing import _Convergecast, _Ctx, _materialize
+from repro.lab.report import cost_mismatches, cost_model_payload
 from repro.lab.runner import execute_scenario
 from repro.lab.spec import ScenarioSpec
 from repro.obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
@@ -271,7 +272,7 @@ def test_round_overrun_raises_cost_model_error():
 def _fresh_prediction(spec):
     clear_all_memos()
     planner, plan = plan_scenario(spec)
-    return predict_costs(spec, plan, planner.topology.nodes)
+    return predict_costs(spec, plan, planner.topology.nodes, planner.query)
 
 
 def _assert_exact(spec):
@@ -310,11 +311,29 @@ def test_predict_matches_execution_on_single_placement():
     assert result.measured_rounds == 0
 
 
-def test_uncovered_cell_is_reported_not_gated():
-    # 'degenerate' under worst-case placement is rejected by the lab
-    # builder itself, so fabricate uncoveredness at the cell layer.
-    assert ("degenerate", "clique", "worst-case", "generator") \
-        not in COVERED_CELLS
+def test_uncovered_cell_is_reported_not_gated(monkeypatch):
+    # Every cell the lab can build is covered, so take one out.
+    spec = ScenarioSpec(
+        family="f", query="hard-star", query_params={"arms": 3},
+        topology="line", topology_params={"n": 3}, n=12,
+        assignment="worst-case", seed=7,
+    )
+    cell = ("hard-star", "line", "worst-case", "generator")
+    monkeypatch.setattr(
+        "repro.costmodel.model.COVERED_CELLS", COVERED_CELLS - {cell}
+    )
+    result = execute_scenario(spec)
+    block = result.cost_model
+    assert block["covered"] is False
+    assert block["exact_match"] is None
+    assert block["predicted"] is None
+    assert block["measured"]["rounds"] == result.measured_rounds > 0
+    records = [result.deterministic_record()]
+    assert cost_mismatches(records) == []
+    payload = cost_model_payload(records)
+    assert payload["uncovered_cells"] == ["/".join(cell)]
+    assert payload["covered_runs"] == payload["exact_matches"] == 0
+    assert payload["mismatches"] == []
 
 
 def test_prediction_block_shape_in_result_record():
@@ -359,7 +378,8 @@ def test_predicted_edge_map_reproduces_cut_transcript():
         topology, planner.players, report.protocol.simulation
     )
     prediction = predict_costs(
-        spec, plan=report.protocol.plan, nodes=topology.nodes
+        spec, plan=report.protocol.plan, nodes=topology.nodes,
+        query=planner.query,
     )
     assert predicted_crossing_bits(
         transcript.crossing_edges, prediction.bits_per_edge
@@ -453,7 +473,9 @@ def test_parallel_subphase_completion_blocks_fast_forward_replay():
 
 def _skeleton_of(spec):
     planner, plan = plan_scenario(spec)
-    return extract_skeleton(plan, tuple(planner.topology.nodes))
+    return extract_skeleton(
+        plan, tuple(planner.topology.nodes), planner.query
+    )
 
 
 def test_count_plane_twin_of_the_parallel_subphase_pin():

@@ -68,6 +68,9 @@ def test_star_bcq_matches_intersection_semantics():
     q2 = bcq(h, rels, domains_for(h, 10))
     assert scalar_value(solve_naive(q2)) is False
     assert solve_bcq_yannakakis(q2) is False
+    # An empty relation decides it outright (the early exit).
+    rels["T"] = Factor.from_tuples(("A", "D"), ())
+    assert solve_bcq_yannakakis(bcq(h, rels, domains_for(h, 10))) is False
 
 
 def test_counting_join_size():

@@ -176,7 +176,7 @@ def test_cost_model_payload_counts_and_cells():
 def test_cli_run_exits_nonzero_on_cost_mismatch(tmp_path, capsys, monkeypatch):
     from repro.costmodel import CostModelError
 
-    def broken_predict(spec, plan=None, nodes=None):
+    def broken_predict(spec, plan=None, nodes=None, query=None):
         raise CostModelError("deliberately broken for the exit-code test")
 
     monkeypatch.setattr("repro.costmodel.predict_costs", broken_predict)

@@ -8,7 +8,11 @@ exempt (they never run).
 """
 
 import ast
+import dataclasses
+import importlib
 import os
+
+from repro.core.memo import memo_stats
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -171,3 +175,52 @@ def test_wire_format_constants_are_assigned_once_in_the_network_package():
         "HEADER_BITS": ["repro.network.program"],
         "EOS_BITS": ["repro.network.program"],
     }
+
+
+def test_a_protocol_plan_holds_no_relations_and_no_solver():
+    # Model 2.1: H, G and the protocol are common knowledge, the
+    # relations are private inputs.  Whoever runs a plan brings its own
+    # query and solver, so nothing can read them off ``plan`` /
+    # ``protocol_plan`` / ``report.protocol.plan``.
+    from repro.protocols import ProtocolPlan
+
+    fields = {field.name for field in dataclasses.fields(ProtocolPlan)}
+    assert not fields & {"query", "solver"}
+    offenders = [
+        (module, node.lineno)
+        for module, _package, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("query", "solver")
+        and getattr(
+            node.value, "id", getattr(node.value, "attr", "")
+        ).endswith("plan")
+    ]
+    assert offenders == []
+
+
+def test_the_memos_are_the_seven_with_traffic_figures():
+    # docs/dataplane.md holds the hits/misses table that pays for each
+    # of these; a new memo brings its own row in the PR that adds it.
+    seven = {
+        "bounds.bcq",
+        "costmodel.predicted_metrics",
+        "decomposition.best_ghd",
+        "pipeline.materialized",
+        "pipeline.protocol_plan",
+        "runner.certification",
+        "steiner.pack",
+    }
+    declared = [
+        (module, node.args[0].value)
+        for module, _package, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "LRUMemo"
+    ]
+    assert sorted(name for _module, name in declared) == sorted(seven)
+    for module, _name in declared:
+        importlib.import_module(module)
+    # (test files name their own scratch memos ``test.*``.)
+    live = {name for name in memo_stats() if not name.startswith("test.")}
+    assert live == seven

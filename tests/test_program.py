@@ -10,6 +10,7 @@ acceptance gate of the two-plane refactor.
 import pytest
 
 from repro.core.planner import Planner, assign_round_robin
+from repro.lab.results import answer_digest
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
 from repro.network import Topology
@@ -23,7 +24,7 @@ from repro.network.program import (
     run_program,
 )
 from repro.network.simulator import SimulationError, Simulator
-from repro.obs.counters import COUNTERS, counter_delta
+from repro.obs.counters import COUNTERS, counter_delta, deterministic_view
 from repro.pipeline import build_assignment, build_query, build_topology
 from repro.protocols import (
     compile_plan,
@@ -133,11 +134,13 @@ def test_fast_forward_is_accounting_neutral():
     plan = compile_plan(built.query, topology, assignment)
     fast = run_program(
         topology, plan.capacity_bits,
-        compile_round_programs(plan, topology), fast_forward=True,
+        compile_round_programs(plan, built.query, topology),
+        fast_forward=True,
     )
     slow = run_program(
         topology, plan.capacity_bits,
-        compile_round_programs(plan, topology), fast_forward=False,
+        compile_round_programs(plan, built.query, topology),
+        fast_forward=False,
     )
     assert fast.rounds == slow.rounds
     assert fast.total_bits == slow.total_bits
@@ -170,6 +173,59 @@ def test_engine_parity_planner_reports():
     assert comp.total_bits == gen.total_bits
     assert comp.link_utilization == gen.link_utilization
     assert 0.0 < comp.link_utilization <= 1.0
+
+
+_PLANES = {
+    "fast": dict(backend="columnar", solver="compiled"),
+    "reference": dict(backend="dict", solver="operator"),
+}
+
+
+@pytest.mark.parametrize("engine", ["generator", "compiled"])
+@pytest.mark.parametrize(
+    "own, twin", [("fast", "reference"), ("reference", "fast")]
+)
+def test_a_twin_planes_plan_runs_on_this_planners_plane(engine, own, twin):
+    """A plan holds no relations and no solver: executing the plan a
+    twin plane compiled runs this planner's data plane and solver —
+    same kernel/solver counters, answer and accounting as with the
+    plan it compiled itself.  (With the compiler's query on the plan,
+    a columnar planner handed a dict twin's plan ran the dict data
+    plane without a word.)"""
+    spec = ScenarioSpec(
+        family="twin-plan", query="hard-star", query_params={"arms": 4},
+        topology="line", topology_params={"n": 4}, n=256,
+        assignment="worst-case", seed=11,
+    )
+    built = build_query(spec)
+    topology = build_topology(spec)
+    assignment = build_assignment(spec, built, topology)
+
+    def planner(plane):
+        return Planner(
+            built.query, topology, assignment=assignment, engine=engine,
+            **_PLANES[plane],
+        )
+
+    def observe(plan):
+        before = COUNTERS.snapshot()
+        report = planner(own).execute(plan=plan)
+        delta = deterministic_view(counter_delta(before, COUNTERS.snapshot()))
+        simulation = report.protocol.simulation
+        return (
+            delta,
+            answer_digest(report.answer.schema, report.answer.rows),
+            report.measured_rounds,
+            simulation.bits_per_edge,
+        )
+
+    mine = observe(planner(own).compile_protocol_plan())
+    theirs = observe(planner(twin).compile_protocol_plan())
+    assert theirs == mine
+    # ... and the plane is the planner's own on both sides.
+    assert ("kernel.columnar" in mine[0]) == (own == "fast")
+    assert ("kernel.dict_fallback" in mine[0]) == (own == "reference")
+    assert mine[2] == 274
 
 
 def test_validate_engine_rejects_unknown():
@@ -282,8 +338,12 @@ def test_simulator_run_program_entry_point():
     assignment = build_assignment(spec, built, topology)
     plan = compile_plan(built.query, topology, assignment)
     sim = Simulator(topology, plan.capacity_bits)
-    result = sim.run_program(compile_round_programs(plan, topology))
-    gen = sim.run({n: _make_player(plan, n) for n in topology.nodes})
+    result = sim.run_program(
+        compile_round_programs(plan, built.query, topology)
+    )
+    gen = sim.run(
+        {n: _make_player(plan, built.query, n) for n in topology.nodes}
+    )
     assert result.rounds == gen.rounds
     assert result.total_bits == gen.total_bits
 
@@ -371,7 +431,7 @@ def test_overlapping_stars_are_jumped_through():
     assert len(plan.stars) == 2
     fast, slow, delta = _fast_and_slow(
         topology, plan.capacity_bits,
-        lambda: compile_round_programs(plan, topology),
+        lambda: compile_round_programs(plan, built.query, topology),
     )
     assert fast == slow  # every field, outputs included
     assert fast.rounds == 254
