@@ -10,24 +10,33 @@ The packer is greedy — Theorem 3.10 (Lau) guarantees Ω(MinCut(G, K))
 edge-disjoint trees exist at unbounded diameter, and the greedy packer
 achieves that order on the paper's topologies (lines, cliques, grids,
 regular graphs); benches check shape, not exact constants.
+
+Everything below walks plain adjacency dicts.  Which trees the packer
+picks depends on how ties break, so the order of those dicts is part of
+the result: the candidate generator reproduces, tie for tie, what
+networkx 3.6.1's ``steiner_tree`` / ``bfs_edges`` / ``dfs_edges`` return
+on ``topology.graph.copy()`` minus the packed edges (the goldens in
+``tests/golden/steiner_packings.json`` were written that way), without
+calling networkx.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
-
-import networkx as nx
-from networkx.algorithms.approximation import steiner_tree as nx_steiner_tree
 
 from ..core.memo import LRUMemo, topology_key
 from ..obs.counters import COUNTERS
 from .topology import Topology
 
 Edge = Tuple[str, str]
+
+#: ``node -> its neighbours``; the iteration order of both levels breaks
+#: every tie below.
+Adjacency = Mapping[str, Iterable[str]]
 
 #: A packing is a pure function of (graph, terminals, Δ, limit) and
 #: dominates plan construction; the protocol compiler and the bound
@@ -38,19 +47,35 @@ Edge = Tuple[str, str]
 _PACK_MEMO = LRUMemo("steiner.pack", maxsize=4096)
 
 
-def _bfs_edges(
-    adjacency: Mapping[str, Iterable[str]], root: str
-) -> Iterator[Edge]:
-    """``(parent, child)`` in breadth-first discovery order from ``root``
-    (the edges, and the order, of ``nx.bfs_edges``)."""
-    seen = {root}
+def _bfs_parents(adjacency: Adjacency, root: str) -> Dict[str, Optional[str]]:
+    """Parent pointers of the breadth-first spanning tree from ``root``
+    (the tree of ``nx.bfs_edges``), in discovery order; the root maps to
+    None."""
+    parents: Dict[str, Optional[str]] = {root: None}
     queue = [root]
     for node in queue:
         for nb in adjacency[node]:
-            if nb not in seen:
-                seen.add(nb)
+            if nb not in parents:
+                parents[nb] = node
                 queue.append(nb)
-                yield node, nb
+    return parents
+
+
+def _dfs_parents(adjacency: Adjacency, root: str) -> Dict[str, Optional[str]]:
+    """As :func:`_bfs_parents` for the depth-first spanning tree (the
+    tree of ``nx.dfs_edges``)."""
+    parents: Dict[str, Optional[str]] = {root: None}
+    stack = [(root, iter(adjacency[root]))]
+    while stack:
+        parent, children = stack[-1]
+        for child in children:
+            if child not in parents:
+                parents[child] = parent
+                stack.append((child, iter(adjacency[child])))
+                break
+        else:
+            stack.pop()
+    return parents
 
 
 @dataclass(frozen=True)
@@ -119,9 +144,9 @@ class SteinerTree:
         adjacency = self._adjacency()
 
         def farthest_terminal(source: str) -> Tuple[int, str]:
-            distance = {source: 0}
-            for parent, child in _bfs_edges(adjacency, source):
-                distance[child] = distance[parent] + 1
+            distance: Dict[str, int] = {}
+            for node, parent in _bfs_parents(adjacency, source).items():
+                distance[node] = 0 if parent is None else distance[parent] + 1
             return max((distance[t], t) for t in self.terminals)
 
         # Two sweeps: in a tree metric the terminal farthest from any
@@ -130,76 +155,204 @@ class SteinerTree:
         return farthest_terminal(end)[0]
 
 
-def _prune_to_steiner(tree_edges, terminals) -> Tuple[Edge, ...]:
-    """Iteratively drop non-terminal leaves from the edge set of a tree
-    spanning ``terminals``; what is left is unique, and returned sorted."""
-    adjacency: Dict[str, set] = {}
-    for u, v in tree_edges:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-    terminal_set = set(terminals)
-    leaves = [
-        node for node, nbrs in adjacency.items()
-        if len(nbrs) == 1 and node not in terminal_set
-    ]
-    while leaves:
-        node = leaves.pop()
-        for nb in adjacency.pop(node):
-            adjacency[nb].discard(node)
-            if len(adjacency[nb]) == 1 and nb not in terminal_set:
-                leaves.append(nb)
-    return tuple(sorted(
-        (u, v) for u, nbrs in adjacency.items() for v in nbrs if u < v
-    ))
+def _steiner_subtree(
+    parents: Mapping[str, Optional[str]], terminals: Sequence[str]
+) -> Tuple[Edge, ...]:
+    """The Steiner tree inside a tree given as parent pointers, rooted
+    at a terminal and spanning ``terminals``: what is left once every
+    non-terminal leaf is dropped is the union of the terminals' paths to
+    the root.  Returned as sorted pairs, sorted."""
+    on_tree = set()
+    edges = []
+    for node in terminals:
+        while node not in on_tree:
+            on_tree.add(node)
+            parent = parents[node]
+            if parent is None:
+                break
+            edges.append((node, parent) if node < parent else (parent, node))
+            node = parent
+    return tuple(sorted(edges))
+
+
+def _add_edge(graph: Dict[str, Dict[str, int]], u: str, v: str, weight: int) -> None:
+    """``nx.Graph.add_edge`` on a dict of dicts: new nodes and new
+    neighbours go last, an existing edge keeps its place."""
+    graph.setdefault(u, {})
+    graph.setdefault(v, {})
+    graph[u][v] = graph[v][u] = weight
+
+
+def _edges(adjacency: Adjacency) -> Iterator[Edge]:
+    """Each undirected edge once, self-loops included, in the order of
+    ``nx.Graph.edges``: by first endpoint, then by its neighbours."""
+    done = set()
+    for u, nbrs in adjacency.items():
+        for v in nbrs:
+            if v not in done:
+                yield u, v
+        done.add(u)
+
+
+def _kruskal(graph: Dict[str, Dict[str, int]]) -> Iterator[Edge]:
+    """Minimum spanning tree edges of a weighted dict of dicts, ties
+    kept in :func:`_edges` order (``nx.minimum_spanning_edges``)."""
+    leader = {node: node for node in graph}
+
+    def find(node: str) -> str:
+        while leader[node] != node:
+            leader[node] = node = leader[leader[node]]
+        return node
+
+    for u, v in sorted(_edges(graph), key=lambda edge: graph[edge[0]][edge[1]]):
+        root_u, root_v = find(u), find(v)
+        if root_u != root_v:
+            leader[root_u] = root_v
+            yield u, v
+
+
+def _bidirectional_path(adjacency: Adjacency, source: str, target: str) -> List[str]:
+    """The path ``nx.shortest_path(G, source, target, weight=...)``
+    returns at unit weights.  That is ``bidirectional_dijkstra``: it
+    scans one node per step, alternating between the two ends, keeps
+    the best meeting node seen so far and stops at the first node
+    scanned from both ends.  Its ``(distance, push counter)`` heaps pop
+    in push order when every edge weighs one, hence the queues."""
+    preds: Tuple[Dict[str, Optional[str]], ...] = ({source: None}, {target: None})
+    seen = ({source: 0}, {target: 0})
+    scanned: Tuple[set, set] = (set(), set())
+    fringe = (deque([source]), deque([target]))
+    shortest = meeting = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        node = fringe[direction].popleft()
+        scanned[direction].add(node)
+        if node in scanned[1 - direction]:
+            break
+        length = seen[direction][node] + 1
+        for nb in adjacency[node]:
+            if nb not in seen[direction]:
+                seen[direction][nb] = length
+                preds[direction][nb] = node
+                fringe[direction].append(nb)
+                if nb in seen[1 - direction]:
+                    through = length + seen[1 - direction][nb]
+                    if shortest is None or through < shortest:
+                        shortest, meeting = through, nb
+    path = []
+    node = meeting
+    while node is not None:
+        path.append(node)
+        node = preds[0][node]
+    path.reverse()
+    node = preds[1][meeting]
+    while node is not None:
+        path.append(node)
+        node = preds[1][node]
+    return path
+
+
+def _mehlhorn_tree(
+    adjacency: Adjacency, terminals: Sequence[str]
+) -> Tuple[Edge, ...]:
+    """Mehlhorn's 2-approximate Steiner tree: a port of networkx 3.6.1's
+    ``_mehlhorn_steiner_tree`` to unit weights and ordered dicts that
+    breaks every tie the way it does, so the greedy packer's first
+    candidate does not depend on the installed networkx.  ``terminals``
+    must be connected in ``adjacency``.
+
+    Raises:
+        KeyError: a node is cut off from every terminal (networkx
+            indexes every node by its nearest terminal).
+    """
+    # Nearest terminal of every node: Dijkstra from all terminals at
+    # once, which at unit weights is a BFS seeded in terminal order.
+    nearest = {t: t for t in terminals}
+    distance = {t: 0 for t in terminals}
+    queue = list(terminals)
+    for node in queue:
+        for nb in adjacency[node]:
+            if nb not in nearest:
+                nearest[nb] = nearest[node]
+                distance[nb] = distance[node] + 1
+                queue.append(nb)
+    for node in adjacency:
+        if node not in nearest:
+            raise KeyError(node)
+    # G1': terminals joined where their Voronoi regions touch, weighted
+    # by the shortest path through the touching edge.  Edges inside a
+    # region become self-loops; they never enter a spanning tree but
+    # they fix G1's node order, and with it the order of Kruskal's ties.
+    closure: Dict[str, Dict[str, int]] = {}
+    for u, v in _edges(adjacency):
+        near_u, near_v = nearest[u], nearest[v]
+        weight = distance[u] + 1 + distance[v]
+        known = closure.get(near_u, {}).get(near_v)
+        _add_edge(
+            closure, near_u, near_v, weight if known is None else min(weight, known)
+        )
+    # G3: a shortest path per spanning-tree edge of G1'.  Its own
+    # spanning tree drops the cycles overlapping paths close, and the
+    # Steiner subtree of that the leaves they leave behind.
+    paths: Dict[str, Dict[str, int]] = {}
+    for u, v in _kruskal(closure):
+        path = _bidirectional_path(adjacency, u, v)
+        for a, b in zip(path, path[1:]):
+            _add_edge(paths, a, b, 1)
+    tree: Dict[str, Dict[str, int]] = {}
+    for u, v in _kruskal(paths):
+        _add_edge(tree, u, v, 1)
+    return _steiner_subtree(_bfs_parents(tree, terminals[0]), terminals)
 
 
 def _candidate_trees(
-    g: nx.Graph, terminals: Sequence[str]
+    adjacency: Adjacency, terminals: Sequence[str]
 ) -> List[Tuple[Edge, ...]]:
-    """Candidate Steiner trees in ``g``: the metric-closure approximation
-    plus pruned BFS and DFS spanning trees rooted at each terminal.
+    """Candidate Steiner trees in the graph ``adjacency`` (node ->
+    neighbours, both in a fixed order): Mehlhorn's approximation, then
+    the BFS and the DFS spanning tree rooted at each terminal, each cut
+    down to its Steiner subtree.
 
     BFS trees are shallow (good Δ), DFS trees are path-like (they spread
     edge usage, which is what lets the greedy packer find multiple
     edge-disjoint trees on well-connected graphs like the Figure 2
-    clique).  Empty when ``g`` lacks a terminal or leaves two of them
-    disconnected — the last, failing step of every packing."""
-    adjacency = dict(g.adjacency())
+    clique).  Empty when the graph lacks a terminal or leaves two of
+    them disconnected — the last, failing step of every packing."""
     if any(t not in adjacency for t in terminals):
         return []
-    reached = {child for _, child in _bfs_edges(adjacency, terminals[0])}
-    if not reached.issuperset(terminals[1:]):
+    reached = _bfs_parents(adjacency, terminals[0])
+    if any(t not in reached for t in terminals):
         return []
     out: List[Tuple[Edge, ...]] = []
     try:
-        out.append(
-            _prune_to_steiner(nx_steiner_tree(g, list(terminals)).edges, terminals)
-        )
-    except (nx.NetworkXError, KeyError):
-        # Mehlhorn's construction indexes every node of ``g`` by its
-        # nearest terminal: a node the residual graph cuts off from all
-        # of them is a KeyError, and the packing goes on without this
-        # candidate.
+        out.append(_mehlhorn_tree(adjacency, terminals))
+    except KeyError:
+        # A node the residual graph cuts off from every terminal: the
+        # packing goes on without this candidate.
         pass
     for root in terminals:
-        out.append(_prune_to_steiner(_bfs_edges(adjacency, root), terminals))
-        out.append(_prune_to_steiner(nx.dfs_edges(g, root), terminals))
+        out.append(_steiner_subtree(_bfs_parents(adjacency, root), terminals))
+        out.append(_steiner_subtree(_dfs_parents(adjacency, root), terminals))
     return list(dict.fromkeys(out))
 
 
 def find_steiner_tree(
-    topology: Topology, terminals: Sequence[str], graph: Optional[nx.Graph] = None
+    topology: Topology,
+    terminals: Sequence[str],
+    graph: Optional[Adjacency] = None,
 ) -> Optional[SteinerTree]:
-    """One Steiner tree for ``terminals`` in ``graph`` (default: all of G).
+    """One Steiner tree for ``terminals`` in ``graph``, an adjacency
+    mapping (default: all of G).
 
     Returns None when the terminals are not connected in the residual
     graph.
     """
-    g = graph if graph is not None else topology.graph
+    adjacency = graph if graph is not None else dict(topology.graph.adjacency())
     terminals = sorted(set(terminals))
     if len(terminals) == 1:
         return SteinerTree((), terminals[0], tuple(terminals))
-    candidates = _candidate_trees(g, terminals)
+    candidates = _candidate_trees(adjacency, terminals)
     if not candidates:
         return None
     edges = candidates[0]
@@ -300,9 +453,15 @@ def _expand_state(
     fewer edges — this is what finds the two edge-disjoint paths of
     Example 2.3 on the clique.
     """
-    residual = topology.graph.copy()
-    residual.remove_edges_from(removed)
-    degree = dict(residual.degree(terminals))
+    # The residual graph in the order ``topology.graph.copy()`` would
+    # hold it: nodes as in G, each neighbour list in first-touch order of
+    # a walk over G's edges (not G's own order — ties break differently).
+    residual: Dict[str, Dict[str, None]] = {node: {} for node in topology.graph}
+    for u, nbrs in topology.graph.adjacency():
+        for v in nbrs:
+            if ((u, v) if u < v else (v, u)) not in removed:
+                residual[u][v] = residual[v][u] = None
+    degree = {t: len(residual[t]) for t in terminals}
     expanded = []
     for edges in _candidate_trees(residual, terminals):
         tree = SteinerTree(edges, terminals[0], terminals)

@@ -224,3 +224,30 @@ def test_the_memos_are_the_seven_with_traffic_figures():
     # (test files name their own scratch memos ``test.*``.)
     live = {name for name in memo_stats() if not name.startswith("test.")}
     assert live == seven
+
+
+def _identifiers(tree):
+    """Every identifier a module mentions — names, attributes, imported
+    modules and aliases, definitions — with its line."""
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "module", "name", "asname"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                yield getattr(node, "lineno", 0), value
+
+
+def test_planning_stays_on_plain_adjacency():
+    # MinCut(G, K) and the Steiner candidate generator walk dicts; the
+    # networkx routines they replaced live on as references in
+    # benchmarks/ and tests only, so the cold planning path cannot
+    # quietly go back through the library (or a per-state Graph.copy()).
+    trees = {module: tree for module, _package, tree in _modules()}
+    assert [
+        found for found in _identifiers(trees["repro.network.mincut"])
+        if found[1].split(".")[0] == "networkx"
+    ] == []
+    banned = {"steiner_tree", "dfs_edges", "minimum_cut", "copy"}
+    assert [
+        found for found in _identifiers(trees["repro.network.steiner"])
+        if found[1] in banned
+    ] == []

@@ -21,6 +21,8 @@ from repro.network import Topology
 from repro.network.steiner import (
     SteinerTree,
     _candidate_trees,
+    _expand_state,
+    _mehlhorn_tree,
     find_steiner_tree,
     optimize_delta,
     pack_steiner_trees,
@@ -112,6 +114,11 @@ def cold_memos():
     clear_all_memos()
 
 
+def adjacency_of(topology):
+    """``node -> [neighbours]`` of the whole topology, to cut edges from."""
+    return {node: list(nbrs) for node, nbrs in topology.graph.adjacency()}
+
+
 def reference_terminal_diameter(tree):
     lengths = dict(nx.all_pairs_shortest_path_length(nx.Graph(list(tree.edges))))
     return max(
@@ -170,13 +177,15 @@ def test_terminal_diameter_on_every_candidate_tree(name, golden):
     topology, terminals = case(name)
     checked = 0
     for packing in golden[name]["packings"].values():
-        residual = topology.graph.copy()
+        residual = adjacency_of(topology)
         for edges in packing + [[]]:
             for candidate in _candidate_trees(residual, terminals):
                 tree = SteinerTree(candidate, terminals[0], tuple(terminals))
                 assert tree.terminal_diameter() == reference_terminal_diameter(tree)
                 checked += 1
-            residual.remove_edges_from(map(tuple, edges))
+            for u, v in edges:
+                residual[u].remove(v)
+                residual[v].remove(u)
     assert checked
 
 
@@ -195,18 +204,44 @@ def test_terminal_diameter_degenerate_trees():
 def test_find_steiner_tree_on_a_graph_lacking_a_terminal():
     g = Topology.line(4)
     for missing in ("P0", "P3"):  # the root terminal, then a later one
-        graph = g.graph.copy()
-        graph.remove_node(missing)
+        graph = adjacency_of(g)
+        for nb in graph.pop(missing):
+            graph[nb].remove(missing)
         assert find_steiner_tree(g, ["P0", "P3"], graph=graph) is None
         assert _candidate_trees(graph, ["P0", "P3"]) == []
 
 
 def test_find_steiner_tree_on_disconnected_terminals():
     g = Topology.line(4)
-    graph = g.graph.copy()
-    graph.remove_edge("P1", "P2")
+    graph = adjacency_of(g)
+    graph["P1"].remove("P2")
+    graph["P2"].remove("P1")
     assert find_steiner_tree(g, ["P0", "P3"], graph=graph) is None
     assert find_steiner_tree(g, ["P0", "P1"], graph=graph).edges == (("P0", "P1"),)
+
+
+def test_a_cut_off_node_costs_the_mehlhorn_candidate_only():
+    # ring(6) minus both edges of P1: K = {P0, P3} stays connected the
+    # long way round, but P1 has no nearest terminal — where networkx's
+    # Mehlhorn raises KeyError, and so does the port.  The BFS / DFS
+    # candidates (all the one remaining path) still come back.
+    g = Topology.ring(6)
+    graph = adjacency_of(g)
+    for nb in ("P0", "P2"):
+        graph["P1"].remove(nb)
+        graph[nb].remove("P1")
+    with pytest.raises(KeyError):
+        _mehlhorn_tree(graph, ["P0", "P3"])
+    path = (("P0", "P5"), ("P3", "P4"), ("P4", "P5"))
+    assert _candidate_trees(graph, ["P0", "P3"]) == [path]
+    assert find_steiner_tree(g, ["P0", "P3"], graph=graph).edges == path
+    # With P1 attached again Mehlhorn's tree is the first candidate.
+    assert _mehlhorn_tree(adjacency_of(g), ["P0", "P2"]) == (
+        ("P0", "P1"), ("P1", "P2")
+    )
+    assert _candidate_trees(adjacency_of(g), ["P0", "P2"])[0] == (
+        ("P0", "P1"), ("P1", "P2")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +277,33 @@ def test_random_packings_are_valid_and_scan_order_free():
         clear_all_memos()
         backwards = scan_steiner_packings(topology, terminals, deltas[::-1])
         assert backwards == scanned[::-1]
+
+
+def test_every_candidate_of_every_reached_state_is_a_steiner_tree():
+    checked = 0
+    for _rng, topology, terminals in random_cases(31337, 15):
+        deltas = delta_grid(topology, terminals)
+        for trees in scan_steiner_packings(topology, terminals, deltas):
+            # The states this packing walked: nothing removed, then one
+            # more tree at a time, the failing last step included.
+            removed = set()
+            for packed in trees + [None]:
+                expanded = _expand_state(
+                    topology, tuple(terminals), frozenset(removed)
+                )
+                assert (packed is None) or packed in [c for c, _, _ in expanded]
+                for candidate, _diameter, _score in expanded:
+                    assert removed.isdisjoint(candidate.edges)
+                    assert all(topology.has_edge(u, v) for u, v in candidate.edges)
+                    g = nx.Graph(list(candidate.edges))
+                    assert nx.is_tree(g) and set(terminals) <= set(g)
+                    assert all(
+                        g.degree(node) > 1 for node in set(g) - set(terminals)
+                    )
+                    checked += 1
+                if packed is not None:
+                    removed.update(packed.edges)
+    assert checked > 500
 
 
 def test_limit_truncates_a_packing_to_its_prefix():
