@@ -34,8 +34,6 @@ def _inputs(n, seed=0):
         "key": rng.integers(0, max(2, n // 8), size=n).astype(np.int64),
         "values": rng.random(n),
         "concat": rng.integers(-n, n, size=n).astype(np.int64),
-        "edge_ids": rng.integers(0, 64, size=n).astype(np.int64),
-        "bits": rng.integers(1, 128, size=n).astype(np.int64),
     }
 
 
@@ -53,11 +51,6 @@ def _kernel_calls(data):
             groups()
         return [kernels.grouped_reduce(data["values"], order, starts, np.add)]
 
-    def accumulate():
-        totals = np.zeros(64, dtype=np.int64)
-        kernels.round_accumulate(totals, data["edge_ids"], data["bits"])
-        return [totals]
-
     return {
         "match_indices": lambda: list(
             kernels.match_indices(data["left"], data["right"])
@@ -65,7 +58,6 @@ def _kernel_calls(data):
         "sort_groups_key": groups,
         "grouped_reduce": reduce_,
         "encode_unique": lambda: list(kernels.encode_unique(data["concat"])),
-        "round_accumulate": accumulate,
     }
 
 

@@ -264,6 +264,11 @@ class DictionaryPool:
             for v, d in zip(f.schema, f.dictionaries):
                 by_var.setdefault(v, []).append(d)
 
+        # The remaps below (here and in ``_pool_dictionaries`` /
+        # ``_superset_pool``) are keyed on id(dictionary).  Every keyed
+        # list is a member of some ``f.dictionaries`` of the ``factors``
+        # argument and of ``by_var``, both alive until this method
+        # returns, and the remaps do not outlive it — no id is reused.
         remaps: Dict[Any, Dict[int, np.ndarray]] = {}
         for v, dicts in by_var.items():
             if len(dicts) < 2:

@@ -276,6 +276,8 @@ class FAQQuery:
                 f"variables without domains: {sorted(missing_domains, key=str)}"
             )
         # One set per distinct domain tuple, not per (factor, variable).
+        # Keyed on id(): every key is a value of ``self.domains``, which
+        # holds it for the whole call, so no id can be reused under us.
         domain_sets = {id(dom): set(dom) for dom in self.domains.values()}
         for name, factor in self.factors.items():
             for var in factor.schema:

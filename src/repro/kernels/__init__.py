@@ -3,11 +3,11 @@
 The columnar data plane bottoms out in a handful of array kernels: the
 stable-sort equi-join probe (:func:`match_indices`), the sort/reduceat
 group-by behind ``fused_join_marginalize`` (:func:`sort_groups_key`,
-:func:`grouped_reduce`), the sort-based dictionary union
-(:func:`encode_unique`), and the compiled engine's per-round edge-bit
-accumulation (:func:`round_accumulate`).  This package routes each of
-them through a process-wide **kernel tier** selected the same way the
-``engine``/``solver``/``backend`` axes are:
+:func:`grouped_reduce`) and the sort-based dictionary union
+(:func:`encode_unique`).  All four are data-plane kernels: the protocol
+engines account rounds on plain ints and import nothing from here.  This
+package routes each kernel through a process-wide **kernel tier**
+selected the same way the ``engine``/``solver``/``backend`` axes are:
 
 * ``"numpy"`` (default) — the pure-NumPy implementations, always
   available;
@@ -192,20 +192,6 @@ def encode_unique(concat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return uniq, inverse
 
 
-def round_accumulate(
-    totals: np.ndarray, edge_ids: np.ndarray, bits: np.ndarray
-) -> None:
-    """``totals[edge_ids] += bits`` with repeated ids — in place.
-
-    The batched round ledger's scatter-add: one call accounts a whole
-    lockstep round's sends into the per-edge bit totals.
-    """
-    if _dispatch():
-        _jit_impl.round_accumulate(totals, edge_ids, bits)
-        return
-    np.add.at(totals, edge_ids, bits)
-
-
 __all__ = [
     "HAVE_NUMBA",
     "KERNEL_TIERS",
@@ -217,5 +203,4 @@ __all__ = [
     "sort_groups_key",
     "grouped_reduce",
     "encode_unique",
-    "round_accumulate",
 ]

@@ -132,16 +132,3 @@ def _encode_unique_jit(concat):  # pragma: no cover - needs numba
 def encode_unique(concat):  # pragma: no cover - needs numba
     return _encode_unique_jit(np.ascontiguousarray(concat))
 
-
-@njit(cache=True)
-def _round_accumulate_jit(totals, edge_ids, bits):  # pragma: no cover
-    for i in range(len(edge_ids)):
-        totals[edge_ids[i]] += bits[i]
-
-
-def round_accumulate(totals, edge_ids, bits):  # pragma: no cover - needs numba
-    _round_accumulate_jit(
-        totals,
-        np.ascontiguousarray(edge_ids),
-        np.ascontiguousarray(bits),
-    )

@@ -14,7 +14,6 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faq.reference import solve_stacked, structural_signature
-from ..obs.counters import COUNTERS
 from ..pipeline import identity_key, materialize_scenario
 from .cache import ResultCache
 from .results import ScenarioResult, answer_digest
@@ -103,9 +102,6 @@ def run_suite_batched(
     groups = plan_groups(list(fresh))
     multi = [m for sig, m in groups if sig is not None and len(m) >= 2]
     for members in multi:
-        # Outside every member's counter window by construction.
-        COUNTERS.increment("batch.groups")
-        COUNTERS.increment("batch.grouped_scenarios", len(members))
         verify_group(members, [fresh[spec] for spec in members])
     run.batch = {
         "groups": len(groups),

@@ -43,7 +43,10 @@ ARTIFACT_FILENAME = "BENCH_lab.json"
 #: per-scenario and batched execution paths).
 #: v6: the ``throughput`` block is gone (``--batch`` is ``run_suite``
 #: plus a stacked cross-check; it writes the same payload as any run).
-ARTIFACT_SCHEMA = "repro.lab/bench.v6"
+#: v7: the counter whitelist loses the compiled engine's batched-round
+#: tag (it charges every round one way) and the two ``batch.*`` tags
+#: (constant 0 in every record).
+ARTIFACT_SCHEMA = "repro.lab/bench.v7"
 
 
 def format_results_table(results: Sequence[ScenarioResult]) -> str:

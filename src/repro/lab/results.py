@@ -35,7 +35,9 @@ from .spec import ScenarioSpec
 #: predictions with per-run exact-match verdicts).
 #: v5: records carry the ``observability`` block (deterministic kernel /
 #: engine / dictionary-pool counters aggregated per scenario).
-RESULT_SCHEMA = "repro.lab/result.v6"
+#: v7: the counter whitelist loses the engine's batched-round tag and
+#: the two ``batch.*`` tags.
+RESULT_SCHEMA = "repro.lab/result.v7"
 
 
 @dataclass

@@ -24,6 +24,15 @@ every live op can bound how long its behaviour replays, the engine jumps
 whole cycles at once — thousands of pipeline rounds cost O(1) Python
 instead of O(rounds).
 
+A round is charged one way, on plain Python ints, like the generator
+engine charges its own: the round's blocks fold into one ``{(src, dst):
+bits}`` dict in send order, every link of it is audited against ``B``
+(:class:`~repro.network.simulator.CapacityExceeded`), and the dict is
+added to two insertion-ordered totals (``bits_per_edge``,
+``edge_bits``).  A jump adds the cycle's stored per-round dicts ``k``
+times.  Nothing here is an array: this package imports neither
+``numpy`` nor :mod:`repro.kernels` (``tests/test_layering.py``).
+
 Self-timing is preserved exactly: ops are started lazily, a finished op
 hands the round over to the next op of the same node (mirroring how a
 ``yield from`` chain resumes), and early-arriving blocks wait in
@@ -38,9 +47,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .. import kernels
 from ..obs.counters import COUNTERS
 from ..obs.trace import Tracer, normalize as _normalize_tracer
 from .simulator import (
@@ -745,94 +751,6 @@ class NodeProgram:
         return op.describe() if op is not None else "finished"
 
 
-#: Rounds carrying at least this many blocks take the struct-of-arrays
-#: accounting path; smaller rounds use the scalar path (identical
-#: integer arithmetic into the same ledger arrays, no array overhead).
-_BATCH_THRESHOLD = 8
-
-
-class _EdgeLedger:
-    """Interned per-edge bit totals — the batched round accounting plane.
-
-    Directed links are interned to dense int64 ids in first-seen block
-    order; one lockstep round's accounting is then a single
-    struct-of-arrays scatter-add (:func:`repro.kernels.round_accumulate`)
-    into the directed and undirected total arrays — plus one vectorized
-    per-link capacity audit — instead of a per-block dict-update loop.
-    The period-1/2 fast-forward replay of a steady cycle becomes
-    ``totals[eids] += k * bits`` array arithmetic over the cycle's stored
-    round vectors.  :meth:`bits_per_edge` / :meth:`edge_bits` materialize
-    the result dicts in first-seen order, byte-identical to what the
-    per-block loop used to produce.
-    """
-
-    __slots__ = ("_ids", "_links", "_undir_ids", "_undir_keys",
-                 "_undir_map", "_dir_totals", "_undir_totals")
-
-    def __init__(self) -> None:
-        self._ids: Dict[Tuple[str, str], int] = {}
-        self._links: List[Tuple[str, str]] = []
-        self._undir_ids: Dict[Tuple[str, str], int] = {}
-        self._undir_keys: List[Tuple[str, str]] = []
-        self._undir_map = np.zeros(8, dtype=np.int64)
-        self._dir_totals = np.zeros(8, dtype=np.int64)
-        self._undir_totals = np.zeros(8, dtype=np.int64)
-
-    def intern(self, src: str, dst: str) -> int:
-        """Dense id of the directed link, allocating on first sight."""
-        eid = self._ids.get((src, dst))
-        if eid is not None:
-            return eid
-        eid = len(self._links)
-        self._ids[(src, dst)] = eid
-        self._links.append((src, dst))
-        key = (dst, src) if dst < src else (src, dst)
-        uid = self._undir_ids.get(key)
-        if uid is None:
-            uid = len(self._undir_keys)
-            self._undir_ids[key] = uid
-            self._undir_keys.append(key)
-            if uid >= len(self._undir_totals):
-                self._undir_totals = np.concatenate(
-                    (self._undir_totals, np.zeros_like(self._undir_totals)))
-        if eid >= len(self._dir_totals):
-            self._dir_totals = np.concatenate(
-                (self._dir_totals, np.zeros_like(self._dir_totals)))
-            self._undir_map = np.concatenate(
-                (self._undir_map, np.zeros_like(self._undir_map)))
-        self._undir_map[eid] = uid
-        return eid
-
-    def accumulate(self, eids: np.ndarray, bits: np.ndarray) -> None:
-        """Charge one round's blocks: one scatter-add per total array."""
-        kernels.round_accumulate(self._dir_totals, eids, bits)
-        kernels.round_accumulate(
-            self._undir_totals, self._undir_map[eids], bits)
-
-    def add_scalar(self, eid: int, bits: int) -> None:
-        """Single-block charge — same arithmetic as :meth:`accumulate`."""
-        self._dir_totals[eid] += bits
-        self._undir_totals[self._undir_map[eid]] += bits
-
-    def replay(self, eids: np.ndarray, bits: np.ndarray, k: int) -> None:
-        """Apply ``k`` repeats of one steady-cycle round in one step."""
-        self.accumulate(eids, k * bits)
-
-    def bits_per_edge(self) -> Dict[Tuple[str, str], int]:
-        """Directed per-link totals, keys in first-seen order."""
-        totals = self._dir_totals
-        return {
-            link: int(totals[i]) for i, link in enumerate(self._links)
-        }
-
-    def edge_bits(self) -> Dict[Tuple[str, str], int]:
-        """Undirected per-edge totals, keys in first-seen order."""
-        totals = self._undir_totals
-        return {
-            key: int(totals[i]) for i, key in enumerate(self._undir_keys)
-        }
-
-
 def _repeat_blocks(blocks: List[BlockMessage], k: int) -> BlockMessage:
     """One block standing for ``k`` in-order repeats of ``blocks``.
 
@@ -915,13 +833,22 @@ def run_program(
     total_messages = 0
     last_send_round = 0
     last_delivery_round = 0
-    ledger = _EdgeLedger()
+    edge_bits: Dict[Tuple[str, str], int] = {}
+    bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
 
-    # Fast-forward bookkeeping: (signature, bits, messages, round edge-id
-    # vector, round per-edge bit vector, blocks) — the two arrays are the
-    # round's accounting delta in ledger coordinates, replayed
-    # arithmetically; the blocks are what a jump delivers to mailboxes.
+    def charge(link_bits: Dict[Tuple[str, str], int], times: int = 1) -> None:
+        """Add ``times`` repeats of one round's per-link bits to the totals."""
+        for link, bits in link_bits.items():
+            bits_per_edge[link] = bits_per_edge.get(link, 0) + times * bits
+            src, dst = link
+            key = (dst, src) if dst < src else link
+            edge_bits[key] = edge_bits.get(key, 0) + times * bits
+
+    # Fast-forward bookkeeping: (signature, bits, messages, per-link bits,
+    # blocks) — the per-link dict is the round's accounting delta, replayed
+    # ``k`` times by a jump; the blocks are what a jump delivers to
+    # mailboxes.
     history: deque = deque(maxlen=4)
 
     def blocked_map() -> Dict[str, List[str]]:
@@ -972,55 +899,25 @@ def run_program(
                 live.remove(node)
                 finished_any = True
 
+        # One round's charge, the same for every round: per-link bits in
+        # send order, every link audited against B, then the totals.
         round_bits = 0
         round_msgs = 0
-        round_eids: Optional[np.ndarray] = None
-        round_link_bits: Optional[np.ndarray] = None
-        if round_sends:
-            nblk = len(round_sends)
-            if nblk >= _BATCH_THRESHOLD:
-                # Struct-of-arrays dispatch: one interning pass builds
-                # the round's (edge id, bits) vectors, then the whole
-                # round is accounted with one grouped sum, one
-                # vectorized capacity audit and one scatter-add — no
-                # per-block dict updates.
-                eids = np.empty(nblk, dtype=np.int64)
-                bits_arr = np.empty(nblk, dtype=np.int64)
-                for i, blk in enumerate(round_sends):
-                    eids[i] = ledger.intern(blk.src, blk.dst)
-                    bits_arr[i] = blk.bits
-                    round_msgs += blk.messages
-                round_bits = int(bits_arr.sum())
-                round_eids, inv = np.unique(eids, return_inverse=True)
-                round_link_bits = np.zeros(len(round_eids), dtype=np.int64)
-                np.add.at(round_link_bits, inv, bits_arr)
-                busiest = int(round_link_bits.max())
-                if busiest > capacity_bits:  # pragma: no cover - the
-                    # per-block send_block guard makes this unreachable;
-                    # kept as the batched restatement of the invariant.
-                    raise CapacityExceeded(
-                        f"round {round_no}: a link would carry {busiest} "
-                        f"bits > capacity {capacity_bits}"
-                    )
-                ledger.accumulate(eids, bits_arr)
-                COUNTERS.increment("engine.batched_rounds")
-            else:
-                # Scalar path for tiny rounds: identical arithmetic into
-                # the same ledger arrays, without the array setup cost.
-                per: Dict[int, int] = {}
-                for blk in round_sends:
-                    eid = ledger.intern(blk.src, blk.dst)
-                    round_bits += blk.bits
-                    round_msgs += blk.messages
-                    ledger.add_scalar(eid, blk.bits)
-                    per[eid] = per.get(eid, 0) + blk.bits
-                link_ids = sorted(per)
-                round_eids = np.fromiter(
-                    link_ids, count=len(link_ids), dtype=np.int64)
-                round_link_bits = np.fromiter(
-                    (per[e] for e in link_ids), count=len(link_ids),
-                    dtype=np.int64)
-                busiest = max(per.values())
+        round_link_bits: Dict[Tuple[str, str], int] = {}
+        for blk in round_sends:
+            link = (blk.src, blk.dst)
+            round_link_bits[link] = round_link_bits.get(link, 0) + blk.bits
+            round_bits += blk.bits
+            round_msgs += blk.messages
+        if round_link_bits:
+            busiest = max(round_link_bits.values())
+            if busiest > capacity_bits:
+                src, dst = max(round_link_bits, key=round_link_bits.get)
+                raise CapacityExceeded(
+                    f"round {round_no}: {src}->{dst} would carry "
+                    f"{busiest} bits > capacity {capacity_bits}"
+                )
+            charge(round_link_bits)
             last_send_round = round_no
             total_bits += round_bits
             total_messages += round_msgs
@@ -1051,7 +948,7 @@ def run_program(
             continue
         history.append((
             tuple(blk.signature() for blk in round_sends),
-            round_bits, round_msgs, round_eids, round_link_bits, round_sends,
+            round_bits, round_msgs, round_link_bits, round_sends,
         ))
         if finished_any or moved_any:
             continue
@@ -1085,7 +982,7 @@ def run_program(
             # buffers throughout: its skipped blocks join the queue.
             buffering: Dict[Tuple[str, str, str], List[BlockMessage]] = {}
             for c in cycle[-1:] + cycle[:-1]:
-                for blk in c[5]:
+                for blk in c[4]:
                     ctx = contexts.get(blk.dst)
                     if ctx is not None and ctx.queues.get((blk.tag, blk.src)):
                         buffering.setdefault(
@@ -1098,10 +995,7 @@ def run_program(
             total_bits += k * cycle_bits
             total_messages += k * cycle_msgs
             for c in cycle:
-                # The stored round vectors replay as pure array
-                # arithmetic: totals[eids] += k * bits.
-                if c[3] is not None and len(c[3]):
-                    ledger.replay(c[3], c[4], k)
+                charge(c[3], k)
             COUNTERS.increment("engine.fast_forward")
             COUNTERS.increment("engine.fast_forward_rounds", k * period)
             if tracer is not None:
@@ -1129,8 +1023,8 @@ def run_program(
         total_bits=total_bits,
         total_messages=total_messages,
         outputs=outputs,
-        edge_bits=ledger.edge_bits(),
-        bits_per_edge=ledger.bits_per_edge(),
+        edge_bits=edge_bits,
+        bits_per_edge=bits_per_edge,
         max_edge_bits_per_round=max_edge_bits_per_round,
         max_inflight_round=last_delivery_round,
     )

@@ -13,13 +13,10 @@ on the result.  Two determinism classes:
 
 * :data:`DETERMINISTIC_COUNTERS` — a pure function of the scenario
   (kernel dispatch, kernel-tier dispatch (``kernels.numpy`` /
-  ``kernels.jit``), pooling strategy, fast-forward engagements, batched
-  round accounting, plan-cache *lookups*).  These enter the
-  deterministic result record and the BENCH artifact, so
-  serial/parallel/batched runs stay byte-identical.  The
-  ``batch.*`` group counters fire *outside* the per-scenario snapshot
-  window (they describe the grouping, not any one scenario), so they
-  never perturb per-scenario records.
+  ``kernels.jit``), pooling strategy, fast-forward engagements,
+  plan-cache *lookups*).  These enter the deterministic result record
+  and the BENCH artifact, so serial/parallel/batched runs stay
+  byte-identical.
 * Everything else — notably ``plan_cache.hit`` / ``plan_cache.miss``,
   which depend on process warmth (which worker ran which scenario
   first) — is volatile: reported on stdout, never persisted.
@@ -46,7 +43,6 @@ from typing import Dict, Mapping
 DETERMINISTIC_COUNTERS = (
     "engine.fast_forward",
     "engine.fast_forward_rounds",
-    "engine.batched_rounds",
     "dict_pool.superset",
     "dict_pool.merge",
     "dict_pool.generic",
@@ -58,8 +54,6 @@ DETERMINISTIC_COUNTERS = (
     "solver.fused_fallback",
     "plan_cache.lookups",
     "plan_cache.uncacheable",
-    "batch.groups",
-    "batch.grouped_scenarios",
 )
 
 #: The timing recurrence's ledger, incremented once per

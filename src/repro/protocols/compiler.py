@@ -156,7 +156,6 @@ def _align_join_columns(
     wire_codes: np.ndarray,
     factor_dict: List[Any],
     factor_codes: np.ndarray,
-    array_cache: Optional[Dict[int, np.ndarray]] = None,
 ):
     """Map two dictionary-coded columns into one shared code space.
 
@@ -174,12 +173,12 @@ def _align_join_columns(
         return wire_codes, factor_codes, len(wire_dict)
 
     def as_array(d: List[Any]) -> np.ndarray:
-        if array_cache is None:
-            return np.asarray(d)
-        arr = array_cache.get(id(d))
-        if arr is None:
-            arr = array_cache[id(d)] = np.asarray(d)
-        return arr
+        # An encoder-built Dictionary carries its array; anything else
+        # is converted per call.  Not memoized by object identity: the
+        # callers pass temporaries, and a freed list hands its identity
+        # to the next one allocated.
+        arr = getattr(d, "array", None)
+        return np.asarray(d) if arr is None else arr
 
     try:
         wire_vals = as_array(wire_dict)
@@ -228,7 +227,6 @@ def _vector_scores(
     schema_index = wire.schema_index
     slots = np.full(n, semiring.one, dtype=profile.dtype)
     integer = np.issubdtype(profile.dtype, np.integer)
-    array_cache: Dict[int, np.ndarray] = {}
     for factor in contributions:
         try:
             cf = ColumnarFactor.from_factor(factor)
@@ -254,7 +252,7 @@ def _vector_scores(
             bi = schema_index[v]
             wire_col, factor_col, card = _align_join_columns(
                 wire.dictionaries[bi], wire.codes[bi],
-                cf.dictionaries[fi], cf.codes[fi], array_cache,
+                cf.dictionaries[fi], cf.codes[fi],
             )
             wire_cols.append(wire_col)
             factor_cols.append(factor_col)

@@ -159,16 +159,6 @@ def test_encode_unique_matches_np_unique():
     np.testing.assert_array_equal(uniq[inverse], concat)
 
 
-def test_round_accumulate_matches_add_at():
-    totals = np.zeros(4, dtype=np.int64)
-    edge_ids = np.array([0, 2, 0, 3, 2, 2], dtype=np.int64)
-    bits = np.array([5, 1, 5, 7, 1, 1], dtype=np.int64)
-    kernels.round_accumulate(totals, edge_ids, bits)
-    expected = np.zeros(4, dtype=np.int64)
-    np.add.at(expected, edge_ids, bits)
-    np.testing.assert_array_equal(totals, expected)
-
-
 # ---------------------------------------------------------------------------
 # Tier parity — byte-identical outputs
 # ---------------------------------------------------------------------------
@@ -182,16 +172,12 @@ def _run_all_kernels():
     key = rng.integers(0, 25, size=400).astype(np.int64)
     values = rng.random(400)
     concat = rng.integers(-100, 100, size=600).astype(np.int64)
-    totals = np.zeros(8, dtype=np.int64)
-    edge_ids = rng.integers(0, 8, size=200).astype(np.int64)
-    bits = rng.integers(1, 64, size=200).astype(np.int64)
 
     li, ri = kernels.match_indices(left, right)
     order, starts = kernels.sort_groups_key(key)
     reduced = kernels.grouped_reduce(values, order, starts, np.add)
     uniq, inverse = kernels.encode_unique(concat)
-    kernels.round_accumulate(totals, edge_ids, bits)
-    return [li, ri, order, starts, reduced, uniq, inverse, totals]
+    return [li, ri, order, starts, reduced, uniq, inverse]
 
 
 def test_tiers_byte_identical():

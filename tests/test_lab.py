@@ -388,7 +388,7 @@ def test_smoke_suite_covers_required_diversity():
 def test_artifact_payload_shape(tmp_path):
     run = run_suite(SuiteSpec("one", (tiny_spec(),)))
     payload = json.loads(artifact_bytes(run))
-    assert payload["schema"] == "repro.lab/bench.v6"
+    assert payload["schema"] == "repro.lab/bench.v7"
     assert payload["suite"] == "one"
     assert payload["scenario_count"] == 1
     assert payload["all_correct"] is True
@@ -404,6 +404,19 @@ def test_artifact_payload_shape(tmp_path):
     cert = payload["certification"]
     assert cert["scenarios_checked"] == 1
     assert cert["bound_violations"] == []
+
+
+def test_committed_artifact_is_what_the_fuzz_suite_produces_now():
+    """``BENCH_lab.json`` at the repo root is ``python -m repro.lab run
+    fuzz``.  Every record in it is deterministic, so an engine, counter
+    or schema change that is not followed by a regeneration fails here
+    (CI's predict-vs-artifact step reads the same file)."""
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, ARTIFACT_FILENAME)
+    with open(path, encoding="utf-8") as fh:
+        committed = json.load(fh)
+    committed.pop("timings", None)  # volatile, present under --timings
+    assert committed == json.loads(artifact_bytes(run_suite(get_suite("fuzz"))))
 
 
 def test_aggregate_groups_by_family():

@@ -251,3 +251,21 @@ def test_planning_stays_on_plain_adjacency():
         found for found in _identifiers(trees["repro.network.steiner"])
         if found[1] in banned
     ] == []
+
+
+def test_the_network_package_accounts_on_plain_ints():
+    # A round is charged one way, in dicts of Python ints, by both
+    # engines; array accounting (and with it a second code path and a
+    # threshold between the two) cannot drift back in unnoticed.
+    assert [
+        (module, found)
+        for module, _package, tree in _modules()
+        if _subpackage(module) == "network"
+        for found in _identifiers(tree)
+        if found[1].split(".")[0] == "numpy"
+    ] == []
+    assert [
+        (importer, target) for importer, target in IMPORTS
+        if _subpackage(importer) == "network"
+        and _subpackage(target) == "kernels"
+    ] == []

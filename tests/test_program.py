@@ -7,24 +7,35 @@ message counts.  The headline test sweeps every Table 1 suite — the
 acceptance gate of the two-plane refactor.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.planner import Planner, assign_round_robin
+from repro.lab.generate import generate_scenarios
 from repro.lab.results import answer_digest
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
 from repro.network import Topology
 from repro.network.program import (
+    BlockMessage,
     BroadcastOp,
     ComputeStep,
     ConvergecastOp,
     NodeProgram,
+    ParallelOps,
+    ProgramOp,
     RouteOp,
     chunk_pattern,
     run_program,
 )
-from repro.network.simulator import SimulationError, Simulator
+from repro.network.simulator import (
+    CapacityExceeded,
+    SimulationError,
+    Simulator,
+)
 from repro.obs.counters import COUNTERS, counter_delta, deterministic_view
+from repro.obs.trace import CycleFastForwardEvent, RecordingTracer, SendEvent
 from repro.pipeline import build_assignment, build_query, build_topology
 from repro.protocols import (
     compile_plan,
@@ -35,6 +46,11 @@ from repro.protocols import (
     validate_engine,
 )
 from repro.protocols.faq_protocol import _make_player
+from repro.protocols.primitives import (
+    Mailbox,
+    broadcast_node,
+    parallel_subphases,
+)
 
 DEFAULT_SEED = 20190625
 
@@ -106,6 +122,18 @@ def test_engine_parity_across_semirings(semiring):
     )
     gen, comp = _run_both(spec)
     _assert_parity(gen, comp, spec.label)
+
+
+def test_engine_parity_on_a_star_with_three_contributions():
+    """The fuzz scenario that tripped the compiled scorer's ``id``-keyed
+    array memo (``IndexError`` in a fresh interpreter, allocator
+    permitting): three contributions to one star, dictionaries of
+    lengths 5 to 8."""
+    spec = dataclasses.replace(
+        list(generate_scenarios(2, 100))[40], backend="dict")
+    gen, comp = _run_both(spec)
+    _assert_parity(gen, comp, spec.label)
+    assert (comp.rounds, comp.total_bits) == (21, 240)
 
 
 def test_engine_parity_with_relayed_final_phase():
@@ -373,6 +401,32 @@ def test_align_join_columns_huge_int_domains_fall_back():
     assert card == 3
 
 
+def test_vector_scores_do_not_depend_on_dictionary_identity(monkeypatch):
+    """Each contribution's dictionaries are temporaries of the scoring
+    loop, so CPython may hand a freed one's ``id`` to the next — here
+    forced: every object answers the same ``id``.  Two contributions
+    whose ``x`` dictionaries differ in length and in values must still
+    score like the dict plane (an ``id``-keyed array memo indexed the
+    second one's codes into the first one's array)."""
+    from repro.protocols import compiler
+    from repro.protocols.faq_protocol import score_rows
+    from repro.semiring import COUNTING, Factor
+    from repro.semiring.columnar import WireBlock
+
+    monkeypatch.setattr(compiler, "id", lambda obj: 0, raising=False)
+    schema = ("x", "y")
+    rows = [(x, y) for x in range(8) for y in (0, 1)]
+    wire = WireBlock.encode_rows(schema, rows)
+    contributions = [
+        Factor(("x",), {(x,): 2 + x for x in (0, 4, 5, 6, 7)}, COUNTING),
+        Factor(("x", "y"), {(x, 1): 3 + x for x in (0, 3, 4, 5, 6, 7)},
+               COUNTING),
+    ]
+    scores = compiler._vector_scores(COUNTING, schema, contributions, wire)
+    assert scores.tolist() == score_rows(COUNTING, schema, contributions, rows)
+    assert any(scores.tolist())
+
+
 def test_fast_forward_with_passive_receiver_does_not_crash():
     """A steady stream toward a program-less (passive) node is dropped on
     delivery in both engines; the cycle fast-forward must tolerate it
@@ -480,3 +534,150 @@ def test_buffered_route_chunks_materialize_in_stepped_order():
     assert len(slow.output_of(relay)) == 304
     # The relay buffers for its first 305 rounds; nearly all are jumped.
     assert delta["engine.fast_forward_rounds"] >= 280
+
+
+# ---------------------------------------------------------------------------
+# One way to charge a round
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_charge(reference, result):
+    """Every accounting figure equal, per-edge maps *including key order*
+    (the first-seen send order both engines insert in)."""
+    assert result.rounds == reference.rounds
+    assert result.total_bits == reference.total_bits
+    assert result.total_messages == reference.total_messages
+    assert list(result.bits_per_edge.items()) == list(
+        reference.bits_per_edge.items())
+    assert list(result.edge_bits.items()) == list(reference.edge_bits.items())
+    assert result.max_edge_bits_per_round == reference.max_edge_bits_per_round
+
+
+def _traced_fast_and_slow(topology, capacity, build_programs):
+    """A jumping run with its recorded send events and jump count, and a
+    run stepping every round."""
+    tracer = RecordingTracer()
+    fast = run_program(topology, capacity, build_programs(), tracer=tracer)
+    slow = run_program(topology, capacity, build_programs(), fast_forward=False)
+    sends_by_round = {}
+    for event in tracer.events:
+        if isinstance(event, SendEvent):
+            sends_by_round.setdefault(event.round, []).append(
+                (event.src, event.dst))
+    jumps = sum(
+        isinstance(event, CycleFastForwardEvent) for event in tracer.events)
+    return fast, slow, sends_by_round, jumps
+
+
+def test_wide_rounds_and_jumps_charge_like_the_generator_engine():
+    """Rounds of 8+ blocks and jumps — what the array ledger used to
+    serve — on a small acyclic counting query over a 16-node expander."""
+    spec = ScenarioSpec(
+        family="one-path", query="acyclic",
+        query_params={"edges": 4, "arity": 3}, topology="expander",
+        topology_params={"n": 16, "degree": 4, "seed": 1}, n=128,
+        domain_size=16, semiring="counting", seed=7,
+    )
+    built = build_query(spec)
+    topology = build_topology(spec)
+    assignment = assign_round_robin(built.query, topology)
+    plan = compile_plan(built.query, topology, assignment)
+    fast, slow, sends_by_round, jumps = _traced_fast_and_slow(
+        topology, plan.capacity_bits,
+        lambda: compile_round_programs(plan, built.query, topology),
+    )
+    assert max(map(len, sends_by_round.values())) >= 8
+    assert jumps >= 1
+    gen = run_distributed_faq(
+        built.query, topology, assignment, engine="generator").simulation
+    _assert_same_charge(gen, fast)
+    _assert_same_charge(gen, slow)
+
+
+def test_both_directions_of_an_edge_in_one_wide_round():
+    """No FAQ protocol run puts both directions of an edge into one round
+    (phases flow one way at a time), so this one is built by hand: a hub
+    of the expander streams to its four neighbours while each of them
+    streams back — 8 blocks a round, every edge loaded both ways, long
+    enough to jump — against the generator primitives doing the same."""
+    topology = Topology.expander(n=16, degree=4, seed=1)
+    hub = topology.nodes[0]
+    leaves = sorted(topology.neighbors(hub))
+    assert len(leaves) == 4
+    counts = {"down": 120, **{f"up:{leaf}": 40 + 20 * i
+                              for i, leaf in enumerate(leaves)}}
+
+    def build_programs():
+        programs = {hub: NodeProgram(hub, [ParallelOps(
+            [BroadcastOp("down", None, leaves, per_item=8,
+                         root_count_fn=lambda: counts["down"])]
+            + [BroadcastOp(f"up:{leaf}", leaf, [], per_item=8)
+               for leaf in leaves]
+        )])}
+        for leaf in leaves:
+            programs[leaf] = NodeProgram(leaf, [ParallelOps([
+                BroadcastOp("down", hub, [], per_item=8),
+                BroadcastOp(f"up:{leaf}", None, [hub], per_item=8,
+                            root_count_fn=lambda leaf=leaf: counts[f"up:{leaf}"]),
+            ])])
+        return programs
+
+    def hub_process(ctx):
+        mail = Mailbox()
+        yield from parallel_subphases(
+            [broadcast_node(ctx, mail, None, leaves,
+                            list(range(counts["down"])), 8, "down")]
+            + [broadcast_node(ctx, mail, leaf, [], None, 8, f"up:{leaf}")
+               for leaf in leaves]
+        )
+
+    def leaf_process(leaf):
+        def process(ctx):
+            mail = Mailbox()
+            yield from parallel_subphases([
+                broadcast_node(ctx, mail, hub, [], None, 8, "down"),
+                broadcast_node(ctx, mail, None, [hub],
+                               list(range(counts[f"up:{leaf}"])), 8,
+                               f"up:{leaf}"),
+            ])
+        return process
+
+    fast, slow, sends_by_round, jumps = _traced_fast_and_slow(
+        topology, 8, build_programs)
+    assert any(
+        len(sends) >= 8 and any((dst, src) in sends for src, dst in sends)
+        for sends in sends_by_round.values()
+    )
+    assert jumps >= 1
+    gen = Simulator(topology, 8).run(
+        {hub: hub_process, **{leaf: leaf_process(leaf) for leaf in leaves}})
+    streams = [counts["down"]] * 4 + [counts[f"up:{leaf}"] for leaf in leaves]
+    assert gen.total_bits == sum(32 + 8 * count for count in streams)
+    _assert_same_charge(gen, fast)
+    _assert_same_charge(gen, slow)
+
+
+def test_every_round_is_audited_against_the_capacity():
+    """The per-link audit is not reserved for wide rounds: one block too
+    many dies in a two-block round, whether ``send_block`` refuses it or
+    an op slips it past the per-send guard."""
+    topology = Topology.line(2)
+    src, dst = topology.nodes
+
+    class Overfill(ProgramOp):
+        def __init__(self, bypass):
+            self.bypass = bypass
+
+        def step(self, ctx):
+            ctx.send_block(dst, "x", "it", 6)
+            if self.bypass:
+                ctx._outbox.append(
+                    BlockMessage(src, dst, "x", "it", 6, 1, 1))
+            else:
+                ctx.send_block(dst, "x", "it", 6)
+            return True
+
+    for bypass in (False, True):
+        with pytest.raises(CapacityExceeded, match=f"{src}->{dst}.*12 bits"):
+            run_program(
+                topology, 8, {src: NodeProgram(src, [Overfill(bypass)])})
