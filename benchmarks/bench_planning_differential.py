@@ -1,5 +1,6 @@
-"""Planning differential — dict-native min cut and Mehlhorn port
-against the networkx calls they replaced.
+"""Planning differential — dict-native min cut, Mehlhorn port, topology
+builders, routes and cycle harvest against the networkx calls they
+replaced.
 
 :mod:`repro.network.mincut` finds ``MinCut(G, K)`` and its partition
 with one augmenting-path scan over an adjacency dict, and
@@ -19,9 +20,20 @@ Mehlhorn port on every residual graph those packings walk and on 500
 seeded random ones, which reach the case where both sides skip the
 candidate (a node cut off from every terminal) often.
 
+Since ``Topology`` holds a plain ordered adjacency dict, five more ports
+are compared the same way, live against the installed networkx: the
+seeded regular graph (``random_regular_graph``, adjacency order
+included), the balanced tree (``balanced_tree``), every route
+(``single_source_shortest_path`` and ``is_connected``), the unweighted
+``bidirectional_shortest_path`` of the Lemma E.2 harvest, and the
+harvest itself (``find_disjoint_cycles`` / ``greedy_independent_set`` as
+they stood on ``nx.Graph`` edits).
+
 Run it after touching ``network/mincut.py``, ``_mehlhorn_tree`` or any
-of its helpers, and after a networkx upgrade: a failure of the second
-test *alone* means networkx changed a tie-break the port still keeps.
+of its helpers, ``network/topology.py`` or the harvest in
+``lowerbounds/core_embedding.py``, and after a networkx upgrade: a
+failure of every test but the first *alone* means networkx changed a
+tie-break the ports still keep — an oracle gone red, not a result moved.
 """
 
 import random
@@ -31,13 +43,21 @@ import networkx as nx
 from networkx.algorithms.approximation import steiner_tree as nx_steiner_tree
 
 from repro.core.memo import clear_all_memos
+from repro.hypergraph import Hypergraph
 from repro.lab.generate import generate_scenarios
+from repro.lowerbounds.core_embedding import (
+    _bidirectional_path,
+    find_disjoint_cycles,
+    greedy_independent_set,
+)
 from repro.network.mincut import mincut, mincut_partition
 from repro.network.steiner import _mehlhorn_tree, scan_steiner_packings
 from repro.network.topology import Topology
-from repro.pipeline import plan_scenario
+from repro.pipeline import build_query, plan_scenario
 
-from bench_steiner_differential import COUNT, MASTER_SEEDS, scanned_deltas
+from bench_steiner_differential import (
+    COUNT, MASTER_SEEDS, reference_graph, scanned_deltas,
+)
 from conftest import print_banner
 
 #: ``wide-expander``'s planning inputs: one terminal set per star of its
@@ -65,7 +85,7 @@ def reference_mincut(topology: Topology, players: Sequence[str]) -> int:
     source = terminals[0]
     return min(
         nx.algorithms.connectivity.local_edge_connectivity(
-            topology.graph, source, t
+            reference_graph(topology), source, t
         )
         for t in terminals[1:]
     )
@@ -79,7 +99,7 @@ def reference_mincut_partition(
         raise ValueError("need at least two distinct players")
     source = terminals[0]
     best = None
-    g = topology.graph
+    g = reference_graph(topology)
     for t in terminals[1:]:
         value, side_a, side_b = _unit_mincut(g, source, t)
         if best is None or value < best[0]:
@@ -139,9 +159,91 @@ def reference_first_candidate(
         return None
 
 
+def reference_random_regular(degree: int, n: int, seed: int) -> nx.Graph:
+    """``Topology.random_regular`` as it stood: the first connected
+    ``nx.random_regular_graph`` of seeds ``seed``, ``seed + 1``, ...,
+    its ``edges`` relabelled and added one by one."""
+    for attempt in range(seed, seed + 64):
+        drawn = nx.random_regular_graph(degree, n, seed=attempt)
+        if nx.is_connected(drawn):
+            g = nx.Graph()
+            for u, v in drawn.edges:
+                g.add_edge(Topology.player(u), Topology.player(v))
+            return g
+    raise RuntimeError("could not sample a connected regular graph")
+
+
+def reference_balanced_tree(branching: int, depth: int) -> nx.Graph:
+    g = nx.Graph()
+    for u, v in nx.balanced_tree(branching, depth).edges:
+        g.add_edge(Topology.player(u), Topology.player(v))
+    return g
+
+
+def _as_nx(hypergraph: Hypergraph) -> nx.Graph:
+    """As it stood, but for the vertex order: the vertices were added
+    from a *set* of strings, so the harvest moved with PYTHONHASHSEED;
+    the port sorts them, and so does its reference."""
+    g = nx.Graph()
+    g.add_nodes_from(sorted(hypergraph.vertices, key=str))
+    for name, verts in hypergraph.edges():
+        vs = sorted(verts, key=str)
+        if len(vs) == 2:
+            g.add_edge(vs[0], vs[1], name=name)
+    return g
+
+
+def reference_find_disjoint_cycles(hypergraph: Hypergraph) -> List[List[str]]:
+    g = _as_nx(hypergraph)
+    cycles: List[List[str]] = []
+    while True:
+        cycle = _shortest_cycle(g)
+        if cycle is None:
+            return cycles
+        cycles.append(cycle)
+        g.remove_nodes_from(cycle)
+
+
+def _shortest_cycle(g: nx.Graph) -> Optional[List[str]]:
+    best: Optional[List[str]] = None
+    for u, v in sorted(g.edges, key=lambda e: tuple(map(str, e))):
+        g.remove_edge(u, v)
+        try:
+            path = nx.shortest_path(g, u, v)
+        except nx.NetworkXNoPath:
+            path = None
+        g.add_edge(u, v)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
+    return best
+
+
+def reference_greedy_independent_set(
+    hypergraph: Hypergraph, require_degree_two: bool = True
+) -> List[str]:
+    g = _as_nx(hypergraph)
+    out: List[str] = []
+    work = g.copy()
+    while work.number_of_nodes():
+        v = min(work.nodes, key=lambda u: (work.degree(u), str(u)))
+        out.append(v)
+        neighbors = list(work.neighbors(v))
+        work.remove_node(v)
+        work.remove_nodes_from(neighbors)
+    if require_degree_two:
+        out = [v for v in out if g.degree(v) >= 2]
+    return sorted(out, key=str)
+
+
 # ---------------------------------------------------------------------------
 # The comparison
 # ---------------------------------------------------------------------------
+
+
+def ordered(adjacency) -> List[Tuple[str, List[str]]]:
+    """Both levels of an adjacency (a dict of dicts or ``nx``'s
+    ``Graph.adj``) as lists, so that order counts in ``==``."""
+    return [(u, list(nbrs)) for u, nbrs in adjacency.items()]
 
 
 def ported_first_candidate(
@@ -183,7 +285,7 @@ def walked_residuals(
         for tree in trees + [None]:
             if frozenset(removed) not in seen:
                 seen.add(frozenset(removed))
-                residual = topology.graph.copy()
+                residual = reference_graph(topology).copy()
                 residual.remove_edges_from(removed)
                 yield residual
             if tree is not None:
@@ -200,7 +302,7 @@ def random_residuals(seed: int, count: int) -> Iterator[Tuple[nx.Graph, List[str
         n = rng.randint(8, 40)
         n += (n * degree) % 2
         topology = Topology.random_regular(degree, n, seed=rng.randrange(10**6))
-        residual = topology.graph.copy()
+        residual = reference_graph(topology).copy()
         edges = list(residual.edges)
         residual.remove_edges_from(rng.sample(edges, rng.randint(0, len(edges) // 3)))
         terminals = sorted(rng.sample(topology.nodes, rng.randint(2, min(n, 9))))
@@ -264,3 +366,137 @@ def test_mehlhorn_port_equals_networkx_on_the_walked_residual_graphs():
             equal += 1
     print(f"500 seeded random ones: {equal} with the same tree, {skipped} skipped by both")
     assert equal and skipped and not failures, failures
+
+
+def test_random_regular_port_equals_networkx_draw_for_draw():
+    print_banner(
+        "regular-graph differential: Topology.random_regular vs "
+        "nx.random_regular_graph, adjacency order included"
+    )
+    rng = random.Random(20190625)
+    cases = [(64, 4, 1)]
+    while len(cases) < 400:
+        degree = rng.randint(2, 6)
+        n = rng.randint(degree + 1, 40)
+        cases.append((n + (n * degree) % 2, degree, rng.randrange(10**6)))
+    failures = []
+    moved_on = 0
+    for n, degree, seed in cases:
+        moved_on += not nx.is_connected(nx.random_regular_graph(degree, n, seed=seed))
+        expected = reference_random_regular(degree, n, seed)
+        topology = Topology.random_regular(degree, n, seed=seed)
+        if ordered(topology.adjacency) != ordered(expected.adj):
+            failures.append((n, degree, seed))
+    print(f"{len(cases)} (n, degree, seed) with the same adjacency; "
+          f"{moved_on} moved on from a disconnected first draw")
+    assert moved_on and not failures, failures
+
+
+def test_balanced_tree_port_equals_networkx():
+    print_banner("balanced-tree differential: parent arithmetic vs nx.balanced_tree")
+    failures = [
+        (branching, depth)
+        for branching in range(1, 6) for depth in range(1, 5)
+        if ordered(Topology.balanced_tree(branching, depth).adjacency)
+        != ordered(reference_balanced_tree(branching, depth).adj)
+    ]
+    print("20 (branching, depth) with the same adjacency")
+    assert not failures, failures
+
+
+def test_routes_equal_networkx_single_source_paths():
+    print_banner(
+        "route differential: Topology.shortest_path / is_connected vs "
+        "nx.single_source_shortest_path / nx.is_connected"
+    )
+    topologies = {
+        tuple(topology.edges()): topology
+        for _label, topology, _players in planning_inputs()
+    }
+    topologies[("split",)] = Topology([("a", "b"), ("c", "d"), ("d", "e")])
+    failures = []
+    paths = 0
+    for topology in topologies.values():
+        g = reference_graph(topology)
+        if topology.is_connected() != nx.is_connected(g):
+            failures.append((topology.name, "connected"))
+        for src in topology.adjacency:
+            expected = nx.single_source_shortest_path(g, src)
+            paths += len(expected)
+            if expected != {
+                dst: topology.shortest_path(src, dst) for dst in expected
+            }:
+                failures.append((topology.name, src))
+    clear_all_memos()
+    print(f"{len(topologies)} distinct topologies, {paths} paths node for node")
+    assert paths and not failures, failures
+
+
+def random_simple_graphs(seed: int, count: int) -> Iterator[Hypergraph]:
+    """Sparse to dense simple graphs on up to 14 vertices, most of them
+    cyclic, some disconnected, a few with a parallel hyperedge."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 14)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = rng.sample(pairs, rng.randint(2, min(len(pairs), 2 * n)))
+        chosen += rng.sample(chosen, rng.randint(0, 1))
+        yield Hypergraph({
+            f"E{k}": (f"v{i}", f"v{j}") for k, (i, j) in enumerate(chosen)
+        })
+
+
+def test_bidirectional_path_port_equals_networkx():
+    print_banner(
+        "bidirectional-path differential: the harvest's search vs "
+        "nx.bidirectional_shortest_path"
+    )
+    failures = []
+    found = cut_off = 0
+    for hypergraph in random_simple_graphs(777, 300):
+        g = _as_nx(hypergraph)
+        adjacency = {u: dict.fromkeys(nbrs) for u, nbrs in g.adj.items()}
+        for source in g:
+            for target in g:
+                if source == target:
+                    continue
+                try:
+                    expected = nx.bidirectional_shortest_path(g, source, target)
+                    found += 1
+                except nx.NetworkXNoPath:
+                    expected = None
+                    cut_off += 1
+                if _bidirectional_path(adjacency, source, target) != expected:
+                    failures.append((sorted(g.edges), source, target))
+    print(f"{found} paths node for node, {cut_off} pairs cut off on both sides")
+    assert found and cut_off and not failures, failures[:3]
+
+
+def test_cycle_harvest_equals_the_networkx_graph_edits():
+    print_banner(
+        "harvest differential: find_disjoint_cycles / greedy_independent_set "
+        "vs the nx.Graph edits and nx.shortest_path they replaced"
+    )
+    hypergraphs = [
+        hypergraph
+        for master in MASTER_SEEDS
+        for spec in generate_scenarios(master, COUNT)
+        for hypergraph in [build_query(spec).query.hypergraph]
+        if hypergraph.arity <= 2
+    ]
+    hypergraphs += random_simple_graphs(20190625, 700)
+    failures = []
+    cyclic = 0
+    for hypergraph in hypergraphs:
+        expected = reference_find_disjoint_cycles(hypergraph)
+        cyclic += bool(expected)
+        if find_disjoint_cycles(hypergraph) != expected:
+            failures.append((sorted(hypergraph.edges()), "cycles"))
+        for degree_two in (True, False):
+            if greedy_independent_set(
+                hypergraph, degree_two
+            ) != reference_greedy_independent_set(hypergraph, degree_two):
+                failures.append((sorted(hypergraph.edges()), "independent set"))
+    clear_all_memos()
+    print(f"{len(hypergraphs)} hypergraphs harvested both ways, {cyclic} of them cyclic")
+    assert cyclic and not failures, failures[:3]

@@ -12,8 +12,10 @@ commit before the scan existed (``_pack_steiner_trees``,
 ``_candidate_trees``, ``_prune_to_steiner`` and the networkx
 ``terminal_diameter``): one greedy run per Δ from the full graph, with
 nothing shared.  It imports only :class:`SteinerTree` (as the frozen
-record the two sides are compared in) from the product.  Every fuzz
-spec's (topology, players) is packed at each Δ either caller scans.
+record the two sides are compared in) from the product, and starts from
+:func:`reference_graph`, the ``nx.Graph`` a :class:`Topology` used to
+hold.  Every fuzz spec's (topology, players) is packed at each Δ either
+caller scans.
 
 After touching the state key, the candidate order or the score in
 ``network/steiner.py``, run it; to size a mutation, break the code and
@@ -41,6 +43,26 @@ COUNT = 100
 # ---------------------------------------------------------------------------
 # The reference: the packer as it stood before the Δ-scan
 # ---------------------------------------------------------------------------
+
+
+def reference_graph(topology: Topology) -> nx.Graph:
+    """An ``nx.Graph`` holding G in the order of ``topology.adjacency``
+    at both levels, built through ``add_edge`` alone: an edge goes in
+    once it heads what is left of both its endpoints' neighbour lists
+    (the order G's own edges arrived in is one such order)."""
+    g = nx.Graph()
+    g.add_nodes_from(topology.adjacency)
+    left = {u: list(nbrs)[::-1] for u, nbrs in topology.adjacency.items()}
+    while any(left.values()):
+        for u, nbrs in left.items():
+            while nbrs and left[nbrs[-1]][-1] == u:
+                v = nbrs.pop()
+                left[v].pop()
+                g.add_edge(u, v)
+    assert [(u, list(nbrs)) for u, nbrs in g.adjacency()] == [
+        (u, list(nbrs)) for u, nbrs in topology.adjacency.items()
+    ]
+    return g
 
 
 def reference_terminal_diameter(tree: SteinerTree) -> int:
@@ -124,7 +146,7 @@ def _pack_steiner_trees(
     max_diameter: Optional[int] = None,
     limit: Optional[int] = None,
 ) -> List[SteinerTree]:
-    residual = topology.graph.copy()
+    residual = reference_graph(topology).copy()
     delta = max_diameter if max_diameter is not None else topology.num_nodes
     terminals = sorted(set(terminals))
     packed: List[SteinerTree] = []

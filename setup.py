@@ -18,8 +18,12 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.9",
     # NumPy backs the columnar factor backend (repro.semiring.columnar).
-    install_requires=["numpy>=1.22", "networkx>=2.6"],
+    install_requires=["numpy>=1.22"],
     extras_require={
+        # The oracle of the tests and of the differential benches (golden
+        # graphs, reference min cuts, Steiner trees, routes and cycle
+        # harvests); nothing under src/ imports it.
+        "oracle": ["networkx>=2.6"],
         # The optional JIT kernel tier (repro.kernels); without it the
         # "jit" tier transparently resolves to the NumPy implementations.
         "jit": ["numba>=0.57"],

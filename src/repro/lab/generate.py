@@ -82,7 +82,7 @@ def _sample_hard_query(rng: random.Random) -> Tuple[str, Dict[str, int]]:
 
 
 #: Topology samplers.  Each returns valid params for its family;
-#: expander/regular keep ``n * degree`` even (networkx requires it) and
+#: expander/regular keep ``n * degree`` even (a regular graph needs it) and
 #: derive their internal wiring seed from the scenario stream.
 _TOPOLOGY_SAMPLERS: Tuple[Tuple[str, Callable[[random.Random], Dict[str, int]]], ...] = (
     ("line", lambda rng: {"n": rng.randint(2, 6)}),

@@ -19,23 +19,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..hypergraph import Hypergraph
+from ..network.topology import insertion_order_edges
 from ..semiring import BOOLEAN, Factor
 from .tribes import TribesInstance
 
+#: ``vertex -> {neighbour: None}``.  Both harvests break ties by the
+#: order of its two levels, which is the order ``networkx.Graph`` would
+#: hold after the same inserts and deletes (the goldens in
+#: ``tests/golden/topologies.json`` were written through networkx 3.6.1).
+Graph = Dict[Any, Dict[Any, None]]
 
-def _as_nx(hypergraph: Hypergraph) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(hypergraph.vertices)
-    for name, verts in hypergraph.edges():
+
+def _simple_graph(hypergraph: Hypergraph) -> Graph:
+    """The arity-2 edges of ``hypergraph`` as a simple graph.  Vertices
+    go in sorted by ``str``, not in the iteration order of the vertex
+    *set*, so the harvest does not change with the process's string
+    hashing."""
+    g: Graph = {v: {} for v in sorted(hypergraph.vertices, key=str)}
+    for _name, verts in hypergraph.edges():
         vs = sorted(verts, key=str)
         if len(vs) == 2:
-            g.add_edge(vs[0], vs[1], name=name)
+            g[vs[0]][vs[1]] = g[vs[1]][vs[0]] = None
     return g
+
+
+def _remove_nodes(g: Graph, nodes: Iterable) -> None:
+    for node in nodes:
+        for nb in g.pop(node):
+            del g[nb][node]
 
 
 def find_disjoint_cycles(hypergraph: Hypergraph) -> List[List[str]]:
@@ -44,28 +58,62 @@ def find_disjoint_cycles(hypergraph: Hypergraph) -> List[List[str]]:
     Repeatedly finds a shortest cycle (via per-edge BFS) and removes its
     vertices; each harvested cycle is returned as an ordered vertex list.
     """
-    g = _as_nx(hypergraph)
+    g = _simple_graph(hypergraph)
     cycles: List[List[str]] = []
     while True:
         cycle = _shortest_cycle(g)
         if cycle is None:
             return cycles
         cycles.append(cycle)
-        g.remove_nodes_from(cycle)
+        _remove_nodes(g, cycle)
 
 
-def _shortest_cycle(g: nx.Graph) -> Optional[List[str]]:
+def _shortest_cycle(g: Graph) -> Optional[List[str]]:
     best: Optional[List[str]] = None
-    for u, v in sorted(g.edges, key=lambda e: tuple(map(str, e))):
-        g.remove_edge(u, v)
-        try:
-            path = nx.shortest_path(g, u, v)
-        except nx.NetworkXNoPath:
-            path = None
-        g.add_edge(u, v)
+    for u, v in sorted(insertion_order_edges(g), key=lambda e: tuple(map(str, e))):
+        # Taking the edge out and putting it back moves it to the end of
+        # both neighbour lists, as it did on a networkx graph: later
+        # searches see that order.
+        del g[u][v], g[v][u]
+        path = _bidirectional_path(g, u, v)
+        g[u][v] = g[v][u] = None
         if path is not None and (best is None or len(path) < len(best)):
             best = path
     return best
+
+
+def _bidirectional_path(g: Graph, source, target) -> Optional[List]:
+    """A shortest ``source``-``target`` path, or None: networkx 3.6.1's
+    unweighted ``bidirectional_shortest_path``.  Whole levels alternate,
+    the smaller fringe first and the forward one on a tie; the first
+    vertex reached from both ends joins the two halves."""
+    pred = {source: None}
+    succ = {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            seen, other, fringe = pred, succ, forward
+        else:
+            level, reverse = reverse, []
+            seen, other, fringe = succ, pred, reverse
+        for v in level:
+            for w in g[v]:
+                if w not in seen:
+                    seen[w] = v
+                    fringe.append(w)
+                if w in other:
+                    return _chain(pred, w)[::-1] + _chain(succ, succ[w])
+    return None
+
+
+def _chain(links: Dict[Any, Any], node) -> List:
+    """``node``, ``links[node]``, ... up to the end that maps to None."""
+    out = []
+    while node is not None:
+        out.append(node)
+        node = links[node]
+    return out
 
 
 def greedy_independent_set(
@@ -77,17 +125,15 @@ def greedy_independent_set(
         require_degree_two: Keep only vertices with >= 2 incident edges in
             the original graph (they carry two planted relations).
     """
-    g = _as_nx(hypergraph)
+    work = _simple_graph(hypergraph)
+    degree = {v: len(nbrs) for v, nbrs in work.items()}
     out: List[str] = []
-    work = g.copy()
-    while work.number_of_nodes():
-        v = min(work.nodes, key=lambda u: (work.degree(u), str(u)))
+    while work:
+        v = min(work, key=lambda u: (len(work[u]), str(u)))
         out.append(v)
-        neighbors = list(work.neighbors(v))
-        work.remove_node(v)
-        work.remove_nodes_from(neighbors)
+        _remove_nodes(work, [v, *work[v]])
     if require_degree_two:
-        out = [v for v in out if g.degree(v) >= 2]
+        out = [v for v in out if degree[v] >= 2]
     return sorted(out, key=str)
 
 

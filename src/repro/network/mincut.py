@@ -72,7 +72,7 @@ def _min_terminal_cut(
     missing = [p for p in terminals if p not in topology]
     if missing:
         raise ValueError(f"players not in topology: {missing}")
-    adjacency = {node: list(nbrs) for node, nbrs in topology.graph.adjacency()}
+    adjacency = {node: list(nbrs) for node, nbrs in topology.adjacency.items()}
     source = terminals[0]
     best: Optional[Tuple[int, Set[str]]] = None
     for sink in terminals[1:]:

@@ -116,6 +116,8 @@ class ProgramContext:
     def __init__(self, node: str, topology: Topology, capacity: int) -> None:
         self.node = node
         self.topology = topology
+        #: This node's neighbours in G (none for a node G does not have).
+        self._neighbors = topology.adjacency.get(node, {})
         self.capacity = capacity
         self.round = 0
         self.queues: Dict[Tuple[str, str], deque] = {}
@@ -142,7 +144,7 @@ class ProgramContext:
         """Queue one block for delivery next round (capacity-checked)."""
         if bits < 1:
             raise ValueError(f"blocks must carry at least 1 bit, got {bits}")
-        if not self.topology.has_edge(self.node, dst):
+        if dst not in self._neighbors:
             raise ValueError(f"{self.node} -> {dst}: not an edge of G")
         used = self._sent.get(dst, 0)
         if used + bits > self.capacity:
@@ -878,7 +880,11 @@ def run_program(
             for blk in pending:
                 ctx = contexts.get(blk.dst)
                 if ctx is not None and not programs[blk.dst].done:
-                    ctx.queues.setdefault((blk.tag, blk.src), deque()).append(blk)
+                    stream = (blk.tag, blk.src)
+                    queue = ctx.queues.get(stream)
+                    if queue is None:
+                        queue = ctx.queues[stream] = deque()
+                    queue.append(blk)
                 # Blocks to passive/finished nodes are dropped silently,
                 # like the generator engine's message handling.
         pending = []

@@ -93,6 +93,8 @@ class NodeContext:
     def __init__(self, node: str, topology: Topology, capacity: int) -> None:
         self.node = node
         self.topology = topology
+        #: This node's neighbours in G (none for a node G does not have).
+        self._neighbors = topology.adjacency.get(node, {})
         self.capacity = capacity
         self.inbox: List[Message] = []
         self.round = 0
@@ -108,7 +110,7 @@ class NodeContext:
         """
         if bits < 1:
             raise ValueError(f"messages must carry at least 1 bit, got {bits}")
-        if not self.topology.has_edge(self.node, dst):
+        if dst not in self._neighbors:
             raise ValueError(f"{self.node} -> {dst}: not an edge of G")
         used = self._sent_bits_this_round.get(dst, 0)
         if used + bits > self.capacity:

@@ -15,7 +15,7 @@ Everything below walks plain adjacency dicts.  Which trees the packer
 picks depends on how ties break, so the order of those dicts is part of
 the result: the candidate generator reproduces, tie for tie, what
 networkx 3.6.1's ``steiner_tree`` / ``bfs_edges`` / ``dfs_edges`` return
-on ``topology.graph.copy()`` minus the packed edges (the goldens in
+on a ``Graph.copy()`` of G minus the packed edges (the goldens in
 ``tests/golden/steiner_packings.json`` were written that way), without
 calling networkx.
 """
@@ -30,7 +30,7 @@ from typing import (
 
 from ..core.memo import LRUMemo, topology_key
 from ..obs.counters import COUNTERS
-from .topology import Topology
+from .topology import Topology, insertion_order_edges
 
 Edge = Tuple[str, str]
 
@@ -183,20 +183,10 @@ def _add_edge(graph: Dict[str, Dict[str, int]], u: str, v: str, weight: int) -> 
     graph[u][v] = graph[v][u] = weight
 
 
-def _edges(adjacency: Adjacency) -> Iterator[Edge]:
-    """Each undirected edge once, self-loops included, in the order of
-    ``nx.Graph.edges``: by first endpoint, then by its neighbours."""
-    done = set()
-    for u, nbrs in adjacency.items():
-        for v in nbrs:
-            if v not in done:
-                yield u, v
-        done.add(u)
-
-
 def _kruskal(graph: Dict[str, Dict[str, int]]) -> Iterator[Edge]:
     """Minimum spanning tree edges of a weighted dict of dicts, ties
-    kept in :func:`_edges` order (``nx.minimum_spanning_edges``)."""
+    kept in :func:`insertion_order_edges` order
+    (``nx.minimum_spanning_edges``)."""
     leader = {node: node for node in graph}
 
     def find(node: str) -> str:
@@ -204,7 +194,9 @@ def _kruskal(graph: Dict[str, Dict[str, int]]) -> Iterator[Edge]:
             leader[node] = node = leader[leader[node]]
         return node
 
-    for u, v in sorted(_edges(graph), key=lambda edge: graph[edge[0]][edge[1]]):
+    for u, v in sorted(
+        insertion_order_edges(graph), key=lambda edge: graph[edge[0]][edge[1]]
+    ):
         root_u, root_v = find(u), find(v)
         if root_u != root_v:
             leader[root_u] = root_v
@@ -285,7 +277,7 @@ def _mehlhorn_tree(
     # region become self-loops; they never enter a spanning tree but
     # they fix G1's node order, and with it the order of Kruskal's ties.
     closure: Dict[str, Dict[str, int]] = {}
-    for u, v in _edges(adjacency):
+    for u, v in insertion_order_edges(adjacency):
         near_u, near_v = nearest[u], nearest[v]
         weight = distance[u] + 1 + distance[v]
         known = closure.get(near_u, {}).get(near_v)
@@ -348,7 +340,7 @@ def find_steiner_tree(
     Returns None when the terminals are not connected in the residual
     graph.
     """
-    adjacency = graph if graph is not None else dict(topology.graph.adjacency())
+    adjacency = graph if graph is not None else topology.adjacency
     terminals = sorted(set(terminals))
     if len(terminals) == 1:
         return SteinerTree((), terminals[0], tuple(terminals))
@@ -453,11 +445,11 @@ def _expand_state(
     fewer edges — this is what finds the two edge-disjoint paths of
     Example 2.3 on the clique.
     """
-    # The residual graph in the order ``topology.graph.copy()`` would
-    # hold it: nodes as in G, each neighbour list in first-touch order of
-    # a walk over G's edges (not G's own order — ties break differently).
-    residual: Dict[str, Dict[str, None]] = {node: {} for node in topology.graph}
-    for u, nbrs in topology.graph.adjacency():
+    # The residual graph in the order ``nx.Graph.copy()`` would hold it:
+    # nodes as in G, each neighbour list in first-touch order of a walk
+    # over G's edges (not G's own order — ties break differently).
+    residual: Dict[str, Dict[str, None]] = {node: {} for node in topology.adjacency}
+    for u, nbrs in topology.adjacency.items():
         for v in nbrs:
             if ((u, v) if u < v else (v, u)) not in removed:
                 residual[u][v] = residual[v][u] = None

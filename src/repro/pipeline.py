@@ -248,7 +248,7 @@ def build_topology(spec: ScenarioSpec) -> Topology:
         raise ValueError(f"unknown topology family {spec.topology!r}; known: {known}")
     try:
         return builder(**dict(spec.topology_params))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(
             f"bad topology params for {spec.topology!r}: "
             f"{dict(spec.topology_params)} ({exc})"

@@ -208,8 +208,9 @@ def random_relation(
     for v in schema:
         capacity *= len(domains[v])
     target = min(size, capacity)
+    columns = [list(domains[v]) for v in schema]
     while len(tuples) < target:
-        tuples.add(tuple(rng.choice(list(domains[v])) for v in schema))
+        tuples.add(tuple(rng.choice(column) for column in columns))
     return Factor.from_tuples(schema, tuples, semiring, name)
 
 

@@ -353,6 +353,14 @@ def test_runner_rejects_bad_jobs_and_unknown_families():
         build_topology(tiny_spec(topology="nope", topology_params={}))
     with pytest.raises(ValueError, match="topology params"):
         build_topology(tiny_spec(topology_params={"wrong": 1}))
+    # An infeasible (degree, n) is bad params too, in the same words.
+    for family, params in (
+        ("regular", {"n": 5, "degree": 3}), ("expander", {"n": 4, "degree": 4}),
+    ):
+        with pytest.raises(
+            ValueError, match=rf"bad topology params for '{family}'.*\(degree, n\)"
+        ):
+            build_topology(tiny_spec(topology=family, topology_params=params))
 
 
 def test_worst_case_assignment_needs_hard_family():

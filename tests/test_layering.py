@@ -11,8 +11,11 @@ import ast
 import dataclasses
 import importlib
 import os
+import subprocess
+import sys
 
 from repro.core.memo import memo_stats
+from repro.network import Topology
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -237,20 +240,35 @@ def _identifiers(tree):
 
 
 def test_planning_stays_on_plain_adjacency():
-    # MinCut(G, K) and the Steiner candidate generator walk dicts; the
-    # networkx routines they replaced live on as references in
-    # benchmarks/ and tests only, so the cold planning path cannot
-    # quietly go back through the library (or a per-state Graph.copy()).
-    trees = {module: tree for module, _package, tree in _modules()}
+    # G, its builders, routes, MinCut(G, K), the Steiner candidate
+    # generator and the Lemma E.2 harvest walk plain dicts; the networkx
+    # routines they replaced live on as references in benchmarks/ and
+    # tests only, so no result can depend on the installed networkx (or
+    # quietly go back through a per-state Graph.copy()).
     assert [
-        found for found in _identifiers(trees["repro.network.mincut"])
-        if found[1].split(".")[0] == "networkx"
+        (module, found)
+        for module, _package, tree in _modules()
+        for found in _identifiers(tree)
+        if found[1].startswith("networkx")
     ] == []
+    trees = {module: tree for module, _package, tree in _modules()}
     banned = {"steiner_tree", "dfs_edges", "minimum_cut", "copy"}
     assert [
         found for found in _identifiers(trees["repro.network.steiner"])
         if found[1] in banned
     ] == []
+    assert not hasattr(Topology.line(2), "graph")
+
+
+def test_the_product_never_imports_networkx():
+    # Every ledger child, pool worker and CLI call is a fresh
+    # interpreter: what the entry points import is paid per process.
+    code = (
+        "import sys; import repro.lab.runner, repro.serve, repro.pipeline; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_the_network_package_accounts_on_plain_ints():

@@ -1,12 +1,17 @@
 """Tests for TRIBES and the lower-bound embeddings (Lemmas 4.3/4.4,
 Theorems 4.4/F.8)."""
 
+import json
+import os
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faq import bcq, scalar_value, solve_naive
 from repro.hypergraph import Hypergraph
+from repro.lab.generate import generate_scenarios
 from repro.lowerbounds import (
     TribesInstance,
     bcq_bounds,
@@ -27,7 +32,10 @@ from repro.lowerbounds import (
 )
 from repro.lowerbounds.forest_embedding import _planted_factor
 from repro.network import Topology
+from repro.pipeline import build_query
 from repro.semiring import BOOLEAN, Factor
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "topologies.json")
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +367,87 @@ def test_find_disjoint_cycles_single_long_cycle():
     c5 = Hypergraph({f"E{i}": (f"v{i}", f"v{(i + 1) % 5}") for i in range(5)})
     (cycle,) = find_disjoint_cycles(c5)
     assert sorted(cycle) == [f"v{i}" for i in range(5)]
+
+
+#: ``generate_scenarios(master, count)`` whose arity-2 hypergraphs
+#: ``tests/golden/topologies.json`` holds both harvests of, written
+#: through networkx 3.6.1 (``Graph`` edits, ``nx.shortest_path``) on a
+#: graph whose vertices went in sorted by ``str``.
+HARVEST_MASTERS = ((20190625, 100), (777, 100))
+
+
+def harvest_hypergraphs():
+    """``(key, hypergraph)`` for every spec with a simple-graph query."""
+    for master, count in HARVEST_MASTERS:
+        for index, spec in enumerate(generate_scenarios(master, count)):
+            hypergraph = build_query(spec).query.hypergraph
+            if hypergraph.arity <= 2:
+                yield f"{master}#{index} {spec.query}", hypergraph
+
+
+def golden_harvest():
+    return {
+        key: {
+            "cycles": find_disjoint_cycles(hypergraph),
+            "independent": greedy_independent_set(hypergraph),
+        }
+        for key, hypergraph in harvest_hypergraphs()
+    }
+
+
+def test_core_harvests_match_the_golden_file():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)["core_harvest"]
+    assert golden_harvest() == golden
+    assert sum(1 for record in golden.values() if record["cycles"]) >= 20
+
+
+def random_simple_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = rng.sample(pairs, rng.randint(2, min(len(pairs), 2 * n)))
+    return Hypergraph({
+        f"E{k}": (f"v{i}", f"v{j}") for k, (i, j) in enumerate(chosen)
+    })
+
+
+def is_forest(vertices, pairs):
+    leader = {v: v for v in vertices}
+
+    def find(v):
+        while leader[v] != v:
+            leader[v] = v = leader[leader[v]]
+        return v
+
+    for pair in pairs:
+        u, v = map(find, pair)
+        if u == v:
+            return False
+        leader[u] = v
+    return True
+
+
+def test_harvested_cycles_are_vertex_disjoint_cycles_of_h():
+    hypergraphs = [h for _key, h in harvest_hypergraphs()]
+    hypergraphs += [random_simple_graph(seed) for seed in range(200)]
+    cyclic = 0
+    for h in hypergraphs:
+        edges = {verts for _name, verts in h.edges()}
+        used = set()
+        cycles = find_disjoint_cycles(h)
+        cyclic += bool(cycles)
+        for cycle in cycles:
+            assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+            assert not used & set(cycle)
+            used |= set(cycle)
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                assert frozenset((u, v)) in edges
+        # Nothing cyclic is left once the harvested vertices are gone.
+        assert is_forest(
+            h.vertices, {e for e in edges if len(e) == 2 and not e & used}
+        )
+    assert cyclic >= 100
 
 
 def test_forest_embedding_capacity_hand_cases():

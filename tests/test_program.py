@@ -24,6 +24,7 @@ from repro.network.program import (
     ConvergecastOp,
     NodeProgram,
     ParallelOps,
+    ProgramContext,
     ProgramOp,
     RouteOp,
     chunk_pattern,
@@ -681,3 +682,48 @@ def test_every_round_is_audited_against_the_capacity():
         with pytest.raises(CapacityExceeded, match=f"{src}->{dst}.*12 bits"):
             run_program(
                 topology, 8, {src: NodeProgram(src, [Overfill(bypass)])})
+
+
+def test_send_block_checks_the_senders_own_neighbours():
+    topology = Topology.line(3)
+    ctx = ProgramContext("P0", topology, 8)
+    ctx.send_block("P1", "x", "it", 4)
+    for dst in ("P2", "P9", "P0"):
+        with pytest.raises(ValueError, match=f"P0 -> {dst}: not an edge of G"):
+            ctx.send_block(dst, "x", "it", 4)
+    stranger = ProgramContext("P9", topology, 8)
+    with pytest.raises(ValueError, match="P9 -> P0: not an edge of G"):
+        stranger.send_block("P0", "x", "it", 4)
+
+
+def test_a_streams_blocks_queue_up_in_arrival_order():
+    """One queue per (tag, sender), made on the first delivery and
+    appended to after: a receiver that pops late sees every block."""
+    topology = Topology.star(2)
+    hub, *leaves = topology.nodes
+
+    class Send(ProgramOp):
+        left = 3
+
+        def step(self, ctx):
+            ctx.send_block(hub, "x", "it", 4, meta=(ctx.node, self.left))
+            self.left -= 1
+            return self.left == 0
+
+    class PopLate(ProgramOp):
+        got = None
+
+        def step(self, ctx):
+            if ctx.round < 4:
+                return False
+            self.got = {
+                leaf: [blk.meta for blk in ctx.pop("x", leaf)] for leaf in leaves
+            }
+            return True
+
+    late = PopLate()
+    run_program(topology, 8, {
+        hub: NodeProgram(hub, [late]),
+        **{leaf: NodeProgram(leaf, [Send()]) for leaf in leaves},
+    })
+    assert late.got == {leaf: [(leaf, 3), (leaf, 2), (leaf, 1)] for leaf in leaves}

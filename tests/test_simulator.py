@@ -4,6 +4,7 @@ import pytest
 
 from repro.network import (
     CapacityExceeded,
+    NodeContext,
     SimulationError,
     Simulator,
     Topology,
@@ -107,8 +108,13 @@ def test_send_to_non_neighbor_rejected():
         if False:
             yield
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="P0 -> P2: not an edge of G"):
         Simulator(g, 8).run({"P0": bad})
+    # The check reads the sender's own neighbours, looked up once per
+    # context; a node G does not have has none.
+    stranger = NodeContext("P9", g, 8)
+    with pytest.raises(ValueError, match="P9 -> P0: not an edge of G"):
+        stranger.send("P0", 1)
 
 
 def test_zero_bit_message_rejected():

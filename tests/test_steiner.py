@@ -116,7 +116,7 @@ def cold_memos():
 
 def adjacency_of(topology):
     """``node -> [neighbours]`` of the whole topology, to cut edges from."""
-    return {node: list(nbrs) for node, nbrs in topology.graph.adjacency()}
+    return {node: list(nbrs) for node, nbrs in topology.adjacency.items()}
 
 
 def reference_terminal_diameter(tree):

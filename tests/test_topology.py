@@ -1,4 +1,15 @@
-"""Tests for topologies, cuts, Steiner packing and flow bounds."""
+"""Tests for topologies, cuts, Steiner packing and flow bounds.
+
+``tests/golden/topologies.json`` pins every builder's adjacency in
+insertion order, its ``edges()`` and every ``shortest_path``.  It was
+written while ``Topology`` still held an ``nx.Graph`` (networkx 3.6.1's
+generators, ``add_edge`` order and ``single_source_shortest_path``);
+routes, packings and cuts break ties by that order, so the plain-dict
+``Topology`` has to reproduce it (regenerate: ``tests/golden/README.md``).
+"""
+
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +62,53 @@ def test_invalid_topologies():
         Topology([("a", "a")])
     with pytest.raises(ValueError):
         Topology.grid(1, 1)
+    with pytest.raises(ValueError, match="branching >= 1 and depth >= 1"):
+        Topology.balanced_tree(2, 0)
+
+
+# A Topology fails in its own words: a ValueError naming the player(s)
+# or the infeasible (degree, n), never a networkx error, a bare KeyError
+# or an empty view standing in for an int.
+
+
+def test_degree_of_an_unknown_player():
+    with pytest.raises(ValueError, match="player not in topology: 'P9'"):
+        Topology.line(4).degree("P9")
+
+
+def test_neighbors_of_an_unknown_player():
+    with pytest.raises(ValueError, match="player not in topology: 'P9'"):
+        Topology.line(4).neighbors("P9")
+
+
+def test_shortest_path_from_an_unknown_player():
+    with pytest.raises(ValueError, match="player not in topology: 'P9'"):
+        Topology.line(4).shortest_path("P9", "P0")
+
+
+def test_shortest_path_and_distance_to_an_unknown_player():
+    g = Topology.line(4)
+    with pytest.raises(ValueError, match="player not in topology: 'P9'"):
+        g.shortest_path("P0", "P9")
+    with pytest.raises(ValueError, match="player not in topology: 'P9'"):
+        g.distance("P0", "P9")
+
+
+def test_diameter_of_a_disconnected_topology():
+    g = Topology([("a", "b"), ("c", "d")])
+    assert not g.is_connected()
+    with pytest.raises(ValueError, match="no path between players 'a' and 'c'"):
+        g.diameter()
+
+
+def test_random_regular_with_odd_stub_count():
+    with pytest.raises(ValueError, match=r"\(degree, n\) = \(3, 5\)"):
+        Topology.random_regular(3, 5)
+
+
+def test_expander_with_degree_not_below_n():
+    with pytest.raises(ValueError, match=r"\(degree, n\) = \(4, 4\)"):
+        Topology.expander(4, 4)
 
 
 def test_bfs_tree():
@@ -263,3 +321,135 @@ def test_random_regular_determinism_under_fixed_seed():
     # n=12, d=3; these specific seeds are checked to differ).
     c = Topology.random_regular(3, 12, seed=5)
     assert a.edges() != c.edges()
+
+
+# ---------------------------------------------------------------------------
+# Insertion order, pinned (tests/golden/topologies.json)
+# ---------------------------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "topologies.json")
+
+#: ``(n, degree, seed)`` of the seeded graphs: the ledger's
+#: ``wide-expander`` (64, 4, 1), the fuzz sampler's sizes, and three seeds
+#: whose first draw is disconnected — (8, 3, 15) and (10, 3, 157) move on
+#: to the next seed, the 2-regular one (a ring) to the seventh.
+_SEEDED = (
+    (64, 4, 1), (4, 3, 0), (6, 3, 67), (8, 3, 3), (8, 3, 15), (10, 3, 5),
+    (10, 3, 157), (12, 3, 9), (16, 4, 2), (16, 5, 11), (10, 2, 1), (20, 3, 7),
+)
+
+CASES = {
+    "line5": lambda: Topology.line(5),
+    "ring6": lambda: Topology.ring(6),
+    "clique5": lambda: Topology.clique(5),
+    "star4": lambda: Topology.star(4),
+    "grid3x4": lambda: Topology.grid(3, 4),
+    "hypercube3": lambda: Topology.hypercube(3),
+    "barbell3_2": lambda: Topology.barbell(3, 2),
+    "tree-b1-d3": lambda: Topology.balanced_tree(1, 3),
+    "tree-b2-d3": lambda: Topology.balanced_tree(2, 3),
+    "tree-b3-d2": lambda: Topology.balanced_tree(3, 2),
+    **{
+        f"expander-n{n}-d{d}-s{seed}":
+            lambda n=n, d=d, seed=seed: Topology.expander(n, d, seed=seed)
+        for n, d, seed in _SEEDED[::2]
+    },
+    **{
+        f"regular-n{n}-d{d}-s{seed}":
+            lambda n=n, d=d, seed=seed: Topology.random_regular(d, n, seed=seed)
+        for n, d, seed in _SEEDED[1::2]
+    },
+}
+
+
+def golden_record(name):
+    """What the golden file holds for one case.  ``paths[src][dst]`` is
+    the player before ``dst`` on ``shortest_path(src, dst)`` (None for
+    ``src`` itself): with the check that every path is its
+    predecessor's path plus ``dst``, that pins every path."""
+    topology = CASES[name]()
+    return {
+        "adjacency": [[u, list(nbrs)] for u, nbrs in topology.adjacency.items()],
+        "edges": [list(edge) for edge in topology.edges()],
+        "paths": {
+            src: {
+                dst: None if dst == src else topology.shortest_path(src, dst)[-2]
+                for dst in topology.adjacency
+            }
+            for src in topology.adjacency
+        },
+    }
+
+
+def load_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)["topologies"]
+
+
+def test_golden_file_covers_the_cases():
+    assert sorted(load_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_topologies_match_the_golden_file(name):
+    topology = CASES[name]()
+    assert golden_record(name) == load_golden()[name]
+    for src in topology.adjacency:
+        for dst in topology.adjacency:
+            path = topology.shortest_path(src, dst)
+            if dst == src:
+                assert path == [src]
+            else:
+                assert path == topology.shortest_path(src, path[-2]) + [dst]
+
+
+# ---------------------------------------------------------------------------
+# Properties that know no networkx
+# ---------------------------------------------------------------------------
+
+
+def bfs_distances(topology, src):
+    distance = {src: 0}
+    queue = [src]
+    for node in queue:
+        for nb in topology.adjacency[node]:
+            if nb not in distance:
+                distance[nb] = distance[node] + 1
+                queue.append(nb)
+    return distance
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24), st.integers(2, 6), st.integers(0, 10_000))
+def test_random_regular_is_simple_regular_and_connected(n, degree, seed):
+    if degree >= n or (n * degree) % 2:
+        n += 1
+    if degree >= n:
+        degree = n - 1
+    g = Topology.random_regular(degree, n, seed=seed)
+    assert sorted(g.adjacency) == sorted(Topology.player(i) for i in range(n))
+    for node, nbrs in g.adjacency.items():
+        assert len(nbrs) == degree and node not in nbrs
+        assert all(node in g.adjacency[nb] for nb in nbrs)
+    assert g.num_edges == n * degree // 2 == len(set(g.edges()))
+    assert len(bfs_distances(g, "P0")) == n
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_shortest_paths_walk_edges_at_bfs_distance(name):
+    g = CASES[name]()
+    for src in g.adjacency:
+        distance = bfs_distances(g, src)
+        for dst in g.adjacency:
+            path = g.shortest_path(src, dst)
+            assert (path[0], path[-1]) == (src, dst)
+            assert len(path) - 1 == distance[dst] == g.distance(src, dst)
+            assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+
+def test_an_edge_given_twice_keeps_its_place():
+    g = Topology([("a", "b"), ("a", "c"), ("b", "a"), ("c", "b")])
+    assert {u: list(nbrs) for u, nbrs in g.adjacency.items()} == {
+        "a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"],
+    }
+    assert g.num_edges == 3

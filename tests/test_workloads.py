@@ -1,12 +1,15 @@
 """Tests for the workload generators."""
 
+import hashlib
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hypergraph import gyo_reduce, is_acyclic, simple_graph_degeneracy
+from repro.hypergraph import (
+    Hypergraph, gyo_reduce, is_acyclic, simple_graph_degeneracy,
+)
 from repro.semiring import BOOLEAN, COUNTING, REAL
 from repro.workloads import (
     domains_for,
@@ -113,6 +116,31 @@ def test_determinism():
     a, _ = random_instance(random_tree_query(4, seed=1), 5, 6, seed=2)
     b, _ = random_instance(random_tree_query(4, seed=1), 5, 6, seed=2)
     assert all(a[k] == b[k] for k in a)
+
+
+#: Written before ``random_relation`` stopped copying a domain per cell
+#: drawn: one list per schema column draws from the same ``_randbelow``
+#: stream, so the same rows come out in the same order.
+_INSTANCE_DIGESTS = {
+    7: "f8e3a642db7106c5456055de8c9a503f785f49735e0eb8982e78e03b80c182ac",
+    11: "43395daa38c7e3c31f0e7c9c996a7359352760b88427eb9784b157638f9d6133",
+    20190625: "fa59a96fdf6276f78b51dfb67e8244b5eb837bce764b504c67d6721f838c9292",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_INSTANCE_DIGESTS))
+def test_random_instance_rows_are_pinned(seed):
+    factors, domains = random_instance(Hypergraph.star(4), 64, 500, seed=seed)
+    weighted, _ = random_instance(
+        Hypergraph.path(3), 8, 40, seed=seed, semiring=COUNTING,
+        weighted=True, exact=True,
+    )
+    rows = [
+        (name, factor.schema, list(factor))
+        for group in (factors, weighted) for name, factor in group.items()
+    ]
+    digest = hashlib.sha256(repr((rows, sorted(domains.items()))).encode())
+    assert digest.hexdigest() == _INSTANCE_DIGESTS[seed]
 
 
 @settings(max_examples=20, deadline=None)
