@@ -1,9 +1,10 @@
-"""Solver comparison — operator-at-a-time vs compiled FAQ query plans.
+"""Solver comparison — operator at a time vs the compiled FAQ solver.
 
-The compiled-solver layer lowers each FAQ into a cached
-:class:`~repro.faq.plan.QueryPlan` (fused join+marginalize kernels over
-pool-interned dictionaries) and executes it on
-:mod:`repro.faq.executor`.  This bench runs the lab's ``solver-scaling``
+The compiled solver runs the same variable-elimination loop over
+pool-interned dictionaries, sends each plain-⊕ step to the fused
+join+marginalize kernel of :mod:`repro.faq.executor` and takes its
+elimination order from :data:`~repro.faq.plan.PLAN_CACHE`.  This bench
+runs the lab's ``solver-scaling``
 suite on *both* solvers and regenerates the ``BENCH_lab.json`` timings
 trajectory, asserting the layer's two contracts:
 
@@ -20,8 +21,8 @@ trajectory, asserting the layer's two contracts:
   materialize a joined factor; the 5x floor keeps the assertion robust on
   slow or noisy CI machines).
 
-A second pass over the suite must also be served entirely from the plan
-cache — the cross-scenario reuse a grid sweep relies on.
+A second pass over the suite must also be served entirely from the
+order cache — the cross-scenario reuse a grid sweep relies on.
 """
 
 import json
@@ -57,14 +58,14 @@ def test_solver_compare_scaling_suite():
     assert rerun.all_correct
     second = PLAN_CACHE.stats
     assert second.misses == baseline_misses, (
-        "plan cache missed on the second sweep: structural keys unstable"
+        "order cache missed on the second sweep: structural keys unstable"
     )
     fresh_lookups = second.lookups - lookups_before
     assert second.hits - hits_before == fresh_lookups, (
-        "second sweep was not 100% plan-cache served"
+        "second sweep was not 100% order-cache served"
     )
     print(
-        f"plan cache: {baseline_misses} compilations for "
+        f"order cache: {baseline_misses} orders resolved for "
         f"{second.lookups} lookups; second sweep 100% hits"
     )
 

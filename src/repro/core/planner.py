@@ -155,7 +155,8 @@ class Planner:
             (the block-granular RoundProgram fast path).  Both produce
             identical answers and identical round/bit accounting.
         solver: FAQ solver strategy — ``"operator"`` (operator-at-a-time
-            factor algebra) or ``"compiled"`` (cached fused query plans).
+            factor algebra) or ``"compiled"`` (fused elimination steps,
+            cached order).
             Applies to the centralized reference solve *and* to every
             player's free internal computation inside the protocol; both
             strategies produce identical answers and identical protocol

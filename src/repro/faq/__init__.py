@@ -8,8 +8,6 @@ from .message_passing import (
 )
 from .executor import (
     DictionaryPool,
-    ExecutionStats,
-    execute_plan,
     fused_join_marginalize,
 )
 from .naive import solve_naive
@@ -29,9 +27,6 @@ from .plan import (
     SOLVER_OPERATOR,
     SOLVERS,
     PlanCache,
-    QueryPlan,
-    plan_naive,
-    plan_variable_elimination,
     structural_signature,
     validate_solver,
 )
@@ -83,14 +78,9 @@ __all__ = [
     "SOLVER_OPERATOR",
     "SOLVER_COMPILED",
     "validate_solver",
-    "QueryPlan",
     "PlanCache",
     "PLAN_CACHE",
     "structural_signature",
-    "plan_variable_elimination",
-    "plan_naive",
-    "execute_plan",
-    "ExecutionStats",
     "DictionaryPool",
     "fused_join_marginalize",
 ]

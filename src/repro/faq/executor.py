@@ -1,10 +1,12 @@
-"""Fused columnar execution of compiled FAQ plans.
+"""The data plane of the compiled FAQ solver.
 
-This is the data-plane half of the compiled solver (planning lives in
-:mod:`repro.faq.plan`).  Three mechanisms make it faster than the
+``solver="compiled"`` runs the same elimination loop as the operator
+solver (:mod:`repro.faq.variable_elimination`); this module holds what
+it does differently, through two entry points — :func:`intern_inputs`
+and :func:`eliminate_fused`.  Three mechanisms make it faster than the
 operator-at-a-time path while returning byte-identical answers:
 
-* **Shared dictionary interning** — a per-execution
+* **Shared dictionary interning** — a per-solve
   :class:`DictionaryPool` re-codes every input factor so that all columns
   of one variable share a single dictionary object.  Dictionary encoding
   then happens once per base column (one vectorized ``np.unique`` over
@@ -20,7 +22,7 @@ operator-at-a-time path while returning byte-identical answers:
   merging).  Boolean factors (all annotations ``True`` by listing
   canonicality) additionally skip value arithmetic altogether and use a
   dense scatter for the grouped reduction when the code space is small.
-* **Graceful fallback** — any op whose operands are not columnar (or
+* **Graceful fallback** — any step whose operands are not columnar (or
   whose kernel declines: un-interned dictionaries, potential ``int64``
   overflow, composite-key overflow) executes through the ordinary
   operators in :mod:`repro.faq.operations`, which are always correct.
@@ -36,7 +38,6 @@ backend); the paper's Table 1 scenarios are all exact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,37 +58,10 @@ from ..semiring.columnar import (
     sort_groups,
 )
 from . import operations
-from .plan import (
-    AggregateAbsentOp,
-    FusedJoinMarginalizeOp,
-    InputOp,
-    JoinOp,
-    MarginalizeOp,
-    PlanOp,
-    ProjectOp,
-    QueryPlan,
-)
 
 #: Dense grouped reduction is used while the composite code space stays
 #: below ``max(4 * rows, _DENSE_CAP)`` — past that, sorting wins.
 _DENSE_CAP = 1 << 20
-
-
-@dataclass
-class ExecutionStats:
-    """Counters one :func:`execute_plan` call fills in (for tests/benches).
-
-    Attributes:
-        ops: Plan ops executed.
-        pooled_variables: Variables whose dictionaries were interned.
-        fused_vectorized: Fused elimination steps run on the fused kernel.
-        fused_fallback: Fused steps that fell back to join+marginalize.
-    """
-
-    ops: int = 0
-    pooled_variables: int = 0
-    fused_vectorized: int = 0
-    fused_fallback: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +212,11 @@ def _pool_dictionaries(dicts: Sequence[list]):
 
 
 class DictionaryPool:
-    """Per-execution dictionary interning: one dictionary per variable.
+    """Per-solve dictionary interning: one dictionary per variable.
 
     After :meth:`intern_factors`, every column of a shared variable
     references the *same* dictionary object, so code arrays are aligned
-    across all operators of the execution: joins build composite keys
+    across all operators of the solve: joins build composite keys
     directly from the codes and ``merge_dictionaries`` degenerates to an
     identity remap.  Variables occurring in a single factor are left
     untouched (there is nothing to align).
@@ -377,14 +351,14 @@ def _grouped_reduce_columns(
 def fused_join_marginalize(
     factors: Sequence[ColumnarFactor],
     variable: Any,
-    out_schema: Sequence[Any],
     semiring: Semiring,
 ) -> Optional[ColumnarFactor]:
     """Join ``factors`` left to right and ⊕-marginalize ``variable`` out —
     in one pass, without materializing the joined factor.
 
-    Equivalent to ``marginalize(multi_join(factors), variable)`` for the
-    semiring's own ⊕ (the only aggregate lowering fuses).  Requires the
+    Equivalent to ``marginalize(multi_join(factors), variable)``, schema
+    order included, for the semiring's own ⊕ (the only aggregate the
+    solver fuses).  Requires the
     operands' shared-variable dictionaries to be interned (identical
     objects); returns ``None`` whenever it cannot run exactly —
     un-interned dictionaries, composite-key overflow, possible ``int64``
@@ -394,7 +368,6 @@ def fused_join_marginalize(
         profile = profile_for(semiring)
     except ValueError:
         return None
-    out_schema = tuple(out_schema)
 
     # Boolean listings are canonically all-True: skip value arithmetic and
     # reduce by pure key deduplication.
@@ -408,7 +381,6 @@ def fused_join_marginalize(
     # match expansion.
     if (
         boolean_mode
-        and not out_schema
         and len(factors) > 1
         and all(f.schema == (variable,) for f in factors)
     ):
@@ -476,106 +448,53 @@ def fused_join_marginalize(
         cols = new_cols
         n = len(left_idx)
 
+    out_schema = tuple([v for v in schema if v != variable])
     return _grouped_reduce_columns(
         out_schema, cols, dicts, values, n, profile, semiring
     )
 
 
 # ---------------------------------------------------------------------------
-# Plan execution
+# The compiled solver's two entry points
 # ---------------------------------------------------------------------------
 
 
-def execute_plan(
-    plan: QueryPlan,
-    query,
-    stats: Optional[ExecutionStats] = None,
-) -> Factor:
-    """Run a compiled plan against the query's factors.
+def intern_inputs(query) -> Tuple[Mapping[str, Factor], bool]:
+    """The query's factors, pool-interned once when the whole query is
+    columnar over a supported semiring.
 
-    Inputs are pool-interned once when the whole query is columnar over a
-    supported semiring; each op then prefers its vectorized kernel and
-    falls back to the generic operators in :mod:`repro.faq.operations`
-    whenever a kernel declines.  Returns the factor in the plan's output
-    slot (over the query's free variables, like every solver).
+    Returns ``(factors, interned)``; ``interned`` is what lets
+    :func:`eliminate_fused` try the fused kernel at all.
     """
-    semiring = query.semiring
     factors: Mapping[str, Factor] = query.factors
-    columnar = supports_columnar(semiring) and all(
+    if not supports_columnar(query.semiring) or not all(
         isinstance(f, ColumnarFactor) for f in factors.values()
-    )
-    if columnar:
-        tracer = active_tracer()
-        pool = DictionaryPool()
-        intern_start = time.perf_counter()
-        inputs: Mapping[str, Factor] = pool.intern_factors(factors)
-        if tracer is not None:
-            tracer.phase_timer("intern", time.perf_counter() - intern_start)
-        if stats is not None:
-            stats.pooled_variables = len(pool)
-    else:
-        inputs = factors
-
-    env: List[Optional[Factor]] = [None] * plan.num_slots
-    for op in plan.ops:
-        if stats is not None:
-            stats.ops += 1
-        env[op.out] = _run_op(op, env, inputs, query, columnar, stats)
-    result = env[plan.output]
-    assert result is not None
-    return result
+    ):
+        return factors, False
+    tracer = active_tracer()
+    intern_start = time.perf_counter()
+    interned = DictionaryPool().intern_factors(factors)
+    if tracer is not None:
+        tracer.phase_timer("intern", time.perf_counter() - intern_start)
+    return interned, True
 
 
-def _run_op(
-    op: PlanOp,
-    env: List[Optional[Factor]],
-    inputs: Mapping[str, Factor],
-    query,
-    columnar: bool,
-    stats: Optional[ExecutionStats],
+def eliminate_fused(
+    parts: Sequence[Factor],
+    variable: Any,
+    semiring: Semiring,
+    interned: bool,
 ) -> Factor:
-    """Execute one plan op (vectorized when possible, generic otherwise)."""
-    semiring = query.semiring
-    if isinstance(op, InputOp):
-        return inputs[op.factor]
-    if isinstance(op, FusedJoinMarginalizeOp):
-        parts = [env[s] for s in op.sources]
-        result: Optional[Factor] = None
-        if columnar and all(isinstance(p, ColumnarFactor) for p in parts):
-            result = fused_join_marginalize(
-                parts, op.variable, op.schema, semiring
-            )
-        if result is not None:
-            COUNTERS.increment("solver.fused_vectorized")
-            if stats is not None:
-                stats.fused_vectorized += 1
-            return result
-        COUNTERS.increment("solver.fused_fallback")
-        if stats is not None:
-            stats.fused_fallback += 1
-        return operations.marginalize(
-            operations.multi_join(parts), op.variable, semiring.add
-        )
-    if isinstance(op, JoinOp):
-        return operations.join(env[op.left], env[op.right])
-    if isinstance(op, ProjectOp):
-        return operations.project(env[op.source], op.schema)
-    if isinstance(op, MarginalizeOp):
-        aggregate = query.aggregate_for(op.variable)
-        combine = aggregate.resolve(semiring)
-        full_domain = (
-            query.domains[op.variable] if aggregate.needs_full_domain else None
-        )
-        return operations.marginalize(
-            env[op.source], op.variable, combine, full_domain
-        )
-    if isinstance(op, AggregateAbsentOp):
-        aggregate = query.aggregate_for(op.variable)
-        combine = aggregate.resolve(semiring)
-        return operations.aggregate_absent_variable(
-            env[op.source],
-            combine,
-            len(query.domains[op.variable]),
-            aggregate.needs_full_domain,
-        )
-    raise TypeError(f"unknown plan op {type(op).__name__}")
+    """Join ``parts`` and ⊕-marginalize ``variable`` out — on the fused
+    kernel when the inputs were interned and it accepts the operands,
+    otherwise through the ordinary operators (counted either way)."""
+    result: Optional[Factor] = None
+    if interned and all(isinstance(p, ColumnarFactor) for p in parts):
+        result = fused_join_marginalize(parts, variable, semiring)
+    if result is not None:
+        COUNTERS.increment("solver.fused_vectorized")
+        return result
+    COUNTERS.increment("solver.fused_fallback")
+    return operations.marginalize(
+        operations.multi_join(parts), variable, semiring.add
+    )

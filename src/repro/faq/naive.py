@@ -12,6 +12,7 @@ domain).
 from __future__ import annotations
 
 from ..semiring import Factor
+from .executor import intern_inputs
 from .operations import (
     aggregate_absent_variable,
     marginalize,
@@ -34,10 +35,9 @@ def solve_naive(
         backend: Optional storage backend override (``"dict"`` or
             ``"columnar"``) applied to the factors for this solve only;
             ``None`` keeps the query's own backend.
-        solver: ``"operator"`` (default) or ``"compiled"`` — the compiled
-            plan keeps the naive join-then-aggregate shape literal (it is
-            the semantic ground truth, so nothing is fused), but benefits
-            from dictionary interning and plan caching.
+        solver: ``"operator"`` (default) or ``"compiled"`` — the same
+            join-then-aggregate loop (it is the semantic ground truth, so
+            nothing is fused) over pool-interned inputs.
 
     Returns:
         A factor over ``query.free_vars`` (zero-arity for BCQ; read it with
@@ -46,12 +46,10 @@ def solve_naive(
     solver = validate_solver(solver)
     if backend is not None:
         query = query.with_backend(backend)
+    factors = query.factors
     if solver == SOLVER_COMPILED:
-        from .executor import execute_plan
-        from .plan import plan_naive
-
-        return execute_plan(plan_naive(query), query)
-    joined = multi_join(query.factors.values(), name="joined")
+        factors, _interned = intern_inputs(query)
+    joined = multi_join(factors.values(), name="joined")
     for variable in query.elimination_order():
         aggregate = query.aggregate_for(variable)
         combine = aggregate.resolve(query.semiring)

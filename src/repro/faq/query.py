@@ -59,6 +59,11 @@ class Aggregate:
         """Product aggregates must fold over every domain value."""
         return self.kind == "product"
 
+    @property
+    def is_plain_sum(self) -> bool:
+        """The query semiring's own ⊕ (the FAQ-SS aggregate)."""
+        return self.kind == "semiring" and self.combine is None
+
 
 #: The default FAQ-SS aggregate: the semiring's own ⊕.
 SUM = Aggregate("sum", "semiring")
@@ -174,11 +179,7 @@ class FAQQuery:
 
     def is_faq_ss(self) -> bool:
         """True when every bound variable uses the same semiring ⊕ (FAQ-SS)."""
-        return all(
-            self.aggregate_for(v).kind == "semiring"
-            and self.aggregate_for(v).combine is None
-            for v in self.bound_vars
-        )
+        return all(self.aggregate_for(v).is_plain_sum for v in self.bound_vars)
 
     def with_backend(self, backend: Optional[str]) -> "FAQQuery":
         """This query with factors stored in ``backend``.

@@ -24,7 +24,10 @@ from ..semiring import Factor
 from .naive import solve_naive
 from .plan import SOLVER_COMPILED, SOLVER_OPERATOR
 from .query import FAQQuery
-from .variable_elimination import solve_variable_elimination
+from .variable_elimination import (
+    dangling_bound_vars,
+    solve_variable_elimination,
+)
 
 #: The leading stacking variable: member index within the stack.
 SCENARIO_VAR = "__scenario__"
@@ -33,12 +36,11 @@ Rows = Dict[Tuple[Any, ...], Any]
 
 
 def solve(query: FAQQuery, solver: str = SOLVER_OPERATOR) -> Factor:
-    """Variable elimination, falling back to the naive solver for
-    queries it rejects (dangling bound variables)."""
-    try:
-        return solve_variable_elimination(query, solver=solver)
-    except ValueError:
+    """Variable elimination, or the naive solver for the queries it
+    rejects: a bound variable that occurs in no factor."""
+    if dangling_bound_vars(query):
         return solve_naive(query, solver=solver)
+    return solve_variable_elimination(query, solver=solver)
 
 
 def structural_signature(query: FAQQuery) -> Optional[str]:

@@ -7,19 +7,21 @@ order is valid (Theorem G.1, condition 1) and a structure-aware order is
 chosen; for mixed-operator queries the listed right-to-left order is
 respected so correctness never depends on operator commutation.
 
-``solver="compiled"`` lowers the same elimination into a cached
-:class:`~repro.faq.plan.QueryPlan` (each join+marginalize step fused into
-one kernel) and runs it on the columnar executor — byte-identical answers,
-one plan compilation per query structure.
+``solver="compiled"`` runs the same loop over pool-interned inputs, sends
+each plain-⊕ step to the fused join+marginalize kernel
+(:mod:`repro.faq.executor`) and takes the order from
+:data:`~repro.faq.plan.PLAN_CACHE` — byte-identical answers, one order
+resolution per query structure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..semiring import Factor
+from .executor import eliminate_fused, intern_inputs
 from .operations import marginalize, multi_join, project
-from .plan import SOLVER_COMPILED, validate_solver
+from .plan import SOLVER_COMPILED, cached_elimination_order, validate_solver
 from .query import FAQQuery
 
 
@@ -76,6 +78,16 @@ def greedy_elimination_order(query: FAQQuery) -> Tuple[str, ...]:
     return tuple(order)
 
 
+def dangling_bound_vars(query: FAQQuery) -> FrozenSet[str]:
+    """The bound variables that occur in no factor: any of them makes
+    variable elimination reject the query, and only the naive solver
+    answers it."""
+    occurs: Set[str] = set()
+    for f in query.factors.values():
+        occurs.update(f.schema)
+    return frozenset(query.bound_vars - occurs)
+
+
 def _resolve_order(
     query: FAQQuery, order: Optional[Sequence[str]]
 ) -> Optional[Tuple[str, ...]]:
@@ -98,6 +110,14 @@ def _resolve_order(
     return order
 
 
+def _default_order(query: FAQQuery) -> Tuple[str, ...]:
+    """The listed right-to-left order for mixed-operator queries,
+    :func:`greedy_elimination_order` for FAQ-SS."""
+    if query.is_faq_ss():
+        return greedy_elimination_order(query)
+    return query.elimination_order()
+
+
 def solve_variable_elimination(
     query: FAQQuery,
     order: Optional[Sequence[str]] = None,
@@ -117,8 +137,9 @@ def solve_variable_elimination(
             ``"columnar"``) applied to the factors for this solve only;
             ``None`` keeps the query's own backend.
         solver: ``"operator"`` (default) evaluates operator at a time;
-            ``"compiled"`` runs the cached fused plan through
-            :func:`repro.faq.executor.execute_plan`.  Answers are
+            ``"compiled"`` interns the inputs, fuses every plain-⊕ step
+            (:func:`repro.faq.executor.eliminate_fused`) and reuses the
+            order cached for the query's structure.  Answers are
             identical.
 
     Returns:
@@ -132,41 +153,42 @@ def solve_variable_elimination(
     solver = validate_solver(solver)
     if backend is not None:
         query = query.with_backend(backend)
-    occurs = set()
-    for f in query.factors.values():
-        occurs |= set(f.schema)
-    dangling = query.bound_vars - occurs
+    dangling = dangling_bound_vars(query)
     if dangling:
         raise ValueError(
             f"bound variables in no factor: {sorted(dangling, key=str)}; "
             "use solve_naive for such queries"
         )
-    order = _resolve_order(query, order)
+    requested = _resolve_order(query, order)
 
-    if solver == SOLVER_COMPILED:
-        from .executor import execute_plan
-        from .plan import plan_variable_elimination
+    def resolve() -> Tuple[str, ...]:
+        return _default_order(query) if requested is None else requested
 
-        plan = plan_variable_elimination(query, order)
-        return execute_plan(plan, query)
+    compiled = solver == SOLVER_COMPILED
+    if compiled:
+        order = cached_elimination_order(query, requested, resolve)
+        inputs, interned = intern_inputs(query)
+    else:
+        order = resolve()
+        inputs, interned = query.factors, False
 
-    if order is None:
-        if query.is_faq_ss():
-            order = greedy_elimination_order(query)
-        else:
-            order = query.elimination_order()
-
-    live: List[Factor] = list(query.factors.values())
+    semiring = query.semiring
+    live: List[Factor] = list(inputs.values())
     for variable in order:
-        touching = [f for f in live if variable in f.schema]
-        rest = [f for f in live if variable not in f.schema]
-        combined = multi_join(touching)
+        touching: List[Factor] = []
+        rest: List[Factor] = []
+        for f in live:
+            (touching if variable in f.schema else rest).append(f)
         aggregate = query.aggregate_for(variable)
-        combine = aggregate.resolve(query.semiring)
-        full_domain = (
-            query.domains[variable] if aggregate.needs_full_domain else None
-        )
-        reduced = marginalize(combined, variable, combine, full_domain)
+        if compiled and aggregate.is_plain_sum:
+            reduced = eliminate_fused(touching, variable, semiring, interned)
+        else:
+            combined = multi_join(touching)
+            combine = aggregate.resolve(semiring)
+            full_domain = (
+                query.domains[variable] if aggregate.needs_full_domain else None
+            )
+            reduced = marginalize(combined, variable, combine, full_domain)
         live = rest + [reduced]
 
     result = multi_join(live)

@@ -555,8 +555,8 @@ def run_distributed_faq(
             fast path.  Answers, round counts and bit accounting are
             identical; only wall-clock differs.
         solver: FAQ solver strategy for the players' free internal
-            computation — ``"operator"`` or ``"compiled"`` (cached fused
-            query plans).  Orthogonal to ``engine``: it never touches
+            computation — ``"operator"`` or ``"compiled"`` (fused
+            elimination steps, cached order).  Orthogonal to ``engine``: it never touches
             what goes over the wire, so answers, round counts and bit
             accounting are identical across solvers.
         tracer: optional :class:`~repro.obs.trace.Tracer`; when enabled,

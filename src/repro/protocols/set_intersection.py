@@ -215,57 +215,6 @@ def combine_over_packing(
     return None
 
 
-def _compile_intersection_programs(
-    plan: SlotPlan,
-    vectors: Dict[str, Sequence[bool]],
-    output_player: str,
-    participants,
-    ranges,
-    bits_per_slot: int,
-):
-    """The compiled-engine form of the Theorem 3.11 protocol.
-
-    One :class:`~repro.network.program.ConvergecastOp` per (node, tree)
-    carries the slot timing; the AND itself is a timing-free fold over
-    each tree's contributions, computed at the root in the generator
-    engine's association order.
-    """
-    from ..network.program import ComputeStep, ConvergecastOp, NodeProgram, ParallelOps
-    from .compiler import fold_tree_slots
-
-    slots_full = {node: list(vec) for node, vec in vectors.items()}
-    vec_and = lambda a, b: [x and y for x, y in zip(a, b)]
-    identity_fn = lambda length: [True] * length
-
-    programs = {}
-    for node in sorted(participants):
-        cc_ops = []
-        for j in plan.trees_of(node):
-            tree = plan.trees[j]
-            parents = tree.parent_map()
-            children = sorted(n for n, p in parents.items() if p == node)
-            op = ConvergecastOp(f"si:t{j}", parents.get(node), children,
-                                bits_per_slot)
-            start, stop = ranges[j]
-            op.configure(stop - start)
-            cc_ops.append(op)
-        items = [ParallelOps(cc_ops, label="si")] if cc_ops else []
-        if node == output_player:
-            def finish(ctx):
-                combined: List[bool] = []
-                for j, tree in enumerate(plan.trees):
-                    start, stop = ranges[j]
-                    combined.extend(
-                        fold_tree_slots(tree, slots_full, start, stop,
-                                        vec_and, identity_fn)
-                    )
-                return combined
-
-            items.append(ComputeStep(finish, label="si:finish", is_output=True))
-        programs[node] = NodeProgram(node, items)
-    return programs
-
-
 def run_set_intersection(
     topology: Topology,
     vectors: Dict[str, Sequence[bool]],
@@ -273,7 +222,6 @@ def run_set_intersection(
     max_diameter: Optional[int] = None,
     bits_per_slot: int = 1,
     max_rounds: int = 1_000_000,
-    engine: str = "generator",
 ) -> Tuple[List[bool], SimulationResult]:
     """Run the full Theorem 3.11 protocol on the simulator.
 
@@ -284,8 +232,6 @@ def run_set_intersection(
         output_player: Learns the AND of all vectors.
         max_diameter: Fix Δ (None = optimize).
         bits_per_slot: Bits charged per transmitted slot (1 for Boolean).
-        engine: ``"generator"`` (reference) or ``"compiled"`` (block
-            engine); identical answers and round/bit accounting.
 
     Returns:
         ``(intersection_vector, simulation_result)``.
@@ -306,17 +252,6 @@ def run_set_intersection(
     participants |= set(vectors) | {output_player}
 
     ranges = plan.slice_ranges(num_slots)
-
-    if engine == "compiled":
-        programs = _compile_intersection_programs(
-            plan, vectors, output_player, participants, ranges, bits_per_slot
-        )
-        sim = Simulator(
-            topology, capacity_bits=max(1, bits_per_slot), max_rounds=max_rounds
-        )
-        result = sim.run_program(programs)
-        answer = result.output_of(output_player)
-        return list(answer or []), result
 
     def make_proc(node: str):
         my = vectors.get(node)

@@ -54,75 +54,18 @@ def packets_to_factors(
     }
 
 
-def _compile_routing_programs(
-    parents: Dict[str, Any],
-    children: Dict[str, List[str]],
-    holdings: Dict[str, List[Tuple[int, Any]]],
-    sink: str,
-    capacity_bits: int,
-):
-    """Compiled-engine routing: RouteOps over the BFS tree.
-
-    Chunk timing replicates :func:`chunk_packets` + the generator's
-    store-and-forward exactly; payload content travels out of band (the
-    collected order at the sink is sorted by origin, not by arrival —
-    the multiset is identical).
-    """
-    from ..network.program import ComputeStep, NodeProgram, RouteOp, chunk_pattern
-
-    payloads_by_node: Dict[str, List[Any]] = {}
-
-    def make_packets_fn(node: str):
-        def packets_fn():
-            runs: List[Tuple[Tuple[int, ...], int]] = []
-            payloads: List[Any] = []
-            for bits, payload in holdings.get(node, []):
-                pattern = chunk_pattern(bits, capacity_bits)
-                if runs and runs[-1][0] == pattern:
-                    runs[-1] = (pattern, runs[-1][1] + 1)
-                else:
-                    runs.append((pattern, 1))
-                payloads.append(payload)
-            payloads_by_node[node] = payloads
-            return runs
-
-        return packets_fn
-
-    programs = {}
-    for node in parents:
-        items = [
-            RouteOp("route", parents[node], sorted(children[node]),
-                    make_packets_fn(node))
-        ]
-        if node == sink:
-            def finish(ctx):
-                collected: List[Any] = []
-                for origin in sorted(payloads_by_node):
-                    collected.extend(payloads_by_node[origin])
-                return collected
-
-            items.append(ComputeStep(finish, label="collect", is_output=True))
-        programs[node] = NodeProgram(node, items)
-    return programs
-
-
 def route_all_to_sink(
     topology: Topology,
     holdings: Dict[str, List[Tuple[int, Any]]],
     sink: str,
     capacity_bits: int,
     max_rounds: int = 1_000_000,
-    engine: str = "generator",
 ) -> Tuple[List[Any], SimulationResult]:
     """Route arbitrary packets from many players to one sink.
 
     Args:
         holdings: ``player -> [(bits, payload), ...]``; every node of G
             participates as a relay over the sink-rooted BFS tree.
-        engine: ``"generator"`` (reference) or ``"compiled"`` (block
-            engine).  Round/bit accounting is identical; the compiled
-            engine collects payloads in origin order rather than arrival
-            order (the multiset is the same).
 
     Returns:
         ``(collected_payloads_at_sink, simulation_result)``.
@@ -132,15 +75,6 @@ def route_all_to_sink(
     for node, parent in parents.items():
         if parent is not None:
             children[parent].append(node)
-
-    if engine == "compiled":
-        programs = _compile_routing_programs(
-            parents, children, holdings, sink, capacity_bits
-        )
-        sim = Simulator(topology, capacity_bits, max_rounds)
-        result = sim.run_program(programs)
-        collected = result.output_of(sink) or []
-        return list(strip_continuations(collected)), result
 
     def make_proc(node: str):
         packets = chunk_packets(holdings.get(node, []), capacity_bits)
@@ -174,7 +108,6 @@ def run_trivial_protocol(
     tuple_bits: int,
     capacity_bits: int,
     max_rounds: int = 1_000_000,
-    engine: str = "generator",
 ) -> Tuple[Dict[str, Factor], SimulationResult]:
     """Ship whole relations to ``sink`` (the Lemma 3.1 protocol).
 
@@ -182,7 +115,6 @@ def run_trivial_protocol(
         factors: Relation name -> factor.
         assignment: Relation name -> owning player.
         tuple_bits: The per-tuple encoding cost ``O(r log D)``.
-        engine: Protocol engine (see :func:`route_all_to_sink`).
 
     Returns:
         ``(factors reassembled at sink, simulation_result)``.
@@ -196,7 +128,7 @@ def run_trivial_protocol(
             (max(1, tuple_bits), (name, row, value)) for row, value in factor
         )
     payloads, result = route_all_to_sink(
-        topology, holdings, sink, capacity_bits, max_rounds, engine=engine
+        topology, holdings, sink, capacity_bits, max_rounds
     )
     schemas = {name: f.schema for name, f in factors.items()}
     semiring = next(iter(factors.values())).semiring if factors else None

@@ -1,14 +1,14 @@
 """Serving plane — a persistent shared-memory FAQ/BCQ query service.
 
 The lab executes scenarios as cold per-process runs; this package
-promotes the Planner / plan-cache / DictionaryPool stack into a
+promotes the Planner / order-cache / DictionaryPool stack into a
 long-lived service with a strict offline/online split:
 
 * :mod:`repro.serve.store` — relations registered once, published as
   zero-copy shared-memory columnar segments warm workers attach to.
 * :mod:`repro.serve.session` — the offline phase: materialization,
-  decomposition search, protocol-plan compilation, query-plan lowering,
-  dictionary interning and symbolic cost prediction, persisted in a
+  decomposition search, protocol-plan compilation, elimination-order
+  caching, dictionary interning and symbolic cost prediction, persisted in a
   session manifest.  The online phase touches only compiled kernels.
 * :mod:`repro.serve.server` — the asyncio front-end: admission control
   priced by :func:`repro.costmodel.predict_costs` (zero execution),

@@ -8,9 +8,9 @@ a pure function of the identity and can therefore be paid once:
   + decomposition search + protocol-plan compilation
   (:func:`repro.pipeline.plan_scenario` — the same memos the lab's
   runner fills, so the two planes share work within a process),
-* query-plan lowering and dictionary interning (one warm solve primes
-  the :data:`~repro.faq.plan.PLAN_CACHE` and the executor's dictionary
-  pool fast paths),
+* the elimination order and dictionary interning (one warm solve
+  primes the :data:`~repro.faq.plan.PLAN_CACHE` and the executor's
+  dictionary pool fast paths),
 * the closed-form bound report and — on cells the symbolic cost model
   covers — the **exact** :func:`repro.pipeline.predicted_metrics` the
   server's admission controller prices queries with, *without executing
@@ -144,7 +144,7 @@ class ServingSession:
         session_id = session_id_of(spec)
         with kernels.use_tier(spec.kernels):
             planner, protocol_plan = plan_scenario(spec)
-            # Warm solve: lowers/caches the QueryPlan (compiled solver),
+            # Warm solve: caches the elimination order (compiled solver),
             # interns dictionaries, and pins the expected answer digest.
             warm_answer = planner.reference_answer()
         # The zero-execution estimate admission control prices with: on

@@ -1,15 +1,17 @@
-"""Compiled FAQ query plans: lowering, fused kernels, interning, caching.
+"""The compiled FAQ solver: fused kernels, interning, the order cache.
 
 The contract under test: ``solver="compiled"`` produces byte-identical
-answers to the operator-at-a-time path on both entry points that have a
-compiled lowering (variable elimination and naive), the
-fused join+marginalize kernel is equivalent to ``join`` then
-``marginalize`` across semirings, dictionary interning round-trips
-exactly, and plans are cached by query *structure* so a grid sweep that
-varies only seed/N/assignment compiles once.
+answers to the operator-at-a-time path on both entry points that take
+it (variable elimination and naive), the fused join+marginalize kernel
+is equivalent to ``join`` then ``marginalize`` across semirings,
+dictionary interning round-trips exactly, and elimination orders are
+cached by query *structure* so a grid sweep that varies only
+seed/N/assignment resolves each order once.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,14 +23,11 @@ from repro.faq import (
     PLAN_CACHE,
     PRODUCT,
     Aggregate,
+    SOLVERS,
     DictionaryPool,
-    ExecutionStats,
     FAQQuery,
     bcq,
-    execute_plan,
     fused_join_marginalize,
-    plan_naive,
-    plan_variable_elimination,
     scalar_value,
     solve_message_passing,
     solve_naive,
@@ -36,10 +35,13 @@ from repro.faq import (
     structural_signature,
     validate_solver,
 )
-from repro.faq.plan import MarginalizeOp, PlanCache, QueryPlan
+from repro.faq.plan import PlanCache, cached_elimination_order
+from repro.faq.reference import solve
 from repro.faq.variable_elimination import greedy_elimination_order
 from repro.hypergraph import Hypergraph
+from repro.lab.results import answer_digest
 from repro.network.topology import Topology
+from repro.obs.counters import COUNTERS, counter_delta, deterministic_view
 from repro.protocols.faq_protocol import run_distributed_faq
 from repro.semiring import (
     BOOLEAN,
@@ -109,7 +111,7 @@ def test_compiled_parity_variable_elimination(semiring, backend):
 @pytest.mark.parametrize("backend", [None, "columnar"])
 def test_compiled_parity_naive_and_message_passing(backend):
     """The compiled naive plan against both operator-level references
-    (message passing has no compiled lowering of its own)."""
+    (message passing has no compiled form of its own)."""
     for semiring in (BOOLEAN, COUNTING):
         q = _random_query(semiring, 5, backend=backend)
         compiled = solve_naive(q, solver="compiled")
@@ -164,17 +166,51 @@ def test_compiled_dangling_bound_variable_raises_like_operator():
     assert solve_naive(q, solver="compiled") == solve_naive(q)
 
 
+def test_solve_propagates_variable_elimination_errors(monkeypatch):
+    # Only a dangling bound variable sends solve() to the naive solver;
+    # any other failure of variable elimination is the caller's to see.
+    def broken(query, solver=None):
+        raise ValueError("kernel bug")
+
+    monkeypatch.setattr("repro.faq.reference.solve_variable_elimination", broken)
+    with pytest.raises(ValueError, match="kernel bug"):
+        solve(_random_query(COUNTING, 1))
+
+
+def test_solve_answers_dangling_queries_on_both_solvers():
+    h = Hypergraph({"R": ("A",)}, vertices=("Z",))
+    q = FAQQuery(
+        hypergraph=h,
+        factors={"R": Factor(("A",), {(1,): 2, (2,): 3}, COUNTING)},
+        domains={"A": (1, 2), "Z": (1, 2, 3)},
+        free_vars=("A",),
+        semiring=COUNTING,
+        backend="columnar",
+    )
+    expected = {(1,): 6, (2,): 9}  # each row times |dom(Z)|
+    for solver in SOLVERS:
+        assert dict(solve(q, solver).rows) == expected
+
+
 # ---------------------------------------------------------------------------
-# Plan structure
+# Which steps fuse
 # ---------------------------------------------------------------------------
+
+
+def _solver_counters(run):
+    """The deterministic counters ``run()`` advanced."""
+    before = COUNTERS.snapshot()
+    result = run()
+    return result, deterministic_view(counter_delta(before, COUNTERS.snapshot()))
 
 
 def test_ve_plan_fuses_every_plain_sum_elimination():
     q = _random_query(COUNTING, 4)
-    plan = plan_variable_elimination(q)
-    assert plan.strategy == "variable-elimination"
-    assert plan.fused_ops == len(q.bound_vars)
-    assert not any(isinstance(op, MarginalizeOp) for op in plan.ops)
+    _, counted = _solver_counters(
+        lambda: solve_variable_elimination(q, solver="compiled")
+    )
+    fused = counted.get("solver.fused_vectorized", 0)
+    assert fused + counted.get("solver.fused_fallback", 0) == len(q.bound_vars)
 
 
 def test_ve_plan_keeps_product_aggregates_unfused():
@@ -187,27 +223,33 @@ def test_ve_plan_keeps_product_aggregates_unfused():
         semiring=REAL,
         aggregates={"A": PRODUCT},
     )
-    plan = plan_variable_elimination(q)
-    assert plan.fused_ops == 0
-    assert any(isinstance(op, MarginalizeOp) for op in plan.ops)
+    out, counted = _solver_counters(
+        lambda: solve_variable_elimination(q, solver="compiled")
+    )
+    assert out == solve_variable_elimination(q)
+    assert "solver.fused_vectorized" not in counted
+    assert "solver.fused_fallback" not in counted
 
 
 def test_naive_plan_is_literal_join_then_aggregate():
-    q = _random_query(COUNTING, 4)
-    plan = plan_naive(q)
-    assert plan.fused_ops == 0
-    kinds = [type(op).__name__ for op in plan.ops]
-    assert kinds.count("JoinOp") == len(q.factors) - 1
+    # Nothing fuses and nothing is cached: the compiled naive solve is
+    # the operator loop over interned inputs.
+    q = _random_query(COUNTING, 4, backend="columnar")
+    PLAN_CACHE.clear()
+    out, counted = _solver_counters(lambda: solve_naive(q, solver="compiled"))
+    assert out == solve_naive(q)
+    assert not any(name.startswith(("solver.", "plan_cache.")) for name in counted)
+    assert PLAN_CACHE.stats.lookups == PLAN_CACHE.stats.uncacheable == 0
 
 
 def test_plan_schemas_track_operator_results():
     q = _random_query(COUNTING, 6, backend="columnar")
-    plan = plan_variable_elimination(q)
-    stats = ExecutionStats()
-    out = execute_plan(plan, q, stats)
+    out, counted = _solver_counters(
+        lambda: solve_variable_elimination(q, solver="compiled")
+    )
     assert tuple(out.schema) == q.free_vars
-    assert stats.ops == len(plan.ops)
-    assert stats.fused_vectorized + stats.fused_fallback == plan.fused_ops
+    assert counted["solver.fused_vectorized"] == len(q.bound_vars)
+    assert "solver.fused_fallback" not in counted
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +260,19 @@ def test_plan_schemas_track_operator_results():
 def test_plan_cache_reuses_across_seeds_and_sizes():
     PLAN_CACHE.clear()
     h = random_tree_query(5, seed=13)
-    plans = []
     for seed, n in ((1, 8), (2, 16), (3, 32)):
         factors, domains = random_instance(
             h, domain_size=8, relation_size=n, seed=seed
         )
         q = bcq(h, factors, domains)
-        plans.append(plan_variable_elimination(q))
+        assert solve_variable_elimination(q, solver="compiled") == (
+            solve_variable_elimination(q)
+        )
     assert PLAN_CACHE.stats.misses == 1
     assert PLAN_CACHE.stats.hits == 2
-    assert plans[0] is plans[1] is plans[2]
+    # What the three solves shared is the first one's greedy order.
+    cached = cached_elimination_order(q, None, lambda: pytest.fail("miss"))
+    assert cached == greedy_elimination_order(q)
 
 
 def test_plan_cache_second_sweep_is_all_hits():
@@ -286,7 +331,7 @@ def test_custom_aggregate_combine_is_uncacheable_but_correct():
 
 def test_plan_cache_lru_eviction():
     cache = PlanCache(maxsize=2)
-    dummy = QueryPlan("naive", (), 0, 1)
+    dummy = ("A", "B")
     cache.put("a", dummy)
     cache.put("b", dummy)
     assert cache.get("a") is dummy  # refresh a
@@ -398,13 +443,7 @@ def test_fused_kernel_equals_join_then_marginalize(case):
 
     semiring, factors = case
     interned = DictionaryPool().intern_factors(factors)
-    parts = list(interned.values())
-    merged = []
-    for f in parts:
-        merged += [v for v in f.schema if v not in merged]
-    out_schema = tuple(v for v in merged if v != "V")
-
-    fused = fused_join_marginalize(parts, "V", out_schema, semiring)
+    fused = fused_join_marginalize(list(interned.values()), "V", semiring)
     reference = marginalize(
         multi_join(list(factors.values())), "V", semiring.add
     )
@@ -437,7 +476,7 @@ def test_fused_kernel_declines_uninterned_dictionaries():
     g = _columnar(("V", "B"), {(1, 3): True})
     # Dictionaries share values but not identity: the kernel must decline
     # rather than misread codes.
-    assert fused_join_marginalize([f, g], "V", ("A", "B"), BOOLEAN) is None
+    assert fused_join_marginalize([f, g], "V", BOOLEAN) is None
 
 
 def test_fused_kernel_int64_overflow_guard():
@@ -445,12 +484,7 @@ def test_fused_kernel_int64_overflow_guard():
     f = ColumnarFactor(("V",), {(1,): big}, COUNTING)
     g = ColumnarFactor(("V",), {(1,): 4}, COUNTING)
     interned = DictionaryPool().intern_factors({"F": f, "G": g})
-    assert (
-        fused_join_marginalize(
-            list(interned.values()), "V", (), COUNTING
-        )
-        is None
-    )
+    assert fused_join_marginalize(list(interned.values()), "V", COUNTING) is None
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +700,122 @@ def test_scalar_answer_matches_across_solvers():
     assert scalar_value(solve_variable_elimination(q, solver="compiled")) is (
         scalar_value(solve_variable_elimination(q))
     )
+
+
+# ---------------------------------------------------------------------------
+# Golden: the compiled solver, pinned call by call
+# ---------------------------------------------------------------------------
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "compiled_solver.json")
+
+
+def _small_query(relations, domains, free_vars, semiring=COUNTING, **extra):
+    """A columnar query over ``{name: (schema, rows)}``."""
+    h = Hypergraph(
+        {name: schema for name, (schema, _rows) in relations.items()},
+        vertices=domains,
+    )
+    factors = {
+        name: Factor(schema, rows, semiring, name=name)
+        for name, (schema, rows) in relations.items()
+    }
+    return FAQQuery(
+        hypergraph=h, factors=factors, domains=domains, free_vars=free_vars,
+        semiring=semiring, backend="columnar", **extra,
+    )
+
+
+#: One query per branch of the compiled solver, built fresh per call.
+GOLDEN_CASES = {
+    # The fused kernel runs on every elimination step.
+    "fused-columnar": lambda: _random_query(COUNTING, 6, backend="columnar"),
+    # The same query on the dict backend: every fused step falls back.
+    "fallback-dict": lambda: _random_query(COUNTING, 6, backend="dict"),
+    # int64-overflowing annotations: the kernel declines.
+    "int64-overflow": lambda: _small_query(
+        {"F": (("V",), {(1,): 2 ** 62 + 1, (2,): 3}),
+         "G": (("V",), {(1,): 4, (2,): 5})},
+        {"V": (1, 2)}, (),
+    ),
+    # A PRODUCT aggregate: the full-domain marginalize, listed order.
+    "product-aggregate": lambda: _small_query(
+        {"R": (("A", "B"), {(1, 1): 2.0, (1, 2): 3.0, (2, 2): 1.0}),
+         "S": (("B", "C"), {(1, 1): 4.0, (2, 1): 5.0, (2, 3): 2.0})},
+        {"A": (1, 2), "B": (1, 2), "C": (1, 3)}, ("A",),
+        semiring=REAL, aggregates={"C": PRODUCT}, bound_order=("B", "C"),
+    ),
+    # A custom Aggregate callable: no structural key, nothing cached.
+    "custom-aggregate": lambda: _small_query(
+        {"R": (("A", "B"), {(1, 1): 2, (2, 1): 3, (2, 2): 7})},
+        {"A": (1, 2), "B": (1, 2)}, ("B",),
+        aggregates={"A": Aggregate("max", "semiring", combine=max)},
+    ),
+    # Free variables out of schema order: the final projection.
+    "projection": lambda: _small_query(
+        {"R": (("A", "B"), {(1, 1): 2, (2, 1): 3, (2, 2): 1}),
+         "S": (("B", "C"), {(1, 5): 4, (2, 5): 2, (2, 6): 3})},
+        {"A": (1, 2), "B": (1, 2), "C": (5, 6)}, ("C", "A"),
+    ),
+    # A two-component forest: the final join.
+    "forest": lambda: _small_query(
+        {"R": (("A", "B"), {(1, 1): 2, (2, 1): 3, (2, 2): 1}),
+         "S": (("C", "D"), {(7, 1): 4, (8, 1): 2, (8, 2): 3})},
+        {"A": (1, 2), "B": (1, 2), "C": (7, 8), "D": (1, 2)}, ("A", "C"),
+    ),
+    # A bound variable in no factor: solve() takes the naive solver.
+    "dangling": lambda: _small_query(
+        {"R": (("A",), {(1,): 2, (2,): 3})},
+        {"A": (1, 2), "Z": (1, 2, 3)}, ("A",),
+    ),
+}
+
+
+def _golden_call(query, solver):
+    """One ``solve`` call: answer digest, deterministic counter delta and
+    the plan cache's running ``[hits, misses, uncacheable]``."""
+    before = COUNTERS.snapshot()
+    answer = solve(query, solver)
+    delta = deterministic_view(counter_delta(before, COUNTERS.snapshot()))
+    stats = PLAN_CACHE.stats
+    return {
+        "digest": answer_digest(answer.schema, answer.rows),
+        "counters": delta,
+        "plan_cache": [stats.hits, stats.misses, stats.uncacheable],
+    }
+
+
+def golden_record(name):
+    """A cold call then a warm call of one case, on each solver."""
+    record = {}
+    for solver in SOLVERS:
+        PLAN_CACHE.clear()
+        query = GOLDEN_CASES[name]()
+        record[solver] = [_golden_call(query, solver) for _call in ("cold", "warm")]
+    return record
+
+
+def _without_naive_plan_lookup(calls):
+    """The interpreter that wrote the golden file looked a naive plan up
+    in PLAN_CACHE; the naive loop has nothing to cache and looks nothing
+    up, so those records lose exactly that lookup."""
+    return [
+        dict(
+            call,
+            counters={
+                name: count for name, count in call["counters"].items()
+                if name != "plan_cache.lookups"
+            },
+            plan_cache=[0, 0, 0],
+        )
+        for call in calls
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_compiled_solver_matches_golden(name):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        expected = json.load(fh)[name]
+    if name == "dangling":
+        expected["compiled"] = _without_naive_plan_lookup(expected["compiled"])
+    assert golden_record(name) == expected

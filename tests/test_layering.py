@@ -287,3 +287,35 @@ def test_the_network_package_accounts_on_plain_ints():
         if _subpackage(importer) == "network"
         and _subpackage(target) == "kernels"
     ] == []
+
+
+def test_one_elimination_loop():
+    # Both solvers run the elimination loop of
+    # ``faq/variable_elimination.py``; a plan IR beside it (op classes,
+    # a plan type, lowerings, an interpreter) would be a second copy of
+    # that loop. The order cache is filled in one place.
+    trees = {module: tree for module, _package, tree in _modules()}
+    defined = [
+        (module, node.name)
+        for module, tree in trees.items()
+        if _subpackage(module) == "faq"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and (
+            (isinstance(node, ast.ClassDef) and node.name.endswith("Op"))
+            or node.name in ("QueryPlan", "execute_plan")
+            or node.name.startswith("lower_")
+        )
+    ]
+    assert defined == []
+    puts = [
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "put"
+        and getattr(node.func.value, "id", getattr(node.func.value, "attr", None))
+        == "PLAN_CACHE"
+    ]
+    assert puts == ["repro.faq.plan"]

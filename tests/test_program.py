@@ -41,9 +41,7 @@ from repro.pipeline import build_assignment, build_query, build_topology
 from repro.protocols import (
     compile_plan,
     compile_round_programs,
-    route_all_to_sink,
     run_distributed_faq,
-    run_set_intersection,
     validate_engine,
 )
 from repro.protocols.faq_protocol import _make_player
@@ -262,56 +260,6 @@ def test_validate_engine_rejects_unknown():
         validate_engine("turbo")
     with pytest.raises(ValueError, match="unknown engine"):
         run_distributed_faq(None, None, None, engine="turbo")
-
-
-# ---------------------------------------------------------------------------
-# Compiled paths of the other protocols
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "topology",
-    [Topology.clique(5), Topology.line(5), Topology.grid(2, 3),
-     Topology.hypercube(3)],
-    ids=lambda t: t.name,
-)
-def test_set_intersection_engine_parity(topology):
-    import random
-
-    rng = random.Random(11)
-    n = 48
-    players = topology.nodes[:3]
-    vectors = {p: [rng.random() < 0.6 for _ in range(n)] for p in players}
-    out = players[0]
-    ans_g, sim_g = run_set_intersection(topology, vectors, out, engine="generator")
-    ans_c, sim_c = run_set_intersection(topology, vectors, out, engine="compiled")
-    assert ans_c == ans_g
-    assert sim_c.rounds == sim_g.rounds
-    assert sim_c.total_bits == sim_g.total_bits
-    assert sim_c.total_messages == sim_g.total_messages
-    assert sim_c.edge_bits == sim_g.edge_bits
-
-
-def test_route_all_to_sink_engine_parity():
-    import random
-
-    rng = random.Random(5)
-    topology = Topology.grid(2, 3)
-    holdings = {
-        node: [(rng.choice([8, 40]), (node, i)) for i in range(rng.randint(0, 9))]
-        for node in topology.nodes
-    }
-    got_g, sim_g = route_all_to_sink(topology, holdings, topology.nodes[0], 16)
-    got_c, sim_c = route_all_to_sink(
-        topology, holdings, topology.nodes[0], 16, engine="compiled"
-    )
-    # The compiled engine collects in origin order, not arrival order —
-    # the multiset and every accounting figure are identical.
-    assert sorted(map(repr, got_c)) == sorted(map(repr, got_g))
-    assert sim_c.rounds == sim_g.rounds
-    assert sim_c.total_bits == sim_g.total_bits
-    assert sim_c.total_messages == sim_g.total_messages
-    assert sim_c.bits_per_edge == sim_g.bits_per_edge
 
 
 # ---------------------------------------------------------------------------
