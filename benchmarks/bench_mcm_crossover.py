@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.linalg import f2
-from repro.protocols import predicted_rounds, run_mcm_merge, run_mcm_sequential
+from repro.protocols.mcm import predicted_rounds, run_mcm_merge, run_mcm_sequential
 
 N = 6
 K_SWEEP = (2, 4, 8, 16, 32, 64)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.linalg import f2
-from repro.protocols import run_mcm_sequential, run_mcm_trivial
+from repro.protocols.mcm import run_mcm_sequential, run_mcm_trivial
 
 
 def chain(k, n, seed=0):

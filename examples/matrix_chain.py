@@ -13,7 +13,7 @@ Run:  python examples/matrix_chain.py
 import numpy as np
 
 from repro.linalg import f2
-from repro.protocols import (
+from repro.protocols.mcm import (
     predicted_rounds,
     run_mcm_merge,
     run_mcm_sequential,

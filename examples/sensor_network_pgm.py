@@ -16,18 +16,26 @@ from repro.pgm import brute_force_marginal, marginal, tree_model
 
 
 def main() -> None:
+    # -- Centralized inference (the FAQ engine as a PGM library) ---------
+    # Brute force enumerates every joint assignment, so it cross-checks
+    # message passing on a tree small enough for that: depth 2 has 7
+    # variables (3^7 assignments; depth 3 would be 3^15).
+    small = tree_model(branching=2, depth=2, domain_size=3, seed=7)
+    root_marginal = marginal(small, ("X0",), normalize=True)
+    truth = brute_force_marginal(small, ("X0",))
+    z = math.fsum(truth.values())
+    print(f"P(X0) on a depth-2 tree ({len(small.variables)} variables):")
+    agree = True
+    for (value,), p in sorted(root_marginal):
+        exact = truth[(value,)] / z
+        agree = agree and math.isclose(p, exact, rel_tol=1e-9)
+        print(f"  X0={value}: {p:.6f}  (brute force {exact:.6f})")
+    print(f"matches brute force: {agree}")
+
     # A 2-ary sensor tree of depth 3: 14 potentials, 15 variables.
     model = tree_model(branching=2, depth=3, domain_size=3, seed=7)
-    print(f"sensors (factors) : {len(model.factors)}")
+    print(f"\nsensors (factors) : {len(model.factors)}")
     print(f"variables         : {len(model.variables)}")
-
-    # -- Centralized inference (the FAQ engine as a PGM library) ---------
-    root_marginal = marginal(model, ("X0",), normalize=True)
-    truth = brute_force_marginal(model, ("X0",))
-    z = math.fsum(truth.values())
-    print("\nP(X0) by message passing vs brute force:")
-    for (value,), p in sorted(root_marginal):
-        print(f"  X0={value}: {p:.6f}  (brute force {truth[(value,)] / z:.6f})")
 
     # -- Distributed inference over the physical sensor tree ------------
     # The communication topology mirrors the model tree (each potential

@@ -28,7 +28,6 @@ from .formulas import (
     structural_costs,
     symbolic_bits_per_edge,
     symbolic_environment,
-    symbolic_total_bits,
 )
 from .model import (
     COST_METRIC_NAMES,
@@ -80,6 +79,5 @@ __all__ = [
     "sym",
     "symbolic_bits_per_edge",
     "symbolic_environment",
-    "symbolic_total_bits",
     "to_sympy",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .expr import Expr, Sym, add, const, evaluate, floordiv, max_, mul, sym
+from .expr import Expr, Sym, add, const, floordiv, max_, mul, sym
 from .skeleton import CostSkeleton
 from .timing import EOS_BITS, HEADER_BITS
 
@@ -107,14 +107,6 @@ def symbolic_bits_per_edge(
     return {link: add(*parts) for link, parts in sorted(terms.items())}
 
 
-def symbolic_total_bits(skeleton: CostSkeleton) -> Expr:
-    """Exact total bits: the sum of every directed link's expression."""
-    per_edge = symbolic_bits_per_edge(skeleton)
-    if not per_edge:
-        return const(0)
-    return add(*per_edge.values())
-
-
 def structural_costs(
     skeleton: CostSkeleton,
 ) -> Tuple[Expr, Dict[Tuple[str, str], Expr], Dict[str, int]]:
@@ -122,17 +114,6 @@ def structural_costs(
     per_edge = symbolic_bits_per_edge(skeleton)
     total = add(*per_edge.values()) if per_edge else const(0)
     return total, per_edge, symbolic_environment(skeleton)
-
-
-def evaluate_structural(
-    skeleton: CostSkeleton,
-) -> Tuple[int, Dict[Tuple[str, str], int]]:
-    """The structural formulas evaluated at the skeleton's parameters."""
-    total, per_edge, env = structural_costs(skeleton)
-    return (
-        evaluate(total, env),
-        {link: evaluate(expr, env) for link, expr in per_edge.items()},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """GHDs, GYO-GHDs, MD-GHDs and the internal-node-width y(H)."""
 
 from .ghd import GHD, GHDNode, InvalidGHD
-from .gyo_ghd import CORE_ROOT_ID, gyo_ghd, is_gyo_ghd
+from .gyo_ghd import CORE_ROOT_ID, gyo_ghd
 from .md_ghd import (
     internal_nodes_bottom_up,
     is_md_ghd,
@@ -22,7 +22,6 @@ __all__ = [
     "GHDNode",
     "InvalidGHD",
     "gyo_ghd",
-    "is_gyo_ghd",
     "CORE_ROOT_ID",
     "md_ghd",
     "is_md_ghd",

@@ -79,15 +79,3 @@ def gyo_ghd(hypergraph: Hypergraph, decomposition: Decomposition | None = None) 
 
     tree.validate()
     return tree
-
-
-def is_gyo_ghd(ghd: GHD) -> bool:
-    """Heuristic check that a GHD has the Construction 2.8 shape.
-
-    True when the root bag contains the core vertex set of its hypergraph
-    and the GHD is valid and reduced.
-    """
-    dec = decompose(ghd.hypergraph)
-    if not dec.core_vertices <= ghd.root.chi:
-        return False
-    return ghd.is_valid() and ghd.is_reduced()

@@ -67,13 +67,6 @@ def theorem_h9_bound(n: int, h_y: float, h_z: float) -> float:
     return 2.0 ** (-(delta * n) / 2 - 1)
 
 
-def flat_distribution_on(values, total: int | None = None) -> Dict[int, float]:
-    """Uniform over the given int-coded support."""
-    values = list(values)
-    p = 1.0 / len(values)
-    return {v: p for v in values}
-
-
 def matvec_min_entropy(
     dist_a: Mapping[int, float],
     dist_x: Mapping[int, float],

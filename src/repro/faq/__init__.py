@@ -1,6 +1,5 @@
 """The FAQ / FAQ-SS query engine (paper Sections 1, 5 and Appendix G)."""
 
-from .datalog import DatalogSyntaxError, datalog_query, parse_datalog
 from .message_passing import (
     assign_factors_to_ghd,
     solve_message_passing,
@@ -44,12 +43,8 @@ from .variable_elimination import (
     greedy_elimination_order,
     solve_variable_elimination,
 )
-from .yannakakis import full_reducer, solve_bcq_yannakakis
 
 __all__ = [
-    "parse_datalog",
-    "datalog_query",
-    "DatalogSyntaxError",
     "FAQQuery",
     "Aggregate",
     "SUM",
@@ -72,8 +67,6 @@ __all__ = [
     "solve_message_passing",
     "assign_factors_to_ghd",
     "upward_pass_message",
-    "solve_bcq_yannakakis",
-    "full_reducer",
     "SOLVERS",
     "SOLVER_OPERATOR",
     "SOLVER_COMPILED",

@@ -3,8 +3,7 @@
 The paper's upper bounds repeatedly cast BCQ sub-problems as semijoin
 programs (Examples 2.1–2.2, footnote 11); this module provides the
 centralized reference: a bottom-up semijoin pass over a join tree decides
-an acyclic BCQ, and the classic full reducer (bottom-up + top-down)
-removes every dangling tuple.
+an acyclic BCQ.  It is a test oracle, imported by module path only.
 """
 
 from __future__ import annotations
@@ -87,47 +86,3 @@ def solve_bcq_yannakakis(
             return False
     root_factor = reduced[ghd.root_id]
     return root_factor is None or len(root_factor) > 0
-
-
-def full_reducer(
-    query: FAQQuery,
-    ghd: Optional[GHD] = None,
-    backend: Optional[str] = None,
-) -> Dict[str, Factor]:
-    """Run the classic two-pass full reducer over the join tree.
-
-    Args:
-        query: A BCQ as in :func:`solve_bcq_yannakakis`.
-        ghd: Optional join tree; defaults to the best GYO-GHD.
-        backend: Optional storage backend override for this run.
-
-    Returns:
-        A mapping node_id -> globally consistent Boolean factor: every
-        remaining tuple participates in at least one full join result.
-
-    Raises:
-        ValueError: as in :func:`solve_bcq_yannakakis` for cyclic queries,
-        or if some GHD node holds no factor (full reduction needs content
-        at every node).
-    """
-    if backend is not None:
-        query = query.with_backend(backend)
-    if ghd is None:
-        if not is_acyclic(query.hypergraph):
-            raise ValueError("full_reducer requires an acyclic query")
-        ghd = best_gyo_ghd(query.hypergraph)
-    locals_ = _boolean_locals(query, ghd)
-    if any(v is None for v in locals_.values()):
-        empty = sorted(k for k, v in locals_.items() if v is None)
-        raise ValueError(f"GHD nodes without factors: {empty}")
-
-    state: Dict[str, Factor] = {k: v for k, v in locals_.items()}
-    # Bottom-up semijoins.
-    for node in ghd.postorder():
-        for child_id in node.children:
-            state[node.node_id] = semijoin(state[node.node_id], state[child_id])
-    # Top-down semijoins.
-    for node in ghd.preorder():
-        for child_id in node.children:
-            state[child_id] = semijoin(state[child_id], state[node.node_id])
-    return state

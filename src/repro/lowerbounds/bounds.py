@@ -157,7 +157,10 @@ def _bcq_bounds_uncached(
     st = steiner_term(topology, terminals, n)
     y, n2, d, r = params["y"], params["n2"], params["d"], params["r"]
 
-    trivial_bits_words = n2 * d * n  # tuples shipped in the core phase
+    # The core phase is the trivial protocol (Lemma 3.1): n2·d·N tuples
+    # routed to one player, priced by Definition 3.12's routing bound
+    # τ_MCF ≈ N' / MinCut(G, K) + distance (Appendix D.1).
+    trivial_bits_words = n2 * d * n
     diam = topology.diameter(among=terminals) if len(terminals) > 1 else 0
     upper = y * (st["value"] * r) + trivial_bits_words / max(1, cut) + diam
 

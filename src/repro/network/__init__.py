@@ -1,6 +1,5 @@
-"""Topologies, cuts, Steiner packing, flow bounds and the round simulator."""
+"""Topologies, cuts, Steiner packing and the round simulator."""
 
-from .flows import routing_demand, sparsity_bound, tau_mcf, tau_mcf_bits
 from .mincut import mincut, mincut_partition
 from .program import (
     BlockMessage,
@@ -44,10 +43,6 @@ __all__ = [
     "scan_steiner_packings",
     "st_value",
     "optimize_delta",
-    "tau_mcf",
-    "tau_mcf_bits",
-    "routing_demand",
-    "sparsity_bound",
     "Simulator",
     "SimulationResult",
     "Message",

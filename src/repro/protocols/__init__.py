@@ -11,14 +11,6 @@ from .faq_protocol import (
     run_distributed_faq,
     validate_engine,
 )
-from .mcm import (
-    MCMReport,
-    mcm_line,
-    predicted_rounds,
-    run_mcm_merge,
-    run_mcm_sequential,
-    run_mcm_trivial,
-)
 from .primitives import (
     EOS_BITS,
     HEADER_BITS,
@@ -38,12 +30,6 @@ from .set_intersection import (
     plan_slots,
     run_set_intersection,
 )
-from .trivial import (
-    factor_to_packets,
-    packets_to_factors,
-    route_all_to_sink,
-    run_trivial_protocol,
-)
 
 __all__ = [
     "Mailbox",
@@ -61,10 +47,6 @@ __all__ = [
     "run_set_intersection",
     "scatter_over_packing",
     "reassemble_slices",
-    "run_trivial_protocol",
-    "route_all_to_sink",
-    "factor_to_packets",
-    "packets_to_factors",
     "StarPhase",
     "ProtocolPlan",
     "FAQProtocolReport",
@@ -74,10 +56,4 @@ __all__ = [
     "run_distributed_faq",
     "ENGINES",
     "validate_engine",
-    "MCMReport",
-    "mcm_line",
-    "run_mcm_sequential",
-    "run_mcm_merge",
-    "run_mcm_trivial",
-    "predicted_rounds",
 ]

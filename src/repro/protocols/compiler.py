@@ -16,14 +16,17 @@ node, the compiler splits the two:
   exactly as the generator engine's self-timed headers do.
 
 * **Data plane** — broadcast rows are dictionary-encoded once into a
-  shared :class:`~repro.semiring.columnar.WireBlock` (the wire codec
-  charges ``tuple_bits`` per row, identical to the generator's per-tuple
-  messages); Phase B scores whole blocks with vectorized column kernels
-  when the semiring has a vector profile (falling back to the shared
-  dict scorer otherwise); convergecast values are folded over each
-  Steiner tree in the generator's exact association order, vectorized
-  when safe.  Integer (COUNTING) folds pre-check int64 overflow and drop
-  to exact Python arithmetic, mirroring the columnar operator kernels.
+  shared :class:`~repro.semiring.columnar.WireBlock`, which carries rows
+  and no accounting: the ops charge the plan's bit widths, as the
+  generator charges its per-tuple messages (``plan.tuple_bits`` per
+  scattered row; ``tuple_bits + value_bits`` per routed item, chunked
+  by :func:`~repro.network.program.chunk_pattern`).  Phase B scores
+  whole blocks with vectorized column kernels when the semiring has a
+  vector profile (falling back to the shared dict scorer otherwise);
+  convergecast values are folded over each Steiner tree in the
+  generator's exact association order, vectorized when safe.  Integer
+  (COUNTING) folds pre-check int64 overflow and drop to exact Python
+  arithmetic, mirroring the columnar operator kernels.
 
 Engine parity — identical answers, identical round counts, identical
 total/per-edge bits — is asserted end-to-end by ``tests/test_program.py``

@@ -308,10 +308,3 @@ def parallel_subphases(
         if live:
             yield
     return results
-
-
-def idle_rounds(ctx: NodeContext, mail: Mailbox, rounds: int) -> Generator[None, None, None]:
-    """Wait a fixed number of rounds (keeping the mailbox fresh)."""
-    for _ in range(rounds):
-        mail.ingest(ctx)
-        yield

@@ -12,7 +12,7 @@ from .backend import (
     to_backend,
     validate_backend,
 )
-from .columnar import ColumnarFactor, WireBlock, encode_wire_block
+from .columnar import ColumnarFactor, WireBlock
 from .factor import Factor
 from .semirings import (
     BOOLEAN,
@@ -32,7 +32,6 @@ __all__ = [
     "Factor",
     "ColumnarFactor",
     "WireBlock",
-    "encode_wire_block",
     "Semiring",
     "BOOLEAN",
     "COUNTING",

@@ -518,11 +518,6 @@ def empty_like(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized operator kernels
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # Wire codec — the compiled engine's columnar message format
 # ---------------------------------------------------------------------------
 
@@ -530,111 +525,50 @@ def empty_like(
 class WireBlock:
     """A columnar block of rows as it travels the compiled data plane.
 
-    The block is the unit the compiled protocol engine ships over edges:
-    one ``int64`` code array per schema variable (dictionary-encoded like
-    :class:`ColumnarFactor`), plus an optional annotation array for blocks
-    that carry semiring values.  Slicing is zero-copy (NumPy views share
-    the buffers and the dictionaries), which is what makes per-round
-    capacity enforcement a pair of array views instead of per-tuple
-    message objects.
+    The block is what a star phase's scatter broadcasts: one ``int64``
+    code array per schema variable, dictionary-encoded like
+    :class:`ColumnarFactor` (a columnar center shares its code arrays and
+    dictionaries zero-copy).  Phase B scores the block column by column,
+    and Phase D rebuilds the center from it by array slicing.
 
-    Bit accounting is the codec's contract with Model 2.1: a block of
-    ``n`` rows costs exactly ``n * tuple_bits`` on the wire (plus
-    ``n * value_bits`` when it carries annotations) — identical to the
-    per-tuple charges of the generator engine.  :meth:`wire_bits` is the
-    single source of truth; property tests pin it to
-    ``FAQQuery.bits_per_tuple``.
+    The block carries no bit accounting: both engines charge each
+    scattered row ``ProtocolPlan.tuple_bits``, so the codec's only
+    contract is a lossless round trip.
     """
 
-    __slots__ = ("schema", "codes", "dictionaries", "values")
+    __slots__ = ("schema", "codes", "dictionaries")
 
     def __init__(
         self,
         schema: Sequence[str],
         codes: Sequence[np.ndarray],
         dictionaries: Sequence[List[Any]],
-        values: Optional[np.ndarray] = None,
     ) -> None:
         self.schema = tuple(schema)
         self.codes = tuple(np.asarray(c, dtype=np.int64) for c in codes)
         self.dictionaries = tuple(dictionaries)
-        self.values = values
         if len(self.codes) != len(self.schema):
             raise ValueError("one code column per schema variable required")
         lengths = {len(c) for c in self.codes}
-        if self.values is not None:
-            lengths.add(len(self.values))
         if len(lengths) > 1:
             raise ValueError(f"ragged wire block: column lengths {lengths}")
 
-    # -- construction ---------------------------------------------------
     @classmethod
     def encode_rows(
         cls, schema: Sequence[str], rows: Iterable[Tuple_]
     ) -> "WireBlock":
-        """Dictionary-encode plain row tuples (no annotations)."""
+        """Dictionary-encode plain row tuples."""
         schema = tuple(schema)
         rows = list(rows)
         codes, dicts = _encode_rows(len(schema), rows)
         return cls(schema, codes, dicts)
 
-    @classmethod
-    def encode_factor(cls, factor: Factor) -> "WireBlock":
-        """Encode a factor's rows *and* annotations.
-
-        Columnar factors are wrapped zero-copy (the arrays are shared);
-        dict factors are dictionary-encoded.  Row order follows the
-        factor's own listing order, so slot indices line up with
-        ``factor.tuples()`` on both engines.
-
-        Raises:
-            OverflowError: if an integer-profile annotation does not fit
-                the profile dtype (callers fall back to the dict plane).
-        """
-        if isinstance(factor, ColumnarFactor):
-            return cls(
-                factor.schema, factor.codes, factor.dictionaries, factor.values
-            )
-        profile = profile_for(factor.semiring)
-        codes, dicts, values = _encode(factor, profile)
-        return cls(factor.schema, codes, dicts, values)
-
-    # -- surface --------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.codes[0]) if self.codes else (
-            len(self.values) if self.values is not None else 0
-        )
+        return len(self.codes[0]) if self.codes else 0
 
     @property
     def schema_index(self) -> dict:
         return {v: i for i, v in enumerate(self.schema)}
-
-    def column(self, var: str) -> np.ndarray:
-        return self.codes[self.schema.index(var)]
-
-    def dictionary(self, var: str) -> List[Any]:
-        return self.dictionaries[self.schema.index(var)]
-
-    def slice(self, start: int, stop: int) -> "WireBlock":
-        """A zero-copy sub-block of rows ``[start, stop)``."""
-        return WireBlock(
-            self.schema,
-            [c[start:stop] for c in self.codes],
-            self.dictionaries,
-            None if self.values is None else self.values[start:stop],
-        )
-
-    def wire_bits(self, tuple_bits: int, value_bits: int = 0) -> int:
-        """Exact Model 2.1 cost of shipping this block.
-
-        ``tuple_bits`` per row, plus ``value_bits`` per row when the
-        block carries annotations — the same charges the generator
-        engine applies per tuple/value message.
-        """
-        per_row = max(1, tuple_bits) + (
-            value_bits if self.values is not None else 0
-        )
-        return len(self) * per_row
 
     def decode_rows(self) -> List[Tuple_]:
         """Decode back into plain row tuples (codec identity)."""
@@ -648,18 +582,10 @@ class WireBlock:
             columns.append(lut[codes].tolist())
         return list(zip(*columns))
 
-    def decode_items(self) -> List[Tuple[Tuple_, Any]]:
-        """Decode ``(row, annotation)`` pairs (requires annotations)."""
-        if self.values is None:
-            raise ValueError("block carries no annotations")
-        return list(zip(self.decode_rows(), self.values.tolist()))
 
-
-def encode_wire_block(
-    schema: Sequence[str], rows: Iterable[Tuple_]
-) -> WireBlock:
-    """Module-level convenience for :meth:`WireBlock.encode_rows`."""
-    return WireBlock.encode_rows(schema, rows)
+# ---------------------------------------------------------------------------
+# Vectorized operator kernels
+# ---------------------------------------------------------------------------
 
 
 def columnar_join(

@@ -206,33 +206,43 @@ def get_semiring(name: str) -> Semiring:
 
 
 def check_semiring_axioms(semiring: Semiring, samples) -> None:
-    """Assert the semiring axioms on a finite sample of domain elements.
+    """Check the semiring axioms on a finite sample of domain elements.
 
     This is a testing utility: it checks commutativity, associativity,
     identities, distributivity and annihilation on every pair/triple drawn
-    from ``samples``.
+    from ``samples``.  It raises rather than asserts, so it checks the
+    same under ``python -O``.
 
     Raises:
-        AssertionError: on the first violated axiom, with a description.
+        ValueError: on the first violated axiom, naming the axiom and the
+            sample that violates it.
     """
     eq = semiring.eq
     add, mul = semiring.add, semiring.mul
     zero, one = semiring.zero, semiring.one
     samples = list(samples)
+
+    def require(holds: bool, axiom: str, *sample) -> None:
+        if not holds:
+            raise ValueError(f"{semiring.name}: {axiom} for {sample!r}")
+
     for a in samples:
-        assert eq(add(a, zero), a), f"{semiring.name}: a+0 != a for {a!r}"
-        assert eq(mul(a, one), a), f"{semiring.name}: a*1 != a for {a!r}"
-        assert eq(mul(a, zero), zero), f"{semiring.name}: a*0 != 0 for {a!r}"
+        require(eq(add(a, zero), a), "a+0 != a", a)
+        require(eq(mul(a, one), a), "a*1 != a", a)
+        require(eq(mul(a, zero), zero), "a*0 != 0", a)
         for b in samples:
-            assert eq(add(a, b), add(b, a)), f"{semiring.name}: + not commutative"
-            assert eq(mul(a, b), mul(b, a)), f"{semiring.name}: * not commutative"
+            require(eq(add(a, b), add(b, a)), "+ not commutative", a, b)
+            require(eq(mul(a, b), mul(b, a)), "* not commutative", a, b)
             for c in samples:
-                assert eq(add(add(a, b), c), add(a, add(b, c))), (
-                    f"{semiring.name}: + not associative"
+                require(
+                    eq(add(add(a, b), c), add(a, add(b, c))),
+                    "+ not associative", a, b, c,
                 )
-                assert eq(mul(mul(a, b), c), mul(a, mul(b, c))), (
-                    f"{semiring.name}: * not associative"
+                require(
+                    eq(mul(mul(a, b), c), mul(a, mul(b, c))),
+                    "* not associative", a, b, c,
                 )
-                assert eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))), (
-                    f"{semiring.name}: * does not distribute over +"
+                require(
+                    eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
+                    "* does not distribute over +", a, b, c,
                 )

@@ -26,7 +26,6 @@ from .server import (
     QueryService,
     ServeResult,
     ServiceStats,
-    serve_all,
 )
 from .session import ServingSession, SessionManifest, session_id_of
 from .store import (
@@ -51,6 +50,5 @@ __all__ = [
     "attach_query",
     "live_segment_names",
     "publish_query",
-    "serve_all",
     "session_id_of",
 ]

@@ -510,12 +510,3 @@ class QueryService:
             )
         except Exception as exc:
             return ServeError("execution-failed", str(exc), {})
-
-
-async def serve_all(
-    service: QueryService, specs: Sequence[ScenarioSpec]
-) -> List[Any]:
-    """Submit all specs concurrently; returns results or ServeErrors."""
-    return await asyncio.gather(
-        *(service.submit(spec) for spec in specs), return_exceptions=True
-    )

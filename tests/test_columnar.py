@@ -26,11 +26,11 @@ from repro.faq import (
     multi_join,
     project,
     semijoin,
-    solve_bcq_yannakakis,
     solve_message_passing,
     solve_naive,
     solve_variable_elimination,
 )
+from repro.faq.yannakakis import solve_bcq_yannakakis
 from repro.hypergraph import Hypergraph
 from repro.network import Topology
 from repro.semiring import (

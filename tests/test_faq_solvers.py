@@ -20,11 +20,11 @@ from repro.faq import (
     marginal_query,
     natural_join_query,
     scalar_value,
-    solve_bcq_yannakakis,
     solve_message_passing,
     solve_naive,
     solve_variable_elimination,
 )
+from repro.faq.yannakakis import solve_bcq_yannakakis
 from repro.hypergraph import Hypergraph
 from repro.semiring import BOOLEAN, COUNTING, MAX_TIMES, REAL, Factor
 from repro.workloads import domains_for, random_instance

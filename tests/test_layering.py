@@ -9,6 +9,7 @@ exempt (they never run).
 
 import ast
 import dataclasses
+import functools
 import importlib
 import os
 import subprocess
@@ -17,7 +18,8 @@ import sys
 from repro.core.memo import memo_stats
 from repro.network import Topology
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(REPO, "src")
 
 
 def _runtime_nodes(node):
@@ -260,15 +262,80 @@ def test_planning_stays_on_plain_adjacency():
     assert not hasattr(Topology.line(2), "graph")
 
 
-def test_the_product_never_imports_networkx():
-    # Every ledger child, pool worker and CLI call is a fresh
-    # interpreter: what the entry points import is paid per process.
+@functools.lru_cache(maxsize=None)
+def _loaded_by_the_product():
+    """``sys.modules`` of a fresh interpreter that imports the entry
+    points.  Every ledger child, pool worker and CLI call is one: what
+    the entry points import is paid per process."""
     code = (
-        "import sys; import repro.lab.runner, repro.serve, repro.pipeline; "
-        "sys.exit('networkx' in sys.modules)"
+        "import sys; import repro.lab.runner, repro.lab, repro.serve, "
+        "repro.pipeline; print('\\n'.join(sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    return frozenset(out.split())
+
+
+def test_the_product_never_imports_networkx():
+    assert "networkx" not in _loaded_by_the_product()
+
+
+def test_the_product_loads_no_module_it_does_not_call():
+    # Oracles (Yannakakis), the Table 1 MCM row and its §6 toolkit, and
+    # the PGM / MPC layers are imported by module path from tests,
+    # benches and examples; no package re-export drags them in.
+    never = {
+        "repro.protocols.trivial",
+        "repro.network.flows",
+        "repro.faq.datalog",
+        "repro.protocols.mcm",
+        "repro.linalg",
+        "repro.linalg.f2",
+        "repro.faq.yannakakis",
+        "repro.entropy",
+        "repro.pgm",
+        "repro.network.mpc",
+    }
+    loaded = _loaded_by_the_product()
+    assert "repro.protocols.faq_protocol" in loaded
+    assert sorted(never & loaded) == []
+
+
+def _python_files(*tops):
+    for top in tops:
+        for folder, _dirs, files in os.walk(os.path.join(REPO, top)):
+            for filename in sorted(files):
+                if filename.endswith(".py"):
+                    yield os.path.join(folder, filename)
+
+
+def test_every_top_level_name_has_a_caller():
+    # A top-level def or class that only its own definition, ``__all__``
+    # and a package re-export name is code no gate runs.  A use anywhere
+    # counts: its own module (private helpers), tests, benches, examples.
+    named = set()
+    for path in _python_files("src", "tests", "benchmarks", "examples"):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        reexports = path.startswith(SRC) and path.endswith("__init__.py")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias) and not reexports:
+                named.add(node.name.rsplit(".", 1)[-1])
+    defined = [
+        (module, node.name)
+        for module, _package, tree in _modules()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert len(defined) > 300
+    assert [found for found in defined if found[1] not in named] == []
 
 
 def test_the_network_package_accounts_on_plain_ints():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import f2
-from repro.protocols import (
+from repro.protocols.mcm import (
     predicted_rounds,
     run_mcm_merge,
     run_mcm_sequential,

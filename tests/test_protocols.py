@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from repro.core import Planner, assign_round_robin, assign_single_player
 from repro.faq import FAQQuery, bcq, marginal_query, scalar_value, solve_naive
 from repro.hypergraph import Hypergraph
-from repro.network import Topology
+from repro.network import Topology, chunk_pattern
 from repro.protocols import (
+    ENGINES,
+    EOS_BITS,
     run_distributed_faq,
     run_set_intersection,
-    run_trivial_protocol,
 )
 from repro.semiring import COUNTING, REAL, Factor
 from repro.workloads import domains_for, random_instance
@@ -70,38 +71,69 @@ def test_set_intersection_fixed_diameter():
 
 
 # ---------------------------------------------------------------------------
-# Trivial protocol (Lemma 3.1)
+# Trivial protocol (Lemma 3.1): the FAQ protocol's final phase
 # ---------------------------------------------------------------------------
 
 
-def test_trivial_protocol_reassembles_relations():
-    g = Topology.line(3)
+def _pure_core_join(rows):
+    """A triangle (cyclic, so the whole query is the core: no star
+    phases) whose every tuple is in the join, with distinct counting
+    annotations, so the answer pins every routed tuple and value."""
+    h = Hypergraph({"R": ("A", "B"), "S": ("B", "C"), "T": ("A", "C")})
     factors = {
-        "R": Factor.from_tuples(("A", "B"), [(1, 2), (3, 4)], name="R"),
-        "S": Factor.from_tuples(("B", "C"), [(2, 5)], name="S"),
+        name: Factor(
+            schema, {(i, i): offset + i for i in range(rows)}, COUNTING, name
+        )
+        for offset, (name, schema) in enumerate(
+            [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))], 1
+        )
     }
-    assignment = {"R": "P0", "S": "P2"}
-    received, res = run_trivial_protocol(
-        g, factors, assignment, sink="P2", tuple_bits=8, capacity_bits=8
+    return FAQQuery(
+        h, factors, domains_for(h, rows), free_vars=("A", "B", "C"),
+        semiring=COUNTING,
     )
-    assert received["R"] == factors["R"]
-    assert received["S"] == factors["S"]  # local, no shipping
-    # Only R's two tuples cross the network: 16 bits + EOS markers.
-    assert res.edge_bits.get(("P0", "P1"), 0) >= 16
+
+
+def _final_phase_runs(query, assignment):
+    """The FAQ protocol on ``line(4)`` towards P3, once per engine."""
+    runs = [
+        run_distributed_faq(
+            query, Topology.line(4), assignment, output_player="P3",
+            engine=engine,
+        )
+        for engine in ENGINES
+    ]
+    reference = solve_naive(query)
+    for rep in runs:
+        assert rep.num_star_phases == 0
+        assert rep.answer == reference
+        assert (rep.rounds, rep.simulation.bits_per_edge) == (
+            runs[0].rounds, runs[0].simulation.bits_per_edge
+        )
+    return runs
+
+
+def test_trivial_protocol_reassembles_relations():
+    query = _pure_core_join(5)
+    runs = _final_phase_runs(query, {"R": "P0", "S": "P1", "T": "P3"})
+    plan = runs[0].plan
+    item_bits = plan.tuple_bits + plan.value_bits
+    bits_per_edge = runs[0].simulation.bits_per_edge
+    # R's five tuples (and their values) leave P0; T is the sink's own.
+    assert bits_per_edge[("P0", "P1")] == 5 * item_bits + EOS_BITS
+    assert ("P3", "P2") not in bits_per_edge
 
 
 def test_trivial_protocol_round_shape_on_line():
-    """Rounds ~ total tuples + distance on a line (mincut 1)."""
-    g = Topology.line(4)
-    rows = [(i, i) for i in range(30)]
-    factors = {
-        "R": Factor.from_tuples(("A", "B"), rows, name="R"),
-    }
-    received, res = run_trivial_protocol(
-        g, factors, {"R": "P0"}, sink="P3", tuple_bits=8, capacity_bits=8
-    )
-    assert received["R"] == factors["R"]
-    assert 30 <= res.rounds <= 30 + 2 * 4  # N tuples + O(distance + EOS)
+    """Rounds ~ shipped packets + distance on a line (mincut 1)."""
+    query = _pure_core_join(10)
+    runs = _final_phase_runs(query, {"R": "P0", "S": "P0", "T": "P0"})
+    plan = runs[0].plan
+    item_bits = plan.tuple_bits + plan.value_bits
+    packets = 3 * 10 * len(chunk_pattern(item_bits, plan.capacity_bits))
+    distance = Topology.line(4).distance("P0", "P3")
+    for rep in runs:
+        assert packets <= rep.rounds <= packets + 2 * distance + EOS_BITS
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Unit and property tests for repro.semiring.semirings."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -33,6 +36,28 @@ SAMPLES = {
 @pytest.mark.parametrize("name", sorted(BUILTIN_SEMIRINGS))
 def test_builtin_semirings_satisfy_axioms(name):
     check_semiring_axioms(BUILTIN_SEMIRINGS[name], SAMPLES[name])
+
+
+def test_axiom_checker_raises_under_python_O():
+    # ⊕ = |a - b| has the identity 0 and commutes, but is not
+    # associative: ||1 - 1| - 2| = 2 while |1 - |1 - 2|| = 0.  The
+    # checker must say so even when ``assert`` statements are stripped.
+    code = (
+        "from repro.semiring import Semiring, check_semiring_axioms\n"
+        "broken = Semiring('abs-diff', 0, 1, lambda a, b: abs(a - b),"
+        " lambda a, b: a * b)\n"
+        "try:\n"
+        "    check_semiring_axioms(broken, [0, 1, 2])\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "abs-diff: + not associative for (1, 1, 2)"
 
 
 def test_get_semiring_roundtrip():

@@ -1,4 +1,4 @@
-"""Tests for topologies, cuts, Steiner packing and flow bounds.
+"""Tests for topologies, cuts and Steiner packing.
 
 ``tests/golden/topologies.json`` pins every builder's adjacency in
 insertion order, its ``edges()`` and every ``shortest_path``.  It was
@@ -21,10 +21,7 @@ from repro.network import (
     mincut,
     mincut_partition,
     pack_steiner_trees,
-    sparsity_bound,
     st_value,
-    tau_mcf,
-    tau_mcf_bits,
 )
 
 
@@ -215,40 +212,6 @@ def test_single_terminal_packing():
     packed = pack_steiner_trees(g, ["P0"])
     assert len(packed) == 1
     assert packed[0].edges == ()
-
-
-# ---------------------------------------------------------------------------
-# τ_MCF (Definition 3.12)
-# ---------------------------------------------------------------------------
-
-
-def test_tau_mcf_zero_demand():
-    g = Topology.line(3)
-    assert tau_mcf(g, g.nodes, 0) == 0
-
-
-def test_tau_mcf_line_scales_with_n():
-    g = Topology.line(4)
-    assert tau_mcf(g, g.nodes, 100, sink="P0") == 100 + 3
-    assert tau_mcf(g, g.nodes, 200, sink="P0") == 200 + 3
-
-
-def test_tau_mcf_clique_divides_by_cut():
-    g = Topology.clique(5)
-    t = tau_mcf(g, g.nodes, 100, sink="P0")
-    assert t == 25 + 1
-
-
-def test_tau_mcf_bits():
-    g = Topology.line(3)
-    t = tau_mcf_bits(g, g.nodes, total_bits=64, bits_per_round=8, sink="P0")
-    assert t == 8 + 2
-
-
-def test_sparsity_bound():
-    g = Topology.line(4)
-    assert sparsity_bound(g, g.nodes, 100, 1) == 100.0
-    assert sparsity_bound(g, ["P0"], 100, 1) == 0.0
 
 
 @settings(max_examples=20, deadline=None)
