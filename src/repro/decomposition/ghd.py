@@ -140,7 +140,7 @@ class GHD:
     def postorder(self) -> Iterator[GHDNode]:
         """Bottom-up traversal (children before parents)."""
         order: List[str] = []
-        stack = [self.root_id] if self.root_id else []
+        stack = [self.root_id] if self.root_id is not None else []
         while stack:
             cur = stack.pop()
             order.append(cur)
@@ -150,7 +150,7 @@ class GHD:
 
     def preorder(self) -> Iterator[GHDNode]:
         """Top-down traversal (parents before children)."""
-        stack = [self.root_id] if self.root_id else []
+        stack = [self.root_id] if self.root_id is not None else []
         while stack:
             cur = stack.pop()
             yield self.nodes[cur]
@@ -171,7 +171,7 @@ class GHD:
     def depth(self) -> int:
         """Edge-depth of the tree (0 for a single node)."""
         best = 0
-        stack = [(self.root_id, 0)] if self.root_id else []
+        stack = [(self.root_id, 0)] if self.root_id is not None else []
         while stack:
             cur, d = stack.pop()
             best = max(best, d)

@@ -16,12 +16,15 @@ operator-at-a-time path while returning byte-identical answers:
   short-circuits on identity).
 * **Kernel fusion** — :func:`fused_join_marginalize` runs the "join all
   factors touching ``v``, then ⊕-marginalize ``v`` out" elimination step
-  as chained index joins followed by one sort/``reduceat`` group-by,
-  never materializing the joined factor (no intermediate
+  as chained :func:`~repro.semiring.columnar.join_step` calls followed
+  by one :func:`~repro.semiring.columnar.group_reduce`, never
+  materializing the joined factor (no intermediate
   :class:`ColumnarFactor`, no re-canonicalization, no dictionary
   merging).  Boolean factors (all annotations ``True`` by listing
-  canonicality) additionally skip value arithmetic altogether and use a
-  dense scatter for the grouped reduction when the code space is small.
+  canonicality) additionally skip value arithmetic altogether, which
+  turns the group-by into key deduplication.  The join, group-by, int64
+  guard and dictionary view are the operator solver's own: the table of
+  columnar kernels in ``docs/architecture.md`` lists them.
 * **Graceful fallback** — any step whose operands are not columnar (or
   whose kernel declines: un-interned dictionaries, potential ``int64``
   overflow, composite-key overflow) executes through the ordinary
@@ -50,58 +53,16 @@ from ..semiring.backend import profile_for, supports_columnar
 from ..semiring.columnar import (
     ColumnarFactor,
     Dictionary,
-    INT64_MAX,
-    composite_key,
-    empty_like,
-    exact_array,
-    int_values_exceed,
-    sort_groups,
+    dictionary_array,
+    group_reduce,
+    join_step,
 )
 from . import operations
-
-#: Dense grouped reduction is used while the composite code space stays
-#: below ``max(4 * rows, _DENSE_CAP)`` — past that, sorting wins.
-_DENSE_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
 # Shared dictionary interning
 # ---------------------------------------------------------------------------
-
-
-def _dictionary_array(d: list) -> Optional[np.ndarray]:
-    """A homogeneous array view of a column dictionary, or ``None``.
-
-    Dictionaries produced by the vectorized encoder carry their source
-    array (:class:`~repro.semiring.columnar.Dictionary`) — homogeneity is
-    then proven by provenance.  Anything else is converted here, with the
-    same type discipline as ``_encode_column``: one element type among
-    ``int``/``bool``/``str``/``float``, floats without NaN or ``-0.0``
-    (both would break exact round-tripping).
-    """
-    arr = getattr(d, "array", None)
-    if arr is not None:
-        return arr
-    types = set(map(type, d))
-    if len(types) != 1:
-        return None
-    try:
-        return exact_array(next(iter(types)), d)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
-def _unique_inverse(concat: np.ndarray):
-    """``(uniq, inverse)`` of a concatenated column, sort-based.
-
-    One stable argsort (radix for integer dtypes — the dictionaries being
-    unioned are each already sorted runs) plus mask arithmetic; the
-    inverse doubles as the per-dictionary remap once split back into the
-    original segments, which is what lets interning skip a
-    ``searchsorted`` per dictionary.  Runs in the active kernel tier
-    (:mod:`repro.kernels`).
-    """
-    return kernels.encode_unique(concat)
 
 
 def _superset_pool(dicts: Sequence[list], arrays: Sequence[Optional[np.ndarray]]):
@@ -151,7 +112,8 @@ def _pool_dictionaries(dicts: Sequence[list]):
 
     Vectorized — one concatenate + sort-unique over the dictionaries'
     array views, then a ``searchsorted`` remap per dictionary — when every
-    dictionary has one (see :func:`_dictionary_array`); mixed element
+    dictionary has one (see
+    :func:`~repro.semiring.columnar.dictionary_array`); mixed element
     types across the dictionaries, or any list without an exact array
     form, fall back to a generic first-appearance loop.  Either way the
     round trip is exact: decoding a remapped code restores the original
@@ -161,7 +123,7 @@ def _pool_dictionaries(dicts: Sequence[list]):
         ``(pooled, remaps)`` where ``remaps[id(d)]`` maps old codes of
         dictionary ``d`` to pooled codes.
     """
-    arrays = [_dictionary_array(d) if d else None for d in dicts]
+    arrays = [dictionary_array(d) if d else None for d in dicts]
     nonempty = [a for a in arrays if a is not None and len(a)]
     # Concatenation must not change any value's decoded type: unsigned and
     # signed integers may mix (both decode to Python int), but bool/int,
@@ -182,7 +144,7 @@ def _pool_dictionaries(dicts: Sequence[list]):
             COUNTERS.increment("dict_pool.superset")
             return pooled_remaps
         COUNTERS.increment("dict_pool.merge")
-        uniq, inverse = _unique_inverse(np.concatenate(nonempty))
+        uniq, inverse = kernels.encode_unique(np.concatenate(nonempty))
         pooled = Dictionary(uniq.tolist(), array=uniq)
         remaps = {}
         offset = 0
@@ -282,72 +244,6 @@ class DictionaryPool:
 # ---------------------------------------------------------------------------
 
 
-def _grouped_reduce_columns(
-    out_schema: Tuple[Any, ...],
-    cols: Mapping[Any, np.ndarray],
-    dicts: Mapping[Any, list],
-    values: Optional[np.ndarray],
-    n: int,
-    profile,
-    semiring: Semiring,
-) -> Optional[ColumnarFactor]:
-    """Group loose code columns by ``out_schema`` and ⊕-reduce each group.
-
-    ``values is None`` flags the Boolean all-``True`` fast path: the
-    reduction is then pure key deduplication, done densely (scatter into
-    a mark array over the composite code space) when the space is small
-    and by sort otherwise.
-    """
-    out_dicts = [dicts[v] for v in out_schema]
-    if n == 0:
-        return empty_like(out_schema, out_dicts, semiring, None)
-    columns = [cols[v] for v in out_schema]
-    cards = [max(len(d), 1) for d in out_dicts]
-
-    if values is None:
-        space = 1
-        for card in cards:
-            space *= card
-        key = composite_key(columns, cards, n)
-        if key is not None and space <= max(4 * n, _DENSE_CAP):
-            mark = np.zeros(space, dtype=bool)
-            mark[key] = True
-            out_keys = np.flatnonzero(mark)
-            if len(cards) <= 1:
-                out_codes: List[np.ndarray] = [out_keys] if cards else []
-            else:
-                out_codes = []
-                rem = out_keys
-                for card in reversed(cards):
-                    out_codes.append(rem % card)
-                    rem = rem // card
-                out_codes.reverse()
-            reduced = np.ones(len(out_keys), dtype=np.bool_)
-        else:
-            order, starts = sort_groups(columns, cards, n)
-            representatives = order[starts]
-            out_codes = [c[representatives] for c in columns]
-            reduced = np.ones(len(starts), dtype=np.bool_)
-        return ColumnarFactor._from_arrays(
-            out_schema, out_codes, out_dicts, reduced, semiring, None
-        )
-
-    if int_values_exceed(profile, values, INT64_MAX // n):
-        return None
-    order, starts = sort_groups(columns, cards, n)
-    reduced = kernels.grouped_reduce(values, order, starts, profile.add)
-    representatives = order[starts]
-    out_codes = [c[representatives] for c in columns]
-    zero = profile.is_zero_mask(reduced)
-    if zero.any():
-        keep = ~zero
-        reduced = reduced[keep]
-        out_codes = [c[keep] for c in out_codes]
-    return ColumnarFactor._from_arrays(
-        out_schema, out_codes, out_dicts, reduced, semiring, None
-    )
-
-
 def fused_join_marginalize(
     factors: Sequence[ColumnarFactor],
     variable: Any,
@@ -413,32 +309,15 @@ def fused_join_marginalize(
         f_dicts = dict(zip(f.schema, f.dictionaries))
         if any(dicts[v] is not f_dicts[v] for v in shared):
             return None  # not interned: the unfused path merges correctly
-        if (
-            values is not None
-            and np.issubdtype(profile.dtype, np.integer)
-            and n
-            and len(f)
-        ):
-            left_max = int(np.abs(values).max())
-            right_max = int(np.abs(f.values).max())
-            if left_max and right_max and left_max > INT64_MAX // right_max:
-                return None
-        cards = [len(dicts[v]) for v in shared]
-        left_key = composite_key([cols[v] for v in shared], cards, n)
-        right_key = composite_key(
-            [f.codes[f.column_index(v)] for v in shared], cards, len(f)
+        step = join_step(
+            [cols[v] for v in shared],
+            [f.codes[f.column_index(v)] for v in shared],
+            [len(dicts[v]) for v in shared],
+            n, len(f), profile, values, f.values,
         )
-        if left_key is None or right_key is None:
+        if step is None:
             return None
-        left_idx, right_idx = kernels.match_indices(left_key, right_key)
-        if values is not None:
-            joined = profile.mul(values[left_idx], f.values[right_idx])
-            zero = profile.is_zero_mask(joined)
-            if zero.any():
-                keep = ~zero
-                left_idx, right_idx = left_idx[keep], right_idx[keep]
-                joined = joined[keep]
-            values = joined
+        left_idx, right_idx, values = step
         new_cols = {v: cols[v][left_idx] for v in schema}
         for i, w in enumerate(f.schema):
             if w not in new_cols:
@@ -448,9 +327,10 @@ def fused_join_marginalize(
         cols = new_cols
         n = len(left_idx)
 
-    out_schema = tuple([v for v in schema if v != variable])
-    return _grouped_reduce_columns(
-        out_schema, cols, dicts, values, n, profile, semiring
+    out_schema = [v for v in schema if v != variable]
+    return group_reduce(
+        out_schema, [cols[v] for v in out_schema], [dicts[v] for v in out_schema],
+        values, n, semiring,
     )
 
 

@@ -111,7 +111,9 @@ def solve_message_passing(
     free = set(query.free_vars)
 
     messages: Dict[str, List[Factor]] = {node_id: [] for node_id in tree.nodes}
-    root_id = tree.root_id
+    # ``tree.root`` raises on a GHD without nodes; otherwise the postorder
+    # ends at the root, which sets ``result`` or raises.
+    root_id = tree.root.node_id
     result: Optional[Factor] = None
     for node in tree.postorder():
         parts = placement[node.node_id] + messages[node.node_id]
@@ -152,7 +154,6 @@ def solve_message_passing(
             message = upward_pass_message(query, local, keep)
             messages[node.parent].append(message)
 
-    assert result is not None
     if tuple(result.schema) != query.free_vars:
         result = project(result, query.free_vars)
     return result

@@ -60,10 +60,7 @@ def solve_naive(
             joined = marginalize(joined, variable, combine, full_domain)
         else:
             joined = aggregate_absent_variable(
-                joined,
-                combine,
-                len(query.domains[variable]),
-                aggregate.needs_full_domain,
+                joined, combine, len(query.domains[variable])
             )
     # Order the output schema as the query requests.
     if tuple(joined.schema) != query.free_vars:

@@ -250,7 +250,6 @@ def aggregate_absent_variable(
     factor: Factor,
     combine: Callable[[Any, Any], Any],
     domain_size: int,
-    is_product: bool,
 ) -> Factor:
     """Aggregate out a variable that does not occur in ``factor``.
 
@@ -271,7 +270,6 @@ def aggregate_absent_variable(
         # O(log |Dom|) double-and-add fold applies.
         scale = lambda value: fold_repeat(combine, value, domain_size)  # noqa: E731
 
-    del is_product  # same fold either way; kept for call-site clarity
     rows = {row: scale(value) for row, value in factor}
     out = Factor(factor.schema, rows, semiring, factor.name)
     # Per-row scaling is inherently scalar work, but keep the result on the

@@ -1,9 +1,9 @@
 """Backend-dispatched hot kernels — the NumPy/JIT tier of the data plane.
 
 The columnar data plane bottoms out in a handful of array kernels: the
-stable-sort equi-join probe (:func:`match_indices`), the sort/reduceat
-group-by behind ``fused_join_marginalize`` (:func:`sort_groups_key`,
-:func:`grouped_reduce`) and the sort-based dictionary union
+stable-sort equi-join probe (:func:`match_indices`) and the sort/reduceat
+group-by (:func:`sort_groups_key`, :func:`grouped_reduce`), called from
+``semiring/columnar.py`` alone, and the sort-based dictionary union
 (:func:`encode_unique`).  All four are data-plane kernels: the protocol
 engines account rounds on plain ints and import nothing from here.  This
 package routes each kernel through a process-wide **kernel tier**

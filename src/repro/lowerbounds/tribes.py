@@ -102,7 +102,11 @@ def hard_tribes(
             pass
         pairs.append((frozenset(s_part), frozenset(t_part)))
     instance = TribesInstance(universe_size, tuple(pairs))
-    assert instance.evaluate() == value
+    if instance.evaluate() != value:
+        raise ValueError(
+            f"planted hard TRIBES instance (m={m}, N={universe_size}) "
+            f"evaluates to {instance.evaluate()}, not the requested {value!r}"
+        )
     return instance
 
 

@@ -21,12 +21,14 @@ node, the compiler splits the two:
   generator charges its per-tuple messages (``plan.tuple_bits`` per
   scattered row; ``tuple_bits + value_bits`` per routed item, chunked
   by :func:`~repro.network.program.chunk_pattern`).  Phase B scores
-  whole blocks with vectorized column kernels when the semiring has a
+  whole blocks with the columnar key probe when the semiring has a
   vector profile (falling back to the shared dict scorer otherwise);
   convergecast values are folded over each Steiner tree in the
   generator's exact association order, vectorized when safe.  Integer
   (COUNTING) folds pre-check int64 overflow and drop to exact Python
-  arithmetic, mirroring the columnar operator kernels.
+  arithmetic.  The probe, the int64 guard and the dictionary view are
+  the operator solver's own: the table of columnar kernels in
+  ``docs/architecture.md`` lists them.
 
 Engine parity — identical answers, identical round counts, identical
 total/per-edge bits — is asserted end-to-end by ``tests/test_program.py``
@@ -59,7 +61,12 @@ from ..semiring import (
     supports_columnar,
     to_backend,
 )
-from ..semiring.columnar import INT64_MAX, composite_key, merge_dictionaries
+from ..semiring.columnar import (
+    dictionary_array,
+    merge_dictionaries,
+    probe,
+    product_overflows,
+)
 from ..faq import FAQQuery
 from ..faq.operations import project as dict_project
 from .faq_protocol import (
@@ -98,14 +105,8 @@ def _mul_values(semiring, profile, a, b):
         profile is not None
         and isinstance(a, np.ndarray)
         and isinstance(b, np.ndarray)
+        and not product_overflows(profile, a, b)
     ):
-        if np.issubdtype(profile.dtype, np.integer) and len(a) and len(b):
-            a_max = int(np.abs(a).max())
-            b_max = int(np.abs(b).max())
-            if a_max and b_max and a_max > INT64_MAX // b_max:
-                return [
-                    semiring.mul(x, y) for x, y in zip(a.tolist(), b.tolist())
-                ]
         return profile.mul(a, b)
     left = a.tolist() if isinstance(a, np.ndarray) else a
     right = b.tolist() if isinstance(b, np.ndarray) else b
@@ -163,10 +164,13 @@ def _align_join_columns(
     """Map two dictionary-coded columns into one shared code space.
 
     Shared dictionaries (zero-copy columnar wire blocks) need no work at
-    all.  The fast path for numeric dictionaries translates codes to
-    their actual values and shifts into a dense non-negative range —
-    pure array arithmetic, no Python-level dictionary merge.  Falls back
-    to :func:`merge_dictionaries` (generic hashable values) otherwise.
+    all.  Integer dictionaries with an exact array view
+    (:func:`~repro.semiring.columnar.dictionary_array`, not memoized by
+    object identity: the callers pass temporaries, and a freed list
+    hands its identity to the next one allocated) translate codes to
+    their values and shift into a dense non-negative range — pure array
+    arithmetic, no Python-level dictionary merge.  Anything else falls
+    back to :func:`merge_dictionaries` (generic hashable values).
 
     Returns:
         ``(wire_column, factor_column, cardinality)`` where equal entries
@@ -175,35 +179,24 @@ def _align_join_columns(
     if wire_dict is factor_dict:
         return wire_codes, factor_codes, len(wire_dict)
 
-    def as_array(d: List[Any]) -> np.ndarray:
-        # An encoder-built Dictionary carries its array; anything else
-        # is converted per call.  Not memoized by object identity: the
-        # callers pass temporaries, and a freed list hands its identity
-        # to the next one allocated.
-        arr = getattr(d, "array", None)
-        return np.asarray(d) if arr is None else arr
-
+    wire_vals = dictionary_array(wire_dict)
+    factor_vals = dictionary_array(factor_dict)
     try:
-        wire_vals = as_array(wire_dict)
-        factor_vals = as_array(factor_dict)
         if (
-            wire_vals.ndim == 1
-            and factor_vals.ndim == 1
+            wire_vals is not None
+            and factor_vals is not None
             and wire_vals.dtype.kind in "iub"
             and factor_vals.dtype.kind in "iub"
         ):
-            lows = [int(a.min()) for a in (wire_vals, factor_vals) if len(a)]
-            highs = [int(a.max()) for a in (wire_vals, factor_vals) if len(a)]
-            low = min(lows) if lows else 0
-            high = max(highs) if highs else 0
-            card = high - low + 1
-            if 0 < card <= 2 ** 40:
+            low = min(int(wire_vals.min()), int(factor_vals.min()))
+            card = max(int(wire_vals.max()), int(factor_vals.max())) - low + 1
+            if card <= 2 ** 40:
                 wire_col = wire_vals.astype(np.int64)[wire_codes] - low
                 factor_col = factor_vals.astype(np.int64)[factor_codes] - low
                 return wire_col, factor_col, card
     except (TypeError, ValueError, OverflowError):
-        # e.g. uint64 dictionaries whose values exceed int64 — fall back
-        # to the generic merge below.
+        # e.g. an empty dictionary, or uint64 values beyond int64 — fall
+        # back to the generic merge below.
         pass
     merged, remap = merge_dictionaries(wire_dict, factor_dict)
     return wire_codes, remap[factor_codes], len(merged)
@@ -215,13 +208,14 @@ def _vector_scores(
 ) -> Optional[np.ndarray]:
     """Phase B, vectorized: score every broadcast row in one pass.
 
-    The columnar analogue of ``score_rows``: each contribution is joined
-    to the wire block on its shared columns via merged dictionaries +
-    composite-key ``searchsorted`` (missing rows score the semiring
-    zero), then ⊗-multiplied into the slot vector.  Returns ``None``
-    whenever exactness cannot be guaranteed — no vector profile, int64
-    overflow risk, composite-key overflow, or an order-sensitive float ⊕
-    in a projection — and the caller falls back to the dict scorer.
+    The columnar analogue of ``score_rows``: the wire rows
+    :func:`~repro.semiring.columnar.probe` each contribution on its
+    shared columns, aligned into one code space (missing rows score the
+    semiring zero), and the scores are ⊗-multiplied into the slot
+    vector.  Returns ``None`` whenever exactness cannot be guaranteed —
+    no vector profile, int64 overflow risk, composite-key overflow, or
+    an order-sensitive float ⊕ in a projection — and the caller falls
+    back to the dict scorer.
     """
     profile = _profile_of(semiring)
     if profile is None:
@@ -229,7 +223,6 @@ def _vector_scores(
     n = len(wire)
     schema_index = wire.schema_index
     slots = np.full(n, semiring.one, dtype=profile.dtype)
-    integer = np.issubdtype(profile.dtype, np.integer)
     for factor in contributions:
         try:
             cf = ColumnarFactor.from_factor(factor)
@@ -260,25 +253,14 @@ def _vector_scores(
             wire_cols.append(wire_col)
             factor_cols.append(factor_col)
             cards.append(card)
-        wire_key = composite_key(wire_cols, cards, n)
-        factor_key = composite_key(factor_cols, cards, len(cf))
-        if wire_key is None or factor_key is None:
+        hit = probe(wire_cols, factor_cols, cards, n, len(cf))
+        if hit is None:
             return None
+        found, rows = hit
         values = np.full(n, semiring.zero, dtype=profile.dtype)
-        if len(factor_key):
-            order = np.argsort(factor_key)
-            sorted_key = factor_key[order]
-            pos = np.minimum(
-                np.searchsorted(sorted_key, wire_key), len(sorted_key) - 1
-            )
-            found = sorted_key[pos] == wire_key
-            if found.any():
-                values[found] = cf.values[order[pos[found]]]
-        if integer and n:
-            s_max = int(np.abs(slots).max())
-            v_max = int(np.abs(values).max())
-            if s_max and v_max and s_max > INT64_MAX // v_max:
-                return None
+        values[found] = cf.values[rows]
+        if product_overflows(profile, slots, values):
+            return None
         slots = profile.mul(slots, values)
     return slots
 

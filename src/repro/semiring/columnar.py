@@ -11,20 +11,16 @@ A :class:`ColumnarFactor` stores an ``n``-row factor as
 It is a :class:`~repro.semiring.factor.Factor` subclass with the same
 public surface — the ``rows`` dict is materialized lazily and cached — so
 every dict-path consumer (protocols, solvers, equality) keeps working
-unchanged.  The hot-path operators in :mod:`repro.faq.operations`
-dispatch to the vectorized kernels below whenever all operands are
-columnar:
+unchanged.
 
-* :func:`columnar_join` — hash join via ``argsort``/``searchsorted`` on a
-  mixed-radix composite key over the shared columns;
-* :func:`columnar_project` / :func:`columnar_marginalize` — grouped
-  ⊕-reduction (``ufunc.reduceat`` over sort-clustered groups);
-* :func:`columnar_semijoin` — membership test against the sorted unique
-  keys of the right side.
-
-Kernels return ``None`` when they cannot run (the composite key would
-overflow ``int64`` — astronomically large combined dictionaries); callers
-then fall back to the generic dict path, which is always correct.
+This module also holds the one copy of each columnar kernel job —
+:func:`join_step`, :func:`group_reduce`, :func:`probe`,
+:func:`product_overflows`, :func:`dictionary_array` — for the operator
+solver, the compiled solver and the compiled engine's Phase B alike
+(``docs/architecture.md`` has the table of jobs and callers).  Kernels
+return ``None`` when they cannot run exactly (the composite key or an
+integer annotation would overflow ``int64``); callers then fall back to
+the generic dict path, which is always correct.
 
 Row tuples inside a :class:`ColumnarFactor` are unique (the kernels only
 ever produce unique rows from unique inputs, and every constructor goes
@@ -35,6 +31,7 @@ the dict backend maintains.
 
 from __future__ import annotations
 
+import math
 import types
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,6 +56,11 @@ _MAX_RADIX = 2 ** 62
 # as a "zero" row.  Kernels bound the worst-case result magnitude up front
 # and return None (dict fallback, exact Python ints) when it could overflow.
 INT64_MAX = 2 ** 63 - 1
+
+#: Boolean key deduplication scatters into a dense mark array while the
+#: composite code space stays below ``max(4 * rows, _DENSE_CAP)`` — past
+#: that, sorting wins.
+_DENSE_CAP = 1 << 20
 
 
 class ColumnarFactor(Factor):
@@ -288,24 +290,30 @@ class Dictionary(list):
 _EXACT_KINDS = {int: "iu", bool: "b", str: "U", float: "f"}
 
 
-def exact_array(elem_type: type, values: Sequence[Any]) -> Optional[np.ndarray]:
-    """An exact-round-trip array view of a homogeneous column, or ``None``.
+def dictionary_array(values: Sequence[Any]) -> Optional[np.ndarray]:
+    """The exact-round-trip array view of a dictionary or column, or ``None``.
 
-    ``None`` when the element type has no exact NumPy mapping, the
-    conversion promoted (``int`` -> float64), the column holds floats
-    that break dictionary-key semantics (NaN: ``nan != nan``; ``-0.0``:
-    ``np.unique`` may pick a different sign representative than the
-    first-appearance loop), or it holds strings ending in NUL, which
-    NumPy's fixed-width strings silently strip.
-
-    Raises:
-        TypeError/ValueError/OverflowError: whatever ``np.asarray`` raises
-            on unconvertible values (callers treat those as ``None``).
+    An encoder-built :class:`Dictionary` carries its array.  Anything
+    else must hold one element type with an exact NumPy mapping; ``None``
+    when it does not, when the conversion promoted (``int`` -> float64),
+    when it holds floats that break dictionary-key semantics (NaN:
+    ``nan != nan``; ``-0.0``: ``np.unique`` may pick a different sign
+    representative than the first-appearance loop), or strings ending in
+    NUL, which NumPy's fixed-width strings silently strip.
     """
-    kinds = _EXACT_KINDS.get(elem_type)
+    arr = getattr(values, "array", None)
+    if arr is not None:
+        return arr
+    elem_types = set(map(type, values))
+    if len(elem_types) != 1:
+        return None
+    kinds = _EXACT_KINDS.get(elem_types.pop())
     if kinds is None:
         return None
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):
+        return None
     if arr.ndim != 1 or arr.dtype.kind not in kinds:
         return None
     if arr.dtype.kind == "f" and (
@@ -322,28 +330,20 @@ def exact_array(elem_type: type, values: Sequence[Any]) -> Optional[np.ndarray]:
 def _encode_column(col: Sequence[Any], n: int):
     """Dictionary-encode one column into (int64 codes, dictionary list).
 
-    Vectorized via ``np.unique`` for *homogeneous* ``int``/``bool``/
-    ``str``/``float`` columns (the dictionary then lists values in sorted
+    Vectorized via ``np.unique`` for columns with an exact array view
+    (:func:`dictionary_array`; the dictionary then lists values in sorted
     order — any coding is valid, decoding restores the original values
     exactly); every other column — mixed types, tuples, arbitrary
     hashables — takes the generic first-appearance loop, whose round trip
-    is exact by construction.  Float columns only qualify when they carry
-    neither NaN (``nan != nan`` breaks dictionary-key semantics) nor a
-    negative zero (``-0.0 == 0.0`` would let ``np.unique`` pick a
-    different sign representative than the first-appearance loop).
+    is exact by construction.
     """
-    column_types = set(map(type, col))
-    if len(column_types) == 1:
-        try:
-            arr = exact_array(next(iter(column_types)), col)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        if arr is not None:
-            uniq, inverse = np.unique(arr, return_inverse=True)
-            return (
-                inverse.reshape(-1).astype(np.int64, copy=False),
-                Dictionary(uniq.tolist(), array=uniq),
-            )
+    arr = dictionary_array(col)
+    if arr is not None:
+        uniq, inverse = np.unique(arr, return_inverse=True)
+        return (
+            inverse.reshape(-1).astype(np.int64, copy=False),
+            Dictionary(uniq.tolist(), array=uniq),
+        )
     dictionary: List[Any] = []
     code_map: dict = {}
     codes = np.empty(n, dtype=np.int64)
@@ -410,7 +410,7 @@ def merge_dictionaries(left_dict: List[Any], right_dict: List[Any]):
     return merged, remap
 
 
-def composite_key(
+def _composite_key(
     columns: Sequence[np.ndarray], cards: Sequence[int], n: int
 ) -> Optional[np.ndarray]:
     """Mixed-radix fold of code columns into one ``int64`` key per row.
@@ -435,7 +435,7 @@ def composite_key(
     return key
 
 
-def sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
+def _sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
     """Cluster rows by the given code columns.
 
     Returns:
@@ -446,7 +446,7 @@ def sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
     """
     if not columns:
         return np.arange(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    key = composite_key(columns, cards, n)
+    key = _composite_key(columns, cards, n)
     if key is not None:
         # Composite-key fast path: one stable sort in the active kernel
         # tier (:mod:`repro.kernels`).
@@ -460,27 +460,14 @@ def sort_groups(columns: Sequence[np.ndarray], cards: Sequence[int], n: int):
     return order, starts
 
 
-def int_values_exceed(profile: VectorProfile, values: np.ndarray, bound: int) -> bool:
-    """True when ``values`` holds bounded ints whose magnitude tops ``bound``.
+def _shared_columns(left: ColumnarFactor, right: ColumnarFactor, shared):
+    """The two factors' code columns over ``shared``, in one code space.
 
-    Used to pre-check overflow: float profiles saturate to ``inf`` safely
-    and are never flagged; integer (COUNTING) profiles wrap silently, so
-    any magnitude above ``bound`` sends the caller to the dict fallback.
-    """
-    if not np.issubdtype(profile.dtype, np.integer) or not len(values):
-        return False
-    return int(np.abs(values).max()) > bound
-
-
-def _shared_key_pair(left: ColumnarFactor, right: ColumnarFactor, shared):
-    """Composite join keys over the shared columns of two factors.
-
-    Merges the per-variable dictionaries left-preserving, then folds each
-    side's (remapped) code columns into one ``int64`` key per row.
+    Merges the per-variable dictionaries left-preserving and remaps the
+    right side's codes into the merged coding.
 
     Returns:
-        ``(left_key, right_key, merged_dicts)``, or ``None`` when the
-        composite key would overflow (callers fall back to the dict path).
+        ``(left_cols, right_cols, cards, merged_dicts)``.
     """
     merged_dicts = {}
     left_cols, right_cols, cards = [], [], []
@@ -493,11 +480,7 @@ def _shared_key_pair(left: ColumnarFactor, right: ColumnarFactor, shared):
         left_cols.append(left.codes[li])
         right_cols.append(remap[right.codes[ri]])
         cards.append(len(merged))
-    left_key = composite_key(left_cols, cards, len(left))
-    right_key = composite_key(right_cols, cards, len(right))
-    if left_key is None or right_key is None:
-        return None
-    return left_key, right_key, merged_dicts
+    return left_cols, right_cols, cards, merged_dicts
 
 
 def empty_like(
@@ -584,44 +567,153 @@ class WireBlock:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized operator kernels
+# The columnar kernels: one function per job
+# ---------------------------------------------------------------------------
+
+
+def product_overflows(profile: VectorProfile, a: np.ndarray, b: np.ndarray) -> bool:
+    """True when an integer profile's elementwise ``a ⊗ b`` could overflow
+    ``int64`` (worst case ``max|a| * max|b|``).  Float profiles saturate
+    to ``inf`` safely and are never flagged."""
+    if not np.issubdtype(profile.dtype, np.integer) or not len(a) or not len(b):
+        return False
+    a_max = int(np.abs(a).max())
+    b_max = int(np.abs(b).max())
+    return bool(a_max and b_max and a_max > INT64_MAX // b_max)
+
+
+def join_step(
+    left_cols, right_cols, cards, n_left, n_right, profile, left_values, right_values
+):
+    """One natural-join step over key columns in one code space: composite
+    key per side → ``kernels.match_indices`` → ⊗ → drop zero products.
+
+    ``left_values=None`` matches keys only (a Boolean listing's
+    annotations are all ``True``).  Returns ``(left_idx, right_idx,
+    values)``, or ``None`` when the composite key or an integer ⊗ could
+    overflow ``int64`` (callers fall back).
+    """
+    if left_values is not None and product_overflows(
+        profile, left_values, right_values
+    ):
+        return None
+    left_key = _composite_key(left_cols, cards, n_left)
+    right_key = _composite_key(right_cols, cards, n_right)
+    if left_key is None or right_key is None:
+        return None
+    left_idx, right_idx = kernels.match_indices(left_key, right_key)
+    if left_values is None:
+        return left_idx, right_idx, None
+    values = profile.mul(left_values[left_idx], right_values[right_idx])
+    zero = profile.is_zero_mask(values)
+    if zero.any():
+        keep = ~zero
+        left_idx, right_idx, values = left_idx[keep], right_idx[keep], values[keep]
+    return left_idx, right_idx, values
+
+
+def probe(probe_cols, build_cols, cards, n_probe, n_build):
+    """Which probe rows' keys occur among the build rows', and where.
+
+    Returns ``(found, rows)`` — a mask over the probe rows and, per found
+    row, the build row holding its key (the first in sorted-key order
+    when build keys repeat) — or ``None`` on composite-key overflow.
+    """
+    probe_key = _composite_key(probe_cols, cards, n_probe)
+    build_key = _composite_key(build_cols, cards, n_build)
+    if probe_key is None or build_key is None:
+        return None
+    if not len(build_key):
+        return np.zeros(n_probe, dtype=bool), np.empty(0, dtype=np.int64)
+    order = np.argsort(build_key)
+    sorted_key = build_key[order]
+    pos = np.minimum(np.searchsorted(sorted_key, probe_key), len(sorted_key) - 1)
+    found = sorted_key[pos] == probe_key
+    return found, order[pos[found]]
+
+
+def group_reduce(out_schema, columns, dicts, values, n, semiring, name=None):
+    """Group ``n`` rows by their code ``columns`` (one per ``out_schema``
+    variable, coded by ``dicts``) and ⊕-reduce each group's ``values``.
+
+    ``values=None`` is a Boolean listing whose annotations are all
+    ``True``: the reduction is then key deduplication, a dense scatter
+    over the composite code space while it is small.  Returns ``None``
+    when an integer group sum could overflow ``int64`` (worst case:
+    every row in one group at the max magnitude).
+    """
+    out_schema = tuple(out_schema)
+    if n == 0:
+        return empty_like(out_schema, dicts, semiring, name)
+    cards = [max(len(d), 1) for d in dicts]
+    if values is None:
+        space = math.prod(cards)
+        key = _composite_key(columns, cards, n)
+        if key is not None and space <= max(4 * n, _DENSE_CAP):
+            mark = np.zeros(space, dtype=bool)
+            mark[key] = True
+            out_keys = rem = np.flatnonzero(mark)
+            out_codes = []
+            for card in reversed(cards):
+                out_codes.insert(0, rem % card)
+                rem = rem // card
+            reduced = np.ones(len(out_keys), dtype=np.bool_)
+            return ColumnarFactor._from_arrays(
+                out_schema, out_codes, dicts, reduced, semiring, name
+            )
+    else:
+        profile = profile_for(semiring)
+        if (
+            np.issubdtype(profile.dtype, np.integer)
+            and int(np.abs(values).max()) > INT64_MAX // n
+        ):
+            return None
+    order, starts = _sort_groups(columns, cards, n)
+    representatives = order[starts]
+    out_codes = [c[representatives] for c in columns]
+    if values is None:
+        reduced = np.ones(len(starts), dtype=np.bool_)
+    else:
+        reduced = kernels.grouped_reduce(values, order, starts, profile.add)
+        zero = profile.is_zero_mask(reduced)
+        if zero.any():
+            keep = ~zero
+            reduced = reduced[keep]
+            out_codes = [c[keep] for c in out_codes]
+    return ColumnarFactor._from_arrays(
+        out_schema, out_codes, dicts, reduced, semiring, name
+    )
+
+
+# ---------------------------------------------------------------------------
+# Vectorized operators
 # ---------------------------------------------------------------------------
 
 
 def columnar_join(
     left: ColumnarFactor, right: ColumnarFactor, name: str | None = None
 ) -> Optional[ColumnarFactor]:
-    """Vectorized natural join with ⊗-multiplied annotations.
+    """Vectorized natural join with ⊗-multiplied annotations: one
+    :func:`join_step` over the shared columns in a merged coding.
 
-    Sorts the right side on the composite shared-variable key and probes
-    it with ``searchsorted`` (the columnar analogue of the dict hash
-    join); match runs are expanded with ``repeat``/``arange`` arithmetic.
     Returns ``None`` on composite-key overflow, or when an integer-profile
     annotation product could overflow ``int64`` (caller falls back to the
     dict path's exact arithmetic).
     """
-    profile = profile_for(left.semiring)
-    if np.issubdtype(profile.dtype, np.integer) and len(left) and len(right):
-        left_max = int(np.abs(left.values).max())
-        right_max = int(np.abs(right.values).max())
-        if left_max and right_max and left_max > INT64_MAX // right_max:
-            return None
     shared = [v for v in left.schema if v in right.schema]
     out_schema = tuple(left.schema) + tuple(
         v for v in right.schema if v not in left.schema
     )
-
-    keys = _shared_key_pair(left, right, shared)
-    if keys is None:
+    left_cols, right_cols, cards, merged_dicts = _shared_columns(
+        left, right, shared
+    )
+    step = join_step(
+        left_cols, right_cols, cards, len(left), len(right),
+        profile_for(left.semiring), left.values, right.values,
+    )
+    if step is None:
         return None
-    left_key, right_key, merged_dicts = keys
-
-    left_idx, right_idx = kernels.match_indices(left_key, right_key)
-    values = profile.mul(left.values[left_idx], right.values[right_idx])
-    zero = profile.is_zero_mask(values)
-    if zero.any():
-        keep = ~zero
-        left_idx, right_idx, values = left_idx[keep], right_idx[keep], values[keep]
+    left_idx, right_idx, values = step
 
     out_codes, out_dicts = [], []
     for v in out_schema:
@@ -644,7 +736,8 @@ def columnar_join(
 def columnar_semijoin(
     left: ColumnarFactor, right: ColumnarFactor, name: str | None = None
 ) -> Optional[ColumnarFactor]:
-    """Vectorized semijoin ``left ⋉ right`` (Definition 3.5).
+    """Vectorized semijoin ``left ⋉ right`` (Definition 3.5): one
+    :func:`probe` of the left rows against the right.
 
     Returns ``None`` on composite-key overflow (caller falls back).
     """
@@ -656,14 +749,11 @@ def columnar_semijoin(
     if len(left) == 0 or len(right) == 0:
         return empty_like(left.schema, left.dictionaries, left.semiring, name)
 
-    keys = _shared_key_pair(left, right, shared)
-    if keys is None:
+    left_cols, right_cols, cards, _merged = _shared_columns(left, right, shared)
+    hit = probe(left_cols, right_cols, cards, len(left), len(right))
+    if hit is None:
         return None
-    left_key, right_key, _merged = keys
-
-    uniq = np.unique(right_key)
-    pos = np.minimum(np.searchsorted(uniq, left_key), len(uniq) - 1)
-    keep = uniq[pos] == left_key
+    keep, _rows = hit
     return ColumnarFactor._from_arrays(
         left.schema,
         [c[keep] for c in left.codes],
@@ -674,42 +764,6 @@ def columnar_semijoin(
     )
 
 
-def _grouped_reduce(
-    factor: ColumnarFactor, out_vars: Sequence[str], name: str | None
-) -> Optional[ColumnarFactor]:
-    """Group rows by ``out_vars`` and ⊕-reduce each group's annotations.
-
-    Returns ``None`` when an integer-profile group sum could overflow
-    ``int64`` (worst case: every row in one group at the max magnitude);
-    callers fall back to the dict path's exact arithmetic.
-    """
-    profile = profile_for(factor.semiring)
-    out_vars = tuple(out_vars)
-    idx = [factor.column_index(v) for v in out_vars]
-    out_dicts = [factor.dictionaries[i] for i in idx]
-    n = len(factor)
-    if n == 0:
-        return empty_like(out_vars, out_dicts, factor.semiring, name)
-    if int_values_exceed(profile, factor.values, INT64_MAX // n):
-        return None
-
-    columns = [factor.codes[i] for i in idx]
-    cards = [len(factor.dictionaries[i]) for i in idx]
-    order, starts = sort_groups(columns, cards, n)
-    reduced = kernels.grouped_reduce(factor.values, order, starts, profile.add)
-    representatives = order[starts]
-    out_codes = [c[representatives] for c in columns]
-
-    zero = profile.is_zero_mask(reduced)
-    if zero.any():
-        keep = ~zero
-        reduced = reduced[keep]
-        out_codes = [c[keep] for c in out_codes]
-    return ColumnarFactor._from_arrays(
-        out_vars, out_codes, out_dicts, reduced, factor.semiring, name
-    )
-
-
 def columnar_project(
     factor: ColumnarFactor, variables: Sequence[str], name: str | None = None
 ) -> Optional[ColumnarFactor]:
@@ -717,7 +771,12 @@ def columnar_project(
 
     Returns ``None`` on possible integer overflow (caller falls back).
     """
-    return _grouped_reduce(factor, variables, name)
+    idx = [factor.column_index(v) for v in variables]
+    return group_reduce(
+        variables, [factor.codes[i] for i in idx],
+        [factor.dictionaries[i] for i in idx],
+        factor.values, len(factor), factor.semiring, name,
+    )
 
 
 def columnar_marginalize(
@@ -731,4 +790,4 @@ def columnar_marginalize(
     """
     factor.column_index(variable)  # raise KeyError on absent variables
     out_schema = tuple(v for v in factor.schema if v != variable)
-    return _grouped_reduce(factor, out_schema, name)
+    return columnar_project(factor, out_schema, name)

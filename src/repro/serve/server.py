@@ -5,7 +5,8 @@
 
 1. **Admission** — every submitted spec resolves to a registered
    :class:`~repro.serve.session.ServingSession` (registering on first
-   sight; registration is the offline phase and amortizes to zero).
+   sight, on the solver thread: registration is the offline phase and
+   amortizes to zero, and the event loop keeps serving meanwhile).
    The session's :func:`~repro.costmodel.predict_costs` metrics price
    the query *without executing anything*; the
    :class:`AdmissionPolicy` then admits, **rejects** (structured
@@ -38,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -260,6 +262,9 @@ class QueryService:
         self._batcher: Optional[asyncio.Task] = None
         self._solver_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool: Optional[ProcessPoolExecutor] = None
+        # Registration restarts the pool from the solver thread, and
+        # close() shuts it down from the event loop.
+        self._pool_lock = threading.Lock()
         self._closed = False
 
     # -- registration (offline) -----------------------------------------
@@ -324,10 +329,12 @@ class QueryService:
         )
 
     def _restart_pool(self) -> None:
-        pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._start_pool()
+        with self._pool_lock:
+            pool, self._process_pool = self._process_pool, None
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+            if not self._closed:
+                self._start_pool()
 
     async def close(self) -> None:
         """Drain nothing, fail everything pending, release the store."""
@@ -347,9 +354,10 @@ class QueryService:
                     [queue.get_nowait() for _ in range(queue.qsize())],
                     "shutdown", "service closed",
                 )
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=False, cancel_futures=True)
-            self._process_pool = None
+        with self._pool_lock:
+            if self._process_pool is not None:
+                self._process_pool.shutdown(wait=False, cancel_futures=True)
+                self._process_pool = None
         if self._solver_pool is not None:
             self._solver_pool.shutdown(wait=False, cancel_futures=True)
             self._solver_pool = None
@@ -361,7 +369,24 @@ class QueryService:
         if self._closed or self._batcher is None:
             raise ServeError("shutdown", "service is not running", {})
         self.stats.submitted += 1
-        manifest = self.register(spec)
+        session = self.sessions.get(session_id_of(spec))
+        if session is not None:
+            manifest = session.manifest
+        else:
+            # Registration is the whole offline phase: it runs on the
+            # solver thread, so the event loop keeps admitting and
+            # answering other requests meanwhile.  close() cancels one
+            # still queued there, and one that finished meanwhile must
+            # not reach a queue nobody drains.
+            registration = asyncio.get_running_loop().run_in_executor(
+                self._solver_pool, self.register, spec
+            )
+            await asyncio.wait([registration])
+            if registration.cancelled():
+                raise ServeError("shutdown", "service closed", {})
+            manifest = registration.result()
+            if self._closed:
+                raise ServeError("shutdown", "service closed", {})
         decision, detail = self.policy.decide(manifest)
         if decision == "reject":
             self.stats.rejected += 1
@@ -487,10 +512,12 @@ class QueryService:
     async def _run_session(self, session_id: str):
         """One session's answer payload, or the ServeError it died of."""
         loop = asyncio.get_running_loop()
+        # Read once: a registration on the solver thread may swap the pool.
+        pool = self._process_pool
         try:
-            if self._process_pool is not None:
+            if pool is not None:
                 return await loop.run_in_executor(
-                    self._process_pool, _worker_execute, session_id
+                    pool, _worker_execute, session_id
                 )
             return await loop.run_in_executor(
                 self._solver_pool, self.sessions[session_id].online_answer

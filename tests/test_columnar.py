@@ -278,19 +278,19 @@ def test_to_backend_huge_counts_stay_dict():
 def test_aggregate_absent_variable_folds():
     f = Factor(("A",), {(1,): 3}, COUNTING)
     # Semiring add: 3 summed |Dom| times.
-    assert aggregate_absent_variable(f, COUNTING.add, 7, False)((1,)) == 21
+    assert aggregate_absent_variable(f, COUNTING.add, 7)((1,)) == 21
     # Product aggregate: 3 ** |Dom| via the double-and-add fold.
-    assert aggregate_absent_variable(f, COUNTING.mul, 5, True)((1,)) == 3 ** 5
+    assert aggregate_absent_variable(f, COUNTING.mul, 5)((1,)) == 3 ** 5
     # Idempotent add collapses regardless of domain size.
     b = Factor(("A",), {(1,): True}, BOOLEAN)
-    assert aggregate_absent_variable(b, BOOLEAN.add, 10 ** 9, False)((1,)) is True
+    assert aggregate_absent_variable(b, BOOLEAN.add, 10 ** 9)((1,)) is True
 
 
 def test_aggregate_absent_variable_preserves_backend():
     rng = random.Random(13)
     f, cf = both(random_factor(rng, ("A",), COUNTING, 20))
-    expected = aggregate_absent_variable(f, COUNTING.add, 3, False)
-    got = aggregate_absent_variable(cf, COUNTING.add, 3, False)
+    expected = aggregate_absent_variable(f, COUNTING.add, 3)
+    got = aggregate_absent_variable(cf, COUNTING.add, 3)
     assert got == expected
     assert backend_of(got) == BACKEND_COLUMNAR
 

@@ -138,16 +138,16 @@ def test_marginalize_missing_var_raises():
 
 def test_aggregate_absent_variable_scales():
     f = Factor(("A",), {(1,): 2.0}, REAL)
-    out = aggregate_absent_variable(f, REAL.add, 5, is_product=False)
+    out = aggregate_absent_variable(f, REAL.add, 5)
     assert out((1,)) == 10.0
-    out2 = aggregate_absent_variable(f, REAL.mul, 3, is_product=True)
+    out2 = aggregate_absent_variable(f, REAL.mul, 3)
     assert out2((1,)) == 8.0
 
 
 def test_aggregate_absent_variable_bad_domain():
     f = Factor(("A",), {(1,): 2.0}, REAL)
     with pytest.raises(ValueError):
-        aggregate_absent_variable(f, REAL.add, 0, is_product=False)
+        aggregate_absent_variable(f, REAL.add, 0)
 
 
 def test_scalar_roundtrip():

@@ -540,9 +540,9 @@ def test_encode_column_rejects_promoted_huge_int_columns():
     codes, dictionary = _encode_column([big, 5, 5], 3)
     assert getattr(dictionary, "array", None) is None  # generic loop ran
     assert [dictionary[c] for c in codes.tolist()] == [big, 5, 5]
-    from repro.faq.executor import _dictionary_array
+    from repro.semiring.columnar import dictionary_array
 
-    assert _dictionary_array([big, 5]) is None
+    assert dictionary_array([big, 5]) is None
 
 
 def test_encode_column_float_guards_nan_and_negative_zero():

@@ -86,6 +86,28 @@ def test_counting_join_size():
     assert scalar_value(solve_message_passing(q)) == 4
 
 
+def test_message_passing_reaches_a_root_whatever_its_id():
+    # A GHD traversal used to treat a falsy root id ("") as "no root", so
+    # the solve never reached its root: an ``assert`` under ``python``,
+    # an AttributeError on ``None`` under ``python -O``.  Every traversal
+    # now starts at any root id but ``None``.
+    from repro.decomposition import GHD
+
+    h = Hypergraph({"R": ("A", "B"), "S": ("B", "C")})
+    rels = {
+        "R": Factor.from_tuples(("A", "B"), [(1, 1), (2, 1)], COUNTING),
+        "S": Factor.from_tuples(("B", "C"), [(1, 5), (1, 6)], COUNTING),
+    }
+    q = FAQQuery(h, rels, domains_for(h, 8), free_vars=(), semiring=COUNTING)
+    tree = GHD(h)
+    tree.add_node("", {"A", "B"}, {"R"})
+    tree.add_node("s", {"B", "C"}, {"S"}, parent="")
+    assert [node.node_id for node in tree.postorder()] == ["s", ""]
+    assert [node.node_id for node in tree.preorder()] == ["", "s"]
+    assert tree.depth() == 1
+    assert scalar_value(solve_message_passing(q, ghd=tree)) == 4
+
+
 def test_pgm_chain_marginal():
     """Sum-product on a 3-variable chain: phi(A) = sum_B sum_C f(A,B) g(B,C)."""
     h = Hypergraph({"f": ("A", "B"), "g": ("B", "C")})

@@ -356,6 +356,48 @@ def test_the_network_package_accounts_on_plain_ints():
     ] == []
 
 
+def test_one_columnar_kernel_per_job():
+    # The join step, the ⊕ group-by, the key probe, the int64 product
+    # guard and the dictionary array view are written once, in
+    # semiring/columnar.py, for the operator solver, the compiled
+    # solver's fused step and the compiled engine's Phase B alike (the
+    # table is in docs/architecture.md): what a columnar join, group-by
+    # or overflow check does is decided in one module.
+    trees = {module: tree for module, _package, tree in _modules()}
+    home = "repro.semiring.columnar"
+
+    def mentioning(names):
+        return {
+            module
+            for module, tree in trees.items()
+            if not module.startswith("repro.kernels")
+            for _line, found in _identifiers(tree)
+            if found in names
+        }
+
+    assert mentioning({"match_indices", "sort_groups_key", "grouped_reduce"}) == {home}
+    assert mentioning({"INT64_MAX"}) == {home}
+    # No sort, probe, reduction or array view of their own beside them.
+    copies = {"argsort", "lexsort", "reduceat", "flatnonzero", "asarray", "unique"}
+    assert [
+        (module, found)
+        for module in ("repro.faq.executor", "repro.protocols.compiler")
+        for found in _identifiers(trees[module])
+        if found[1] in copies
+    ] == []
+
+
+def test_no_assert_statements_under_src():
+    # ``python -O`` strips them: a check the product relies on raises a
+    # named error instead.
+    assert [
+        (module, node.lineno)
+        for module, _package, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ] == []
+
+
 def test_one_elimination_loop():
     # Both solvers run the elimination loop of
     # ``faq/variable_elimination.py``; a plan IR beside it (op classes,

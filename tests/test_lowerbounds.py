@@ -4,6 +4,8 @@ Theorems 4.4/F.8)."""
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,30 @@ def test_hard_tribes_value_and_intersection_size():
         assert inst.evaluate() == value
         for s, t in inst.pairs:
             assert len(s & t) <= 1  # Remark G.5
+
+
+def test_hard_tribes_checks_its_planted_value_under_python_O():
+    # The certification plane trusts the planted instance, so the value
+    # check must survive ``python -O``: a construction that plants the
+    # wrong value (forced here through ``evaluate``) raises by name.
+    code = (
+        "from repro.lowerbounds import tribes\n"
+        "tribes.TribesInstance.evaluate = lambda self: False\n"
+        "try:\n"
+        "    tribes.hard_tribes(3, 4, True, seed=1)\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == (
+        "planted hard TRIBES instance (m=3, N=4) evaluates to False, "
+        "not the requested True"
+    )
 
 
 def test_random_tribes_deterministic_seed():

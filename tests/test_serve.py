@@ -384,6 +384,85 @@ async def _solver_is_busy(started):
     assert await loop.run_in_executor(None, started.wait, 60)
 
 
+def test_registration_leaves_the_event_loop_free(monkeypatch):
+    # An unregistered spec brings the whole offline phase with it.  While
+    # that registration is held, a request for a registered spec is still
+    # admitted (here: rejected by the budget) at once.  Registering on the
+    # event-loop thread would block it until the fallback timer fires.
+    held, other = sample_scenario(19), _covered_spec()
+    assert session_id_of(held) != session_id_of(other)
+    release = threading.Event()
+    fallback = threading.Timer(10, release.set)
+    register = ServingSession.register
+
+    def held_register(spec, store):
+        if session_id_of(spec) == session_id_of(held):
+            release.wait()
+        return register(spec, store)
+
+    monkeypatch.setattr(ServingSession, "register", held_register)
+
+    async def main():
+        async with QueryService(
+            policy=AdmissionPolicy(max_predicted_bits=0)
+        ) as service:
+            service.register(other)
+            fallback.start()
+            try:
+                first = asyncio.ensure_future(service.submit(held))
+                await asyncio.sleep(0)  # its registration is under way
+                with pytest.raises(ServeError) as err:
+                    await service.submit(other)
+                assert err.value.code == "rejected"
+                assert not release.is_set()
+            finally:
+                release.set()
+                fallback.cancel()
+            await asyncio.gather(first, return_exceptions=True)
+            assert session_id_of(held) in service.sessions
+
+    asyncio.run(main())
+    assert not live_segment_names()
+
+
+def test_close_fails_the_submits_whose_registration_is_under_way(monkeypatch):
+    # A close() while registrations run on the solver thread fails both
+    # submits with ``shutdown``: the one whose registration then finishes
+    # and the one still queued behind it.  Neither may be queued for a
+    # batcher that is gone.
+    first, second = generate_scenarios(123, 2)
+    started, release = threading.Event(), threading.Event()
+    register = ServingSession.register
+
+    def held_register(spec, store):
+        session = register(spec, store)
+        started.set()
+        release.wait(60)
+        return session
+
+    monkeypatch.setattr(ServingSession, "register", held_register)
+
+    async def main():
+        service = QueryService()
+        await service.start()
+        try:
+            pending = [
+                asyncio.ensure_future(service.submit(spec))
+                for spec in (first, second)
+            ]
+            await _solver_is_busy(started)  # the first registration is held
+            await service.close()
+        finally:
+            release.set()
+        for request in pending:
+            with pytest.raises(ServeError) as err:
+                await asyncio.wait_for(request, 5)  # hang guard only
+            assert err.value.code == "shutdown"
+
+    asyncio.run(main())
+    assert not live_segment_names()
+
+
 def test_close_fails_the_batch_in_flight_with_shutdown():
     spec = sample_scenario(19)
 
