@@ -17,8 +17,10 @@ It prints a comparison table and asserts:
 * both backends return **byte-identical** answers (exact dict equality on
   integer counting annotations, not tolerance equality);
 * the columnar backend is **at least 5x faster** on the operator workload
-  (in practice 20-100x; the 5x floor keeps the assertion robust on slow or
-  noisy CI machines);
+  (13-15x on a shared 2-core Linux x86-64 host, where it was about 23x
+  before the dict kernels read row keys with ``itemgetter``; the 5x
+  floor keeps the assertion robust on slow or noisy CI machines) and at
+  least 2x on the solver workload (10-13x there, from 28x);
 * the one-time dict->columnar encoding cost is itself far below a single
   dict-path run, so converting *pays off within one operator*.
 """

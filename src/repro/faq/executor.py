@@ -28,7 +28,9 @@ operator-at-a-time path while returning byte-identical answers:
 * **Graceful fallback** — any step whose operands are not columnar (or
   whose kernel declines: un-interned dictionaries, potential ``int64``
   overflow, composite-key overflow) executes through the ordinary
-  operators in :mod:`repro.faq.operations`, which are always correct.
+  operators' elimination step,
+  :func:`~repro.faq.operations.join_marginalize`, which is always
+  correct.
 
 Float caveat: for exact semirings (boolean, counting, GF(2)-free
 workloads) and idempotent tropical semirings the fused kernel is
@@ -367,7 +369,8 @@ def eliminate_fused(
 ) -> Factor:
     """Join ``parts`` and ⊕-marginalize ``variable`` out — on the fused
     kernel when the inputs were interned and it accepts the operands,
-    otherwise through the ordinary operators (counted either way)."""
+    otherwise through the ordinary operators' elimination step,
+    :func:`~repro.faq.operations.join_marginalize` (counted either way)."""
     result: Optional[Factor] = None
     if interned and all(isinstance(p, ColumnarFactor) for p in parts):
         result = fused_join_marginalize(parts, variable, semiring)
@@ -375,6 +378,4 @@ def eliminate_fused(
         COUNTERS.increment("solver.fused_vectorized")
         return result
     COUNTERS.increment("solver.fused_fallback")
-    return operations.marginalize(
-        operations.multi_join(parts), variable, semiring.add
-    )
+    return operations.join_marginalize(parts, variable, semiring.add)

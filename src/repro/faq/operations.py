@@ -11,10 +11,19 @@ full-domain fold), the vectorized kernels of
 :mod:`repro.semiring.columnar` run; otherwise the generic dict path below
 does, which accepts any mix of backends, semirings and aggregates.  Both
 paths produce the same canonical listing representation.
+
+The dict path reads every row key with one C-level ``itemgetter``
+(:func:`_row_key`), drops a zero annotation where it is produced, and
+builds each result through :func:`_listing`.  :func:`join_marginalize`
+is one variable-elimination step: its last join folds each product
+straight into its ⊕ group instead of listing the joined factor first.
+None of the dict path uses the columnar kernels or :mod:`repro.kernels`,
+so it stays an independent oracle for them.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
 
 from ..obs.counters import COUNTERS
@@ -41,11 +50,42 @@ def _merged_schema(a: Sequence[str], b: Sequence[str]) -> Tuple[str, ...]:
     return tuple(a) + tuple(v for v in b if v not in a)
 
 
-def join(left: Factor, right: Factor, name: str | None = None) -> Factor:
-    """Natural join with semiring-multiplied annotations.
+def _row_key(positions: Sequence[int]) -> Callable[[Tuple_], Tuple_]:
+    """``row -> tuple(row[i] for i in positions)``, at C speed.
 
-    For Boolean factors this is Definition 3.4; in general it is the ⊗ of
-    two functions viewed over the union schema.
+    ``itemgetter`` returns a tuple only for two or more positions, so one
+    position and none are spelled out.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
+def _listing(
+    schema: Sequence[str],
+    pairs: Iterable[Tuple[Tuple_, Any]],
+    semiring: Semiring,
+    name: str | None,
+) -> Factor:
+    """The factor listing ``(row, value)`` pairs, zero annotations dropped.
+
+    Every dict kernel here emits rows that are already unique tuples of
+    ``schema``'s arity, so ``Factor.__init__``'s arity and duplicate
+    checks hold by construction and are skipped.  ``pairs`` is consumed
+    lazily: a join's zero product is dropped as it is produced.
+    """
+    out = Factor(schema, (), semiring, name)
+    is_zero = semiring.is_zero
+    out.rows = {row: value for row, value in pairs if not is_zero(value)}
+    return out
+
+
+def _columnar_join(left: Factor, right: Factor, name: str | None = None):
+    """``left ⋈ right`` on the vectorized kernel, or ``None`` when the
+    dict path must run (counted either way).
 
     Raises:
         ValueError: if the factors use different semirings.
@@ -55,50 +95,62 @@ def join(left: Factor, right: Factor, name: str | None = None) -> Factor:
             f"cannot join factors over semirings "
             f"{left.semiring.name!r} and {right.semiring.name!r}"
         )
-    semiring = left.semiring
     if _columnar_operands(left, right):
         out = columnar_join(left, right, name)
         if out is not None:
             COUNTERS.increment("kernel.columnar")
             return out
     COUNTERS.increment("kernel.dict_fallback")
-    shared = tuple(v for v in left.schema if v in right.schema)
-    out_schema = _merged_schema(left.schema, right.schema)
+    return None
 
-    # Hash join: index the smaller side on the shared variables.
+
+def _hash_join(left: Factor, right: Factor):
+    """The dict join's plan: index the smaller side on the shared variables.
+
+    Returns ``(schema, source, index, probe, probe_key)``: the output
+    schema (``left``'s variables, then ``right``'s new ones); ``source``,
+    each output variable's position in ``probe_row + build_row``; the
+    build rows bucketed by shared-variable key in build order; the probe
+    side and its key.  Products come out probe-major, in bucket order.
+    """
+    shared = tuple(v for v in left.schema if v in right.schema)
     if len(right) < len(left):
         build, probe = right, left
     else:
         build, probe = left, right
-    build_key_idx = [build.column_index(v) for v in shared]
-    probe_key_idx = [probe.column_index(v) for v in shared]
+    build_key = _row_key([build.column_index(v) for v in shared])
     index: Dict[Tuple_, list] = {}
     for row, value in build:
-        key = tuple(row[i] for i in build_key_idx)
-        index.setdefault(key, []).append((row, value))
+        index.setdefault(build_key(row), []).append((row, value))
+    source = {v: i for i, v in enumerate(probe.schema)}
+    for i, v in enumerate(build.schema):
+        source.setdefault(v, probe.arity + i)
+    probe_key = _row_key([probe.column_index(v) for v in shared])
+    return _merged_schema(left.schema, right.schema), source, index, probe, probe_key
 
-    # Positions to assemble the output tuple from (probe row, build row).
-    out_rows: Dict[Tuple_, Any] = {}
-    # Output order must follow out_schema: compute per-variable source.
-    sources = []
-    for v in out_schema:
-        if v in probe.schema:
-            sources.append(("p", probe.column_index(v)))
-        else:
-            sources.append(("b", build.column_index(v)))
+
+def join(left: Factor, right: Factor, name: str | None = None) -> Factor:
+    """Natural join with semiring-multiplied annotations.
+
+    For Boolean factors this is Definition 3.4; in general it is the ⊗ of
+    two functions viewed over the union schema.
+
+    Raises:
+        ValueError: if the factors use different semirings.
+    """
+    out = _columnar_join(left, right, name)
+    if out is not None:
+        return out
+    semiring = left.semiring
+    schema, source, index, probe, probe_key = _hash_join(left, right)
+    out_row = _row_key([source[v] for v in schema])
     mul = semiring.mul
-    for prow, pval in probe:
-        key = tuple(prow[i] for i in probe_key_idx)
-        for brow, bval in index.get(key, ()):
-            out = tuple(
-                prow[i] if side == "p" else brow[i] for side, i in sources
-            )
-            val = mul(pval, bval)
-            if out in out_rows:
-                out_rows[out] = semiring.add(out_rows[out], val)
-            else:
-                out_rows[out] = val
-    return Factor(out_schema, out_rows, semiring, name)
+    products = (
+        (out_row(prow + brow), mul(pval, bval))
+        for prow, pval in probe
+        for brow, bval in index.get(probe_key(prow), ())
+    )
+    return _listing(schema, products, semiring, name)
 
 
 def multi_join(factors: Iterable[Factor], name: str | None = None) -> Factor:
@@ -116,6 +168,51 @@ def multi_join(factors: Iterable[Factor], name: str | None = None) -> Factor:
     if name is not None:
         acc = acc.copy(name=name)
     return acc
+
+
+def join_marginalize(
+    parts: Sequence[Factor],
+    variable: str,
+    combine: Callable[[Any, Any], Any],
+) -> Factor:
+    """One elimination step: ``marginalize(multi_join(parts), variable,
+    combine)`` for an aggregate that needs no full-domain fold.
+
+    All parts but the last are joined as :func:`multi_join` joins them.
+    When the last join takes the dict path, each of its products is
+    folded straight into the ⊕ group keyed by the output row minus
+    ``variable``, in the order the joined factor would have listed it, so
+    a float ⊕ folds bit for bit as before; the step is counted as the
+    join plus the marginalize it replaces.  Only the last join fuses:
+    an earlier one picks its build side by the size of its result.
+
+    Raises:
+        KeyError: if no part has ``variable``.
+        ValueError: if the parts use different semirings.
+    """
+    if len(parts) == 1:
+        return marginalize(parts[0], variable, combine)
+    left, right = multi_join(parts[:-1]), parts[-1]
+    joined = _columnar_join(left, right)
+    if joined is not None:
+        return marginalize(joined, variable, combine)
+    COUNTERS.increment("kernel.dict_fallback")
+    semiring = left.semiring
+    schema, source, index, probe, probe_key = _hash_join(left, right)
+    if variable not in source:
+        raise KeyError(f"variable {variable!r} not in schema {schema}")
+    out_schema = tuple(v for v in schema if v != variable)
+    group_key = _row_key([source[v] for v in out_schema])
+    mul, is_zero = semiring.mul, semiring.is_zero
+    groups: Dict[Tuple_, Any] = {}
+    for prow, pval in probe:
+        for brow, bval in index.get(probe_key(prow), ()):
+            value = mul(pval, bval)
+            if is_zero(value):
+                continue
+            key = group_key(prow + brow)
+            groups[key] = combine(groups[key], value) if key in groups else value
+    return _listing(out_schema, groups.items(), semiring, None)
 
 
 def semijoin(left: Factor, right: Factor, name: str | None = None) -> Factor:
@@ -137,14 +234,11 @@ def semijoin(left: Factor, right: Factor, name: str | None = None) -> Factor:
         if len(right) == 0:
             return Factor(left.schema, (), left.semiring, name)
         return left.copy(name=name)
-    right_keys = {right.project_tuple(row, shared) for row in right.tuples()}
-    left_idx = [left.column_index(v) for v in shared]
-    rows = {
-        row: value
-        for row, value in left
-        if tuple(row[i] for i in left_idx) in right_keys
-    }
-    return Factor(left.schema, rows, left.semiring, name)
+    right_key = _row_key([right.column_index(v) for v in shared])
+    right_keys = set(map(right_key, right.tuples()))
+    left_key = _row_key([left.column_index(v) for v in shared])
+    kept = ((row, value) for row, value in left if left_key(row) in right_keys)
+    return _listing(left.schema, kept, left.semiring, name)
 
 
 def project(factor: Factor, variables: Sequence[str], name: str | None = None) -> Factor:
@@ -161,16 +255,13 @@ def project(factor: Factor, variables: Sequence[str], name: str | None = None) -
             COUNTERS.increment("kernel.columnar")
             return out
     COUNTERS.increment("kernel.dict_fallback")
-    idx = [factor.column_index(v) for v in variables]
-    semiring = factor.semiring
+    key_of = _row_key([factor.column_index(v) for v in variables])
+    add = factor.semiring.add
     rows: Dict[Tuple_, Any] = {}
     for row, value in factor:
-        key = tuple(row[i] for i in idx)
-        if key in rows:
-            rows[key] = semiring.add(rows[key], value)
-        else:
-            rows[key] = value
-    return Factor(variables, rows, semiring, name)
+        key = key_of(row)
+        rows[key] = add(rows[key], value) if key in rows else value
+    return _listing(variables, rows.items(), factor.semiring, name)
 
 
 def marginalize(
@@ -218,22 +309,19 @@ def marginalize(
     combine = combine or semiring.add
     var_idx = factor.column_index(variable)
     out_schema = tuple(v for v in factor.schema if v != variable)
+    key_of = _row_key([i for i in range(factor.arity) if i != var_idx])
 
     if full_domain is None:
         rows: Dict[Tuple_, Any] = {}
         for row, value in factor:
-            key = row[:var_idx] + row[var_idx + 1:]
-            if key in rows:
-                rows[key] = combine(rows[key], value)
-            else:
-                rows[key] = value
-        return Factor(out_schema, rows, semiring, name)
+            key = key_of(row)
+            rows[key] = combine(rows[key], value) if key in rows else value
+        return _listing(out_schema, rows.items(), semiring, name)
 
     # Full-domain fold: group rows, then fold over every domain value.
     groups: Dict[Tuple_, Dict[Any, Any]] = {}
     for row, value in factor:
-        key = row[:var_idx] + row[var_idx + 1:]
-        groups.setdefault(key, {})[row[var_idx]] = value
+        groups.setdefault(key_of(row), {})[row[var_idx]] = value
     rows = {}
     zero = semiring.zero
     domain = list(full_domain)
@@ -243,7 +331,7 @@ def marginalize(
         for dom_value in it:
             acc = combine(acc, present.get(dom_value, zero))
         rows[key] = acc
-    return Factor(out_schema, rows, semiring, name)
+    return _listing(out_schema, rows.items(), semiring, name)
 
 
 def aggregate_absent_variable(

@@ -9,9 +9,9 @@ are all this one call.
 (see :func:`structural_signature`) with one solver dispatch: every
 relation gains a leading :data:`SCENARIO_VAR` column, the stacked
 relations share one dictionary pool inside the columnar backend, and the
-answer is split back into per-member rows.  The lab's batched runner
-uses it as a cross-check, the query service to coalesce in-flight
-requests.
+answer is split back into per-member rows.  Its one caller is the lab's
+batched runner, which uses it as a cross-check; the query service
+answers each request with :func:`solve` alone.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..semiring import Factor
 from .executor import eliminate_fused, intern_inputs
-from .operations import marginalize, multi_join, project
+from .operations import join_marginalize, marginalize, multi_join, project
 from .plan import SOLVER_COMPILED, cached_elimination_order, validate_solver
 from .query import FAQQuery
 
@@ -180,15 +180,15 @@ def solve_variable_elimination(
         for f in live:
             (touching if variable in f.schema else rest).append(f)
         aggregate = query.aggregate_for(variable)
+        combine = aggregate.resolve(semiring)
         if compiled and aggregate.is_plain_sum:
             reduced = eliminate_fused(touching, variable, semiring, interned)
-        else:
-            combined = multi_join(touching)
-            combine = aggregate.resolve(semiring)
-            full_domain = (
-                query.domains[variable] if aggregate.needs_full_domain else None
+        elif aggregate.needs_full_domain:
+            reduced = marginalize(
+                multi_join(touching), variable, combine, query.domains[variable]
             )
-            reduced = marginalize(combined, variable, combine, full_domain)
+        else:
+            reduced = join_marginalize(touching, variable, combine)
         live = rest + [reduced]
 
     result = multi_join(live)

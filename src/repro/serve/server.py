@@ -18,11 +18,12 @@
    more: an idle service answers at once, and requests that arrive
    while a solve runs queue up and meet in the next batch anyway) and
    dedupes *identical* sessions onto one execution.
-3. **Execution** — each distinct session of the batch runs through the
-   one single-session path, in an executor so the event loop stays
-   responsive: in-process mode (``workers=0``, default) uses one
-   worker thread over the warm sessions (the thread-safe memo/plan
-   caches are the satellite that makes this sound); pool mode
+3. **Execution** — the distinct sessions of the batch are dispatched
+   together, each through the one single-session path, in an executor
+   so the event loop stays responsive: in-process mode (``workers=0``,
+   default) uses one worker thread over the warm sessions (the
+   thread-safe memo/plan caches are the satellite that makes this
+   sound); pool mode
    (``workers>=1``) dispatches to warm processes that attached the
    shared-memory store at fork and cache planners per session — no
    factor pickling on the hot path.
@@ -470,16 +471,24 @@ class QueryService:
                 _fail_pending(batch, "execution-failed", str(exc))
 
     async def _execute_batch(self, batch: List[_Request]) -> None:
-        """Coalesce identical sessions; one execution per distinct one."""
+        """Coalesce identical sessions; one execution per distinct one,
+        all dispatched together, each resolving its requests as soon as
+        its own answer lands."""
         by_session: Dict[str, List[_Request]] = {}
         for request in batch:
             by_session.setdefault(request.session.session_id, []).append(
                 request
             )
         self.stats.coalesced_duplicates += len(batch) - len(by_session)
-        for session_id, requests in by_session.items():
+
+        async def serve(session_id: str, requests: List[_Request]) -> None:
             answer = await self._run_session(session_id)
             self._resolve(requests, answer, len(batch))
+
+        await asyncio.gather(*(
+            serve(session_id, requests)
+            for session_id, requests in by_session.items()
+        ))
 
     def _resolve(
         self,

@@ -1,5 +1,7 @@
 """Tests for the factor algebra (join, semijoin, project, marginalize)."""
 
+from typing import Any, Callable, Dict, Sequence, Tuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,15 @@ from repro.faq import (
     scalar_value,
     semijoin,
 )
-from repro.semiring import BOOLEAN, COUNTING, MIN_PLUS, REAL, Factor
+from repro.faq.operations import _columnar_operands, _merged_schema, join_marginalize
+from repro.obs.counters import COUNTERS, counter_delta
+from repro.semiring import BOOLEAN, COUNTING, MAX_TIMES, MIN_PLUS, REAL, Factor, to_backend
+from repro.semiring.columnar import (
+    columnar_join,
+    columnar_marginalize,
+    columnar_project,
+    columnar_semijoin,
+)
 
 
 def R(tuples, schema=("A", "B")):
@@ -214,3 +224,310 @@ def test_marginalize_then_total_equals_grand_total(rows):
     total_direct = sum(rows.values())
     m = marginalize(marginalize(f, "B"), "A")
     assert scalar_value(m) == total_direct
+
+
+# ---------------------------------------------------------------------------
+# The dict kernels against the ones they replaced
+# ---------------------------------------------------------------------------
+# The dict kernels before C-level row keys, zero-drop at emit and the fused
+# elimination step, verbatim but for their names: the oracles of row order
+# (``rows``' insertion order, which fixes a float ⊕'s fold order) and of
+# the kernel counters every deterministic lab record carries.
+
+Tuple_ = Tuple[Any, ...]
+
+
+def old_join(left: Factor, right: Factor, name: str | None = None) -> Factor:
+    if left.semiring.name != right.semiring.name:
+        raise ValueError(
+            f"cannot join factors over semirings "
+            f"{left.semiring.name!r} and {right.semiring.name!r}"
+        )
+    semiring = left.semiring
+    if _columnar_operands(left, right):
+        out = columnar_join(left, right, name)
+        if out is not None:
+            COUNTERS.increment("kernel.columnar")
+            return out
+    COUNTERS.increment("kernel.dict_fallback")
+    shared = tuple(v for v in left.schema if v in right.schema)
+    out_schema = _merged_schema(left.schema, right.schema)
+
+    # Hash join: index the smaller side on the shared variables.
+    if len(right) < len(left):
+        build, probe = right, left
+    else:
+        build, probe = left, right
+    build_key_idx = [build.column_index(v) for v in shared]
+    probe_key_idx = [probe.column_index(v) for v in shared]
+    index: Dict[Tuple_, list] = {}
+    for row, value in build:
+        key = tuple(row[i] for i in build_key_idx)
+        index.setdefault(key, []).append((row, value))
+
+    # Positions to assemble the output tuple from (probe row, build row).
+    out_rows: Dict[Tuple_, Any] = {}
+    # Output order must follow out_schema: compute per-variable source.
+    sources = []
+    for v in out_schema:
+        if v in probe.schema:
+            sources.append(("p", probe.column_index(v)))
+        else:
+            sources.append(("b", build.column_index(v)))
+    mul = semiring.mul
+    for prow, pval in probe:
+        key = tuple(prow[i] for i in probe_key_idx)
+        for brow, bval in index.get(key, ()):
+            out = tuple(
+                prow[i] if side == "p" else brow[i] for side, i in sources
+            )
+            val = mul(pval, bval)
+            if out in out_rows:
+                out_rows[out] = semiring.add(out_rows[out], val)
+            else:
+                out_rows[out] = val
+    return Factor(out_schema, out_rows, semiring, name)
+
+
+def old_multi_join(factors, name: str | None = None) -> Factor:
+    factors = list(factors)
+    if not factors:
+        raise ValueError("multi_join requires at least one factor")
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = old_join(acc, f)
+    if name is not None:
+        acc = acc.copy(name=name)
+    return acc
+
+
+def old_semijoin(left: Factor, right: Factor, name: str | None = None) -> Factor:
+    if _columnar_operands(left, right):
+        out = columnar_semijoin(left, right, name)
+        if out is not None:
+            COUNTERS.increment("kernel.columnar")
+            return out
+    COUNTERS.increment("kernel.dict_fallback")
+    shared = tuple(v for v in left.schema if v in right.schema)
+    if not shared:
+        # Degenerate: R1 ⋈ pi_∅(R2) — empty right empties left.
+        if len(right) == 0:
+            return Factor(left.schema, (), left.semiring, name)
+        return left.copy(name=name)
+    right_keys = {right.project_tuple(row, shared) for row in right.tuples()}
+    left_idx = [left.column_index(v) for v in shared]
+    rows = {
+        row: value
+        for row, value in left
+        if tuple(row[i] for i in left_idx) in right_keys
+    }
+    return Factor(left.schema, rows, left.semiring, name)
+
+
+def old_project(factor: Factor, variables: Sequence[str], name: str | None = None) -> Factor:
+    variables = tuple(variables)
+    if _columnar_operands(factor):
+        out = columnar_project(factor, variables, name)
+        if out is not None:
+            COUNTERS.increment("kernel.columnar")
+            return out
+    COUNTERS.increment("kernel.dict_fallback")
+    idx = [factor.column_index(v) for v in variables]
+    semiring = factor.semiring
+    rows: Dict[Tuple_, Any] = {}
+    for row, value in factor:
+        key = tuple(row[i] for i in idx)
+        if key in rows:
+            rows[key] = semiring.add(rows[key], value)
+        else:
+            rows[key] = value
+    return Factor(variables, rows, semiring, name)
+
+
+def old_marginalize(
+    factor: Factor,
+    variable: str,
+    combine: Callable[[Any, Any], Any] | None = None,
+    full_domain: Sequence[Any] | None = None,
+    name: str | None = None,
+) -> Factor:
+    semiring = factor.semiring
+    if (
+        full_domain is None
+        and (combine is None or combine is semiring.add)
+        and _columnar_operands(factor)
+    ):
+        out = columnar_marginalize(factor, variable, name)
+        if out is not None:
+            COUNTERS.increment("kernel.columnar")
+            return out
+    COUNTERS.increment("kernel.dict_fallback")
+    combine = combine or semiring.add
+    var_idx = factor.column_index(variable)
+    out_schema = tuple(v for v in factor.schema if v != variable)
+
+    if full_domain is None:
+        rows: Dict[Tuple_, Any] = {}
+        for row, value in factor:
+            key = row[:var_idx] + row[var_idx + 1:]
+            if key in rows:
+                rows[key] = combine(rows[key], value)
+            else:
+                rows[key] = value
+        return Factor(out_schema, rows, semiring, name)
+
+    # Full-domain fold: group rows, then fold over every domain value.
+    groups: Dict[Tuple_, Dict[Any, Any]] = {}
+    for row, value in factor:
+        key = row[:var_idx] + row[var_idx + 1:]
+        groups.setdefault(key, {})[row[var_idx]] = value
+    rows = {}
+    zero = semiring.zero
+    domain = list(full_domain)
+    for key, present in groups.items():
+        it = iter(domain)
+        acc = present.get(next(it), zero)
+        for dom_value in it:
+            acc = combine(acc, present.get(dom_value, zero))
+        rows[key] = acc
+    return Factor(out_schema, rows, semiring, name)
+
+
+def _counted(fn, *args):
+    """``fn(*args)`` and the counters it moved."""
+    before = COUNTERS.snapshot()
+    out = fn(*args)
+    return out, counter_delta(before, COUNTERS.snapshot())
+
+
+def assert_same_kernel(new, old, *args):
+    """Same schema, backend, rows in the same insertion order (values
+    compared exactly) and the same counter deltas."""
+    got, got_counts = _counted(new, *args)
+    want, want_counts = _counted(old, *args)
+    assert got.schema == want.schema
+    assert type(got) is type(want)
+    assert list(got.rows.items()) == list(want.rows.items())
+    assert got_counts == want_counts
+
+
+#: Annotations per semiring.  ``real-exact`` sums and multiplies small
+#: integers, so every fold order agrees; ``real-tiny`` has products that
+#: ``is_zero``'s ``isclose`` reads as zero (1e-7 * 1e-7) and sums whose
+#: last bit depends on the fold order; ``max-times`` has both.
+VALUES = {
+    "boolean": (BOOLEAN, st.just(True)),
+    "counting": (COUNTING, st.integers(1, 4)),
+    "real-exact": (REAL, st.sampled_from([1.0, 2.0, 3.0])),
+    "real-tiny": (REAL, st.sampled_from([1e-7, 3e-7, 0.1, 0.3, 1.0])),
+    "min-plus": (MIN_PLUS, st.sampled_from([0.0, 1.0, 2.5])),
+    "max-times": (MAX_TIMES, st.sampled_from([1e-7, 0.5, 0.25, 1.0])),
+}
+VARIABLES = ("A", "B", "C", "D")
+
+
+@st.composite
+def operands(draw, count):
+    """``count`` factors over one semiring: random schemas (a nullary one
+    included), rows over a 3-value domain, each on either backend."""
+    semiring, values = VALUES[draw(st.sampled_from(sorted(VALUES)))]
+    factors = []
+    for _ in range(count):
+        schema = tuple(draw(st.permutations(VARIABLES))[: draw(st.integers(0, 3))])
+        keys = st.tuples(*[st.integers(0, 2)] * len(schema))
+        rows = draw(st.dictionaries(keys, values, max_size=9))
+        factor = Factor(schema, rows, semiring)
+        factors.append(to_backend(factor, draw(st.sampled_from(["dict", "columnar"]))))
+    return factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(2))
+def test_join_and_semijoin_match_the_old_kernels(pair):
+    left, right = pair
+    assert_same_kernel(join, old_join, left, right)
+    assert_same_kernel(semijoin, old_semijoin, left, right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(1), st.data())
+def test_project_and_marginalize_match_the_old_kernels(single, data):
+    (factor,) = single
+    semiring = factor.semiring
+    order = data.draw(st.permutations(factor.schema))
+    variables = tuple(order[: data.draw(st.integers(0, len(order)))])
+    assert_same_kernel(project, old_project, factor, variables)
+    if factor.schema:
+        variable = data.draw(st.sampled_from(factor.schema))
+        combine = data.draw(st.sampled_from([None, semiring.add, max]))
+        assert_same_kernel(marginalize, old_marginalize, factor, variable, combine)
+        assert_same_kernel(
+            marginalize, old_marginalize, factor, variable, semiring.mul, (0, 1, 2)
+        )
+
+
+def old_elimination_step(parts, variable, combine):
+    return old_marginalize(old_multi_join(parts), variable, combine)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(operands), st.data())
+def test_join_marginalize_matches_marginalize_of_multi_join(parts, data):
+    variables = sorted({v for p in parts for v in p.schema})
+    if not variables:
+        return
+    variable = data.draw(st.sampled_from(variables))
+    combine = data.draw(st.sampled_from([parts[0].semiring.add, max]))
+    assert_same_kernel(
+        join_marginalize, old_elimination_step, parts, variable, combine
+    )
+
+
+def _counting(schema, rows, backend="dict"):
+    return to_backend(Factor(schema, rows, COUNTING), backend)
+
+
+@pytest.mark.parametrize(
+    "parts, variable",
+    [
+        # No shared variables: the last join is a cross product.
+        ([_counting(("A",), {(1,): 2, (2,): 3}),
+          _counting(("B",), {(7,): 5, (8,): 1})], "A"),
+        # An empty operand empties the step.
+        ([_counting(("A", "B"), {(1, 2): 2}), _counting(("B",), {})], "B"),
+        ([_counting(("A", "B"), {}), _counting(("B",), {(2,): 4})], "A"),
+        # A one-factor elimination is a plain marginalize.
+        ([_counting(("A", "B"), {(1, 2): 2, (1, 3): 4})], "B"),
+        # Three parts: the first join is materialized, the last one fused.
+        ([_counting(("A", "B"), {(1, 2): 2, (2, 2): 3}),
+          _counting(("B", "C"), {(2, 5): 1, (2, 6): 7}),
+          _counting(("C", "A"), {(5, 1): 3, (6, 2): 2})], "C"),
+        # 1e-7 * 1e-7 is zero to ``is_zero``: it must not enter the fold
+        # (0.1 + 1e-14 != 0.1), nor open its group ahead of (1,).
+        ([Factor(("A", "B"), {(2, 0): 1e-7, (1, 1): 0.1, (2, 2): 0.3}, REAL),
+          Factor(("B",), {(0,): 1e-7, (1,): 1.0, (2,): 1.0}, REAL)], "B"),
+        ([Factor(("A", "B"), {(1, 0): 1e-7, (1, 1): 0.1}, REAL),
+          Factor(("B",), {(0,): 1e-7, (1,): 1.0}, REAL)], "B"),
+    ],
+)
+def test_join_marginalize_edge_cases(parts, variable):
+    assert_same_kernel(
+        join_marginalize, old_elimination_step, parts, variable,
+        parts[0].semiring.add,
+    )
+
+
+def test_columnar_operands_whose_product_could_overflow_take_the_dict_step():
+    # Annotations near 2**40 make every columnar ⊗ a possible int64
+    # overflow, so the join falls back and the fused dict step runs on
+    # columnar operands, with exact Python-int arithmetic.
+    big = 2 ** 40
+    left = _counting(("A", "B"), {(1, 2): big, (2, 2): big + 1}, "columnar")
+    right = _counting(("B", "C"), {(2, 5): big, (2, 6): 3}, "columnar")
+    args = ([left, right], "B", COUNTING.add)
+    assert_same_kernel(join_marginalize, old_elimination_step, *args)
+    before = COUNTERS.snapshot()
+    out = join_marginalize(*args)
+    assert counter_delta(before, COUNTERS.snapshot()) == {"kernel.dict_fallback": 2}
+    assert out.rows[(1, 5)] == big * big
+    assert_same_kernel(join, old_join, left, right)

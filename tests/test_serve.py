@@ -542,6 +542,50 @@ def test_a_batch_is_exactly_what_queued_while_the_solver_was_busy():
     asyncio.run(main())
 
 
+def test_the_distinct_sessions_of_a_batch_run_together(monkeypatch):
+    # Awaiting one session's solve before starting the next would keep
+    # all but one of ``workers=N`` idle.  The fake solves yield to the
+    # event loop instead of blocking a thread, so "in flight together"
+    # is a count, not a timing.
+    from types import SimpleNamespace
+
+    from repro.serve.server import _Request
+
+    batch, in_flight, peak, seen = [], [0], [0], {}
+    yields = {"fast": 1, "slow": 5}
+
+    async def fake_run_session(self, session_id):
+        in_flight[0] += 1
+        peak[0] = max(peak[0], in_flight[0])
+        for _ in range(yields[session_id]):
+            await asyncio.sleep(0)
+        in_flight[0] -= 1
+        seen[session_id] = [r.future.done() for r in batch]
+        return {"digest": session_id, "schema": [], "rows": {}}
+
+    monkeypatch.setattr(QueryService, "_run_session", fake_run_session)
+
+    async def main():
+        service = QueryService()
+        try:
+            loop = asyncio.get_running_loop()
+            batch[:] = [
+                _Request(SimpleNamespace(session_id=sid), loop.create_future(),
+                         False, {})
+                for sid in ("slow", "fast", "slow")
+            ]
+            await service._execute_batch(batch)
+        finally:
+            await service.close()
+
+    asyncio.run(main())
+    assert peak[0] == 2
+    # The fast session's request was answered while the slow one ran.
+    assert seen == {"fast": [False, False, False], "slow": [False, True, False]}
+    assert [r.future.result().digest for r in batch] == ["slow", "fast", "slow"]
+    assert [r.future.result().coalesced for r in batch] == [False, False, True]
+
+
 @pytest.mark.parametrize("gone", [{"batch_window": 0.002}, {"min_stack": 2}])
 def test_the_window_and_stacking_options_are_gone(gone):
     with pytest.raises(TypeError):
