@@ -22,16 +22,19 @@ that, :func:`run_program` *fast-forwards* steady streaming states: when
 the per-round send signature settles into a cycle (period 1 or 2) and
 every live op can bound how long its behaviour replays, the engine jumps
 whole cycles at once — thousands of pipeline rounds cost O(1) Python
-instead of O(rounds).
+instead of O(rounds).  A jump attempt asks the live ops for their
+horizons in step order and gives up at the first that declines, so
+:meth:`ProgramOp.cycle_horizon` must be side-effect free.
 
 A round is charged one way, on plain Python ints, like the generator
 engine charges its own: the round's blocks fold into one ``{(src, dst):
 bits}`` dict in send order, every link of it is audited against ``B``
 (:class:`~repro.network.simulator.CapacityExceeded`), and the dict is
-added to two insertion-ordered totals (``bits_per_edge``,
-``edge_bits``).  A jump adds the cycle's stored per-round dicts ``k``
-times.  Nothing here is an array: this package imports neither
-``numpy`` nor :mod:`repro.kernels` (``tests/test_layering.py``).
+added to the insertion-ordered ``bits_per_edge``.  A jump adds the
+cycle's stored per-round dicts ``k`` times.  ``edge_bits`` is folded
+from ``bits_per_edge`` once, after the last round, in the same
+first-seen order.  Nothing here is an array: this package imports
+neither ``numpy`` nor :mod:`repro.kernels` (``tests/test_layering.py``).
 
 Self-timing is preserved exactly: ops are started lazily, a finished op
 hands the round over to the next op of the same node (mirroring how a
@@ -39,7 +42,8 @@ hands the round over to the next op of the same node (mirroring how a
 per-(tag, src) queues just like the generator engine's ``Mailbox`` — a
 jump appends what the skipped rounds would have queued there, so
 overlapping phases (the next star's scatter reaching a node still busy
-in this one) are jumped through, not stepped.
+in this one) are jumped through, not stepped.  An op resolves its input
+queues once, when it starts, and drains them in place.
 """
 
 from __future__ import annotations
@@ -158,14 +162,14 @@ class ProgramContext:
                          count if messages is None else messages, meta)
         )
 
-    def pop(self, tag: str, src: str) -> List[BlockMessage]:
-        """Drain the (tag, src) stream's blocks, in arrival order."""
-        queue = self.queues.get((tag, src))
-        if not queue:
-            return []
-        out = list(queue)
-        queue.clear()
-        return out
+    def inbox(self, stream: Tuple[str, str]) -> deque:
+        """The ``(tag, src)`` stream's queue itself, in arrival order and
+        made if missing: an op resolves it once, when it starts, and
+        drains it in place every round."""
+        queue = self.queues.get(stream)
+        if queue is None:
+            queue = self.queues[stream] = deque()
+        return queue
 
     def pending_tags(self) -> List[str]:
         """Tags with undrained blocks (deadlock diagnostics)."""
@@ -174,12 +178,8 @@ class ProgramContext:
     # -- engine hooks ---------------------------------------------------
     def _begin_round(self, round_no: int) -> None:
         self.round = round_no
-        self._sent = {}
-
-    def _collect(self) -> List[BlockMessage]:
-        out = self._outbox
-        self._outbox = []
-        return out
+        if self._sent:
+            self._sent = {}
 
 
 class ProgramOp:
@@ -202,6 +202,10 @@ class ProgramOp:
         fast-forward; any positive k asserts that, with the last cycle's
         arrivals repeating, this op's next ``k`` cycles consume and send
         exactly the same blocks and cross no internal boundary.
+
+        Must be side-effect free: the engine stops asking at the first
+        op that declines, so whether an op is asked at all depends on
+        the ops stepped before it (``tests/test_program.py`` pins this).
         """
         return 0
 
@@ -212,21 +216,19 @@ class ProgramOp:
         return self.label
 
     # -- shared history helpers ----------------------------------------
-    def _record(self, rec: Tuple) -> None:
-        hist = getattr(self, "_hist", None)
-        if hist is None:
-            hist = self._hist = deque(maxlen=8)
-        hist.append(rec)
-
+    # Ops that use them append one record per step to ``self._hist``, a
+    # ``deque(maxlen=8)`` made in ``__init__``.
     def _cycle_stable(self, p: int) -> bool:
         """Did the op's own last two p-round cycles behave identically?"""
-        hist = getattr(self, "_hist", None)
-        if hist is None or len(hist) < 2 * p:
+        hist = self._hist
+        if len(hist) < 2 * p:
             return False
         return all(hist[-i] == hist[-i - p] for i in range(1, p + 1))
 
     def _cycle_records(self, p: int) -> List[Tuple]:
-        return list(self._hist)[-p:]
+        """The last ``p`` records, oldest first."""
+        hist = self._hist
+        return [hist[i] for i in range(-p, 0)]
 
 
 class ComputeStep(ProgramOp):
@@ -264,10 +266,13 @@ class ParallelOps(ProgramOp):
 
     def __init__(self, members: Sequence[ProgramOp], label: str = "parallel") -> None:
         self.members = list(members)
-        self.done_flags = [False] * len(self.members)
         self.label = label
         self._steps = 0
-        self._finished_at: Dict[int, int] = {}
+        #: Members still running, in input order; rebuilt only when one
+        #: completes.
+        self._live = list(self.members)
+        #: The step in which a member last completed (None: none has).
+        self._last_finish: Optional[int] = None
 
     def start(self, ctx: ProgramContext) -> None:
         for member in self.members:
@@ -275,12 +280,16 @@ class ParallelOps(ProgramOp):
 
     def step(self, ctx: ProgramContext) -> bool:
         self._steps += 1
-        for i, member in enumerate(self.members):
-            if not self.done_flags[i]:
-                if member.step(ctx):
-                    self.done_flags[i] = True
-                    self._finished_at[i] = self._steps
-        return all(self.done_flags)
+        finished = None
+        for member in self._live:
+            if member.step(ctx):
+                if finished is None:
+                    finished = []
+                finished.append(member)
+        if finished is not None:
+            self._live = [m for m in self._live if m not in finished]
+            self._last_finish = self._steps
+        return not self._live
 
     def cycle_horizon(self, p: int) -> int:
         # A member that completed within the candidate cycle window put
@@ -288,26 +297,23 @@ class ParallelOps(ProgramOp):
         # cycle would charge those sends again with no op state behind
         # them.  The group's completion is invisible to the scheduler
         # (the program index does not move), so decline the jump here.
-        if any(self._steps - at < p for at in self._finished_at.values()):
+        if self._last_finish is not None and self._steps - self._last_finish < p:
             return 0
-        horizons = [
-            member.cycle_horizon(p)
-            for member, done in zip(self.members, self.done_flags)
-            if not done
-        ]
-        return min(horizons) if horizons else UNBOUNDED
+        k = UNBOUNDED
+        for member in self._live:
+            horizon = member.cycle_horizon(p)
+            if horizon < 1:
+                return 0
+            if horizon < k:
+                k = horizon
+        return k
 
     def advance(self, p: int, k: int) -> None:
-        for member, done in zip(self.members, self.done_flags):
-            if not done:
-                member.advance(p, k)
+        for member in self._live:
+            member.advance(p, k)
 
     def describe(self) -> str:
-        live = [
-            member.describe()
-            for member, done in zip(self.members, self.done_flags)
-            if not done
-        ]
+        live = [member.describe() for member in self._live]
         return f"{self.label}({', '.join(live)})"
 
 
@@ -344,63 +350,79 @@ class BroadcastOp(ProgramOp):
         self.received = 0
         self.header_left = {c: HEADER_BITS for c in self.children}
         self.header_started: set = set()
+        #: Every child's header fully sent (a streaming round skips the
+        #: header loop).
+        self.headers_done = not self.children
         self.forwarded = {c: 0 for c in self.children}
         self.label = f"broadcast:{tag}"
+        self._stream = (tag, parent)
+        self._inbox: Optional[deque] = None
+        self._no_sends = (0,) * len(self.children)
+        self._hist: deque = deque(maxlen=8)
 
     def start(self, ctx: ProgramContext) -> None:
         if self.parent is None:
             self.count = int(self.root_count_fn()) if self.root_count_fn else 0
             self.received = self.count
+        else:
+            self._inbox = ctx.inbox(self._stream)
 
     def step(self, ctx: ProgramContext) -> bool:
         arrived = 0
-        header_activity = False
-        if self.parent is not None:
-            for blk in ctx.pop(self.tag, self.parent):
-                if blk.kind == "hdr":
-                    self.count = blk.meta
-                elif blk.kind == "it":
-                    self.received += blk.count
+        inbox = self._inbox
+        if inbox:
+            for blk in inbox:
+                if blk.kind == "it":
                     arrived += blk.count
+                elif blk.kind == "hdr":
+                    self.count = blk.meta
                 # "hdrc" filler is accounting-only.
-        for child in self.children:
-            if self.count is None:
-                continue
-            while self.header_left[child] > 0:
-                room = ctx.room(child)
-                if room < 1:
-                    break
-                take = min(room, self.header_left[child])
-                if child not in self.header_started:
-                    ctx.send_block(child, self.tag, "hdr", take, count=1,
-                                   meta=self.count)
-                    self.header_started.add(child)
-                else:
-                    ctx.send_block(child, self.tag, "hdrc", take, count=1)
-                self.header_left[child] -= take
-                header_activity = True
+            inbox.clear()
+            self.received += arrived
+        count = self.count
+        if count is None:
+            # Dormant until the header arrives: nothing can be sent.
+            self._hist.append((arrived, self._no_sends, False, True))
+            return False
+        header_activity = False
+        if not self.headers_done:
+            header_left = self.header_left
+            for child in self.children:
+                while header_left[child] > 0:
+                    room = ctx.room(child)
+                    if room < 1:
+                        break
+                    take = min(room, header_left[child])
+                    if child not in self.header_started:
+                        ctx.send_block(child, self.tag, "hdr", take, count=1,
+                                       meta=count)
+                        self.header_started.add(child)
+                    else:
+                        ctx.send_block(child, self.tag, "hdrc", take, count=1)
+                    header_left[child] -= take
+                    header_activity = True
+            self.headers_done = not any(header_left.values())
+        headers_done = self.headers_done
+        complete = headers_done and self.received == count
+        forwarded = self.forwarded
         sends = []
         for child in self.children:
-            if self.header_left[child] > 0:
+            if not headers_done and self.header_left[child] > 0:
                 sends.append(0)
                 continue
             k = min(
-                self.received - self.forwarded[child],
+                self.received - forwarded[child],
                 ctx.room(child) // self.per_item,
             )
             if k > 0:
                 ctx.send_block(child, self.tag, "it", k * self.per_item,
                                count=k)
-                self.forwarded[child] += k
+                forwarded[child] += k
             sends.append(k)
-        self._record((arrived, tuple(sends), header_activity,
-                      self.count is None))
-        return (
-            self.count is not None
-            and self.received == self.count
-            and all(b == 0 for b in self.header_left.values())
-            and all(self.forwarded[c] == self.count for c in self.children)
-        )
+            if forwarded[child] != count:
+                complete = False
+        self._hist.append((arrived, tuple(sends), header_activity, False))
+        return complete
 
     def cycle_horizon(self, p: int) -> int:
         if not self._cycle_stable(p):
@@ -467,37 +489,50 @@ class ConvergecastOp(ProgramOp):
         self.out_idx = 0
         self.buffered = {c: 0 for c in self.children}
         self.label = f"convergecast:{tag}"
+        self._streams = [(tag, child) for child in self.children]
+        self._inboxes: List[deque] = []
+        self._no_arrivals = (0,) * len(self.children)
+        self._hist: deque = deque(maxlen=8)
 
     def configure(self, num_slots: int) -> None:
         self.num_slots = int(num_slots)
 
+    def start(self, ctx: ProgramContext) -> None:
+        self._inboxes = [ctx.inbox(stream) for stream in self._streams]
+
     def step(self, ctx: ProgramContext) -> bool:
-        if self.num_slots is None:
+        num_slots = self.num_slots
+        if num_slots is None:
             raise SimulationError(
                 f"{self.label}: stepped before configure() — the compiler "
                 "must set num_slots when the scatter phase completes"
             )
-        arrivals = []
-        for child in self.children:
-            got = 0
-            for blk in ctx.pop(self.tag, child):
-                got += blk.count
-            self.buffered[child] += got
-            arrivals.append(got)
-        if self.children:
-            avail = min(self.buffered[c] for c in self.children)
-        else:
-            avail = self.num_slots
-        k = min(self.num_slots, avail) - self.out_idx
-        if self.parent is not None and k > 0:
+        buffered = self.buffered
+        arrivals = self._no_arrivals
+        if any(self._inboxes):
+            counts = []
+            for child, inbox in zip(self.children, self._inboxes):
+                got = 0
+                if inbox:
+                    for blk in inbox:
+                        got += blk.count
+                    inbox.clear()
+                    buffered[child] += got
+                counts.append(got)
+            arrivals = tuple(counts)
+        avail = min(buffered.values()) if buffered else num_slots
+        k = min(num_slots, avail) - self.out_idx
+        if k > 0 and self.parent is not None:
             k = min(k, ctx.room(self.parent) // self.per_slot)
             if k > 0:
                 ctx.send_block(self.parent, self.tag, "slot",
                                k * self.per_slot, count=k)
-        k = max(0, k)
-        self.out_idx += k
-        self._record((tuple(arrivals), k))
-        return self.out_idx >= self.num_slots
+        if k > 0:
+            self.out_idx += k
+        else:
+            k = 0
+        self._hist.append((arrivals, k))
+        return self.out_idx >= num_slots
 
     def cycle_horizon(self, p: int) -> int:
         if not self._cycle_stable(p):
@@ -568,8 +603,12 @@ class RouteOp(ProgramOp):
         self.eos_pending = set(self.children)
         self.eos_sent = False
         self.label = f"route:{tag}"
+        self._streams = [(tag, child) for child in self.children]
+        self._inboxes: List[deque] = []
+        self._hist: deque = deque(maxlen=8)
 
     def start(self, ctx: ProgramContext) -> None:
+        self._inboxes = [ctx.inbox(stream) for stream in self._streams]
         if self.packets_fn is None:
             return
         for pattern, reps in self.packets_fn():
@@ -610,20 +649,23 @@ class RouteOp(ProgramOp):
     def step(self, ctx: ProgramContext) -> bool:
         arrived: List[int] = []
         eos_events = 0
-        for child in self.children:
-            for blk in ctx.pop(self.tag, child):
+        for child, inbox in zip(self.children, self._inboxes):
+            if not inbox:
+                continue
+            for blk in inbox:
                 if blk.kind == "eos":
                     self.eos_pending.discard(child)
                     eos_events += 1
                 else:  # "run": meta is the exact chunk-size tuple
                     arrived.extend(blk.meta)
                     self.dynamic.extend(blk.meta)
+            inbox.clear()
         if self.parent is None:
             # Sink: consume everything as it arrives (content is routed
             # out of band; see the compiler's FinalRuntime).
             self.static.clear()
             self.dynamic.clear()
-            self._record((tuple(arrived), (), eos_events, None))
+            self._hist.append((tuple(arrived), (), eos_events, None))
             return not self.eos_pending
         sent: List[int] = []
         room = ctx.room(self.parent)
@@ -648,7 +690,7 @@ class RouteOp(ProgramOp):
             ctx.send_block(self.parent, self.tag, "eos", EOS_BITS, count=1)
             self.eos_sent = True
         front = self.static[0] if self.static else None
-        self._record((
+        self._hist.append((
             tuple(arrived),
             tuple(sent),
             eos_events,
@@ -825,7 +867,14 @@ def run_program(
         tracer.run_start("compiled", capacity_bits, list(topology.nodes))
         for ctx in contexts.values():
             ctx.tracer = tracer
-    live = deque(sorted(node for node, prog in programs.items() if not prog.done))
+    # The running nodes in step order, with their program and context; the
+    # list (and the ``alive`` set delivery tests) is rebuilt only in a
+    # round in which some node finished.
+    live = [
+        (node, programs[node], contexts[node])
+        for node in sorted(programs) if not programs[node].done
+    ]
+    alive = {node for node, _prog, _ctx in live}
     outputs: Dict[str, Any] = {
         node: prog.output for node, prog in programs.items() if prog.done
     }
@@ -835,17 +884,14 @@ def run_program(
     total_messages = 0
     last_send_round = 0
     last_delivery_round = 0
-    edge_bits: Dict[Tuple[str, str], int] = {}
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
 
     def charge(link_bits: Dict[Tuple[str, str], int], times: int = 1) -> None:
-        """Add ``times`` repeats of one round's per-link bits to the totals."""
+        """Add ``times`` repeats of one round's per-link bits to the total
+        (``edge_bits`` is folded from it once, after the last round)."""
         for link, bits in link_bits.items():
             bits_per_edge[link] = bits_per_edge.get(link, 0) + times * bits
-            src, dst = link
-            key = (dst, src) if dst < src else link
-            edge_bits[key] = edge_bits.get(key, 0) + times * bits
 
     # Fast-forward bookkeeping: (signature, bits, messages, per-link bits,
     # blocks) — the per-link dict is the round's accounting delta, replayed
@@ -855,11 +901,8 @@ def run_program(
 
     def blocked_map() -> Dict[str, List[str]]:
         return {
-            node: (
-                [f"step {programs[node].describe()}"]
-                + contexts[node].pending_tags()
-            )
-            for node in live
+            node: [f"step {prog.describe()}"] + ctx.pending_tags()
+            for node, prog, ctx in live
         }
 
     round_no = 0
@@ -878,32 +921,28 @@ def run_program(
         if had_pending:
             last_delivery_round = round_no
             for blk in pending:
-                ctx = contexts.get(blk.dst)
-                if ctx is not None and not programs[blk.dst].done:
-                    stream = (blk.tag, blk.src)
-                    queue = ctx.queues.get(stream)
-                    if queue is None:
-                        queue = ctx.queues[stream] = deque()
-                    queue.append(blk)
                 # Blocks to passive/finished nodes are dropped silently,
                 # like the generator engine's message handling.
+                if blk.dst in alive:
+                    contexts[blk.dst].inbox((blk.tag, blk.src)).append(blk)
         pending = []
 
         round_sends: List[BlockMessage] = []
         finished_any = False
         moved_any = False
-        for node in list(live):
-            ctx = contexts[node]
+        for node, prog, ctx in live:
             ctx._begin_round(round_no)
-            prog = programs[node]
-            moved = prog.step_round(ctx)
-            moved_any = moved_any or moved
-            sent = ctx._collect()
-            round_sends.extend(sent)
+            if prog.step_round(ctx):
+                moved_any = True
+            if ctx._outbox:
+                round_sends += ctx._outbox
+                ctx._outbox = []
             if prog.done:
                 outputs[node] = prog.output
-                live.remove(node)
                 finished_any = True
+        if finished_any:
+            live = [entry for entry in live if not entry[1].done]
+            alive = {node for node, _prog, _ctx in live}
 
         # One round's charge, the same for every round: per-link bits in
         # send order, every link audited against B, then the totals.
@@ -967,16 +1006,20 @@ def run_program(
             cycle = [history[-i] for i in range(period, 0, -1)]
             if not any(c[0] for c in cycle):
                 continue  # an all-idle cycle cannot be sending-steady
-            horizons = [
-                programs[node].current().cycle_horizon(period)
-                for node in live
-            ]
-            k = min(horizons) if horizons else 0
-            k = min(k, (max_rounds - round_no) // period)
+            # The min over every live op's horizon, given up at the first
+            # op that declines (horizons are side-effect free).  No node
+            # finished this round, so ``live`` is not empty here.
+            k = (max_rounds - round_no) // period
+            for _node, prog, _ctx in live:
+                if k < 1:
+                    break
+                horizon = prog.current().cycle_horizon(period)
+                if horizon < k:
+                    k = horizon
             if k < 1:
                 continue
-            for node in live:
-                programs[node].current().advance(period, k)
+            for _node, prog, _ctx in live:
+                prog.current().advance(period, k)
             # The jump skips the deliveries of rounds t+1 .. t+k*period:
             # the sends of rounds t .. t+k*period-1, i.e. the cycle k
             # times over starting at this round's own sends (they stay
@@ -1023,6 +1066,13 @@ def run_program(
             last_send_round = round_no
             last_delivery_round = round_no
             break
+
+    # Each undirected edge enters ``edge_bits`` when either direction is
+    # first charged: the first-seen order of ``bits_per_edge``'s keys.
+    edge_bits: Dict[Tuple[str, str], int] = {}
+    for (src, dst), bits in bits_per_edge.items():
+        key = (dst, src) if dst < src else (src, dst)
+        edge_bits[key] = edge_bits.get(key, 0) + bits
 
     return SimulationResult(
         rounds=last_send_round,

@@ -138,21 +138,36 @@ def fold_tree_slots(
         vec_mul: Elementwise slot-vector combiner (e.g. the semiring ⊗).
         identity_fn: length -> identity slot vector.
     """
-    parents = tree.parent_map()
+    return _fold_slots(
+        tree.root, _child_lists(tree.parent_map()), slots_by_node, start,
+        stop, vec_mul, identity_fn,
+    )
+
+
+def _child_lists(parents: Dict[str, Optional[str]]) -> Dict[str, List[str]]:
+    """``node -> sorted children`` of a tree given as parent pointers."""
     children: Dict[str, List[str]] = {n: [] for n in parents}
     for node, parent in parents.items():
         if parent is not None:
             children[parent].append(node)
+    for kids in children.values():
+        kids.sort()
+    return children
+
+
+def _fold_slots(root, children, slots_by_node, start, stop, vec_mul,
+                identity_fn):
+    """:func:`fold_tree_slots` over a tree's precomputed child lists."""
     length = stop - start
 
     def value_of(node: str):
         own = slots_by_node.get(node)
         acc = own[start:stop] if own is not None else identity_fn(length)
-        for child in sorted(children.get(node, ())):
+        for child in children.get(node, ()):
             acc = vec_mul(acc, value_of(child))
         return acc
 
-    return value_of(tree.root)
+    return value_of(root)
 
 
 def _align_join_columns(
@@ -286,6 +301,15 @@ class StarRuntime:
         self.ranges: Optional[List[Tuple[int, int]]] = None
         self._rows: Optional[List[Tuple]] = None
         self.slots: Dict[str, Any] = {}
+        # The packing's shape, once per compile: each tree's parent
+        # pointers and sorted child lists, and every node's trees.
+        trees = star.slot_plan.trees
+        self.parents = [tree.parent_map() for tree in trees]
+        self.children = [_child_lists(parents) for parents in self.parents]
+        self.trees_of: Dict[str, List[int]] = {}
+        for j, tree in enumerate(trees):
+            for node in tree.nodes:
+                self.trees_of.setdefault(node, []).append(j)
 
     def ensure_items(self, state: Dict[str, Factor]) -> None:
         """Encode the center relation once, when the root starts scattering."""
@@ -325,8 +349,9 @@ class StarRuntime:
         for j, tree in enumerate(self.star.slot_plan.trees):
             start, stop = self.ranges[j]
             per_tree.append(
-                fold_tree_slots(
-                    tree, self.slots, start, stop, vec_mul, identity_fn
+                _fold_slots(
+                    tree.root, self.children[j], self.slots, start, stop,
+                    vec_mul, identity_fn,
                 )
             )
         if all(isinstance(v, np.ndarray) for v in per_tree):
@@ -438,7 +463,7 @@ def _compile_star(
     """This node's schedule for one star phase (scatter, score, combine,
     rebuild) — empty when the node is outside the star's packing."""
     slot_plan = star.slot_plan
-    my_trees = slot_plan.trees_of(node)
+    my_trees = runtime.trees_of.get(node)
     if not my_trees:
         return []
     is_root = node == slot_plan.root
@@ -447,10 +472,8 @@ def _compile_star(
     scatter_ops: List[BroadcastOp] = []
     cc_ops: List[ConvergecastOp] = []
     for j in my_trees:
-        tree = slot_plan.trees[j]
-        parents = tree.parent_map()
-        parent = parents.get(node)
-        tree_children = sorted(n for n, p in parents.items() if p == node)
+        parent = runtime.parents[j].get(node)
+        tree_children = runtime.children[j].get(node, [])
         root_count_fn = None
         if is_root:
             def root_count_fn(j=j):

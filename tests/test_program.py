@@ -8,6 +8,10 @@ acceptance gate of the two-plane refactor.
 """
 
 import dataclasses
+import hashlib
+import json
+import os
+from collections import deque
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.network.program import (
     ProgramContext,
     ProgramOp,
     RouteOp,
+    _Run,
     chunk_pattern,
     run_program,
 )
@@ -646,7 +651,7 @@ def test_send_block_checks_the_senders_own_neighbours():
 
 def test_a_streams_blocks_queue_up_in_arrival_order():
     """One queue per (tag, sender), made on the first delivery and
-    appended to after: a receiver that pops late sees every block."""
+    appended to after: a receiver that reads late sees every block."""
     topology = Topology.star(2)
     hub, *leaves = topology.nodes
 
@@ -658,20 +663,156 @@ def test_a_streams_blocks_queue_up_in_arrival_order():
             self.left -= 1
             return self.left == 0
 
-    class PopLate(ProgramOp):
+    class ReadLate(ProgramOp):
         got = None
 
         def step(self, ctx):
             if ctx.round < 4:
                 return False
             self.got = {
-                leaf: [blk.meta for blk in ctx.pop("x", leaf)] for leaf in leaves
+                leaf: [blk.meta for blk in ctx.inbox(("x", leaf))]
+                for leaf in leaves
             }
             return True
 
-    late = PopLate()
+    late = ReadLate()
     run_program(topology, 8, {
         hub: NodeProgram(hub, [late]),
         **{leaf: NodeProgram(leaf, [Send()]) for leaf in leaves},
     })
     assert late.got == {leaf: [(leaf, 3), (leaf, 2), (leaf, 1)] for leaf in leaves}
+
+
+# ---------------------------------------------------------------------------
+# The engine's whole result, pinned
+# ---------------------------------------------------------------------------
+
+ENGINE_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "engine_results.json"
+)
+
+#: ``name -> spec``: forty fuzz scenarios on the compiled engine, and the
+#: ledger's ``wide-expander`` shape (two overlapping stars on the 64-node
+#: expander) at a small N.
+ENGINE_CASES = {
+    **{
+        f"fuzz777-{i:02d}": spec.with_(engine="compiled")
+        for i, spec in enumerate(generate_scenarios(777, 40))
+    },
+    "wide-expander-N96": ScenarioSpec(
+        family="wide", query="acyclic",
+        query_params={"edges": 8, "arity": 3}, topology="expander",
+        topology_params={"n": 64, "degree": 4, "seed": 1}, n=96,
+        domain_size=64, semiring="counting", engine="compiled", seed=3,
+    ),
+}
+
+
+def _ordered_digest(*maps):
+    """sha256 over dicts as *ordered* item lists: key order counts."""
+    items = [[[list(key), value] for key, value in m.items()] for m in maps]
+    return hashlib.sha256(json.dumps(items).encode()).hexdigest()
+
+
+def engine_golden_record(name):
+    """What ``engine_results.json`` holds for one case (also its
+    generator): the compiled run's accounting, its jump counters, and
+    both per-edge maps in insertion order."""
+    spec = ENGINE_CASES[name]
+    built = build_query(spec)
+    topology = build_topology(spec)
+    assignment = build_assignment(spec, built, topology) or assign_round_robin(
+        built.query, topology
+    )
+    before = COUNTERS.snapshot()
+    sim = run_distributed_faq(
+        built.query, topology, assignment, engine="compiled"
+    ).simulation
+    delta = counter_delta(before, COUNTERS.snapshot())
+    return {
+        "label": spec.label,
+        "rounds": sim.rounds,
+        "total_bits": sim.total_bits,
+        "total_messages": sim.total_messages,
+        "max_edge_bits_per_round": sim.max_edge_bits_per_round,
+        "max_inflight_round": sim.max_inflight_round,
+        "fast_forward": delta.get("engine.fast_forward", 0),
+        "fast_forward_rounds": delta.get("engine.fast_forward_rounds", 0),
+        "edge_maps_sha256": _ordered_digest(sim.edge_bits, sim.bits_per_edge),
+    }
+
+
+@pytest.fixture(scope="module")
+def engine_golden():
+    with open(ENGINE_GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_engine_golden_covers_every_case(engine_golden):
+    assert sorted(engine_golden) == sorted(ENGINE_CASES)
+    assert any(r["fast_forward"] for r in engine_golden.values())
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_engine_result_matches_golden(name, engine_golden):
+    """Rounds, bits, messages, busiest link, jumps and both per-edge maps
+    *in key order*, as the engine produced them before its round loop
+    was last optimized (regenerate: ``tests/golden/README.md``)."""
+    assert engine_golden_record(name) == engine_golden[name]
+
+
+# ---------------------------------------------------------------------------
+# Horizons are side-effect free
+# ---------------------------------------------------------------------------
+
+
+def _op_state(value):
+    """A comparable deep copy of op state: ops, routing runs and blocks
+    compare by identity, so they unfold into their fields."""
+    if isinstance(value, (ProgramOp, _Run, BlockMessage)):
+        fields = (
+            vars(value) if hasattr(value, "__dict__")
+            else {name: getattr(value, name) for name in value.__slots__}
+        )
+        return (type(value).__name__, _op_state(fields))
+    if isinstance(value, dict):
+        return {key: _op_state(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, deque)):
+        return (type(value).__name__, [_op_state(item) for item in value])
+    if isinstance(value, set):
+        return frozenset(value)
+    return value
+
+
+@pytest.mark.parametrize("name", ["wide-expander", "routed"])
+def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
+    """The jump check stops at the first op that declines, so which ops
+    it asks depends on the step order: that is only exact while asking
+    changes nothing.  Every op class's ``cycle_horizon`` is wrapped to
+    compare the op's whole state before and after the call."""
+    spec = {
+        "wide-expander": ENGINE_CASES["wide-expander-N96"],
+        "routed": ScenarioSpec(
+            family="routed", query="hard-forest",
+            query_params={"edges": 4, "trees": 2}, topology="ring",
+            topology_params={"n": 6}, n=64, assignment="worst-case",
+            engine="compiled", seed=5,
+        ),
+    }[name]
+    calls = {}
+    for cls in (ProgramOp, ParallelOps, BroadcastOp, ConvergecastOp, RouteOp):
+        def checked(self, p, _horizon=cls.cycle_horizon, _cls=cls):
+            before = _op_state(vars(self))
+            horizon = _horizon(self, p)
+            assert _op_state(vars(self)) == before, type(self).__name__
+            calls[_cls.__name__] = calls.get(_cls.__name__, 0) + 1
+            return horizon
+        monkeypatch.setattr(cls, "cycle_horizon", checked)
+    built = build_query(spec)
+    topology = build_topology(spec)
+    assignment = build_assignment(spec, built, topology) or assign_round_robin(
+        built.query, topology
+    )
+    run_distributed_faq(built.query, topology, assignment, engine="compiled")
+    assert calls.get("ParallelOps") and calls.get("BroadcastOp")
+    assert calls.get("RouteOp" if name == "routed" else "ConvergecastOp")
