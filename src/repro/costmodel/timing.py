@@ -22,10 +22,16 @@ Star phases cost O(phases + transients), not O(rounds): once the
 round's send list repeats with period 1 or 2 the recurrence jumps whole
 cycles arithmetically (see :func:`evaluate_timing`); routed payload is
 still stepped.  The jump is written against this module's own integer
-state — each op logs what a round consumed and sent plus the *margins*
-that kept its ``min(...)`` guards from flipping — and shares no code
-with the block engine's fast-forward, so the independence above still
-holds.
+state — each op logs what a round added to its counters, and rebuilds
+from those deltas and its current counters the *margins* that kept its
+``min(...)`` guards from flipping — and shares no code with the block
+engine's fast-forward, so the independence above still holds.
+
+A stepped round is kept cheap in this module's own code, too: an op
+takes its input queues when it starts (:meth:`_Ctx.inbox`) and drains
+them in place; a parallel group and the round loop each walk a list of
+what is still running, rebuilt only when something finishes; and each
+packing tree's shape is built once per evaluation.
 """
 
 from __future__ import annotations
@@ -84,13 +90,17 @@ class _Ctx:
         self.sent[dst] = used + bits
         self.outbox.append((self.node, dst, tag, kind, bits, count, meta))
 
-    def pop(self, tag: str, src: str) -> List:
-        queue = self.queues.get((tag, src))
-        if not queue:
-            return []
-        out = list(queue)
-        queue.clear()
-        return out
+    def inbox(self, stream: Tuple[str, str]) -> deque:
+        """The queue of ``stream`` = ``(tag, src)``, made if missing.
+
+        An op takes its queues when it starts and empties them in place
+        every round it is current, so a queue still holding blocks after
+        a round is buffering for a later op (:func:`_materialize`).
+        """
+        queue = self.queues.get(stream)
+        if queue is None:
+            queue = self.queues[stream] = deque()
+        return queue
 
 
 #: Horizon of an op no boundary constrains (dormant, or margins growing).
@@ -112,7 +122,12 @@ class _Op:
 
     def horizon(self, period: int) -> int:
         """How many more ``period``-round cycles replay identically,
-        given that the last cycle's arrivals repeat (0 declines)."""
+        given that the last cycle's arrivals repeat (0 declines).
+
+        Must leave the op as it was: a jump check stops asking at the
+        first op that declines, so which ops are asked depends on the
+        ops stepped before them.
+        """
         raise NotImplementedError
 
     def jump(self, period: int, k: int) -> None:
@@ -123,12 +138,15 @@ class _Op:
 class _Stream(_Op):
     """An op whose steady state moves integer counters linearly.
 
-    ``log`` holds, per stepped round that was not a one-off,
-    ``(delta, margins)``: ``delta`` is what the round consumed and sent,
-    ``margins`` the integer distances that kept every ``min(...)`` guard
-    and the completion test on the side they were on.  When
-    :meth:`horizon` is called the last ``2 * period`` entries are
-    exactly the last ``2 * period`` rounds.
+    Its counters are a head counter and one per child
+    (:meth:`counters`).  ``log`` holds, per stepped round that was not a
+    one-off, that round's delta ``(head, per_child)``: what it added to
+    each counter.  When :meth:`horizon` is called the last
+    ``2 * period`` entries are exactly the last ``2 * period`` rounds,
+    so taking them back one by one from the current counters gives the
+    counters after each of those rounds, and :meth:`margins` of those
+    the integer distances that kept every ``min(...)`` guard and the
+    completion test on the side they were on.
     """
 
     def __init__(self) -> None:
@@ -140,13 +158,19 @@ class _Stream(_Op):
         # margin must stay positive at its position in every replayed
         # cycle, so the op neither flips a guard nor completes mid-jump.
         log = self.log
-        k = _UNBOUNDED
         for i in range(1, period + 1):
-            (delta, margins), (delta_before, margins_before) = (
-                log[-i], log[-i - period]
-            )
-            if delta != delta_before:
+            if log[-i] != log[-i - period]:
                 return 0
+        counters = self.counters()
+        rebuilt = [self.margins(counters)]  # newest round first
+        for i in range(1, 2 * period):
+            head, per_child = log[-i]
+            counters = [counters[0] - head] + [
+                count - added for count, added in zip(counters[1:], per_child)
+            ]
+            rebuilt.append(self.margins(counters))
+        k = _UNBOUNDED
+        for margins, margins_before in zip(rebuilt, rebuilt[period:]):
             for margin, was in zip(margins, margins_before):
                 if margin < was:
                     k = min(k, (margin - 1) // (was - margin))
@@ -154,7 +178,15 @@ class _Stream(_Op):
 
     def jump(self, period: int, k: int) -> None:
         for i in range(1, period + 1):
-            self.replay(self.log[-i][0], k)
+            self.replay(self.log[-i], k)
+
+    def counters(self) -> List[int]:
+        """The head counter, then one counter per child."""
+        raise NotImplementedError
+
+    def margins(self, counters: List[int]):
+        """The guard margins of the op with these counters."""
+        raise NotImplementedError
 
     def replay(self, delta, k: int) -> None:
         """Advance the counters by ``k`` times one round's delta."""
@@ -173,43 +205,50 @@ class _Parallel(_Op):
 
     def __init__(self, members: List[_Op]) -> None:
         self.members = members
-        self.done_flags = [False] * len(members)
+        #: Members still running, in input order; rebuilt only in a
+        #: round in which one finished.
+        self.live = list(members)
 
     def start(self, ctx: _Ctx) -> None:
         for member in self.members:
             member.start(ctx)
 
     def step(self, ctx: _Ctx) -> bool:
-        for i, member in enumerate(self.members):
-            if not self.done_flags[i] and member.step(ctx):
-                self.done_flags[i] = True
-                # The member's final sends are in this round, and no op
-                # state stands behind a replay of them.  The program
-                # index does not move, so only this flag says so.
-                ctx.one_off = True
-        return all(self.done_flags)
-
-    def _live(self) -> List[_Op]:
-        return [
-            member
-            for member, done in zip(self.members, self.done_flags)
-            if not done
-        ]
+        finished = []
+        for member in self.live:
+            if member.step(ctx):
+                finished.append(member)
+        if finished:
+            self.live = [m for m in self.live if m not in finished]
+            # The member's final sends are in this round, and no op
+            # state stands behind a replay of them.  The program
+            # index does not move, so only this flag says so.
+            ctx.one_off = True
+        return not self.live
 
     def horizon(self, period: int) -> int:
-        return min(
-            (member.horizon(period) for member in self._live()),
-            default=_UNBOUNDED,
-        )
+        k = _UNBOUNDED
+        for member in self.live:
+            horizon = member.horizon(period)
+            if horizon < 1:
+                return 0
+            k = min(k, horizon)
+        return k
 
     def jump(self, period: int, k: int) -> None:
-        for member in self._live():
+        for member in self.live:
             member.jump(period, k)
+
+
+#: A broadcast's delta while it waits for the header.
+_DORMANT = (0, ())
 
 
 class _Broadcast(_Stream):
     """Mirror of BroadcastOp.step: header first (chunked, count in the
-    first chunk), then items at ``per_item`` bits, budget per child."""
+    first chunk), then items at ``per_item`` bits, budget per child.
+
+    Counters: items received, then items forwarded per child."""
 
     def __init__(self, tag, parent, children, per_item, root_count=None):
         super().__init__()
@@ -222,72 +261,92 @@ class _Broadcast(_Stream):
         self.received = 0
         self.header_left = {c: HEADER_BITS for c in self.children}
         self.header_started: set = set()
+        #: Every child's header is out: a round only streams items.
+        self.headers_done = not self.children
         self.forwarded = {c: 0 for c in self.children}
+        self._inbox: Optional[deque] = None  # the root reads nothing
 
     def start(self, ctx: _Ctx) -> None:
         if self.parent is None:
             self.count = int(self.root_count or 0)
             self.received = self.count
+        else:
+            self._inbox = ctx.inbox((self.tag, self.parent))
 
     def step(self, ctx: _Ctx) -> bool:
         arrived = 0
         header_moved = False
-        if self.parent is not None:
-            for blk in ctx.pop(self.tag, self.parent):
-                kind, count, meta = blk
-                if kind == "hdr":
+        inbox = self._inbox
+        if inbox:
+            for kind, count, meta in inbox:
+                if kind == "it":
+                    arrived += count
+                elif kind == "hdr":
                     self.count = meta
                     header_moved = True
-                elif kind == "it":
-                    self.received += count
-                    arrived += count
                 else:
                     header_moved = True
-        for child in self.children:
-            if self.count is None:
-                continue
-            while self.header_left[child] > 0:
-                room = ctx.room(child)
-                if room < 1:
-                    break
-                take = min(room, self.header_left[child])
-                if child not in self.header_started:
-                    ctx.send(child, self.tag, "hdr", take, meta=self.count)
-                    self.header_started.add(child)
-                else:
-                    ctx.send(child, self.tag, "hdrc", take)
-                self.header_left[child] -= take
-                header_moved = True
+            inbox.clear()
+            self.received += arrived
+        count = self.count
+        if count is None:
+            # Nothing arrives or leaves before the header does.
+            self.log.append(_DORMANT)
+            return False
+        header_left = self.header_left
+        if not self.headers_done:
+            for child in self.children:
+                while header_left[child] > 0:
+                    room = ctx.room(child)
+                    if room < 1:
+                        break
+                    take = min(room, header_left[child])
+                    if child not in self.header_started:
+                        ctx.send(child, self.tag, "hdr", take, meta=count)
+                        self.header_started.add(child)
+                    else:
+                        ctx.send(child, self.tag, "hdrc", take)
+                    header_left[child] -= take
+                    header_moved = True
+            self.headers_done = not any(header_left.values())
+        headers_done = self.headers_done
+        forwarded = self.forwarded
+        complete = headers_done and self.received == count
         sent = []
         for child in self.children:
             k = 0
-            if self.header_left[child] == 0:
+            if headers_done or header_left[child] == 0:
                 k = min(
-                    self.received - self.forwarded[child],
+                    self.received - forwarded[child],
                     ctx.room(child) // self.per_item,
                 )
                 if k > 0:
                     ctx.send(child, self.tag, "it", k * self.per_item, count=k)
-                    self.forwarded[child] += k
+                    forwarded[child] += k
             sent.append(k)
+            if forwarded[child] != count:
+                complete = False
         if header_moved:
             ctx.one_off = True
-        elif self.count is None:
-            self.log.append(((0, ()), ()))  # dormant until the header
         else:
-            # Per child: items left to forward (completion) and backlog
-            # (the send stays room-limited while it is positive).
-            margins = [self.count - self.received]
-            for child in self.children:
-                done = self.forwarded[child]
-                margins += (self.count - done, self.received - done)
-            self.log.append(((arrived, tuple(sent)), margins))
-        return (
-            self.count is not None
-            and self.received == self.count
-            and all(b == 0 for b in self.header_left.values())
-            and all(self.forwarded[c] == self.count for c in self.children)
-        )
+            self.log.append((arrived, tuple(sent)))
+        return complete
+
+    def counters(self) -> List[int]:
+        return [self.received, *self.forwarded.values()]
+
+    def margins(self, counters: List[int]):
+        count = self.count
+        if count is None:
+            return ()  # dormant until the header
+        # Items still to arrive, then per child items left to forward
+        # (completion) and backlog (the send stays room-limited while it
+        # is positive).
+        received = counters[0]
+        margins = [count - received]
+        for done in counters[1:]:
+            margins += (count - done, received - done)
+        return margins
 
     def replay(self, delta, k: int) -> None:
         arrived, sent = delta
@@ -298,7 +357,9 @@ class _Broadcast(_Stream):
 
 class _Convergecast(_Stream):
     """Mirror of ConvergecastOp.step: slot i moves up once every child
-    delivered slot i, at most ``room // per_slot`` per round."""
+    delivered slot i, at most ``room // per_slot`` per round.
+
+    Counters: slots moved up, then slots delivered per child."""
 
     def __init__(self, tag, parent, children, per_slot, num_slots):
         super().__init__()
@@ -309,40 +370,66 @@ class _Convergecast(_Stream):
         self.num_slots = int(num_slots)
         self.out_idx = 0
         self.buffered = {c: 0 for c in self.children}
+        self._inboxes: List[deque] = []
+        self._no_arrivals = (0,) * len(self.children)
+        #: The last round was idle — nothing arrived and nothing was left
+        #: to move — so ``log[-1]`` is also the entry of the next idle
+        #: round.  A jump drops it: it moves the counters behind it.
+        self._idle = False
+
+    def start(self, ctx: _Ctx) -> None:
+        self._inboxes = [ctx.inbox((self.tag, c)) for c in self.children]
 
     def step(self, ctx: _Ctx) -> bool:
-        arrivals = []
-        for child in self.children:
-            got = 0
-            for blk in ctx.pop(self.tag, child):
-                _kind, count, _meta = blk
-                got += count
-            self.buffered[child] += got
-            arrivals.append(got)
+        arrived = any(self._inboxes)
+        if arrived:
+            arrivals = []
+            for child, inbox in zip(self.children, self._inboxes):
+                got = 0
+                for _kind, count, _meta in inbox:
+                    got += count
+                inbox.clear()
+                self.buffered[child] += got
+                arrivals.append(got)
+            arrivals = tuple(arrivals)
+        elif self._idle:
+            self.log.append(self.log[-1])
+            return False
+        else:
+            arrivals = self._no_arrivals
         if self.children:
-            avail = min(self.buffered[c] for c in self.children)
+            avail = min(self.buffered.values())
         else:
             avail = self.num_slots
         k = min(self.num_slots, avail) - self.out_idx
-        if self.parent is not None and k > 0:
+        self._idle = k <= 0 and not arrived
+        if k <= 0:
+            k = 0
+        elif self.parent is not None:
             k = min(k, ctx.room(self.parent) // self.per_slot)
             if k > 0:
                 ctx.send(self.parent, self.tag, "slot",
                          k * self.per_slot, count=k)
-        k = max(0, k)
         self.out_idx += k
-        # Slots left to move (completion), then per child how far its
-        # deliveries run ahead of what has moved up.
-        margins = [self.num_slots - self.out_idx]
-        margins += (self.buffered[c] - self.out_idx for c in self.children)
-        self.log.append(((tuple(arrivals), k), margins))
+        self.log.append((k, arrivals))
         return self.out_idx >= self.num_slots
 
+    def counters(self) -> List[int]:
+        return [self.out_idx, *self.buffered.values()]
+
+    def margins(self, counters: List[int]):
+        # Slots left to move (completion), then per child how far its
+        # deliveries run ahead of what has moved up.
+        out_idx = counters[0]
+        return [self.num_slots - out_idx,
+                *(got - out_idx for got in counters[1:])]
+
     def replay(self, delta, k: int) -> None:
-        arrivals, moved = delta
+        moved, arrivals = delta
+        self._idle = False
+        self.out_idx += k * moved
         for child, got in zip(self.children, arrivals):
             self.buffered[child] += k * got
-        self.out_idx += k * moved
 
 
 class _Route(_Op):
@@ -359,16 +446,22 @@ class _Route(_Op):
         self.queue: deque = deque(chunks)
         self.eos_pending = set(self.children)
         self.eos_sent = False
+        self._inboxes: List[deque] = []
+
+    def start(self, ctx: _Ctx) -> None:
+        self._inboxes = [ctx.inbox((self.tag, c)) for c in self.children]
 
     def step(self, ctx: _Ctx) -> bool:
-        for child in self.children:
-            for blk in ctx.pop(self.tag, child):
-                ctx.one_off = True
-                kind, _count, meta = blk
+        for child, inbox in zip(self.children, self._inboxes):
+            if not inbox:
+                continue
+            ctx.one_off = True
+            for kind, _count, meta in inbox:
                 if kind == "eos":
                     self.eos_pending.discard(child)
                 else:  # "run": meta is the chunk-size tuple
                     self.queue.extend(meta)
+            inbox.clear()
         if self.parent is None:
             self.queue.clear()
             return not self.eos_pending
@@ -407,10 +500,7 @@ class _Program:
         self.items = items
         self.index = 0
         self.started = False
-
-    @property
-    def done(self) -> bool:
-        return self.index >= len(self.items)
+        self.done = not items
 
     @property
     def current(self) -> _Op:
@@ -419,7 +509,7 @@ class _Program:
 
     def step_round(self, ctx: _Ctx) -> bool:
         moved = False
-        while self.index < len(self.items):
+        while not self.done:
             op = self.items[self.index]
             if not self.started:
                 op.start(ctx)
@@ -428,6 +518,7 @@ class _Program:
                 return moved
             self.index += 1
             self.started = False
+            self.done = self.index == len(self.items)
             moved = True
         return moved
 
@@ -445,24 +536,47 @@ def _chunk_pattern(item_bits: int, capacity: int) -> Tuple[int, ...]:
     return tuple(sizes)
 
 
+def _children_lists(parents: Dict[str, Optional[str]]) -> Dict[str, List[str]]:
+    """Each node's sorted children in a parent-pointer tree, in one pass."""
+    children: Dict[str, List[str]] = {}
+    for node, parent in parents.items():
+        if parent is not None:
+            children.setdefault(parent, []).append(node)
+    for kids in children.values():
+        kids.sort()
+    return children
+
+
 def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
     """One count-plane program per node, mirroring the compiler's
     schedule: per participating star [scatter ∥, score, combine ∥,
     rebuild], then the final route for routing participants."""
+    # Each packing tree's shape, built once: per star, node -> the trees
+    # it is in, and per tree node -> its sorted children.
+    shapes = []
+    for star in skeleton.stars:
+        trees_of: Dict[str, List[int]] = {}
+        for j, parents in enumerate(star.trees):
+            for node in parents:
+                trees_of.setdefault(node, []).append(j)
+        shapes.append(
+            (star, trees_of, [_children_lists(p) for p in star.trees])
+        )
+    route = skeleton.route
+    route_children = _children_lists(route.parents)
     programs: Dict[str, _Program] = {}
     for node in skeleton.nodes:
         items: List[_Op] = []
-        for star in skeleton.stars:
-            my_trees = star.trees_of(node)
+        for star, trees_of, tree_children in shapes:
+            my_trees = trees_of.get(node)
             if not my_trees:
                 continue
             sid = star.star_id
             scatter: List[_Op] = []
             combine: List[_Op] = []
             for j in my_trees:
-                parents = star.trees[j]
-                parent = parents.get(node)
-                children = sorted(n for n, p in parents.items() if p == node)
+                parent = star.trees[j].get(node)
+                children = tree_children[j].get(node, ())
                 is_root = parent is None
                 scatter.append(
                     _Broadcast(
@@ -480,7 +594,6 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
             items.extend(
                 [_Parallel(scatter), _Compute(), _Parallel(combine), _Compute()]
             )
-        route = skeleton.route
         if node in route.parents:
             count = route.payload_counts.get(node, 0)
             pattern = _chunk_pattern(skeleton.item_bits, skeleton.capacity)
@@ -488,7 +601,7 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
             items.append(
                 _Route(
                     "final", route.parents.get(node),
-                    route.children_of(node), chunks,
+                    route_children.get(node, ()), chunks,
                 )
             )
             if node == skeleton.output_player:
@@ -497,20 +610,20 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
     return programs
 
 
-def _steady_cycles(history, period, programs, live, limit) -> int:
+def _steady_cycles(history, period, live, limit) -> int:
     """Whole ``period``-round cycles every live op can replay, at most
     ``limit``; 0 means step on.
 
     The last two cycles must have sent the same blocks (two silent
     rounds would already have raised the deadlock error) and every live
-    op must grant a horizon.
+    op must grant a horizon; the first that declines ends the check.
     """
     for i in range(1, period + 1):
         if history[-i][0] != history[-i - period][0]:
             return 0
     k = limit
-    for node in live:
-        k = min(k, programs[node].current.horizon(period))
+    for prog, _ctx in live:
+        k = min(k, prog.current.horizon(period))
         if k < 1:
             return 0
     return k
@@ -520,14 +633,15 @@ def _materialize(cycle, k, contexts) -> None:
     """Deliver what ``k`` skipped replays of ``cycle`` sent to mailboxes.
 
     A stream whose queue still holds blocks after the stepped round is
-    not read by its receiver's current op: it is buffering for a later
-    one (the next star's scatter reaching a node still busy in this
-    star).  ``k`` is at most that op's horizon, so the receiver stays in
-    it for the whole jump and the stream buffers throughout.  A stream
-    with an empty queue is read by the current op, whose own ``jump``
-    accounts for it — or its receiver runs no program or has finished
-    (an op completes only once its streams are fully read), and the
-    round loop drops those deliveries too.
+    not read by its receiver's current op, which empties the queues it
+    reads every round: it is buffering for a later one (the next star's
+    scatter reaching a node still busy in this star).  ``k`` is at most
+    that op's horizon, so the receiver stays in it for the whole jump and
+    the stream buffers throughout.  A stream with an empty queue is read
+    by the current op, whose own ``jump`` accounts for it — or its
+    receiver runs no program or has finished (an op completes only once
+    its streams are fully read), and the round loop drops those
+    deliveries too.
 
     The skipped rounds deliver every cycle position ``k`` times: they
     start one position late, at the stepped round's own sends, and those
@@ -555,6 +669,10 @@ def evaluate_timing(
     :class:`CostModelError` on deadlock or round overrun, which can only
     mean a model bug (the engines themselves would have deadlocked too).
 
+    A round's sends fold into one ``{(src, dst): bits}`` dict in send
+    order, which is added once per link to ``total_bits`` and
+    ``bits_per_edge`` (first-seen key order, as the engines keep it).
+
     Steady streaming is not stepped.  When the last two cycles of
     ``period`` 1 or 2 rounds sent the same blocks and held no program
     transition and no one-off round (see :class:`_Ctx`), all live ops
@@ -568,7 +686,12 @@ def evaluate_timing(
     """
     programs = _build_programs(skeleton)
     contexts = {n: _Ctx(n, skeleton.capacity) for n in skeleton.nodes}
-    live = deque(sorted(n for n, p in programs.items() if not p.done))
+    # The running programs in step order (sorted by node), with their
+    # contexts; rebuilt only in a round in which a program finished.
+    live = [
+        (programs[n], contexts[n])
+        for n in sorted(programs) if not programs[n].done
+    ]
 
     pending: List[Tuple[str, str, str, str, int, int, object]] = []
     total_bits = 0
@@ -588,42 +711,43 @@ def evaluate_timing(
         if round_no > max_rounds:
             raise CostModelError(
                 f"cost model exceeded max_rounds={max_rounds} "
-                f"(live nodes: {sorted(live)})"
+                f"(live nodes: {[prog.node for prog, _ctx in live]})"
             )
         had_pending = bool(pending)
         for src, dst, tag, kind, _bits, count, meta in pending:
-            if dst in contexts and not programs[dst].done:
-                contexts[dst].queues.setdefault((tag, src), deque()).append(
-                    (kind, count, meta)
-                )
-        pending = []
+            prog = programs.get(dst)
+            if prog is not None and not prog.done:
+                contexts[dst].inbox((tag, src)).append((kind, count, meta))
 
         round_sends: List[Tuple[str, str, str, str, int, int, object]] = []
-        round_edge_bits: Dict[Tuple[str, str], int] = {}
         finished_any = False
         moved_any = False
-        for node in list(live):
-            ctx = contexts[node]
-            ctx.sent = {}
-            prog = programs[node]
+        for prog, ctx in live:
+            if ctx.sent:
+                ctx.sent = {}
             moved = prog.step_round(ctx)
-            moved_any = moved_any or moved
-            round_sends.extend(ctx.outbox)
-            ctx.outbox = []
+            if ctx.outbox:
+                round_sends += ctx.outbox
+                ctx.outbox = []
+            if moved:
+                moved_any = True
             if moved or ctx.one_off:  # a finished program moved, too
                 ctx.one_off = False
                 last_change_round = round_no
             if prog.done:
-                live.remove(node)
                 finished_any = True
+        if finished_any:
+            live = [(prog, ctx) for prog, ctx in live if not prog.done]
 
+        round_edge_bits: Dict[Tuple[str, str], int] = {}
         if round_sends:
             last_send_round = round_no
             for src, dst, _tag, _kind, bits, _count, _meta in round_sends:
-                total_bits += bits
                 link = (src, dst)
-                bits_per_edge[link] = bits_per_edge.get(link, 0) + bits
                 round_edge_bits[link] = round_edge_bits.get(link, 0) + bits
+            for link, bits in round_edge_bits.items():
+                total_bits += bits
+                bits_per_edge[link] = bits_per_edge.get(link, 0) + bits
             busiest = max(round_edge_bits.values())
             if busiest > max_edge_bits_per_round:
                 max_edge_bits_per_round = busiest
@@ -634,7 +758,7 @@ def evaluate_timing(
                 and not moved_any:
             raise CostModelError(
                 f"cost model deadlocked at round {round_no} "
-                f"(live nodes: {sorted(live)})"
+                f"(live nodes: {[prog.node for prog, _ctx in live]})"
             )
         pending = round_sends
 
@@ -643,12 +767,11 @@ def evaluate_timing(
             if round_no - last_change_round < 2 * period:
                 break
             k = _steady_cycles(
-                history, period, programs, live,
-                (max_rounds - round_no) // period,
+                history, period, live, (max_rounds - round_no) // period
             )
             if k:
-                for node in live:
-                    programs[node].current.jump(period, k)
+                for prog, _ctx in live:
+                    prog.current.jump(period, k)
                 cycle = [history[-i] for i in range(1, period + 1)]
                 _materialize(cycle, k, contexts)
                 for _sends, edge_bits in cycle:
@@ -656,7 +779,7 @@ def evaluate_timing(
                         total_bits += k * bits
                         bits_per_edge[link] += k * bits
                 round_no += k * period
-                # Logged margins predate the jump: two freshly stepped
+                # Logged deltas predate the jump: two freshly stepped
                 # cycles come before the next one.
                 last_send_round = last_change_round = round_no
                 jumped_rounds += k * period

@@ -16,6 +16,9 @@ Three layers:
   ledger.
 """
 
+import hashlib
+import json
+import os
 from collections import deque
 
 import pytest
@@ -50,7 +53,16 @@ from repro.costmodel import (
 )
 from repro.costmodel import skeleton as skeleton_module
 from repro.costmodel.formulas import two_party_route_rounds
-from repro.costmodel.timing import _Convergecast, _Ctx, _materialize
+from repro.costmodel.timing import (
+    _Broadcast,
+    _Convergecast,
+    _Ctx,
+    _materialize,
+    _Op,
+    _Parallel,
+    _Route,
+)
+from repro.lab.generate import generate_scenarios
 from repro.lab.report import cost_mismatches, cost_model_payload
 from repro.lab.runner import execute_scenario
 from repro.lab.spec import ScenarioSpec
@@ -608,27 +620,49 @@ def test_streaming_route_declines_the_jump():
 def test_period_two_horizon_reads_margins_at_their_cycle_position():
     # No compiled plan reaches a period-2 steady state today (chunked
     # routing, its source, declines), so the alignment is pinned on a
-    # hand-fed log: a relay moving 2 slots on odd rounds, 0 on even.
+    # hand-fed log: a relay moving 2 slots on odd rounds, 0 on even, its
+    # child delivering 1 a round.  The log holds deltas (moved, arrivals);
+    # the margins (slots left, lead of the child) are rebuilt from the
+    # counters, newest first [58, 6], [58, 5], [60, 6], [60, 5].
     op = _Convergecast("t", "parent", ["child"], per_slot=1, num_slots=100)
-    op.out_idx, op.buffered["child"] = 44, 50
-    op.log.extend([
-        (((1,), 2), [60, 5]), (((1,), 0), [60, 6]),
-        (((1,), 2), [58, 5]), (((1,), 0), [58, 6]),
-    ])
+    op.out_idx, op.buffered["child"] = 42, 48
+    op.log.extend([(2, (1,)), (0, (1,)), (2, (1,)), (0, (1,))])
+    assert op.margins(op.counters()) == [58, 6]
     assert op.horizon(1) == 0  # consecutive rounds differ
     # Slots left shrink by 2 per cycle from 58: (58 - 1) // 2 cycles.
     assert op.horizon(2) == 28
     op.jump(2, 28)
-    assert (op.out_idx, op.buffered["child"]) == (44 + 56, 50 + 56)
+    assert (op.out_idx, op.buffered["child"]) == (42 + 56, 48 + 56)
 
 
-def _stream_line_skeleton(n):
-    return _skeleton_of(ScenarioSpec(
+def test_a_jump_drops_the_cached_idle_entry():
+    # An idle round (nothing arrived, nothing left to move) is logged
+    # again as is while nothing arrives.  A jump moves the counters
+    # behind that entry, so the next round is stepped in full: here the
+    # child is 5 slots ahead after it and they move up.
+    ctx = _Ctx("relay", capacity=8)
+    op = _Convergecast("t", "parent", ["child"], per_slot=1, num_slots=100)
+    op.start(ctx)
+    for _ in range(2):
+        assert not op.step(ctx)
+    assert list(op.log) == [(0, (0,)), (0, (0,))] and not ctx.outbox
+    op.replay((0, (1,)), 5)
+    assert not op.step(ctx)
+    assert op.log[-1] == (5, (0,)) and op.out_idx == 5
+    assert ctx.outbox == [("relay", "parent", "t", "slot", 5, 5, None)]
+
+
+def _stream_line_spec(n):
+    return ScenarioSpec(
         family="stream-line", query="hard-star", query_params={"arms": 4},
         topology="line", topology_params={"n": 4}, n=n,
         assignment="worst-case", seed=11, backend="columnar",
         engine="compiled", solver="compiled",
-    ))
+    )
+
+
+def _stream_line_skeleton(n):
+    return _skeleton_of(_stream_line_spec(n))
 
 
 def test_streaming_rounds_are_counted_not_stepped():
@@ -683,6 +717,112 @@ def test_context_send_overdraft_raises():
     ctx.send("b", "t", "it", 8)
     with pytest.raises(CostModelError, match="overdrew capacity: a->b 9 > 8"):
         ctx.send("b", "t", "it", 1)
+
+
+# ---------------------------------------------------------------------------
+# The count plane's whole result, pinned
+# ---------------------------------------------------------------------------
+
+TIMING_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "costmodel_timing.json"
+)
+
+#: ``name -> spec``: the forty fuzz scenarios and the ``wide-expander``
+#: shape of ``engine_results.json`` (``acyclic(edges=8, arity=3)`` on
+#: ``expander(64, 4, seed=1)``, N=96), and the streamed hard star of the
+#: jump tests above at N=1024.
+TIMING_CASES = {
+    **{
+        f"fuzz777-{i:02d}": spec
+        for i, spec in enumerate(generate_scenarios(777, 40))
+    },
+    "wide-expander-N96": ScenarioSpec(
+        family="wide", query="acyclic",
+        query_params={"edges": 8, "arity": 3}, topology="expander",
+        topology_params={"n": 64, "degree": 4, "seed": 1}, n=96,
+        domain_size=64, semiring="counting", engine="compiled", seed=3,
+    ),
+    "stream-line-N1024": _stream_line_spec(1024),
+}
+
+
+def timing_golden_record(name):
+    """What ``costmodel_timing.json`` holds for one case (also its
+    generator): the priced metrics, the ``costmodel.*`` counter deltas,
+    and ``bits_per_edge`` as an *ordered* item list."""
+    spec = TIMING_CASES[name]
+    skeleton = _skeleton_of(spec)
+    before = COUNTERS.snapshot()
+    timing = evaluate_timing(skeleton)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    items = [[list(link), bits] for link, bits in timing.bits_per_edge.items()]
+    return {
+        "label": spec.label,
+        "rounds": timing.rounds,
+        "total_bits": timing.total_bits,
+        "max_edge_bits_per_round": timing.max_edge_bits_per_round,
+        **{counter: delta.get(counter, 0) for counter in COSTMODEL_COUNTERS},
+        "bits_per_edge_sha256": hashlib.sha256(
+            json.dumps(items).encode()
+        ).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def timing_golden():
+    with open(TIMING_GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_timing_golden_covers_every_case(timing_golden):
+    assert sorted(timing_golden) == sorted(TIMING_CASES)
+    assert all(
+        r["costmodel.fast_forward_rounds"]
+        for name, r in timing_golden.items() if not name.startswith("fuzz")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TIMING_CASES))
+def test_timing_matches_golden(name, timing_golden):
+    """Rounds, bits, busiest link-round, jump counters and
+    ``bits_per_edge`` *in key order*, as the count plane produced them
+    before its stepped round was last optimized (regenerate:
+    ``tests/golden/README.md``)."""
+    assert timing_golden_record(name) == timing_golden[name]
+
+
+def _op_state(value):
+    """A comparable deep copy of op state (ops compare by identity, so
+    they unfold into their fields)."""
+    if isinstance(value, _Op):
+        return (type(value).__name__, _op_state(vars(value)))
+    if isinstance(value, dict):
+        return {key: _op_state(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, deque)):
+        return (type(value).__name__, [_op_state(item) for item in value])
+    if isinstance(value, set):
+        return frozenset(value)
+    return value
+
+
+def test_horizon_leaves_every_op_unchanged(monkeypatch):
+    """A jump check stops at the first op that declines, so which ops it
+    asks depends on the step order: that is only exact while asking
+    changes nothing.  Every op class's ``horizon`` is wrapped to compare
+    the op's counters and log (its whole state) before and after."""
+    calls = {}
+    for cls in (_Parallel, _Broadcast, _Convergecast, _Route):
+        def checked(self, period, _horizon=cls.horizon, _cls=cls):
+            before = _op_state(vars(self))
+            horizon = _horizon(self, period)
+            assert _op_state(vars(self)) == before, _cls.__name__
+            calls[_cls.__name__] = calls.get(_cls.__name__, 0) + 1
+            return horizon
+        monkeypatch.setattr(cls, "horizon", checked)
+    timing = evaluate_timing(_skeleton_of(TIMING_CASES["wide-expander-N96"]))
+    assert timing.rounds == 132
+    assert calls.get("_Parallel") and calls.get("_Broadcast")
+    assert calls.get("_Convergecast")
 
 
 # ---------------------------------------------------------------------------

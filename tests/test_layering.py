@@ -182,6 +182,17 @@ def test_wire_format_constants_are_assigned_once_in_the_network_package():
     }
 
 
+def test_the_count_plane_takes_only_the_wire_constants_from_the_network():
+    # The timing recurrence is the engines' independent oracle
+    # (docs/costmodel.md, "Independence"): it shares the two fixed
+    # charges of the wire format with them and none of their round logic.
+    assert sorted(
+        target for importer, target in IMPORTS
+        if importer == "repro.costmodel.timing"
+        and _subpackage(target) == "network"
+    ) == ["repro.network.program.EOS_BITS", "repro.network.program.HEADER_BITS"]
+
+
 def test_a_protocol_plan_holds_no_relations_and_no_solver():
     # Model 2.1: H, G and the protocol are common knowledge, the
     # relations are private inputs.  Whoever runs a plan brings its own
