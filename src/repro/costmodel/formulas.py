@@ -13,8 +13,8 @@ closed forms:
   exactly ``k_j`` slot values at ``b_v`` bits to its parent.
 * **Final routing** (Lemma 3.1): the link ``v -> parent(v)`` carries
   every payload item originating in ``v``'s routing subtree, at
-  ``b_t + b_v`` bits each (chunking splits but never pads), plus one
-  1-bit EOS per non-sink participant.
+  ``b_t + b_v`` bits each (bit framing lets an item straddle rounds
+  and never pads one), plus one 1-bit EOS per non-sink participant.
 
 ``rounds`` and ``max_edge_bits_per_round`` depend on *when* those bits
 move; they come from the timing recurrence ρ
@@ -128,14 +128,13 @@ _P = sym("P")
 def two_party_route_rounds() -> Expr:
     """Rounds of a single-origin distance-1 route with ``P >= 1`` items.
 
-    Every item is ``b_t + b_v > B = max(b_t, b_v)`` bits, so it chunks
-    into ``(B, b_t + b_v - B)``; the greedy forwarder then ships exactly
-    one item per two rounds.  The trailing EOS bit piggybacks on the
-    final remainder round unless the remainder already fills the link
-    (``b_t == b_v``), which costs one extra round — the
-    ``floor((b_t + b_v - B) / B)`` term.
+    The origin's queue is ``P * (b_t + b_v)`` bits; every round the link
+    takes a full ``B`` of it, items straddling rounds, until the last
+    round takes the remainder.  The 1-bit EOS rides in that round if the
+    remainder leaves room, and takes one more round if it fills the
+    link: ``ceil((P * (b_t + b_v) + 1) / B)`` either way.
     """
-    return add(mul(2, _P), floordiv(add(b_t, b_v, mul(-1, B)), B))
+    return floordiv(add(mul(_P, add(b_t, b_v)), B), B)
 
 
 #: The per-primitive symbolic kernels: (name, expression, description).
@@ -164,7 +163,8 @@ KERNEL_FORMULAS: Tuple[Tuple[str, Expr, str], ...] = (
         "route_link_bits",
         add(mul(_P, add(b_t, b_v)), const(EOS_BITS)),
         "Final-phase bits on one routing link carrying P subtree items "
-        "(Lemma 3.1): chunking splits items but never pads, plus EOS.",
+        "(Lemma 3.1): items straddle rounds but are never padded, plus "
+        "EOS.",
     ),
     (
         "single_placement_rounds",
@@ -175,9 +175,9 @@ KERNEL_FORMULAS: Tuple[Tuple[str, Expr, str], ...] = (
     (
         "two_party_route_rounds",
         two_party_route_rounds(),
-        "Single-origin distance-1 routing of P >= 1 items: two rounds "
-        "per chunked item, plus one trailing EOS round iff the item "
-        "remainder saturates the link (b_t == b_v).",
+        "Single-origin distance-1 routing of P >= 1 items: the queue's "
+        "P*(b_t + b_v) bits plus the 1-bit EOS at B bits a round, "
+        "ceil((P*(b_t + b_v) + 1) / B).",
     ),
     (
         "busiest_link_saturation",

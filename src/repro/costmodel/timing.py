@@ -10,22 +10,25 @@ tracking only integer counts — no tuples, no semiring values, no
 simulator, no protocol execution.
 
 This is a deliberate *independent reimplementation* of the op semantics
-(header chunking, per-round forwarding budgets, the convergecast's
-min-over-children gate, the routing EOS handshake, same-round op
-chaining, round-``t`` blocks delivered at ``t+1``): the lab compares its
-output for **equality** against both engines over the fuzzed plane, so
-any drift between an engine and this model is a caught bug in one of
-them, not noise.  The generator and compiled engines are themselves
-parity-gated against each other, so one evaluation prices all planes.
+(bit framing — each round a stream puts ``min(bits available, room)``
+bits on its link, so an item may straddle rounds — the convergecast's
+min-over-children slot gate, the routing queue as one bit count and its
+EOS handshake, same-round op chaining, round-``t`` blocks delivered at
+``t+1``): the lab compares its output for **equality** against both
+engines over the fuzzed plane, so any drift between an engine and this
+model is a caught bug in one of them, not noise.  The generator and
+compiled engines are themselves parity-gated against each other, so one
+evaluation prices all planes.
 
-Star phases cost O(phases + transients), not O(rounds): once the
-round's send list repeats with period 1 or 2 the recurrence jumps whole
-cycles arithmetically (see :func:`evaluate_timing`); routed payload is
-still stepped.  The jump is written against this module's own integer
-state — each op logs what a round added to its counters, and rebuilds
-from those deltas and its current counters the *margins* that kept its
-``min(...)`` guards from flipping — and shares no code with the block
-engine's fast-forward, so the independence above still holds.
+Streaming costs O(phases + transients), not O(rounds): a steady stream
+sends the same bits every round, so once a round's send list repeats
+the recurrence jumps whole stretches of rounds arithmetically (see
+:func:`evaluate_timing`) — star phases and routed payload alike.  The
+jump is written against this module's own integer state — each op logs
+what a round added to its bit counters and turns its current counters
+and that delta into the *margins* that keep its ``min(...)`` guards
+from flipping — and shares no code with the block engine's
+fast-forward, so the independence above still holds.
 
 A stepped round is kept cheap in this module's own code, too: an op
 takes its input queues when it starts (:meth:`_Ctx.inbox`) and drains
@@ -63,8 +66,8 @@ class CostVector:
 class _Ctx:
     """Count-plane ProgramContext: per-round room + next-round delivery.
 
-    An op sets ``one_off`` in a round no steady cycle can contain: a
-    header or EOS moved, routed chunks moved, a parallel member finished.
+    A parallel group sets ``one_off`` in a round no steady stretch can
+    contain: one of its members finished.
     """
 
     __slots__ = ("node", "capacity", "queues", "sent", "outbox", "one_off")
@@ -74,13 +77,13 @@ class _Ctx:
         self.capacity = capacity
         self.queues: Dict[Tuple[str, str], deque] = {}
         self.sent: Dict[str, int] = {}
-        self.outbox: List[Tuple[str, str, str, str, int, int, object]] = []
+        self.outbox: List[Tuple[str, str, str, str, int, object]] = []
         self.one_off = False
 
     def room(self, dst: str) -> int:
         return self.capacity - self.sent.get(dst, 0)
 
-    def send(self, dst, tag, kind, bits, count=1, meta=None) -> None:
+    def send(self, dst, tag, kind, bits, meta=None) -> None:
         used = self.sent.get(dst, 0)
         if used + bits > self.capacity:
             raise CostModelError(
@@ -88,7 +91,7 @@ class _Ctx:
                 f"{used + bits} > {self.capacity}"
             )
         self.sent[dst] = used + bits
-        self.outbox.append((self.node, dst, tag, kind, bits, count, meta))
+        self.outbox.append((self.node, dst, tag, kind, bits, meta))
 
     def inbox(self, stream: Tuple[str, str]) -> deque:
         """The queue of ``stream`` = ``(tag, src)``, made if missing.
@@ -110,8 +113,8 @@ _UNBOUNDED = 1 << 62
 class _Op:
     """One blocking op of a node program.
 
-    :meth:`horizon` and :meth:`jump` are called only when the last
-    ``2 * period`` rounds held no one-off and no program transition.
+    :meth:`horizon` and :meth:`jump` are called only when the last two
+    rounds held no one-off and no program transition.
     """
 
     def start(self, ctx: _Ctx) -> None:
@@ -120,9 +123,9 @@ class _Op:
     def step(self, ctx: _Ctx) -> bool:
         raise NotImplementedError
 
-    def horizon(self, period: int) -> int:
-        """How many more ``period``-round cycles replay identically,
-        given that the last cycle's arrivals repeat (0 declines).
+    def horizon(self) -> int:
+        """How many more rounds replay the last one identically, given
+        that its arrivals repeat (0 declines).
 
         Must leave the op as it was: a jump check stops asking at the
         first op that declines, so which ops are asked depends on the
@@ -130,62 +133,48 @@ class _Op:
         """
         raise NotImplementedError
 
-    def jump(self, period: int, k: int) -> None:
-        """Apply ``k`` replays of the last ``period`` rounds."""
+    def jump(self, k: int) -> None:
+        """Apply ``k`` replays of the last round."""
         raise NotImplementedError
 
 
 class _Stream(_Op):
-    """An op whose steady state moves integer counters linearly.
+    """An op whose steady state moves integer bit counters linearly.
 
-    Its counters are a head counter and one per child
-    (:meth:`counters`).  ``log`` holds, per stepped round that was not a
-    one-off, that round's delta ``(head, per_child)``: what it added to
-    each counter.  When :meth:`horizon` is called the last
-    ``2 * period`` entries are exactly the last ``2 * period`` rounds,
-    so taking them back one by one from the current counters gives the
-    counters after each of those rounds, and :meth:`margins` of those
-    the integer distances that kept every ``min(...)`` guard and the
-    completion test on the side they were on.
+    ``log`` holds, per stepped round, that round's delta: what it added
+    to each counter.  When :meth:`horizon` is called its two entries are
+    the last two rounds; if they agree, every counter moves by the same
+    delta each further round, and so does every guard of the op's
+    ``min(...)`` decisions.
+    :meth:`margins` turns the current counters and that delta into
+    ``(margin, slope)`` pairs: each margin must stay at least 0 for the
+    round to replay, and moves by its slope a round.
     """
 
     def __init__(self) -> None:
-        self.log: deque = deque(maxlen=4)
+        self.log: deque = deque(maxlen=2)
 
-    def horizon(self, period: int) -> int:
-        # The last two cycles must have equal deltas.  Then every margin
-        # moves linearly, by its own change over one cycle; a shrinking
-        # margin must stay positive at its position in every replayed
-        # cycle, so the op neither flips a guard nor completes mid-jump.
+    def horizon(self) -> int:
         log = self.log
-        for i in range(1, period + 1):
-            if log[-i] != log[-i - period]:
-                return 0
-        counters = self.counters()
-        rebuilt = [self.margins(counters)]  # newest round first
-        for i in range(1, 2 * period):
-            head, per_child = log[-i]
-            counters = [counters[0] - head] + [
-                count - added for count, added in zip(counters[1:], per_child)
-            ]
-            rebuilt.append(self.margins(counters))
+        if log[0] != log[1]:
+            return 0
+        margins = self.margins(log[1])
+        if margins is None:
+            return 0
         k = _UNBOUNDED
-        for margins, margins_before in zip(rebuilt, rebuilt[period:]):
-            for margin, was in zip(margins, margins_before):
-                if margin < was:
-                    k = min(k, (margin - 1) // (was - margin))
-        return max(k, 0)
+        for margin, slope in margins:
+            if margin < 0:
+                return 0
+            if slope < 0:
+                k = min(k, margin // -slope)
+        return k
 
-    def jump(self, period: int, k: int) -> None:
-        for i in range(1, period + 1):
-            self.replay(self.log[-i], k)
+    def jump(self, k: int) -> None:
+        self.replay(self.log[1], k)
 
-    def counters(self) -> List[int]:
-        """The head counter, then one counter per child."""
-        raise NotImplementedError
-
-    def margins(self, counters: List[int]):
-        """The guard margins of the op with these counters."""
+    def margins(self, delta) -> Optional[List[Tuple[int, int]]]:
+        """The op's ``(margin, slope)`` guards under ``delta``; None
+        declines outright."""
         raise NotImplementedError
 
     def replay(self, delta, k: int) -> None:
@@ -226,29 +215,26 @@ class _Parallel(_Op):
             ctx.one_off = True
         return not self.live
 
-    def horizon(self, period: int) -> int:
+    def horizon(self) -> int:
         k = _UNBOUNDED
         for member in self.live:
-            horizon = member.horizon(period)
+            horizon = member.horizon()
             if horizon < 1:
                 return 0
             k = min(k, horizon)
         return k
 
-    def jump(self, period: int, k: int) -> None:
+    def jump(self, k: int) -> None:
         for member in self.live:
-            member.jump(period, k)
-
-
-#: A broadcast's delta while it waits for the header.
-_DORMANT = (0, ())
+            member.jump(k)
 
 
 class _Broadcast(_Stream):
-    """Mirror of BroadcastOp.step: header first (chunked, count in the
-    first chunk), then items at ``per_item`` bits, budget per child.
+    """Mirror of BroadcastOp.step, in bits: the stream is the header
+    then the items; each round every child gets as many held bits as
+    its edge has room for, so an item may straddle rounds.
 
-    Counters: items received, then items forwarded per child."""
+    Counters: bits held, then bits forwarded per child."""
 
     def __init__(self, tag, parent, children, per_item, root_count=None):
         super().__init__()
@@ -256,110 +242,84 @@ class _Broadcast(_Stream):
         self.parent = parent
         self.children = list(children)
         self.per_item = max(1, per_item)
-        self.root_count = root_count
+        #: The stream's length in bits: known at the root, learned from
+        #: the frame that completes the header elsewhere.
+        self.length: Optional[int] = None
         self.count: Optional[int] = None
-        self.received = 0
-        self.header_left = {c: HEADER_BITS for c in self.children}
-        self.header_started: set = set()
-        #: Every child's header is out: a round only streams items.
-        self.headers_done = not self.children
+        if parent is None:
+            self._learn(int(root_count or 0))
+        self.held = 0
         self.forwarded = {c: 0 for c in self.children}
         self._inbox: Optional[deque] = None  # the root reads nothing
 
+    def _learn(self, count: int) -> None:
+        self.count = count
+        self.length = HEADER_BITS + count * self.per_item
+
     def start(self, ctx: _Ctx) -> None:
         if self.parent is None:
-            self.count = int(self.root_count or 0)
-            self.received = self.count
+            self.held = self.length
         else:
             self._inbox = ctx.inbox((self.tag, self.parent))
 
     def step(self, ctx: _Ctx) -> bool:
         arrived = 0
-        header_moved = False
         inbox = self._inbox
         if inbox:
-            for kind, count, meta in inbox:
-                if kind == "it":
-                    arrived += count
-                elif kind == "hdr":
-                    self.count = meta
-                    header_moved = True
-                else:
-                    header_moved = True
+            for _kind, bits, meta in inbox:
+                arrived += bits
+                if meta is not None:
+                    self._learn(meta)
             inbox.clear()
-            self.received += arrived
-        count = self.count
-        if count is None:
-            # Nothing arrives or leaves before the header does.
-            self.log.append(_DORMANT)
-            return False
-        header_left = self.header_left
-        if not self.headers_done:
-            for child in self.children:
-                while header_left[child] > 0:
-                    room = ctx.room(child)
-                    if room < 1:
-                        break
-                    take = min(room, header_left[child])
-                    if child not in self.header_started:
-                        ctx.send(child, self.tag, "hdr", take, meta=count)
-                        self.header_started.add(child)
-                    else:
-                        ctx.send(child, self.tag, "hdrc", take)
-                    header_left[child] -= take
-                    header_moved = True
-            self.headers_done = not any(header_left.values())
-        headers_done = self.headers_done
+            self.held += arrived
+        held = self.held
         forwarded = self.forwarded
-        complete = headers_done and self.received == count
         sent = []
         for child in self.children:
-            k = 0
-            if headers_done or header_left[child] == 0:
-                k = min(
-                    self.received - forwarded[child],
-                    ctx.room(child) // self.per_item,
-                )
-                if k > 0:
-                    ctx.send(child, self.tag, "it", k * self.per_item, count=k)
-                    forwarded[child] += k
-            sent.append(k)
-            if forwarded[child] != count:
-                complete = False
-        if header_moved:
-            ctx.one_off = True
-        else:
-            self.log.append((arrived, tuple(sent)))
-        return complete
+            done = forwarded[child]
+            bits = min(held - done, ctx.room(child))
+            if bits > 0:
+                count = self.count if done < HEADER_BITS <= done + bits else None
+                ctx.send(child, self.tag, "bits", bits, meta=count)
+                forwarded[child] = done + bits
+            else:
+                bits = 0
+            sent.append(bits)
+        self.log.append((arrived, tuple(sent)))
+        length = self.length
+        return held == length and all(
+            done == length for done in forwarded.values()
+        )
 
-    def counters(self) -> List[int]:
-        return [self.received, *self.forwarded.values()]
-
-    def margins(self, counters: List[int]):
-        count = self.count
-        if count is None:
-            return ()  # dormant until the header
-        # Items still to arrive, then per child items left to forward
-        # (completion) and backlog (the send stays room-limited while it
-        # is positive).
-        received = counters[0]
-        margins = [count - received]
-        for done in counters[1:]:
-            margins += (count - done, received - done)
+    def margins(self, delta):
+        arrived, sent = delta
+        if self.length is None:
+            # Before the header lands only a silent relay is steady.
+            return [] if not arrived and not any(sent) else None
+        # A round before the stream's last bit leaves for a child (its
+        # arrival here is bounded by the sender's own margin), and each
+        # child's backlog stays non-negative (its send room-limited).
+        margins = []
+        for done, bits in zip(self.forwarded.values(), sent):
+            if bits:
+                margins.append((self.length - 1 - done, -bits))
+            margins.append((self.held - done, arrived - bits))
         return margins
 
     def replay(self, delta, k: int) -> None:
         arrived, sent = delta
-        self.received += k * arrived
-        for child, items in zip(self.children, sent):
-            self.forwarded[child] += k * items
+        self.held += k * arrived
+        for child, bits in zip(self.children, sent):
+            self.forwarded[child] += k * bits
 
 
 class _Convergecast(_Stream):
-    """Mirror of ConvergecastOp.step: slot i moves up once every child
-    delivered slot i, at most ``room // per_slot`` per round.
+    """Mirror of ConvergecastOp.step, in bits: slot i is ready once
+    every child's slot i has fully landed, and ready bits go up as far
+    as the edge has room.
 
-    Counters: slots moved up, then slots delivered per child."""
+    Counters: bits moved up (none at the root), then bits received per
+    child."""
 
     def __init__(self, tag, parent, children, per_slot, num_slots):
         super().__init__()
@@ -368,17 +328,23 @@ class _Convergecast(_Stream):
         self.children = list(children)
         self.per_slot = max(1, per_slot)
         self.num_slots = int(num_slots)
-        self.out_idx = 0
-        self.buffered = {c: 0 for c in self.children}
+        self.ready = 0
+        self.moved = 0
+        self.received = {c: 0 for c in self.children}
         self._inboxes: List[deque] = []
         self._no_arrivals = (0,) * len(self.children)
-        #: The last round was idle — nothing arrived and nothing was left
-        #: to move — so ``log[-1]`` is also the entry of the next idle
+        #: The last round was idle — nothing arrived and every ready bit
+        #: was out — so ``log[-1]`` is also the entry of the next idle
         #: round.  A jump drops it: it moves the counters behind it.
         self._idle = False
 
     def start(self, ctx: _Ctx) -> None:
         self._inboxes = [ctx.inbox((self.tag, c)) for c in self.children]
+
+    def _ready(self) -> int:
+        if not self.children:
+            return self.num_slots
+        return min(self.num_slots, min(self.received.values()) // self.per_slot)
 
     def step(self, ctx: _Ctx) -> bool:
         arrived = any(self._inboxes)
@@ -386,10 +352,10 @@ class _Convergecast(_Stream):
             arrivals = []
             for child, inbox in zip(self.children, self._inboxes):
                 got = 0
-                for _kind, count, _meta in inbox:
-                    got += count
+                for _kind, bits, _meta in inbox:
+                    got += bits
                 inbox.clear()
-                self.buffered[child] += got
+                self.received[child] += got
                 arrivals.append(got)
             arrivals = tuple(arrivals)
         elif self._idle:
@@ -397,53 +363,82 @@ class _Convergecast(_Stream):
             return False
         else:
             arrivals = self._no_arrivals
-        if self.children:
-            avail = min(self.buffered.values())
+        self.ready = self._ready()
+        if self.parent is None:
+            self._idle = not arrived
+            self.log.append((0, arrivals))
+            return self.ready == self.num_slots
+        ready_bits = self.ready * self.per_slot
+        moved = min(ready_bits - self.moved, ctx.room(self.parent))
+        if moved > 0:
+            ctx.send(self.parent, self.tag, "bits", moved)
+            self.moved += moved
         else:
-            avail = self.num_slots
-        k = min(self.num_slots, avail) - self.out_idx
-        self._idle = k <= 0 and not arrived
-        if k <= 0:
-            k = 0
-        elif self.parent is not None:
-            k = min(k, ctx.room(self.parent) // self.per_slot)
-            if k > 0:
-                ctx.send(self.parent, self.tag, "slot",
-                         k * self.per_slot, count=k)
-        self.out_idx += k
-        self.log.append((k, arrivals))
-        return self.out_idx >= self.num_slots
+            moved = 0
+        self._idle = not moved and not arrived and self.moved == ready_bits
+        self.log.append((moved, arrivals))
+        return self.moved == self.num_slots * self.per_slot
 
-    def counters(self) -> List[int]:
-        return [self.out_idx, *self.buffered.values()]
-
-    def margins(self, counters: List[int]):
-        # Slots left to move (completion), then per child how far its
-        # deliveries run ahead of what has moved up.
-        out_idx = counters[0]
-        return [self.num_slots - out_idx,
-                *(got - out_idx for got in counters[1:])]
+    def margins(self, delta):
+        moved, arrivals = delta
+        if self.parent is None or (not moved and not any(arrivals)):
+            # The root sends nothing: it replays while its children do,
+            # and their own margins keep their last bit out of the jump.
+            return []
+        per_slot = self.per_slot
+        margins = []
+        if moved:
+            margins.append((self.num_slots * per_slot - self.moved - 1, -moved))
+        # Drained (every ready bit is out): a round moves exactly the
+        # slots that became ready, which repeats only while a child whose
+        # bits arrive as fast as they leave (whole slots) holds the
+        # minimum.  Otherwise the round was room-limited, and stays so
+        # while no child's readied bits fall behind the bits moved.
+        drained = self.moved == self.ready * per_slot
+        if drained and not any(
+            got == moved and have // per_slot == self.ready
+            for got, have in zip(arrivals, self.received.values())
+        ):
+            return None
+        for got, have in zip(arrivals, self.received.values()):
+            if drained and got >= moved:
+                continue
+            # The child's readied bits beyond those moved: exact when it
+            # delivers whole slots a round, else its linear lower
+            # envelope ``have - (per_slot - 1)``, which the slot floor
+            # never undercuts.
+            if got % per_slot:
+                ahead = have - (per_slot - 1) - self.moved
+            else:
+                ahead = have - have % per_slot - self.moved
+            margins.append((ahead, got - moved))
+        return margins
 
     def replay(self, delta, k: int) -> None:
         moved, arrivals = delta
         self._idle = False
-        self.out_idx += k * moved
+        self.moved += k * moved
         for child, got in zip(self.children, arrivals):
-            self.buffered[child] += k * got
+            self.received[child] += k * got
+        self.ready = self._ready()
 
 
-class _Route(_Op):
-    """Mirror of RouteOp.step: greedy store-and-forward of chunk sizes
-    toward the sink, then the 1-bit EOS handshake.  Every round that
-    moves a chunk or an EOS is a one-off, so only an idle route (waiting
-    on its children while stars still stream elsewhere) joins a jump; a
-    streaming one declines, which is always exact."""
+class _Route(_Stream):
+    """Mirror of RouteOp.step: the queue is one bit count (own payload,
+    then arrivals) that goes toward the sink as far as the edge has
+    room each round, then the 1-bit EOS handshake.  A streaming relay's
+    queue moves linearly, so it jumps like any stream; an EOS matters
+    only once the queue is empty with room left, and that round sends
+    the op's own EOS and completes it.
 
-    def __init__(self, tag, parent, children, chunks: List[int]):
+    Counter: bits queued."""
+
+    def __init__(self, tag, parent, children, payload_bits: int):
+        super().__init__()
         self.tag = tag
         self.parent = parent
         self.children = list(children)
-        self.queue: deque = deque(chunks)
+        self.queue = payload_bits
         self.eos_pending = set(self.children)
         self.eos_sent = False
         self._inboxes: List[deque] = []
@@ -452,29 +447,26 @@ class _Route(_Op):
         self._inboxes = [ctx.inbox((self.tag, c)) for c in self.children]
 
     def step(self, ctx: _Ctx) -> bool:
+        arrived = 0
         for child, inbox in zip(self.children, self._inboxes):
             if not inbox:
                 continue
-            ctx.one_off = True
-            for kind, _count, meta in inbox:
+            for kind, bits, _meta in inbox:
                 if kind == "eos":
                     self.eos_pending.discard(child)
-                else:  # "run": meta is the chunk-size tuple
-                    self.queue.extend(meta)
+                else:
+                    arrived += bits
             inbox.clear()
         if self.parent is None:
-            self.queue.clear()
+            self.log.append((arrived, 0))
             return not self.eos_pending
-        sent: List[int] = []
-        room = ctx.room(self.parent)
-        while self.queue and room >= self.queue[0]:
-            size = self.queue.popleft()
-            room -= size
-            sent.append(size)
-        if sent:
-            ctx.one_off = True
-            ctx.send(self.parent, self.tag, "run", sum(sent),
-                     count=len(sent), meta=tuple(sent))
+        self.queue += arrived
+        sent = min(self.queue, ctx.room(self.parent))
+        if sent > 0:
+            ctx.send(self.parent, self.tag, "bits", sent)
+            self.queue -= sent
+        else:
+            sent = 0
         if (
             not self.queue
             and not self.eos_pending
@@ -483,13 +475,19 @@ class _Route(_Op):
         ):
             ctx.send(self.parent, self.tag, "eos", EOS_BITS)
             self.eos_sent = True
+        self.log.append((arrived, sent))
         return self.eos_sent
 
-    def horizon(self, period: int) -> int:
-        return _UNBOUNDED  # idle for the last two cycles
+    def margins(self, delta):
+        if self.parent is None:
+            return []  # the sink takes everything
+        arrived, sent = delta
+        return [(self.queue, arrived - sent)]
 
-    def jump(self, period: int, k: int) -> None:
-        pass
+    def replay(self, delta, k: int) -> None:
+        if self.parent is not None:
+            arrived, sent = delta
+            self.queue += k * (arrived - sent)
 
 
 class _Program:
@@ -521,19 +519,6 @@ class _Program:
             self.done = self.index == len(self.items)
             moved = True
         return moved
-
-
-def _chunk_pattern(item_bits: int, capacity: int) -> Tuple[int, ...]:
-    """Mirror of :func:`repro.network.program.chunk_pattern`."""
-    item_bits = max(1, item_bits)
-    if item_bits <= capacity:
-        return (item_bits,)
-    sizes = [capacity]
-    remaining = item_bits - capacity
-    while remaining > 0:
-        sizes.append(min(capacity, remaining))
-        remaining -= capacity
-    return tuple(sizes)
 
 
 def _children_lists(parents: Dict[str, Optional[str]]) -> Dict[str, List[str]]:
@@ -595,13 +580,11 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
                 [_Parallel(scatter), _Compute(), _Parallel(combine), _Compute()]
             )
         if node in route.parents:
-            count = route.payload_counts.get(node, 0)
-            pattern = _chunk_pattern(skeleton.item_bits, skeleton.capacity)
-            chunks = list(pattern) * count
             items.append(
                 _Route(
                     "final", route.parents.get(node),
-                    route_children.get(node, ()), chunks,
+                    route_children.get(node, ()),
+                    route.payload_counts.get(node, 0) * skeleton.item_bits,
                 )
             )
             if node == skeleton.output_player:
@@ -610,27 +593,27 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
     return programs
 
 
-def _steady_cycles(history, period, live, limit) -> int:
-    """Whole ``period``-round cycles every live op can replay, at most
+def _steady_cycles(history, live, limit) -> int:
+    """Rounds every live op can replay the last one for, at most
     ``limit``; 0 means step on.
 
-    The last two cycles must have sent the same blocks (two silent
+    The last two rounds must have sent the same blocks (two silent
     rounds would already have raised the deadlock error) and every live
     op must grant a horizon; the first that declines ends the check.
     """
-    for i in range(1, period + 1):
-        if history[-i][0] != history[-i - period][0]:
-            return 0
+    if history[0][0] != history[1][0]:
+        return 0
     k = limit
     for prog, _ctx in live:
-        k = min(k, prog.current.horizon(period))
+        k = min(k, prog.current.horizon())
         if k < 1:
             return 0
     return k
 
 
-def _materialize(cycle, k, contexts) -> None:
-    """Deliver what ``k`` skipped replays of ``cycle`` sent to mailboxes.
+def _materialize(sends, k, contexts) -> None:
+    """Deliver what ``k`` skipped replays of a round's ``sends`` put in
+    mailboxes.
 
     A stream whose queue still holds blocks after the stepped round is
     not read by its receiver's current op, which empties the queues it
@@ -643,19 +626,17 @@ def _materialize(cycle, k, contexts) -> None:
     its streams are fully read), and the round loop drops those
     deliveries too.
 
-    The skipped rounds deliver every cycle position ``k`` times: they
-    start one position late, at the stepped round's own sends, and those
-    stay ``pending`` for the round after the jump.  A steady cycle
-    carries only ``it`` and ``slot`` blocks (headers, EOS and routed
-    chunks are one-offs), which their readers sum, so one entry per
-    stream and cycle position stands for all ``k``.
+    The skipped rounds deliver the round's sends ``k`` times: they start
+    at the stepped round's own sends, and those stay ``pending`` for the
+    round after the jump.  A steady round carries no header-completing
+    frame and no EOS (each is sent once, so the round before differs),
+    and readers sum bits, so one entry per stream stands for all ``k``.
     """
-    for sends, _edge_bits in cycle:
-        for src, dst, tag, kind, _bits, count, _meta in sends:
-            ctx = contexts.get(dst)
-            queue = ctx.queues.get((tag, src)) if ctx is not None else None
-            if queue:
-                queue.append((kind, k * count, None))
+    for src, dst, tag, kind, bits, _meta in sends:
+        ctx = contexts.get(dst)
+        queue = ctx.queues.get((tag, src)) if ctx is not None else None
+        if queue:
+            queue.append((kind, k * bits, None))
 
 
 def evaluate_timing(
@@ -673,16 +654,15 @@ def evaluate_timing(
     order, which is added once per link to ``total_bits`` and
     ``bits_per_edge`` (first-seen key order, as the engines keep it).
 
-    Steady streaming is not stepped.  When the last two cycles of
-    ``period`` 1 or 2 rounds sent the same blocks and held no program
-    transition and no one-off round (see :class:`_Ctx`), all live ops
-    replay the cycle ``k`` times arithmetically — ``k`` being the
-    smallest :meth:`_Op.horizon`, capped so ``max_rounds`` is still
-    enforced by a stepped round — and the streams no current op reads
-    are delivered to their mailboxes (:func:`_materialize`).  Only
-    counters advance, so ``max_edge_bits_per_round`` cannot change.  A
-    streaming route makes every round a one-off, so routed payload is
-    still stepped.
+    Steady streaming is not stepped.  When the last two rounds sent the
+    same blocks and held no program transition and no one-off (see
+    :class:`_Ctx`), all live ops replay the round ``k`` times
+    arithmetically — ``k`` being the smallest :meth:`_Op.horizon`,
+    capped so ``max_rounds`` is still enforced by a stepped round — and
+    the streams no current op reads are delivered to their mailboxes
+    (:func:`_materialize`).  Only counters advance, so
+    ``max_edge_bits_per_round`` cannot change.  Scatter, combine and
+    routed payload all jump alike.
     """
     programs = _build_programs(skeleton)
     contexts = {n: _Ctx(n, skeleton.capacity) for n in skeleton.nodes}
@@ -693,15 +673,15 @@ def evaluate_timing(
         for n in sorted(programs) if not programs[n].done
     ]
 
-    pending: List[Tuple[str, str, str, str, int, int, object]] = []
+    pending: List[Tuple[str, str, str, str, int, object]] = []
     total_bits = 0
     last_send_round = 0
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
-    # The last four rounds' (sends, per-link bits), and the last round
-    # that cannot be part of a steady cycle: a program moved to its next
-    # op or finished, or an op flagged a one-off.
-    history: deque = deque(maxlen=4)
+    # The last two rounds' (sends, per-link bits), and the last round
+    # that cannot be part of a steady stretch: a program moved to its
+    # next op or finished, or an op flagged a one-off.
+    history: deque = deque(maxlen=2)
     last_change_round = 0
     jumped_rounds = 0
 
@@ -714,12 +694,12 @@ def evaluate_timing(
                 f"(live nodes: {[prog.node for prog, _ctx in live]})"
             )
         had_pending = bool(pending)
-        for src, dst, tag, kind, _bits, count, meta in pending:
+        for src, dst, tag, kind, bits, meta in pending:
             prog = programs.get(dst)
             if prog is not None and not prog.done:
-                contexts[dst].inbox((tag, src)).append((kind, count, meta))
+                contexts[dst].inbox((tag, src)).append((kind, bits, meta))
 
-        round_sends: List[Tuple[str, str, str, str, int, int, object]] = []
+        round_sends: List[Tuple[str, str, str, str, int, object]] = []
         finished_any = False
         moved_any = False
         for prog, ctx in live:
@@ -742,7 +722,7 @@ def evaluate_timing(
         round_edge_bits: Dict[Tuple[str, str], int] = {}
         if round_sends:
             last_send_round = round_no
-            for src, dst, _tag, _kind, bits, _count, _meta in round_sends:
+            for src, dst, _tag, _kind, bits, _meta in round_sends:
                 link = (src, dst)
                 round_edge_bits[link] = round_edge_bits.get(link, 0) + bits
             for link, bits in round_edge_bits.items():
@@ -763,27 +743,21 @@ def evaluate_timing(
         pending = round_sends
 
         history.append((round_sends, round_edge_bits))
-        for period in (1, 2):
-            if round_no - last_change_round < 2 * period:
-                break
-            k = _steady_cycles(
-                history, period, live, (max_rounds - round_no) // period
-            )
-            if k:
-                for prog, _ctx in live:
-                    prog.current.jump(period, k)
-                cycle = [history[-i] for i in range(1, period + 1)]
-                _materialize(cycle, k, contexts)
-                for _sends, edge_bits in cycle:
-                    for link, bits in edge_bits.items():
-                        total_bits += k * bits
-                        bits_per_edge[link] += k * bits
-                round_no += k * period
-                # Logged deltas predate the jump: two freshly stepped
-                # cycles come before the next one.
-                last_send_round = last_change_round = round_no
-                jumped_rounds += k * period
-                break
+        if round_no - last_change_round < 2:
+            continue
+        k = _steady_cycles(history, live, max_rounds - round_no)
+        if k:
+            for prog, _ctx in live:
+                prog.current.jump(k)
+            _materialize(round_sends, k, contexts)
+            for link, bits in round_edge_bits.items():
+                total_bits += k * bits
+                bits_per_edge[link] += k * bits
+            round_no += k
+            # Logged deltas predate the jump: two freshly stepped rounds
+            # come before the next one.
+            last_send_round = last_change_round = round_no
+            jumped_rounds += k
 
     COUNTERS.increment("costmodel.rounds", last_send_round)
     COUNTERS.increment("costmodel.fast_forward_rounds", jumped_rounds)

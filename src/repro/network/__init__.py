@@ -10,7 +10,6 @@ from .program import (
     ParallelOps,
     ProgramContext,
     RouteOp,
-    chunk_pattern,
     run_program,
 )
 from .simulator import (
@@ -60,5 +59,4 @@ __all__ = [
     "ComputeStep",
     "ParallelOps",
     "run_program",
-    "chunk_pattern",
 ]

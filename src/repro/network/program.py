@@ -1,28 +1,35 @@
 """Compiled round programs — the block-granular protocol engine.
 
 The generator engine (:meth:`repro.network.simulator.Simulator.run`) steps
-one Python generator per node per round and ships every tuple as its own
-:class:`~repro.network.simulator.Message`.  This module is the *compiled*
-alternative: the control plane expresses a protocol as one
-:class:`NodeProgram` per node — a static schedule of typed ops
-(:class:`BroadcastOp`, :class:`ConvergecastOp`, :class:`RouteOp`,
-:class:`ComputeStep`) with precompiled trees, tags and roles — and the
-data plane moves :class:`BlockMessage` descriptors that cover a whole
-round's worth of items per edge in one Python object, with payload rows
-living in shared columnar :class:`~repro.semiring.columnar.WireBlock`
-buffers (capacity enforcement is integer arithmetic plus array slicing,
-never per-tuple work).
+one Python generator per node per round and ships every frame as its own
+:class:`~repro.network.simulator.Message` carrying the tuples it
+completes.  This module is the *compiled* alternative: the control plane
+expresses a protocol as one :class:`NodeProgram` per node — a static
+schedule of typed ops (:class:`BroadcastOp`, :class:`ConvergecastOp`,
+:class:`RouteOp`, :class:`ComputeStep`) with precompiled trees, tags and
+roles — and the data plane moves :class:`BlockMessage` descriptors that
+carry only a frame's bit count, with payload rows living in shared
+columnar :class:`~repro.semiring.columnar.WireBlock` buffers (capacity
+enforcement is integer arithmetic, never per-tuple work).
+
+Streams frame bits, not items: each round a stream puts ``min(bits
+available, room on the edge)`` bits on its link, so an item may straddle
+rounds and the receiver takes it when its last bit lands.  A broadcast's
+count header is its first ``HEADER_BITS`` bits; a route's queue is one
+bit count, and its EOS follows in the round the queue empties if there
+is room (``docs/protocols.md`` has the wire format).
 
 The engine is **accounting-exact** with respect to the generator engine:
 each op's per-round decisions replicate the corresponding generator
-primitive in :mod:`repro.protocols.primitives` (same header chunking,
-same per-round item counts, same EOS handshake), so round counts, total
+primitive in :mod:`repro.protocols.primitives`, written independently
+(same frames, same slot gate, same EOS handshake), so round counts, total
 bits, per-edge bits and message counts come out identical.  On top of
-that, :func:`run_program` *fast-forwards* steady streaming states: when
-the per-round send signature settles into a cycle (period 1 or 2) and
-every live op can bound how long its behaviour replays, the engine jumps
-whole cycles at once — thousands of pipeline rounds cost O(1) Python
-instead of O(rounds).  A jump attempt asks the live ops for their
+that, :func:`run_program` *fast-forwards* steady streaming states: a
+steady stream sends the same bits every round, so when a round's send
+signature repeats the previous one's and every live op can bound how
+long its behaviour replays, the engine jumps that many rounds at once —
+thousands of pipeline rounds cost O(1) Python instead of O(rounds),
+routed payload included.  A jump attempt asks the live ops for their
 horizons in step order and gives up at the first that declines, so
 :meth:`ProgramOp.cycle_horizon` must be side-effect free.
 
@@ -31,10 +38,10 @@ engine charges its own: the round's blocks fold into one ``{(src, dst):
 bits}`` dict in send order, every link of it is audited against ``B``
 (:class:`~repro.network.simulator.CapacityExceeded`), and the dict is
 added to the insertion-ordered ``bits_per_edge``.  A jump adds the
-cycle's stored per-round dicts ``k`` times.  ``edge_bits`` is folded
-from ``bits_per_edge`` once, after the last round, in the same
-first-seen order.  Nothing here is an array: this package imports
-neither ``numpy`` nor :mod:`repro.kernels` (``tests/test_layering.py``).
+round's stored dict ``k`` times.  ``edge_bits`` is folded from
+``bits_per_edge`` once, after the last round, in the same first-seen
+order.  Nothing here is an array: this package imports neither
+``numpy`` nor :mod:`repro.kernels` (``tests/test_layering.py``).
 
 Self-timing is preserved exactly: ops are started lazily, a finished op
 hands the round over to the next op of the same node (mirroring how a
@@ -75,38 +82,36 @@ UNBOUNDED = 10 ** 15
 
 
 class BlockMessage:
-    """One block on the wire: a round's worth of one stream's traffic.
+    """One block on the wire: one stream's frame over one edge in one
+    round.
 
     Attributes:
         src/dst: Directed edge the block traverses.
         tag: Stream tag (same namespace as the generator engine).
-        kind: ``"hdr"``/``"hdrc"`` (count header and its filler chunks),
-            ``"it"`` (broadcast items), ``"slot"`` (convergecast slots),
-            ``"run"`` (routing chunk run), ``"eos"`` (end of stream).
+        kind: ``"bits"`` (a frame of the stream) or ``"eos"`` (end of
+            stream).
         bits: Total bits charged against the edge for this block.
-        count: Logical payload units covered (items/slots/chunks).
         messages: Generator-engine message equivalents (for
-            ``total_messages`` parity).
-        meta: Kind-specific data — the announced count for ``"hdr"``,
-            the exact chunk-size tuple for ``"run"``.
+            ``total_messages`` parity): 1 for a frame, ``k`` for the
+            block a jump leaves in a mailbox for ``k`` skipped frames.
+        meta: The broadcast count, on the frame holding the header's
+            last bit.
     """
 
-    __slots__ = ("src", "dst", "tag", "kind", "bits", "count", "messages", "meta")
+    __slots__ = ("src", "dst", "tag", "kind", "bits", "messages", "meta")
 
-    def __init__(self, src, dst, tag, kind, bits, count, messages, meta=None):
+    def __init__(self, src, dst, tag, kind, bits, messages=1, meta=None):
         self.src = src
         self.dst = dst
         self.tag = tag
         self.kind = kind
         self.bits = bits
-        self.count = count
         self.messages = messages
         self.meta = meta
 
     def signature(self) -> Tuple:
         """The per-round cycle-detection key (payload-free)."""
-        return (self.src, self.dst, self.tag, self.kind, self.bits,
-                self.count, self.meta)
+        return (self.src, self.dst, self.tag, self.kind, self.bits, self.meta)
 
 
 class ProgramContext:
@@ -136,14 +141,7 @@ class ProgramContext:
         return self.capacity - self._sent.get(dst, 0)
 
     def send_block(
-        self,
-        dst: str,
-        tag: str,
-        kind: str,
-        bits: int,
-        count: int = 1,
-        messages: Optional[int] = None,
-        meta=None,
+        self, dst: str, tag: str, kind: str, bits: int, meta=None
     ) -> None:
         """Queue one block for delivery next round (capacity-checked)."""
         if bits < 1:
@@ -158,8 +156,7 @@ class ProgramContext:
             )
         self._sent[dst] = used + bits
         self._outbox.append(
-            BlockMessage(self.node, dst, tag, kind, bits, count,
-                         count if messages is None else messages, meta)
+            BlockMessage(self.node, dst, tag, kind, bits, meta=meta)
         )
 
     def inbox(self, stream: Tuple[str, str]) -> deque:
@@ -194,13 +191,13 @@ class ProgramOp:
         """Run one round; return True when the op has completed."""
         raise NotImplementedError
 
-    def cycle_horizon(self, p: int) -> int:
-        """How many *additional* p-round cycles replay identically.
+    def cycle_horizon(self) -> int:
+        """How many *additional* rounds replay the last one identically.
 
         Called only after the engine has observed two identical
-        consecutive p-round send cycles.  Returning 0 declines the
-        fast-forward; any positive k asserts that, with the last cycle's
-        arrivals repeating, this op's next ``k`` cycles consume and send
+        consecutive rounds of sends.  Returning 0 declines the
+        fast-forward; any positive k asserts that, with the last round's
+        arrivals repeating, this op's next ``k`` rounds consume and send
         exactly the same blocks and cross no internal boundary.
 
         Must be side-effect free: the engine stops asking at the first
@@ -209,26 +206,19 @@ class ProgramOp:
         """
         return 0
 
-    def advance(self, p: int, k: int) -> None:
-        """Apply ``k`` replays of the last ``p`` rounds' state deltas."""
+    def advance(self, k: int) -> None:
+        """Apply ``k`` replays of the last round's state deltas."""
 
     def describe(self) -> str:
         return self.label
 
-    # -- shared history helpers ----------------------------------------
-    # Ops that use them append one record per step to ``self._hist``, a
-    # ``deque(maxlen=8)`` made in ``__init__``.
-    def _cycle_stable(self, p: int) -> bool:
-        """Did the op's own last two p-round cycles behave identically?"""
+    # -- shared history helper -----------------------------------------
+    # Ops that use it append one record per step to ``self._hist``, a
+    # ``deque(maxlen=2)`` made in ``__init__``.
+    def _cycle_stable(self) -> bool:
+        """Did the op's own last two rounds behave identically?"""
         hist = self._hist
-        if len(hist) < 2 * p:
-            return False
-        return all(hist[-i] == hist[-i - p] for i in range(1, p + 1))
-
-    def _cycle_records(self, p: int) -> List[Tuple]:
-        """The last ``p`` records, oldest first."""
-        hist = self._hist
-        return [hist[i] for i in range(-p, 0)]
+        return len(hist) == 2 and hist[0] == hist[1]
 
 
 class ComputeStep(ProgramOp):
@@ -291,26 +281,26 @@ class ParallelOps(ProgramOp):
             self._last_finish = self._steps
         return not self._live
 
-    def cycle_horizon(self, p: int) -> int:
-        # A member that completed within the candidate cycle window put
-        # its *final* sends into the recorded signature; replaying the
-        # cycle would charge those sends again with no op state behind
-        # them.  The group's completion is invisible to the scheduler
-        # (the program index does not move), so decline the jump here.
-        if self._last_finish is not None and self._steps - self._last_finish < p:
+    def cycle_horizon(self) -> int:
+        # A member that completed in the last round put its *final*
+        # sends into the recorded signature; replaying the round would
+        # charge those sends again with no op state behind them.  The
+        # group's completion is invisible to the scheduler (the program
+        # index does not move), so decline the jump here.
+        if self._last_finish == self._steps:
             return 0
         k = UNBOUNDED
         for member in self._live:
-            horizon = member.cycle_horizon(p)
+            horizon = member.cycle_horizon()
             if horizon < 1:
                 return 0
             if horizon < k:
                 k = horizon
         return k
 
-    def advance(self, p: int, k: int) -> None:
+    def advance(self, k: int) -> None:
         for member in self._live:
-            member.advance(p, k)
+            member.advance(k)
 
     def describe(self) -> str:
         live = [member.describe() for member in self._live]
@@ -318,15 +308,16 @@ class ParallelOps(ProgramOp):
 
 
 class BroadcastOp(ProgramOp):
-    """One node's role in a pipelined tree broadcast, block-granular.
+    """One node's role in a pipelined tree broadcast, in bits.
 
     Mirrors :func:`repro.protocols.primitives.broadcast_node` round for
-    round: the count header travels first (chunked to the capacity on
-    thin edges, value in the first chunk, accounted filler after), then
-    items stream at ``per_item`` bits each, as many per round per child
-    as the remaining budget allows — sent as a single block.
+    round.  The stream is the ``HEADER_BITS`` count header followed by
+    ``per_item`` bits per item; each round every child gets one ``"bits"``
+    block of as many held bits as its edge has room for (the block that
+    completes the header carries the count in ``meta``), so an item may
+    straddle rounds and a relay forwards bits the round they land.
 
-    Only counts move here; item *content* is a shared
+    Only bit counts move here; item *content* is a shared
     :class:`~repro.semiring.columnar.WireBlock` the protocol compiler
     exposes to every participant out of band (the simulator is one
     process — receivers still never act on rows before the counts say
@@ -347,23 +338,25 @@ class BroadcastOp(ProgramOp):
         self.per_item = max(1, per_item)
         self.root_count_fn = root_count_fn
         self.count: Optional[int] = None
+        #: The stream's length in bits, once the count is known.
+        self.total: Optional[int] = None
+        #: Bits held (the whole stream at the root), and bits sent per
+        #: child in ``children`` order.
         self.received = 0
-        self.header_left = {c: HEADER_BITS for c in self.children}
-        self.header_started: set = set()
-        #: Every child's header fully sent (a streaming round skips the
-        #: header loop).
-        self.headers_done = not self.children
-        self.forwarded = {c: 0 for c in self.children}
+        self.sent = [0] * len(self.children)
         self.label = f"broadcast:{tag}"
         self._stream = (tag, parent)
         self._inbox: Optional[deque] = None
-        self._no_sends = (0,) * len(self.children)
-        self._hist: deque = deque(maxlen=8)
+        self._hist: deque = deque(maxlen=2)
+
+    def _learn(self, count: int) -> None:
+        self.count = count
+        self.total = HEADER_BITS + count * self.per_item
 
     def start(self, ctx: ProgramContext) -> None:
         if self.parent is None:
-            self.count = int(self.root_count_fn()) if self.root_count_fn else 0
-            self.received = self.count
+            self._learn(int(self.root_count_fn()) if self.root_count_fn else 0)
+            self.received = self.total
         else:
             self._inbox = ctx.inbox(self._stream)
 
@@ -372,103 +365,69 @@ class BroadcastOp(ProgramOp):
         inbox = self._inbox
         if inbox:
             for blk in inbox:
-                if blk.kind == "it":
-                    arrived += blk.count
-                elif blk.kind == "hdr":
-                    self.count = blk.meta
-                # "hdrc" filler is accounting-only.
+                arrived += blk.bits
+                if blk.meta is not None:
+                    self._learn(blk.meta)
             inbox.clear()
             self.received += arrived
-        count = self.count
-        if count is None:
-            # Dormant until the header arrives: nothing can be sent.
-            self._hist.append((arrived, self._no_sends, False, True))
-            return False
-        header_activity = False
-        if not self.headers_done:
-            header_left = self.header_left
-            for child in self.children:
-                while header_left[child] > 0:
-                    room = ctx.room(child)
-                    if room < 1:
-                        break
-                    take = min(room, header_left[child])
-                    if child not in self.header_started:
-                        ctx.send_block(child, self.tag, "hdr", take, count=1,
-                                       meta=count)
-                        self.header_started.add(child)
-                    else:
-                        ctx.send_block(child, self.tag, "hdrc", take, count=1)
-                    header_left[child] -= take
-                    header_activity = True
-            self.headers_done = not any(header_left.values())
-        headers_done = self.headers_done
-        complete = headers_done and self.received == count
-        forwarded = self.forwarded
+        received = self.received
+        sent = self.sent
         sends = []
-        for child in self.children:
-            if not headers_done and self.header_left[child] > 0:
-                sends.append(0)
-                continue
-            k = min(
-                self.received - forwarded[child],
-                ctx.room(child) // self.per_item,
-            )
-            if k > 0:
-                ctx.send_block(child, self.tag, "it", k * self.per_item,
-                               count=k)
-                forwarded[child] += k
-            sends.append(k)
-            if forwarded[child] != count:
-                complete = False
-        self._hist.append((arrived, tuple(sends), header_activity, False))
-        return complete
+        for i, child in enumerate(self.children):
+            lo = sent[i]
+            bits = min(received - lo, ctx.room(child))
+            if bits > 0:
+                header = lo < HEADER_BITS <= lo + bits
+                ctx.send_block(child, self.tag, "bits", bits,
+                               meta=self.count if header else None)
+                sent[i] = lo + bits
+            else:
+                bits = 0
+            sends.append(bits)
+        self._hist.append((arrived, tuple(sends)))
+        total = self.total
+        return total == received and all(done == total for done in sent)
 
-    def cycle_horizon(self, p: int) -> int:
-        if not self._cycle_stable(p):
+    def cycle_horizon(self) -> int:
+        if not self._cycle_stable():
             return 0
-        recs = self._cycle_records(p)
-        if any(rec[2] for rec in recs):  # header still moving: transient
-            return 0
-        arrived = sum(rec[0] for rec in recs)
-        sends = [sum(rec[1][i] for rec in recs)
-                 for i in range(len(self.children))]
-        if self.count is None:
-            # Nothing can have arrived or been sent; fully dormant.
-            return UNBOUNDED if arrived == 0 and not any(sends) else 0
-        if any(self.header_left.values()):
-            return 0
+        arrived, sends = self._hist[-1]
+        if not arrived and not any(sends):
+            return UNBOUNDED  # silent until its parent sends
+        total = self.total
+        if total is None:
+            return 0  # streaming the header: the length is not known yet
+        received = self.received
+        # Stop a round before a child's last bit leaves, and while a
+        # child's send outruns the arrivals, before its backlog runs out
+        # (a send equal to the backlog would stop being room-limited).
+        # The last bit's arrival is the parent's to bound: it sends it.
         k = UNBOUNDED
-        if arrived > 0:
-            k = min(k, (self.count - self.received) // arrived - 1)
-        for child, s in zip(self.children, sends):
-            if s > 0:
-                k = min(k, (self.count - self.forwarded[child]) // s - 1)
-                drain = arrived - s
-                if drain < 0:
-                    backlog = self.received - self.forwarded[child]
-                    k = min(k, backlog // (-drain) - 1)
-        if arrived == 0 and not any(sends):
-            return UNBOUNDED
+        for done, bits in zip(self.sent, sends):
+            if bits:
+                k = min(k, (total - done - 1) // bits)
+                if bits > arrived:
+                    k = min(k, (received - done) // (bits - arrived))
         return max(0, k)
 
-    def advance(self, p: int, k: int) -> None:
-        recs = self._cycle_records(p)
-        self.received += k * sum(rec[0] for rec in recs)
-        for i, child in enumerate(self.children):
-            self.forwarded[child] += k * sum(rec[1][i] for rec in recs)
+    def advance(self, k: int) -> None:
+        arrived, sends = self._hist[-1]
+        self.received += k * arrived
+        for i, bits in enumerate(sends):
+            self.sent[i] += k * bits
 
 
 class ConvergecastOp(ProgramOp):
-    """One node's role in a pipelined slot convergecast, count-based.
+    """One node's role in a pipelined slot convergecast, in bits.
 
     Mirrors :func:`repro.protocols.primitives.convergecast_node`: slot
-    ``i`` moves to the parent once every child has delivered its slot
-    ``i``, at most ``capacity // bits_per_slot`` slots per round.  The
-    combined *values* never ride these blocks: they are a timing-free
-    fold over the tree's contributions, computed once by the protocol
-    compiler when the root completes (in the exact association order the
-    generator engine uses, so even float semirings agree bit for bit).
+    ``i`` is ready once every child's slot ``i`` has fully landed, and
+    the ready slots' bits go up in one ``"bits"`` block per round, as
+    many as the edge has room for.  The combined *values* never ride
+    these blocks: they are a timing-free fold over the tree's
+    contributions, computed once by the protocol compiler when the root
+    completes (in the exact association order the generator engine
+    uses, so even float semirings agree bit for bit).
 
     ``num_slots`` is configured at runtime (by the scatter phase that
     learned the counts) before the op starts.
@@ -486,19 +445,28 @@ class ConvergecastOp(ProgramOp):
         self.children = list(children)
         self.per_slot = max(1, per_slot)
         self.num_slots: Optional[int] = None
-        self.out_idx = 0
-        self.buffered = {c: 0 for c in self.children}
+        #: Slots every child has fully delivered (capped at num_slots).
+        self.ready = 0
+        #: Bits sent to the parent (the root sends none).
+        self.sent = 0
+        #: Bits received per child, in ``children`` order.
+        self.received = [0] * len(self.children)
         self.label = f"convergecast:{tag}"
         self._streams = [(tag, child) for child in self.children]
         self._inboxes: List[deque] = []
         self._no_arrivals = (0,) * len(self.children)
-        self._hist: deque = deque(maxlen=8)
+        self._hist: deque = deque(maxlen=2)
 
     def configure(self, num_slots: int) -> None:
         self.num_slots = int(num_slots)
 
     def start(self, ctx: ProgramContext) -> None:
         self._inboxes = [ctx.inbox(stream) for stream in self._streams]
+
+    def _ready_slots(self) -> int:
+        if not self.received:
+            return self.num_slots
+        return min(self.num_slots, min(self.received) // self.per_slot)
 
     def step(self, ctx: ProgramContext) -> bool:
         num_slots = self.num_slots
@@ -507,84 +475,95 @@ class ConvergecastOp(ProgramOp):
                 f"{self.label}: stepped before configure() — the compiler "
                 "must set num_slots when the scatter phase completes"
             )
-        buffered = self.buffered
         arrivals = self._no_arrivals
         if any(self._inboxes):
             counts = []
-            for child, inbox in zip(self.children, self._inboxes):
+            for i, inbox in enumerate(self._inboxes):
                 got = 0
                 if inbox:
                     for blk in inbox:
-                        got += blk.count
+                        got += blk.bits
                     inbox.clear()
-                    buffered[child] += got
+                    self.received[i] += got
                 counts.append(got)
             arrivals = tuple(counts)
-        avail = min(buffered.values()) if buffered else num_slots
-        k = min(num_slots, avail) - self.out_idx
-        if k > 0 and self.parent is not None:
-            k = min(k, ctx.room(self.parent) // self.per_slot)
-            if k > 0:
-                ctx.send_block(self.parent, self.tag, "slot",
-                               k * self.per_slot, count=k)
-        if k > 0:
-            self.out_idx += k
-        else:
-            k = 0
-        self._hist.append((arrivals, k))
-        return self.out_idx >= num_slots
-
-    def cycle_horizon(self, p: int) -> int:
-        if not self._cycle_stable(p):
-            return 0
-        recs = self._cycle_records(p)
-        arrivals = [sum(rec[0][i] for rec in recs)
-                    for i in range(len(self.children))]
-        moved = sum(rec[1] for rec in recs)
-        if moved == 0 and not any(arrivals):
-            return UNBOUNDED
-        k = UNBOUNDED
+        self.ready = ready = self._ready_slots()
+        if self.parent is None:
+            self._hist.append((arrivals, 0))
+            return ready == num_slots
+        per_slot = self.per_slot
+        moved = min(ready * per_slot - self.sent, ctx.room(self.parent))
         if moved > 0:
-            k = min(k, (self.num_slots - self.out_idx) // moved - 1)
-        for child, a in zip(self.children, arrivals):
-            drain = a - moved
-            if drain < 0:
-                slack = self.buffered[child] - self.out_idx
-                k = min(k, slack // (-drain) - 1)
+            ctx.send_block(self.parent, self.tag, "bits", moved)
+            self.sent += moved
+        else:
+            moved = 0
+        self._hist.append((arrivals, moved))
+        return self.sent == num_slots * per_slot
+
+    def cycle_horizon(self) -> int:
+        if not self._cycle_stable():
+            return 0
+        if self.parent is None:
+            # The root sends nothing, so its rounds replay while its
+            # children's do, and they stop short of their last bit.
+            return UNBOUNDED
+        arrivals, moved = self._hist[-1]
+        if not moved and not any(arrivals):
+            return UNBOUNDED
+        per_slot = self.per_slot
+        sent = self.sent
+        k = UNBOUNDED
+        if moved:
+            k = (self.num_slots * per_slot - sent - 1) // moved
+        # Drained: every ready bit is out, so each round moves exactly the
+        # slots that became ready.  That repeats only while a child whose
+        # bits arrive at the pace they leave (a whole number of slots a
+        # round) holds the minimum.  Otherwise the round was room-limited
+        # and stays so while no child's ready bits fall behind.
+        drained = self.ready * per_slot == sent
+        if drained and not any(
+            got == moved and have // per_slot == self.ready
+            for got, have in zip(arrivals, self.received)
+        ):
+            return 0
+        for got, have in zip(arrivals, self.received):
+            if drained and got >= moved:
+                continue  # its slots ready at least as fast as they leave
+            # The bits this child has readied beyond those sent; the slot
+            # floor makes that exact only when whole slots arrive, so
+            # otherwise take its linear lower envelope.
+            if got % per_slot:
+                margin = have - (per_slot - 1) - sent
+            else:
+                margin = have // per_slot * per_slot - sent
+            if margin < 0:
+                return 0
+            if got < moved:
+                k = min(k, margin // (moved - got))
         return max(0, k)
 
-    def advance(self, p: int, k: int) -> None:
-        recs = self._cycle_records(p)
-        for i, child in enumerate(self.children):
-            self.buffered[child] += k * sum(rec[0][i] for rec in recs)
-        self.out_idx += k * sum(rec[1] for rec in recs)
-
-
-class _Run:
-    """A run of routing chunks: ``pattern`` repeated ``reps`` times."""
-
-    __slots__ = ("pattern", "reps", "pos")
-
-    def __init__(self, pattern: Tuple[int, ...], reps: int, pos: int = 0) -> None:
-        self.pattern = pattern
-        self.reps = reps
-        self.pos = pos  # chunks of the first repetition already consumed
+    def advance(self, k: int) -> None:
+        arrivals, moved = self._hist[-1]
+        for i, got in enumerate(arrivals):
+            self.received[i] += k * got
+        self.sent += k * moved
+        self.ready = self._ready_slots()
 
 
 class RouteOp(ProgramOp):
     """One node's role in store-and-forward routing toward a sink.
 
-    Mirrors :func:`repro.protocols.primitives.route_to_sink_node` chunk
-    for chunk: forward as many queued chunks as the round budget allows,
-    then the 1-bit EOS handshake once the queue is drained and every
-    child has signalled.  The queue holds only chunk *sizes* — packet
-    payloads are routed out of band by the protocol compiler (the
-    collected multiset at the sink is timing-independent), split into a
-    compact run-encoded static part (this node's own packets, typically
-    one uniform item pattern) and a dynamic deque of arrived chunk
-    sizes.  That split is what makes the fast-forward horizons exact:
-    origins replay whole pattern repetitions, relays replay while the
-    queue is a fixed point of (consume cycle, append cycle).
+    Mirrors :func:`repro.protocols.primitives.route_to_sink_node`: the
+    queue is one bit count — this node's own payload, then whatever its
+    children send — and each round one ``"bits"`` block takes as much of
+    it as the edge has room for; once it is empty and every child has
+    signalled, the 1-bit EOS follows in the same round if there is room.
+    Packet payloads are routed out of band by the protocol compiler (the
+    collected multiset at the sink is timing-independent).  A steady
+    relay's queue is linear in the rounds, so its horizon is exact: a
+    queue that sends more than arrives lasts ``queue // drain`` more
+    rounds, and one that grows or holds lasts until its children change.
     """
 
     def __init__(
@@ -592,163 +571,75 @@ class RouteOp(ProgramOp):
         tag: str,
         parent: Optional[str],
         children: Sequence[str],
-        packets_fn: Optional[Callable[[], List[Tuple[Tuple[int, ...], int]]]] = None,
+        payload_bits_fn: Optional[Callable[[], int]] = None,
     ) -> None:
         self.tag = tag
         self.parent = parent
         self.children = list(children)
-        self.packets_fn = packets_fn
-        self.static: deque = deque()
-        self.dynamic: deque = deque()
+        self.payload_bits_fn = payload_bits_fn
+        #: Bits queued for the parent.
+        self.queue = 0
         self.eos_pending = set(self.children)
         self.eos_sent = False
         self.label = f"route:{tag}"
         self._streams = [(tag, child) for child in self.children]
         self._inboxes: List[deque] = []
-        self._hist: deque = deque(maxlen=8)
+        self._hist: deque = deque(maxlen=2)
 
     def start(self, ctx: ProgramContext) -> None:
         self._inboxes = [ctx.inbox(stream) for stream in self._streams]
-        if self.packets_fn is None:
-            return
-        for pattern, reps in self.packets_fn():
-            pattern = tuple(pattern)
-            if not pattern or reps <= 0:
-                continue
-            if self.static and self.static[-1].pattern == pattern:
-                self.static[-1].reps += reps
-            else:
-                self.static.append(_Run(pattern, reps))
-
-    # -- queue helpers --------------------------------------------------
-    def _pop_chunk(self) -> Optional[int]:
-        """Peek-and-consume the next queued chunk size, or None if empty."""
-        if self.static:
-            run = self.static[0]
-            size = run.pattern[run.pos]
-            return size
-        if self.dynamic:
-            return self.dynamic[0]
-        return None
-
-    def _consume_chunk(self) -> None:
-        if self.static:
-            run = self.static[0]
-            run.pos += 1
-            if run.pos == len(run.pattern):
-                run.pos = 0
-                run.reps -= 1
-                if run.reps == 0:
-                    self.static.popleft()
-            return
-        self.dynamic.popleft()
-
-    def _queue_empty(self) -> bool:
-        return not self.static and not self.dynamic
+        if self.payload_bits_fn is not None:
+            self.queue = int(self.payload_bits_fn())
 
     def step(self, ctx: ProgramContext) -> bool:
-        arrived: List[int] = []
-        eos_events = 0
+        arrived = 0
         for child, inbox in zip(self.children, self._inboxes):
             if not inbox:
                 continue
             for blk in inbox:
                 if blk.kind == "eos":
                     self.eos_pending.discard(child)
-                    eos_events += 1
-                else:  # "run": meta is the exact chunk-size tuple
-                    arrived.extend(blk.meta)
-                    self.dynamic.extend(blk.meta)
+                else:
+                    arrived += blk.bits
             inbox.clear()
         if self.parent is None:
             # Sink: consume everything as it arrives (content is routed
             # out of band; see the compiler's FinalRuntime).
-            self.static.clear()
-            self.dynamic.clear()
-            self._hist.append((tuple(arrived), (), eos_events, None))
+            self._hist.append((arrived, 0))
             return not self.eos_pending
-        sent: List[int] = []
-        room = ctx.room(self.parent)
-        while True:
-            size = self._pop_chunk()
-            if size is None or room < size:
-                break
-            # Track the budget per chunk so partial-capacity rounds match
-            # the generator exactly; coalesce into one wire block below.
-            self._consume_chunk()
-            room -= size
-            sent.append(size)
-        if sent:
-            ctx.send_block(self.parent, self.tag, "run", sum(sent),
-                           count=len(sent), meta=tuple(sent))
+        self.queue += arrived
+        sent = min(self.queue, ctx.room(self.parent))
+        if sent > 0:
+            ctx.send_block(self.parent, self.tag, "bits", sent)
+            self.queue -= sent
+        else:
+            sent = 0
         if (
-            self._queue_empty()
+            not self.queue
             and not self.eos_pending
             and not self.eos_sent
             and ctx.room(self.parent) >= EOS_BITS
         ):
-            ctx.send_block(self.parent, self.tag, "eos", EOS_BITS, count=1)
+            ctx.send_block(self.parent, self.tag, "eos", EOS_BITS)
             self.eos_sent = True
-        front = self.static[0] if self.static else None
-        self._hist.append((
-            tuple(arrived),
-            tuple(sent),
-            eos_events,
-            (front.pattern, front.pos) if front is not None else None,
-        ))
+        self._hist.append((arrived, sent))
         return self.eos_sent
 
-    def cycle_horizon(self, p: int) -> int:
-        if not self._cycle_stable(p):
+    def cycle_horizon(self) -> int:
+        if not self._cycle_stable():
             return 0
-        recs = self._cycle_records(p)
-        if any(rec[2] for rec in recs):  # EOS transitions are one-offs
-            return 0
-        cyc_arrived: List[int] = []
-        cyc_sent: List[int] = []
-        for rec in recs:
-            cyc_arrived.extend(rec[0])
-            cyc_sent.extend(rec[1])
-        if self.parent is None:
-            # Sink: unconditionally consumes; nothing else can change.
+        # An EOS only matters once the queue is empty with room left on
+        # the edge, and such a round sends the EOS and completes the op.
+        arrived, sent = self._hist[-1]
+        if self.parent is None or sent <= arrived:
             return UNBOUNDED
-        if not cyc_arrived and not cyc_sent:
-            return UNBOUNDED
-        if self.static and not self.dynamic and not cyc_arrived:
-            # Origin regime: consuming own pattern-run packets only.
-            front = self.static[0]
-            pattern_len = len(front.pattern)
-            if not cyc_sent or len(cyc_sent) % pattern_len != 0:
-                return 0
-            reps_per_cycle = len(cyc_sent) // pattern_len
-            remaining = front.reps  # pos is cycle-stable via the record
-            return max(0, remaining // reps_per_cycle - 1)
-        if not self.static:
-            # Relay regime: the queue must be a fixed point of one cycle
-            # (consume the cycle's sends from the front, append the
-            # cycle's arrivals at the back).
-            consumed = len(cyc_sent)
-            queue = list(self.dynamic)
-            if consumed > len(queue):
-                return 0
-            if queue[consumed:] + cyc_arrived == queue:
-                return UNBOUNDED
-            return 0
-        return 0
+        # Draining: each round sends the edge's room while the queue lasts.
+        return self.queue // (sent - arrived)
 
-    def advance(self, p: int, k: int) -> None:
-        recs = self._cycle_records(p)
-        if self.parent is None:
-            return
-        cyc_sent = sum(len(rec[1]) for rec in recs)
-        cyc_arrived = sum(len(rec[0]) for rec in recs)
-        if self.static and not cyc_arrived:
-            front = self.static[0]
-            front.reps -= k * (cyc_sent // len(front.pattern))
-            if front.reps == 0 and front.pos == 0:
-                self.static.popleft()
-            return
-        # Relay fixed point: the queue is unchanged by construction.
+    def advance(self, k: int) -> None:
+        if self.parent is not None:
+            arrived, sent = self._hist[-1]
+            self.queue += k * (arrived - sent)
 
     def describe(self) -> str:
         waiting = sorted(self.eos_pending)
@@ -795,27 +686,6 @@ class NodeProgram:
         return op.describe() if op is not None else "finished"
 
 
-def _repeat_blocks(blocks: List[BlockMessage], k: int) -> BlockMessage:
-    """One block standing for ``k`` in-order repeats of ``blocks``.
-
-    ``blocks`` are one stream's sends over one steady cycle.  Headers
-    and EOS markers are sent once, so such a stream carries only
-    ``"it"``/``"slot"`` blocks, whose consumers sum counts, or ``"run"``
-    blocks, whose consumer concatenates the chunk sizes in order.
-    """
-    first = blocks[0]
-    meta = None
-    if first.kind == "run":
-        meta = tuple(size for blk in blocks for size in blk.meta) * k
-    return BlockMessage(
-        first.src, first.dst, first.tag, first.kind,
-        k * sum(blk.bits for blk in blocks),
-        k * sum(blk.count for blk in blocks),
-        k * sum(blk.messages for blk in blocks),
-        meta,
-    )
-
-
 def run_program(
     topology: Topology,
     capacity_bits: int,
@@ -832,18 +702,18 @@ def run_program(
     ``bits_per_edge``/``total_messages`` equal what the generator engine
     would have charged message by message.
 
-    Steady streaming states are fast-forwarded: once the per-round send
-    signature repeats with period 1 or 2 and every live op bounds its
-    replay horizon, whole cycles are applied arithmetically — op state,
-    accounting, and the mailbox queues of streams that are buffering for
-    a later op of their receiver.  The jump changes wall-clock only —
+    Steady streaming states are fast-forwarded: once a round's send
+    signature repeats the previous round's and every live op bounds its
+    replay horizon, that many further rounds are applied arithmetically
+    — op state, accounting, and the mailbox queues of streams that are
+    buffering for a later op of their receiver.  The jump changes wall-clock only —
     the resulting accounting is identical to stepping every round
     (``fast_forward=False`` steps every round and must produce
     byte-identical results; tests assert this).
 
     With a live ``tracer``, every round boundary, block send, compute
     step and fast-forward jump is emitted as a typed event; the jump
-    event carries the cycle's send signatures so replaying the trace
+    event carries the repeated round's send signatures so replaying the trace
     reproduces the accounting exactly (:mod:`repro.obs.verify`).
 
     Raises:
@@ -893,11 +763,11 @@ def run_program(
         for link, bits in link_bits.items():
             bits_per_edge[link] = bits_per_edge.get(link, 0) + times * bits
 
-    # Fast-forward bookkeeping: (signature, bits, messages, per-link bits,
-    # blocks) — the per-link dict is the round's accounting delta, replayed
-    # ``k`` times by a jump; the blocks are what a jump delivers to
-    # mailboxes.
-    history: deque = deque(maxlen=4)
+    # Fast-forward bookkeeping for the last two rounds: (signature, bits,
+    # messages, per-link bits, blocks) — the per-link dict is the round's
+    # accounting delta, replayed ``k`` times by a jump; the blocks are
+    # what a jump delivers to mailboxes.
+    history: deque = deque(maxlen=2)
 
     def blocked_map() -> Dict[str, List[str]]:
         return {
@@ -972,7 +842,7 @@ def run_program(
             for blk in round_sends:
                 tracer.send(
                     round_no, blk.src, blk.dst, blk.bits, tag=blk.tag,
-                    kind=blk.kind, count=blk.count, messages=blk.messages,
+                    kind=blk.kind, count=blk.messages, messages=blk.messages,
                 )
             tracer.round_end(round_no, round_bits, round_msgs)
 
@@ -997,75 +867,65 @@ def run_program(
         ))
         if finished_any or moved_any:
             continue
-        for period in (1, 2):
-            if len(history) < 2 * period:
-                continue
-            if any(history[-i][0] != history[-i - period][0]
-                   for i in range(1, period + 1)):
-                continue
-            cycle = [history[-i] for i in range(period, 0, -1)]
-            if not any(c[0] for c in cycle):
-                continue  # an all-idle cycle cannot be sending-steady
-            # The min over every live op's horizon, given up at the first
-            # op that declines (horizons are side-effect free).  No node
-            # finished this round, so ``live`` is not empty here.
-            k = (max_rounds - round_no) // period
-            for _node, prog, _ctx in live:
-                if k < 1:
-                    break
-                horizon = prog.current().cycle_horizon(period)
-                if horizon < k:
-                    k = horizon
+        if len(history) < 2 or history[0][0] != history[1][0]:
+            continue
+        signature, cycle_bits, cycle_msgs, cycle_link_bits, cycle_sends = \
+            history[1]
+        if not signature:
+            continue  # an idle round cannot be sending-steady
+        # The min over every live op's horizon, given up at the first op
+        # that declines (horizons are side-effect free).  No node finished
+        # this round, so ``live`` is not empty here.
+        k = max_rounds - round_no
+        for _node, prog, _ctx in live:
             if k < 1:
-                continue
-            for _node, prog, _ctx in live:
-                prog.current().advance(period, k)
-            # The jump skips the deliveries of rounds t+1 .. t+k*period:
-            # the sends of rounds t .. t+k*period-1, i.e. the cycle k
-            # times over starting at this round's own sends (they stay
-            # ``pending`` as the sends of the jump's last round).  A
-            # stream the receiver's current op pops was advanced above.
-            # One with blocks still queued after this round is buffering
-            # for a later op of its receiver — the mailbox case — and
-            # k >= 1 means no live op changes inside the jump, so it
-            # buffers throughout: its skipped blocks join the queue.
-            buffering: Dict[Tuple[str, str, str], List[BlockMessage]] = {}
-            for c in cycle[-1:] + cycle[:-1]:
-                for blk in c[4]:
-                    ctx = contexts.get(blk.dst)
-                    if ctx is not None and ctx.queues.get((blk.tag, blk.src)):
-                        buffering.setdefault(
-                            (blk.dst, blk.tag, blk.src), []).append(blk)
-            for (dst, tag, src), blocks in buffering.items():
-                contexts[dst].queues[(tag, src)].append(
-                    _repeat_blocks(blocks, k))
-            cycle_bits = sum(c[1] for c in cycle)
-            cycle_msgs = sum(c[2] for c in cycle)
-            total_bits += k * cycle_bits
-            total_messages += k * cycle_msgs
-            for c in cycle:
-                charge(c[3], k)
-            COUNTERS.increment("engine.fast_forward")
-            COUNTERS.increment("engine.fast_forward_rounds", k * period)
-            if tracer is not None:
-                tracer.cycle_fast_forward(
-                    start_round=round_no,
-                    period=period,
-                    repeats=k,
-                    end_round=round_no + k * period,
-                    cycle=tuple(
-                        tuple(
-                            (src, dst, tag, kind, bits)
-                            for src, dst, tag, kind, bits, _count, _meta
-                            in c[0]
-                        )
-                        for c in cycle
-                    ),
-                )
-            round_no += k * period
-            last_send_round = round_no
-            last_delivery_round = round_no
-            break
+                break
+            horizon = prog.current().cycle_horizon()
+            if horizon < k:
+                k = horizon
+        if k < 1:
+            continue
+        for _node, prog, _ctx in live:
+            prog.current().advance(k)
+        # The jump skips the deliveries of rounds t+1 .. t+k: the sends
+        # of rounds t .. t+k-1, i.e. this round's own sends k times over
+        # (they stay ``pending`` as the sends of the jump's last round).
+        # A stream the receiver's current op drains was advanced above.
+        # One with blocks still queued after this round is buffering for
+        # a later op of its receiver — the mailbox case — and k >= 1
+        # means no live op changes inside the jump, so it buffers
+        # throughout: one block of k times the round's bits joins the
+        # queue (a steady round carries no header or EOS block, so its
+        # reader only sums bits).
+        for blk in cycle_sends:
+            ctx = contexts.get(blk.dst)
+            queue = (
+                ctx.queues.get((blk.tag, blk.src)) if ctx is not None else None
+            )
+            if queue:
+                queue.append(BlockMessage(
+                    blk.src, blk.dst, blk.tag, blk.kind, k * blk.bits,
+                    k * blk.messages,
+                ))
+        total_bits += k * cycle_bits
+        total_messages += k * cycle_msgs
+        charge(cycle_link_bits, k)
+        COUNTERS.increment("engine.fast_forward")
+        COUNTERS.increment("engine.fast_forward_rounds", k)
+        if tracer is not None:
+            tracer.cycle_fast_forward(
+                start_round=round_no,
+                period=1,
+                repeats=k,
+                end_round=round_no + k,
+                cycle=(tuple(
+                    (src, dst, tag, kind, bits)
+                    for src, dst, tag, kind, bits, _meta in signature
+                ),),
+            )
+        round_no += k
+        last_send_round = round_no
+        last_delivery_round = round_no
 
     # Each undirected edge enters ``edge_bits`` when either direction is
     # first charged: the first-seen order of ``bits_per_edge``'s keys.
@@ -1084,21 +944,3 @@ def run_program(
         max_edge_bits_per_round=max_edge_bits_per_round,
         max_inflight_round=last_delivery_round,
     )
-
-
-def chunk_pattern(item_bits: int, capacity: int) -> Tuple[int, ...]:
-    """The chunk-size pattern of one routed item of ``item_bits`` bits.
-
-    Mirrors :func:`repro.protocols.primitives.chunk_packets` for a single
-    payload: a head chunk of at most ``capacity`` bits followed by
-    capacity-sized continuation filler, the last one partial.
-    """
-    item_bits = max(1, item_bits)
-    if item_bits <= capacity:
-        return (item_bits,)
-    sizes = [capacity]
-    remaining = item_bits - capacity
-    while remaining > 0:
-        sizes.append(min(capacity, remaining))
-        remaining -= capacity
-    return tuple(sizes)

@@ -325,9 +325,9 @@ class Simulator:
                 if busiest > max_edge_bits_per_round:
                     max_edge_bits_per_round = busiest
             if tracer is not None:
-                # Coalesce the round's per-tuple messages into one event
-                # per (edge, tag) stream — replay needs edge/round bit
-                # totals, not tuple granularity.
+                # Coalesce the round's messages into one event per
+                # (edge, tag) stream — replay needs edge/round bit
+                # totals, not message granularity.
                 streams: Dict[Tuple[str, str, str], List[int]] = {}
                 for msg in pending:
                     acc = streams.setdefault((msg.src, msg.dst, msg.tag), [0, 0])
@@ -364,8 +364,8 @@ class Simulator:
         """Execute compiled :class:`~repro.network.program.NodeProgram`s.
 
         The batched fast path: same topology, capacity and round/bit
-        accounting contract as :meth:`run`, but whole blocks move per
-        edge per round instead of per-tuple messages.  See
+        accounting contract as :meth:`run`, but frames move as bit-count
+        blocks, rows out of band, and steady rounds are jumped.  See
         :mod:`repro.network.program`.
         """
         from .program import run_program

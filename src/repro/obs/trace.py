@@ -23,12 +23,13 @@ Event vocabulary (one dataclass each):
 * ``RoundStartEvent`` / ``RoundEndEvent`` — round boundaries; the end
   event carries the round's total bits/messages.
 * ``SendEvent`` — one stream's traffic on one directed edge in one
-  round (the generator engine coalesces its per-tuple messages to one
-  event per ``(edge, tag)`` per round; the compiled engine's blocks map
-  one-to-one).  Replaying these events *is* the accounting.
+  round (the generator engine coalesces its messages — a stream's bit
+  frame and any EOS — to one event per ``(edge, tag)`` per round; the
+  compiled engine's blocks map one-to-one).  Replaying these events *is* the accounting.
 * ``ComputeStepEvent`` — a free local computation (compiled engine).
 * ``CycleFastForwardEvent`` — the compiled engine jumped ``repeats``
-  whole cycles of ``period`` rounds; carries the cycle's per-round send
+  whole cycles of ``period`` rounds (steady bit streams repeat every
+  round, so ``period`` is 1); carries the cycle's per-round send
   signatures so replay can apply the jump arithmetically, exactly like
   the engine did.
 * ``PhaseTimerEvent`` — wall-clock of one pipeline phase
@@ -76,10 +77,10 @@ class RoundEndEvent:
 class SendEvent:
     """One stream's traffic over one directed edge in one round.
 
-    ``kind`` is the block vocabulary of the compiled engine (``hdr`` /
-    ``hdrc`` / ``it`` / ``slot`` / ``run`` / ``eos``) or ``"msg"`` for
-    generator-engine messages; ``count`` is the logical payload units,
-    ``messages`` the generator-engine message equivalents.
+    ``kind`` is the block vocabulary of the compiled engine (``bits``
+    for a stream's frame, ``eos``) or ``"msg"`` for generator-engine
+    messages; ``count`` and ``messages`` are the frames (generator-engine
+    message equivalents) the event covers.
     """
 
     round: int

@@ -16,11 +16,9 @@ from .primitives import (
     HEADER_BITS,
     Mailbox,
     broadcast_node,
-    chunk_packets,
     convergecast_node,
     parallel_subphases,
     route_to_sink_node,
-    strip_continuations,
 )
 from .set_intersection import (
     reassemble_slices,
@@ -37,8 +35,6 @@ __all__ = [
     "convergecast_node",
     "route_to_sink_node",
     "parallel_subphases",
-    "chunk_packets",
-    "strip_continuations",
     "HEADER_BITS",
     "EOS_BITS",
     "SlotPlan",

@@ -18,9 +18,9 @@ node, the compiler splits the two:
 * **Data plane** — broadcast rows are dictionary-encoded once into a
   shared :class:`~repro.semiring.columnar.WireBlock`, which carries rows
   and no accounting: the ops charge the plan's bit widths, as the
-  generator charges its per-tuple messages (``plan.tuple_bits`` per
-  scattered row; ``tuple_bits + value_bits`` per routed item, chunked
-  by :func:`~repro.network.program.chunk_pattern`).  Phase B scores
+  generator charges its frames (``plan.tuple_bits`` per scattered row;
+  ``tuple_bits + value_bits`` per routed item, each stream framed in
+  bits so an item may straddle rounds).  Phase B scores
   whole blocks with the columnar key probe when the semiring has a
   vector profile (falling back to the shared dict scorer otherwise);
   convergecast values are folded over each Steiner tree in the
@@ -48,7 +48,6 @@ from ..network.program import (
     NodeProgram,
     ParallelOps,
     RouteOp,
-    chunk_pattern,
 )
 from ..network.steiner import SteinerTree
 from ..network.topology import Topology
@@ -368,7 +367,7 @@ class StarRuntime:
 class FinalRuntime:
     """Payload side-channel of the final routing phase.
 
-    Chunk timing and every bit still travel through the block engine;
+    Frame timing and every bit still travel through the block engine;
     only the payload *content* — which is timing-independent (the sink
     keys received tuples by relation and row) — moves out of band.
     """
@@ -541,7 +540,7 @@ def _compile_final(
         children = sorted(n for n, p in rparents.items() if p == node)
         item_bits = plan.tuple_bits + plan.value_bits
 
-        def packets_fn() -> List[Tuple[Tuple[int, ...], int]]:
+        def payload_bits_fn() -> int:
             payloads: List[Tuple[str, Tuple, Any]] = []
             for name in plan.final_edges:
                 if (
@@ -552,13 +551,10 @@ def _compile_final(
                     for row, value in factor:
                         payloads.append((name, row, value))
             runtime.register(node, payloads)
-            if not payloads:
-                return []
-            pattern = chunk_pattern(item_bits, plan.capacity_bits)
-            return [(pattern, len(payloads))]
+            return len(payloads) * item_bits
 
         items.append(
-            RouteOp("final", rparents.get(node), children, packets_fn)
+            RouteOp("final", rparents.get(node), children, payload_bits_fn)
         )
     if node == plan.output_player:
 

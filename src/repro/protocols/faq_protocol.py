@@ -37,12 +37,7 @@ from ..hypergraph import Hypergraph
 from ..network.simulator import SimulationResult, Simulator
 from ..network.topology import Topology
 from ..semiring import BOOLEAN, Factor, to_backend
-from .primitives import (
-    Mailbox,
-    chunk_packets,
-    route_to_sink_node,
-    strip_continuations,
-)
+from .primitives import Mailbox, route_to_sink_node
 from .set_intersection import (
     SlotPlan,
     combine_over_packing,
@@ -450,12 +445,11 @@ def _make_player(
                 item_bits = plan.tuple_bits + plan.value_bits
                 for row, value in factor:
                     payloads.append((item_bits, (name, row, value)))
-        packets = chunk_packets(payloads, plan.capacity_bits)
         rparents = plan.routing_parents
         if node in rparents:
             rchildren = sorted(n for n, p in rparents.items() if p == node)
             collected = yield from route_to_sink_node(
-                ctx, mail, rparents.get(node), rchildren, packets, "final"
+                ctx, mail, rparents.get(node), rchildren, payloads, "final"
             )
         else:
             collected = None
@@ -465,8 +459,7 @@ def _make_player(
         received: Dict[str, Dict[Tuple, Any]] = {
             name: {} for name in plan.final_edges
         }
-        for payload in strip_continuations(collected or []):
-            name, row, value = payload
+        for name, row, value in collected or []:
             received[name][tuple(row)] = value
         final_factors: Dict[str, Factor] = {}
         for name in plan.final_edges:

@@ -15,12 +15,21 @@ All primitives are *self-timed*: counts travel in headers, so no global
 barrier is ever needed and phases of different protocol steps can coexist,
 disambiguated by message tags.
 
-These generators are the **reference semantics**: each has a
-block-granular mirror in :mod:`repro.network.program`
-(``BroadcastOp`` / ``ConvergecastOp`` / ``RouteOp`` / ``ParallelOps``)
-that must replicate its per-round decisions bit for bit — change one and
-you must change the other (the engine-parity tests in
-``tests/test_program.py`` will catch a drift).
+Streams frame **bits**, not items: every round a sender puts
+``min(bits it can send, room left on the edge)`` bits of a stream on the
+link as one message (a *frame*), so an item may straddle rounds, and the
+receiver takes an item in the round its last bit lands.  A broadcast's
+count header is the stream's first ``HEADER_BITS`` bits; a route's 1-bit
+EOS follows in the round its queue empties, if the edge has room left.
+The wire format is written out in ``docs/protocols.md``.
+
+These generators are the **reference semantics**: the compiled ops of
+:mod:`repro.network.program` (``BroadcastOp`` / ``ConvergecastOp`` /
+``RouteOp`` / ``ParallelOps``) and the count plane of
+:mod:`repro.costmodel.timing` each reimplement the same per-round
+decisions independently, and must agree with these bit for bit (the
+engine-parity tests in ``tests/test_program.py``, the cost-model gate and
+``tests/test_framing.py`` catch a drift).
 """
 
 from __future__ import annotations
@@ -62,6 +71,12 @@ class Mailbox:
         return out
 
 
+def _ended(position: int, offset: int, width: int) -> int:
+    """How many ``width``-bit items of a stream that starts them at bit
+    ``offset`` have their last bit within the first ``position`` bits."""
+    return max(0, (position - offset) // width)
+
+
 def broadcast_node(
     ctx: NodeContext,
     mail: Mailbox,
@@ -74,69 +89,52 @@ def broadcast_node(
     """One node's role in a pipelined tree broadcast.
 
     The root (``parent is None``) supplies ``items``; every other node
-    receives them from its parent.  Items are forwarded to children as they
-    arrive (store-and-forward pipelining), at most ``capacity`` bits per
-    child edge per round.  A count header precedes the stream so receivers
-    are self-terminating.
+    receives them from its parent.  The stream is ``HEADER_BITS`` of
+    count header followed by the items at ``bits_per_item`` bits each.
+    Every round, each child gets as many of the bits this node holds as
+    its edge has room for, so an item may straddle rounds; a frame
+    carries the items whose last bit it holds (and the count, if it
+    holds the header's last bit), and a relay forwards bits as soon as
+    they land (cut-through pipelining).
 
     Returns:
         The full item list (at every node).
     """
+    per_item = max(1, bits_per_item)
     if parent is None:
         received: List[Any] = list(items or ())
         count: Optional[int] = len(received)
+        have = HEADER_BITS + count * per_item
     else:
         received = []
         count = None
-    children = list(children)
-    per_item = max(1, bits_per_item)
-    # The count header is HEADER_BITS long; on thin edges it is sent in
-    # capacity-sized chunks (the first carries the value, the rest are
-    # accounted filler) so header cost never exceeds the per-round budget.
-    header_left = {c: HEADER_BITS for c in children}
-    header_started = set()
-    forwarded = {c: 0 for c in children}
+        have = 0
+    sent = {c: 0 for c in children}
 
     while True:
         mail.ingest(ctx)
         if parent is not None:
-            for payload in mail.pop(tag, parent):
-                kind, value = payload
-                if kind == "hdr":
-                    count = value
-                elif kind == "it":
-                    received.append(value)
-                # "hdrc" filler chunks are accounting-only.
-        for child in children:
-            if count is None:
+            for bits, header, frame_items in mail.pop(tag, parent):
+                have += bits
+                if header is not None:
+                    count = header
+                received.extend(frame_items)
+        for child, lo in sent.items():
+            bits = min(have - lo, ctx.remaining_capacity(child))
+            if bits < 1:
                 continue
-            while header_left[child] > 0:
-                room = ctx.remaining_capacity(child)
-                if room < 1:
-                    break
-                take = min(room, header_left[child])
-                if child not in header_started:
-                    ctx.send(child, take, ("hdr", count), tag)
-                    header_started.add(child)
-                else:
-                    ctx.send(child, take, ("hdrc", None), tag)
-                header_left[child] -= take
-        for child in children:
-            if header_left[child] > 0:
-                continue
-            while (
-                forwarded[child] < len(received)
-                and ctx.remaining_capacity(child) >= per_item
-            ):
-                ctx.send(child, per_item, ("it", received[forwarded[child]]), tag)
-                forwarded[child] += 1
-        done = (
+            hi = lo + bits
+            header = count if lo < HEADER_BITS <= hi else None
+            frame_items = received[
+                _ended(lo, HEADER_BITS, per_item):_ended(hi, HEADER_BITS, per_item)
+            ]
+            ctx.send(child, bits, (bits, header, frame_items), tag)
+            sent[child] = hi
+        if (
             count is not None
             and len(received) == count
-            and all(header_left[c] == 0 for c in children)
-            and all(forwarded[c] == count for c in children)
-        )
-        if done:
+            and all(done == have for done in sent.values())
+        ):
             return received
         yield
 
@@ -156,41 +154,48 @@ def convergecast_node(
     """One node's role in a pipelined bottom-up slot aggregation.
 
     Slot ``i`` of the result is ``combine`` folded over every tree node's
-    ``my_slots[i]`` (nodes passing ``None`` contribute ``identity``).  Each
-    node emits slot ``i`` to its parent as soon as all children delivered
-    their slot ``i`` — the classic pipeline giving ``num_slots + depth``
-    rounds at one slot per edge per round.
+    ``my_slots[i]`` (nodes passing ``None`` contribute ``identity``).
+    Slot ``i`` is ready once every child's slot ``i`` has fully landed;
+    the ready slots' ``bits_per_slot``-bit values then stream to the
+    parent like any other bits, up to the edge's room each round, and a
+    frame carries the values whose last bit it holds.
 
     Returns:
         The combined slot list at the tree root; None elsewhere.
     """
-    children = list(children)
-    child_vals: Dict[str, List[Any]] = {c: [] for c in children}
-    out_idx = 0
-    result: List[Any] = []
     per_slot = max(1, bits_per_slot)
+    child_vals: Dict[str, List[Any]] = {c: [] for c in children}
+    ready: List[Any] = []
+    sent = 0
 
-    while out_idx < num_slots:
+    while True:
         mail.ingest(ctx)
-        for child in children:
-            child_vals[child].extend(mail.pop(tag, child))
-        while out_idx < num_slots:
-            if any(len(child_vals[c]) <= out_idx for c in children):
-                break
-            value = my_slots[out_idx] if my_slots is not None else identity
-            for child in children:
-                value = combine(value, child_vals[child][out_idx])
-            if parent is None:
-                result.append(value)
-                out_idx += 1
-            else:
-                if ctx.remaining_capacity(parent) < per_slot:
-                    break
-                ctx.send(parent, per_slot, value, tag)
-                out_idx += 1
-        if out_idx < num_slots:
-            yield
-    return result if parent is None else None
+        for child, values in child_vals.items():
+            for _bits, frame_values in mail.pop(tag, child):
+                values.extend(frame_values)
+        limit = min((len(v) for v in child_vals.values()), default=num_slots)
+        for i in range(len(ready), min(num_slots, limit)):
+            value = my_slots[i] if my_slots is not None else identity
+            for values in child_vals.values():
+                value = combine(value, values[i])
+            ready.append(value)
+        if parent is None:
+            if len(ready) == num_slots:
+                return ready
+        else:
+            bits = min(len(ready) * per_slot - sent, ctx.remaining_capacity(parent))
+            if bits > 0:
+                hi = sent + bits
+                frame_values = ready[sent // per_slot:hi // per_slot]
+                ctx.send(parent, bits, (bits, frame_values), tag)
+                sent = hi
+            if sent == num_slots * per_slot:
+                return None
+        yield
+
+
+#: The payload of an end-of-stream message.
+_EOS = ("eos",)
 
 
 def route_to_sink_node(
@@ -204,21 +209,31 @@ def route_to_sink_node(
     """One node's role in store-and-forward routing toward a sink.
 
     The routing tree is a BFS tree rooted at the sink (``parent`` is the
-    next hop).  Each node first forwards everything received from its
-    children plus its own ``packets``; when its queue is empty *and* every
-    child has signalled end-of-stream, it signals EOS itself and stops.
-    This realizes the trivial protocol / τ_MCF routing of Lemma 3.1.
+    next hop).  A node's outgoing stream is its own ``packets`` followed
+    by every bit its children send, in arrival order; each round it
+    forwards as many queued bits as the edge has room for, so a packet
+    may straddle rounds and the next packet starts in the same round.  A
+    frame carries the packets whose last bit it holds, each with that
+    bit's offset in the frame.  Once the queue is empty *and* every
+    child has signalled end-of-stream, the node sends its own 1-bit EOS
+    in the same round if the edge has room left, and stops.  This
+    realizes the trivial protocol / τ_MCF routing of Lemma 3.1.
 
     Args:
-        packets: ``(bits, payload)`` pairs originated here; each must fit
-            the edge capacity (chunk larger objects with
-            :func:`chunk_packets`).
+        packets: ``(bits, payload)`` pairs originated here, of any size.
 
     Returns:
         Collected payloads at the sink (``parent is None``); None elsewhere.
     """
     children = list(children)
-    queue: deque = deque(packets)
+    # (position of the last bit in this node's outgoing stream, payload)
+    # for every packet not yet forwarded whole.
+    pending: deque = deque()
+    queued = 0
+    for bits, data in packets:
+        queued += max(1, bits)
+        pending.append((queued, data))
+    sent = 0
     eos_pending = set(children)
     collected: List[Any] = []
     eos_sent = False
@@ -227,57 +242,39 @@ def route_to_sink_node(
         mail.ingest(ctx)
         for child in children:
             for payload in mail.pop(tag, child):
-                if payload == ("eos",):
+                if payload == _EOS:
                     eos_pending.discard(child)
-                else:
-                    queue.append(payload)
+                    continue
+                bits, frame = payload
+                for offset, data in frame:
+                    pending.append((queued + offset, data))
+                queued += bits
         if parent is None:
-            while queue:
-                bits, data = queue.popleft()
-                collected.append(data)
+            collected.extend(data for _end, data in pending)
+            pending.clear()
             if not eos_pending:
                 return collected
         else:
-            while queue:
-                bits, data = queue[0]
-                if ctx.remaining_capacity(parent) < bits:
-                    break
-                ctx.send(parent, bits, (bits, data), tag)
-                queue.popleft()
-            if not queue and not eos_pending and not eos_sent:
-                if ctx.remaining_capacity(parent) >= EOS_BITS:
-                    ctx.send(parent, EOS_BITS, ("eos",), tag)
-                    eos_sent = True
+            bits = min(queued - sent, ctx.remaining_capacity(parent))
+            if bits > 0:
+                hi = sent + bits
+                frame = []
+                while pending and pending[0][0] <= hi:
+                    end, data = pending.popleft()
+                    frame.append((end - sent, data))
+                ctx.send(parent, bits, (bits, frame), tag)
+                sent = hi
+            if (
+                sent == queued
+                and not eos_pending
+                and not eos_sent
+                and ctx.remaining_capacity(parent) >= EOS_BITS
+            ):
+                ctx.send(parent, EOS_BITS, _EOS, tag)
+                eos_sent = True
             if eos_sent:
                 return None
         yield
-
-
-def chunk_packets(
-    payloads: Sequence[Tuple[int, Any]], capacity: int
-) -> List[Tuple[int, Any]]:
-    """Split oversized packets into capacity-sized chunks.
-
-    The first chunk carries the payload; continuation chunks carry a
-    filler marker (the receiver keeps only real payloads, but every bit is
-    accounted).
-    """
-    out: List[Tuple[int, Any]] = []
-    for bits, data in payloads:
-        if bits <= capacity:
-            out.append((bits, data))
-            continue
-        out.append((capacity, data))
-        remaining = bits - capacity
-        while remaining > 0:
-            out.append((min(capacity, remaining), ("cont",)))
-            remaining -= capacity
-    return out
-
-
-def strip_continuations(payloads: Sequence[Any]) -> List[Any]:
-    """Drop the filler chunks produced by :func:`chunk_packets`."""
-    return [p for p in payloads if p != ("cont",)]
 
 
 def parallel_subphases(

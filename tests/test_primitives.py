@@ -2,15 +2,18 @@
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.network import Simulator, Topology
 from repro.protocols import (
+    EOS_BITS,
+    HEADER_BITS,
     Mailbox,
     broadcast_node,
-    chunk_packets,
     convergecast_node,
     parallel_subphases,
     route_to_sink_node,
-    strip_continuations,
 )
 
 
@@ -21,28 +24,6 @@ def run_on(topology, capacity, procs, max_rounds=100_000):
 def tree_roles(parents, node):
     children = sorted(n for n, p in parents.items() if p == node)
     return parents.get(node), children
-
-
-# ---------------------------------------------------------------------------
-# chunk_packets
-# ---------------------------------------------------------------------------
-
-
-def test_chunk_packets_passthrough():
-    assert chunk_packets([(4, "a")], capacity=8) == [(4, "a")]
-
-
-def test_chunk_packets_splits_and_preserves_bits():
-    out = chunk_packets([(20, "big")], capacity=8)
-    assert out[0] == (8, "big")
-    assert sum(bits for bits, _ in out) == 20
-    assert all(p == ("cont",) for _b, p in out[1:])
-
-
-def test_strip_continuations():
-    out = chunk_packets([(20, "big"), (3, "small")], capacity=8)
-    payloads = [p for _b, p in out]
-    assert strip_continuations(payloads) == ["big", "small"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +204,118 @@ def test_routing_merges_streams_at_bottleneck():
     assert res.edge_bits[("P0", "P3")] >= 80
 
 
+def frame_log(stop):
+    """A process that records ``(round, bits, payload)`` of every frame
+    it receives until ``stop(log)`` says the stream is over."""
+
+    def proc(ctx):
+        log = []
+        while not stop(log):
+            log.extend((ctx.round, m.bits, m.payload) for m in ctx.inbox)
+            yield
+        return log
+
+    return proc
+
+
+# ---------------------------------------------------------------------------
+# Bit framing: items straddle rounds
+# ---------------------------------------------------------------------------
+
+
+def test_broadcast_item_lands_in_the_round_its_last_bit_arrives():
+    # Three 18-bit items on a 32-bit link: the header fills round 1, and
+    # the items' 54 bits follow at 32 bits a round, so the second item
+    # straddles rounds 2 and 3 and only the third frame completes it.
+    g = Topology.line(2)
+
+    def root(ctx):
+        mail = Mailbox()
+        return (yield from broadcast_node(
+            ctx, mail, None, ["P1"], ["a", "b", "c"], 18, "bc"))
+
+    length = HEADER_BITS + 3 * 18
+    receiver = frame_log(lambda log: sum(b for _r, b, _p in log) == length)
+    res = run_on(g, 32, {"P0": root, "P1": receiver})
+    assert res.rounds == 3  # item framing: one 18-bit item a round, 4
+    assert res.output_of("P1") == [
+        (2, 32, (32, 3, [])),
+        (3, 32, (32, None, ["a"])),
+        (4, 22, (22, None, ["b", "c"])),
+    ]
+
+
+def test_routed_item_shares_a_round_with_the_next():
+    # 50-bit items on a 32-bit link: the first ends 18 bits into round
+    # 2, and the second starts in the same frame.  The queue is 151 bits
+    # with the EOS, so ceil(151 / 32) = 5 rounds (item framing: 6).
+    g = Topology.line(2)
+    res = run_on(g, 32, routing_procs(
+        g, "P1", {"P0": [(50, "x"), (50, "y"), (50, "z")]}))
+    assert res.output_of("P1") == ["x", "y", "z"]
+    assert res.rounds == 5
+    assert res.total_bits == 3 * 50 + EOS_BITS
+
+    def stop(log):
+        return any(payload == ("eos",) for _r, _b, payload in log)
+
+    def origin(ctx):
+        mail = Mailbox()
+        return (yield from route_to_sink_node(
+            ctx, mail, "P1", [], [(50, "x"), (50, "y"), (50, "z")], "rt"))
+
+    frames = run_on(g, 32, {"P0": origin, "P1": frame_log(stop)})
+    assert frames.output_of("P1")[1] == (3, 32, (32, [(18, "x")]))
+
+
+@pytest.mark.parametrize("payload_bits, rounds", [(20, 1), (64, 3)])
+def test_eos_piggybacks_only_when_there_is_room(payload_bits, rounds):
+    # 20 bits leave room on a 32-bit link: the EOS rides in round 1.
+    # 64 bits fill rounds 1 and 2 exactly, so the EOS takes round 3.
+    g = Topology.line(2)
+    res = run_on(g, 32, routing_procs(g, "P1", {"P0": [(payload_bits, "p")]}))
+    assert res.output_of("P1") == ["p"]
+    assert (res.rounds, res.total_bits) == (rounds, payload_bits + EOS_BITS)
+
+
+@st.composite
+def routed_payloads(draw):
+    capacity = draw(st.integers(1, 64))
+    payloads = draw(
+        st.lists(st.tuples(st.integers(1, 200), st.integers()), max_size=12)
+    )
+    return payloads, capacity
+
+
+@given(routed_payloads())
+@settings(max_examples=100, deadline=None)
+def test_route_bit_stream_properties(case):
+    """One hop, any packet sizes and capacity: the sink gets every
+    payload in order, every bit is charged once, and the queue drains
+    at the full capacity — ``ceil((bits + EOS) / B)`` rounds."""
+    payloads, capacity = case
+    g = Topology.line(2)
+    res = run_on(g, capacity, routing_procs(g, "P1", {"P0": payloads}))
+    bits = sum(b for b, _ in payloads) + EOS_BITS
+    assert res.output_of("P1") == [data for _, data in payloads]
+    assert res.total_bits == bits
+    assert res.rounds == -(-bits // capacity)
+    assert res.max_edge_bits_per_round == min(bits, capacity)
+
+
+@given(st.integers(1, 100))
+@settings(max_examples=50, deadline=None)
+def test_route_bit_stream_capacity_one(bits):
+    """Capacity 1: the packet and its EOS cross one bit a round, and the
+    payload is delivered once, whole, after its last bit."""
+    g = Topology.line(2)
+    res = run_on(g, 1, routing_procs(g, "P1", {"P0": [(bits, "payload")]}))
+    assert res.output_of("P1") == ["payload"]
+    assert res.rounds == bits + EOS_BITS
+    assert res.total_bits == bits + EOS_BITS
+    assert res.max_edge_bits_per_round == 1
+
+
 # ---------------------------------------------------------------------------
 # parallel_subphases
 # ---------------------------------------------------------------------------
@@ -324,67 +417,3 @@ def test_mailbox_separates_tags_and_sources():
 
     res = run_on(g, 8, {"P0": p0, "P1": p1, "P2": p2})
     assert res.output_of("P1") is True
-
-
-# ---------------------------------------------------------------------------
-# chunk_packets / strip_continuations property tests
-# ---------------------------------------------------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
-@st.composite
-def payload_lists(draw):
-    capacity = draw(st.integers(1, 64))
-    payloads = draw(
-        st.lists(
-            st.tuples(st.integers(1, 200), st.integers()),
-            max_size=30,
-        )
-    )
-    return payloads, capacity
-
-
-@given(payload_lists())
-@settings(max_examples=150, deadline=None)
-def test_chunk_packets_roundtrip_properties(case):
-    """Every chunk fits the capacity, every bit is conserved, and
-    stripping continuations recovers the payloads in order."""
-    payloads, capacity = case
-    chunks = chunk_packets(payloads, capacity)
-    assert all(1 <= bits <= capacity for bits, _ in chunks)
-    assert sum(bits for bits, _ in chunks) == sum(b for b, _ in payloads)
-    recovered = strip_continuations([data for _, data in chunks])
-    assert recovered == [data for _, data in payloads]
-
-
-@given(st.integers(1, 100))
-@settings(max_examples=50, deadline=None)
-def test_chunk_packets_capacity_one(bits):
-    """Capacity 1: one head chunk + (bits - 1) one-bit fillers."""
-    chunks = chunk_packets([(bits, "payload")], 1)
-    assert len(chunks) == bits
-    assert all(b == 1 for b, _ in chunks)
-    assert chunks[0][1] == "payload"
-    assert all(data == ("cont",) for _, data in chunks[1:])
-
-
-@given(st.integers(1, 64))
-@settings(max_examples=50, deadline=None)
-def test_chunk_packets_payload_exactly_capacity(capacity):
-    """A payload of exactly the capacity travels as one chunk."""
-    chunks = chunk_packets([(capacity, "exact")], capacity)
-    assert chunks == [(capacity, "exact")]
-
-
-@given(payload_lists())
-@settings(max_examples=100, deadline=None)
-def test_chunk_pattern_agrees_with_chunk_packets(case):
-    """The compiled engine's per-item pattern is chunk_packets itemwise."""
-    from repro.network.program import chunk_pattern
-
-    payloads, capacity = case
-    for bits, _ in payloads:
-        expected = [b for b, _ in chunk_packets([(bits, None)], capacity)]
-        assert list(chunk_pattern(bits, capacity)) == expected

@@ -31,8 +31,6 @@ from repro.network.program import (
     ProgramContext,
     ProgramOp,
     RouteOp,
-    _Run,
-    chunk_pattern,
     run_program,
 )
 from repro.network.simulator import (
@@ -53,6 +51,7 @@ from repro.protocols.faq_protocol import _make_player
 from repro.protocols.primitives import (
     Mailbox,
     broadcast_node,
+    convergecast_node,
     parallel_subphases,
 )
 
@@ -141,8 +140,8 @@ def test_engine_parity_on_a_star_with_three_contributions():
 
 
 def test_engine_parity_with_relayed_final_phase():
-    """A topology where final-phase routing crosses relays (the chunked
-    head/continuation pattern exercises the RouteOp queue)."""
+    """A topology where final-phase routing crosses relays (items wider
+    than the link straddle rounds through the RouteOp bit queue)."""
     spec = ScenarioSpec(
         family="relay", query="tree", query_params={"edges": 5},
         topology="barbell", topology_params={"clique_size": 3, "path_len": 1},
@@ -270,14 +269,6 @@ def test_validate_engine_rejects_unknown():
 # ---------------------------------------------------------------------------
 # Engine internals
 # ---------------------------------------------------------------------------
-
-
-def test_chunk_pattern_matches_chunk_packets():
-    from repro.protocols.primitives import chunk_packets
-
-    for item_bits, capacity in [(1, 1), (5, 5), (7, 5), (33, 20), (21, 20)]:
-        expected = [b for b, _ in chunk_packets([(item_bits, "x")], capacity)]
-        assert list(chunk_pattern(item_bits, capacity)) == expected
 
 
 def test_compiled_deadlock_names_blocked_nodes():
@@ -424,7 +415,7 @@ def test_overlapping_stars_are_jumped_through():
     """The ledger's ``wide-expander`` shape at N=200: two stars, the
     second's scatter reaching nodes still busy in the first, so its
     blocks buffer in their mailboxes while both stream steadily.  The
-    jump materializes them; refusing it stepped 164 of these rounds."""
+    jump materializes them."""
     spec = ScenarioSpec(
         family="overlap", query="acyclic",
         query_params={"edges": 8, "arity": 3}, topology="expander",
@@ -442,25 +433,23 @@ def test_overlapping_stars_are_jumped_through():
         lambda: compile_round_programs(plan, built.query, topology),
     )
     assert fast == slow  # every field, outputs included
-    assert fast.rounds == 254
+    assert fast.rounds == 204
     assert fast.rounds - delta["engine.fast_forward_rounds"] <= 90
 
 
 def test_buffered_route_chunks_materialize_in_stepped_order():
-    """Period 2, and the one stream whose *order* matters: an origin
-    routes 9-bit items over 8-bit links — chunks (8,), (1,), (8,), ... —
-    into a relay still receiving a broadcast, so they buffer.  The jump
-    must queue them as the skipped rounds would have, starting with the
-    stepped round's own sends; the relay's greedy forwarding depends on
-    it.  A compute step snapshots the backlog as the relay's output."""
+    """An origin routes 9-bit items over 8-bit links into a relay still
+    receiving a broadcast, so its frames buffer.  The jump must queue
+    what the skipped rounds would have, starting with the stepped
+    round's own sends; the relay's route starts from that backlog.  A
+    compute step snapshots the backlog's bits as the relay's output."""
     topology = Topology.line(3)
     sink, relay, origin = topology.nodes
 
     def backlog(ctx):
-        return tuple(
-            size
-            for blk in ctx.queues.get(("final", origin), ())
-            for size in blk.meta
+        return sum(
+            blk.bits for blk in ctx.queues.get(("final", origin), ())
+            if blk.kind == "bits"
         )
 
     def build_programs():
@@ -476,18 +465,111 @@ def test_buffered_route_chunks_materialize_in_stepped_order():
                 RouteOp("final", sink, [origin]),
             ]),
             origin: NodeProgram(origin, [
-                RouteOp("final", relay, [],
-                        packets_fn=lambda: [(chunk_pattern(9, 8), 200)]),
+                RouteOp("final", relay, [], payload_bits_fn=lambda: 9 * 200),
             ]),
         }
 
     fast, slow, delta = _fast_and_slow(topology, 8, build_programs)
     assert fast == slow
-    assert fast.rounds == 704
-    assert slow.output_of(relay)[:4] == (8, 1, 8, 1)
-    assert len(slow.output_of(relay)) == 304
-    # The relay buffers for its first 305 rounds; nearly all are jumped.
-    assert delta["engine.fast_forward_rounds"] >= 280
+    assert fast.rounds == 530
+    # The origin's whole stream lands while the relay is still in its
+    # broadcast (305 rounds), and the relay then drains it at 8 bits a
+    # round: both stretches are jumped.
+    assert slow.output_of(relay) == 9 * 200
+    assert delta["engine.fast_forward_rounds"] >= 500
+
+
+# ---------------------------------------------------------------------------
+# Horizons in bits
+# ---------------------------------------------------------------------------
+
+
+def _convergecast_up_a_line(topology, per_slot, num_slots):
+    """Compiled programs and generator processes of one convergecast up
+    ``topology`` (a line) toward its first node, every node adding 1 to
+    every slot."""
+    nodes = list(topology.nodes)
+
+    def roles(i):
+        parent = nodes[i - 1] if i else None
+        return parent, nodes[i + 1:i + 2]
+
+    def build_programs():
+        programs = {}
+        for i, node in enumerate(nodes):
+            op = ConvergecastOp("cc", *roles(i), per_slot)
+            op.configure(num_slots)
+            programs[node] = NodeProgram(node, [op])
+        return programs
+
+    def process(i):
+        def proc(ctx):
+            mail = Mailbox()
+            return (yield from convergecast_node(
+                ctx, mail, *roles(i), num_slots, [1] * num_slots,
+                lambda a, b: a + b, 0, per_slot, "cc"))
+        return proc
+
+    return build_programs, {node: process(i) for i, node in enumerate(nodes)}
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_convergecast_jumps_exactly_when_slots_straddle_rounds(length):
+    """32-bit slots over 36-bit links: the leaf sends 36 bits a round, so
+    the slots readied above it grow by 1, 1, ..., then 2 (every 8
+    rounds).  The root is drained — it moves exactly the slots that
+    became ready — and may only jump while a child that delivers whole
+    slots at the pace they move holds the minimum: here none does.  A
+    relay (length 3) turns room-limited and jumps on the floor's lower
+    envelope.  Jumping must equal stepping and the generator."""
+    topology = Topology.line(length)
+    build_programs, processes = _convergecast_up_a_line(topology, 32, 200)
+    fast, slow, _sends, jumps = _traced_fast_and_slow(
+        topology, 36, build_programs)
+    gen = Simulator(topology, 36).run(processes)
+    assert gen.output_of(topology.nodes[0]) == [length] * 200
+    assert gen.total_bits == (length - 1) * 200 * 32
+    _assert_same_charge(gen, fast)
+    _assert_same_charge(gen, slow)
+    assert jumps >= 1
+
+
+def test_convergecast_horizon_reads_each_childs_readied_bits():
+    """A room-limited relay stays so while every child's readied bits
+    run ahead of those sent.  A child delivering whole 16-bit slots a
+    round counts its floored bits exactly; one delivering 24 bits a
+    round, whose floor moves irregularly, counts its lower envelope
+    ``received - 15``.  A negative distance may already bite: decline."""
+    op = ConvergecastOp("cc", "parent", ["whole", "ragged"], per_slot=16)
+    op.configure(1000)
+    op.received, op.sent = [16 * 20 + 5, 340], 312
+    op.ready = min(op.received) // 16
+    op._hist.extend([((16, 24), 20)] * 2)
+    # whole: 320 - 312 = 8, losing 4 a round; ragged: 340 - 15 - 312 = 13,
+    # gaining 4 a round; the end of the stream is far.
+    assert op.cycle_horizon() == 8 // 4
+    op._hist.extend([((16, 16), 20)] * 2)
+    # ragged now delivers whole slots too: 336 - 312 = 24, losing 4.
+    assert op.cycle_horizon() == min(8 // 4, 24 // 4)
+    # ragged at 326 bits: its floor (320) is ahead, its envelope (-1) not.
+    op.received[1] = 326
+    op._hist.extend([((16, 24), 20)] * 2)
+    assert op.cycle_horizon() == 0
+
+
+def test_broadcast_horizon_stops_before_a_draining_backlog_runs_out():
+    """A relay whose child gets the link's full 32 bits a round while
+    only 20 arrive drains its backlog by 12 a round: the send stays
+    room-limited for ``backlog // 12`` more rounds, and no longer."""
+    op = BroadcastOp("bc", "parent", ["child"], per_item=8)
+    op._learn(1000)
+    op.received, op.sent = 500, [200]
+    op._hist.extend([(20, (32,))] * 2)
+    assert op.cycle_horizon() == 300 // 12
+    op._hist.extend([(32, (32,))] * 2)  # keeping pace: the end bounds it
+    assert op.cycle_horizon() == (op.total - 200 - 1) // 32
+    op.advance(5)
+    assert (op.received, op.sent) == (500 + 5 * 32, [200 + 5 * 32])
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +708,7 @@ def test_every_round_is_audited_against_the_capacity():
             ctx.send_block(dst, "x", "it", 6)
             if self.bypass:
                 ctx._outbox.append(
-                    BlockMessage(src, dst, "x", "it", 6, 1, 1))
+                    BlockMessage(src, dst, "x", "it", 6))
             else:
                 ctx.send_block(dst, "x", "it", 6)
             return True
@@ -769,7 +851,7 @@ def test_engine_result_matches_golden(name, engine_golden):
 def _op_state(value):
     """A comparable deep copy of op state: ops, routing runs and blocks
     compare by identity, so they unfold into their fields."""
-    if isinstance(value, (ProgramOp, _Run, BlockMessage)):
+    if isinstance(value, (ProgramOp, BlockMessage)):
         fields = (
             vars(value) if hasattr(value, "__dict__")
             else {name: getattr(value, name) for name in value.__slots__}
@@ -801,9 +883,9 @@ def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
     }[name]
     calls = {}
     for cls in (ProgramOp, ParallelOps, BroadcastOp, ConvergecastOp, RouteOp):
-        def checked(self, p, _horizon=cls.cycle_horizon, _cls=cls):
+        def checked(self, _horizon=cls.cycle_horizon, _cls=cls):
             before = _op_state(vars(self))
-            horizon = _horizon(self, p)
+            horizon = _horizon(self)
             assert _op_state(vars(self)) == before, type(self).__name__
             calls[_cls.__name__] = calls.get(_cls.__name__, 0) + 1
             return horizon

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import Planner, assign_round_robin, assign_single_player
 from repro.faq import FAQQuery, bcq, marginal_query, scalar_value, solve_naive
 from repro.hypergraph import Hypergraph
-from repro.network import Topology, chunk_pattern
+from repro.network import Topology
 from repro.protocols import (
     ENGINES,
     EOS_BITS,
@@ -125,15 +125,15 @@ def test_trivial_protocol_reassembles_relations():
 
 
 def test_trivial_protocol_round_shape_on_line():
-    """Rounds ~ shipped packets + distance on a line (mincut 1)."""
+    """Rounds ~ shipped frames + distance on a line (mincut 1)."""
     query = _pure_core_join(10)
     runs = _final_phase_runs(query, {"R": "P0", "S": "P0", "T": "P0"})
     plan = runs[0].plan
     item_bits = plan.tuple_bits + plan.value_bits
-    packets = 3 * 10 * len(chunk_pattern(item_bits, plan.capacity_bits))
+    frames = -(-3 * 10 * item_bits // plan.capacity_bits)
     distance = Topology.line(4).distance("P0", "P3")
     for rep in runs:
-        assert packets <= rep.rounds <= packets + 2 * distance + EOS_BITS
+        assert frames <= rep.rounds <= frames + 2 * distance + EOS_BITS
 
 
 # ---------------------------------------------------------------------------
