@@ -14,8 +14,7 @@ specs scaled ×8 so streams are long, each one
 * run by ``run_program`` with ``fast_forward`` on and off,
 
 and all four required equal on rounds, total bits, busiest link-round
-and per-link bits (the engine pair on messages and per-edge bits as
-well).  The jump counters guard the comparison itself: every stepping
+and per-link bits.  The jump counters guard the comparison itself: every stepping
 run must jump no round, and the jumping runs must jump some in total —
 a refactor that inlined ``_steady_cycles`` and left it behind would
 otherwise turn the count-plane check into jumping vs jumping.  After
@@ -91,8 +90,8 @@ def disagreements(spec, jumped):
         failed.append("engine stepping run jumped")
     if stepping_jumped:
         failed.append("count plane stepping run jumped")
-    for name in ("rounds", "total_bits", "total_messages",
-                 "max_edge_bits_per_round", "bits_per_edge", "edge_bits"):
+    for name in ("rounds", "total_bits", "max_edge_bits_per_round",
+                 "bits_per_edge"):
         if getattr(fast, name) != getattr(slow, name):
             failed.append(f"engine {name}")
     if jumping != stepping:

@@ -67,11 +67,13 @@ def cut_transcript(
     Args:
         topology: The communication graph the run used.
         players: The terminal set ``K`` the cut must separate.
-        result: The finished simulation (its ``edge_bits`` are consulted).
+        result: The finished simulation; both directions of each
+            crossing edge are read from its ``bits_per_edge``.
     """
     side_a, side_b, crossing = mincut_partition(topology, players)
+    links = result.bits_per_edge
     bits = sum(
-        result.edge_bits.get(tuple(sorted(edge)), 0) for edge in crossing
+        links.get((u, v), 0) + links.get((v, u), 0) for u, v in crossing
     )
     return CutTranscript(
         side_a=set(side_a),

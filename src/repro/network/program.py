@@ -23,8 +23,8 @@ The engine is **accounting-exact** with respect to the generator engine:
 each op's per-round decisions replicate the corresponding generator
 primitive in :mod:`repro.protocols.primitives`, written independently
 (same frames, same slot gate, same EOS handshake), so round counts, total
-bits, per-edge bits and message counts come out identical.  On top of
-that, :func:`run_program` *fast-forwards* steady streaming states: a
+bits, per-link bits and the busiest link-round come out identical.  On
+top of that, :func:`run_program` *fast-forwards* steady streaming states: a
 steady stream sends the same bits every round, so when a round's send
 signature repeats the previous one's and every live op can bound how
 long its behaviour replays, the engine jumps that many rounds at once —
@@ -38,9 +38,9 @@ engine charges its own: the round's blocks fold into one ``{(src, dst):
 bits}`` dict in send order, every link of it is audited against ``B``
 (:class:`~repro.network.simulator.CapacityExceeded`), and the dict is
 added to the insertion-ordered ``bits_per_edge``.  A jump adds the
-round's stored dict ``k`` times.  ``edge_bits`` is folded from
-``bits_per_edge`` once, after the last round, in the same first-seen
-order.  Nothing here is an array: this package imports neither
+round's stored dict ``k`` times.  That map, the total bits, the rounds
+and the busiest link-round are all a run records besides the outputs.
+Nothing here is an array: this package imports neither
 ``numpy`` nor :mod:`repro.kernels` (``tests/test_layering.py``).
 
 Self-timing is preserved exactly: ops are started lazily, a finished op
@@ -90,23 +90,20 @@ class BlockMessage:
         tag: Stream tag (same namespace as the generator engine).
         kind: ``"bits"`` (a frame of the stream) or ``"eos"`` (end of
             stream).
-        bits: Total bits charged against the edge for this block.
-        messages: Generator-engine message equivalents (for
-            ``total_messages`` parity): 1 for a frame, ``k`` for the
-            block a jump leaves in a mailbox for ``k`` skipped frames.
+        bits: Total bits charged against the edge for this block (a
+            jump leaves one block of ``k`` frames' bits in a mailbox).
         meta: The broadcast count, on the frame holding the header's
             last bit.
     """
 
-    __slots__ = ("src", "dst", "tag", "kind", "bits", "messages", "meta")
+    __slots__ = ("src", "dst", "tag", "kind", "bits", "meta")
 
-    def __init__(self, src, dst, tag, kind, bits, messages=1, meta=None):
+    def __init__(self, src, dst, tag, kind, bits, meta=None):
         self.src = src
         self.dst = dst
         self.tag = tag
         self.kind = kind
         self.bits = bits
-        self.messages = messages
         self.meta = meta
 
     def signature(self) -> Tuple:
@@ -698,9 +695,9 @@ def run_program(
 
     The accounting contract matches :meth:`Simulator.run` exactly: blocks
     sent in round ``t`` are readable in round ``t + 1``; ``rounds`` is
-    the last round with any send; ``total_bits``/``edge_bits``/
-    ``bits_per_edge``/``total_messages`` equal what the generator engine
-    would have charged message by message.
+    the last round with any send; ``total_bits``, ``bits_per_edge`` (key
+    order included) and ``max_edge_bits_per_round`` equal what the
+    generator engine would have charged message by message.
 
     Steady streaming states are fast-forwarded: once a round's send
     signature repeats the previous round's and every live op bounds its
@@ -751,20 +748,18 @@ def run_program(
 
     pending: List[BlockMessage] = []
     total_bits = 0
-    total_messages = 0
     last_send_round = 0
-    last_delivery_round = 0
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
 
     def charge(link_bits: Dict[Tuple[str, str], int], times: int = 1) -> None:
-        """Add ``times`` repeats of one round's per-link bits to the total
-        (``edge_bits`` is folded from it once, after the last round)."""
+        """Add ``times`` repeats of one round's per-link bits to the
+        total."""
         for link, bits in link_bits.items():
             bits_per_edge[link] = bits_per_edge.get(link, 0) + times * bits
 
     # Fast-forward bookkeeping for the last two rounds: (signature, bits,
-    # messages, per-link bits, blocks) — the per-link dict is the round's
+    # per-link bits, blocks) — the per-link dict is the round's
     # accounting delta, replayed ``k`` times by a jump; the blocks are
     # what a jump delivers to mailboxes.
     history: deque = deque(maxlen=2)
@@ -789,7 +784,6 @@ def run_program(
             )
         had_pending = bool(pending)
         if had_pending:
-            last_delivery_round = round_no
             for blk in pending:
                 # Blocks to passive/finished nodes are dropped silently,
                 # like the generator engine's message handling.
@@ -817,13 +811,11 @@ def run_program(
         # One round's charge, the same for every round: per-link bits in
         # send order, every link audited against B, then the totals.
         round_bits = 0
-        round_msgs = 0
         round_link_bits: Dict[Tuple[str, str], int] = {}
         for blk in round_sends:
             link = (blk.src, blk.dst)
             round_link_bits[link] = round_link_bits.get(link, 0) + blk.bits
             round_bits += blk.bits
-            round_msgs += blk.messages
         if round_link_bits:
             busiest = max(round_link_bits.values())
             if busiest > capacity_bits:
@@ -835,16 +827,12 @@ def run_program(
             charge(round_link_bits)
             last_send_round = round_no
             total_bits += round_bits
-            total_messages += round_msgs
             if busiest > max_edge_bits_per_round:
                 max_edge_bits_per_round = busiest
         if tracer is not None:
             for blk in round_sends:
-                tracer.send(
-                    round_no, blk.src, blk.dst, blk.bits, tag=blk.tag,
-                    kind=blk.kind, count=blk.messages, messages=blk.messages,
-                )
-            tracer.round_end(round_no, round_bits, round_msgs)
+                tracer.send(round_no, blk.src, blk.dst, blk.bits,
+                            tag=blk.tag, kind=blk.kind)
 
         if not live and not round_sends:
             break
@@ -863,14 +851,13 @@ def run_program(
             continue
         history.append((
             tuple(blk.signature() for blk in round_sends),
-            round_bits, round_msgs, round_link_bits, round_sends,
+            round_bits, round_link_bits, round_sends,
         ))
         if finished_any or moved_any:
             continue
         if len(history) < 2 or history[0][0] != history[1][0]:
             continue
-        signature, cycle_bits, cycle_msgs, cycle_link_bits, cycle_sends = \
-            history[1]
+        signature, cycle_bits, cycle_link_bits, cycle_sends = history[1]
         if not signature:
             continue  # an idle round cannot be sending-steady
         # The min over every live op's horizon, given up at the first op
@@ -905,42 +892,28 @@ def run_program(
             if queue:
                 queue.append(BlockMessage(
                     blk.src, blk.dst, blk.tag, blk.kind, k * blk.bits,
-                    k * blk.messages,
                 ))
         total_bits += k * cycle_bits
-        total_messages += k * cycle_msgs
         charge(cycle_link_bits, k)
         COUNTERS.increment("engine.fast_forward")
         COUNTERS.increment("engine.fast_forward_rounds", k)
         if tracer is not None:
             tracer.cycle_fast_forward(
                 start_round=round_no,
-                period=1,
                 repeats=k,
                 end_round=round_no + k,
-                cycle=(tuple(
+                sends=tuple(
                     (src, dst, tag, kind, bits)
                     for src, dst, tag, kind, bits, _meta in signature
-                ),),
+                ),
             )
         round_no += k
         last_send_round = round_no
-        last_delivery_round = round_no
-
-    # Each undirected edge enters ``edge_bits`` when either direction is
-    # first charged: the first-seen order of ``bits_per_edge``'s keys.
-    edge_bits: Dict[Tuple[str, str], int] = {}
-    for (src, dst), bits in bits_per_edge.items():
-        key = (dst, src) if dst < src else (src, dst)
-        edge_bits[key] = edge_bits.get(key, 0) + bits
 
     return SimulationResult(
         rounds=last_send_round,
         total_bits=total_bits,
-        total_messages=total_messages,
-        outputs=outputs,
-        edge_bits=edge_bits,
         bits_per_edge=bits_per_edge,
         max_edge_bits_per_round=max_edge_bits_per_round,
-        max_inflight_round=last_delivery_round,
+        outputs=outputs,
     )

@@ -10,11 +10,16 @@ Protocols are written as one generator per node: the node reads
 per-edge capacity) and ``yield``s to end its round.  The simulator runs all
 generators in lockstep, enforces capacities, delivers messages, counts
 rounds and accounts every bit.
+
+A run records what the count plane predicts and nothing else: rounds,
+total bits, bits per directed link and the busiest link-round, plus the
+players' outputs (:class:`SimulationResult`).  The compiled engine,
+:func:`repro.network.program.run_program`, returns the same record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..obs.trace import Tracer, normalize as _normalize_tracer
@@ -68,7 +73,6 @@ class Message:
             ``bits`` is the ground truth for accounting).
         tag: Protocol-defined routing label (e.g. which Steiner tree or
             which stream a word belongs to).
-        sent_round: 1-based round in which the message was sent.
     """
 
     src: str
@@ -76,7 +80,6 @@ class Message:
     bits: int
     payload: Any
     tag: str = ""
-    sent_round: int = 0
 
 
 class NodeContext:
@@ -119,9 +122,7 @@ class NodeContext:
                 f"{used + bits} bits > capacity {self.capacity}"
             )
         self._sent_bits_this_round[dst] = used + bits
-        self._outbox.append(
-            Message(self.node, dst, bits, payload, tag, self.round)
-        )
+        self._outbox.append(Message(self.node, dst, bits, payload, tag))
 
     def remaining_capacity(self, dst: str) -> int:
         """Bits still sendable to ``dst`` this round."""
@@ -154,34 +155,30 @@ ProcessFactory = Callable[[NodeContext], Generator[None, None, Any]]
 
 @dataclass
 class SimulationResult:
-    """Outcome of one protocol run.
+    """Outcome of one protocol run: the four gated metrics (the fields
+    of the count plane's :class:`~repro.costmodel.CostVector`) and the
+    players' outputs.
 
     Attributes:
         rounds: Number of communication rounds used — the largest round
             index in which any message was sent (computation-only trailing
             rounds are free, per Model 2.1).
         total_bits: Total bits carried over all edges in all rounds.
-        total_messages: Message count.
-        outputs: Return value of each node's generator.
-        edge_bits: Bits per undirected edge (sorted pair) over the run.
-        bits_per_edge: Bits per *directed* edge ``(src, dst)`` — the
-            link-utilization view (an undirected edge is two links).
+        bits_per_edge: Bits per *directed* edge ``(src, dst)``, in the
+            order the links were first charged (an undirected edge is two
+            links).
         max_edge_bits_per_round: The busiest link-round of the run: the
             largest number of bits any directed edge carried in a single
             round (at most the capacity ``B``; the ratio is the paper's
             per-round budget utilization).
-        max_inflight_round: The last round in which a message was
-            *delivered* (diagnostics).
+        outputs: Return value of each node's generator.
     """
 
     rounds: int
     total_bits: int
-    total_messages: int
+    bits_per_edge: Dict[Tuple[str, str], int]
+    max_edge_bits_per_round: int
     outputs: Dict[str, Any]
-    edge_bits: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    bits_per_edge: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    max_edge_bits_per_round: int = 0
-    max_inflight_round: int = 0
 
     def output_of(self, node: str) -> Any:
         return self.outputs.get(node)
@@ -257,10 +254,7 @@ class Simulator:
 
         pending: List[Message] = []
         total_bits = 0
-        total_messages = 0
         last_send_round = 0
-        last_delivery_round = 0
-        edge_bits: Dict[Tuple[str, str], int] = {}
         bits_per_edge: Dict[Tuple[str, str], int] = {}
         max_edge_bits_per_round = 0
 
@@ -292,8 +286,6 @@ class Simulator:
                     inboxes[msg.dst].append(msg)
                 # Messages to passive/finished nodes are dropped silently —
                 # a protocol bug surfaces as a deadlock or wrong output.
-            if pending:
-                last_delivery_round = round_no
             pending = []
 
             # Step every live generator once (deterministic order).
@@ -310,9 +302,6 @@ class Simulator:
                 sent = ctx._collect()
                 for msg in sent:
                     total_bits += msg.bits
-                    total_messages += 1
-                    key = tuple(sorted((msg.src, msg.dst)))
-                    edge_bits[key] = edge_bits.get(key, 0) + msg.bits
                     link = (msg.src, msg.dst)
                     bits_per_edge[link] = bits_per_edge.get(link, 0) + msg.bits
                     round_edge_bits[link] = (
@@ -328,21 +317,12 @@ class Simulator:
                 # Coalesce the round's messages into one event per
                 # (edge, tag) stream — replay needs edge/round bit
                 # totals, not message granularity.
-                streams: Dict[Tuple[str, str, str], List[int]] = {}
+                streams: Dict[Tuple[str, str, str], int] = {}
                 for msg in pending:
-                    acc = streams.setdefault((msg.src, msg.dst, msg.tag), [0, 0])
-                    acc[0] += msg.bits
-                    acc[1] += 1
-                for (src, dst, tag), (bits, count) in streams.items():
-                    tracer.send(
-                        round_no, src, dst, bits, tag=tag, kind="msg",
-                        count=count, messages=count,
-                    )
-                tracer.round_end(
-                    round_no,
-                    sum(m.bits for m in pending),
-                    len(pending),
-                )
+                    stream = (msg.src, msg.dst, msg.tag)
+                    streams[stream] = streams.get(stream, 0) + msg.bits
+                for (src, dst, tag), bits in streams.items():
+                    tracer.send(round_no, src, dst, bits, tag=tag)
             for node in finished:
                 del generators[node]
 
@@ -352,27 +332,9 @@ class Simulator:
         return SimulationResult(
             rounds=last_send_round,
             total_bits=total_bits,
-            total_messages=total_messages,
-            outputs=outputs,
-            edge_bits=edge_bits,
             bits_per_edge=bits_per_edge,
             max_edge_bits_per_round=max_edge_bits_per_round,
-            max_inflight_round=last_delivery_round,
-        )
-
-    def run_program(self, programs) -> SimulationResult:
-        """Execute compiled :class:`~repro.network.program.NodeProgram`s.
-
-        The batched fast path: same topology, capacity and round/bit
-        accounting contract as :meth:`run`, but frames move as bit-count
-        blocks, rows out of band, and steady rounds are jumped.  See
-        :mod:`repro.network.program`.
-        """
-        from .program import run_program
-
-        return run_program(
-            self.topology, self.capacity_bits, programs, self.max_rounds,
-            tracer=self.tracer,
+            outputs=outputs,
         )
 
 

@@ -30,7 +30,6 @@ from .trace import (
     CycleFastForwardEvent,
     PhaseTimerEvent,
     RecordingTracer,
-    RoundEndEvent,
     RoundStartEvent,
     RunStartEvent,
     SendEvent,
@@ -53,7 +52,6 @@ __all__ = [
     "active_tracer",
     "RunStartEvent",
     "RoundStartEvent",
-    "RoundEndEvent",
     "SendEvent",
     "ComputeStepEvent",
     "CycleFastForwardEvent",

@@ -10,10 +10,13 @@ Three views of one event stream:
   the ``nodes`` process, one per *directed* edge under ``links``, plus
   an ``engine`` track for fast-forward jumps.  One protocol round maps
   to 1 ms of trace time; a send's slice duration is its share of the
-  per-round capacity ``B``, so a full link renders as a solid bar.
+  per-round capacity ``B``, so a full link renders as a solid bar.  A
+  jump puts one slice spanning its skipped rounds on every link it
+  carries, so each link track's ``args.bits`` sum to the link's bits.
 * :func:`format_timeline` — the paper's Model 2.1 picture in a
   terminal: per-round per-link bit loads, with fast-forwarded stretches
-  compressed to one annotated line (exactly what the engine did).
+  compressed to one annotated line (exactly what the engine did), and
+  per-link totals that count the jumped rounds too.
 """
 
 from __future__ import annotations
@@ -55,9 +58,7 @@ def _collect_links(events: Sequence[TraceEvent]) -> List[Tuple[str, str]]:
         if isinstance(event, SendEvent):
             links.add((event.src, event.dst))
         elif isinstance(event, CycleFastForwardEvent):
-            for round_sends in event.cycle:
-                for src, dst, _tag, _kind, _bits in round_sends:
-                    links.add((src, dst))
+            links.update(event.link_bits())
     return sorted(links)
 
 
@@ -116,8 +117,6 @@ def events_to_chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, Any]:
                         "bits": event.bits,
                         "tag": event.tag,
                         "kind": event.kind,
-                        "count": event.count,
-                        "messages": event.messages,
                     },
                 }
             )
@@ -134,24 +133,28 @@ def events_to_chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, Any]:
                 }
             )
         elif isinstance(event, CycleFastForwardEvent):
+            # The skipped rounds start_round+1 .. end_round, on the
+            # engine track and on every link the replayed round loads.
+            span = {
+                "ph": "X",
+                "ts": (event.start_round + 1) * ROUND_US,
+                "dur": event.repeats * ROUND_US,
+            }
+            rounds = {
+                "start_round": event.start_round,
+                "end_round": event.end_round,
+                "repeats": event.repeats,
+            }
             trace.append(
-                {
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": 0,
-                    "ts": event.start_round * ROUND_US,
-                    "dur": event.rounds_skipped * ROUND_US,
-                    "name": (
-                        f"fast-forward x{event.repeats} "
-                        f"(period {event.period})"
-                    ),
-                    "args": {
-                        "start_round": event.start_round,
-                        "end_round": event.end_round,
-                        "rounds_skipped": event.rounds_skipped,
-                    },
-                }
+                {**span, "pid": 1, "tid": 0,
+                 "name": f"fast-forward x{event.repeats}", "args": rounds}
             )
+            for link, bits in event.link_bits().items():
+                trace.append(
+                    {**span, "pid": 2, "tid": link_tid[link],
+                     "name": f"fast-forward x{event.repeats} {bits}b",
+                     "args": {**rounds, "bits": event.repeats * bits}}
+                )
         elif isinstance(event, PhaseTimerEvent):
             trace.append(
                 {
@@ -191,7 +194,8 @@ def format_timeline(
     """A round-by-round link-utilization table for terminals.
 
     One row per *stepped* round (bits per directed link), fast-forwarded
-    stretches compressed to one annotated line.  When more than
+    stretches compressed to one annotated line; the per-link totals
+    count every round, jumped ones included.  When more than
     ``max_rounds`` stepped rounds or ``max_links`` links exist, the
     middle rounds / the quietest links are elided with an explicit note
     — silence must never read as coverage.
@@ -210,6 +214,10 @@ def format_timeline(
             link_totals[link] = link_totals.get(link, 0) + event.bits
         elif isinstance(event, CycleFastForwardEvent):
             jumps[event.start_round] = event
+            for link, bits in event.link_bits().items():
+                link_totals[link] = (
+                    link_totals.get(link, 0) + event.repeats * bits
+                )
 
     header_bits = []
     if run is not None:
@@ -264,7 +272,7 @@ def format_timeline(
         jump = jumps.get(round_no)
         if jump is not None:
             lines.append(
-                f"  >> fast-forward x{jump.repeats} (period {jump.period}): "
+                f"  >> fast-forward x{jump.repeats}: "
                 f"rounds {jump.start_round + 1}-{jump.end_round} replayed "
                 f"arithmetically"
             )

@@ -20,18 +20,17 @@ A :class:`Tracer` is injected into the engines
 Event vocabulary (one dataclass each):
 
 * ``RunStartEvent`` — engine name, capacity ``B``, participating nodes.
-* ``RoundStartEvent`` / ``RoundEndEvent`` — round boundaries; the end
-  event carries the round's total bits/messages.
-* ``SendEvent`` — one stream's traffic on one directed edge in one
-  round (the generator engine coalesces its messages — a stream's bit
-  frame and any EOS — to one event per ``(edge, tag)`` per round; the
-  compiled engine's blocks map one-to-one).  Replaying these events *is* the accounting.
+* ``RoundStartEvent`` — a stepped round began.
+* ``SendEvent`` — one stream's bits on one directed edge in one round
+  (the generator engine coalesces its messages — a stream's bit frame
+  and any EOS — to one event per ``(edge, tag)`` per round; the compiled
+  engine's blocks map one-to-one).  Replaying these events *is* the
+  accounting.
 * ``ComputeStepEvent`` — a free local computation (compiled engine).
-* ``CycleFastForwardEvent`` — the compiled engine jumped ``repeats``
-  whole cycles of ``period`` rounds (steady bit streams repeat every
-  round, so ``period`` is 1); carries the cycle's per-round send
-  signatures so replay can apply the jump arithmetically, exactly like
-  the engine did.
+* ``CycleFastForwardEvent`` — the compiled engine replayed its last
+  stepped round ``repeats`` more times (a steady bit stream repeats
+  every round); carries that round's sends so replay can apply the
+  jump arithmetically, exactly like the engine did.
 * ``PhaseTimerEvent`` — wall-clock of one pipeline phase
   (``plan_compile`` / ``intern`` / ``solve`` / ``protocol``); volatile
   by nature, ignored by replay.
@@ -67,20 +66,12 @@ class RoundStartEvent:
 
 
 @dataclass(frozen=True)
-class RoundEndEvent:
-    round: int
-    bits: int
-    messages: int
-
-
-@dataclass(frozen=True)
 class SendEvent:
-    """One stream's traffic over one directed edge in one round.
+    """One stream's bits over one directed edge in one round.
 
     ``kind`` is the block vocabulary of the compiled engine (``bits``
     for a stream's frame, ``eos``) or ``"msg"`` for generator-engine
-    messages; ``count`` and ``messages`` are the frames (generator-engine
-    message equivalents) the event covers.
+    messages.
     """
 
     round: int
@@ -89,8 +80,6 @@ class SendEvent:
     bits: int
     tag: str = ""
     kind: str = "msg"
-    count: int = 1
-    messages: int = 1
 
 
 @dataclass(frozen=True)
@@ -102,22 +91,26 @@ class ComputeStepEvent:
 
 @dataclass(frozen=True)
 class CycleFastForwardEvent:
-    """The compiled engine replayed ``repeats`` cycles arithmetically.
+    """The compiled engine replayed a steady round ``repeats`` times.
 
-    ``cycle`` holds one tuple per cycle round, each a tuple of
-    ``(src, dst, tag, kind, bits)`` send signatures — exactly the
-    traffic each skipped round would have carried.  ``start_round`` is
-    the last *stepped* round (the cycle's reference window ends there);
-    ``end_round = start_round + repeats * period`` is the engine's
-    post-jump round counter.  ``rounds_skipped == repeats * period``.
+    ``sends`` holds the ``(src, dst, tag, kind, bits)`` of every block
+    of ``start_round``, the last *stepped* round — exactly the traffic
+    each skipped round would have carried.  The skipped rounds are
+    ``start_round + 1 .. end_round``, so ``end_round = start_round +
+    repeats`` is the engine's post-jump round counter.
     """
 
     start_round: int
-    period: int
     repeats: int
-    rounds_skipped: int
     end_round: int
-    cycle: Tuple[Tuple[Tuple[str, str, str, str, int], ...], ...]
+    sends: Tuple[Tuple[str, str, str, str, int], ...]
+
+    def link_bits(self) -> Dict[Tuple[str, str], int]:
+        """Bits per directed link in *one* skipped round, in send order."""
+        links: Dict[Tuple[str, str], int] = {}
+        for src, dst, _tag, _kind, bits in self.sends:
+            links[(src, dst)] = links.get((src, dst), 0) + bits
+        return links
 
 
 @dataclass(frozen=True)
@@ -155,9 +148,6 @@ class Tracer:
     def round_start(self, round_no: int) -> None:
         """A synchronous round began."""
 
-    def round_end(self, round_no: int, bits: int, messages: int) -> None:
-        """The round's sends are final; ``bits``/``messages`` are its totals."""
-
     def send(
         self,
         round_no: int,
@@ -166,8 +156,6 @@ class Tracer:
         bits: int,
         tag: str = "",
         kind: str = "msg",
-        count: int = 1,
-        messages: int = 1,
     ) -> None:
         """Traffic on the directed edge ``src -> dst`` this round."""
 
@@ -177,12 +165,11 @@ class Tracer:
     def cycle_fast_forward(
         self,
         start_round: int,
-        period: int,
         repeats: int,
         end_round: int,
-        cycle: Sequence[Tuple[Tuple[str, str, str, str, int], ...]],
+        sends: Sequence[Tuple[str, str, str, str, int]],
     ) -> None:
-        """The engine jumped ``repeats`` cycles of ``period`` rounds."""
+        """The engine replayed round ``start_round`` ``repeats`` times."""
 
     def phase_timer(self, phase: str, seconds: float) -> None:
         """One pipeline phase's wall-clock (volatile; never replayed)."""
@@ -206,9 +193,6 @@ class RecordingTracer(Tracer):
     def round_start(self, round_no: int) -> None:
         self.events.append(RoundStartEvent(round_no))
 
-    def round_end(self, round_no: int, bits: int, messages: int) -> None:
-        self.events.append(RoundEndEvent(round_no, bits, messages))
-
     def send(
         self,
         round_no: int,
@@ -217,12 +201,8 @@ class RecordingTracer(Tracer):
         bits: int,
         tag: str = "",
         kind: str = "msg",
-        count: int = 1,
-        messages: int = 1,
     ) -> None:
-        self.events.append(
-            SendEvent(round_no, src, dst, bits, tag, kind, count, messages)
-        )
+        self.events.append(SendEvent(round_no, src, dst, bits, tag, kind))
 
     def compute_step(self, round_no: int, node: str, label: str) -> None:
         self.events.append(ComputeStepEvent(round_no, node, label))
@@ -230,20 +210,12 @@ class RecordingTracer(Tracer):
     def cycle_fast_forward(
         self,
         start_round: int,
-        period: int,
         repeats: int,
         end_round: int,
-        cycle: Sequence[Tuple[Tuple[str, str, str, str, int], ...]],
+        sends: Sequence[Tuple[str, str, str, str, int]],
     ) -> None:
         self.events.append(
-            CycleFastForwardEvent(
-                start_round=start_round,
-                period=period,
-                repeats=repeats,
-                rounds_skipped=repeats * period,
-                end_round=end_round,
-                cycle=tuple(tuple(r) for r in cycle),
-            )
+            CycleFastForwardEvent(start_round, repeats, end_round, tuple(sends))
         )
 
     def phase_timer(self, phase: str, seconds: float) -> None:

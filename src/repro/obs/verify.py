@@ -9,13 +9,13 @@ metrics:
 
 * ``rounds`` — the last round with any send (fast-forward jumps extend
   it to their ``end_round``, exactly like the engine's counter);
-* ``total_bits`` — the sum of event bits plus ``repeats x cycle bits``
-  per jump;
+* ``total_bits`` — the sum of event bits plus ``repeats x`` the jump's
+  send bits per jump;
 * ``bits_per_edge`` — the per-directed-link map, same fold;
 * ``max_edge_bits_per_round`` — the busiest link-round among *stepped*
   rounds.  Jumps never contribute: the engine only fast-forwards a
-  cycle it has already stepped (and traced) at least twice, so the
-  skipped rounds repeat per-link loads that are already in the maximum.
+  round it has already stepped (and traced) twice, so the skipped
+  rounds repeat per-link loads that are already in the maximum.
 
 Since the cost model independently predicts the same four metrics and
 ``repro.lab`` gates measured == predicted per covered run, a verified
@@ -87,13 +87,9 @@ def replay_trace(events: Iterable[TraceEvent]) -> ReplayedTotals:
                 totals.rounds = event.round
         elif isinstance(event, CycleFastForwardEvent):
             close_window()
-            for round_sends in event.cycle:
-                for _src, _dst, _tag, _kind, bits in round_sends:
-                    totals.total_bits += event.repeats * bits
-            for round_sends in event.cycle:
-                for src, dst, _tag, _kind, bits in round_sends:
-                    link = (src, dst)
-                    edges[link] = edges.get(link, 0) + event.repeats * bits
+            for link, bits in event.link_bits().items():
+                edges[link] = edges.get(link, 0) + event.repeats * bits
+                totals.total_bits += event.repeats * bits
             if event.end_round > totals.rounds:
                 totals.rounds = event.end_round
     close_window()

@@ -34,6 +34,7 @@ from ..decomposition import GHD, best_gyo_ghd
 from ..faq import FAQQuery, solve, validate_solver
 from ..faq.message_passing import upward_pass_message
 from ..hypergraph import Hypergraph
+from ..network.program import run_program
 from ..network.simulator import SimulationResult, Simulator
 from ..network.topology import Topology
 from ..semiring import BOOLEAN, Factor, to_backend
@@ -579,18 +580,21 @@ def run_distributed_faq(
         )
     if tracer is not None:
         tracer.phase_timer("plan_compile", time.perf_counter() - compile_start)
-    sim = Simulator(topology, plan.capacity_bits, max_rounds, tracer=tracer)
     if engine == "compiled":
         from .compiler import compile_round_programs
 
-        result = sim.run_program(
-            compile_round_programs(plan, query, topology, solver)
+        result = run_program(
+            topology, plan.capacity_bits,
+            compile_round_programs(plan, query, topology, solver),
+            max_rounds, tracer=tracer,
         )
     else:
         processes = {
             n: _make_player(plan, query, n, solver) for n in topology.nodes
         }
-        result = sim.run(processes)
+        result = Simulator(
+            topology, plan.capacity_bits, max_rounds, tracer=tracer
+        ).run(processes)
     answer = result.output_of(plan.output_player)
     if answer is None:
         raise RuntimeError("output player produced no answer (protocol bug)")

@@ -215,6 +215,20 @@ def test_a_protocol_plan_holds_no_relations_and_no_solver():
     assert offenders == []
 
 
+def test_a_run_records_what_the_count_plane_predicts():
+    # Measured = predicted = traced is checked on four numbers; an engine
+    # that counts a fifth (messages, a delivery round, a second edge map)
+    # keeps code no gate reads.  Besides the players' outputs, a run's
+    # record holds exactly the count plane's fields.
+    from repro.costmodel import CostVector
+    from repro.network.simulator import SimulationResult
+
+    def names(cls):
+        return {field.name for field in dataclasses.fields(cls)}
+
+    assert names(SimulationResult) - {"outputs"} == names(CostVector)
+
+
 def test_the_memos_are_the_seven_with_traffic_figures():
     # docs/dataplane.md holds the hits/misses table that pays for each
     # of these; a new memo brings its own row in the PR that adds it.

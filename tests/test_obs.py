@@ -20,9 +20,11 @@ Four contracts:
   golden file) annotates fast-forwarded stretches.
 """
 
+import dataclasses
 import json
 import logging
 import os
+import re
 import warnings
 
 import pytest
@@ -100,11 +102,8 @@ def test_noop_tracer_records_nothing():
     tracer.run_start("generator", 10, ["a", "b"])
     tracer.round_start(1)
     tracer.send(1, "a", "b", 10)
-    tracer.round_end(1, 10, 1)
     tracer.compute_step(1, "a", "x")
-    tracer.cycle_fast_forward(
-        start_round=1, period=1, repeats=3, end_round=4, cycle=()
-    )
+    tracer.cycle_fast_forward(start_round=1, repeats=3, end_round=4, sends=())
     tracer.phase_timer("solve", 0.1)
     assert not tracer.enabled
     assert not hasattr(tracer, "events") or not tracer.events
@@ -182,7 +181,7 @@ def test_replay_covers_fast_forwarded_rounds():
     jumps = [e for e in events if isinstance(e, CycleFastForwardEvent)]
     assert jumps, "expected the compiled run to fast-forward"
     assert all(
-        j.rounds_skipped == j.repeats * j.period and j.cycle for j in jumps
+        j.end_round == j.start_round + j.repeats and j.sends for j in jumps
     )
     verdict = verify_trace(events, report.protocol.simulation)
     assert verdict.ok, verdict.mismatches
@@ -194,11 +193,7 @@ def test_tampered_trace_is_caught_with_named_metric():
         (i, e) for i, e in enumerate(events) if isinstance(e, SendEvent)
     )
     tampered = list(events)
-    tampered[idx] = SendEvent(
-        round=send.round, src=send.src, dst=send.dst, bits=send.bits + 1,
-        tag=send.tag, kind=send.kind, count=send.count,
-        messages=send.messages,
-    )
+    tampered[idx] = dataclasses.replace(send, bits=send.bits + 1)
     verdict = verify_trace(tampered, report.protocol.simulation)
     assert not verdict.ok
     assert any("total_bits" in m for m in verdict.mismatches)
@@ -292,7 +287,7 @@ def test_jsonl_export_round_trips():
     assert len(lines) == len(events)
     parsed = [json.loads(line) for line in lines]
     types = {p["type"] for p in parsed}
-    assert {"RunStart", "RoundStart", "RoundEnd", "Send",
+    assert {"RunStart", "RoundStart", "Send",
             "CycleFastForward", "PhaseTimer"} <= types
     sends = [p for p in parsed if p["type"] == "Send"]
     originals = [e for e in events if isinstance(e, SendEvent)]
@@ -314,12 +309,43 @@ def test_chrome_trace_has_perfetto_shape():
         if e["ph"] == "M" and e["name"] == "process_name"
     }
     assert names == {"nodes", "links"}
-    run = next(e for e in events if isinstance(e, RunStartEvent))
+    # A send fills its share of one round; a jump spans its rounds.
     slices = [e for e in trace if e["ph"] == "X" and e["pid"] == 2]
-    assert slices and all(
-        e["dur"] <= 1000 and e["dur"] >= 1 for e in slices
+    sends = [e for e in slices if "repeats" not in e["args"]]
+    jumped = [e for e in slices if "repeats" in e["args"]]
+    assert sends and all(1 <= e["dur"] <= 1000 for e in sends)
+    assert jumped and all(
+        e["dur"] == 1000 * e["args"]["repeats"]
+        and e["ts"] == 1000 * (e["args"]["start_round"] + 1)
+        for e in jumped
     )
     json.dumps(payload)  # strictly serializable
+
+
+def _link_track_bits(payload):
+    """``args.bits`` summed per link track of a Chrome trace payload."""
+    names = {
+        e["tid"]: e["args"]["name"] for e in payload["traceEvents"]
+        if e["ph"] == "M" and e["pid"] == 2 and e["name"] == "thread_name"
+    }
+    totals = {}
+    for e in payload["traceEvents"]:
+        if e["ph"] == "X" and e["pid"] == 2:
+            link = names[e["tid"]]
+            totals[link] = totals.get(link, 0) + e["args"]["bits"]
+    return totals
+
+
+def test_chrome_link_tracks_carry_every_bit_of_their_link():
+    # A jumped link is busy through the jump, not idle: the slices of
+    # each link track sum to the link's bits, jumped rounds included.
+    report, events = _traced_run(golden_spec(engine="compiled"))
+    simulation = report.protocol.simulation
+    assert any(isinstance(e, CycleFastForwardEvent) for e in events)
+    assert _link_track_bits(events_to_chrome_trace(events)) == {
+        f"{src}->{dst}": bits
+        for (src, dst), bits in simulation.bits_per_edge.items()
+    }
 
 
 def test_timeline_matches_golden():
@@ -332,6 +358,23 @@ def test_timeline_matches_golden():
         "regenerate it if the change is intentional (see golden README)"
     )
     assert ">> fast-forward" in rendered
+
+
+def test_timeline_totals_count_jumped_rounds():
+    report, events = _traced_run(golden_spec(engine="compiled"))
+    simulation = report.protocol.simulation
+    assert any(isinstance(e, CycleFastForwardEvent) for e in events)
+    totals = re.search(
+        r"totals: (\d+) bits over (\d+) link\(s\); busiest (\S+) with "
+        r"(\d+) bits",
+        format_timeline(events),
+    )
+    total, links, busiest, busiest_bits = totals.groups()
+    assert int(total) == simulation.total_bits
+    assert int(links) == len(simulation.bits_per_edge)
+    assert int(busiest_bits) == max(simulation.bits_per_edge.values())
+    src, dst = busiest.split("->")
+    assert simulation.bits_per_edge[(src, dst)] == int(busiest_bits)
 
 
 def test_timeline_elides_explicitly():

@@ -201,7 +201,7 @@ def test_routing_merges_streams_at_bottleneck():
     res = run_on(g, 8, routing_procs(g, "P3", packets))
     assert len(res.output_of("P3")) == 10
     # All 10 packets funnel through hub->P3: >= 10 rounds on that edge.
-    assert res.edge_bits[("P0", "P3")] >= 80
+    assert res.bits_per_edge[("P0", "P3")] >= 80
 
 
 def frame_log(stop):
