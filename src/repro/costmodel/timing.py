@@ -49,8 +49,8 @@ from .skeleton import CostSkeleton, RouteSkeleton, StarSkeleton
 
 
 class CostModelError(Exception):
-    """The cost model could not price a scenario (model bug or an
-    uncovered structure — never silently swallowed)."""
+    """The cost model could not price a scenario (a model bug: the lab
+    records it as a mismatch and serving rejects the session)."""
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ Commands:
   ``--out``.  Exit code 1 when any scenario's protocol answer disagrees
   with the centralized solver, when any run violates its certified
   lower bound, when any engine/solver/backend pair breaks parity, or
-  when the symbolic cost model mispredicts any covered run (uncovered
-  cells are enumerated on stdout, never gated).
+  when the symbolic cost model mispredicts any run.
   ``--engine generator|compiled`` overrides every scenario's protocol
   engine; ``--engine both`` runs each scenario on both engines (paired,
   for parity checks and speedup measurements).  ``--solver
@@ -21,13 +20,15 @@ Commands:
 * ``parity <BENCH_lab.json>`` — verify parity in an artifact: every pair
   of scenarios differing only in the protocol engine, only in the FAQ
   solver, or only in the storage backend must agree exactly on answer
-  digest, round count and total bits.  Exit code 1 on any mismatch.
+  digest, round count and total bits.  Exit code 1 on any mismatch,
+  2 when the artifact has another schema than this lab writes.
 * ``predict <suite>`` — price every scenario of a suite symbolically
   (zero protocol execution): per-scenario rounds/bits/busiest-link
-  estimates, the coverage report, and with ``--symbolic`` the kernel
-  formula table.  ``--artifact BENCH_lab.json`` cross-checks every
-  covered prediction against the recorded measurements (exit 1 on any
-  mismatch — the artifact-consistency oracle CI runs).
+  estimates, and with ``--symbolic`` the kernel formula table.
+  ``--artifact BENCH_lab.json`` cross-checks the prediction of every
+  scenario in the artifact against the recorded measurements (exit 1 on
+  any mismatch — the artifact-consistency oracle CI runs; exit 2 when
+  the artifact has another schema).
 * ``trace <suite> [--scenario LABEL]`` — execute one scenario of a suite
   with the protocol event tracer on, write the event stream as JSONL and
   as Chrome trace-event JSON (loadable at https://ui.perfetto.dev) under
@@ -70,6 +71,7 @@ from ..protocols.faq_protocol import ENGINES
 from .cache import ResultCache
 from ..pipeline import plan_scenario, predicted_metrics
 from .report import (
+    ARTIFACT_SCHEMA,
     PARITY_AXES,
     all_parity_failures,
     artifact_payload,
@@ -195,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict_p.add_argument(
         "--artifact", default=None, metavar="PATH",
         help="cross-check predictions against a BENCH_lab.json: every "
-        "covered scenario's prediction must reproduce the recorded "
+        "scenario's prediction must reproduce the recorded "
         "measurement exactly (exit 1 on any mismatch)",
     )
     predict_p.add_argument(
@@ -238,10 +240,25 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_parity(args: argparse.Namespace) -> int:
-    with open(args.artifact, "r", encoding="utf-8") as fh:
+def _read_artifact(path: str) -> Optional[dict]:
+    """The payload of an artifact this lab wrote, or None (after naming
+    both schema ids) when it was written under another schema."""
+    with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    records = payload.get("scenarios", [])
+    if payload.get("schema") != ARTIFACT_SCHEMA:
+        print(
+            f"{path} has schema {payload.get('schema')!r}, this lab reads "
+            f"{ARTIFACT_SCHEMA!r}; regenerate it with `run`"
+        )
+        return None
+    return payload
+
+
+def _cmd_parity(args: argparse.Namespace) -> int:
+    payload = _read_artifact(args.artifact)
+    if payload is None:
+        return 2
+    records = payload["scenarios"]
     pairs = {axis: len(axis_pairs(records, axis)) for axis in PARITY_AXES}
     if not any(pairs.values()):
         print(
@@ -265,26 +282,20 @@ def _cmd_parity(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     """Symbolically price every scenario of a suite — zero execution.
 
-    With ``--artifact``, every covered scenario present in the artifact
-    must have its recorded measurement reproduced exactly by the
-    prediction (all four metrics); exit 1 otherwise.
+    With ``--artifact``, every scenario present in the artifact must
+    have its recorded measurement reproduced exactly by the prediction
+    (all four metrics); exit 1 otherwise.
     """
-    from ..costmodel import (
-        CostModelError,
-        cell_of,
-        coverage_report,
-        format_kernel_table,
-        is_covered,
-    )
+    from ..costmodel import CostModelError, format_kernel_table
 
     suite = get_suite(args.suite, seed=args.seed)
     recorded = {}
     if args.artifact:
-        with open(args.artifact, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_artifact(args.artifact)
+        if payload is None:
+            return 2
         recorded = {
-            record["spec_hash"]: record
-            for record in payload.get("scenarios", [])
+            record["spec_hash"]: record for record in payload["scenarios"]
         }
 
     if args.symbolic:
@@ -294,10 +305,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     mismatches: List[str] = []
     matched = 0
     priced_before = COUNTERS.snapshot()
-    header = (
-        f"{'scenario':<52} {'cov':>3} {'rounds':>7} {'bits':>9} "
-        f"{'busiest':>7}"
-    )
+    header = f"{'scenario':<52} {'rounds':>7} {'bits':>9} {'busiest':>7}"
     print(header)
     print("-" * len(header))
     for spec in suite:
@@ -308,40 +316,27 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             print(f"{spec.label:<52} PREDICTION FAILED: {exc}")
             mismatches.append(f"{spec.label}: {exc}")
             continue
-        covered = is_covered(spec)
         print(
-            f"{spec.label:<52} {'y' if covered else '-':>3} "
-            f"{predicted['rounds']:>7} {predicted['total_bits']:>9} "
+            f"{spec.label:<52} {predicted['rounds']:>7} "
+            f"{predicted['total_bits']:>9} "
             f"{predicted['max_edge_bits_per_round']:>7}"
         )
         record = recorded.get(spec.content_hash())
-        if record is None or not covered:
+        if record is None:
             continue
         matched += 1
-        block = record.get("cost_model") or {}
-        measured = block.get("measured") or {
-            "rounds": record["measured_rounds"],
-            "total_bits": record["total_bits"],
-        }
+        measured = record["cost_model"]["measured"]
         diffs = [
             f"{metric} predicted={predicted[metric]!r} "
             f"recorded={measured[metric]!r}"
             for metric in measured
-            if metric in predicted and predicted[metric] != measured[metric]
+            if predicted[metric] != measured[metric]
         ]
         if diffs:
             mismatches.append(f"{spec.label}: " + "; ".join(diffs))
 
-    coverage = coverage_report(cell_of(s) for s in suite)
     print()
-    print(
-        f"suite {suite.name!r}: {coverage['runs']} scenarios priced, "
-        f"{coverage['covered_runs']} in covered cells "
-        f"({len(coverage['covered_cells'])} distinct), "
-        f"{len(coverage['uncovered_cells'])} uncovered cell(s)"
-    )
-    for cell in coverage["uncovered_cells"]:
-        print(f"  uncovered: {cell}")
+    print(f"suite {suite.name!r}: {len(suite)} scenarios priced")
     priced = counter_delta(priced_before, COUNTERS.snapshot())
     rounds, jumped = (priced.get(name, 0) for name in COSTMODEL_COUNTERS)
     print(
@@ -350,7 +345,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     )
     if args.artifact:
         print(
-            f"artifact cross-check: {matched} covered scenario(s) "
+            f"artifact cross-check: {matched} scenario(s) "
             f"matched against {args.artifact}, "
             f"{len(mismatches)} mismatch(es)"
         )
@@ -414,32 +409,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     print(format_timeline(events))
     print()
-    trace = result.trace or {}
-    replayed = trace.get("replayed", {})
+    trace = result.trace
+    replayed = trace["replayed"]
     print(
-        f"{trace.get('events', 0)} events; replayed "
-        f"rounds={replayed.get('rounds')} "
-        f"total_bits={replayed.get('total_bits')} "
-        f"busiest={replayed.get('max_edge_bits_per_round')}"
+        f"{trace['events']} events; replayed "
+        f"rounds={replayed['rounds']} "
+        f"total_bits={replayed['total_bits']} "
+        f"busiest={replayed['max_edge_bits_per_round']}"
     )
     print(f"wrote {jsonl_path}")
     print(f"wrote {chrome_path}")
-    mismatches = list(trace.get("mismatches", ()))
-    if not trace.get("verified") or trace.get("cost_model_match") is False:
-        if trace.get("cost_model_match") is False:
-            mismatches.append("cost-model prediction disagreed")
+    mismatches = _trace_reasons(result)
+    if mismatches:
         print(
             f"TRACE MISMATCHES ({len(mismatches)}):", *mismatches,
             sep="\n  ",
         )
         return 1
-    covered = trace.get("cost_model_match") is not None
     print(
         "trace verified: replay reproduced the measured run exactly"
-        + (" and matched the cost model" if covered else
-           " (cost model: uncovered cell)")
+        " and matched the cost model"
     )
     return 0
+
+
+def _trace_reasons(result) -> List[str]:
+    """Why a traced run failed its replay or cost-model cross-check."""
+    reasons = list(result.trace["mismatches"])
+    if not result.cost_model["exact_match"]:
+        reasons.append("cost-model prediction disagreed")
+    return reasons
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -505,15 +504,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{len(parity)} parity failure(s)"
     )
     print(
-        f"cost model: {cost['covered_runs']}/{cost['runs']} runs in "
-        f"covered cells, {cost['exact_matches']} exact on all four "
-        f"metrics, {len(cost_failures)} mismatch(es); "
-        f"{len(cost['uncovered_cells'])} uncovered cell(s)"
+        f"cost model: {cost['runs']} runs priced, {cost['exact_matches']} "
+        f"exact on all four metrics, {len(cost_failures)} mismatch(es)"
     )
-    # Uncovered cells are never gated, but always enumerated — silence
-    # would read as coverage.
-    for cell in cost["uncovered_cells"]:
-        print(f"  uncovered: {cell}")
     if args.trace:
         traced = run.traced
         mismatched = run.trace_mismatches
@@ -586,12 +579,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         status = 1
     if args.trace and run.trace_mismatches:
-        details = []
-        for r in run.trace_mismatches:
-            reasons = list(r.trace.get("mismatches", ()))
-            if r.trace.get("cost_model_match") is False:
-                reasons.append("cost-model prediction disagreed")
-            details.append(f"{r.spec.label}: " + "; ".join(reasons))
+        details = [
+            f"{r.spec.label}: " + "; ".join(_trace_reasons(r))
+            for r in run.trace_mismatches
+        ]
         print(f"TRACE MISMATCHES ({len(details)}):", *details, sep="\n  ")
         status = 1
     return status

@@ -46,7 +46,9 @@ ARTIFACT_FILENAME = "BENCH_lab.json"
 #: v7: the counter whitelist loses the compiled engine's batched-round
 #: tag (it charges every round one way) and the two ``batch.*`` tags
 #: (constant 0 in every record).
-ARTIFACT_SCHEMA = "repro.lab/bench.v7"
+#: v8: every run is priced: records lose ``cost_model.cell`` and the
+#: ``cost_model`` block loses its coverage counts and cell lists.
+ARTIFACT_SCHEMA = "repro.lab/bench.v8"
 
 
 def format_results_table(results: Sequence[ScenarioResult]) -> str:
@@ -140,10 +142,9 @@ def render_markdown(
         "",
         "## Symbolic cost model",
         "",
-        f"{cost['covered_runs']}/{cost['runs']} runs in covered cells; "
+        f"{cost['runs']} runs priced; "
         f"{cost['exact_matches']} exact on all four metrics; "
-        f"{len(cost['mismatches'])} mismatch(es); "
-        f"{len(cost['uncovered_cells'])} uncovered cell(s).",
+        f"{len(cost['mismatches'])} mismatch(es).",
         "",
         "```",
         format_cost_table(records),
@@ -152,9 +153,6 @@ def render_markdown(
     if cost["mismatches"]:
         lines += ["", "### Cost mismatches", ""]
         lines += [f"- {m}" for m in cost["mismatches"]]
-    if cost["uncovered_cells"]:
-        lines += ["", "### Uncovered cells", ""]
-        lines += [f"- `{c}`" for c in cost["uncovered_cells"]]
     obs = observability_payload(records)
     lines += [
         "",
@@ -183,15 +181,12 @@ def render_csv(results: Sequence[ScenarioResult]) -> str:
             "link_utilization", "upper_formula", "lower_formula",
             "gap", "gap_budget", "lower_certified", "formula_certified",
             "tribes_bits_floor", "bound_ok", "cut_bits", "cut_size",
-            "correct", "cost_covered", "cost_exact",
+            "correct", "cost_exact",
             *[name.replace(".", "_") for name in DETERMINISTIC_COUNTERS],
             "spec_hash",
         ]
     )
     for r in results:
-        cost = r.cost_model or {}
-        covered = bool(cost.get("covered"))
-        exact = cost.get("exact_match")
         obs = r.observability or {}
         writer.writerow(
             [
@@ -206,23 +201,12 @@ def render_csv(results: Sequence[ScenarioResult]) -> str:
                 r.gap_budget, r.lower_certified,
                 int(r.formula_certified), r.tribes_bits_floor,
                 int(r.bound_ok), r.cut_bits, r.cut_size,
-                int(r.correct), int(covered),
-                "" if exact is None else int(exact),
+                int(r.correct), int(r.cost_model["exact_match"]),
                 *[int(obs.get(name, 0)) for name in DETERMINISTIC_COUNTERS],
                 r.spec_hash,
             ]
         )
     return buf.getvalue()
-
-
-#: Per-axis default value for records predating the axis.  ``backend``
-#: is an axis too (``None`` = the query's native storage).
-_AXIS_DEFAULTS = {
-    "engine": "generator",
-    "solver": "operator",
-    "backend": None,
-    "kernels": "numpy",
-}
 
 
 def _pair_key(spec_record: Dict[str, Any], axis: str = "engine") -> str:
@@ -240,7 +224,6 @@ def axis_pairs(
     was run on more than one value of the axis (suite order of first
     appearance).  ``axis`` is one of :data:`PARITY_AXES`.
     """
-    default = _AXIS_DEFAULTS.get(axis)
     groups: Dict[str, Dict[str, Dict[str, Any]]] = {}
     order: List[str] = []
     for record in records:
@@ -248,7 +231,7 @@ def axis_pairs(
         if key not in groups:
             groups[key] = {}
             order.append(key)
-        groups[key][record["spec"].get(axis, default)] = record
+        groups[key][record["spec"][axis]] = record
     return [groups[key] for key in order if len(groups[key]) > 1]
 
 
@@ -281,18 +264,18 @@ def bound_violations(records: Sequence[Dict[str, Any]]) -> List[str]:
     """
     violations: List[str] = []
     for record in records:
-        if record.get("bound_ok", True):
+        if record["bound_ok"]:
             continue
-        if not record.get("cut_ok", True):
+        if not record["cut_ok"]:
             reason = (
-                f"cut accounting broke: {record.get('cut_bits')} bits "
-                f"crossed a cut of {record.get('cut_size')} edges in "
+                f"cut accounting broke: {record['cut_bits']} bits "
+                f"crossed a cut of {record['cut_size']} edges in "
                 f"{record['measured_rounds']} rounds"
             )
-        elif record.get("cut_bits", 0) < record.get("tribes_bits_floor", 0):
+        elif record["cut_bits"] < record["tribes_bits_floor"]:
             reason = (
-                f"only {record.get('cut_bits')} bits crossed the cut < "
-                f"TRIBES floor {record.get('tribes_bits_floor')}"
+                f"only {record['cut_bits']} bits crossed the cut < "
+                f"TRIBES floor {record['tribes_bits_floor']}"
             )
         else:
             # Fallback for tampered/inconsistent records: flagged but
@@ -300,7 +283,7 @@ def bound_violations(records: Sequence[Dict[str, Any]]) -> List[str]:
             reason = (
                 f"flagged bound_ok=False (measured "
                 f"{record['measured_rounds']} rounds, certified lower "
-                f"{record.get('lower_certified')})"
+                f"{record['lower_certified']})"
             )
         violations.append(f"{record['label']}: {reason}")
     return violations
@@ -314,7 +297,7 @@ def certification_payload(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     and the per-family gap envelope of the formula-certified scenarios.
     """
     violations = bound_violations(records)
-    formula = [r for r in records if r.get("formula_certified", False)]
+    formula = [r for r in records if r["formula_certified"]]
     families: Dict[str, Dict[str, Any]] = {}
     for record in formula:
         fam = families.setdefault(
@@ -322,14 +305,14 @@ def certification_payload(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             {"scenarios": 0, "gap_min": None, "gap_max": None},
         )
         fam["scenarios"] += 1
-        gap = record.get("gap")
+        gap = record["gap"]
         if gap is not None:
             fam["gap_min"] = gap if fam["gap_min"] is None else min(fam["gap_min"], gap)
             fam["gap_max"] = gap if fam["gap_max"] is None else max(fam["gap_max"], gap)
     return {
         "scenarios_checked": len(records),
         "formula_certified": len(formula),
-        "cut_checked": sum(1 for r in records if r.get("cut_size", 0) > 0),
+        "cut_checked": sum(1 for r in records if r["cut_size"] > 0),
         "bound_violations": violations,
         "formula_families": families,
     }
@@ -352,51 +335,46 @@ def format_certification_table(records: Sequence[Dict[str, Any]]) -> str:
     lines = [header, "-" * len(header)]
     for family, group in by_family.items():
         margins = [
-            record["measured_rounds"] - record.get("lower_certified", 0.0)
+            record["measured_rounds"] - record["lower_certified"]
             for record in group
         ]
         lines.append(
             f"{family:<18} {len(group):>4} "
-            f"{sum(1 for r in group if r.get('formula_certified', False)):>7} "
-            f"{sum(1 for r in group if r.get('cut_size', 0) > 0):>5} "
+            f"{sum(1 for r in group if r['formula_certified']):>7} "
+            f"{sum(1 for r in group if r['cut_size'] > 0):>5} "
             f"{min(margins):>8.1f} "
-            f"{sum(1 for r in group if not r.get('bound_ok', True)):>10}"
+            f"{sum(1 for r in group if not r['bound_ok']):>10}"
         )
     return "\n".join(lines)
 
 
-#: The four metrics the cost model must predict exactly per covered run.
+#: The four metrics the cost model must predict exactly on every run.
 COST_METRICS = COST_METRIC_NAMES
 
 
 def cost_mismatches(records: Sequence[Dict[str, Any]]) -> List[str]:
     """Cost-plane oracle violations among scenario records.
 
-    A record violates when its coverage cell is claimed by
-    :data:`repro.costmodel.COVERED_CELLS` but the symbolic prediction
-    disagreed with the measured run on any of the four metrics
-    (``exact_match`` False).  Uncovered cells never appear here — they
-    are reported by :func:`cost_model_payload`, not gated.  The list
-    must be empty on every suite; any entry means either a cost formula
-    is wrong or an engine's accounting drifted.
+    A record violates when the symbolic prediction disagreed with the
+    measured run on any of the four metrics, or the model raised
+    (``exact_match`` False either way).  The list must be empty on every
+    suite; any entry means either a cost formula is wrong or an engine's
+    accounting drifted.
     """
     failures: List[str] = []
     for record in records:
-        block = record.get("cost_model")
-        if not block or not block.get("covered"):
+        block = record["cost_model"]
+        if block["exact_match"]:
             continue
-        if block.get("exact_match"):
-            continue
-        predicted = block.get("predicted")
-        measured = block.get("measured", {})
+        predicted, measured = block["predicted"], block["measured"]
         if predicted is None:
-            detail = block.get("error", "prediction failed")
+            detail = block["error"]
         else:
             diffs = [
-                f"{metric} predicted={predicted.get(metric)!r} "
-                f"measured={measured.get(metric)!r}"
+                f"{metric} predicted={predicted[metric]!r} "
+                f"measured={measured[metric]!r}"
                 for metric in COST_METRICS
-                if predicted.get(metric) != measured.get(metric)
+                if predicted[metric] != measured[metric]
             ]
             detail = "; ".join(diffs) or "metrics differ"
         failures.append(f"{record['label']}: {detail}")
@@ -406,50 +384,34 @@ def cost_mismatches(records: Sequence[Dict[str, Any]]) -> List[str]:
 def cost_model_payload(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """The cost-model block of the bench artifact.
 
-    Deterministic (pure function of the scenario records): run/coverage
-    counts, the exact-match tally, the mismatch list (must be empty),
-    and the sorted unique covered/uncovered cell lists — uncovered
-    cells are enumerated explicitly, never silently dropped.
+    Deterministic (pure function of the scenario records): the run
+    count, the exact-match tally and the mismatch list (must be empty).
     """
-    blocks = [r.get("cost_model") for r in records]
-    blocks = [b for b in blocks if b]
-    covered = [b for b in blocks if b.get("covered")]
-    covered_cells = sorted({"/".join(b["cell"]) for b in covered})
-    uncovered_cells = sorted(
-        {"/".join(b["cell"]) for b in blocks if not b.get("covered")}
-    )
     return {
         "runs": len(records),
-        "priced_runs": len(blocks),
-        "covered_runs": len(covered),
-        "exact_matches": sum(1 for b in covered if b.get("exact_match")),
+        "exact_matches": sum(
+            1 for r in records if r["cost_model"]["exact_match"]
+        ),
         "mismatches": cost_mismatches(records),
-        "covered_cells": covered_cells,
-        "uncovered_cells": uncovered_cells,
     }
 
 
 def format_cost_table(records: Sequence[Dict[str, Any]]) -> str:
     """The human-readable cost-model summary block.
 
-    One row per family: run count, how many runs the model covered, how
-    many matched exactly on all four metrics, and the mismatch count.
+    One row per family: run count, how many runs matched exactly on all
+    four metrics, and the mismatch count.
     """
     by_family: Dict[str, List[Dict[str, Any]]] = {}
     for record in records:
         by_family.setdefault(record["family"], []).append(record)
-    header = (
-        f"{'family':<18} {'runs':>4} {'covered':>7} {'exact':>5} "
-        f"{'mismatch':>8}"
-    )
+    header = f"{'family':<18} {'runs':>4} {'exact':>5} {'mismatch':>8}"
     lines = [header, "-" * len(header)]
     for family, group in by_family.items():
-        blocks = [r.get("cost_model") or {} for r in group]
-        covered = [b for b in blocks if b.get("covered")]
+        exact = sum(1 for r in group if r["cost_model"]["exact_match"])
         lines.append(
-            f"{family:<18} {len(group):>4} {len(covered):>7} "
-            f"{sum(1 for b in covered if b.get('exact_match')):>5} "
-            f"{sum(1 for b in covered if not b.get('exact_match')):>8}"
+            f"{family:<18} {len(group):>4} {exact:>5} "
+            f"{len(group) - exact:>8}"
         )
     return "\n".join(lines)
 

@@ -37,7 +37,9 @@ from .spec import ScenarioSpec
 #: engine / dictionary-pool counters aggregated per scenario).
 #: v7: the counter whitelist loses the engine's batched-round tag and
 #: the two ``batch.*`` tags.
-RESULT_SCHEMA = "repro.lab/result.v7"
+#: v8: the ``cost_model`` block loses its coverage ``cell``; every run is
+#: priced, so ``exact_match`` is always a bool.
+RESULT_SCHEMA = "repro.lab/result.v8"
 
 
 @dataclass
@@ -86,11 +88,11 @@ class ScenarioResult:
         correct: Protocol answer matched the centralized solver.
         answer_digest: sha256 of the canonicalized answer factor.
         cost_model: The symbolic cost-plane verdict for this run: the
-            coverage ``cell``, whether the model ``covered`` it, the
             ``predicted`` and ``measured`` metric payloads (rounds,
-            total bits, busiest-link bits/round, per-edge digest), and
-            ``exact_match`` — True/False on covered cells, None when
-            uncovered (reported, never gated).  None on pre-v4 records.
+            total bits, busiest-link bits/round, per-edge digest),
+            ``exact_match`` (a bool, gated on every run) and, when the
+            model raised, its ``error`` with ``predicted`` None.
+            ``covered`` is a constant True kept for the ledger.
         observability: Deterministic per-scenario counter deltas (the
             :data:`~repro.obs.counters.DETERMINISTIC_COUNTERS` whitelist
             only): columnar-kernel dispatch vs dict fallback, dictionary
@@ -98,7 +100,7 @@ class ScenarioResult:
             engagements.  Volatile counters (e.g. plan-cache hit/miss,
             which depend on process warmth) are deliberately excluded so
             the record stays identical across serial, parallel and cached
-            executions.  None on pre-v5 records.
+            executions.
         trace: The per-run trace-verification verdict when the run was
             executed with ``--trace`` (volatile — cached results were not
             re-traced): event count, ``verified``, any ``mismatches``,
@@ -141,7 +143,7 @@ class ScenarioResult:
     cut_ok: bool
     correct: bool
     answer_digest: str
-    cost_model: Optional[Dict[str, Any]] = None
+    cost_model: Dict[str, Any]
     observability: Optional[Dict[str, int]] = None
     trace: Optional[Dict[str, Any]] = None
     captured_logs: Optional[List[str]] = None
@@ -191,7 +193,8 @@ class ScenarioResult:
     def from_record(
         cls, record: Mapping[str, Any], cached: bool = False
     ) -> "ScenarioResult":
-        """Rebuild a result from a deterministic record (e.g. the cache)."""
+        """Rebuild a result from a deterministic record of the current
+        :data:`RESULT_SCHEMA` (the cache drops rows of any other)."""
         return cls(
             spec=ScenarioSpec.from_json_dict(record["spec"]),
             spec_hash=record["spec_hash"],
@@ -208,19 +211,17 @@ class ScenarioResult:
             lower_formula=record["lower_formula"],
             gap=record["gap"],
             gap_budget=record["gap_budget"],
-            # .get defaults keep pre-v3 records readable (certification
-            # fields absent there are treated as unchecked-but-clean).
-            lower_certified=record.get("lower_certified", 0.0),
-            formula_certified=record.get("formula_certified", False),
-            tribes_bits_floor=record.get("tribes_bits_floor", 0),
-            bound_ok=record.get("bound_ok", True),
-            cut_bits=record.get("cut_bits", 0),
-            cut_size=record.get("cut_size", 0),
-            cut_ok=record.get("cut_ok", True),
+            lower_certified=record["lower_certified"],
+            formula_certified=record["formula_certified"],
+            tribes_bits_floor=record["tribes_bits_floor"],
+            bound_ok=record["bound_ok"],
+            cut_bits=record["cut_bits"],
+            cut_size=record["cut_size"],
+            cut_ok=record["cut_ok"],
             correct=record["correct"],
             answer_digest=record["answer_digest"],
-            cost_model=record.get("cost_model"),
-            observability=record.get("observability"),
+            cost_model=record["cost_model"],
+            observability=record["observability"],
             wall_time=0.0,
             cached=cached,
         )

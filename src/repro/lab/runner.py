@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .. import kernels
 from ..core.memo import LRUMemo, clear_all_memos
 from ..core.planner import Planner
-from ..costmodel import CostModelError, cell_of, edge_digest, is_covered
+from ..costmodel import CostModelError, edge_digest
 from ..lowerbounds.bounds import table1_gap_budget
 from ..lowerbounds.cut_simulation import (
     CutAccountingError,
@@ -193,11 +193,11 @@ def certify_costs(
     The third certification axis (after answer correctness and the
     lower-bound oracles): :func:`repro.pipeline.predicted_metrics`
     prices the executed plan's skeleton without running a single
-    protocol round, and on covered cells the prediction must match the
-    measured run **exactly** on all four metrics — rounds, total bits,
-    busiest-link bits/round, and the per-directed-link bit map (as a
-    digest).  Uncovered cells are reported with ``exact_match=None``;
-    they are listed by the CLI, never silently skipped and never gated.
+    protocol round, and the prediction must match the measured run
+    **exactly** on all four metrics — rounds, total bits, busiest-link
+    bits/round, and the per-directed-link bit map (as a digest).  A
+    :class:`~repro.costmodel.CostModelError` is a mismatch that carries
+    the ``error``.
 
     Returns the ``cost_model`` block of a
     :class:`~repro.lab.results.ScenarioResult`.
@@ -209,22 +209,14 @@ def certify_costs(
         "max_edge_bits_per_round": int(simulation.max_edge_bits_per_round),
         "bits_per_edge_digest": edge_digest(simulation.bits_per_edge),
     }
-    block: Dict[str, object] = {
-        "cell": list(cell_of(spec)),
-        "covered": is_covered(spec),
-        "measured": measured,
-        "predicted": None,
-        "exact_match": None,
-    }
-    if not block["covered"]:
-        return block
+    # ``covered`` is constant; benchmarks/ledger/wl_pipeline.py reads it.
+    block: Dict[str, object] = {"covered": True, "measured": measured}
     try:
         block["predicted"] = predicted_metrics(
             spec, report.protocol.plan, planner.topology.nodes
         )
     except CostModelError as exc:
-        block["exact_match"] = False
-        block["error"] = str(exc)
+        block.update(predicted=None, exact_match=False, error=str(exc))
         return block
     block["exact_match"] = block["predicted"] == measured
     return block
@@ -237,12 +229,11 @@ def _trace_block(
 
     Replaying the trace's ``Send``/``CycleFastForward`` events must
     reproduce the measured :class:`~repro.network.simulator
-    .SimulationResult` exactly on all four cost metrics; on cells the
-    symbolic cost model covers, that transitively pins
-    measured = predicted = traced (``cost_model_match``).
+    .SimulationResult` exactly on all four cost metrics; with the cost
+    model's exact match that pins measured = predicted = traced
+    (``cost_model_match``).
     """
     verdict = verify_trace(events, report.protocol.simulation)
-    covered = bool(cost_model.get("covered"))
     return {
         "events": len(events),
         "verified": verdict.ok,
@@ -253,11 +244,7 @@ def _trace_block(
             "max_edge_bits_per_round": verdict.replayed.max_edge_bits_per_round,
             "bits_per_edge_digest": edge_digest(verdict.replayed.bits_per_edge),
         },
-        "cost_model_match": (
-            (verdict.ok and cost_model.get("exact_match") is True)
-            if covered
-            else None
-        ),
+        "cost_model_match": verdict.ok and cost_model["exact_match"],
     }
 
 
@@ -426,13 +413,9 @@ class SuiteRun:
 
     @property
     def trace_mismatches(self) -> List[ScenarioResult]:
-        """Traced results whose replay (or cost-model cross-check) failed."""
-        return [
-            r
-            for r in self.traced
-            if not r.trace.get("verified")
-            or r.trace.get("cost_model_match") is False
-        ]
+        """Traced results whose replay or cost-model cross-check failed
+        (``cost_model_match`` holds only when both passed)."""
+        return [r for r in self.traced if not r.trace["cost_model_match"]]
 
 
 def run_suite(

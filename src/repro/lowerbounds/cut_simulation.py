@@ -93,8 +93,8 @@ def predicted_crossing_bits(
 
     Folds a predicted per-directed-link map (e.g.
     ``repro.costmodel.CostPrediction.bits_per_edge``) over an undirected
-    crossing-edge set, summing both directions of each cut edge.  On a
-    covered cell this must equal the executed run's
+    crossing-edge set, summing both directions of each cut edge.  This
+    must equal the executed run's
     :attr:`CutTranscript.bits_crossing` exactly — linking the symbolic
     cost plane to the Lemma 4.4 accounting oracle: the model predicts
     not just the totals but the exact two-party transcript cost of the

@@ -18,7 +18,7 @@ metrics:
   rounds repeat per-link loads that are already in the maximum.
 
 Since the cost model independently predicts the same four metrics and
-``repro.lab`` gates measured == predicted per covered run, a verified
+``repro.lab`` gates measured == predicted on every run, a verified
 trace closes the triangle: **measured = predicted = traced**.
 """
 

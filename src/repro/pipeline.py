@@ -382,8 +382,9 @@ def predicted_metrics(
 ) -> Dict[str, object]:
     """The four cost metrics :func:`repro.costmodel.predict_costs`
     derives from ``plan`` and the identity's materialized relations
-    without running a protocol round, memoized per identity.  Exact on
-    covered cells; callers decide what an uncovered cell means to them.
+    without running a protocol round, memoized per identity.  The lab
+    gates them against every run; serving rejects a session it cannot
+    price.
 
     Raises:
         CostModelError: when the model cannot price the plan.

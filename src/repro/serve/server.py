@@ -69,29 +69,19 @@ class AdmissionPolicy:
         over_budget: ``"reject"`` (fail fast with the prediction in the
             error detail) or ``"defer"`` (serve from the low-priority
             lane once the interactive queue is idle).
-        allow_unpriced: Whether to admit queries on cells the symbolic
-            cost model does not cover (no exact prediction exists).
-            ``False`` rejects them with code ``"rejected"``.
+
+    Registration rejects a session the cost model cannot price, so
+    every manifest carries a prediction.
     """
 
     max_predicted_bits: Optional[int] = None
     max_predicted_rounds: Optional[int] = None
     over_budget: str = "reject"
-    allow_unpriced: bool = True
 
     def decide(self, manifest: SessionManifest) -> Tuple[str, Dict[str, Any]]:
         """``("admit"|"defer"|"reject", detail)`` for one session."""
         predicted = manifest.predicted
-        if predicted is None:
-            if self.allow_unpriced:
-                return "admit", {"priced": False}
-            return "reject", {
-                "priced": False,
-                "reason": "no cost prediction for this cell "
-                          "and the policy rejects unpriced queries",
-            }
         detail = {
-            "priced": True,
             "predicted": {
                 "rounds": predicted["rounds"],
                 "total_bits": predicted["total_bits"],

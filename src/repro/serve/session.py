@@ -11,10 +11,11 @@ a pure function of the identity and can therefore be paid once:
 * the elimination order and dictionary interning (one warm solve
   primes the :data:`~repro.faq.plan.PLAN_CACHE` and the executor's
   dictionary pool fast paths),
-* the closed-form bound report and — on cells the symbolic cost model
-  covers — the **exact** :func:`repro.pipeline.predicted_metrics` the
-  server's admission controller prices queries with, *without executing
-  anything*,
+* the closed-form bound report and the **exact**
+  :func:`repro.pipeline.predicted_metrics` the server's admission
+  controller prices queries with, *without executing anything* (a
+  session the cost model cannot price is rejected before anything is
+  published),
 * publication of the relations into the shared-memory store.
 
 The **online** path (:meth:`ServingSession.execute_online`) then touches
@@ -35,19 +36,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from .. import kernels
 from ..core.planner import Planner
-from ..costmodel import CostModelError, is_covered
+from ..costmodel import CostModelError
 from ..lab.results import answer_digest
 from ..lab.spec import ScenarioSpec
 from ..pipeline import plan_scenario, predicted_metrics, solve_scenario
 from .store import ServeError, SharedRelationStore, publish_query
 
 #: Manifest layout version — bump on any incompatible change.
-SESSION_VERSION = 2
+#: v3: ``covered`` and ``notes`` are gone; ``predicted`` is always set.
+SESSION_VERSION = 3
 
 
 def answer_payload(
@@ -84,15 +86,13 @@ class SessionManifest:
     session_id: str
     spec: Dict[str, Any]
     label: str
-    covered: bool
-    predicted: Optional[Dict[str, Any]]
+    predicted: Dict[str, Any]
     bounds: Dict[str, float]
     answer_digest: str
     answer_rows: int
     store: Dict[str, Any]
     offline_seconds: float
     version: int = SESSION_VERSION
-    notes: Dict[str, Any] = field(default_factory=dict)
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -100,14 +100,12 @@ class SessionManifest:
             "session_id": self.session_id,
             "spec": self.spec,
             "label": self.label,
-            "covered": self.covered,
             "predicted": self.predicted,
             "bounds": self.bounds,
             "answer_digest": self.answer_digest,
             "answer_rows": self.answer_rows,
             "store": self.store,
             "offline_seconds": self.offline_seconds,
-            "notes": self.notes,
         }
 
     def to_json(self) -> str:
@@ -139,7 +137,12 @@ class ServingSession:
     def register(
         cls, spec: ScenarioSpec, store: SharedRelationStore
     ) -> "ServingSession":
-        """The offline phase: build, compile, predict, publish, warm."""
+        """The offline phase: build, compile, predict, publish, warm.
+
+        Raises:
+            ServeError: code ``"rejected"`` when the cost model cannot
+                price the spec; nothing is published then.
+        """
         start = time.perf_counter()
         session_id = session_id_of(spec)
         with kernels.use_tier(spec.kernels):
@@ -147,20 +150,19 @@ class ServingSession:
             # Warm solve: caches the elimination order (compiled solver),
             # interns dictionaries, and pins the expected answer digest.
             warm_answer = planner.reference_answer()
-        # The zero-execution estimate admission control prices with: on
-        # covered cells the *exact* (certified-per-fuzz-run) rounds/bits
-        # of the protocol the lab would execute for this spec; otherwise
-        # None, and the admission policy decides whether to serve
-        # unpriced.
-        predicted, note = None, "cell not covered by the symbolic cost model"
-        if is_covered(spec):
-            try:
-                predicted = predicted_metrics(
-                    spec, protocol_plan, planner.topology.nodes
-                )
-                note = None
-            except CostModelError as exc:
-                note = f"cost model error: {exc}"
+        # The zero-execution estimate admission control prices with: the
+        # *exact* (certified-per-fuzz-run) rounds/bits of the protocol the
+        # lab would execute for this spec.
+        try:
+            predicted = predicted_metrics(
+                spec, protocol_plan, planner.topology.nodes
+            )
+        except CostModelError as exc:
+            raise ServeError(
+                "rejected",
+                f"the cost model cannot price {session_id}: {exc}",
+                {"session_id": session_id, "cost_model": str(exc)},
+            ) from exc
         bound = planner.predict()
         payload = publish_query(
             store, session_id, planner.query,
@@ -174,7 +176,6 @@ class ServingSession:
             session_id=session_id,
             spec=spec.to_json_dict(),
             label=spec.label,
-            covered=predicted is not None,
             predicted=predicted,
             bounds={
                 "upper_rounds": float(bound.upper_rounds),
@@ -194,7 +195,6 @@ class ServingSession:
                 ],
             },
             offline_seconds=time.perf_counter() - start,
-            notes={} if note is None else {"cost_model": note},
         )
         return cls(spec, planner, payload, manifest)
 

@@ -50,7 +50,9 @@ class ServeError(RuntimeError):
 
             * ``"rejected"`` — admission control refused the query (the
               predicted cost exceeds the configured budget; ``detail``
-              carries the predicted metrics and the budget).
+              carries the predicted metrics and the budget), or the
+              cost model could not price it at registration
+              (``detail["cost_model"]`` holds the error).
             * ``"overloaded"`` — the service queue is full.
             * ``"unknown-session"`` — no session registered under the id.
             * ``"worker-crashed"`` — a warm worker died mid-query; the

@@ -7,7 +7,7 @@ Three layers:
 * the kernel closed forms, validated against the timing recurrence on
   synthetic skeletons (the two-party routing kernel in particular);
 * the end-to-end oracle: predictions must equal executed measurements
-  bit-for-bit on covered cells — including the hypothesis-driven
+  bit-for-bit on every run — including the hypothesis-driven
   property sweep over the fuzz generator and the regression pin of the
   known-loose Ω̃ hard-forest case;
 * the steady-state jump of the recurrence and the demand-driven
@@ -25,25 +25,20 @@ import pytest
 
 from repro.core.memo import clear_all_memos
 from repro.costmodel import (
-    COVERED_CELLS,
     CostModelError,
     CostSkeleton,
     RouteSkeleton,
     StarSkeleton,
     add,
     ceildiv,
-    cell_of,
     const,
-    coverage_report,
     edge_digest,
     evaluate,
     evaluate_timing,
     extract_skeleton,
     floordiv,
-    format_cell,
     format_kernel_table,
     have_sympy,
-    is_covered,
     max_,
     mul,
     predict_costs,
@@ -64,7 +59,7 @@ from repro.costmodel.timing import (
     _Route,
 )
 from repro.lab.generate import generate_scenarios
-from repro.lab.report import cost_mismatches, cost_model_payload
+from repro.lab.report import cost_mismatches
 from repro.lab.runner import execute_scenario
 from repro.lab.spec import ScenarioSpec
 from repro.obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
@@ -143,34 +138,8 @@ def test_sympy_bridge_agrees_with_pure_evaluator():
 
 
 # ---------------------------------------------------------------------------
-# Coverage surface
+# Digests and the kernel table
 # ---------------------------------------------------------------------------
-
-
-def test_covered_cells_enumeration():
-    # 3 hard families x 3 placements + 4 random families x 2 placements,
-    # x 11 topologies x 2 engines.
-    assert len(COVERED_CELLS) == (3 * 3 + 4 * 2) * 11 * 2
-    assert ("hard-forest", "tree", "worst-case", "generator") in COVERED_CELLS
-    assert ("acyclic", "ring", "round-robin", "compiled") in COVERED_CELLS
-    # Random families never run under worst-case placement.
-    assert ("acyclic", "ring", "worst-case", "generator") not in COVERED_CELLS
-
-
-def test_cell_of_and_coverage_report():
-    spec = ScenarioSpec(
-        family="f", query="hard-star", query_params={"arms": 3},
-        topology="line", topology_params={"n": 3}, n=12,
-        assignment="worst-case", seed=1,
-    )
-    assert cell_of(spec) == ("hard-star", "line", "worst-case", "generator")
-    assert is_covered(spec)
-    fake_uncovered = ("mystery", "line", "round-robin", "generator")
-    report = coverage_report([cell_of(spec), cell_of(spec), fake_uncovered])
-    assert report["runs"] == 3
-    assert report["covered_runs"] == 2
-    assert report["covered_cells"] == [format_cell(cell_of(spec))]
-    assert report["uncovered_cells"] == ["mystery@line/round-robin/generator"]
 
 
 def test_edge_digest_is_canonical():
@@ -291,7 +260,6 @@ def _fresh_prediction(spec):
 def _assert_exact(spec):
     result = execute_scenario(spec)
     block = result.cost_model
-    assert block is not None and block["covered"], block
     assert block["exact_match"] is True, (
         f"cost model mispredicted {spec.label}: {block}"
     )
@@ -324,29 +292,44 @@ def test_predict_matches_execution_on_single_placement():
     assert result.measured_rounds == 0
 
 
-def test_uncovered_cell_is_reported_not_gated(monkeypatch):
-    # Every cell the lab can build is covered, so take one out.
+def test_a_family_added_to_the_pipeline_is_gated_from_its_first_run(
+    monkeypatch, tmp_path, capsys
+):
+    from repro import pipeline
+    from repro.lab.__main__ import main as lab_main
+    from repro.lab.spec import SuiteSpec
+    from repro.lab.suites import register_suite
+
+    monkeypatch.setitem(
+        pipeline.QUERY_FAMILIES, "tree-twin", pipeline.QUERY_FAMILIES["tree"]
+    )
     spec = ScenarioSpec(
-        family="f", query="hard-star", query_params={"arms": 3},
-        topology="line", topology_params={"n": 3}, n=12,
-        assignment="worst-case", seed=7,
+        family="twin", query="tree-twin", query_params={"vertices": 5},
+        topology="line", topology_params={"n": 3}, n=8, domain_size=4,
+        seed=5,
     )
-    cell = ("hard-star", "line", "worst-case", "generator")
-    monkeypatch.setattr(
-        "repro.costmodel.model.COVERED_CELLS", COVERED_CELLS - {cell}
+    assert execute_scenario(spec).cost_model["exact_match"] is True
+
+    # A prediction one round off is a mismatch on the new family's run.
+    predict = pipeline.predicted_metrics
+
+    def one_round_late(*args):
+        metrics = predict(*args)
+        metrics["rounds"] += 1
+        return metrics
+
+    monkeypatch.setattr("repro.lab.runner.predicted_metrics", one_round_late)
+    record = execute_scenario(spec).deterministic_record()
+    (failure,) = cost_mismatches([record])
+    assert failure.startswith(f"{spec.label}: rounds predicted=")
+    register_suite(
+        "tree-twin", lambda: SuiteSpec("tree-twin", (spec,)), overwrite=True
     )
-    result = execute_scenario(spec)
-    block = result.cost_model
-    assert block["covered"] is False
-    assert block["exact_match"] is None
-    assert block["predicted"] is None
-    assert block["measured"]["rounds"] == result.measured_rounds > 0
-    records = [result.deterministic_record()]
-    assert cost_mismatches(records) == []
-    payload = cost_model_payload(records)
-    assert payload["uncovered_cells"] == ["/".join(cell)]
-    assert payload["covered_runs"] == payload["exact_matches"] == 0
-    assert payload["mismatches"] == []
+    code = lab_main(
+        ["run", "tree-twin", "--out", str(tmp_path), "--no-cache", "--quiet"]
+    )
+    assert code == 1
+    assert "COST MISMATCHES (1)" in capsys.readouterr().out
 
 
 def test_prediction_block_shape_in_result_record():
@@ -357,8 +340,7 @@ def test_prediction_block_shape_in_result_record():
     )
     record = execute_scenario(spec).deterministic_record()
     block = record["cost_model"]
-    assert block["cell"] == ["hard-star", "line", "worst-case", "generator"]
-    assert block["covered"] is True
+    assert set(block) == {"covered", "measured", "predicted", "exact_match"}
     assert block["exact_match"] is True
     assert set(block["predicted"]) == {
         "rounds", "total_bits", "max_edge_bits_per_round",

@@ -1,7 +1,7 @@
 """Hypothesis property suite for the symbolic cost oracle.
 
-For every covered cell the fuzz generator can reach, a generated
-scenario executed on any engine must satisfy ``predicted == measured``
+Every scenario the fuzz generator can reach, executed on any engine,
+must satisfy ``predicted == measured``
 on all four metrics.  The scenario space is driven through the *same*
 sampler the fuzz suite uses (:func:`repro.lab.generate.sample_scenario`
 over :func:`repro.workloads.spawn_seeds` child streams), so a shrunk
@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.costmodel import COST_METRIC_NAMES, is_covered
+from repro.costmodel import COST_METRIC_NAMES
 from repro.lab.generate import sample_scenario
 from repro.lab.runner import execute_scenario
 from repro.lab.suites import DEFAULT_SEED
@@ -46,10 +46,6 @@ def test_every_generated_covered_scenario_is_predicted_exactly(
     master, index, engine
 ):
     spec = sample_scenario(_CHILDREN[master][index]).with_(engine=engine)
-    assert is_covered(spec), (
-        f"fuzz sampler produced an uncovered cell — either extend "
-        f"COVERED_CELLS or the sampler changed: {spec}"
-    )
     result = execute_scenario(spec)
     block = result.cost_model
     predicted, measured = block["predicted"], block["measured"]

@@ -396,7 +396,7 @@ def test_smoke_suite_covers_required_diversity():
 def test_artifact_payload_shape(tmp_path):
     run = run_suite(SuiteSpec("one", (tiny_spec(),)))
     payload = json.loads(artifact_bytes(run))
-    assert payload["schema"] == "repro.lab/bench.v7"
+    assert payload["schema"] == "repro.lab/bench.v8"
     assert payload["suite"] == "one"
     assert payload["scenario_count"] == 1
     assert payload["all_correct"] is True
@@ -425,6 +425,26 @@ def test_committed_artifact_is_what_the_fuzz_suite_produces_now():
         committed = json.load(fh)
     committed.pop("timings", None)  # volatile, present under --timings
     assert committed == json.loads(artifact_bytes(run_suite(get_suite("fuzz"))))
+
+
+def test_artifact_readers_refuse_another_schema(tmp_path, capsys):
+    """``parity`` and ``predict --artifact`` read only the schema this
+    lab writes: the committed artifact relabelled v7 exits 2, and the
+    message names both schema ids."""
+    from repro.lab.report import ARTIFACT_SCHEMA
+
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, ARTIFACT_FILENAME)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["schema"] = "repro.lab/bench.v7"
+    stale = str(tmp_path / ARTIFACT_FILENAME)
+    with open(stale, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    for argv in (["parity", stale], ["predict", "fuzz", "--artifact", stale]):
+        assert lab_main(argv) == 2
+        out = capsys.readouterr().out
+        assert "'repro.lab/bench.v7'" in out and repr(ARTIFACT_SCHEMA) in out
 
 
 def test_aggregate_groups_by_family():
@@ -754,20 +774,15 @@ def test_result_records_carry_certification_fields():
     assert rebuilt.deterministic_record() == record
 
 
-def test_from_record_defaults_for_pre_v3_records():
-    """Old cache/artifact records (no certification fields) stay readable
-    and read as unchecked-but-clean."""
+def test_from_record_requires_every_field():
+    """Records are read only under the current schema (the cache drops
+    rows of any other), so a missing field is an error, never a
+    default."""
     record = execute_scenario(tiny_spec()).deterministic_record()
-    for field in (
-        "lower_certified", "formula_certified", "tribes_bits_floor",
-        "bound_ok", "cut_bits", "cut_size", "cut_ok",
-    ):
-        record.pop(field)
-    rebuilt = ScenarioResult.from_record(record)
-    assert rebuilt.bound_ok is True
-    assert rebuilt.cut_ok is True
-    assert rebuilt.lower_certified == 0.0
-    assert rebuilt.formula_certified is False
+    for field in ("bound_ok", "cut_ok", "cost_model", "observability"):
+        partial = {k: v for k, v in record.items() if k != field}
+        with pytest.raises(KeyError, match=field):
+            ScenarioResult.from_record(partial)
 
 
 def test_aggregate_counts_bound_violations_and_gap_min():

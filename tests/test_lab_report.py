@@ -99,16 +99,14 @@ def test_csv_report_matches_golden():
     _golden_compare("LAB_golden.csv", render_csv(run.results))
 
 
-def test_markdown_lists_mismatches_and_uncovered_cells():
+def test_markdown_lists_cost_mismatches():
     run = run_suite(golden_suite())
     records = [r.deterministic_record() for r in run.results]
     records[0]["cost_model"]["exact_match"] = False
     records[0]["cost_model"]["predicted"]["rounds"] += 1
-    records[1]["cost_model"]["covered"] = False
     text = render_markdown(run, records=records)
     assert "### Cost mismatches" in text
     assert "rounds predicted=" in text
-    assert "### Uncovered cells" in text
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +128,15 @@ def test_bound_violations_on_tampered_record():
     assert "cut accounting broke" in violation
 
 
-def test_cost_mismatches_ignore_uncovered_and_flag_covered():
+def test_cost_mismatches_flag_every_disagreement():
     records = _records()
     assert cost_mismatches(records) == []
-    # An uncovered cell never gates, even with disagreeing numbers.
-    records[0]["cost_model"]["covered"] = False
-    records[0]["cost_model"]["exact_match"] = None
-    assert cost_mismatches(records) == []
-    # A covered mismatch names the metric and both values.
+    # A mismatch names the metric and both values.
     records[1]["cost_model"]["exact_match"] = False
     records[1]["cost_model"]["predicted"]["total_bits"] = 1
     (failure,) = cost_mismatches(records)
     assert "total_bits predicted=1" in failure
-    # A covered prediction *failure* surfaces its error note.
+    # A prediction *failure* surfaces its error note.
     records[2]["cost_model"].update(
         {"exact_match": False, "predicted": None, "error": "model choked"}
     )
@@ -151,19 +145,11 @@ def test_cost_mismatches_ignore_uncovered_and_flag_covered():
 
 def test_cost_model_payload_counts_and_cells():
     records = _records()
-    payload = cost_model_payload(records)
-    assert payload["runs"] == 3
-    assert payload["covered_runs"] == 3
-    assert payload["exact_matches"] == 3
-    assert payload["mismatches"] == []
-    assert payload["uncovered_cells"] == []
-    assert "hard-star/line/worst-case/generator" in payload["covered_cells"]
-    records[0]["cost_model"]["covered"] = False
-    payload = cost_model_payload(records)
-    assert payload["covered_runs"] == 2
-    assert payload["uncovered_cells"] == [
-        "hard-star/line/worst-case/generator"
-    ]
+    assert cost_model_payload(records) == {
+        "runs": 3, "exact_matches": 3, "mismatches": [],
+    }
+    records[0]["cost_model"]["exact_match"] = False
+    assert cost_model_payload(records)["exact_matches"] == 2
     table = format_cost_table(records)
     assert "golden-star" in table and "golden-tree" in table
 
@@ -188,6 +174,13 @@ def test_cli_run_exits_nonzero_on_cost_mismatch(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "COST MISMATCHES (3)" in out
     assert "deliberately broken" in out
+    # A model that raises is a mismatch in the record too, never a
+    # "not priced" None.
+    artifact = json.load(open(os.path.join(tmp_path, "BENCH_lab.json")))
+    for record in artifact["scenarios"]:
+        block = record["cost_model"]
+        assert block["exact_match"] is False and block["predicted"] is None
+        assert "deliberately broken" in block["error"]
 
 
 def test_cli_run_clean_suite_reports_cost_plane(tmp_path, capsys):
@@ -197,7 +190,7 @@ def test_cli_run_clean_suite_reports_cost_plane(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "cost model: 3/3 runs in covered cells, 3 exact" in out
+    assert "cost model: 3 runs priced, 3 exact" in out
     artifact = json.load(open(os.path.join(tmp_path, "BENCH_lab.json")))
     assert artifact["cost_model"]["exact_matches"] == 3
     assert artifact["cost_model"]["mismatches"] == []
@@ -211,14 +204,14 @@ def test_cli_predict_cross_checks_artifact(tmp_path, capsys):
     capsys.readouterr()
     artifact = os.path.join(out, "BENCH_lab.json")
 
-    # Consistent artifact: every covered row reproduced, exit 0.
+    # Consistent artifact: every row reproduced, exit 0.
     code = lab_main(
         ["predict", "golden", "--artifact", artifact, "--symbolic"]
     )
     printed = capsys.readouterr().out
     assert code == 0
     assert "two_party_route_rounds" in printed  # --symbolic kernel table
-    assert "3 covered scenario(s) matched" in printed
+    assert "3 scenario(s) matched" in printed
     assert "0 mismatch(es)" in printed
 
     # Tampered artifact: recorded measurement no longer reproducible.
@@ -247,7 +240,7 @@ def test_cli_predict_without_artifact_prices_suite(capsys):
     code = lab_main(["predict", "golden"])
     printed = capsys.readouterr().out
     assert code == 0
-    assert "3 scenarios priced, 3 in covered cells" in printed
+    assert "suite 'golden': 3 scenarios priced" in printed
     # The recurrence's ledger (zeros when the prediction memo is warm).
     priced, stepped, jumped = map(int, re.search(
         r"timing recurrence: (\d+) round\(s\) priced, (\d+) stepped, "
@@ -309,13 +302,3 @@ def test_schema_bump_invalidates_cache_without_keyerror(tmp_path):
     assert ResultCache(str(tmp_path)).get(
         golden_spec().content_hash()
     )["schema"] == RESULT_SCHEMA
-
-
-def test_from_record_tolerates_pre_v4_rows():
-    record = run_suite(
-        SuiteSpec("one", (golden_spec(),))
-    ).results[0].deterministic_record()
-    record.pop("cost_model")
-    rebuilt = ScenarioResult.from_record(record, cached=True)
-    assert rebuilt.cost_model is None
-    assert rebuilt.cached is True

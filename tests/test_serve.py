@@ -237,21 +237,21 @@ def test_plan_cache_concurrent_access_is_consistent():
 # ---------------------------------------------------------------------------
 
 
-def _covered_spec():
-    """A covered spec with a positive predicted cost (priced admission)."""
+def _costly_spec():
+    """A spec with a positive predicted cost."""
     for spec in generate_scenarios(7, 40):
         store = SharedRelationStore()
         try:
             manifest = ServingSession.register(spec, store).manifest
-            if manifest.covered and manifest.predicted["total_bits"] > 0:
+            if manifest.predicted["total_bits"] > 0:
                 return spec
         finally:
             store.close()
-    raise RuntimeError("no covered spec in the sample")  # pragma: no cover
+    raise RuntimeError("no costly spec in the sample")  # pragma: no cover
 
 
 def test_admission_rejects_over_budget_with_prediction_detail():
-    spec = _covered_spec()
+    spec = _costly_spec()
 
     async def main():
         policy = AdmissionPolicy(max_predicted_bits=0)
@@ -260,7 +260,6 @@ def test_admission_rejects_over_budget_with_prediction_detail():
                 await service.submit(spec)
             assert err.value.code == "rejected"
             detail = err.value.detail
-            assert detail["priced"] is True
             assert detail["predicted"]["total_bits"] > 0
             assert detail["budget"]["max_predicted_bits"] == 0
             assert service.stats.rejected == 1
@@ -269,7 +268,7 @@ def test_admission_rejects_over_budget_with_prediction_detail():
 
 
 def test_admission_defers_over_budget_but_still_serves():
-    spec = _covered_spec()
+    spec = _costly_spec()
 
     async def main():
         policy = AdmissionPolicy(max_predicted_bits=0, over_budget="defer")
@@ -309,37 +308,52 @@ def test_interactive_request_wins_when_both_lanes_fire_in_one_tick():
 
 
 def test_admission_policy_decisions_on_manifest_shapes():
-    """Unit-level policy matrix (every valid lab cell is covered today,
-    so the unpriced branch is exercised on a synthetic manifest)."""
-    import dataclasses
-
+    """Unit-level policy matrix."""
     spec = sample_scenario(29)
     store = SharedRelationStore()
     try:
         manifest = ServingSession.register(spec, store).manifest
     finally:
         store.close()
-    unpriced = dataclasses.replace(manifest, predicted=None, covered=False)
 
     assert AdmissionPolicy().decide(manifest)[0] == "admit"
-    assert AdmissionPolicy(allow_unpriced=False).decide(unpriced)[0] == (
-        "reject"
-    )
-    assert AdmissionPolicy(allow_unpriced=True).decide(unpriced)[0] == (
-        "admit"
-    )
-    if manifest.predicted is not None:
-        bits = manifest.predicted["total_bits"]
+    bits = manifest.predicted["total_bits"]
+    decision, detail = AdmissionPolicy(
+        max_predicted_bits=bits
+    ).decide(manifest)
+    assert decision == "admit"  # budget is inclusive
+    if bits > 0:
         decision, detail = AdmissionPolicy(
-            max_predicted_bits=bits
+            max_predicted_bits=bits - 1, over_budget="defer"
         ).decide(manifest)
-        assert decision == "admit"  # budget is inclusive
-        if bits > 0:
-            decision, detail = AdmissionPolicy(
-                max_predicted_bits=bits - 1, over_budget="defer"
-            ).decide(manifest)
-            assert decision == "defer"
-            assert detail["predicted"]["total_bits"] == bits
+        assert decision == "defer"
+        assert detail["predicted"]["total_bits"] == bits
+
+
+def test_a_session_the_cost_model_cannot_price_is_rejected(monkeypatch):
+    from repro.costmodel import CostModelError
+
+    def unpriceable(spec, plan, nodes):
+        raise CostModelError("deliberately unpriceable")
+
+    monkeypatch.setattr("repro.serve.session.predicted_metrics", unpriceable)
+    spec = sample_scenario(29)
+
+    async def main():
+        async with QueryService() as service:
+            before = set(live_segment_names())
+            with pytest.raises(ServeError) as err:
+                service.register(spec)
+            assert err.value.code == "rejected"
+            assert err.value.detail == {
+                "session_id": session_id_of(spec),
+                "cost_model": "deliberately unpriceable",
+            }
+            # Rejected before publication: no segment was created.
+            assert set(live_segment_names()) == before
+            assert service.sessions == {}
+
+    asyncio.run(main())
 
 
 def test_overloaded_queue_fails_fast():
@@ -389,7 +403,7 @@ def test_registration_leaves_the_event_loop_free(monkeypatch):
     # that registration is held, a request for a registered spec is still
     # admitted (here: rejected by the budget) at once.  Registering on the
     # event-loop thread would block it until the fallback timer fires.
-    held, other = sample_scenario(19), _covered_spec()
+    held, other = sample_scenario(19), _costly_spec()
     assert session_id_of(held) != session_id_of(other)
     release = threading.Event()
     fallback = threading.Timer(10, release.set)

@@ -14,7 +14,7 @@ Three claims, each load-bearing for the ledger's ``serve-closed`` /
    across the warm worker pool.
 3. **Priced admission is exact** — the manifest's zero-execution
    prediction equals the measured rounds/bits of an actual protocol
-   execution on covered cells.
+   execution.
 """
 
 import asyncio
@@ -191,17 +191,12 @@ def test_pool_served_answers_are_digest_equal_to_in_process():
 
 
 def test_admission_predictions_match_measured_costs_on_covered_cells():
-    matched = 0
     for spec in generate_scenarios(31, 8):
         store = SharedRelationStore()
         try:
             manifest = ServingSession.register(spec, store).manifest
         finally:
             store.close()
-        if not manifest.covered:
-            continue
         result = execute_scenario(spec)
         measured = result.cost_model["measured"]
         assert manifest.predicted == measured, spec.label
-        matched += 1
-    assert matched > 0  # the sample must include covered cells
