@@ -1,61 +1,45 @@
-"""The serving front-end: admission control, coalescing, warm workers.
+"""The serving front-end: admission control, coalescing, one solver thread.
 
-:class:`QueryService` is a long-lived asyncio service over a
-:class:`~repro.serve.store.SharedRelationStore`.  The request path:
+:class:`QueryService` is a long-lived asyncio service over registered
+:class:`~repro.serve.session.ServingSession` objects.  The request path:
 
 1. **Admission** — every submitted spec resolves to a registered
-   :class:`~repro.serve.session.ServingSession` (registering on first
-   sight, on the solver thread: registration is the offline phase and
-   amortizes to zero, and the event loop keeps serving meanwhile).
-   The session's :func:`~repro.costmodel.predict_costs` metrics price
-   the query *without executing anything*; the
-   :class:`AdmissionPolicy` then admits, **rejects** (structured
+   session (registering on first sight, on the solver thread:
+   registration is the offline phase and amortizes to zero, and the
+   event loop keeps serving meanwhile).  The session's
+   :func:`~repro.costmodel.predict_costs` metrics price the query
+   *without executing anything*; the :class:`AdmissionPolicy` then
+   admits or **rejects** it (structured
    :class:`~repro.serve.store.ServeError`, code ``"rejected"``, with
-   the predicted rounds/bits in ``detail``) or **defers** it to a
-   low-priority lane drained only when the main queue is idle.
-2. **Coalescing** — admitted requests enqueue; the batcher takes the
-   next request plus whatever is *already* queued (it never waits for
-   more: an idle service answers at once, and requests that arrive
-   while a solve runs queue up and meet in the next batch anyway) and
-   dedupes *identical* sessions onto one execution.
+   the predicted rounds/bits in ``detail``).
+2. **Coalescing** — admitted requests enqueue on one bounded queue; the
+   batcher takes the next request plus whatever is *already* queued (it
+   never waits for more: an idle service answers at once, and requests
+   that arrive while a solve runs queue up and meet in the next batch
+   anyway) and dedupes *identical* sessions onto one execution.
 3. **Execution** — the distinct sessions of the batch are dispatched
-   together, each through the one single-session path, in an executor
-   so the event loop stays responsive: in-process mode (``workers=0``,
-   default) uses one worker thread over the warm sessions (the
-   thread-safe memo/plan caches are the satellite that makes this
-   sound); pool mode
-   (``workers>=1``) dispatches to warm processes that attached the
-   shared-memory store at fork and cache planners per session — no
-   factor pickling on the hot path.
+   together, each through the one single-session path, on one solver
+   thread over the warm sessions (the thread-safe memo/plan caches are
+   what make this sound), so the event loop stays responsive.
 
-Degradation is structured, never a hang: worker crashes surface as
-``ServeError("worker-crashed")`` and the pool is rebuilt; a torn-down
-store surfaces as ``ServeError("store-detached")``; closing the service
-fails every pending future — queued or in the batch being solved — with
+Degradation is structured, never a hang: a session whose online solve
+raises fails its own requests with ``ServeError("execution-failed")``
+and the rest of the batch is served; closing the service fails every
+pending future — queued or in the batch being solved — with
 ``ServeError("shutdown")``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import sys
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lab.spec import ScenarioSpec
-from ..pipeline import solve_scenario, worker_init
-from .session import (
-    ServingSession,
-    SessionManifest,
-    answer_payload,
-    session_id_of,
-)
-from .store import ServeError, SharedRelationStore, attach_query
+from .session import ServingSession, SessionManifest, session_id_of
+from .store import ServeError
 
 
 @dataclass(frozen=True)
@@ -63,12 +47,9 @@ class AdmissionPolicy:
     """Zero-execution admission control over predicted protocol costs.
 
     Attributes:
-        max_predicted_bits: Reject/defer queries whose predicted
+        max_predicted_bits: Reject queries whose predicted
             ``total_bits`` exceeds this (``None`` = unlimited).
         max_predicted_rounds: Same for predicted ``rounds``.
-        over_budget: ``"reject"`` (fail fast with the prediction in the
-            error detail) or ``"defer"`` (serve from the low-priority
-            lane once the interactive queue is idle).
 
     Registration rejects a session the cost model cannot price, so
     every manifest carries a prediction.
@@ -76,10 +57,9 @@ class AdmissionPolicy:
 
     max_predicted_bits: Optional[int] = None
     max_predicted_rounds: Optional[int] = None
-    over_budget: str = "reject"
 
     def decide(self, manifest: SessionManifest) -> Tuple[str, Dict[str, Any]]:
-        """``("admit"|"defer"|"reject", detail)`` for one session."""
+        """``("admit"|"reject", detail)`` for one session."""
         predicted = manifest.predicted
         detail = {
             "predicted": {
@@ -101,9 +81,7 @@ class AdmissionPolicy:
         if not over:
             return "admit", detail
         detail["reason"] = "predicted cost exceeds the admission budget"
-        return ("defer", detail) if self.over_budget == "defer" else (
-            "reject", detail
-        )
+        return "reject", detail
 
 
 @dataclass
@@ -117,7 +95,6 @@ class ServeResult:
     latency_s: float
     batch_size: int = 1
     coalesced: bool = False
-    deferred: bool = False
     admission: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -128,13 +105,12 @@ class ServiceStats:
     submitted: int = 0
     served: int = 0
     rejected: int = 0
-    deferred: int = 0
     failed: int = 0
     batches: int = 0
     coalesced_duplicates: int = 0
-    # Never incremented.  It stays because the frozen
-    # ``benchmarks/ledger/wl_serve.py`` reads ``stats["stacked_queries"]``
-    # in its traced run; the ``benchmark`` PR of ROADMAP 1(c) retires it.
+    # Never incremented.  Both stay because the frozen
+    # ``benchmarks/ledger/wl_serve.py`` reads them in its traced run;
+    # the ``benchmark`` PR of ROADMAP 1(a) retires them.
     stacked_queries: int = 0
     worker_crashes: int = 0
 
@@ -142,76 +118,13 @@ class ServiceStats:
         return dict(vars(self))
 
 
-# ---------------------------------------------------------------------------
-# Warm-worker entry points (module level: picklable by reference)
-# ---------------------------------------------------------------------------
-
-#: Per-worker-process cache: published payloads and warm per-session
-#: planners, populated lazily on first touch after the initializer.
-_WORKER_STATE: Dict[str, Dict[str, Any]] = {"payloads": {}, "sessions": {}}
-
-
-def _serve_worker_init(path: List[str], payloads: Dict[str, Dict[str, Any]]) -> None:
-    """Pool initializer: import path + the (small) session payloads.
-
-    The payloads carry segment *names*, not factor bytes — each worker
-    attaches the shared-memory segments on first use of a session.
-    """
-    worker_init(path)
-    _WORKER_STATE["payloads"] = dict(payloads)
-    _WORKER_STATE["sessions"] = {}
-
-
-def _worker_session(session_id: str):
-    """This worker's warm (spec, planner) for a session, attaching once."""
-    warm = _WORKER_STATE["sessions"].get(session_id)
-    if warm is not None:
-        return warm
-    payload = _WORKER_STATE["payloads"].get(session_id)
-    if payload is None:
-        raise ServeError(
-            "unknown-session",
-            f"worker has no payload for session {session_id!r}",
-            {"session_id": session_id},
-        )
-    attached = attach_query(payload)
-    spec = ScenarioSpec.from_json_dict(payload["extra"]["spec"])
-    # Apply the spec's backend conversion exactly as the Planner would
-    # (identity when the attached storage already matches); the online
-    # solve needs no topology, so no network objects are rebuilt here.
-    query = attached.query
-    if spec.backend is not None:
-        query = query.with_backend(spec.backend)
-    warm = (spec, query, attached)
-    _WORKER_STATE["sessions"][session_id] = warm
-    return warm
-
-
-def _worker_execute(session_id: str) -> Dict[str, Any]:
-    """Pool task: serve one session from this worker's warm state."""
-    spec, query, _attached = _worker_session(session_id)
-    answer = solve_scenario(spec, query)
-    return answer_payload(answer.schema, answer.rows)
-
-
-def _crash_worker() -> None:  # pragma: no cover - exercised via the pool
-    """Test hook: die without cleanup, as a real segfault would."""
-    os._exit(3)
-
-
-# ---------------------------------------------------------------------------
-# The service
-# ---------------------------------------------------------------------------
-
-
 class _Request:
-    __slots__ = ("session", "future", "enqueued", "deferred", "admission")
+    __slots__ = ("session", "future", "enqueued", "admission")
 
-    def __init__(self, session, future, deferred, admission):
+    def __init__(self, session, future, admission):
         self.session = session
         self.future = future
         self.enqueued = time.perf_counter()
-        self.deferred = deferred
         self.admission = admission
 
 
@@ -225,13 +138,10 @@ def _fail_pending(
 
 
 class QueryService:
-    """A persistent query service over registered relations.
+    """A persistent query service over registered sessions.
 
     Args:
         policy: Admission policy (default: admit everything).
-        workers: ``0`` serves in-process from warm sessions (one solver
-            thread over the shared thread-safe caches); ``N >= 1`` warms
-            a process pool that attaches the shared-memory store.
         max_pending: Queue bound; submissions beyond it fail fast with
             ``ServeError("overloaded")``.
     """
@@ -239,23 +149,15 @@ class QueryService:
     def __init__(
         self,
         policy: Optional[AdmissionPolicy] = None,
-        workers: int = 0,
         max_pending: int = 1024,
     ) -> None:
         self.policy = policy or AdmissionPolicy()
-        self.workers = int(workers)
         self.max_pending = int(max_pending)
-        self.store = SharedRelationStore()
         self.sessions: Dict[str, ServingSession] = {}
         self.stats = ServiceStats()
         self._queue: Optional[asyncio.Queue] = None
-        self._deferred: Optional[asyncio.Queue] = None
         self._batcher: Optional[asyncio.Task] = None
         self._solver_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        # Registration restarts the pool from the solver thread, and
-        # close() shuts it down from the event loop.
-        self._pool_lock = threading.Lock()
         self._closed = False
 
     # -- registration (offline) -----------------------------------------
@@ -266,26 +168,9 @@ class QueryService:
         session_id = session_id_of(spec)
         session = self.sessions.get(session_id)
         if session is None:
-            session = ServingSession.register(spec, self.store)
+            session = ServingSession.register(spec)
             self.sessions[session_id] = session
-            if self._process_pool is not None:
-                # Workers warm lazily: rebuild the pool's payload map so
-                # *new* workers see the session; existing workers learn
-                # it on their next init (simplest correct policy — the
-                # bench registers everything before starting the pool).
-                self._restart_pool()
         return session.manifest
-
-    def manifest(self) -> Dict[str, Any]:
-        """The service-level manifest: sessions + store summary."""
-        return {
-            "sessions": {
-                sid: s.manifest.to_json_dict()
-                for sid, s in sorted(self.sessions.items())
-            },
-            "store": self.store.describe(),
-            "stats": self.stats.to_dict(),
-        }
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> "QueryService":
@@ -294,12 +179,9 @@ class QueryService:
         if self._batcher is not None:
             return self
         self._queue = asyncio.Queue()
-        self._deferred = asyncio.Queue()
         self._solver_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-solver"
         )
-        if self.workers > 0:
-            self._start_pool()
         self._batcher = asyncio.get_running_loop().create_task(
             self._batch_loop()
         )
@@ -311,24 +193,8 @@ class QueryService:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    def _start_pool(self) -> None:
-        payloads = {sid: s.payload for sid, s in self.sessions.items()}
-        self._process_pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_serve_worker_init,
-            initargs=(list(sys.path), payloads),
-        )
-
-    def _restart_pool(self) -> None:
-        with self._pool_lock:
-            pool, self._process_pool = self._process_pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            if not self._closed:
-                self._start_pool()
-
     async def close(self) -> None:
-        """Drain nothing, fail everything pending, release the store."""
+        """Drain nothing, fail everything pending, stop the solver."""
         if self._closed:
             return
         self._closed = True
@@ -339,20 +205,14 @@ class QueryService:
             except (asyncio.CancelledError, Exception):
                 pass
             self._batcher = None
-        for queue in (self._queue, self._deferred):
-            if queue is not None:
-                _fail_pending(
-                    [queue.get_nowait() for _ in range(queue.qsize())],
-                    "shutdown", "service closed",
-                )
-        with self._pool_lock:
-            if self._process_pool is not None:
-                self._process_pool.shutdown(wait=False, cancel_futures=True)
-                self._process_pool = None
+        if self._queue is not None:
+            _fail_pending(
+                [self._queue.get_nowait() for _ in range(self._queue.qsize())],
+                "shutdown", "service closed",
+            )
         if self._solver_pool is not None:
             self._solver_pool.shutdown(wait=False, cancel_futures=True)
             self._solver_pool = None
-        self.store.close()
 
     # -- request path ----------------------------------------------------
     async def submit(self, spec: ScenarioSpec) -> ServeResult:
@@ -375,7 +235,12 @@ class QueryService:
             await asyncio.wait([registration])
             if registration.cancelled():
                 raise ServeError("shutdown", "service closed", {})
-            manifest = registration.result()
+            try:
+                manifest = registration.result()
+            except ServeError as err:
+                if err.code == "rejected":  # the cost model cannot price it
+                    self.stats.rejected += 1
+                raise
             if self._closed:
                 raise ServeError("shutdown", "service closed", {})
         decision, detail = self.policy.decide(manifest)
@@ -386,7 +251,7 @@ class QueryService:
                 f"admission control rejected {manifest.session_id}",
                 {"session_id": manifest.session_id, **detail},
             )
-        pending = self._queue.qsize() + self._deferred.qsize()
+        pending = self._queue.qsize()
         if pending >= self.max_pending:
             self.stats.rejected += 1
             raise ServeError(
@@ -394,54 +259,20 @@ class QueryService:
                 f"queue is full ({pending} pending)",
                 {"max_pending": self.max_pending},
             )
-        deferred = decision == "defer"
         future = asyncio.get_running_loop().create_future()
-        request = _Request(
-            self.sessions[manifest.session_id], future, deferred, detail
+        await self._queue.put(
+            _Request(self.sessions[manifest.session_id], future, detail)
         )
-        if deferred:
-            self.stats.deferred += 1
-            await self._deferred.put(request)
-        else:
-            await self._queue.put(request)
         return await future
 
     # -- batcher ---------------------------------------------------------
-    async def _next_request(self) -> _Request:
-        """Interactive queue first; the deferred lane only when idle."""
-        if not self._queue.empty():
-            return self._queue.get_nowait()
-        if not self._deferred.empty():
-            return self._deferred.get_nowait()
-        interactive = asyncio.ensure_future(self._queue.get())
-        low = asyncio.ensure_future(self._deferred.get())
-        try:
-            done, pending = await asyncio.wait(
-                (interactive, low), return_when=asyncio.FIRST_COMPLETED
-            )
-        except asyncio.CancelledError:
-            # close() while idle: a request a getter took in this very
-            # tick goes back on its lane, where close() fails it.
-            for getter, lane in (
-                (interactive, self._queue), (low, self._deferred)
-            ):
-                if getter.done():
-                    lane.put_nowait(getter.result())
-                getter.cancel()
-            raise
-        for task in pending:
-            task.cancel()
-        # Both getters may complete in the same tick: serve the
-        # interactive request and put the deferred one back on its lane.
-        if interactive not in done:
-            return low.result()
-        if low in done:
-            self._deferred.put_nowait(low.result())
-        return interactive.result()
-
     async def _collect_batch(self) -> List[_Request]:
-        """The next request plus whatever is already queued — no waiting."""
-        batch = [await self._next_request()]
+        """The next request plus whatever is already queued — no waiting.
+
+        ``Queue.get`` leaves a request on the queue when it is cancelled,
+        so close() fails a request the idle batcher was just woken for.
+        """
+        batch = [await self._queue.get()]
         while not self._queue.empty():
             batch.append(self._queue.get_nowait())
         return batch
@@ -503,36 +334,23 @@ class QueryService:
                 latency_s=now - request.enqueued,
                 batch_size=batch_size,
                 coalesced=index > 0,
-                deferred=request.deferred,
                 admission=request.admission,
             ))
 
-    # -- execution back ends ---------------------------------------------
     async def _run_session(self, session_id: str):
-        """One session's answer payload, or the ServeError it died of."""
-        loop = asyncio.get_running_loop()
-        # Read once: a registration on the solver thread may swap the pool.
-        pool = self._process_pool
+        """One session's answer payload, or the ServeError it died of.
+
+        The one place a failed online solve becomes
+        ``ServeError("execution-failed")``: catching it here fails only
+        this session's requests, and the rest of the batch is served.
+        """
         try:
-            if pool is not None:
-                return await loop.run_in_executor(
-                    pool, _worker_execute, session_id
-                )
-            return await loop.run_in_executor(
+            return await asyncio.get_running_loop().run_in_executor(
                 self._solver_pool, self.sessions[session_id].online_answer
             )
-        except ServeError as exc:
-            return exc
-        except BrokenProcessPool:
-            # A worker died mid-query.  Degrade structurally: rebuild
-            # the pool so the *next* query finds warm workers, fail this
-            # one fast with a typed error.
-            self.stats.worker_crashes += 1
-            self._restart_pool()
-            return ServeError(
-                "worker-crashed",
-                "a warm worker died mid-query; the pool was rebuilt",
-                {"workers": self.workers},
-            )
         except Exception as exc:
-            return ServeError("execution-failed", str(exc), {})
+            return ServeError(
+                "execution-failed",
+                f"online solve failed for {session_id}: {exc}",
+                {"session_id": session_id},
+            )

@@ -14,9 +14,7 @@ a pure function of the identity and can therefore be paid once:
 * the closed-form bound report and the **exact**
   :func:`repro.pipeline.predicted_metrics` the server's admission
   controller prices queries with, *without executing anything* (a
-  session the cost model cannot price is rejected before anything is
-  published),
-* publication of the relations into the shared-memory store.
+  session the cost model cannot price is rejected and not kept).
 
 The **online** path (:meth:`ServingSession.execute_online`) then touches
 only compiled kernels (:func:`repro.pipeline.solve_scenario`): it
@@ -26,10 +24,10 @@ to :meth:`Planner.execute`'s protocol answer for the same spec — the
 four-axis parity contract certifies ``protocol.answer == reference`` on
 every lab run, and the reference solve *is* this online solve.
 
-Everything knowable offline is persisted in a JSON-able
+Everything knowable offline is recorded in a JSON-able
 :class:`SessionManifest` (the ``martelogan__langformer`` RunSession
-idea): a later process can reload the manifest, re-attach the store and
-serve without repeating the search.
+idea): the admission policy prices with it, and the parity tests read
+its digest.
 """
 
 from __future__ import annotations
@@ -45,18 +43,18 @@ from ..costmodel import CostModelError
 from ..lab.results import answer_digest
 from ..lab.spec import ScenarioSpec
 from ..pipeline import plan_scenario, predicted_metrics, solve_scenario
-from .store import ServeError, SharedRelationStore, publish_query
+from .store import ServeError
 
 #: Manifest layout version — bump on any incompatible change.
 #: v3: ``covered`` and ``notes`` are gone; ``predicted`` is always set.
-SESSION_VERSION = 3
+#: v4: ``store`` is gone; registration publishes nothing.
+SESSION_VERSION = 4
 
 
 def answer_payload(
     schema: Sequence[str], rows: Mapping[Tuple[Any, ...], Any]
 ) -> Dict[str, Any]:
-    """One served answer: schema, plain-dict rows, content digest."""
-    rows = dict(rows)  # a factor's MappingProxy is not picklable
+    """One served answer: schema, rows, content digest."""
     return {
         "schema": list(schema),
         "rows": rows,
@@ -78,9 +76,8 @@ class SessionManifest:
     """The durable, JSON-able record of one registered session.
 
     Everything the offline phase computed: the spec identity, the
-    admission-control cost prediction, the closed-form bounds, the
-    expected answer digest, and the store segments the relations live
-    in.
+    admission-control cost prediction, the closed-form bounds and the
+    expected answer digest.
     """
 
     session_id: str
@@ -90,7 +87,6 @@ class SessionManifest:
     bounds: Dict[str, float]
     answer_digest: str
     answer_rows: int
-    store: Dict[str, Any]
     offline_seconds: float
     version: int = SESSION_VERSION
 
@@ -104,7 +100,6 @@ class SessionManifest:
             "bounds": self.bounds,
             "answer_digest": self.answer_digest,
             "answer_rows": self.answer_rows,
-            "store": self.store,
             "offline_seconds": self.offline_seconds,
         }
 
@@ -116,32 +111,28 @@ class ServingSession:
     """One registered scenario identity, offline-compiled and warm.
 
     Construct via :meth:`register`.  Holds the backend-converted
-    planner, the shm publication payload and the manifest;
-    :meth:`execute_online` is the kernel-only hot path.
+    planner and the manifest; :meth:`execute_online` is the kernel-only
+    hot path.
     """
 
     def __init__(
         self,
         spec: ScenarioSpec,
         planner: Planner,
-        payload: Dict[str, Any],
         manifest: SessionManifest,
     ) -> None:
         self.spec = spec
         self.planner = planner
-        self.payload = payload
         self.manifest = manifest
 
     # -- offline ---------------------------------------------------------
     @classmethod
-    def register(
-        cls, spec: ScenarioSpec, store: SharedRelationStore
-    ) -> "ServingSession":
-        """The offline phase: build, compile, predict, publish, warm.
+    def register(cls, spec: ScenarioSpec) -> "ServingSession":
+        """The offline phase: build, compile, predict, warm.
 
         Raises:
             ServeError: code ``"rejected"`` when the cost model cannot
-                price the spec; nothing is published then.
+                price the spec.
         """
         start = time.perf_counter()
         session_id = session_id_of(spec)
@@ -164,13 +155,6 @@ class ServingSession:
                 {"session_id": session_id, "cost_model": str(exc)},
             ) from exc
         bound = planner.predict()
-        payload = publish_query(
-            store, session_id, planner.query,
-            extra={
-                "spec": spec.to_json_dict(),
-                "session_id": session_id,
-            },
-        )
         digest = answer_digest(warm_answer.schema, warm_answer.rows)
         manifest = SessionManifest(
             session_id=session_id,
@@ -183,20 +167,9 @@ class ServingSession:
             },
             answer_digest=digest,
             answer_rows=len(warm_answer),
-            store={
-                "segments": [
-                    {
-                        "name": entry["segment"],
-                        "kind": entry["kind"],
-                        "relation": name,
-                        "rows": entry["rows"],
-                    }
-                    for name, entry in payload["relations"].items()
-                ],
-            },
             offline_seconds=time.perf_counter() - start,
         )
-        return cls(spec, planner, payload, manifest)
+        return cls(spec, planner, manifest)
 
     # -- online ----------------------------------------------------------
     @property
@@ -208,18 +181,11 @@ class ServingSession:
 
         Returns the answer :class:`~repro.semiring.factor.Factor` —
         byte-identical (schema, rows, values) to the protocol answer
-        :meth:`Planner.execute` produces for the same spec.
+        :meth:`Planner.execute` produces for the same spec.  A failure
+        propagates; the service turns it into
+        ``ServeError("execution-failed")``.
         """
-        try:
-            return solve_scenario(self.spec, self.planner.query)
-        except ServeError:
-            raise
-        except Exception as exc:
-            raise ServeError(
-                "execution-failed",
-                f"online solve failed for {self.session_id}: {exc}",
-                {"session_id": self.session_id},
-            ) from exc
+        return solve_scenario(self.spec, self.planner.query)
 
     def online_answer(self) -> Dict[str, Any]:
         """One served answer (:func:`answer_payload` of the online solve)."""

@@ -1,11 +1,13 @@
 """Shared-memory relation store — publish once, attach zero-copy.
 
-The serving plane keeps registered relations in
-:mod:`multiprocessing.shared_memory` segments so warm worker processes
-*attach* to the columnar buffers instead of receiving pickled factors
-with every task.  One factor publishes as one segment holding its
-``int64`` code arrays and its annotation array back to back; the small
-parts — schema, dictionaries, domains — travel in a picklable manifest.
+Relations published here live in :mod:`multiprocessing.shared_memory`
+segments, so another process can *attach* to their columnar buffers
+instead of receiving pickled factors.  The query service publishes
+nothing; the layer ledger's serving probes time a publish and an
+attach of each registered session's query.  One factor publishes as
+one segment holding its ``int64`` code arrays and its annotation array
+back to back; the small parts — schema, dictionaries, domains — travel
+in a picklable manifest.
 Attaching rebuilds a :class:`~repro.semiring.columnar.ColumnarFactor`
 whose arrays *view* the segment (zero copy); factors whose storage was
 the dict backend, or whose semiring has no columnar profile, round-trip
@@ -54,12 +56,10 @@ class ServeError(RuntimeError):
               cost model could not price it at registration
               (``detail["cost_model"]`` holds the error).
             * ``"overloaded"`` — the service queue is full.
-            * ``"unknown-session"`` — no session registered under the id.
-            * ``"worker-crashed"`` — a warm worker died mid-query; the
-              pool is recycled, the in-flight query fails fast.
-            * ``"store-detached"`` — a shared-memory segment disappeared
-              mid-query (torn down / unlinked under the worker).
-            * ``"execution-failed"`` — the online solve itself raised.
+            * ``"store-detached"`` — :func:`attach_query` found a
+              segment torn down / unlinked.
+            * ``"execution-failed"`` — the online solve itself raised
+              (``detail["session_id"]`` names the session).
             * ``"shutdown"`` — the service is closing.
         detail: Optional structured context (JSON-able where possible).
     """
@@ -74,9 +74,6 @@ class ServeError(RuntimeError):
     def to_dict(self) -> Dict[str, Any]:
         """The structured form clients/benchmarks record."""
         return {"code": self.code, "message": str(self), "detail": self.detail}
-
-    def __reduce__(self):  # cross the process boundary intact
-        return (ServeError, (self.code, str(self), self.detail))
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +325,18 @@ def publish_query(
     store: "SharedRelationStore",
     key: str,
     query: FAQQuery,
-    extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Publish a whole query: relations into ``store``, metadata inline.
 
     The returned payload is small and picklable (segment names, schemas,
-    dictionaries, domains) — ship it to workers once per (worker, key)
+    dictionaries, domains) — ship it to another process once per key
     and :func:`attach_query` there.
     """
     relations = {
         name: store._adopt(publish_factor(factor))
         for name, factor in query.factors.items()
     }
-    payload = {
+    return {
         "version": STORE_VERSION,
         "key": key,
         "relations": relations,
@@ -354,10 +350,7 @@ def publish_query(
             "name": query.name,
             "backend": query.backend,
         },
-        "extra": dict(extra or {}),
     }
-    store._payloads[key] = payload
-    return payload
 
 
 class AttachedQuery:
@@ -368,9 +361,8 @@ class AttachedQuery:
     longer in use.
     """
 
-    def __init__(self, query: FAQQuery, extra: Dict[str, Any], segments) -> None:
+    def __init__(self, query: FAQQuery, segments) -> None:
         self.query = query
-        self.extra = extra
         self._segments = segments
 
     def close(self) -> None:
@@ -415,7 +407,7 @@ def attach_query(payload: Mapping[str, Any]) -> AttachedQuery:
     # Restore the original backend *field* without re-converting (the
     # compiled solver's structural signature includes it).
     query.backend = meta["backend"]
-    return AttachedQuery(query, dict(payload["extra"]), segments)
+    return AttachedQuery(query, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,7 @@ def attach_query(payload: Mapping[str, Any]) -> AttachedQuery:
 class SharedRelationStore:
     """Creator-side registry of published relations.
 
-    One store per service; owns every segment it publishes and releases
+    Owns every segment published into it and releases
     them all on :meth:`close` — which is idempotent and also runs via
     the context-manager protocol, so a crashed registration cannot leak
     ``/dev/shm`` entries past the ``with`` block.
@@ -434,7 +426,6 @@ class SharedRelationStore:
 
     def __init__(self) -> None:
         self._segments: List[shared_memory.SharedMemory] = []
-        self._payloads: Dict[str, Dict[str, Any]] = {}
         self._lock = threading.RLock()
         self._closed = False
 
@@ -455,38 +446,6 @@ class SharedRelationStore:
         with self._lock:
             return tuple(shm.name for shm in self._segments)
 
-    def payload(self, key: str) -> Dict[str, Any]:
-        try:
-            return self._payloads[key]
-        except KeyError:
-            raise ServeError(
-                "unknown-session", f"no relations published under {key!r}",
-                {"key": key},
-            ) from None
-
-    def describe(self) -> Dict[str, Any]:
-        """A JSON-able summary (segment names/sizes, relation shapes)."""
-        with self._lock:
-            return {
-                "version": STORE_VERSION,
-                "segments": [
-                    {"name": shm.name, "bytes": shm.size}
-                    for shm in self._segments
-                ],
-                "keys": {
-                    key: {
-                        name: {
-                            "kind": entry["kind"],
-                            "segment": entry["segment"],
-                            "schema": list(entry["schema"]),
-                            "rows": entry["rows"],
-                        }
-                        for name, entry in payload["relations"].items()
-                    }
-                    for key, payload in self._payloads.items()
-                },
-            }
-
     # -- lifecycle -------------------------------------------------------
     @property
     def closed(self) -> bool:
@@ -499,7 +458,6 @@ class SharedRelationStore:
                 return
             self._closed = True
             segments, self._segments = self._segments, []
-            self._payloads.clear()
         for shm in segments:
             _release_segment(shm)
 

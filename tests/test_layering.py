@@ -153,6 +153,37 @@ def test_serve_stacks_nothing():
     assert offenders == []
 
 
+def test_the_service_publishes_nothing_and_forks_nothing():
+    # One way to serve: one solver thread over the warm sessions.  The
+    # service takes only the error type from the shared-memory store,
+    # and no process pool.
+    service = ("repro.serve.server", "repro.serve.session")
+    assert sorted(
+        (importer, target) for importer, target in IMPORTS
+        if importer in service and target.startswith("repro.serve.store")
+    ) == [
+        ("repro.serve.server", "repro.serve.store.ServeError"),
+        ("repro.serve.session", "repro.serve.store.ServeError"),
+    ]
+    pools = []
+    for module, _package, tree in _modules():
+        if module not in service:
+            continue
+        for node in _runtime_nodes(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            pools.extend(
+                (module, name) for name in names
+                if name.startswith("concurrent.futures.process")
+                or name.endswith("ProcessPoolExecutor")
+            )
+    assert pools == []
+
+
 def test_lab_and_serve_get_their_planner_from_the_pipeline():
     # ``pipeline.plan_scenario`` is the one site that turns a
     # materialized query into a backend-converted Planner.

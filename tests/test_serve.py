@@ -1,11 +1,12 @@
 """The serving plane's infrastructure contracts.
 
 Covers the shared-memory relation store (publish/attach byte-identity,
-pickled fallback, explicit lifecycle, no ``/dev/shm`` leaks), structured
-degradation (``ServeError`` on detach / crash / shutdown / overload),
-the thread-safety of the plan cache and structural memos the service
-shares across threads, and admission control.  Answer-level parity lives
-in ``test_serving_parity.py``.
+pickled fallback, explicit lifecycle), a service lifetime that creates
+no segment, structured degradation (``ServeError`` on detach / failed
+solve / shutdown / overload), the submit accounting, the thread-safety
+of the plan cache and structural memos the service shares across
+threads, and admission control.  Answer-level parity lives in
+``test_serving_parity.py``.
 """
 
 import asyncio
@@ -19,6 +20,7 @@ import pytest
 from repro.core.memo import LRUMemo, clear_all_memos
 from repro.faq.plan import PLAN_CACHE, PlanCache
 from repro.lab.generate import generate_scenarios, sample_scenario
+from repro.lab.runner import execute_scenario
 from repro.pipeline import materialize_scenario
 from repro.semiring import Factor, get_semiring
 from repro.semiring.columnar import ColumnarFactor
@@ -31,7 +33,6 @@ from repro.serve import (
     live_segment_names,
     publish_query,
 )
-from repro.serve.server import _crash_worker, _worker_execute
 from repro.serve.session import ServingSession, session_id_of
 
 
@@ -147,25 +148,28 @@ def test_attach_after_teardown_raises_store_detached():
     assert "segment" in err.value.detail
 
 
-def test_serve_error_survives_pickling():
-    err = ServeError("rejected", "too big", {"total_bits": 9000})
-    twin = pickle.loads(pickle.dumps(err))
-    assert isinstance(twin, ServeError)
-    assert twin.code == "rejected"
-    assert twin.detail == {"total_bits": 9000}
-    assert twin.to_dict()["message"] == "too big"
-
-
 def test_no_segments_leak_across_a_service_lifetime():
+    # Stronger than "nothing is left at close": no segment exists at any
+    # point of a lifetime, because the service publishes nothing.
+    registered, unregistered = generate_scenarios(123, 2)
     before = _shm_entries()
 
     async def main():
-        async with QueryService() as service:
-            spec = sample_scenario(17)
-            await service.submit(spec)
+        service = QueryService()
+        service.register(registered)
+        assert live_segment_names() == ()
+        await service.start()
+        try:
+            assert live_segment_names() == ()
+            await service.submit(registered)
+            await service.submit(unregistered)  # registers on the solver
+            assert live_segment_names() == ()
+            assert _shm_entries() == before
+        finally:
+            await service.close()
+        assert live_segment_names() == ()
 
     asyncio.run(main())
-    assert live_segment_names() == ()
     assert _shm_entries() == before
 
 
@@ -240,13 +244,8 @@ def test_plan_cache_concurrent_access_is_consistent():
 def _costly_spec():
     """A spec with a positive predicted cost."""
     for spec in generate_scenarios(7, 40):
-        store = SharedRelationStore()
-        try:
-            manifest = ServingSession.register(spec, store).manifest
-            if manifest.predicted["total_bits"] > 0:
-                return spec
-        finally:
-            store.close()
+        if ServingSession.register(spec).manifest.predicted["total_bits"] > 0:
+            return spec
     raise RuntimeError("no costly spec in the sample")  # pragma: no cover
 
 
@@ -267,54 +266,9 @@ def test_admission_rejects_over_budget_with_prediction_detail():
     asyncio.run(main())
 
 
-def test_admission_defers_over_budget_but_still_serves():
-    spec = _costly_spec()
-
-    async def main():
-        policy = AdmissionPolicy(max_predicted_bits=0, over_budget="defer")
-        async with QueryService(policy=policy) as service:
-            result = await service.submit(spec)
-            assert result.deferred is True
-            assert result.digest
-            assert service.stats.deferred == 1
-            assert service.stats.served == 1
-
-    asyncio.run(main())
-
-
-def test_interactive_request_wins_when_both_lanes_fire_in_one_tick():
-    from repro.serve.server import _Request
-
-    async def main():
-        service = QueryService()
-        try:
-            # No batcher: the test is the only consumer of the lanes.
-            service._queue = asyncio.Queue()
-            service._deferred = asyncio.Queue()
-            waiting = asyncio.ensure_future(service._next_request())
-            await asyncio.sleep(0)  # both lanes are empty: it must wait
-            loop = asyncio.get_running_loop()
-            low = _Request(None, loop.create_future(), True, {})
-            high = _Request(None, loop.create_future(), False, {})
-            service._deferred.put_nowait(low)
-            service._queue.put_nowait(high)
-            assert await asyncio.wait_for(waiting, 5) is high
-            assert service._deferred.get_nowait() is low
-            assert service._queue.empty() and service._deferred.empty()
-        finally:
-            await service.close()
-
-    asyncio.run(main())
-
-
 def test_admission_policy_decisions_on_manifest_shapes():
     """Unit-level policy matrix."""
-    spec = sample_scenario(29)
-    store = SharedRelationStore()
-    try:
-        manifest = ServingSession.register(spec, store).manifest
-    finally:
-        store.close()
+    manifest = ServingSession.register(sample_scenario(29)).manifest
 
     assert AdmissionPolicy().decide(manifest)[0] == "admit"
     bits = manifest.predicted["total_bits"]
@@ -324,9 +278,9 @@ def test_admission_policy_decisions_on_manifest_shapes():
     assert decision == "admit"  # budget is inclusive
     if bits > 0:
         decision, detail = AdmissionPolicy(
-            max_predicted_bits=bits - 1, over_budget="defer"
+            max_predicted_bits=bits - 1
         ).decide(manifest)
-        assert decision == "defer"
+        assert decision == "reject"
         assert detail["predicted"]["total_bits"] == bits
 
 
@@ -341,7 +295,6 @@ def test_a_session_the_cost_model_cannot_price_is_rejected(monkeypatch):
 
     async def main():
         async with QueryService() as service:
-            before = set(live_segment_names())
             with pytest.raises(ServeError) as err:
                 service.register(spec)
             assert err.value.code == "rejected"
@@ -349,8 +302,6 @@ def test_a_session_the_cost_model_cannot_price_is_rejected(monkeypatch):
                 "session_id": session_id_of(spec),
                 "cost_model": "deliberately unpriceable",
             }
-            # Rejected before publication: no segment was created.
-            assert set(live_segment_names()) == before
             assert service.sessions == {}
 
     asyncio.run(main())
@@ -409,10 +360,10 @@ def test_registration_leaves_the_event_loop_free(monkeypatch):
     fallback = threading.Timer(10, release.set)
     register = ServingSession.register
 
-    def held_register(spec, store):
+    def held_register(spec):
         if session_id_of(spec) == session_id_of(held):
             release.wait()
-        return register(spec, store)
+        return register(spec)
 
     monkeypatch.setattr(ServingSession, "register", held_register)
 
@@ -448,8 +399,8 @@ def test_close_fails_the_submits_whose_registration_is_under_way(monkeypatch):
     started, release = threading.Event(), threading.Event()
     register = ServingSession.register
 
-    def held_register(spec, store):
-        session = register(spec, store)
+    def held_register(spec):
+        session = register(spec)
         started.set()
         release.wait(60)
         return session
@@ -506,9 +457,9 @@ def test_close_fails_a_request_the_idle_batcher_just_took():
         service = QueryService()
         await service.start()
         service.register(spec)
-        await asyncio.sleep(0)  # the batcher is idle, waiting on both lanes
+        await asyncio.sleep(0)  # the batcher is idle, waiting on the queue
         pending = asyncio.ensure_future(service.submit(spec))
-        await asyncio.sleep(0)  # enqueued: the lane's getter is about to wake
+        await asyncio.sleep(0)  # enqueued: the batcher's get is about to wake
         await service.close()
         with pytest.raises(ServeError) as err:
             await asyncio.wait_for(pending, 5)  # hang guard only
@@ -557,10 +508,10 @@ def test_a_batch_is_exactly_what_queued_while_the_solver_was_busy():
 
 
 def test_the_distinct_sessions_of_a_batch_run_together(monkeypatch):
-    # Awaiting one session's solve before starting the next would keep
-    # all but one of ``workers=N`` idle.  The fake solves yield to the
-    # event loop instead of blocking a thread, so "in flight together"
-    # is a count, not a timing.
+    # Awaiting one session's solve before starting the next would hold
+    # every session's reply until the slowest one ahead of it lands.  The
+    # fake solves yield to the event loop instead of blocking a thread,
+    # so "in flight together" is a count, not a timing.
     from types import SimpleNamespace
 
     from repro.serve.server import _Request
@@ -585,7 +536,7 @@ def test_the_distinct_sessions_of_a_batch_run_together(monkeypatch):
             loop = asyncio.get_running_loop()
             batch[:] = [
                 _Request(SimpleNamespace(session_id=sid), loop.create_future(),
-                         False, {})
+                         {})
                 for sid in ("slow", "fast", "slow")
             ]
             await service._execute_batch(batch)
@@ -600,62 +551,94 @@ def test_the_distinct_sessions_of_a_batch_run_together(monkeypatch):
     assert [r.future.result().coalesced for r in batch] == [False, False, True]
 
 
-@pytest.mark.parametrize("gone", [{"batch_window": 0.002}, {"min_stack": 2}])
+@pytest.mark.parametrize("gone", [
+    (QueryService, {"batch_window": 0.002}),
+    (QueryService, {"min_stack": 2}),
+    (QueryService, {"workers": 1}),
+    (AdmissionPolicy, {"over_budget": "defer"}),
+])
 def test_the_window_and_stacking_options_are_gone(gone):
+    # So are the process pool and the deferred lane: one way to serve.
+    build, options = gone
     with pytest.raises(TypeError):
-        QueryService(**gone)
+        build(**options)
 
 
-def test_worker_crash_mid_query_returns_structured_error_and_recovers():
-    spec = sample_scenario(23)
+def test_every_submit_is_served_rejected_or_failed(monkeypatch):
+    # One admitted request, one over the budget, one whose registration
+    # the cost model cannot price, one into a full queue: each submit
+    # lands in exactly one of the three outcome counters.
+    from repro.costmodel import CostModelError
+    from repro.serve import session as session_module
+
+    admitted, costly = sample_scenario(19), _costly_spec()
+    unpriceable = next(
+        spec for spec in generate_scenarios(123, 5)
+        if session_id_of(spec) not in {
+            session_id_of(admitted), session_id_of(costly)
+        }
+    )
+    price = session_module.predicted_metrics
+
+    def predicted(spec, plan, nodes):
+        if session_id_of(spec) == session_id_of(unpriceable):
+            raise CostModelError("deliberately unpriceable")
+        return price(spec, plan, nodes)
+
+    monkeypatch.setattr(session_module, "predicted_metrics", predicted)
 
     async def main():
-        async with QueryService(workers=1) as service:
-            first = await service.submit(spec)
-            # Kill the warm worker as a segfault would (no cleanup)...
-            loop = asyncio.get_running_loop()
-            with pytest.raises(Exception):
-                await loop.run_in_executor(
-                    service._process_pool, _crash_worker
-                )
-            service._restart_pool()
-            # ...the service stays up and the next query is served.
-            again = await service.submit(spec)
-            assert again.digest == first.digest
+        async with QueryService() as service:
+            await service.submit(admitted)
+            service.policy = AdmissionPolicy(max_predicted_bits=0)
+            outcomes = []
+            for spec in (costly, unpriceable):
+                with pytest.raises(ServeError) as err:
+                    await service.submit(spec)
+                outcomes.append(err.value.code)
+            service.policy, service.max_pending = AdmissionPolicy(), 0
+            with pytest.raises(ServeError) as err:
+                await service.submit(admitted)
+            outcomes.append(err.value.code)
+            assert outcomes == ["rejected", "rejected", "overloaded"]
+            return service.stats
 
-    asyncio.run(main())
+    stats = asyncio.run(main())
+    assert (stats.submitted, stats.served, stats.failed) == (4, 1, 0)
+    assert stats.submitted == stats.served + stats.rejected + stats.failed
 
 
-def test_pool_crash_surfaces_as_serve_error_not_a_hang():
-    spec = sample_scenario(23)
+def test_a_failing_solve_fails_only_its_own_session():
+    # A solve that raises fails its own session's requests with
+    # ``execution-failed`` naming the session; the other session of the
+    # same batch is served, with the digest a cold run gives.
+    good, bad = generate_scenarios(123, 2)
+    expected = execute_scenario(good).answer_digest
 
     async def main():
-        async with QueryService(workers=1) as service:
+        service = QueryService()
+        for spec in (good, bad):
             service.register(spec)
-            # Crash the pool *between* queries, then submit: the broken
-            # pool must surface as ServeError("worker-crashed") on this
-            # request, and the rebuilt pool must serve the next one.
-            loop = asyncio.get_running_loop()
-            with pytest.raises(Exception):
-                await loop.run_in_executor(
-                    service._process_pool, _crash_worker
-                )
-            try:
-                result = await asyncio.wait_for(
-                    service.submit(spec), timeout=60
-                )
-            except ServeError as exc:
-                assert exc.code == "worker-crashed"
-                result = await asyncio.wait_for(
-                    service.submit(spec), timeout=60
-                )
-            assert result.digest
-            assert service.stats.worker_crashes <= 1
+        session = service.sessions[session_id_of(bad)]
 
-    asyncio.run(main())
+        def broken():
+            raise RuntimeError("deliberately broken solve")
 
+        session.execute_online = broken
+        async with service:
+            # All three enqueue before the batcher wakes: one batch.
+            results = await asyncio.gather(
+                *(service.submit(spec) for spec in (bad, good, bad)),
+                return_exceptions=True,
+            )
+            return service.stats, results
 
-def test_worker_without_payload_raises_unknown_session():
-    with pytest.raises(ServeError) as err:
-        _worker_execute("s-nonexistent")
-    assert err.value.code == "unknown-session"
+    stats, (first, served, second) = asyncio.run(main())
+    for err in (first, second):
+        assert isinstance(err, ServeError)
+        assert err.code == "execution-failed"
+        assert err.detail == {"session_id": session_id_of(bad)}
+        assert "deliberately broken solve" in str(err)
+    assert served.digest == expected
+    assert served.batch_size == 3
+    assert (stats.batches, stats.served, stats.failed) == (1, 1, 2)

@@ -10,8 +10,7 @@ Three claims, each load-bearing for the ledger's ``serve-closed`` /
    parity contract — and the online path *is* the reference solve).
 2. **Coalescing parity** — duplicates coalesced onto one execution
    all carry the manifest digest, and distinct sessions that meet in
-   one batch are digest-equal to being served alone, in-process and
-   across the warm worker pool.
+   one batch are digest-equal to being served alone.
 3. **Priced admission is exact** — the manifest's zero-execution
    prediction equals the measured rounds/bits of an actual protocol
    execution.
@@ -30,7 +29,6 @@ from repro.lab.runner import execute_scenario
 from repro.pipeline import materialize_scenario
 from repro.serve import QueryService, ServeError, session_id_of
 from repro.serve.session import ServingSession
-from repro.serve.store import SharedRelationStore
 
 
 @pytest.fixture(autouse=True)
@@ -141,8 +139,7 @@ def test_duplicates_in_one_batch_coalesce_onto_one_execution():
     asyncio.run(main())
 
 
-@pytest.mark.parametrize("workers", [0, 1])
-def test_twins_in_one_batch_match_being_served_alone(workers):
+def test_twins_in_one_batch_match_being_served_alone():
     spec, twin = _twin_pair()
     expected = {
         session_id_of(s): execute_scenario(s).answer_digest
@@ -150,7 +147,7 @@ def test_twins_in_one_batch_match_being_served_alone(workers):
     }
 
     async def main():
-        service = QueryService(workers=workers)
+        service = QueryService()
         for s in (spec, twin):
             service.register(s)
         async with service:
@@ -169,34 +166,9 @@ def test_twins_in_one_batch_match_being_served_alone(workers):
     asyncio.run(main())
 
 
-def test_pool_served_answers_are_digest_equal_to_in_process():
-    spec, twin = _twin_pair()
-    expected = {
-        session_id_of(s): execute_scenario(s).answer_digest
-        for s in (spec, twin)
-    }
-
-    async def main():
-        service = QueryService(workers=1)
-        for s in (spec, twin):
-            service.register(s)
-        async with service:
-            results = await asyncio.gather(
-                *(service.submit(s) for s in (spec, twin, spec))
-            )
-            for result in results:
-                assert result.digest == expected[result.session_id]
-
-    asyncio.run(main())
-
-
-def test_admission_predictions_match_measured_costs_on_covered_cells():
+def test_admission_predictions_match_measured_costs_on_a_fuzz_sample():
     for spec in generate_scenarios(31, 8):
-        store = SharedRelationStore()
-        try:
-            manifest = ServingSession.register(spec, store).manifest
-        finally:
-            store.close()
+        manifest = ServingSession.register(spec).manifest
         result = execute_scenario(spec)
         measured = result.cost_model["measured"]
         assert manifest.predicted == measured, spec.label
