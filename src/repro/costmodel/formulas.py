@@ -90,6 +90,7 @@ def symbolic_bits_per_edge(
                 accumulate((child, parent), mul(k, b_v))
 
     route = skeleton.route
+    schedule = skeleton.schedule
     for node, parent in route.parents.items():
         if parent is None:
             continue
@@ -101,7 +102,7 @@ def symbolic_bits_per_edge(
                 payload_terms.append(
                     mul(payload_symbol(cur), add(b_t, b_v))
                 )
-            stack.extend(route.children_of(cur))
+            stack.extend(schedule[cur].route.children)
         accumulate((node, parent), add(*payload_terms))
 
     return {link: add(*parts) for link, parts in sorted(terms.items())}

@@ -33,6 +33,7 @@ plane of a scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..faq import FAQQuery
@@ -42,6 +43,7 @@ from ..protocols.faq_protocol import (
     score_rows,
     star_contributions,
 )
+from ..protocols.schedule import Schedule, StarShape, build_schedule
 from ..semiring import Factor
 
 
@@ -63,14 +65,6 @@ class StarSkeleton:
     trees: Tuple[Dict[str, Optional[str]], ...]
     counts: Tuple[int, ...]
 
-    def trees_of(self, node: str) -> List[int]:
-        """Packing-tree indices this node participates in."""
-        return [j for j, pm in enumerate(self.trees) if node in pm]
-
-    def tree_edges(self, j: int) -> int:
-        """Edge count of packing tree ``j`` (``E_j`` in the formulas)."""
-        return len(self.trees[j]) - 1
-
 
 @dataclass(frozen=True)
 class RouteSkeleton:
@@ -85,25 +79,6 @@ class RouteSkeleton:
 
     parents: Dict[str, Optional[str]]
     payload_counts: Dict[str, int]
-
-    def children_of(self, node: str) -> List[str]:
-        return sorted(n for n, p in self.parents.items() if p == node)
-
-    def path_length(self, node: str) -> int:
-        """Hops from ``node`` to the sink along the routing tree."""
-        hops = 0
-        cur: Optional[str] = node
-        while cur is not None and self.parents.get(cur) is not None:
-            cur = self.parents[cur]
-            hops += 1
-        return hops
-
-    def subtree_payload(self, node: str) -> int:
-        """Items crossing the ``node -> parent`` link (subtree origins)."""
-        total = self.payload_counts.get(node, 0)
-        for child in self.children_of(node):
-            total += self.subtree_payload(child)
-        return total
 
 
 @dataclass(frozen=True)
@@ -122,6 +97,17 @@ class CostSkeleton:
     def item_bits(self) -> int:
         """Bits per routed (tuple, value) item in the final phase."""
         return self.tuple_bits + self.value_bits
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """Every node's op order and streams, built from this skeleton's
+        own parent maps by the plan's schedule builder."""
+        return build_schedule(
+            self.nodes,
+            [StarShape(star.star_id, star.trees) for star in self.stars],
+            self.route.parents,
+            self.output_player,
+        )
 
 
 def _replay_final_counts(
@@ -168,11 +154,12 @@ def _replay_final_counts(
                     semiring, star.center_schema, contributions, rows
                 )
         combined: List = []
-        for j, tree in enumerate(star.slot_plan.trees):
-            start, stop = ranges[j]
+        for j, (start, stop) in enumerate(ranges):
             combined.extend(
                 fold_tree_slots(
-                    tree,
+                    plan.schedule,
+                    star,
+                    j,
                     slots_by_node,
                     start,
                     stop,
@@ -211,7 +198,7 @@ def extract_skeleton(
             StarSkeleton(
                 star_id=star.star_id,
                 center_edge=star.center_edge,
-                trees=tuple(t.parent_map() for t in star.slot_plan.trees),
+                trees=star.slot_plan.parents,
                 counts=tuple(stop - start for start, stop in ranges),
             )
         )

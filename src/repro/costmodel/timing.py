@@ -30,11 +30,16 @@ and that delta into the *margins* that keep its ``min(...)`` guards
 from flipping — and shares no code with the block engine's
 fast-forward, so the independence above still holds.
 
+What each node runs, in what order and on which links, is not round
+logic: it is the plan's schedule
+(:func:`~repro.protocols.schedule.build_schedule`, applied to the
+skeleton's own parent maps), the one thing this module shares with the
+engines beyond the two wire constants.
+
 A stepped round is kept cheap in this module's own code, too: an op
 takes its input queues when it starts (:meth:`_Ctx.inbox`) and drains
-them in place; a parallel group and the round loop each walk a list of
-what is still running, rebuilt only when something finishes; and each
-packing tree's shape is built once per evaluation.
+them in place; and a parallel group and the round loop each walk a
+list of what is still running, rebuilt only when something finishes.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..network.program import EOS_BITS, HEADER_BITS
 from ..obs.counters import COUNTERS
-from .skeleton import CostSkeleton, RouteSkeleton, StarSkeleton
+from .skeleton import CostSkeleton
 
 
 class CostModelError(Exception):
@@ -521,74 +526,47 @@ class _Program:
         return moved
 
 
-def _children_lists(parents: Dict[str, Optional[str]]) -> Dict[str, List[str]]:
-    """Each node's sorted children in a parent-pointer tree, in one pass."""
-    children: Dict[str, List[str]] = {}
-    for node, parent in parents.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(node)
-    for kids in children.values():
-        kids.sort()
-    return children
-
-
 def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
-    """One count-plane program per node, mirroring the compiler's
-    schedule: per participating star [scatter ∥, score, combine ∥,
-    rebuild], then the final route for routing participants."""
-    # Each packing tree's shape, built once: per star, node -> the trees
-    # it is in, and per tree node -> its sorted children.
-    shapes = []
-    for star in skeleton.stars:
-        trees_of: Dict[str, List[int]] = {}
-        for j, parents in enumerate(star.trees):
-            for node in parents:
-                trees_of.setdefault(node, []).append(j)
-        shapes.append(
-            (star, trees_of, [_children_lists(p) for p in star.trees])
-        )
-    route = skeleton.route
-    route_children = _children_lists(route.parents)
+    """One count-plane program per node, in the skeleton's schedule:
+    per star [scatter ∥, score, combine ∥, rebuild], then the route,
+    then the output player's finish."""
+    schedule = skeleton.schedule
+    counts = {star.star_id: star.counts for star in skeleton.stars}
     programs: Dict[str, _Program] = {}
     for node in skeleton.nodes:
+        steps = schedule[node]
         items: List[_Op] = []
-        for star, trees_of, tree_children in shapes:
-            my_trees = trees_of.get(node)
-            if not my_trees:
-                continue
-            sid = star.star_id
-            scatter: List[_Op] = []
-            combine: List[_Op] = []
-            for j in my_trees:
-                parent = star.trees[j].get(node)
-                children = tree_children[j].get(node, ())
-                is_root = parent is None
-                scatter.append(
-                    _Broadcast(
-                        f"s{sid}:bc:t{j}", parent, children,
-                        skeleton.tuple_bits,
-                        star.counts[j] if is_root else None,
-                    )
+        for role in steps.stars:
+            star_counts = counts[role.star_id]
+            scatter: List[_Op] = [
+                _Broadcast(
+                    stream.tag, stream.parent, stream.children,
+                    skeleton.tuple_bits,
+                    star_counts[j] if role.is_root else None,
                 )
-                combine.append(
-                    _Convergecast(
-                        f"s{sid}:cc:t{j}", parent, children,
-                        skeleton.value_bits, star.counts[j],
-                    )
+                for j, stream in zip(role.trees, role.scatter)
+            ]
+            combine: List[_Op] = [
+                _Convergecast(
+                    stream.tag, stream.parent, stream.children,
+                    skeleton.value_bits, star_counts[j],
                 )
+                for j, stream in zip(role.trees, role.combine)
+            ]
             items.extend(
                 [_Parallel(scatter), _Compute(), _Parallel(combine), _Compute()]
             )
-        if node in route.parents:
+        route = steps.route
+        if route is not None:
             items.append(
                 _Route(
-                    "final", route.parents.get(node),
-                    route_children.get(node, ()),
-                    route.payload_counts.get(node, 0) * skeleton.item_bits,
+                    route.tag, route.parent, route.children,
+                    skeleton.route.payload_counts.get(node, 0)
+                    * skeleton.item_bits,
                 )
             )
-            if node == skeleton.output_player:
-                items.append(_Compute())
+        if steps.is_output:
+            items.append(_Compute())
         programs[node] = _Program(node, items)
     return programs
 

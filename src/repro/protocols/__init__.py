@@ -21,7 +21,6 @@ from .primitives import (
     route_to_sink_node,
 )
 from .set_intersection import (
-    reassemble_slices,
     scatter_over_packing,
     SlotPlan,
     combine_over_packing,
@@ -42,7 +41,6 @@ __all__ = [
     "combine_over_packing",
     "run_set_intersection",
     "scatter_over_packing",
-    "reassemble_slices",
     "StarPhase",
     "ProtocolPlan",
     "FAQProtocolReport",

@@ -49,7 +49,6 @@ from ..network.program import (
     ParallelOps,
     RouteOp,
 )
-from ..network.steiner import SteinerTree
 from ..network.topology import Topology
 from ..semiring import (
     BACKEND_COLUMNAR,
@@ -71,10 +70,12 @@ from ..faq.operations import project as dict_project
 from .faq_protocol import (
     ProtocolPlan,
     StarPhase,
+    _final_payload,
     _finish_locally,
     score_rows,
     star_contributions,
 )
+from .schedule import NodeSchedule, Schedule, StarRole
 
 #: Semirings whose ⊕ is order-insensitive at machine precision (boolean
 #: or, exact int64 add, float min/max).  REAL's float ``+`` is excluded:
@@ -119,54 +120,37 @@ def _identity_vector(semiring, profile, length: int):
 
 
 def fold_tree_slots(
-    tree: SteinerTree,
+    schedule: Schedule,
+    star: StarPhase,
+    j: int,
     slots_by_node: Dict[str, Any],
     start: int,
     stop: int,
     vec_mul: Callable[[Any, Any], Any],
     identity_fn: Callable[[int], Any],
 ):
-    """Combine the packing tree's slot contributions, root association.
+    """Combine packing tree ``j``'s slot contributions, root association.
 
     Replicates the convergecast's value flow without its timing: each
     node's value is its own slots (identity when it contributed none)
-    combined with its children's folded values in sorted-child order —
-    the exact association the generator's pipelined combine produces.
+    combined with its children's folded values in the schedule's
+    sorted-child order — the exact association the generator's
+    pipelined combine produces.
 
     Args:
         vec_mul: Elementwise slot-vector combiner (e.g. the semiring ⊗).
         identity_fn: length -> identity slot vector.
     """
-    return _fold_slots(
-        tree.root, _child_lists(tree.parent_map()), slots_by_node, start,
-        stop, vec_mul, identity_fn,
-    )
-
-
-def _child_lists(parents: Dict[str, Optional[str]]) -> Dict[str, List[str]]:
-    """``node -> sorted children`` of a tree given as parent pointers."""
-    children: Dict[str, List[str]] = {n: [] for n in parents}
-    for node, parent in parents.items():
-        if parent is not None:
-            children[parent].append(node)
-    for kids in children.values():
-        kids.sort()
-    return children
-
-
-def _fold_slots(root, children, slots_by_node, start, stop, vec_mul,
-                identity_fn):
-    """:func:`fold_tree_slots` over a tree's precomputed child lists."""
     length = stop - start
 
     def value_of(node: str):
         own = slots_by_node.get(node)
         acc = own[start:stop] if own is not None else identity_fn(length)
-        for child in children.get(node, ()):
+        for child in schedule.children(node, star.star_id, j):
             acc = vec_mul(acc, value_of(child))
         return acc
 
-    return value_of(root)
+    return value_of(star.slot_plan.root)
 
 
 def _align_join_columns(
@@ -293,22 +277,14 @@ class StarRuntime:
     before its bits have been charged.
     """
 
-    def __init__(self, star: StarPhase, semiring) -> None:
+    def __init__(self, star: StarPhase, semiring, schedule: Schedule) -> None:
         self.star = star
         self.semiring = semiring
+        self.schedule = schedule
         self.wire: Optional[WireBlock] = None
         self.ranges: Optional[List[Tuple[int, int]]] = None
         self._rows: Optional[List[Tuple]] = None
         self.slots: Dict[str, Any] = {}
-        # The packing's shape, once per compile: each tree's parent
-        # pointers and sorted child lists, and every node's trees.
-        trees = star.slot_plan.trees
-        self.parents = [tree.parent_map() for tree in trees]
-        self.children = [_child_lists(parents) for parents in self.parents]
-        self.trees_of: Dict[str, List[int]] = {}
-        for j, tree in enumerate(trees):
-            for node in tree.nodes:
-                self.trees_of.setdefault(node, []).append(j)
 
     def ensure_items(self, state: Dict[str, Factor]) -> None:
         """Encode the center relation once, when the root starts scattering."""
@@ -344,15 +320,13 @@ class StarRuntime:
         profile = _profile_of(semiring)
         vec_mul = lambda a, b: _mul_values(semiring, profile, a, b)
         identity_fn = lambda length: _identity_vector(semiring, profile, length)
-        per_tree = []
-        for j, tree in enumerate(self.star.slot_plan.trees):
-            start, stop = self.ranges[j]
-            per_tree.append(
-                _fold_slots(
-                    tree.root, self.children[j], self.slots, start, stop,
-                    vec_mul, identity_fn,
-                )
+        per_tree = [
+            fold_tree_slots(
+                self.schedule, self.star, j, self.slots, start, stop,
+                vec_mul, identity_fn,
             )
+            for j, (start, stop) in enumerate(self.ranges)
+        ]
         if all(isinstance(v, np.ndarray) for v in per_tree):
             return (
                 np.concatenate(per_tree) if per_tree
@@ -454,25 +428,19 @@ def _rebuild_center(
 def _compile_star(
     plan: ProtocolPlan,
     query: FAQQuery,
-    star: StarPhase,
+    role: StarRole,
     node: str,
     state: Dict[str, Factor],
     runtime: StarRuntime,
 ) -> List:
-    """This node's schedule for one star phase (scatter, score, combine,
-    rebuild) — empty when the node is outside the star's packing."""
-    slot_plan = star.slot_plan
-    my_trees = runtime.trees_of.get(node)
-    if not my_trees:
-        return []
-    is_root = node == slot_plan.root
+    """This node's schedule for one star phase: scatter, score, combine,
+    rebuild."""
+    star = runtime.star
+    is_root = role.is_root
     sid = star.star_id
 
     scatter_ops: List[BroadcastOp] = []
-    cc_ops: List[ConvergecastOp] = []
-    for j in my_trees:
-        parent = runtime.parents[j].get(node)
-        tree_children = runtime.children[j].get(node, [])
+    for j, stream in zip(role.trees, role.scatter):
         root_count_fn = None
         if is_root:
             def root_count_fn(j=j):
@@ -481,22 +449,23 @@ def _compile_star(
 
         scatter_ops.append(
             BroadcastOp(
-                f"s{sid}:bc:t{j}", parent, tree_children,
+                stream.tag, stream.parent, stream.children,
                 plan.tuple_bits, root_count_fn,
             )
         )
-        cc_ops.append(
-            ConvergecastOp(
-                f"s{sid}:cc:t{j}", parent, tree_children, plan.value_bits
-            )
+    cc_ops = [
+        ConvergecastOp(
+            stream.tag, stream.parent, stream.children, plan.value_bits
         )
+        for stream in role.combine
+    ]
 
     def phase_b(ctx) -> None:
         # Counts were learned from the scatter (headers on the wire, the
         # shared block in process); they configure the convergecast.
         for scatter_op, cc_op in zip(scatter_ops, cc_ops):
             cc_op.configure(scatter_op.count)
-        if node in slot_plan.terminals:
+        if role.is_terminal:
             slots = _compute_star_slots(
                 plan, query, star, state, node, runtime
             )
@@ -529,51 +498,31 @@ def _compile_final(
     plan: ProtocolPlan,
     query: FAQQuery,
     solver: str,
+    schedule: NodeSchedule,
     node: str,
     state: Dict[str, Factor],
     runtime: FinalRuntime,
 ) -> List:
     """This node's schedule for the Lemma 3.1 routing + local finish."""
-    rparents = plan.routing_parents
     items: List = []
-    if node in rparents:
-        children = sorted(n for n, p in rparents.items() if p == node)
+    route = schedule.route
+    if route is not None:
         item_bits = plan.tuple_bits + plan.value_bits
 
         def payload_bits_fn() -> int:
-            payloads: List[Tuple[str, Tuple, Any]] = []
-            for name in plan.final_edges:
-                if (
-                    plan.assignment[name] == node
-                    and node != plan.output_player
-                ):
-                    factor = state.get(name, query.factors[name])
-                    for row, value in factor:
-                        payloads.append((name, row, value))
+            payloads = _final_payload(plan, query, node, state)
             runtime.register(node, payloads)
             return len(payloads) * item_bits
 
         items.append(
-            RouteOp("final", rparents.get(node), children, payload_bits_fn)
+            RouteOp(route.tag, route.parent, route.children, payload_bits_fn)
         )
-    if node == plan.output_player:
+    if schedule.is_output:
 
         def finish(ctx) -> Factor:
-            received: Dict[str, Dict[Tuple, Any]] = {
-                name: {} for name in plan.final_edges
-            }
-            for name, row, value in runtime.collected():
-                received[name][tuple(row)] = value
-            final_factors: Dict[str, Factor] = {}
-            for name in plan.final_edges:
-                if plan.assignment[name] == node:
-                    final_factors[name] = state.get(name, query.factors[name])
-                else:
-                    final_factors[name] = Factor(
-                        query.factors[name].schema, received[name],
-                        query.semiring, name,
-                    )
-            return _finish_locally(query, final_factors, solver)
+            return _finish_locally(
+                plan, query, state, runtime.collected(), solver
+            )
 
         items.append(ComputeStep(finish, label="finish", is_output=True))
     return items
@@ -609,24 +558,26 @@ def compile_round_programs(
         for node in topology.nodes
     }
     star_runtimes = {
-        star.star_id: StarRuntime(star, query.semiring)
+        star.star_id: StarRuntime(star, query.semiring, plan.schedule)
         for star in plan.stars
     }
     final_runtime = FinalRuntime()
 
     programs: Dict[str, NodeProgram] = {}
     for node in topology.nodes:
+        schedule = plan.schedule[node]
         items: List = []
-        for star in plan.stars:
+        for role in schedule.stars:
             items.extend(
                 _compile_star(
-                    plan, query, star, node, states[node],
-                    star_runtimes[star.star_id],
+                    plan, query, role, node, states[node],
+                    star_runtimes[role.star_id],
                 )
             )
         items.extend(
             _compile_final(
-                plan, query, solver, node, states[node], final_runtime
+                plan, query, solver, schedule, node, states[node],
+                final_runtime,
             )
         )
         programs[node] = NodeProgram(node, items)

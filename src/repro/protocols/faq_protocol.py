@@ -23,9 +23,9 @@ which the benchmarks compare against the Ω̃ lower-bound formulas.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.trace import Tracer, normalize as _normalize_tracer
@@ -39,11 +39,11 @@ from ..network.simulator import SimulationResult, Simulator
 from ..network.topology import Topology
 from ..semiring import BOOLEAN, Factor, to_backend
 from .primitives import Mailbox, route_to_sink_node
+from .schedule import Schedule, StarShape, build_schedule
 from .set_intersection import (
     SlotPlan,
     combine_over_packing,
     plan_slots,
-    reassemble_slices,
     scatter_over_packing,
 )
 
@@ -84,7 +84,8 @@ class ProtocolPlan:
     Structure and numbers only: the relations stay the players' private
     inputs and the solver their own business, so whoever runs the plan
     brings both, and one plan serves every backend, solver, engine and
-    kernel plane of an instance.
+    kernel plane of an instance.  ``schedule`` is every node's op order,
+    stream tags and tree neighbours, which every round plane reads.
     """
 
     ghd: GHD
@@ -93,6 +94,7 @@ class ProtocolPlan:
     stars: List[StarPhase]
     final_edges: Tuple[str, ...]
     routing_parents: Dict[str, Optional[str]]
+    schedule: Schedule
     tuple_bits: int
     value_bits: int
     capacity_bits: int
@@ -277,6 +279,12 @@ def compile_plan(
         stars=stars,
         final_edges=final_edges,
         routing_parents=routing_parents,
+        schedule=build_schedule(
+            topology.nodes,
+            [StarShape(s.star_id, s.slot_plan.parents, s.slot_plan.terminals)
+             for s in stars],
+            routing_parents, output_player,
+        ),
         tuple_bits=tuple_bits,
         value_bits=value_bits,
         capacity_bits=capacity,
@@ -338,29 +346,12 @@ def score_rows(
     return slots
 
 
-def _compute_slots(
-    plan: ProtocolPlan,
-    query: FAQQuery,
-    star: StarPhase,
-    state: Dict[str, Factor],
-    node: str,
-    rows: Sequence[Tuple],
-) -> Optional[List[Any]]:
-    """Phase B of Algorithm 3: this player's per-tuple contributions.
-
-    Returns None when this player holds none of the star's relations.
-    """
-    contributions = star_contributions(plan, query, star, state, node)
-    if not contributions:
-        return None
-    return score_rows(query.semiring, star.center_schema, contributions, rows)
-
-
 def _make_player(
     plan: ProtocolPlan, query: FAQQuery, node: str, solver: str = "operator"
 ):
     """Build the full per-player generator: all star phases + final phase."""
     semiring = query.semiring
+    schedule = plan.schedule[node]
 
     def proc(ctx):
         mail = Mailbox()
@@ -369,61 +360,47 @@ def _make_player(
             for name, owner in plan.assignment.items()
             if owner == node
         }
-        for star in plan.stars:
-            center_owner = plan.assignment[star.center_edge]
-            slot_plan = star.slot_plan
-            in_packing = bool(slot_plan.trees_of(node))
-            if not in_packing:
-                continue  # this player neither holds nor relays star data
+        for role in schedule.stars:
+            star = plan.stars[role.star_id]
             # Phase A: scatter the center relation's tuples over the
             # packing (tree j carries slice j — Algorithm 1's broadcast,
             # parallelized as in Example 2.3).
-            items = (
-                list(state[star.center_edge].tuples())
-                if node == center_owner
-                else None
+            slices = None
+            if role.is_root:
+                items = list(state[star.center_edge].tuples())
+                ranges = star.slot_plan.slice_ranges(len(items))
+                slices = [items[slice(*ranges[j])] for j in role.trees]
+            parts = yield from scatter_over_packing(
+                ctx, mail, role.scatter, slices, plan.tuple_bits
             )
-            slices_by_tree = yield from scatter_over_packing(
-                ctx, mail, slot_plan, items, plan.tuple_bits,
-                f"s{star.star_id}:bc",
-            )
-            counts_by_tree = {
-                j: len(s) for j, s in slices_by_tree.items()
-            }
-            rows = reassemble_slices(slices_by_tree, slot_plan)
+            counts = [len(part) for part in parts]
+            rows = [row for part in parts for row in part]
             # Phase B: local slot computation (free, Model 2.1).  Only the
-            # packing terminals (the star's owners) hold full rows; others
+            # packing terminals (the star's owners) hold full rows; relays
+            # and terminals holding none of the star's relations
             # contribute identities.
-            is_terminal = node in slot_plan.terminals
-            slots = (
-                _compute_slots(plan, query, star, state, node, rows)
-                if is_terminal
-                else None
-            )
-            slots_by_tree: Dict[int, Optional[List[Any]]] = {}
-            if slots is None:
-                slots_by_tree = {j: None for j in counts_by_tree}
-            else:
-                offset = 0
-                for j in sorted(counts_by_tree):
-                    count = counts_by_tree[j]
-                    slots_by_tree[j] = slots[offset: offset + count]
-                    offset += count
+            slots = None
+            if role.is_terminal:
+                contributions = star_contributions(
+                    plan, query, star, state, node
+                )
+                if contributions:
+                    slots = score_rows(
+                        semiring, star.center_schema, contributions, rows
+                    )
+            ends = list(accumulate(counts, initial=0))
+            my_slots = [
+                None if slots is None else slots[start:stop]
+                for start, stop in zip(ends, ends[1:])
+            ]
             # Phase C: ⊗-convergecast over the packing (footnote 24).
             combined = yield from combine_over_packing(
-                ctx,
-                mail,
-                slot_plan,
-                slots_by_tree,
-                counts_by_tree,
-                semiring.mul,
-                semiring.one,
-                plan.value_bits,
-                f"s{star.star_id}:cc",
+                ctx, mail, role.combine, my_slots, counts,
+                semiring.mul, semiring.one, plan.value_bits,
             )
             # Phase D: the center's owner rebuilds its relation (on the
             # query's storage backend, so later phases stay vectorized).
-            if node == center_owner:
+            if role.is_root:
                 new_rows = {
                     tuple(row): combined[i] for i, row in enumerate(rows)
                 }
@@ -439,48 +416,65 @@ def _make_player(
 
         # Final phase: the trivial protocol ships every surviving relation
         # to the output player, who finishes with free computation.
-        payloads: List[Tuple[int, Any]] = []
-        for name in plan.final_edges:
-            if plan.assignment[name] == node and node != plan.output_player:
-                factor = state.get(name, query.factors[name])
-                item_bits = plan.tuple_bits + plan.value_bits
-                for row, value in factor:
-                    payloads.append((item_bits, (name, row, value)))
-        rparents = plan.routing_parents
-        if node in rparents:
-            rchildren = sorted(n for n, p in rparents.items() if p == node)
+        route = schedule.route
+        collected = None
+        if route is not None:
+            item_bits = plan.tuple_bits + plan.value_bits
             collected = yield from route_to_sink_node(
-                ctx, mail, rparents.get(node), rchildren, payloads, "final"
+                ctx, mail, route.parent, route.children,
+                [
+                    (item_bits, item)
+                    for item in _final_payload(plan, query, node, state)
+                ],
+                route.tag,
             )
-        else:
-            collected = None
-        if node != plan.output_player:
+        if not schedule.is_output:
             return None
-        # Reassemble the residual query and solve it locally.
-        received: Dict[str, Dict[Tuple, Any]] = {
-            name: {} for name in plan.final_edges
-        }
-        for name, row, value in collected or []:
-            received[name][tuple(row)] = value
-        final_factors: Dict[str, Factor] = {}
-        for name in plan.final_edges:
-            if plan.assignment[name] == node:
-                final_factors[name] = state.get(name, query.factors[name])
-            else:
-                final_factors[name] = Factor(
-                    query.factors[name].schema, received[name], semiring, name
-                )
-        return _finish_locally(query, final_factors, solver)
+        return _finish_locally(plan, query, state, collected or [], solver)
 
     return proc
 
 
+def _final_payload(
+    plan: ProtocolPlan, query: FAQQuery, node: str, state: Dict[str, Factor]
+) -> List[Tuple[str, Tuple, Any]]:
+    """The ``(relation, row, value)`` items ``node`` routes to the output
+    player: every surviving final relation it owns (none at the output
+    player itself)."""
+    if node == plan.output_player:
+        return []
+    return [
+        (name, row, value)
+        for name in plan.final_edges
+        if plan.assignment[name] == node
+        for row, value in state.get(name, query.factors[name])
+    ]
+
+
 def _finish_locally(
+    plan: ProtocolPlan,
     query: FAQQuery,
-    factors: Dict[str, Factor],
+    state: Dict[str, Factor],
+    collected: Sequence[Tuple[str, Tuple, Any]],
     solver: str = "operator",
 ) -> Factor:
-    """Solve the residual core query with free internal computation."""
+    """The output player's free internal computation: rebuild the final
+    relations routed to it from the ``collected`` items, then solve the
+    residual core query over them and its own."""
+    received: Dict[str, Dict[Tuple, Any]] = {
+        name: {} for name in plan.final_edges
+    }
+    for name, row, value in collected:
+        received[name][tuple(row)] = value
+    factors: Dict[str, Factor] = {}
+    for name in plan.final_edges:
+        if plan.assignment[name] == plan.output_player:
+            factors[name] = state.get(name, query.factors[name])
+        else:
+            factors[name] = Factor(
+                query.factors[name].schema, received[name], query.semiring,
+                name,
+            )
     residual_h = Hypergraph(
         {name: f.schema for name, f in factors.items()}
     )

@@ -16,7 +16,7 @@ is the ⊗-combining step of the FAQ protocol (footnote 24).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..network.simulator import SimulationResult, Simulator
@@ -28,6 +28,7 @@ from .primitives import (
     convergecast_node,
     parallel_subphases,
 )
+from .schedule import Stream, packing_streams
 
 
 @dataclass
@@ -38,14 +39,16 @@ class SlotPlan:
         trees: The edge-disjoint Steiner trees, all rooted at the output
             player and sharing one terminal set.
         delta: The diameter bound the packing satisfies.
+        parents: Each tree's parent pointers toward the root, derived
+            once from ``trees``.
     """
 
     trees: List[SteinerTree]
     delta: int
+    parents: Tuple[Dict[str, Optional[str]], ...] = field(init=False)
 
-    @property
-    def num_trees(self) -> int:
-        return len(self.trees)
+    def __post_init__(self) -> None:
+        self.parents = tuple(tree.parent_map() for tree in self.trees)
 
     @property
     def root(self) -> str:
@@ -63,10 +66,6 @@ class SlotPlan:
             (min(num_slots, j * per), min(num_slots, (j + 1) * per))
             for j in range(s)
         ]
-
-    def trees_of(self, node: str) -> List[int]:
-        """Indices of the packing trees containing ``node``."""
-        return [j for j, t in enumerate(self.trees) if node in t.nodes]
 
 
 def plan_slots(
@@ -106,112 +105,64 @@ def plan_slots(
 def scatter_over_packing(
     ctx,
     mail: Mailbox,
-    plan: SlotPlan,
-    items: Optional[Sequence[Any]],
+    streams: Sequence[Stream],
+    slices: Optional[Sequence[Sequence[Any]]],
     bits_per_item: int,
-    tag: str,
 ):
-    """Scatter ``items`` from the packing root to every tree node.
+    """One node's role in scattering items over a packing (generator).
 
-    The root splits the item list into the plan's per-tree slices and
-    broadcasts slice ``j`` down tree ``j`` (the trees are edge-disjoint, so
+    The root (``slices`` given) broadcasts slice ``i`` down the tree of
+    its scatter stream ``streams[i]`` (the trees are edge-disjoint, so
     the broadcasts run fully in parallel — this is what buys the
     Example 2.3 clique speedup, N/ST(G,K,Δ) + Δ instead of N).
 
     Returns:
-        ``{tree_index: slice_items}`` for the trees this node belongs to.
-        Terminals belong to every tree and can reassemble the full list
-        with :func:`reassemble_slices`.
+        One item list per stream.  Terminals belong to every tree, so
+        their lists concatenate to the root's items.
     """
-    is_root = plan.trees and ctx.node == plan.root
-    ranges = plan.slice_ranges(len(items)) if is_root else None
-    subgens = []
-    tree_indices = []
-    for j, tree in enumerate(plan.trees):
-        if ctx.node not in tree.nodes:
-            continue
-        parents = tree.parent_map()
-        parent = parents.get(ctx.node)
-        children = sorted(n for n, p in parents.items() if p == ctx.node)
-        slice_items = None
-        if is_root:
-            start, stop = ranges[j]
-            slice_items = list(items[start:stop])
-        subgens.append(
-            broadcast_node(
-                ctx, mail, parent, children, slice_items, bits_per_item,
-                f"{tag}:t{j}",
-            )
+    return (yield from parallel_subphases([
+        broadcast_node(
+            ctx, mail, stream.parent, stream.children,
+            None if slices is None else slices[i], bits_per_item, stream.tag,
         )
-        tree_indices.append(j)
-    results = yield from parallel_subphases(subgens)
-    return dict(zip(tree_indices, results))
-
-
-def reassemble_slices(slices_by_tree: Dict[int, List[Any]], plan: SlotPlan) -> List[Any]:
-    """Concatenate per-tree slices back into the original item order."""
-    out: List[Any] = []
-    for j in range(plan.num_trees):
-        out.extend(slices_by_tree.get(j, ()))
-    return out
+        for i, stream in enumerate(streams)
+    ]))
 
 
 def combine_over_packing(
     ctx,
     mail: Mailbox,
-    plan: SlotPlan,
-    slots_by_tree: Dict[int, Optional[Sequence[Any]]],
-    counts_by_tree: Dict[int, int],
+    streams: Sequence[Stream],
+    slots: Sequence[Optional[Sequence[Any]]],
+    counts: Sequence[int],
     combine: Callable[[Any, Any], Any],
     identity: Any,
     bits_per_slot: int,
-    tag: str,
 ):
     """One node's role in the packed convergecast (generator).
 
-    The node runs one convergecast per tree it belongs to, in parallel
-    (the trees are edge-disjoint, so streams never contend).
+    The node runs one convergecast per stream, in parallel (the trees
+    are edge-disjoint, so streams never contend).
 
     Args:
-        slots_by_tree: This node's contribution per tree (None = identity).
-        counts_by_tree: Slot count per tree this node participates in
-            (learned from the scatter headers, so empty relations and
-            uneven splits need no global agreement).
+        streams: This node's convergecast streams, one per tree.
+        slots: This node's contribution per stream (None = identity).
+        counts: Slot count per stream (learned from the scatter headers,
+            so empty relations and uneven splits need no global
+            agreement).
 
     Returns:
         The full combined slot list at the packing root; None elsewhere.
     """
-    subgens = []
-    tree_indices = []
-    for j, tree in enumerate(plan.trees):
-        if ctx.node not in tree.nodes:
-            continue
-        parents = tree.parent_map()
-        parent = parents.get(ctx.node)
-        children = sorted(n for n, p in parents.items() if p == ctx.node)
-        slots = slots_by_tree.get(j)
-        subgens.append(
-            convergecast_node(
-                ctx,
-                mail,
-                parent,
-                children,
-                counts_by_tree[j],
-                None if slots is None else list(slots),
-                combine,
-                identity,
-                bits_per_slot,
-                f"{tag}:t{j}",
-            )
+    results = yield from parallel_subphases([
+        convergecast_node(
+            ctx, mail, stream.parent, stream.children, count, mine,
+            combine, identity, bits_per_slot, stream.tag,
         )
-        tree_indices.append(j)
-    results = yield from parallel_subphases(subgens)
-    if plan.trees and ctx.node == plan.root:
-        combined: List[Any] = []
-        by_tree = dict(zip(tree_indices, results))
-        for j in range(plan.num_trees):
-            combined.extend(by_tree.get(j) or ())
-        return combined
+        for stream, mine, count in zip(streams, slots, counts)
+    ])
+    if streams and streams[0].parent is None:
+        return [value for part in results for value in part]
     return None
 
 
@@ -252,32 +203,22 @@ def run_set_intersection(
     participants |= set(vectors) | {output_player}
 
     ranges = plan.slice_ranges(num_slots)
+    streams = packing_streams("si", plan.parents)
 
     def make_proc(node: str):
         my = vectors.get(node)
+        mine = streams.get(node, ())
+        slots, counts = [], []
+        for j, _stream in mine:
+            start, stop = ranges[j]
+            slots.append(None if my is None else list(my[start:stop]))
+            counts.append(stop - start)
 
         def proc(ctx):
-            mail = Mailbox()
-            slots_by_tree = {}
-            counts_by_tree = {}
-            for j in plan.trees_of(node):
-                start, stop = ranges[j]
-                counts_by_tree[j] = stop - start
-                slots_by_tree[j] = (
-                    None if my is None else list(my[start:stop])
-                )
-            result = yield from combine_over_packing(
-                ctx,
-                mail,
-                plan,
-                slots_by_tree,
-                counts_by_tree,
-                lambda a, b: a and b,
-                True,
-                bits_per_slot,
-                "si",
-            )
-            return result
+            return (yield from combine_over_packing(
+                ctx, Mailbox(), [stream for _j, stream in mine], slots,
+                counts, lambda a, b: a and b, True, bits_per_slot,
+            ))
 
         return proc
 

@@ -238,7 +238,7 @@ class QueryService:
             try:
                 manifest = registration.result()
             except ServeError as err:
-                if err.code == "rejected":  # the cost model cannot price it
+                if err.code == "rejected":  # it cannot be planned or priced
                     self.stats.rejected += 1
                 raise
             if self._closed:

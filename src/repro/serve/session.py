@@ -131,13 +131,21 @@ class ServingSession:
         """The offline phase: build, compile, predict, warm.
 
         Raises:
-            ServeError: code ``"rejected"`` when the cost model cannot
-                price the spec.
+            ServeError: code ``"rejected"`` when the spec cannot be
+                planned (an unknown family, bad params, no Steiner tree
+                at the requested Δ) or the cost model cannot price it.
         """
         start = time.perf_counter()
         session_id = session_id_of(spec)
         with kernels.use_tier(spec.kernels):
-            planner, protocol_plan = plan_scenario(spec)
+            try:
+                planner, protocol_plan = plan_scenario(spec)
+            except ValueError as exc:
+                raise ServeError(
+                    "rejected",
+                    f"{session_id} cannot be planned: {exc}",
+                    {"session_id": session_id, "reason": str(exc)},
+                ) from exc
             # Warm solve: caches the elimination order (compiled solver),
             # interns dictionaries, and pins the expected answer digest.
             warm_answer = planner.reference_answer()

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -222,6 +223,41 @@ def test_the_count_plane_takes_only_the_wire_constants_from_the_network():
         if importer == "repro.costmodel.timing"
         and _subpackage(target) == "network"
     ) == ["repro.network.program.EOS_BITS", "repro.network.program.HEADER_BITS"]
+
+
+def test_the_schedule_is_written_once():
+    # What a node runs, in what order and on which links, is plan data
+    # (protocols/schedule.py): the stream tag scheme is spelled there
+    # and nowhere else, and no round plane re-derives tree neighbours
+    # from a packing's parent pointers.
+    tag = re.compile(r":(bc|cc)\b|:t\{")
+    spelled = set()
+    for module, _package, tree in _modules():
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) or (
+                isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings
+            ):
+                text = ast.unparse(node)
+                if tag.search(text) or text == "'final'":
+                    spelled.add(module)
+    assert spelled == {"repro.protocols.schedule"}
+    trees = {module: tree for module, _package, tree in _modules()}
+    assert [
+        (module, node.lineno)
+        for module in (
+            "repro.protocols.compiler", "repro.protocols.faq_protocol",
+            "repro.costmodel.timing",
+        )
+        for node in ast.walk(trees[module])
+        if isinstance(node, ast.Attribute) and node.attr == "parent_map"
+    ] == []
 
 
 def test_a_protocol_plan_holds_no_relations_and_no_solver():

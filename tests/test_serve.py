@@ -566,12 +566,18 @@ def test_the_window_and_stacking_options_are_gone(gone):
 
 def test_every_submit_is_served_rejected_or_failed(monkeypatch):
     # One admitted request, one over the budget, one whose registration
-    # the cost model cannot price, one into a full queue: each submit
-    # lands in exactly one of the three outcome counters.
+    # the cost model cannot price, one that cannot be planned at all
+    # (no such query family), one into a full queue: each submit lands
+    # in exactly one of the three outcome counters.
+    import dataclasses
+
     from repro.costmodel import CostModelError
     from repro.serve import session as session_module
 
     admitted, costly = sample_scenario(19), _costly_spec()
+    unplannable = dataclasses.replace(
+        generate_scenarios(123, 1)[0], query="no-such-family"
+    )
     unpriceable = next(
         spec for spec in generate_scenarios(123, 5)
         if session_id_of(spec) not in {
@@ -592,19 +598,20 @@ def test_every_submit_is_served_rejected_or_failed(monkeypatch):
             await service.submit(admitted)
             service.policy = AdmissionPolicy(max_predicted_bits=0)
             outcomes = []
-            for spec in (costly, unpriceable):
+            for spec in (costly, unpriceable, unplannable):
                 with pytest.raises(ServeError) as err:
                     await service.submit(spec)
                 outcomes.append(err.value.code)
+            assert "no-such-family" in err.value.detail["reason"]
             service.policy, service.max_pending = AdmissionPolicy(), 0
             with pytest.raises(ServeError) as err:
                 await service.submit(admitted)
             outcomes.append(err.value.code)
-            assert outcomes == ["rejected", "rejected", "overloaded"]
+            assert outcomes == ["rejected", "rejected", "rejected", "overloaded"]
             return service.stats
 
     stats = asyncio.run(main())
-    assert (stats.submitted, stats.served, stats.failed) == (4, 1, 0)
+    assert (stats.submitted, stats.served, stats.failed) == (5, 1, 0)
     assert stats.submitted == stats.served + stats.rejected + stats.failed
 
 
