@@ -4,7 +4,7 @@
 packer once per Δ of a scan but expands each residual state (the set of
 edges removed so far) once, sharing its candidate trees, their terminal
 diameters and their scores between every Δ that reaches it; it walks
-plain adjacency dicts where the packer it replaced built networkx
+an integer-indexed graph where the packer it replaced built networkx
 objects.  The claim is that every packing is unchanged, tree for tree.
 
 The reference below is that replaced packer, copied verbatim from the

@@ -144,10 +144,6 @@ class Topology:
     def distance(self, src: str, dst: str) -> int:
         return len(self.shortest_path(src, dst)) - 1
 
-    def eccentricity(self, node: str, among: Optional[Sequence[str]] = None) -> int:
-        targets = among if among is not None else self.nodes
-        return max(self.distance(node, t) for t in targets)
-
     def diameter(self, among: Optional[Sequence[str]] = None) -> int:
         """Diameter of G, or of the distances among a terminal subset."""
         targets = list(among) if among is not None else self.nodes

@@ -6,7 +6,11 @@ the paper's small topologies and on the 64-node expander the ledger's
 ``wide-expander`` workload plans over, plus ``optimize_delta``'s
 choice.  It was written by the from-scratch networkx packer (one greedy
 run per Δ); any packer that shares work across Δ has to reproduce it
-(regenerate: ``tests/golden/README.md``).
+(regenerate: ``tests/golden/README.md``), expanding the same residual
+states (``STATE_COUNTS``).  Two bounds computed without the packer
+close the file: every scanned packing sits under MinCut(G, K), and at
+K = V the greedy count sits under the exact spanning-tree packing
+number.
 """
 
 import json
@@ -17,17 +21,23 @@ import networkx as nx
 import pytest
 
 from repro.core.memo import clear_all_memos
+from repro.lab.generate import generate_scenarios
 from repro.network import Topology
+from repro.network.mincut import mincut
 from repro.network.steiner import (
     SteinerTree,
     _candidate_trees,
     _expand_state,
     _mehlhorn_tree,
+    _topology_graph,
     find_steiner_tree,
     optimize_delta,
     pack_steiner_trees,
     scan_steiner_packings,
+    st_value,
 )
+from repro.obs.counters import COUNTERS
+from repro.pipeline import TOPOLOGY_FAMILIES, plan_scenario
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), "golden", "steiner_packings.json"
@@ -62,6 +72,27 @@ CASES = {
         )
         for terminals in _WIDE_TERMINALS
     },
+}
+
+#: ``(steiner.states_expanded, steiner.states_shared)`` of one cold scan
+#: over each case's Δ grid, as the dict-of-dicts packer the integer
+#: search replaced counted them: a search that expands other states
+#: fails here even where its trees match the golden.
+STATE_COUNTS = {
+    "barbell4_2": (2, 2),
+    "barbell4_2-ends": (2, 2),
+    "clique6": (5, 4),
+    "clique6-pair": (6, 14),
+    "expander64-K3": (5, 22),
+    "expander64-K6": (5, 12),
+    "expander64-K8": (5, 8),
+    "grid3x4": (2, 3),
+    "grid3x4-corners": (2, 3),
+    "hypercube4": (4, 2),
+    "hypercube4-K5": (6, 5),
+    "line5": (2, 2),
+    "ring8": (2, 1),
+    "tree2_3": (2, 4),
 }
 
 #: ``total_words`` values ``optimize_delta`` is pinned at: the scan's
@@ -112,6 +143,23 @@ def golden():
 @pytest.fixture(autouse=True)
 def cold_memos():
     clear_all_memos()
+
+
+def expand(topology, terminals, removed):
+    """``_expand_state`` of ``topology - removed`` in names:
+    ``(tree, terminal diameter, score)`` per candidate."""
+    graph = _topology_graph(topology)
+    edge_id = {edge: e for e, edge in enumerate(graph.edges)}
+    expanded = _expand_state(
+        graph,
+        [graph.ids[t] for t in terminals],
+        frozenset(edge_id[edge] for edge in removed),
+    )
+    return [
+        (SteinerTree(graph.edge_names(edges), terminals[0], tuple(terminals)),
+         diameter, score)
+        for edges, diameter, score in expanded
+    ]
 
 
 def adjacency_of(topology):
@@ -172,21 +220,32 @@ def test_clique_packs_the_two_disjoint_paths_of_example_2_3(golden):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_terminal_diameter_on_every_candidate_tree(name, golden):
-    """Walk each golden packing's residual graphs and check every
-    candidate the greedy step saw against networkx all-pairs."""
+    """Walk each golden packing's residual states and check the
+    diameter the greedy step filtered every candidate by — and
+    ``SteinerTree.terminal_diameter`` — against networkx all-pairs."""
     topology, terminals = case(name)
     checked = 0
     for packing in golden[name]["packings"].values():
-        residual = adjacency_of(topology)
+        removed = set()
         for edges in packing + [[]]:
-            for candidate in _candidate_trees(residual, terminals):
-                tree = SteinerTree(candidate, terminals[0], tuple(terminals))
-                assert tree.terminal_diameter() == reference_terminal_diameter(tree)
+            for tree, diameter, _score in expand(topology, terminals, removed):
+                expected = reference_terminal_diameter(tree)
+                assert diameter == tree.terminal_diameter() == expected
                 checked += 1
-            for u, v in edges:
-                residual[u].remove(v)
-                residual[v].remove(u)
+            removed.update(map(tuple, edges))
     assert checked
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_scan_expands_the_pinned_states(name):
+    topology, terminals = case(name)
+    before = COUNTERS.snapshot()
+    scan_steiner_packings(topology, terminals, delta_grid(topology, terminals))
+    after = COUNTERS.snapshot()
+    assert tuple(
+        after.get(counter, 0) - before.get(counter, 0)
+        for counter in ("steiner.states_expanded", "steiner.states_shared")
+    ) == STATE_COUNTS[name]
 
 
 def test_terminal_diameter_degenerate_trees():
@@ -244,6 +303,26 @@ def test_a_cut_off_node_costs_the_mehlhorn_candidate_only():
     )
 
 
+@pytest.mark.parametrize(
+    "terminals, message",
+    [((), "no terminals"), (("P0", "P9"), "player not in topology: 'P9'")],
+    ids=["empty", "not-in-G"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        find_steiner_tree,
+        pack_steiner_trees,
+        st_value,
+        lambda topology, terminals: optimize_delta(topology, terminals, 64),
+    ],
+    ids=["find_steiner_tree", "pack_steiner_trees", "st_value", "optimize_delta"],
+)
+def test_a_bad_terminal_set_is_a_value_error(entry, terminals, message):
+    with pytest.raises(ValueError, match=message):
+        entry(Topology.line(4), list(terminals))
+
+
 # ---------------------------------------------------------------------------
 # Seeded properties on random regular graphs
 # ---------------------------------------------------------------------------
@@ -288,9 +367,7 @@ def test_every_candidate_of_every_reached_state_is_a_steiner_tree():
             # more tree at a time, the failing last step included.
             removed = set()
             for packed in trees + [None]:
-                expanded = _expand_state(
-                    topology, tuple(terminals), frozenset(removed)
-                )
+                expanded = expand(topology, terminals, removed)
                 assert (packed is None) or packed in [c for c, _, _ in expanded]
                 for candidate, _diameter, _score in expanded:
                     assert removed.isdisjoint(candidate.edges)
@@ -324,3 +401,110 @@ def test_unbounded_delta_is_the_node_count():
         topology, terminals, topology.num_nodes
     )
     assert scan_steiner_packings(topology, terminals, [None]) == [unbounded]
+
+
+# ---------------------------------------------------------------------------
+# Theorem 3.10's upper side, and an exact oracle for K = V
+# ---------------------------------------------------------------------------
+
+
+def test_every_scanned_packing_is_sandwiched_under_the_min_cut():
+    """On every topology the fuzz generator draws, with K the terminals
+    of each star its plan packs over: every tree of every Δ of the scan
+    spans K within Δ, the trees are pairwise edge-disjoint, and there
+    are at most MinCut(G, K) of them (each tree crosses every cut
+    separating K)."""
+    seen = set()
+    for spec in generate_scenarios(777, 100):
+        _planner, plan = plan_scenario(spec)
+        topology = _planner.topology
+        for star in plan.stars:
+            terminals = list(star.slot_plan.terminals)
+            pair = (tuple(topology.edges()), tuple(terminals))
+            if len(terminals) < 2 or pair in seen:
+                continue
+            seen.add(pair)
+            cut = mincut(topology, terminals)
+            deltas = delta_grid(topology, terminals)
+            packings = scan_steiner_packings(topology, terminals, deltas)
+            assert any(packings), spec.label
+            for delta, trees in zip(deltas, packings):
+                assert_valid_packing(topology, terminals, delta, trees)
+                assert len(trees) <= cut, (spec.label, delta)
+    assert len(seen) > 10
+
+
+def set_partitions(items):
+    """Every partition of ``items`` into non-empty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+
+
+def spanning_tree_packing_number(topology):
+    """The most edge-disjoint spanning trees G holds, by Nash-Williams
+    and Tutte: the least ``floor(crossing edges / (blocks - 1))`` over
+    every partition of V into two or more blocks."""
+    best = None
+    for partition in set_partitions(topology.nodes):
+        if len(partition) < 2:
+            continue
+        block = {node: i for i, nodes in enumerate(partition) for node in nodes}
+        crossing = sum(block[u] != block[v] for u, v in topology.edges())
+        value = crossing // (len(partition) - 1)
+        best = value if best is None else min(best, value)
+    return best
+
+
+#: The lab's topology families at every sampled size of at most eight
+#: nodes (the seeded ones at three seeds each).
+SMALL_FAMILIES = [
+    *(("line", {"n": n}) for n in range(2, 7)),
+    *(("ring", {"n": n}) for n in range(3, 7)),
+    *(("clique", {"n": n}) for n in range(3, 7)),
+    *(("star", {"leaves": k}) for k in range(2, 6)),
+    *(("grid", {"rows": 2, "cols": c}) for c in (2, 3)),
+    *(("tree", {"branching": 2, "depth": d}) for d in (1, 2)),
+    *(("hypercube", {"dim": d}) for d in (1, 2, 3)),
+    *(
+        (family, {"n": n, "degree": 3, "seed": seed})
+        for family in ("expander", "regular")
+        for n in (4, 6, 8)
+        for seed in range(3)
+    ),
+    *(("barbell", {"clique_size": 3, "path_len": p}) for p in (1, 2)),
+]
+
+
+def test_bell_numbers_count_the_partitions():
+    assert [
+        sum(1 for _ in set_partitions(list(range(n)))) for n in range(1, 9)
+    ] == [1, 2, 5, 15, 52, 203, 877, 4140]
+
+
+def test_greedy_spanning_tree_packing_against_the_exact_optimum():
+    print()
+    rows = []
+    for family, params in SMALL_FAMILIES:
+        topology = TOPOLOGY_FAMILIES[family](**params)
+        assert topology.num_nodes <= 8
+        nodes = topology.nodes
+        optimum = spanning_tree_packing_number(topology)
+        cut = mincut(topology, nodes)
+        assert optimum <= cut
+        deltas = delta_grid(topology, nodes)
+        greedy = max(
+            len(trees) for trees in scan_steiner_packings(topology, nodes, deltas)
+        )
+        assert 1 <= greedy <= optimum
+        label = family + "(" + ", ".join(f"{k}={v}" for k, v in params.items()) + ")"
+        rows.append((label, topology.num_nodes, greedy, optimum, cut))
+    width = max(len(row[0]) for row in rows)
+    print(f"{'topology':<{width}}  |V|  greedy  optimum  mincut")
+    for label, n, greedy, optimum, cut in rows:
+        print(f"{label:<{width}}  {n:>3}  {greedy:>6}  {optimum:>7}  {cut:>6}")
