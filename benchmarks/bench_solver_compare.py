@@ -21,14 +21,17 @@ trajectory, asserting the layer's two contracts:
   materialize a joined factor; the 5x floor keeps the assertion robust on
   slow or noisy CI machines).
 
-A second pass over the suite must also be served entirely from the
-order cache — the cross-scenario reuse a grid sweep relies on.
+Within the run the order cache must miss exactly once per distinct
+query structure, and a second pass over the same specs, the cache still
+warm, must be served from it entirely — the cross-scenario reuse a grid
+sweep relies on.
 """
 
 import json
 
-from repro.faq import PLAN_CACHE
-from repro.lab import get_suite, run_suite
+from repro.faq import PLAN_CACHE, plan
+from repro.lab import execute_scenario, get_suite, run_suite
+from repro.obs.counters import COUNTERS, counter_delta
 from repro.lab.report import parity_failures, timings_payload
 from repro.lab.suites import with_solvers
 
@@ -37,11 +40,19 @@ from conftest import print_banner
 SPEEDUP_FLOOR = 5.0
 
 
-def test_solver_compare_scaling_suite():
+def test_solver_compare_scaling_suite(monkeypatch):
     print_banner("FAQ solvers on the solver-scaling suite: operator vs compiled")
     base = get_suite("solver-scaling")
     suite = with_solvers(base, "solver-scaling", base.description)
-    PLAN_CACHE.clear()
+    keys = []
+    order_key = plan._order_key
+
+    def spy(query, order):
+        key = order_key(query, order)
+        keys.append(key)
+        return key
+
+    monkeypatch.setattr(plan, "_order_key", spy)
     run = run_suite(suite)  # no cache: wall times must be real
     assert run.all_correct, "some scenario disagreed with the reference solver"
 
@@ -49,24 +60,25 @@ def test_solver_compare_scaling_suite():
     failures = parity_failures(records, "solver")
     assert not failures, f"solver parity violated: {failures}"
 
-    first = PLAN_CACHE.stats
-    assert first.misses > 0
-    baseline_misses, lookups_before, hits_before = (
-        first.misses, first.lookups, first.hits
+    structures = len({key for key in keys if key is not None})
+    misses = PLAN_CACHE.stats.misses
+    assert 0 < misses == structures, (
+        f"order cache missed {misses} times for {structures} structures"
     )
-    rerun = run_suite(suite)
-    assert rerun.all_correct
-    second = PLAN_CACHE.stats
-    assert second.misses == baseline_misses, (
+    hits = PLAN_CACHE.stats.hits
+    before = COUNTERS.snapshot()
+    for spec in suite.scenarios:  # no clear: the cache stays warm
+        assert execute_scenario(spec).correct
+    lookups = counter_delta(before, COUNTERS.snapshot())["plan_cache.lookups"]
+    assert PLAN_CACHE.stats.misses == misses, (
         "order cache missed on the second sweep: structural keys unstable"
     )
-    fresh_lookups = second.lookups - lookups_before
-    assert second.hits - hits_before == fresh_lookups, (
+    assert PLAN_CACHE.stats.hits - hits == lookups > 0, (
         "second sweep was not 100% order-cache served"
     )
     print(
-        f"order cache: {baseline_misses} orders resolved for "
-        f"{second.lookups} lookups; second sweep 100% hits"
+        f"order cache: {misses} orders resolved for {structures} "
+        f"structures; second sweep {lookups} lookups, 100% hits"
     )
 
     timings = timings_payload(run)

@@ -5,11 +5,13 @@ solver × backend × kernels), and the planes are *accounting-identical*
 by construction (the parity gates enforce it).  The expensive inputs to
 a plan, however, are pure functions of structure alone: Steiner tree
 packings (:mod:`repro.network.steiner`), GYO-GHDs, the bound formulas,
-the compiled protocol plan and the symbolic cost prediction of its
-skeleton.  Recomputing them per plane is the dominant cost of a suite
-run — profiled at roughly half of per-scenario wall time — so this
-module gives each such function a process-wide LRU keyed on its
-*structural* inputs or on the scenario identity.  There are seven;
+the compiled protocol plan, the symbolic cost prediction of its
+skeleton and the compiled solver's elimination orders.  Recomputing
+them per plane is the dominant cost of a suite run — profiled at
+roughly half of per-scenario wall time — so this module gives each such
+function a process-wide LRU keyed on its *structural* inputs or on the
+scenario identity.  There are eight, all of this one type, so
+:func:`clear_all_memos` alone makes a process cold;
 ``docs/dataplane.md`` has each one's hits and misses, and a memo that
 serves no repeat does not stay.  (The packing memo holds one entry per
 (graph, terminals, Δ, limit); the residual states the Δ values of a
@@ -40,9 +42,18 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Tuple
 
 _MISSING = object()
+
+
+@dataclass
+class MemoStats:
+    """A memo's lookups since its last :meth:`LRUMemo.clear`."""
+
+    hits: int = 0
+    misses: int = 0
 
 
 class LRUMemo:
@@ -58,13 +69,12 @@ class LRUMemo:
     memos.
     """
 
-    __slots__ = ("name", "maxsize", "hits", "misses", "_data", "_lock")
+    __slots__ = ("name", "maxsize", "stats", "_data", "_lock")
 
     def __init__(self, name: str, maxsize: int = 4096) -> None:
         self.name = name
         self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
+        self.stats = MemoStats()
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.RLock()
         _REGISTRY[name] = self
@@ -74,10 +84,10 @@ class LRUMemo:
         with self._lock:
             value = data.get(key, _MISSING)
             if value is not _MISSING:
-                self.hits += 1
+                self.stats.hits += 1
                 data.move_to_end(key)
                 return value
-            self.misses += 1
+            self.stats.misses += 1
         value = thunk()
         with self._lock:
             data[key] = value
@@ -88,8 +98,7 @@ class LRUMemo:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-            self.hits = 0
-            self.misses = 0
+            self.stats = MemoStats()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -103,8 +112,8 @@ def memo_stats() -> Dict[str, Dict[str, int]]:
     """Per-memo ``{hits, misses, size}`` — the ``--timings`` memo block."""
     return {
         name: {
-            "hits": memo.hits,
-            "misses": memo.misses,
+            "hits": memo.stats.hits,
+            "misses": memo.stats.misses,
             "size": len(memo),
         }
         for name, memo in sorted(_REGISTRY.items())

@@ -16,7 +16,7 @@ singletons implies it for all ``V'``; :meth:`GHD.validate` exploits this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from ..hypergraph import Hypergraph
 
@@ -289,14 +289,6 @@ class GHD:
                 list(node.children),
             )
         return out
-
-    def to_edge_list(self) -> List[Tuple[str, str]]:
-        """Tree edges as (parent, child) pairs."""
-        return [
-            (n.parent, n.node_id)
-            for n in self.nodes.values()
-            if n.parent is not None
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

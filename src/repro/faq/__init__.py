@@ -25,8 +25,6 @@ from .plan import (
     SOLVER_COMPILED,
     SOLVER_OPERATOR,
     SOLVERS,
-    PlanCache,
-    structural_signature,
     validate_solver,
 )
 from .query import (
@@ -71,9 +69,7 @@ __all__ = [
     "SOLVER_OPERATOR",
     "SOLVER_COMPILED",
     "validate_solver",
-    "PlanCache",
     "PLAN_CACHE",
-    "structural_signature",
     "DictionaryPool",
     "fused_join_marginalize",
 ]

@@ -10,8 +10,8 @@ respected so correctness never depends on operator commutation.
 ``solver="compiled"`` runs the same loop over pool-interned inputs, sends
 each plain-⊕ step to the fused join+marginalize kernel
 (:mod:`repro.faq.executor`) and takes the order from
-:data:`~repro.faq.plan.PLAN_CACHE` — byte-identical answers, one order
-resolution per query structure.
+:data:`~repro.faq.plan.PLAN_CACHE` (the ``faq.plan_cache`` memo) —
+byte-identical answers, one order resolution per query structure.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ explicitly a multi-hypergraph (Section 1).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 
 class Hypergraph:
@@ -188,11 +188,6 @@ class Hypergraph:
     # ------------------------------------------------------------------
     # Convenience constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_edge_list(cls, edge_sets: Sequence[Iterable], prefix: str = "R") -> "Hypergraph":
-        """Build a hypergraph naming edges ``R0, R1, ...``."""
-        return cls({f"{prefix}{i}": verts for i, verts in enumerate(edge_sets)})
-
     @classmethod
     def star(cls, num_leaves: int, center: str = "A") -> "Hypergraph":
         """The star query ``H1`` of Figure 1: edges (center, leaf_i)."""

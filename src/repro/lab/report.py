@@ -22,7 +22,7 @@ from ..core.analysis import format_table
 from ..core.memo import memo_stats
 from ..costmodel.model import COST_METRIC_NAMES
 from ..obs.counters import DETERMINISTIC_COUNTERS
-from ..pipeline import MATERIALIZE_MEMO, PLANE_AXES
+from ..pipeline import PLANE_AXES
 from .results import FamilyAggregate, ScenarioResult, aggregate
 from .runner import SuiteRun
 
@@ -520,9 +520,9 @@ def timings_payload(run: SuiteRun) -> Dict[str, Any]:
         "headline": engine_headline,
         "solver_pairs": solver_pairs_,
         "solver_headline": solver_headline,
-        # What the plane-shared materialization memo avoided rebuilding
-        # in this process: its hits / misses / size.
-        "materialization": memo_stats()[MATERIALIZE_MEMO.name],
+        # What each structural memo (the order cache among them) served
+        # in this process since the run cleared them: hits / misses / size.
+        "memos": memo_stats(),
     }
 
 

@@ -215,13 +215,6 @@ class ScenarioSpec:
                 return value
         return default
 
-    def topo_param(self, name: str, default: Any = None) -> Any:
-        """Look up a topology param by name."""
-        for key, value in self.topology_params:
-            if key == name:
-                return value
-        return default
-
     @property
     def label(self) -> str:
         """A compact human-readable scenario id (not the cache key)."""

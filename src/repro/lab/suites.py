@@ -514,16 +514,6 @@ def _fuzz_smoke_suite(seed: int = DEFAULT_SEED) -> SuiteSpec:
     return fuzz_suite(master_seed=seed, count=6, name="fuzz-smoke")
 
 
-def _kernels_smoke_suite() -> SuiteSpec:
-    return with_kernels(
-        _smoke_suite(),
-        "kernels-smoke",
-        "the CI smoke cross-section on both kernel tiers (the "
-        "kernel-dispatch parity gate; the jit tier resolves to numpy "
-        "when numba is absent)",
-    )
-
-
 register_suite("smoke", _smoke_suite)
 register_suite("table1", _table1_suite)
 register_suite("table1-line", table1_line_suite)
@@ -537,6 +527,5 @@ register_suite("engine-smoke", _engine_smoke_suite)
 register_suite("solver-scaling", _solver_scaling_suite)
 register_suite("solver-compare", _solver_compare_suite)
 register_suite("solver-smoke", _solver_smoke_suite)
-register_suite("kernels-smoke", _kernels_smoke_suite)
 register_suite("fuzz", _fuzz_suite)
 register_suite("fuzz-smoke", _fuzz_smoke_suite)

@@ -1,10 +1,10 @@
 """Process-wide tagged counters for the repository's fast paths.
 
 The cost model predicts *what* a run costs; these counters record *which
-machinery* produced it: did the plan cache hit, did dictionary interning
-take the superset shortcut or pay the merge, did an operator dispatch to
-the columnar kernel or fall back to the dict path, did the compiled
-engine fast-forward.  Counting is a dict upsert per event — cheap enough
+machinery* produced it: did a solve look its order up in the plan
+cache, did dictionary interning take the superset shortcut or pay the
+merge, did an operator dispatch to the columnar kernel or fall back to
+the dict path, did the compiled engine fast-forward.  Counting is a dict upsert per event — cheap enough
 to stay always-on (unlike tracing, which is opt-in per run).
 
 The registry is per-process (lab workers each count their own work); the
@@ -17,9 +17,10 @@ on the result.  Two determinism classes:
   plan-cache *lookups*).  These enter the deterministic result record
   and the BENCH artifact, so serial/parallel/batched runs stay
   byte-identical.
-* Everything else — notably ``plan_cache.hit`` / ``plan_cache.miss``,
-  which depend on process warmth (which worker ran which scenario
-  first) — is volatile: reported on stdout, never persisted.
+* Everything else is volatile: reported on stdout, never persisted.
+  Whether a lookup *hit* depends on process warmth (which worker ran
+  which scenario first), so cache hits and misses are not counters at
+  all — :func:`repro.core.memo.memo_stats` reports them per memo.
 
 :data:`COSTMODEL_COUNTERS` are deterministic per pricing — a pure
 function of the plan skeleton — but a pricing runs outside the lab's

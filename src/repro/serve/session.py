@@ -9,8 +9,8 @@ a pure function of the identity and can therefore be paid once:
   (:func:`repro.pipeline.plan_scenario` — the same memos the lab's
   runner fills, so the two planes share work within a process),
 * the elimination order and dictionary interning (one warm solve
-  primes the :data:`~repro.faq.plan.PLAN_CACHE` and the executor's
-  dictionary pool fast paths),
+  primes the ``faq.plan_cache`` memo and the executor's dictionary
+  pool fast paths),
 * the closed-form bound report and the **exact**
   :func:`repro.pipeline.predicted_metrics` the server's admission
   controller prices queries with, *without executing anything* (a

@@ -7,7 +7,8 @@ registration, a warm call — shares the converted query read-only.  All
 of it is counted, never timed:
 
 * a warm ``execute_scenario`` encodes nothing and scans no input
-  relation; ``clear_all_memos()`` alone makes the next call cold again;
+  relation; ``clear_all_memos()`` alone makes the next call cold again,
+  and a suite run (which makes that call) does the same work every time;
 * the conversion fires no counter and ignores the kernel tier, so the
   order in which an identity's planes run cannot move any record;
 * ``FAQQuery.with_backend`` never hands out a stale conversion, and
@@ -22,13 +23,13 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.core.memo import clear_all_memos
+from repro.core.memo import clear_all_memos, memo_stats
 from repro.core.planner import Planner
 from repro.faq import FAQQuery
-from repro.faq.plan import PLAN_CACHE
 from repro.hypergraph import Hypergraph
 from repro.lab import ScenarioSpec, SuiteSpec, execute_scenario
-from repro.lab.suites import with_axes
+from repro.lab.runner import run_suite
+from repro.lab.suites import get_suite, with_axes
 from repro.obs.counters import COUNTERS, counter_delta
 from repro.pipeline import materialize_scenario
 from repro.semiring import COUNTING, Factor
@@ -67,7 +68,6 @@ PIPELINE_SPECS = pytest.mark.parametrize(
 
 def make_cold():
     clear_all_memos()
-    PLAN_CACHE.clear()
 
 
 def input_relations(spec):
@@ -146,6 +146,27 @@ def test_warm_call_encodes_and_scans_no_input_relation(make_spec, data_plane_wor
     assert not {id(f) for f in rebuilt} & {id(f) for f in relations}
     assert work_on(data_plane_work, rebuilt) == (k, 2 * variables)
     assert again.deterministic_record() == cold.deterministic_record()
+
+
+def test_every_suite_run_starts_cold_and_hot_equals_cold():
+    # ``run_suite`` clears every memo, the order cache among them, so a
+    # second run in one process does exactly the first run's work.
+    suite = get_suite("fuzz-smoke")
+    run_suite(suite)
+    first = memo_stats()
+    run = run_suite(suite)
+    assert memo_stats() == first
+    orders = first["faq.plan_cache"]
+    assert orders["misses"] > 0 and orders["hits"] > 0
+
+    # Re-executed with every memo and the order cache warm, each spec
+    # writes the record its cold run wrote, byte for byte.
+    for result in run.results:
+        hot = execute_scenario(result.spec).deterministic_record()
+        assert json.dumps(hot) == json.dumps(result.deterministic_record())
+    warm = memo_stats()["faq.plan_cache"]
+    assert warm["misses"] == orders["misses"]
+    assert warm["hits"] > orders["hits"]
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from repro.faq import (
     solve_message_passing,
     solve_naive,
     solve_variable_elimination,
-    structural_signature,
     validate_solver,
 )
-from repro.faq.plan import PlanCache, cached_elimination_order
+from repro.core.memo import LRUMemo
+from repro.faq.plan import _order_key, cached_elimination_order
 from repro.faq.reference import solve
 from repro.faq.variable_elimination import greedy_elimination_order
 from repro.hypergraph import Hypergraph
@@ -239,7 +239,7 @@ def test_naive_plan_is_literal_join_then_aggregate():
     out, counted = _solver_counters(lambda: solve_naive(q, solver="compiled"))
     assert out == solve_naive(q)
     assert not any(name.startswith(("solver.", "plan_cache.")) for name in counted)
-    assert PLAN_CACHE.stats.lookups == PLAN_CACHE.stats.uncacheable == 0
+    assert PLAN_CACHE.stats.hits == PLAN_CACHE.stats.misses == 0
 
 
 def test_plan_schemas_track_operator_results():
@@ -288,28 +288,24 @@ def test_plan_cache_second_sweep_is_all_hits():
             queries.append(bcq(h, factors, domains))
     for q in queries:
         solve_variable_elimination(q, solver="compiled")
-    first = PLAN_CACHE.stats
-    assert first.misses == 2  # one compilation per structure
-    baseline_misses = first.misses
-    before_hits = first.hits
+    assert PLAN_CACHE.stats.misses == 2  # one order per structure
+    hits_before = PLAN_CACHE.stats.hits
     for q in queries:
         solve_variable_elimination(q, solver="compiled")
-    second = PLAN_CACHE.stats
-    assert second.misses == baseline_misses
-    assert second.hits == before_hits + len(queries)
-    assert second.hit_rate > 0.5
+    assert PLAN_CACHE.stats.misses == 2
+    assert PLAN_CACHE.stats.hits == hits_before + len(queries)
 
 
 def test_plan_cache_key_separates_structure_axes():
     q = _random_query(COUNTING, 8)
-    base = structural_signature(q, "variable-elimination")
+    base = _order_key(q, None)
     assert base is not None
-    assert structural_signature(q, "naive") != base
-    assert structural_signature(
-        q.with_backend("columnar"), "variable-elimination"
-    ) != base
+    assert _order_key(q, None) == base  # a plain, hashable tuple
+    hash(base)
+    assert _order_key(q, q.elimination_order()) != base
+    assert _order_key(q.with_backend("columnar"), None) != base
     q_real = _random_query(REAL, 8)
-    assert structural_signature(q_real, "variable-elimination") != base
+    assert _order_key(q_real, None) != base
 
 
 def test_custom_aggregate_combine_is_uncacheable_but_correct():
@@ -323,22 +319,38 @@ def test_custom_aggregate_combine_is_uncacheable_but_correct():
         semiring=COUNTING,
         aggregates={"A": Aggregate("max", "semiring", combine=max)},
     )
-    assert structural_signature(q, "variable-elimination") is None
+    assert _order_key(q, None) is None
     ref = solve_variable_elimination(q)
+    before = COUNTERS.snapshot()
     assert solve_variable_elimination(q, solver="compiled") == ref
-    assert PLAN_CACHE.stats.uncacheable >= 1
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert delta["plan_cache.uncacheable"] == 1
+    assert "plan_cache.lookups" not in delta
+    assert PLAN_CACHE.stats.hits == PLAN_CACHE.stats.misses == 0
+    assert len(PLAN_CACHE) == 0
 
 
 def test_plan_cache_lru_eviction():
-    cache = PlanCache(maxsize=2)
+    # The order cache is an LRUMemo: a hit refreshes its key, and an
+    # insert past ``maxsize`` evicts the least recently used one.
+    cache = LRUMemo("test.lru_eviction", maxsize=2)
     dummy = ("A", "B")
-    cache.put("a", dummy)
-    cache.put("b", dummy)
-    assert cache.get("a") is dummy  # refresh a
-    cache.put("c", dummy)  # evicts b
-    assert cache.get("b") is None
-    assert cache.get("a") is dummy
+
+    def miss():
+        pytest.fail("unexpected miss")
+
+    assert cache.get_or_compute("a", lambda: dummy) is dummy
+    assert cache.get_or_compute("b", lambda: dummy) is dummy
+    assert cache.get_or_compute("a", miss) is dummy  # refresh a
+    assert cache.get_or_compute("c", lambda: dummy) is dummy  # evicts b
     assert len(cache) == 2
+    assert cache.get_or_compute("a", miss) is dummy
+    assert cache.get_or_compute("c", miss) is dummy
+    assert cache.get_or_compute("b", lambda: "again") == "again"  # evicts a
+    assert (cache.stats.hits, cache.stats.misses) == (3, 4)
+    cache.clear()
+    assert len(cache) == 0
+    assert (cache.stats.hits, cache.stats.misses) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -771,17 +783,20 @@ GOLDEN_CASES = {
 }
 
 
-def _golden_call(query, solver):
+def _golden_call(query, solver, since):
     """One ``solve`` call: answer digest, deterministic counter delta and
-    the plan cache's running ``[hits, misses, uncacheable]``."""
+    the plan cache's running ``[hits, misses, uncacheable]`` — the last
+    read off the counter, counted from the ``since`` snapshot."""
     before = COUNTERS.snapshot()
     answer = solve(query, solver)
-    delta = deterministic_view(counter_delta(before, COUNTERS.snapshot()))
+    after = COUNTERS.snapshot()
+    delta = deterministic_view(counter_delta(before, after))
+    uncacheable = counter_delta(since, after).get("plan_cache.uncacheable", 0)
     stats = PLAN_CACHE.stats
     return {
         "digest": answer_digest(answer.schema, answer.rows),
         "counters": delta,
-        "plan_cache": [stats.hits, stats.misses, stats.uncacheable],
+        "plan_cache": [stats.hits, stats.misses, uncacheable],
     }
 
 
@@ -790,8 +805,11 @@ def golden_record(name):
     record = {}
     for solver in SOLVERS:
         PLAN_CACHE.clear()
+        since = COUNTERS.snapshot()
         query = GOLDEN_CASES[name]()
-        record[solver] = [_golden_call(query, solver) for _call in ("cold", "warm")]
+        record[solver] = [
+            _golden_call(query, solver, since) for _call in ("cold", "warm")
+        ]
     return record
 
 

@@ -296,13 +296,14 @@ def test_a_run_records_what_the_count_plane_predicts():
     assert names(SimulationResult) - {"outputs"} == names(CostVector)
 
 
-def test_the_memos_are_the_seven_with_traffic_figures():
+def test_the_memos_are_the_eight_with_traffic_figures():
     # docs/dataplane.md holds the hits/misses table that pays for each
     # of these; a new memo brings its own row in the PR that adds it.
-    seven = {
+    eight = {
         "bounds.bcq",
         "costmodel.predicted_metrics",
         "decomposition.best_ghd",
+        "faq.plan_cache",
         "pipeline.materialized",
         "pipeline.protocol_plan",
         "runner.certification",
@@ -315,12 +316,38 @@ def test_the_memos_are_the_seven_with_traffic_figures():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "LRUMemo"
     ]
-    assert sorted(name for _module, name in declared) == sorted(seven)
+    assert sorted(name for _module, name in declared) == sorted(eight)
     for module, _name in declared:
         importlib.import_module(module)
     # (test files name their own scratch memos ``test.*``.)
     live = {name for name in memo_stats() if not name.startswith("test.")}
-    assert live == seven
+    assert live == eight
+
+
+def test_one_lru_implementation():
+    # ``LRUMemo`` is the product's one LRU: a second cache keeping its
+    # own recency order would escape ``clear_all_memos`` and
+    # ``memo_stats``.
+    recency = {
+        module
+        for module, _package, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (
+            node.func.attr == "move_to_end"
+            or (
+                node.func.attr == "popitem"
+                and any(
+                    kw.arg == "last"
+                    and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False
+                    for kw in node.keywords
+                )
+            )
+        )
+    }
+    assert recency == {"repro.core.memo"}
 
 
 def _identifiers(tree):
@@ -509,14 +536,16 @@ def test_one_elimination_loop():
         )
     ]
     assert defined == []
-    puts = [
-        module
+    fills = [
+        (module, function.name)
         for module, tree in trees.items()
-        for node in ast.walk(tree)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "put"
+        and node.func.attr == "get_or_compute"
         and getattr(node.func.value, "id", getattr(node.func.value, "attr", None))
         == "PLAN_CACHE"
     ]
-    assert puts == ["repro.faq.plan"]
+    assert fills == [("repro.faq.plan", "cached_elimination_order")]

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.memo import LRUMemo, clear_all_memos
-from repro.faq.plan import PLAN_CACHE, PlanCache
 from repro.lab.generate import generate_scenarios, sample_scenario
 from repro.lab.runner import execute_scenario
 from repro.pipeline import materialize_scenario
@@ -46,7 +45,6 @@ def _shm_entries():
 @pytest.fixture(autouse=True)
 def _fresh_memos():
     clear_all_memos()
-    PLAN_CACHE.clear()
     yield
 
 
@@ -205,35 +203,6 @@ def test_lru_memo_concurrent_access_is_consistent():
     # so only behaviour — not totals — is assertable here).
     assert memo.get_or_compute("after", lambda: 42) == 42
     assert len(memo._data) <= memo.maxsize
-
-
-def test_plan_cache_concurrent_access_is_consistent():
-    cache = PlanCache(maxsize=32)
-    sentinel = object()
-    errors = []
-
-    def hammer(worker):
-        try:
-            for i in range(400):
-                key = f"sig-{i % 53}"
-                hit = cache.get(key)
-                if hit is None:
-                    cache.put(key, (key, sentinel))
-                else:
-                    assert hit[0] == key
-                len(cache)
-        except Exception as exc:  # pragma: no cover - the assertion
-            errors.append((worker, exc))
-
-    threads = [
-        threading.Thread(target=hammer, args=(n,)) for n in range(8)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    assert len(cache) <= 32  # eviction bound held under the race
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import itertools
 import pytest
 
 from repro.core.memo import clear_all_memos
-from repro.faq.plan import PLAN_CACHE
 from repro.faq.reference import structural_signature
 from repro.lab.generate import generate_scenarios, sample_scenario
 from repro.lab.runner import execute_scenario
@@ -34,7 +33,6 @@ from repro.serve.session import ServingSession
 @pytest.fixture(autouse=True)
 def _fresh_memos():
     clear_all_memos()
-    PLAN_CACHE.clear()
     yield
 
 
