@@ -24,38 +24,45 @@ each op's per-round decisions replicate the corresponding generator
 primitive in :mod:`repro.protocols.primitives`, written independently
 (same frames, same slot gate, same EOS handshake), so round counts, total
 bits, per-link bits and the busiest link-round come out identical.  On
-top of that, :func:`run_program` *fast-forwards* steady streaming states: a
-steady stream sends the same bits every round, so when a round's send
-signature repeats the previous one's and every live op can bound how
-long its behaviour replays, the engine jumps that many rounds at once —
-thousands of pipeline rounds cost O(1) Python instead of O(rounds),
-routed payload included.  A jump attempt asks the live ops for their
-horizons in step order and gives up at the first that declines, so
-:meth:`ProgramOp.cycle_horizon` must be side-effect free.
+top of that, :func:`run_program` steps only changing nodes: a node whose
+program did not move, that sent the same blocks as the round before and
+whose current op bounds how long that replays goes *dormant* — it is not
+stepped, its blocks are delivered from a steady-send table and charged
+arithmetically when it wakes, at its own horizon or as soon as a node
+sending to it steps on.  When every running node is dormant the round
+counter skips to the earliest wake, so thousands of pipeline rounds cost
+O(1) Python instead of O(rounds), routed payload included, and a round
+costs O(changing nodes).  Which horizons are asked depends on which
+nodes repeat, so :meth:`ProgramOp.cycle_horizon` must be side-effect
+free.
 
 A round is charged one way, on plain Python ints, like the generator
-engine charges its own: the round's blocks fold into one ``{(src, dst):
-bits}`` dict in send order, every link of it is audited against ``B``
+engine charges its own: the blocks of the nodes that stepped fold into
+one ``{(src, dst): bits}`` dict in send order, every link of it is
+audited against ``B``
 (:class:`~repro.network.simulator.CapacityExceeded`), and the dict is
-added to the insertion-ordered ``bits_per_edge``.  A jump adds the
-round's stored dict ``k`` times.  That map, the total bits, the rounds
-and the busiest link-round are all a run records besides the outputs.
-Nothing here is an array: this package imports neither
-``numpy`` nor :mod:`repro.kernels` (``tests/test_layering.py``).
+added to the insertion-ordered ``bits_per_edge``.  A dormant node's
+links were charged when it last stepped; waking after ``k`` rounds adds
+``k`` times its blocks.  That map, the total bits, the rounds and the
+busiest link-round are all a run records besides the outputs.  Nothing
+here is an array: this package imports neither ``numpy`` nor
+:mod:`repro.kernels` (``tests/test_layering.py``).
 
 Self-timing is preserved exactly: ops are started lazily, a finished op
 hands the round over to the next op of the same node (mirroring how a
 ``yield from`` chain resumes), and early-arriving blocks wait in
 per-(tag, src) queues just like the generator engine's ``Mailbox`` — a
-jump appends what the skipped rounds would have queued there, so
+waking node appends what its dormant rounds would have queued there, so
 overlapping phases (the next star's scatter reaching a node still busy
-in this one) are jumped through, not stepped.  An op resolves its input
+in this one) are fast-forwarded, not stepped.  An op resolves its input
 queues once, when it starts, and drains them in place.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.counters import COUNTERS
@@ -76,8 +83,9 @@ HEADER_BITS = 32
 #: Bits charged for an end-of-stream marker.
 EOS_BITS = 1
 
-#: "Unbounded" cycle horizon — the engine takes a min over ops, so any
-#: op without its own bound returns this.
+#: "Unbounded" cycle horizon — a group takes a min over its members and
+#: the engine caps a horizon at ``max_rounds``, so any op without its own
+#: bound returns this.
 UNBOUNDED = 10 ** 15
 
 
@@ -90,8 +98,9 @@ class BlockMessage:
         tag: Stream tag (same namespace as the generator engine).
         kind: ``"bits"`` (a frame of the stream) or ``"eos"`` (end of
             stream).
-        bits: Total bits charged against the edge for this block (a
-            jump leaves one block of ``k`` frames' bits in a mailbox).
+        bits: Total bits charged against the edge for this block (a node
+            waking after ``k`` dormant rounds leaves one block of ``k``
+            frames' bits in a buffering mailbox).
         meta: The broadcast count, on the frame holding the header's
             last bit.
     """
@@ -105,10 +114,6 @@ class BlockMessage:
         self.kind = kind
         self.bits = bits
         self.meta = meta
-
-    def signature(self) -> Tuple:
-        """The per-round cycle-detection key (payload-free)."""
-        return (self.src, self.dst, self.tag, self.kind, self.bits, self.meta)
 
 
 class ProgramContext:
@@ -152,9 +157,7 @@ class ProgramContext:
                 f"{used + bits} bits > capacity {self.capacity}"
             )
         self._sent[dst] = used + bits
-        self._outbox.append(
-            BlockMessage(self.node, dst, tag, kind, bits, meta=meta)
-        )
+        self._outbox.append(BlockMessage(self.node, dst, tag, kind, bits, meta))
 
     def inbox(self, stream: Tuple[str, str]) -> deque:
         """The ``(tag, src)`` stream's queue itself, in arrival order and
@@ -191,15 +194,17 @@ class ProgramOp:
     def cycle_horizon(self) -> int:
         """How many *additional* rounds replay the last one identically.
 
-        Called only after the engine has observed two identical
-        consecutive rounds of sends.  Returning 0 declines the
-        fast-forward; any positive k asserts that, with the last round's
-        arrivals repeating, this op's next ``k`` rounds consume and send
-        exactly the same blocks and cross no internal boundary.
+        Called only after the op's node sent the same blocks two rounds
+        running.  Returning 0 declines; any positive k asserts that,
+        with the last round's arrivals repeating, this op's next ``k``
+        rounds consume and send exactly the same blocks (``meta``
+        included) and cross no internal boundary.  The bound must hold
+        for this op alone, given only that its own arrivals repeat: the
+        node goes dormant on it while its neighbours may not.
 
-        Must be side-effect free: the engine stops asking at the first
-        op that declines, so whether an op is asked at all depends on
-        the ops stepped before it (``tests/test_program.py`` pins this).
+        Must be side-effect free: whether an op is asked at all depends
+        on which nodes repeat and on the ops before it in a group
+        (``tests/test_program.py`` pins this).
         """
         return 0
 
@@ -209,13 +214,9 @@ class ProgramOp:
     def describe(self) -> str:
         return self.label
 
-    # -- shared history helper -----------------------------------------
-    # Ops that use it append one record per step to ``self._hist``, a
-    # ``deque(maxlen=2)`` made in ``__init__``.
-    def _cycle_stable(self) -> bool:
-        """Did the op's own last two rounds behave identically?"""
-        hist = self._hist
-        return len(hist) == 2 and hist[0] == hist[1]
+    # Ops with a horizon append one record per step to ``self._hist``, a
+    # ``deque(maxlen=2)`` made in ``__init__``, and decline unless its two
+    # records (their own last two rounds) are equal.
 
 
 class ComputeStep(ProgramOp):
@@ -280,10 +281,10 @@ class ParallelOps(ProgramOp):
 
     def cycle_horizon(self) -> int:
         # A member that completed in the last round put its *final*
-        # sends into the recorded signature; replaying the round would
-        # charge those sends again with no op state behind them.  The
-        # group's completion is invisible to the scheduler (the program
-        # index does not move), so decline the jump here.
+        # sends into the node's blocks; replaying them would charge those
+        # sends again with no op state behind them.  The member's
+        # completion is invisible to the scheduler (the program index
+        # does not move), so decline here.
         if self._last_finish == self._steps:
             return 0
         k = UNBOUNDED
@@ -368,11 +369,17 @@ class BroadcastOp(ProgramOp):
             inbox.clear()
             self.received += arrived
         received = self.received
+        total = self.total
         sent = self.sent
+        if not sent:  # a leaf: it only receives
+            self._hist.append((arrived, ()))
+            return total == received
         sends = []
         for i, child in enumerate(self.children):
             lo = sent[i]
-            bits = min(received - lo, ctx.room(child))
+            bits = received - lo
+            if bits > 0:
+                bits = min(bits, ctx.room(child))
             if bits > 0:
                 header = lo < HEADER_BITS <= lo + bits
                 ctx.send_block(child, self.tag, "bits", bits,
@@ -382,27 +389,31 @@ class BroadcastOp(ProgramOp):
                 bits = 0
             sends.append(bits)
         self._hist.append((arrived, tuple(sends)))
-        total = self.total
-        return total == received and all(done == total for done in sent)
+        return total == received and min(sent) == total
 
     def cycle_horizon(self) -> int:
-        if not self._cycle_stable():
+        hist = self._hist
+        if len(hist) < 2 or hist[0] != hist[1]:
             return 0
-        arrived, sends = self._hist[-1]
+        arrived, sends = hist[1]
         if not arrived and not any(sends):
             return UNBOUNDED  # silent until its parent sends
         total = self.total
         if total is None:
             return 0  # streaming the header: the length is not known yet
         received = self.received
-        # Stop a round before a child's last bit leaves, and while a
-        # child's send outruns the arrivals, before its backlog runs out
-        # (a send equal to the backlog would stop being room-limited).
-        # The last bit's arrival is the parent's to bound: it sends it.
+        # Stop a round before a child's last bit leaves, before the
+        # frame that completes its header (that one carries the count),
+        # and while a child's send outruns the arrivals, before its
+        # backlog runs out (a send equal to the backlog would stop being
+        # room-limited).  The last bit's arrival is the parent's to
+        # bound: it sends it.
         k = UNBOUNDED
         for done, bits in zip(self.sent, sends):
             if bits:
                 k = min(k, (total - done - 1) // bits)
+                if done < HEADER_BITS:
+                    k = min(k, (HEADER_BITS - done - 1) // bits)
                 if bits > arrived:
                     k = min(k, (received - done) // (bits - arrived))
         return max(0, k)
@@ -442,7 +453,8 @@ class ConvergecastOp(ProgramOp):
         self.children = list(children)
         self.per_slot = max(1, per_slot)
         self.num_slots: Optional[int] = None
-        #: Slots every child has fully delivered (capped at num_slots).
+        #: Slots every child has fully delivered (capped at num_slots),
+        #: kept current as bits arrive.
         self.ready = 0
         #: Bits sent to the parent (the root sends none).
         self.sent = 0
@@ -456,6 +468,7 @@ class ConvergecastOp(ProgramOp):
 
     def configure(self, num_slots: int) -> None:
         self.num_slots = int(num_slots)
+        self.ready = self._ready_slots()
 
     def start(self, ctx: ProgramContext) -> None:
         self._inboxes = [ctx.inbox(stream) for stream in self._streams]
@@ -473,6 +486,7 @@ class ConvergecastOp(ProgramOp):
                 "must set num_slots when the scatter phase completes"
             )
         arrivals = self._no_arrivals
+        ready = self.ready
         if any(self._inboxes):
             counts = []
             for i, inbox in enumerate(self._inboxes):
@@ -484,12 +498,14 @@ class ConvergecastOp(ProgramOp):
                     self.received[i] += got
                 counts.append(got)
             arrivals = tuple(counts)
-        self.ready = ready = self._ready_slots()
+            self.ready = ready = self._ready_slots()
         if self.parent is None:
             self._hist.append((arrivals, 0))
             return ready == num_slots
         per_slot = self.per_slot
-        moved = min(ready * per_slot - self.sent, ctx.room(self.parent))
+        moved = ready * per_slot - self.sent
+        if moved > 0:
+            moved = min(moved, ctx.room(self.parent))
         if moved > 0:
             ctx.send_block(self.parent, self.tag, "bits", moved)
             self.sent += moved
@@ -499,13 +515,14 @@ class ConvergecastOp(ProgramOp):
         return self.sent == num_slots * per_slot
 
     def cycle_horizon(self) -> int:
-        if not self._cycle_stable():
+        hist = self._hist
+        if len(hist) < 2 or hist[0] != hist[1]:
             return 0
         if self.parent is None:
             # The root sends nothing, so its rounds replay while its
             # children's do, and they stop short of their last bit.
             return UNBOUNDED
-        arrivals, moved = self._hist[-1]
+        arrivals, moved = hist[1]
         if not moved and not any(arrivals):
             return UNBOUNDED
         per_slot = self.per_slot
@@ -623,11 +640,12 @@ class RouteOp(ProgramOp):
         return self.eos_sent
 
     def cycle_horizon(self) -> int:
-        if not self._cycle_stable():
+        hist = self._hist
+        if len(hist) < 2 or hist[0] != hist[1]:
             return 0
         # An EOS only matters once the queue is empty with room left on
         # the edge, and such a round sends the EOS and completes the op.
-        arrived, sent = self._hist[-1]
+        arrived, sent = hist[1]
         if self.parent is None or sent <= arrived:
             return UNBOUNDED
         # Draining: each round sends the edge's room while the queue lasts.
@@ -663,9 +681,10 @@ class NodeProgram:
     def step_round(self, ctx: ProgramContext) -> bool:
         """Run this node's round; returns True when the program advanced
         its schedule position (progress without any send)."""
+        items = self.items
         moved = False
-        while self.index < len(self.items):
-            op = self.items[self.index]
+        while self.index < len(items):
+            op = items[self.index]
             if not self.started:
                 op.start(ctx)
                 self.started = True
@@ -681,6 +700,122 @@ class NodeProgram:
     def describe(self) -> str:
         op = self.current()
         return op.describe() if op is not None else "finished"
+
+
+def _repeats(prev: Sequence[BlockMessage], out: Sequence[BlockMessage]) -> bool:
+    """Are two equally long block lists the same sends (``meta``
+    included)?  Compared field by field."""
+    for a, b in zip(prev, out):
+        if (a.bits != b.bits or a.dst != b.dst or a.tag != b.tag
+                or a.kind != b.kind or a.meta != b.meta):
+            return False
+    return True
+
+
+class _Node:
+    """One program's scheduling state in :func:`run_program`."""
+
+    __slots__ = ("name", "prog", "ctx", "last", "before", "wake", "since",
+                 "buffered")
+
+    def __init__(self, name: str, prog: NodeProgram, ctx: ProgramContext) -> None:
+        self.name = name
+        self.prog = prog
+        self.ctx = ctx
+        #: The blocks of the last round it stepped; while it is dormant,
+        #: what it sends every round.
+        self.last: Sequence[BlockMessage] = ()
+        #: The blocks of the round before that one (kept while changing).
+        self.before: Sequence[BlockMessage] = ()
+        #: 0 while awake, -1 once finished; while dormant, the round in
+        #: which it steps again.
+        self.wake = 0
+        #: The round it went dormant in (its last stepped round).
+        self.since = 0
+        #: ``(queue, block)`` per block it received in that round on a
+        #: stream still queued after it (buffering for a later op).
+        self.buffered: List[Tuple[deque, BlockMessage]] = []
+
+
+def _unsettle(candidates: Dict[str, _Node], drop: List[_Node]) -> None:
+    """Remove ``drop`` from ``candidates``, then every candidate it sends
+    to, and so on: a node that steps on may change what its receivers
+    get next round, so they step on too."""
+    while drop:
+        again = []
+        for nd in drop:
+            if candidates.pop(nd.name, None) is None:
+                continue
+            for blk in nd.last:
+                receiver = candidates.get(blk.dst)
+                if receiver is not None:
+                    again.append(receiver)
+        drop = again
+
+
+def _settle(
+    pool: List[_Node],
+    steady: List[_Node],
+    touched: set,
+    round_no: int,
+    max_rounds: int,
+    finish_targets: set,
+    nodes: Dict[str, _Node],
+) -> List[_Node]:
+    """Which of this round's ``steady`` nodes (stepped without moving,
+    sending what they sent the round before) go dormant, each with its
+    wake round, ``since`` and buffering streams set.  ``pool`` holds
+    those that no changing node sends to (``touched`` holds the
+    receivers of the changing ones).
+
+    A node is a *sender* to another while its blocks of this round or
+    the last one go there.  A node settles only if its op bounds the
+    replay (horizon ``h >= 1``, capped at ``max_rounds``) and no sender
+    to it steps on — otherwise its arrivals may change next round.  A
+    receiver of a node that finished last round wakes next round: that
+    node's final blocks arrived this round and will not again.
+    """
+    cap = max_rounds - round_no
+    if cap < 1:
+        return []
+    candidates = None
+    if len(pool) < len(steady):
+        candidates = {nd.name: nd for nd in steady}
+        _unsettle(candidates, [nd for nd in steady if nd.name in touched])
+        pool = [nd for nd in pool if nd.name in candidates]
+    horizons = []
+    for nd in pool:
+        if candidates is not None and nd.name not in candidates:
+            continue  # a node it hears from declined
+        prog = nd.prog
+        horizon = prog.items[prog.index].cycle_horizon()
+        if horizon >= 1:
+            horizons.append((nd, horizon))
+            continue
+        if candidates is None:
+            candidates = {nd.name: nd for nd in steady}
+        _unsettle(candidates, [nd])
+    settled = []
+    for nd, horizon in horizons:
+        name = nd.name
+        if candidates is not None and name not in candidates:
+            continue
+        nd.wake = (
+            round_no + 1 if name in finish_targets
+            else round_no + min(horizon, cap) + 1
+        )
+        nd.since = round_no
+        # A stream still queued after this round is buffering for a later
+        # op; what it got this round is what its sender sends every round.
+        buffered = []
+        for (tag, src), queue in nd.ctx.queues.items():
+            if queue:
+                for blk in nodes[src].last:
+                    if blk.dst == name and blk.tag == tag:
+                        buffered.append((queue, blk))
+        nd.buffered = buffered
+        settled.append(nd)
+    return settled
 
 
 def run_program(
@@ -699,19 +834,30 @@ def run_program(
     order included) and ``max_edge_bits_per_round`` equal what the
     generator engine would have charged message by message.
 
-    Steady streaming states are fast-forwarded: once a round's send
-    signature repeats the previous round's and every live op bounds its
-    replay horizon, that many further rounds are applied arithmetically
-    — op state, accounting, and the mailbox queues of streams that are
-    buffering for a later op of their receiver.  The jump changes wall-clock only —
-    the resulting accounting is identical to stepping every round
-    (``fast_forward=False`` steps every round and must produce
-    byte-identical results; tests assert this).
+    Only changing nodes step.  A node *settles* (goes dormant) after a
+    round in which its program did not move, it sent the same blocks as
+    in its previous round, its current op bounds how long that replays
+    (``cycle_horizon`` ``h >= 1``), and no node sending to it stepped on
+    without settling too.  A dormant node is not stepped: its blocks
+    are delivered to awake receivers from a steady-send table, and it
+    steps again at round ``t0 + h + 1``, the round after a node sending
+    to it steps without settling, or two rounds after such a node
+    finishes — whichever is first.  On waking, the ``k`` rounds it slept
+    are applied arithmetically: op state (``advance(k)``), ``k`` times
+    its blocks' bits, and one ``k``-fold block on each stream that was
+    buffering for a later op.  When every running node is dormant, the
+    engine skips straight to the earliest wake (``engine.fast_forward``
+    counts these skips, ``engine.fast_forward_rounds`` the rounds in
+    which no node steps).  A round costs O(changing nodes), not
+    O(nodes); the result is identical to stepping every node every round
+    (``fast_forward=False`` does, and tests compare the two byte for
+    byte).
 
-    With a live ``tracer``, every round boundary, block send, compute
-    step and fast-forward jump is emitted as a typed event; the jump
-    event carries the repeated round's send signatures so replaying the trace
-    reproduces the accounting exactly (:mod:`repro.obs.verify`).
+    With a live ``tracer``, every round boundary, block send (a dormant
+    node's steady sends included, in node order), compute step and skip
+    is emitted as a typed event; a skip carries the full round's sends,
+    so replaying the trace reproduces the accounting exactly
+    (:mod:`repro.obs.verify`).
 
     Raises:
         SimulationError: on deadlock (a round in which no node made any
@@ -726,48 +872,71 @@ def run_program(
         raise ValueError(f"programs for nodes not in G: {unknown}")
 
     tracer = _normalize_tracer(tracer)
-    contexts = {
-        node: ProgramContext(node, topology, capacity_bits)
-        for node in programs
+    nodes = {
+        name: _Node(name, programs[name],
+                    ProgramContext(name, topology, capacity_bits))
+        for name in sorted(programs)
     }
     if tracer is not None:
         tracer.run_start("compiled", capacity_bits, list(topology.nodes))
-        for ctx in contexts.values():
-            ctx.tracer = tracer
-    # The running nodes in step order, with their program and context; the
-    # list (and the ``alive`` set delivery tests) is rebuilt only in a
-    # round in which some node finished.
-    live = [
-        (node, programs[node], contexts[node])
-        for node in sorted(programs) if not programs[node].done
-    ]
-    alive = {node for node, _prog, _ctx in live}
-    outputs: Dict[str, Any] = {
-        node: prog.output for node, prog in programs.items() if prog.done
-    }
+        for nd in nodes.values():
+            nd.ctx.tracer = tracer
+    outputs: Dict[str, Any] = {}
+    for nd in nodes.values():
+        if nd.prog.done:
+            outputs[nd.name] = nd.prog.output
+            nd.wake = -1
+    # Every running node in step order; the awake ones among them; and
+    # the contexts deliveries go to (awake running nodes) — each changed
+    # only in a round in which some node settles, wakes or finishes.
+    live = [nd for nd in nodes.values() if not nd.wake]
+    awake = live
+    receivers = {nd.name: nd.ctx for nd in live}
+    # Dormant nodes: their count, and a heap of ``(wake round, serial,
+    # node)`` holding an entry per wake round set (an entry whose round
+    # is no longer the node's ``wake`` is stale and skipped).
+    dormant = 0
+    wakes: List[Tuple[int, int, _Node]] = []
+    serial = count()
+    # The steady-send table: dormant nodes whose blocks (``_Node.last``)
+    # this round's deliveries carry.  A node joins it the round after it
+    # settles (that round's deliveries carry its explicit sends) and
+    # leaves it when it wakes; ``steady_senders`` counts every dormant
+    # node with blocks.
+    sending: List[_Node] = []
+    registering: List[_Node] = []
+    steady_senders = 0
+    finish_targets: set = set()
 
     pending: List[BlockMessage] = []
+    sent_before = False
     total_bits = 0
     last_send_round = 0
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
 
-    def charge(link_bits: Dict[Tuple[str, str], int], times: int = 1) -> None:
-        """Add ``times`` repeats of one round's per-link bits to the
-        total."""
-        for link, bits in link_bits.items():
-            bits_per_edge[link] = bits_per_edge.get(link, 0) + times * bits
+    def catch_up(nd: _Node, through: int) -> None:
+        """Apply a dormant node's rounds ``since + 1 .. through``."""
+        nonlocal total_bits
+        k = through - nd.since
+        if k < 1:
+            return
+        nd.prog.current().advance(k)
+        for blk in nd.last:
+            bits = k * blk.bits
+            bits_per_edge[(blk.src, blk.dst)] += bits
+            total_bits += bits
+        for queue, blk in nd.buffered:
+            queue.append(BlockMessage(
+                blk.src, blk.dst, blk.tag, blk.kind, k * blk.bits))
 
-    # Fast-forward bookkeeping for the last two rounds: (signature, bits,
-    # per-link bits, blocks) — the per-link dict is the round's
-    # accounting delta, replayed ``k`` times by a jump; the blocks are
-    # what a jump delivers to mailboxes.
-    history: deque = deque(maxlen=2)
-
-    def blocked_map() -> Dict[str, List[str]]:
+    def blocked_map(through: int) -> Dict[str, List[str]]:
+        for nd in live:
+            if nd.wake:
+                catch_up(nd, through)
         return {
-            node: [f"step {prog.describe()}"] + ctx.pending_tags()
-            for node, prog, ctx in live
+            nd.name: [f"step {nd.prog.describe()}"] + nd.ctx.pending_tags()
+            for nd in live
         }
 
     round_no = 0
@@ -776,47 +945,85 @@ def run_program(
         if tracer is not None:
             tracer.round_start(round_no)
         if round_no > max_rounds:
-            blocked = blocked_map()
+            blocked = blocked_map(round_no - 1)
             raise SimulationError(
                 f"exceeded max_rounds={max_rounds}; blocked nodes: "
                 f"{_format_blocked(blocked)}",
                 blocked=blocked,
             )
-        had_pending = bool(pending)
-        if had_pending:
-            for blk in pending:
-                # Blocks to passive/finished nodes are dropped silently,
-                # like the generator engine's message handling.
-                if blk.dst in alive:
-                    contexts[blk.dst].inbox((blk.tag, blk.src)).append(blk)
-        pending = []
+        woke = False
+        if wakes and wakes[0][0] <= round_no:
+            while wakes and wakes[0][0] <= round_no:
+                when, _serial, nd = heappop(wakes)
+                if nd.wake != when:
+                    continue  # stale
+                catch_up(nd, round_no - 1)
+                nd.wake = 0
+                dormant -= 1
+                receivers[nd.name] = nd.ctx
+                if nd.last:
+                    steady_senders -= 1
+                woke = True
+            if woke:
+                awake = [nd for nd in live if not nd.wake]
+        for blk in pending:
+            # Blocks to passive, finished or dormant nodes are dropped: the
+            # first two like the generator engine's message handling, the
+            # last because they repeat what its wake-up replays.
+            ctx = receivers.get(blk.dst)
+            if ctx is not None:
+                ctx.inbox((blk.tag, blk.src)).append(blk)
+        if sending:
+            for nd in sending:
+                for blk in nd.last:
+                    ctx = receivers.get(blk.dst)
+                    if ctx is not None:
+                        ctx.inbox((blk.tag, blk.src)).append(blk)
+            if woke:
+                sending = [nd for nd in sending if nd.wake]
+        if registering:
+            sending += [nd for nd in registering if nd.wake]
+            registering = []
 
         round_sends: List[BlockMessage] = []
-        finished_any = False
+        steady: List[_Node] = []
+        changing: List[_Node] = []
+        finished: List[_Node] = []
         moved_any = False
-        for node, prog, ctx in live:
+        for nd in awake:
+            ctx = nd.ctx
             ctx._begin_round(round_no)
-            if prog.step_round(ctx):
-                moved_any = True
-            if ctx._outbox:
-                round_sends += ctx._outbox
+            moved = nd.prog.step_round(ctx)
+            out = ctx._outbox
+            prev = nd.last
+            if out:
+                round_sends += out
                 ctx._outbox = []
-            if prog.done:
-                outputs[node] = prog.output
-                finished_any = True
-        if finished_any:
-            live = [entry for entry in live if not entry[1].done]
-            alive = {node for node, _prog, _ctx in live}
+                nd.last = out
+            elif prev:
+                nd.last = ()
+            if moved:
+                moved_any = True
+                if nd.prog.done:
+                    finished.append(nd)
+            elif fast_forward and len(prev) == len(out) and (
+                    not out or _repeats(prev, out)):
+                steady.append(nd)
+                continue
+            nd.before = prev
+            changing.append(nd)
 
         # One round's charge, the same for every round: per-link bits in
-        # send order, every link audited against B, then the totals.
-        round_bits = 0
-        round_link_bits: Dict[Tuple[str, str], int] = {}
-        for blk in round_sends:
-            link = (blk.src, blk.dst)
-            round_link_bits[link] = round_link_bits.get(link, 0) + blk.bits
-            round_bits += blk.bits
-        if round_link_bits:
+        # send order, every link audited against B, then the totals.  A
+        # dormant node's links were charged when it last stepped; its
+        # repeats are charged when it wakes.
+        if round_sends:
+            round_bits = 0
+            round_link_bits: Dict[Tuple[str, str], int] = {}
+            for blk in round_sends:
+                link = (blk.src, blk.dst)
+                round_link_bits[link] = round_link_bits.get(link, 0) + blk.bits
+                round_bits += blk.bits
             busiest = max(round_link_bits.values())
             if busiest > capacity_bits:
                 src, dst = max(round_link_bits, key=round_link_bits.get)
@@ -824,91 +1031,111 @@ def run_program(
                     f"round {round_no}: {src}->{dst} would carry "
                     f"{busiest} bits > capacity {capacity_bits}"
                 )
-            charge(round_link_bits)
-            last_send_round = round_no
+            for link, bits in round_link_bits.items():
+                bits_per_edge[link] = bits_per_edge.get(link, 0) + bits
             total_bits += round_bits
             if busiest > max_edge_bits_per_round:
                 max_edge_bits_per_round = busiest
+        sent = bool(round_sends) or steady_senders > 0
+        if sent:
+            last_send_round = round_no
         if tracer is not None:
-            for blk in round_sends:
-                tracer.send(round_no, blk.src, blk.dst, blk.bits,
-                            tag=blk.tag, kind=blk.kind)
+            for nd in live:
+                for blk in nd.last:
+                    tracer.send(round_no, blk.src, blk.dst, blk.bits,
+                                tag=blk.tag, kind=blk.kind)
+        if finished:
+            for nd in finished:
+                outputs[nd.name] = nd.prog.output
+            live = [nd for nd in live if not nd.prog.done]
 
-        if not live and not round_sends:
+        if not live and not sent:
             break
-        if live and not round_sends and not had_pending and not finished_any \
+        if live and not sent and not sent_before and not finished \
                 and not moved_any:
-            blocked = blocked_map()
+            blocked = blocked_map(round_no)
             raise SimulationError(
                 f"deadlock at round {round_no}: no node can make progress; "
                 f"blocked nodes: {_format_blocked(blocked)}",
                 blocked=blocked,
             )
-
         pending = round_sends
+        sent_before = sent
 
-        if not fast_forward:
-            continue
-        history.append((
-            tuple(blk.signature() for blk in round_sends),
-            round_bits, round_link_bits, round_sends,
-        ))
-        if finished_any or moved_any:
-            continue
-        if len(history) < 2 or history[0][0] != history[1][0]:
-            continue
-        signature, cycle_bits, cycle_link_bits, cycle_sends = history[1]
-        if not signature:
-            continue  # an idle round cannot be sending-steady
-        # The min over every live op's horizon, given up at the first op
-        # that declines (horizons are side-effect free).  No node finished
-        # this round, so ``live`` is not empty here.
-        k = max_rounds - round_no
-        for _node, prog, _ctx in live:
-            if k < 1:
-                break
-            horizon = prog.current().cycle_horizon()
-            if horizon < k:
-                k = horizon
-        if k < 1:
-            continue
-        for _node, prog, _ctx in live:
-            prog.current().advance(k)
-        # The jump skips the deliveries of rounds t+1 .. t+k: the sends
-        # of rounds t .. t+k-1, i.e. this round's own sends k times over
-        # (they stay ``pending`` as the sends of the jump's last round).
-        # A stream the receiver's current op drains was advanced above.
-        # One with blocks still queued after this round is buffering for
-        # a later op of its receiver — the mailbox case — and k >= 1
-        # means no live op changes inside the jump, so it buffers
-        # throughout: one block of k times the round's bits joins the
-        # queue (a steady round carries no header or EOS block, so its
-        # reader only sums bits).
-        for blk in cycle_sends:
-            ctx = contexts.get(blk.dst)
-            queue = (
-                ctx.queues.get((blk.tag, blk.src)) if ctx is not None else None
-            )
-            if queue:
-                queue.append(BlockMessage(
-                    blk.src, blk.dst, blk.tag, blk.kind, k * blk.bits,
-                ))
-        total_bits += k * cycle_bits
-        charge(cycle_link_bits, k)
-        COUNTERS.increment("engine.fast_forward")
-        COUNTERS.increment("engine.fast_forward_rounds", k)
-        if tracer is not None:
-            tracer.cycle_fast_forward(
-                start_round=round_no,
-                repeats=k,
-                end_round=round_no + k,
-                sends=tuple(
-                    (src, dst, tag, kind, bits)
-                    for src, dst, tag, kind, bits, _meta in signature
-                ),
-            )
-        round_no += k
-        last_send_round = round_no
+        settled = ()
+        if steady or dormant:
+            # The receivers of the nodes that changed this round: what
+            # they get next round may change.
+            touched = set()
+            for nd in changing:
+                for blk in nd.before:
+                    touched.add(blk.dst)
+                for blk in nd.last:
+                    touched.add(blk.dst)
+            had_dormant = dormant > 0
+            if steady:
+                pool = [nd for nd in steady if nd.name not in touched] \
+                    if touched else steady
+                if pool:
+                    settled = _settle(pool, steady, touched, round_no,
+                                      max_rounds, finish_targets, nodes)
+                    dormant += len(settled)
+                    for nd in settled:
+                        heappush(wakes, (nd.wake, next(serial), nd))
+                        del receivers[nd.name]
+                        if nd.last:
+                            steady_senders += 1
+                            registering.append(nd)
+                if len(settled) < len(steady) and had_dormant:
+                    # A steady node left awake steps on like a changing one.
+                    for nd in steady:
+                        if not nd.wake:
+                            for blk in nd.last:
+                                touched.add(blk.dst)
+            if had_dormant:
+                # A node that stepped without settling may change what its
+                # receivers get from the next round on: wake them for it.
+                soon = round_no + 1
+                for name in touched:
+                    nd = nodes.get(name)
+                    if nd is not None and nd.wake > soon:
+                        nd.wake = soon
+                        heappush(wakes, (soon, next(serial), nd))
+        if finished:
+            finish_targets = set()
+            for nd in finished:
+                nd.wake = -1
+                for blk in nd.last:
+                    finish_targets.add(blk.dst)
+                nd.last = nd.before = ()
+                del receivers[nd.name]
+        elif finish_targets:
+            finish_targets = set()
+        if settled or finished:
+            awake = [nd for nd in awake if not nd.wake]
+
+        if not awake and steady_senders:
+            # Every running node is dormant and some send: nothing changes
+            # before the earliest wake, so skip the rounds in between.
+            while wakes[0][2].wake != wakes[0][0]:
+                heappop(wakes)  # stale
+            target = min(wakes[0][0], max_rounds + 1) - 1
+            if target > round_no:
+                k = target - round_no
+                COUNTERS.increment("engine.fast_forward")
+                COUNTERS.increment("engine.fast_forward_rounds", k)
+                if tracer is not None:
+                    tracer.cycle_fast_forward(
+                        start_round=round_no,
+                        repeats=k,
+                        end_round=target,
+                        sends=tuple(
+                            (blk.src, blk.dst, blk.tag, blk.kind, blk.bits)
+                            for nd in live for blk in nd.last
+                        ),
+                    )
+                round_no = target
+                last_send_round = target
 
     return SimulationResult(
         rounds=last_send_round,

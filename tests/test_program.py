@@ -39,7 +39,13 @@ from repro.network.simulator import (
     Simulator,
 )
 from repro.obs.counters import COUNTERS, counter_delta, deterministic_view
-from repro.obs.trace import CycleFastForwardEvent, RecordingTracer, SendEvent
+from repro.obs.trace import (
+    CycleFastForwardEvent,
+    PhaseTimerEvent,
+    RecordingTracer,
+    SendEvent,
+    event_to_json_dict,
+)
 from repro.pipeline import build_assignment, build_query, build_topology
 from repro.protocols import (
     compile_plan,
@@ -148,35 +154,37 @@ def test_engine_parity_with_relayed_final_phase():
     _assert_parity(gen, comp, spec.label)
 
 
+def _assert_same_result(fast, slow):
+    """Every field equal — outputs included — and the per-edge map and
+    the outputs in the same key order."""
+    assert fast == slow
+    assert list(fast.bits_per_edge.items()) == list(slow.bits_per_edge.items())
+    assert list(fast.outputs) == list(slow.outputs)
+
+
+def _run_plan(spec, fast_forward):
+    built = build_query(spec)
+    topology = build_topology(spec)
+    assignment = build_assignment(spec, built, topology) or assign_round_robin(
+        built.query, topology
+    )
+    plan = compile_plan(built.query, topology, assignment)
+    return run_program(
+        topology, plan.capacity_bits,
+        compile_round_programs(plan, built.query, topology),
+        fast_forward=fast_forward,
+    )
+
+
 def test_fast_forward_is_accounting_neutral():
-    """Cycle jumps change wall-clock only: stepping every round must give
-    byte-identical results."""
+    """Dormant nodes and skipped rounds change wall-clock only: stepping
+    every node every round must give byte-identical results."""
     spec = ScenarioSpec(
         family="ffwd", query="hard-star", query_params={"arms": 4},
         topology="line", topology_params={"n": 4}, n=256,
         assignment="worst-case", seed=DEFAULT_SEED,
     )
-    built = build_query(spec)
-    topology = build_topology(spec)
-    assignment = build_assignment(spec, built, topology)
-    plan = compile_plan(built.query, topology, assignment)
-    fast = run_program(
-        topology, plan.capacity_bits,
-        compile_round_programs(plan, built.query, topology),
-        fast_forward=True,
-    )
-    slow = run_program(
-        topology, plan.capacity_bits,
-        compile_round_programs(plan, built.query, topology),
-        fast_forward=False,
-    )
-    assert fast.rounds == slow.rounds
-    assert fast.total_bits == slow.total_bits
-    assert fast.bits_per_edge == slow.bits_per_edge
-    assert fast.max_edge_bits_per_round == slow.max_edge_bits_per_round
-    assert (
-        fast.output_of(plan.output_player) == slow.output_of(plan.output_player)
-    )
+    _assert_same_result(_run_plan(spec, True), _run_plan(spec, False))
 
 
 def test_engine_parity_planner_reports():
@@ -279,6 +287,53 @@ def test_compiled_deadlock_names_blocked_nodes():
         run_program(topology, 8, programs, max_rounds=100)
     assert topology.nodes[0] in err.value.blocked
     assert "convergecast:stuck" in str(err.value)
+
+
+def _line_programs(case):
+    """Programs on ``line(3)`` that stop the engine: a 500-item broadcast
+    cut by ``max_rounds`` while its nodes stream steadily, or a
+    convergecast whose child first takes a broadcast and then waits on
+    one nobody sends, so the run deadlocks after its nodes fell silent."""
+    topology = Topology.line(3)
+    root, mid, leaf = topology.nodes
+    if case == "max_rounds":
+        return topology, {
+            root: NodeProgram(root, [BroadcastOp(
+                "bc", None, [mid], per_item=8, root_count_fn=lambda: 500)]),
+            mid: NodeProgram(mid, [BroadcastOp("bc", root, [leaf], per_item=8)]),
+            leaf: NodeProgram(leaf, [BroadcastOp("bc", mid, [], per_item=8)]),
+        }
+    top = ConvergecastOp("cc", None, [mid], per_slot=4)
+    top.configure(3)
+    child = ConvergecastOp("cc", root, [], per_slot=4)
+    child.configure(3)
+    return topology, {
+        root: NodeProgram(root, [BroadcastOp(
+            "x", None, [mid], per_item=8, root_count_fn=lambda: 40), top]),
+        mid: NodeProgram(mid, [
+            BroadcastOp("x", root, [], per_item=8),
+            BroadcastOp("never", leaf, [], per_item=8),
+            child,
+        ]),
+    }
+
+
+@pytest.mark.parametrize("case", ["max_rounds", "deadlock"])
+def test_errors_do_not_depend_on_dormancy(case):
+    """Dormant nodes are caught up before they are described: the error
+    — its round and its blocked map — is the same as when every node
+    steps every round."""
+    errors = []
+    for fast_forward in (True, False):
+        topology, programs = _line_programs(case)
+        with pytest.raises(SimulationError) as err:
+            run_program(topology, 8, programs, max_rounds=200,
+                        fast_forward=fast_forward)
+        errors.append((str(err.value), err.value.blocked))
+    assert errors[0] == errors[1]
+    assert errors[0][0].startswith(
+        "exceeded max_rounds=200" if case == "max_rounds"
+        else "deadlock at round 46")
 
 
 def test_program_output_via_compute_step():
@@ -567,6 +622,29 @@ def test_broadcast_horizon_stops_before_a_draining_backlog_runs_out():
     assert (op.received, op.sent) == (500 + 5 * 32, [200 + 5 * 32])
 
 
+def test_broadcast_horizon_stops_before_the_header_completes():
+    """The frame that completes a broadcast's 32-bit count header
+    carries the count in ``meta``, so it repeats nothing: a root 24 bits
+    into its header at 12 bits a round may not settle, however long its
+    stream.  (A child that does not know the count yet declines too, but
+    a node settles on its own horizon alone.)"""
+    topology = Topology.line(2)
+    root, child = topology.nodes
+    op = BroadcastOp("bc", None, [child], per_item=8,
+                     root_count_fn=lambda: 100)
+    ctx = ProgramContext(root, topology, 12)
+    op.start(ctx)
+    for round_no in (1, 2):
+        ctx._begin_round(round_no)
+        op.step(ctx)
+    assert op.sent == [24]
+    assert [blk.meta for blk in ctx._outbox] == [None, None]
+    assert op.cycle_horizon() == 0
+    ctx._begin_round(3)
+    op.step(ctx)
+    assert ctx._outbox[-1].meta == 100
+
+
 # ---------------------------------------------------------------------------
 # One way to charge a round
 # ---------------------------------------------------------------------------
@@ -800,19 +878,30 @@ def _undirected(bits_per_edge):
     return edges
 
 
+def _trace_digest(events):
+    """sha256 over a run's trace events in emission order, leaving out
+    ``PhaseTimerEvent`` (it carries wall-clock seconds)."""
+    payload = [
+        event_to_json_dict(event) for event in events
+        if not isinstance(event, PhaseTimerEvent)
+    ]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
 def engine_golden_record(name):
     """What ``engine_results.json`` holds for one case (also its
-    generator): the compiled run's accounting, its jump counters, and
-    the per-edge maps in insertion order."""
+    generator): the compiled run's accounting, its jump counters, the
+    per-edge maps in insertion order and a digest of its trace."""
     spec = ENGINE_CASES[name]
     built = build_query(spec)
     topology = build_topology(spec)
     assignment = build_assignment(spec, built, topology) or assign_round_robin(
         built.query, topology
     )
+    tracer = RecordingTracer()
     before = COUNTERS.snapshot()
     sim = run_distributed_faq(
-        built.query, topology, assignment, engine="compiled"
+        built.query, topology, assignment, engine="compiled", tracer=tracer,
     ).simulation
     delta = counter_delta(before, COUNTERS.snapshot())
     return {
@@ -824,6 +913,7 @@ def engine_golden_record(name):
         "fast_forward_rounds": delta.get("engine.fast_forward_rounds", 0),
         "edge_maps_sha256": _ordered_digest(
             _undirected(sim.bits_per_edge), sim.bits_per_edge),
+        "trace_sha256": _trace_digest(tracer.events),
     }
 
 
@@ -844,6 +934,32 @@ def test_engine_result_matches_golden(name, engine_golden):
     order*, as the engine produced them before its round loop
     was last optimized (regenerate: ``tests/golden/README.md``)."""
     assert engine_golden_record(name) == engine_golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_fast_forward_is_accounting_neutral_on_engine_cases(name):
+    """The same on every pinned case: forty fuzz scenarios and the
+    ledger's ``wide-expander`` shape."""
+    spec = ENGINE_CASES[name]
+    _assert_same_result(_run_plan(spec, True), _run_plan(spec, False))
+
+
+def test_only_changing_nodes_step(monkeypatch):
+    """The node-steps of ``wide-expander-N96`` (108 rounds, 64 nodes),
+    pinned: a node steps only while it changes, or while a node sending
+    to it does.  Stepping the whole network in every round that is not
+    jumped took 2,209."""
+    steps = []
+    step_round = NodeProgram.step_round
+
+    def counted(program, ctx):
+        steps.append(program.node)
+        return step_round(program, ctx)
+
+    monkeypatch.setattr(NodeProgram, "step_round", counted)
+    result = _run_plan(ENGINE_CASES["wide-expander-N96"], True)
+    assert result.rounds == 108
+    assert len(steps) == 701
 
 
 # ---------------------------------------------------------------------------
