@@ -9,6 +9,13 @@ the gap scales), not absolute constants.
 import pytest
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--quick", action="store_true",
+        help="bench_materialize.py: check rows only, time nothing",
+    )
+
+
 def print_banner(title: str) -> None:
     print("\n" + "=" * 78)
     print(title)

@@ -16,6 +16,7 @@ computed right-to-left over the bound-variable order.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import operator
 from dataclasses import dataclass, field
@@ -132,6 +133,8 @@ class FAQQuery:
                     "bound_order must list exactly the bound variables; "
                     f"got {self.bound_order}, expected {sorted(self.bound_vars, key=str)}"
                 )
+        # What was normalized and validated above, for :meth:`with_backend`.
+        self._validated = self._conversion_inputs()
 
     # ------------------------------------------------------------------
     # Derived structure
@@ -189,27 +192,42 @@ class FAQQuery:
         ``None`` leaves factor storage untouched.  Returns ``self`` when
         the backend already matches.
 
-        The converted (and validated) query is built once per backend and
-        kept on this instance, so it lives exactly as long as the query
-        it was converted from; every later call returns that same object,
-        which callers share read-only.  Each call first checks, by
+        The converted query is built once per backend and kept on this
+        instance, so it lives exactly as long as the query it was
+        converted from; every later call returns that same object, which
+        callers share read-only.  Each call first checks, by
         identity and in O(k + |V|), that every field still holds what was
         converted: a caller who has since replaced, added or removed a
         factor (or a domain, or any other field) gets a fresh conversion,
         never a stale one.  Rows edited *inside* a factor are not seen —
         a factor handed to a query is immutable by convention.
+
+        Conversion keeps every row, so while the fields hold what
+        construction validated, the conversion is not validated again;
+        after a change it is built and validated as a fresh query.
         """
         if backend == self.backend:
             return self
         inputs = self._conversion_inputs()
         kept = self._converted.get(backend)
-        if (
-            kept is not None
-            and len(kept[0]) == len(inputs)
-            and all(map(operator.is_, kept[0], inputs))
-        ):
+        if kept is not None and _same_objects(kept[0], inputs):
             return kept[1]
-        converted = dataclasses.replace(self, backend=backend)
+        if not _same_objects(self._validated, inputs):
+            converted = dataclasses.replace(self, backend=backend)
+        else:
+            # Storage only: the fields construction normalized and
+            # validated, over fresh containers.
+            converted = copy.copy(self)
+            converted.__dict__.update(
+                backend=None if backend is None else validate_backend(backend),
+                factors={
+                    n: f if backend is None else to_backend(f, backend)
+                    for n, f in self.factors.items()
+                },
+                domains=dict(self.domains),
+                aggregates=dict(self.aggregates),
+                _converted={},
+            )
         self._converted[backend] = (inputs, converted)
         return converted
 
@@ -279,7 +297,10 @@ class FAQQuery:
         # One set per distinct domain tuple, not per (factor, variable).
         # Keyed on id(): every key is a value of ``self.domains``, which
         # holds it for the whole call, so no id can be reused under us.
-        domain_sets = {id(dom): set(dom) for dom in self.domains.values()}
+        domain_sets: Dict[int, set] = {}
+        for dom in self.domains.values():
+            if id(dom) not in domain_sets:
+                domain_sets[id(dom)] = set(dom)
         for name, factor in self.factors.items():
             for var in factor.schema:
                 dom = domain_sets[id(self.domains[var])]
@@ -306,6 +327,11 @@ class FAQQuery:
             f"<{label} k={self.num_relations} N={self.max_factor_size} "
             f"free={self.free_vars} semiring={self.semiring.name}>"
         )
+
+
+def _same_objects(a: Tuple[Any, ...], b: Tuple[Any, ...]) -> bool:
+    """Element-wise identity of two flat tuples."""
+    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ class ScenarioSpec:
         n: Instance size N (TRIBES universe / relation listing size).
         domain_size: Domain size for the random-instance families.
         semiring: Semiring name from ``BUILTIN_SEMIRINGS``.
-        backend: Factor storage backend (``None`` keeps the query's own,
-            "dict" / "columnar" normalize it).
+        backend: Factor storage backend, "dict" or "columnar"; ``None``
+            (reported as "native") runs the dict plane.
         assignment: Relation->player policy from :data:`ASSIGNMENTS`.
         seed: Master seed.  **Required** — the lab rejects ``seed=None``
             (seedless scenarios are irreproducible by construction).

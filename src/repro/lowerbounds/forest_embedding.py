@@ -13,12 +13,13 @@ The embedding capacity ``|O| >= y(H)/2`` drives the Lemma 4.4 bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..hypergraph import Hypergraph, is_acyclic
-from ..semiring import BOOLEAN, Factor
+from ..semiring import BOOLEAN, ColumnarFactor, Factor
 from .tribes import TribesInstance
 
 
@@ -146,8 +147,8 @@ def embed_tribes_in_forest(
         t_edge = edge_between(o, op)
         schema_s = _ordered_schema(hypergraph, s_edge)
         schema_t = _ordered_schema(hypergraph, t_edge)
-        factors[s_edge] = _planted_factor(schema_s, o, sorted(s_set), filler, s_edge)
-        factors[t_edge] = _planted_factor(schema_t, o, sorted(t_set), filler, t_edge)
+        factors[s_edge] = _planted_factor(schema_s, o, _sorted(s_set), filler, s_edge)
+        factors[t_edge] = _planted_factor(schema_t, o, _sorted(t_set), filler, t_edge)
         planted_edges.update((s_edge, t_edge))
         s_edges.append(s_edge)
         t_edges.append(t_edge)
@@ -162,11 +163,11 @@ def embed_tribes_in_forest(
             # Free the O-coordinate ([N]), pin the rest to the filler.
             o = touching[0]
             factors[name] = _planted_factor(
-                schema, o, list(range(n)), filler, name
+                schema, o, np.arange(n), filler, name
             )
         else:
-            factors[name] = Factor.from_tuples(
-                schema, [tuple(filler for _ in schema)], BOOLEAN, name
+            factors[name] = _planted_factor(
+                schema, schema[0], [filler], filler, name
             )
     return ForestEmbedding(
         hypergraph=hypergraph,
@@ -183,23 +184,31 @@ def _ordered_schema(hypergraph: Hypergraph, edge_name: str) -> Tuple[str, ...]:
     return tuple(sorted(hypergraph.edge(edge_name), key=str))
 
 
+def _sorted(values: frozenset) -> np.ndarray:
+    """A TRIBES set (ints of ``[N]``) as a sorted array."""
+    return np.sort(np.fromiter(values, dtype=np.int64, count=len(values)))
+
+
 def _planted_factor(
     schema: Tuple[str, ...],
     free_var: str,
-    values: List,
+    values: Sequence,
     filler,
     name: str,
-) -> Factor:
+) -> ColumnarFactor:
     """``values x {filler}``: the free coordinate ranges over ``values``.
 
-    Built without :class:`Factor`'s per-row canonicalisation — every row
-    has the schema's arity by construction, ``one`` is not the zero, and
-    ``dict.fromkeys`` keeps first occurrences in order, which is what
-    combining Boolean duplicates amounts to — so the result equals
-    ``Factor.from_tuples`` on the same tuples, row order included.
+    Built columnar from the values, with no row tuples: a repeated
+    value keeps its first occurrence (combining Boolean duplicates), so
+    this is ``ColumnarFactor.from_factor(Factor.from_tuples(...))`` of
+    the same tuples, row order included.  The embedding's values are
+    sorted and distinct, so it never dedupes.
     """
-    columns: List = [itertools.repeat(filler)] * len(schema)
+    values = np.asarray(values)
+    if len(values) > 1 and not (values[1:] > values[:-1]).all():
+        values = np.asarray(list(dict.fromkeys(values.tolist())))
+    columns = [np.full(len(values), filler)] * len(schema)
     columns[schema.index(free_var)] = values
-    out = Factor(schema, semiring=BOOLEAN, name=name)
-    out.rows = dict.fromkeys(zip(*columns), BOOLEAN.one)
-    return out
+    return ColumnarFactor.from_columns(
+        schema, columns, np.ones(len(values), dtype=bool), BOOLEAN, name
+    )

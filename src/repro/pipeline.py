@@ -41,7 +41,7 @@ from .lowerbounds import embed_tribes_in_forest, embedding_capacity, hard_tribes
 from .network.topology import Topology
 from .obs.trace import Tracer
 from .protocols.faq_protocol import ProtocolPlan
-from .semiring import Factor, get_semiring
+from .semiring import BACKEND_DICT, Factor, get_semiring
 from .workloads import random_instance, random_query_structure, spawn_seeds
 
 if TYPE_CHECKING:
@@ -358,7 +358,9 @@ def plan_scenario(
     """The spec's planner — over the identity's backend-converted
     query, which :meth:`FAQQuery.with_backend` builds on the first call
     and every later plane shares read-only — and its compiled protocol
-    plan (pass it to ``planner.execute(plan=...)``).
+    plan (pass it to ``planner.execute(plan=...)``).  A spec without a
+    backend runs the dict plane: the family builders store relations
+    columnar, and the dict factors are decoded from them on demand.
 
     The conversion fires no counter and does not read the kernel tier
     (so the plane that pays for it cannot be told from the others);
@@ -368,8 +370,8 @@ def plan_scenario(
     built, topology, assignment = materialize_scenario(spec)
     planner = Planner(
         built.query, topology, assignment=assignment,
-        backend=spec.backend, engine=spec.engine, solver=spec.solver,
-        tracer=tracer,
+        backend=spec.backend or BACKEND_DICT, engine=spec.engine,
+        solver=spec.solver, tracer=tracer,
     )
     plan = _PLAN_MEMO.get_or_compute(
         identity_key(spec), planner.compile_protocol_plan

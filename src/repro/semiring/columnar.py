@@ -23,8 +23,9 @@ integer annotation would overflow ``int64``); callers then fall back to
 the generic dict path, which is always correct.
 
 Row tuples inside a :class:`ColumnarFactor` are unique (the kernels only
-ever produce unique rows from unique inputs, and every constructor goes
-through the canonicalizing :class:`Factor` dict first), and annotations
+ever produce unique rows from unique inputs, the constructors go through
+the canonicalizing :class:`Factor` dict first, and ``from_columns``
+callers hand over canonical listings), and annotations
 never equal the semiring zero — the same canonical listing representation
 the dict backend maintains.
 """
@@ -70,7 +71,8 @@ class ColumnarFactor(Factor):
     :class:`Factor` (rows are canonicalized through the dict representation
     first, then encoded), so the inherited ``from_tuples`` /
     ``constant_one`` classmethods work unchanged.  Use
-    :meth:`from_factor` to convert an existing factor and
+    :meth:`from_factor` to convert an existing factor,
+    :meth:`from_columns` to encode a canonical listing with no dict, and
     :meth:`_from_arrays` (internal) to wrap pre-built arrays.
 
     The exposed ``codes`` / ``dictionaries`` / ``values`` buffers are
@@ -92,9 +94,11 @@ class ColumnarFactor(Factor):
         semiring: Semiring = BOOLEAN,
         name: str | None = None,
     ) -> None:
-        base = Factor(schema, rows, semiring, name)
-        codes, dicts, values = _encode(base, profile_for(semiring))
-        self._adopt(base.schema, codes, dicts, values, semiring, base.name)
+        base = ColumnarFactor.from_factor(Factor(schema, rows, semiring, name))
+        self._adopt(
+            base.schema, base._codes, base._dicts, base._values, semiring,
+            base.name,
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -104,10 +108,26 @@ class ColumnarFactor(Factor):
         """Encode any factor columnar (identity on columnar inputs)."""
         if isinstance(factor, ColumnarFactor):
             return factor
-        codes, dicts, values = _encode(factor, profile_for(factor.semiring))
-        return cls._from_arrays(
-            factor.schema, codes, dicts, values, factor.semiring, factor.name
+        return cls.from_columns(
+            factor.schema, _transpose(list(factor.rows), len(factor.schema)),
+            list(factor.rows.values()), factor.semiring, factor.name,
         )
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Sequence[str],
+        columns: Sequence[Sequence[Any]],
+        values: Sequence[Any],
+        semiring: Semiring = BOOLEAN,
+        name: str | None = None,
+    ) -> "ColumnarFactor":
+        """Rows ``zip(*columns)`` annotated ``values``, encoded without a
+        dict: exactly :meth:`from_factor` of that listing, which must be
+        canonical already (distinct rows, no zero annotation)."""
+        values = np.asarray(values, dtype=profile_for(semiring).dtype)
+        codes, dicts = _encode_columns(columns, len(values))
+        return cls._from_arrays(schema, codes, dicts, values, semiring, name)
 
     @classmethod
     def _from_arrays(
@@ -293,7 +313,8 @@ _EXACT_KINDS = {int: "iu", bool: "b", str: "U", float: "f"}
 def dictionary_array(values: Sequence[Any]) -> Optional[np.ndarray]:
     """The exact-round-trip array view of a dictionary or column, or ``None``.
 
-    An encoder-built :class:`Dictionary` carries its array.  Anything
+    An encoder-built :class:`Dictionary` carries its array, and a 1-D
+    array of an exact kind is its own view.  Anything
     else must hold one element type with an exact NumPy mapping; ``None``
     when it does not, when the conversion promoted (``int`` -> float64),
     when it holds floats that break dictionary-key semantics (NaN:
@@ -304,16 +325,21 @@ def dictionary_array(values: Sequence[Any]) -> Optional[np.ndarray]:
     arr = getattr(values, "array", None)
     if arr is not None:
         return arr
-    elem_types = set(map(type, values))
-    if len(elem_types) != 1:
-        return None
-    kinds = _EXACT_KINDS.get(elem_types.pop())
-    if kinds is None:
-        return None
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError, OverflowError):
-        return None
+    if isinstance(values, np.ndarray):
+        # Already typed: its elements are NumPy scalars, so the dtype
+        # kind, not the element type, says whether it round-trips.
+        arr, kinds = values, "iubfU"
+    else:
+        elem_types = set(map(type, values))
+        if len(elem_types) != 1:
+            return None
+        kinds = _EXACT_KINDS.get(elem_types.pop())
+        if kinds is None:
+            return None
+        try:
+            arr = np.asarray(values)
+        except (TypeError, ValueError, OverflowError):
+            return None
     if arr.ndim != 1 or arr.dtype.kind not in kinds:
         return None
     if arr.dtype.kind == "f" and (
@@ -357,15 +383,14 @@ def _encode_column(col: Sequence[Any], n: int):
     return codes, dictionary
 
 
-def _encode_rows(schema_len: int, rows: List[Tuple]):
-    """Dictionary-encode row tuples into per-column (codes, dictionary)."""
-    n = len(rows)
-    if n == 0 or schema_len == 0:
+def _encode_columns(columns: Sequence[Sequence[Any]], n: int):
+    """Dictionary-encode ``n`` rows given column-wise into per-column
+    (codes, dictionary)."""
+    if n == 0:
         return (
-            [np.empty(n, dtype=np.int64) for _ in range(schema_len)],
-            [[] for _ in range(schema_len)],
+            [np.empty(0, dtype=np.int64) for _ in columns],
+            [[] for _ in columns],
         )
-    columns = list(zip(*rows))
     codes: List[np.ndarray] = []
     dicts: List[List[Any]] = []
     for col in columns:
@@ -375,12 +400,9 @@ def _encode_rows(schema_len: int, rows: List[Tuple]):
     return codes, dicts
 
 
-def _encode(factor: Factor, profile: VectorProfile):
-    """Dictionary-encode a dict-backed factor into columnar arrays."""
-    rows = list(factor.rows)
-    codes, dicts = _encode_rows(len(factor.schema), rows)
-    values = np.array(list(factor.rows.values()), dtype=profile.dtype)
-    return codes, dicts, values
+def _transpose(rows: List[Tuple], width: int) -> List[Sequence[Any]]:
+    """Row tuples as ``width`` columns."""
+    return list(zip(*rows)) if rows else [()] * width
 
 
 def merge_dictionaries(left_dict: List[Any], right_dict: List[Any]):
@@ -543,7 +565,7 @@ class WireBlock:
         """Dictionary-encode plain row tuples."""
         schema = tuple(schema)
         rows = list(rows)
-        codes, dicts = _encode_rows(len(schema), rows)
+        codes, dicts = _encode_columns(_transpose(rows, len(schema)), len(rows))
         return cls(schema, codes, dicts)
 
     def __len__(self) -> int:

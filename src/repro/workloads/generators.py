@@ -8,12 +8,19 @@ the MPC comparison (Appendix A.1.2).
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import random
 import warnings
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..hypergraph import Hypergraph
-from ..semiring import BOOLEAN, Factor, Semiring
+from ..semiring import BOOLEAN, ColumnarFactor, Factor, Semiring
+from ..semiring.backend import profile_for, supports_columnar
+from ..semiring.columnar import dictionary_array
 
 #: Seed space for derived child seeds.  Kept at 2**30 so seeds survive a
 #: JSON round-trip on every platform and stay comfortably inside the
@@ -192,6 +199,144 @@ def random_query_structure(
 # ---------------------------------------------------------------------------
 
 
+def _attempts(
+    rng: random.Random, bounds: Sequence[int], count: int
+) -> Iterator[np.ndarray]:
+    """``[rng.randrange(b) for b in bounds]``, attempt after attempt, in
+    batches of ``(attempts, len(bounds))`` arrays drawn in bulk, the
+    first sized for about ``count`` attempts.
+
+    ``randrange(n)`` (so ``choice`` and ``randint`` too) takes one
+    32-bit word per try, keeps its top ``n.bit_length()`` bits and tries
+    again while they are ``>= n``; ``getrandbits(32 * m)`` is the next
+    ``m`` words, least significant first.  Each batch continues where
+    the last attempt of the one before ended; the words past the last
+    attempt a caller takes are lost, so callers own ``rng``.
+    """
+    per_attempt = sum((1 << b.bit_length()) / b for b in bounds)
+    words = np.empty(0, dtype=np.uint32)
+    while True:
+        fresh = int(count * per_attempt * 1.1) + 64
+        data = rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little")
+        words = np.concatenate([words, np.frombuffer(data, dtype="<u4")])
+        if len(set(bounds)) == 1:
+            # One test for every try: attempt i is accepted words
+            # r·i .. r·i + r - 1.
+            top = words >> (32 - bounds[0].bit_length())
+            accepted = np.flatnonzero(top < bounds[0])
+            r = len(bounds)
+            taken = accepted[: len(accepted) // r * r]
+            yield top[taken].reshape(-1, r).astype(np.int64)
+            used = int(taken[-1]) + 1 if len(taken) else 0
+        else:
+            tops = [(words >> (32 - b.bit_length())).tolist() for b in bounds]
+            drawn, row, used = [], [], 0
+            for at, tries in enumerate(zip(*tops)):
+                j = len(row)
+                if tries[j] < bounds[j]:
+                    row.append(tries[j])
+                    if len(row) == len(bounds):
+                        drawn.append(row)
+                        row, used = [], at + 1
+            yield np.array(drawn, dtype=np.int64).reshape(-1, len(bounds))
+        words = words[used:]
+
+
+def _first_attempts(
+    rng: random.Random, bounds: Sequence[int], count: int
+) -> np.ndarray:
+    """The first ``count`` attempts of :func:`_attempts`."""
+    batches = _attempts(rng, bounds, count)
+    drawn = [next(batches)]
+    while sum(map(len, drawn)) < count:
+        drawn.append(next(batches))
+    return np.concatenate(drawn)[:count]
+
+
+def _exact_view(domain: Sequence[Any]) -> Optional[np.ndarray]:
+    """The array whose ``tolist()`` is ``domain``, value types included,
+    or ``None`` (always for an array: its elements are NumPy scalars)."""
+    return None if isinstance(domain, np.ndarray) else dictionary_array(domain)
+
+
+def _random_rows(
+    rng: random.Random,
+    schema: Tuple[str, ...],
+    domains: Mapping[str, Sequence[Any]],
+    size: int,
+) -> List[Tuple[Any, ...]]:
+    """Up to ``size`` distinct uniform tuples, in the order of the set
+    the reference loop builds::
+
+        while len(rows) < target:
+            rows.add(tuple(rng.choice(domains[v]) for v in schema))
+
+    from the same draws: adding ``target - len(rows)`` attempts at a
+    time never overshoots, so the set takes exactly its attempts.
+    """
+    columns = [domains[v] for v in schema]
+    capacity = math.prod(len(c) for c in columns)
+    target = min(size, capacity)
+    if target == 0 or not columns:
+        return [()] * target
+    # Expected attempts to see ``target`` of ``capacity`` rows.
+    expected = capacity * (
+        -math.log1p(-target / capacity) if target < capacity
+        else math.log(capacity) + 1
+    )
+    views = [_exact_view(c) for c in columns]
+    batches = _attempts(rng, [len(c) for c in columns], int(expected))
+    rows: set = set()
+    while len(rows) < target:
+        indices = next(batches)
+        tuples = zip(*(
+            view[idx].tolist() if view is not None
+            else [column[i] for i in idx.tolist()]
+            for column, view, idx in zip(columns, views, indices.T)
+        ))
+        left = len(indices)
+        while left and len(rows) < target:
+            take = min(left, target - len(rows))
+            rows.update(itertools.islice(tuples, take))
+            left -= take
+    return list(rows)
+
+
+#: Domain dtypes a column is read into directly: as the encoder would
+#: read the same values from a list.
+_COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_))
+
+
+def _listing(
+    schema: Tuple[str, ...],
+    domains: Mapping[str, Sequence[Any]],
+    rows: List[Tuple[Any, ...]],
+    values: np.ndarray,
+    semiring: Semiring,
+    name: Optional[str],
+) -> Factor:
+    """``rows`` annotated ``values``: columnar when the semiring's
+    vector dtype is ``values``' own (so annotations decode as drawn),
+    dict-backed otherwise; zero annotations dropped, as
+    :class:`Factor`'s constructor drops them."""
+    if not (supports_columnar(semiring)
+            and values.dtype == profile_for(semiring).dtype):
+        return Factor(schema, zip(rows, values.tolist()), semiring, name)
+    zero = profile_for(semiring).is_zero_mask(values)
+    if zero.any():
+        rows = [row for row, drop in zip(rows, zero.tolist()) if not drop]
+        values = values[~zero]
+    columns = []
+    for j, v in enumerate(schema):
+        column = map(operator.itemgetter(j), rows)
+        view = _exact_view(domains[v])
+        if view is not None and view.dtype in _COLUMN_DTYPES:
+            columns.append(np.fromiter(column, view.dtype, len(rows)))
+        else:
+            columns.append(list(column))
+    return ColumnarFactor.from_columns(schema, columns, values, semiring, name)
+
+
 def random_relation(
     schema: Sequence[str],
     domains: Mapping[str, Sequence[Any]],
@@ -200,18 +345,18 @@ def random_relation(
     semiring: Semiring = BOOLEAN,
     name: Optional[str] = None,
 ) -> Factor:
-    """A uniform random relation of (up to) ``size`` distinct tuples."""
-    rng = make_rng(seed)
+    """A uniform random relation of (up to) ``size`` distinct tuples.
+
+    Columnar (:class:`~repro.semiring.ColumnarFactor`) over the
+    semirings that have a vector profile, dict-backed over the others.
+    """
     schema = tuple(schema)
-    tuples = set()
-    capacity = 1
-    for v in schema:
-        capacity *= len(domains[v])
-    target = min(size, capacity)
-    columns = [list(domains[v]) for v in schema]
-    while len(tuples) < target:
-        tuples.add(tuple(rng.choice(column) for column in columns))
-    return Factor.from_tuples(schema, tuples, semiring, name)
+    rows = _random_rows(make_rng(seed), schema, domains, size)
+    dtype = profile_for(semiring).dtype if supports_columnar(semiring) else object
+    return _listing(
+        schema, domains, rows, np.full(len(rows), semiring.one, dtype),
+        semiring, name,
+    )
 
 
 def random_weighted_relation(
@@ -234,14 +379,21 @@ def random_weighted_relation(
     regardless of reduction order.  The differential fuzz plane requires
     this — with uniform doubles, dict and columnar marginalization would
     legitimately differ in the last ulp and parity would be noise.
+
+    The tuples are :func:`random_relation`'s under a child seed; the
+    annotations follow in its row order (``exact`` ones are
+    ``float(rng.randint(1, 8))`` per row, drawn in bulk).
     """
     rng = make_rng(seed)
-    base = random_relation(schema, domains, size, seed=rng.randrange(2**30))
+    schema = tuple(schema)
+    rows = _random_rows(
+        make_rng(rng.randrange(2**30)), schema, domains, size
+    )
     if exact:
-        rows = {t: float(rng.randint(1, 8)) for t in base.tuples()}
+        weights = 1.0 + _first_attempts(rng, [8], len(rows))[:, 0]
     else:
-        rows = {t: rng.uniform(low, high) for t in base.tuples()}
-    return Factor(base.schema, rows, semiring, name)
+        weights = np.array([rng.uniform(low, high) for _ in rows], dtype=float)
+    return _listing(schema, domains, rows, weights, semiring, name)
 
 
 def matching_relation(

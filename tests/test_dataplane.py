@@ -1,11 +1,13 @@
 """Convert once, check once: the shared data plane of a scenario.
 
-The relations of a scenario identity are built, domain-checked and
-dictionary-encoded when the identity is first materialized, and every
-later ``Planner(...)`` of that identity — the lab's axis planes, a serve
+The relations of a scenario identity are built columnar and
+domain-checked when the identity is first materialized, and every later
+``Planner(...)`` of that identity — the lab's axis planes, a serve
 registration, a warm call — shares the converted query read-only.  All
 of it is counted, never timed:
 
+* the columnar plane encodes and decodes no input relation, and the dict
+  plane decodes each once per identity;
 * a warm ``execute_scenario`` encodes nothing and scans no input
   relation; ``clear_all_memos()`` alone makes the next call cold again,
   and a suite run (which makes that call) does the same work every time;
@@ -17,6 +19,7 @@ of it is counted, never timed:
 """
 
 import json
+import operator
 import random
 
 import numpy as np
@@ -81,9 +84,9 @@ def input_relations(spec):
 
 @pytest.fixture
 def data_plane_work(monkeypatch):
-    """Record every dictionary encode and every active-domain scan, by
-    the factor it ran on."""
-    work = {"encodes": [], "domain_scans": []}
+    """Record every dictionary encode, every active-domain scan and
+    every row decode of a columnar factor, by the factor it ran on."""
+    work = {"encodes": [], "domain_scans": [], "decodes": []}
     encode = ColumnarFactor.from_factor.__func__
 
     def counting_encode(cls, factor):
@@ -102,15 +105,24 @@ def data_plane_work(monkeypatch):
             return _scan(self, var)
 
         monkeypatch.setattr(cls, "active_domain", counting_scan)
+    decode = ColumnarFactor.rows.fget
+
+    def counting_decode(self):
+        if self._rows_cache is None:
+            work["decodes"].append(self)
+        return decode(self)
+
+    monkeypatch.setattr(ColumnarFactor, "rows", property(counting_decode))
     return work
 
 
 def work_on(work, relations):
-    """``(encodes, domain scans)`` that ran on one of ``relations``."""
+    """``(encodes, domain scans, row decodes)`` that ran on one of
+    ``relations``."""
     ids = {id(f) for f in relations}
     return tuple(
         sum(id(f) in ids for f in work[kind])
-        for kind in ("encodes", "domain_scans")
+        for kind in ("encodes", "domain_scans", "decodes")
     )
 
 
@@ -127,15 +139,20 @@ def test_warm_call_encodes_and_scans_no_input_relation(make_spec, data_plane_wor
     relations = input_relations(spec)
     k = len(relations) // 2
     variables = sum(len(f.schema) for f in relations[:k])
-    # Each relation is encoded once, and domain-checked once per storage.
-    assert work_on(data_plane_work, relations) == (k, 2 * variables)
+    # Relations are born columnar: the columnar plane encodes none and
+    # decodes none, and each is domain-checked once, by the built query
+    # (its conversion keeps every row, so it is not checked again).
+    assert all(isinstance(f, ColumnarFactor) for f in relations)
+    assert all(map(operator.is_, relations[:k], relations[k:]))
+    assert work_on(data_plane_work, relations) == (0, variables, 0)
+    assert not data_plane_work["encodes"]
 
     for work in data_plane_work.values():
         work.clear()
     warm = execute_scenario(spec)
     # (The domain scans a warm call still makes are of what the protocol
     # computed: the residual query the output player solves.)
-    assert work_on(data_plane_work, relations) == (0, 0)
+    assert work_on(data_plane_work, relations) == (0, 0, 0)
     assert not data_plane_work["encodes"]
     assert warm.deterministic_record() == cold.deterministic_record()
 
@@ -144,8 +161,35 @@ def test_warm_call_encodes_and_scans_no_input_relation(make_spec, data_plane_wor
     again = execute_scenario(spec)
     rebuilt = input_relations(spec)
     assert not {id(f) for f in rebuilt} & {id(f) for f in relations}
-    assert work_on(data_plane_work, rebuilt) == (k, 2 * variables)
+    assert work_on(data_plane_work, rebuilt) == (0, variables, 0)
     assert again.deterministic_record() == cold.deterministic_record()
+
+
+@PIPELINE_SPECS
+def test_dict_plane_decodes_each_relation_once_per_identity(
+    make_spec, data_plane_work
+):
+    spec = make_spec(backend="dict")
+    make_cold()
+    cold = execute_scenario(spec)
+    built = list(materialize_scenario(spec)[0].query.factors.values())
+    variables = sum(len(f.schema) for f in built)
+    # The dict plane decodes every relation once and checks nothing
+    # again; its factors are the decoded ones.
+    assert work_on(data_plane_work, built) == (0, variables, len(built))
+    decoded = input_relations(spec)[len(built):]
+    assert all(type(f) is Factor for f in decoded)
+    assert [list(f.rows.items()) for f in decoded] == [
+        list(f.rows.items()) for f in built
+    ]
+
+    # Later planes of the identity, dict or columnar, decode nothing.
+    for plane in (spec, spec.with_(backend="columnar")):
+        for work in data_plane_work.values():
+            work.clear()
+        result = execute_scenario(plane)
+        assert work_on(data_plane_work, built) == (0, 0, 0)
+        assert result.answer_digest == cold.answer_digest
 
 
 def test_every_suite_run_starts_cold_and_hot_equals_cold():

@@ -557,6 +557,21 @@ def test_encode_column_rejects_promoted_huge_int_columns():
     assert dictionary_array([big, 5]) is None
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_, np.float64])
+def test_encode_column_reads_an_array_by_its_dtype(dtype):
+    # An array's elements are NumPy scalars, so an element-type check
+    # rejected every array and the loop stored NumPy scalars.
+    from repro.semiring.columnar import dictionary_array
+
+    col = np.array([5, 3, 5, 0], dtype=dtype)
+    assert dictionary_array(col) is col
+    codes, dictionary = _encode_column(col, len(col))
+    assert dictionary.array is not None  # the vectorized path ran
+    assert dictionary == sorted(set(col.tolist()))
+    assert {type(v) for v in dictionary} == {type(col.tolist()[0])}
+    assert [dictionary[c] for c in codes.tolist()] == col.tolist()
+
+
 def test_encode_column_float_guards_nan_and_negative_zero():
     codes, dictionary = _encode_column([1.0, float("nan"), 2.0], 3)
     assert getattr(dictionary, "array", None) is None  # generic loop ran

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ from repro.lowerbounds import (
 from repro.lowerbounds.forest_embedding import _planted_factor
 from repro.network import Topology
 from repro.pipeline import build_query
-from repro.semiring import BOOLEAN, Factor
+from repro.semiring import BOOLEAN, ColumnarFactor, Factor
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "topologies.json")
 
@@ -166,13 +167,19 @@ def test_forest_embedding_random_tribes_property(seed):
 
 
 def _same_listing(built, expected):
-    """Equal as listings: schema, row *order*, annotations and name."""
+    """Equal as listings: schema, row *order*, annotations and name —
+    and, columnar, the codes, dictionaries and values ``from_factor``
+    gives the expected listing."""
+    encoded = ColumnarFactor.from_factor(expected)
     return (
         built.schema == expected.schema
         and list(built.rows.items()) == list(expected.rows.items())
         and built.semiring is expected.semiring
         and built.name == expected.name
-        and type(built) is type(expected)
+        and type(built) is ColumnarFactor
+        and built.dictionaries == encoded.dictionaries
+        and all(map(np.array_equal, built.codes, encoded.codes))
+        and np.array_equal(built.values, encoded.values)
     )
 
 
@@ -183,9 +190,10 @@ def _same_listing(built, expected):
     st.integers(0, 3),
 )
 def test_planted_factor_equals_from_tuples(values, shape, filler):
-    """The direct build skips ``Factor.__init__``'s per-row loop; it must
-    still be the factor that loop produces — on the embedding's sorted
-    value sets and on any other list (repeats, the filler among them)."""
+    """The direct columnar build makes no row tuples; it must still be
+    the factor ``Factor.__init__``'s per-row loop produces, encoded — on
+    the embedding's sorted value sets and on any other list (repeats,
+    the filler among them)."""
     schema, free_var = shape
     idx = schema.index(free_var)
     tuples = [
