@@ -1,7 +1,7 @@
 """Fuzz certification — the randomized differential oracle as a bench.
 
 Runs a seeded fuzz sweep (generated scenarios x the full
-engine x solver x backend x kernels grid) and asserts the two contracts
+engine x solver x backend grid) and asserts the two contracts
 the fuzzed scenario plane exists to enforce:
 
 * **zero bound violations** — every run satisfies the Lemma 4.4
@@ -32,7 +32,7 @@ from repro.lab.suites import AXES
 BENCH_SEED = 424242
 
 #: Base scenarios; the suite crosses each with every plane of the axis
-#: table (2 engines x 2 solvers x 2 backends x 2 kernel tiers today).
+#: table (2 engines x 2 solvers x 2 backends today).
 BENCH_COUNT = 12
 PLANES = math.prod(len(values) for values in AXES.values())
 

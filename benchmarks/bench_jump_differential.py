@@ -5,7 +5,7 @@ count plane (:func:`repro.costmodel.evaluate_timing`) each skip steady
 streaming arithmetically, with independently written horizons and
 mailbox materialization.  A wrong horizon or a mis-materialized stream
 is off by one cycle somewhere, which small instances rarely reach: the
-400-run fuzz gate runs at N≈32, where most phases end before they are
+200-run fuzz gate runs at N≈32, where most phases end before they are
 steady.  This bench is the search PR 13 ran ad hoc, committed: fuzz
 specs scaled ×8 so streams are long, each one
 

@@ -24,8 +24,5 @@ setup(
         # graphs, reference min cuts, Steiner trees, routes and cycle
         # harvests); nothing under src/ imports it.
         "oracle": ["networkx>=2.6"],
-        # The optional JIT kernel tier (repro.kernels); without it the
-        # "jit" tier transparently resolves to the NumPy implementations.
-        "jit": ["numba>=0.57"],
     },
 )

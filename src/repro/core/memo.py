@@ -1,7 +1,7 @@
 """Structural memoization — sharing pure graph work across axis planes.
 
 Every scenario identity in a lab grid runs once per axis plane (engine ×
-solver × backend × kernels), and the planes are *accounting-identical*
+solver × backend), and the planes are *accounting-identical*
 by construction (the parity gates enforce it).  The expensive inputs to
 a plan, however, are pure functions of structure alone: Steiner tree
 packings (:mod:`repro.network.steiner`), GYO-GHDs, the bound formulas,

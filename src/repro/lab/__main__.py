@@ -37,6 +37,10 @@ Commands:
   code 1 on any replay or cost-model mismatch).
 * ``list`` — show the registered suites with sizes and descriptions.
 
+A command line naming a suite or file that is not there (an unknown
+suite, ``--seed`` on a fixed suite, a missing artifact) exits 2 with a
+one-line message on stderr, like argparse's own usage errors.
+
 Every subcommand takes ``--log-level debug|info|warning|error``
 (default ``info``); ``run --trace`` additionally replay-verifies every
 freshly-executed scenario's event stream in the workers and gates on the
@@ -59,7 +63,6 @@ from typing import List, Optional
 
 from ..core.memo import memo_stats
 from ..faq import SOLVERS
-from ..kernels import KERNEL_TIERS
 from ..obs.counters import (
     COSTMODEL_COUNTERS,
     COUNTERS,
@@ -149,12 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "('both' pairs each scenario across solvers)",
     )
     run_p.add_argument(
-        "--kernels", choices=list(KERNEL_TIERS) + ["both"], default=None,
-        help="override the hot-kernel tier for every scenario "
-        "('both' pairs each scenario across the numpy and jit tiers; "
-        "jit falls back to numpy when numba is not installed)",
-    )
-    run_p.add_argument(
         "--batch", action="store_true",
         help="after the run, group the freshly executed scenarios by "
         "structure and cross-check every group's answers with one "
@@ -233,6 +230,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """A command line naming a suite or file that is not there: ``main``
+    prints the message on one line and exits 2."""
+
+
+def _suite(args: argparse.Namespace) -> SuiteSpec:
+    """The suite the command line names, re-seeded by ``--seed``."""
+    try:
+        return get_suite(args.suite, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
 def _cmd_list() -> int:
     for name in suite_names():
         suite = get_suite(name)
@@ -243,8 +253,11 @@ def _cmd_list() -> int:
 def _read_artifact(path: str) -> Optional[dict]:
     """The payload of an artifact this lab wrote, or None (after naming
     both schema ids) when it was written under another schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
     if payload.get("schema") != ARTIFACT_SCHEMA:
         print(
             f"{path} has schema {payload.get('schema')!r}, this lab reads "
@@ -262,9 +275,9 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     pairs = {axis: len(axis_pairs(records, axis)) for axis in PARITY_AXES}
     if not any(pairs.values()):
         print(
-            "no engine, solver, backend or kernels pairs in artifact (run "
-            "a suite with --engine both / --solver both / --kernels both, "
-            "or the *-compare/*-smoke/fuzz suites)"
+            "no engine, solver or backend pairs in artifact (run a suite "
+            "with --engine both / --solver both, or the "
+            "*-compare/*-smoke/fuzz suites)"
         )
         return 1
     failures = all_parity_failures(records)
@@ -288,7 +301,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     """
     from ..costmodel import CostModelError, format_kernel_table
 
-    suite = get_suite(args.suite, seed=args.seed)
+    suite = _suite(args)
     recorded = {}
     if args.artifact:
         payload = _read_artifact(args.artifact)
@@ -378,7 +391,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .runner import record_scenario_trace
 
     logger = get_logger("lab")
-    suite = get_suite(args.suite, seed=args.seed)
+    suite = _suite(args)
     specs = list(suite)
     if args.scenario is not None:
         matches = [s for s in specs if args.scenario in s.label]
@@ -442,8 +455,8 @@ def _trace_reasons(result) -> List[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    suite = get_suite(args.suite, seed=args.seed)
-    for axis in ("engine", "solver", "kernels"):
+    suite = _suite(args)
+    for axis in ("engine", "solver"):
         choice = getattr(args, axis)
         if choice == "both":
             suite = with_axis(
@@ -591,15 +604,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     configure_logging(getattr(args, "log_level", "info"))
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "parity":
-        return _cmd_parity(args)
-    if args.command == "predict":
-        return _cmd_predict(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    return _cmd_run(args)
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "parity":
+            return _cmd_parity(args)
+        if args.command == "predict":
+            return _cmd_predict(args)
+        if args.command == "trace":
+            return _cmd_trace(args)
+        return _cmd_run(args)
+    except _UsageError as exc:
+        print(
+            f"python -m repro.lab {args.command}: error: {exc}",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests

@@ -2,7 +2,7 @@
 
 :func:`run_suite_batched` is :func:`repro.lab.runner.run_suite` plus one
 cross-check pass: the scenarios that ran fresh are grouped by structure
-(the 16 axis planes of a fuzz identity, same-shape identities across
+(the 8 axis planes of a fuzz identity, same-shape identities across
 seeds) and each multi-member group is re-solved once as a stacked tensor
 program — :func:`repro.faq.reference.solve_stacked`, the solve the
 serving plane batches requests with.
@@ -20,10 +20,10 @@ from .results import ScenarioResult, answer_digest
 from .runner import SuiteRun, run_suite
 from .spec import ScenarioSpec, SuiteSpec
 
-#: Spec fields that never change the instance (the four parity axes) or
+#: Spec fields that never change the instance (the three parity axes) or
 #: change content but maybe not shape — the structural signature decides.
 _GROUP_NEUTRAL_FIELDS = (
-    "engine", "solver", "backend", "kernels",
+    "engine", "solver", "backend",
     "seed", "n", "domain_size", "assignment", "max_rounds",
 )
 

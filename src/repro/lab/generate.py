@@ -17,8 +17,8 @@ Every sampled scenario is a *certifiable* experiment:
   bound (rounds >= crossing bits / (cut * B));
 
 and :func:`fuzz_suite` expands each scenario across the full
-engine x solver x backend x kernels differential grid, so one fuzz run
-exercises all sixteen planes against the paper's bounds at once.
+engine x solver x backend differential grid, so one fuzz run
+exercises all eight planes against the paper's bounds at once.
 
 Determinism contract: all sampling goes through child seeds from
 :func:`repro.workloads.spawn_seeds` — the same ``(master_seed, count)``
@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Tuple
 
 from ..workloads import spawn_seeds
 from .spec import ScenarioSpec, SuiteSpec
-from .suites import DEFAULT_SEED as DEFAULT_FUZZ_SEED
 
 #: Semirings the fuzz plane samples (the "aggregate" axis).  All six are
 #: supported by every engine/solver/backend plane with byte-identical
@@ -45,7 +44,7 @@ FUZZ_SEMIRINGS: Tuple[str, ...] = (
 )
 
 #: Relation-size and domain-size pools (kept small: a fuzz scenario must
-#: run in milliseconds so hundreds of them sweep all sixteen planes fast).
+#: run in milliseconds so hundreds of them sweep all eight planes fast).
 FUZZ_SIZES: Tuple[int, ...] = (8, 16, 32, 48)
 FUZZ_DOMAIN_SIZES: Tuple[int, ...] = (4, 8, 16)
 FUZZ_HARD_SIZES: Tuple[int, ...] = (16, 32, 64)
@@ -169,16 +168,16 @@ def generate_scenarios(master_seed: int, count: int) -> Tuple[ScenarioSpec, ...]
 
 
 def fuzz_suite(
-    master_seed: int = DEFAULT_FUZZ_SEED,
-    count: int = 50,
+    master_seed: int,
+    count: int,
     name: str = "fuzz",
     axes: bool = True,
 ) -> SuiteSpec:
     """The fuzzed differential suite: ``count`` generated scenarios,
-    each swept across engine x solver x backend x kernels (16 planes)
-    when ``axes`` is set.
+    each swept across engine x solver x backend (8 planes) when ``axes``
+    is set.
 
-    Consecutive blocks of 16 differ only in the axis fields, so
+    Consecutive blocks of 8 differ only in the axis fields, so
     :func:`repro.lab.report.axis_pairs` pairs them for the parity gate,
     and every individual run feeds the bound-certification oracle.
     """
@@ -195,6 +194,5 @@ def fuzz_suite(
     return with_axes(
         base,
         name,
-        f"{base.description}, each on every engine x solver x backend x "
-        f"kernels plane",
+        f"{base.description}, each on every engine x solver x backend plane",
     )

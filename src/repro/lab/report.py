@@ -235,7 +235,7 @@ def axis_pairs(
     return [groups[key] for key in order if len(groups[key]) > 1]
 
 
-#: The four differential axes every fuzzed scenario is swept across.
+#: The three differential axes every fuzzed scenario is swept across.
 PARITY_AXES = PLANE_AXES
 
 

@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import kernels
 from ..core.memo import LRUMemo, clear_all_memos
 from ..core.planner import Planner
 from ..costmodel import CostModelError, edge_digest
@@ -283,13 +282,8 @@ def _execute_traced(
     # here, so the deltas below never depend on which plane ran first.
     materialize_scenario(spec)
     counters_before = COUNTERS.snapshot()
-    # The kernel tier is scoped to exactly the counter window: planner
-    # construction + execution is where every hot kernel dispatch fires,
-    # so the ``kernels.numpy``/``kernels.jit`` deltas are a pure
-    # function of (spec, installed numba).
-    with kernels.use_tier(spec.kernels):
-        planner, plan = plan_scenario(spec, tracer)
-        report = planner.execute(max_rounds=spec.max_rounds, plan=plan)
+    planner, plan = plan_scenario(spec, tracer)
+    report = planner.execute(max_rounds=spec.max_rounds, plan=plan)
     observability = deterministic_view(
         counter_delta(counters_before, COUNTERS.snapshot())
     )

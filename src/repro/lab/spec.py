@@ -92,11 +92,9 @@ class ScenarioSpec:
         solver: FAQ solver strategy (``"operator"`` or ``"compiled"``)
             used for the reference solve and all free internal
             computation — the solver-parity twin of the engine axis.
-        kernels: Kernel tier (``"numpy"`` or ``"jit"``) the hot array
-            kernels dispatch through (:mod:`repro.kernels`) — the fourth
-            parity axis.  ``"jit"`` resolves to the NumPy tier when
-            numba is not installed; the dispatch counters record which
-            tier actually ran.
+        kernels: Inert: every value runs the NumPy kernels
+            (:mod:`repro.kernels`); the field stays in the spec's hash
+            and label.
     """
 
     family: str
@@ -113,6 +111,7 @@ class ScenarioSpec:
     max_rounds: int = 2_000_000
     engine: str = "generator"
     solver: str = "operator"
+    # Inert; the frozen benchmark ledger reads it.  ROADMAP 1(d) retires it.
     kernels: str = "numpy"
 
     def __post_init__(self) -> None:

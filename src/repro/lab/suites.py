@@ -29,7 +29,6 @@ import inspect
 from typing import Callable, Dict, List, Optional
 
 from ..faq import SOLVERS
-from ..kernels import KERNEL_TIERS
 from ..protocols.faq_protocol import ENGINES
 from ..semiring import BACKENDS
 from .spec import ScenarioSpec, SuiteSpec, expand_grid
@@ -405,14 +404,13 @@ def _solver_scaling_suite() -> SuiteSpec:
     )
 
 
-#: The four accounting-neutral axes and their values.  Every scenario
+#: The three accounting-neutral axes and their values.  Every scenario
 #: identity can be swept across any of them; the planes must agree on
 #: answer digest, round count and total bits (the ``parity`` gate).
 AXES = {
     "engine": ENGINES,
     "solver": SOLVERS,
     "backend": BACKENDS,
-    "kernels": KERNEL_TIERS,
 }
 
 
@@ -423,9 +421,7 @@ def with_axis(
 
     Consecutive scenarios differ only in ``axis``, so reports read as
     pairs and the ``parity`` command (and tests) can assert digest +
-    rounds + bits equality pairwise.  (Without numba installed the
-    ``kernels="jit"`` plane executes the NumPy kernels: a dispatch-layer
-    no-op check there, a real differential gate where numba is present.)
+    rounds + bits equality pairwise.
     """
     scenarios = tuple(
         spec.with_(**{axis: value})
@@ -447,15 +443,16 @@ def with_backends(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
     return with_axis(suite, "backend", name, description)
 
 
+# Inert; the frozen benchmark ledger imports it.  ROADMAP 1(d) retires it.
 def with_kernels(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
-    return with_axis(suite, "kernels", name, description)
+    return suite
 
 
 def with_axes(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
-    """Sweep every scenario across the full engine x solver x backend x
-    kernels grid (16 planes per scenario).
+    """Sweep every scenario across the full engine x solver x backend
+    grid (8 planes per scenario).
 
-    Each consecutive block of 16 shares one scenario identity; the
+    Each consecutive block of 8 shares one scenario identity; the
     ``parity`` command and :func:`repro.lab.report.all_parity_failures`
     then assert the byte-identical contract pairwise along every axis.
     """
@@ -504,7 +501,7 @@ def _solver_smoke_suite() -> SuiteSpec:
 def _fuzz_suite(seed: int = DEFAULT_SEED) -> SuiteSpec:
     from .generate import fuzz_suite
 
-    # 25 identities x 16 axis planes = 400 certified runs.
+    # 25 identities x 8 axis planes = 200 certified runs.
     return fuzz_suite(master_seed=seed, count=25, name="fuzz")
 
 

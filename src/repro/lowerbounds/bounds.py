@@ -27,7 +27,7 @@ from .hypergraph_embedding import embedding_capacity as hyper_capacity
 
 #: Structural memo for the Theorem 4.1/F.1 formula: the same (H, G, K, N)
 #: identity is evaluated once per axis *plane* in a lab grid (engine x
-#: solver x backend x kernels), and the formula is axis-blind.
+#: solver x backend), and the formula is axis-blind.
 _BCQ_MEMO = LRUMemo("bounds.bcq", maxsize=1024)
 
 

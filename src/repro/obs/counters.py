@@ -12,9 +12,8 @@ lab snapshots it around each scenario execution and stores the **delta**
 on the result.  Two determinism classes:
 
 * :data:`DETERMINISTIC_COUNTERS` — a pure function of the scenario
-  (kernel dispatch, kernel-tier dispatch (``kernels.numpy`` /
-  ``kernels.jit``), pooling strategy, fast-forward engagements,
-  plan-cache *lookups*).  These enter the deterministic result record
+  (kernel dispatch, NumPy kernel calls (``kernels.numpy``), pooling
+  strategy, fast-forward engagements, plan-cache *lookups*).  These enter the deterministic result record
   and the BENCH artifact, so serial/parallel/batched runs stay
   byte-identical.
 * Everything else is volatile: reported on stdout, never persisted.
@@ -50,7 +49,6 @@ DETERMINISTIC_COUNTERS = (
     "kernel.columnar",
     "kernel.dict_fallback",
     "kernels.numpy",
-    "kernels.jit",
     "solver.fused_vectorized",
     "solver.fused_fallback",
     "plan_cache.lookups",

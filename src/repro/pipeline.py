@@ -15,7 +15,7 @@ nowhere else.  The steps, in the order every caller takes them:
 * :func:`predicted_metrics` — the zero-execution cost prediction of
   that plan over the materialized relations;
 * :func:`solve_scenario` — the centralized reference solve under the
-  spec's kernel tier (running the *protocol* is ``Planner.execute``).
+  spec's solver (running the *protocol* is ``Planner.execute``).
 
 The lab (:mod:`repro.lab`) and the serving plane (:mod:`repro.serve`)
 are callers; this module imports neither.  The three memos are keyed on
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import costmodel, kernels
+from . import costmodel
 from .core.memo import LRUMemo
 from .core.planner import Planner, assign_single_player, worst_case_assignment
 from .faq import FAQQuery, bcq, solve
@@ -284,7 +284,7 @@ def build_assignment(
 # ---------------------------------------------------------------------------
 
 #: Spec axes that never change what is built, predicted or measured.
-PLANE_AXES = ("engine", "solver", "backend", "kernels")
+PLANE_AXES = ("engine", "solver", "backend")
 
 
 @lru_cache(maxsize=8192)
@@ -303,8 +303,8 @@ def identity_key(spec: ScenarioSpec, drop: Tuple[str, ...] = PLANE_AXES) -> str:
 
 
 #: Materialized (query, topology, assignment) triples shared across axis
-#: planes.  The four accounting-neutral axes never change what gets
-#: built, and execution never mutates the built objects, so the 16
+#: planes.  The three accounting-neutral axes never change what gets
+#: built, and execution never mutates the built objects, so the 8
 #: planes of one identity materialize once — and convert once: the
 #: backend-converted query every ``Planner`` of the identity shares is
 #: kept by ``FAQQuery.with_backend`` on the built query itself, so it
@@ -337,7 +337,7 @@ def materialize_scenario(
 #: Compiled protocol plans, one per identity.  A plan holds structure
 #: and numbers (GHD, packings, routing tree, bit widths, center row
 #: counts) and neither relations nor a solver, so it is a pure function
-#: of the instance: compilation fires no counters and all sixteen planes
+#: of the instance: compilation fires no counters and all eight planes
 #: execute the same plan object read-only, each over its own planner's
 #: query and solver (like the materialized query/topology above, the
 #: plan is shared, never copied — execution must not mutate it, which
@@ -345,7 +345,7 @@ def materialize_scenario(
 _PLAN_MEMO = LRUMemo("pipeline.protocol_plan", maxsize=256)
 
 #: Cost predictions shared across axis planes: the
-#: engine/solver/backend/kernels planes of one identity are
+#: engine/solver/backend planes of one identity are
 #: accounting-identical (the parity gates enforce it), so the four
 #: predicted metrics are a function of the plane-stripped spec alone.
 #: The memoized path fires no deterministic counters.
@@ -362,10 +362,8 @@ def plan_scenario(
     backend runs the dict plane: the family builders store relations
     columnar, and the dict factors are decoded from them on demand.
 
-    The conversion fires no counter and does not read the kernel tier
-    (so the plane that pays for it cannot be told from the others);
-    callers still scope ``kernels.use_tier(spec.kernels)`` around this
-    call together with whatever they execute next.
+    The conversion fires no counter, so the plane that pays for it
+    cannot be told from the others.
     """
     built, topology, assignment = materialize_scenario(spec)
     planner = Planner(
@@ -401,10 +399,8 @@ def predicted_metrics(
 
 def solve_scenario(spec: ScenarioSpec, query: FAQQuery) -> Factor:
     """The reference solve of an already backend-converted ``query``
-    under the spec's solver and kernel tier — the serving plane's whole
-    online path."""
-    with kernels.use_tier(spec.kernels):
-        return solve(query, spec.solver)
+    under the spec's solver — the serving plane's whole online path."""
+    return solve(query, spec.solver)
 
 
 def worker_init(path: List[str]) -> None:

@@ -18,11 +18,11 @@ a pure function of the identity and can therefore be paid once:
 
 The **online** path (:meth:`ServingSession.execute_online`) then touches
 only compiled kernels (:func:`repro.pipeline.solve_scenario`): it
-re-runs the solver over the already-converted factors under the
-registered kernel tier.  Its answer is byte-identical
-to :meth:`Planner.execute`'s protocol answer for the same spec — the
-four-axis parity contract certifies ``protocol.answer == reference`` on
-every lab run, and the reference solve *is* this online solve.
+re-runs the solver over the already-converted factors.  Its answer is
+byte-identical to :meth:`Planner.execute`'s protocol answer for the
+same spec — the three-axis parity contract certifies
+``protocol.answer == reference`` on every lab run, and the reference
+solve *is* this online solve.
 
 Everything knowable offline is recorded in a JSON-able
 :class:`SessionManifest` (the ``martelogan__langformer`` RunSession
@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
-from .. import kernels
 from ..core.planner import Planner
 from ..costmodel import CostModelError
 from ..lab.results import answer_digest
@@ -137,18 +136,17 @@ class ServingSession:
         """
         start = time.perf_counter()
         session_id = session_id_of(spec)
-        with kernels.use_tier(spec.kernels):
-            try:
-                planner, protocol_plan = plan_scenario(spec)
-            except ValueError as exc:
-                raise ServeError(
-                    "rejected",
-                    f"{session_id} cannot be planned: {exc}",
-                    {"session_id": session_id, "reason": str(exc)},
-                ) from exc
-            # Warm solve: caches the elimination order (compiled solver),
-            # interns dictionaries, and pins the expected answer digest.
-            warm_answer = planner.reference_answer()
+        try:
+            planner, protocol_plan = plan_scenario(spec)
+        except ValueError as exc:
+            raise ServeError(
+                "rejected",
+                f"{session_id} cannot be planned: {exc}",
+                {"session_id": session_id, "reason": str(exc)},
+            ) from exc
+        # Warm solve: caches the elimination order (compiled solver),
+        # interns dictionaries, and pins the expected answer digest.
+        warm_answer = planner.reference_answer()
         # The zero-execution estimate admission control prices with: the
         # *exact* (certified-per-fuzz-run) rounds/bits of the protocol the
         # lab would execute for this spec.

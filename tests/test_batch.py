@@ -5,7 +5,7 @@ A batched run is a serial ``run_suite`` followed by one stacked solve
 per multi-member group of the scenarios that ran fresh, so its
 deterministic records are byte-for-byte a serial run's (the hypothesis
 property drives random fuzz-suite slices, every scenario swept across
-the full engine x solver x backend x kernels grid, through both), and a
+the full engine x solver x backend grid, through both), and a
 disagreeing stacked solve raises after the results are already cached.
 """
 
@@ -107,7 +107,7 @@ def test_structural_signature_ignores_data_not_shape():
 
 
 def _small_axes_suite(count=1, master=DEFAULT_SEED, name="batch-test"):
-    """``count`` fuzz identities swept across all 16 axis planes."""
+    """``count`` fuzz identities swept across all 8 axis planes."""
     return fuzz_suite(master_seed=master, count=count, name=name)
 
 
@@ -117,8 +117,8 @@ def test_plan_groups_partitions_and_stacks_axis_planes():
     total = sum(len(members) for _sig, members in groups)
     assert total == len(suite.scenarios)
     multi = [m for sig, m in groups if sig is not None and len(m) >= 2]
-    # The 16 axis planes of one identity always share a signature.
-    assert multi and max(len(m) for m in multi) >= 16
+    # The 8 axis planes of one identity always share a signature.
+    assert multi and max(len(m) for m in multi) >= 8
 
 
 def test_verify_group_raises_on_corrupted_digest():
@@ -150,8 +150,8 @@ def test_verify_group_raises_on_corrupted_digest():
     count=st.integers(min_value=1, max_value=2),
 )
 def test_batched_records_byte_identical_to_serial(master, count):
-    """Random fuzz slices, all 16 planes each (both engines, both
-    solvers, both backends, both kernel tiers): batched == serial."""
+    """Random fuzz slices, all 8 planes each (both engines, both
+    solvers, both backends): batched == serial."""
     suite = fuzz_suite(
         master_seed=master, count=count, name=f"prop-{master}-{count}"
     )
@@ -169,14 +169,14 @@ def test_batch_stats_have_the_documented_keys():
         "groups", "multi_groups", "grouped_scenarios", "stacked_checks",
         "plane_twins",
     }
-    assert stats["grouped_scenarios"] == 32
+    assert stats["grouped_scenarios"] == 16
     assert stats["stacked_checks"] == stats["multi_groups"] >= 1
     assert stats["plane_twins"] == 0
 
 
 def test_only_fresh_members_are_cross_checked(tmp_path, monkeypatch):
     suite = _small_axes_suite(count=2)
-    head = SuiteSpec(name="head", scenarios=suite.scenarios[:16])
+    head = SuiteSpec(name="head", scenarios=suite.scenarios[:8])
     run_suite(head, cache=ResultCache(str(tmp_path)))
     checked = []
     monkeypatch.setattr(
@@ -184,9 +184,9 @@ def test_only_fresh_members_are_cross_checked(tmp_path, monkeypatch):
         lambda members, results: checked.extend(members),
     )
     run = run_suite_batched(suite, cache=ResultCache(str(tmp_path)))
-    assert (run.cache_hits, run.executed) == (16, 16)
-    assert checked == list(suite.scenarios[16:])
-    assert run.batch["grouped_scenarios"] == 16
+    assert (run.cache_hits, run.executed) == (8, 8)
+    assert checked == list(suite.scenarios[8:])
+    assert run.batch["grouped_scenarios"] == 8
 
 
 def test_baseline_sample_is_rejected():
@@ -209,4 +209,4 @@ def test_wrong_stacked_answer_raises_after_results_are_cached(
     with pytest.raises(BatchParityError, match="stacked solve disagreed"):
         run_suite_batched(suite, cache=ResultCache(str(tmp_path)))
     rerun = run_suite(suite, cache=ResultCache(str(tmp_path)))
-    assert (rerun.cache_hits, rerun.executed) == (16, 0)
+    assert (rerun.cache_hits, rerun.executed) == (8, 0)

@@ -491,7 +491,7 @@ def _pin(family, query, query_params, topology, topology_params, n,
 #: One fuzz scenario per jump guard, each found by differential search
 #: (the jumping recurrence against the same recurrence stepping every
 #: round, with that guard removed) and priced wrong — or not at all —
-#: without it.  The default 400-run fuzz gate misses the first two.
+#: without it.  The default 200-run fuzz gate misses the first two.
 #: The failures quoted are those of the guard's mutation under bit
 #: framing.
 _JUMP_GUARD_PINS = {

@@ -11,8 +11,8 @@ of it is counted, never timed:
 * a warm ``execute_scenario`` encodes nothing and scans no input
   relation; ``clear_all_memos()`` alone makes the next call cold again,
   and a suite run (which makes that call) does the same work every time;
-* the conversion fires no counter and ignores the kernel tier, so the
-  order in which an identity's planes run cannot move any record;
+* the conversion fires no counter, so the order in which an identity's
+  planes run cannot move any record;
 * ``FAQQuery.with_backend`` never hands out a stale conversion, and
   ``Planner.execute`` leaves the shared query as it found it;
 * the columnar domain check fails exactly as the dict one does.
@@ -25,7 +25,6 @@ import random
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core.memo import clear_all_memos, memo_stats
 from repro.core.planner import Planner
 from repro.faq import FAQQuery
@@ -219,26 +218,16 @@ def test_every_suite_run_starts_cold_and_hot_equals_cold():
 
 
 @PIPELINE_SPECS
-def test_planner_construction_fires_no_counter_on_any_tier(make_spec):
+def test_planner_construction_fires_no_counter(make_spec):
     spec = make_spec()
-    converted = {}
-    for tier in kernels.KERNEL_TIERS:
-        make_cold()
-        built, topology, assignment = materialize_scenario(spec)
-        before = COUNTERS.snapshot()
-        with kernels.use_tier(tier):
-            planner = Planner(
-                built.query, topology, assignment=assignment,
-                backend=spec.backend, engine=spec.engine, solver=spec.solver,
-            )
-        assert counter_delta(before, COUNTERS.snapshot()) == {}
-        converted[tier] = planner.query
-    numpy_tier, jit_tier = (converted[t].factors for t in kernels.KERNEL_TIERS)
-    for name, factor in numpy_tier.items():
-        other = jit_tier[name]
-        assert factor.dictionaries == other.dictionaries
-        assert all(map(np.array_equal, factor.codes, other.codes))
-        assert np.array_equal(factor.values, other.values)
+    make_cold()
+    built, topology, assignment = materialize_scenario(spec)
+    before = COUNTERS.snapshot()
+    Planner(
+        built.query, topology, assignment=assignment,
+        backend=spec.backend, engine=spec.engine, solver=spec.solver,
+    )
+    assert counter_delta(before, COUNTERS.snapshot()) == {}
 
 
 @PIPELINE_SPECS
@@ -246,7 +235,7 @@ def test_shuffled_plane_order_leaves_every_record_byte_identical(make_spec):
     planes = list(
         with_axes(SuiteSpec("planes", (make_spec(),)), "planes", "").scenarios
     )
-    assert len(planes) == 16
+    assert len(planes) == 8
 
     def records(order):
         make_cold()

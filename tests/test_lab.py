@@ -8,7 +8,8 @@ Covers the lab's load-bearing guarantees:
 * the result cache hits on identical specs, misses on changed ones, and
   survives corruption;
 * serial and parallel runs produce byte-identical artifacts;
-* the CLI runs a suite end-to-end and writes ``BENCH_lab.json``.
+* the CLI runs a suite end-to-end and writes ``BENCH_lab.json``, and
+  names a missing suite or file in one line with exit code 2.
 """
 
 import json
@@ -105,6 +106,14 @@ def test_spec_validation_errors():
         tiny_spec(n=0)
     with pytest.raises(ValueError, match="JSON scalar"):
         tiny_spec(query_params={"bad": [1, 2]})
+
+
+def test_spec_kernels_accepts_ledger_names_and_rejects_unknown():
+    # The frozen ledger still builds specs with kernels="jit".
+    assert tiny_spec(kernels="jit").kernels == "jit"
+    assert tiny_spec(kernels="numpy").kernels == "numpy"
+    with pytest.raises(ValueError, match="unknown kernel tier"):
+        tiny_spec(kernels="cuda")
 
 
 def test_spec_hash_is_construction_order_independent():
@@ -445,6 +454,30 @@ def test_artifact_readers_refuse_another_schema(tmp_path, capsys):
         assert lab_main(argv) == 2
         out = capsys.readouterr().out
         assert "'repro.lab/bench.v7'" in out and repr(ARTIFACT_SCHEMA) in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "nosuch"], "run: error: unknown suite 'nosuch'; known suites: "),
+        (["run", "smoke", "--seed", "3"],
+         "run: error: suite 'smoke' is a fixed suite and takes no seed"),
+        (["parity", "missing.json"],
+         "parity: error: cannot read missing.json: No such file or directory"),
+        (["predict", "fuzz", "--artifact", "missing.json"],
+         "predict: error: cannot read missing.json: No such file or directory"),
+    ],
+)
+def test_cli_usage_errors_exit_2_with_one_line(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    """A suite or file that is not there is a usage error, not a failed
+    gate: exit 2 and one line on stderr, no traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert lab_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"python -m repro.lab {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_aggregate_groups_by_family():

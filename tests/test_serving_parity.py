@@ -5,8 +5,8 @@ Three claims, each load-bearing for the ledger's ``serve-closed`` /
 
 1. **Axis-complete byte-identity** — a served answer's digest equals the
    digest :meth:`Planner.execute` records for the same spec, on every
-   plane of the engine × solver × backend × kernels grid (the protocol
-   answer equals the reference solve on every lab run — the four-axis
+   plane of the engine × solver × backend grid (the protocol
+   answer equals the reference solve on every lab run — the three-axis
    parity contract — and the online path *is* the reference solve).
 2. **Coalescing parity** — duplicates coalesced onto one execution
    all carry the manifest digest, and distinct sessions that meet in
@@ -40,16 +40,14 @@ AXIS_PLANES = list(itertools.product(
     ("generator", "compiled"),      # engine
     ("operator", "compiled"),       # solver
     (None, "columnar"),             # backend (None = the family's own)
-    ("numpy", "jit"),               # kernels (jit falls back sans numba)
 ))
 
 
 def test_served_answers_match_planner_execute_on_every_axis_plane():
     base = sample_scenario(41)
     specs = [
-        base.with_(engine=engine, solver=solver, backend=backend,
-                   kernels=kernels)
-        for engine, solver, backend, kernels in AXIS_PLANES
+        base.with_(engine=engine, solver=solver, backend=backend)
+        for engine, solver, backend in AXIS_PLANES
     ]
     expected = {
         session_id_of(spec): execute_scenario(spec).answer_digest
