@@ -1,26 +1,34 @@
-"""Jump differential — both round planes, jumping vs stepping every round.
+"""Jump differential — both round planes, dormant vs stepping every round.
 
 The compiled engine (:func:`repro.network.program.run_program`) and the
-count plane (:func:`repro.costmodel.evaluate_timing`) each skip steady
-streaming arithmetically, with independently written horizons and
-mailbox materialization.  A wrong horizon or a mis-materialized stream
-is off by one cycle somewhere, which small instances rarely reach: the
-200-run fuzz gate runs at N≈32, where most phases end before they are
-steady.  This bench is the search PR 13 ran ad hoc, committed: fuzz
-specs scaled ×8 so streams are long, each one
+count plane (:func:`repro.costmodel.evaluate_timing`) each let steady
+streaming sleep and catch it up arithmetically, with independently
+written horizons, wake rules and mailbox materialization.  A wrong
+horizon or a mis-materialized stream is off by one cycle somewhere,
+which small instances rarely reach: the 200-run fuzz gate runs at
+N≈32, where most phases end before they are steady.  This bench is
+that search, committed: fuzz specs scaled ×8 so streams are long, each
+one
 
-* priced by ``evaluate_timing`` with the jump on and off
-  (``_steady_cycles`` patched to decline), and
+* priced by ``evaluate_timing`` with dormancy on and off
+  (``_settle``, the one function that decides what goes dormant,
+  patched to settle nothing), and
 * run by ``run_program`` with ``fast_forward`` on and off,
 
 and all four required equal on rounds, total bits, busiest link-round
-and per-link bits.  The jump counters guard the comparison itself: every stepping
-run must jump no round, and the jumping runs must jump some in total —
-a refactor that inlined ``_steady_cycles`` and left it behind would
-otherwise turn the count-plane check into jumping vs jumping.  After
-touching a jump guard, run it; to size a mutation, break the guard and
-see which scenario it names.
+and per-link bits.  Two populations: the 200 fuzz specs as sampled
+(2 to 8 nodes), and 48 of them moved onto large topologies (expanders
+of 16–64 nodes, hypercubes of dimension 4–6, grids up to 6×8, rings of
+10–32 and 3-regular graphs of 16–40 nodes), where many streams are
+dormant at once.  The skip counters guard the comparison itself: every
+stepping run must skip no round, and the dormant runs must skip some in
+total — a refactor that bypassed ``_settle`` would otherwise turn the
+count-plane check into dormant vs dormant.  After touching a settle or
+wake rule, run it; to size a mutation, break the rule and see which
+scenario it names.
 """
+
+import random
 
 from repro.costmodel import evaluate_timing, extract_skeleton
 from repro.costmodel import timing as timing_module
@@ -34,10 +42,40 @@ from conftest import print_banner
 
 MASTER_SEEDS = (20190625, 777)
 COUNT = 100
+#: The large-topology population: the first specs of this master seed,
+#: each moved onto a topology drawn from its own seed.
+LARGE_MASTER_SEED = 777
+LARGE_COUNT = 48
 SCALE = 8
 MAX_ROUNDS = 10_000_000
 ENGINE_JUMPED = "engine.fast_forward_rounds"
 PRICED_JUMPED = "costmodel.fast_forward_rounds"
+
+
+def _large_topology(rng):
+    """A topology family the fuzz samplers do not reach, and its
+    parameters."""
+    kind = rng.choice(("expander", "hypercube", "grid", "ring", "regular"))
+    if kind == "expander":
+        return kind, {"n": 2 * rng.randint(8, 32), "degree": rng.choice((3, 4)),
+                      "seed": rng.randrange(100)}
+    if kind == "hypercube":
+        return kind, {"dim": rng.randint(4, 6)}
+    if kind == "grid":
+        return kind, {"rows": rng.randint(2, 6), "cols": rng.randint(3, 8)}
+    if kind == "ring":
+        return kind, {"n": rng.randint(10, 32)}
+    return kind, {"n": 2 * rng.randint(8, 20), "degree": 3,
+                  "seed": rng.randrange(100)}
+
+
+def large_specs():
+    """The large-topology population (deterministic)."""
+    specs = []
+    for spec in generate_scenarios(LARGE_MASTER_SEED, LARGE_COUNT):
+        topology, params = _large_topology(random.Random(spec.seed))
+        specs.append(spec.with_(topology=topology, topology_params=params))
+    return specs
 
 
 def _jumped(counter, run):
@@ -48,7 +86,7 @@ def _jumped(counter, run):
 
 
 def four_ways(spec):
-    """(engine jumping, engine stepping, count plane jumping, count
+    """(engine jumping, engine stepping, count plane dormant, count
     plane stepping) for one scenario, each as ``(result, rounds it
     jumped)``."""
     planner, plan = plan_scenario(spec)
@@ -67,12 +105,12 @@ def four_ways(spec):
         return evaluate_timing(skeleton, max_rounds=MAX_ROUNDS)
 
     jumping = _jumped(PRICED_JUMPED, price)
-    steady_cycles = timing_module._steady_cycles
-    timing_module._steady_cycles = lambda *_args: 0
+    settle = timing_module._settle
+    timing_module._settle = lambda *_args: []
     try:
         stepping = _jumped(PRICED_JUMPED, price)
     finally:
-        timing_module._steady_cycles = steady_cycles
+        timing_module._settle = settle
     return engine[0], engine[1], jumping, stepping
 
 
@@ -85,7 +123,8 @@ def disagreements(spec, jumped):
     jumped["count plane"] += priced_jumped
     failed = []
     # A stepping run that jumps compares jumping with jumping: the
-    # patch above no longer reaches the jump, or fast_forward is ignored.
+    # patch above no longer reaches the settle rule, or fast_forward is
+    # ignored.
     if slow_jumped:
         failed.append("engine stepping run jumped")
     if stepping_jumped:
@@ -104,22 +143,29 @@ def disagreements(spec, jumped):
     return failed
 
 
+def _compare(specs, label, failures, jumped):
+    for spec in specs:
+        failed = disagreements(spec.with_(n=spec.n * SCALE), jumped)
+        if failed:
+            failures.append((spec.label, failed))
+    print(f"{label}: {len(specs)} specs compared four ways")
+
+
 def test_jumping_equals_stepping_on_scaled_fuzz_specs():
     print_banner(
         f"jump differential: {len(MASTER_SEEDS)} x {COUNT} fuzz specs "
-        f"at x{SCALE}, engine and count plane, jumping vs stepping"
+        f"and {LARGE_COUNT} on large topologies at x{SCALE}, engine and "
+        f"count plane, dormant vs stepping"
     )
     failures = []
     jumped = {"engine": 0, "count plane": 0}
     for master in MASTER_SEEDS:
-        for spec in generate_scenarios(master, COUNT):
-            spec = spec.with_(n=spec.n * SCALE)
-            failed = disagreements(spec, jumped)
-            if failed:
-                failures.append((spec.label, failed))
-        print(f"master seed {master}: {COUNT} specs compared four ways")
-    print(f"rounds jumped: {jumped}")
+        _compare(generate_scenarios(master, COUNT), f"master seed {master}",
+                 failures, jumped)
+    large = {"engine": 0, "count plane": 0}
+    _compare(large_specs(), "large topologies", failures, large)
+    print(f"rounds jumped: {jumped}; on large topologies: {large}")
     assert not failures, failures
-    # Both jumping halves really jumped, so neither comparison was
-    # stepping against stepping.
-    assert all(jumped.values()), jumped
+    # Both dormant halves really skipped, on both populations, so no
+    # comparison was stepping against stepping.
+    assert all(jumped.values()) and all(large.values()), (jumped, large)

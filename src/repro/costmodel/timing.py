@@ -20,15 +20,14 @@ model is a caught bug in one of them, not noise.  The generator and
 compiled engines are themselves parity-gated against each other, so one
 evaluation prices all planes.
 
-Streaming costs O(phases + transients), not O(rounds): a steady stream
-sends the same bits every round, so once a round's send list repeats
-the recurrence jumps whole stretches of rounds arithmetically (see
-:func:`evaluate_timing`) — star phases and routed payload alike.  The
-jump is written against this module's own integer state — each op logs
-what a round added to its bit counters and turns its current counters
-and that delta into the *margins* that keep its ``min(...)`` guards
-from flipping — and shares no code with the block engine's
-fast-forward, so the independence above still holds.
+Streaming costs O(changing streams), not O(rounds): a stream that sends
+the same bits every round while its inputs repeat goes *dormant*, and
+its slept rounds are applied arithmetically when it wakes (see
+:func:`evaluate_timing`).  Dormancy is written against this module's
+own integer state — each stream's per-round delta and the *margins*
+that keep its ``min(...)`` guards from flipping — and shares no code
+with the block engine's node-level dormancy, so the independence above
+still holds.
 
 What each node runs, in what order and on which links, is not round
 logic: it is the plan's schedule
@@ -38,8 +37,9 @@ engines beyond the two wire constants.
 
 A stepped round is kept cheap in this module's own code, too: an op
 takes its input queues when it starts (:meth:`_Ctx.inbox`) and drains
-them in place; and a parallel group and the round loop each walk a
-list of what is still running, rebuilt only when something finishes.
+them in place; a parallel group walks a list of what is still running,
+rebuilt only when something finishes; and the round loop steps only the
+nodes with an awake stream.
 """
 
 from __future__ import annotations
@@ -71,11 +71,14 @@ class CostVector:
 class _Ctx:
     """Count-plane ProgramContext: per-round room + next-round delivery.
 
-    A parallel group sets ``one_off`` in a round no steady stretch can
-    contain: one of its members finished.
+    A parallel group sets ``one_off`` in a round in which one of its
+    members finished and books its stepped streams in ``steady`` or
+    ``changed``; ``awake`` counts the node's awake streams, ``round``
+    is the round it steps in.
     """
 
-    __slots__ = ("node", "capacity", "queues", "sent", "outbox", "one_off")
+    __slots__ = ("node", "capacity", "queues", "sent", "outbox", "one_off",
+                 "steady", "changed", "awake", "round")
 
     def __init__(self, node: str, capacity: int) -> None:
         self.node = node
@@ -84,6 +87,10 @@ class _Ctx:
         self.sent: Dict[str, int] = {}
         self.outbox: List[Tuple[str, str, str, str, int, object]] = []
         self.one_off = False
+        self.steady: List["_Stream"] = []
+        self.changed: List["_Stream"] = []
+        self.awake = 0
+        self.round = 0
 
     def room(self, dst: str) -> int:
         return self.capacity - self.sent.get(dst, 0)
@@ -99,28 +106,25 @@ class _Ctx:
         self.outbox.append((self.node, dst, tag, kind, bits, meta))
 
     def inbox(self, stream: Tuple[str, str]) -> deque:
-        """The queue of ``stream`` = ``(tag, src)``, made if missing.
-
-        An op takes its queues when it starts and empties them in place
-        every round it is current, so a queue still holding blocks after
-        a round is buffering for a later op (:func:`_materialize`).
-        """
+        """The queue of ``stream`` = ``(tag, src)``, made if missing;
+        one filled before its op starts is buffering for it."""
         queue = self.queues.get(stream)
         if queue is None:
             queue = self.queues[stream] = deque()
         return queue
 
 
-#: Horizon of an op no boundary constrains (dormant, or margins growing).
+#: Horizon of a stream no boundary constrains (silent, or margins
+#: growing).
 _UNBOUNDED = 1 << 62
+
+#: A stream's ``wake`` before its op starts, while awake, and once it
+#: has finished; while dormant it is the round in which it steps again.
+_WAITING, _AWAKE, _DONE = -2, 0, -1
 
 
 class _Op:
-    """One blocking op of a node program.
-
-    :meth:`horizon` and :meth:`jump` are called only when the last two
-    rounds held no one-off and no program transition.
-    """
+    """One blocking op of a node program."""
 
     def start(self, ctx: _Ctx) -> None:
         pass
@@ -128,38 +132,56 @@ class _Op:
     def step(self, ctx: _Ctx) -> bool:
         raise NotImplementedError
 
-    def horizon(self) -> int:
-        """How many more rounds replay the last one identically, given
-        that its arrivals repeat (0 declines).
-
-        Must leave the op as it was: a jump check stops asking at the
-        first op that declines, so which ops are asked depends on the
-        ops stepped before them.
-        """
-        raise NotImplementedError
-
-    def jump(self, k: int) -> None:
-        """Apply ``k`` replays of the last round."""
-        raise NotImplementedError
-
 
 class _Stream(_Op):
-    """An op whose steady state moves integer bit counters linearly.
+    """An op whose steady state moves integer bit counters linearly —
+    the unit that settles and wakes.
 
-    ``log`` holds, per stepped round, that round's delta: what it added
-    to each counter.  When :meth:`horizon` is called its two entries are
-    the last two rounds; if they agree, every counter moves by the same
-    delta each further round, and so does every guard of the op's
-    ``min(...)`` decisions.
-    :meth:`margins` turns the current counters and that delta into
-    ``(margin, slope)`` pairs: each margin must stay at least 0 for the
-    round to replay, and moves by its slope a round.
+    ``log`` holds the last two stepped rounds' deltas (what each added
+    to the counters).  When they agree, every counter and every guard
+    of the op's ``min(...)`` decisions moves by that delta each further
+    round: :meth:`margins` gives the guards as ``(margin, slope)``
+    pairs, each margin to stay at least 0.
+
+    :func:`_wire` sets ``node``, ``ctx``, ``reads`` (the streams whose
+    blocks it takes), ``readers`` and ``group`` (the streams of its node
+    it shares a directed link with: ``room`` couples them, so they
+    settle and wake together).  While dormant, ``since`` is the round
+    it settled in and ``out`` its bits per receiver a round; ``dozing``
+    counts its dormant reads; until round ``blocked`` a stream it reads
+    changed its blocks, so it may not settle.
     """
 
+    #: Whether it reads its tree children (else its parent) and sends
+    #: the other way.
+    reads_children = True
+
     def __init__(self) -> None:
-        self.log: deque = deque(maxlen=2)
+        #: Primed with an entry no delta equals.
+        self.log: deque = deque((None,), 2)
+        self.node: Optional[str] = None
+        self.ctx: Optional[_Ctx] = None
+        self.reads: List["_Stream"] = []
+        self.readers: List["_Stream"] = []
+        self.group: List["_Stream"] = [self]
+        self.wake = _WAITING
+        self.since = self.dozing = self.blocked = 0
+        self.out: Dict[str, int] = {}
+
+    def take(self, u: "_Stream", k: int) -> None:
+        """Queue ``k`` rounds of ``u``'s steady blocks as one entry."""
+        bits = u.out.get(self.node)
+        if bits and k > 0:
+            self.ctx.inbox((self.tag, u.node)).append(("bits", k * bits, None))
+
+    def blocks(self, delta) -> Dict[str, int]:
+        """The bits a round with ``delta`` sends each receiver."""
+        raise NotImplementedError
 
     def horizon(self) -> int:
+        """How many more rounds replay the last one identically, given
+        that its arrivals repeat (0 declines).  Leaves the stream as it
+        was."""
         log = self.log
         if log[0] != log[1]:
             return 0
@@ -173,9 +195,6 @@ class _Stream(_Op):
             if slope < 0:
                 k = min(k, margin // -slope)
         return k
-
-    def jump(self, k: int) -> None:
-        self.replay(self.log[1], k)
 
     def margins(self, delta) -> Optional[List[Tuple[int, int]]]:
         """The op's ``(margin, slope)`` guards under ``delta``; None
@@ -195,43 +214,63 @@ class _Compute(_Op):
 
 
 class _Parallel(_Op):
-    """Members stepped in input order each round, sharing capacity."""
+    """Members stepped in input order each round, sharing capacity;
+    dormant ones are skipped.  Every stream runs in one (a route in its
+    own), which books each step in ``ctx.steady`` if it repeated its
+    last round — the same delta, so the same bits to each receiver (a
+    count in a header frame arrives once, with the round's own blocks)
+    — else in ``ctx.changed``."""
 
-    def __init__(self, members: List[_Op]) -> None:
+    def __init__(self, members: List[_Stream]) -> None:
         self.members = members
         #: Members still running, in input order; rebuilt only in a
         #: round in which one finished.
         self.live = list(members)
 
     def start(self, ctx: _Ctx) -> None:
+        ctx.awake += len(self.members)
         for member in self.members:
+            member.wake = _AWAKE
+            if member.dozing:
+                # A dormant stream's blocks of rounds ``since + 1 ..
+                # round - 2`` waited for this op (its first step takes
+                # round - 1's).
+                for u in member.reads:
+                    if u.wake > 0:
+                        member.take(u, ctx.round - 2 - u.since)
             member.start(ctx)
 
     def step(self, ctx: _Ctx) -> bool:
-        finished = []
+        last = ctx.round - 1
+        finished = False
         for member in self.live:
+            if member.wake:
+                continue  # dormant
+            if member.dozing:
+                # A stream dormant since before last round sent its
+                # steady blocks then (the round after it settled, its
+                # own arrived with the round's blocks).
+                for u in member.reads:
+                    if u.wake > 0 and u.since < last:
+                        member.take(u, 1)
             if member.step(ctx):
-                finished.append(member)
+                member.wake = _DONE
+                ctx.awake -= 1
+                ctx.changed.append(member)
+                finished = True
+                continue
+            log = member.log
+            if log[0] == log[1]:
+                ctx.steady.append(member)
+                continue
+            ctx.changed.append(member)
         if finished:
-            self.live = [m for m in self.live if m not in finished]
+            self.live = [m for m in self.live if m.wake != _DONE]
             # The member's final sends are in this round, and no op
             # state stands behind a replay of them.  The program
             # index does not move, so only this flag says so.
             ctx.one_off = True
         return not self.live
-
-    def horizon(self) -> int:
-        k = _UNBOUNDED
-        for member in self.live:
-            horizon = member.horizon()
-            if horizon < 1:
-                return 0
-            k = min(k, horizon)
-        return k
-
-    def jump(self, k: int) -> None:
-        for member in self.live:
-            member.jump(k)
 
 
 class _Broadcast(_Stream):
@@ -260,6 +299,8 @@ class _Broadcast(_Stream):
     def _learn(self, count: int) -> None:
         self.count = count
         self.length = HEADER_BITS + count * self.per_item
+
+    reads_children = False
 
     def start(self, ctx: _Ctx) -> None:
         if self.parent is None:
@@ -302,14 +343,21 @@ class _Broadcast(_Stream):
             # Before the header lands only a silent relay is steady.
             return [] if not arrived and not any(sent) else None
         # A round before the stream's last bit leaves for a child (its
-        # arrival here is bounded by the sender's own margin), and each
-        # child's backlog stays non-negative (its send room-limited).
+        # arrival here is bounded by the sender's own margin) and before
+        # its header-completing frame does (that frame carries the
+        # count), and each child's backlog stays non-negative (its send
+        # room-limited).
         margins = []
         for done, bits in zip(self.forwarded.values(), sent):
             if bits:
                 margins.append((self.length - 1 - done, -bits))
+                if done < HEADER_BITS:
+                    margins.append((HEADER_BITS - 1 - done, -bits))
             margins.append((self.held - done, arrived - bits))
         return margins
+
+    def blocks(self, delta):
+        return {c: bits for c, bits in zip(self.children, delta[1]) if bits}
 
     def replay(self, delta, k: int) -> None:
         arrived, sent = delta
@@ -340,7 +388,7 @@ class _Convergecast(_Stream):
         self._no_arrivals = (0,) * len(self.children)
         #: The last round was idle — nothing arrived and every ready bit
         #: was out — so ``log[-1]`` is also the entry of the next idle
-        #: round.  A jump drops it: it moves the counters behind it.
+        #: round.  A catch-up drops it: it moves the counters behind it.
         self._idle = False
 
     def start(self, ctx: _Ctx) -> None:
@@ -388,7 +436,7 @@ class _Convergecast(_Stream):
         moved, arrivals = delta
         if self.parent is None or (not moved and not any(arrivals)):
             # The root sends nothing: it replays while its children do,
-            # and their own margins keep their last bit out of the jump.
+            # and their own margins keep their last bit out of its sleep.
             return []
         per_slot = self.per_slot
         margins = []
@@ -419,6 +467,9 @@ class _Convergecast(_Stream):
             margins.append((ahead, got - moved))
         return margins
 
+    def blocks(self, delta):
+        return {self.parent: delta[0]} if delta[0] else {}
+
     def replay(self, delta, k: int) -> None:
         moved, arrivals = delta
         self._idle = False
@@ -432,7 +483,7 @@ class _Route(_Stream):
     """Mirror of RouteOp.step: the queue is one bit count (own payload,
     then arrivals) that goes toward the sink as far as the edge has
     room each round, then the 1-bit EOS handshake.  A streaming relay's
-    queue moves linearly, so it jumps like any stream; an EOS matters
+    queue moves linearly, so it sleeps like any stream; an EOS matters
     only once the queue is empty with room left, and that round sends
     the op's own EOS and completes it.
 
@@ -489,6 +540,9 @@ class _Route(_Stream):
         arrived, sent = delta
         return [(self.queue, arrived - sent)]
 
+    def blocks(self, delta):
+        return {self.parent: delta[1]} if delta[1] else {}
+
     def replay(self, delta, k: int) -> None:
         if self.parent is not None:
             arrived, sent = delta
@@ -504,11 +558,6 @@ class _Program:
         self.index = 0
         self.started = False
         self.done = not items
-
-    @property
-    def current(self) -> _Op:
-        """The op a live program is blocked in."""
-        return self.items[self.index]
 
     def step_round(self, ctx: _Ctx) -> bool:
         moved = False
@@ -558,63 +607,106 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
             )
         route = steps.route
         if route is not None:
-            items.append(
+            items.append(_Parallel([
                 _Route(
                     route.tag, route.parent, route.children,
                     skeleton.route.payload_counts.get(node, 0)
                     * skeleton.item_bits,
                 )
-            )
+            ]))
         if steps.is_output:
             items.append(_Compute())
         programs[node] = _Program(node, items)
     return programs
 
 
-def _steady_cycles(history, live, limit) -> int:
-    """Rounds every live op can replay the last one for, at most
-    ``limit``; 0 means step on.
+def _wire(
+    programs: Dict[str, _Program], contexts: Dict[str, _Ctx]
+) -> Dict[Tuple[str, str], _Stream]:
+    """Set every stream's ``node``, ``ctx``, ``reads``, ``readers`` and
+    ``group``; return the streams by ``(node, tag)``."""
+    streams: Dict[Tuple[str, str], _Stream] = {}
+    parallels = []
+    for node, prog in programs.items():
+        for op in prog.items:
+            if isinstance(op, _Parallel):
+                for stream in op.members:
+                    stream.node, stream.ctx = node, contexts[node]
+                    streams[(node, stream.tag)] = stream
+                if len(op.members) > 1:
+                    parallels.append(op.members)
+    for (node, tag), stream in streams.items():
+        ups = stream.children if stream.reads_children else [stream.parent]
+        for up in ups:
+            upstream = streams.get((up, tag))
+            if upstream is not None:
+                stream.reads.append(upstream)
+                upstream.readers.append(stream)
+    for members in parallels:
+        by_link: Dict[str, _Stream] = {}
+        for stream in members:
+            downs = [stream.parent] if stream.reads_children else stream.children
+            for dst in filter(None, downs):
+                other = by_link.setdefault(dst, stream)
+                if other.group is not stream.group:
+                    group = other.group + stream.group
+                    for member in group:
+                        member.group = group
+    return streams
 
-    The last two rounds must have sent the same blocks (two silent
-    rounds would already have raised the deadlock error) and every live
-    op must grant a horizon; the first that declines ends the check.
+
+def _settle(steady: List[_Stream], round_no: int) -> List[_Stream]:
+    """Which of ``steady`` — streams that stepped this round on a node
+    that neither moved nor flagged a one-off, and repeated their last
+    round — go dormant, with ``wake``, ``since`` and ``out`` set.
+
+    A group settles whole, unless one of its streams is ``blocked`` or
+    its smallest horizon ``h`` is 0 (as it is for a member whose delta
+    changed), and wakes at ``round + h + 1``.
     """
-    if history[0][0] != history[1][0]:
+    settled = []
+    for stream in steady:
+        if stream.wake:
+            continue  # settled with its group
+        group = stream.group
+        if len(group) > 1:
+            group = [m for m in group if m.wake != _DONE]
+        horizon = _UNBOUNDED
+        for member in group:
+            if member.blocked >= round_no:
+                break
+            h = member.horizon()
+            if h < horizon:
+                horizon = h
+        else:
+            if horizon > 0:
+                for member in group:
+                    member.wake = round_no + horizon + 1
+                    member.since = round_no
+                    member.out = member.blocks(member.log[1])
+                settled += group
+    return settled
+
+
+def _catch_up(
+    stream: _Stream, through: int, bits_per_edge: Dict[Tuple[str, str], int]
+) -> int:
+    """Apply a dormant stream's rounds ``since + 1 .. through`` (``k``
+    deltas, ``k`` times its blocks on its links) and return their bits.
+    A reader whose op has not started gets the blocks in one entry; a
+    running one took or replayed them."""
+    k = through - stream.since
+    if k < 1:
         return 0
-    k = limit
-    for prog, _ctx in live:
-        k = min(k, prog.current.horizon())
-        if k < 1:
-            return 0
-    return k
-
-
-def _materialize(sends, k, contexts) -> None:
-    """Deliver what ``k`` skipped replays of a round's ``sends`` put in
-    mailboxes.
-
-    A stream whose queue still holds blocks after the stepped round is
-    not read by its receiver's current op, which empties the queues it
-    reads every round: it is buffering for a later one (the next star's
-    scatter reaching a node still busy in this star).  ``k`` is at most
-    that op's horizon, so the receiver stays in it for the whole jump and
-    the stream buffers throughout.  A stream with an empty queue is read
-    by the current op, whose own ``jump`` accounts for it — or its
-    receiver runs no program or has finished (an op completes only once
-    its streams are fully read), and the round loop drops those
-    deliveries too.
-
-    The skipped rounds deliver the round's sends ``k`` times: they start
-    at the stepped round's own sends, and those stay ``pending`` for the
-    round after the jump.  A steady round carries no header-completing
-    frame and no EOS (each is sent once, so the round before differs),
-    and readers sum bits, so one entry per stream stands for all ``k``.
-    """
-    for src, dst, tag, kind, bits, _meta in sends:
-        ctx = contexts.get(dst)
-        queue = ctx.queues.get((tag, src)) if ctx is not None else None
-        if queue:
-            queue.append((kind, k * bits, None))
+    stream.replay(stream.log[1], k)
+    added = 0
+    for dst, bits in stream.out.items():
+        bits_per_edge[(stream.node, dst)] += k * bits
+        added += k * bits
+    for reader in stream.readers:
+        if reader.wake == _WAITING:
+            reader.take(stream, k)
+    return added
 
 
 def evaluate_timing(
@@ -627,41 +719,50 @@ def evaluate_timing(
     deliveries to finished programs are dropped.  Raises
     :class:`CostModelError` on deadlock or round overrun, which can only
     mean a model bug (the engines themselves would have deadlocked too).
-
     A round's sends fold into one ``{(src, dst): bits}`` dict in send
-    order, which is added once per link to ``total_bits`` and
-    ``bits_per_edge`` (first-seen key order, as the engines keep it).
+    order, added once per link to ``total_bits`` and ``bits_per_edge``
+    (first-seen key order, as the engines keep it).
 
-    Steady streaming is not stepped.  When the last two rounds sent the
-    same blocks and held no program transition and no one-off (see
-    :class:`_Ctx`), all live ops replay the round ``k`` times
-    arithmetically — ``k`` being the smallest :meth:`_Op.horizon`,
-    capped so ``max_rounds`` is still enforced by a stepped round — and
-    the streams no current op reads are delivered to their mailboxes
-    (:func:`_materialize`).  Only counters advance, so
-    ``max_edge_bits_per_round`` cannot change.  Scatter, combine and
-    routed payload all jump alike.
+    Only changing streams step.  :func:`_settle` picks the streams that
+    go dormant.  A dormant stream is not stepped: a running reader takes
+    its steady blocks each round, and it steps again at its horizon or
+    the round after a stream it reads changed its blocks (a final round
+    is a change, and a reader may not settle the round after it).
+    Waking, it catches up arithmetically (:func:`_catch_up`).  When
+    every running stream is dormant the round counter skips to the
+    earliest wake.  A dormant stream's links were charged when it
+    stepped and nothing else uses them while it sleeps, so
+    ``max_edge_bits_per_round`` cannot change: the result is identical
+    to stepping every stream every round.
     """
     programs = _build_programs(skeleton)
     contexts = {n: _Ctx(n, skeleton.capacity) for n in skeleton.nodes}
+    receivers = _wire(programs, contexts)
     # The running programs in step order (sorted by node), with their
     # contexts; rebuilt only in a round in which a program finished.
     live = [
         (programs[n], contexts[n])
         for n in sorted(programs) if not programs[n].done
     ]
+    # Their positions there, by context, and the positions of those
+    # with an awake stream (all of them before their first round).
+    order = list(live)
+    rank = {ctx: i for i, (_prog, ctx) in enumerate(order)}
+    stepping = set(range(len(order)))
 
-    pending: List[Tuple[str, str, str, str, int, object]] = []
     total_bits = 0
     last_send_round = 0
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
-    # The last two rounds' (sends, per-link bits), and the last round
-    # that cannot be part of a steady stretch: a program moved to its
-    # next op or finished, or an op flagged a one-off.
-    history: deque = deque(maxlen=2)
-    last_change_round = 0
-    jumped_rounds = 0
+    # Dormant streams: their count, those that send, and the streams
+    # by wake round (an entry whose round is no longer the stream's
+    # ``wake`` is stale).
+    dormant = 0
+    steady_senders = 0
+    wakes: Dict[int, List[_Stream]] = {}
+    sent_before = False
+    skipped_rounds = 0
+    stream_steps = 0
 
     round_no = 0
     while True:
@@ -671,35 +772,67 @@ def evaluate_timing(
                 f"cost model exceeded max_rounds={max_rounds} "
                 f"(live nodes: {[prog.node for prog, _ctx in live]})"
             )
-        had_pending = bool(pending)
-        for src, dst, tag, kind, bits, meta in pending:
-            prog = programs.get(dst)
-            if prog is not None and not prog.done:
-                contexts[dst].inbox((tag, src)).append((kind, bits, meta))
+        due = wakes.pop(round_no, None)
+        if due is not None:
+            woke = []
+            for stream in due:
+                if stream.wake != round_no:
+                    continue  # stale, or listed twice
+                woke.append(stream)
+                total_bits += _catch_up(stream, round_no - 1, bits_per_edge)
+                stream.wake = _AWAKE
+                if not stream.ctx.awake:
+                    stepping.add(rank[stream.ctx])
+                stream.ctx.awake += 1
+                for reader in stream.readers:
+                    reader.dozing -= 1
+                dormant -= 1
+                if stream.out:
+                    steady_senders -= 1
+            # Its blocks of last round (a slept one) go to running
+            # readers; dormant ones replay them.
+            for stream in woke:
+                if stream.since < round_no - 1:
+                    for reader in stream.readers:
+                        if reader.wake == _AWAKE:
+                            reader.take(stream, 1)
 
         round_sends: List[Tuple[str, str, str, str, int, object]] = []
+        steady: List[_Stream] = []
+        changed: List[_Stream] = []
         finished_any = False
         moved_any = False
-        for prog, ctx in live:
+        for i in sorted(stepping):
+            prog, ctx = order[i]
+            ctx.round = round_no
             if ctx.sent:
                 ctx.sent = {}
             moved = prog.step_round(ctx)
             if ctx.outbox:
                 round_sends += ctx.outbox
                 ctx.outbox = []
-            if moved:
-                moved_any = True
             if moved or ctx.one_off:  # a finished program moved, too
                 ctx.one_off = False
-                last_change_round = round_no
-            if prog.done:
-                finished_any = True
+                changed += ctx.steady
+                ctx.steady = []
+                if moved:
+                    moved_any = True
+                    if prog.done:
+                        finished_any = True
+            elif ctx.steady:
+                steady += ctx.steady
+                ctx.steady = []
+            if ctx.changed:
+                changed += ctx.changed
+                ctx.changed = []
+            if not ctx.awake:
+                stepping.discard(i)
+        stream_steps += len(steady) + len(changed)
         if finished_any:
             live = [(prog, ctx) for prog, ctx in live if not prog.done]
 
-        round_edge_bits: Dict[Tuple[str, str], int] = {}
         if round_sends:
-            last_send_round = round_no
+            round_edge_bits: Dict[Tuple[str, str], int] = {}
             for src, dst, _tag, _kind, bits, _meta in round_sends:
                 link = (src, dst)
                 round_edge_bits[link] = round_edge_bits.get(link, 0) + bits
@@ -709,36 +842,73 @@ def evaluate_timing(
             busiest = max(round_edge_bits.values())
             if busiest > max_edge_bits_per_round:
                 max_edge_bits_per_round = busiest
+        sent = bool(round_sends) or steady_senders > 0
+        if sent:
+            last_send_round = round_no
 
-        if not live and not round_sends:
+        if not live and not sent:
             break
-        if live and not round_sends and not had_pending and not finished_any \
+        if live and not sent and not sent_before and not finished_any \
                 and not moved_any:
             raise CostModelError(
                 f"cost model deadlocked at round {round_no} "
                 f"(live nodes: {[prog.node for prog, _ctx in live]})"
             )
-        pending = round_sends
+        sent_before = sent
 
-        history.append((round_sends, round_edge_bits))
-        if round_no - last_change_round < 2:
-            continue
-        k = _steady_cycles(history, live, max_rounds - round_no)
-        if k:
-            for prog, _ctx in live:
-                prog.current.jump(k)
-            _materialize(round_sends, k, contexts)
-            for link, bits in round_edge_bits.items():
-                total_bits += k * bits
-                bits_per_edge[link] += k * bits
-            round_no += k
-            # Logged deltas predate the jump: two freshly stepped rounds
-            # come before the next one.
-            last_send_round = last_change_round = round_no
-            jumped_rounds += k
+        # A stream whose blocks changed changes what its readers get next
+        # round (a final one, also the round after): they may not settle
+        # now, and dormant ones (with their link-mates) wake next round.
+        soon = round_no + 1
+        for stream in changed:
+            until = soon if stream.wake == _DONE else round_no
+            for reader in stream.readers:
+                if reader.blocked < until:
+                    reader.blocked = until
+                if reader.wake > soon:
+                    due = wakes.setdefault(soon, [])
+                    for mate in reader.group:
+                        if mate.wake > 0:  # not a finished one
+                            mate.wake = soon
+                            due.append(mate)
+        if steady:
+            for stream in _settle(steady, round_no):
+                stream.ctx.awake -= 1
+                if not stream.ctx.awake:
+                    stepping.discard(rank[stream.ctx])
+                for reader in stream.readers:
+                    reader.dozing += 1
+                dormant += 1
+                if stream.out:
+                    steady_senders += 1
+                wakes.setdefault(stream.wake, []).append(stream)
+
+        # This round's blocks, for next round: a reader that is running,
+        # waking next round, or not yet started (buffering) gets them; a
+        # dormant one replays them.
+        for src, dst, tag, kind, bits, meta in round_sends:
+            reader = receivers.get((dst, tag))
+            if reader is not None:
+                wake = reader.wake
+                if wake == _AWAKE or wake == soon or wake == _WAITING:
+                    contexts[dst].inbox((tag, src)).append((kind, bits, meta))
+
+        if steady_senders and not stepping:
+            # Every running stream is dormant and some send: nothing
+            # changes before the earliest wake, so skip to it.
+            # (Past ``max_rounds`` the next round raises the overrun.)
+            first = min(wakes)
+            while all(stream.wake != first for stream in wakes[first]):
+                del wakes[first]  # stale
+                first = min(wakes)
+            target = first - 1
+            if target > round_no:
+                skipped_rounds += target - round_no
+                round_no = last_send_round = target
 
     COUNTERS.increment("costmodel.rounds", last_send_round)
-    COUNTERS.increment("costmodel.fast_forward_rounds", jumped_rounds)
+    COUNTERS.increment("costmodel.fast_forward_rounds", skipped_rounds)
+    COUNTERS.increment("costmodel.stream_steps", stream_steps)
     return CostVector(
         rounds=last_send_round,
         total_bits=total_bits,

@@ -351,10 +351,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print()
     print(f"suite {suite.name!r}: {len(suite)} scenarios priced")
     priced = counter_delta(priced_before, COUNTERS.snapshot())
-    rounds, jumped = (priced.get(name, 0) for name in COSTMODEL_COUNTERS)
+    rounds, jumped, steps = (
+        priced.get(name, 0) for name in COSTMODEL_COUNTERS
+    )
     print(
         f"timing recurrence: {rounds} round(s) priced, "
-        f"{rounds - jumped} stepped, {jumped} fast-forwarded"
+        f"{rounds - jumped} stepped, {jumped} fast-forwarded, "
+        f"{steps} stream step(s)"
     )
     if args.artifact:
         print(

@@ -56,9 +56,13 @@ DETERMINISTIC_COUNTERS = (
 )
 
 #: The timing recurrence's ledger, incremented once per
-#: :func:`repro.costmodel.evaluate_timing` call: rounds priced, and how
-#: many of them were replayed arithmetically instead of stepped.
-COSTMODEL_COUNTERS = ("costmodel.rounds", "costmodel.fast_forward_rounds")
+#: :func:`repro.costmodel.evaluate_timing` call: rounds priced, rounds in
+#: which no stream stepped (every running one dormant), and leaf stream
+#: steps.
+COSTMODEL_COUNTERS = (
+    "costmodel.rounds", "costmodel.fast_forward_rounds",
+    "costmodel.stream_steps",
+)
 
 #: The Δ-scan's ledger (:func:`repro.network.steiner
 #: .scan_steiner_packings`), one increment per greedy step: residual

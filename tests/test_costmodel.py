@@ -10,10 +10,10 @@ Three layers:
   bit-for-bit on every run — including the hypothesis-driven
   property sweep over the fuzz generator and the regression pin of the
   known-loose Ω̃ hard-forest case;
-* the steady-state jump of the recurrence and the demand-driven
-  skeleton replay: pins found by differential search (jumping vs
-  stepping every round), the error paths under a jump, and the counter
-  ledger.
+* the recurrence's dormant streams and the demand-driven skeleton
+  replay: pins found by differential search (dormant vs stepping every
+  stream every round), the error paths while streams sleep, and the
+  counter ledger.
 """
 
 import hashlib
@@ -50,13 +50,15 @@ from repro.costmodel import skeleton as skeleton_module
 from repro.costmodel import timing as timing_module
 from repro.costmodel.formulas import two_party_route_rounds
 from repro.costmodel.timing import (
+    _AWAKE,
     _Broadcast,
+    _catch_up,
     _Convergecast,
     _Ctx,
-    _materialize,
+    _DONE,
     _Op,
-    _Parallel,
     _Route,
+    _WAITING,
 )
 from repro.lab.generate import generate_scenarios
 from repro.lab.report import cost_mismatches
@@ -488,23 +490,23 @@ def _pin(family, query, query_params, topology, topology_params, n,
     )
 
 
-#: One fuzz scenario per jump guard, each found by differential search
-#: (the jumping recurrence against the same recurrence stepping every
+#: One fuzz scenario per guard of the count plane's skipping, each found
+#: by differential search (the recurrence against itself stepping every
 #: round, with that guard removed) and priced wrong — or not at all —
-#: without it.  The default 200-run fuzz gate misses the first two.
-#: The failures quoted are those of the guard's mutation under bit
-#: framing.
+#: without it.  The default 200-run fuzz gate misses some of them.  The
+#: first six were found for the whole-network jump and still pin
+#: rounds and bits; the comments say what each guards now.
 _JUMP_GUARD_PINS = {
-    # A root convergecast held back by a slow tree keeps a positive
-    # horizon while a fast member finishes; replaying that member's
-    # final frame adds 32 bits unless ``_Parallel.step`` flags the
-    # finish.
+    # A root convergecast held back by a slow tree while a fast member
+    # finishes.  Found for the whole-network jump, which replayed the
+    # member's final frame (+32 bits); it pins rounds and bits (the
+    # finish rules' gates are the goldens and the link-sharing pin).
     "parallel-member-finish": (_pin(
         "fuzz-tree", "tree", {"edges": 4}, "regular",
         {"degree": 3, "n": 6, "seed": 51}, 32, 4, "counting",
         "round-robin", 688631229,
     ), 16, 2560),
-    # An op that would finish exactly at the end of a jump must finish
+    # An op that would finish exactly at the end of a sleep must finish
     # in a stepped round, because its successor starts in that same
     # round: a convergecast horizon of ``margin // shrink`` instead of
     # ``(margin - 1) // shrink`` is one round late here (121 rounds).
@@ -513,42 +515,44 @@ _JUMP_GUARD_PINS = {
         {"n": 4}, 32, 4, "boolean", "round-robin", 601469238,
     ), 120, 850),
     # The next star's scatter reaches a node still busy in this one and
-    # its frames queue in that node's mailbox.  The jump counts their
-    # bits, so it must also deliver them: with ``_materialize`` a no-op
-    # the scatter's receiver never sees its bits (deadlock, round 24).
+    # its frames queue in that node's mailbox.  A sleeping sender's
+    # catch-up counts their bits, so it must also deliver them to the
+    # reader whose op has not started.
     "stream-buffering-for-a-later-phase": (_pin(
         "fuzz-hard-path", "hard-path", {"length": 6}, "line", {"n": 3},
         16, 16, "boolean", "worst-case", 262579810,
     ), 60, 660),
-    # A buffering stream gets exactly the ``k`` skipped rounds' bits.
-    # With ``(k - 1) * bits`` the later broadcast waits for bits that
-    # never come (deadlock, round 28); with ``(k + 1) * bits`` — which
-    # is also what delivering the stepped round's own, still-pending
-    # sends a second time amounts to — it holds more bits than its
-    # header announced and never completes (deadlock, round 30).
+    # A buffering queue gets exactly the ``k`` slept rounds' bits: with
+    # ``k - 1`` the later broadcast waits for bits that never come, with
+    # ``k + 1`` it holds more bits than its header announced.
     "materialized-count-is-k-cycles": (_pin(
         "fuzz-hard-path", "hard-path", {"length": 6, "value": False},
         "tree", {"branching": 2, "depth": 2}, 16, 16, "boolean",
         "worst-case", 692445153,
     ), 63, 1076),
-    # Only a stream with blocks still queued is buffering.  One with an
-    # empty queue is read by its receiver's current op, whose ``jump``
-    # already advanced by the round's arrivals: materializing every
-    # stream delivers those twice (deadlock, round 22).  No stream
-    # buffers in this scenario.
+    # Only a reader whose op has not started is buffering.  A running
+    # reader took the blocks round by round and a dormant one replays
+    # them: materializing into every reader's queue delivers them twice.
     "drained-streams-are-not-materialized": (_pin(
         "fuzz-hard-star", "hard-star", {"arms": 3, "value": False}, "star",
         {"leaves": 4}, 16, 16, "boolean", "worst-case", 508538384,
     ), 22, 176),
-    # Right after a jump the window restarts at the jump's last round.
-    # With period-1 jumps that is conservative — the round before a jump
-    # is what the skipped rounds would have logged — so this entry pins
+    # Found for the whole-network jump's window restart, which is gone
+    # (a waking stream's log holds the slept delta twice); it pins
     # rounds and bits only.
     "window-restarts-after-a-jump": (_pin(
         "fuzz-acyclic", "acyclic", {"arity": 4, "edges": 5}, "tree",
         {"branching": 2, "depth": 2}, 32, 8, "boolean", "round-robin",
         985735279,
     ), 77, 2240),
+    # A reader whose op starts while the stream it reads sleeps takes
+    # the rounds owed so far at its start.  Without that entry it
+    # misses them: 100 rounds and 2429 bits.  (The large-topology half
+    # of the jump differential, moved to a 5 x 3 grid.)
+    "buffered-entry-at-op-start": (_pin(
+        "fuzz-hard-forest", "hard-forest", {"edges": 3, "trees": 3}, "grid",
+        {"cols": 5, "rows": 3}, 32, 16, "boolean", "worst-case", 269741294,
+    ), 122, 2789),
 }
 
 
@@ -561,37 +565,51 @@ def test_jump_guard_pin(guard):
 
 
 def test_materialize_touches_only_buffering_streams_of_live_receivers():
-    # Hand-fed: the round's sends are delivered k times and readers sum
-    # bits, so one entry per buffering stream stands for all k.  A
-    # finished program has read its streams to the end, so its queues
-    # are empty and it is skipped like a node that runs no program;
-    # nothing reads such a queue, so no mutation there is observable
-    # (2000 fuzz specs at x1 and x8: 213 buffered streams, none into a
-    # finished program).
-    contexts = {"b": _Ctx("b", capacity=8), "c": _Ctx("c", capacity=8)}
-    contexts["b"].queues = {
-        ("later", "a"): deque([("bits", 8, 90), ("bits", 3, None)]),
-        ("now", "a"): deque(),
-    }
-    sends = [
-        ("a", "b", "later", "bits", 8, None),
-        ("a", "b", "now", "bits", 8, None),
-        ("a", "ghost", "later", "bits", 8, None),
-        ("a", "c", "later", "bits", 2, None),
-    ]
-    _materialize(sends, 7, contexts)
+    # Hand-fed: a broadcast at ``a`` slept rounds 4..10 sending 8, 8 and
+    # 2 bits a round to its three children.  Its counters and links
+    # advance by k = 7 rounds, and only the reader whose op has not
+    # started (``b``: its queue is buffering for a later op) gets the
+    # blocks, as one entry: readers sum bits.  A running reader (``c``)
+    # took them each round, a dormant one (``d``) replays them, and a
+    # finished one has read its stream to the end.
+    contexts = {n: _Ctx(n, capacity=8) for n in "bcde"}
+    sender = _Broadcast("later", "p", ["b", "c", "d", "e"], per_item=8)
+    sender.node, sender.since = "a", 3
+    sender._learn(1000)
+    sender.held = 500
+    sender.log.extend([(18, (8, 8, 2, 0)), (18, (8, 8, 2, 0))])
+    sender.out = sender.blocks(sender.log[1])
+    assert sender.out == {"b": 8, "c": 8, "d": 2}
+    readers = {}
+    for node, wake in (("b", _WAITING), ("c", _AWAKE), ("d", 12),
+                       ("e", _DONE)):
+        reader = readers[node] = _Broadcast("later", "a", [], per_item=8)
+        reader.node, reader.ctx, reader.wake = node, contexts[node], wake
+    sender.readers = list(readers.values())
+    contexts["b"].queues[("later", "a")] = deque(
+        [("bits", 8, 90), ("bits", 3, None)]
+    )
+    bits_per_edge = {("a", n): 1 for n in "bcd"}
+    assert _catch_up(sender, 10, bits_per_edge) == 7 * 18
+    assert bits_per_edge == {("a", "b"): 57, ("a", "c"): 57, ("a", "d"): 15}
+    assert (sender.held, sender.forwarded) == (
+        500 + 7 * 18, {"b": 56, "c": 56, "d": 14, "e": 0}
+    )
     assert list(contexts["b"].queues[("later", "a")]) == [
         ("bits", 8, 90), ("bits", 3, None), ("bits", 56, None),
     ]
-    assert not contexts["b"].queues[("now", "a")]
-    assert contexts["c"].queues == {}
+    assert all(not contexts[n].queues for n in "cde")
+    # Woken the round after it settled, it slept no round.
+    sender.since = 10
+    assert _catch_up(sender, 10, bits_per_edge) == 0
 
 
 def test_streaming_route_jumps_its_queue():
     # The sender's side alone: 50 items of 13 bits stream to a parent
     # that runs no program.  The queue drains 12 bits a round, items
-    # straddling rounds: ceil((650 + 1) / 12) = 55 rounds, and the jump
-    # stops a round before the queue runs dry.
+    # straddling rounds: ceil((650 + 1) / 12) = 55 rounds.  The route
+    # settles after its second round and wakes a round before its queue
+    # runs dry: three steps.
     skeleton = CostSkeleton(
         nodes=("a",), output_player="a", capacity=12, tuple_bits=12,
         value_bits=1, stars=(),
@@ -603,6 +621,7 @@ def test_streaming_route_jumps_its_queue():
     assert (timing.rounds, timing.total_bits) == (55, 50 * 13 + 1)
     assert delta == {
         "costmodel.rounds": 55, "costmodel.fast_forward_rounds": 52,
+        "costmodel.stream_steps": 3,
     }
 
 
@@ -655,6 +674,32 @@ def test_a_room_starved_round_is_not_idle():
     assert ctx.outbox == [("relay", "parent", "t", "bits", 5, None)]
 
 
+def test_streams_sharing_a_link_settle_and_wake_together(monkeypatch):
+    # Two packing trees share a -> b (and b -> a): the root's broadcasts
+    # are link-mates, the first taking all of the link's room while the
+    # second sends nothing.  Settled apart, the second would sleep
+    # through the round the first's share ends (deadlock, round 138).
+    # No sampled plan shares a link (0 of 4,951 streams on the fuzz and
+    # large-topology populations), so this pin is the rule's only gate.
+    skeleton = CostSkeleton(
+        nodes=("a", "b", "c"), output_player="a", capacity=12,
+        tuple_bits=8, value_bits=8,
+        stars=(StarSkeleton(
+            star_id=0, center_edge="R",
+            trees=({"a": None, "b": "a"}, {"a": None, "b": "a", "c": "b"}),
+            counts=(200, 300),
+        ),),
+        route=RouteSkeleton(parents={}, payload_counts={}),
+    )
+    before = COUNTERS.snapshot()
+    dormant = evaluate_timing(skeleton)
+    skipped = counter_delta(before, COUNTERS.snapshot())
+    monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
+    assert evaluate_timing(skeleton) == dormant
+    assert (dormant.rounds, dormant.total_bits) == (673, 12896)
+    assert skipped["costmodel.fast_forward_rounds"] > 600
+
+
 def _straddling_convergecast(length):
     """A star of 200 rows down ``line(length)`` and its 32-bit slots back
     up, over 36-bit links: slots straddle rounds on every link."""
@@ -679,7 +724,7 @@ def test_straddling_slots_jump_exactly(length, monkeypatch):
     before = COUNTERS.snapshot()
     jumping = evaluate_timing(skeleton)
     jumped = counter_delta(before, COUNTERS.snapshot())
-    monkeypatch.setattr(timing_module, "_steady_cycles", lambda *_args: 0)
+    monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
     assert evaluate_timing(skeleton) == jumping
     assert jumped["costmodel.fast_forward_rounds"] > 0
     assert jumping.total_bits == (length - 1) * (32 + 200 * 36 + 200 * 32)
@@ -720,9 +765,36 @@ def test_streaming_rounds_are_counted_not_stepped():
     before = COUNTERS.snapshot()
     timing = evaluate_timing(skeleton)
     delta = counter_delta(before, COUNTERS.snapshot())
-    rounds, jumped = (delta[name] for name in COSTMODEL_COUNTERS)
+    rounds, jumped, steps = (delta[name] for name in COSTMODEL_COUNTERS)
     assert timing.rounds == rounds == 8510
-    assert rounds - jumped <= 64
+    assert rounds - jumped <= 64 and steps <= 64
+
+
+def _wide_expander_spec(n):
+    """``acyclic(edges=8, arity=3)`` counting on ``expander(64, 4)``:
+    the golden case at N=96, the ledger's ``wide-expander`` at N=500."""
+    return ScenarioSpec(
+        family="wide", query="acyclic",
+        query_params={"edges": 8, "arity": 3}, topology="expander",
+        topology_params={"n": 64, "degree": 4, "seed": 1}, n=n,
+        domain_size=64, semiring="counting", engine="compiled", seed=3,
+    )
+
+
+@pytest.mark.parametrize("n, rounds, most_steps", [(96, 108, 1000),
+                                                   (500, 477, 1100)])
+def test_only_changing_streams_step(n, rounds, most_steps):
+    # Stepping every running stream while any changed (the whole-network
+    # jump) took 3,049 leaf steps at N=96 and 3,655 at N=500; dormant
+    # streams step at their horizon or when what they read changes.
+    # 1,100 is the engine's node-level member-step count at N=500.
+    skeleton = _skeleton_of(_wide_expander_spec(n))
+    before = COUNTERS.snapshot()
+    timing = evaluate_timing(skeleton)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert timing.rounds == delta["costmodel.rounds"] == rounds
+    assert delta["costmodel.stream_steps"] <= most_steps
+    assert delta["costmodel.fast_forward_rounds"] >= rounds // 3
 
 
 @pytest.mark.parametrize("limit", [3, 400, 1033])
@@ -786,12 +858,7 @@ TIMING_CASES = {
         f"fuzz777-{i:02d}": spec
         for i, spec in enumerate(generate_scenarios(777, 40))
     },
-    "wide-expander-N96": ScenarioSpec(
-        family="wide", query="acyclic",
-        query_params={"edges": 8, "arity": 3}, topology="expander",
-        topology_params={"n": 64, "degree": 4, "seed": 1}, n=96,
-        domain_size=64, semiring="counting", engine="compiled", seed=3,
-    ),
+    "wide-expander-N96": _wide_expander_spec(96),
     "stream-line-N1024": _stream_line_spec(1024),
 }
 
@@ -856,22 +923,30 @@ def _op_state(value):
 
 
 def test_horizon_leaves_every_op_unchanged(monkeypatch):
-    """A jump check stops at the first op that declines, so which ops it
-    asks depends on the step order: that is only exact while asking
-    changes nothing.  Every op class's ``horizon`` is wrapped to compare
-    the op's counters and log (its whole state) before and after."""
+    """Which streams are asked for a horizon depends on which settle
+    candidates the round has and in what order: that is only exact
+    while asking changes nothing.  Every stream class's ``horizon`` is
+    wrapped to compare the stream's counters and log (its whole state
+    but the wiring to other streams) before and after."""
     calls = {}
-    for cls in (_Parallel, _Broadcast, _Convergecast, _Route):
+    wiring = ("reads", "readers", "group", "ctx")
+
+    def state(stream):
+        return _op_state(
+            {k: v for k, v in vars(stream).items() if k not in wiring}
+        )
+
+    for cls in (_Broadcast, _Convergecast, _Route):
         def checked(self, _horizon=cls.horizon, _cls=cls):
-            before = _op_state(vars(self))
+            before = state(self)
             horizon = _horizon(self)
-            assert _op_state(vars(self)) == before, _cls.__name__
+            assert state(self) == before, _cls.__name__
             calls[_cls.__name__] = calls.get(_cls.__name__, 0) + 1
             return horizon
         monkeypatch.setattr(cls, "horizon", checked)
     timing = evaluate_timing(_skeleton_of(TIMING_CASES["wide-expander-N96"]))
     assert timing.rounds == 108
-    assert calls.get("_Parallel") and calls.get("_Broadcast")
+    assert calls.get("_Broadcast")
     assert calls.get("_Convergecast")
 
 

@@ -242,11 +242,12 @@ def test_cli_predict_without_artifact_prices_suite(capsys):
     assert code == 0
     assert "suite 'golden': 3 scenarios priced" in printed
     # The recurrence's ledger (zeros when the prediction memo is warm).
-    priced, stepped, jumped = map(int, re.search(
+    priced, stepped, jumped, steps = map(int, re.search(
         r"timing recurrence: (\d+) round\(s\) priced, (\d+) stepped, "
-        r"(\d+) fast-forwarded", printed,
+        r"(\d+) fast-forwarded, (\d+) stream step\(s\)", printed,
     ).groups())
     assert priced == stepped + jumped
+    assert steps >= 0
 
 
 # ---------------------------------------------------------------------------
