@@ -1,6 +1,6 @@
 """Backend comparison — dict vs columnar data plane on Table-1-scale inputs.
 
-Every ``bench_table1_*`` workload bottoms out in the factor algebra of
+Every Table 1 workload bottoms out in the factor algebra of
 ``repro.faq.operations`` (join, ⊕-marginalization, projection).  This bench
 pits the two storage backends against each other on exactly that hot path,
 at the listing sizes the Table 1 rows use (N in the 10^5 range after the

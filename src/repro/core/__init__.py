@@ -1,12 +1,5 @@
-"""Planner + analysis: the repository's headline API."""
+"""The planner: the repository's headline API."""
 
-from .analysis import (
-    Table1Row,
-    bound_certified,
-    format_table,
-    gap_within_budget,
-    table1_row,
-)
 from .planner import (
     ExecutionReport,
     Planner,
@@ -23,9 +16,4 @@ __all__ = [
     "assign_round_robin",
     "assign_single_player",
     "worst_case_assignment",
-    "Table1Row",
-    "table1_row",
-    "format_table",
-    "gap_within_budget",
-    "bound_certified",
 ]

@@ -51,10 +51,6 @@ from .suites import (
     suite_names,
     with_axes,
     with_backends,
-    table1_arbitrary_suite,
-    table1_degenerate_suite,
-    table1_hypergraph_suite,
-    table1_line_suite,
 )
 
 __all__ = [
@@ -98,8 +94,4 @@ __all__ = [
     "get_suite",
     "register_suite",
     "suite_names",
-    "table1_line_suite",
-    "table1_arbitrary_suite",
-    "table1_degenerate_suite",
-    "table1_hypergraph_suite",
 ]

@@ -7,8 +7,9 @@ Commands:
   and write ``BENCH_lab.json`` (plus optional markdown/CSV) under
   ``--out``.  Exit code 1 when any scenario's protocol answer disagrees
   with the centralized solver, when any run violates its certified
-  lower bound, when any engine/solver/backend pair breaks parity, or
-  when the symbolic cost model mispredicts any run.
+  lower bound or (a Table 1 run) misses its row's gap budget, when any
+  engine/solver/backend pair breaks parity, or when the symbolic cost
+  model mispredicts any run.
   ``--engine generator|compiled`` overrides every scenario's protocol
   engine; ``--engine both`` runs each scenario on both engines (paired,
   for parity checks and speedup measurements).  ``--solver

@@ -1,7 +1,8 @@
 """Rendering and artifacts: Table-1-style tables, markdown/CSV, BENCH JSON.
 
-The scenario table reuses :func:`repro.core.analysis.format_table`
-verbatim — the lab's results *are* Table 1 rows, just persisted.  The
+The scenario table is the paper's Table 1 layout — the lab's results
+*are* Table 1 rows, just persisted — and :func:`bound_violations` gates
+every run of a Table 1 family on its row's gap budget.  The
 artifact (:data:`ARTIFACT_FILENAME`, ``BENCH_lab.json``) contains only
 the deterministic payload (scenario records in suite order + family
 aggregates), serialized with sorted keys — which is what makes a
@@ -18,9 +19,13 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.analysis import format_table
 from ..core.memo import memo_stats
 from ..costmodel.model import COST_METRIC_NAMES
+from ..lowerbounds.bounds import (
+    TABLE1_FAMILIES,
+    TABLE1_HARD_ROWS,
+    TABLE1_POLYLOG_ALLOWANCE,
+)
 from ..obs.counters import DETERMINISTIC_COUNTERS
 from ..pipeline import PLANE_AXES
 from .results import FamilyAggregate, ScenarioResult, aggregate
@@ -52,8 +57,30 @@ ARTIFACT_SCHEMA = "repro.lab/bench.v8"
 
 
 def format_results_table(results: Sequence[ScenarioResult]) -> str:
-    """The paper's Table 1 layout over lab results."""
-    return format_table([r.to_table1_row() for r in results])
+    """The paper's Table 1 layout over lab results.
+
+    The ``link`` column is the run's peak per-round link utilization
+    (busiest directed edge bits / capacity ``B``) — ``1.00`` means the
+    protocol saturated some link's Model 2.1 budget in some round.  An
+    undefined gap (lower bound 0) prints as ``inf``.
+    """
+    header = (
+        f"{'row':<16} {'query':<14} {'G':<14} {'d':>3} {'r':>3} {'N':>6} "
+        f"{'rounds':>8} {'upper':>10} {'lower':>10} {'gap':>8} {'budget':>8} "
+        f"{'link':>5} ok"
+    )
+    lines = [header, "-" * len(header)]
+    for r in results:
+        gap = r.gap if r.gap is not None else float("inf")
+        lines.append(
+            f"{r.spec.family:<16} {r.query_name:<14} {r.topology_name:<14} "
+            f"{r.d:>3.0f} {r.r:>3.0f} {r.rows:>6} "
+            f"{r.measured_rounds:>8} {r.upper_formula:>10.1f} "
+            f"{r.lower_formula:>10.1f} {gap:>8.2f} "
+            f"{r.gap_budget:>8.1f} {r.link_utilization:>5.2f} "
+            f"{'+' if r.correct else 'X'}"
+        )
+    return "\n".join(lines)
 
 
 def format_aggregate_table(aggregates: Sequence[FamilyAggregate]) -> str:
@@ -250,20 +277,51 @@ def all_parity_failures(records: Sequence[Dict[str, Any]]) -> List[str]:
     return failures
 
 
+def table1_violation(record: Dict[str, Any]) -> Optional[str]:
+    """Why a Table 1 run misses its row, or None when it does not.
+
+    A run of a :data:`TABLE1_FAMILIES` family must have a defined gap
+    within :data:`TABLE1_POLYLOG_ALLOWANCE` times its recorded
+    ``gap_budget``; a hard-row run must also take at least its
+    ``lower_formula`` rounds (the paper's ``Ω̃`` bound read with
+    constant 1).  Other families are not Table 1 rows and always pass.
+    """
+    family = record["family"]
+    if family not in TABLE1_FAMILIES:
+        return None
+    gap, budget = record["gap"], record["gap_budget"]
+    if gap is None:
+        return "Table 1 gap undefined (formula lower bound 0)"
+    if gap > TABLE1_POLYLOG_ALLOWANCE * budget:
+        return (
+            f"Table 1 gap {gap:.2f} > {TABLE1_POLYLOG_ALLOWANCE:g} x "
+            f"budget {budget:g}"
+        )
+    rounds, lower = record["measured_rounds"], record["lower_formula"]
+    if family in TABLE1_HARD_ROWS and rounds + 1e-9 < lower:
+        return f"{rounds} rounds < formula lower bound {lower:.1f}"
+    return None
+
+
 def bound_violations(records: Sequence[Dict[str, Any]]) -> List[str]:
-    """Lower-bound certification violations among scenario records.
+    """Lower-bound certification and Table 1 violations among records.
 
     A record violates when its certification oracle failed
     (``bound_ok`` False): the Lemma 4.4 cut accounting identity broke
     (``cut_ok`` False — equivalently the run undercut its certified
     round lower bound), or a TRIBES-embedded worst-case run pushed
     fewer bits across the min cut than the embedded instance's content
-    (``cut_bits < tribes_bits_floor``).  The list must be empty on
-    every suite; any entry is a bug in a bound formula, an engine's
-    round/bit accounting, or the simulator.
+    (``cut_bits < tribes_bits_floor``).  It also violates when it is a
+    Table 1 run that misses its row (:func:`table1_violation`).  The
+    list must be empty on every suite; any entry is a bug in a bound
+    formula, an engine's round/bit accounting, or the simulator, or a
+    Table 1 row that misses its budget.
     """
     violations: List[str] = []
     for record in records:
+        table1 = table1_violation(record)
+        if table1 is not None:
+            violations.append(f"{record['label']}: {table1}")
         if record["bound_ok"]:
             continue
         if not record["cut_ok"]:

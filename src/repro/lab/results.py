@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..core.analysis import Table1Row
 from .spec import ScenarioSpec
 
 #: Bump together with cache-incompatible result changes.
@@ -224,29 +223,6 @@ class ScenarioResult:
             observability=record["observability"],
             wall_time=0.0,
             cached=cached,
-        )
-
-    def to_table1_row(self) -> Table1Row:
-        """Render as a :class:`~repro.core.analysis.Table1Row` so the
-        lab reuses ``format_table``/``gap_within_budget`` unchanged.
-
-        An undefined gap (lower bound 0, e.g. co-located runs) maps to
-        ``inf`` so ``gap_within_budget`` fails loudly instead of passing
-        vacuously — don't assert budgets on such scenarios."""
-        return Table1Row(
-            label=self.spec.family,
-            query=self.query_name,
-            topology=self.topology_name,
-            d=self.d,
-            r=self.r,
-            n=self.rows,
-            measured_rounds=self.measured_rounds,
-            upper_formula=self.upper_formula,
-            lower_formula=self.lower_formula,
-            gap=self.gap if self.gap is not None else float("inf"),
-            gap_budget=self.gap_budget,
-            correct=self.correct,
-            link_util=self.link_utilization,
         )
 
 

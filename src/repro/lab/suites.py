@@ -4,8 +4,9 @@ Built-ins:
 
 * ``smoke`` — a fast cross-section (4 scenario families, 4 query
   families x 4 topology families, both storage backends) for CI;
-* ``table1`` — the paper's Table 1 sweep: the union of the four per-row
-  suites the ``bench_table1_*`` wrappers run individually;
+* ``table1`` — the paper's Table 1 sweep: one block of scenarios per
+  row (line, arbitrary topology, d-degenerate, hypergraph), each run
+  gated by ``lab run`` on its row's gap budget;
 * ``backend-compare`` — every scenario twice, once per storage backend,
   so answer digests and round counts can be asserted pairwise identical;
 * ``scaling`` — size and player-count sweeps for perf trajectories;
@@ -26,7 +27,7 @@ importing this module stays cheap.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faq import SOLVERS
 from ..protocols.faq_protocol import ENGINES
@@ -94,33 +95,30 @@ def suite_names() -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Table 1 per-row suites (the bench_table1_* wrappers run these)
+# Table 1: one block of scenarios per row
 # ---------------------------------------------------------------------------
 
 
-def table1_line_suite() -> SuiteSpec:
-    """Row 1 — FAQ on a line, worst-case placement, N doubling sweep."""
-    return SuiteSpec(
-        name="table1-line",
-        description="Table 1 row 1: hard star BCQ on the line G1, Lemma 4.4 "
-        "placement, rounds ~ Theta(N), gap O~(1)",
-        scenarios=expand_grid(
-            dict(
-                family="faq-line",
-                query="hard-star",
-                query_params={"arms": 4},
-                topology="line",
-                topology_params={"n": 4},
-                assignment="worst-case",
-                seed=DEFAULT_SEED,
-            ),
-            n=[64, 128, 256],
+def _table1_line() -> Tuple[ScenarioSpec, ...]:
+    """Row 1 — the hard star BCQ on the line G1 under the Lemma 4.4
+    placement, N doubling: rounds ~ Θ(N), gap Õ(1)."""
+    return expand_grid(
+        dict(
+            family="faq-line",
+            query="hard-star",
+            query_params={"arms": 4},
+            topology="line",
+            topology_params={"n": 4},
+            assignment="worst-case",
+            seed=DEFAULT_SEED,
         ),
+        n=[64, 128, 256],
     )
 
 
-def table1_arbitrary_suite() -> SuiteSpec:
-    """Row 2 — the same O(1)-degenerate query across topology families."""
+def _table1_arbitrary() -> Tuple[ScenarioSpec, ...]:
+    """Row 2 — the same O(1)-degenerate hard path BCQ across line, ring,
+    clique, grid and barbell: gap Õ(1) on every topology."""
     topologies = [
         ("line", {"n": 5}),
         ("ring", {"n": 5}),
@@ -128,7 +126,7 @@ def table1_arbitrary_suite() -> SuiteSpec:
         ("grid", {"rows": 2, "cols": 3}),
         ("barbell", {"clique_size": 3, "path_len": 1}),
     ]
-    scenarios = tuple(
+    return tuple(
         ScenarioSpec(
             family="faq-arbitrary",
             query="hard-path",
@@ -141,68 +139,49 @@ def table1_arbitrary_suite() -> SuiteSpec:
         )
         for topo, params in topologies
     )
-    return SuiteSpec(
-        name="table1-arbitrary",
-        description="Table 1 row 2: hard path BCQ across line/ring/clique/"
-        "grid/barbell, gap O~(1) on every topology",
-        scenarios=scenarios,
+
+
+def _table1_degenerate() -> Tuple[ScenarioSpec, ...]:
+    """Row 3 — random d-degenerate BCQs on a clique: gap Õ(d)."""
+    return expand_grid(
+        dict(
+            family="bcq-degenerate",
+            query="degenerate",
+            topology="clique",
+            topology_params={"n": 4},
+            n=96,
+            domain_size=96,
+            seed=DEFAULT_SEED,
+        ),
+        query_params=[{"vertices": 6, "d": d} for d in (1, 2, 3)],
     )
 
 
-def table1_degenerate_suite() -> SuiteSpec:
-    """Row 3 — d-degenerate BCQs, gap budget O~(d)."""
-    return SuiteSpec(
-        name="table1-degenerate",
-        description="Table 1 row 3: random d-degenerate BCQ on a clique, "
-        "gap grows at most linearly in d",
-        scenarios=expand_grid(
-            dict(
-                family="bcq-degenerate",
-                query="degenerate",
-                topology="clique",
-                topology_params={"n": 4},
-                n=96,
-                domain_size=96,
-                seed=DEFAULT_SEED,
-            ),
-            query_params=[{"vertices": 6, "d": d} for d in (1, 2, 3)],
+def _table1_hypergraph() -> Tuple[ScenarioSpec, ...]:
+    """Row 4 — random acyclic arity-r FAQ-SS counting queries on a
+    clique: gap Õ(d²r²)."""
+    return expand_grid(
+        dict(
+            family="faq-hypergraph",
+            query="acyclic",
+            topology="clique",
+            topology_params={"n": 5},
+            n=64,
+            domain_size=16,
+            semiring="counting",
+            seed=DEFAULT_SEED,
         ),
-    )
-
-
-def table1_hypergraph_suite() -> SuiteSpec:
-    """Row 4 — bounded-arity acyclic FAQ-SS, gap budget O~(d^2 r^2)."""
-    return SuiteSpec(
-        name="table1-hypergraph",
-        description="Table 1 row 4: random acyclic arity-r FAQ-SS counting "
-        "queries on a clique, gap within the d^2 r^2 budget",
-        scenarios=expand_grid(
-            dict(
-                family="faq-hypergraph",
-                query="acyclic",
-                topology="clique",
-                topology_params={"n": 5},
-                n=64,
-                domain_size=16,
-                semiring="counting",
-                seed=DEFAULT_SEED,
-            ),
-            query_params=[{"edges": 5, "arity": r} for r in (2, 3, 4)],
-        ),
+        query_params=[{"edges": 5, "arity": r} for r in (2, 3, 4)],
     )
 
 
 def _table1_suite() -> SuiteSpec:
-    suite = table1_line_suite()
-    for other in (
-        table1_arbitrary_suite(),
-        table1_degenerate_suite(),
-        table1_hypergraph_suite(),
-    ):
-        suite = suite.merged_with(other)
     return SuiteSpec(
         name="table1",
-        scenarios=suite.scenarios,
+        scenarios=_table1_line()
+        + _table1_arbitrary()
+        + _table1_degenerate()
+        + _table1_hypergraph(),
         description="The full Table 1 sweep: all four rows' scenarios",
     )
 
@@ -513,10 +492,6 @@ def _fuzz_smoke_suite(seed: int = DEFAULT_SEED) -> SuiteSpec:
 
 register_suite("smoke", _smoke_suite)
 register_suite("table1", _table1_suite)
-register_suite("table1-line", table1_line_suite)
-register_suite("table1-arbitrary", table1_arbitrary_suite)
-register_suite("table1-degenerate", table1_degenerate_suite)
-register_suite("table1-hypergraph", table1_hypergraph_suite)
 register_suite("backend-compare", _backend_compare_suite)
 register_suite("scaling", _scaling_suite)
 register_suite("engine-compare", _engine_compare_suite)

@@ -78,9 +78,9 @@ def spawn_seeds(master_seed: int, n: int) -> Tuple[int, ...]:
 
 def random_tree_query(num_edges: int, seed: Optional[int] = None) -> Hypergraph:
     """A random tree-shaped simple-graph query with ``num_edges`` edges."""
-    rng = make_rng(seed)
     if num_edges < 1:
         raise ValueError("need at least one edge")
+    rng = make_rng(seed)
     edges = {}
     for i in range(num_edges):
         parent = rng.randrange(i + 1)
@@ -92,6 +92,8 @@ def random_forest_query(
     num_trees: int, edges_per_tree: int, seed: Optional[int] = None
 ) -> Hypergraph:
     """A disjoint union of random trees."""
+    if num_trees < 1 or edges_per_tree < 1:
+        raise ValueError("need at least one tree of at least one edge")
     rng = make_rng(seed)
     edges = {}
     for t in range(num_trees):
@@ -110,9 +112,9 @@ def random_d_degenerate_query(
     vertices, which guarantees degeneracy at most ``d`` and typically
     exactly ``d`` for ``num_vertices >> d``.
     """
+    if num_vertices < 2 or d < 1:
+        raise ValueError("need at least two vertices and d >= 1")
     rng = make_rng(seed)
-    if num_vertices < 2:
-        raise ValueError("need at least two vertices")
     edges: Dict[str, Tuple[str, str]] = {}
     idx = 0
     for i in range(1, num_vertices):
@@ -133,9 +135,11 @@ def random_acyclic_hypergraph(
     Grows a hypertree: each new edge shares a random non-empty subset of an
     existing edge and adds fresh vertices up to ``arity``.
     """
-    rng = make_rng(seed)
+    if num_edges < 1:
+        raise ValueError("need at least one edge")
     if arity < 2:
         raise ValueError("arity must be at least 2")
+    rng = make_rng(seed)
     fresh = 0
 
     def new_vertices(n: int) -> List[str]:

@@ -21,15 +21,17 @@ from repro import (
     internal_node_width,
     scalar_value,
 )
-from repro.core import assign_round_robin, table1_row, gap_within_budget
+from repro.core import assign_round_robin
 from repro.faq import marginal_query, solve_naive
 from repro.lowerbounds import (
     cut_transcript,
     embed_tribes_in_forest,
     embedding_capacity,
     hard_tribes,
+    table1_gap_budget,
     verify_cut_accounting,
 )
+from repro.lowerbounds.bounds import TABLE1_POLYLOG_ALLOWANCE
 from repro.pgm import chain_model, tree_model
 from repro.workloads import (
     domains_for,
@@ -77,9 +79,10 @@ def test_full_pipeline_hard_instance_table_row():
     tribes = hard_tribes(m, 32, True, seed=21)
     emb = embed_tribes_in_forest(h, tribes)
     query = bcq(h, emb.factors, emb.domains)
-    row = table1_row("faq-arbitrary", Planner(query, Topology.ring(4)))
-    assert row.correct
-    assert gap_within_budget(row)
+    report = Planner(query, Topology.ring(4)).execute()
+    assert report.correct
+    budget = table1_gap_budget("faq-arbitrary", 1.0, 2.0)
+    assert report.measured_gap <= TABLE1_POLYLOG_ALLOWANCE * budget
 
 
 def test_full_pipeline_cut_accounting_everywhere():

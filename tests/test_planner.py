@@ -1,5 +1,5 @@
-"""Tests for the planner, assignment policies, Table-1 reporting and the
-cut-simulation accounting (Lemma 4.4 executable)."""
+"""Tests for the planner, assignment policies and the cut-simulation
+accounting (Lemma 4.4 executable)."""
 
 import pytest
 
@@ -8,9 +8,6 @@ from repro.core import (
     answer_value,
     assign_round_robin,
     assign_single_player,
-    format_table,
-    gap_within_budget,
-    table1_row,
     worst_case_assignment,
 )
 from repro.faq import bcq
@@ -99,28 +96,6 @@ def test_planner_execute_reports_consistent_fields():
     assert report.measured_rounds == report.protocol.rounds
     assert report.measured_gap > 0
     assert answer_value(report) in (True, False)
-
-
-def test_table1_row_and_format():
-    q = star_query()
-    row = table1_row("faq-line", Planner(q, Topology.line(4)))
-    assert row.correct
-    assert row.n == q.max_factor_size
-    text = format_table([row])
-    assert "faq-line" in text
-    assert "line(4)" in text
-    assert gap_within_budget(row, polylog_allowance=1e6)
-
-
-def test_gap_within_budget_rejects_huge_gap():
-    from repro.core.analysis import Table1Row
-
-    row = Table1Row(
-        label="faq-line", query="q", topology="g", d=1, r=2, n=10,
-        measured_rounds=10_000, upper_formula=1.0, lower_formula=1.0,
-        gap=10_000.0, gap_budget=1.0, correct=True,
-    )
-    assert not gap_within_budget(row, polylog_allowance=64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -57,13 +58,26 @@ def test_random_acyclic_hypergraph_properties():
     assert h.is_connected()
 
 
-def test_generator_validation():
-    with pytest.raises(ValueError):
-        random_tree_query(0)
-    with pytest.raises(ValueError):
-        random_d_degenerate_query(1, 2)
-    with pytest.raises(ValueError):
-        random_acyclic_hypergraph(3, 1)
+@pytest.mark.parametrize(
+    "generator, args",
+    [
+        (random_tree_query, (0,)),
+        (random_forest_query, (0, 2)),
+        (random_forest_query, (2, 0)),
+        (random_d_degenerate_query, (1, 2)),
+        (random_d_degenerate_query, (5, 0)),
+        (random_acyclic_hypergraph, (3, 1)),
+        (random_acyclic_hypergraph, (0, 3)),
+        (random_acyclic_hypergraph, (-2, 3)),
+    ],
+)
+def test_generator_validation(generator, args):
+    # Arguments are checked before the RNG is seeded, so a rejected call
+    # raises no make_rng(None) warning (or any other).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            generator(*args)
 
 
 def test_random_relation_size_and_domain():
