@@ -12,8 +12,10 @@ one
 
 * priced by ``evaluate_timing`` with dormancy on and off
   (``_settle``, the one function that decides what goes dormant,
-  patched to settle nothing), and
-* run by ``run_program`` with ``fast_forward`` on and off,
+  patched to settle nothing, so every stream steps every round — a
+  star's gated combines included), and
+* run by ``run_program`` with ``fast_forward`` on and off (off steps
+  every node, with all of its streams, every round),
 
 and all four required equal on rounds, total bits, busiest link-round
 and per-link bits.  Two populations: the 200 fuzz specs as sampled

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from ..network.program import EOS_BITS, HEADER_BITS
@@ -144,9 +145,11 @@ class _Stream(_Op):
     pairs, each margin to stay at least 0.
 
     :func:`_wire` sets ``node``, ``ctx``, ``reads`` (the streams whose
-    blocks it takes), ``readers`` and ``group`` (the streams of its node
-    it shares a directed link with: ``room`` couples them, so they
-    settle and wake together).  While dormant, ``since`` is the round
+    blocks it takes), ``readers``, ``watchers`` (its readers, and the
+    combines gated by a scatter that reads it: what it sends moves
+    their gate) and ``group`` (the streams of its node it shares a
+    directed link with: ``room`` couples them, so they settle and wake
+    together).  While dormant, ``since`` is the round
     it settled in and ``out`` its bits per receiver a round; ``dozing``
     counts its dormant reads; until round ``blocked`` a stream it reads
     changed its blocks, so it may not settle.
@@ -163,6 +166,7 @@ class _Stream(_Op):
         self.ctx: Optional[_Ctx] = None
         self.reads: List["_Stream"] = []
         self.readers: List["_Stream"] = []
+        self.watchers: List["_Stream"] = []
         self.group: List["_Stream"] = [self]
         self.wake = _WAITING
         self.since = self.dozing = self.blocked = 0
@@ -295,10 +299,27 @@ class _Broadcast(_Stream):
         self.held = 0
         self.forwarded = {c: 0 for c in self.children}
         self._inbox: Optional[deque] = None  # the root reads nothing
+        # Before it starts a stream moves nothing, so an idle first round
+        # repeats its log and may settle at once.
+        self.log = deque(((0, (0,) * len(self.children)),), 2)
 
     def _learn(self, count: int) -> None:
         self.count = count
         self.length = HEADER_BITS + count * self.per_item
+
+    def item_bits(self) -> int:
+        """The item bits held by the end of its node's current round
+        (while dormant, its steady arrivals since it settled added)."""
+        held = self.held
+        if self.wake > 0:
+            held += (self.ctx.round - self.since) * self.log[1][0]
+        return held - HEADER_BITS
+
+    def landed(self) -> int:
+        """The items held in full (all of them at the root)."""
+        if self.count is None:
+            return 0  # the header, then the items: none yet
+        return self.item_bits() // self.per_item
 
     reads_children = False
 
@@ -366,40 +387,65 @@ class _Broadcast(_Stream):
             self.forwarded[child] += k * bits
 
 
+def _released(scatter: "_Broadcast", scatters: List["_Broadcast"]) -> int:
+    """The gate of a pipelined star: a node's combine on one packing tree
+    may release the slots whose tuples its own scatter on that tree holds
+    in full, in the round they land.  ``scatters`` are all of the node's
+    scatter streams of the star: the sequential schedule (no slot leaves
+    before every one of them has finished) is this rule with that
+    threshold, and the one place a test patches to price it."""
+    return scatter.landed()
+
+
 class _Convergecast(_Stream):
     """Mirror of ConvergecastOp.step, in bits: slot i is ready once
-    every child's slot i has fully landed, and ready bits go up as far
-    as the edge has room.
+    every child's slot i has fully landed and, in a star, the node's
+    scatter on the same tree releases it (:func:`_released`); ready bits
+    go up as far as the edge has room.
 
     Counters: bits moved up (none at the root), then bits received per
-    child."""
+    child.  The gate reads its scatter's counters, current even while
+    that scatter sleeps; what moves them is what the scatter's parent
+    sends, which the combine watches (``_Stream.watchers``)."""
 
-    def __init__(self, tag, parent, children, per_slot, num_slots):
+    def __init__(self, tag, parent, children, per_slot, num_slots,
+                 gate=None, scatters=()):
         super().__init__()
         self.tag = tag
         self.parent = parent
         self.children = list(children)
         self.per_slot = max(1, per_slot)
         self.num_slots = int(num_slots)
+        #: The scatter whose tuples release this stream's slots (None:
+        #: every slot is released from the start), and its node's others.
+        self.gate: Optional[_Broadcast] = gate
+        self.scatters = scatters
+        self.released = self.num_slots if gate is None else 0
         self.ready = 0
         self.moved = 0
         self.received = {c: 0 for c in self.children}
         self._inboxes: List[deque] = []
         self._no_arrivals = (0,) * len(self.children)
-        #: The last round was idle — nothing arrived and every ready bit
-        #: was out — so ``log[-1]`` is also the entry of the next idle
-        #: round.  A catch-up drops it: it moves the counters behind it.
+        self._waiting = (0, self._no_arrivals)
+        self.log = deque((self._waiting,), 2)  # idle before it starts
+        #: The last round was idle — nothing arrived, nothing was
+        #: released and every ready bit was out — so ``log[-1]`` is also
+        #: the entry of the next idle round.  A catch-up drops it: it
+        #: moves the counters behind it.
         self._idle = False
 
     def start(self, ctx: _Ctx) -> None:
         self._inboxes = [ctx.inbox((self.tag, c)) for c in self.children]
 
-    def _ready(self) -> int:
-        if not self.children:
-            return self.num_slots
-        return min(self.num_slots, min(self.received.values()) // self.per_slot)
-
     def step(self, ctx: _Ctx) -> bool:
+        released = self.released
+        gate = self.gate
+        if gate is not None:
+            if gate.count is None:
+                # No tuple has landed here, so none below either.
+                self.log.append(self._waiting)
+                return False
+            released = _released(gate, self.scatters)
         arrived = any(self._inboxes)
         if arrived:
             arrivals = []
@@ -411,12 +457,15 @@ class _Convergecast(_Stream):
                 self.received[child] += got
                 arrivals.append(got)
             arrivals = tuple(arrivals)
-        elif self._idle:
+        elif self._idle and released == self.released:
             self.log.append(self.log[-1])
             return False
         else:
             arrivals = self._no_arrivals
-        self.ready = self._ready()
+        self.released = ready = released
+        if self.children:
+            ready = min(ready, min(self.received.values()) // self.per_slot)
+        self.ready = ready
         if self.parent is None:
             self._idle = not arrived
             self.log.append((0, arrivals))
@@ -432,11 +481,25 @@ class _Convergecast(_Stream):
         self.log.append((moved, arrivals))
         return self.moved == self.num_slots * self.per_slot
 
+    def _gate(self) -> Tuple[int, int, int]:
+        """The gate as ``(have, got, unit)``: ``have // unit`` slots
+        released and ``got`` more units a round — its scatter's item
+        bits, or a constant while a threshold holds them back."""
+        gate = self.gate
+        have = gate.item_bits()
+        if self.released < have // gate.per_item:
+            return self.released, 0, 1
+        got = 0 if gate.wake == _DONE else gate.log[1][0]
+        return have, got, gate.per_item
+
     def margins(self, delta):
         moved, arrivals = delta
-        if self.parent is None or (not moved and not any(arrivals)):
+        if self.parent is None:
             # The root sends nothing: it replays while its children do,
             # and their own margins keep their last bit out of its sleep.
+            return []
+        gate = None if self.gate is None else self._gate()
+        if not moved and not any(arrivals) and (gate is None or not gate[1]):
             return []
         per_slot = self.per_slot
         margins = []
@@ -444,13 +507,19 @@ class _Convergecast(_Stream):
             margins.append((self.num_slots * per_slot - self.moved - 1, -moved))
         # Drained (every ready bit is out): a round moves exactly the
         # slots that became ready, which repeats only while a child whose
-        # bits arrive as fast as they leave (whole slots) holds the
+        # bits arrive as fast as they leave (whole slots), or a gate
+        # releasing whole tuples as fast as their slots leave, holds the
         # minimum.  Otherwise the round was room-limited, and stays so
-        # while no child's readied bits fall behind the bits moved.
+        # while no child's readied bits, nor the gate's, fall behind the
+        # bits moved.
         drained = self.moved == self.ready * per_slot
         if drained and not any(
             got == moved and have // per_slot == self.ready
             for got, have in zip(arrivals, self.received.values())
+        ) and not (
+            gate is not None and gate[1] % gate[2] == 0
+            and gate[1] // gate[2] * per_slot == moved
+            and gate[0] // gate[2] == self.ready
         ):
             return None
         for got, have in zip(arrivals, self.received.values()):
@@ -465,18 +534,35 @@ class _Convergecast(_Stream):
             else:
                 ahead = have - have % per_slot - self.moved
             margins.append((ahead, got - moved))
+        if gate is not None:
+            have, got, unit = gate
+            if not (drained and got * per_slot >= moved * unit):
+                # The same for the released slots' bits, the envelope
+                # ``have - (unit - 1)`` counted in ``unit / g`` parts.
+                if got % unit:
+                    g = gcd(unit, per_slot)
+                    margins.append((
+                        ((have - unit + 1) * per_slot - unit * self.moved) // g,
+                        (got * per_slot - unit * moved) // g,
+                    ))
+                else:
+                    margins.append((
+                        have // unit * per_slot - self.moved,
+                        got // unit * per_slot - moved,
+                    ))
         return margins
 
     def blocks(self, delta):
         return {self.parent: delta[0]} if delta[0] else {}
 
     def replay(self, delta, k: int) -> None:
+        # ``ready`` is recomputed by the next step: the gate's scatter
+        # may not have caught up yet.
         moved, arrivals = delta
         self._idle = False
         self.moved += k * moved
         for child, got in zip(self.children, arrivals):
             self.received[child] += k * got
-        self.ready = self._ready()
 
 
 class _Route(_Stream):
@@ -577,8 +663,9 @@ class _Program:
 
 def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
     """One count-plane program per node, in the skeleton's schedule:
-    per star [scatter ∥, score, combine ∥, rebuild], then the route,
-    then the output player's finish."""
+    per star [scatter ∥ combine, rebuild], each combine gated by the
+    scatter on its tree, then the route, then the output player's
+    finish."""
     schedule = skeleton.schedule
     counts = {star.star_id: star.counts for star in skeleton.stars}
     programs: Dict[str, _Program] = {}
@@ -587,7 +674,7 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
         items: List[_Op] = []
         for role in steps.stars:
             star_counts = counts[role.star_id]
-            scatter: List[_Op] = [
+            scatter = [
                 _Broadcast(
                     stream.tag, stream.parent, stream.children,
                     skeleton.tuple_bits,
@@ -595,16 +682,14 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
                 )
                 for j, stream in zip(role.trees, role.scatter)
             ]
-            combine: List[_Op] = [
+            combine = [
                 _Convergecast(
                     stream.tag, stream.parent, stream.children,
-                    skeleton.value_bits, star_counts[j],
+                    skeleton.value_bits, star_counts[j], gate, scatter,
                 )
-                for j, stream in zip(role.trees, role.combine)
+                for j, stream, gate in zip(role.trees, role.combine, scatter)
             ]
-            items.extend(
-                [_Parallel(scatter), _Compute(), _Parallel(combine), _Compute()]
-            )
+            items.extend([_Parallel(scatter + combine), _Compute()])
         route = steps.route
         if route is not None:
             items.append(_Parallel([
@@ -623,8 +708,8 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
 def _wire(
     programs: Dict[str, _Program], contexts: Dict[str, _Ctx]
 ) -> Dict[Tuple[str, str], _Stream]:
-    """Set every stream's ``node``, ``ctx``, ``reads``, ``readers`` and
-    ``group``; return the streams by ``(node, tag)``."""
+    """Set every stream's ``node``, ``ctx``, ``reads``, ``readers``,
+    ``watchers`` and ``group``; return the streams by ``(node, tag)``."""
     streams: Dict[Tuple[str, str], _Stream] = {}
     parallels = []
     for node, prog in programs.items():
@@ -642,6 +727,11 @@ def _wire(
             if upstream is not None:
                 stream.reads.append(upstream)
                 upstream.readers.append(stream)
+                upstream.watchers.append(stream)
+        gate = getattr(stream, "gate", None)
+        if gate is not None and gate.parent is not None:
+            # The gate moves with what its scatter reads.
+            streams[(gate.parent, gate.tag)].watchers.append(stream)
     for members in parallels:
         by_link: Dict[str, _Stream] = {}
         for stream in members:
@@ -862,7 +952,7 @@ def evaluate_timing(
         soon = round_no + 1
         for stream in changed:
             until = soon if stream.wake == _DONE else round_no
-            for reader in stream.readers:
+            for reader in stream.watchers:
                 if reader.blocked < until:
                     reader.blocked = until
                 if reader.wake > soon:

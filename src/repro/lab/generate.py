@@ -14,7 +14,7 @@ Every sampled scenario is a *certifiable* experiment:
 * hard (TRIBES-embedded) scenarios under worst-case placement must
   satisfy the Theorem 4.1/5.2 formula lower bound;
 * every multi-player scenario must satisfy the Lemma 4.4 cut-accounting
-  bound (rounds >= crossing bits / (cut * B));
+  bound (rounds >= one direction's crossing bits / (cut * B));
 
 and :func:`fuzz_suite` expands each scenario across the full
 engine x solver x backend differential grid, so one fuzz run

@@ -21,14 +21,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.memo import memo_stats
 from ..costmodel.model import COST_METRIC_NAMES
-from ..lowerbounds.bounds import (
-    TABLE1_FAMILIES,
-    TABLE1_HARD_ROWS,
-    TABLE1_POLYLOG_ALLOWANCE,
-)
 from ..obs.counters import DETERMINISTIC_COUNTERS
 from ..pipeline import PLANE_AXES
-from .results import FamilyAggregate, ScenarioResult, aggregate
+from .results import FamilyAggregate, ScenarioResult, aggregate, table1_violation
 from .runner import SuiteRun
 
 #: The bench artifact the CI job uploads.
@@ -275,32 +270,6 @@ def all_parity_failures(records: Sequence[Dict[str, Any]]) -> List[str]:
             for message in parity_failures(records, axis)
         )
     return failures
-
-
-def table1_violation(record: Dict[str, Any]) -> Optional[str]:
-    """Why a Table 1 run misses its row, or None when it does not.
-
-    A run of a :data:`TABLE1_FAMILIES` family must have a defined gap
-    within :data:`TABLE1_POLYLOG_ALLOWANCE` times its recorded
-    ``gap_budget``; a hard-row run must also take at least its
-    ``lower_formula`` rounds (the paper's ``Ω̃`` bound read with
-    constant 1).  Other families are not Table 1 rows and always pass.
-    """
-    family = record["family"]
-    if family not in TABLE1_FAMILIES:
-        return None
-    gap, budget = record["gap"], record["gap_budget"]
-    if gap is None:
-        return "Table 1 gap undefined (formula lower bound 0)"
-    if gap > TABLE1_POLYLOG_ALLOWANCE * budget:
-        return (
-            f"Table 1 gap {gap:.2f} > {TABLE1_POLYLOG_ALLOWANCE:g} x "
-            f"budget {budget:g}"
-        )
-    rounds, lower = record["measured_rounds"], record["lower_formula"]
-    if family in TABLE1_HARD_ROWS and rounds + 1e-9 < lower:
-        return f"{rounds} rounds < formula lower bound {lower:.1f}"
-    return None
 
 
 def bound_violations(records: Sequence[Dict[str, Any]]) -> List[str]:

@@ -23,6 +23,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..lowerbounds.bounds import (
+    TABLE1_FAMILIES,
+    TABLE1_HARD_ROWS,
+    TABLE1_POLYLOG_ALLOWANCE,
+)
 from .spec import ScenarioSpec
 
 #: Bump together with cache-incompatible result changes.
@@ -66,7 +71,8 @@ class ScenarioResult:
             (co-located runs) — kept None so artifacts stay strict JSON.
         gap_budget: The Table 1 gap-column budget for this family.
         lower_certified: The certified round lower bound for *this
-            run*: the cut-accounting bound (crossing bits / (cut * B)).
+            run*: the cut-accounting bound (the busier direction's
+            crossing bits / (cut * B)).
             ``measured_rounds`` must never undercut it.
         formula_certified: Whether the Lemma 4.4 reduction applies to
             this run (hard-* query family under worst-case placement),
@@ -282,8 +288,10 @@ class FamilyAggregate:
         gap_min: The smallest gap — the certification-facing tail: on
             formula-certified families it must stay >= 1.
         gap_budget_max: The largest budget among the family's scenarios.
-        bound_violations: Scenarios whose certification oracle failed
-            (``bound_ok`` False).  Must be 0 everywhere.
+        bound_violations: The family's entries in the artifact's
+            ``bound_violations`` list: runs whose certification oracle
+            failed (``bound_ok`` False) plus Table 1 runs that miss
+            their row (:func:`table1_violation`).  Must be 0 everywhere.
     """
 
     family: str
@@ -316,6 +324,32 @@ class FamilyAggregate:
         }
 
 
+def table1_violation(record: Dict[str, Any]) -> Optional[str]:
+    """Why a Table 1 run misses its row, or None when it does not.
+
+    A run of a :data:`TABLE1_FAMILIES` family must have a defined gap
+    within :data:`TABLE1_POLYLOG_ALLOWANCE` times its recorded
+    ``gap_budget``; a hard-row run must also take at least its
+    ``lower_formula`` rounds (the paper's ``Ω̃`` bound read with
+    constant 1).  Other families are not Table 1 rows and always pass.
+    """
+    family = record["family"]
+    if family not in TABLE1_FAMILIES:
+        return None
+    gap, budget = record["gap"], record["gap_budget"]
+    if gap is None:
+        return "Table 1 gap undefined (formula lower bound 0)"
+    if gap > TABLE1_POLYLOG_ALLOWANCE * budget:
+        return (
+            f"Table 1 gap {gap:.2f} > {TABLE1_POLYLOG_ALLOWANCE:g} x "
+            f"budget {budget:g}"
+        )
+    rounds, lower = record["measured_rounds"], record["lower_formula"]
+    if family in TABLE1_HARD_ROWS and rounds + 1e-9 < lower:
+        return f"{rounds} rounds < formula lower bound {lower:.1f}"
+    return None
+
+
 def aggregate(results: Sequence[ScenarioResult]) -> List[FamilyAggregate]:
     """Fold results into per-family rows, in first-appearance order."""
     by_family: Dict[str, List[ScenarioResult]] = {}
@@ -338,7 +372,11 @@ def aggregate(results: Sequence[ScenarioResult]) -> List[FamilyAggregate]:
                 gap_max=max(gaps) if gaps else None,
                 gap_min=min(gaps) if gaps else None,
                 gap_budget_max=max(r.gap_budget for r in group),
-                bound_violations=sum(1 for r in group if not r.bound_ok),
+                bound_violations=sum(
+                    (not r.bound_ok)
+                    + (table1_violation(r.deterministic_record()) is not None)
+                    for r in group
+                ),
             )
         )
     return out

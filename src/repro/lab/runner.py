@@ -119,10 +119,10 @@ def _certify_bounds_uncached(
       transcript across a minimum K-separating cut
       (:func:`repro.lowerbounds.cut_simulation.cut_transcript`) and check
       the Lemma 4.4 identity — at most ``cut * B`` bits cross per round
-      (:func:`verify_cut_accounting`).  ``lower_certified`` records the
-      same identity in rounds form, ``measured_rounds >=
-      bits_crossing / (cut * B)``, for reports.  A violation means an
-      engine lied about rounds or bits.
+      in each direction (:func:`verify_cut_accounting`).
+      ``lower_certified`` records the same identity in rounds form,
+      ``measured_rounds >= busier direction's bits / (cut * B)``, for
+      reports.  A violation means an engine lied about rounds or bits.
     * **TRIBES bits floor** (TRIBES-embedded worst-case scenarios only,
       see :data:`CERTIFIED_QUERY_FAMILIES`): the run is the paper's hard
       instance, so the induced two-party protocol must carry the
@@ -148,7 +148,7 @@ def _certify_bounds_uncached(
         capacity = report.protocol.plan.capacity_bits
         cut_bits = int(transcript.bits_crossing)
         cut_size = int(transcript.cut_size)
-        lower_certified = cut_bits / (cut_size * capacity)
+        lower_certified = transcript.busiest_way() / (cut_size * capacity)
         try:
             verify_cut_accounting(transcript, capacity)
             cut_ok = True

@@ -232,7 +232,7 @@ def table1_gap_budget(row: str, d: float, r: float) -> float:
     ``Õ(1)`` rows get a generous polylog allowance; the d-dependent rows
     get ``c*d`` and ``c*d²r²`` budgets.  ``lab run`` gates every Table 1
     run on ``gap <= TABLE1_POLYLOG_ALLOWANCE * budget``
-    (:func:`repro.lab.report.table1_violation`).
+    (:func:`repro.lab.results.table1_violation`).
 
     ``d``/``r`` are clamped to at least 1: a degenerate structure report
     (e.g. an edgeless query, d = 0) must never produce a zero budget that

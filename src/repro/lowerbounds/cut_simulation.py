@@ -3,7 +3,9 @@
 Lemma 4.4 turns any R-round protocol on ``G`` into a two-party protocol:
 Alice simulates the nodes on side ``A`` of a K-separating cut, Bob those
 on side ``B``, and per round at most ``MinCut(G,K) * ceil(log2 MinCut)``
-bits cross (the log term names the crossing edge).  Hence
+bits cross each way (the log term names the crossing edge; Model 2.1's
+capacity is per direction, so Alice and Bob may both talk in a round).
+Hence
 
     R >= two-party-complexity / (MinCut * log MinCut).
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Set, Tuple
+from typing import Mapping, Optional, Sequence, Set, Tuple
 
 from ..network.mincut import mincut, mincut_partition
 from ..network.simulator import SimulationResult
@@ -35,6 +37,8 @@ class CutTranscript:
             (Alice<->Bob communication in the simulated protocol).
         rounds: The run's round count.
         cut_size: Number of crossing edges.
+        bits_each_way: ``(A -> B, B -> A)`` crossing bits; a transcript
+            without them is checked as if every bit went one way.
     """
 
     side_a: Set[str]
@@ -43,6 +47,13 @@ class CutTranscript:
     bits_crossing: int
     rounds: int
     cut_size: int
+    bits_each_way: Optional[Tuple[int, int]] = None
+
+    def busiest_way(self) -> int:
+        """The crossing bits of the direction that carried more."""
+        if self.bits_each_way is None:
+            return self.bits_crossing
+        return max(self.bits_each_way)
 
     def two_party_bits_with_addressing(self) -> float:
         """Bits of the induced two-party protocol, with the
@@ -71,17 +82,22 @@ def cut_transcript(
             crossing edge are read from its ``bits_per_edge``.
     """
     side_a, side_b, crossing = mincut_partition(topology, players)
+    side_a = set(side_a)
     links = result.bits_per_edge
-    bits = sum(
-        links.get((u, v), 0) + links.get((v, u), 0) for u, v in crossing
-    )
+    a_to_b = b_to_a = 0
+    for u, v in crossing:
+        if u not in side_a:
+            u, v = v, u
+        a_to_b += links.get((u, v), 0)
+        b_to_a += links.get((v, u), 0)
     return CutTranscript(
-        side_a=set(side_a),
+        side_a=side_a,
         side_b=set(side_b),
         crossing_edges=tuple(crossing),
-        bits_crossing=bits,
+        bits_crossing=a_to_b + b_to_a,
         rounds=result.rounds,
         cut_size=len(crossing),
+        bits_each_way=(a_to_b, b_to_a),
     )
 
 
@@ -123,19 +139,20 @@ def verify_cut_accounting(
 ) -> None:
     """Check the Lemma 4.4 bookkeeping on a real run.
 
-    Per round at most ``cut_size * capacity`` bits cross the cut, so the
-    observed crossing bits can never exceed ``rounds * cut * capacity``.
+    Per round at most ``cut_size * capacity`` bits cross the cut in each
+    direction, so neither direction's crossing bits can exceed
+    ``rounds * cut * capacity``.
 
     Raises:
         CutAccountingError: if the run violated the accounting identity
             (which would indicate a simulator bug).
     """
     budget = transcript.rounds * transcript.cut_size * capacity_bits
-    if transcript.bits_crossing > budget:
+    if transcript.busiest_way() > budget:
         raise CutAccountingError(
-            f"{transcript.bits_crossing} bits crossed a cut of size "
-            f"{transcript.cut_size} in {transcript.rounds} rounds at "
-            f"{capacity_bits} bits/round"
+            f"{transcript.busiest_way()} bits crossed a cut of size "
+            f"{transcript.cut_size} one way in {transcript.rounds} rounds "
+            f"at {capacity_bits} bits/round"
         )
 
 

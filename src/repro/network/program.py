@@ -29,10 +29,10 @@ program did not move, that sent the same blocks as the round before and
 whose current op bounds how long that replays goes *dormant* — it is not
 stepped, its blocks are delivered from a steady-send table and charged
 arithmetically when it wakes, at its own horizon or as soon as a node
-sending to it steps on.  When every running node is dormant the round
-counter skips to the earliest wake, so thousands of pipeline rounds cost
-O(1) Python instead of O(rounds), routed payload included, and a round
-costs O(changing nodes).  Which horizons are asked depends on which
+sending to it changes what it sends it.  When every running node is
+dormant the round counter skips to the earliest wake, so thousands of
+pipeline rounds cost O(1) Python instead of O(rounds), routed payload
+included, and a round costs O(changing nodes).  Which horizons are asked depends on which
 nodes repeat, so :meth:`ProgramOp.cycle_horizon` must be side-effect
 free.
 
@@ -105,7 +105,7 @@ class BlockMessage:
             last bit.
     """
 
-    __slots__ = ("src", "dst", "tag", "kind", "bits", "meta")
+    __slots__ = ("src", "dst", "tag", "kind", "bits", "meta", "stream")
 
     def __init__(self, src, dst, tag, kind, bits, meta=None):
         self.src = src
@@ -114,6 +114,9 @@ class BlockMessage:
         self.kind = kind
         self.bits = bits
         self.meta = meta
+        #: The receiver's queue key, ``(tag, src)`` (a dormant node's
+        #: blocks are delivered every round it sleeps).
+        self.stream = (tag, src)
 
 
 class ProgramContext:
@@ -351,6 +354,12 @@ class BroadcastOp(ProgramOp):
         self.count = count
         self.total = HEADER_BITS + count * self.per_item
 
+    def arriving(self) -> int:
+        """Bits its last round received (none once the stream is whole)."""
+        if self.received == self.total or not self._hist:
+            return 0
+        return self._hist[-1][0]
+
     def start(self, ctx: ProgramContext) -> None:
         if self.parent is None:
             self._learn(int(self.root_count_fn()) if self.root_count_fn else 0)
@@ -406,9 +415,12 @@ class BroadcastOp(ProgramOp):
         # frame that completes its header (that one carries the count),
         # and while a child's send outruns the arrivals, before its
         # backlog runs out (a send equal to the backlog would stop being
-        # room-limited).  The last bit's arrival is the parent's to
-        # bound: it sends it.
+        # room-limited).  A leaf completes in the round its last bit
+        # lands, so it stops a round before that; at a relay, the parent
+        # that stops sending wakes it.
         k = UNBOUNDED
+        if arrived and not sends:
+            k = (total - received - 1) // arrived
         for done, bits in zip(self.sent, sends):
             if bits:
                 k = min(k, (total - done - 1) // bits)
@@ -425,20 +437,33 @@ class BroadcastOp(ProgramOp):
             self.sent[i] += k * bits
 
 
+def _released(scatter: BroadcastOp, scatters: Sequence[BroadcastOp]) -> int:
+    """The pipelined star's gate: a combine may release the slots whose
+    tuples its node's scatter on the same tree holds in full — usable in
+    the round they land, since the scatters step first in the star's
+    group.  ``scatters`` are all of the node's scatters of the star, so
+    the sequential schedule (nothing leaves before every one has
+    finished) is this rule with another threshold."""
+    if scatter.count is None:
+        return 0  # the header comes first: no item is in yet
+    return (scatter.received - HEADER_BITS) // scatter.per_item
+
+
 class ConvergecastOp(ProgramOp):
     """One node's role in a pipelined slot convergecast, in bits.
 
     Mirrors :func:`repro.protocols.primitives.convergecast_node`: slot
-    ``i`` is ready once every child's slot ``i`` has fully landed, and
-    the ready slots' bits go up in one ``"bits"`` block per round, as
-    many as the edge has room for.  The combined *values* never ride
-    these blocks: they are a timing-free fold over the tree's
-    contributions, computed once by the protocol compiler when the root
-    completes (in the exact association order the generator engine
-    uses, so even float semirings agree bit for bit).
+    ``i`` is ready once every child's slot ``i`` has fully landed and,
+    in a star, the gate (:func:`_released`) lets the node's scatter
+    ``gate`` release it; the ready slots' bits go up in one ``"bits"``
+    block per round, as many as the edge has room for.  The combined
+    *values* never ride these blocks: they are a timing-free fold over
+    the tree's contributions, computed once by the protocol compiler
+    when the root completes (in the exact association order the
+    generator engine uses, so even float semirings agree bit for bit).
 
-    ``num_slots`` is configured at runtime (by the scatter phase that
-    learned the counts) before the op starts.
+    A gated op learns ``num_slots`` from its scatter's header; an
+    ungated one is configured before it starts.
     """
 
     def __init__(
@@ -447,14 +472,20 @@ class ConvergecastOp(ProgramOp):
         parent: Optional[str],
         children: Sequence[str],
         per_slot: int,
+        gate: Optional[BroadcastOp] = None,
+        scatters: Sequence[BroadcastOp] = (),
     ) -> None:
         self.tag = tag
         self.parent = parent
         self.children = list(children)
         self.per_slot = max(1, per_slot)
+        self.gate = gate
+        self.scatters = scatters
         self.num_slots: Optional[int] = None
-        #: Slots every child has fully delivered (capped at num_slots),
-        #: kept current as bits arrive.
+        #: Slots the gate lets go (all of them once configured, ungated).
+        self.released = 0
+        #: Slots every child has fully delivered and the gate released
+        #: (capped at num_slots), kept current as bits arrive.
         self.ready = 0
         #: Bits sent to the parent (the root sends none).
         self.sent = 0
@@ -464,10 +495,11 @@ class ConvergecastOp(ProgramOp):
         self._streams = [(tag, child) for child in self.children]
         self._inboxes: List[deque] = []
         self._no_arrivals = (0,) * len(self.children)
+        self._waiting = (self._no_arrivals, 0)
         self._hist: deque = deque(maxlen=2)
 
     def configure(self, num_slots: int) -> None:
-        self.num_slots = int(num_slots)
+        self.num_slots = self.released = int(num_slots)
         self.ready = self._ready_slots()
 
     def start(self, ctx: ProgramContext) -> None:
@@ -475,18 +507,25 @@ class ConvergecastOp(ProgramOp):
 
     def _ready_slots(self) -> int:
         if not self.received:
-            return self.num_slots
-        return min(self.num_slots, min(self.received) // self.per_slot)
+            return self.released
+        return min(self.released, min(self.received) // self.per_slot)
 
     def step(self, ctx: ProgramContext) -> bool:
-        num_slots = self.num_slots
-        if num_slots is None:
+        gate = self.gate
+        if gate is not None:
+            if gate.count is None:
+                # Before its scatter's header is in, nothing is released
+                # and no child holds a tuple to send a slot for.
+                self._hist.append(self._waiting)
+                return False
+            self.num_slots = gate.count
+            self.released = _released(gate, self.scatters)
+        elif self.num_slots is None:
             raise SimulationError(
                 f"{self.label}: stepped before configure() — the compiler "
                 "must set num_slots when the scatter phase completes"
             )
         arrivals = self._no_arrivals
-        ready = self.ready
         if any(self._inboxes):
             counts = []
             for i, inbox in enumerate(self._inboxes):
@@ -499,6 +538,14 @@ class ConvergecastOp(ProgramOp):
                 counts.append(got)
             arrivals = tuple(counts)
             self.ready = ready = self._ready_slots()
+        elif gate is not None:
+            ready = self.released
+            if self.received:
+                ready = min(ready, min(self.received) // self.per_slot)
+            self.ready = ready
+        else:
+            ready = self.ready
+        num_slots = self.num_slots
         if self.parent is None:
             self._hist.append((arrivals, 0))
             return ready == num_slots
@@ -512,38 +559,63 @@ class ConvergecastOp(ProgramOp):
         else:
             moved = 0
         self._hist.append((arrivals, moved))
-        return self.sent == num_slots * per_slot
+        return num_slots is not None and self.sent == num_slots * per_slot
+
+    def _gate_feed(self) -> Tuple[int, int, int]:
+        """The gate as ``(have, got, unit)``: it releases ``have //
+        unit`` slots and gains ``got`` a round — its scatter's item bits,
+        or a constant while a threshold holds them back."""
+        gate = self.gate
+        have = gate.received - HEADER_BITS
+        if self.released < have // gate.per_item:
+            return self.released, 0, 1
+        return have, gate.arriving(), gate.per_item
 
     def cycle_horizon(self) -> int:
         hist = self._hist
         if len(hist) < 2 or hist[0] != hist[1]:
             return 0
-        if self.parent is None:
-            # The root sends nothing, so its rounds replay while its
-            # children's do, and they stop short of their last bit.
-            return UNBOUNDED
         arrivals, moved = hist[1]
-        if not moved and not any(arrivals):
-            return UNBOUNDED
+        gate = self.gate
+        if gate is not None and gate.count is None:
+            return UNBOUNDED  # inert until its scatter's header is in
+        feed = None if gate is None else self._gate_feed()
+        if not moved and not any(arrivals) and (feed is None or not feed[1]):
+            return UNBOUNDED  # silent until a child or the gate moves
         per_slot = self.per_slot
+        # (Known once anything moved: nothing does before the count.)
+        whole = 0 if self.num_slots is None else self.num_slots * per_slot
         sent = self.sent
+        ready = self.ready
+        root = self.parent is None
         k = UNBOUNDED
         if moved:
-            k = (self.num_slots * per_slot - sent - 1) // moved
+            k = (whole - sent - 1) // moved
         # Drained: every ready bit is out, so each round moves exactly the
         # slots that became ready.  That repeats only while a child whose
         # bits arrive at the pace they leave (a whole number of slots a
-        # round) holds the minimum.  Otherwise the round was room-limited
-        # and stays so while no child's ready bits fall behind.
-        drained = self.ready * per_slot == sent
-        if drained and not any(
-            got == moved and have // per_slot == self.ready
-            for got, have in zip(arrivals, self.received)
-        ):
-            return 0
+        # round), or a gate releasing whole tuples at that pace, holds
+        # the minimum.  Otherwise the round was room-limited and stays so
+        # while no child's ready bits, nor the gate's, fall behind.  The
+        # root sends nothing, so it replays whatever its children do.
+        drained = ready * per_slot == sent
+        paced = root or not drained
         for got, have in zip(arrivals, self.received):
-            if drained and got >= moved:
-                continue  # its slots ready at least as fast as they leave
+            if not got:
+                if root or (drained and not moved):
+                    paced = paced or have // per_slot == ready
+                    continue
+            elif root:
+                # The root completes in the round the last bit lands:
+                # wake before it, whoever sends it.
+                k = min(k, (whole - have - 1) // got)
+                continue
+            else:
+                if drained:
+                    if got == moved and have // per_slot == ready:
+                        paced = True
+                    if got >= moved:
+                        continue  # ready at least as fast as they leave
             # The bits this child has readied beyond those sent; the slot
             # floor makes that exact only when whole slots arrive, so
             # otherwise take its linear lower envelope.
@@ -555,14 +627,37 @@ class ConvergecastOp(ProgramOp):
                 return 0
             if got < moved:
                 k = min(k, margin // (moved - got))
+        if feed is not None and not root:
+            have, got, unit = feed
+            if drained and got % unit == 0 and got // unit * per_slot == moved \
+                    and have // unit == ready:
+                paced = True
+            if not (drained and got * per_slot >= moved * unit):
+                # The released slots' bits beyond those sent, ``unit``
+                # times over where the item floor is irregular.
+                if got % unit:
+                    margin = (have - (unit - 1)) * per_slot - unit * sent
+                    loss = unit * moved - got * per_slot
+                else:
+                    margin = have // unit * per_slot - sent
+                    loss = moved - got // unit * per_slot
+                if margin < 0:
+                    return 0
+                if loss > 0:
+                    k = min(k, margin // loss)
+        if not paced:
+            return 0
         return max(0, k)
 
     def advance(self, k: int) -> None:
+        # A gated op's ``ready`` waits for its next step: the gate's
+        # threshold is the rule's to recompute.
         arrivals, moved = self._hist[-1]
         for i, got in enumerate(arrivals):
             self.received[i] += k * got
         self.sent += k * moved
-        self.ready = self._ready_slots()
+        if self.gate is None:
+            self.ready = self._ready_slots()
 
 
 class RouteOp(ProgramOp):
@@ -712,6 +807,28 @@ def _repeats(prev: Sequence[BlockMessage], out: Sequence[BlockMessage]) -> bool:
     return True
 
 
+def _changed_receivers(
+    before: Sequence[BlockMessage], after: Sequence[BlockMessage], out: set
+) -> None:
+    """Add to ``out`` every receiver whose blocks differ between two
+    rounds of one node (a block gone, new or changed, ``meta``
+    included)."""
+    if len(before) == len(after):
+        for a, b in zip(before, after):
+            if a.dst != b.dst or a.tag != b.tag or a.kind != b.kind:
+                break
+            if a.bits != b.bits or a.meta != b.meta:
+                out.add(b.dst)
+        else:
+            return
+    was = {(blk.dst, blk.tag, blk.kind): (blk.bits, blk.meta) for blk in before}
+    for blk in after:
+        if was.pop((blk.dst, blk.tag, blk.kind), None) != (blk.bits, blk.meta):
+            out.add(blk.dst)
+    for dst, _tag, _kind in was:
+        out.add(dst)
+
+
 class _Node:
     """One program's scheduling state in :func:`run_program`."""
 
@@ -737,69 +854,36 @@ class _Node:
         self.buffered: List[Tuple[deque, BlockMessage]] = []
 
 
-def _unsettle(candidates: Dict[str, _Node], drop: List[_Node]) -> None:
-    """Remove ``drop`` from ``candidates``, then every candidate it sends
-    to, and so on: a node that steps on may change what its receivers
-    get next round, so they step on too."""
-    while drop:
-        again = []
-        for nd in drop:
-            if candidates.pop(nd.name, None) is None:
-                continue
-            for blk in nd.last:
-                receiver = candidates.get(blk.dst)
-                if receiver is not None:
-                    again.append(receiver)
-        drop = again
-
-
 def _settle(
     pool: List[_Node],
-    steady: List[_Node],
-    touched: set,
     round_no: int,
     max_rounds: int,
     finish_targets: set,
     nodes: Dict[str, _Node],
 ) -> List[_Node]:
-    """Which of this round's ``steady`` nodes (stepped without moving,
-    sending what they sent the round before) go dormant, each with its
-    wake round, ``since`` and buffering streams set.  ``pool`` holds
-    those that no changing node sends to (``touched`` holds the
-    receivers of the changing ones).
+    """Which of ``pool`` — this round's steady nodes (stepped without
+    moving, sending what they sent the round before) that no changing
+    node sends to — go dormant, each with its wake round, ``since`` and
+    buffering streams set.
 
     A node is a *sender* to another while its blocks of this round or
-    the last one go there.  A node settles only if its op bounds the
-    replay (horizon ``h >= 1``, capped at ``max_rounds``) and no sender
-    to it steps on — otherwise its arrivals may change next round.  A
-    receiver of a node that finished last round wakes next round: that
-    node's final blocks arrived this round and will not again.
+    the last one go there.  A node settles if its op bounds the replay
+    (horizon ``h >= 1``, capped at ``max_rounds``): its arrivals next
+    round are what its senders repeated this round, and a sender that
+    changes them wakes it the round after that.  A receiver of a node
+    that finished last round wakes next round: that node's final blocks
+    arrived this round and will not again.
     """
     cap = max_rounds - round_no
     if cap < 1:
         return []
-    candidates = None
-    if len(pool) < len(steady):
-        candidates = {nd.name: nd for nd in steady}
-        _unsettle(candidates, [nd for nd in steady if nd.name in touched])
-        pool = [nd for nd in pool if nd.name in candidates]
-    horizons = []
+    settled = []
     for nd in pool:
-        if candidates is not None and nd.name not in candidates:
-            continue  # a node it hears from declined
         prog = nd.prog
         horizon = prog.items[prog.index].cycle_horizon()
-        if horizon >= 1:
-            horizons.append((nd, horizon))
+        if horizon < 1:
             continue
-        if candidates is None:
-            candidates = {nd.name: nd for nd in steady}
-        _unsettle(candidates, [nd])
-    settled = []
-    for nd, horizon in horizons:
         name = nd.name
-        if candidates is not None and name not in candidates:
-            continue
         nd.wake = (
             round_no + 1 if name in finish_targets
             else round_no + min(horizon, cap) + 1
@@ -837,12 +921,14 @@ def run_program(
     Only changing nodes step.  A node *settles* (goes dormant) after a
     round in which its program did not move, it sent the same blocks as
     in its previous round, its current op bounds how long that replays
-    (``cycle_horizon`` ``h >= 1``), and no node sending to it stepped on
-    without settling too.  A dormant node is not stepped: its blocks
-    are delivered to awake receivers from a steady-send table, and it
-    steps again at round ``t0 + h + 1``, the round after a node sending
-    to it steps without settling, or two rounds after such a node
-    finishes — whichever is first.  On waking, the ``k`` rounds it slept
+    (``cycle_horizon`` ``h >= 1``), and no node sending to it changed
+    what it sends it.  A dormant node is not stepped: its blocks are
+    delivered to awake receivers from a steady-send table, and it steps
+    again at round ``t0 + h + 1``, the round after a node sending to it
+    changes what it sends it, or two rounds after such a node finishes —
+    whichever is first.  No horizon relies on a sender to stop it: a
+    leaf broadcast and a convergecast root end theirs a round before
+    their own last bit lands.  On waking, the ``k`` rounds it slept
     are applied arithmetically: op state (``advance(k)``), ``k`` times
     its blocks' bits, and one ``k``-fold block on each stream that was
     buffering for a later op.  When every running node is dormant, the
@@ -972,13 +1058,13 @@ def run_program(
             # last because they repeat what its wake-up replays.
             ctx = receivers.get(blk.dst)
             if ctx is not None:
-                ctx.inbox((blk.tag, blk.src)).append(blk)
+                ctx.inbox(blk.stream).append(blk)
         if sending:
             for nd in sending:
                 for blk in nd.last:
                     ctx = receivers.get(blk.dst)
                     if ctx is not None:
-                        ctx.inbox((blk.tag, blk.src)).append(blk)
+                        ctx.inbox(blk.stream).append(blk)
             if woke:
                 sending = [nd for nd in sending if nd.wake]
         if registering:
@@ -1064,21 +1150,17 @@ def run_program(
 
         settled = ()
         if steady or dormant:
-            # The receivers of the nodes that changed this round: what
-            # they get next round may change.
+            # The receivers a node that changed now sends something else
+            # (or nothing): what they get next round changes.
             touched = set()
             for nd in changing:
-                for blk in nd.before:
-                    touched.add(blk.dst)
-                for blk in nd.last:
-                    touched.add(blk.dst)
-            had_dormant = dormant > 0
+                _changed_receivers(nd.before, nd.last, touched)
             if steady:
                 pool = [nd for nd in steady if nd.name not in touched] \
                     if touched else steady
                 if pool:
-                    settled = _settle(pool, steady, touched, round_no,
-                                      max_rounds, finish_targets, nodes)
+                    settled = _settle(pool, round_no, max_rounds,
+                                      finish_targets, nodes)
                     dormant += len(settled)
                     for nd in settled:
                         heappush(wakes, (nd.wake, next(serial), nd))
@@ -1086,13 +1168,7 @@ def run_program(
                         if nd.last:
                             steady_senders += 1
                             registering.append(nd)
-                if len(settled) < len(steady) and had_dormant:
-                    # A steady node left awake steps on like a changing one.
-                    for nd in steady:
-                        if not nd.wake:
-                            for blk in nd.last:
-                                touched.add(blk.dst)
-            if had_dormant:
+            if dormant:
                 # A node that stepped without settling may change what its
                 # receivers get from the next round on: wake them for it.
                 soon = round_no + 1

@@ -20,7 +20,9 @@ players' outputs (:class:`SimulationResult`).  The compiled engine,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..obs.trace import Tracer, normalize as _normalize_tracer
 from .topology import Topology
@@ -61,9 +63,9 @@ def _format_blocked(blocked: Dict[str, List[str]]) -> str:
     return "; ".join(parts)
 
 
-@dataclass(frozen=True)
 class Message:
-    """One message in flight.
+    """One message in flight (a plain slotted record: one is made per
+    frame, so it is built as cheaply as the compiled engine's blocks).
 
     Attributes:
         src: Sending node.
@@ -75,11 +77,22 @@ class Message:
             which stream a word belongs to).
     """
 
-    src: str
-    dst: str
-    bits: int
-    payload: Any
-    tag: str = ""
+    __slots__ = ("src", "dst", "bits", "payload", "tag")
+
+    def __init__(
+        self, src: str, dst: str, bits: int, payload: Any, tag: str = ""
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.bits = bits
+        self.payload = payload
+        self.tag = tag
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(src={self.src!r}, dst={self.dst!r}, bits={self.bits!r}, "
+            f"payload={self.payload!r}, tag={self.tag!r})"
+        )
 
 
 class NodeContext:
@@ -99,7 +112,7 @@ class NodeContext:
         #: This node's neighbours in G (none for a node G does not have).
         self._neighbors = topology.adjacency.get(node, {})
         self.capacity = capacity
-        self.inbox: List[Message] = []
+        self.inbox: Sequence[Message] = ()
         self.round = 0
         self._outbox: List[Message] = []
         self._sent_bits_this_round: Dict[str, int] = {}
@@ -138,11 +151,12 @@ class NodeContext:
         return list(out)
 
     # -- internal hooks -------------------------------------------------
-    def _begin_round(self, round_no: int, inbox: List[Message]) -> None:
+    def _begin_round(self, round_no: int, inbox: Sequence[Message]) -> None:
+        # The outbox is empty: the engine collected it after the last step.
         self.round = round_no
         self.inbox = inbox
-        self._outbox = []
-        self._sent_bits_this_round = {}
+        if self._sent_bits_this_round:
+            self._sent_bits_this_round = {}
 
     def _collect(self) -> List[Message]:
         out = self._outbox
@@ -264,6 +278,7 @@ class Simulator:
                 "generator", self.capacity_bits, list(self.topology.nodes)
             )
 
+        order = sorted(generators)
         round_no = 0
         while True:
             round_no += 1
@@ -279,21 +294,24 @@ class Simulator:
                     f"{_format_blocked(blocked)}",
                     blocked=blocked,
                 )
-            # Deliver messages sent last round.
-            inboxes: Dict[str, List[Message]] = {n: [] for n in contexts}
+            # Deliver messages sent last round.  Messages to passive or
+            # finished nodes are dropped silently — a protocol bug
+            # surfaces as a deadlock or wrong output.
+            inboxes: Dict[str, List[Message]] = {}
             for msg in pending:
-                if msg.dst in inboxes:
-                    inboxes[msg.dst].append(msg)
-                # Messages to passive/finished nodes are dropped silently —
-                # a protocol bug surfaces as a deadlock or wrong output.
+                box = inboxes.get(msg.dst)
+                if box is None:
+                    inboxes[msg.dst] = [msg]
+                else:
+                    box.append(msg)
             pending = []
 
             # Step every live generator once (deterministic order).
             finished: List[str] = []
             round_edge_bits: Dict[Tuple[str, str], int] = {}
-            for node in sorted(generators):
+            for node in order:
                 ctx = contexts[node]
-                ctx._begin_round(round_no, inboxes[node])
+                ctx._begin_round(round_no, inboxes.get(node, ()))
                 try:
                     next(generators[node])
                 except StopIteration as stop:
@@ -323,8 +341,10 @@ class Simulator:
                     streams[stream] = streams.get(stream, 0) + msg.bits
                 for (src, dst, tag), bits in streams.items():
                     tracer.send(round_no, src, dst, bits, tag=tag)
-            for node in finished:
-                del generators[node]
+            if finished:
+                for node in finished:
+                    del generators[node]
+                order = [node for node in order if node in generators]
 
             if not generators and not pending:
                 break

@@ -21,11 +21,11 @@ from .primitives import (
     route_to_sink_node,
 )
 from .set_intersection import (
-    scatter_over_packing,
     SlotPlan,
     combine_over_packing,
     plan_slots,
     run_set_intersection,
+    star_over_packing,
 )
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "plan_slots",
     "combine_over_packing",
     "run_set_intersection",
-    "scatter_over_packing",
+    "star_over_packing",
     "StarPhase",
     "ProtocolPlan",
     "FAQProtocolReport",

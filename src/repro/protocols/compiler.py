@@ -9,8 +9,9 @@ node, the compiler splits the two:
   parts of a :class:`~repro.protocols.faq_protocol.ProtocolPlan` (star
   order, Steiner packings, routing tree, tag namespace, per-item bit
   charges) into one :class:`~repro.network.program.NodeProgram` per
-  node: a schedule of typed ops (scatter BROADCAST, SCORE, ⊗-CONVERGECAST,
-  final ROUTE) that the block engine executes in lockstep.  Everything
+  node: a schedule of typed ops (per star, scatter BROADCAST ∥ gated
+  ⊗-CONVERGECAST, then SCORE + REBUILD; then the final ROUTE) that the
+  block engine executes in lockstep.  Everything
   that *can* be decided up front is; only data-dependent counts (relation
   sizes shrink as stars rebuild their centers) stay runtime-configured,
   exactly as the generator engine's self-timed headers do.
@@ -272,9 +273,9 @@ class StarRuntime:
     """Data-plane state one star phase shares across its participants.
 
     In-process stand-in for "every participant eventually holds the
-    broadcast block / its subtree's scores": ops still gate every read
-    behind the block engine's count arithmetic, so nothing is consumed
-    before its bits have been charged.
+    broadcast block / its subtree's scores": the ops' count arithmetic
+    gates every send, so nothing is sent before the bits it depends on
+    were charged (a slot's release waits for its tuple's last bit).
     """
 
     def __init__(self, star: StarPhase, semiring, schedule: Schedule) -> None:
@@ -318,15 +319,29 @@ class StarRuntime:
         """The ⊗-convergecast result, reassembled across the packing."""
         semiring = self.semiring
         profile = _profile_of(semiring)
-        vec_mul = lambda a, b: _mul_values(semiring, profile, a, b)
-        identity_fn = lambda length: _identity_vector(semiring, profile, length)
-        per_tree = [
-            fold_tree_slots(
+        if profile is not None and np.dtype(profile.dtype).kind in "iub":
+            # On integers and booleans ``one ⊗ x`` is ``x`` exactly, so a
+            # relay (no slots of its own) passes its children's fold on
+            # as is; ``None`` stands for the identity until a value comes.
+            def vec_mul(a, b):
+                if a is None or b is None:
+                    return b if a is None else a
+                return _mul_values(semiring, profile, a, b)
+
+            identity_fn = lambda length: None
+        else:
+            vec_mul = lambda a, b: _mul_values(semiring, profile, a, b)
+            identity_fn = lambda length: _identity_vector(
+                semiring, profile, length)
+        per_tree = []
+        for j, (start, stop) in enumerate(self.ranges):
+            value = fold_tree_slots(
                 self.schedule, self.star, j, self.slots, start, stop,
                 vec_mul, identity_fn,
             )
-            for j, (start, stop) in enumerate(self.ranges)
-        ]
+            if value is None:
+                value = _identity_vector(semiring, profile, stop - start)
+            per_tree.append(value)
         if all(isinstance(v, np.ndarray) for v in per_tree):
             return (
                 np.concatenate(per_tree) if per_tree
@@ -433,8 +448,8 @@ def _compile_star(
     state: Dict[str, Factor],
     runtime: StarRuntime,
 ) -> List:
-    """This node's schedule for one star phase: scatter, score, combine,
-    rebuild."""
+    """This node's schedule for one star phase: scatter ∥ combine (each
+    combine gated by the scatter on its tree), then score and rebuild."""
     star = runtime.star
     is_root = role.is_root
     sid = star.star_id
@@ -455,24 +470,22 @@ def _compile_star(
         )
     cc_ops = [
         ConvergecastOp(
-            stream.tag, stream.parent, stream.children, plan.value_bits
+            stream.tag, stream.parent, stream.children, plan.value_bits,
+            gate, scatter_ops,
         )
-        for stream in role.combine
+        for stream, gate in zip(role.combine, scatter_ops)
     ]
 
-    def phase_b(ctx) -> None:
-        # Counts were learned from the scatter (headers on the wire, the
-        # shared block in process); they configure the convergecast.
-        for scatter_op, cc_op in zip(scatter_ops, cc_ops):
-            cc_op.configure(scatter_op.count)
+    def rebuild(ctx) -> None:
+        # Phase B, free and timing-free: the count arithmetic above
+        # gated every slot's release on its tuple's bits, and the root
+        # folds the scores only after every terminal's last slot landed.
         if role.is_terminal:
             slots = _compute_star_slots(
                 plan, query, star, state, node, runtime
             )
             if slots is not None:
                 runtime.slots[node] = slots
-
-    def phase_d(ctx) -> None:
         if is_root:
             combined = runtime.combined_at_root()
             state[star.center_edge] = _rebuild_center(
@@ -482,10 +495,8 @@ def _compile_star(
             state.pop(leaf_edge, None)
 
     return [
-        ParallelOps(scatter_ops, label=f"s{sid}:scatter"),
-        ComputeStep(phase_b, label=f"s{sid}:score"),
-        ParallelOps(cc_ops, label=f"s{sid}:combine"),
-        ComputeStep(phase_d, label=f"s{sid}:rebuild"),
+        ParallelOps(scatter_ops + cc_ops, label=f"s{sid}:star"),
+        ComputeStep(rebuild, label=f"s{sid}:rebuild"),
     ]
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.trace import Tracer, normalize as _normalize_tracer
 
@@ -40,12 +40,7 @@ from ..network.topology import Topology
 from ..semiring import BOOLEAN, Factor, to_backend
 from .primitives import Mailbox, route_to_sink_node
 from .schedule import Schedule, StarShape, build_schedule
-from .set_intersection import (
-    SlotPlan,
-    combine_over_packing,
-    plan_slots,
-    scatter_over_packing,
-)
+from .set_intersection import SlotPlan, plan_slots, star_over_packing
 
 
 @dataclass
@@ -318,32 +313,60 @@ def star_contributions(
     return contributions
 
 
+def row_scorer(
+    semiring,
+    schema: Sequence[str],
+    contributions: Sequence[Factor],
+) -> Callable[[Sequence[Tuple]], List[Any]]:
+    """The dict-plane scorer: each contribution's lookup is built once,
+    and the returned function scores rows (⊗ of the per-contribution
+    lookups, in contribution order) whenever they arrive."""
+    schema_index = {v: i for i, v in enumerate(schema)}
+    probes = []
+    for factor in contributions:
+        proj = [schema_index[v] for v in factor.schema if v in schema_index]
+        proj_vars = [v for v in factor.schema if v in schema_index]
+        # Reorder factor lookup to its own schema order.
+        key_of = _key_getter([factor.schema.index(v) for v in proj_vars])
+        lookup: Dict[Tuple, Any] = {}
+        for frow, fval in factor:
+            key = key_of(frow)
+            if key in lookup:
+                lookup[key] = semiring.add(lookup[key], fval)
+            else:
+                lookup[key] = fval
+        probes.append((_key_getter(proj), lookup))
+    one, zero, mul = semiring.one, semiring.zero, semiring.mul
+
+    def score(rows: Sequence[Tuple]) -> List[Any]:
+        slots: List[Any] = [one] * len(rows)
+        for key_of, lookup in probes:
+            get = lookup.get
+            for i, row in enumerate(rows):
+                slots[i] = mul(slots[i], get(key_of(row), zero))
+        return slots
+
+    return score
+
+
+def _key_getter(positions: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """``row -> tuple(row[i] for i in positions)``, built once."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
 def score_rows(
     semiring,
     schema: Sequence[str],
     contributions: Sequence[Factor],
     rows: Sequence[Tuple],
 ) -> List[Any]:
-    """The dict-plane scorer: ⊗ of per-contribution lookups per row."""
-    slots: List[Any] = [semiring.one] * len(rows)
-    schema_index = {v: i for i, v in enumerate(schema)}
-    for factor in contributions:
-        proj = [schema_index[v] for v in factor.schema if v in schema_index]
-        proj_vars = [v for v in factor.schema if v in schema_index]
-        # Reorder factor lookup to its own schema order.
-        order = [factor.schema.index(v) for v in proj_vars]
-        lookup: Dict[Tuple, Any] = {}
-        for frow, fval in factor:
-            key = tuple(frow[i] for i in order)
-            if key in lookup:
-                lookup[key] = semiring.add(lookup[key], fval)
-            else:
-                lookup[key] = fval
-        for i, row in enumerate(rows):
-            key = tuple(row[j] for j in proj)
-            value = lookup.get(key, semiring.zero)
-            slots[i] = semiring.mul(slots[i], value)
-    return slots
+    """Score a whole slice at once with :func:`row_scorer`."""
+    return row_scorer(semiring, schema, contributions)(rows)
 
 
 def _make_player(
@@ -370,37 +393,30 @@ def _make_player(
                 items = list(state[star.center_edge].tuples())
                 ranges = star.slot_plan.slice_ranges(len(items))
                 slices = [items[slice(*ranges[j])] for j in role.trees]
-            parts = yield from scatter_over_packing(
-                ctx, mail, role.scatter, slices, plan.tuple_bits
-            )
-            counts = [len(part) for part in parts]
-            rows = [row for part in parts for row in part]
             # Phase B: local slot computation (free, Model 2.1).  Only the
             # packing terminals (the star's owners) hold full rows; relays
             # and terminals holding none of the star's relations
             # contribute identities.
-            slots = None
+            score = None
             if role.is_terminal:
                 contributions = star_contributions(
                     plan, query, star, state, node
                 )
                 if contributions:
-                    slots = score_rows(
-                        semiring, star.center_schema, contributions, rows
+                    score = row_scorer(
+                        semiring, star.center_schema, contributions
                     )
-            ends = list(accumulate(counts, initial=0))
-            my_slots = [
-                None if slots is None else slots[start:stop]
-                for start, stop in zip(ends, ends[1:])
-            ]
-            # Phase C: ⊗-convergecast over the packing (footnote 24).
-            combined = yield from combine_over_packing(
-                ctx, mail, role.combine, my_slots, counts,
-                semiring.mul, semiring.one, plan.value_bits,
+            # Phase C, pipelined behind phase A: the ⊗-convergecast over
+            # the packing (footnote 24) sends each slot up once its tuple
+            # has landed here.
+            parts, combined = yield from star_over_packing(
+                ctx, mail, role.scatter, role.combine, slices, score,
+                plan.tuple_bits, semiring.mul, semiring.one, plan.value_bits,
             )
             # Phase D: the center's owner rebuilds its relation (on the
             # query's storage backend, so later phases stay vectorized).
             if role.is_root:
+                rows = [row for part in parts for row in part]
                 new_rows = {
                     tuple(row): combined[i] for i, row in enumerate(rows)
                 }

@@ -71,6 +71,28 @@ class Mailbox:
         return out
 
 
+class Landed:
+    """One node's scatter stream as it lands: the items held in full, in
+    order, the count once its header is in, and whether the stream is
+    done (received and forwarded whole).  The node's combine on the same
+    tree reads it through the gate (:func:`_released`)."""
+
+    def __init__(self) -> None:
+        self.items: List[Any] = []
+        self.count: Optional[int] = None
+        self.done = False
+
+
+def _released(landed: Landed, star: Sequence[Landed]) -> int:
+    """The pipelined star's gate: a combine may release the slots whose
+    tuples its node's scatter on the same tree holds in full, in the
+    round they land (the scatters step first).  ``star`` holds the
+    node's every scatter of the star: the sequential schedule (nothing
+    leaves before all of them are done) is this rule with that
+    threshold."""
+    return len(landed.items)
+
+
 def _ended(position: int, offset: int, width: int) -> int:
     """How many ``width``-bit items of a stream that starts them at bit
     ``offset`` have their last bit within the first ``position`` bits."""
@@ -85,6 +107,7 @@ def broadcast_node(
     items: Optional[Sequence[Any]],
     bits_per_item: int,
     tag: str,
+    landed: Optional[Landed] = None,
 ) -> Generator[None, None, List[Any]]:
     """One node's role in a pipelined tree broadcast.
 
@@ -97,16 +120,23 @@ def broadcast_node(
     holds the header's last bit), and a relay forwards bits as soon as
     they land (cut-through pipelining).
 
+    Args:
+        landed: Where the items and count land for another stream of
+            the node to read (a fresh :class:`Landed` if None).
+
     Returns:
         The full item list (at every node).
     """
     per_item = max(1, bits_per_item)
+    if landed is None:
+        landed = Landed()
+    received = landed.items
     if parent is None:
-        received: List[Any] = list(items or ())
+        received.extend(items or ())
         count: Optional[int] = len(received)
+        landed.count = count
         have = HEADER_BITS + count * per_item
     else:
-        received = []
         count = None
         have = 0
     sent = {c: 0 for c in children}
@@ -117,9 +147,11 @@ def broadcast_node(
             for bits, header, frame_items in mail.pop(tag, parent):
                 have += bits
                 if header is not None:
-                    count = header
+                    count = landed.count = header
                 received.extend(frame_items)
         for child, lo in sent.items():
+            if have <= lo:
+                continue
             bits = min(have - lo, ctx.remaining_capacity(child))
             if bits < 1:
                 continue
@@ -135,6 +167,7 @@ def broadcast_node(
             and len(received) == count
             and all(done == have for done in sent.values())
         ):
+            landed.done = True
             return received
         yield
 
@@ -144,12 +177,15 @@ def convergecast_node(
     mail: Mailbox,
     parent: Optional[str],
     children: Sequence[str],
-    num_slots: int,
+    num_slots: Optional[int],
     my_slots: Optional[Sequence[Any]],
     combine: Callable[[Any, Any], Any],
     identity: Any,
     bits_per_slot: int,
     tag: str,
+    gate: Optional[Landed] = None,
+    star: Sequence[Landed] = (),
+    score: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
 ) -> Generator[None, None, Optional[List[Any]]]:
     """One node's role in a pipelined bottom-up slot aggregation.
 
@@ -160,36 +196,63 @@ def convergecast_node(
     parent like any other bits, up to the edge's room each round, and a
     frame carries the values whose last bit it holds.
 
+    In a star, ``gate`` is the node's scatter on the same tree (``star``
+    all of its scatters of the star): the slot count is the scatter's,
+    slot ``i`` also waits for the gate (:func:`_released`), and the
+    node's own value for it is ``score`` of tuple ``i`` (identity when
+    ``score`` is None), scored as its tuple is released.
+
     Returns:
         The combined slot list at the tree root; None elsewhere.
     """
     per_slot = max(1, bits_per_slot)
-    child_vals: Dict[str, List[Any]] = {c: [] for c in children}
+    child_vals = [(child, []) for child in children]
     ready: List[Any] = []
     sent = 0
 
     while True:
+        if gate is not None and gate.count is None:
+            # Before the header, nothing is released here and no child
+            # holds a tuple (the scatter reads the mailbox meanwhile).
+            yield
+            continue
         mail.ingest(ctx)
-        for child, values in child_vals.items():
+        for child, values in child_vals:
             for _bits, frame_values in mail.pop(tag, child):
                 values.extend(frame_values)
-        limit = min((len(v) for v in child_vals.values()), default=num_slots)
-        for i in range(len(ready), min(num_slots, limit)):
-            value = my_slots[i] if my_slots is not None else identity
-            for values in child_vals.values():
-                value = combine(value, values[i])
-            ready.append(value)
+        if gate is not None:
+            num_slots = gate.count
+            limit = _released(gate, star)
+        else:
+            limit = num_slots
+        for _child, values in child_vals:
+            if len(values) < limit:
+                limit = len(values)
+        start = len(ready)
+        if limit > start:
+            if score is not None:
+                own = score(gate.items[start:limit])
+            elif my_slots is not None:
+                own = my_slots[start:limit]
+            else:
+                own = [identity] * (limit - start)
+            for i, value in enumerate(own, start):
+                for _child, values in child_vals:
+                    value = combine(value, values[i])
+                ready.append(value)
         if parent is None:
             if len(ready) == num_slots:
                 return ready
         else:
-            bits = min(len(ready) * per_slot - sent, ctx.remaining_capacity(parent))
+            bits = len(ready) * per_slot - sent
+            if bits > 0:
+                bits = min(bits, ctx.remaining_capacity(parent))
             if bits > 0:
                 hi = sent + bits
                 frame_values = ready[sent // per_slot:hi // per_slot]
                 ctx.send(parent, bits, (bits, frame_values), tag)
                 sent = hi
-            if sent == num_slots * per_slot:
+            if num_slots is not None and sent == num_slots * per_slot:
                 return None
         yield
 
@@ -293,15 +356,15 @@ def parallel_subphases(
     live = list(enumerate(subgens))
     results: List[Any] = [None] * len(live)
     while live:
-        still = []
+        finished = False
         for idx, gen in live:
             try:
                 next(gen)
             except StopIteration as stop:
                 results[idx] = stop.value
-            else:
-                still.append((idx, gen))
-        live = still
+                finished = True
+        if finished:
+            live = [(idx, gen) for idx, gen in live if gen.gi_frame is not None]
         if live:
             yield
     return results

@@ -23,6 +23,7 @@ from ..network.simulator import SimulationResult, Simulator
 from ..network.steiner import SteinerTree, optimize_delta, pack_steiner_trees
 from ..network.topology import Topology
 from .primitives import (
+    Landed,
     Mailbox,
     broadcast_node,
     convergecast_node,
@@ -102,31 +103,55 @@ def plan_slots(
     return SlotPlan(trees=trees, delta=delta)
 
 
-def scatter_over_packing(
+def star_over_packing(
     ctx,
     mail: Mailbox,
-    streams: Sequence[Stream],
+    scatter: Sequence[Stream],
+    combine: Sequence[Stream],
     slices: Optional[Sequence[Sequence[Any]]],
+    score: Optional[Callable[[Sequence[Any]], List[Any]]],
     bits_per_item: int,
+    combine_op: Callable[[Any, Any], Any],
+    identity: Any,
+    bits_per_slot: int,
 ):
-    """One node's role in scattering items over a packing (generator).
+    """One node's role in a pipelined star over a packing (generator).
 
     The root (``slices`` given) broadcasts slice ``i`` down the tree of
-    its scatter stream ``streams[i]`` (the trees are edge-disjoint, so
+    its scatter stream ``scatter[i]`` (the trees are edge-disjoint, so
     the broadcasts run fully in parallel — this is what buys the
-    Example 2.3 clique speedup, N/ST(G,K,Δ) + Δ instead of N).
+    Example 2.3 clique speedup, N/ST(G,K,Δ) + Δ instead of N), and the
+    ⊗-convergecast of stream ``combine[i]`` goes back up the same tree
+    at once: slot ``j`` leaves a node once its tuple has landed there
+    (and every child's slot ``j`` has), scored by ``score`` (identity
+    when None).  The two phases use opposite directions of
+    edge-disjoint trees, so they never contend for a link.
 
     Returns:
-        One item list per stream.  Terminals belong to every tree, so
-        their lists concatenate to the root's items.
+        ``(parts, combined)``: one item list per tree (terminals belong
+        to every tree, so theirs concatenate to the root's items), and
+        the combined slot list at the packing root (None elsewhere).
     """
-    return (yield from parallel_subphases([
+    landed = [Landed() for _stream in scatter]
+    results = yield from parallel_subphases([
         broadcast_node(
             ctx, mail, stream.parent, stream.children,
             None if slices is None else slices[i], bits_per_item, stream.tag,
+            landed[i],
         )
-        for i, stream in enumerate(streams)
-    ]))
+        for i, stream in enumerate(scatter)
+    ] + [
+        convergecast_node(
+            ctx, mail, stream.parent, stream.children, None, None,
+            combine_op, identity, bits_per_slot, stream.tag,
+            landed[i], landed, score,
+        )
+        for i, stream in enumerate(combine)
+    ])
+    parts = results[:len(scatter)]
+    if slices is None:
+        return parts, None
+    return parts, [value for part in results[len(scatter):] for value in part]
 
 
 def combine_over_packing(

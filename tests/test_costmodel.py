@@ -18,6 +18,7 @@ Three layers:
 
 import hashlib
 import json
+import math
 import os
 from collections import deque
 
@@ -62,10 +63,21 @@ from repro.costmodel.timing import (
 )
 from repro.lab.generate import generate_scenarios
 from repro.lab.report import cost_mismatches
-from repro.lab.runner import execute_scenario
+from repro.lab.runner import execute_scenario, record_scenario_trace
 from repro.lab.spec import ScenarioSpec
+from repro.lab.suites import get_suite
+from repro.network import program as program_module
+from repro.network.program import HEADER_BITS, NodeProgram, run_program
 from repro.obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
+from repro.obs.trace import (
+    ComputeStepEvent,
+    CycleFastForwardEvent,
+    RecordingTracer,
+    SendEvent,
+)
 from repro.pipeline import plan_scenario
+from repro.protocols import compile_round_programs, run_distributed_faq
+from repro.protocols import primitives as primitives_module
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +421,9 @@ def test_hard_forest_loose_gap_case_is_predicted_exactly():
     assert result.tribes_bits_floor == 192
     assert result.cut_bits >= result.tribes_bits_floor
     # The symbolic model has no suppressed constant: it pins this exact
-    # run — 121 rounds, 3659 bits, busiest link-round 12 = B.
+    # run — 116 rounds, 3659 bits, busiest link-round 12 = B.
     prediction = _fresh_prediction(spec)
-    assert prediction.rounds == result.measured_rounds == 121
+    assert prediction.rounds == result.measured_rounds == 116
     assert prediction.total_bits == result.total_bits == 3659
     assert prediction.max_edge_bits_per_round == 12 == prediction.environment["B"]
     assert result.cost_model["exact_match"] is True
@@ -457,7 +469,7 @@ def test_parallel_subphase_completion_blocks_fast_forward_replay():
     assert compiled.cost_model["exact_match"] is True, compiled.cost_model
     generator = execute_scenario(spec.with_(engine="generator"))
     assert compiled.total_bits == generator.total_bits == 8496
-    assert compiled.measured_rounds == generator.measured_rounds == 36
+    assert compiled.measured_rounds == generator.measured_rounds == 32
     assert (
         compiled.cost_model["measured"] == generator.cost_model["measured"]
     )
@@ -477,7 +489,7 @@ def _skeleton_of(spec):
 
 def test_count_plane_twin_of_the_parallel_subphase_pin():
     timing = evaluate_timing(_skeleton_of(_PARALLEL_SUBPHASE_PIN))
-    assert (timing.rounds, timing.total_bits) == (36, 8496)
+    assert (timing.rounds, timing.total_bits) == (32, 8496)
 
 
 def _pin(family, query, query_params, topology, topology_params, n,
@@ -495,7 +507,9 @@ def _pin(family, query, query_params, topology, topology_params, n,
 #: round, with that guard removed) and priced wrong — or not at all —
 #: without it.  The default 200-run fuzz gate misses some of them.  The
 #: first six were found for the whole-network jump and still pin
-#: rounds and bits; the comments say what each guards now.
+#: rounds and bits; the comments say what each guards now.  Rounds were
+#: re-pinned when each star's combine began to leave behind its scatter
+#: (bits unchanged), so a comment's round count is the schedule's before.
 _JUMP_GUARD_PINS = {
     # A root convergecast held back by a slow tree while a fast member
     # finishes.  Found for the whole-network jump, which replayed the
@@ -513,7 +527,7 @@ _JUMP_GUARD_PINS = {
     "one-cycle-short-of-completion": (_pin(
         "fuzz-forest", "forest", {"edges": 3, "trees": 2}, "line",
         {"n": 4}, 32, 4, "boolean", "round-robin", 601469238,
-    ), 120, 850),
+    ), 114, 850),
     # The next star's scatter reaches a node still busy in this one and
     # its frames queue in that node's mailbox.  A sleeping sender's
     # catch-up counts their bits, so it must also deliver them to the
@@ -521,7 +535,7 @@ _JUMP_GUARD_PINS = {
     "stream-buffering-for-a-later-phase": (_pin(
         "fuzz-hard-path", "hard-path", {"length": 6}, "line", {"n": 3},
         16, 16, "boolean", "worst-case", 262579810,
-    ), 60, 660),
+    ), 57, 660),
     # A buffering queue gets exactly the ``k`` slept rounds' bits: with
     # ``k - 1`` the later broadcast waits for bits that never come, with
     # ``k + 1`` it holds more bits than its header announced.
@@ -529,14 +543,14 @@ _JUMP_GUARD_PINS = {
         "fuzz-hard-path", "hard-path", {"length": 6, "value": False},
         "tree", {"branching": 2, "depth": 2}, 16, 16, "boolean",
         "worst-case", 692445153,
-    ), 63, 1076),
+    ), 61, 1076),
     # Only a reader whose op has not started is buffering.  A running
     # reader took the blocks round by round and a dormant one replays
     # them: materializing into every reader's queue delivers them twice.
     "drained-streams-are-not-materialized": (_pin(
         "fuzz-hard-star", "hard-star", {"arms": 3, "value": False}, "star",
         {"leaves": 4}, 16, 16, "boolean", "worst-case", 508538384,
-    ), 22, 176),
+    ), 21, 176),
     # Found for the whole-network jump's window restart, which is gone
     # (a waking stream's log holds the slept delta twice); it pins
     # rounds and bits only.
@@ -544,7 +558,7 @@ _JUMP_GUARD_PINS = {
         "fuzz-acyclic", "acyclic", {"arity": 4, "edges": 5}, "tree",
         {"branching": 2, "depth": 2}, 32, 8, "boolean", "round-robin",
         985735279,
-    ), 77, 2240),
+    ), 72, 2240),
     # A reader whose op starts while the stream it reads sleeps takes
     # the rounds owed so far at its start.  Without that entry it
     # misses them: 100 rounds and 2429 bits.  (The large-topology half
@@ -695,9 +709,15 @@ def test_streams_sharing_a_link_settle_and_wake_together(monkeypatch):
     dormant = evaluate_timing(skeleton)
     skipped = counter_delta(before, COUNTERS.snapshot())
     monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
+    before = COUNTERS.snapshot()
     assert evaluate_timing(skeleton) == dormant
-    assert (dormant.rounds, dormant.total_bits) == (673, 12896)
-    assert skipped["costmodel.fast_forward_rounds"] > 600
+    stepped = counter_delta(before, COUNTERS.snapshot())
+    assert (dormant.rounds, dormant.total_bits) == (343, 12896)
+    # ``b``'s combine on the first tree keeps pace with 1.5 tuples a
+    # round, a floor its margins cannot prove steady, so no round is
+    # skipped whole; the link-mates sleep (534 stream steps, 2,598
+    # stepping).
+    assert skipped["costmodel.stream_steps"] * 3 < stepped["costmodel.stream_steps"]
 
 
 def _straddling_convergecast(length):
@@ -766,7 +786,7 @@ def test_streaming_rounds_are_counted_not_stepped():
     timing = evaluate_timing(skeleton)
     delta = counter_delta(before, COUNTERS.snapshot())
     rounds, jumped, steps = (delta[name] for name in COSTMODEL_COUNTERS)
-    assert timing.rounds == rounds == 8510
+    assert timing.rounds == rounds == 8195
     assert rounds - jumped <= 64 and steps <= 64
 
 
@@ -781,27 +801,243 @@ def _wide_expander_spec(n):
     )
 
 
-@pytest.mark.parametrize("n, rounds, most_steps", [(96, 108, 1000),
-                                                   (500, 477, 1100)])
-def test_only_changing_streams_step(n, rounds, most_steps):
+@pytest.mark.parametrize("n, rounds, most_steps, fewest_skipped", [
+    (96, 78, 1000, 8), (500, 314, 1100, 200),
+])
+def test_only_changing_streams_step(n, rounds, most_steps, fewest_skipped):
     # Stepping every running stream while any changed (the whole-network
     # jump) took 3,049 leaf steps at N=96 and 3,655 at N=500; dormant
     # streams step at their horizon or when what they read changes.
-    # 1,100 is the engine's node-level member-step count at N=500.
+    # 1,100 is the engine's node-level member-step count at N=500 before
+    # stars were pipelined.  A pipelined star keeps some stream changing
+    # in most rounds at N=96 (8 of 78 skipped; 44 of 108 sequentially).
     skeleton = _skeleton_of(_wide_expander_spec(n))
     before = COUNTERS.snapshot()
     timing = evaluate_timing(skeleton)
     delta = counter_delta(before, COUNTERS.snapshot())
     assert timing.rounds == delta["costmodel.rounds"] == rounds
     assert delta["costmodel.stream_steps"] <= most_steps
-    assert delta["costmodel.fast_forward_rounds"] >= rounds // 3
+    assert delta["costmodel.fast_forward_rounds"] >= fewest_skipped
 
 
-@pytest.mark.parametrize("limit", [3, 400, 1033])
+# ---------------------------------------------------------------------------
+# The pipelined star's gate
+# ---------------------------------------------------------------------------
+
+
+def _sequential(scatter, scatters):
+    """The gate at the sequential schedule's threshold: no slot leaves a
+    node before every scatter stream of the star there has finished."""
+    return scatter.landed() if all(s.wake == _DONE for s in scatters) else 0
+
+
+def test_pipelined_rounds_never_exceed_sequential(monkeypatch):
+    """``generate_scenarios(777, 100)`` at x1 and x8, priced under the
+    gate and under its sequential threshold: every spec takes no more
+    rounds pipelined, and carries the same bits on the same links with
+    the same busiest link-round.  The threshold reproduces the schedule
+    before pipelining (26,709 rounds at x8, the paper's metric since PR
+    31); it reads every scatter of the star at its node, which the
+    gate's wake rule does not watch, so it is priced stepping."""
+    skeletons = {
+        (scale, spec.label): _skeleton_of(spec.with_(n=spec.n * scale))
+        for scale in (1, 8) for spec in generate_scenarios(777, 100)
+    }
+
+    def price():
+        return {
+            key: evaluate_timing(skeleton, max_rounds=10_000_000)
+            for key, skeleton in skeletons.items()
+        }
+
+    pipelined = price()
+    monkeypatch.setattr(timing_module, "_released", _sequential)
+    monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
+    sequential = price()
+    for key in skeletons:
+        fast, slow = pipelined[key], sequential[key]
+        assert fast.rounds <= slow.rounds, key
+        assert (fast.total_bits, fast.max_edge_bits_per_round) == (
+            slow.total_bits, slow.max_edge_bits_per_round), key
+        assert dict(fast.bits_per_edge) == dict(slow.bits_per_edge), key
+
+    def total(costs, scale):
+        return sum(v.rounds for (at, _label), v in costs.items() if at == scale)
+
+    assert (total(pipelined, 1), total(sequential, 1)) == (4_569, 4_913)
+    assert (total(pipelined, 8), total(sequential, 8)) == (24_361, 26_709)
+    assert sum(
+        pipelined[key].rounds < sequential[key].rounds for key in skeletons
+    ) == 129
+
+
+def test_sequential_threshold_agrees_across_planes(monkeypatch):
+    """Each plane's gate takes its node's scatters of the star, so the
+    sequential threshold is a patch of the rule in every plane; both
+    engines then run what the count plane prices with it (stepping),
+    rounds, bits, busiest link-round and per-link map in key order, on
+    the first 40 specs of ``generate_scenarios(777, ...)``."""
+    engine_gate = program_module._released
+    generator_gate = primitives_module._released
+
+    def engine_sequential(scatter, scatters):
+        finished = all(s.received == s.total and min(s.sent, default=s.total)
+                       == s.total for s in scatters)
+        return engine_gate(scatter, scatters) if finished else 0
+
+    def generator_sequential(landed, star):
+        finished = all(s.done for s in star)
+        return generator_gate(landed, star) if finished else 0
+
+    monkeypatch.setattr(timing_module, "_released", _sequential)
+    monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
+    monkeypatch.setattr(program_module, "_released", engine_sequential)
+    monkeypatch.setattr(primitives_module, "_released", generator_sequential)
+    for spec in generate_scenarios(777, 40):
+        planner, plan = plan_scenario(spec)
+        topology, query = planner.topology, planner.query
+        priced = evaluate_timing(_skeleton_of(spec))
+        compiled = run_program(topology, plan.capacity_bits,
+                               compile_round_programs(plan, query, topology))
+        generator = run_distributed_faq(
+            query, topology, plan.assignment, engine="generator", plan=plan,
+        ).simulation
+        for run in (compiled, generator):
+            assert (run.rounds, run.total_bits, run.max_edge_bits_per_round,
+                    list(run.bits_per_edge.items())) == (
+                priced.rounds, priced.total_bits,
+                priced.max_edge_bits_per_round,
+                list(priced.bits_per_edge.items())), spec.label
+
+
+def _gate_check(events, tuple_bits, value_bits):
+    """Fold a trace's sends by round (a skip repeats its round's sends)
+    and check, per node and packing tree, that the combine bits it has
+    sent by round ``t`` never exceed ``value_bits`` per scatter tuple it
+    holds in full by round ``t`` (a frame sent in round ``t - 1`` has
+    landed).  Returns the (node, tree) streams checked and those that
+    sent a slot before their scatter stream had fully landed."""
+    sends = {}
+    for event in events:
+        if isinstance(event, SendEvent):
+            sends.setdefault(event.round, []).append(
+                (event.src, event.dst, event.tag, event.bits))
+        elif isinstance(event, CycleFastForwardEvent):
+            for rnd in range(event.start_round + 1, event.end_round + 1):
+                sends.setdefault(rnd, []).extend(
+                    (src, dst, tag, bits)
+                    for src, dst, tag, _kind, bits in event.sends)
+    held, moved, total, early = {}, {}, {}, set()
+    for frames in sends.values():
+        for _src, dst, tag, bits in frames:
+            if ":bc:" in tag:
+                key = (dst, tag.replace(":bc:", ":"))
+                total[key] = total.get(key, 0) + bits
+    for rnd in range(1, max(sends, default=0) + 1):
+        for _src, dst, tag, bits in sends.get(rnd - 1, ()):
+            if ":bc:" in tag:
+                key = (dst, tag.replace(":bc:", ":"))
+                held[key] = held.get(key, 0) + bits
+        for src, _dst, tag, bits in sends.get(rnd, ()):
+            if ":cc:" in tag:
+                key = (src, tag.replace(":cc:", ":"))
+                moved[key] = moved.get(key, 0) + bits
+                tuples = max(0, (held.get(key, 0) - HEADER_BITS) // tuple_bits)
+                assert moved[key] <= tuples * value_bits, (key, rnd)
+                if held.get(key, 0) < total.get(key, 0):
+                    early.add(key)
+    return len(moved), len(early)
+
+
+def test_pipelined_gate_holds_on_traced_runs():
+    """The trace-oracle subset (``fuzz-smoke``, both engines): no node
+    sends a combine slot of a packing tree before its scatter on that
+    tree holds the slot's tuple, read from the traced send tags alone —
+    and slots do leave before the scatter has finished."""
+    engines, checked, early = set(), 0, 0
+    for spec in get_suite("fuzz-smoke").scenarios:
+        _result, events = record_scenario_trace(spec)
+        _planner, plan = plan_scenario(spec)
+        streams, overlapped = _gate_check(
+            events, plan.tuple_bits, plan.value_bits)
+        engines.add(spec.engine)
+        checked += streams
+        early += overlapped
+    assert engines == {"generator", "compiled"}
+    assert checked > 0 and early > 0
+
+
+def test_pipelined_first_star_within_theorem_3_11():
+    """Theorem 3.11 per phase, in rounds at ``B`` bits: the scatter of a
+    tree's ``k`` tuples takes at most ``ceil((H + k b_t) / B) + Δ`` and
+    the combine ``ceil(k b_v / B) + Δ``.  The first star of every
+    ``generate_scenarios(777, 100)`` spec (every node starts it in round
+    1, so nothing but the star itself is in its rounds) ends within
+    their sum at its root; pipelined it ends at most 0.952 of the way
+    there (0.987 sequentially; 0.949 and 0.998 at x8)."""
+    worst = 0.0
+    for spec in generate_scenarios(777, 100):
+        planner, plan = plan_scenario(spec)
+        if not plan.stars:
+            continue
+        topology = planner.topology
+        tracer = RecordingTracer()
+        run_program(topology, plan.capacity_bits,
+                    compile_round_programs(plan, planner.query, topology),
+                    tracer=tracer)
+        star = plan.stars[0]
+        ended = next(
+            event.round for event in tracer.events
+            if isinstance(event, ComputeStepEvent)
+            and event.node == star.slot_plan.root
+            and event.label == "s0:rebuild"
+        )
+        k = math.ceil(star.center_rows / len(star.slot_plan.trees))
+        delta, width = star.slot_plan.delta, plan.capacity_bits
+        term = (math.ceil((HEADER_BITS + k * plan.tuple_bits) / width) + delta
+                + math.ceil(k * plan.value_bits / width) + delta)
+        assert ended <= term, spec.label
+        worst = max(worst, ended / term)
+    assert worst < 1
+
+
+@pytest.mark.parametrize("spec, most", [
+    pytest.param(_stream_line_spec(8192), 64, id="stream-line-xl"),
+    pytest.param(_wide_expander_spec(500), 1_100, id="wide-expander"),
+])
+def test_gated_streams_sleep_through_a_steady_overlap(spec, most, monkeypatch):
+    """Both round planes let a gated combine sleep while its scatter
+    keeps landing tuples: on the stream-line shape the leaf terminal's
+    1-bit combine is gate-limited behind one 26-bit tuple a round, on
+    ``wide-expander`` the 32-bit combine is room-limited behind 32/18
+    tuples a round.  Stepping either every overlap round would take
+    thousands of count-plane stream steps and engine node-steps (8,195
+    and 314 rounds).  Measured: 18 and 15 on the first, 913 and 665 on
+    the second."""
+    planner, plan = plan_scenario(spec)
+    topology = planner.topology
+    before = COUNTERS.snapshot()
+    evaluate_timing(_skeleton_of(spec))
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert delta["costmodel.stream_steps"] <= most
+    steps = []
+    step_round = NodeProgram.step_round
+
+    def counted(program, ctx):
+        steps.append(program.node)
+        return step_round(program, ctx)
+
+    monkeypatch.setattr(NodeProgram, "step_round", counted)
+    run_program(topology, plan.capacity_bits,
+                compile_round_programs(plan, planner.query, topology))
+    assert len(steps) <= most
+
+
+@pytest.mark.parametrize("limit", [3, 400, 1020])
 def test_round_overrun_inside_a_jumpable_stretch_still_raises(limit):
     skeleton = _stream_line_skeleton(1024)
     needed = evaluate_timing(skeleton).rounds
-    assert needed > 1033
+    assert needed > 1020
     with pytest.raises(CostModelError, match=f"max_rounds={limit}"):
         evaluate_timing(skeleton, max_rounds=limit)
     # The cap is exact: the recurrence needs one silent round past the
@@ -929,7 +1165,8 @@ def test_horizon_leaves_every_op_unchanged(monkeypatch):
     wrapped to compare the stream's counters and log (its whole state
     but the wiring to other streams) before and after."""
     calls = {}
-    wiring = ("reads", "readers", "group", "ctx")
+    wiring = ("reads", "readers", "watchers", "group", "ctx", "gate",
+              "scatters")
 
     def state(stream):
         return _op_state(
@@ -945,7 +1182,7 @@ def test_horizon_leaves_every_op_unchanged(monkeypatch):
             return horizon
         monkeypatch.setattr(cls, "horizon", checked)
     timing = evaluate_timing(_skeleton_of(TIMING_CASES["wide-expander-N96"]))
-    assert timing.rounds == 108
+    assert timing.rounds == 78
     assert calls.get("_Broadcast")
     assert calls.get("_Convergecast")
 

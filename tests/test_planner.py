@@ -128,7 +128,8 @@ def test_cut_transcript_on_clique():
 
 def test_implied_round_lower_bound_inequality():
     """Inequality (1): rounds >= two-party bits / (cut * B * log cut),
-    where the two-party bits are what actually crossed the cut."""
+    where the two-party bits are what actually crossed the cut one way
+    (``B`` is a per-direction budget: both ways may carry it at once)."""
     q = star_query(n=48, seed=5)
     topo = Topology.line(4)
     planner = Planner(q, topo)
@@ -136,7 +137,7 @@ def test_implied_round_lower_bound_inequality():
     transcript = cut_transcript(topo, planner.players, report.protocol.simulation)
     capacity = report.protocol.plan.capacity_bits
     implied = implied_round_lower_bound(
-        topo, planner.players, transcript.bits_crossing, capacity
+        topo, planner.players, transcript.busiest_way(), capacity
     )
     assert report.measured_rounds >= implied - 1e-9
 

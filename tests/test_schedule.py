@@ -62,12 +62,12 @@ def test_compiled_and_count_programs_run_the_plan_schedule(spec):
         assert _op_streams(program.items, ParallelOps, RouteOp) == expected
         assert _op_streams(counted[node].items, _Parallel, _Route) == expected
         # The compiled engine's op labels, and the count plane's op kinds
-        # (it steps every stream in a parallel group, a route in its own).
+        # (it steps every stream in a parallel group — a star's scatter
+        # and combine in one — and a route in its own).
         labels = []
         for role in scheduled.stars:
             labels += [
-                f"s{role.star_id}:{phase}"
-                for phase in ("scatter", "score", "combine", "rebuild")
+                f"s{role.star_id}:{phase}" for phase in ("star", "rebuild")
             ]
         if scheduled.route is not None:
             labels.append("route:final")

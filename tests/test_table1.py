@@ -236,3 +236,20 @@ def test_gate_skips_families_outside_table1(base, monkeypatch, tmp_path, capsys)
     assert code == 1
     assert len(listed) == 1
     assert listed[0].startswith(row.spec.label + ": ")
+
+
+def test_family_aggregate_counts_what_the_violation_list_lists(table1):
+    # One faq-line run far over its budget: the artifact's list names it
+    # once, and so does its family's aggregate (which counted failed
+    # certification oracles only, and read 0 here).
+    results = list(table1)
+    index = next(
+        i for i, r in enumerate(results) if r.spec.family == "faq-line"
+    )
+    results[index] = dataclasses.replace(results[index], gap=1000.0)
+    listed = bound_violations([r.deterministic_record() for r in results])
+    assert len(listed) == 1
+    assert listed[0].startswith(results[index].spec.label + ": Table 1 gap")
+    counts = {row.family: row.bound_violations for row in aggregate(results)}
+    assert counts["faq-line"] == 1
+    assert sum(counts.values()) == 1
