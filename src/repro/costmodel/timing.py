@@ -397,30 +397,41 @@ def _released(scatter: "_Broadcast", scatters: List["_Broadcast"]) -> int:
     return scatter.landed()
 
 
+def _floor_loss(have: int, got: int, unit: int) -> int:
+    """The most ``unit``-floor ever cuts off a count that is ``have``
+    now and grows by ``got`` a round: ``have mod unit`` runs through the
+    residues congruent to ``have`` modulo ``gcd(got, unit)``, so
+    ``unit * ((have + k * got) // unit) >= have + k * got - loss`` for
+    every ``k``, with equality within one period (exact when ``got``
+    is whole units: the loss is then today's remainder)."""
+    step = gcd(got, unit)
+    return unit - step + have % step
+
+
 class _Convergecast(_Stream):
     """Mirror of ConvergecastOp.step, in bits: slot i is ready once
-    every child's slot i has fully landed and, in a star, the node's
-    scatter on the same tree releases it (:func:`_released`); ready bits
-    go up as far as the edge has room.
+    every child's slot i has fully landed and the node's scatter on the
+    same tree releases it (:func:`_released`); ready bits go up as far as
+    the edge has room.
 
     Counters: bits moved up (none at the root), then bits received per
     child.  The gate reads its scatter's counters, current even while
     that scatter sleeps; what moves them is what the scatter's parent
     sends, which the combine watches (``_Stream.watchers``)."""
 
-    def __init__(self, tag, parent, children, per_slot, num_slots,
-                 gate=None, scatters=()):
+    def __init__(self, tag, parent, children, per_slot, num_slots, gate,
+                 scatters):
         super().__init__()
         self.tag = tag
         self.parent = parent
         self.children = list(children)
         self.per_slot = max(1, per_slot)
         self.num_slots = int(num_slots)
-        #: The scatter whose tuples release this stream's slots (None:
-        #: every slot is released from the start), and its node's others.
-        self.gate: Optional[_Broadcast] = gate
+        #: The scatter whose tuples release this stream's slots, and its
+        #: node's others.
+        self.gate = gate
         self.scatters = scatters
-        self.released = self.num_slots if gate is None else 0
+        self.released = 0
         self.ready = 0
         self.moved = 0
         self.received = {c: 0 for c in self.children}
@@ -438,14 +449,12 @@ class _Convergecast(_Stream):
         self._inboxes = [ctx.inbox((self.tag, c)) for c in self.children]
 
     def step(self, ctx: _Ctx) -> bool:
-        released = self.released
         gate = self.gate
-        if gate is not None:
-            if gate.count is None:
-                # No tuple has landed here, so none below either.
-                self.log.append(self._waiting)
-                return False
-            released = _released(gate, self.scatters)
+        if gate.count is None:
+            # No tuple has landed here, so none below either.
+            self.log.append(self._waiting)
+            return False
+        released = _released(gate, self.scatters)
         arrived = any(self._inboxes)
         if arrived:
             arrivals = []
@@ -498,26 +507,30 @@ class _Convergecast(_Stream):
             # The root sends nothing: it replays while its children do,
             # and their own margins keep their last bit out of its sleep.
             return []
-        gate = None if self.gate is None else self._gate()
-        if not moved and not any(arrivals) and (gate is None or not gate[1]):
+        gate = self._gate()
+        if not moved and not any(arrivals) and not gate[1]:
             return []
         per_slot = self.per_slot
         margins = []
         if moved:
             margins.append((self.num_slots * per_slot - self.moved - 1, -moved))
-        # Drained (every ready bit is out): a round moves exactly the
-        # slots that became ready, which repeats only while a child whose
-        # bits arrive as fast as they leave (whole slots), or a gate
-        # releasing whole tuples as fast as their slots leave, holds the
-        # minimum.  Otherwise the round was room-limited, and stays so
-        # while no child's readied bits, nor the gate's, fall behind the
-        # bits moved.
-        drained = self.moved == self.ready * per_slot
+        # Drained (every ready bit is out) below a link with room left: a
+        # round moves exactly the slots that became ready, which repeats
+        # only while a child whose bits arrive as fast as they leave
+        # (whole slots), or a gate releasing whole tuples as fast as
+        # their slots leave, holds the minimum.  Otherwise the round was
+        # room-limited (a full link is, drained or not: its link-mates
+        # repeat, so its room does), and stays so while no child's
+        # readied bits, nor the gate's, fall behind the bits moved.
+        drained = (
+            self.moved == self.ready * per_slot
+            and self.ctx.room(self.parent) > 0
+        )
         if drained and not any(
             got == moved and have // per_slot == self.ready
             for got, have in zip(arrivals, self.received.values())
         ) and not (
-            gate is not None and gate[1] % gate[2] == 0
+            gate[1] % gate[2] == 0
             and gate[1] // gate[2] * per_slot == moved
             and gate[0] // gate[2] == self.ready
         ):
@@ -525,31 +538,22 @@ class _Convergecast(_Stream):
         for got, have in zip(arrivals, self.received.values()):
             if drained and got >= moved:
                 continue
-            # The child's readied bits beyond those moved: exact when it
-            # delivers whole slots a round, else its linear lower
-            # envelope ``have - (per_slot - 1)``, which the slot floor
-            # never undercuts.
-            if got % per_slot:
-                ahead = have - (per_slot - 1) - self.moved
-            else:
-                ahead = have - have % per_slot - self.moved
-            margins.append((ahead, got - moved))
-        if gate is not None:
-            have, got, unit = gate
-            if not (drained and got * per_slot >= moved * unit):
-                # The same for the released slots' bits, the envelope
-                # ``have - (unit - 1)`` counted in ``unit / g`` parts.
-                if got % unit:
-                    g = gcd(unit, per_slot)
-                    margins.append((
-                        ((have - unit + 1) * per_slot - unit * self.moved) // g,
-                        (got * per_slot - unit * moved) // g,
-                    ))
-                else:
-                    margins.append((
-                        have // unit * per_slot - self.moved,
-                        got // unit * per_slot - moved,
-                    ))
+            # The child's readied bits beyond those moved, through its
+            # slot floor's lower envelope.
+            margins.append((
+                have - _floor_loss(have, got, per_slot) - self.moved,
+                got - moved,
+            ))
+        have, got, unit = gate
+        if not (drained and got * per_slot >= moved * unit):
+            # The same for the released slots' bits, the envelope counted
+            # in ``unit / g`` parts.
+            g = gcd(unit, per_slot)
+            margins.append((
+                ((have - _floor_loss(have, got, unit)) * per_slot
+                 - unit * self.moved) // g,
+                (got * per_slot - unit * moved) // g,
+            ))
         return margins
 
     def blocks(self, delta):

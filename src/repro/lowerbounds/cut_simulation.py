@@ -5,9 +5,13 @@ Alice simulates the nodes on side ``A`` of a K-separating cut, Bob those
 on side ``B``, and per round at most ``MinCut(G,K) * ceil(log2 MinCut)``
 bits cross each way (the log term names the crossing edge; Model 2.1's
 capacity is per direction, so Alice and Bob may both talk in a round).
-Hence
+Hence, for the bits either direction carries,
 
-    R >= two-party-complexity / (MinCut * log MinCut).
+    R >= bits-one-way / (MinCut * log MinCut),
+
+and since a transcript is at most twice its busier direction, inequality
+(1) of Section 2.2.2, ``R >= two-party-complexity / (MinCut * log
+MinCut)``, holds up to that factor 2, a constant its ``O``-bounds absorb.
 
 This module extracts the two-party *transcript cost* of an actual
 simulation run and checks the accounting identity the lemma relies on —
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Set, Tuple
+from typing import Mapping, Sequence, Set, Tuple
 
 from ..network.mincut import mincut, mincut_partition
 from ..network.simulator import SimulationResult
@@ -33,26 +37,27 @@ class CutTranscript:
     Attributes:
         side_a / side_b: The simulated node partition.
         crossing_edges: Edges of ``G`` across the cut.
-        bits_crossing: Total bits the run actually sent across the cut
-            (Alice<->Bob communication in the simulated protocol).
+        bits_each_way: The bits the run sent across the cut, ``(A -> B,
+            B -> A)``.
         rounds: The run's round count.
         cut_size: Number of crossing edges.
-        bits_each_way: ``(A -> B, B -> A)`` crossing bits; a transcript
-            without them is checked as if every bit went one way.
     """
 
     side_a: Set[str]
     side_b: Set[str]
     crossing_edges: Tuple[Tuple[str, str], ...]
-    bits_crossing: int
+    bits_each_way: Tuple[int, int]
     rounds: int
     cut_size: int
-    bits_each_way: Optional[Tuple[int, int]] = None
+
+    @property
+    def bits_crossing(self) -> int:
+        """Total bits across the cut (Alice<->Bob communication in the
+        simulated protocol)."""
+        return sum(self.bits_each_way)
 
     def busiest_way(self) -> int:
         """The crossing bits of the direction that carried more."""
-        if self.bits_each_way is None:
-            return self.bits_crossing
         return max(self.bits_each_way)
 
     def two_party_bits_with_addressing(self) -> float:
@@ -94,10 +99,9 @@ def cut_transcript(
         side_a=side_a,
         side_b=set(side_b),
         crossing_edges=tuple(crossing),
-        bits_crossing=a_to_b + b_to_a,
+        bits_each_way=(a_to_b, b_to_a),
         rounds=result.rounds,
         cut_size=len(crossing),
-        bits_each_way=(a_to_b, b_to_a),
     )
 
 
@@ -166,7 +170,9 @@ def implied_round_lower_bound(
 
     This is inequality (1) of Section 2.2.2 instantiated with actual
     graph quantities: any protocol needs at least
-    ``bits / (MinCut * capacity * ceil(log MinCut))`` rounds.
+    ``bits / (MinCut * capacity * ceil(log MinCut))`` rounds, where
+    ``bits`` must cross the cut one way (the capacity is per direction;
+    a bound on the whole transcript gives half as many rounds).
     """
     cut = mincut(topology, players)
     address = max(1.0, math.ceil(math.log2(max(2, cut))))

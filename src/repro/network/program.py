@@ -453,17 +453,16 @@ class ConvergecastOp(ProgramOp):
     """One node's role in a pipelined slot convergecast, in bits.
 
     Mirrors :func:`repro.protocols.primitives.convergecast_node`: slot
-    ``i`` is ready once every child's slot ``i`` has fully landed and,
-    in a star, the gate (:func:`_released`) lets the node's scatter
-    ``gate`` release it; the ready slots' bits go up in one ``"bits"``
-    block per round, as many as the edge has room for.  The combined
+    ``i`` is ready once every child's slot ``i`` has fully landed and
+    the gate (:func:`_released`) lets the node's scatter ``gate``
+    release it; the ready slots' bits go up in one ``"bits"`` block per
+    round, as many as the edge has room for.  The combined
     *values* never ride these blocks: they are a timing-free fold over
     the tree's contributions, computed once by the protocol compiler
     when the root completes (in the exact association order the
     generator engine uses, so even float semirings agree bit for bit).
 
-    A gated op learns ``num_slots`` from its scatter's header; an
-    ungated one is configured before it starts.
+    It learns ``num_slots`` from its scatter's header.
     """
 
     def __init__(
@@ -472,8 +471,8 @@ class ConvergecastOp(ProgramOp):
         parent: Optional[str],
         children: Sequence[str],
         per_slot: int,
-        gate: Optional[BroadcastOp] = None,
-        scatters: Sequence[BroadcastOp] = (),
+        gate: BroadcastOp,
+        scatters: Sequence[BroadcastOp],
     ) -> None:
         self.tag = tag
         self.parent = parent
@@ -482,7 +481,7 @@ class ConvergecastOp(ProgramOp):
         self.gate = gate
         self.scatters = scatters
         self.num_slots: Optional[int] = None
-        #: Slots the gate lets go (all of them once configured, ungated).
+        #: Slots the gate lets go.
         self.released = 0
         #: Slots every child has fully delivered and the gate released
         #: (capped at num_slots), kept current as bits arrive.
@@ -498,10 +497,6 @@ class ConvergecastOp(ProgramOp):
         self._waiting = (self._no_arrivals, 0)
         self._hist: deque = deque(maxlen=2)
 
-    def configure(self, num_slots: int) -> None:
-        self.num_slots = self.released = int(num_slots)
-        self.ready = self._ready_slots()
-
     def start(self, ctx: ProgramContext) -> None:
         self._inboxes = [ctx.inbox(stream) for stream in self._streams]
 
@@ -512,19 +507,13 @@ class ConvergecastOp(ProgramOp):
 
     def step(self, ctx: ProgramContext) -> bool:
         gate = self.gate
-        if gate is not None:
-            if gate.count is None:
-                # Before its scatter's header is in, nothing is released
-                # and no child holds a tuple to send a slot for.
-                self._hist.append(self._waiting)
-                return False
-            self.num_slots = gate.count
-            self.released = _released(gate, self.scatters)
-        elif self.num_slots is None:
-            raise SimulationError(
-                f"{self.label}: stepped before configure() — the compiler "
-                "must set num_slots when the scatter phase completes"
-            )
+        if gate.count is None:
+            # Before its scatter's header is in, nothing is released and
+            # no child holds a tuple to send a slot for.
+            self._hist.append(self._waiting)
+            return False
+        self.num_slots = gate.count
+        self.released = _released(gate, self.scatters)
         arrivals = self._no_arrivals
         if any(self._inboxes):
             counts = []
@@ -537,14 +526,7 @@ class ConvergecastOp(ProgramOp):
                     self.received[i] += got
                 counts.append(got)
             arrivals = tuple(counts)
-            self.ready = ready = self._ready_slots()
-        elif gate is not None:
-            ready = self.released
-            if self.received:
-                ready = min(ready, min(self.received) // self.per_slot)
-            self.ready = ready
-        else:
-            ready = self.ready
+        self.ready = ready = self._ready_slots()
         num_slots = self.num_slots
         if self.parent is None:
             self._hist.append((arrivals, 0))
@@ -559,7 +541,7 @@ class ConvergecastOp(ProgramOp):
         else:
             moved = 0
         self._hist.append((arrivals, moved))
-        return num_slots is not None and self.sent == num_slots * per_slot
+        return self.sent == num_slots * per_slot
 
     def _gate_feed(self) -> Tuple[int, int, int]:
         """The gate as ``(have, got, unit)``: it releases ``have //
@@ -576,15 +558,13 @@ class ConvergecastOp(ProgramOp):
         if len(hist) < 2 or hist[0] != hist[1]:
             return 0
         arrivals, moved = hist[1]
-        gate = self.gate
-        if gate is not None and gate.count is None:
+        if self.gate.count is None:
             return UNBOUNDED  # inert until its scatter's header is in
-        feed = None if gate is None else self._gate_feed()
-        if not moved and not any(arrivals) and (feed is None or not feed[1]):
+        feed = self._gate_feed()
+        if not moved and not any(arrivals) and not feed[1]:
             return UNBOUNDED  # silent until a child or the gate moves
         per_slot = self.per_slot
-        # (Known once anything moved: nothing does before the count.)
-        whole = 0 if self.num_slots is None else self.num_slots * per_slot
+        whole = self.num_slots * per_slot
         sent = self.sent
         ready = self.ready
         root = self.parent is None
@@ -627,7 +607,7 @@ class ConvergecastOp(ProgramOp):
                 return 0
             if got < moved:
                 k = min(k, margin // (moved - got))
-        if feed is not None and not root:
+        if not root:
             have, got, unit = feed
             if drained and got % unit == 0 and got // unit * per_slot == moved \
                     and have // unit == ready:
@@ -650,14 +630,12 @@ class ConvergecastOp(ProgramOp):
         return max(0, k)
 
     def advance(self, k: int) -> None:
-        # A gated op's ``ready`` waits for its next step: the gate's
-        # threshold is the rule's to recompute.
+        # ``ready`` waits for the next step: the gate's threshold is the
+        # rule's to recompute.
         arrivals, moved = self._hist[-1]
         for i, got in enumerate(arrivals):
             self.received[i] += k * got
         self.sent += k * moved
-        if self.gate is None:
-            self.ready = self._ready_slots()
 
 
 class RouteOp(ProgramOp):

@@ -57,6 +57,7 @@ from repro.costmodel.timing import (
     _Convergecast,
     _Ctx,
     _DONE,
+    _floor_loss,
     _Op,
     _Route,
     _WAITING,
@@ -639,6 +640,19 @@ def test_streaming_route_jumps_its_queue():
     }
 
 
+def _released_convergecast(parent, children, per_slot, num_slots):
+    """A combine whose scatter has landed all ``num_slots`` tuples (a
+    stand-in no program runs), so the gate releases every slot; its
+    ``released`` is what its first step sets."""
+    scatter = _Broadcast("landed", "ghost", [], per_item=1)
+    scatter._learn(num_slots)
+    scatter.held, scatter.wake = scatter.length, _DONE
+    op = _Convergecast("t", parent, children, per_slot, num_slots, scatter,
+                       [scatter])
+    op.released = num_slots
+    return op
+
+
 def test_convergecast_horizon_takes_the_slot_floors_lower_envelope():
     # 18-bit slots, the child delivering 32 bits a round and the relay
     # sending 32: room-limited, so the jump must end before the relay's
@@ -646,18 +660,33 @@ def test_convergecast_horizon_takes_the_slot_floors_lower_envelope():
     # moves irregularly (32 is no multiple of 18), so the horizon reads
     # its linear lower envelope, received - 17 - moved, which holds
     # while it is not negative.
-    op = _Convergecast("t", "parent", ["child"], per_slot=18, num_slots=100)
+    op = _released_convergecast("parent", ["child"], 18, 100)
     op.received["child"], op.moved = 17 + 18 * 10, 18 * 10 - 3
     op.ready = op.received["child"] // 18
     op.log.extend([(32, (32,)), (32, (32,))])
-    assert op.margins(op.log[-1]) == [(100 * 18 - 177 - 1, -32), (3, 0)]
+    # The gate, with every slot released, bounds it by the stream's end.
+    assert op.margins(op.log[-1]) == [
+        (100 * 18 - 177 - 1, -32), (3, 0), (100 * 18 - 177, -32),
+    ]
     assert op.horizon() == (100 * 18 - 178) // 32
     # A round that sends more than arrives drains the envelope.
     op.log.extend([(32, (30,)), (32, (30,))])
     assert op.horizon() == 3 // 2
+    # At 30 bits a round the residues mod 18 step by gcd(30, 18) = 6, so
+    # from 193 bits the floor cuts off at most 13, not 17.
+    op.received["child"] -= 4
+    assert op.horizon() == 3 // 2
     # Below zero the floor may already bite: decline.
     op.received["child"] -= 4
     assert op.horizon() == 0
+
+
+def test_floor_loss_is_the_most_a_period_cuts_off():
+    for unit in range(1, 13):
+        for got in range(0, 30):
+            for have in range(0, 2 * unit):
+                cuts = {(have + k * got) % unit for k in range(unit + 1)}
+                assert _floor_loss(have, got, unit) == max(cuts)
 
 
 def test_broadcast_horizon_stops_before_a_draining_backlog_runs_out():
@@ -677,7 +706,7 @@ def test_a_room_starved_round_is_not_idle():
     # had filled the link: the ready bits go up next round, so the round
     # must not be cached as idle.
     ctx = _Ctx("relay", capacity=8)
-    op = _Convergecast("t", "parent", ["child"], per_slot=1, num_slots=100)
+    op = _released_convergecast("parent", ["child"], 1, 100)
     op.start(ctx)
     op.received["child"] = 5
     ctx.sent["parent"] = 8
@@ -709,15 +738,12 @@ def test_streams_sharing_a_link_settle_and_wake_together(monkeypatch):
     dormant = evaluate_timing(skeleton)
     skipped = counter_delta(before, COUNTERS.snapshot())
     monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
-    before = COUNTERS.snapshot()
     assert evaluate_timing(skeleton) == dormant
-    stepped = counter_delta(before, COUNTERS.snapshot())
     assert (dormant.rounds, dormant.total_bits) == (343, 12896)
-    # ``b``'s combine on the first tree keeps pace with 1.5 tuples a
-    # round, a floor its margins cannot prove steady, so no round is
-    # skipped whole; the link-mates sleep (534 stream steps, 2,598
-    # stepping).
-    assert skipped["costmodel.stream_steps"] * 3 < stepped["costmodel.stream_steps"]
+    # ``b``'s combine on the first tree moves 12 bits a round behind a
+    # gate that readies 1.5 tuples of 8 bits a round: drained every
+    # other round, but its link is full, so it sleeps with the rest.
+    assert skipped["costmodel.fast_forward_rounds"] > 310
 
 
 def _straddling_convergecast(length):
@@ -756,7 +782,7 @@ def test_a_jump_drops_the_cached_idle_entry():
     # behind that entry, so the next round is stepped in full: here the
     # child is 5 bits ahead after it and they move up.
     ctx = _Ctx("relay", capacity=8)
-    op = _Convergecast("t", "parent", ["child"], per_slot=1, num_slots=100)
+    op = _released_convergecast("parent", ["child"], 1, 100)
     op.start(ctx)
     for _ in range(2):
         assert not op.step(ctx)
@@ -801,23 +827,51 @@ def _wide_expander_spec(n):
     )
 
 
-@pytest.mark.parametrize("n, rounds, most_steps, fewest_skipped", [
-    (96, 78, 1000, 8), (500, 314, 1100, 200),
+def _skippable_rounds(skeleton, monkeypatch):
+    """Rounds a whole-round skip could cover: in a stepping run, the
+    rounds in which no stream changed its delta or finished, less the
+    first of each stretch of them (the round its streams settle in)."""
+    changing = set()
+    step = timing_module._Parallel.step
+
+    def recording(self, ctx):
+        finished = step(self, ctx)
+        if ctx.changed:
+            changing.add(ctx.round)
+        return finished
+
+    with monkeypatch.context() as patch:
+        patch.setattr(timing_module._Parallel, "step", recording)
+        patch.setattr(timing_module, "_settle", lambda *_args: [])
+        rounds = evaluate_timing(skeleton).rounds
+    return sum(
+        t not in changing and t - 1 not in changing and t > 1
+        for t in range(1, rounds + 1)
+    )
+
+
+@pytest.mark.parametrize("n, rounds, most_steps, skipped", [
+    (96, 78, 1000, 8), (500, 314, 1100, 219),
 ])
-def test_only_changing_streams_step(n, rounds, most_steps, fewest_skipped):
+def test_only_changing_streams_step(n, rounds, most_steps, skipped,
+                                    monkeypatch):
     # Stepping every running stream while any changed (the whole-network
     # jump) took 3,049 leaf steps at N=96 and 3,655 at N=500; dormant
     # streams step at their horizon or when what they read changes.
     # 1,100 is the engine's node-level member-step count at N=500 before
-    # stars were pipelined.  A pipelined star keeps some stream changing
-    # in most rounds at N=96 (8 of 78 skipped; 44 of 108 sequentially).
+    # stars were pipelined.  Dormancy skips every round a stepping run
+    # shows to be skippable.  At N=500 that is above ``rounds // 3``; at
+    # N=96 a pipelined star leaves only rounds 58-66 without a changing
+    # stream, so no dormancy can skip ``rounds // 3`` (44 of 108 rounds
+    # were skipped before pipelining).
     skeleton = _skeleton_of(_wide_expander_spec(n))
     before = COUNTERS.snapshot()
     timing = evaluate_timing(skeleton)
     delta = counter_delta(before, COUNTERS.snapshot())
     assert timing.rounds == delta["costmodel.rounds"] == rounds
     assert delta["costmodel.stream_steps"] <= most_steps
-    assert delta["costmodel.fast_forward_rounds"] >= fewest_skipped
+    assert delta["costmodel.fast_forward_rounds"] == skipped
+    assert skipped == _skippable_rounds(skeleton, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -502,17 +502,21 @@ def test_forest_embedding_capacity_hand_cases():
 def test_verify_cut_accounting_hand_cases():
     from repro.lowerbounds import CutTranscript, verify_cut_accounting
 
-    ok = CutTranscript(
-        side_a={"u"}, side_b={"v"}, crossing_edges=(("u", "v"),),
-        bits_crossing=10, rounds=10, cut_size=1,
-    )
-    verify_cut_accounting(ok, capacity_bits=1)  # 10 <= 10 * 1 * 1
-    impossible = CutTranscript(
-        side_a={"u"}, side_b={"v"}, crossing_edges=(("u", "v"),),
-        bits_crossing=11, rounds=10, cut_size=1,
-    )
-    with pytest.raises(AssertionError):
-        verify_cut_accounting(impossible, capacity_bits=1)
+    def transcript(bits_each_way):
+        return CutTranscript(
+            side_a={"u"}, side_b={"v"}, crossing_edges=(("u", "v"),),
+            bits_each_way=bits_each_way, rounds=10, cut_size=1,
+        )
+
+    # The budget is 10 rounds * 1 edge * 1 bit = 10 bits each way.
+    verify_cut_accounting(transcript((10, 0)), capacity_bits=1)
+    # Both ways at once, each within its own budget: 20 bits in all.
+    both = transcript((10, 10))
+    assert (both.bits_crossing, both.busiest_way()) == (20, 10)
+    verify_cut_accounting(both, capacity_bits=1)
+    for impossible in ((11, 0), (0, 11), (11, 9)):
+        with pytest.raises(AssertionError):
+            verify_cut_accounting(transcript(impossible), capacity_bits=1)
 
 
 def test_cut_transcript_two_party_addressing():
@@ -521,7 +525,7 @@ def test_cut_transcript_two_party_addressing():
     transcript = CutTranscript(
         side_a={"u"}, side_b={"v", "w"},
         crossing_edges=(("u", "v"), ("u", "w"), ("u", "x"), ("u", "y")),
-        bits_crossing=100, rounds=50, cut_size=4,
+        bits_each_way=(60, 40), rounds=50, cut_size=4,
     )
     # ceil(log2 4) = 2 address bits per crossing bit.
     assert transcript.two_party_bits_with_addressing() == 200
@@ -563,6 +567,12 @@ def test_cut_transcript_from_real_run():
     assert transcript.rounds == report.measured_rounds
     assert transcript.cut_size >= 1
     assert 0 <= transcript.bits_crossing <= report.total_bits
+    links = report.protocol.simulation.bits_per_edge
+    side_a, side_b = transcript.side_a, transcript.side_b
+    assert transcript.bits_each_way == (
+        sum(b for (u, v), b in links.items() if u in side_a and v in side_b),
+        sum(b for (u, v), b in links.items() if u in side_b and v in side_a),
+    )
 
 
 # ---------------------------------------------------------------------------

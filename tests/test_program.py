@@ -274,12 +274,23 @@ def test_validate_engine_rejects_unknown():
 # ---------------------------------------------------------------------------
 
 
+def _released_convergecast(tag, parent, children, per_slot, num_slots):
+    """A combine whose scatter has landed all ``num_slots`` tuples (a
+    stand-in run by no program), so the gate releases every slot; its
+    counts are those its first step sets."""
+    scatter = BroadcastOp("landed", "ghost", [], per_item=1)
+    scatter._learn(num_slots)
+    scatter.received = scatter.total
+    op = ConvergecastOp(tag, parent, children, per_slot, scatter, [scatter])
+    op.num_slots = op.released = num_slots
+    return op
+
+
 def test_compiled_deadlock_names_blocked_nodes():
     """A convergecast waiting on a silent child deadlocks immediately,
     and the error names the node, its program step and pending tags."""
     topology = Topology.line(2)
-    op = ConvergecastOp("stuck", None, [topology.nodes[1]], per_slot=1)
-    op.configure(4)
+    op = _released_convergecast("stuck", None, [topology.nodes[1]], 1, 4)
     programs = {
         topology.nodes[0]: NodeProgram(topology.nodes[0], [op]),
     }
@@ -303,10 +314,8 @@ def _line_programs(case):
             mid: NodeProgram(mid, [BroadcastOp("bc", root, [leaf], per_item=8)]),
             leaf: NodeProgram(leaf, [BroadcastOp("bc", mid, [], per_item=8)]),
         }
-    top = ConvergecastOp("cc", None, [mid], per_slot=4)
-    top.configure(3)
-    child = ConvergecastOp("cc", root, [], per_slot=4)
-    child.configure(3)
+    top = _released_convergecast("cc", None, [mid], 4, 3)
+    child = _released_convergecast("cc", root, [], 4, 3)
     return topology, {
         root: NodeProgram(root, [BroadcastOp(
             "x", None, [mid], per_item=8, root_count_fn=lambda: 40), top]),
@@ -547,8 +556,7 @@ def _convergecast_up_a_line(topology, per_slot, num_slots):
     def build_programs():
         programs = {}
         for i, node in enumerate(nodes):
-            op = ConvergecastOp("cc", *roles(i), per_slot)
-            op.configure(num_slots)
+            op = _released_convergecast("cc", *roles(i), per_slot, num_slots)
             programs[node] = NodeProgram(node, [op])
         return programs
 
@@ -590,8 +598,7 @@ def test_convergecast_horizon_reads_each_childs_readied_bits():
     round counts its floored bits exactly; one delivering 24 bits a
     round, whose floor moves irregularly, counts its lower envelope
     ``received - 15``.  A negative distance may already bite: decline."""
-    op = ConvergecastOp("cc", "parent", ["whole", "ragged"], per_slot=16)
-    op.configure(1000)
+    op = _released_convergecast("cc", "parent", ["whole", "ragged"], 16, 1000)
     op.received, op.sent = [16 * 20 + 5, 340], 312
     op.ready = min(op.received) // 16
     op._hist.extend([((16, 24), 20)] * 2)
