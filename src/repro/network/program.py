@@ -500,11 +500,6 @@ class ConvergecastOp(ProgramOp):
     def start(self, ctx: ProgramContext) -> None:
         self._inboxes = [ctx.inbox(stream) for stream in self._streams]
 
-    def _ready_slots(self) -> int:
-        if not self.received:
-            return self.released
-        return min(self.released, min(self.received) // self.per_slot)
-
     def step(self, ctx: ProgramContext) -> bool:
         gate = self.gate
         if gate.count is None:
@@ -512,8 +507,9 @@ class ConvergecastOp(ProgramOp):
             # no child holds a tuple to send a slot for.
             self._hist.append(self._waiting)
             return False
-        self.num_slots = gate.count
-        self.released = _released(gate, self.scatters)
+        self.num_slots = num_slots = gate.count
+        self.released = ready = _released(gate, self.scatters)
+        received = self.received
         arrivals = self._no_arrivals
         if any(self._inboxes):
             counts = []
@@ -523,11 +519,12 @@ class ConvergecastOp(ProgramOp):
                     for blk in inbox:
                         got += blk.bits
                     inbox.clear()
-                    self.received[i] += got
+                    received[i] += got
                 counts.append(got)
             arrivals = tuple(counts)
-        self.ready = ready = self._ready_slots()
-        num_slots = self.num_slots
+        if received:
+            ready = min(ready, min(received) // self.per_slot)
+        self.ready = ready
         if self.parent is None:
             self._hist.append((arrivals, 0))
             return ready == num_slots
