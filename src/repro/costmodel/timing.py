@@ -444,8 +444,6 @@ class _Convergecast(_Stream):
         #: the entry of the next idle round.  A catch-up drops it: it
         #: moves the counters behind it.
         self._idle = False
-        #: The last round's move took all the room its link had left.
-        self._full = False
 
     def start(self, ctx: _Ctx) -> None:
         self._inboxes = [ctx.inbox((self.tag, c)) for c in self.children]
@@ -469,7 +467,6 @@ class _Convergecast(_Stream):
                 arrivals.append(got)
             arrivals = tuple(arrivals)
         elif self._idle and released == self.released:
-            self._full = False  # the room was not read
             self.log.append(self.log[-1])
             return False
         else:
@@ -483,14 +480,12 @@ class _Convergecast(_Stream):
             self.log.append((0, arrivals))
             return self.ready == self.num_slots
         ready_bits = self.ready * self.per_slot
-        room = ctx.room(self.parent)
-        moved = min(ready_bits - self.moved, room)
+        moved = min(ready_bits - self.moved, ctx.room(self.parent))
         if moved > 0:
             ctx.send(self.parent, self.tag, "bits", moved)
             self.moved += moved
         else:
             moved = 0
-        self._full = moved == room
         self._idle = not moved and not arrived and self.moved == ready_bits
         self.log.append((moved, arrivals))
         return self.moved == self.num_slots * self.per_slot
@@ -519,16 +514,14 @@ class _Convergecast(_Stream):
         margins = []
         if moved:
             margins.append((self.num_slots * per_slot - self.moved - 1, -moved))
-        # Drained (every ready bit is out) with room to spare: a round
-        # moves exactly the slots that became ready, which repeats only
-        # while a child whose bits arrive as fast as they leave (whole
-        # slots), or a gate releasing whole tuples as fast as their
-        # slots leave, holds the minimum.  Otherwise the round was
-        # room-limited (a move that took all the room left is, drained
-        # or not: the link-mates stepped before it repeat, so its room
-        # does), and stays so while no child's readied bits, nor the
-        # gate's, fall behind the bits moved.
-        drained = self.moved == self.ready * per_slot and not self._full
+        # Drained (every ready bit is out): a round moves exactly the
+        # slots that became ready, which repeats only while a child whose
+        # bits arrive as fast as they leave (whole slots), or a gate
+        # releasing whole tuples as fast as their slots leave, holds the
+        # minimum.  Otherwise the round was room-limited, and stays so
+        # while no child's readied bits, nor the gate's, fall behind the
+        # bits moved.
+        drained = self.moved == self.ready * per_slot
         if drained and not any(
             got == moved and have // per_slot == self.ready
             for got, have in zip(arrivals, self.received.values())

@@ -742,7 +742,8 @@ def test_streams_sharing_a_link_settle_and_wake_together(monkeypatch):
     assert (dormant.rounds, dormant.total_bits) == (343, 12896)
     # ``b``'s combine on the first tree moves 12 bits a round behind a
     # gate that readies 1.5 tuples of 8 bits a round: drained every
-    # other round, but its link is full, so it sleeps with the rest.
+    # other round, room-limited in between, where the slot floor's exact
+    # envelope proves it steady, so it sleeps with the rest.
     assert skipped["costmodel.fast_forward_rounds"] > 310
 
 
