@@ -863,8 +863,7 @@ def test_only_changing_streams_step(n, rounds, most_steps, skipped,
     # stars were pipelined.  Dormancy skips every round a stepping run
     # shows to be skippable.  At N=500 that is above ``rounds // 3``; at
     # N=96 a pipelined star leaves only rounds 58-66 without a changing
-    # stream, so no dormancy can skip ``rounds // 3`` (44 of 108 rounds
-    # were skipped before pipelining).
+    # stream, so no dormancy can skip ``rounds // 3``.
     skeleton = _skeleton_of(_wide_expander_spec(n))
     before = COUNTERS.snapshot()
     timing = evaluate_timing(skeleton)
