@@ -10,8 +10,10 @@ skeleton and the compiled solver's elimination orders.  Recomputing
 them per plane is the dominant cost of a suite run — profiled at
 roughly half of per-scenario wall time — so this module gives each such
 function a process-wide LRU keyed on its *structural* inputs or on the
-scenario identity.  There are eight, all of this one type, so
-:func:`clear_all_memos` alone makes a process cold;
+scenario identity.  There are eight, all of this one type, and
+:func:`clear_all_memos` empties them and every cache registered with
+:func:`clear_with_memos` (``pipeline.identity_key``'s), so it alone
+makes a process cold;
 ``docs/dataplane.md`` has each one's hits and misses, and a memo that
 serves no repeat does not stay.  (The packing memo holds one entry per
 (graph, terminals, Δ, limit); the residual states the Δ values of a
@@ -43,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Tuple
 
 _MISSING = object()
 
@@ -107,6 +109,16 @@ class LRUMemo:
 #: All live memos by name — introspection for ``--timings`` and tests.
 _REGISTRY: Dict[str, LRUMemo] = {}
 
+#: How to empty the caches that are not memos (``functools.lru_cache``).
+_CLEARERS: List[Callable[[], None]] = []
+
+
+def clear_with_memos(clear: Callable[[], None]) -> None:
+    """Have :func:`clear_all_memos` call ``clear`` too: a cache of
+    another type (a ``functools.lru_cache``'s ``cache_clear``) is then
+    cold whenever the memos are."""
+    _CLEARERS.append(clear)
+
 
 def memo_stats() -> Dict[str, Dict[str, int]]:
     """Per-memo ``{hits, misses, size}`` — the ``--timings`` memo block."""
@@ -125,6 +137,8 @@ def clear_all_memos() -> None:
     correctness — stale entries cannot exist, keys are structural)."""
     for memo in _REGISTRY.values():
         memo.clear()
+    for clear in _CLEARERS:
+        clear()
 
 
 def topology_key(topology) -> Tuple[Tuple[str, str], ...]:

@@ -26,8 +26,8 @@ its slept rounds are applied arithmetically when it wakes (see
 :func:`evaluate_timing`).  Dormancy is written against this module's
 own integer state — each stream's per-round delta and the *margins*
 that keep its ``min(...)`` guards from flipping — and shares no code
-with the block engine's node-level dormancy, so the independence above
-still holds.
+with the block engine's stream-level dormancy, so the independence
+above still holds.
 
 What each node runs, in what order and on which links, is not round
 logic: it is the plan's schedule

@@ -24,24 +24,26 @@ each op's per-round decisions replicate the corresponding generator
 primitive in :mod:`repro.protocols.primitives`, written independently
 (same frames, same slot gate, same EOS handshake), so round counts, total
 bits, per-link bits and the busiest link-round come out identical.  On
-top of that, :func:`run_program` steps only changing nodes: a node whose
-program did not move, that sent the same blocks as the round before and
-whose current op bounds how long that replays goes *dormant* — it is not
-stepped, its blocks are delivered from a steady-send table and charged
-arithmetically when it wakes, at its own horizon or as soon as a node
-sending to it changes what it sends it.  When every running node is
-dormant the round counter skips to the earliest wake, so thousands of
-pipeline rounds cost O(1) Python instead of O(rounds), routed payload
-included, and a round costs O(changing nodes).  Which horizons are asked depends on which
-nodes repeat, so :meth:`ProgramOp.cycle_horizon` must be side-effect
-free.
+top of that, :func:`run_program` steps only changing *streams* — the
+three :class:`StreamOp` kinds, alone or as members of a
+:class:`ParallelOps` group.  A stream that repeated its last round and
+whose horizon bounds how long that replays goes *dormant*: it is not
+stepped, a running reader takes its steady blocks each round, and its
+slept rounds are applied arithmetically when it wakes, at its own
+horizon or the round after a stream it reads changes what it sends.  A
+node steps only its awake streams and is not stepped at all while all of
+them sleep; when no stream is awake the round counter skips to the
+earliest wake, so thousands of pipeline rounds cost O(1) Python instead
+of O(rounds), routed payload included, and a round costs O(changing
+streams).  Which horizons are asked depends on which streams repeat, so
+:meth:`ProgramOp.cycle_horizon` must be side-effect free.
 
 A round is charged one way, on plain Python ints, like the generator
-engine charges its own: the blocks of the nodes that stepped fold into
+engine charges its own: the blocks of the streams that stepped fold into
 one ``{(src, dst): bits}`` dict in send order, every link of it is
 audited against ``B``
 (:class:`~repro.network.simulator.CapacityExceeded`), and the dict is
-added to the insertion-ordered ``bits_per_edge``.  A dormant node's
+added to the insertion-ordered ``bits_per_edge``.  A dormant stream's
 links were charged when it last stepped; waking after ``k`` rounds adds
 ``k`` times its blocks.  That map, the total bits, the rounds and the
 busiest link-round are all a run records besides the outputs.  Nothing
@@ -52,17 +54,19 @@ Self-timing is preserved exactly: ops are started lazily, a finished op
 hands the round over to the next op of the same node (mirroring how a
 ``yield from`` chain resumes), and early-arriving blocks wait in
 per-(tag, src) queues just like the generator engine's ``Mailbox`` — a
-waking node appends what its dormant rounds would have queued there, so
-overlapping phases (the next star's scatter reaching a node still busy
-in this one) are fast-forwarded, not stepped.  An op resolves its input
-queues once, when it starts, and drains them in place.
+stream that wakes leaves what its slept rounds would have sent to a
+reader that has not started as one block there, so overlapping phases
+(the next star's scatter reaching a node still busy in this one) are
+fast-forwarded, not stepped.  An op resolves its input queues once, when
+it starts, and drains them in place; a stream links to the streams it
+reads and to its readers then, too, never per round.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from heapq import heappop, heappush
-from itertools import count
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.counters import COUNTERS
@@ -83,10 +87,20 @@ HEADER_BITS = 32
 #: Bits charged for an end-of-stream marker.
 EOS_BITS = 1
 
-#: "Unbounded" cycle horizon — a group takes a min over its members and
-#: the engine caps a horizon at ``max_rounds``, so any op without its own
-#: bound returns this.
+#: "Unbounded" cycle horizon — the engine caps a horizon at
+#: ``max_rounds``, so any op without its own bound returns this.
 UNBOUNDED = 10 ** 15
+
+#: A stream's ``wake`` before it starts, while awake, once finished, and
+#: while a combine waits for its gate's header; while dormant it is the
+#: round in which it steps again.
+_WAITING, _AWAKE, _DONE, _INERT = -2, 0, -1, -3
+
+#: The record a stream's ``_hist`` starts with: no step appends it.
+_UNSTEPPED = (None, None)
+
+#: A running node's place in the step order.
+_rank = attrgetter("_rank")
 
 
 class BlockMessage:
@@ -98,14 +112,17 @@ class BlockMessage:
         tag: Stream tag (same namespace as the generator engine).
         kind: ``"bits"`` (a frame of the stream) or ``"eos"`` (end of
             stream).
-        bits: Total bits charged against the edge for this block (a node
-            waking after ``k`` dormant rounds leaves one block of ``k``
-            frames' bits in a buffering mailbox).
+        bits: Total bits charged against the edge for this block (a
+            stream waking after ``k`` dormant rounds leaves one block of
+            ``k`` frames' bits for a reader that has not started).
         meta: The broadcast count, on the frame holding the header's
             last bit.
     """
 
     __slots__ = ("src", "dst", "tag", "kind", "bits", "meta", "stream")
+
+    #: A dormant stream's block, sent every round it sleeps.
+    steady = False
 
     def __init__(self, src, dst, tag, kind, bits, meta=None):
         self.src = src
@@ -114,9 +131,16 @@ class BlockMessage:
         self.kind = kind
         self.bits = bits
         self.meta = meta
-        #: The receiver's queue key, ``(tag, src)`` (a dormant node's
-        #: blocks are delivered every round it sleeps).
+        #: The receiver's queue key, ``(tag, src)``.
         self.stream = (tag, src)
+
+
+class _SteadyBlock(BlockMessage):
+    """A dormant stream's block: charged when the stream wakes, not in
+    the rounds it is shown in."""
+
+    __slots__ = ()
+    steady = True
 
 
 class ProgramContext:
@@ -138,12 +162,26 @@ class ProgramContext:
         #: The run's tracer (or None) — ops with trace-worthy internal
         #: structure (ComputeStep) read it; set by :func:`run_program`.
         self.tracer: Optional[Tracer] = None
+        #: The run's started streams by ``(node, tag)`` (shared by every
+        #: context of a run), and whether they may settle.
+        self.streams: Dict[Tuple[str, str], "StreamOp"] = {}
+        self.settles = False
+        #: The node's awake units: streams, plus a current op that never
+        #: sleeps.  A node with none is not stepped.
+        self.awake = 0
+        #: This round's stepped streams that repeated their last round,
+        #: and those whose sends changed or that finished (run-wide
+        #: lists under :func:`run_program`).
+        self.steady: List["StreamOp"] = []
+        self.changed: List["StreamOp"] = []
+        #: A traced run's blocks of the node's last stepped round, in
+        #: member order (its sleeping streams' steady blocks included).
+        self.shown: List[BlockMessage] = []
+        #: Its program and place in the step order, under run_program.
+        self._program: Optional["NodeProgram"] = None
+        self._rank = 0
         self._sent: Dict[str, int] = {}
         self._outbox: List[BlockMessage] = []
-
-    def room(self, dst: str) -> int:
-        """Bits still sendable to ``dst`` this round."""
-        return self.capacity - self._sent.get(dst, 0)
 
     def send_block(
         self, dst: str, tag: str, kind: str, bits: int, meta=None
@@ -176,6 +214,20 @@ class ProgramContext:
         return sorted({tag for (tag, _src), q in self.queues.items() if q})
 
     # -- engine hooks ---------------------------------------------------
+    def _put(self, dst: str, tag: str, kind: str, bits: int) -> int:
+        """Send as much of ``bits`` to ``dst`` as the room allows and
+        return what went (a stream op's send: its links were checked
+        against G when it started)."""
+        used = self._sent.get(dst, 0)
+        room = self.capacity - used
+        if bits > room:
+            bits = room
+        if bits < 1:
+            return 0
+        self._sent[dst] = used + bits
+        self._outbox.append(BlockMessage(self.node, dst, tag, kind, bits))
+        return bits
+
     def _begin_round(self, round_no: int) -> None:
         self.round = round_no
         if self._sent:
@@ -183,9 +235,15 @@ class ProgramContext:
 
 
 class ProgramOp:
-    """One schedulable unit of a :class:`NodeProgram`."""
+    """One schedulable unit of a :class:`NodeProgram`.
+
+    Only the three :class:`StreamOp` kinds sleep; any other op is
+    stepped every round it is current, and its sends wake no stream.
+    """
 
     label = "op"
+    #: Whether it sleeps on its own rule (a group sleeps by its members').
+    sleeps = False
 
     def start(self, ctx: ProgramContext) -> None:
         """Called once, in the round the op becomes current."""
@@ -197,16 +255,17 @@ class ProgramOp:
     def cycle_horizon(self) -> int:
         """How many *additional* rounds replay the last one identically.
 
-        Called only after the op's node sent the same blocks two rounds
-        running.  Returning 0 declines; any positive k asserts that,
-        with the last round's arrivals repeating, this op's next ``k``
-        rounds consume and send exactly the same blocks (``meta``
-        included) and cross no internal boundary.  The bound must hold
-        for this op alone, given only that its own arrivals repeat: the
-        node goes dormant on it while its neighbours may not.
+        Called only after the stream repeated its last round (its two
+        ``_hist`` records are equal).  Returning 0 declines; any
+        positive k asserts that, with the last round's arrivals
+        repeating, this op's next ``k`` rounds consume and send exactly
+        the same blocks (``meta`` included) and cross no internal
+        boundary.  The bound must hold for this op alone, given only
+        that its own arrivals repeat: it sleeps while the streams
+        around it may not.
 
         Must be side-effect free: whether an op is asked at all depends
-        on which nodes repeat and on the ops before it in a group
+        on which streams repeat and on its link-mates
         (``tests/test_program.py`` pins this).
         """
         return 0
@@ -216,10 +275,6 @@ class ProgramOp:
 
     def describe(self) -> str:
         return self.label
-
-    # Ops with a horizon append one record per step to ``self._hist``, a
-    # ``deque(maxlen=2)`` made in ``__init__``, and decline unless its two
-    # records (their own last two rounds) are equal.
 
 
 class ComputeStep(ProgramOp):
@@ -247,68 +302,178 @@ class ComputeStep(ProgramOp):
         return True
 
 
-class ParallelOps(ProgramOp):
-    """Run member ops in lockstep within one node (``parallel_subphases``).
+class StreamOp(ProgramOp):
+    """An op that moves one tagged stream over tree edges: the unit that
+    settles, sleeps, wakes and is caught up.
 
-    Each live member is stepped once per round, in input order, sharing
-    the node's per-edge capacity through the common context; the group
-    completes when every member has.
+    It reads the same tag from ``sources`` (its parent for a broadcast,
+    its children otherwise) and sends to ``dests``.  Each step appends
+    one record to ``_hist`` (last two rounds; ``[1]`` is what it sent);
+    it *repeats* when the two are equal.  At start it links to the
+    started streams it reads (``reads``, with its queue for each) and to
+    its started ``readers``.  While dormant, ``since`` is the round it
+    settled in and ``out`` its steady block per receiver; ``dozing``
+    counts the streams it reads that sleep; until round ``blocked`` it
+    may not settle (a stream it reads changed); ``group`` holds the
+    streams of its group it shares a directed link with, itself
+    included: they settle and wake together.
     """
 
-    def __init__(self, members: Sequence[ProgramOp], label: str = "parallel") -> None:
+    sleeps = True
+
+    def __init__(self, tag: str, parent: Optional[str],
+                 children: Sequence[str]) -> None:
+        self.tag = tag
+        self.parent = parent
+        self.children = list(children)
+        self._hist: deque = deque((_UNSTEPPED,), 2)
+        # Every field an engine run sets, made here in one order.
+        self.wake = _WAITING
+        self.since = self.blocked = self.dozing = 0
+        self.out: Dict[str, BlockMessage] = {}
+        self.ctx: Optional[ProgramContext] = None
+        self.reads: List[Tuple["StreamOp", deque]] = []
+        self.readers: Dict[str, "StreamOp"] = {}
+        self.group: Tuple["StreamOp", ...] = (self,)
+        #: What a change in what it reads moves: itself, and the
+        #: combines it gates if it is a scatter.
+        self.watch: Tuple["StreamOp", ...] = (self,)
+        self._sources: Sequence[str] = ()
+        self._queues: Sequence[deque] = ()
+
+    def _link(self, ctx: ProgramContext, sources: Sequence[str],
+              queues: Sequence[deque]) -> None:
+        """Register as awake and link to the started streams it reads
+        (taking what a sleeping one owes it so far) and reads it."""
+        self.ctx = ctx
+        self.wake = _AWAKE
+        self._sources = sources
+        self._queues = queues
+        ctx.awake += 1
+        node, tag, streams = ctx.node, self.tag, ctx.streams
+        streams[(node, tag)] = self
+        for src, queue in zip(sources, queues):
+            sender = streams.get((src, tag))
+            if sender is None or node not in sender.dests:
+                continue
+            sender.readers[node] = self
+            self.reads.append((sender, queue))
+            if sender.wake > 0:
+                self.dozing += 1
+                # Its blocks of rounds ``since + 1 .. round - 2`` wait
+                # for this op; its first step pulls round - 1's.
+                k = ctx.round - 2 - sender.since
+                blk = sender.out.get(node)
+                if blk is not None and k > 0:
+                    queue.append(BlockMessage(src, node, tag, blk.kind,
+                                              k * blk.bits))
+        for dst in self.dests:
+            if dst not in ctx._neighbors:
+                raise ValueError(f"{node} -> {dst}: not an edge of G")
+            reader = streams.get((dst, tag))
+            if reader is not None and reader.wake != _DONE \
+                    and node in reader._sources:
+                self.readers[dst] = reader
+                reader.reads.append((self, reader.ctx.inbox((tag, node))))
+
+    def pull(self, round_no: int) -> None:
+        """Queue last round's steady blocks of the sleeping streams it
+        reads (the round after one settles, its own blocks arrived)."""
+        node = self.ctx.node
+        last = round_no - 1
+        for sender, queue in self.reads:
+            if sender.wake > 0 and sender.since < last:
+                blk = sender.out.get(node)
+                if blk is not None:
+                    queue.append(blk)
+
+    def rest(self, round_no: int, wake: int) -> None:
+        """Go dormant after ``round_no`` until ``wake``, sending what the
+        last round sent every round."""
+        self.wake = wake
+        self.since = round_no
+        node, tag = self.ctx.node, self.tag
+        self.out = {
+            dst: _SteadyBlock(node, dst, tag, "bits", bits)
+            for dst, bits in self.sends() if bits
+        }
+
+    def sends(self) -> Sequence[Tuple[Optional[str], int]]:
+        """``(receiver, bits)`` of its last round."""
+        return ((self.parent, self._hist[-1][1]),)
+
+
+class ParallelOps(ProgramOp):
+    """Run stream ops in lockstep within one node (``parallel_subphases``).
+
+    Each awake member is stepped once per round, in input order, sharing
+    the node's per-edge capacity through the common context; dormant
+    members are skipped, and the group completes when every member has.
+    A stream outside any group runs as a group of one.
+    """
+
+    sleeps = True
+
+    def __init__(self, members: Sequence[StreamOp], label: str = "parallel") -> None:
         self.members = list(members)
         self.label = label
-        self._steps = 0
         #: Members still running, in input order; rebuilt only when one
         #: completes.
         self._live = list(self.members)
-        #: The step in which a member last completed (None: none has).
-        self._last_finish: Optional[int] = None
 
     def start(self, ctx: ProgramContext) -> None:
         for member in self.members:
             member.start(ctx)
+        if len(self.members) > 1:
+            # Members sending on one directed link share its room: they
+            # form one group, which settles and wakes as one.
+            by_link: Dict[str, StreamOp] = {}
+            for member in self.members:
+                for dst in member.dests:
+                    other = by_link.setdefault(dst, member)
+                    if other.group is not member.group:
+                        group = other.group + member.group
+                        for mate in group:
+                            mate.group = group
 
     def step(self, ctx: ProgramContext) -> bool:
-        self._steps += 1
-        finished = None
+        finished = False
         for member in self._live:
+            wake = member.wake
+            if wake:
+                if wake > 0:
+                    if ctx.tracer is not None:
+                        # Shown in member order; charged when it wakes.
+                        ctx._outbox += member.out.values()
+                    continue
+                if member.gate.count is None:
+                    continue  # inert until its gate's header lands
+                member.wake = _AWAKE
+                ctx.awake += 1
+            if member.dozing:
+                member.pull(ctx.round)
             if member.step(ctx):
-                if finished is None:
-                    finished = []
-                finished.append(member)
-        if finished is not None:
-            self._live = [m for m in self._live if m not in finished]
-            self._last_finish = self._steps
+                member.wake = _DONE
+                ctx.awake -= 1
+                ctx.changed.append(member)
+                finished = True
+                continue
+            # A repeat may settle; other sends reach its readers.
+            hist = member._hist
+            if hist[0] == hist[1]:
+                ctx.steady.append(member)
+            elif member.readers and hist[0][1] != hist[1][1]:
+                ctx.changed.append(member)
+        if finished:
+            self._live = [m for m in self._live if m.wake != _DONE]
         return not self._live
-
-    def cycle_horizon(self) -> int:
-        # A member that completed in the last round put its *final*
-        # sends into the node's blocks; replaying them would charge those
-        # sends again with no op state behind them.  The member's
-        # completion is invisible to the scheduler (the program index
-        # does not move), so decline here.
-        if self._last_finish == self._steps:
-            return 0
-        k = UNBOUNDED
-        for member in self._live:
-            horizon = member.cycle_horizon()
-            if horizon < 1:
-                return 0
-            if horizon < k:
-                k = horizon
-        return k
-
-    def advance(self, k: int) -> None:
-        for member in self._live:
-            member.advance(k)
 
     def describe(self) -> str:
         live = [member.describe() for member in self._live]
         return f"{self.label}({', '.join(live)})"
 
 
-class BroadcastOp(ProgramOp):
+class BroadcastOp(StreamOp):
     """One node's role in a pipelined tree broadcast, in bits.
 
     Mirrors :func:`repro.protocols.primitives.broadcast_node` round for
@@ -333,9 +498,8 @@ class BroadcastOp(ProgramOp):
         per_item: int,
         root_count_fn: Optional[Callable[[], int]] = None,
     ) -> None:
-        self.tag = tag
-        self.parent = parent
-        self.children = list(children)
+        super().__init__(tag, parent, children)
+        self.dests = self.children
         self.per_item = max(1, per_item)
         self.root_count_fn = root_count_fn
         self.count: Optional[int] = None
@@ -348,24 +512,22 @@ class BroadcastOp(ProgramOp):
         self.label = f"broadcast:{tag}"
         self._stream = (tag, parent)
         self._inbox: Optional[deque] = None
-        self._hist: deque = deque(maxlen=2)
 
     def _learn(self, count: int) -> None:
         self.count = count
         self.total = HEADER_BITS + count * self.per_item
 
-    def arriving(self) -> int:
-        """Bits its last round received (none once the stream is whole)."""
-        if self.received == self.total or not self._hist:
-            return 0
-        return self._hist[-1][0]
-
     def start(self, ctx: ProgramContext) -> None:
         if self.parent is None:
             self._learn(int(self.root_count_fn()) if self.root_count_fn else 0)
             self.received = self.total
+            self._link(ctx, (), ())
         else:
             self._inbox = ctx.inbox(self._stream)
+            self._link(ctx, (self.parent,), (self._inbox,))
+
+    def sends(self) -> Sequence[Tuple[Optional[str], int]]:
+        return zip(self.children, self._hist[-1][1])
 
     def step(self, ctx: ProgramContext) -> bool:
         arrived = 0
@@ -388,11 +550,9 @@ class BroadcastOp(ProgramOp):
             lo = sent[i]
             bits = received - lo
             if bits > 0:
-                bits = min(bits, ctx.room(child))
-            if bits > 0:
-                header = lo < HEADER_BITS <= lo + bits
-                ctx.send_block(child, self.tag, "bits", bits,
-                               meta=self.count if header else None)
+                bits = ctx._put(child, self.tag, "bits", bits)
+                if lo < HEADER_BITS <= lo + bits:
+                    ctx._outbox[-1].meta = self.count
                 sent[i] = lo + bits
             else:
                 bits = 0
@@ -402,7 +562,7 @@ class BroadcastOp(ProgramOp):
 
     def cycle_horizon(self) -> int:
         hist = self._hist
-        if len(hist) < 2 or hist[0] != hist[1]:
+        if hist[0] != hist[1]:
             return 0
         arrived, sends = hist[1]
         if not arrived and not any(sends):
@@ -411,10 +571,11 @@ class BroadcastOp(ProgramOp):
         if total is None:
             return 0  # streaming the header: the length is not known yet
         received = self.received
-        # Stop a round before a child's last bit leaves, before the
-        # frame that completes its header (that one carries the count),
-        # and while a child's send outruns the arrivals, before its
-        # backlog runs out (a send equal to the backlog would stop being
+        # Stop a round before a child's last bit leaves, and before the
+        # frame that completes its header (that one carries the count,
+        # so the round that sent it does not repeat either); while a
+        # child's send outruns the arrivals, stop before its backlog
+        # runs out (a send equal to the backlog would stop being
         # room-limited).  A leaf completes in the round its last bit
         # lands, so it stops a round before that; at a relay, the parent
         # that stops sending wakes it.
@@ -424,7 +585,7 @@ class BroadcastOp(ProgramOp):
         for done, bits in zip(self.sent, sends):
             if bits:
                 k = min(k, (total - done - 1) // bits)
-                if done < HEADER_BITS:
+                if done - bits < HEADER_BITS:
                     k = min(k, (HEADER_BITS - done - 1) // bits)
                 if bits > arrived:
                     k = min(k, (received - done) // (bits - arrived))
@@ -446,10 +607,13 @@ def _released(scatter: BroadcastOp, scatters: Sequence[BroadcastOp]) -> int:
     finished) is this rule with another threshold."""
     if scatter.count is None:
         return 0  # the header comes first: no item is in yet
-    return (scatter.received - HEADER_BITS) // scatter.per_item
+    held = scatter.received
+    if scatter.wake > 0:  # asleep: its steady arrivals since it settled
+        held += (scatter.ctx.round - scatter.since) * scatter._hist[-1][0]
+    return (held - HEADER_BITS) // scatter.per_item
 
 
-class ConvergecastOp(ProgramOp):
+class ConvergecastOp(StreamOp):
     """One node's role in a pipelined slot convergecast, in bits.
 
     Mirrors :func:`repro.protocols.primitives.convergecast_node`: slot
@@ -462,7 +626,9 @@ class ConvergecastOp(ProgramOp):
     when the root completes (in the exact association order the
     generator engine uses, so even float semirings agree bit for bit).
 
-    It learns ``num_slots`` from its scatter's header.
+    It learns ``num_slots`` from its scatter's header; in a run that
+    lets streams sleep, it is *inert* — not stepped, not awake, not
+    dormant — until that header lands (its group steps the gate first).
     """
 
     def __init__(
@@ -474,9 +640,8 @@ class ConvergecastOp(ProgramOp):
         gate: BroadcastOp,
         scatters: Sequence[BroadcastOp],
     ) -> None:
-        self.tag = tag
-        self.parent = parent
-        self.children = list(children)
+        super().__init__(tag, parent, children)
+        self.dests = () if parent is None else (parent,)
         self.per_slot = max(1, per_slot)
         self.gate = gate
         self.scatters = scatters
@@ -495,10 +660,15 @@ class ConvergecastOp(ProgramOp):
         self._inboxes: List[deque] = []
         self._no_arrivals = (0,) * len(self.children)
         self._waiting = (self._no_arrivals, 0)
-        self._hist: deque = deque(maxlen=2)
 
     def start(self, ctx: ProgramContext) -> None:
         self._inboxes = [ctx.inbox(stream) for stream in self._streams]
+        self._link(ctx, self.children, self._inboxes)
+        gate = self.gate
+        gate.watch += (self,)
+        if ctx.settles and gate.count is None and gate.ctx is ctx:
+            self.wake = _INERT
+            ctx.awake -= 1
 
     def step(self, ctx: ProgramContext) -> bool:
         gate = self.gate
@@ -522,18 +692,18 @@ class ConvergecastOp(ProgramOp):
                     received[i] += got
                 counts.append(got)
             arrivals = tuple(counts)
+        per_slot = self.per_slot
         if received:
-            ready = min(ready, min(received) // self.per_slot)
+            landed = min(received) // per_slot
+            if landed < ready:
+                ready = landed
         self.ready = ready
         if self.parent is None:
             self._hist.append((arrivals, 0))
             return ready == num_slots
-        per_slot = self.per_slot
         moved = ready * per_slot - self.sent
         if moved > 0:
-            moved = min(moved, ctx.room(self.parent))
-        if moved > 0:
-            ctx.send_block(self.parent, self.tag, "bits", moved)
+            moved = ctx._put(self.parent, self.tag, "bits", moved)
             self.sent += moved
         else:
             moved = 0
@@ -545,14 +715,20 @@ class ConvergecastOp(ProgramOp):
         unit`` slots and gains ``got`` a round — its scatter's item bits,
         or a constant while a threshold holds them back."""
         gate = self.gate
-        have = gate.received - HEADER_BITS
+        have = gate.received
+        got = gate._hist[-1][0] or 0
+        if gate.wake > 0:  # asleep: its steady arrivals since it settled
+            have += (gate.ctx.round - gate.since) * got
+        if have == gate.total:
+            got = 0  # whole
+        have -= HEADER_BITS
         if self.released < have // gate.per_item:
             return self.released, 0, 1
-        return have, gate.arriving(), gate.per_item
+        return have, got, gate.per_item
 
     def cycle_horizon(self) -> int:
         hist = self._hist
-        if len(hist) < 2 or hist[0] != hist[1]:
+        if hist[0] != hist[1]:
             return 0
         arrivals, moved = hist[1]
         if self.gate.count is None:
@@ -635,7 +811,7 @@ class ConvergecastOp(ProgramOp):
         self.sent += k * moved
 
 
-class RouteOp(ProgramOp):
+class RouteOp(StreamOp):
     """One node's role in store-and-forward routing toward a sink.
 
     Mirrors :func:`repro.protocols.primitives.route_to_sink_node`: the
@@ -657,9 +833,8 @@ class RouteOp(ProgramOp):
         children: Sequence[str],
         payload_bits_fn: Optional[Callable[[], int]] = None,
     ) -> None:
-        self.tag = tag
-        self.parent = parent
-        self.children = list(children)
+        super().__init__(tag, parent, children)
+        self.dests = () if parent is None else (parent,)
         self.payload_bits_fn = payload_bits_fn
         #: Bits queued for the parent.
         self.queue = 0
@@ -668,10 +843,10 @@ class RouteOp(ProgramOp):
         self.label = f"route:{tag}"
         self._streams = [(tag, child) for child in self.children]
         self._inboxes: List[deque] = []
-        self._hist: deque = deque(maxlen=2)
 
     def start(self, ctx: ProgramContext) -> None:
         self._inboxes = [ctx.inbox(stream) for stream in self._streams]
+        self._link(ctx, self.children, self._inboxes)
         if self.payload_bits_fn is not None:
             self.queue = int(self.payload_bits_fn())
 
@@ -692,26 +867,19 @@ class RouteOp(ProgramOp):
             self._hist.append((arrived, 0))
             return not self.eos_pending
         self.queue += arrived
-        sent = min(self.queue, ctx.room(self.parent))
-        if sent > 0:
-            ctx.send_block(self.parent, self.tag, "bits", sent)
+        sent = 0
+        if self.queue:
+            sent = ctx._put(self.parent, self.tag, "bits", self.queue)
             self.queue -= sent
-        else:
-            sent = 0
-        if (
-            not self.queue
-            and not self.eos_pending
-            and not self.eos_sent
-            and ctx.room(self.parent) >= EOS_BITS
-        ):
-            ctx.send_block(self.parent, self.tag, "eos", EOS_BITS)
-            self.eos_sent = True
+        if not self.queue and not self.eos_pending and not self.eos_sent:
+            self.eos_sent = ctx._put(self.parent, self.tag, "eos",
+                                     EOS_BITS) == EOS_BITS
         self._hist.append((arrived, sent))
         return self.eos_sent
 
     def cycle_horizon(self) -> int:
         hist = self._hist
-        if len(hist) < 2 or hist[0] != hist[1]:
+        if hist[0] != hist[1]:
             return 0
         # An EOS only matters once the queue is empty with room left on
         # the edge, and such a round sends the EOS and completes the op.
@@ -737,6 +905,11 @@ class NodeProgram:
     def __init__(self, node: str, items: Sequence[ProgramOp]) -> None:
         self.node = node
         self.items = list(items)
+        #: What steps: a stream outside any group as a group of one.
+        self._ops = [
+            ParallelOps([op], op.label) if isinstance(op, StreamOp) else op
+            for op in self.items
+        ]
         self.index = 0
         self.started = False
         self.output: Any = None
@@ -751,15 +924,19 @@ class NodeProgram:
     def step_round(self, ctx: ProgramContext) -> bool:
         """Run this node's round; returns True when the program advanced
         its schedule position (progress without any send)."""
-        items = self.items
+        ops = self._ops
         moved = False
-        while self.index < len(items):
-            op = items[self.index]
+        while self.index < len(ops):
+            op = ops[self.index]
             if not self.started:
                 op.start(ctx)
                 self.started = True
+                if not op.sleeps:
+                    ctx.awake += 1
             if not op.step(ctx):
                 return moved
+            if not op.sleeps:
+                ctx.awake -= 1
             if isinstance(op, ComputeStep) and op.is_output:
                 self.output = op.value
             self.index += 1
@@ -772,108 +949,45 @@ class NodeProgram:
         return op.describe() if op is not None else "finished"
 
 
-def _repeats(prev: Sequence[BlockMessage], out: Sequence[BlockMessage]) -> bool:
-    """Are two equally long block lists the same sends (``meta``
-    included)?  Compared field by field."""
-    for a, b in zip(prev, out):
-        if (a.bits != b.bits or a.dst != b.dst or a.tag != b.tag
-                or a.kind != b.kind or a.meta != b.meta):
-            return False
-    return True
+def _steady_sends(prog: NodeProgram) -> List[BlockMessage]:
+    """The blocks of a node none of whose streams is awake, in member
+    order: its dormant streams' steady sends."""
+    return [blk for member in prog._ops[prog.index]._live if member.wake > 0
+            for blk in member.out.values()]
 
 
-def _changed_receivers(
-    before: Sequence[BlockMessage], after: Sequence[BlockMessage], out: set
-) -> None:
-    """Add to ``out`` every receiver whose blocks differ between two
-    rounds of one node (a block gone, new or changed, ``meta``
-    included)."""
-    if len(before) == len(after):
-        for a, b in zip(before, after):
-            if a.dst != b.dst or a.tag != b.tag or a.kind != b.kind:
-                break
-            if a.bits != b.bits or a.meta != b.meta:
-                out.add(b.dst)
-        else:
-            return
-    was = {(blk.dst, blk.tag, blk.kind): (blk.bits, blk.meta) for blk in before}
-    for blk in after:
-        if was.pop((blk.dst, blk.tag, blk.kind), None) != (blk.bits, blk.meta):
-            out.add(blk.dst)
-    for dst, _tag, _kind in was:
-        out.add(dst)
+def _settle(steady: List[StreamOp], round_no: int, cap: int) -> List[StreamOp]:
+    """Which of ``steady`` — streams that stepped this round and repeated
+    their last one — go dormant, each with ``wake``, ``since`` and
+    ``out`` set.
 
-
-class _Node:
-    """One program's scheduling state in :func:`run_program`."""
-
-    __slots__ = ("name", "prog", "ctx", "last", "before", "wake", "since",
-                 "buffered")
-
-    def __init__(self, name: str, prog: NodeProgram, ctx: ProgramContext) -> None:
-        self.name = name
-        self.prog = prog
-        self.ctx = ctx
-        #: The blocks of the last round it stepped; while it is dormant,
-        #: what it sends every round.
-        self.last: Sequence[BlockMessage] = ()
-        #: The blocks of the round before that one (kept while changing).
-        self.before: Sequence[BlockMessage] = ()
-        #: 0 while awake, -1 once finished; while dormant, the round in
-        #: which it steps again.
-        self.wake = 0
-        #: The round it went dormant in (its last stepped round).
-        self.since = 0
-        #: ``(queue, block)`` per block it received in that round on a
-        #: stream still queued after it (buffering for a later op).
-        self.buffered: List[Tuple[deque, BlockMessage]] = []
-
-
-def _settle(
-    pool: List[_Node],
-    round_no: int,
-    max_rounds: int,
-    finish_targets: set,
-    nodes: Dict[str, _Node],
-) -> List[_Node]:
-    """Which of ``pool`` — this round's steady nodes (stepped without
-    moving, sending what they sent the round before) that no changing
-    node sends to — go dormant, each with its wake round, ``since`` and
-    buffering streams set.
-
-    A node is a *sender* to another while its blocks of this round or
-    the last one go there.  A node settles if its op bounds the replay
-    (horizon ``h >= 1``, capped at ``max_rounds``): its arrivals next
-    round are what its senders repeated this round, and a sender that
-    changes them wakes it the round after that.  A receiver of a node
-    that finished last round wakes next round: that node's final blocks
-    arrived this round and will not again.
+    A stream settles with its group: every unfinished member must have
+    stepped and repeated (an inert one holds the group awake), none may
+    be ``blocked`` this round (a stream it reads changed its sends, or
+    finished last round), and the group's smallest horizon ``h`` must be
+    at least 1; it wakes at ``round + min(h, cap) + 1``.
     """
-    cap = max_rounds - round_no
-    if cap < 1:
-        return []
     settled = []
-    for nd in pool:
-        prog = nd.prog
-        horizon = prog.items[prog.index].cycle_horizon()
-        if horizon < 1:
-            continue
-        name = nd.name
-        nd.wake = (
-            round_no + 1 if name in finish_targets
-            else round_no + min(horizon, cap) + 1
-        )
-        nd.since = round_no
-        # A stream still queued after this round is buffering for a later
-        # op; what it got this round is what its sender sends every round.
-        buffered = []
-        for (tag, src), queue in nd.ctx.queues.items():
-            if queue:
-                for blk in nodes[src].last:
-                    if blk.dst == name and blk.tag == tag:
-                        buffered.append((queue, blk))
-        nd.buffered = buffered
-        settled.append(nd)
+    if cap < 1:
+        return settled
+    for stream in steady:
+        if stream.wake:
+            continue  # settled with its group
+        horizon = UNBOUNDED
+        for member in stream.group:
+            if member.wake != _DONE:
+                h = 0 if member.wake or member.blocked >= round_no \
+                    else member.cycle_horizon()
+                if h < horizon:
+                    horizon = h
+                    if h < 1:
+                        break
+        else:
+            wake = round_no + min(horizon, cap) + 1
+            for member in stream.group:
+                if member.wake == _AWAKE:
+                    member.rest(round_no, wake)
+                    settled.append(member)
     return settled
 
 
@@ -893,32 +1007,35 @@ def run_program(
     order included) and ``max_edge_bits_per_round`` equal what the
     generator engine would have charged message by message.
 
-    Only changing nodes step.  A node *settles* (goes dormant) after a
-    round in which its program did not move, it sent the same blocks as
-    in its previous round, its current op bounds how long that replays
-    (``cycle_horizon`` ``h >= 1``), and no node sending to it changed
-    what it sends it.  A dormant node is not stepped: its blocks are
-    delivered to awake receivers from a steady-send table, and it steps
-    again at round ``t0 + h + 1``, the round after a node sending to it
-    changes what it sends it, or two rounds after such a node finishes —
-    whichever is first.  No horizon relies on a sender to stop it: a
-    leaf broadcast and a convergecast root end theirs a round before
-    their own last bit lands.  On waking, the ``k`` rounds it slept
+    Only changing streams step.  After a round, a stream *settles*
+    (goes dormant) when it repeated its last round, no stream it reads
+    changed what it sends this round or finished last round, and its
+    ``cycle_horizon`` is ``h >= 1`` (capped at ``max_rounds``); streams
+    of a group that share a directed link settle together, on their
+    smallest horizon, since the link's room couples them.  A stream's
+    reads are its same-tag tree neighbours; a combine is also woken by
+    what its gate reads, and one whose gate has no header yet is inert
+    — not stepped and not dormant — until the header lands.  A dormant
+    stream is not stepped: a running reader takes its steady blocks each
+    round, and it steps again, its link-mates with it, at round
+    ``t0 + h + 1`` or the round after a stream it reads changes its
+    sends — whichever is first.  On waking, the ``k`` rounds it slept
     are applied arithmetically: op state (``advance(k)``), ``k`` times
-    its blocks' bits, and one ``k``-fold block on each stream that was
-    buffering for a later op.  When every running node is dormant, the
-    engine skips straight to the earliest wake (``engine.fast_forward``
-    counts these skips, ``engine.fast_forward_rounds`` the rounds in
-    which no node steps).  A round costs O(changing nodes), not
-    O(nodes); the result is identical to stepping every node every round
-    (``fast_forward=False`` does, and tests compare the two byte for
-    byte).
+    its blocks' bits, and one ``k``-fold block to each reader that had
+    not started.
+    A node steps its awake streams only, and not at all while none is
+    awake; when no stream is, the engine skips straight to the earliest
+    wake (``engine.fast_forward`` counts these skips,
+    ``engine.fast_forward_rounds`` the rounds in which nothing steps).
+    A round costs O(changing streams); the result is identical to
+    stepping every stream every round (``fast_forward=False`` does, and
+    tests compare the two byte for byte).
 
     With a live ``tracer``, every round boundary, block send (a dormant
-    node's steady sends included, in node order), compute step and skip
-    is emitted as a typed event; a skip carries the full round's sends,
-    so replaying the trace reproduces the accounting exactly
-    (:mod:`repro.obs.verify`).
+    stream's steady sends included, in node and member order), compute
+    step and skip is emitted as a typed event; a skip carries the full
+    round's sends, so replaying the trace reproduces the accounting
+    exactly (:mod:`repro.obs.verify`).
 
     Raises:
         SimulationError: on deadlock (a round in which no node made any
@@ -933,41 +1050,36 @@ def run_program(
         raise ValueError(f"programs for nodes not in G: {unknown}")
 
     tracer = _normalize_tracer(tracer)
-    nodes = {
-        name: _Node(name, programs[name],
-                    ProgramContext(name, topology, capacity_bits))
-        for name in sorted(programs)
-    }
     if tracer is not None:
         tracer.run_start("compiled", capacity_bits, list(topology.nodes))
-        for nd in nodes.values():
-            nd.ctx.tracer = tracer
+    streams: Dict[Tuple[str, str], StreamOp] = {}
+    steady: List[StreamOp] = []
+    changed: List[StreamOp] = []
     outputs: Dict[str, Any] = {}
-    for nd in nodes.values():
-        if nd.prog.done:
-            outputs[nd.name] = nd.prog.output
-            nd.wake = -1
-    # Every running node in step order; the awake ones among them; and
-    # the contexts deliveries go to (awake running nodes) — each changed
-    # only in a round in which some node settles, wakes or finishes.
-    live = [nd for nd in nodes.values() if not nd.wake]
-    awake = live
-    receivers = {nd.name: nd.ctx for nd in live}
-    # Dormant nodes: their count, and a heap of ``(wake round, serial,
-    # node)`` holding an entry per wake round set (an entry whose round
-    # is no longer the node's ``wake`` is stale and skipped).
-    dormant = 0
-    wakes: List[Tuple[int, int, _Node]] = []
-    serial = count()
-    # The steady-send table: dormant nodes whose blocks (``_Node.last``)
-    # this round's deliveries carry.  A node joins it the round after it
-    # settles (that round's deliveries carry its explicit sends) and
-    # leaves it when it wakes; ``steady_senders`` counts every dormant
-    # node with blocks.
-    sending: List[_Node] = []
-    registering: List[_Node] = []
+    # The running nodes' contexts in step order; those with an awake
+    # unit (all of them before their first round), changed only when one
+    # sleeps, wakes or finishes; and the contexts deliveries go to.
+    live: List[ProgramContext] = []
+    for name in sorted(programs):
+        prog = programs[name]
+        ctx = ProgramContext(name, topology, capacity_bits)
+        ctx.tracer = tracer
+        ctx.streams = streams
+        ctx.settles = fast_forward
+        ctx.steady = steady
+        ctx.changed = changed
+        ctx._program = prog
+        ctx._rank = len(live)
+        if prog.done:
+            outputs[name] = prog.output
+        else:
+            live.append(ctx)
+    stepping = list(live)
+    receivers = {ctx.node: ctx for ctx in live}
+    # Dormant streams that send, and the streams by wake round (an entry
+    # whose round is no longer the stream's ``wake`` is stale).
     steady_senders = 0
-    finish_targets: set = set()
+    wakes: Dict[int, List[StreamOp]] = {}
 
     pending: List[BlockMessage] = []
     sent_before = False
@@ -976,28 +1088,43 @@ def run_program(
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
 
-    def catch_up(nd: _Node, through: int) -> None:
-        """Apply a dormant node's rounds ``since + 1 .. through``."""
-        nonlocal total_bits
-        k = through - nd.since
-        if k < 1:
-            return
-        nd.prog.current().advance(k)
-        for blk in nd.last:
-            bits = k * blk.bits
-            bits_per_edge[(blk.src, blk.dst)] += bits
-            total_bits += bits
-        for queue, blk in nd.buffered:
-            queue.append(BlockMessage(
-                blk.src, blk.dst, blk.tag, blk.kind, k * blk.bits))
+    def rouse(stream: StreamOp, through: int) -> None:
+        """Wake a dormant stream after round ``through``: apply its slept
+        rounds and drop what arrived for them (they replayed it)."""
+        nonlocal total_bits, steady_senders
+        k = through - stream.since
+        if k > 0:
+            stream.advance(k)
+            for dst, blk in stream.out.items():
+                bits = k * blk.bits
+                bits_per_edge[(blk.src, dst)] += bits
+                total_bits += bits
+                reader = stream.readers.get(dst)
+                if reader is None or reader.wake == _DONE:
+                    ctx = receivers.get(dst)
+                    if ctx is not None:
+                        ctx.inbox(blk.stream).append(BlockMessage(
+                            blk.src, dst, blk.tag, blk.kind, bits))
+        stream.wake = _AWAKE
+        ctx = stream.ctx
+        if not ctx.awake:
+            insort(stepping, ctx, key=_rank)
+        ctx.awake += 1
+        for queue in stream._queues:
+            queue.clear()
+        for reader in stream.readers.values():
+            reader.dozing -= 1
+        if stream.out:
+            steady_senders -= 1
 
     def blocked_map(through: int) -> Dict[str, List[str]]:
-        for nd in live:
-            if nd.wake:
-                catch_up(nd, through)
+        for round_, due in list(wakes.items()):
+            for stream in due:
+                if stream.wake == round_:
+                    rouse(stream, through)
         return {
-            nd.name: [f"step {nd.prog.describe()}"] + nd.ctx.pending_tags()
-            for nd in live
+            ctx.node: [f"step {ctx._program.describe()}"] + ctx.pending_tags()
+            for ctx in live
         }
 
     round_no = 0
@@ -1012,72 +1139,63 @@ def run_program(
                 f"{_format_blocked(blocked)}",
                 blocked=blocked,
             )
-        woke = False
-        if wakes and wakes[0][0] <= round_no:
-            while wakes and wakes[0][0] <= round_no:
-                when, _serial, nd = heappop(wakes)
-                if nd.wake != when:
-                    continue  # stale
-                catch_up(nd, round_no - 1)
-                nd.wake = 0
-                dormant -= 1
-                receivers[nd.name] = nd.ctx
-                if nd.last:
-                    steady_senders -= 1
-                woke = True
-            if woke:
-                awake = [nd for nd in live if not nd.wake]
+        due = wakes.pop(round_no, None)
+        if due is not None:
+            woke = []
+            for stream in due:
+                if stream.wake == round_no:  # else stale, or listed twice
+                    rouse(stream, round_no - 1)
+                    woke.append(stream)
+            # Its blocks of last round (a slept one) go to awake readers.
+            last = round_no - 1
+            for stream in woke:
+                if stream.since < last:
+                    for reader in stream.readers.values():
+                        if reader.wake == _AWAKE:
+                            blk = stream.out.get(reader.ctx.node)
+                            if blk is not None:
+                                reader.ctx.inbox(blk.stream).append(blk)
         for blk in pending:
-            # Blocks to passive, finished or dormant nodes are dropped: the
-            # first two like the generator engine's message handling, the
-            # last because they repeat what its wake-up replays.
+            # Blocks to passive or finished nodes are dropped, like the
+            # generator engine's message handling; a dormant reader's
+            # are dropped when it wakes (its catch-up replays them).
             ctx = receivers.get(blk.dst)
             if ctx is not None:
-                ctx.inbox(blk.stream).append(blk)
-        if sending:
-            for nd in sending:
-                for blk in nd.last:
-                    ctx = receivers.get(blk.dst)
-                    if ctx is not None:
-                        ctx.inbox(blk.stream).append(blk)
-            if woke:
-                sending = [nd for nd in sending if nd.wake]
-        if registering:
-            sending += [nd for nd in registering if nd.wake]
-            registering = []
+                queue = ctx.queues.get(blk.stream)
+                if queue is None:
+                    queue = ctx.queues[blk.stream] = deque()
+                queue.append(blk)
 
         round_sends: List[BlockMessage] = []
-        steady: List[_Node] = []
-        changing: List[_Node] = []
-        finished: List[_Node] = []
+        finished: List[ProgramContext] = []
+        resting: List[ProgramContext] = []
         moved_any = False
-        for nd in awake:
-            ctx = nd.ctx
-            ctx._begin_round(round_no)
-            moved = nd.prog.step_round(ctx)
-            out = ctx._outbox
-            prev = nd.last
-            if out:
-                round_sends += out
-                ctx._outbox = []
-                nd.last = out
-            elif prev:
-                nd.last = ()
-            if moved:
+        for ctx in stepping:
+            ctx.round = round_no
+            if ctx._sent:
+                ctx._sent = {}
+            prog = ctx._program
+            if prog.step_round(ctx):
                 moved_any = True
-                if nd.prog.done:
-                    finished.append(nd)
-            elif fast_forward and len(prev) == len(out) and (
-                    not out or _repeats(prev, out)):
-                steady.append(nd)
-                continue
-            nd.before = prev
-            changing.append(nd)
+                if prog.done:
+                    finished.append(ctx)
+            out = ctx._outbox
+            if out:
+                ctx._outbox = []
+                if tracer is not None:
+                    ctx.shown = out
+                    out = [blk for blk in out if not blk.steady]
+                round_sends += out
+            elif tracer is not None:
+                ctx.shown = out
+            if not ctx.awake:
+                resting.append(ctx)
 
         # One round's charge, the same for every round: per-link bits in
         # send order, every link audited against B, then the totals.  A
-        # dormant node's links were charged when it last stepped; its
-        # repeats are charged when it wakes.
+        # dormant stream's links were charged when it last stepped (its
+        # group keeps its node's awake streams off them); its repeats
+        # are charged when it wakes.
         if round_sends:
             round_bits = 0
             round_link_bits: Dict[Tuple[str, str], int] = {}
@@ -1101,14 +1219,17 @@ def run_program(
         if sent:
             last_send_round = round_no
         if tracer is not None:
-            for nd in live:
-                for blk in nd.last:
+            for ctx in live:
+                shown = ctx.shown if ctx.round == round_no \
+                    else _steady_sends(ctx._program)
+                for blk in shown:
                     tracer.send(round_no, blk.src, blk.dst, blk.bits,
                                 tag=blk.tag, kind=blk.kind)
         if finished:
-            for nd in finished:
-                outputs[nd.name] = nd.prog.output
-            live = [nd for nd in live if not nd.prog.done]
+            for ctx in finished:
+                outputs[ctx.node] = ctx._program.output
+                del receivers[ctx.node]
+                live.remove(ctx)
 
         if not live and not sent:
             break
@@ -1123,54 +1244,55 @@ def run_program(
         pending = round_sends
         sent_before = sent
 
-        settled = ()
-        if steady or dormant:
-            # The receivers a node that changed now sends something else
-            # (or nothing): what they get next round changes.
-            touched = set()
-            for nd in changing:
-                _changed_receivers(nd.before, nd.last, touched)
-            if steady:
-                pool = [nd for nd in steady if nd.name not in touched] \
-                    if touched else steady
-                if pool:
-                    settled = _settle(pool, round_no, max_rounds,
-                                      finish_targets, nodes)
-                    dormant += len(settled)
-                    for nd in settled:
-                        heappush(wakes, (nd.wake, next(serial), nd))
-                        del receivers[nd.name]
-                        if nd.last:
-                            steady_senders += 1
-                            registering.append(nd)
-            if dormant:
-                # A node that stepped without settling may change what its
-                # receivers get from the next round on: wake them for it.
-                soon = round_no + 1
-                for name in touched:
-                    nd = nodes.get(name)
-                    if nd is not None and nd.wake > soon:
-                        nd.wake = soon
-                        heappush(wakes, (soon, next(serial), nd))
-        if finished:
-            finish_targets = set()
-            for nd in finished:
-                nd.wake = -1
-                for blk in nd.last:
-                    finish_targets.add(blk.dst)
-                nd.last = nd.before = ()
-                del receivers[nd.name]
-        elif finish_targets:
-            finish_targets = set()
-        if settled or finished:
-            awake = [nd for nd in awake if not nd.wake]
+        if changed:
+            # What a stream sends next round differs from this round's:
+            # its readers, and the combines their scatter gates, may not
+            # settle now (after a finish, not next round either: its
+            # final blocks arrive once), and dormant ones wake next round
+            # with their link-mates.  A finished member frees room on a
+            # shared link, so its mates may not settle now.
+            soon = round_no + 1
+            for stream in changed:
+                until = round_no
+                if stream.wake == _DONE:
+                    until = soon
+                    for mate in stream.group:
+                        if mate.blocked < round_no:
+                            mate.blocked = round_no
+                for reader in stream.readers.values():
+                    for watcher in reader.watch:
+                        if watcher.blocked < until:
+                            watcher.blocked = until
+                        if watcher.wake > soon:
+                            for mate in watcher.group:
+                                if mate.wake > soon:
+                                    mate.wake = soon
+                                    wakes.setdefault(soon, []).append(mate)
+            changed.clear()
+        if steady:
+            if fast_forward:
+                for stream in _settle(steady, round_no, max_rounds - round_no):
+                    ctx = stream.ctx
+                    ctx.awake -= 1
+                    if not ctx.awake:
+                        resting.append(ctx)
+                    for reader in stream.readers.values():
+                        reader.dozing += 1
+                    if stream.out:
+                        steady_senders += 1
+                    wakes.setdefault(stream.wake, []).append(stream)
+            steady.clear()
+        for ctx in resting:
+            stepping.remove(ctx)
 
-        if not awake and steady_senders:
-            # Every running node is dormant and some send: nothing changes
-            # before the earliest wake, so skip the rounds in between.
-            while wakes[0][2].wake != wakes[0][0]:
-                heappop(wakes)  # stale
-            target = min(wakes[0][0], max_rounds + 1) - 1
+        if not stepping and steady_senders:
+            # No stream is awake and some send: nothing changes before
+            # the earliest wake, so skip the rounds in between.
+            first = min(wakes)
+            while all(stream.wake != first for stream in wakes[first]):
+                del wakes[first]  # stale
+                first = min(wakes)
+            target = min(first, max_rounds + 1) - 1
             if target > round_no:
                 k = target - round_no
                 COUNTERS.increment("engine.fast_forward")
@@ -1182,12 +1304,19 @@ def run_program(
                         end_round=target,
                         sends=tuple(
                             (blk.src, blk.dst, blk.tag, blk.kind, blk.bits)
-                            for nd in live for blk in nd.last
+                            for ctx in live
+                            for blk in _steady_sends(ctx._program)
                         ),
                     )
                 round_no = target
                 last_send_round = target
 
+    # Streams link both ways (and to themselves, as group and watch):
+    # undo it, so the programs go as soon as their caller drops them.
+    for stream in streams.values():
+        stream.reads = stream.readers = stream.group = stream.watch = None
+        stream.ctx = None
+    streams.clear()
     return SimulationResult(
         rounds=last_send_round,
         total_bits=total_bits,

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import costmodel
-from .core.memo import LRUMemo
+from .core.memo import LRUMemo, clear_with_memos
 from .core.planner import Planner, assign_single_player, worst_case_assignment
 from .faq import FAQQuery, bcq, solve
 from .hypergraph import Hypergraph
@@ -300,6 +300,9 @@ def identity_key(spec: ScenarioSpec, drop: Tuple[str, ...] = PLANE_AXES) -> str:
     for field in drop:
         payload.pop(field, None)
     return json.dumps(payload, sort_keys=True)
+
+
+clear_with_memos(identity_key.cache_clear)
 
 
 #: Materialized (query, topology, assignment) triples shared across axis

@@ -68,7 +68,13 @@ from repro.lab.runner import execute_scenario, record_scenario_trace
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
 from repro.network import program as program_module
-from repro.network.program import HEADER_BITS, NodeProgram, run_program
+from repro.network.program import (
+    HEADER_BITS,
+    BroadcastOp,
+    ConvergecastOp,
+    RouteOp,
+    run_program,
+)
 from repro.obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
 from repro.obs.trace import (
     ComputeStepEvent,
@@ -460,10 +466,10 @@ def test_parallel_subphase_completion_blocks_fast_forward_replay():
     *finished* member's final slot send — the group's completion never
     moves the program index, so the ``moved_any`` jump guard could not
     see it — over-charging one convergecast slot per tree (here +64
-    bits vs the generator engine).  ``ParallelOps.cycle_horizon`` now
-    declines the jump while any member finished inside the cycle
-    window; prediction, compiled measurement and generator measurement
-    must all agree exactly.
+    bits vs the generator engine).  A finished member is now a stream
+    of its own that sleeps no more, and its final blocks are never
+    replayed; prediction, compiled measurement and generator
+    measurement must all agree exactly.
     """
     spec = _PARALLEL_SUBPHASE_PIN
     compiled = execute_scenario(spec)
@@ -928,9 +934,12 @@ def test_pipelined_rounds_never_exceed_sequential(monkeypatch):
 def test_sequential_threshold_agrees_across_planes(monkeypatch):
     """Each plane's gate takes its node's scatters of the star, so the
     sequential threshold is a patch of the rule in every plane; both
-    engines then run what the count plane prices with it (stepping),
-    rounds, bits, busiest link-round and per-link map in key order, on
-    the first 40 specs of ``generate_scenarios(777, ...)``."""
+    engines then run what the count plane prices with it, rounds, bits,
+    busiest link-round and per-link map in key order, on the first 40
+    specs of ``generate_scenarios(777, ...)``.  The threshold reads
+    every scatter of the star at its node, which no plane's wake rule
+    watches, so the count plane and the compiled engine step every
+    stream every round."""
     engine_gate = program_module._released
     generator_gate = primitives_module._released
 
@@ -952,7 +961,8 @@ def test_sequential_threshold_agrees_across_planes(monkeypatch):
         topology, query = planner.topology, planner.query
         priced = evaluate_timing(_skeleton_of(spec))
         compiled = run_program(topology, plan.capacity_bits,
-                               compile_round_programs(plan, query, topology))
+                               compile_round_programs(plan, query, topology),
+                               fast_forward=False)
         generator = run_distributed_faq(
             query, topology, plan.assignment, engine="generator", plan=plan,
         ).simulation
@@ -1057,7 +1067,7 @@ def test_pipelined_first_star_within_theorem_3_11():
 
 @pytest.mark.parametrize("spec, most", [
     pytest.param(_stream_line_spec(8192), 64, id="stream-line-xl"),
-    pytest.param(_wide_expander_spec(500), 1_100, id="wide-expander"),
+    pytest.param(_wide_expander_spec(500), 1_000, id="wide-expander"),
 ])
 def test_gated_streams_sleep_through_a_steady_overlap(spec, most, monkeypatch):
     """Both round planes let a gated combine sleep while its scatter
@@ -1065,9 +1075,10 @@ def test_gated_streams_sleep_through_a_steady_overlap(spec, most, monkeypatch):
     1-bit combine is gate-limited behind one 26-bit tuple a round, on
     ``wide-expander`` the 32-bit combine is room-limited behind 32/18
     tuples a round.  Stepping either every overlap round would take
-    thousands of count-plane stream steps and engine node-steps (8,195
-    and 314 rounds).  Measured: 18 and 15 on the first, 913 and 665 on
-    the second."""
+    thousands of stream steps in each plane (8,195 and 314 rounds).
+    Measured: 18 count-plane and 19 engine stream steps on the first,
+    913 and 913 on the second (1,640 in the engine while a node
+    stepped every member of its star's group)."""
     planner, plan = plan_scenario(spec)
     topology = planner.topology
     before = COUNTERS.snapshot()
@@ -1075,13 +1086,11 @@ def test_gated_streams_sleep_through_a_steady_overlap(spec, most, monkeypatch):
     delta = counter_delta(before, COUNTERS.snapshot())
     assert delta["costmodel.stream_steps"] <= most
     steps = []
-    step_round = NodeProgram.step_round
-
-    def counted(program, ctx):
-        steps.append(program.node)
-        return step_round(program, ctx)
-
-    monkeypatch.setattr(NodeProgram, "step_round", counted)
+    for cls in (BroadcastOp, ConvergecastOp, RouteOp):
+        def counted(op, ctx, _step=cls.step):
+            steps.append(op)
+            return _step(op, ctx)
+        monkeypatch.setattr(cls, "step", counted)
     run_program(topology, plan.capacity_bits,
                 compile_round_programs(plan, planner.query, topology))
     assert len(steps) <= most

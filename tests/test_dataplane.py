@@ -33,7 +33,7 @@ from repro.lab import ScenarioSpec, SuiteSpec, execute_scenario
 from repro.lab.runner import run_suite
 from repro.lab.suites import get_suite, with_axes
 from repro.obs.counters import COUNTERS, counter_delta
-from repro.pipeline import materialize_scenario
+from repro.pipeline import identity_key, materialize_scenario
 from repro.semiring import COUNTING, Factor
 from repro.semiring.columnar import ColumnarFactor, Dictionary
 
@@ -189,6 +189,15 @@ def test_dict_plane_decodes_each_relation_once_per_identity(
         result = execute_scenario(plane)
         assert work_on(data_plane_work, built) == (0, 0, 0)
         assert result.answer_digest == cold.answer_digest
+
+
+def test_clearing_the_memos_clears_the_identity_key_cache():
+    # ``identity_key`` caches in a ``functools.lru_cache``, not an
+    # ``LRUMemo``; clearing the memos must reach it all the same.
+    execute_scenario(get_suite("fuzz-smoke").scenarios[0])
+    assert identity_key.cache_info().currsize > 0
+    clear_all_memos()
+    assert identity_key.cache_info().currsize == 0
 
 
 def test_every_suite_run_starts_cold_and_hot_equals_cold():

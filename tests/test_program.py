@@ -951,23 +951,115 @@ def test_fast_forward_is_accounting_neutral_on_engine_cases(name):
     _assert_same_result(_run_plan(spec, True), _run_plan(spec, False))
 
 
-def test_only_changing_nodes_step(monkeypatch):
-    """The node-steps of ``wide-expander-N96`` (78 rounds, 64 nodes),
-    pinned: a node steps only while it changes, or while a node sending
-    to it does.  Stepping the whole network in every round that is not
-    jumped took 2,209 at 108 rounds, before stars were pipelined; the
-    sequential schedule's 108 rounds took 701 node-steps."""
-    steps = []
-    step_round = NodeProgram.step_round
+def _stream_steps(spec, monkeypatch, fast_forward=True):
+    """A run of ``spec``'s plan and the round of every stream step in
+    it, with the rounds in which a stream changed its last round or
+    finished."""
+    steps, changing = [], set()
+    with monkeypatch.context() as patch:
+        for cls in (BroadcastOp, ConvergecastOp, RouteOp):
+            def counted(op, ctx, _step=cls.step):
+                finished = _step(op, ctx)
+                steps.append(ctx.round)
+                if finished or op._hist[0] != op._hist[1]:
+                    changing.add(ctx.round)
+                return finished
+            patch.setattr(cls, "step", counted)
+        result = _run_plan(spec, fast_forward)
+    return result, steps, changing
 
-    def counted(program, ctx):
-        steps.append(program.node)
-        return step_round(program, ctx)
 
-    monkeypatch.setattr(NodeProgram, "step_round", counted)
-    result = _run_plan(ENGINE_CASES["wide-expander-N96"], True)
-    assert result.rounds == 78
-    assert len(steps) == 655
+@pytest.mark.parametrize("n, rounds, most", [(96, 78, 910), (500, 314, 913)])
+def test_only_changing_streams_step(n, rounds, most, monkeypatch):
+    """The stream steps of the ``wide-expander`` shape (64 nodes),
+    pinned: a stream steps only while it changes, or while a stream it
+    reads does.  When a node stepped every member of its star's group
+    while any of them changed, this took 1,607 and 1,640 (655 and 665
+    node-steps); the count plane takes 913 at N=500."""
+    spec = ENGINE_CASES["wide-expander-N96"].with_(n=n)
+    result, steps, _changing = _stream_steps(spec, monkeypatch)
+    assert result.rounds == rounds
+    assert len(steps) <= most
+
+
+@pytest.mark.parametrize("n, skipped", [(96, 8), (500, 219)])
+def test_the_engine_skips_every_skippable_round(n, skipped, monkeypatch):
+    """Every round a stepping run shows to be skippable — no stream
+    changed its last round or finished in it or the round before, the
+    first of which its streams settle in — is skipped, and no other:
+    the count plane skips the same 8 and 219
+    (``tests/test_costmodel.py::test_only_changing_streams_step``)."""
+    spec = ENGINE_CASES["wide-expander-N96"].with_(n=n)
+    stepping, steps, changing = _stream_steps(spec, monkeypatch, False)
+    assert len(set(steps)) == stepping.rounds + 1  # a silent last round
+    skippable = sum(
+        t not in changing and t - 1 not in changing and t > 1
+        for t in range(1, stepping.rounds + 1)
+    )
+    before = COUNTERS.snapshot()
+    _assert_same_result(_run_plan(spec, True), stepping)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert delta["engine.fast_forward_rounds"] == skippable == skipped
+
+
+def test_streams_sharing_a_link_sleep_and_wake_together():
+    """The engine mirror of the count plane's link-sharing pin, built by
+    hand because no sampled plan puts two streams of a node on one
+    link: two packing trees share ``a -> b`` and ``b -> a``, so the
+    root's scatters are link-mates (the first takes all of the link's
+    room while the second sends nothing) and so are ``b``'s combines.
+    Sleeping and waking them together, the run equals stepping every
+    stream every round, sends round by round included, and skips."""
+    topology = Topology.line(3)
+    a, b, c = topology.nodes
+
+    def star(node, parent, trees, count=None):
+        scatters = [
+            BroadcastOp(f"bc{j}", parent, children, per_item=8,
+                        root_count_fn=None if count is None
+                        else (lambda j=j: count[j]))
+            for j, children in trees
+        ]
+        combines = [
+            ConvergecastOp(f"cc{j}", parent, children, 16, gate, scatters)
+            for (j, children), gate in zip(trees, scatters)
+        ]
+        return NodeProgram(node, [ParallelOps(scatters + combines)])
+
+    def build_programs():
+        return {
+            a: star(a, None, [(0, [b]), (1, [b])], count=(200, 300)),
+            b: star(b, a, [(0, []), (1, [c])]),
+            c: star(c, b, [(1, [])]),
+        }
+
+    fast, slow, _sends, _jumps = _traced_fast_and_slow(
+        topology, 16, build_programs)
+    _assert_same_result(fast, slow)
+    assert (fast.rounds, fast.total_bits) == (503, 19296)
+    tracer = RecordingTracer()
+    before = COUNTERS.snapshot()
+    run_program(topology, 16, build_programs(), tracer=tracer)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert delta["engine.fast_forward_rounds"] > 300
+    stepped = RecordingTracer()
+    run_program(topology, 16, build_programs(), fast_forward=False,
+                tracer=stepped)
+    assert _sends_by_round(tracer.events) == _sends_by_round(stepped.events)
+
+
+def _sends_by_round(events):
+    """A trace's sends per round, a skip's repeated over its rounds."""
+    rounds = {}
+    for event in events:
+        if isinstance(event, SendEvent):
+            rounds.setdefault(event.round, []).append(
+                (event.src, event.dst, event.tag, event.bits))
+        elif isinstance(event, CycleFastForwardEvent):
+            for rnd in range(event.start_round + 1, event.end_round + 1):
+                rounds[rnd] = [(src, dst, tag, bits)
+                               for src, dst, tag, _kind, bits in event.sends]
+    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -975,14 +1067,22 @@ def test_only_changing_nodes_step(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+#: A stream's links to the streams around it, which refer back to it:
+#: compared by identity (their own state is checked on their own calls).
+_WIRING = ("reads", "readers", "group", "watch")
+
+
 def _op_state(value):
     """A comparable deep copy of op state: ops, routing runs and blocks
     compare by identity, so they unfold into their fields."""
     if isinstance(value, (ProgramOp, BlockMessage)):
         fields = (
-            vars(value) if hasattr(value, "__dict__")
+            dict(vars(value)) if hasattr(value, "__dict__")
             else {name: getattr(value, name) for name in value.__slots__}
         )
+        for name in _WIRING:
+            if name in fields:
+                fields[name] = id(fields[name])
         return (type(value).__name__, _op_state(fields))
     if isinstance(value, dict):
         return {key: _op_state(item) for key, item in value.items()}
@@ -995,10 +1095,10 @@ def _op_state(value):
 
 @pytest.mark.parametrize("name", ["wide-expander", "routed"])
 def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
-    """The jump check stops at the first op that declines, so which ops
-    it asks depends on the step order: that is only exact while asking
-    changes nothing.  Every op class's ``cycle_horizon`` is wrapped to
-    compare the op's whole state before and after the call."""
+    """Which streams are asked depends on which repeat and on their
+    link-mates: that is only exact while asking changes nothing.  Every
+    op class's ``cycle_horizon`` is wrapped to compare the op's whole
+    state before and after the call."""
     spec = {
         "wide-expander": ENGINE_CASES["wide-expander-N96"],
         "routed": ScenarioSpec(
@@ -1009,7 +1109,7 @@ def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
         ),
     }[name]
     calls = {}
-    for cls in (ProgramOp, ParallelOps, BroadcastOp, ConvergecastOp, RouteOp):
+    for cls in (BroadcastOp, ConvergecastOp, RouteOp):
         def checked(self, _horizon=cls.cycle_horizon, _cls=cls):
             before = _op_state(vars(self))
             horizon = _horizon(self)
@@ -1023,5 +1123,5 @@ def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
         built.query, topology
     )
     run_distributed_faq(built.query, topology, assignment, engine="compiled")
-    assert calls.get("ParallelOps") and calls.get("BroadcastOp")
+    assert calls.get("BroadcastOp")
     assert calls.get("RouteOp" if name == "routed" else "ConvergecastOp")
