@@ -971,8 +971,8 @@ def _settle(steady: List[StreamOp], round_no: int, cap: int) -> List[StreamOp]:
     if cap < 1:
         return settled
     for stream in steady:
-        if stream.wake:
-            continue  # settled with its group
+        if stream.wake or stream.blocked >= round_no:
+            continue  # settled with its group, or blocked
         horizon = UNBOUNDED
         for member in stream.group:
             if member.wake != _DONE:
