@@ -11,9 +11,8 @@ them per plane is the dominant cost of a suite run — profiled at
 roughly half of per-scenario wall time — so this module gives each such
 function a process-wide LRU keyed on its *structural* inputs or on the
 scenario identity.  There are eight, all of this one type, and
-:func:`clear_all_memos` empties them and every cache registered with
-:func:`clear_with_memos` (``pipeline.identity_key``'s), so it alone
-makes a process cold;
+:func:`clear_all_memos` empties them and :func:`identity_key`'s cache of
+scenario identities, so it alone makes a process cold;
 ``docs/dataplane.md`` has each one's hits and misses, and a memo that
 serves no repeat does not stay.  (The packing memo holds one entry per
 (graph, terminals, Δ, limit); the residual states the Δ values of a
@@ -37,15 +36,18 @@ Two invariants make the memo plane safe:
 
 Keys for :class:`~repro.network.topology.Topology` arguments come from
 :func:`topology_key` — the sorted edge tuple, cached on the instance —
-so two structurally equal topologies share entries regardless of name.
+so two structurally equal topologies share entries regardless of name;
+a scenario's identity is :func:`identity_key`.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, Hashable, Tuple
 
 _MISSING = object()
 
@@ -109,17 +111,6 @@ class LRUMemo:
 #: All live memos by name — introspection for ``--timings`` and tests.
 _REGISTRY: Dict[str, LRUMemo] = {}
 
-#: How to empty the caches that are not memos (``functools.lru_cache``).
-_CLEARERS: List[Callable[[], None]] = []
-
-
-def clear_with_memos(clear: Callable[[], None]) -> None:
-    """Have :func:`clear_all_memos` call ``clear`` too: a cache of
-    another type (a ``functools.lru_cache``'s ``cache_clear``) is then
-    cold whenever the memos are."""
-    _CLEARERS.append(clear)
-
-
 def memo_stats() -> Dict[str, Dict[str, int]]:
     """Per-memo ``{hits, misses, size}`` — the ``--timings`` memo block."""
     return {
@@ -137,8 +128,7 @@ def clear_all_memos() -> None:
     correctness — stale entries cannot exist, keys are structural)."""
     for memo in _REGISTRY.values():
         memo.clear()
-    for clear in _CLEARERS:
-        clear()
+    identity_key.cache_clear()
 
 
 def topology_key(topology) -> Tuple[Tuple[str, str], ...]:
@@ -168,3 +158,22 @@ def hypergraph_key(hypergraph) -> Tuple:
         (name, tuple(sorted(vs, key=repr)))
         for name, vs in sorted(hypergraph.edges(), key=lambda kv: kv[0])
     )
+
+
+#: Spec axes that never change what is built, predicted or measured.
+PLANE_AXES = ("engine", "solver", "backend")
+
+
+@lru_cache(maxsize=8192)
+def identity_key(spec, drop: Tuple[str, ...] = PLANE_AXES) -> str:
+    """The spec's canonical JSON with the ``drop`` fields erased — by
+    default the plane-stripped identity every structural memo keys on.
+
+    Cached: specs are frozen and hashable, and every memo lookup
+    (materialization, plan, prediction, certification) rebuilds this
+    JSON key otherwise.
+    """
+    payload = spec.to_json_dict()
+    for field in drop:
+        payload.pop(field, None)
+    return json.dumps(payload, sort_keys=True)

@@ -242,8 +242,6 @@ class ProgramOp:
     """
 
     label = "op"
-    #: Whether it sleeps on its own rule (a group sleeps by its members').
-    sleeps = False
 
     def start(self, ctx: ProgramContext) -> None:
         """Called once, in the round the op becomes current."""
@@ -312,14 +310,13 @@ class StreamOp(ProgramOp):
     it *repeats* when the two are equal.  At start it links to the
     started streams it reads (``reads``, with its queue for each) and to
     its started ``readers``.  While dormant, ``since`` is the round it
-    settled in and ``out`` its steady block per receiver; ``dozing``
-    counts the streams it reads that sleep; until round ``blocked`` it
-    may not settle (a stream it reads changed); ``group`` holds the
-    streams of its group it shares a directed link with, itself
-    included: they settle and wake together.
+    settled in, ``out`` its steady block per receiver and ``paid`` the
+    last round whose blocks a receiver was handed (:meth:`pay`);
+    ``dozing`` counts the streams it reads that sleep; until round
+    ``blocked`` it may not settle (a stream it reads changed); ``group``
+    holds the streams of its group it shares a directed link with,
+    itself included: they settle and wake together.
     """
-
-    sleeps = True
 
     def __init__(self, tag: str, parent: Optional[str],
                  children: Sequence[str]) -> None:
@@ -331,6 +328,7 @@ class StreamOp(ProgramOp):
         self.wake = _WAITING
         self.since = self.blocked = self.dozing = 0
         self.out: Dict[str, BlockMessage] = {}
+        self.paid: Dict[str, int] = {}
         self.ctx: Optional[ProgramContext] = None
         self.reads: List[Tuple["StreamOp", deque]] = []
         self.readers: Dict[str, "StreamOp"] = {}
@@ -344,7 +342,8 @@ class StreamOp(ProgramOp):
     def _link(self, ctx: ProgramContext, sources: Sequence[str],
               queues: Sequence[deque]) -> None:
         """Register as awake and link to the started streams it reads
-        (taking what a sleeping one owes it so far) and reads it."""
+        (its first step takes what a sleeping one owes it) and reads
+        it."""
         self.ctx = ctx
         self.wake = _AWAKE
         self._sources = sources
@@ -360,13 +359,6 @@ class StreamOp(ProgramOp):
             self.reads.append((sender, queue))
             if sender.wake > 0:
                 self.dozing += 1
-                # Its blocks of rounds ``since + 1 .. round - 2`` wait
-                # for this op; its first step pulls round - 1's.
-                k = ctx.round - 2 - sender.since
-                blk = sender.out.get(node)
-                if blk is not None and k > 0:
-                    queue.append(BlockMessage(src, node, tag, blk.kind,
-                                              k * blk.bits))
         for dst in self.dests:
             if dst not in ctx._neighbors:
                 raise ValueError(f"{node} -> {dst}: not an edge of G")
@@ -376,16 +368,27 @@ class StreamOp(ProgramOp):
                 self.readers[dst] = reader
                 reader.reads.append((self, reader.ctx.inbox((tag, node))))
 
+    def pay(self, dst: str, queue: deque, through: int) -> None:
+        """The one way a dormant stream's steady blocks are delivered:
+        append to ``queue``, at ``dst``, its blocks of the rounds after
+        the last one ``dst`` was handed (or replayed, or got by an
+        explicit send) through round ``through``, as one block."""
+        blk = self.out.get(dst)
+        if blk is not None:
+            done = self.paid.get(dst, 0)
+            k = through - (done if done > self.since else self.since)
+            if k > 0:
+                self.paid[dst] = through
+                queue.append(blk if k == 1 else BlockMessage(
+                    blk.src, dst, blk.tag, blk.kind, k * blk.bits))
+
     def pull(self, round_no: int) -> None:
-        """Queue last round's steady blocks of the sleeping streams it
-        reads (the round after one settles, its own blocks arrived)."""
-        node = self.ctx.node
-        last = round_no - 1
+        """Take what the sleeping streams it reads sent it up to last
+        round."""
+        node, last = self.ctx.node, round_no - 1
         for sender, queue in self.reads:
-            if sender.wake > 0 and sender.since < last:
-                blk = sender.out.get(node)
-                if blk is not None:
-                    queue.append(blk)
+            if sender.wake > 0:
+                sender.pay(node, queue, last)
 
     def rest(self, round_no: int, wake: int) -> None:
         """Go dormant after ``round_no`` until ``wake``, sending what the
@@ -411,8 +414,6 @@ class ParallelOps(ProgramOp):
     members are skipped, and the group completes when every member has.
     A stream outside any group runs as a group of one.
     """
-
-    sleeps = True
 
     def __init__(self, members: Sequence[StreamOp], label: str = "parallel") -> None:
         self.members = list(members)
@@ -710,10 +711,12 @@ class ConvergecastOp(StreamOp):
         self._hist.append((arrivals, moved))
         return self.sent == num_slots * per_slot
 
-    def _gate_feed(self) -> Tuple[int, int, int]:
+    def _gate_feed(self) -> Optional[Tuple[int, int, int]]:
         """The gate as ``(have, got, unit)``: it releases ``have //
-        unit`` slots and gains ``got`` a round — its scatter's item bits,
-        or a constant while a threshold holds them back."""
+        unit`` slots and gains ``got`` a round, its scatter's item bits.
+        None while a threshold holds back tuples the scatter holds: the
+        threshold reads the node's other scatters (``_released``), and
+        may lift in any round one of them steps."""
         gate = self.gate
         have = gate.received
         got = gate._hist[-1][0] or 0
@@ -723,7 +726,7 @@ class ConvergecastOp(StreamOp):
             got = 0  # whole
         have -= HEADER_BITS
         if self.released < have // gate.per_item:
-            return self.released, 0, 1
+            return None
         return have, got, gate.per_item
 
     def cycle_horizon(self) -> int:
@@ -734,6 +737,8 @@ class ConvergecastOp(StreamOp):
         if self.gate.count is None:
             return UNBOUNDED  # inert until its scatter's header is in
         feed = self._gate_feed()
+        if feed is None:
+            return 0
         if not moved and not any(arrivals) and not feed[1]:
             return UNBOUNDED  # silent until a child or the gate moves
         per_slot = self.per_slot
@@ -928,14 +933,15 @@ class NodeProgram:
         moved = False
         while self.index < len(ops):
             op = ops[self.index]
+            # A group is awake by its members; any other op always is.
             if not self.started:
                 op.start(ctx)
                 self.started = True
-                if not op.sleeps:
+                if not isinstance(op, ParallelOps):
                     ctx.awake += 1
             if not op.step(ctx):
                 return moved
-            if not op.sleeps:
+            if not isinstance(op, ParallelOps):
                 ctx.awake -= 1
             if isinstance(op, ComputeStep) and op.is_output:
                 self.output = op.value
@@ -1090,7 +1096,9 @@ def run_program(
 
     def rouse(stream: StreamOp, through: int) -> None:
         """Wake a dormant stream after round ``through``: apply its slept
-        rounds and drop what arrived for them (they replayed it)."""
+        rounds and drop what arrived for them (they replayed it, and the
+        sends of every round before ``through`` of the streams it reads
+        with it)."""
         nonlocal total_bits, steady_senders
         k = through - stream.since
         if k > 0:
@@ -1099,12 +1107,6 @@ def run_program(
                 bits = k * blk.bits
                 bits_per_edge[(blk.src, dst)] += bits
                 total_bits += bits
-                reader = stream.readers.get(dst)
-                if reader is None or reader.wake == _DONE:
-                    ctx = receivers.get(dst)
-                    if ctx is not None:
-                        ctx.inbox(blk.stream).append(BlockMessage(
-                            blk.src, dst, blk.tag, blk.kind, bits))
         stream.wake = _AWAKE
         ctx = stream.ctx
         if not ctx.awake:
@@ -1112,6 +1114,9 @@ def run_program(
         ctx.awake += 1
         for queue in stream._queues:
             queue.clear()
+        node = ctx.node
+        for sender, _queue in stream.reads:
+            sender.paid[node] = through - 1
         for reader in stream.readers.values():
             reader.dozing -= 1
         if stream.out:
@@ -1142,19 +1147,20 @@ def run_program(
         due = wakes.pop(round_no, None)
         if due is not None:
             woke = []
+            last = round_no - 1
             for stream in due:
                 if stream.wake == round_no:  # else stale, or listed twice
-                    rouse(stream, round_no - 1)
+                    rouse(stream, last)
                     woke.append(stream)
-            # Its blocks of last round (a slept one) go to awake readers.
-            last = round_no - 1
+            # What they slept through and owe a reader that is not
+            # dormant: the awake ones their last slept round, the others
+            # (not started, or finished) every one.
             for stream in woke:
-                if stream.since < last:
-                    for reader in stream.readers.values():
-                        if reader.wake == _AWAKE:
-                            blk = stream.out.get(reader.ctx.node)
-                            if blk is not None:
-                                reader.ctx.inbox(blk.stream).append(blk)
+                for dst, blk in stream.out.items():
+                    reader = stream.readers.get(dst)
+                    ctx = receivers.get(dst)
+                    if ctx is not None and (reader is None or reader.wake <= 0):
+                        stream.pay(dst, ctx.inbox(blk.stream), last)
         for blk in pending:
             # Blocks to passive or finished nodes are dropped, like the
             # generator engine's message handling; a dormant reader's

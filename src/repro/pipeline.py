@@ -26,14 +26,12 @@ prices; :func:`repro.core.memo.clear_all_memos` makes all of them cold.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import costmodel
-from .core.memo import LRUMemo, clear_with_memos
+from .core.memo import PLANE_AXES, LRUMemo, identity_key
 from .core.planner import Planner, assign_single_player, worst_case_assignment
 from .faq import FAQQuery, bcq, solve
 from .hypergraph import Hypergraph
@@ -283,27 +281,8 @@ def build_assignment(
 # Identity and materialization
 # ---------------------------------------------------------------------------
 
-#: Spec axes that never change what is built, predicted or measured.
-PLANE_AXES = ("engine", "solver", "backend")
-
-
-@lru_cache(maxsize=8192)
-def identity_key(spec: ScenarioSpec, drop: Tuple[str, ...] = PLANE_AXES) -> str:
-    """The spec's canonical JSON with the ``drop`` fields erased — by
-    default the plane-stripped identity every structural memo keys on.
-
-    Cached: specs are frozen and hashable, and every memo lookup
-    (materialization, plan, prediction, certification) rebuilds this
-    JSON key otherwise.
-    """
-    payload = spec.to_json_dict()
-    for field in drop:
-        payload.pop(field, None)
-    return json.dumps(payload, sort_keys=True)
-
-
-clear_with_memos(identity_key.cache_clear)
-
+# A scenario's identity is ``core.memo.identity_key`` (imported above):
+# the three memos below key on it, and ``clear_all_memos()`` clears it.
 
 #: Materialized (query, topology, assignment) triples shared across axis
 #: planes.  The three accounting-neutral axes never change what gets

@@ -934,12 +934,12 @@ def test_pipelined_rounds_never_exceed_sequential(monkeypatch):
 def test_sequential_threshold_agrees_across_planes(monkeypatch):
     """Each plane's gate takes its node's scatters of the star, so the
     sequential threshold is a patch of the rule in every plane; both
-    engines then run what the count plane prices with it, rounds, bits,
-    busiest link-round and per-link map in key order, on the first 40
-    specs of ``generate_scenarios(777, ...)``.  The threshold reads
-    every scatter of the star at its node, which no plane's wake rule
-    watches, so the count plane and the compiled engine step every
-    stream every round."""
+    engines then run what the count plane prices with it (stepping),
+    rounds, bits, busiest link-round and per-link map in key order, on
+    the first 40 specs of ``generate_scenarios(777, ...)``.  The
+    compiled engine runs with its dormancy: a combine whose threshold
+    holds back tuples its scatter holds does not settle, since the
+    threshold reads every scatter of the star at its node."""
     engine_gate = program_module._released
     generator_gate = primitives_module._released
 
@@ -961,8 +961,7 @@ def test_sequential_threshold_agrees_across_planes(monkeypatch):
         topology, query = planner.topology, planner.query
         priced = evaluate_timing(_skeleton_of(spec))
         compiled = run_program(topology, plan.capacity_bits,
-                               compile_round_programs(plan, query, topology),
-                               fast_forward=False)
+                               compile_round_programs(plan, query, topology))
         generator = run_distributed_faq(
             query, topology, plan.assignment, engine="generator", plan=plan,
         ).simulation

@@ -21,6 +21,7 @@ from repro.lab.results import answer_digest
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
 from repro.network import Topology
+from repro.network import program as program_module
 from repro.network.program import (
     BlockMessage,
     BroadcastOp,
@@ -590,6 +591,28 @@ def test_convergecast_jumps_exactly_when_slots_straddle_rounds(length):
     _assert_same_charge(gen, fast)
     _assert_same_charge(gen, slow)
     assert jumps >= 1
+
+
+@pytest.mark.parametrize("held_back", [False, True])
+def test_a_combine_held_back_by_a_threshold_does_not_settle(
+        held_back, monkeypatch):
+    """A threshold on the gate (a patch of ``_released`` reading the
+    node's other scatters, as the sequential schedule's does) may lift
+    in any round one of them steps, so a combine it holds back declines
+    to settle; the same repeating combine under the gate alone settles."""
+    if held_back:
+        monkeypatch.setattr(program_module, "_released",
+                            lambda scatter, scatters: 0)
+    topology = Topology.line(2)
+    parent, node = topology.nodes
+    op = _released_convergecast("cc", parent, [], 4, 10)
+    ctx = ProgramContext(node, topology, 4)
+    for round_no in (1, 2):
+        ctx._begin_round(round_no)
+        op.step(ctx)
+    assert op._hist[0] == op._hist[1]
+    assert op.sent == (0 if held_back else 8)
+    assert (op.cycle_horizon() >= 1) != held_back
 
 
 def test_convergecast_horizon_reads_each_childs_readied_bits():
