@@ -658,13 +658,11 @@ class ConvergecastOp(StreamOp):
         self.received = [0] * len(self.children)
         self.label = f"convergecast:{tag}"
         self._streams = [(tag, child) for child in self.children]
-        self._inboxes: List[deque] = []
         self._no_arrivals = (0,) * len(self.children)
-        self._waiting = (self._no_arrivals, 0)
 
     def start(self, ctx: ProgramContext) -> None:
-        self._inboxes = [ctx.inbox(stream) for stream in self._streams]
-        self._link(ctx, self.children, self._inboxes)
+        self._link(ctx, self.children,
+                   [ctx.inbox(stream) for stream in self._streams])
         gate = self.gate
         gate.watch += (self,)
         if ctx.settles and gate.count is None and gate.ctx is ctx:
@@ -676,15 +674,15 @@ class ConvergecastOp(StreamOp):
         if gate.count is None:
             # Before its scatter's header is in, nothing is released and
             # no child holds a tuple to send a slot for.
-            self._hist.append(self._waiting)
+            self._hist.append((self._no_arrivals, 0))
             return False
         self.num_slots = num_slots = gate.count
         self.released = ready = _released(gate, self.scatters)
         received = self.received
         arrivals = self._no_arrivals
-        if any(self._inboxes):
+        if any(self._queues):
             counts = []
-            for i, inbox in enumerate(self._inboxes):
+            for i, inbox in enumerate(self._queues):
                 got = 0
                 if inbox:
                     for blk in inbox:
@@ -847,17 +845,16 @@ class RouteOp(StreamOp):
         self.eos_sent = False
         self.label = f"route:{tag}"
         self._streams = [(tag, child) for child in self.children]
-        self._inboxes: List[deque] = []
 
     def start(self, ctx: ProgramContext) -> None:
-        self._inboxes = [ctx.inbox(stream) for stream in self._streams]
-        self._link(ctx, self.children, self._inboxes)
+        self._link(ctx, self.children,
+                   [ctx.inbox(stream) for stream in self._streams])
         if self.payload_bits_fn is not None:
             self.queue = int(self.payload_bits_fn())
 
     def step(self, ctx: ProgramContext) -> bool:
         arrived = 0
-        for child, inbox in zip(self.children, self._inboxes):
+        for child, inbox in zip(self.children, self._queues):
             if not inbox:
                 continue
             for blk in inbox:

@@ -1076,7 +1076,7 @@ def test_gated_streams_sleep_through_a_steady_overlap(spec, most, monkeypatch):
     tuples a round.  Stepping either every overlap round would take
     thousands of stream steps in each plane (8,195 and 314 rounds).
     Measured: 18 count-plane and 19 engine stream steps on the first,
-    913 and 913 on the second (1,640 in the engine while a node
+    913 and 911 on the second (1,640 in the engine while a node
     stepped every member of its star's group)."""
     planner, plan = plan_scenario(spec)
     topology = planner.topology

@@ -998,7 +998,8 @@ def test_only_changing_streams_step(n, rounds, most, monkeypatch):
     pinned: a stream steps only while it changes, or while a stream it
     reads does.  When a node stepped every member of its star's group
     while any of them changed, this took 1,607 and 1,640 (655 and 665
-    node-steps); the count plane takes 913 at N=500."""
+    node-steps); today 907 and 911, and the count plane takes 913 at
+    N=500."""
     spec = ENGINE_CASES["wide-expander-N96"].with_(n=n)
     result, steps, _changing = _stream_steps(spec, monkeypatch)
     assert result.rounds == rounds
