@@ -145,14 +145,13 @@ class _Stream(_Op):
     pairs, each margin to stay at least 0.
 
     :func:`_wire` sets ``node``, ``ctx``, ``reads`` (the streams whose
-    blocks it takes), ``readers``, ``watchers`` (its readers, and the
+    blocks it takes), ``readers`` and ``watchers`` (its readers, and the
     combines gated by a scatter that reads it: what it sends moves
-    their gate) and ``group`` (the streams of its node it shares a
-    directed link with: ``room`` couples them, so they settle and wake
-    together).  While dormant, ``since`` is the round
-    it settled in and ``out`` its bits per receiver a round; ``dozing``
-    counts its dormant reads; until round ``blocked`` a stream it reads
-    changed its blocks, so it may not settle.
+    their gate).  While dormant, ``since`` is the round it settled in,
+    ``out`` its bits per receiver a round and ``paid`` the last round
+    whose blocks each reader was handed or replayed (:meth:`pay`);
+    ``dozing`` counts its dormant reads; until round ``blocked`` a
+    stream it reads changed its blocks, so it may not settle.
     """
 
     #: Whether it reads its tree children (else its parent) and sends
@@ -167,16 +166,28 @@ class _Stream(_Op):
         self.reads: List["_Stream"] = []
         self.readers: List["_Stream"] = []
         self.watchers: List["_Stream"] = []
-        self.group: List["_Stream"] = [self]
         self.wake = _WAITING
         self.since = self.dozing = self.blocked = 0
         self.out: Dict[str, int] = {}
+        self.paid: Dict[str, int] = {}
 
-    def take(self, u: "_Stream", k: int) -> None:
-        """Queue ``k`` rounds of ``u``'s steady blocks as one entry."""
-        bits = u.out.get(self.node)
-        if bits and k > 0:
-            self.ctx.inbox((self.tag, u.node)).append(("bits", k * bits, None))
+    def pay(self, reader: "_Stream", through: int) -> None:
+        """The one way a dormant stream's steady blocks reach a reader:
+        queue, as one entry, its blocks of the rounds after the last one
+        ``reader`` was handed or replayed, through round ``through``.  A
+        dormant reader replays them and a finished one has read the
+        stream to its end: neither gets any."""
+        if reader.wake > 0 or reader.wake == _DONE:
+            return
+        node = reader.node
+        bits = self.out.get(node)
+        if bits:
+            done = self.paid.get(node, 0)
+            k = through - (done if done > self.since else self.since)
+            if k > 0:
+                self.paid[node] = through
+                reader.ctx.inbox((self.tag, self.node)).append(
+                    ("bits", k * bits, None))
 
     def blocks(self, delta) -> Dict[str, int]:
         """The bits a round with ``delta`` sends each receiver."""
@@ -235,13 +246,6 @@ class _Parallel(_Op):
         ctx.awake += len(self.members)
         for member in self.members:
             member.wake = _AWAKE
-            if member.dozing:
-                # A dormant stream's blocks of rounds ``since + 1 ..
-                # round - 2`` waited for this op (its first step takes
-                # round - 1's).
-                for u in member.reads:
-                    if u.wake > 0:
-                        member.take(u, ctx.round - 2 - u.since)
             member.start(ctx)
 
     def step(self, ctx: _Ctx) -> bool:
@@ -251,12 +255,11 @@ class _Parallel(_Op):
             if member.wake:
                 continue  # dormant
             if member.dozing:
-                # A stream dormant since before last round sent its
-                # steady blocks then (the round after it settled, its
-                # own arrived with the round's blocks).
+                # What the dormant streams it reads sent up to last round
+                # (since it started, in its first step).
                 for u in member.reads:
-                    if u.wake > 0 and u.since < last:
-                        member.take(u, 1)
+                    if u.wake > 0:
+                        u.pay(member, last)
             if member.step(ctx):
                 member.wake = _DONE
                 ctx.awake -= 1
@@ -708,8 +711,13 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
 def _wire(
     programs: Dict[str, _Program], contexts: Dict[str, _Ctx]
 ) -> Dict[Tuple[str, str], _Stream]:
-    """Set every stream's ``node``, ``ctx``, ``reads``, ``readers``,
-    ``watchers`` and ``group``; return the streams by ``(node, tag)``."""
+    """Set every stream's ``node``, ``ctx``, ``reads``, ``readers`` and
+    ``watchers``; return the streams by ``(node, tag)``.
+
+    No two streams of one parallel group send on one directed link: a
+    star's packing trees are edge-disjoint and its combine runs up the
+    tree its scatter runs down.  That keeps a dormant stream's room on
+    its link its own, so a group that breaks it is refused."""
     streams: Dict[Tuple[str, str], _Stream] = {}
     parallels = []
     for node, prog in programs.items():
@@ -733,15 +741,15 @@ def _wire(
             # The gate moves with what its scatter reads.
             streams[(gate.parent, gate.tag)].watchers.append(stream)
     for members in parallels:
-        by_link: Dict[str, _Stream] = {}
+        links = set()
         for stream in members:
             downs = [stream.parent] if stream.reads_children else stream.children
             for dst in filter(None, downs):
-                other = by_link.setdefault(dst, stream)
-                if other.group is not stream.group:
-                    group = other.group + stream.group
-                    for member in group:
-                        member.group = group
+                if dst in links:
+                    raise CostModelError(
+                        f"{stream.node} -> {dst}: two streams of one "
+                        f"parallel group share the link")
+                links.add(dst)
     return streams
 
 
@@ -750,31 +758,18 @@ def _settle(steady: List[_Stream], round_no: int) -> List[_Stream]:
     that neither moved nor flagged a one-off, and repeated their last
     round — go dormant, with ``wake``, ``since`` and ``out`` set.
 
-    A group settles whole, unless one of its streams is ``blocked`` or
-    its smallest horizon ``h`` is 0 (as it is for a member whose delta
-    changed), and wakes at ``round + h + 1``.
+    A stream settles alone when it is not ``blocked`` and its horizon
+    ``h`` is at least 1, and wakes at ``round + h + 1``.
     """
     settled = []
     for stream in steady:
-        if stream.wake:
-            continue  # settled with its group
-        group = stream.group
-        if len(group) > 1:
-            group = [m for m in group if m.wake != _DONE]
-        horizon = _UNBOUNDED
-        for member in group:
-            if member.blocked >= round_no:
-                break
-            h = member.horizon()
-            if h < horizon:
-                horizon = h
-        else:
+        if stream.blocked < round_no:
+            horizon = stream.horizon()
             if horizon > 0:
-                for member in group:
-                    member.wake = round_no + horizon + 1
-                    member.since = round_no
-                    member.out = member.blocks(member.log[1])
-                settled += group
+                stream.wake = round_no + horizon + 1
+                stream.since = round_no
+                stream.out = stream.blocks(stream.log[1])
+                settled.append(stream)
     return settled
 
 
@@ -782,9 +777,8 @@ def _catch_up(
     stream: _Stream, through: int, bits_per_edge: Dict[Tuple[str, str], int]
 ) -> int:
     """Apply a dormant stream's rounds ``since + 1 .. through`` (``k``
-    deltas, ``k`` times its blocks on its links) and return their bits.
-    A reader whose op has not started gets the blocks in one entry; a
-    running one took or replayed them."""
+    deltas, ``k`` times its blocks on its links) and return their bits;
+    its readers are paid separately (:meth:`_Stream.pay`)."""
     k = through - stream.since
     if k < 1:
         return 0
@@ -793,9 +787,6 @@ def _catch_up(
     for dst, bits in stream.out.items():
         bits_per_edge[(stream.node, dst)] += k * bits
         added += k * bits
-    for reader in stream.readers:
-        if reader.wake == _WAITING:
-            reader.take(stream, k)
     return added
 
 
@@ -814,16 +805,16 @@ def evaluate_timing(
     (first-seen key order, as the engines keep it).
 
     Only changing streams step.  :func:`_settle` picks the streams that
-    go dormant.  A dormant stream is not stepped: a running reader takes
-    its steady blocks each round, and it steps again at its horizon or
-    the round after a stream it reads changed its blocks (a final round
-    is a change, and a reader may not settle the round after it).
-    Waking, it catches up arithmetically (:func:`_catch_up`).  When
-    every running stream is dormant the round counter skips to the
-    earliest wake.  A dormant stream's links were charged when it
-    stepped and nothing else uses them while it sleeps, so
-    ``max_edge_bits_per_round`` cannot change: the result is identical
-    to stepping every stream every round.
+    go dormant.  A dormant stream is not stepped: its steady blocks
+    reach a reader only through :meth:`_Stream.pay`, and it steps again
+    at its horizon or the round after a stream it reads changed its
+    blocks (a final round is a change, and a reader may not settle the
+    round after it).  Waking, it catches up arithmetically
+    (:func:`_catch_up`).  When every running stream is dormant the round
+    counter skips to the earliest wake.  A dormant stream's links were
+    charged when it stepped and no other stream sends on them
+    (:func:`_wire`), so ``max_edge_bits_per_round`` cannot change: the
+    result is identical to stepping every stream every round.
     """
     programs = _build_programs(skeleton)
     contexts = {n: _Ctx(n, skeleton.capacity) for n in skeleton.nodes}
@@ -844,10 +835,8 @@ def evaluate_timing(
     last_send_round = 0
     bits_per_edge: Dict[Tuple[str, str], int] = {}
     max_edge_bits_per_round = 0
-    # Dormant streams: their count, those that send, and the streams
-    # by wake round (an entry whose round is no longer the stream's
-    # ``wake`` is stale).
-    dormant = 0
+    # Dormant streams that send, and the streams by wake round (an
+    # entry whose round is no longer the stream's ``wake`` is stale).
     steady_senders = 0
     wakes: Dict[int, List[_Stream]] = {}
     sent_before = False
@@ -864,28 +853,30 @@ def evaluate_timing(
             )
         due = wakes.pop(round_no, None)
         if due is not None:
+            last = round_no - 1
             woke = []
             for stream in due:
                 if stream.wake != round_no:
                     continue  # stale, or listed twice
                 woke.append(stream)
-                total_bits += _catch_up(stream, round_no - 1, bits_per_edge)
+                total_bits += _catch_up(stream, last, bits_per_edge)
                 stream.wake = _AWAKE
                 if not stream.ctx.awake:
                     stepping.add(rank[stream.ctx])
                 stream.ctx.awake += 1
+                # It replayed what they sent before last round.
+                for u in stream.reads:
+                    u.paid[stream.node] = last - 1
                 for reader in stream.readers:
                     reader.dozing -= 1
-                dormant -= 1
                 if stream.out:
                     steady_senders -= 1
-            # Its blocks of last round (a slept one) go to running
-            # readers; dormant ones replay them.
+            # What they slept through and a reader that is not dormant
+            # has not taken: its last slept round to a running reader,
+            # every one to a reader whose op has not started.
             for stream in woke:
-                if stream.since < round_no - 1:
-                    for reader in stream.readers:
-                        if reader.wake == _AWAKE:
-                            reader.take(stream, 1)
+                for reader in stream.readers:
+                    stream.pay(reader, last)
 
         round_sends: List[Tuple[str, str, str, str, int, object]] = []
         steady: List[_Stream] = []
@@ -948,7 +939,7 @@ def evaluate_timing(
 
         # A stream whose blocks changed changes what its readers get next
         # round (a final one, also the round after): they may not settle
-        # now, and dormant ones (with their link-mates) wake next round.
+        # now, and dormant ones wake next round.
         soon = round_no + 1
         for stream in changed:
             until = soon if stream.wake == _DONE else round_no
@@ -956,11 +947,8 @@ def evaluate_timing(
                 if reader.blocked < until:
                     reader.blocked = until
                 if reader.wake > soon:
-                    due = wakes.setdefault(soon, [])
-                    for mate in reader.group:
-                        if mate.wake > 0:  # not a finished one
-                            mate.wake = soon
-                            due.append(mate)
+                    reader.wake = soon
+                    wakes.setdefault(soon, []).append(reader)
         if steady:
             for stream in _settle(steady, round_no):
                 stream.ctx.awake -= 1
@@ -968,7 +956,6 @@ def evaluate_timing(
                     stepping.discard(rank[stream.ctx])
                 for reader in stream.readers:
                     reader.dozing += 1
-                dormant += 1
                 if stream.out:
                     steady_senders += 1
                 wakes.setdefault(stream.wake, []).append(stream)

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from math import gcd
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -263,8 +264,7 @@ class ProgramOp:
         around it may not.
 
         Must be side-effect free: whether an op is asked at all depends
-        on which streams repeat and on its link-mates
-        (``tests/test_program.py`` pins this).
+        on which streams repeat (``tests/test_program.py`` pins this).
         """
         return 0
 
@@ -313,9 +313,7 @@ class StreamOp(ProgramOp):
     settled in, ``out`` its steady block per receiver and ``paid`` the
     last round whose blocks a receiver was handed (:meth:`pay`);
     ``dozing`` counts the streams it reads that sleep; until round
-    ``blocked`` it may not settle (a stream it reads changed); ``group``
-    holds the streams of its group it shares a directed link with,
-    itself included: they settle and wake together.
+    ``blocked`` it may not settle (a stream it reads changed).
     """
 
     def __init__(self, tag: str, parent: Optional[str],
@@ -332,7 +330,6 @@ class StreamOp(ProgramOp):
         self.ctx: Optional[ProgramContext] = None
         self.reads: List[Tuple["StreamOp", deque]] = []
         self.readers: Dict[str, "StreamOp"] = {}
-        self.group: Tuple["StreamOp", ...] = (self,)
         #: What a change in what it reads moves: itself, and the
         #: combines it gates if it is a scatter.
         self.watch: Tuple["StreamOp", ...] = (self,)
@@ -413,6 +410,11 @@ class ParallelOps(ProgramOp):
     the node's per-edge capacity through the common context; dormant
     members are skipped, and the group completes when every member has.
     A stream outside any group runs as a group of one.
+
+    No two members send on one directed link: a star's packing trees are
+    edge-disjoint and its combine runs up the tree its scatter runs
+    down, so a sleeping member's room on its link is its own.
+    :meth:`start` refuses a group that breaks this (``ValueError``).
     """
 
     def __init__(self, members: Sequence[StreamOp], label: str = "parallel") -> None:
@@ -423,19 +425,19 @@ class ParallelOps(ProgramOp):
         self._live = list(self.members)
 
     def start(self, ctx: ProgramContext) -> None:
-        for member in self.members:
-            member.start(ctx)
         if len(self.members) > 1:
-            # Members sending on one directed link share its room: they
-            # form one group, which settles and wakes as one.
-            by_link: Dict[str, StreamOp] = {}
+            # A sleeping stream's room on its link is its own: two members
+            # on one directed link would overdraw it.
+            links = set()
             for member in self.members:
                 for dst in member.dests:
-                    other = by_link.setdefault(dst, member)
-                    if other.group is not member.group:
-                        group = other.group + member.group
-                        for mate in group:
-                            mate.group = group
+                    if dst in links:
+                        raise ValueError(
+                            f"{ctx.node} -> {dst}: two streams of "
+                            f"{self.label} share the link")
+                    links.add(dst)
+        for member in self.members:
+            member.start(ctx)
 
     def step(self, ctx: ProgramContext) -> bool:
         finished = False
@@ -614,6 +616,16 @@ def _released(scatter: BroadcastOp, scatters: Sequence[BroadcastOp]) -> int:
     return (held - HEADER_BITS) // scatter.per_item
 
 
+def _floor_loss(have: int, got: int, unit: int) -> int:
+    """The most that rounding down to a multiple of ``unit`` ever cuts
+    from a count that is ``have`` now and gains ``got`` a round: its
+    remainder mod ``unit`` visits only the residues congruent to
+    ``have`` mod ``gcd(got, unit)``, the largest of which this is
+    (today's remainder when ``got`` is whole units)."""
+    step = gcd(got, unit)
+    return unit - step + have % step
+
+
 class ConvergecastOp(StreamOp):
     """One node's role in a pipelined slot convergecast, in bits.
 
@@ -772,13 +784,9 @@ class ConvergecastOp(StreamOp):
                         paced = True
                     if got >= moved:
                         continue  # ready at least as fast as they leave
-            # The bits this child has readied beyond those sent; the slot
-            # floor makes that exact only when whole slots arrive, so
-            # otherwise take its linear lower envelope.
-            if got % per_slot:
-                margin = have - (per_slot - 1) - sent
-            else:
-                margin = have // per_slot * per_slot - sent
+            # The bits this child has readied beyond those sent, under
+            # the slot floor's periodic envelope.
+            margin = have - _floor_loss(have, got, per_slot) - sent
             if margin < 0:
                 return 0
             if got < moved:
@@ -790,13 +798,10 @@ class ConvergecastOp(StreamOp):
                 paced = True
             if not (drained and got * per_slot >= moved * unit):
                 # The released slots' bits beyond those sent, ``unit``
-                # times over where the item floor is irregular.
-                if got % unit:
-                    margin = (have - (unit - 1)) * per_slot - unit * sent
-                    loss = unit * moved - got * per_slot
-                else:
-                    margin = have // unit * per_slot - sent
-                    loss = moved - got // unit * per_slot
+                # times over, under the item floor's periodic envelope.
+                margin = (have - _floor_loss(have, got, unit)) * per_slot \
+                    - unit * sent
+                loss = unit * moved - got * per_slot
                 if margin < 0:
                     return 0
                 if loss > 0:
@@ -964,33 +969,19 @@ def _settle(steady: List[StreamOp], round_no: int, cap: int) -> List[StreamOp]:
     their last one — go dormant, each with ``wake``, ``since`` and
     ``out`` set.
 
-    A stream settles with its group: every unfinished member must have
-    stepped and repeated (an inert one holds the group awake), none may
-    be ``blocked`` this round (a stream it reads changed its sends, or
-    finished last round), and the group's smallest horizon ``h`` must be
-    at least 1; it wakes at ``round + min(h, cap) + 1``.
+    A stream settles alone when it is not ``blocked`` this round (a
+    stream it reads changed its sends, or finished last round) and its
+    horizon ``h`` is at least 1; it wakes at ``round + min(h, cap) + 1``.
     """
     settled = []
     if cap < 1:
         return settled
     for stream in steady:
-        if stream.wake or stream.blocked >= round_no:
-            continue  # settled with its group, or blocked
-        horizon = UNBOUNDED
-        for member in stream.group:
-            if member.wake != _DONE:
-                h = 0 if member.wake or member.blocked >= round_no \
-                    else member.cycle_horizon()
-                if h < horizon:
-                    horizon = h
-                    if h < 1:
-                        break
-        else:
-            wake = round_no + min(horizon, cap) + 1
-            for member in stream.group:
-                if member.wake == _AWAKE:
-                    member.rest(round_no, wake)
-                    settled.append(member)
+        if stream.blocked < round_no:
+            horizon = stream.cycle_horizon()
+            if horizon > 0:
+                stream.rest(round_no, round_no + min(horizon, cap) + 1)
+                settled.append(stream)
     return settled
 
 
@@ -1013,16 +1004,14 @@ def run_program(
     Only changing streams step.  After a round, a stream *settles*
     (goes dormant) when it repeated its last round, no stream it reads
     changed what it sends this round or finished last round, and its
-    ``cycle_horizon`` is ``h >= 1`` (capped at ``max_rounds``); streams
-    of a group that share a directed link settle together, on their
-    smallest horizon, since the link's room couples them.  A stream's
+    ``cycle_horizon`` is ``h >= 1`` (capped at ``max_rounds``); no other
+    stream sends on its links (:class:`ParallelOps`).  A stream's
     reads are its same-tag tree neighbours; a combine is also woken by
     what its gate reads, and one whose gate has no header yet is inert
     — not stepped and not dormant — until the header lands.  A dormant
     stream is not stepped: a running reader takes its steady blocks each
-    round, and it steps again, its link-mates with it, at round
-    ``t0 + h + 1`` or the round after a stream it reads changes its
-    sends — whichever is first.  On waking, the ``k`` rounds it slept
+    round, and it steps again at round ``t0 + h + 1`` or the round
+    after a stream it reads changes its sends — whichever is first.  On waking, the ``k`` rounds it slept
     are applied arithmetically: op state (``advance(k)``), ``k`` times
     its blocks' bits, and one ``k``-fold block to each reader that had
     not started.
@@ -1196,9 +1185,9 @@ def run_program(
 
         # One round's charge, the same for every round: per-link bits in
         # send order, every link audited against B, then the totals.  A
-        # dormant stream's links were charged when it last stepped (its
-        # group keeps its node's awake streams off them); its repeats
-        # are charged when it wakes.
+        # dormant stream's links were charged when it last stepped (no
+        # other stream sends on them); its repeats are charged when it
+        # wakes.
         if round_sends:
             round_bits = 0
             round_link_bits: Dict[Tuple[str, str], int] = {}
@@ -1251,26 +1240,17 @@ def run_program(
             # What a stream sends next round differs from this round's:
             # its readers, and the combines their scatter gates, may not
             # settle now (after a finish, not next round either: its
-            # final blocks arrive once), and dormant ones wake next round
-            # with their link-mates.  A finished member frees room on a
-            # shared link, so its mates may not settle now.
+            # final blocks arrive once), and dormant ones wake next round.
             soon = round_no + 1
             for stream in changed:
-                until = round_no
-                if stream.wake == _DONE:
-                    until = soon
-                    for mate in stream.group:
-                        if mate.blocked < round_no:
-                            mate.blocked = round_no
+                until = soon if stream.wake == _DONE else round_no
                 for reader in stream.readers.values():
                     for watcher in reader.watch:
                         if watcher.blocked < until:
                             watcher.blocked = until
                         if watcher.wake > soon:
-                            for mate in watcher.group:
-                                if mate.wake > soon:
-                                    mate.wake = soon
-                                    wakes.setdefault(soon, []).append(mate)
+                            watcher.wake = soon
+                            wakes.setdefault(soon, []).append(watcher)
             changed.clear()
         if steady:
             if fast_forward:
@@ -1314,10 +1294,10 @@ def run_program(
                 round_no = target
                 last_send_round = target
 
-    # Streams link both ways (and to themselves, as group and watch):
-    # undo it, so the programs go as soon as their caller drops them.
+    # Streams link both ways (and to themselves, as watch): undo it, so
+    # the programs go as soon as their caller drops them.
     for stream in streams.values():
-        stream.reads = stream.readers = stream.group = stream.watch = None
+        stream.reads = stream.readers = stream.watch = None
         stream.ctx = None
     streams.clear()
     return SimulationResult(

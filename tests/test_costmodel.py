@@ -521,7 +521,7 @@ _JUMP_GUARD_PINS = {
     # A root convergecast held back by a slow tree while a fast member
     # finishes.  Found for the whole-network jump, which replayed the
     # member's final frame (+32 bits); it pins rounds and bits (the
-    # finish rules' gates are the goldens and the link-sharing pin).
+    # finish rule's gates are the goldens and the jump differential).
     "parallel-member-finish": (_pin(
         "fuzz-tree", "tree", {"edges": 4}, "regular",
         {"degree": 3, "n": 6, "seed": 51}, 32, 4, "counting",
@@ -585,14 +585,14 @@ def test_jump_guard_pin(guard):
     _assert_exact(spec)
 
 
-def test_materialize_touches_only_buffering_streams_of_live_receivers():
-    # Hand-fed: a broadcast at ``a`` slept rounds 4..10 sending 8, 8 and
-    # 2 bits a round to its three children.  Its counters and links
-    # advance by k = 7 rounds, and only the reader whose op has not
-    # started (``b``: its queue is buffering for a later op) gets the
-    # blocks, as one entry: readers sum bits.  A running reader (``c``)
-    # took them each round, a dormant one (``d``) replays them, and a
-    # finished one has read its stream to the end.
+def test_pay_hands_steady_blocks_to_readers_that_do_not_replay():
+    # Hand-fed: a broadcast at ``a`` settled in round 3, sending 8, 8, 2
+    # and 0 bits a round to its four children.  A reader whose op has
+    # not started (``b``: its queue is buffering for a later op) gets
+    # every slept round at the stream's wake, as one entry after what it
+    # already holds: readers sum bits.  A running reader (``c``) gets
+    # the blocks round by round, a dormant one (``d``) replays them, and
+    # a finished one (``e``) has read its stream to the end.
     contexts = {n: _Ctx(n, capacity=8) for n in "bcde"}
     sender = _Broadcast("later", "p", ["b", "c", "d", "e"], per_item=8)
     sender.node, sender.since = "a", 3
@@ -606,23 +606,31 @@ def test_materialize_touches_only_buffering_streams_of_live_receivers():
                        ("e", _DONE)):
         reader = readers[node] = _Broadcast("later", "a", [], per_item=8)
         reader.node, reader.ctx, reader.wake = node, contexts[node], wake
-    sender.readers = list(readers.values())
     contexts["b"].queues[("later", "a")] = deque(
         [("bits", 8, 90), ("bits", 3, None)]
     )
+    for round_no in range(5, 11):  # ``c`` pulls rounds 4..9
+        sender.pay(readers["c"], round_no - 1)
+    # Waking after round 10, it catches up k = 7 rounds, then pays.
     bits_per_edge = {("a", n): 1 for n in "bcd"}
     assert _catch_up(sender, 10, bits_per_edge) == 7 * 18
     assert bits_per_edge == {("a", "b"): 57, ("a", "c"): 57, ("a", "d"): 15}
     assert (sender.held, sender.forwarded) == (
         500 + 7 * 18, {"b": 56, "c": 56, "d": 14, "e": 0}
     )
+    for reader in readers.values():
+        sender.pay(reader, 10)
     assert list(contexts["b"].queues[("later", "a")]) == [
-        ("bits", 8, 90), ("bits", 3, None), ("bits", 56, None),
+        ("bits", 8, 90), ("bits", 3, None), ("bits", 7 * 8, None),
     ]
-    assert all(not contexts[n].queues for n in "cde")
-    # Woken the round after it settled, it slept no round.
-    sender.since = 10
-    assert _catch_up(sender, 10, bits_per_edge) == 0
+    assert list(contexts["c"].queues[("later", "a")]) == [
+        ("bits", 8, None)
+    ] * 7
+    assert all(not contexts[n].queues for n in "de")
+    assert sender.paid == {"b": 10, "c": 10}
+    # Paid through round 10, a reader gets nothing more for it.
+    sender.pay(readers["b"], 10)
+    assert len(contexts["b"].queues[("later", "a")]) == 3
 
 
 def test_streaming_route_jumps_its_queue():
@@ -723,13 +731,11 @@ def test_a_room_starved_round_is_not_idle():
     assert ctx.outbox == [("relay", "parent", "t", "bits", 5, None)]
 
 
-def test_streams_sharing_a_link_settle_and_wake_together(monkeypatch):
-    # Two packing trees share a -> b (and b -> a): the root's broadcasts
-    # are link-mates, the first taking all of the link's room while the
-    # second sends nothing.  Settled apart, the second would sleep
-    # through the round the first's share ends (deadlock, round 138).
-    # No sampled plan shares a link (0 of 4,951 streams on the fuzz and
-    # large-topology populations), so this pin is the rule's only gate.
+def test_streams_sharing_a_link_are_refused():
+    # Two packing trees share a -> b (and b -> a), so they are not
+    # edge-disjoint (no plan makes them): the root's broadcasts and
+    # ``b``'s convergecasts each share a link.  A dormant stream would
+    # overdraw the room its mate sends in, so the plan is refused.
     skeleton = CostSkeleton(
         nodes=("a", "b", "c"), output_player="a", capacity=12,
         tuple_bits=8, value_bits=8,
@@ -740,17 +746,8 @@ def test_streams_sharing_a_link_settle_and_wake_together(monkeypatch):
         ),),
         route=RouteSkeleton(parents={}, payload_counts={}),
     )
-    before = COUNTERS.snapshot()
-    dormant = evaluate_timing(skeleton)
-    skipped = counter_delta(before, COUNTERS.snapshot())
-    monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
-    assert evaluate_timing(skeleton) == dormant
-    assert (dormant.rounds, dormant.total_bits) == (343, 12896)
-    # ``b``'s combine on the first tree moves 12 bits a round behind a
-    # gate that readies 1.5 tuples of 8 bits a round: drained every
-    # other round, room-limited in between, where the slot floor's exact
-    # envelope proves it steady, so it sleeps with the rest.
-    assert skipped["costmodel.fast_forward_rounds"] > 310
+    with pytest.raises(CostModelError, match="a -> b: two streams"):
+        evaluate_timing(skeleton)
 
 
 def _straddling_convergecast(length):

@@ -619,8 +619,10 @@ def test_convergecast_horizon_reads_each_childs_readied_bits():
     """A room-limited relay stays so while every child's readied bits
     run ahead of those sent.  A child delivering whole 16-bit slots a
     round counts its floored bits exactly; one delivering 24 bits a
-    round, whose floor moves irregularly, counts its lower envelope
-    ``received - 15``.  A negative distance may already bite: decline."""
+    round, whose floor moves irregularly, counts its periodic envelope:
+    its remainder mod 16 steps by ``gcd(24, 16) = 8``, so the floor cuts
+    off at most ``8 + received % 8``.  A negative distance may already
+    bite: decline."""
     op = _released_convergecast("cc", "parent", ["whole", "ragged"], 16, 1000)
     op.received, op.sent = [16 * 20 + 5, 340], 312
     op.ready = min(op.received) // 16
@@ -631,9 +633,13 @@ def test_convergecast_horizon_reads_each_childs_readied_bits():
     op._hist.extend([((16, 16), 20)] * 2)
     # ragged now delivers whole slots too: 336 - 312 = 24, losing 4.
     assert op.cycle_horizon() == min(8 // 4, 24 // 4)
-    # ragged at 326 bits: its floor (320) is ahead, its envelope (-1) not.
+    # ragged at 326 bits: the floor cuts off at most 8 + 6, so its
+    # envelope is 326 - 14 - 312 = 0, gaining 4 a round; whole bounds it.
     op.received[1] = 326
     op._hist.extend([((16, 24), 20)] * 2)
+    assert op.cycle_horizon() == 8 // 4
+    # ragged at 318 bits: its floor (304) is already behind.
+    op.received[1] = 318
     assert op.cycle_horizon() == 0
 
 
@@ -1026,50 +1032,77 @@ def test_the_engine_skips_every_skippable_round(n, skipped, monkeypatch):
     assert delta["engine.fast_forward_rounds"] == skippable == skipped
 
 
-def test_streams_sharing_a_link_sleep_and_wake_together():
-    """The engine mirror of the count plane's link-sharing pin, built by
-    hand because no sampled plan puts two streams of a node on one
-    link: two packing trees share ``a -> b`` and ``b -> a``, so the
-    root's scatters are link-mates (the first takes all of the link's
-    room while the second sends nothing) and so are ``b``'s combines.
-    Sleeping and waking them together, the run equals stepping every
-    stream every round, sends round by round included, and skips."""
+def _star(node, parent, trees, count=None, per_item=8, per_slot=16):
+    """A hand-built star's group at ``node``: a scatter and a combine
+    for each ``(j, children)`` of ``trees``, counts at the root."""
+    scatters = [
+        BroadcastOp(f"bc{j}", parent, children, per_item,
+                    root_count_fn=None if count is None
+                    else (lambda j=j: count[j]))
+        for j, children in trees
+    ]
+    combines = [
+        ConvergecastOp(f"cc{j}", parent, children, per_slot, gate, scatters)
+        for (j, children), gate in zip(trees, scatters)
+    ]
+    return NodeProgram(node, [ParallelOps(scatters + combines)])
+
+
+def test_streams_sharing_a_link_are_refused():
+    """Two packing trees that share ``a -> b`` and ``b -> a`` (so not
+    edge-disjoint, built by hand: no plan makes them) put the root's
+    scatters on one link, and ``b``'s combines.  A sleeping stream
+    would overdraw the link its mate sends on, so the group is refused
+    when it starts."""
+    topology = Topology.line(3)
+    a, b, c = topology.nodes
+    programs = {
+        a: _star(a, None, [(0, [b]), (1, [b])], count=(200, 300)),
+        b: _star(b, a, [(0, []), (1, [c])]),
+        c: _star(c, b, [(1, [])]),
+    }
+    with pytest.raises(ValueError, match=f"{a} -> {b}: two streams"):
+        run_program(topology, 16, programs)
+
+
+def test_a_combine_sleeps_through_a_ragged_gate():
+    """A leaf's combine sends 8-bit slots up a 12-bit link behind a
+    scatter landing 12 bits (1.5 tuples) a round: drained every other
+    round and room-limited in between.  The slot floor's periodic
+    envelope proves those rounds steady, so the combine sleeps through
+    them: 6 steps in 140 rounds (135 and no skipped round under a linear
+    envelope), and the run equals stepping every stream every round."""
     topology = Topology.line(3)
     a, b, c = topology.nodes
 
-    def star(node, parent, trees, count=None):
-        scatters = [
-            BroadcastOp(f"bc{j}", parent, children, per_item=8,
-                        root_count_fn=None if count is None
-                        else (lambda j=j: count[j]))
-            for j, children in trees
-        ]
-        combines = [
-            ConvergecastOp(f"cc{j}", parent, children, 16, gate, scatters)
-            for (j, children), gate in zip(trees, scatters)
-        ]
-        return NodeProgram(node, [ParallelOps(scatters + combines)])
-
     def build_programs():
         return {
-            a: star(a, None, [(0, [b]), (1, [b])], count=(200, 300)),
-            b: star(b, a, [(0, []), (1, [c])]),
-            c: star(c, b, [(1, [])]),
+            a: _star(a, None, [(0, [b])], count=(200,), per_slot=8),
+            b: _star(b, a, [(0, [c])], per_slot=8),
+            c: _star(c, b, [(0, [])], per_slot=8),
         }
 
-    fast, slow, _sends, _jumps = _traced_fast_and_slow(
-        topology, 16, build_programs)
-    _assert_same_result(fast, slow)
-    assert (fast.rounds, fast.total_bits) == (503, 19296)
-    tracer = RecordingTracer()
+    programs = build_programs()
+    leaf_combine = programs[c]._ops[0].members[1]
+    steps = []
+    step = ConvergecastOp.step
+
+    def counted(op, ctx):
+        if op is leaf_combine:
+            steps.append(ctx.round)
+        return step(op, ctx)
+
     before = COUNTERS.snapshot()
-    run_program(topology, 16, build_programs(), tracer=tracer)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ConvergecastOp, "step", counted)
+        dormant = run_program(topology, 12, programs)
     delta = counter_delta(before, COUNTERS.snapshot())
-    assert delta["engine.fast_forward_rounds"] > 300
-    stepped = RecordingTracer()
-    run_program(topology, 16, build_programs(), fast_forward=False,
-                tracer=stepped)
-    assert _sends_by_round(tracer.events) == _sends_by_round(stepped.events)
+    _assert_same_result(dormant,
+                        run_program(topology, 12, build_programs(),
+                                    fast_forward=False))
+    assert dormant.rounds == 140
+    assert len(steps) == 6
+    assert delta["engine.fast_forward_rounds"] == 125
 
 
 def _sends_by_round(events):
@@ -1093,7 +1126,7 @@ def _sends_by_round(events):
 
 #: A stream's links to the streams around it, which refer back to it:
 #: compared by identity (their own state is checked on their own calls).
-_WIRING = ("reads", "readers", "group", "watch")
+_WIRING = ("reads", "readers", "watch")
 
 
 def _op_state(value):
@@ -1119,8 +1152,8 @@ def _op_state(value):
 
 @pytest.mark.parametrize("name", ["wide-expander", "routed"])
 def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
-    """Which streams are asked depends on which repeat and on their
-    link-mates: that is only exact while asking changes nothing.  Every
+    """Which streams are asked depends on which repeat: that is only
+    exact while asking changes nothing.  Every
     op class's ``cycle_horizon`` is wrapped to compare the op's whole
     state before and after the call."""
     spec = {
