@@ -426,8 +426,6 @@ class ParallelOps(ProgramOp):
 
     def start(self, ctx: ProgramContext) -> None:
         if len(self.members) > 1:
-            # A sleeping stream's room on its link is its own: two members
-            # on one directed link would overdraw it.
             links = set()
             for member in self.members:
                 for dst in member.dests:

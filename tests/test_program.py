@@ -1065,7 +1065,7 @@ def test_streams_sharing_a_link_are_refused():
         run_program(topology, 16, programs)
 
 
-def test_a_combine_sleeps_through_a_ragged_gate():
+def test_a_combine_sleeps_through_a_ragged_gate(monkeypatch):
     """A leaf's combine sends 8-bit slots up a 12-bit link behind a
     scatter landing 12 bits (1.5 tuples) a round: drained every other
     round and room-limited in between.  The slot floor's periodic
@@ -1092,10 +1092,9 @@ def test_a_combine_sleeps_through_a_ragged_gate():
             steps.append(ctx.round)
         return step(op, ctx)
 
+    monkeypatch.setattr(ConvergecastOp, "step", counted)
     before = COUNTERS.snapshot()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ConvergecastOp, "step", counted)
-        dormant = run_program(topology, 12, programs)
+    dormant = run_program(topology, 12, programs)
     delta = counter_delta(before, COUNTERS.snapshot())
     _assert_same_result(dormant,
                         run_program(topology, 12, build_programs(),
@@ -1103,20 +1102,6 @@ def test_a_combine_sleeps_through_a_ragged_gate():
     assert dormant.rounds == 140
     assert len(steps) == 6
     assert delta["engine.fast_forward_rounds"] == 125
-
-
-def _sends_by_round(events):
-    """A trace's sends per round, a skip's repeated over its rounds."""
-    rounds = {}
-    for event in events:
-        if isinstance(event, SendEvent):
-            rounds.setdefault(event.round, []).append(
-                (event.src, event.dst, event.tag, event.bits))
-        elif isinstance(event, CycleFastForwardEvent):
-            for rnd in range(event.start_round + 1, event.end_round + 1):
-                rounds[rnd] = [(src, dst, tag, bits)
-                               for src, dst, tag, _kind, bits in event.sends]
-    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -1153,9 +1138,9 @@ def _op_state(value):
 @pytest.mark.parametrize("name", ["wide-expander", "routed"])
 def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
     """Which streams are asked depends on which repeat: that is only
-    exact while asking changes nothing.  Every
-    op class's ``cycle_horizon`` is wrapped to compare the op's whole
-    state before and after the call."""
+    exact while asking changes nothing.  Every op class's
+    ``cycle_horizon`` is wrapped to compare the op's whole state before
+    and after the call."""
     spec = {
         "wide-expander": ENGINE_CASES["wide-expander-N96"],
         "routed": ScenarioSpec(
