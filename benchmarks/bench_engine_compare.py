@@ -1,8 +1,9 @@
 """Engine comparison — generator vs compiled protocol engine.
 
-The two-plane refactor split protocol execution into a control plane
-(compiled :class:`~repro.network.program.NodeProgram` schedules) and a
-columnar block data plane.  This bench runs the lab's ``scaling`` suite
+A compiled run does the protocol's data work once, on the columnar
+block data plane, and reads its rounds and bits from the count plane
+(:mod:`repro.protocols.timing`); the generator engine steps one
+generator per node per round.  This bench runs the lab's ``scaling`` suite
 on *both* engines, prints one row of protocol wall times per pair (it
 writes no file), and asserts two contracts:
 
@@ -12,8 +13,8 @@ writes no file), and asserts two contracts:
 * **speedup shape** — on the largest streaming scenario (the
   ``scaling-xl`` hard-star rows on the columnar data plane) the compiled
   engine's protocol wall-clock is at least ``SPEEDUP_FLOOR`` times
-  faster (50-65x over five runs on a 2-core x86-64 host: cycle
-  fast-forwarding makes thousands of pipeline rounds cost O(1) Python;
+  faster (50-65x over five runs on a 2-core x86-64 host: the count
+  plane's skips make thousands of pipeline rounds cost O(1) Python;
   the 5x floor keeps the assertion robust on slow or noisy CI machines).
   The N <= 64 rows are dominated by fixed costs and run within a factor
   of two of the generator, either way.

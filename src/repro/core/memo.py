@@ -9,8 +9,9 @@ the compiled protocol plan, the symbolic cost prediction of its
 skeleton and the compiled solver's elimination orders.  Recomputing
 them per plane is the dominant cost of a suite run — profiled at
 roughly half of per-scenario wall time — so this module gives each such
-function a process-wide LRU keyed on its *structural* inputs or on the
-scenario identity.  There are eight, all of this one type, and
+function a process-wide LRU keyed on its *structural* inputs (for the
+count plane's run, :mod:`repro.protocols.timing`, the plan skeleton) or
+on the scenario identity.  There are nine, all of this one type, and
 :func:`clear_all_memos` empties them and :func:`identity_key`'s cache of
 scenario identities, so it alone makes a process cold;
 ``docs/dataplane.md`` has each one's hits and misses, and a memo that

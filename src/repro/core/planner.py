@@ -152,7 +152,7 @@ class Planner:
             read.  ``None`` (default) keeps the query's own backend.
         engine: Protocol execution engine — ``"generator"`` (the
             reference per-node-generator simulator) or ``"compiled"``
-            (the block-granular RoundProgram fast path).  Both produce
+            (the data work once, its clock from the count plane).  Both produce
             identical answers and identical round/bit accounting.
         solver: FAQ solver strategy — ``"operator"`` (operator-at-a-time
             factor algebra) or ``"compiled"`` (fused elimination steps,

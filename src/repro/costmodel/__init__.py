@@ -34,8 +34,15 @@ from .model import (
     edge_digest,
     predict_costs,
 )
-from .skeleton import CostSkeleton, RouteSkeleton, StarSkeleton, extract_skeleton
-from .timing import CostModelError, CostVector, evaluate_timing
+from ..protocols.timing import (
+    CostModelError,
+    CostSkeleton,
+    CostVector,
+    RouteSkeleton,
+    StarSkeleton,
+    evaluate_timing,
+)
+from .skeleton import extract_skeleton
 
 __all__ = [
     "COST_METRIC_NAMES",

@@ -18,7 +18,7 @@ closed forms:
 
 ``rounds`` and ``max_edge_bits_per_round`` depend on *when* those bits
 move; they come from the timing recurrence ρ
-(:func:`repro.costmodel.timing.evaluate_timing`), with closed forms
+(:func:`repro.protocols.timing.evaluate_timing`), with closed forms
 below for the kernels simple enough to admit one (two-party routing,
 silent placements).  The expressions are built on
 :mod:`repro.costmodel.expr` — exact integer algebra, printable, and
@@ -36,8 +36,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .expr import Expr, Sym, add, const, floordiv, max_, mul, sym
-from .skeleton import CostSkeleton
-from .timing import EOS_BITS, HEADER_BITS
+from ..protocols.schedule import EOS_BITS, HEADER_BITS
+from ..protocols.timing import CostSkeleton
 
 B = sym("B")
 b_t = sym("b_t")

@@ -8,8 +8,10 @@ Prediction composes the two layers:
 
 * the **structural** closed forms of :mod:`repro.costmodel.formulas`
   give ``total_bits`` and ``bits_per_edge`` exactly;
-* the **timing recurrence** ρ of :mod:`repro.costmodel.timing` gives
-  ``rounds`` and ``max_edge_bits_per_round`` exactly.
+* the **timing recurrence** ρ of :mod:`repro.protocols.timing` gives
+  ``rounds`` and ``max_edge_bits_per_round`` exactly — the same run a
+  compiled execution of the plan reads its clock from
+  (:func:`~repro.protocols.timing.shared_timing`).
 
 The two layers are cross-checked against each other on every prediction
 (the recurrence's bit totals must equal the closed forms), so internal
@@ -26,8 +28,8 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .expr import Expr
 from .formulas import structural_costs
-from .skeleton import CostSkeleton, extract_skeleton
-from .timing import CostModelError, evaluate_timing
+from ..protocols.timing import CostModelError, CostSkeleton, shared_timing
+from .skeleton import extract_skeleton
 
 #: The four metrics the model must predict exactly on every run —
 #: the key set of both sides of a result's ``cost_model`` comparison.
@@ -107,7 +109,7 @@ def predict_costs(spec, plan, nodes: Sequence[str], query) -> CostPrediction:
     """
     skeleton = extract_skeleton(plan, tuple(nodes), query)
     total_expr, edge_exprs, env = structural_costs(skeleton)
-    timing = evaluate_timing(skeleton, max_rounds=spec.max_rounds)
+    timing = shared_timing(skeleton, spec.max_rounds).cost
     structural_total = total_expr.evaluate(env)
     structural_edges = {
         link: expr.evaluate(env) for link, expr in edge_exprs.items()

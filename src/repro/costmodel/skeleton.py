@@ -8,7 +8,9 @@ three bit charges (tuple, value, capacity).  Extracting it runs **zero
 protocol rounds** — the only computation it performs is the players'
 *free* local work (Model 2.1 charges nothing for internal computation),
 replayed here sequentially over the relations the caller passes in (a
-plan holds none):
+plan holds none).  The skeleton's type and the round recurrence that
+times it live in :mod:`repro.protocols.timing`, where a compiled run
+builds the same skeleton from its own payload counts:
 
 * The center of each star is broadcast in its **original** size: a GHD
   node is the center of exactly one star, and the stars run bottom-up,
@@ -21,9 +23,9 @@ plan holds none):
   replay recomputes exactly those counts — and only for the stars that
   feed a routed relation — with the shared Phase-B scorer
   (:func:`~repro.protocols.faq_protocol.score_rows`) and the compiled
-  engine's fold order (:func:`~repro.protocols.compiler.fold_tree_slots`)
+  run's fold order (:func:`~repro.protocols.compiler.fold_tree_slots`)
   — both imported, not re-implemented, so the model cannot drift from
-  the engines.
+  the protocol.
 
 Both engines and all solver/backend planes produce identical accounting
 (the lab's parity gates enforce this), so one skeleton prices every
@@ -32,9 +34,7 @@ plane of a scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..faq import FAQQuery
 from ..protocols.compiler import fold_tree_slots
@@ -43,71 +43,8 @@ from ..protocols.faq_protocol import (
     score_rows,
     star_contributions,
 )
-from ..protocols.schedule import Schedule, StarShape, build_schedule
+from ..protocols.timing import CostSkeleton, plan_skeleton
 from ..semiring import Factor
-
-
-@dataclass(frozen=True)
-class StarSkeleton:
-    """One star phase's cost-relevant shape.
-
-    Attributes:
-        star_id: Bottom-up star index (the message-tag namespace).
-        center_edge: Relation broadcast from the center.
-        trees: Per packing tree, its parent map (node -> parent, root
-            maps to None) in packing order.
-        counts: Per packing tree, the number of slots (center tuples) it
-            carries — ``k_j`` in the formulas.
-    """
-
-    star_id: int
-    center_edge: str
-    trees: Tuple[Dict[str, Optional[str]], ...]
-    counts: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RouteSkeleton:
-    """The final trivial-protocol phase's cost-relevant shape.
-
-    Attributes:
-        parents: Routing-tree parent pointers, restricted to nodes on
-            some origin -> output-player path (the sink maps to None).
-        payload_counts: Per participant, how many (relation, row, value)
-            items it *originates* (zero for pure relays and the sink).
-    """
-
-    parents: Dict[str, Optional[str]]
-    payload_counts: Dict[str, int]
-
-
-@dataclass(frozen=True)
-class CostSkeleton:
-    """Everything the cost of one scenario depends on."""
-
-    nodes: Tuple[str, ...]
-    output_player: str
-    capacity: int
-    tuple_bits: int
-    value_bits: int
-    stars: Tuple[StarSkeleton, ...]
-    route: RouteSkeleton
-
-    @property
-    def item_bits(self) -> int:
-        """Bits per routed (tuple, value) item in the final phase."""
-        return self.tuple_bits + self.value_bits
-
-    @cached_property
-    def schedule(self) -> Schedule:
-        """Every node's op order and streams, built from this skeleton's
-        own parent maps by the plan's schedule builder."""
-        return build_schedule(
-            self.nodes,
-            [StarShape(star.star_id, star.trees) for star in self.stars],
-            self.route.parents,
-            self.output_player,
-        )
 
 
 def _replay_final_counts(
@@ -191,27 +128,4 @@ def extract_skeleton(
         query: The instance's relations, read by the final-payload
             replay only (any backend: the counts are the same).
     """
-    stars = []
-    for star in plan.stars:
-        ranges = star.slot_plan.slice_ranges(star.center_rows)
-        stars.append(
-            StarSkeleton(
-                star_id=star.star_id,
-                center_edge=star.center_edge,
-                trees=star.slot_plan.parents,
-                counts=tuple(stop - start for start, stop in ranges),
-            )
-        )
-    route = RouteSkeleton(
-        parents=dict(plan.routing_parents),
-        payload_counts=_replay_final_counts(plan, query),
-    )
-    return CostSkeleton(
-        nodes=tuple(sorted(nodes)),
-        output_player=plan.output_player,
-        capacity=plan.capacity_bits,
-        tuple_bits=plan.tuple_bits,
-        value_bits=plan.value_bits,
-        stars=tuple(stars),
-        route=route,
-    )
+    return plan_skeleton(plan, nodes, _replay_final_counts(plan, query))

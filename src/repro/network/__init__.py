@@ -1,17 +1,6 @@
 """Topologies, cuts, Steiner packing and the round simulator."""
 
 from .mincut import mincut, mincut_partition
-from .program import (
-    BlockMessage,
-    BroadcastOp,
-    ComputeStep,
-    ConvergecastOp,
-    NodeProgram,
-    ParallelOps,
-    ProgramContext,
-    RouteOp,
-    run_program,
-)
 from .simulator import (
     CapacityExceeded,
     Message,
@@ -50,13 +39,4 @@ __all__ = [
     "SimulationError",
     "passive_relay",
     "run_protocol",
-    "NodeProgram",
-    "ProgramContext",
-    "BlockMessage",
-    "BroadcastOp",
-    "ConvergecastOp",
-    "RouteOp",
-    "ComputeStep",
-    "ParallelOps",
-    "run_program",
 ]

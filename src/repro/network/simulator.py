@@ -13,8 +13,8 @@ rounds and accounts every bit.
 
 A run records what the count plane predicts and nothing else: rounds,
 total bits, bits per directed link and the busiest link-round, plus the
-players' outputs (:class:`SimulationResult`).  The compiled engine,
-:func:`repro.network.program.run_program`, returns the same record.
+players' outputs (:class:`SimulationResult`).  A compiled run,
+:func:`repro.protocols.compiler.run_compiled`, returns the same record.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _format_blocked(blocked: Dict[str, List[str]]) -> str:
 
 class Message:
     """One message in flight (a plain slotted record: one is made per
-    frame, so it is built as cheaply as the compiled engine's blocks).
+    frame, so it is built as cheaply as it can be).
 
     Attributes:
         src: Sending node.

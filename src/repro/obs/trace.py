@@ -1,8 +1,9 @@
 """The trace core: typed protocol events behind a zero-overhead interface.
 
-A :class:`Tracer` is injected into the engines
-(:meth:`repro.network.simulator.Simulator.run`,
-:func:`repro.network.program.run_program`) and the planner
+A :class:`Tracer` is injected into the round clocks
+(:meth:`repro.network.simulator.Simulator.run`, and the count plane a
+compiled run reads its rounds from,
+:func:`repro.protocols.timing.run_timing`) and the planner
 (:meth:`repro.core.planner.Planner.execute`) through a single optional
 ``tracer=`` parameter.  The contract that keeps the hot path fast:
 
@@ -26,11 +27,11 @@ Event vocabulary (one dataclass each):
   and any EOS — to one event per ``(edge, tag)`` per round; the compiled
   engine's blocks map one-to-one).  Replaying these events *is* the
   accounting.
-* ``ComputeStepEvent`` — a free local computation (compiled engine).
-* ``CycleFastForwardEvent`` — the compiled engine replayed its last
-  stepped round ``repeats`` more times (a steady bit stream repeats
-  every round); carries that round's sends so replay can apply the
-  jump arithmetically, exactly like the engine did.
+* ``ComputeStepEvent`` — a free local computation (compiled run).
+* ``CycleFastForwardEvent`` — a compiled run's clock, the count plane,
+  skipped rounds in which every running stream sleeps (each repeats
+  its last stepped round); carries that round's sends so replay can
+  apply the skip arithmetically, exactly like the count plane did.
 * ``PhaseTimerEvent`` — wall-clock of one pipeline phase
   (``plan_compile`` / ``intern`` / ``solve`` / ``protocol``); volatile
   by nature, ignored by replay.
@@ -69,7 +70,7 @@ class RoundStartEvent:
 class SendEvent:
     """One stream's bits over one directed edge in one round.
 
-    ``kind`` is the block vocabulary of the compiled engine (``bits``
+    ``kind`` is the block vocabulary of a compiled run (``bits``
     for a stream's frame, ``eos``) or ``"msg"`` for generator-engine
     messages.
     """
@@ -91,13 +92,14 @@ class ComputeStepEvent:
 
 @dataclass(frozen=True)
 class CycleFastForwardEvent:
-    """The compiled engine replayed a steady round ``repeats`` times.
+    """The count plane, a compiled run's clock, skipped ``repeats``
+    rounds in which every running stream sleeps.
 
     ``sends`` holds the ``(src, dst, tag, kind, bits)`` of every block
     of ``start_round``, the last *stepped* round — exactly the traffic
     each skipped round would have carried.  The skipped rounds are
     ``start_round + 1 .. end_round``, so ``end_round = start_round +
-    repeats`` is the engine's post-jump round counter.
+    repeats`` is the count plane's round counter after the skip.
     """
 
     start_round: int
@@ -160,7 +162,7 @@ class Tracer:
         """Traffic on the directed edge ``src -> dst`` this round."""
 
     def compute_step(self, round_no: int, node: str, label: str) -> None:
-        """A free local computation ran (compiled engine only)."""
+        """A free local computation ran (compiled runs only)."""
 
     def cycle_fast_forward(
         self,
@@ -169,7 +171,8 @@ class Tracer:
         end_round: int,
         sends: Sequence[Tuple[str, str, str, str, int]],
     ) -> None:
-        """The engine replayed round ``start_round`` ``repeats`` times."""
+        """The count plane skipped ``repeats`` rounds repeating
+        ``start_round``."""
 
     def phase_timer(self, phase: str, seconds: float) -> None:
         """One pipeline phase's wall-clock (volatile; never replayed)."""

@@ -1,6 +1,5 @@
 """Distributed protocols: the paper's upper bounds, executable."""
 
-from .compiler import compile_round_programs
 from .faq_protocol import (
     ENGINES,
     FAQProtocolReport,
@@ -12,14 +11,13 @@ from .faq_protocol import (
     validate_engine,
 )
 from .primitives import (
-    EOS_BITS,
-    HEADER_BITS,
     Mailbox,
     broadcast_node,
     convergecast_node,
     parallel_subphases,
     route_to_sink_node,
 )
+from .schedule import EOS_BITS, HEADER_BITS
 from .set_intersection import (
     SlotPlan,
     combine_over_packing,
@@ -45,7 +43,6 @@ __all__ = [
     "ProtocolPlan",
     "FAQProtocolReport",
     "compile_plan",
-    "compile_round_programs",
     "default_value_bits",
     "run_distributed_faq",
     "ENGINES",

@@ -1,35 +1,31 @@
-"""The protocol control plane: ProtocolPlan -> per-node RoundPrograms.
+"""The compiled protocol run: the data work once, the clock from the count plane.
 
-This module is the compiled engine's counterpart of
+This module is the ``engine="compiled"`` counterpart of
 :func:`repro.protocols.faq_protocol._make_player`.  Where the generator
 engine interleaves scheduling and data movement inside one generator per
-node, the compiler splits the two:
+node, a compiled run splits the two:
 
-* **Control plane** — :func:`compile_round_programs` turns the static
-  parts of a :class:`~repro.protocols.faq_protocol.ProtocolPlan` (star
-  order, Steiner packings, routing tree, tag namespace, per-item bit
-  charges) into one :class:`~repro.network.program.NodeProgram` per
-  node: a schedule of typed ops (per star, scatter BROADCAST ∥ gated
-  ⊗-CONVERGECAST, then SCORE + REBUILD; then the final ROUTE) that the
-  block engine executes in lockstep.  Everything
-  that *can* be decided up front is; only data-dependent counts (relation
-  sizes shrink as stars rebuild their centers) stay runtime-configured,
-  exactly as the generator engine's self-timed headers do.
-
-* **Data plane** — broadcast rows are dictionary-encoded once into a
-  shared :class:`~repro.semiring.columnar.WireBlock`, which carries rows
-  and no accounting: the ops charge the plan's bit widths, as the
-  generator charges its frames (``plan.tuple_bits`` per scattered row;
-  ``tuple_bits + value_bits`` per routed item, each stream framed in
-  bits so an item may straddle rounds).  Phase B scores
-  whole blocks with the columnar key probe when the semiring has a
-  vector profile (falling back to the shared dict scorer otherwise);
-  convergecast values are folded over each Steiner tree in the
-  generator's exact association order, vectorized when safe.  Integer
+* **Data** — :func:`execute_plan` goes through the plan's stars in
+  order, with no round loop: the star's root dictionary-encodes its
+  center once into a :class:`~repro.semiring.columnar.WireBlock`, every
+  terminal scores the broadcast rows (Phase B: the columnar key probe
+  when the semiring has a vector profile, the shared dict scorer
+  otherwise), and the root folds the scores over each Steiner tree in
+  the generator's exact association order (vectorized when safe) and
+  rebuilds its center.  Then each route node registers its final
+  payload and the output player finishes the residual query.  Integer
   (COUNTING) folds pre-check int64 overflow and drop to exact Python
   arithmetic.  The probe, the int64 guard and the dictionary view are
   the operator solver's own: the table of columnar kernels in
-  ``docs/architecture.md`` lists them.
+  ``docs/architecture.md`` lists them.  Model 2.1 charges nothing for
+  local work, and none of it depends on when bits arrive, so doing it
+  in plan order gives the answer a round-by-round run would.
+
+* **Time** — :func:`run_compiled` builds the plan's
+  :class:`~repro.protocols.timing.CostSkeleton` from the data pass's
+  own payload counts and reads rounds, total bits, per-link bits (in
+  key order) and the busiest link-round from the count plane
+  (:mod:`repro.protocols.timing`), the run pricing shares.
 
 Engine parity — identical answers, identical round counts, identical
 total/per-edge bits — is asserted end-to-end by ``tests/test_program.py``
@@ -42,15 +38,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..network.program import (
-    BroadcastOp,
-    ComputeStep,
-    ConvergecastOp,
-    NodeProgram,
-    ParallelOps,
-    RouteOp,
-)
+from ..network.simulator import SimulationError, SimulationResult
 from ..network.topology import Topology
+from ..obs.counters import COUNTERS
+from ..obs.trace import Tracer
 from ..semiring import (
     BACKEND_COLUMNAR,
     ColumnarFactor,
@@ -76,7 +67,8 @@ from .faq_protocol import (
     score_rows,
     star_contributions,
 )
-from .schedule import NodeSchedule, Schedule, StarRole
+from .schedule import Schedule, StarRole
+from .timing import CostModelError, plan_skeleton, run_timing, shared_timing
 
 #: Semirings whose ⊕ is order-insensitive at machine precision (boolean
 #: or, exact int64 add, float min/max).  REAL's float ``+`` is excluded:
@@ -270,28 +262,15 @@ def _vector_scores(
 
 
 class StarRuntime:
-    """Data-plane state one star phase shares across its participants.
+    """Data-plane state one star phase shares across its participants:
+    the root's center, encoded once as the broadcast block, its slices
+    over the packing trees, and each terminal's scores."""
 
-    In-process stand-in for "every participant eventually holds the
-    broadcast block / its subtree's scores": the ops' count arithmetic
-    gates every send, so nothing is sent before the bits it depends on
-    were charged (a slot's release waits for its tuple's last bit).
-    """
-
-    def __init__(self, star: StarPhase, semiring, schedule: Schedule) -> None:
+    def __init__(self, star: StarPhase, semiring, schedule: Schedule,
+                 factor: Factor) -> None:
         self.star = star
         self.semiring = semiring
         self.schedule = schedule
-        self.wire: Optional[WireBlock] = None
-        self.ranges: Optional[List[Tuple[int, int]]] = None
-        self._rows: Optional[List[Tuple]] = None
-        self.slots: Dict[str, Any] = {}
-
-    def ensure_items(self, state: Dict[str, Factor]) -> None:
-        """Encode the center relation once, when the root starts scattering."""
-        if self.wire is not None:
-            return
-        factor = state[self.star.center_edge]
         if isinstance(factor, ColumnarFactor):
             # Already columnar: the wire block shares the code arrays and
             # dictionaries (annotations stay local — the scatter ships
@@ -301,13 +280,11 @@ class StarRuntime:
             )
         else:
             self.wire = WireBlock.encode_rows(
-                self.star.center_schema, factor.tuples()
+                star.center_schema, factor.tuples()
             )
-        self.ranges = self.star.slot_plan.slice_ranges(len(self.wire))
-
-    def tree_count(self, j: int) -> int:
-        start, stop = self.ranges[j]
-        return stop - start
+        self.ranges = star.slot_plan.slice_ranges(len(self.wire))
+        self._rows: Optional[List[Tuple]] = None
+        self.slots: Dict[str, Any] = {}
 
     def rows(self) -> List[Tuple]:
         """Decoded broadcast rows (dict-plane fallback, cached)."""
@@ -353,29 +330,8 @@ class StarRuntime:
         return out
 
 
-class FinalRuntime:
-    """Payload side-channel of the final routing phase.
-
-    Frame timing and every bit still travel through the block engine;
-    only the payload *content* — which is timing-independent (the sink
-    keys received tuples by relation and row) — moves out of band.
-    """
-
-    def __init__(self) -> None:
-        self.payloads: Dict[str, List[Tuple[str, Tuple, Any]]] = {}
-
-    def register(self, node: str, items: List[Tuple[str, Tuple, Any]]) -> None:
-        self.payloads[node] = items
-
-    def collected(self) -> List[Tuple[str, Tuple, Any]]:
-        out: List[Tuple[str, Tuple, Any]] = []
-        for node in sorted(self.payloads):
-            out.extend(self.payloads[node])
-        return out
-
-
 # ---------------------------------------------------------------------------
-# Star phase compilation
+# Star phases
 # ---------------------------------------------------------------------------
 
 
@@ -440,125 +396,30 @@ def _rebuild_center(
     return rebuilt
 
 
-def _compile_star(
-    plan: ProtocolPlan,
-    query: FAQQuery,
-    role: StarRole,
-    node: str,
-    state: Dict[str, Factor],
-    runtime: StarRuntime,
-) -> List:
-    """This node's schedule for one star phase: scatter ∥ combine (each
-    combine gated by the scatter on its tree), then score and rebuild."""
-    star = runtime.star
-    is_root = role.is_root
-    sid = star.star_id
-
-    scatter_ops: List[BroadcastOp] = []
-    for j, stream in zip(role.trees, role.scatter):
-        root_count_fn = None
-        if is_root:
-            def root_count_fn(j=j):
-                runtime.ensure_items(state)
-                return runtime.tree_count(j)
-
-        scatter_ops.append(
-            BroadcastOp(
-                stream.tag, stream.parent, stream.children,
-                plan.tuple_bits, root_count_fn,
-            )
-        )
-    cc_ops = [
-        ConvergecastOp(
-            stream.tag, stream.parent, stream.children, plan.value_bits,
-            gate, scatter_ops,
-        )
-        for stream, gate in zip(role.combine, scatter_ops)
-    ]
-
-    def rebuild(ctx) -> None:
-        # Phase B, free and timing-free: the count arithmetic above
-        # gated every slot's release on its tuple's bits, and the root
-        # folds the scores only after every terminal's last slot landed.
-        if role.is_terminal:
-            slots = _compute_star_slots(
-                plan, query, star, state, node, runtime
-            )
-            if slots is not None:
-                runtime.slots[node] = slots
-        if is_root:
-            combined = runtime.combined_at_root()
-            state[star.center_edge] = _rebuild_center(
-                query, star, runtime, combined
-            )
-        for leaf_edge in star.leaf_edges:
-            state.pop(leaf_edge, None)
-
-    return [
-        ParallelOps(scatter_ops + cc_ops, label=f"s{sid}:star"),
-        ComputeStep(rebuild, label=f"s{sid}:rebuild"),
-    ]
-
-
 # ---------------------------------------------------------------------------
-# Final (trivial-protocol) phase compilation
+# Entry points
 # ---------------------------------------------------------------------------
 
 
-def _compile_final(
-    plan: ProtocolPlan,
-    query: FAQQuery,
-    solver: str,
-    schedule: NodeSchedule,
-    node: str,
-    state: Dict[str, Factor],
-    runtime: FinalRuntime,
-) -> List:
-    """This node's schedule for the Lemma 3.1 routing + local finish."""
-    items: List = []
-    route = schedule.route
-    if route is not None:
-        item_bits = plan.tuple_bits + plan.value_bits
-
-        def payload_bits_fn() -> int:
-            payloads = _final_payload(plan, query, node, state)
-            runtime.register(node, payloads)
-            return len(payloads) * item_bits
-
-        items.append(
-            RouteOp(route.tag, route.parent, route.children, payload_bits_fn)
-        )
-    if schedule.is_output:
-
-        def finish(ctx) -> Factor:
-            return _finish_locally(
-                plan, query, state, runtime.collected(), solver
-            )
-
-        items.append(ComputeStep(finish, label="finish", is_output=True))
-    return items
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
-def compile_round_programs(
+def execute_plan(
     plan: ProtocolPlan,
     query: FAQQuery,
     topology: Topology,
-    solver: str = "operator",
-) -> Dict[str, NodeProgram]:
-    """Compile the full protocol into one :class:`NodeProgram` per node,
-    over the caller's relations (``query``) and residual ``solver``.
+    solver: str,
+) -> Tuple[Factor, Dict[str, int]]:
+    """The protocol's data work, once and in plan order, over the
+    caller's relations (``query``) and residual ``solver``.
 
-    The programs replicate the generator players phase for phase: each
-    node runs its stars bottom-up (skipping stars whose packing it is
-    not part of — the self-timed overlap the Mailbox enables is
-    preserved, nodes simply progress independently), then the final
-    routing toward the output player, who finishes the residual query
-    with free local computation.
+    Each player keeps its own relations.  Per star, bottom-up: the root
+    encodes its center, every terminal scores the broadcast rows, the
+    root folds the scores and rebuilds its center, and every participant
+    drops the star's leaves.  Then each route node gives up its final
+    payload, and the output player finishes the residual query with
+    free local computation.
+
+    Returns:
+        The answer, and the items each route node originates (the
+        skeleton's payload counts).
     """
     states: Dict[str, Dict[str, Factor]] = {
         node: {
@@ -568,28 +429,82 @@ def compile_round_programs(
         }
         for node in topology.nodes
     }
-    star_runtimes = {
-        star.star_id: StarRuntime(star, query.semiring, plan.schedule)
-        for star in plan.stars
-    }
-    final_runtime = FinalRuntime()
-
-    programs: Dict[str, NodeProgram] = {}
+    schedule = plan.schedule
+    roles: Dict[int, List[Tuple[str, StarRole]]] = {}
     for node in topology.nodes:
-        schedule = plan.schedule[node]
-        items: List = []
-        for role in schedule.stars:
-            items.extend(
-                _compile_star(
-                    plan, query, role, node, states[node],
-                    star_runtimes[role.star_id],
-                )
-            )
-        items.extend(
-            _compile_final(
-                plan, query, solver, schedule, node, states[node],
-                final_runtime,
-            )
+        for role in schedule[node].stars:
+            roles.setdefault(role.star_id, []).append((node, role))
+    for star in plan.stars:
+        root = star.slot_plan.root
+        runtime = StarRuntime(
+            star, query.semiring, schedule, states[root][star.center_edge]
         )
-        programs[node] = NodeProgram(node, items)
-    return programs
+        members = roles.get(star.star_id, ())
+        for node, role in members:
+            if role.is_terminal:
+                slots = _compute_star_slots(
+                    plan, query, star, states[node], node, runtime
+                )
+                if slots is not None:
+                    runtime.slots[node] = slots
+        states[root][star.center_edge] = _rebuild_center(
+            query, star, runtime, runtime.combined_at_root()
+        )
+        for node, _role in members:
+            for leaf_edge in star.leaf_edges:
+                states[node].pop(leaf_edge, None)
+    payloads: Dict[str, List[Tuple[str, Tuple, Any]]] = {
+        node: _final_payload(plan, query, node, states[node])
+        for node in sorted(plan.routing_parents)
+    }
+    collected = [item for items in payloads.values() for item in items]
+    answer = _finish_locally(
+        plan, query, states[plan.output_player], collected, solver
+    )
+    return answer, {node: len(items) for node, items in payloads.items()}
+
+
+def run_compiled(
+    plan: ProtocolPlan,
+    query: FAQQuery,
+    topology: Topology,
+    solver: str,
+    max_rounds: int,
+    tracer: Optional[Tracer] = None,
+) -> SimulationResult:
+    """Run the plan: its data work (:func:`execute_plan`), then its
+    clock, the count plane's run of the plan's skeleton — shared with
+    pricing, or, with a live ``tracer``, stepped here and shown on it.
+
+    ``engine.fast_forward`` / ``engine.fast_forward_rounds`` count the
+    clock's skips and the rounds they cover, whether its run was made
+    here or shared.
+
+    Raises:
+        SimulationError: when the clock cannot finish — past
+            ``max_rounds`` rounds, on deadlock, or on a plan whose
+            streams share a link.
+    """
+    answer, payload_counts = execute_plan(plan, query, topology, solver)
+    skeleton = plan_skeleton(plan, topology.nodes, payload_counts)
+    try:
+        if tracer is None:
+            timed = shared_timing(skeleton, max_rounds)
+        else:
+            tracer.run_start(
+                "compiled", plan.capacity_bits, list(topology.nodes)
+            )
+            timed = run_timing(skeleton, max_rounds, tracer)
+    except CostModelError as exc:
+        raise SimulationError(str(exc)) from exc
+    if timed.skips:
+        COUNTERS.increment("engine.fast_forward", timed.skips)
+        COUNTERS.increment("engine.fast_forward_rounds", timed.skipped_rounds)
+    cost = timed.cost
+    return SimulationResult(
+        rounds=cost.rounds,
+        total_bits=cost.total_bits,
+        bits_per_edge=dict(cost.bits_per_edge),
+        max_edge_bits_per_round=cost.max_edge_bits_per_round,
+        outputs={plan.output_player: answer},
+    )

@@ -34,7 +34,6 @@ from ..decomposition import GHD, best_gyo_ghd
 from ..faq import FAQQuery, solve, validate_solver
 from ..faq.message_passing import upward_pass_message
 from ..hypergraph import Hypergraph
-from ..network.program import run_program
 from ..network.simulator import SimulationResult, Simulator
 from ..network.topology import Topology
 from ..semiring import BOOLEAN, Factor, to_backend
@@ -519,9 +518,10 @@ def _finish_locally(
 
 
 #: The two protocol execution engines: ``"generator"`` is the reference
-#: per-node-generator simulator; ``"compiled"`` is the block-granular
-#: RoundProgram fast path (see :mod:`repro.protocols.compiler`).  Both
-#: produce identical answers and identical round/bit accounting.
+#: per-node-generator simulator, the clock that ships real tuples;
+#: ``"compiled"`` does the data work once and reads its clock from the
+#: count plane (see :mod:`repro.protocols.compiler`).  Both produce
+#: identical answers and identical round/bit accounting.
 ENGINES: Tuple[str, ...] = ("generator", "compiled")
 
 
@@ -554,10 +554,11 @@ def run_distributed_faq(
 
     Args:
         engine: ``"generator"`` steps one Python generator per node per
-            round (the reference engine); ``"compiled"`` compiles the
-            plan into per-node RoundPrograms and runs the block-granular
-            fast path.  Answers, round counts and bit accounting are
-            identical; only wall-clock differs.
+            round (the reference engine); ``"compiled"`` does the data
+            work once, in plan order, and takes its rounds and bits from
+            the count plane (:mod:`repro.protocols.timing`).  Answers,
+            round counts and bit accounting are identical; only
+            wall-clock differs.
         solver: FAQ solver strategy for the players' free internal
             computation — ``"operator"`` or ``"compiled"`` (fused
             elimination steps, cached order).  Orthogonal to ``engine``: it never touches
@@ -591,12 +592,10 @@ def run_distributed_faq(
     if tracer is not None:
         tracer.phase_timer("plan_compile", time.perf_counter() - compile_start)
     if engine == "compiled":
-        from .compiler import compile_round_programs
+        from .compiler import run_compiled
 
-        result = run_program(
-            topology, plan.capacity_bits,
-            compile_round_programs(plan, query, topology, solver),
-            max_rounds, tracer=tracer,
+        result = run_compiled(
+            plan, query, topology, solver, max_rounds, tracer
         )
     else:
         processes = {

@@ -23,13 +23,12 @@ count header is the stream's first ``HEADER_BITS`` bits; a route's 1-bit
 EOS follows in the round its queue empties, if the edge has room left.
 The wire format is written out in ``docs/protocols.md``.
 
-These generators are the **reference semantics**: the compiled ops of
-:mod:`repro.network.program` (``BroadcastOp`` / ``ConvergecastOp`` /
-``RouteOp`` / ``ParallelOps``) and the count plane of
-:mod:`repro.costmodel.timing` each reimplement the same per-round
-decisions independently, and must agree with these bit for bit (the
-engine-parity tests in ``tests/test_program.py``, the cost-model gate and
-``tests/test_framing.py`` catch a drift).
+These generators are the **reference semantics**: the count plane of
+:mod:`repro.protocols.timing`, the clock of compiled runs and of
+pricing, reimplements the same per-round decisions independently, and
+must agree with these bit for bit (the engine-parity tests in
+``tests/test_program.py``, the fuzz grid's generator planes, the jump
+differential and ``tests/test_framing.py`` catch a drift).
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..network.program import EOS_BITS, HEADER_BITS
 from ..network.simulator import NodeContext
+from .schedule import EOS_BITS, HEADER_BITS
 
 
 class Mailbox:

@@ -10,10 +10,10 @@ a tag and the node's tree neighbours (parent, sorted children); the tag
 scheme (``s{star}:bc:t{tree}``, ``s{star}:cc:t{tree}``, ``final``) is
 written here and nowhere else.
 
-Both engines and the count plane read their op order from
-:func:`build_schedule`; each keeps its own round semantics (how many
-bits an op puts on a link in a round), so each is still the others'
-independent oracle.
+The generator engine and the count plane read their op order from
+:func:`build_schedule`, and the two fixed charges of the wire format
+from here; each keeps its own round semantics (how many bits an op puts
+on a link in a round), so each is still the other's independent oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ from typing import (
     Collection, Dict, Iterable, List, Mapping, NamedTuple, Optional,
     Sequence, Tuple,
 )
+
+#: Bits charged for a count header (a 32-bit length prefix).
+HEADER_BITS = 32
+#: Bits charged for an end-of-stream marker.
+EOS_BITS = 1
 
 #: Parent pointers of one tree (the root maps to ``None``).
 Parents = Mapping[str, Optional[str]]

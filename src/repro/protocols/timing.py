@@ -1,62 +1,185 @@
-"""The timing recurrence ρ — exact rounds and per-round load, no data.
+"""The count plane: the timing recurrence ρ, and the clock of compiled runs.
 
 The closed forms in :mod:`repro.costmodel.formulas` price *how many
 bits* cross each link (structural, timing-free).  *When* they cross —
-the round count and the busiest link-round — is decided by the engines'
-self-timed pipelining.  This module evaluates that recurrence exactly,
-in the **count plane**: it replays the per-round decisions of the block
-engine's ops (:mod:`repro.network.program`) on a :class:`CostSkeleton`,
-tracking only integer counts — no tuples, no semiring values, no
-simulator, no protocol execution.
+the round count and the busiest link-round — is decided by the
+protocol's self-timed pipelining.  This module evaluates that
+recurrence exactly on a :class:`CostSkeleton`, tracking only integer
+counts — no tuples, no semiring values, no simulator.
 
-This is a deliberate *independent reimplementation* of the op semantics
+It is one of the repository's two round clocks.  The generator engine
+(:mod:`repro.protocols.primitives` on the
+:class:`~repro.network.simulator.Simulator`) ships real tuples and is
+the independent one: this module reimplements its per-round decisions
 (bit framing — each round a stream puts ``min(bits available, room)``
 bits on its link, so an item may straddle rounds — the convergecast's
 min-over-children slot gate, the routing queue as one bit count and its
 EOS handshake, same-round op chaining, round-``t`` blocks delivered at
-``t+1``): the lab compares its output for **equality** against both
-engines over the fuzzed plane, so any drift between an engine and this
-model is a caught bug in one of them, not noise.  The generator and
-compiled engines are themselves parity-gated against each other, so one
-evaluation prices all planes.
+``t+1``) and shares none of its code, so the lab's equality gate over
+the fuzzed plane catches a drift in either.  This module is the other
+clock: ``engine="compiled"`` does the protocol's data work once, with
+no round loop (:mod:`repro.protocols.compiler`), and takes its rounds,
+bits and per-link load from here, as pricing does
+(:func:`repro.costmodel.predict_costs`).  Both read one run per
+skeleton per process (:func:`shared_timing`); with a live tracer a
+compiled run steps its own (:func:`run_timing`).
 
 Streaming costs O(changing streams), not O(rounds): a stream that sends
 the same bits every round while its inputs repeat goes *dormant*, and
 its slept rounds are applied arithmetically when it wakes (see
-:func:`evaluate_timing`).  Dormancy is written against this module's
-own integer state — each stream's per-round delta and the *margins*
-that keep its ``min(...)`` guards from flipping — and shares no code
-with the block engine's stream-level dormancy, so the independence
-above still holds.
+:func:`evaluate_timing`), written against this module's own integer
+state — each stream's per-round delta and the *margins* that keep its
+``min(...)`` guards from flipping.
 
 What each node runs, in what order and on which links, is not round
 logic: it is the plan's schedule
 (:func:`~repro.protocols.schedule.build_schedule`, applied to the
 skeleton's own parent maps), the one thing this module shares with the
-engines beyond the two wire constants.
+generator engine beyond the two wire constants.
 
-A stepped round is kept cheap in this module's own code, too: an op
-takes its input queues when it starts (:meth:`_Ctx.inbox`) and drains
-them in place; a parallel group walks a list of what is still running,
-rebuilt only when something finishes; and the round loop steps only the
-nodes with an awake stream.
+A stepped round is kept cheap, too: an op takes its input queues when
+it starts (:meth:`_Ctx.inbox`) and drains them in place; a parallel
+group walks a list of what is still running, rebuilt only when
+something finishes; and the round loop steps only the nodes with an
+awake stream.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..network.program import EOS_BITS, HEADER_BITS
+from ..core.memo import LRUMemo
 from ..obs.counters import COUNTERS
-from .skeleton import CostSkeleton
+from ..obs.trace import Tracer
+from .schedule import EOS_BITS, HEADER_BITS, Schedule, StarShape, build_schedule
+
+
+@dataclass(frozen=True)
+class StarSkeleton:
+    """One star phase's cost-relevant shape.
+
+    Attributes:
+        star_id: Bottom-up star index (the message-tag namespace).
+        center_edge: Relation broadcast from the center.
+        trees: Per packing tree, its parent map (node -> parent, root
+            maps to None) in packing order.
+        counts: Per packing tree, the number of slots (center tuples) it
+            carries — ``k_j`` in the formulas.
+    """
+
+    star_id: int
+    center_edge: str
+    trees: Tuple[Dict[str, Optional[str]], ...]
+    counts: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class RouteSkeleton:
+    """The final trivial-protocol phase's cost-relevant shape.
+
+    Attributes:
+        parents: Routing-tree parent pointers, restricted to nodes on
+            some origin -> output-player path (the sink maps to None).
+        payload_counts: Per participant, how many (relation, row, value)
+            items it *originates* (zero for pure relays and the sink).
+    """
+
+    parents: Dict[str, Optional[str]]
+    payload_counts: Dict[str, int]
+
+
+@dataclass(frozen=True)
+class CostSkeleton:
+    """Everything the cost of one scenario depends on."""
+
+    nodes: Tuple[str, ...]
+    output_player: str
+    capacity: int
+    tuple_bits: int
+    value_bits: int
+    stars: Tuple[StarSkeleton, ...]
+    route: RouteSkeleton
+
+    @property
+    def item_bits(self) -> int:
+        """Bits per routed (tuple, value) item in the final phase."""
+        return self.tuple_bits + self.value_bits
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """Every node's op order and streams, built from this skeleton's
+        own parent maps by the plan's schedule builder."""
+        return build_schedule(
+            self.nodes,
+            [StarShape(star.star_id, star.trees) for star in self.stars],
+            self.route.parents,
+            self.output_player,
+        )
+
+    @cached_property
+    def key(self) -> Tuple:
+        """The skeleton as a hashable value: equal keys time equally
+        (parent maps are sets of pointers, and a zero payload count is
+        no count)."""
+        return (
+            self.nodes, self.output_player, self.capacity, self.tuple_bits,
+            self.value_bits,
+            tuple(
+                (star.star_id, star.center_edge, star.counts,
+                 tuple(tuple(sorted(tree.items())) for tree in star.trees))
+                for star in self.stars
+            ),
+            tuple(sorted(self.route.parents.items())),
+            tuple(sorted(
+                (node, count)
+                for node, count in self.route.payload_counts.items() if count
+            )),
+        )
+
+
+def plan_skeleton(plan, nodes: Sequence[str],
+                  payload_counts: Dict[str, int]) -> CostSkeleton:
+    """A compiled plan's skeleton, given each route node's payload count.
+
+    Args:
+        plan: The :class:`~repro.protocols.faq_protocol.ProtocolPlan`.
+        nodes: All topology nodes (every node runs a — possibly empty —
+            program, and step order is the sorted node order).
+        payload_counts: Items each node originates in the final phase:
+            the compiled run counts its own, pricing replays them
+            (:func:`repro.costmodel.extract_skeleton`).
+    """
+    stars = []
+    for star in plan.stars:
+        ranges = star.slot_plan.slice_ranges(star.center_rows)
+        stars.append(StarSkeleton(
+            star_id=star.star_id,
+            center_edge=star.center_edge,
+            trees=star.slot_plan.parents,
+            counts=tuple(stop - start for start, stop in ranges),
+        ))
+    return CostSkeleton(
+        nodes=tuple(sorted(nodes)),
+        output_player=plan.output_player,
+        capacity=plan.capacity_bits,
+        tuple_bits=plan.tuple_bits,
+        value_bits=plan.value_bits,
+        stars=tuple(stars),
+        route=RouteSkeleton(
+            parents=dict(plan.routing_parents),
+            payload_counts=dict(payload_counts),
+        ),
+    )
 
 
 class CostModelError(Exception):
-    """The cost model could not price a scenario (a model bug: the lab
-    records it as a mismatch and serving rejects the session)."""
+    """The count plane could not time a skeleton (a model bug: the lab
+    records it as a mismatch, serving rejects the session, and a
+    compiled run raises it as a ``SimulationError``)."""
 
 
 @dataclass(frozen=True)
@@ -70,18 +193,21 @@ class CostVector:
 
 
 class _Ctx:
-    """Count-plane ProgramContext: per-round room + next-round delivery.
+    """A node's per-round room and next-round delivery.
 
     A parallel group sets ``one_off`` in a round in which one of its
     members finished and books its stepped streams in ``steady`` or
     ``changed``; ``awake`` counts the node's awake streams, ``round``
-    is the round it steps in.
+    is the round it steps in.  In a traced run ``tracer`` is set, and
+    ``shown`` lists the blocks of the node's last stepped round in op
+    and member order, its dormant streams' steady blocks included.
     """
 
     __slots__ = ("node", "capacity", "queues", "sent", "outbox", "one_off",
-                 "steady", "changed", "awake", "round")
+                 "steady", "changed", "awake", "round", "tracer", "shown")
 
-    def __init__(self, node: str, capacity: int) -> None:
+    def __init__(self, node: str, capacity: int,
+                 tracer: Optional[Tracer] = None) -> None:
         self.node = node
         self.capacity = capacity
         self.queues: Dict[Tuple[str, str], deque] = {}
@@ -92,6 +218,8 @@ class _Ctx:
         self.changed: List["_Stream"] = []
         self.awake = 0
         self.round = 0
+        self.tracer = tracer
+        self.shown: Optional[List[tuple]] = None
 
     def room(self, dst: str) -> int:
         return self.capacity - self.sent.get(dst, 0)
@@ -105,6 +233,8 @@ class _Ctx:
             )
         self.sent[dst] = used + bits
         self.outbox.append((self.node, dst, tag, kind, bits, meta))
+        if self.shown is not None:
+            self.shown.append(self.outbox[-1])
 
     def inbox(self, stream: Tuple[str, str]) -> deque:
         """The queue of ``stream`` = ``(tag, src)``, made if missing;
@@ -193,6 +323,11 @@ class _Stream(_Op):
         """The bits a round with ``delta`` sends each receiver."""
         raise NotImplementedError
 
+    def steady_blocks(self) -> List[tuple]:
+        """A dormant stream's blocks of one round, as sent."""
+        return [(self.node, dst, self.tag, "bits", bits, None)
+                for dst, bits in self.out.items()]
+
     def horizon(self) -> int:
         """How many more rounds replay the last one identically, given
         that its arrivals repeat (0 declines).  Leaves the stream as it
@@ -222,9 +357,17 @@ class _Stream(_Op):
 
 
 class _Compute(_Op):
-    """Free local computation: completes in place (Model 2.1)."""
+    """Free local computation: completes in place (Model 2.1).  The
+    data work itself runs outside the clock
+    (:func:`repro.protocols.compiler.execute_plan`); a traced run shows
+    the step under ``label``."""
+
+    def __init__(self, label: str) -> None:
+        self.label = label
 
     def step(self, ctx: _Ctx) -> bool:
+        if ctx.tracer is not None:
+            ctx.tracer.compute_step(ctx.round, ctx.node, self.label)
         return True
 
 
@@ -252,8 +395,10 @@ class _Parallel(_Op):
         last = ctx.round - 1
         finished = False
         for member in self.live:
-            if member.wake:
-                continue  # dormant
+            if member.wake:  # dormant
+                if ctx.shown is not None:
+                    ctx.shown += member.steady_blocks()
+                continue
             if member.dozing:
                 # What the dormant streams it reads sent up to last round
                 # (since it started, in its first step).
@@ -281,7 +426,7 @@ class _Parallel(_Op):
 
 
 class _Broadcast(_Stream):
-    """Mirror of BroadcastOp.step, in bits: the stream is the header
+    """Mirror of ``broadcast_node``, in bits: the stream is the header
     then the items; each round every child gets as many held bits as
     its edge has room for, so an item may straddle rounds.
 
@@ -412,7 +557,7 @@ def _floor_loss(have: int, got: int, unit: int) -> int:
 
 
 class _Convergecast(_Stream):
-    """Mirror of ConvergecastOp.step, in bits: slot i is ready once
+    """Mirror of ``convergecast_node``, in bits: slot i is ready once
     every child's slot i has fully landed and the node's scatter on the
     same tree releases it (:func:`_released`); ready bits go up as far as
     the edge has room.
@@ -569,7 +714,7 @@ class _Convergecast(_Stream):
 
 
 class _Route(_Stream):
-    """Mirror of RouteOp.step: the queue is one bit count (own payload,
+    """Mirror of ``route_to_sink_node``: the queue is one bit count (own payload,
     then arrivals) that goes toward the sink as far as the edge has
     room each round, then the 1-bit EOS handshake.  A streaming relay's
     queue moves linearly, so it sleeps like any stream; an EOS matters
@@ -639,7 +784,9 @@ class _Route(_Stream):
 
 
 class _Program:
-    """Mirror of NodeProgram: ops in order, same-round chaining."""
+    """A node's ops in order, with same-round chaining: a finished op
+    hands the round to the next one, as a ``yield from`` chain
+    resumes."""
 
     def __init__(self, node: str, items: List[_Op]) -> None:
         self.node = node
@@ -665,10 +812,9 @@ class _Program:
 
 
 def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
-    """One count-plane program per node, in the skeleton's schedule:
-    per star [scatter ∥ combine, rebuild], each combine gated by the
-    scatter on its tree, then the route, then the output player's
-    finish."""
+    """One program per node, in the skeleton's schedule: per star
+    [scatter ∥ combine, rebuild], each combine gated by the scatter on
+    its tree, then the route, then the output player's finish."""
     schedule = skeleton.schedule
     counts = {star.star_id: star.counts for star in skeleton.stars}
     programs: Dict[str, _Program] = {}
@@ -692,7 +838,10 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
                 )
                 for j, stream, gate in zip(role.trees, role.combine, scatter)
             ]
-            items.extend([_Parallel(scatter + combine), _Compute()])
+            items.extend([
+                _Parallel(scatter + combine),
+                _Compute(f"s{role.star_id}:rebuild"),
+            ])
         route = steps.route
         if route is not None:
             items.append(_Parallel([
@@ -703,7 +852,7 @@ def _build_programs(skeleton: CostSkeleton) -> Dict[str, _Program]:
                 )
             ]))
         if steps.is_output:
-            items.append(_Compute())
+            items.append(_Compute("finish"))
         programs[node] = _Program(node, items)
     return programs
 
@@ -753,6 +902,13 @@ def _wire(
     return streams
 
 
+def _steady_sends(prog: _Program) -> List[tuple]:
+    """The blocks of a node none of whose streams is awake: its current
+    group's dormant streams' steady blocks, in member order."""
+    return [blk for member in prog.items[prog.index].live if member.wake > 0
+            for blk in member.steady_blocks()]
+
+
 def _settle(steady: List[_Stream], round_no: int) -> List[_Stream]:
     """Which of ``steady`` — streams that stepped this round on a node
     that neither moved nor flagged a one-off, and repeated their last
@@ -790,19 +946,66 @@ def _catch_up(
     return added
 
 
+class Timed(NamedTuple):
+    """One count-plane run: its four metrics, its skips (the rounds
+    ``start + 1 .. end`` of each, none of which steps a stream) and the
+    round its loop ended in."""
+
+    cost: CostVector
+    skips: int
+    skipped_rounds: int
+    last_round: int
+
+
 def evaluate_timing(
     skeleton: CostSkeleton, max_rounds: int = 1_000_000
 ) -> CostVector:
     """Run the timing recurrence ρ to completion — the exact oracle.
 
-    Implements the engines' round loop: blocks sent in round ``t`` are
-    delivered in ``t + 1``; ``rounds`` is the last round with any send;
-    deliveries to finished programs are dropped.  Raises
-    :class:`CostModelError` on deadlock or round overrun, which can only
-    mean a model bug (the engines themselves would have deadlocked too).
-    A round's sends fold into one ``{(src, dst): bits}`` dict in send
-    order, added once per link to ``total_bits`` and ``bits_per_edge``
-    (first-seen key order, as the engines keep it).
+    A fresh run every call (tests and benches patch its rules);
+    pricing and compiled runs share one per skeleton
+    (:func:`shared_timing`).
+    """
+    return run_timing(skeleton, max_rounds).cost
+
+
+#: One count-plane run per skeleton per process: a compiled run and
+#: the pricing of its plan read the same one, and so do a scenario's
+#: compiled planes.
+_TIMING_MEMO = LRUMemo("protocols.timing", maxsize=1024)
+
+
+def shared_timing(skeleton: CostSkeleton, max_rounds: int) -> Timed:
+    """The skeleton's count-plane run, made once per process.
+
+    A hit is the run a miss would make: it raises the same overrun
+    when ``max_rounds`` is too few rounds for it.
+    """
+    timed = _TIMING_MEMO.get_or_compute(
+        skeleton.key, lambda: run_timing(skeleton, max_rounds)
+    )
+    if timed.last_round > max_rounds:
+        raise CostModelError(_overrun(max_rounds, skeleton.nodes))
+    return timed
+
+
+def _overrun(max_rounds: int, live) -> str:
+    return f"cost model exceeded max_rounds={max_rounds} (live nodes: {list(live)})"
+
+
+def run_timing(
+    skeleton: CostSkeleton, max_rounds: int,
+    tracer: Optional[Tracer] = None,
+) -> Timed:
+    """The recurrence's round loop, run once.
+
+    Blocks sent in round ``t`` are delivered in ``t + 1``; ``rounds`` is
+    the last round with any send; deliveries to finished programs are
+    dropped.  Raises :class:`CostModelError` on deadlock or round
+    overrun.  A round's sends fold into one ``{(src, dst): bits}`` dict
+    in send order, added once per link to ``total_bits`` and
+    ``bits_per_edge`` (first-seen key order, as the generator engine
+    keeps it).
 
     Only changing streams step.  :func:`_settle` picks the streams that
     go dormant.  A dormant stream is not stepped: its steady blocks
@@ -815,9 +1018,16 @@ def evaluate_timing(
     charged when it stepped and no other stream sends on them
     (:func:`_wire`), so ``max_edge_bits_per_round`` cannot change: the
     result is identical to stepping every stream every round.
+
+    A live ``tracer`` is shown every round: each round boundary, each
+    send (a dormant stream's steady blocks included, in node, op and
+    member order), each compute step and one ``CycleFastForward`` per
+    skip, carrying the full round's sends, so replaying the trace
+    reproduces the run's accounting exactly (:mod:`repro.obs.verify`).
+    The caller emits ``RunStart``.
     """
     programs = _build_programs(skeleton)
-    contexts = {n: _Ctx(n, skeleton.capacity) for n in skeleton.nodes}
+    contexts = {n: _Ctx(n, skeleton.capacity, tracer) for n in skeleton.nodes}
     receivers = _wire(programs, contexts)
     # The running programs in step order (sorted by node), with their
     # contexts; rebuilt only in a round in which a program finished.
@@ -840,16 +1050,17 @@ def evaluate_timing(
     steady_senders = 0
     wakes: Dict[int, List[_Stream]] = {}
     sent_before = False
-    skipped_rounds = 0
+    skips = skipped_rounds = 0
     stream_steps = 0
 
     round_no = 0
     while True:
         round_no += 1
+        if tracer is not None:
+            tracer.round_start(round_no)
         if round_no > max_rounds:
             raise CostModelError(
-                f"cost model exceeded max_rounds={max_rounds} "
-                f"(live nodes: {[prog.node for prog, _ctx in live]})"
+                _overrun(max_rounds, (prog.node for prog, _ctx in live))
             )
         due = wakes.pop(round_no, None)
         if due is not None:
@@ -888,6 +1099,8 @@ def evaluate_timing(
             ctx.round = round_no
             if ctx.sent:
                 ctx.sent = {}
+            if tracer is not None:
+                ctx.shown = []
             moved = prog.step_round(ctx)
             if ctx.outbox:
                 round_sends += ctx.outbox
@@ -909,6 +1122,12 @@ def evaluate_timing(
             if not ctx.awake:
                 stepping.discard(i)
         stream_steps += len(steady) + len(changed)
+        if tracer is not None:
+            for prog, ctx in live:
+                shown = ctx.shown if ctx.round == round_no \
+                    else _steady_sends(prog)
+                for src, dst, tag, kind, bits, _meta in shown:
+                    tracer.send(round_no, src, dst, bits, tag=tag, kind=kind)
         if finished_any:
             live = [(prog, ctx) for prog, ctx in live if not prog.done]
 
@@ -980,15 +1199,29 @@ def evaluate_timing(
                 first = min(wakes)
             target = first - 1
             if target > round_no:
+                skips += 1
                 skipped_rounds += target - round_no
+                if tracer is not None:
+                    tracer.cycle_fast_forward(
+                        start_round=round_no,
+                        repeats=target - round_no,
+                        end_round=target,
+                        sends=tuple(
+                            blk[:5] for prog, _ctx in live
+                            for blk in _steady_sends(prog)
+                        ),
+                    )
                 round_no = last_send_round = target
 
     COUNTERS.increment("costmodel.rounds", last_send_round)
     COUNTERS.increment("costmodel.fast_forward_rounds", skipped_rounds)
     COUNTERS.increment("costmodel.stream_steps", stream_steps)
-    return CostVector(
-        rounds=last_send_round,
-        total_bits=total_bits,
-        max_edge_bits_per_round=max_edge_bits_per_round,
-        bits_per_edge=bits_per_edge,
+    return Timed(
+        CostVector(
+            rounds=last_send_round,
+            total_bits=total_bits,
+            max_edge_bits_per_round=max_edge_bits_per_round,
+            bits_per_edge=bits_per_edge,
+        ),
+        skips, skipped_rounds, round_no,
     )

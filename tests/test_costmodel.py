@@ -48,9 +48,9 @@ from repro.costmodel import (
     to_sympy,
 )
 from repro.costmodel import skeleton as skeleton_module
-from repro.costmodel import timing as timing_module
 from repro.costmodel.formulas import two_party_route_rounds
-from repro.costmodel.timing import (
+from repro.protocols import timing as timing_module
+from repro.protocols.timing import (
     _AWAKE,
     _Broadcast,
     _catch_up,
@@ -67,14 +67,6 @@ from repro.lab.report import cost_mismatches
 from repro.lab.runner import execute_scenario, record_scenario_trace
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
-from repro.network import program as program_module
-from repro.network.program import (
-    HEADER_BITS,
-    BroadcastOp,
-    ConvergecastOp,
-    RouteOp,
-    run_program,
-)
 from repro.obs.counters import COSTMODEL_COUNTERS, COUNTERS, counter_delta
 from repro.obs.trace import (
     ComputeStepEvent,
@@ -83,7 +75,7 @@ from repro.obs.trace import (
     SendEvent,
 )
 from repro.pipeline import plan_scenario
-from repro.protocols import compile_round_programs, run_distributed_faq
+from repro.protocols import HEADER_BITS, run_distributed_faq
 from repro.protocols import primitives as primitives_module
 
 
@@ -461,15 +453,16 @@ def test_parallel_subphase_completion_blocks_fast_forward_replay():
     """Regression pin: the Hypothesis sweep's first real catch.
 
     On this two-tree star (both star trees run inside one node's
-    ``ParallelOps`` group), the compiled engine's cycle fast-forward
-    used to replay a steady cycle whose recorded signature contained a
+    parallel group), the compiled engine's own round loop (since
+    deleted: a compiled run reads its clock from the count plane)
+    replayed a steady cycle whose recorded signature contained a
     *finished* member's final slot send — the group's completion never
     moves the program index, so the ``moved_any`` jump guard could not
     see it — over-charging one convergecast slot per tree (here +64
-    bits vs the generator engine).  A finished member is now a stream
-    of its own that sleeps no more, and its final blocks are never
-    replayed; prediction, compiled measurement and generator
-    measurement must all agree exactly.
+    bits vs the generator engine).  In the count plane a finished member
+    sleeps no more and its final blocks are never replayed; prediction,
+    compiled measurement and generator measurement must all agree
+    exactly.
     """
     spec = _PARALLEL_SUBPHASE_PIN
     compiled = execute_scenario(spec)
@@ -715,6 +708,59 @@ def test_broadcast_horizon_stops_before_a_draining_backlog_runs_out():
     assert op.horizon() == (op.length - 1 - 200) // 32
 
 
+def test_broadcast_horizon_stops_before_the_header_completes():
+    # The frame that completes a broadcast's 32-bit count header carries
+    # the count, so it repeats nothing: a root 24 bits into its header
+    # at 12 bits a round may not settle, however long its stream.
+    ctx = _Ctx("a", capacity=12)
+    op = _Broadcast("bc", None, ["b"], per_item=8, root_count=100)
+    op.start(ctx)
+    for _ in range(2):
+        ctx.sent = {}
+        op.step(ctx)
+    assert op.forwarded["b"] == 24
+    assert [blk[-1] for blk in ctx.outbox] == [None, None]
+    assert op.horizon() == 0
+    ctx.sent = {}
+    op.step(ctx)
+    assert ctx.outbox[-1][-1] == 100
+
+
+def test_a_combine_sleeps_through_a_ragged_gate(monkeypatch):
+    # A leaf's combine sends 8-bit slots up a 12-bit link behind a
+    # scatter landing 12 bits (1.5 tuples) a round: drained every other
+    # round and room-limited in between.  The slot floor's periodic
+    # envelope proves those rounds steady, so the combine sleeps
+    # through them: 9 steps in 140 rounds, 125 of them skipped, and the
+    # run equals stepping every stream every round.
+    skeleton = CostSkeleton(
+        nodes=("a", "b", "c"), output_player="a", capacity=12,
+        tuple_bits=8, value_bits=8,
+        stars=(StarSkeleton(
+            star_id=0, center_edge="R",
+            trees=({"a": None, "b": "a", "c": "b"},), counts=(200,),
+        ),),
+        route=RouteSkeleton(parents={}, payload_counts={}),
+    )
+    steps = []
+    step = _Convergecast.step
+
+    def counted(op, ctx):
+        if op.node == "c":
+            steps.append(ctx.round)
+        return step(op, ctx)
+
+    monkeypatch.setattr(_Convergecast, "step", counted)
+    before = COUNTERS.snapshot()
+    dormant = evaluate_timing(skeleton)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert dormant.rounds == 140
+    assert len(steps) == 9
+    assert delta["costmodel.fast_forward_rounds"] == 125
+    monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
+    assert evaluate_timing(skeleton) == dormant
+
+
 def test_a_room_starved_round_is_not_idle():
     # Nothing arrived and nothing moved, but only because another stream
     # had filled the link: the ready bits go up next round, so the round
@@ -930,20 +976,12 @@ def test_pipelined_rounds_never_exceed_sequential(monkeypatch):
 
 def test_sequential_threshold_agrees_across_planes(monkeypatch):
     """Each plane's gate takes its node's scatters of the star, so the
-    sequential threshold is a patch of the rule in every plane; both
-    engines then run what the count plane prices with it (stepping),
-    rounds, bits, busiest link-round and per-link map in key order, on
-    the first 40 specs of ``generate_scenarios(777, ...)``.  The
-    compiled engine runs with its dormancy: a combine whose threshold
-    holds back tuples its scatter holds does not settle, since the
-    threshold reads every scatter of the star at its node."""
-    engine_gate = program_module._released
+    sequential threshold is a patch of the rule in both round planes;
+    the generator engine then runs what the count plane prices with it
+    (stepping), rounds, bits, busiest link-round and per-link map in
+    key order, on the first 40 specs of ``generate_scenarios(777,
+    ...)``."""
     generator_gate = primitives_module._released
-
-    def engine_sequential(scatter, scatters):
-        finished = all(s.received == s.total and min(s.sent, default=s.total)
-                       == s.total for s in scatters)
-        return engine_gate(scatter, scatters) if finished else 0
 
     def generator_sequential(landed, star):
         finished = all(s.done for s in star)
@@ -951,23 +989,19 @@ def test_sequential_threshold_agrees_across_planes(monkeypatch):
 
     monkeypatch.setattr(timing_module, "_released", _sequential)
     monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
-    monkeypatch.setattr(program_module, "_released", engine_sequential)
     monkeypatch.setattr(primitives_module, "_released", generator_sequential)
     for spec in generate_scenarios(777, 40):
         planner, plan = plan_scenario(spec)
-        topology, query = planner.topology, planner.query
         priced = evaluate_timing(_skeleton_of(spec))
-        compiled = run_program(topology, plan.capacity_bits,
-                               compile_round_programs(plan, query, topology))
-        generator = run_distributed_faq(
-            query, topology, plan.assignment, engine="generator", plan=plan,
+        run = run_distributed_faq(
+            planner.query, planner.topology, plan.assignment,
+            engine="generator", plan=plan,
         ).simulation
-        for run in (compiled, generator):
-            assert (run.rounds, run.total_bits, run.max_edge_bits_per_round,
-                    list(run.bits_per_edge.items())) == (
-                priced.rounds, priced.total_bits,
-                priced.max_edge_bits_per_round,
-                list(priced.bits_per_edge.items())), spec.label
+        assert (run.rounds, run.total_bits, run.max_edge_bits_per_round,
+                list(run.bits_per_edge.items())) == (
+            priced.rounds, priced.total_bits,
+            priced.max_edge_bits_per_round,
+            list(priced.bits_per_edge.items())), spec.label
 
 
 def _gate_check(events, tuple_bits, value_bits):
@@ -1040,11 +1074,11 @@ def test_pipelined_first_star_within_theorem_3_11():
         planner, plan = plan_scenario(spec)
         if not plan.stars:
             continue
-        topology = planner.topology
         tracer = RecordingTracer()
-        run_program(topology, plan.capacity_bits,
-                    compile_round_programs(plan, planner.query, topology),
-                    tracer=tracer)
+        run_distributed_faq(
+            planner.query, planner.topology, plan.assignment,
+            engine="compiled", plan=plan, tracer=tracer,
+        )
         star = plan.stars[0]
         ended = next(
             event.round for event in tracer.events
@@ -1065,31 +1099,18 @@ def test_pipelined_first_star_within_theorem_3_11():
     pytest.param(_stream_line_spec(8192), 64, id="stream-line-xl"),
     pytest.param(_wide_expander_spec(500), 1_000, id="wide-expander"),
 ])
-def test_gated_streams_sleep_through_a_steady_overlap(spec, most, monkeypatch):
-    """Both round planes let a gated combine sleep while its scatter
+def test_gated_streams_sleep_through_a_steady_overlap(spec, most):
+    """The count plane lets a gated combine sleep while its scatter
     keeps landing tuples: on the stream-line shape the leaf terminal's
     1-bit combine is gate-limited behind one 26-bit tuple a round, on
     ``wide-expander`` the 32-bit combine is room-limited behind 32/18
     tuples a round.  Stepping either every overlap round would take
-    thousands of stream steps in each plane (8,195 and 314 rounds).
-    Measured: 18 count-plane and 19 engine stream steps on the first,
-    913 and 911 on the second (1,640 in the engine while a node
-    stepped every member of its star's group)."""
-    planner, plan = plan_scenario(spec)
-    topology = planner.topology
+    thousands of stream steps (8,195 and 314 rounds).  Measured: 18
+    stream steps on the first, 913 on the second."""
     before = COUNTERS.snapshot()
     evaluate_timing(_skeleton_of(spec))
     delta = counter_delta(before, COUNTERS.snapshot())
     assert delta["costmodel.stream_steps"] <= most
-    steps = []
-    for cls in (BroadcastOp, ConvergecastOp, RouteOp):
-        def counted(op, ctx, _step=cls.step):
-            steps.append(op)
-            return _step(op, ctx)
-        monkeypatch.setattr(cls, "step", counted)
-    run_program(topology, plan.capacity_bits,
-                compile_round_programs(plan, planner.query, topology))
-    assert len(steps) <= most
 
 
 @pytest.mark.parametrize("limit", [3, 400, 1020])

@@ -7,8 +7,10 @@ holds, per spec, the rounds and total bits of the *item-framed*
 protocol (every broadcast tuple and convergecast slot inside one round,
 routed items cut into chunks that never shared a round with the next
 item), written by that code before bit framing replaced it.  Per spec
-and per plane — the generator engine, the compiled engine and the count
-plane — this module asserts:
+and per plane — the generator engine, a compiled run (whose clock is
+the count plane's run of the skeleton it builds from its own payload
+counts) and the count plane on the priced skeleton — this module
+asserts:
 
 * the planes agree on rounds and per-link bits;
 * the bits are the item-framed bits exactly (framing moves no bit);
@@ -31,9 +33,8 @@ import pytest
 from repro.costmodel import evaluate_timing, extract_skeleton
 from repro.lab.generate import generate_scenarios
 from repro.lab.spec import ScenarioSpec
-from repro.network.program import run_program
 from repro.pipeline import plan_scenario
-from repro.protocols import compile_round_programs, run_distributed_faq
+from repro.protocols import run_distributed_faq
 from repro.workloads import spawn_seeds
 
 FRAMING_GOLDEN = os.path.join(
@@ -87,16 +88,15 @@ FRAMING_CASES = {
 
 def _three_planes(spec):
     """``(plane, rounds, bits_per_edge, capacity)`` of one spec on the
-    generator engine, the compiled engine and the count plane."""
+    generator engine, a compiled run and the count plane."""
     planner, plan = plan_scenario(spec)
     query, topology = planner.query, planner.topology
-    generator = run_distributed_faq(
-        query, topology, plan.assignment, plan=plan, engine="generator",
-        max_rounds=MAX_ROUNDS,
-    ).simulation
-    compiled = run_program(
-        topology, plan.capacity_bits,
-        compile_round_programs(plan, query, topology), max_rounds=MAX_ROUNDS,
+    generator, compiled = (
+        run_distributed_faq(
+            query, topology, plan.assignment, plan=plan, engine=engine,
+            max_rounds=MAX_ROUNDS,
+        ).simulation
+        for engine in ("generator", "compiled")
     )
     priced = evaluate_timing(
         extract_skeleton(plan, tuple(topology.nodes), query),

@@ -199,7 +199,7 @@ def test_lab_and_serve_get_their_planner_from_the_pipeline():
     assert offenders == []
 
 
-def test_wire_format_constants_are_assigned_once_in_the_network_package():
+def test_wire_format_constants_are_assigned_once_in_the_schedule():
     sites = {"HEADER_BITS": [], "EOS_BITS": []}
     for module, _package, tree in _modules():
         for node in ast.walk(tree):
@@ -209,20 +209,35 @@ def test_wire_format_constants_are_assigned_once_in_the_network_package():
                     if isinstance(target, ast.Name) and target.id in sites:
                         sites[target.id].append(module)
     assert sites == {
-        "HEADER_BITS": ["repro.network.program"],
-        "EOS_BITS": ["repro.network.program"],
+        "HEADER_BITS": ["repro.protocols.schedule"],
+        "EOS_BITS": ["repro.protocols.schedule"],
     }
 
 
-def test_the_count_plane_takes_only_the_wire_constants_from_the_network():
-    # The timing recurrence is the engines' independent oracle
-    # (docs/costmodel.md, "Independence"): it shares the two fixed
-    # charges of the wire format with them and none of their round logic.
-    assert sorted(
+def test_the_count_plane_shares_only_the_schedule_with_the_generator():
+    # The count plane and the generator engine are each other's
+    # independent clock (docs/costmodel.md, "Independence"): from the
+    # protocol they share the schedule and the two fixed charges of the
+    # wire format, and none of each other's round logic.
+    shared = sorted(
         target for importer, target in IMPORTS
-        if importer == "repro.costmodel.timing"
-        and _subpackage(target) == "network"
-    ) == ["repro.network.program.EOS_BITS", "repro.network.program.HEADER_BITS"]
+        if importer == "repro.protocols.timing"
+        and _subpackage(target) in ("protocols", "network")
+    )
+    assert shared and all(
+        target.startswith("repro.protocols.schedule.") for target in shared
+    ), shared
+
+
+def test_protocols_and_network_import_nothing_from_the_cost_model():
+    # The round recurrence lives under ``protocols`` so that a compiled
+    # run can read its clock without a package cycle: ``costmodel``
+    # imports the protocol, never the other way round.
+    assert [
+        (importer, target) for importer, target in IMPORTS
+        if _subpackage(importer) in ("protocols", "network")
+        and _subpackage(target) == "costmodel"
+    ] == []
 
 
 def test_the_schedule_is_written_once():
@@ -253,7 +268,7 @@ def test_the_schedule_is_written_once():
         (module, node.lineno)
         for module in (
             "repro.protocols.compiler", "repro.protocols.faq_protocol",
-            "repro.costmodel.timing",
+            "repro.protocols.timing",
         )
         for node in ast.walk(trees[module])
         if isinstance(node, ast.Attribute) and node.attr == "parent_map"
@@ -296,16 +311,17 @@ def test_a_run_records_what_the_count_plane_predicts():
     assert names(SimulationResult) - {"outputs"} == names(CostVector)
 
 
-def test_the_memos_are_the_eight_with_traffic_figures():
+def test_the_memos_are_the_nine_with_traffic_figures():
     # docs/dataplane.md holds the hits/misses table that pays for each
     # of these; a new memo brings its own row in the PR that adds it.
-    eight = {
+    nine = {
         "bounds.bcq",
         "costmodel.predicted_metrics",
         "decomposition.best_ghd",
         "faq.plan_cache",
         "pipeline.materialized",
         "pipeline.protocol_plan",
+        "protocols.timing",
         "runner.certification",
         "steiner.pack",
     }
@@ -316,12 +332,12 @@ def test_the_memos_are_the_eight_with_traffic_figures():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "LRUMemo"
     ]
-    assert sorted(name for _module, name in declared) == sorted(eight)
+    assert sorted(name for _module, name in declared) == sorted(nine)
     for module, _name in declared:
         importlib.import_module(module)
     # (test files name their own scratch memos ``test.*``.)
     live = {name for name in memo_stats() if not name.startswith("test.")}
-    assert live == eight
+    assert live == nine
 
 
 def test_one_lru_implementation():

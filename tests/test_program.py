@@ -1,44 +1,30 @@
-"""Two-plane engine tests: compiled RoundPrograms vs the generator engine.
+"""Two-plane engine tests: compiled runs vs the generator engine.
 
 The parity contract is exact, not approximate: for every scenario, the
-compiled engine must produce byte-identical answers AND identical round
+compiled run must produce byte-identical answers AND identical round
 counts, total bits, per-(directed-)edge bits and busiest-link loads.
-The headline test sweeps every Table 1 suite — the
-acceptance gate of the two-plane refactor.
+A compiled run does its data work once and reads its clock from the
+count plane (:mod:`repro.protocols.timing`); the generator engine is
+the independent clock.  The headline test sweeps every Table 1 suite —
+the acceptance gate of the two-plane refactor.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
-from collections import deque
 
 import pytest
 
+from repro.core.memo import clear_all_memos
 from repro.core.planner import Planner, assign_round_robin
+from repro.costmodel import evaluate_timing, extract_skeleton
 from repro.lab.generate import generate_scenarios
 from repro.lab.results import answer_digest
+from repro.lab.runner import execute_scenario
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
-from repro.network import Topology
-from repro.network import program as program_module
-from repro.network.program import (
-    BlockMessage,
-    BroadcastOp,
-    ComputeStep,
-    ConvergecastOp,
-    NodeProgram,
-    ParallelOps,
-    ProgramContext,
-    ProgramOp,
-    RouteOp,
-    run_program,
-)
-from repro.network.simulator import (
-    CapacityExceeded,
-    SimulationError,
-    Simulator,
-)
+from repro.network.simulator import SimulationError
 from repro.obs.counters import COUNTERS, counter_delta, deterministic_view
 from repro.obs.trace import (
     CycleFastForwardEvent,
@@ -47,20 +33,15 @@ from repro.obs.trace import (
     SendEvent,
     event_to_json_dict,
 )
-from repro.pipeline import build_assignment, build_query, build_topology
-from repro.protocols import (
-    compile_plan,
-    compile_round_programs,
-    run_distributed_faq,
-    validate_engine,
+from repro.pipeline import (
+    build_assignment,
+    build_query,
+    build_topology,
+    plan_scenario,
+    predicted_metrics,
 )
-from repro.protocols.faq_protocol import _make_player
-from repro.protocols.primitives import (
-    Mailbox,
-    broadcast_node,
-    convergecast_node,
-    parallel_subphases,
-)
+from repro.protocols import compile_plan, run_distributed_faq, validate_engine
+from repro.protocols import timing as timing_module
 
 DEFAULT_SEED = 20190625
 
@@ -145,7 +126,7 @@ def test_engine_parity_on_a_star_with_three_contributions():
 
 def test_engine_parity_with_relayed_final_phase():
     """A topology where final-phase routing crosses relays (items wider
-    than the link straddle rounds through the RouteOp bit queue)."""
+    than the link straddle rounds through the route's bit queue)."""
     spec = ScenarioSpec(
         family="relay", query="tree", query_params={"edges": 5},
         topology="barbell", topology_params={"clique_size": 3, "path_len": 1},
@@ -156,30 +137,35 @@ def test_engine_parity_with_relayed_final_phase():
 
 
 def _assert_same_result(fast, slow):
-    """Every field equal — outputs included — and the per-edge map and
-    the outputs in the same key order."""
+    """Every field equal, and the per-edge map in the same key order."""
     assert fast == slow
     assert list(fast.bits_per_edge.items()) == list(slow.bits_per_edge.items())
-    assert list(fast.outputs) == list(slow.outputs)
 
 
-def _run_plan(spec, fast_forward):
+def _skeleton(spec):
     built = build_query(spec)
     topology = build_topology(spec)
     assignment = build_assignment(spec, built, topology) or assign_round_robin(
         built.query, topology
     )
     plan = compile_plan(built.query, topology, assignment)
-    return run_program(
-        topology, plan.capacity_bits,
-        compile_round_programs(plan, built.query, topology),
-        fast_forward=fast_forward,
-    )
+    return extract_skeleton(plan, tuple(topology.nodes), built.query)
+
+
+def _run_plan(spec, fast_forward):
+    """The count plane's run of ``spec``'s plan: jumping, or stepping
+    every stream every round (no stream settles)."""
+    skeleton = _skeleton(spec)
+    if fast_forward:
+        return evaluate_timing(skeleton)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timing_module, "_settle", lambda *_args: [])
+        return evaluate_timing(skeleton)
 
 
 def test_fast_forward_is_accounting_neutral():
-    """Dormant nodes and skipped rounds change wall-clock only: stepping
-    every node every round must give byte-identical results."""
+    """Dormant streams and skipped rounds change wall-clock only:
+    stepping every stream every round must give identical results."""
     spec = ScenarioSpec(
         family="ffwd", query="hard-star", query_params={"arms": 4},
         topology="line", topology_params={"n": 4}, n=256,
@@ -271,114 +257,69 @@ def test_validate_engine_rejects_unknown():
 
 
 # ---------------------------------------------------------------------------
-# Engine internals
+# A compiled run's clock
 # ---------------------------------------------------------------------------
 
 
-def _released_convergecast(tag, parent, children, per_slot, num_slots):
-    """A combine whose scatter has landed all ``num_slots`` tuples (a
-    stand-in run by no program), so the gate releases every slot; its
-    counts are those its first step sets."""
-    scatter = BroadcastOp("landed", "ghost", [], per_item=1)
-    scatter._learn(num_slots)
-    scatter.received = scatter.total
-    op = ConvergecastOp(tag, parent, children, per_slot, scatter, [scatter])
-    op.num_slots = op.released = num_slots
-    return op
-
-
-def test_compiled_deadlock_names_blocked_nodes():
-    """A convergecast waiting on a silent child deadlocks immediately,
-    and the error names the node, its program step and pending tags."""
-    topology = Topology.line(2)
-    op = _released_convergecast("stuck", None, [topology.nodes[1]], 1, 4)
-    programs = {
-        topology.nodes[0]: NodeProgram(topology.nodes[0], [op]),
-    }
-    with pytest.raises(SimulationError) as err:
-        run_program(topology, 8, programs, max_rounds=100)
-    assert topology.nodes[0] in err.value.blocked
-    assert "convergecast:stuck" in str(err.value)
-
-
-def _line_programs(case):
-    """Programs on ``line(3)`` that stop the engine: a 500-item broadcast
-    cut by ``max_rounds`` while its nodes stream steadily, or a
-    convergecast whose child first takes a broadcast and then waits on
-    one nobody sends, so the run deadlocks after its nodes fell silent."""
-    topology = Topology.line(3)
-    root, mid, leaf = topology.nodes
-    if case == "max_rounds":
-        return topology, {
-            root: NodeProgram(root, [BroadcastOp(
-                "bc", None, [mid], per_item=8, root_count_fn=lambda: 500)]),
-            mid: NodeProgram(mid, [BroadcastOp("bc", root, [leaf], per_item=8)]),
-            leaf: NodeProgram(leaf, [BroadcastOp("bc", mid, [], per_item=8)]),
-        }
-    top = _released_convergecast("cc", None, [mid], 4, 3)
-    child = _released_convergecast("cc", root, [], 4, 3)
-    return topology, {
-        root: NodeProgram(root, [BroadcastOp(
-            "x", None, [mid], per_item=8, root_count_fn=lambda: 40), top]),
-        mid: NodeProgram(mid, [
-            BroadcastOp("x", root, [], per_item=8),
-            BroadcastOp("never", leaf, [], per_item=8),
-            child,
-        ]),
-    }
-
-
-@pytest.mark.parametrize("case", ["max_rounds", "deadlock"])
-def test_errors_do_not_depend_on_dormancy(case):
-    """Dormant nodes are caught up before they are described: the error
-    — its round and its blocked map — is the same as when every node
-    steps every round."""
-    errors = []
-    for fast_forward in (True, False):
-        topology, programs = _line_programs(case)
-        with pytest.raises(SimulationError) as err:
-            run_program(topology, 8, programs, max_rounds=200,
-                        fast_forward=fast_forward)
-        errors.append((str(err.value), err.value.blocked))
-    assert errors[0] == errors[1]
-    assert errors[0][0].startswith(
-        "exceeded max_rounds=200" if case == "max_rounds"
-        else "deadlock at round 46")
-
-
-def test_program_output_via_compute_step():
-    topology = Topology.line(2)
-    programs = {
-        topology.nodes[0]: NodeProgram(
-            topology.nodes[0],
-            [ComputeStep(lambda ctx: "done", is_output=True)],
-        )
-    }
-    result = run_program(topology, 4, programs)
-    assert result.output_of(topology.nodes[0]) == "done"
-    assert result.rounds == 0
-    assert result.total_bits == 0
-
-
-def test_run_program_entry_point():
-    spec = ScenarioSpec(
-        family="entry", query="hard-star", query_params={"arms": 4},
-        topology="line", topology_params={"n": 4}, n=32,
-        assignment="worst-case", seed=DEFAULT_SEED,
-    )
+def _faq_inputs(spec):
     built = build_query(spec)
     topology = build_topology(spec)
-    assignment = build_assignment(spec, built, topology)
-    plan = compile_plan(built.query, topology, assignment)
-    result = run_program(
-        topology, plan.capacity_bits,
-        compile_round_programs(plan, built.query, topology),
+    assignment = build_assignment(spec, built, topology) or assign_round_robin(
+        built.query, topology
     )
-    gen = Simulator(topology, plan.capacity_bits).run(
-        {n: _make_player(plan, built.query, n) for n in topology.nodes}
-    )
-    assert result.rounds == gen.rounds
-    assert result.total_bits == gen.total_bits
+    return built.query, topology, assignment
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("engine", ["generator", "compiled"])
+@pytest.mark.parametrize(
+    "index, rounds", [(0, 20), (1, 150), (2, 17)], ids=["s0", "s1", "s2"])
+def test_max_rounds_is_exact_at_the_public_entry(index, rounds, engine, warm):
+    """A run needs one silent round past its last send to see every
+    player finish, so ``max_rounds`` at the rounds ``R`` or below
+    raises :class:`SimulationError` on both engines, and ``R + 1``
+    runs.  A compiled run raises whether its clock is made for it
+    (cold) or shared (warm, after a run with room): the count plane's
+    ``CostModelError`` does not leak out."""
+    spec = generate_scenarios(777, 3)[index]
+    query, topology, assignment = _faq_inputs(spec)
+
+    def run(limit):
+        return run_distributed_faq(
+            query, topology, assignment, engine=engine, max_rounds=limit)
+
+    clear_all_memos()
+    if warm:
+        assert run(rounds + 1).rounds == rounds
+    for limit in (rounds - 1, rounds):
+        with pytest.raises(SimulationError, match=f"max_rounds={limit}\\b"):
+            run(limit)
+    assert run(rounds + 1).rounds == rounds
+
+
+def test_the_count_plane_runs_once_per_skeleton():
+    """A compiled run and the pricing of its plan share one count-plane
+    run: after one compiled ``execute_scenario``, a second run of the
+    same spec and its ``predicted_metrics`` step no stream, and the
+    second run's deterministic observability block — its jump counters
+    included — equals the first's.  ``clear_all_memos`` makes the clock
+    cold again."""
+    spec = generate_scenarios(777, 3)[1].with_(engine="compiled")
+    clear_all_memos()
+    first = execute_scenario(spec)
+    assert first.observability["engine.fast_forward_rounds"] > 0
+    before = COUNTERS.snapshot()
+    second = execute_scenario(spec)
+    planner, plan = plan_scenario(spec)
+    predicted_metrics(spec, plan, planner.topology.nodes)
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert delta.get("costmodel.stream_steps", 0) == 0
+    assert second.observability == first.observability
+    assert second.cost_model == first.cost_model
+    clear_all_memos()
+    before = COUNTERS.snapshot()
+    assert execute_scenario(spec).observability == first.observability
+    assert counter_delta(before, COUNTERS.snapshot())["costmodel.stream_steps"]
 
 
 def test_align_join_columns_huge_int_domains_fall_back():
@@ -432,263 +373,39 @@ def test_vector_scores_do_not_depend_on_dictionary_identity(monkeypatch):
     assert any(scores.tolist())
 
 
-def test_fast_forward_with_passive_receiver_does_not_crash():
-    """A steady stream toward a program-less (passive) node is dropped on
-    delivery in both engines; the cycle fast-forward must tolerate it
-    (review regression)."""
-    topology = Topology.line(2)
-    op = BroadcastOp(
-        "drop", None, [topology.nodes[1]], per_item=2,
-        root_count_fn=lambda: 500,
-    )
-    programs = {topology.nodes[0]: NodeProgram(topology.nodes[0], [op])}
-    result = run_program(topology, 8, programs, max_rounds=10_000)
-    slow = run_program(
-        topology, 8,
-        {topology.nodes[0]: NodeProgram(
-            topology.nodes[0],
-            [BroadcastOp("drop", None, [topology.nodes[1]], per_item=2,
-                         root_count_fn=lambda: 500)],
-        )},
-        max_rounds=10_000, fast_forward=False,
-    )
-    assert result.rounds == slow.rounds
-    assert result.total_bits == slow.total_bits == 32 + 500 * 2
-
-
 # ---------------------------------------------------------------------------
 # Jumping through overlapping phases
 # ---------------------------------------------------------------------------
 
 
-def _fast_and_slow(topology, capacity, build_programs):
-    """One run jumping, one stepping every round, and the first run's
-    engine counter deltas."""
-    before = COUNTERS.snapshot()
-    fast = run_program(topology, capacity, build_programs())
-    delta = counter_delta(before, COUNTERS.snapshot())
-    slow = run_program(topology, capacity, build_programs(), fast_forward=False)
-    return fast, slow, delta
-
-
 def test_overlapping_stars_are_jumped_through():
     """The ledger's ``wide-expander`` shape at N=200: two stars, the
     second's scatter reaching nodes still busy in the first, so its
-    blocks buffer in their mailboxes while both stream steadily.  The
-    jump materializes them."""
+    blocks buffer for them while both stream steadily.  The count plane
+    jumps through the overlap and equals stepping it, and a compiled run
+    counts the jumped rounds."""
     spec = ScenarioSpec(
         family="overlap", query="acyclic",
         query_params={"edges": 8, "arity": 3}, topology="expander",
         topology_params={"n": 64, "degree": 4, "seed": 1}, n=200,
         domain_size=64, semiring="counting", seed=3,
     )
-    built = build_query(spec)
-    topology = build_topology(spec)
-    plan = compile_plan(
-        built.query, topology, assign_round_robin(built.query, topology)
-    )
-    assert len(plan.stars) == 2
-    fast, slow, delta = _fast_and_slow(
-        topology, plan.capacity_bits,
-        lambda: compile_round_programs(plan, built.query, topology),
-    )
-    assert fast == slow  # every field, outputs included
-    assert fast.rounds == 139
+    query, topology, assignment = _faq_inputs(spec)
+    clear_all_memos()
+    before = COUNTERS.snapshot()
+    compiled = run_distributed_faq(
+        query, topology, assignment, engine="compiled")
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert len(compiled.plan.stars) == 2
+    fast = _run_plan(spec, True)
+    _assert_same_result(fast, _run_plan(spec, False))
+    assert compiled.rounds == fast.rounds == 139
     assert fast.rounds - delta["engine.fast_forward_rounds"] <= 90
-
-
-def test_buffered_route_chunks_materialize_in_stepped_order():
-    """An origin routes 9-bit items over 8-bit links into a relay still
-    receiving a broadcast, so its frames buffer.  The jump must queue
-    what the skipped rounds would have, starting with the stepped
-    round's own sends; the relay's route starts from that backlog.  A
-    compute step snapshots the backlog's bits as the relay's output."""
-    topology = Topology.line(3)
-    sink, relay, origin = topology.nodes
-
-    def backlog(ctx):
-        return sum(
-            blk.bits for blk in ctx.queues.get(("final", origin), ())
-            if blk.kind == "bits"
-        )
-
-    def build_programs():
-        return {
-            sink: NodeProgram(sink, [
-                BroadcastOp("bc", None, [relay], per_item=8,
-                            root_count_fn=lambda: 300),
-                RouteOp("final", None, [relay]),
-            ]),
-            relay: NodeProgram(relay, [
-                BroadcastOp("bc", sink, [], per_item=8),
-                ComputeStep(backlog, is_output=True),
-                RouteOp("final", sink, [origin]),
-            ]),
-            origin: NodeProgram(origin, [
-                RouteOp("final", relay, [], payload_bits_fn=lambda: 9 * 200),
-            ]),
-        }
-
-    fast, slow, delta = _fast_and_slow(topology, 8, build_programs)
-    assert fast == slow
-    assert fast.rounds == 530
-    # The origin's whole stream lands while the relay is still in its
-    # broadcast (305 rounds), and the relay then drains it at 8 bits a
-    # round: both stretches are jumped.
-    assert slow.output_of(relay) == 9 * 200
-    assert delta["engine.fast_forward_rounds"] >= 500
-
-
-# ---------------------------------------------------------------------------
-# Horizons in bits
-# ---------------------------------------------------------------------------
-
-
-def _convergecast_up_a_line(topology, per_slot, num_slots):
-    """Compiled programs and generator processes of one convergecast up
-    ``topology`` (a line) toward its first node, every node adding 1 to
-    every slot."""
-    nodes = list(topology.nodes)
-
-    def roles(i):
-        parent = nodes[i - 1] if i else None
-        return parent, nodes[i + 1:i + 2]
-
-    def build_programs():
-        programs = {}
-        for i, node in enumerate(nodes):
-            op = _released_convergecast("cc", *roles(i), per_slot, num_slots)
-            programs[node] = NodeProgram(node, [op])
-        return programs
-
-    def process(i):
-        def proc(ctx):
-            mail = Mailbox()
-            return (yield from convergecast_node(
-                ctx, mail, *roles(i), num_slots, [1] * num_slots,
-                lambda a, b: a + b, 0, per_slot, "cc"))
-        return proc
-
-    return build_programs, {node: process(i) for i, node in enumerate(nodes)}
-
-
-@pytest.mark.parametrize("length", [2, 3])
-def test_convergecast_jumps_exactly_when_slots_straddle_rounds(length):
-    """32-bit slots over 36-bit links: the leaf sends 36 bits a round, so
-    the slots readied above it grow by 1, 1, ..., then 2 (every 8
-    rounds).  The root is drained — it moves exactly the slots that
-    became ready — and may only jump while a child that delivers whole
-    slots at the pace they move holds the minimum: here none does.  A
-    relay (length 3) turns room-limited and jumps on the floor's lower
-    envelope.  Jumping must equal stepping and the generator."""
-    topology = Topology.line(length)
-    build_programs, processes = _convergecast_up_a_line(topology, 32, 200)
-    fast, slow, _sends, jumps = _traced_fast_and_slow(
-        topology, 36, build_programs)
-    gen = Simulator(topology, 36).run(processes)
-    assert gen.output_of(topology.nodes[0]) == [length] * 200
-    assert gen.total_bits == (length - 1) * 200 * 32
-    _assert_same_charge(gen, fast)
-    _assert_same_charge(gen, slow)
-    assert jumps >= 1
-
-
-@pytest.mark.parametrize("held_back", [False, True])
-def test_a_combine_held_back_by_a_threshold_does_not_settle(
-        held_back, monkeypatch):
-    """A threshold on the gate (a patch of ``_released`` reading the
-    node's other scatters, as the sequential schedule's does) may lift
-    in any round one of them steps, so a combine it holds back declines
-    to settle; the same repeating combine under the gate alone settles."""
-    if held_back:
-        monkeypatch.setattr(program_module, "_released",
-                            lambda scatter, scatters: 0)
-    topology = Topology.line(2)
-    parent, node = topology.nodes
-    op = _released_convergecast("cc", parent, [], 4, 10)
-    ctx = ProgramContext(node, topology, 4)
-    for round_no in (1, 2):
-        ctx._begin_round(round_no)
-        op.step(ctx)
-    assert op._hist[0] == op._hist[1]
-    assert op.sent == (0 if held_back else 8)
-    assert (op.cycle_horizon() >= 1) != held_back
-
-
-def test_convergecast_horizon_reads_each_childs_readied_bits():
-    """A room-limited relay stays so while every child's readied bits
-    run ahead of those sent.  A child delivering whole 16-bit slots a
-    round counts its floored bits exactly; one delivering 24 bits a
-    round, whose floor moves irregularly, counts its periodic envelope:
-    its remainder mod 16 steps by ``gcd(24, 16) = 8``, so the floor cuts
-    off at most ``8 + received % 8``.  A negative distance may already
-    bite: decline."""
-    op = _released_convergecast("cc", "parent", ["whole", "ragged"], 16, 1000)
-    op.received, op.sent = [16 * 20 + 5, 340], 312
-    op.ready = min(op.received) // 16
-    op._hist.extend([((16, 24), 20)] * 2)
-    # whole: 320 - 312 = 8, losing 4 a round; ragged: 340 - 15 - 312 = 13,
-    # gaining 4 a round; the end of the stream is far.
-    assert op.cycle_horizon() == 8 // 4
-    op._hist.extend([((16, 16), 20)] * 2)
-    # ragged now delivers whole slots too: 336 - 312 = 24, losing 4.
-    assert op.cycle_horizon() == min(8 // 4, 24 // 4)
-    # ragged at 326 bits: the floor cuts off at most 8 + 6, so its
-    # envelope is 326 - 14 - 312 = 0, gaining 4 a round; whole bounds it.
-    op.received[1] = 326
-    op._hist.extend([((16, 24), 20)] * 2)
-    assert op.cycle_horizon() == 8 // 4
-    # ragged at 318 bits: its floor (304) is already behind.
-    op.received[1] = 318
-    assert op.cycle_horizon() == 0
-
-
-def test_broadcast_horizon_stops_before_a_draining_backlog_runs_out():
-    """A relay whose child gets the link's full 32 bits a round while
-    only 20 arrive drains its backlog by 12 a round: the send stays
-    room-limited for ``backlog // 12`` more rounds, and no longer."""
-    op = BroadcastOp("bc", "parent", ["child"], per_item=8)
-    op._learn(1000)
-    op.received, op.sent = 500, [200]
-    op._hist.extend([(20, (32,))] * 2)
-    assert op.cycle_horizon() == 300 // 12
-    op._hist.extend([(32, (32,))] * 2)  # keeping pace: the end bounds it
-    assert op.cycle_horizon() == (op.total - 200 - 1) // 32
-    op.advance(5)
-    assert (op.received, op.sent) == (500 + 5 * 32, [200 + 5 * 32])
-
-
-def test_broadcast_horizon_stops_before_the_header_completes():
-    """The frame that completes a broadcast's 32-bit count header
-    carries the count in ``meta``, so it repeats nothing: a root 24 bits
-    into its header at 12 bits a round may not settle, however long its
-    stream.  (A child that does not know the count yet declines too, but
-    a node settles on its own horizon alone.)"""
-    topology = Topology.line(2)
-    root, child = topology.nodes
-    op = BroadcastOp("bc", None, [child], per_item=8,
-                     root_count_fn=lambda: 100)
-    ctx = ProgramContext(root, topology, 12)
-    op.start(ctx)
-    for round_no in (1, 2):
-        ctx._begin_round(round_no)
-        op.step(ctx)
-    assert op.sent == [24]
-    assert [blk.meta for blk in ctx._outbox] == [None, None]
-    assert op.cycle_horizon() == 0
-    ctx._begin_round(3)
-    op.step(ctx)
-    assert ctx._outbox[-1].meta == 100
-
-
-# ---------------------------------------------------------------------------
-# One way to charge a round
-# ---------------------------------------------------------------------------
 
 
 def _assert_same_charge(reference, result):
     """Every accounting figure equal, per-edge maps *including key order*
-    (the first-seen send order both engines insert in)."""
+    (the first-seen send order both clocks insert in)."""
     assert result.rounds == reference.rounds
     assert result.total_bits == reference.total_bits
     assert list(result.bits_per_edge.items()) == list(
@@ -696,180 +413,33 @@ def _assert_same_charge(reference, result):
     assert result.max_edge_bits_per_round == reference.max_edge_bits_per_round
 
 
-def _traced_fast_and_slow(topology, capacity, build_programs):
-    """A jumping run with its recorded send events and jump count, and a
-    run stepping every round."""
-    tracer = RecordingTracer()
-    fast = run_program(topology, capacity, build_programs(), tracer=tracer)
-    slow = run_program(topology, capacity, build_programs(), fast_forward=False)
-    sends_by_round = {}
-    for event in tracer.events:
-        if isinstance(event, SendEvent):
-            sends_by_round.setdefault(event.round, []).append(
-                (event.src, event.dst))
-    jumps = sum(
-        isinstance(event, CycleFastForwardEvent) for event in tracer.events)
-    return fast, slow, sends_by_round, jumps
-
-
 def test_wide_rounds_and_jumps_charge_like_the_generator_engine():
-    """Rounds of 8+ blocks and jumps — what the array ledger used to
-    serve — on a small acyclic counting query over a 16-node expander."""
+    """Rounds of 8+ sends and jumps on a small acyclic counting query
+    over a 16-node expander: a traced compiled run shows them, and it,
+    the count plane stepping every round and the generator engine
+    charge alike."""
     spec = ScenarioSpec(
         family="one-path", query="acyclic",
         query_params={"edges": 4, "arity": 3}, topology="expander",
         topology_params={"n": 16, "degree": 4, "seed": 1}, n=128,
         domain_size=16, semiring="counting", seed=7,
     )
-    built = build_query(spec)
-    topology = build_topology(spec)
-    assignment = assign_round_robin(built.query, topology)
-    plan = compile_plan(built.query, topology, assignment)
-    fast, slow, sends_by_round, jumps = _traced_fast_and_slow(
-        topology, plan.capacity_bits,
-        lambda: compile_round_programs(plan, built.query, topology),
-    )
+    query, topology, assignment = _faq_inputs(spec)
+    tracer = RecordingTracer()
+    fast = run_distributed_faq(
+        query, topology, assignment, engine="compiled", tracer=tracer,
+    ).simulation
+    sends_by_round = {}
+    for event in tracer.events:
+        if isinstance(event, SendEvent):
+            sends_by_round.setdefault(event.round, []).append(event)
     assert max(map(len, sends_by_round.values())) >= 8
-    assert jumps >= 1
+    assert any(isinstance(event, CycleFastForwardEvent)
+               for event in tracer.events)
     gen = run_distributed_faq(
-        built.query, topology, assignment, engine="generator").simulation
+        query, topology, assignment, engine="generator").simulation
     _assert_same_charge(gen, fast)
-    _assert_same_charge(gen, slow)
-
-
-def test_both_directions_of_an_edge_in_one_wide_round():
-    """No FAQ protocol run puts both directions of an edge into one round
-    (phases flow one way at a time), so this one is built by hand: a hub
-    of the expander streams to its four neighbours while each of them
-    streams back — 8 blocks a round, every edge loaded both ways, long
-    enough to jump — against the generator primitives doing the same."""
-    topology = Topology.expander(n=16, degree=4, seed=1)
-    hub = topology.nodes[0]
-    leaves = sorted(topology.neighbors(hub))
-    assert len(leaves) == 4
-    counts = {"down": 120, **{f"up:{leaf}": 40 + 20 * i
-                              for i, leaf in enumerate(leaves)}}
-
-    def build_programs():
-        programs = {hub: NodeProgram(hub, [ParallelOps(
-            [BroadcastOp("down", None, leaves, per_item=8,
-                         root_count_fn=lambda: counts["down"])]
-            + [BroadcastOp(f"up:{leaf}", leaf, [], per_item=8)
-               for leaf in leaves]
-        )])}
-        for leaf in leaves:
-            programs[leaf] = NodeProgram(leaf, [ParallelOps([
-                BroadcastOp("down", hub, [], per_item=8),
-                BroadcastOp(f"up:{leaf}", None, [hub], per_item=8,
-                            root_count_fn=lambda leaf=leaf: counts[f"up:{leaf}"]),
-            ])])
-        return programs
-
-    def hub_process(ctx):
-        mail = Mailbox()
-        yield from parallel_subphases(
-            [broadcast_node(ctx, mail, None, leaves,
-                            list(range(counts["down"])), 8, "down")]
-            + [broadcast_node(ctx, mail, leaf, [], None, 8, f"up:{leaf}")
-               for leaf in leaves]
-        )
-
-    def leaf_process(leaf):
-        def process(ctx):
-            mail = Mailbox()
-            yield from parallel_subphases([
-                broadcast_node(ctx, mail, hub, [], None, 8, "down"),
-                broadcast_node(ctx, mail, None, [hub],
-                               list(range(counts[f"up:{leaf}"])), 8,
-                               f"up:{leaf}"),
-            ])
-        return process
-
-    fast, slow, sends_by_round, jumps = _traced_fast_and_slow(
-        topology, 8, build_programs)
-    assert any(
-        len(sends) >= 8 and any((dst, src) in sends for src, dst in sends)
-        for sends in sends_by_round.values()
-    )
-    assert jumps >= 1
-    gen = Simulator(topology, 8).run(
-        {hub: hub_process, **{leaf: leaf_process(leaf) for leaf in leaves}})
-    streams = [counts["down"]] * 4 + [counts[f"up:{leaf}"] for leaf in leaves]
-    assert gen.total_bits == sum(32 + 8 * count for count in streams)
-    _assert_same_charge(gen, fast)
-    _assert_same_charge(gen, slow)
-
-
-def test_every_round_is_audited_against_the_capacity():
-    """The per-link audit is not reserved for wide rounds: one block too
-    many dies in a two-block round, whether ``send_block`` refuses it or
-    an op slips it past the per-send guard."""
-    topology = Topology.line(2)
-    src, dst = topology.nodes
-
-    class Overfill(ProgramOp):
-        def __init__(self, bypass):
-            self.bypass = bypass
-
-        def step(self, ctx):
-            ctx.send_block(dst, "x", "it", 6)
-            if self.bypass:
-                ctx._outbox.append(
-                    BlockMessage(src, dst, "x", "it", 6))
-            else:
-                ctx.send_block(dst, "x", "it", 6)
-            return True
-
-    for bypass in (False, True):
-        with pytest.raises(CapacityExceeded, match=f"{src}->{dst}.*12 bits"):
-            run_program(
-                topology, 8, {src: NodeProgram(src, [Overfill(bypass)])})
-
-
-def test_send_block_checks_the_senders_own_neighbours():
-    topology = Topology.line(3)
-    ctx = ProgramContext("P0", topology, 8)
-    ctx.send_block("P1", "x", "it", 4)
-    for dst in ("P2", "P9", "P0"):
-        with pytest.raises(ValueError, match=f"P0 -> {dst}: not an edge of G"):
-            ctx.send_block(dst, "x", "it", 4)
-    stranger = ProgramContext("P9", topology, 8)
-    with pytest.raises(ValueError, match="P9 -> P0: not an edge of G"):
-        stranger.send_block("P0", "x", "it", 4)
-
-
-def test_a_streams_blocks_queue_up_in_arrival_order():
-    """One queue per (tag, sender), made on the first delivery and
-    appended to after: a receiver that reads late sees every block."""
-    topology = Topology.star(2)
-    hub, *leaves = topology.nodes
-
-    class Send(ProgramOp):
-        left = 3
-
-        def step(self, ctx):
-            ctx.send_block(hub, "x", "it", 4, meta=(ctx.node, self.left))
-            self.left -= 1
-            return self.left == 0
-
-    class ReadLate(ProgramOp):
-        got = None
-
-        def step(self, ctx):
-            if ctx.round < 4:
-                return False
-            self.got = {
-                leaf: [blk.meta for blk in ctx.inbox(("x", leaf))]
-                for leaf in leaves
-            }
-            return True
-
-    late = ReadLate()
-    run_program(topology, 8, {
-        hub: NodeProgram(hub, [late]),
-        **{leaf: NodeProgram(leaf, [Send()]) for leaf in leaves},
-    })
-    assert late.got == {leaf: [(leaf, 3), (leaf, 2), (leaf, 1)] for leaf in leaves}
+    _assert_same_charge(gen, _run_plan(spec, False))
 
 
 # ---------------------------------------------------------------------------
@@ -966,9 +536,10 @@ def test_engine_golden_covers_every_case(engine_golden):
 
 @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
 def test_engine_result_matches_golden(name, engine_golden):
-    """Rounds, bits, busiest link, jumps and the per-edge maps *in key
-    order*, as the engine produced them before its round loop
-    was last optimized (regenerate: ``tests/golden/README.md``)."""
+    """Rounds, bits, busiest link, jumps, the per-edge maps *in key
+    order* and the trace, as the compiled engine's own round loop
+    produced them before the count plane became its clock
+    (regenerate: ``tests/golden/README.md``)."""
     assert engine_golden_record(name) == engine_golden[name]
 
 
@@ -980,190 +551,3 @@ def test_fast_forward_is_accounting_neutral_on_engine_cases(name):
     _assert_same_result(_run_plan(spec, True), _run_plan(spec, False))
 
 
-def _stream_steps(spec, monkeypatch, fast_forward=True):
-    """A run of ``spec``'s plan and the round of every stream step in
-    it, with the rounds in which a stream changed its last round or
-    finished."""
-    steps, changing = [], set()
-    with monkeypatch.context() as patch:
-        for cls in (BroadcastOp, ConvergecastOp, RouteOp):
-            def counted(op, ctx, _step=cls.step):
-                finished = _step(op, ctx)
-                steps.append(ctx.round)
-                if finished or op._hist[0] != op._hist[1]:
-                    changing.add(ctx.round)
-                return finished
-            patch.setattr(cls, "step", counted)
-        result = _run_plan(spec, fast_forward)
-    return result, steps, changing
-
-
-@pytest.mark.parametrize("n, rounds, most", [(96, 78, 910), (500, 314, 913)])
-def test_only_changing_streams_step(n, rounds, most, monkeypatch):
-    """The stream steps of the ``wide-expander`` shape (64 nodes),
-    pinned: a stream steps only while it changes, or while a stream it
-    reads does.  When a node stepped every member of its star's group
-    while any of them changed, this took 1,607 and 1,640 (655 and 665
-    node-steps); today 907 and 911, and the count plane takes 913 at
-    N=500."""
-    spec = ENGINE_CASES["wide-expander-N96"].with_(n=n)
-    result, steps, _changing = _stream_steps(spec, monkeypatch)
-    assert result.rounds == rounds
-    assert len(steps) <= most
-
-
-@pytest.mark.parametrize("n, skipped", [(96, 8), (500, 219)])
-def test_the_engine_skips_every_skippable_round(n, skipped, monkeypatch):
-    """Every round a stepping run shows to be skippable — no stream
-    changed its last round or finished in it or the round before, the
-    first of which its streams settle in — is skipped, and no other:
-    the count plane skips the same 8 and 219
-    (``tests/test_costmodel.py::test_only_changing_streams_step``)."""
-    spec = ENGINE_CASES["wide-expander-N96"].with_(n=n)
-    stepping, steps, changing = _stream_steps(spec, monkeypatch, False)
-    assert len(set(steps)) == stepping.rounds + 1  # a silent last round
-    skippable = sum(
-        t not in changing and t - 1 not in changing and t > 1
-        for t in range(1, stepping.rounds + 1)
-    )
-    before = COUNTERS.snapshot()
-    _assert_same_result(_run_plan(spec, True), stepping)
-    delta = counter_delta(before, COUNTERS.snapshot())
-    assert delta["engine.fast_forward_rounds"] == skippable == skipped
-
-
-def _star(node, parent, trees, count=None, per_item=8, per_slot=16):
-    """A hand-built star's group at ``node``: a scatter and a combine
-    for each ``(j, children)`` of ``trees``, counts at the root."""
-    scatters = [
-        BroadcastOp(f"bc{j}", parent, children, per_item,
-                    root_count_fn=None if count is None
-                    else (lambda j=j: count[j]))
-        for j, children in trees
-    ]
-    combines = [
-        ConvergecastOp(f"cc{j}", parent, children, per_slot, gate, scatters)
-        for (j, children), gate in zip(trees, scatters)
-    ]
-    return NodeProgram(node, [ParallelOps(scatters + combines)])
-
-
-def test_streams_sharing_a_link_are_refused():
-    """Two packing trees that share ``a -> b`` and ``b -> a`` (so not
-    edge-disjoint, built by hand: no plan makes them) put the root's
-    scatters on one link, and ``b``'s combines.  A sleeping stream
-    would overdraw the link its mate sends on, so the group is refused
-    when it starts."""
-    topology = Topology.line(3)
-    a, b, c = topology.nodes
-    programs = {
-        a: _star(a, None, [(0, [b]), (1, [b])], count=(200, 300)),
-        b: _star(b, a, [(0, []), (1, [c])]),
-        c: _star(c, b, [(1, [])]),
-    }
-    with pytest.raises(ValueError, match=f"{a} -> {b}: two streams"):
-        run_program(topology, 16, programs)
-
-
-def test_a_combine_sleeps_through_a_ragged_gate(monkeypatch):
-    """A leaf's combine sends 8-bit slots up a 12-bit link behind a
-    scatter landing 12 bits (1.5 tuples) a round: drained every other
-    round and room-limited in between.  The slot floor's periodic
-    envelope proves those rounds steady, so the combine sleeps through
-    them: 6 steps in 140 rounds (135 and no skipped round under a linear
-    envelope), and the run equals stepping every stream every round."""
-    topology = Topology.line(3)
-    a, b, c = topology.nodes
-
-    def build_programs():
-        return {
-            a: _star(a, None, [(0, [b])], count=(200,), per_slot=8),
-            b: _star(b, a, [(0, [c])], per_slot=8),
-            c: _star(c, b, [(0, [])], per_slot=8),
-        }
-
-    programs = build_programs()
-    leaf_combine = programs[c]._ops[0].members[1]
-    steps = []
-    step = ConvergecastOp.step
-
-    def counted(op, ctx):
-        if op is leaf_combine:
-            steps.append(ctx.round)
-        return step(op, ctx)
-
-    monkeypatch.setattr(ConvergecastOp, "step", counted)
-    before = COUNTERS.snapshot()
-    dormant = run_program(topology, 12, programs)
-    delta = counter_delta(before, COUNTERS.snapshot())
-    _assert_same_result(dormant,
-                        run_program(topology, 12, build_programs(),
-                                    fast_forward=False))
-    assert dormant.rounds == 140
-    assert len(steps) == 6
-    assert delta["engine.fast_forward_rounds"] == 125
-
-
-# ---------------------------------------------------------------------------
-# Horizons are side-effect free
-# ---------------------------------------------------------------------------
-
-
-#: A stream's links to the streams around it, which refer back to it:
-#: compared by identity (their own state is checked on their own calls).
-_WIRING = ("reads", "readers", "watch")
-
-
-def _op_state(value):
-    """A comparable deep copy of op state: ops, routing runs and blocks
-    compare by identity, so they unfold into their fields."""
-    if isinstance(value, (ProgramOp, BlockMessage)):
-        fields = (
-            dict(vars(value)) if hasattr(value, "__dict__")
-            else {name: getattr(value, name) for name in value.__slots__}
-        )
-        for name in _WIRING:
-            if name in fields:
-                fields[name] = id(fields[name])
-        return (type(value).__name__, _op_state(fields))
-    if isinstance(value, dict):
-        return {key: _op_state(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, deque)):
-        return (type(value).__name__, [_op_state(item) for item in value])
-    if isinstance(value, set):
-        return frozenset(value)
-    return value
-
-
-@pytest.mark.parametrize("name", ["wide-expander", "routed"])
-def test_cycle_horizon_leaves_every_op_unchanged(name, monkeypatch):
-    """Which streams are asked depends on which repeat: that is only
-    exact while asking changes nothing.  Every op class's
-    ``cycle_horizon`` is wrapped to compare the op's whole state before
-    and after the call."""
-    spec = {
-        "wide-expander": ENGINE_CASES["wide-expander-N96"],
-        "routed": ScenarioSpec(
-            family="routed", query="hard-forest",
-            query_params={"edges": 4, "trees": 2}, topology="ring",
-            topology_params={"n": 6}, n=64, assignment="worst-case",
-            engine="compiled", seed=5,
-        ),
-    }[name]
-    calls = {}
-    for cls in (BroadcastOp, ConvergecastOp, RouteOp):
-        def checked(self, _horizon=cls.cycle_horizon, _cls=cls):
-            before = _op_state(vars(self))
-            horizon = _horizon(self)
-            assert _op_state(vars(self)) == before, type(self).__name__
-            calls[_cls.__name__] = calls.get(_cls.__name__, 0) + 1
-            return horizon
-        monkeypatch.setattr(cls, "cycle_horizon", checked)
-    built = build_query(spec)
-    topology = build_topology(spec)
-    assignment = build_assignment(spec, built, topology) or assign_round_robin(
-        built.query, topology
-    )
-    run_distributed_faq(built.query, topology, assignment, engine="compiled")
-    assert calls.get("BroadcastOp")
-    assert calls.get("RouteOp" if name == "routed" else "ConvergecastOp")

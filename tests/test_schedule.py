@@ -1,21 +1,19 @@
 """The plan's schedule is what every round plane runs.
 
 ``protocols/schedule.py`` decides, once per plan, each node's stars,
-streams (tag, parent, sorted children) and route.  The compiled engine's
-``NodeProgram`` and the count plane's ``_Program`` must walk exactly
-that sequence; the generator engine is held to it by engine parity and
-the trace replay gate.
+streams (tag, parent, sorted children) and route.  The count plane's
+``_Program`` — the clock of compiled runs and of pricing — must walk
+exactly that sequence; the generator engine is held to it by engine
+parity and the trace replay gate.
 """
 
 import pytest
 
 from repro.costmodel import extract_skeleton
-from repro.costmodel.timing import _build_programs, _Compute, _Parallel, _Route
 from repro.lab.suites import get_suite
-from repro.network.program import ComputeStep, ParallelOps, RouteOp
 from repro.pipeline import identity_key, plan_scenario
-from repro.protocols import compile_round_programs
 from repro.protocols.schedule import StarShape, build_schedule
+from repro.protocols.timing import _build_programs, _Compute, _Parallel
 
 FUZZ_IDENTITIES = list({
     identity_key(spec): spec for spec in get_suite("fuzz").scenarios
@@ -33,52 +31,34 @@ def _scheduled_streams(node_schedule):
     return [(s.tag, s.parent, tuple(s.children)) for s in streams]
 
 
-def _op_streams(items, parallel, route):
-    streams = []
-    for op in items:
-        members = op.members if isinstance(op, parallel) else (
-            [op] if isinstance(op, route) else []
-        )
-        streams.extend(
-            (m.tag, m.parent, tuple(m.children)) for m in members
-        )
-    return streams
-
-
 @pytest.mark.parametrize(
     "spec", FUZZ_IDENTITIES, ids=[spec.label for spec in FUZZ_IDENTITIES]
 )
-def test_compiled_and_count_programs_run_the_plan_schedule(spec):
+def test_count_programs_run_the_plan_schedule(spec):
     planner, plan = plan_scenario(spec)
     query, topology = planner.query, planner.topology
-    compiled = compile_round_programs(plan, query, topology)
     counted = _build_programs(
         extract_skeleton(plan, tuple(topology.nodes), query)
     )
     for node in topology.nodes:
         scheduled = plan.schedule[node]
-        expected = _scheduled_streams(scheduled)
-        program = compiled[node]
-        assert _op_streams(program.items, ParallelOps, RouteOp) == expected
-        assert _op_streams(counted[node].items, _Parallel, _Route) == expected
-        # The compiled engine's op labels, and the count plane's op kinds
-        # (it steps every stream in a parallel group — a star's scatter
-        # and combine in one — and a route in its own).
-        labels = []
-        for role in scheduled.stars:
-            labels += [
-                f"s{role.star_id}:{phase}" for phase in ("star", "rebuild")
-            ]
+        items = counted[node].items
+        assert [
+            (m.tag, m.parent, tuple(m.children))
+            for op in items if isinstance(op, _Parallel) for m in op.members
+        ] == _scheduled_streams(scheduled)
+        # Per star a parallel group (its scatter and combine streams)
+        # and a compute step, then the route's own group and the output
+        # player's finish; a traced run shows each compute's label.
+        kinds = [_Parallel, _Compute] * len(scheduled.stars)
+        labels = [f"s{role.star_id}:rebuild" for role in scheduled.stars]
         if scheduled.route is not None:
-            labels.append("route:final")
+            kinds.append(_Parallel)
         if scheduled.is_output:
+            kinds.append(_Compute)
             labels.append("finish")
-        assert [op.label for op in program.items] == labels
-        assert [type(op) for op in counted[node].items] == [
-            {ParallelOps: _Parallel, ComputeStep: _Compute,
-             RouteOp: _Parallel}[type(op)]
-            for op in program.items
-        ]
+        assert [type(op) for op in items] == kinds
+        assert [op.label for op in items if isinstance(op, _Compute)] == labels
 
 
 def test_build_schedule_on_two_hand_built_stars():
