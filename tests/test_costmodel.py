@@ -1127,10 +1127,10 @@ def test_round_overrun_inside_a_jumpable_stretch_still_raises(limit):
     assert evaluate_timing(skeleton, max_rounds=needed + 1).rounds == needed
 
 
-def test_deadlock_after_a_jumped_stream_still_raises():
-    # 500 slots stream b -> a and back (jumped), then the sink waits for
-    # an EOS from a routing child that runs no program.
-    skeleton = CostSkeleton(
+def _deadlocking_skeleton():
+    """500 slots stream b -> a and back (jumped), then the sink waits
+    for an EOS from a routing child that runs no program."""
+    return CostSkeleton(
         nodes=("a", "b"), output_player="b", capacity=8, tuple_bits=8,
         value_bits=1,
         stars=(
@@ -1143,11 +1143,38 @@ def test_deadlock_after_a_jumped_stream_still_raises():
             parents={"a": "b", "b": None, "ghost": "b"}, payload_counts={}
         ),
     )
+
+
+def test_deadlock_after_a_jumped_stream_still_raises():
+    skeleton = _deadlocking_skeleton()
     before = COUNTERS.snapshot()
     with pytest.raises(CostModelError, match="deadlocked at round"):
         evaluate_timing(skeleton)
     # Nothing is counted for a pricing that failed.
     assert counter_delta(before, COUNTERS.snapshot()) == {}
+
+
+@pytest.mark.parametrize("case", ["max_rounds", "deadlock"])
+def test_errors_do_not_depend_on_dormancy(case, monkeypatch):
+    """A run stopped inside or after a jumped stretch names the same
+    round and the same live nodes as a run that steps every stream
+    every round: dormant streams never hide a node from the error."""
+    skeleton, limit = {
+        "max_rounds": (_stream_line_skeleton(1024), 400),
+        "deadlock": (_deadlocking_skeleton(), 1_000_000),
+    }[case]
+    errors = []
+    for stepping in (False, True):
+        if stepping:
+            monkeypatch.setattr(timing_module, "_settle", lambda *_args: [])
+        with pytest.raises(CostModelError) as err:
+            evaluate_timing(skeleton, max_rounds=limit)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "cost model exceeded max_rounds=400" if case == "max_rounds"
+        else "cost model deadlocked at round"
+    )
 
 
 def test_context_send_overdraft_raises():
@@ -1238,7 +1265,21 @@ def _op_state(value):
     return value
 
 
-def test_horizon_leaves_every_op_unchanged(monkeypatch):
+#: A routed plan: ``hard-forest`` with two trees on ``ring(6)``, its
+#: relations placed worst-case, so the final phase routes payloads.
+_ROUTED_SPEC = ScenarioSpec(
+    family="routed", query="hard-forest",
+    query_params={"edges": 4, "trees": 2}, topology="ring",
+    topology_params={"n": 6}, n=64, assignment="worst-case",
+    engine="compiled", seed=5,
+)
+
+
+@pytest.mark.parametrize("name, rounds, kinds", [
+    ("wide-expander", 78, ("_Broadcast", "_Convergecast")),
+    ("routed", 92, ("_Broadcast", "_Route")),
+])
+def test_horizon_leaves_every_op_unchanged(name, rounds, kinds, monkeypatch):
     """Which streams are asked for a horizon depends on which settle
     candidates the round has and in what order: that is only exact
     while asking changes nothing.  Every stream class's ``horizon`` is
@@ -1261,10 +1302,13 @@ def test_horizon_leaves_every_op_unchanged(monkeypatch):
             calls[_cls.__name__] = calls.get(_cls.__name__, 0) + 1
             return horizon
         monkeypatch.setattr(cls, "horizon", checked)
-    timing = evaluate_timing(_skeleton_of(TIMING_CASES["wide-expander-N96"]))
-    assert timing.rounds == 78
-    assert calls.get("_Broadcast")
-    assert calls.get("_Convergecast")
+    spec = {
+        "wide-expander": TIMING_CASES["wide-expander-N96"],
+        "routed": _ROUTED_SPEC,
+    }[name]
+    assert evaluate_timing(_skeleton_of(spec)).rounds == rounds
+    for kind in kinds:
+        assert calls.get(kind), kind
 
 
 # ---------------------------------------------------------------------------

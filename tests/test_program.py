@@ -270,31 +270,53 @@ def _faq_inputs(spec):
     return built.query, topology, assignment
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("mode", ["cold", "warm", "traced"])
 @pytest.mark.parametrize("engine", ["generator", "compiled"])
 @pytest.mark.parametrize(
     "index, rounds", [(0, 20), (1, 150), (2, 17)], ids=["s0", "s1", "s2"])
-def test_max_rounds_is_exact_at_the_public_entry(index, rounds, engine, warm):
+def test_max_rounds_is_exact_at_the_public_entry(index, rounds, engine, mode):
     """A run needs one silent round past its last send to see every
     player finish, so ``max_rounds`` at the rounds ``R`` or below
     raises :class:`SimulationError` on both engines, and ``R + 1``
     runs.  A compiled run raises whether its clock is made for it
-    (cold) or shared (warm, after a run with room): the count plane's
-    ``CostModelError`` does not leak out."""
+    (cold), shared (warm, after a run with room) or stepped on a live
+    tracer (traced): the count plane's ``CostModelError`` does not leak
+    out."""
     spec = generate_scenarios(777, 3)[index]
     query, topology, assignment = _faq_inputs(spec)
 
     def run(limit):
+        tracer = RecordingTracer() if mode == "traced" else None
         return run_distributed_faq(
-            query, topology, assignment, engine=engine, max_rounds=limit)
+            query, topology, assignment, engine=engine, max_rounds=limit,
+            tracer=tracer)
 
     clear_all_memos()
-    if warm:
+    if mode == "warm":
         assert run(rounds + 1).rounds == rounds
     for limit in (rounds - 1, rounds):
         with pytest.raises(SimulationError, match=f"max_rounds={limit}\\b"):
             run(limit)
     assert run(rounds + 1).rounds == rounds
+
+
+@pytest.mark.parametrize("n, skipped", [(96, 8), (500, 219)])
+def test_compiled_runs_report_every_skippable_round(n, skipped):
+    """A compiled run's jump counters are its clock's skips: on the
+    ``wide-expander`` shape they cover the 8 and 219 rounds a stepping
+    count-plane run shows to be skippable
+    (``tests/test_costmodel.py::test_only_changing_streams_step``),
+    whether the clock is made for the run or shared with an earlier
+    one."""
+    spec = ENGINE_CASES["wide-expander-N96"].with_(n=n)
+    query, topology, assignment = _faq_inputs(spec)
+    clear_all_memos()
+    for _clock in ("made", "shared"):
+        before = COUNTERS.snapshot()
+        run_distributed_faq(query, topology, assignment, engine="compiled")
+        delta = counter_delta(before, COUNTERS.snapshot())
+        assert delta["engine.fast_forward_rounds"] == skipped
+        assert 1 <= delta["engine.fast_forward"] <= skipped
 
 
 def test_the_count_plane_runs_once_per_skeleton():
