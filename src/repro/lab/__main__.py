@@ -237,11 +237,25 @@ class _UsageError(Exception):
 
 
 def _suite(args: argparse.Namespace) -> SuiteSpec:
-    """The suite the command line names, re-seeded by ``--seed``."""
+    """The suite the command line names, re-seeded by ``--seed`` and
+    swept or overridden by ``--engine`` / ``--solver``."""
     try:
-        return get_suite(args.suite, seed=args.seed)
+        suite = get_suite(args.suite, seed=args.seed)
     except ValueError as exc:
         raise _UsageError(exc) from None
+    for axis in ("engine", "solver"):
+        choice = getattr(args, axis, None)
+        if choice == "both":
+            suite = with_axis(
+                suite, axis, suite.name, suite.description or suite.name
+            )
+        elif choice is not None:
+            suite = SuiteSpec(
+                name=suite.name,
+                scenarios=tuple(s.with_(**{axis: choice}) for s in suite),
+                description=suite.description,
+            )
+    return suite
 
 
 def _cmd_list() -> int:
@@ -278,7 +292,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
         print(
             "no engine, solver or backend pairs in artifact (run a suite "
             "with --engine both / --solver both, or the "
-            "*-compare/*-smoke/fuzz suites)"
+            "backend-compare/fuzz suites)"
         )
         return 1
     failures = all_parity_failures(records)
@@ -460,18 +474,6 @@ def _trace_reasons(result) -> List[str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     suite = _suite(args)
-    for axis in ("engine", "solver"):
-        choice = getattr(args, axis)
-        if choice == "both":
-            suite = with_axis(
-                suite, axis, suite.name, suite.description or suite.name
-            )
-        elif choice is not None:
-            suite = SuiteSpec(
-                name=suite.name,
-                scenarios=tuple(s.with_(**{axis: choice}) for s in suite),
-                description=suite.description,
-            )
     cache: Optional[ResultCache] = None
     if not args.no_cache:
         cache_dir = args.cache_dir or os.path.join(args.out, ".lab_cache")

@@ -10,11 +10,10 @@ Built-ins:
 * ``backend-compare`` — every scenario twice, once per storage backend,
   so answer digests and round counts can be asserted pairwise identical;
 * ``scaling`` — size and player-count sweeps for perf trajectories;
-* ``engine-compare`` / ``engine-smoke`` — every scenario on both protocol
-  engines, for the engine-parity gate;
-* ``solver-scaling`` / ``solver-compare`` / ``solver-smoke`` — the FAQ
-  solver axis: sweeps sized so the reference solve dominates, paired
-  across ``solver="operator"``/``"compiled"`` for the solver-parity gate;
+* ``solver-scaling`` — the FAQ solver axis: sweeps sized so the
+  reference solve dominates (``lab run solver-scaling --solver both``
+  pairs them across ``solver="operator"``/``"compiled"``; ``--engine
+  both`` does the same for the protocol engines);
 * ``fuzz`` / ``fuzz-smoke`` — the fuzzed scenario plane
   (:mod:`repro.lab.generate`): seeded random scenarios, each swept
   across the full engine x solver x backend grid, with lower-bound
@@ -440,43 +439,6 @@ def with_axes(suite: SuiteSpec, name: str, description: str) -> SuiteSpec:
     return suite
 
 
-def _engine_compare_suite() -> SuiteSpec:
-    return with_engines(
-        _table1_suite(),
-        "engine-compare",
-        "every Table 1 scenario on both protocol engines; answer digests, "
-        "round counts and total bits must match pairwise",
-    )
-
-
-def _engine_smoke_suite() -> SuiteSpec:
-    return with_engines(
-        _smoke_suite(),
-        "engine-smoke",
-        "the CI smoke cross-section on both protocol engines (the "
-        "engine-parity gate)",
-    )
-
-
-def _solver_compare_suite() -> SuiteSpec:
-    return with_solvers(
-        _solver_scaling_suite(),
-        "solver-compare",
-        "the solver-scaling sweep on both FAQ solvers; answer digests, "
-        "round counts and total bits must match pairwise, and the "
-        "compiled solver's wall-clock trajectory is the artifact",
-    )
-
-
-def _solver_smoke_suite() -> SuiteSpec:
-    return with_solvers(
-        _smoke_suite(),
-        "solver-smoke",
-        "the CI smoke cross-section on both FAQ solvers (the "
-        "solver-parity gate)",
-    )
-
-
 def _fuzz_suite(seed: int = DEFAULT_SEED) -> SuiteSpec:
     from .generate import fuzz_suite
 
@@ -494,10 +456,6 @@ register_suite("smoke", _smoke_suite)
 register_suite("table1", _table1_suite)
 register_suite("backend-compare", _backend_compare_suite)
 register_suite("scaling", _scaling_suite)
-register_suite("engine-compare", _engine_compare_suite)
-register_suite("engine-smoke", _engine_smoke_suite)
 register_suite("solver-scaling", _solver_scaling_suite)
-register_suite("solver-compare", _solver_compare_suite)
-register_suite("solver-smoke", _solver_smoke_suite)
 register_suite("fuzz", _fuzz_suite)
 register_suite("fuzz-smoke", _fuzz_smoke_suite)

@@ -5,36 +5,42 @@ This module is the ``engine="compiled"`` counterpart of
 engine interleaves scheduling and data movement inside one generator per
 node, a compiled run splits the two:
 
-* **Data** — :func:`execute_plan` goes through the plan's stars in
-  order, with no round loop: the star's root dictionary-encodes its
-  center once into a :class:`~repro.semiring.columnar.WireBlock`, every
-  terminal scores the broadcast rows (Phase B: the columnar key probe
-  when the semiring has a vector profile, the shared dict scorer
-  otherwise), and the root folds the scores over each Steiner tree in
-  the generator's exact association order (vectorized when safe) and
-  rebuilds its center.  Then each route node registers its final
-  payload and the output player finishes the residual query.  Integer
-  (COUNTING) folds pre-check int64 overflow and drop to exact Python
-  arithmetic.  The probe, the int64 guard and the dictionary view are
-  the operator solver's own: the table of columnar kernels in
-  ``docs/architecture.md`` lists them.  Model 2.1 charges nothing for
-  local work, and none of it depends on when bits arrive, so doing it
-  in plan order gives the answer a round-by-round run would.
+* **Data** — :func:`star_pass` is the only sequential copy of the
+  protocol's local star work.  It goes through stars bottom-up, with no
+  round loop: every terminal scores the center's rows (Phase B: the
+  columnar key probe against the center's own code columns when the
+  center is columnar and the semiring has a vector profile, the shared
+  dict scorer over its rows otherwise), and the root folds the scores
+  over each Steiner tree in the generator's exact association order
+  (vectorized when safe) and rebuilds its center from the same columns
+  or rows.  Integer (COUNTING) folds pre-check int64 overflow and drop
+  to exact Python arithmetic.  The probe, the int64 guard and the
+  dictionary view are the operator solver's own: the table of columnar
+  kernels in ``docs/architecture.md`` lists them.
+  :func:`execute_plan` runs every star, then each route node gives up
+  its final payload and the output player finishes the residual query;
+  pricing runs only the stars that feed a routed relation
+  (:func:`payload_counts`, read by
+  :func:`repro.costmodel.extract_skeleton`).  Model 2.1 charges nothing
+  for local work, and none of it depends on when bits arrive, so doing
+  it in plan order gives the answer a round-by-round run would.
 
 * **Time** — :func:`run_compiled` builds the plan's
-  :class:`~repro.protocols.timing.CostSkeleton` from the data pass's
-  own payload counts and reads rounds, total bits, per-link bits (in
-  key order) and the busiest link-round from the count plane
+  :class:`~repro.protocols.timing.CostSkeleton` from the pass's payload
+  counts and reads rounds, total bits, per-link bits (in key order) and
+  the busiest link-round from the count plane
   (:mod:`repro.protocols.timing`), the run pricing shares.
 
-Engine parity — identical answers, identical round counts, identical
-total/per-edge bits — is asserted end-to-end by ``tests/test_program.py``
-over every Table 1 suite.
+The payload counts are the one data-dependent input of a run's cost, and
+the cost model reads the same ones, so the gates that check them compare
+against the generator engine, which ships real tuples: engine parity
+(``tests/test_program.py`` over every Table 1 suite) and the lab's
+measured = predicted gate on every generator plane.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +53,6 @@ from ..semiring import (
     ColumnarFactor,
     Factor,
     VECTOR_PROFILES,
-    WireBlock,
     supports_columnar,
     to_backend,
 )
@@ -67,8 +72,8 @@ from .faq_protocol import (
     score_rows,
     star_contributions,
 )
-from .schedule import Schedule, StarRole
-from .timing import CostModelError, plan_skeleton, run_timing, shared_timing
+from .schedule import Schedule
+from .timing import CostModelError, plan_skeleton, shared_timing
 
 #: Semirings whose ⊕ is order-insensitive at machine precision (boolean
 #: or, exact int64 add, float min/max).  REAL's float ``+`` is excluded:
@@ -112,50 +117,16 @@ def _identity_vector(semiring, profile, length: int):
     return [semiring.one] * length
 
 
-def fold_tree_slots(
-    schedule: Schedule,
-    star: StarPhase,
-    j: int,
-    slots_by_node: Dict[str, Any],
-    start: int,
-    stop: int,
-    vec_mul: Callable[[Any, Any], Any],
-    identity_fn: Callable[[int], Any],
-):
-    """Combine packing tree ``j``'s slot contributions, root association.
-
-    Replicates the convergecast's value flow without its timing: each
-    node's value is its own slots (identity when it contributed none)
-    combined with its children's folded values in the schedule's
-    sorted-child order — the exact association the generator's
-    pipelined combine produces.
-
-    Args:
-        vec_mul: Elementwise slot-vector combiner (e.g. the semiring ⊗).
-        identity_fn: length -> identity slot vector.
-    """
-    length = stop - start
-
-    def value_of(node: str):
-        own = slots_by_node.get(node)
-        acc = own[start:stop] if own is not None else identity_fn(length)
-        for child in schedule.children(node, star.star_id, j):
-            acc = vec_mul(acc, value_of(child))
-        return acc
-
-    return value_of(star.slot_plan.root)
-
-
 def _align_join_columns(
-    wire_dict: List[Any],
-    wire_codes: np.ndarray,
+    center_dict: List[Any],
+    center_codes: np.ndarray,
     factor_dict: List[Any],
     factor_codes: np.ndarray,
 ):
     """Map two dictionary-coded columns into one shared code space.
 
-    Shared dictionaries (zero-copy columnar wire blocks) need no work at
-    all.  Integer dictionaries with an exact array view
+    Shared dictionaries need no work at all.  Integer dictionaries with
+    an exact array view
     (:func:`~repro.semiring.columnar.dictionary_array`, not memoized by
     object identity: the callers pass temporaries, and a freed list
     hands its identity to the next one allocated) translate codes to
@@ -164,42 +135,41 @@ def _align_join_columns(
     back to :func:`merge_dictionaries` (generic hashable values).
 
     Returns:
-        ``(wire_column, factor_column, cardinality)`` where equal entries
-        mean equal underlying domain values.
+        ``(center_column, factor_column, cardinality)`` where equal
+        entries mean equal underlying domain values.
     """
-    if wire_dict is factor_dict:
-        return wire_codes, factor_codes, len(wire_dict)
+    if center_dict is factor_dict:
+        return center_codes, factor_codes, len(center_dict)
 
-    wire_vals = dictionary_array(wire_dict)
+    center_vals = dictionary_array(center_dict)
     factor_vals = dictionary_array(factor_dict)
     try:
         if (
-            wire_vals is not None
+            center_vals is not None
             and factor_vals is not None
-            and wire_vals.dtype.kind in "iub"
+            and center_vals.dtype.kind in "iub"
             and factor_vals.dtype.kind in "iub"
         ):
-            low = min(int(wire_vals.min()), int(factor_vals.min()))
-            card = max(int(wire_vals.max()), int(factor_vals.max())) - low + 1
+            low = min(int(center_vals.min()), int(factor_vals.min()))
+            card = max(int(center_vals.max()), int(factor_vals.max())) - low + 1
             if card <= 2 ** 40:
-                wire_col = wire_vals.astype(np.int64)[wire_codes] - low
+                center_col = center_vals.astype(np.int64)[center_codes] - low
                 factor_col = factor_vals.astype(np.int64)[factor_codes] - low
-                return wire_col, factor_col, card
+                return center_col, factor_col, card
     except (TypeError, ValueError, OverflowError):
         # e.g. an empty dictionary, or uint64 values beyond int64 — fall
         # back to the generic merge below.
         pass
-    merged, remap = merge_dictionaries(wire_dict, factor_dict)
-    return wire_codes, remap[factor_codes], len(merged)
+    merged, remap = merge_dictionaries(center_dict, factor_dict)
+    return center_codes, remap[factor_codes], len(merged)
 
 
 def _vector_scores(
-    semiring, schema: Sequence[str], contributions: Sequence[Factor],
-    wire: WireBlock,
+    semiring, center: ColumnarFactor, contributions: Sequence[Factor],
 ) -> Optional[np.ndarray]:
-    """Phase B, vectorized: score every broadcast row in one pass.
+    """Phase B, vectorized: score every center row in one pass.
 
-    The columnar analogue of ``score_rows``: the wire rows
+    The columnar analogue of ``score_rows``: the center's code columns
     :func:`~repro.semiring.columnar.probe` each contribution on its
     shared columns, aligned into one code space (missing rows score the
     semiring zero), and the scores are ⊗-multiplied into the slot
@@ -211,8 +181,8 @@ def _vector_scores(
     profile = _profile_of(semiring)
     if profile is None:
         return None
-    n = len(wire)
-    schema_index = wire.schema_index
+    n = len(center)
+    schema_index = {v: i for i, v in enumerate(center.schema)}
     slots = np.full(n, semiring.one, dtype=profile.dtype)
     for factor in contributions:
         try:
@@ -233,18 +203,18 @@ def _vector_scores(
                     return None
             cf = projected
             proj_vars = [v for v in cf.schema if v in schema_index]
-        wire_cols, factor_cols, cards = [], [], []
+        center_cols, factor_cols, cards = [], [], []
         for v in proj_vars:
             fi = cf.column_index(v)
-            bi = schema_index[v]
-            wire_col, factor_col, card = _align_join_columns(
-                wire.dictionaries[bi], wire.codes[bi],
+            ci = schema_index[v]
+            center_col, factor_col, card = _align_join_columns(
+                center.dictionaries[ci], center.codes[ci],
                 cf.dictionaries[fi], cf.codes[fi],
             )
-            wire_cols.append(wire_col)
+            center_cols.append(center_col)
             factor_cols.append(factor_col)
             cards.append(card)
-        hit = probe(wire_cols, factor_cols, cards, n, len(cf))
+        hit = probe(center_cols, factor_cols, cards, n, len(cf))
         if hit is None:
             return None
         found, rows = hit
@@ -257,143 +227,171 @@ def _vector_scores(
 
 
 # ---------------------------------------------------------------------------
-# Shared per-phase runtime state
+# The star pass
 # ---------------------------------------------------------------------------
 
 
-class StarRuntime:
-    """Data-plane state one star phase shares across its participants:
-    the root's center, encoded once as the broadcast block, its slices
-    over the packing trees, and each terminal's scores."""
+def _combine(schedule: Schedule, star: StarPhase, slots: Dict[str, Any],
+             num_slots: int, semiring):
+    """Phase C's values without its timing: the ⊗-convergecast result,
+    reassembled across the packing.
 
-    def __init__(self, star: StarPhase, semiring, schedule: Schedule,
-                 factor: Factor) -> None:
-        self.star = star
-        self.semiring = semiring
-        self.schedule = schedule
-        if isinstance(factor, ColumnarFactor):
-            # Already columnar: the wire block shares the code arrays and
-            # dictionaries (annotations stay local — the scatter ships
-            # rows only, at tuple_bits each, like the generator).
-            self.wire = WireBlock(
-                factor.schema, factor.codes, factor.dictionaries
-            )
-        else:
-            self.wire = WireBlock.encode_rows(
-                star.center_schema, factor.tuples()
-            )
-        self.ranges = star.slot_plan.slice_ranges(len(self.wire))
-        self._rows: Optional[List[Tuple]] = None
-        self.slots: Dict[str, Any] = {}
+    Per packing tree, each node's value is its own slots (identity when
+    it contributed none) combined with its children's folded values in
+    the schedule's sorted-child order — the exact association the
+    generator's pipelined combine produces.
+    """
+    profile = _profile_of(semiring)
+    if profile is not None and np.dtype(profile.dtype).kind in "iub":
+        # On integers and booleans ``one ⊗ x`` is ``x`` exactly, so a
+        # relay (no slots of its own) passes its children's fold on as
+        # is; ``None`` stands for the identity until a value comes.
+        def mul(a, b):
+            if a is None or b is None:
+                return b if a is None else a
+            return _mul_values(semiring, profile, a, b)
 
-    def rows(self) -> List[Tuple]:
-        """Decoded broadcast rows (dict-plane fallback, cached)."""
-        if self._rows is None:
-            self._rows = self.wire.decode_rows()
-        return self._rows
+        identity = lambda length: None
+    else:
+        mul = lambda a, b: _mul_values(semiring, profile, a, b)
+        identity = lambda length: _identity_vector(semiring, profile, length)
 
-    def combined_at_root(self):
-        """The ⊗-convergecast result, reassembled across the packing."""
-        semiring = self.semiring
-        profile = _profile_of(semiring)
-        if profile is not None and np.dtype(profile.dtype).kind in "iub":
-            # On integers and booleans ``one ⊗ x`` is ``x`` exactly, so a
-            # relay (no slots of its own) passes its children's fold on
-            # as is; ``None`` stands for the identity until a value comes.
-            def vec_mul(a, b):
-                if a is None or b is None:
-                    return b if a is None else a
-                return _mul_values(semiring, profile, a, b)
+    per_tree = []
+    for j, (start, stop) in enumerate(star.slot_plan.slice_ranges(num_slots)):
+        def value_of(node: str):
+            own = slots.get(node)
+            acc = own[start:stop] if own is not None else identity(stop - start)
+            for child in schedule.children(node, star.star_id, j):
+                acc = mul(acc, value_of(child))
+            return acc
 
-            identity_fn = lambda length: None
-        else:
-            vec_mul = lambda a, b: _mul_values(semiring, profile, a, b)
-            identity_fn = lambda length: _identity_vector(
-                semiring, profile, length)
-        per_tree = []
-        for j, (start, stop) in enumerate(self.ranges):
-            value = fold_tree_slots(
-                self.schedule, self.star, j, self.slots, start, stop,
-                vec_mul, identity_fn,
-            )
-            if value is None:
-                value = _identity_vector(semiring, profile, stop - start)
-            per_tree.append(value)
-        if all(isinstance(v, np.ndarray) for v in per_tree):
-            return (
-                np.concatenate(per_tree) if per_tree
-                else _identity_vector(semiring, profile, 0)
-            )
-        out: List[Any] = []
-        for v in per_tree:
-            out.extend(v.tolist() if isinstance(v, np.ndarray) else v)
-        return out
+        value = value_of(star.slot_plan.root)
+        if value is None:
+            value = _identity_vector(semiring, profile, stop - start)
+        per_tree.append(value)
+    if all(isinstance(v, np.ndarray) for v in per_tree):
+        return (
+            np.concatenate(per_tree) if per_tree
+            else _identity_vector(semiring, profile, 0)
+        )
+    out: List[Any] = []
+    for v in per_tree:
+        out.extend(v.tolist() if isinstance(v, np.ndarray) else v)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Star phases
-# ---------------------------------------------------------------------------
-
-
-def _compute_star_slots(
-    plan: ProtocolPlan,
-    query: FAQQuery,
-    star: StarPhase,
-    state: Dict[str, Factor],
-    node: str,
-    runtime: StarRuntime,
-):
-    """Phase B for one terminal: vectorized scorer, dict fallback."""
-    contributions = star_contributions(plan, query, star, state, node)
-    if not contributions:
-        return None
-    scores = _vector_scores(
-        query.semiring, star.center_schema, contributions, runtime.wire
-    )
-    if scores is not None:
-        return scores
-    return score_rows(
-        query.semiring, star.center_schema, contributions, runtime.rows()
-    )
-
-
-def _rebuild_center(
-    query: FAQQuery, star: StarPhase, runtime: StarRuntime, combined
-) -> Factor:
+def _rebuild_center(query: FAQQuery, star: StarPhase, center: Factor,
+                    rows: Optional[List[Tuple]], combined) -> Factor:
     """Phase D: the center's owner rebuilds its relation from the scores.
 
     Same canonicalization as the generator path (zero annotations drop);
     when the query's data plane is columnar and the scores stayed
-    vectorized, the rebuild is pure array slicing on the wire block.
+    vectorized, the rebuild slices the center's own code columns.
+    ``rows`` are the center's decoded rows, if Phase B needed them.
     """
     semiring = query.semiring
-    wire = runtime.wire
     if (
         isinstance(combined, np.ndarray)
+        and isinstance(center, ColumnarFactor)
         and query.backend == BACKEND_COLUMNAR
-        and supports_columnar(semiring)
     ):
-        profile = VECTOR_PROFILES[semiring.name]
-        zero = profile.is_zero_mask(combined)
-        if zero.any():
-            keep = ~zero
-            codes = [c[keep] for c in wire.codes]
-            values = combined[keep]
+        keep = ~VECTOR_PROFILES[semiring.name].is_zero_mask(combined)
+        if keep.all():
+            codes, values = list(center.codes), combined
         else:
-            codes = list(wire.codes)
-            values = combined
+            codes = [c[keep] for c in center.codes]
+            values = combined[keep]
         return ColumnarFactor._from_arrays(
-            star.center_schema, codes, list(wire.dictionaries), values,
+            star.center_schema, codes, list(center.dictionaries), values,
             semiring, star.center_edge,
         )
     values = combined.tolist() if isinstance(combined, np.ndarray) else combined
-    new_rows = {
-        tuple(row): values[i] for i, row in enumerate(runtime.rows())
-    }
-    rebuilt = Factor(star.center_schema, new_rows, semiring, star.center_edge)
+    if rows is None:
+        rows = list(center.tuples())
+    rebuilt = Factor(
+        star.center_schema,
+        {row: values[i] for i, row in enumerate(rows)},
+        semiring, star.center_edge,
+    )
     if query.backend is not None:
         rebuilt = to_backend(rebuilt, query.backend)
     return rebuilt
+
+
+def star_pass(
+    plan: ProtocolPlan, query: FAQQuery, stars: Iterable[StarPhase]
+) -> Dict[str, Factor]:
+    """The protocol's local star work over ``stars`` (bottom-up, all of
+    the plan's or a subset closed under "feeds"), from the caller's
+    relations (``query``).
+
+    Per star, every terminal scores the center's rows, and the root
+    folds the scores and rebuilds its center.  Each relation is a leaf
+    of at most one star and the center of at most one (before its
+    parent's star), and each player scores only the relations it owns,
+    so one relation map stands for every player's state.
+
+    Returns:
+        Every relation as it stands after those stars.
+    """
+    semiring = query.semiring
+    state: Dict[str, Factor] = dict(query.factors)
+    for star in stars:
+        center = state[star.center_edge]
+        rows = None if isinstance(center, ColumnarFactor) else list(center.tuples())
+        slots: Dict[str, Any] = {}
+        for node in star.slot_plan.terminals:
+            contributions = star_contributions(plan, query, star, state, node)
+            if not contributions:
+                continue
+            scores = None
+            if rows is None:
+                scores = _vector_scores(semiring, center, contributions)
+                if scores is None:
+                    rows = list(center.tuples())
+            if scores is None:
+                scores = score_rows(
+                    semiring, star.center_schema, contributions, rows
+                )
+            slots[node] = scores
+        combined = _combine(plan.schedule, star, slots, len(center), semiring)
+        state[star.center_edge] = _rebuild_center(
+            query, star, center, rows, combined
+        )
+    return state
+
+
+def _route_counts(plan: ProtocolPlan, state: Dict[str, Factor]) -> Dict[str, int]:
+    """The items each route node originates: the rows of the final
+    relations it owns, unless it is the output player."""
+    counts: Dict[str, int] = {}
+    for name in plan.final_edges:
+        owner = plan.assignment[name]
+        if owner != plan.output_player:
+            counts[owner] = counts.get(owner, 0) + len(state[name])
+    return counts
+
+
+def payload_counts(plan: ProtocolPlan, query: FAQQuery) -> Dict[str, int]:
+    """The skeleton's payload counts without the rest of the run.
+
+    Demand-driven: only a final relation owned by another player than
+    the output player is routed, and its surviving size depends only on
+    the stars below it.  Walking the stars top-down from those relations
+    (a selected star's leaves are needed in turn) selects the stars that
+    :func:`star_pass` runs; the rest — all of them when nothing is
+    routed — cost nothing.
+    """
+    needed = {
+        name for name in plan.final_edges
+        if plan.assignment[name] != plan.output_player
+    }
+    feeding: List[StarPhase] = []
+    for star in reversed(plan.stars):
+        if star.center_edge in needed:
+            needed.update(star.leaf_edges)
+            feeding.append(star)
+    return _route_counts(plan, star_pass(plan, query, reversed(feeding)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,66 +400,27 @@ def _rebuild_center(
 
 
 def execute_plan(
-    plan: ProtocolPlan,
-    query: FAQQuery,
-    topology: Topology,
-    solver: str,
+    plan: ProtocolPlan, query: FAQQuery, solver: str
 ) -> Tuple[Factor, Dict[str, int]]:
     """The protocol's data work, once and in plan order, over the
     caller's relations (``query``) and residual ``solver``.
 
-    Each player keeps its own relations.  Per star, bottom-up: the root
-    encodes its center, every terminal scores the broadcast rows, the
-    root folds the scores and rebuilds its center, and every participant
-    drops the star's leaves.  Then each route node gives up its final
-    payload, and the output player finishes the residual query with
-    free local computation.
+    Every star (:func:`star_pass`); then each route node gives up its
+    final payload, and the output player finishes the residual query
+    with free local computation.
 
     Returns:
         The answer, and the items each route node originates (the
         skeleton's payload counts).
     """
-    states: Dict[str, Dict[str, Factor]] = {
-        node: {
-            name: query.factors[name]
-            for name, owner in plan.assignment.items()
-            if owner == node
-        }
-        for node in topology.nodes
-    }
-    schedule = plan.schedule
-    roles: Dict[int, List[Tuple[str, StarRole]]] = {}
-    for node in topology.nodes:
-        for role in schedule[node].stars:
-            roles.setdefault(role.star_id, []).append((node, role))
-    for star in plan.stars:
-        root = star.slot_plan.root
-        runtime = StarRuntime(
-            star, query.semiring, schedule, states[root][star.center_edge]
-        )
-        members = roles.get(star.star_id, ())
-        for node, role in members:
-            if role.is_terminal:
-                slots = _compute_star_slots(
-                    plan, query, star, states[node], node, runtime
-                )
-                if slots is not None:
-                    runtime.slots[node] = slots
-        states[root][star.center_edge] = _rebuild_center(
-            query, star, runtime, runtime.combined_at_root()
-        )
-        for node, _role in members:
-            for leaf_edge in star.leaf_edges:
-                states[node].pop(leaf_edge, None)
-    payloads: Dict[str, List[Tuple[str, Tuple, Any]]] = {
-        node: _final_payload(plan, query, node, states[node])
+    state = star_pass(plan, query, plan.stars)
+    collected = [
+        item
         for node in sorted(plan.routing_parents)
-    }
-    collected = [item for items in payloads.values() for item in items]
-    answer = _finish_locally(
-        plan, query, states[plan.output_player], collected, solver
-    )
-    return answer, {node: len(items) for node, items in payloads.items()}
+        for item in _final_payload(plan, query, node, state)
+    ]
+    answer = _finish_locally(plan, query, state, collected, solver)
+    return answer, _route_counts(plan, state)
 
 
 def run_compiled(
@@ -473,8 +432,9 @@ def run_compiled(
     tracer: Optional[Tracer] = None,
 ) -> SimulationResult:
     """Run the plan: its data work (:func:`execute_plan`), then its
-    clock, the count plane's run of the plan's skeleton — shared with
-    pricing, or, with a live ``tracer``, stepped here and shown on it.
+    clock, the count plane's run of the plan's skeleton, shared with
+    pricing (with a live ``tracer``, stepped here, shown on it, and
+    shared from then on).
 
     ``engine.fast_forward`` / ``engine.fast_forward_rounds`` count the
     clock's skips and the rounds they cover, whether its run was made
@@ -485,16 +445,12 @@ def run_compiled(
             ``max_rounds`` rounds, on deadlock, or on a plan whose
             streams share a link.
     """
-    answer, payload_counts = execute_plan(plan, query, topology, solver)
-    skeleton = plan_skeleton(plan, topology.nodes, payload_counts)
+    answer, counts = execute_plan(plan, query, solver)
+    skeleton = plan_skeleton(plan, topology.nodes, counts)
+    if tracer is not None:
+        tracer.run_start("compiled", plan.capacity_bits, list(topology.nodes))
     try:
-        if tracer is None:
-            timed = shared_timing(skeleton, max_rounds)
-        else:
-            tracer.run_start(
-                "compiled", plan.capacity_bits, list(topology.nodes)
-            )
-            timed = run_timing(skeleton, max_rounds, tracer)
+        timed = shared_timing(skeleton, max_rounds, tracer)
     except CostModelError as exc:
         raise SimulationError(str(exc)) from exc
     if timed.skips:

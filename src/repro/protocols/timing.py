@@ -21,8 +21,8 @@ clock: ``engine="compiled"`` does the protocol's data work once, with
 no round loop (:mod:`repro.protocols.compiler`), and takes its rounds,
 bits and per-link load from here, as pricing does
 (:func:`repro.costmodel.predict_costs`).  Both read one run per
-skeleton per process (:func:`shared_timing`); with a live tracer a
-compiled run steps its own (:func:`run_timing`).
+skeleton per process (:func:`shared_timing`); a compiled run with a
+live tracer steps that run itself, shows it and shares it.
 
 Streaming costs O(changing streams), not O(rounds): a stream that sends
 the same bits every round while its inputs repeat goes *dormant*, and
@@ -948,13 +948,15 @@ def _catch_up(
 
 class Timed(NamedTuple):
     """One count-plane run: its four metrics, its skips (the rounds
-    ``start + 1 .. end`` of each, none of which steps a stream) and the
-    round its loop ended in."""
+    ``start + 1 .. end`` of each, none of which steps a stream), the
+    round its loop ended in and the round each node's program finished
+    in (none for a node with nothing to run)."""
 
     cost: CostVector
     skips: int
     skipped_rounds: int
     last_round: int
+    finished: Dict[str, int]
 
 
 def evaluate_timing(
@@ -975,17 +977,27 @@ def evaluate_timing(
 _TIMING_MEMO = LRUMemo("protocols.timing", maxsize=1024)
 
 
-def shared_timing(skeleton: CostSkeleton, max_rounds: int) -> Timed:
+def shared_timing(
+    skeleton: CostSkeleton, max_rounds: int, tracer: Optional[Tracer] = None,
+) -> Timed:
     """The skeleton's count-plane run, made once per process.
 
-    A hit is the run a miss would make: it raises the same overrun
-    when ``max_rounds`` is too few rounds for it.
+    A hit is the run a miss would make: when ``max_rounds`` is too few
+    rounds for it, it raises the same overrun, naming the nodes still
+    running then.  A live ``tracer`` is shown a run stepped for it,
+    which is then the shared one (the caller emits ``RunStart``).
     """
+    if tracer is not None:
+        timed = run_timing(skeleton, max_rounds, tracer)
+        _TIMING_MEMO.get_or_compute(skeleton.key, lambda: timed)
+        return timed
     timed = _TIMING_MEMO.get_or_compute(
         skeleton.key, lambda: run_timing(skeleton, max_rounds)
     )
     if timed.last_round > max_rounds:
-        raise CostModelError(_overrun(max_rounds, skeleton.nodes))
+        raise CostModelError(_overrun(max_rounds, sorted(
+            node for node, end in timed.finished.items() if end > max_rounds
+        )))
     return timed
 
 
@@ -1038,6 +1050,7 @@ def run_timing(
     # Their positions there, by context, and the positions of those
     # with an awake stream (all of them before their first round).
     order = list(live)
+    finished: Dict[str, int] = {}
     rank = {ctx: i for i, (_prog, ctx) in enumerate(order)}
     stepping = set(range(len(order)))
 
@@ -1129,6 +1142,9 @@ def run_timing(
                 for src, dst, tag, kind, bits, _meta in shown:
                     tracer.send(round_no, src, dst, bits, tag=tag, kind=kind)
         if finished_any:
+            for prog, _ctx in live:
+                if prog.done:
+                    finished[prog.node] = round_no
             live = [(prog, ctx) for prog, ctx in live if not prog.done]
 
         if round_sends:
@@ -1223,5 +1239,5 @@ def run_timing(
             max_edge_bits_per_round=max_edge_bits_per_round,
             bits_per_edge=bits_per_edge,
         ),
-        skips, skipped_rounds, round_no,
+        skips, skipped_rounds, round_no, finished,
     )

@@ -12,7 +12,7 @@ from .backend import (
     to_backend,
     validate_backend,
 )
-from .columnar import ColumnarFactor, WireBlock
+from .columnar import ColumnarFactor
 from .factor import Factor
 from .semirings import (
     BOOLEAN,
@@ -31,7 +31,6 @@ from .semirings import (
 __all__ = [
     "Factor",
     "ColumnarFactor",
-    "WireBlock",
     "Semiring",
     "BOOLEAN",
     "COUNTING",

@@ -523,72 +523,6 @@ def empty_like(
 
 
 # ---------------------------------------------------------------------------
-# Wire codec — the compiled engine's columnar message format
-# ---------------------------------------------------------------------------
-
-
-class WireBlock:
-    """A columnar block of rows as it travels the compiled data plane.
-
-    The block is what a star phase's scatter broadcasts: one ``int64``
-    code array per schema variable, dictionary-encoded like
-    :class:`ColumnarFactor` (a columnar center shares its code arrays and
-    dictionaries zero-copy).  Phase B scores the block column by column,
-    and Phase D rebuilds the center from it by array slicing.
-
-    The block carries no bit accounting: both engines charge each
-    scattered row ``ProtocolPlan.tuple_bits``, so the codec's only
-    contract is a lossless round trip.
-    """
-
-    __slots__ = ("schema", "codes", "dictionaries")
-
-    def __init__(
-        self,
-        schema: Sequence[str],
-        codes: Sequence[np.ndarray],
-        dictionaries: Sequence[List[Any]],
-    ) -> None:
-        self.schema = tuple(schema)
-        self.codes = tuple(np.asarray(c, dtype=np.int64) for c in codes)
-        self.dictionaries = tuple(dictionaries)
-        if len(self.codes) != len(self.schema):
-            raise ValueError("one code column per schema variable required")
-        lengths = {len(c) for c in self.codes}
-        if len(lengths) > 1:
-            raise ValueError(f"ragged wire block: column lengths {lengths}")
-
-    @classmethod
-    def encode_rows(
-        cls, schema: Sequence[str], rows: Iterable[Tuple_]
-    ) -> "WireBlock":
-        """Dictionary-encode plain row tuples."""
-        schema = tuple(schema)
-        rows = list(rows)
-        codes, dicts = _encode_columns(_transpose(rows, len(schema)), len(rows))
-        return cls(schema, codes, dicts)
-
-    def __len__(self) -> int:
-        return len(self.codes[0]) if self.codes else 0
-
-    @property
-    def schema_index(self) -> dict:
-        return {v: i for i, v in enumerate(self.schema)}
-
-    def decode_rows(self) -> List[Tuple_]:
-        """Decode back into plain row tuples (codec identity)."""
-        n = len(self)
-        if not self.schema:
-            return [() for _ in range(n)]
-        columns = []
-        for codes, d in zip(self.codes, self.dictionaries):
-            lut = np.empty(len(d), dtype=object)
-            lut[:] = d
-            columns.append(lut[codes].tolist())
-        return list(zip(*columns))
-
-
-# ---------------------------------------------------------------------------
 # The columnar kernels: one function per job
 # ---------------------------------------------------------------------------
 

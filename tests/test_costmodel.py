@@ -47,7 +47,6 @@ from repro.costmodel import (
     sym,
     to_sympy,
 )
-from repro.costmodel import skeleton as skeleton_module
 from repro.costmodel.formulas import two_party_route_rounds
 from repro.protocols import timing as timing_module
 from repro.protocols.timing import (
@@ -75,7 +74,7 @@ from repro.obs.trace import (
     SendEvent,
 )
 from repro.pipeline import plan_scenario
-from repro.protocols import HEADER_BITS, run_distributed_faq
+from repro.protocols import HEADER_BITS, compiler, run_distributed_faq
 from repro.protocols import primitives as primitives_module
 
 
@@ -1318,9 +1317,9 @@ def test_horizon_leaves_every_op_unchanged(name, rounds, kinds, monkeypatch):
 
 def test_no_routed_relation_means_no_replay(monkeypatch):
     def forbidden(*_args, **_kwargs):
-        raise AssertionError("score_rows called with nothing routed")
+        raise AssertionError("a star scored with nothing routed")
 
-    monkeypatch.setattr(skeleton_module, "score_rows", forbidden)
+    monkeypatch.setattr(compiler, "star_contributions", forbidden)
     skeleton = _stream_line_skeleton(256)
     assert skeleton.stars and skeleton.route.payload_counts == {}
 
@@ -1341,19 +1340,15 @@ def test_replay_covers_exactly_the_stars_under_a_routed_relation(monkeypatch):
     assert plan.assignment["T1R2"] != plan.output_player
     assert "T1R1" in centers["T1R2"].leaf_edges and "T1R1" in centers
 
-    scored = []
-    real = skeleton_module.score_rows
+    replayed = set()
+    real = compiler.star_contributions
 
-    def recording(semiring, schema, contributions, rows):
-        scored.append(tuple(schema))
-        return real(semiring, schema, contributions, rows)
+    def recording(plan, query, star, state, node):
+        replayed.add(star.center_edge)
+        return real(plan, query, star, state, node)
 
-    monkeypatch.setattr(skeleton_module, "score_rows", recording)
+    monkeypatch.setattr(compiler, "star_contributions", recording)
     result, prediction = _assert_exact(spec)
-    replayed = {
-        star.center_edge for star in plan.stars
-        if star.center_schema in scored
-    }
     assert {"T1R2", "T1R1"} <= replayed < set(centers)
     # Routed items, counted without execution, price the run exactly.
     assert sum(prediction.skeleton.route.payload_counts.values()) > 0

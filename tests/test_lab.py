@@ -529,12 +529,26 @@ def test_with_engines_pairs_every_scenario():
     assert paired.scenarios[0].with_(engine="compiled") == paired.scenarios[1]
 
 
-def test_engine_suites_registered():
-    names = suite_names()
-    assert "engine-compare" in names
-    assert "engine-smoke" in names
-    compare = get_suite("engine-compare")
-    assert len(compare) == 2 * len(get_suite("table1"))
+def _swept(*argv):
+    """The suite ``lab run`` runs for this command line."""
+    from repro.lab.__main__ import _build_parser, _suite
+
+    return _suite(_build_parser().parse_args(["run", *argv]))
+
+
+def test_run_engine_both_pairs_the_suite():
+    # The engine-parity sweeps are a flag, not suites of their own.
+    for name, size in (("smoke", 12), ("table1", 28)):
+        base = get_suite(name)
+        paired = _swept(name, "--engine", "both")
+        assert len(paired) == 2 * len(base) == size
+        assert [s.engine for s in paired.scenarios] == [
+            "generator", "compiled"] * len(base)
+        assert paired.scenarios[::2] == base.scenarios
+        assert paired.scenarios[1::2] == tuple(
+            s.with_(engine="compiled") for s in base.scenarios)
+    assert {s.engine for s in _swept("smoke", "--engine", "compiled")} == {
+        "compiled"}
 
 
 def test_execute_scenario_records_bits_and_engine_parity():
@@ -682,15 +696,16 @@ def test_with_solvers_pairs_every_scenario():
     assert paired.scenarios[0].with_(solver="compiled") == paired.scenarios[1]
 
 
-def test_solver_suites_registered():
-    names = suite_names()
-    assert "solver-scaling" in names
-    assert "solver-compare" in names
-    assert "solver-smoke" in names
-    compare = get_suite("solver-compare")
-    assert len(compare) == 2 * len(get_suite("solver-scaling"))
-    solvers = {s.solver for s in compare.scenarios}
-    assert solvers == {"operator", "compiled"}
+def test_run_solver_both_pairs_the_suite():
+    assert "solver-scaling" in suite_names()
+    for name, size in (("smoke", 12), ("solver-scaling", 10)):
+        base = get_suite(name)
+        paired = _swept(name, "--solver", "both")
+        assert len(paired) == 2 * len(base) == size
+        assert [s.solver for s in paired.scenarios] == [
+            "operator", "compiled"] * len(base)
+        assert paired.scenarios[1::2] == tuple(
+            s.with_(solver="compiled") for s in base.scenarios)
 
 
 def test_execute_scenario_solver_parity_and_wall_clock():

@@ -21,7 +21,7 @@ from repro.core.planner import Planner, assign_round_robin
 from repro.costmodel import evaluate_timing, extract_skeleton
 from repro.lab.generate import generate_scenarios
 from repro.lab.results import answer_digest
-from repro.lab.runner import execute_scenario
+from repro.lab.runner import execute_scenario, record_scenario_trace
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import get_suite
 from repro.network.simulator import SimulationError
@@ -281,22 +281,30 @@ def test_max_rounds_is_exact_at_the_public_entry(index, rounds, engine, mode):
     runs.  A compiled run raises whether its clock is made for it
     (cold), shared (warm, after a run with room) or stepped on a live
     tracer (traced): the count plane's ``CostModelError`` does not leak
-    out."""
+    out, and its message names the nodes still running, as a cold
+    untraced run's does."""
     spec = generate_scenarios(777, 3)[index]
     query, topology, assignment = _faq_inputs(spec)
 
-    def run(limit):
-        tracer = RecordingTracer() if mode == "traced" else None
+    def run(limit, traced=mode == "traced"):
         return run_distributed_faq(
             query, topology, assignment, engine=engine, max_rounds=limit,
-            tracer=tracer)
+            tracer=RecordingTracer() if traced else None)
+
+    def overruns(traced=mode == "traced"):
+        messages = []
+        for limit in (rounds - 5, rounds - 1, rounds):
+            with pytest.raises(
+                    SimulationError, match=f"max_rounds={limit}\\b") as caught:
+                run(limit, traced)
+            messages.append(str(caught.value))
+        return messages
 
     clear_all_memos()
+    cold = overruns(traced=False)
     if mode == "warm":
         assert run(rounds + 1).rounds == rounds
-    for limit in (rounds - 1, rounds):
-        with pytest.raises(SimulationError, match=f"max_rounds={limit}\\b"):
-            run(limit)
+    assert overruns() == cold
     assert run(rounds + 1).rounds == rounds
 
 
@@ -344,6 +352,23 @@ def test_the_count_plane_runs_once_per_skeleton():
     assert counter_delta(before, COUNTERS.snapshot())["costmodel.stream_steps"]
 
 
+def test_a_traced_compiled_run_fills_the_shared_clock():
+    """With a live tracer a compiled run steps its count-plane run on
+    the tracer, and that run is the shared one: a cold traced run of a
+    scenario, priced as ``record_scenario_trace`` prices it, steps as
+    many streams as a cold untraced ``execute_scenario`` (the pricing
+    does not time the skeleton a second time)."""
+    spec = generate_scenarios(777, 3)[1].with_(engine="compiled")
+    steps = []
+    for run in (record_scenario_trace, execute_scenario):
+        clear_all_memos()
+        before = COUNTERS.snapshot()
+        run(spec)
+        delta = counter_delta(before, COUNTERS.snapshot())
+        steps.append(delta["costmodel.stream_steps"])
+    assert steps == [148, 148]
+
+
 def test_align_join_columns_huge_int_domains_fall_back():
     """Domain values beyond int64 must take the generic merge path, not
     crash the vectorized scorer (review regression)."""
@@ -351,17 +376,17 @@ def test_align_join_columns_huge_int_domains_fall_back():
 
     from repro.protocols.compiler import _align_join_columns
 
-    wire_dict = [2 ** 63, 2 ** 63 + 1]
+    center_dict = [2 ** 63, 2 ** 63 + 1]
     factor_dict = [2 ** 63, 2 ** 63 + 2]
-    wire_codes = np.array([0, 1, 0], dtype=np.int64)
+    center_codes = np.array([0, 1, 0], dtype=np.int64)
     factor_codes = np.array([1, 0], dtype=np.int64)
-    wire_col, factor_col, card = _align_join_columns(
-        wire_dict, wire_codes, factor_dict, factor_codes
+    center_col, factor_col, card = _align_join_columns(
+        center_dict, center_codes, factor_dict, factor_codes
     )
     # Codes comparing equal must mean equal domain values.
     merged = {0: 2 ** 63, 1: 2 ** 63 + 1, 2: 2 ** 63 + 2}
-    assert [merged[c] for c in wire_col.tolist()] == [
-        wire_dict[c] for c in wire_codes.tolist()
+    assert [merged[c] for c in center_col.tolist()] == [
+        center_dict[c] for c in center_codes.tolist()
     ]
     assert [merged[c] for c in factor_col.tolist()] == [
         factor_dict[c] for c in factor_codes.tolist()
@@ -378,19 +403,19 @@ def test_vector_scores_do_not_depend_on_dictionary_identity(monkeypatch):
     second one's codes into the first one's array)."""
     from repro.protocols import compiler
     from repro.protocols.faq_protocol import score_rows
-    from repro.semiring import COUNTING, Factor
-    from repro.semiring.columnar import WireBlock
+    from repro.semiring import COUNTING, ColumnarFactor, Factor
 
     monkeypatch.setattr(compiler, "id", lambda obj: 0, raising=False)
     schema = ("x", "y")
     rows = [(x, y) for x in range(8) for y in (0, 1)]
-    wire = WireBlock.encode_rows(schema, rows)
+    center = ColumnarFactor.from_columns(
+        schema, list(zip(*rows)), [1] * len(rows), COUNTING)
     contributions = [
         Factor(("x",), {(x,): 2 + x for x in (0, 4, 5, 6, 7)}, COUNTING),
         Factor(("x", "y"), {(x, 1): 3 + x for x in (0, 3, 4, 5, 6, 7)},
                COUNTING),
     ]
-    scores = compiler._vector_scores(COUNTING, schema, contributions, wire)
+    scores = compiler._vector_scores(COUNTING, center, contributions)
     assert scores.tolist() == score_rows(COUNTING, schema, contributions, rows)
     assert any(scores.tolist())
 
