@@ -1,7 +1,9 @@
 """Solver comparison — operator at a time vs the compiled FAQ solver.
 
-The compiled solver runs the same variable-elimination loop over
-pool-interned dictionaries, sends each plain-⊕ step to the fused
+The compiled solver runs the same variable-elimination loop over the
+query's interned factors (one shared dictionary per variable, made once
+per query object and kept on it; the operator solver, the reference,
+reads the factors as they are), sends each plain-⊕ step to the fused
 join+marginalize kernel of :mod:`repro.faq.executor` and takes its
 elimination order from :data:`~repro.faq.plan.PLAN_CACHE`.  This bench
 runs the lab's ``solver-scaling``

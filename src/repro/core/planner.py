@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from ..faq import FAQQuery, scalar_value, solve, validate_solver
 from ..lowerbounds.bounds import BoundReport, bcq_bounds, faq_bounds
 from ..network.topology import Topology
-from ..obs.trace import Tracer, activate, normalize as _normalize_tracer
+from ..obs.trace import Tracer, normalize as _normalize_tracer
 from ..protocols.faq_protocol import (
     ENGINES,
     FAQProtocolReport,
@@ -230,26 +230,22 @@ class Planner:
         the solver that run it are always this planner's own.
         """
         tracer = self.tracer
-        # ``activate`` publishes the tracer to module-level consumers
-        # (e.g. the intern phase timer inside the plan executor) that sit
-        # below layers with no tracer parameter of their own.
-        with activate(tracer):
-            start = time.perf_counter()
-            protocol = run_distributed_faq(
-                self.query,
-                self.topology,
-                self.assignment,
-                output_player=self.output_player,
-                max_rounds=max_rounds,
-                engine=self.engine,
-                solver=self.solver,
-                tracer=tracer,
-                plan=plan,
-            )
-            protocol_wall_time = time.perf_counter() - start
-            start = time.perf_counter()
-            reference = self.reference_answer()
-            solver_wall_time = time.perf_counter() - start
+        start = time.perf_counter()
+        protocol = run_distributed_faq(
+            self.query,
+            self.topology,
+            self.assignment,
+            output_player=self.output_player,
+            max_rounds=max_rounds,
+            engine=self.engine,
+            solver=self.solver,
+            tracer=tracer,
+            plan=plan,
+        )
+        protocol_wall_time = time.perf_counter() - start
+        start = time.perf_counter()
+        reference = self.reference_answer()
+        solver_wall_time = time.perf_counter() - start
         if tracer is not None:
             tracer.phase_timer("protocol", protocol_wall_time)
             tracer.phase_timer("solve", solver_wall_time)

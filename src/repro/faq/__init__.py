@@ -5,10 +5,7 @@ from .message_passing import (
     solve_message_passing,
     upward_pass_message,
 )
-from .executor import (
-    DictionaryPool,
-    fused_join_marginalize,
-)
+from .executor import fused_join_marginalize
 from .naive import solve_naive
 from .operations import (
     aggregate_absent_variable,
@@ -70,6 +67,5 @@ __all__ = [
     "SOLVER_COMPILED",
     "validate_solver",
     "PLAN_CACHE",
-    "DictionaryPool",
     "fused_join_marginalize",
 ]

@@ -12,7 +12,6 @@ domain).
 from __future__ import annotations
 
 from ..semiring import Factor
-from .executor import intern_inputs
 from .operations import (
     aggregate_absent_variable,
     marginalize,
@@ -37,7 +36,8 @@ def solve_naive(
             ``None`` keeps the query's own backend.
         solver: ``"operator"`` (default) or ``"compiled"`` — the same
             join-then-aggregate loop (it is the semantic ground truth, so
-            nothing is fused) over pool-interned inputs.
+            nothing is fused) over the query's interned factors
+            (:meth:`~repro.faq.query.FAQQuery.interned_factors`).
 
     Returns:
         A factor over ``query.free_vars`` (zero-arity for BCQ; read it with
@@ -48,7 +48,7 @@ def solve_naive(
         query = query.with_backend(backend)
     factors = query.factors
     if solver == SOLVER_COMPILED:
-        factors, _interned = intern_inputs(query)
+        factors = query.interned_factors()
     joined = multi_join(factors.values(), name="joined")
     for variable in query.elimination_order():
         aggregate = query.aggregate_for(variable)

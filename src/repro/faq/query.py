@@ -23,7 +23,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..hypergraph import Hypergraph
-from ..semiring import BOOLEAN, Factor, Semiring, to_backend, validate_backend
+from ..semiring import (
+    BOOLEAN,
+    ColumnarFactor,
+    Factor,
+    Semiring,
+    supports_columnar,
+    to_backend,
+    validate_backend,
+)
+from ..semiring.columnar import intern_factors
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,11 @@ class FAQQuery:
         self._converted: Dict[
             Optional[str], Tuple[Tuple[Any, ...], "FAQQuery"]
         ] = {}
+        # (what was interned, the interned factors); see
+        # :meth:`interned_factors`.
+        self._interned: Optional[
+            Tuple[Tuple[Any, ...], Mapping[str, Factor]]
+        ] = None
         if self.bound_order is None:
             self.bound_order = tuple(sorted(self.bound_vars, key=str))
         else:
@@ -227,9 +241,35 @@ class FAQQuery:
                 domains=dict(self.domains),
                 aggregates=dict(self.aggregates),
                 _converted={},
+                _interned=None,
             )
         self._converted[backend] = (inputs, converted)
         return converted
+
+    def interned_factors(self) -> Mapping[str, Factor]:
+        """The factors the compiled consumers read (the compiled solver,
+        the compiled engine's star pass and pricing): when every factor
+        is columnar over a semiring with a vector profile, re-coded so
+        that all columns of one variable share one dictionary object
+        (:func:`~repro.semiring.columnar.intern_factors`); otherwise
+        :attr:`factors` itself.  The operator solver and the generator
+        engine, the references, read :attr:`factors`.
+
+        Made once and kept on this instance, checked and rebuilt the way
+        :meth:`with_backend` keeps its conversion.  Fires no counter:
+        the first plane that asks pays for it, so a count would depend
+        on plane order.
+        """
+        inputs = self._conversion_inputs()
+        kept = self._interned
+        if kept is None or not _same_objects(kept[0], inputs):
+            factors: Mapping[str, Factor] = self.factors
+            if supports_columnar(self.semiring) and all(
+                isinstance(f, ColumnarFactor) for f in factors.values()
+            ):
+                factors = intern_factors(factors)
+            kept = self._interned = (inputs, factors)
+        return kept[1]
 
     def _conversion_inputs(self) -> Tuple[Any, ...]:
         """Every object a conversion reads, flat, for an identity check."""

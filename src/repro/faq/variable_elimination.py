@@ -7,7 +7,8 @@ order is valid (Theorem G.1, condition 1) and a structure-aware order is
 chosen; for mixed-operator queries the listed right-to-left order is
 respected so correctness never depends on operator commutation.
 
-``solver="compiled"`` runs the same loop over pool-interned inputs, sends
+``solver="compiled"`` runs the same loop over the query's interned
+factors (:meth:`~repro.faq.query.FAQQuery.interned_factors`), sends
 each plain-⊕ step to the fused join+marginalize kernel
 (:mod:`repro.faq.executor`) and takes the order from
 :data:`~repro.faq.plan.PLAN_CACHE` (the ``faq.plan_cache`` memo) —
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..semiring import Factor
-from .executor import eliminate_fused, intern_inputs
+from .executor import eliminate_fused
 from .operations import join_marginalize, marginalize, multi_join, project
 from .plan import SOLVER_COMPILED, cached_elimination_order, validate_solver
 from .query import FAQQuery
@@ -136,8 +137,9 @@ def solve_variable_elimination(
         backend: Optional storage backend override (``"dict"`` or
             ``"columnar"``) applied to the factors for this solve only;
             ``None`` keeps the query's own backend.
-        solver: ``"operator"`` (default) evaluates operator at a time;
-            ``"compiled"`` interns the inputs, fuses every plain-⊕ step
+        solver: ``"operator"`` (default) evaluates operator at a time
+            over ``query.factors``; ``"compiled"`` reads the query's
+            interned factors, fuses every plain-⊕ step
             (:func:`repro.faq.executor.eliminate_fused`) and reuses the
             order cached for the query's structure.  Answers are
             identical.
@@ -167,10 +169,10 @@ def solve_variable_elimination(
     compiled = solver == SOLVER_COMPILED
     if compiled:
         order = cached_elimination_order(query, requested, resolve)
-        inputs, interned = intern_inputs(query)
+        inputs = query.interned_factors()
     else:
         order = resolve()
-        inputs, interned = query.factors, False
+        inputs = query.factors
 
     semiring = query.semiring
     live: List[Factor] = list(inputs.values())
@@ -182,7 +184,7 @@ def solve_variable_elimination(
         aggregate = query.aggregate_for(variable)
         combine = aggregate.resolve(semiring)
         if compiled and aggregate.is_plain_sum:
-            reduced = eliminate_fused(touching, variable, semiring, interned)
+            reduced = eliminate_fused(touching, variable, semiring)
         elif aggregate.needs_full_domain:
             reduced = marginalize(
                 multi_join(touching), variable, combine, query.domains[variable]

@@ -3,15 +3,15 @@
 The columnar data plane bottoms out in a handful of array kernels: the
 stable-sort equi-join probe (:func:`match_indices`) and the sort/reduceat
 group-by (:func:`sort_groups_key`, :func:`grouped_reduce`), called from
-``semiring/columnar.py`` alone, and the sort-based dictionary union
-(:func:`encode_unique`).  All four are data-plane kernels: the protocol
-engines account rounds on plain ints and import nothing from here.
-Everything order-sensitive uses *stable* sorts, so row order is a pure
-function of the input.
+``semiring/columnar.py`` alone.  All three are data-plane kernels: the
+protocol engines account rounds on plain ints and import nothing from
+here.  Everything order-sensitive uses *stable* sorts, so row order is a
+pure function of the input.
 
 Every public kernel call increments the deterministic counter
-``kernels.numpy`` once (an empty :func:`encode_unique` input runs no
-kernel and counts nothing).
+``kernels.numpy`` once.  Dictionary encoding and interning
+(``semiring/columnar.py``) call ``np.unique`` directly and count
+nothing.
 """
 
 from __future__ import annotations
@@ -100,26 +100,6 @@ def grouped_reduce(
     return add_ufunc.reduceat(values[order], starts)
 
 
-def encode_unique(concat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(uniq, inverse)`` of a concatenated column, stable-sort based.
-
-    The dictionary-union kernel behind interning and columnar encoding:
-    one stable argsort (radix for integer dtypes) plus mask arithmetic;
-    the inverse doubles as the per-dictionary remap.
-    """
-    if len(concat) == 0:
-        return concat, np.empty(0, dtype=np.int64)
-    COUNTERS.increment("kernels.numpy")
-    order = np.argsort(concat, kind="stable")
-    ordered = concat[order]
-    change = ordered[1:] != ordered[:-1]
-    group = np.concatenate(([0], np.cumsum(change)))
-    inverse = np.empty(len(concat), dtype=np.int64)
-    inverse[order] = group
-    uniq = ordered[np.concatenate(([True], change))]
-    return uniq, inverse
-
-
 __all__ = [
     "KERNEL_TIERS",
     "resolved_tier",
@@ -127,5 +107,4 @@ __all__ = [
     "match_indices",
     "sort_groups_key",
     "grouped_reduce",
-    "encode_unique",
 ]

@@ -48,7 +48,9 @@ ARTIFACT_FILENAME = "BENCH_lab.json"
 #: (constant 0 in every record).
 #: v8: every run is priced: records lose ``cost_model.cell`` and the
 #: ``cost_model`` block loses its coverage counts and cell lists.
-ARTIFACT_SCHEMA = "repro.lab/bench.v8"
+#: v9: the counter whitelist loses the three ``dict_pool.*`` tags
+#: (interning runs once per query and counts nothing).
+ARTIFACT_SCHEMA = "repro.lab/bench.v9"
 
 
 def format_results_table(results: Sequence[ScenarioResult]) -> str:

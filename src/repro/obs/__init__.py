@@ -9,8 +9,8 @@ it without cycles.  Three planes:
   the hot path (engines normalize a disabled tracer to ``None`` up
   front, so tracing off means *zero* calls per round).
 * :mod:`repro.obs.counters` — process-wide tagged counters for the fast
-  paths that are otherwise invisible (plan cache, dictionary-pool
-  shortcut, columnar-vs-dict kernel dispatch, cycle fast-forward).
+  paths that are otherwise invisible (plan cache, columnar-vs-dict
+  kernel dispatch, fused steps, cycle fast-forward).
 * :mod:`repro.obs.export` / :mod:`repro.obs.verify` — trace
   serialization (JSONL, Chrome trace-event JSON for Perfetto, a terminal
   timeline) and the self-verification contract: replaying a trace's
@@ -34,8 +34,6 @@ from .trace import (
     RunStartEvent,
     SendEvent,
     Tracer,
-    activate,
-    active_tracer,
 )
 from .verify import ReplayedTotals, TraceVerdict, replay_trace, verify_trace
 
@@ -48,8 +46,6 @@ __all__ = [
     "counter_delta",
     "Tracer",
     "RecordingTracer",
-    "activate",
-    "active_tracer",
     "RunStartEvent",
     "RoundStartEvent",
     "SendEvent",

@@ -2,21 +2,21 @@
 
 The cost model predicts *what* a run costs; these counters record *which
 machinery* produced it: did a solve look its order up in the plan
-cache, did dictionary interning take the superset shortcut or pay the
-merge, did an operator dispatch to the columnar kernel or fall back to
-the dict path, did a compiled run's clock skip rounds.  Counting is a dict upsert per event — cheap enough
-to stay always-on (unlike tracing, which is opt-in per run).
+cache, did an operator dispatch to the columnar kernel or fall back to
+the dict path, did a compiled run's clock skip rounds.  Counting is a
+dict upsert per event — cheap enough to stay always-on (unlike tracing,
+which is opt-in per run).
 
 The registry is per-process (lab workers each count their own work); the
 lab snapshots it around each scenario execution and stores the **delta**
 on the result.  Two determinism classes:
 
 * :data:`DETERMINISTIC_COUNTERS` — a pure function of the scenario
-  (kernel dispatch, NumPy kernel calls (``kernels.numpy``), pooling
-  strategy, a compiled run's skips — ``engine.fast_forward`` /
+  (kernel dispatch, NumPy kernel calls (``kernels.numpy``), a
+  compiled run's skips — ``engine.fast_forward`` /
   ``engine.fast_forward_rounds``, read from its count-plane run, shared
-  or not — plan-cache *lookups*).  These enter the deterministic result record
-  and the BENCH artifact, so serial/parallel/batched runs stay
+  or not — plan-cache *lookups*).  These enter the deterministic result
+  record and the BENCH artifact, so serial/parallel/batched runs stay
   byte-identical.
 * Everything else is volatile: reported on stdout, never persisted.
   Whether a lookup *hit* depends on process warmth (which worker ran
@@ -45,9 +45,6 @@ from typing import Dict, Mapping
 DETERMINISTIC_COUNTERS = (
     "engine.fast_forward",
     "engine.fast_forward_rounds",
-    "dict_pool.superset",
-    "dict_pool.merge",
-    "dict_pool.generic",
     "kernel.columnar",
     "kernel.dict_fallback",
     "kernels.numpy",

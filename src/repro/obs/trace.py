@@ -33,23 +33,17 @@ Event vocabulary (one dataclass each):
   its last stepped round); carries that round's sends so replay can
   apply the skip arithmetically, exactly like the count plane did.
 * ``PhaseTimerEvent`` — wall-clock of one pipeline phase
-  (``plan_compile`` / ``intern`` / ``solve`` / ``protocol``); volatile
-  by nature, ignored by replay.
-
-Deep layers without a ``tracer=`` parameter (the FAQ executor's
-dictionary interning) read the module-level *active* tracer, which
-:meth:`repro.core.planner.Planner.execute` binds for the duration of a
-run via :func:`activate`.
+  (``plan_compile`` / ``solve`` / ``protocol``); volatile by nature,
+  ignored by replay.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: The pipeline phases a :class:`PhaseTimerEvent` may name.
-PHASES = ("plan_compile", "intern", "protocol", "solve")
+PHASES = ("plan_compile", "protocol", "solve")
 
 
 @dataclass(frozen=True)
@@ -236,33 +230,3 @@ def normalize(tracer: Optional[Tracer]) -> Optional[Tracer]:
     if tracer is None or not getattr(tracer, "enabled", False):
         return None
     return tracer
-
-
-# ---------------------------------------------------------------------------
-# The active tracer (for layers without a tracer= parameter)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Tracer] = None
-
-
-def active_tracer() -> Optional[Tracer]:
-    """The tracer bound by the innermost :func:`activate`, or ``None``."""
-    return _ACTIVE
-
-
-@contextmanager
-def activate(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
-    """Bind ``tracer`` as the process's active tracer for the block.
-
-    Used by :meth:`repro.core.planner.Planner.execute` so deep layers
-    (the FAQ executor's dictionary interning) can emit ``PhaseTimer``
-    events without threading a parameter through every call site.
-    Nested activations restore the previous binding on exit.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = normalize(tracer)
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous

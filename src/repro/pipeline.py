@@ -39,7 +39,7 @@ from .lowerbounds import embed_tribes_in_forest, embedding_capacity, hard_tribes
 from .network.topology import Topology
 from .obs.trace import Tracer
 from .protocols.faq_protocol import ProtocolPlan
-from .semiring import BACKEND_DICT, Factor, get_semiring
+from .semiring import BACKEND_COLUMNAR, BACKEND_DICT, Factor, get_semiring
 from .workloads import random_instance, random_query_structure, spawn_seeds
 
 if TYPE_CHECKING:
@@ -368,13 +368,18 @@ def predicted_metrics(
     gates them against every run; serving rejects a session it cannot
     price.
 
+    The relations are read through the columnar planes' query, so
+    pricing and those planes share one interned view
+    (:meth:`FAQQuery.interned_factors`) per identity.
+
     Raises:
         CostModelError: when the model cannot price the plan.
     """
     return dict(_PREDICTION_MEMO.get_or_compute(
         identity_key(spec),
         lambda: costmodel.predict_costs(
-            spec, plan, nodes, materialize_scenario(spec)[0].query
+            spec, plan, nodes,
+            materialize_scenario(spec)[0].query.with_backend(BACKEND_COLUMNAR),
         ).metrics(),
     ))
 

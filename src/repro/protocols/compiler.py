@@ -7,15 +7,17 @@ node, a compiled run splits the two:
 
 * **Data** — :func:`star_pass` is the only sequential copy of the
   protocol's local star work.  It goes through stars bottom-up, with no
-  round loop: every terminal scores the center's rows (Phase B: the
-  columnar key probe against the center's own code columns when the
-  center is columnar and the semiring has a vector profile, the shared
-  dict scorer over its rows otherwise), and the root folds the scores
-  over each Steiner tree in the generator's exact association order
-  (vectorized when safe) and rebuilds its center from the same columns
-  or rows.  Integer (COUNTING) folds pre-check int64 overflow and drop
-  to exact Python arithmetic.  The probe, the int64 guard and the
-  dictionary view are the operator solver's own: the table of columnar
+  round loop, over the query's interned factors (every column of a
+  variable shares one dictionary, made once per query): every terminal
+  scores the center's rows (Phase B: the columnar key probe against the
+  center's own code columns when the center and its contributions are
+  columnar over shared dictionaries and the semiring has a vector
+  profile, the shared dict scorer over its rows otherwise), and the
+  root folds the scores over each Steiner tree in the generator's exact
+  association order (vectorized when safe) and rebuilds its center from
+  the same columns or rows.  Integer (COUNTING) folds pre-check int64
+  overflow and drop to exact Python arithmetic.  The probe and the
+  int64 guard are the operator solver's own: the table of columnar
   kernels in ``docs/architecture.md`` lists them.
   :func:`execute_plan` runs every star, then each route node gives up
   its final payload and the output player finishes the residual query;
@@ -56,12 +58,7 @@ from ..semiring import (
     supports_columnar,
     to_backend,
 )
-from ..semiring.columnar import (
-    dictionary_array,
-    merge_dictionaries,
-    probe,
-    product_overflows,
-)
+from ..semiring.columnar import probe, product_overflows
 from ..faq import FAQQuery
 from ..faq.operations import project as dict_project
 from .faq_protocol import (
@@ -117,53 +114,6 @@ def _identity_vector(semiring, profile, length: int):
     return [semiring.one] * length
 
 
-def _align_join_columns(
-    center_dict: List[Any],
-    center_codes: np.ndarray,
-    factor_dict: List[Any],
-    factor_codes: np.ndarray,
-):
-    """Map two dictionary-coded columns into one shared code space.
-
-    Shared dictionaries need no work at all.  Integer dictionaries with
-    an exact array view
-    (:func:`~repro.semiring.columnar.dictionary_array`, not memoized by
-    object identity: the callers pass temporaries, and a freed list
-    hands its identity to the next one allocated) translate codes to
-    their values and shift into a dense non-negative range — pure array
-    arithmetic, no Python-level dictionary merge.  Anything else falls
-    back to :func:`merge_dictionaries` (generic hashable values).
-
-    Returns:
-        ``(center_column, factor_column, cardinality)`` where equal
-        entries mean equal underlying domain values.
-    """
-    if center_dict is factor_dict:
-        return center_codes, factor_codes, len(center_dict)
-
-    center_vals = dictionary_array(center_dict)
-    factor_vals = dictionary_array(factor_dict)
-    try:
-        if (
-            center_vals is not None
-            and factor_vals is not None
-            and center_vals.dtype.kind in "iub"
-            and factor_vals.dtype.kind in "iub"
-        ):
-            low = min(int(center_vals.min()), int(factor_vals.min()))
-            card = max(int(center_vals.max()), int(factor_vals.max())) - low + 1
-            if card <= 2 ** 40:
-                center_col = center_vals.astype(np.int64)[center_codes] - low
-                factor_col = factor_vals.astype(np.int64)[factor_codes] - low
-                return center_col, factor_col, card
-    except (TypeError, ValueError, OverflowError):
-        # e.g. an empty dictionary, or uint64 values beyond int64 — fall
-        # back to the generic merge below.
-        pass
-    merged, remap = merge_dictionaries(center_dict, factor_dict)
-    return center_codes, remap[factor_codes], len(merged)
-
-
 def _vector_scores(
     semiring, center: ColumnarFactor, contributions: Sequence[Factor],
 ) -> Optional[np.ndarray]:
@@ -171,12 +121,15 @@ def _vector_scores(
 
     The columnar analogue of ``score_rows``: the center's code columns
     :func:`~repro.semiring.columnar.probe` each contribution on its
-    shared columns, aligned into one code space (missing rows score the
-    semiring zero), and the scores are ⊗-multiplied into the slot
-    vector.  Returns ``None`` whenever exactness cannot be guaranteed —
-    no vector profile, int64 overflow risk, composite-key overflow, or
-    an order-sensitive float ⊕ in a projection — and the caller falls
-    back to the dict scorer.
+    shared columns (missing rows score the semiring zero), and the
+    scores are ⊗-multiplied into the slot vector.  The probe needs each
+    shared column in one code space, which the query's interned factors
+    give (:meth:`~repro.faq.query.FAQQuery.interned_factors`).  Returns
+    ``None`` whenever exactness cannot be guaranteed — no vector
+    profile, a contribution that is not columnar or whose dictionaries
+    are not the center's, int64 overflow risk, composite-key overflow,
+    or an order-sensitive float ⊕ in a projection — and the caller
+    falls back to the dict scorer.
     """
     profile = _profile_of(semiring)
     if profile is None:
@@ -184,37 +137,26 @@ def _vector_scores(
     n = len(center)
     schema_index = {v: i for i, v in enumerate(center.schema)}
     slots = np.full(n, semiring.one, dtype=profile.dtype)
-    for factor in contributions:
-        try:
-            cf = ColumnarFactor.from_factor(factor)
-        except (ValueError, OverflowError):
-            return None
+    for cf in contributions:
         proj_vars = [v for v in cf.schema if v in schema_index]
         if len(proj_vars) < len(cf.schema):
             # Projection must ⊕-combine colliding rows; only do it
             # vectorized when ⊕ is order-insensitive.
             if semiring.name not in _EXACT_ADD:
                 return None
-            projected = dict_project(cf, proj_vars)
-            if not isinstance(projected, ColumnarFactor):
-                try:
-                    projected = ColumnarFactor.from_factor(projected)
-                except (ValueError, OverflowError):
-                    return None
-            cf = projected
-            proj_vars = [v for v in cf.schema if v in schema_index]
-        center_cols, factor_cols, cards = [], [], []
-        for v in proj_vars:
-            fi = cf.column_index(v)
-            ci = schema_index[v]
-            center_col, factor_col, card = _align_join_columns(
-                center.dictionaries[ci], center.codes[ci],
-                cf.dictionaries[fi], cf.codes[fi],
-            )
-            center_cols.append(center_col)
-            factor_cols.append(factor_col)
-            cards.append(card)
-        hit = probe(center_cols, factor_cols, cards, n, len(cf))
+            cf = dict_project(cf, proj_vars)
+        columns = [schema_index[v] for v in proj_vars]
+        if not isinstance(cf, ColumnarFactor) or any(
+            cf.dictionary(v) is not center.dictionaries[i]
+            for v, i in zip(proj_vars, columns)
+        ):
+            return None  # not columnar, or not interned
+        hit = probe(
+            [center.codes[i] for i in columns],
+            [cf.codes[cf.column_index(v)] for v in proj_vars],
+            [len(center.dictionaries[i]) for i in columns],
+            n, len(cf),
+        )
         if hit is None:
             return None
         found, rows = hit
@@ -323,7 +265,7 @@ def star_pass(
 ) -> Dict[str, Factor]:
     """The protocol's local star work over ``stars`` (bottom-up, all of
     the plan's or a subset closed under "feeds"), from the caller's
-    relations (``query``).
+    relations (``query``'s interned factors).
 
     Per star, every terminal scores the center's rows, and the root
     folds the scores and rebuilds its center.  Each relation is a leaf
@@ -335,7 +277,7 @@ def star_pass(
         Every relation as it stands after those stars.
     """
     semiring = query.semiring
-    state: Dict[str, Factor] = dict(query.factors)
+    state: Dict[str, Factor] = dict(query.interned_factors())
     for star in stars:
         center = state[star.center_edge]
         rows = None if isinstance(center, ColumnarFactor) else list(center.tuples())

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import types
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -282,10 +282,9 @@ class Dictionary(list):
 
     Dictionaries built by the vectorized ``np.unique`` encoder are plain
     value lists *derived from* a homogeneous NumPy array; keeping that
-    array alongside lets the compiled executor's
-    :class:`~repro.faq.executor.DictionaryPool` union dictionaries with
+    array alongside lets :func:`intern_factors` union dictionaries with
     one concatenate+sort instead of re-converting (and re-type-checking)
-    the Python lists per execution.  ``array`` is ``None`` for
+    the Python lists.  ``array`` is ``None`` for
     dictionaries of unknown provenance; consumers must fall back to the
     list contents then.  Behaves as (and compares equal to) the plain
     list everywhere else.
@@ -412,8 +411,7 @@ def merge_dictionaries(left_dict: List[Any], right_dict: List[Any]):
         ``(merged, remap)`` where ``merged`` extends ``left_dict`` with the
         right-only values and ``remap[right_code] -> merged_code``.
 
-    Interned columns (the compiled executor's
-    :class:`~repro.faq.executor.DictionaryPool` hands every operand the
+    Interned columns (:func:`intern_factors` hands every operand the
     *same* dictionary object per variable) short-circuit to an identity
     remap — no Python loop over the dictionary contents.
     """
@@ -430,6 +428,165 @@ def merge_dictionaries(left_dict: List[Any], right_dict: List[Any]):
             merged.append(v)
         remap[j] = c
     return merged, remap
+
+
+# ---------------------------------------------------------------------------
+# Interning: one dictionary object per variable
+# ---------------------------------------------------------------------------
+
+
+def _superset_pool(dicts: Sequence[list], arrays: Sequence[Optional[np.ndarray]]):
+    """Pool against the widest dictionary when it contains all the others.
+
+    Filler/full-domain relations make this the common case: their
+    dictionary lists the whole active domain, so the union *is* that
+    dictionary.  Adopting it as the pool skips the concatenate/sort of
+    the general union — and, crucially, the widest dictionary's factors
+    keep their code arrays verbatim (identity remap).  Returns ``None``
+    when the widest dictionary is unsorted (unknown provenance) or some
+    value falls outside it.
+    """
+    widest = max(range(len(dicts)), key=lambda i: -1 if arrays[i] is None else len(arrays[i]))
+    base_dict, base_arr = dicts[widest], arrays[widest]
+    if base_arr is None or getattr(base_dict, "array", None) is None:
+        return None  # sortedness is only guaranteed by encoder provenance
+    top = len(base_arr) - 1
+    # Dense integer dictionaries (TRIBES universes, range domains) are a
+    # contiguous run: position is then plain subtraction, no binary search.
+    contiguous_lo: Optional[int] = None
+    if base_arr.dtype.kind in "iu":
+        lo, hi = int(base_arr[0]), int(base_arr[top])
+        if hi - lo == top:
+            contiguous_lo = lo
+    remaps: Dict[int, np.ndarray] = {}
+    for d, arr in zip(dicts, arrays):
+        if d is base_dict:
+            continue
+        if arr is None or not len(arr):
+            remaps[id(d)] = np.empty(0, dtype=np.int64)
+            continue
+        if contiguous_lo is not None and arr.dtype.kind in "iu":
+            if int(arr.min()) < contiguous_lo or int(arr.max()) > contiguous_lo + top:
+                return None
+            remaps[id(d)] = (arr - contiguous_lo).astype(np.int64, copy=False)
+            continue
+        pos = np.minimum(np.searchsorted(base_arr, arr), top)
+        if not np.array_equal(base_arr[pos], arr):
+            return None
+        remaps[id(d)] = pos.astype(np.int64, copy=False)
+    return base_dict, remaps
+
+
+def _pool_dictionaries(dicts: Sequence[list]):
+    """Union several column dictionaries into one, with per-dict remaps.
+
+    Vectorized — one concatenate + sort-unique over the dictionaries'
+    array views, then a ``searchsorted`` remap per dictionary — when every
+    dictionary has one (see :func:`dictionary_array`); mixed element
+    types across the dictionaries, or any list without an exact array
+    form, fall back to a generic first-appearance loop.  Either way the
+    round trip is exact: decoding a remapped code restores the original
+    value.
+
+    Returns:
+        ``(pooled, remaps)`` where ``remaps[id(d)]`` maps old codes of
+        dictionary ``d`` to pooled codes.
+    """
+    arrays = [dictionary_array(d) if d else None for d in dicts]
+    nonempty = [a for a in arrays if a is not None and len(a)]
+    # Concatenation must not change any value: bool/int, int/float or
+    # str/numeric promotions would decode differently than the
+    # originals, and uint64 (values from 2**63) with int64 concatenates
+    # to float64, which merges neighbouring values — so any mix of
+    # kinds takes the generic loop.
+    kinds = {a.dtype.kind for a in nonempty}
+    vectorizable = len(kinds) <= 1 and all(
+        a is not None or not d for a, d in zip(arrays, dicts)
+    )
+
+    if vectorizable:
+        if not nonempty:
+            return Dictionary(), {
+                id(d): np.empty(0, dtype=np.int64) for d in dicts
+            }
+        pooled_remaps = _superset_pool(dicts, arrays)
+        if pooled_remaps is not None:
+            return pooled_remaps
+        uniq, inverse = np.unique(
+            np.concatenate(nonempty), return_inverse=True)
+        inverse = inverse.reshape(-1).astype(np.int64, copy=False)
+        pooled = Dictionary(uniq.tolist(), array=uniq)
+        remaps = {}
+        offset = 0
+        for d, arr in zip(dicts, arrays):
+            if arr is None or not len(arr):
+                remaps[id(d)] = np.empty(0, dtype=np.int64)
+            else:
+                remaps[id(d)] = inverse[offset:offset + len(arr)]
+                offset += len(arr)
+        return pooled, remaps
+
+    pooled_list: List[Any] = []
+    index: Dict[Any, int] = {}
+    remaps = {}
+    for d in dicts:
+        remap = np.empty(len(d), dtype=np.int64)
+        for j, value in enumerate(d):
+            c = index.get(value)
+            if c is None:
+                c = len(pooled_list)
+                index[value] = c
+                pooled_list.append(value)
+            remap[j] = c
+        remaps[id(d)] = remap
+    return pooled_list, remaps
+
+
+def intern_factors(
+    factors: Mapping[str, ColumnarFactor]
+) -> Dict[str, ColumnarFactor]:
+    """``factors`` re-coded so that all columns of one variable share one
+    dictionary object.
+
+    Joins and probes then build composite keys straight from the codes,
+    and :func:`merge_dictionaries` degenerates to an identity remap.  A
+    variable whose columns already share one dictionary (a variable of
+    one factor, for one) keeps it, and a factor none of whose columns
+    changed is returned as is.  Fires no counter.
+    """
+    by_var: Dict[Any, Dict[int, list]] = {}
+    for f in factors.values():
+        for v, d in zip(f.schema, f.dictionaries):
+            by_var.setdefault(v, {})[id(d)] = d
+    # The remaps are keyed on id(dictionary).  Every keyed list is a
+    # member of some ``f.dictionaries`` of ``factors`` and of ``by_var``,
+    # both alive until this function returns, and the remaps do not
+    # outlive it — no id is reused.
+    pools = {
+        v: _pool_dictionaries(list(distinct.values()))
+        for v, distinct in by_var.items()
+        if len(distinct) > 1
+    }
+
+    out: Dict[str, ColumnarFactor] = {}
+    for name, f in factors.items():
+        codes, dicts = list(f.codes), list(f.dictionaries)
+        changed = False
+        for i, v in enumerate(f.schema):
+            if v in pools:
+                pooled, remaps = pools[v]
+                if dicts[i] is not pooled:
+                    codes[i] = remaps[id(dicts[i])][codes[i]]
+                    dicts[i] = pooled
+                    changed = True
+        out[name] = (
+            ColumnarFactor._from_arrays(
+                f.schema, codes, dicts, f.values, f.semiring, f.name
+            )
+            if changed
+            else f
+        )
+    return out
 
 
 def _composite_key(

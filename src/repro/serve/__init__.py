@@ -1,14 +1,16 @@
 """Serving plane — a persistent FAQ/BCQ query service.
 
 The lab executes scenarios as cold per-process runs; this package
-promotes the Planner / order-cache / DictionaryPool stack into a
-long-lived service with a strict offline/online split:
+promotes the Planner / order-cache stack into a long-lived service with
+a strict offline/online split:
 
 * :mod:`repro.serve.session` — the offline phase: materialization,
   decomposition search, protocol-plan compilation, elimination-order
-  caching, dictionary interning and symbolic cost prediction, recorded
-  in a session manifest.  The online phase touches only compiled
-  kernels.
+  caching, dictionary interning (the compiled solver's interned
+  factors, made once per query and kept on it; the operator solver, a
+  reference, reads the factors as they are) and symbolic cost
+  prediction, recorded in a session manifest.  The online phase touches
+  only compiled kernels.
 * :mod:`repro.serve.server` — the asyncio front-end: admission control
   priced by :func:`repro.costmodel.predict_costs` (zero execution),
   coalescing of identical queued requests onto one execution (each

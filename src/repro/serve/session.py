@@ -9,8 +9,8 @@ a pure function of the identity and can therefore be paid once:
   (:func:`repro.pipeline.plan_scenario` — the same memos the lab's
   runner fills, so the two planes share work within a process),
 * the elimination order and dictionary interning (one warm solve
-  primes the ``faq.plan_cache`` memo and the executor's dictionary
-  pool fast paths),
+  primes the ``faq.plan_cache`` memo and, on the compiled solver,
+  makes the query's interned factors, which the query keeps),
 * the closed-form bound report and the **exact**
   :func:`repro.pipeline.predicted_metrics` the server's admission
   controller prices queries with, *without executing anything* (a
@@ -24,7 +24,7 @@ same spec — the three-axis parity contract certifies
 ``protocol.answer == reference`` on every lab run, and the reference
 solve *is* this online solve.
 
-Everything knowable offline is recorded in a JSON-able
+Everything knowable offline is recorded in a
 :class:`SessionManifest` (the ``martelogan__langformer`` RunSession
 idea): the admission policy prices with it, and the parity tests read
 its digest.
@@ -32,7 +32,6 @@ its digest.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
@@ -43,12 +42,6 @@ from ..lab.results import answer_digest
 from ..lab.spec import ScenarioSpec
 from ..pipeline import plan_scenario, predicted_metrics, solve_scenario
 from .store import ServeError
-
-#: Manifest layout version — bump on any incompatible change.
-#: v3: ``covered`` and ``notes`` are gone; ``predicted`` is always set.
-#: v4: ``store`` is gone; registration publishes nothing.
-SESSION_VERSION = 4
-
 
 def answer_payload(
     schema: Sequence[str], rows: Mapping[Tuple[Any, ...], Any]
@@ -72,7 +65,7 @@ def session_id_of(spec: ScenarioSpec) -> str:
 
 @dataclass
 class SessionManifest:
-    """The durable, JSON-able record of one registered session.
+    """The record of one registered session.
 
     Everything the offline phase computed: the spec identity, the
     admission-control cost prediction, the closed-form bounds and the
@@ -87,23 +80,6 @@ class SessionManifest:
     answer_digest: str
     answer_rows: int
     offline_seconds: float
-    version: int = SESSION_VERSION
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "session_id": self.session_id,
-            "spec": self.spec,
-            "label": self.label,
-            "predicted": self.predicted,
-            "bounds": self.bounds,
-            "answer_digest": self.answer_digest,
-            "answer_rows": self.answer_rows,
-            "offline_seconds": self.offline_seconds,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 class ServingSession:
@@ -144,8 +120,9 @@ class ServingSession:
                 f"{session_id} cannot be planned: {exc}",
                 {"session_id": session_id, "reason": str(exc)},
             ) from exc
-        # Warm solve: caches the elimination order (compiled solver),
-        # interns dictionaries, and pins the expected answer digest.
+        # Warm solve: caches the elimination order and interns the
+        # query's factors (compiled solver), and pins the expected
+        # answer digest.
         warm_answer = planner.reference_answer()
         # The zero-execution estimate admission control prices with: the
         # *exact* (certified-per-fuzz-run) rounds/bits of the protocol the

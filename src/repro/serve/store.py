@@ -167,11 +167,11 @@ def _semiring_deref(ref: Mapping[str, Any]):
 def _dictionary_spec(d: list) -> Dict[str, Any]:
     """A dictionary's manifest entry, preserving array provenance.
 
-    The executor's interning fast paths key off
+    Interning's fast paths key off
     :attr:`~repro.semiring.columnar.Dictionary.array` being present (and
     its dtype), so the attach side must rebuild exactly what the encoder
-    produced — otherwise the deterministic ``dict_pool.*`` counters (and
-    hence the lab's byte-identity contract) would drift.
+    produced — otherwise an attached query would take other interning
+    paths than the published one.
     """
     arr = getattr(d, "array", None)
     return {

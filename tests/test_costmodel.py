@@ -50,6 +50,7 @@ from repro.costmodel import (
 from repro.costmodel.formulas import two_party_route_rounds
 from repro.protocols import timing as timing_module
 from repro.protocols.timing import (
+    CostVector,
     _AWAKE,
     _Broadcast,
     _catch_up,
@@ -61,6 +62,9 @@ from repro.protocols.timing import (
     _Route,
     _WAITING,
 )
+from repro.decomposition.ghd import GHD
+from repro.faq import FAQQuery
+from repro.hypergraph import Hypergraph
 from repro.lab.generate import generate_scenarios
 from repro.lab.report import cost_mismatches
 from repro.lab.runner import execute_scenario, record_scenario_trace
@@ -76,6 +80,8 @@ from repro.obs.trace import (
 from repro.pipeline import plan_scenario
 from repro.protocols import HEADER_BITS, compiler, run_distributed_faq
 from repro.protocols import primitives as primitives_module
+from repro.network.topology import Topology
+from repro.semiring import BOOLEAN, Factor
 
 
 # ---------------------------------------------------------------------------
@@ -1353,3 +1359,45 @@ def test_replay_covers_exactly_the_stars_under_a_routed_relation(monkeypatch):
     # Routed items, counted without execution, price the run exactly.
     assert sum(prediction.skeleton.route.payload_counts.values()) > 0
     assert prediction.total_bits == result.total_bits
+
+
+def test_a_routed_relation_is_priced_after_the_stars_two_levels_below():
+    """The routed final relation ``F`` survives as much as its leaf
+    ``L`` lets it, and ``L`` as much as its own leaf ``M`` does: pricing
+    that skipped ``M``'s star would count two routed rows, not one.  The
+    count plane over the priced skeleton reproduces the generator
+    engine, which ships the rows."""
+    relations = {
+        "M": (("a", "b"), {(1, 1): True}),
+        "L": (("b", "c"), {(1, 10): True, (2, 20): True}),
+        "F": (("c", "d"), {(10, 100): True, (20, 200): True}),
+    }
+    query = FAQQuery(
+        hypergraph=Hypergraph(
+            {n: schema for n, (schema, _rows) in relations.items()}),
+        factors={n: Factor(schema, rows, BOOLEAN, n)
+                 for n, (schema, rows) in relations.items()},
+        domains={"a": (1,), "b": (1, 2), "c": (10, 20), "d": (100, 200)},
+        backend="columnar",
+    )
+    ghd = GHD(query.hypergraph)
+    ghd.add_node("F", {"c", "d"}, {"F"})
+    ghd.add_node("L", {"b", "c"}, {"L"}, parent="F")
+    ghd.add_node("M", {"a", "b"}, {"M"}, parent="L")
+    topology = Topology.line(3)
+    assignment = {"M": "P2", "L": "P1", "F": "P2"}
+    report = run_distributed_faq(
+        query, topology, assignment, output_player="P0", ghd=ghd,
+        engine="generator")
+    plan = report.plan
+    assert [(s.center_edge, s.leaf_edges) for s in plan.stars] == [
+        ("L", ("M",)), ("F", ("L",))]
+    assert plan.final_edges == ("F",)
+    skeleton = extract_skeleton(plan, tuple(topology.nodes), query)
+    assert skeleton.route.payload_counts == {"P2": 1}
+    assert evaluate_timing(skeleton) == CostVector(
+        rounds=report.rounds,
+        total_bits=report.total_bits,
+        max_edge_bits_per_round=report.simulation.max_edge_bits_per_round,
+        bits_per_edge=report.simulation.bits_per_edge,
+    )

@@ -24,7 +24,6 @@ from repro.faq import (
     PRODUCT,
     Aggregate,
     SOLVERS,
-    DictionaryPool,
     FAQQuery,
     bcq,
     fused_join_marginalize,
@@ -51,7 +50,7 @@ from repro.semiring import (
     ColumnarFactor,
     Factor,
 )
-from repro.semiring.columnar import Dictionary, _encode_column
+from repro.semiring.columnar import Dictionary, _encode_column, intern_factors
 from repro.workloads import (
     domains_for,
     random_acyclic_hypergraph,
@@ -365,8 +364,7 @@ def _columnar(schema, rows, semiring=BOOLEAN, name=None):
 def test_interning_aligns_shared_dictionaries_and_round_trips():
     f = _columnar(("A", "B"), {(3, 1): True, (5, 2): True, (9, 1): True})
     g = _columnar(("A", "C"), {(5, 7): True, (4, 7): True})
-    pool = DictionaryPool()
-    interned = pool.intern_factors({"F": f, "G": g})
+    interned = intern_factors({"F": f, "G": g})
     fi, gi = interned["F"], interned["G"]
     assert fi.dictionary("A") is gi.dictionary("A")
     assert dict(fi.rows) == dict(f.rows)
@@ -378,8 +376,7 @@ def test_interning_aligns_shared_dictionaries_and_round_trips():
 def test_interning_superset_keeps_widest_codes_verbatim():
     wide = _columnar(("A",), {(i,): True for i in range(16)})
     narrow = _columnar(("A",), {(3,): True, (7,): True})
-    pool = DictionaryPool()
-    interned = pool.intern_factors({"W": wide, "N": narrow})
+    interned = intern_factors({"W": wide, "N": narrow})
     assert interned["W"] is wide  # identity: no re-code for the widest
     assert interned["N"].dictionary("A") is wide.dictionary("A")
     assert dict(interned["N"].rows) == dict(narrow.rows)
@@ -388,8 +385,7 @@ def test_interning_superset_keeps_widest_codes_verbatim():
 def test_interning_mixed_types_falls_back_and_round_trips():
     f = _columnar(("A", "B"), {(("t", 1), 1): True, (4, 2): True})
     g = _columnar(("A",), {(4,): True, ("x",): True})
-    pool = DictionaryPool()
-    interned = pool.intern_factors({"F": f, "G": g})
+    interned = intern_factors({"F": f, "G": g})
     assert interned["F"].dictionary("A") is interned["G"].dictionary("A")
     assert dict(interned["F"].rows) == dict(f.rows)
     assert dict(interned["G"].rows) == dict(g.rows)
@@ -398,13 +394,13 @@ def test_interning_mixed_types_falls_back_and_round_trips():
 def test_interning_string_and_float_dictionaries():
     f = _columnar(("A",), {("aa",): True, ("bee",): True})
     g = _columnar(("A",), {("bee",): True, ("c",): True})
-    interned = DictionaryPool().intern_factors({"F": f, "G": g})
+    interned = intern_factors({"F": f, "G": g})
     assert interned["F"].dictionary("A") is interned["G"].dictionary("A")
     assert dict(interned["G"].rows) == dict(g.rows)
 
     x = _columnar(("V",), {(0.5,): True, (1.25,): True})
     y = _columnar(("V",), {(1.25,): True, (2.75,): True})
-    interned = DictionaryPool().intern_factors({"X": x, "Y": y})
+    interned = intern_factors({"X": x, "Y": y})
     assert dict(interned["X"].rows) == dict(x.rows)
     assert dict(interned["Y"].rows) == dict(y.rows)
 
@@ -454,7 +450,7 @@ def test_fused_kernel_equals_join_then_marginalize(case):
     from repro.faq.operations import marginalize, multi_join
 
     semiring, factors = case
-    interned = DictionaryPool().intern_factors(factors)
+    interned = intern_factors(factors)
     fused = fused_join_marginalize(list(interned.values()), "V", semiring)
     reference = marginalize(
         multi_join(list(factors.values())), "V", semiring.add
@@ -495,7 +491,7 @@ def test_fused_kernel_int64_overflow_guard():
     big = (2 ** 62) + 1
     f = ColumnarFactor(("V",), {(1,): big}, COUNTING)
     g = ColumnarFactor(("V",), {(1,): 4}, COUNTING)
-    interned = DictionaryPool().intern_factors({"F": f, "G": g})
+    interned = intern_factors({"F": f, "G": g})
     assert fused_join_marginalize(list(interned.values()), "V", COUNTING) is None
 
 

@@ -33,7 +33,6 @@ def _each_kernel():
         lambda: kernels.match_indices(key, key),
         lambda: kernels.sort_groups_key(key),
         lambda: kernels.grouped_reduce(key, order, starts, np.add),
-        lambda: kernels.encode_unique(key),
     )
 
 
@@ -46,16 +45,6 @@ def test_use_tier_restores_on_error():
         with kernels.use_tier("jit"):
             raise RuntimeError("boom")
     assert kernels.resolved_tier() == "numpy"
-
-
-def test_object_dtype_encode_counts_numpy_even_on_jit():
-    concat = np.array(["b", "a", "b"], dtype=object)
-    with kernels.use_tier("jit"):
-        before = COUNTERS.get("kernels.numpy")
-        uniq, inverse = kernels.encode_unique(concat)
-        assert COUNTERS.get("kernels.numpy") == before + 1
-    assert list(uniq) == ["a", "b"]
-    assert list(uniq[inverse]) == ["b", "a", "b"]
 
 
 @pytest.mark.parametrize("tier", ["numpy", "jit"])
@@ -118,13 +107,3 @@ def test_grouped_reduce_matches_reduceat():
         got = kernels.grouped_reduce(values, order, starts, ufunc)
         expected = ufunc.reduceat(values[order], starts)
         np.testing.assert_array_equal(got, expected)
-
-
-def test_encode_unique_matches_np_unique():
-    rng = _rng(2)
-    concat = rng.integers(-50, 50, size=300).astype(np.int64)
-    uniq, inverse = kernels.encode_unique(concat)
-    exp_uniq, exp_inverse = np.unique(concat, return_inverse=True)
-    np.testing.assert_array_equal(uniq, exp_uniq)
-    np.testing.assert_array_equal(inverse, exp_inverse.astype(np.int64))
-    np.testing.assert_array_equal(uniq[inverse], concat)

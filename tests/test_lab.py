@@ -400,7 +400,7 @@ def test_smoke_suite_covers_required_diversity():
 def test_artifact_payload_shape(tmp_path):
     run = run_suite(SuiteSpec("one", (tiny_spec(),)))
     payload = json.loads(artifact_bytes(run))
-    assert payload["schema"] == "repro.lab/bench.v8"
+    assert payload["schema"] == "repro.lab/bench.v9"
     assert payload["suite"] == "one"
     assert payload["scenario_count"] == 1
     assert payload["all_correct"] is True
@@ -433,22 +433,22 @@ def test_committed_artifact_is_what_the_fuzz_suite_produces_now():
 
 def test_artifact_readers_refuse_another_schema(tmp_path, capsys):
     """``parity`` and ``predict --artifact`` read only the schema this
-    lab writes: the committed artifact relabelled v7 exits 2, and the
-    message names both schema ids."""
+    lab writes: the committed artifact relabelled v8, the previous
+    schema, exits 2, and the message names both schema ids."""
     from repro.lab.report import ARTIFACT_SCHEMA
 
     path = os.path.join(
         os.path.dirname(__file__), os.pardir, ARTIFACT_FILENAME)
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    payload["schema"] = "repro.lab/bench.v7"
+    payload["schema"] = "repro.lab/bench.v8"
     stale = str(tmp_path / ARTIFACT_FILENAME)
     with open(stale, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     for argv in (["parity", stale], ["predict", "fuzz", "--artifact", stale]):
         assert lab_main(argv) == 2
         out = capsys.readouterr().out
-        assert "'repro.lab/bench.v7'" in out and repr(ARTIFACT_SCHEMA) in out
+        assert "'repro.lab/bench.v8'" in out and repr(ARTIFACT_SCHEMA) in out
 
 
 @pytest.mark.parametrize(

@@ -55,12 +55,11 @@ from repro.obs.export import (
 )
 from repro.obs.logging import CaptureHandler, configure, get_logger
 from repro.obs.trace import (
+    PHASES,
     CycleFastForwardEvent,
     PhaseTimerEvent,
     RunStartEvent,
     SendEvent,
-    activate,
-    active_tracer,
     normalize,
 )
 from repro.pipeline import build_assignment, build_query, build_topology
@@ -107,20 +106,6 @@ def test_noop_tracer_records_nothing():
     tracer.phase_timer("solve", 0.1)
     assert not tracer.enabled
     assert not hasattr(tracer, "events") or not tracer.events
-
-
-def test_activate_scopes_the_module_level_tracer():
-    assert active_tracer() is None
-    live = RecordingTracer()
-    with activate(live):
-        assert active_tracer() is live
-        with activate(None):
-            assert active_tracer() is None
-        assert active_tracer() is live
-    assert active_tracer() is None
-    # Disabled tracers never become active either.
-    with activate(Tracer()):
-        assert active_tracer() is None
 
 
 def test_planner_accepts_and_normalizes_disabled_tracer():
@@ -203,13 +188,14 @@ def test_tampered_trace_is_caught_with_named_metric():
 
 
 def test_phase_timers_cover_the_pipeline():
-    # ``intern`` needs a columnar execution (dictionary pooling only
-    # happens when every factor is columnar over a supported semiring).
+    # Interning is no phase of a run: the compiled planes read the
+    # query's interned factors, made once per query, even on the
+    # columnar compiled-solver plane where every factor is pooled.
     _report, events = _traced_run(
         golden_spec(solver="compiled", backend="columnar")
     )
     phases = {e.phase for e in events if isinstance(e, PhaseTimerEvent)}
-    assert {"plan_compile", "protocol", "solve", "intern"} <= phases
+    assert phases == set(PHASES) == {"plan_compile", "protocol", "solve"}
 
 
 # ---------------------------------------------------------------------------

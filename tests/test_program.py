@@ -369,62 +369,6 @@ def test_a_traced_compiled_run_fills_the_shared_clock():
     assert steps == [148, 148]
 
 
-def test_align_join_columns_huge_int_domains_fall_back():
-    """Domain values beyond int64 must take the generic merge path, not
-    crash the vectorized scorer (review regression)."""
-    import numpy as np
-
-    from repro.protocols.compiler import _align_join_columns
-
-    center_dict = [2 ** 63, 2 ** 63 + 1]
-    factor_dict = [2 ** 63, 2 ** 63 + 2]
-    center_codes = np.array([0, 1, 0], dtype=np.int64)
-    factor_codes = np.array([1, 0], dtype=np.int64)
-    center_col, factor_col, card = _align_join_columns(
-        center_dict, center_codes, factor_dict, factor_codes
-    )
-    # Codes comparing equal must mean equal domain values.
-    merged = {0: 2 ** 63, 1: 2 ** 63 + 1, 2: 2 ** 63 + 2}
-    assert [merged[c] for c in center_col.tolist()] == [
-        center_dict[c] for c in center_codes.tolist()
-    ]
-    assert [merged[c] for c in factor_col.tolist()] == [
-        factor_dict[c] for c in factor_codes.tolist()
-    ]
-    assert card == 3
-
-
-def test_vector_scores_do_not_depend_on_dictionary_identity(monkeypatch):
-    """Each contribution's dictionaries are temporaries of the scoring
-    loop, so CPython may hand a freed one's ``id`` to the next — here
-    forced: every object answers the same ``id``.  Two contributions
-    whose ``x`` dictionaries differ in length and in values must still
-    score like the dict plane (an ``id``-keyed array memo indexed the
-    second one's codes into the first one's array)."""
-    from repro.protocols import compiler
-    from repro.protocols.faq_protocol import score_rows
-    from repro.semiring import COUNTING, ColumnarFactor, Factor
-
-    monkeypatch.setattr(compiler, "id", lambda obj: 0, raising=False)
-    schema = ("x", "y")
-    rows = [(x, y) for x in range(8) for y in (0, 1)]
-    center = ColumnarFactor.from_columns(
-        schema, list(zip(*rows)), [1] * len(rows), COUNTING)
-    contributions = [
-        Factor(("x",), {(x,): 2 + x for x in (0, 4, 5, 6, 7)}, COUNTING),
-        Factor(("x", "y"), {(x, 1): 3 + x for x in (0, 3, 4, 5, 6, 7)},
-               COUNTING),
-    ]
-    scores = compiler._vector_scores(COUNTING, center, contributions)
-    assert scores.tolist() == score_rows(COUNTING, schema, contributions, rows)
-    assert any(scores.tolist())
-
-
-# ---------------------------------------------------------------------------
-# Jumping through overlapping phases
-# ---------------------------------------------------------------------------
-
-
 def test_overlapping_stars_are_jumped_through():
     """The ledger's ``wide-expander`` shape at N=200: two stars, the
     second's scatter reaching nodes still busy in the first, so its
