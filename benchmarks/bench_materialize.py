@@ -1,7 +1,7 @@
 """Materialization at seconds scale: relations drawn in bulk, born columnar.
 
 A cold run starts by building the paper's inputs.  This bench times the
-three layers of that start on the benchmark's two pipeline shapes, at the
+layers of that start on the benchmark's two pipeline shapes, at the
 sizes where a run lasts seconds:
 
 * ``wide-expander`` — ``acyclic(edges=8, arity=3)`` counting FAQ,
@@ -9,12 +9,16 @@ sizes where a run lasts seconds:
 * ``stream-line-xl`` — the Lemma 4.4 hard star (TRIBES planted in
   ``star(4)``), N = 262,144.
 
-The layers are ``build`` (``repro.pipeline.build_query``: the generators
-and the query's own validation), ``convert`` (``with_backend("columnar")``,
-the product plane) and ``validate`` (``FAQQuery.validate`` alone, a
-second time), each the best of ``REPEATS`` cold calls.  For scale it also times the per-tuple
-reference builders of ``tests/test_materialize.py`` (the stdlib loops the
-generators replaced) followed by the dict -> columnar encode they need.
+Two layers are ``build`` (``repro.pipeline.build_query``) and
+``convert`` (``with_backend("columnar")``, the product plane).  Inside
+``build`` it times ``validate`` (``FAQQuery.validate`` as the query's
+construction runs it) and, on ``stream-line-xl``, ``draw``
+(``hard_tribes``) and ``embed`` (``embed_tribes_in_forest``); the rest
+of ``build`` is ``relations`` (the generators) or ``other``.  Each
+layer is the best of ``REPEATS`` cold calls.  For scale it also times
+the per-tuple reference builders of ``tests/test_materialize.py`` (the
+stdlib loops and shuffle the generators replaced) followed by the
+dict -> columnar encode they need.
 
 Before anything is timed, every relation is checked against the
 reference, row for row (order, value types, codes and dictionaries), and
@@ -25,12 +29,16 @@ the dict plane's decode against the reference ``Factor``.  With
     PYTHONPATH=src python -m pytest benchmarks/bench_materialize.py -q -s --quick
 """
 
+import contextlib
 import os
 import sys
 import time
+from unittest import mock
 
 import pytest
 
+from repro import pipeline
+from repro.faq import FAQQuery
 from repro.lab.spec import ScenarioSpec
 from repro.pipeline import build_query
 
@@ -57,20 +65,48 @@ SHAPES = {
 }
 
 
-def _layers(build):
-    """Best ``(build, convert, validate)`` ms over ``REPEATS`` cold
-    calls of ``build() -> FAQQuery``."""
+#: The calls timed inside ``build``, per shape: (layer, owner, attribute).
+INNER = {
+    "wide-expander": [("validate", FAQQuery, "validate")],
+    "stream-line-xl": [
+        ("draw", pipeline, "hard_tribes"),
+        ("embed", pipeline, "embed_tribes_in_forest"),
+        ("validate", FAQQuery, "validate"),
+    ],
+}
+
+
+def _layers(build, inner):
+    """Best ms per layer over ``REPEATS`` cold calls of ``build() ->
+    FAQQuery``: each ``inner`` call, the rest of ``build``, ``convert``."""
+    spent = {}
+
+    def timed(layer, call):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return call(*args, **kwargs)
+            finally:
+                spent[layer] += time.perf_counter() - start
+        return wrapper
+
     samples = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        query = build()
-        built = time.perf_counter()
-        query.with_backend("columnar")
-        converted = time.perf_counter()
-        query.validate()
-        samples.append(
-            (built - start, converted - built, time.perf_counter() - converted)
-        )
+    with contextlib.ExitStack() as stack:
+        for layer, owner, name in inner:
+            stack.enter_context(mock.patch.object(
+                owner, name, timed(layer, getattr(owner, name))
+            ))
+        for _ in range(REPEATS):
+            spent.update((layer, 0.0) for layer, _, _ in inner)
+            start = time.perf_counter()
+            query = build()
+            built = time.perf_counter()
+            inside = [spent[layer] for layer, _, _ in inner]
+            query.with_backend("columnar")
+            converted = time.perf_counter()
+            samples.append(
+                inside + [built - start - sum(inside), converted - built]
+            )
     return [1e3 * min(layer) for layer in zip(*samples)]
 
 
@@ -81,12 +117,16 @@ def test_materialize(shape, request):
     print(f"{shape}: N={spec.n}, rows equal the reference builders")
     if request.config.getoption("--quick"):
         return
-    born = _layers(lambda: build_query(spec).query)
-    reference = _layers(lambda: reference_query(spec))
+    inner = INNER[shape]
+    born = _layers(lambda: build_query(spec).query, inner)
+    reference = _layers(lambda: reference_query(spec), inner)
+    rest = "other" if shape == "stream-line-xl" else "relations"
+    names = [layer for layer, _, _ in inner] + [rest, "convert"]
     print_banner(f"{shape}, N={spec.n}: best of {REPEATS} cold calls (ms)")
-    print(f"{'path':<28}{'build':>10}{'convert':>10}{'validate':>10}{'sum':>10}")
-    for label, (build, convert, validate) in (
+    print(f"{'path':<28}" + "".join(f"{name:>10}" for name in names)
+          + f"{'sum':>10}")
+    for label, layers in (
         ("columnar-born", born), ("reference loop + encode", reference),
     ):
-        print(f"{label:<28}{build:>10.1f}{convert:>10.1f}{validate:>10.1f}"
-              f"{build + convert:>10.1f}")
+        print(f"{label:<28}" + "".join(f"{ms:>10.1f}" for ms in layers)
+              + f"{sum(layers):>10.1f}")

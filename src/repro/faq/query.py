@@ -300,9 +300,11 @@ class FAQQuery:
         The domain check — every value a factor lists for ``v`` lies in
         ``Dom(v)`` — is the only part that looks at rows, and it looks
         once: one set per distinct domain tuple, and per (factor,
-        variable) that factor's :meth:`~Factor.active_domain` (on a
-        columnar factor a used-code mask over the dictionary, not a scan
-        of decoded rows) minus that set.
+        variable) a ``set.issuperset`` test of that set against the
+        factor's :meth:`~Factor.used_values` (on a columnar factor a
+        used-code mask over the dictionary, then the used entries, with
+        no set built of them).  The offending values are worked out only
+        when the test fails.
 
         Raises:
             ValueError: on a missing factor, a factor/hyperedge schema
@@ -344,8 +346,8 @@ class FAQQuery:
         for name, factor in self.factors.items():
             for var in factor.schema:
                 dom = domain_sets[id(self.domains[var])]
-                extra = factor.active_domain(var) - dom
-                if extra:
+                if not dom.issuperset(factor.used_values(var)):
+                    extra = factor.active_domain(var) - dom
                     raise ValueError(
                         f"factor {name!r} has values outside Dom({var!r}): "
                         f"{sorted(extra, key=str)[:5]}"

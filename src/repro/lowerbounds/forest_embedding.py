@@ -20,6 +20,7 @@ import numpy as np
 
 from ..hypergraph import Hypergraph, is_acyclic
 from ..semiring import BOOLEAN, ColumnarFactor, Factor
+from ..semiring.columnar import Dictionary, empty_like
 from .tribes import TribesInstance
 
 
@@ -198,17 +199,34 @@ def _planted_factor(
 ) -> ColumnarFactor:
     """``values x {filler}``: the free coordinate ranges over ``values``.
 
-    Built columnar from the values, with no row tuples: a repeated
-    value keeps its first occurrence (combining Boolean duplicates), so
-    this is ``ColumnarFactor.from_factor(Factor.from_tuples(...))`` of
-    the same tuples, row order included.  The embedding's values are
-    sorted and distinct, so it never dedupes.
+    Built from arrays, with no row tuples and no encode: the free column
+    is coded ``arange`` over ``values`` as its dictionary, and each
+    filler column is coded 0 over the one-entry dictionary
+    ``[filler]``.  For sorted, distinct ``values`` (the embedding's
+    always are) that is ``ColumnarFactor.from_factor(Factor.from_tuples(
+    ...))`` of the same tuples, codes, dictionaries and row order
+    included.
+
+    Raises:
+        ValueError: if ``values`` are not sorted and distinct.
     """
     values = np.asarray(values)
-    if len(values) > 1 and not (values[1:] > values[:-1]).all():
-        values = np.asarray(list(dict.fromkeys(values.tolist())))
-    columns = [np.full(len(values), filler)] * len(schema)
-    columns[schema.index(free_var)] = values
-    return ColumnarFactor.from_columns(
-        schema, columns, np.ones(len(values), dtype=bool), BOOLEAN, name
+    n = len(values)
+    if n > 1 and not (values[1:] > values[:-1]).all():
+        raise ValueError(
+            f"planted values of {name!r} are not sorted and distinct"
+        )
+    if n == 0:
+        return empty_like(schema, [[] for _ in schema], BOOLEAN, name)
+    codes, dicts = [], []
+    for var in schema:
+        if var == free_var:
+            codes.append(np.arange(n, dtype=np.int64))
+            dicts.append(Dictionary(values.tolist(), array=values))
+        else:
+            one = np.full(1, filler)
+            codes.append(np.zeros(n, dtype=np.int64))
+            dicts.append(Dictionary(one.tolist(), array=one))
+    return ColumnarFactor._from_arrays(
+        schema, codes, dicts, np.ones(n, dtype=bool), BOOLEAN, name
     )

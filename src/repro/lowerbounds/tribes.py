@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,30 @@ def random_tribes(
     return TribesInstance(universe_size, tuple(pairs))
 
 
+def _shuffled_range(rng: random.Random, n: int) -> List[int]:
+    """``list(range(n))`` shuffled by ``rng.shuffle``, from the same draws.
+
+    ``shuffle`` swaps ``x[i]`` with ``x[j]``, ``j = randbelow(i + 1)``,
+    for ``i`` from ``n - 1`` down to 1, and ``randbelow(i + 1)`` calls
+    ``getrandbits(k)``, ``k = (i + 1).bit_length()``, until a draw is at
+    most ``i``.  This loop makes exactly those calls, so the permutation
+    and ``rng``'s later state are the same; it only skips the method
+    dispatch, computing ``k`` once per run of equal bit lengths.
+    """
+    x = list(range(n))
+    getrandbits = rng.getrandbits
+    top, k = n - 1, n.bit_length()
+    while top > 0:
+        low = (1 << (k - 1)) - 1  # (i + 1).bit_length() == k for low <= i
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top, k = low - 1, k - 1
+    return x
+
+
 def hard_tribes(
     m: int,
     universe_size: int,
@@ -76,6 +100,11 @@ def hard_tribes(
     seed: Optional[int] = None,
 ) -> TribesInstance:
     """A hard-distribution instance: ``|S_i ∩ T_i| <= 1`` (Remark G.5).
+
+    Each pair splits a shuffle of ``[N]`` in half.  The shuffle is
+    ``random.Random.shuffle``'s, draw for draw (:func:`_shuffled_range`),
+    so an instance depends on the seed alone, not on CPython's
+    ``shuffle``.
 
     Args:
         value: The target TRIBES value.  When True every pair intersects
@@ -87,19 +116,16 @@ def hard_tribes(
         raise ValueError("universe must have at least two elements")
     pairs: List[Tuple[frozenset, frozenset]] = []
     broken = None if value else rng.randrange(m)
+    half = universe_size // 2
     for i in range(m):
-        elements = list(range(universe_size))
-        rng.shuffle(elements)
-        half = universe_size // 2
-        s_part: Set[int] = set(elements[:half])
-        t_part: Set[int] = set(elements[half:])
+        elements = _shuffled_range(rng, universe_size)
+        s_part = elements[:half]
+        t_part = elements[half:]
         if i != broken:
             witness = rng.randrange(universe_size)
-            s_part.add(witness)
-            t_part.add(witness)
-        else:
-            # Disjoint by construction: s_part and t_part partition [N].
-            pass
+            s_part.append(witness)
+            t_part.append(witness)
+        # Otherwise disjoint by construction: the halves partition [N].
         pairs.append((frozenset(s_part), frozenset(t_part)))
     instance = TribesInstance(universe_size, tuple(pairs))
     if instance.evaluate() != value:

@@ -228,17 +228,23 @@ class ColumnarFactor(Factor):
         return len(self._values)
 
     def active_domain(self, var: str) -> set:
+        return set(self.used_values(var))
+
+    def used_values(self, var: str) -> List[Any]:
+        """The dictionary entries some row's code points at: the
+        dictionary itself (treat as immutable) when every entry is
+        used."""
         i = self.column_index(var)
         d = self._dicts[i]
         # Mark the codes in use (O(n), no sort), then decode only those.
         used = np.zeros(len(d), dtype=bool)
         used[self._codes[i]] = True
         if used.all():
-            return set(d)
+            return d
         array = getattr(d, "array", None)
         if array is not None:
-            return set(array[used].tolist())
-        return {d[c] for c in np.flatnonzero(used).tolist()}
+            return array[used].tolist()
+        return [d[c] for c in np.flatnonzero(used).tolist()]
 
     def size_bits(self, bits_per_tuple: int) -> int:
         return len(self._values) * bits_per_tuple
@@ -752,8 +758,8 @@ def group_reduce(out_schema, columns, dicts, values, n, semiring, name=None):
     ``values=None`` is a Boolean listing whose annotations are all
     ``True``: the reduction is then key deduplication, a dense scatter
     over the composite code space while it is small.  Returns ``None``
-    when an integer group sum could overflow ``int64`` (worst case:
-    every row in one group at the max magnitude).
+    when an integer group sum could overflow ``int64`` (worst case: the
+    largest group, every row in it at the max magnitude).
     """
     out_schema = tuple(out_schema)
     if n == 0:
@@ -776,12 +782,17 @@ def group_reduce(out_schema, columns, dicts, values, n, semiring, name=None):
             )
     else:
         profile = profile_for(semiring)
-        if (
-            np.issubdtype(profile.dtype, np.integer)
-            and int(np.abs(values).max()) > INT64_MAX // n
-        ):
-            return None
+        magnitude = (
+            int(np.abs(values).max())
+            if np.issubdtype(profile.dtype, np.integer) else 0
+        )
     order, starts = _sort_groups(columns, cards, n)
+    # Every row in one group is the bound known before sorting; only
+    # when that could overflow is the largest real group looked up.
+    if values is not None and magnitude > INT64_MAX // n:
+        largest = int(np.diff(starts, append=n).max())
+        if magnitude > INT64_MAX // largest:
+            return None
     representatives = order[starts]
     out_codes = [c[representatives] for c in columns]
     if values is None:

@@ -18,7 +18,7 @@ between the two with :func:`repro.semiring.backend.to_backend`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Collection, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .semirings import BOOLEAN, Semiring
 
@@ -165,6 +165,11 @@ class Factor:
         """Values of ``var`` that appear in some listed tuple."""
         i = self.column_index(var)
         return {t[i] for t in self.rows}
+
+    def used_values(self, var: str) -> Collection:
+        """The :meth:`active_domain`, each value at least once, but not
+        necessarily as a set (the cheapest form a backend has)."""
+        return self.active_domain(var)
 
     def size_bits(self, bits_per_tuple: int) -> int:
         """Total size in bits under a fixed per-tuple encoding.

@@ -33,6 +33,7 @@ from repro.faq import (
 from repro.faq.yannakakis import solve_bcq_yannakakis
 from repro.hypergraph import Hypergraph
 from repro.network import Topology
+from repro.obs.counters import COUNTERS, counter_delta
 from repro.semiring import (
     BACKEND_COLUMNAR,
     BACKEND_DICT,
@@ -50,6 +51,7 @@ from repro.semiring import (
     supports_columnar,
     to_backend,
 )
+from repro.semiring.columnar import INT64_MAX, group_reduce
 from repro.workloads import random_instance
 
 VECTOR_SEMIRINGS = (BOOLEAN, COUNTING, REAL, MIN_PLUS, MAX_PLUS, MAX_TIMES)
@@ -301,6 +303,34 @@ def test_counting_reduce_overflow_falls_back_to_exact_dict_path():
     assert got == expected
     assert got((1,)) == 4 * near_max
     assert project(cf, ("A",)) == project(f, ("A",))
+
+
+@pytest.mark.parametrize(
+    "rows, runs",
+    [
+        # Four rows of 2**61 overflow only if they share a group; in two
+        # groups of two each sum is 2**62, which fits.
+        ({(a, b): 2 ** 61 for a in (1, 2) for b in range(2)}, True),
+        # The larger group sums to 2**63: still the exact dict path.
+        ({(1, 0): 2 ** 62, (1, 1): 2 ** 62, (2, 0): 1, (3, 0): -5}, False),
+    ],
+)
+def test_counting_reduce_bounds_overflow_by_the_largest_group(rows, runs):
+    f, cf = both(Factor(("A", "B"), rows, COUNTING))
+    # Every row in one group at the max magnitude would overflow.
+    assert max(map(abs, rows.values())) > INT64_MAX // len(rows)
+    kernel = group_reduce(
+        ("A",), [cf.codes[0]], [cf.dictionaries[0]], cf.values, len(cf),
+        COUNTING,
+    )
+    assert (kernel is not None) == runs
+    before = COUNTERS.snapshot()
+    got = marginalize(cf, "B")
+    delta = counter_delta(before, COUNTERS.snapshot())
+    assert got == marginalize(f, "B")
+    assert (delta.get("kernel.dict_fallback", 0) == 0) == runs
+    if runs:
+        assert kernel == got
 
 
 def test_to_backend_huge_counts_stay_dict():

@@ -83,7 +83,7 @@ def input_relations(spec):
 
 @pytest.fixture
 def data_plane_work(monkeypatch):
-    """Record every dictionary encode, every active-domain scan and
+    """Record every dictionary encode, every used-value scan and
     every row decode of a columnar factor, by the factor it ran on."""
     work = {"encodes": [], "domain_scans": [], "decodes": []}
     encode = ColumnarFactor.from_factor.__func__
@@ -97,13 +97,13 @@ def data_plane_work(monkeypatch):
         ColumnarFactor, "from_factor", classmethod(counting_encode)
     )
     for cls in (Factor, ColumnarFactor):
-        scan = cls.active_domain
+        scan = cls.used_values
 
         def counting_scan(self, var, _scan=scan):
             work["domain_scans"].append(self)
             return _scan(self, var)
 
-        monkeypatch.setattr(cls, "active_domain", counting_scan)
+        monkeypatch.setattr(cls, "used_values", counting_scan)
     decode = ColumnarFactor.rows.fget
 
     def counting_decode(self):

@@ -185,15 +185,15 @@ def _same_listing(built, expected):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(-5, 40), max_size=30),
+    st.lists(st.integers(-5, 40), max_size=30, unique=True).map(sorted),
     st.sampled_from([(("A",), "A"), (("A", "B"), "A"), (("A", "B"), "B")]),
     st.integers(0, 3),
 )
 def test_planted_factor_equals_from_tuples(values, shape, filler):
-    """The direct columnar build makes no row tuples; it must still be
-    the factor ``Factor.__init__``'s per-row loop produces, encoded — on
-    the embedding's sorted value sets and on any other list (repeats,
-    the filler among them)."""
+    """The direct columnar build makes no row tuples and encodes
+    nothing; it must still be the factor ``Factor.__init__``'s per-row
+    loop produces, encoded — on sorted, distinct value lists like the
+    embedding's (empty, the filler among them)."""
     schema, free_var = shape
     idx = schema.index(free_var)
     tuples = [
@@ -204,6 +204,12 @@ def test_planted_factor_equals_from_tuples(values, shape, filler):
         _planted_factor(schema, free_var, values, filler, "R"),
         Factor.from_tuples(schema, tuples, BOOLEAN, "R"),
     )
+
+
+@pytest.mark.parametrize("values", [[2, 1], [1, 1], [0, 3, 3, 5]])
+def test_planted_factor_refuses_unsorted_values(values):
+    with pytest.raises(ValueError, match="not sorted and distinct"):
+        _planted_factor(("A", "B"), "A", values, 1, "R")
 
 
 def test_forest_embedding_of_a_one_element_universe():

@@ -7,7 +7,8 @@ oracle is the per-tuple stdlib loop they replaced, which lives only
 here:
 
 * every bulk draw is the ``random.choice`` / ``randint`` draw of the
-  running interpreter (CI runs this file on 3.10 and 3.12);
+  running interpreter, and the TRIBES shuffle is ``random.Random.shuffle``
+  (CI runs this file on 3.10 and 3.12);
 * every relation holds the reference's rows in the reference's order,
   and its codes and dictionaries are what encoding the reference gives;
 * built through :mod:`repro.pipeline`, every fuzz identity and the
@@ -26,7 +27,7 @@ import pytest
 from repro.lab.generate import generate_scenarios
 from repro.lab.spec import ScenarioSpec
 from repro.lab.suites import DEFAULT_SEED
-from repro.lowerbounds import forest_embedding
+from repro.lowerbounds import forest_embedding, tribes
 from repro.pipeline import build_query
 from repro.semiring import (
     BOOLEAN, COUNTING, GF2, MIN_PLUS, REAL, ColumnarFactor, Factor,
@@ -64,6 +65,12 @@ def reference_weighted_relation(
     else:
         rows = {t: rng.uniform(low, high) for t in base.tuples()}
     return Factor(base.schema, rows, semiring, name)
+
+
+def reference_shuffled_range(rng, n):
+    elements = list(range(n))
+    rng.shuffle(elements)
+    return elements
 
 
 def reference_planted_factor(schema, free_var, values, filler, name):
@@ -131,6 +138,19 @@ def test_bulk_draws_are_the_stdlib_draws(bounds, seed):
     while sum(map(len, drawn)) < count:
         drawn.append(next(batches))
     assert np.concatenate(drawn)[:count].tolist() == by_choice
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025, 8192],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2, DEFAULT_SEED])
+def test_tribes_shuffle_is_the_stdlib_shuffle(n, seed):
+    stdlib, drawn = random.Random(seed), random.Random(seed)
+    expected = reference_shuffled_range(stdlib, n)
+    assert tribes._shuffled_range(drawn, n) == expected
+    # Same draws taken, so the generator goes on from the same state.
+    assert drawn.getrandbits(64) == stdlib.getrandbits(64)
+    assert drawn.getstate() == stdlib.getstate()
 
 
 DOMAINS = {
@@ -242,6 +262,7 @@ def reference_builders():
             (generators, "random_relation", reference_relation),
             (generators, "random_weighted_relation", reference_weighted_relation),
             (forest_embedding, "_planted_factor", reference_planted_factor),
+            (tribes, "_shuffled_range", reference_shuffled_range),
         ):
             stack.enter_context(mock.patch.object(module, name, reference))
         yield
