@@ -163,9 +163,9 @@ class Planner:
             cost metrics.
         tracer: Optional :class:`~repro.obs.trace.Tracer`.  When enabled,
             :meth:`execute` emits per-round protocol events plus
-            ``plan_compile`` / ``protocol`` / ``solve`` / ``intern``
-            phase timers.  ``None`` or a disabled tracer is normalized
-            away so the hot path pays one attribute check.
+            ``plan_compile`` / ``protocol`` / ``solve`` phase timers.
+            ``None`` or a disabled tracer is normalized away so the hot
+            path pays one attribute check.
     """
 
     def __init__(

@@ -17,19 +17,17 @@ from .cut_simulation import (
     verify_cut_accounting,
 )
 from .core_embedding import (
-    CoreEmbedding,
     core_embedding_capacity,
     embed_tribes_in_core,
     find_disjoint_cycles,
     greedy_independent_set,
 )
 from .forest_embedding import (
-    ForestEmbedding,
+    TribesEmbedding,
     embed_tribes_in_forest,
     embedding_capacity,
 )
 from .hypergraph_embedding import (
-    HypergraphEmbedding,
     embed_tribes_in_hypergraph,
     strong_independent_set,
 )
@@ -51,15 +49,13 @@ __all__ = [
     "random_tribes",
     "hard_tribes",
     "tribes_round_lower_bound",
-    "ForestEmbedding",
+    "TribesEmbedding",
     "embed_tribes_in_forest",
     "embedding_capacity",
-    "CoreEmbedding",
     "embed_tribes_in_core",
     "core_embedding_capacity",
     "find_disjoint_cycles",
     "greedy_independent_set",
-    "HypergraphEmbedding",
     "embed_tribes_in_hypergraph",
     "strong_independent_set",
     "BoundReport",

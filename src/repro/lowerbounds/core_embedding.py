@@ -10,20 +10,27 @@ set (greedy min-degree removal, the constructive form of Turán's theorem).
   ``R_{T_i}`` (coordinates reversed) on ``(c2, c3)``, the remaining cycle
   edges carry the identity relation ``{(a, a)}`` and all non-cycle edges
   the complete relation — a satisfying assignment walks the intersection
-  element around the cycle.
-* **Independent-set case**: identical to the forest embedding of
-  Lemma 4.3 with the independent set playing ``O``.
+  element around the cycle.  These relations are built here, as dict
+  factors.
+* **Independent-set case**: the planting of Lemma 4.3
+  (:func:`~repro.lowerbounds.forest_embedding.plant_tribes`), each
+  independent vertex carrying its pair on its first two incident edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..hypergraph import Hypergraph
 from ..network.topology import insertion_order_edges
 from ..semiring import BOOLEAN, Factor
+from .forest_embedding import (
+    TribesEmbedding,
+    edge_lookup,
+    incident_sites,
+    plant_tribes,
+)
 from .tribes import TribesInstance
 
 #: ``vertex -> {neighbour: None}``.  Both harvests break ties by the
@@ -137,31 +144,6 @@ def greedy_independent_set(
     return sorted(out, key=str)
 
 
-@dataclass
-class CoreEmbedding:
-    """A TRIBES -> BCQ embedding into a cyclic simple graph (Theorem 4.4).
-
-    Attributes:
-        hypergraph: The (core) query graph.
-        factors: The constructed relations.
-        domains: Per-variable domains.
-        mode: ``"cycles"`` or ``"independent-set"``.
-        sites: The cycles (vertex lists) or the independent-set vertices
-            used, in pair order.
-        s_edges / t_edges: The edges carrying Alice's / Bob's sets.
-        tribes: The embedded instance.
-    """
-
-    hypergraph: Hypergraph
-    factors: Dict[str, Factor]
-    domains: Dict[str, Tuple]
-    mode: str
-    sites: Tuple
-    s_edges: Tuple[str, ...]
-    t_edges: Tuple[str, ...]
-    tribes: TribesInstance
-
-
 def core_embedding_capacity(hypergraph: Hypergraph) -> Tuple[str, int]:
     """``(mode, capacity)``: how many pairs the Theorem 4.4 embedding fits."""
     cycles = find_disjoint_cycles(hypergraph)
@@ -173,7 +155,7 @@ def core_embedding_capacity(hypergraph: Hypergraph) -> Tuple[str, int]:
 
 def embed_tribes_in_core(
     hypergraph: Hypergraph, tribes: TribesInstance
-) -> CoreEmbedding:
+) -> TribesEmbedding:
     """Construct the Theorem 4.4 BCQ instance for a cyclic simple graph.
 
     Chooses the larger of the cycle / independent-set embeddings.  For the
@@ -193,16 +175,13 @@ def embed_tribes_in_core(
         )
     if mode == "cycles":
         return _embed_on_cycles(hypergraph, tribes)
-    return _embed_on_independent_set(hypergraph, tribes)
-
-
-def _edge_lookup(hypergraph: Hypergraph) -> Dict[frozenset, str]:
-    return {verts: name for name, verts in hypergraph.edges()}
+    sites = incident_sites(hypergraph, greedy_independent_set(hypergraph))
+    return plant_tribes(hypergraph, tribes, sites, mode)
 
 
 def _embed_on_cycles(
     hypergraph: Hypergraph, tribes: TribesInstance
-) -> CoreEmbedding:
+) -> TribesEmbedding:
     n = tribes.universe_size
     side = math.isqrt(n)
     if side * side != n:
@@ -214,7 +193,7 @@ def _embed_on_cycles(
         return (value // side, value % side)
 
     cycles = find_disjoint_cycles(hypergraph)[: tribes.m]
-    lookup = _edge_lookup(hypergraph)
+    lookup = edge_lookup(hypergraph)
     domain = tuple(range(side))
     domains = {v: domain for v in hypergraph.vertices}
     factors: Dict[str, Factor] = {}
@@ -255,7 +234,7 @@ def _embed_on_cycles(
         factors[name] = Factor.constant_one(
             schema, {v: domain for v in schema}, BOOLEAN, name
         )
-    return CoreEmbedding(
+    return TribesEmbedding(
         hypergraph=hypergraph,
         factors=factors,
         domains=domains,
@@ -280,63 +259,3 @@ def _pair_factor(
         row = {first_var: a, second_var: b}
         tuples.append(tuple(row[v] for v in schema))
     return Factor.from_tuples(schema, tuples, BOOLEAN, name)
-
-
-def _embed_on_independent_set(
-    hypergraph: Hypergraph, tribes: TribesInstance
-) -> CoreEmbedding:
-    n = tribes.universe_size
-    filler = 0
-    domain = tuple(range(n))
-    domains = {v: domain for v in hypergraph.vertices}
-    chosen = greedy_independent_set(hypergraph)[: tribes.m]
-    factors: Dict[str, Factor] = {}
-    s_edges: List[str] = []
-    t_edges: List[str] = []
-    planted: Set[str] = set()
-
-    for o, (s_set, t_set) in zip(chosen, tribes.pairs):
-        incident = sorted(hypergraph.incident_edges(o))
-        s_edge, t_edge = incident[0], incident[1]
-        for edge, values in ((s_edge, sorted(s_set)), (t_edge, sorted(t_set))):
-            schema = tuple(sorted(hypergraph.edge(edge), key=str))
-            idx = schema.index(o)
-            tuples = []
-            for value in values:
-                row = [filler] * len(schema)
-                row[idx] = value
-                tuples.append(tuple(row))
-            factors[edge] = Factor.from_tuples(schema, tuples, BOOLEAN, edge)
-        planted.update((s_edge, t_edge))
-        s_edges.append(s_edge)
-        t_edges.append(t_edge)
-
-    chosen_set = set(chosen)
-    for name, verts in hypergraph.edges():
-        if name in planted:
-            continue
-        schema = tuple(sorted(verts, key=str))
-        touching = [v for v in schema if v in chosen_set]
-        if touching:
-            o = touching[0]
-            idx = schema.index(o)
-            tuples = []
-            for value in domain:
-                row = [filler] * len(schema)
-                row[idx] = value
-                tuples.append(tuple(row))
-            factors[name] = Factor.from_tuples(schema, tuples, BOOLEAN, name)
-        else:
-            factors[name] = Factor.from_tuples(
-                schema, [tuple(filler for _ in schema)], BOOLEAN, name
-            )
-    return CoreEmbedding(
-        hypergraph=hypergraph,
-        factors=factors,
-        domains=domains,
-        mode="independent-set",
-        sites=tuple(chosen),
-        s_edges=tuple(s_edges),
-        t_edges=tuple(t_edges),
-        tribes=tribes,
-    )

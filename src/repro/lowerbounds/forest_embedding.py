@@ -1,20 +1,30 @@
-"""Embedding TRIBES into forest BCQs — Lemma 4.3 and Example 2.4.
+"""Planting TRIBES in a BCQ: Lemma 4.3, and the one planting every
+lower-bound embedding shares.
 
-Given a forest query ``H`` (arity <= 2, acyclic) and a TRIBES instance,
-construct a BCQ instance ``q_{H,S,T}`` with
+Given a query ``H`` and a TRIBES instance, construct a BCQ instance
+``q_{H,S,T}`` with
 
-    BCQ(q) = 1  iff  TRIBES(S, T) = 1,
+    BCQ(q) = 1  iff  TRIBES(S, T) = 1.
 
-by planting each set pair on the two tree edges around an internal vertex
-of one bipartition class (the set ``O``), filling the other edges incident
-to ``O`` with ``[N] x {1}`` and all remaining edges with ``{1} x {1}``.
-The embedding capacity ``|O| >= y(H)/2`` drives the Lemma 4.4 bound.
+Every embedding plants the same way (:func:`plant_tribes`).  Each set
+pair goes on two edges around one *site* vertex ``o_i``, as
+``S_i x {1}`` and ``T_i x {1}``; every other edge touching a site frees
+its coordinate, ``[N] x {1}``; every remaining edge is ``{1} x {1}``.  No
+edge holds two sites, so every other vertex is pinned to the filler 1,
+and ``q`` is satisfiable iff every ``o_i`` can take a value in
+``S_i ∩ T_i``.  The embeddings differ only in their sites:
+
+* Lemma 4.3 (here): the internal vertices of one bipartition class of a
+  forest (the set ``O``), each planted on a child edge and its parent
+  edge.  The capacity ``|O| >= y(H)/2`` drives the Lemma 4.4 bound;
+* Lemma E.2's independent-set case (:mod:`.core_embedding`);
+* Theorem F.8's strong independent set (:mod:`.hypergraph_embedding`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,16 +33,25 @@ from ..semiring import BOOLEAN, ColumnarFactor, Factor
 from ..semiring.columnar import Dictionary, empty_like
 from .tribes import TribesInstance
 
+#: The value every coordinate but a site's is pinned to.
+FILLER = 1
+
+#: ``(o, s_edge, t_edge)``: a site vertex and the edges carrying its pair.
+Site = Tuple[str, str, str]
+
 
 @dataclass
-class ForestEmbedding:
-    """A TRIBES -> BCQ embedding (Lemma 4.3).
+class TribesEmbedding:
+    """A TRIBES -> BCQ embedding.
 
     Attributes:
-        hypergraph: The forest query ``H``.
+        hypergraph: The query ``H``.
         factors: The constructed relations, keyed by hyperedge name.
-        domains: Domains (``[N]`` plus the filler value 1).
-        o_nodes: The vertices carrying set pairs, in pair order.
+        domains: Per-variable domains.
+        mode: ``"forest"`` (Lemma 4.3), ``"independent-set"`` or
+            ``"cycles"`` (Lemma E.2), or ``"hypergraph"`` (Theorem F.8).
+        sites: Per pair, the vertex carrying it; in ``"cycles"`` mode,
+            the cycle (a vertex tuple).
         s_edges: Edge name carrying ``S_i`` (Alice's side), per pair.
         t_edges: Edge name carrying ``T_i`` (Bob's side), per pair.
         tribes: The embedded instance.
@@ -41,10 +60,82 @@ class ForestEmbedding:
     hypergraph: Hypergraph
     factors: Dict[str, Factor]
     domains: Dict[str, Tuple]
-    o_nodes: Tuple[str, ...]
+    mode: str
+    sites: Tuple
     s_edges: Tuple[str, ...]
     t_edges: Tuple[str, ...]
     tribes: TribesInstance
+
+
+def plant_tribes(
+    hypergraph: Hypergraph,
+    tribes: TribesInstance,
+    sites: Sequence[Site],
+    mode: str,
+) -> TribesEmbedding:
+    """Plant ``tribes`` on the first ``m`` of ``sites``.
+
+    Args:
+        sites: Every plantable ``(o, s_edge, t_edge)``, in pair order:
+            ``S_i`` goes on ``s_edge`` and ``T_i`` on ``t_edge``, two
+            edges holding ``o``.  No edge may hold two sites.
+        mode: The embedding's name, kept on the result.
+
+    Raises:
+        ValueError: if there are fewer sites than pairs.
+    """
+    if tribes.m > len(sites):
+        raise ValueError(
+            f"TRIBES has m={tribes.m} pairs but H only embeds {len(sites)}"
+        )
+    sites = sites[: tribes.m]
+    n = tribes.universe_size
+    domain = tuple(range(n)) + ((FILLER,) if FILLER >= n else ())
+    factors: Dict[str, Factor] = {}
+    for (o, s_edge, t_edge), (s_set, t_set) in zip(sites, tribes.pairs):
+        for edge, values in ((s_edge, s_set), (t_edge, t_set)):
+            factors[edge] = _planted_factor(
+                _ordered_schema(hypergraph, edge), o, _sorted(values),
+                FILLER, edge,
+            )
+    chosen = {o for o, _s_edge, _t_edge in sites}
+    for name, _verts in hypergraph.edges():
+        if name in factors:
+            continue
+        schema = _ordered_schema(hypergraph, name)
+        touching = [v for v in schema if v in chosen]
+        if touching:
+            # Free the site's coordinate ([N]), pin the rest to the filler.
+            factors[name] = _planted_factor(
+                schema, touching[0], np.arange(n), FILLER, name
+            )
+        else:
+            factors[name] = _planted_factor(
+                schema, schema[0], [FILLER], FILLER, name
+            )
+    return TribesEmbedding(
+        hypergraph=hypergraph,
+        factors=factors,
+        domains={v: domain for v in hypergraph.vertices},
+        mode=mode,
+        sites=tuple(o for o, _s_edge, _t_edge in sites),
+        s_edges=tuple(s_edge for _o, s_edge, _t_edge in sites),
+        t_edges=tuple(t_edge for _o, _s_edge, t_edge in sites),
+        tribes=tribes,
+    )
+
+
+def edge_lookup(hypergraph: Hypergraph) -> Dict[frozenset, str]:
+    """``{vertex set: name}``, naming the first edge of each set."""
+    lookup: Dict[frozenset, str] = {}
+    for name, verts in hypergraph.edges():
+        lookup.setdefault(verts, name)
+    return lookup
+
+
+def incident_sites(hypergraph: Hypergraph, vertices: Sequence[str]) -> List[Site]:
+    """Each vertex with its first two incident edges, by name."""
+    return [(v, *sorted(hypergraph.incident_edges(v))[:2]) for v in vertices]
 
 
 def _forest_structure(
@@ -74,29 +165,30 @@ def _forest_structure(
 
 def embedding_capacity(hypergraph: Hypergraph) -> int:
     """``|O|``: the number of plantable vertices (>= y(H)/2, Lemma 4.3)."""
-    return len(_choose_o_set(hypergraph))
+    return len(_choose_o_set(hypergraph)[0])
 
 
-def _choose_o_set(hypergraph: Hypergraph) -> List[str]:
-    """The larger bipartition class of degree->=2 vertices."""
-    _parents, depth = _forest_structure(hypergraph)
-    even = [
-        v
-        for v in sorted(hypergraph.vertices, key=str)
-        if len(hypergraph.neighbors(v)) >= 2 and depth[v] % 2 == 0
-    ]
-    odd = [
-        v
-        for v in sorted(hypergraph.vertices, key=str)
-        if len(hypergraph.neighbors(v)) >= 2 and depth[v] % 2 == 1
-    ]
-    return even if len(even) >= len(odd) else odd
+def _choose_o_set(
+    hypergraph: Hypergraph,
+) -> Tuple[List[str], Dict[str, Optional[str]]]:
+    """The larger bipartition class of degree->=2 vertices, and the
+    parent map it was read from."""
+    parents, depth = _forest_structure(hypergraph)
+    classes: Tuple[List[str], List[str]] = ([], [])
+    for v in sorted(hypergraph.vertices, key=str):
+        if len(hypergraph.neighbors(v)) >= 2:
+            classes[depth[v] % 2].append(v)
+    even, odd = classes
+    return (even if len(even) >= len(odd) else odd), parents
 
 
 def embed_tribes_in_forest(
     hypergraph: Hypergraph, tribes: TribesInstance
-) -> ForestEmbedding:
+) -> TribesEmbedding:
     """Construct the Lemma 4.3 BCQ instance for a forest query.
+
+    Each vertex of ``O`` carries ``S_i`` on the edge to its first child
+    and ``T_i`` on the edge to its parent (a root: its second child).
 
     Args:
         hypergraph: A forest: arity <= 2 and acyclic (simple-graph edges).
@@ -104,8 +196,9 @@ def embed_tribes_in_forest(
             :func:`embedding_capacity` slots.
 
     Returns:
-        A :class:`ForestEmbedding` whose BCQ value provably equals the
-        TRIBES value (tests machine-check this on random instances).
+        A ``"forest"`` :class:`TribesEmbedding` whose BCQ value provably
+        equals the TRIBES value (tests machine-check this on random
+        instances).
 
     Raises:
         ValueError: if ``H`` is not a forest or has too few slots.
@@ -114,71 +207,19 @@ def embed_tribes_in_forest(
         raise ValueError("forest embedding requires arity <= 2")
     if not is_acyclic(hypergraph):
         raise ValueError("forest embedding requires an acyclic simple graph")
-    o_set = _choose_o_set(hypergraph)
-    if tribes.m > len(o_set):
-        raise ValueError(
-            f"TRIBES has m={tribes.m} pairs but H only embeds {len(o_set)}"
-        )
-    chosen = o_set[: tribes.m]
-    parents, _depth = _forest_structure(hypergraph)
-
-    n = tribes.universe_size
-    filler = 1
-    domain = tuple(range(n)) + ((filler,) if filler >= n else ())
-    domains = {v: domain for v in hypergraph.vertices}
-
-    def edge_between(u: str, v: str) -> str:
-        for name, verts in hypergraph.edges():
-            if verts == frozenset((u, v)):
-                return name
-        raise KeyError(f"no edge between {u!r} and {v!r}")
-
-    factors: Dict[str, Factor] = {}
-    s_edges: List[str] = []
-    t_edges: List[str] = []
-    planted_edges: Set[str] = set()
-
-    for o, (s_set, t_set) in zip(chosen, tribes.pairs):
-        neighbors = sorted(hypergraph.neighbors(o), key=str)
+    o_set, parents = _choose_o_set(hypergraph)
+    lookup = edge_lookup(hypergraph)
+    sites = []
+    for o in o_set:
         parent = parents[o]
-        children = [v for v in neighbors if v != parent]
-        oc = children[0]
+        children = [
+            v for v in sorted(hypergraph.neighbors(o), key=str) if v != parent
+        ]
         op = parent if parent is not None else children[1]
-        s_edge = edge_between(o, oc)
-        t_edge = edge_between(o, op)
-        schema_s = _ordered_schema(hypergraph, s_edge)
-        schema_t = _ordered_schema(hypergraph, t_edge)
-        factors[s_edge] = _planted_factor(schema_s, o, _sorted(s_set), filler, s_edge)
-        factors[t_edge] = _planted_factor(schema_t, o, _sorted(t_set), filler, t_edge)
-        planted_edges.update((s_edge, t_edge))
-        s_edges.append(s_edge)
-        t_edges.append(t_edge)
-
-    chosen_set = set(chosen)
-    for name, verts in hypergraph.edges():
-        if name in planted_edges:
-            continue
-        schema = _ordered_schema(hypergraph, name)
-        touching = [v for v in schema if v in chosen_set]
-        if touching:
-            # Free the O-coordinate ([N]), pin the rest to the filler.
-            o = touching[0]
-            factors[name] = _planted_factor(
-                schema, o, np.arange(n), filler, name
-            )
-        else:
-            factors[name] = _planted_factor(
-                schema, schema[0], [filler], filler, name
-            )
-    return ForestEmbedding(
-        hypergraph=hypergraph,
-        factors=factors,
-        domains=domains,
-        o_nodes=tuple(chosen),
-        s_edges=tuple(s_edges),
-        t_edges=tuple(t_edges),
-        tribes=tribes,
-    )
+        sites.append((
+            o, lookup[frozenset((o, children[0]))], lookup[frozenset((o, op))]
+        ))
+    return plant_tribes(hypergraph, tribes, sites, "forest")
 
 
 def _ordered_schema(hypergraph: Hypergraph, edge_name: str) -> Tuple[str, ...]:

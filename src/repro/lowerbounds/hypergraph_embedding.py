@@ -2,18 +2,19 @@
 
 For a d-degenerate hypergraph of arity <= r, Theorem F.5 guarantees a
 *strong independent set* of attributes (no hyperedge contains two of them)
-of size ``|V| / (d (r-1))``; planting one set pair per such attribute — the
-sets on two distinct incident hyperedges, fillers elsewhere — yields a BCQ
-equivalent to the TRIBES instance, exactly as in the arity-two case.
+of size ``|V| / (d (r-1))``.  Each such attribute is a site of the
+planting of Lemma 4.3
+(:func:`~repro.lowerbounds.forest_embedding.plant_tribes`), its pair on
+its first two incident hyperedges: the BCQ is equivalent to the TRIBES
+instance, exactly as in the arity-two case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
 from ..hypergraph import Hypergraph
-from ..semiring import BOOLEAN, Factor
+from .forest_embedding import TribesEmbedding, incident_sites, plant_tribes
 from .tribes import TribesInstance
 
 
@@ -36,22 +37,6 @@ def strong_independent_set(hypergraph: Hypergraph) -> List[str]:
     return chosen
 
 
-@dataclass
-class HypergraphEmbedding:
-    """A TRIBES -> BCQ embedding for bounded-arity hypergraphs (Thm F.8).
-
-    Attributes mirror :class:`~repro.lowerbounds.core_embedding.CoreEmbedding`.
-    """
-
-    hypergraph: Hypergraph
-    factors: Dict[str, Factor]
-    domains: Dict[str, Tuple]
-    attributes: Tuple[str, ...]
-    s_edges: Tuple[str, ...]
-    t_edges: Tuple[str, ...]
-    tribes: TribesInstance
-
-
 def embedding_capacity(hypergraph: Hypergraph) -> int:
     """How many pairs the strong-independent-set embedding fits."""
     return len(strong_independent_set(hypergraph))
@@ -59,64 +44,12 @@ def embedding_capacity(hypergraph: Hypergraph) -> int:
 
 def embed_tribes_in_hypergraph(
     hypergraph: Hypergraph, tribes: TribesInstance
-) -> HypergraphEmbedding:
+) -> TribesEmbedding:
     """Construct the Theorem F.8 BCQ instance.
 
     Raises:
         ValueError: if the strong independent set is too small for the
             TRIBES instance.
     """
-    sites = strong_independent_set(hypergraph)
-    if tribes.m > len(sites):
-        raise ValueError(
-            f"TRIBES has m={tribes.m} pairs but H embeds {len(sites)}"
-        )
-    chosen = sites[: tribes.m]
-    n = tribes.universe_size
-    filler = 0
-    domain = tuple(range(n))
-    domains = {v: domain for v in hypergraph.vertices}
-    factors: Dict[str, Factor] = {}
-    s_edges: List[str] = []
-    t_edges: List[str] = []
-
-    def planted(schema: Tuple[str, ...], attr: str, values, name: str) -> Factor:
-        idx = schema.index(attr)
-        tuples = []
-        for value in values:
-            row = [filler] * len(schema)
-            row[idx] = value
-            tuples.append(tuple(row))
-        return Factor.from_tuples(schema, tuples, BOOLEAN, name)
-
-    for attr, (s_set, t_set) in zip(chosen, tribes.pairs):
-        incident = sorted(hypergraph.incident_edges(attr))
-        s_edge, t_edge = incident[0], incident[1]
-        s_schema = tuple(sorted(hypergraph.edge(s_edge), key=str))
-        t_schema = tuple(sorted(hypergraph.edge(t_edge), key=str))
-        factors[s_edge] = planted(s_schema, attr, sorted(s_set), s_edge)
-        factors[t_edge] = planted(t_schema, attr, sorted(t_set), t_edge)
-        s_edges.append(s_edge)
-        t_edges.append(t_edge)
-
-    chosen_set = set(chosen)
-    for name, verts in hypergraph.edges():
-        if name in factors:
-            continue
-        schema = tuple(sorted(verts, key=str))
-        touching = [v for v in schema if v in chosen_set]
-        if touching:
-            factors[name] = planted(schema, touching[0], domain, name)
-        else:
-            factors[name] = Factor.from_tuples(
-                schema, [tuple(filler for _ in schema)], BOOLEAN, name
-            )
-    return HypergraphEmbedding(
-        hypergraph=hypergraph,
-        factors=factors,
-        domains=domains,
-        attributes=tuple(chosen),
-        s_edges=tuple(s_edges),
-        t_edges=tuple(t_edges),
-        tribes=tribes,
-    )
+    sites = incident_sites(hypergraph, strong_independent_set(hypergraph))
+    return plant_tribes(hypergraph, tribes, sites, "hypergraph")

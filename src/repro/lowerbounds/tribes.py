@@ -111,9 +111,11 @@ def hard_tribes(
             in exactly one element; when False one uniformly chosen pair is
             made disjoint (the rest intersect in one element).
     """
-    rng = random.Random(0 if seed is None else seed)
+    if m < 1:
+        raise ValueError(f"hard TRIBES needs m >= 1 pairs; got m={m}")
     if universe_size < 2:
         raise ValueError("universe must have at least two elements")
+    rng = random.Random(0 if seed is None else seed)
     pairs: List[Tuple[frozenset, frozenset]] = []
     broken = None if value else rng.randrange(m)
     half = universe_size // 2

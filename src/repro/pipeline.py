@@ -69,10 +69,20 @@ class BuiltQuery:
 
 
 def _embedded_tribes_query(h: Hypergraph, spec: ScenarioSpec, name: str) -> BuiltQuery:
-    """The Lemma 4.4 hard instance: TRIBES embedded in a forest query."""
+    """The Lemma 4.4 hard instance: TRIBES embedded in a forest query.
+
+    Raises:
+        ValueError: if ``h`` has no vertex to plant a pair on.
+    """
+    capacity = embedding_capacity(h)
+    if capacity == 0:
+        raise ValueError(
+            f"{name} has no vertex to plant a TRIBES pair on (it needs a "
+            "tree with edges >= 2, whose internal vertex carries the pair)"
+        )
     (tribes_seed,) = spawn_seeds(spec.seed, 1)
     value = bool(spec.param("value", True))
-    tribes = hard_tribes(embedding_capacity(h), spec.n, value, seed=tribes_seed)
+    tribes = hard_tribes(capacity, spec.n, value, seed=tribes_seed)
     emb = embed_tribes_in_forest(h, tribes)
     query = bcq(h, emb.factors, emb.domains, name=name)
     return BuiltQuery(query, s_edges=tuple(emb.s_edges), t_edges=tuple(emb.t_edges))
@@ -184,11 +194,6 @@ def _build_hard_forest(spec: ScenarioSpec) -> BuiltQuery:
     """
     trees = int(spec.param("trees", 2))
     edges = int(spec.param("edges", 2))
-    if edges < 2:
-        raise ValueError(
-            "hard-forest needs edges >= 2 per tree (a single-edge tree "
-            "has no internal vertex to plant a TRIBES pair on)"
-        )
     _tribes_seed, structure_seed = spawn_seeds(spec.seed, 2)
     h = random_query_structure(
         "forest", seed=structure_seed, num_trees=trees, edges_per_tree=edges

@@ -282,6 +282,25 @@ def test_hard_forest_family_needs_plantable_trees():
         execute_scenario(spec)
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("query, params", [
+    ("hard-star", {"arms": 1}),
+    ("hard-path", {"length": 1}),
+    ("hard-forest", {"trees": 2, "edges": 1}),
+])
+def test_hard_families_refuse_a_query_with_no_site(query, params, value):
+    # A single edge has no internal vertex: with value=True it would be
+    # a zero-pair "hard" instance, with value=False an unplantable
+    # disjoint pair.  Every hard family refuses it by name.
+    spec = ScenarioSpec(
+        family=f"fuzz-{query}", query=query,
+        query_params={**params, "value": value}, topology="line",
+        topology_params={"n": 3}, n=16, seed=1,
+    )
+    with pytest.raises(ValueError, match="no vertex to plant a TRIBES pair"):
+        execute_scenario(spec)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.faq import bcq, scalar_value, solve_naive
@@ -68,6 +68,14 @@ def test_hard_tribes_value_and_intersection_size():
             assert len(s & t) <= 1  # Remark G.5
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_hard_tribes_refuses_an_empty_instance(value):
+    # m = 0 has no pair to break (value False) and is no hard instance
+    # (value True).
+    with pytest.raises(ValueError, match="m >= 1"):
+        hard_tribes(0, 8, value, seed=1)
+
+
 def test_hard_tribes_checks_its_planted_value_under_python_O():
     # The certification plane trusts the planted instance, so the value
     # check must survive ``python -O``: a construction that plants the
@@ -121,7 +129,7 @@ def star_h():
 def test_forest_embedding_star_structure():
     tr = hard_tribes(1, 8, True, seed=0)
     emb = embed_tribes_in_forest(star_h(), tr)
-    assert emb.o_nodes == ("A",)
+    assert (emb.mode, emb.sites) == ("forest", ("A",))
     assert len(emb.factors) == 4
     assert emb.s_edges[0] != emb.t_edges[0]
 
@@ -183,7 +191,7 @@ def _same_listing(built, expected):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(-5, 40), max_size=30, unique=True).map(sorted),
     st.sampled_from([(("A",), "A"), (("A", "B"), "A"), (("A", "B"), "B")]),
@@ -324,6 +332,156 @@ def test_hypergraph_embedding_equivalence_property(seed, value):
     emb = embed_tribes_in_hypergraph(h, tr)
     q = bcq(emb.hypergraph, emb.factors, emb.domains)
     assert scalar_value(solve_naive(q)) == value
+
+
+# ---------------------------------------------------------------------------
+# The planting rule, as a tuple loop: the oracle of every planted mode
+# ---------------------------------------------------------------------------
+
+
+def reference_planting(emb):
+    """``{edge: rows}`` by the planting rule, over ``emb``'s own sites.
+
+    ``S_i`` and ``T_i`` sit on the site's two edges, every other edge
+    holding a site ranges it over ``[N]``, every remaining edge is one
+    filler row; every coordinate but the site's is the filler 1.
+    """
+    n = emb.tribes.universe_size
+    carried = {}
+    for o, s_edge, t_edge, (s_set, t_set) in zip(
+        emb.sites, emb.s_edges, emb.t_edges, emb.tribes.pairs
+    ):
+        carried[s_edge] = (o, s_set)
+        carried[t_edge] = (o, t_set)
+    relations = {}
+    for name, verts in emb.hypergraph.edges():
+        schema = sorted(verts, key=str)
+        touching = [v for v in schema if v in emb.sites]
+        if name in carried:
+            o, values = carried[name]
+        elif touching:
+            (o,) = touching
+            values = range(n)
+        else:
+            o, values = None, [1]
+        rows = set()
+        for value in values:
+            rows.add(tuple(value if v == o else 1 for v in schema))
+        relations[name] = rows
+    return relations
+
+
+def assert_planted_by_the_rule(emb, tribes):
+    h = emb.hypergraph
+    assert emb.tribes is tribes and len(emb.sites) == tribes.m
+    for o, s_edge, t_edge in zip(emb.sites, emb.s_edges, emb.t_edges):
+        assert s_edge != t_edge and o in h.edge(s_edge) and o in h.edge(t_edge)
+    for _name, verts in h.edges():
+        assert len(verts & set(emb.sites)) <= 1
+    n = tribes.universe_size
+    domain = tuple(range(n)) + ((1,) if n <= 1 else ())
+    assert emb.domains == {v: domain for v in h.vertices}
+    assert list(emb.factors)[: 2 * tribes.m] == [
+        edge for pair in zip(emb.s_edges, emb.t_edges) for edge in pair
+    ]
+    expected = reference_planting(emb)
+    assert set(emb.factors) == set(expected)
+    for name, factor in emb.factors.items():
+        assert factor.schema == tuple(sorted(h.edge(name), key=str))
+        assert set(factor.rows) == expected[name], name
+        assert set(factor.rows.values()) <= {True}
+    q = bcq(h, emb.factors, emb.domains)
+    assert scalar_value(solve_naive(q)) == tribes.evaluate()
+
+
+@st.composite
+def drawn_tribes(draw, capacity):
+    """``random_tribes`` over at most ``capacity`` pairs; density 0
+    (and small universes) give empty sets."""
+    return random_tribes(
+        draw(st.integers(0, capacity)),
+        draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 10_000)),
+        density=draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])),
+    )
+
+
+@st.composite
+def drawn_forests(draw):
+    """A forest over at most 7 vertices (each vertex joins an earlier
+    one or starts a tree), some vertices with a unary edge too."""
+    count = draw(st.integers(3, 7))
+    edges = []
+    for i in range(1, count):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1)))
+        if parent is not None:
+            edges.append((f"v{parent}", f"v{i}"))
+    edges += [(f"v{i}",) for i in draw(
+        st.lists(st.integers(0, count - 1), max_size=2, unique=True)
+    )]
+    assume(edges)
+    return Hypergraph({f"E{k}": verts for k, verts in enumerate(edges)})
+
+
+@st.composite
+def drawn_cores(draw):
+    """A cycle of 4 to 7 vertices with a chord or pendant edge or two:
+    the greedy independent set mostly outgrows the cycle harvest."""
+    count = draw(st.integers(4, 7))
+    edges = [(f"v{i}", f"v{(i + 1) % count}") for i in range(count)]
+    extra = st.tuples(st.integers(0, count), st.integers(0, count))
+    for u, v in draw(st.lists(extra, max_size=2)):
+        pair = frozenset((f"v{u}", f"v{v}"))
+        if len(pair) == 2 and pair not in map(frozenset, edges):
+            edges.append(tuple(pair))
+    names = draw(st.permutations([f"E{k}" for k in range(len(edges))]))
+    return Hypergraph(dict(zip(names, edges)))
+
+
+@st.composite
+def drawn_hypergraphs(draw):
+    """Up to 6 hyperedges of arity 1 to 3 over at most 6 vertices."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(3, 6)))]
+    edges = draw(st.lists(
+        st.lists(st.sampled_from(vertices), min_size=1, max_size=3, unique=True),
+        min_size=2, max_size=6,
+    ))
+    return Hypergraph({f"E{k}": verts for k, verts in enumerate(edges)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_forests(), st.data())
+def test_forest_embedding_plants_by_the_rule(h, data):
+    tribes = data.draw(drawn_tribes(embedding_capacity(h)))
+    emb = embed_tribes_in_forest(h, tribes)
+    assert emb.mode == "forest"
+    assert_planted_by_the_rule(emb, tribes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_cores(), st.data())
+def test_independent_set_embedding_plants_by_the_rule(h, data):
+    mode, capacity = core_embedding_capacity(h)
+    assume(mode == "independent-set")
+    tribes = data.draw(drawn_tribes(capacity))
+    emb = embed_tribes_in_core(h, tribes)
+    assert emb.mode == "independent-set"
+    assert emb.sites == tuple(greedy_independent_set(h)[: tribes.m])
+    for o, s_edge, t_edge in zip(emb.sites, emb.s_edges, emb.t_edges):
+        assert [s_edge, t_edge] == sorted(h.incident_edges(o))[:2]
+    assert_planted_by_the_rule(emb, tribes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_hypergraphs(), st.data())
+def test_hypergraph_embedding_plants_by_the_rule(h, data):
+    tribes = data.draw(drawn_tribes(len(strong_independent_set(h))))
+    emb = embed_tribes_in_hypergraph(h, tribes)
+    assert emb.mode == "hypergraph"
+    assert emb.sites == tuple(strong_independent_set(h)[: tribes.m])
+    for o, s_edge, t_edge in zip(emb.sites, emb.s_edges, emb.t_edges):
+        assert [s_edge, t_edge] == sorted(h.incident_edges(o))[:2]
+    assert_planted_by_the_rule(emb, tribes)
 
 
 # ---------------------------------------------------------------------------

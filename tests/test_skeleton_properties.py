@@ -17,8 +17,9 @@ so this module draws it directly:
 On each: jumping equals stepping every stream every round on all four
 metrics; a traced jumping run replays (:func:`repro.obs.verify
 .replay_trace`) to the same four; and a star whose two trees share a
-link is refused.  The profile is derandomized with a fixed example
-count, so tier-1 stays deterministic.
+link is refused.  Tier-1's profile is derandomized with a fixed
+example count, so tier-1 stays deterministic; CI's ``fuzz-certify`` job
+also runs the larger, randomized ``skeleton-fuzz`` profile.
 """
 
 from unittest import mock
@@ -44,11 +45,17 @@ from repro.protocols.timing import (
 
 MAX_ROUNDS = 1_000_000
 
-PROFILE = settings(
-    max_examples=200,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+#: Tier-1's profile, or the larger ``skeleton-fuzz`` one of
+#: ``tests/conftest.py`` when pytest loads it (``--hypothesis-profile``).
+PROFILE = (
+    settings()
+    if settings.get_current_profile_name() == "skeleton-fuzz"
+    else settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
 )
 
 
